@@ -28,6 +28,7 @@ package delaycache
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -383,14 +384,30 @@ func (s *Shared) fill16(t, id int, dst delay.Block16) {
 
 // Warm fills every resident block of the current generation eagerly
 // (attachment counters are untouched; the serving pool warms a store once
-// before handing out sessions).
+// before handing out sessions). The (transmit, nappe) plan is striped over
+// min(GOMAXPROCS, blocks) goroutines: every block is its own sync.Once, so
+// the fills are independent, and a live session touching a block meanwhile
+// just takes that once first.
 func (s *Shared) Warm() {
 	gen := s.gen.Load()
-	for t, q := range gen.quota {
-		for id := 0; id < q; id++ {
-			s.resident(t, id)
-		}
+	workers := min(runtime.GOMAXPROCS(0), len(gen.blocks))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			k := 0
+			for t, q := range gen.quota {
+				for id := 0; id < q; id++ {
+					if k%workers == w {
+						s.resident(t, id)
+					}
+					k++
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
 // Stats returns the aggregate snapshot across every attachment (each

@@ -1,10 +1,12 @@
 package delaycache
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/faultpoint"
 )
 
 // transmitProviders derives n steered per-transmit block providers from the
@@ -229,5 +231,81 @@ func TestTransmitConfigValidation(t *testing.T) {
 	shrunk.Arr.NX = 2 // different layout
 	if _, err := New(Config{Providers: []delay.BlockProvider{provs[0], &shrunk}, Depths: depths}); err == nil {
 		t.Error("layout mismatch across transmits must fail")
+	}
+}
+
+// TestSharedWarmParallelMatchesSerialFirstTouch: Warm stripes the residency
+// plan over GOMAXPROCS goroutines; the store it leaves must be the one a
+// single goroutine first-touching every planned block leaves — same bytes,
+// same fill/miss/hit counts, one fault-point call per block — at full and
+// partial residency, with a live reader racing the warm (run under -race).
+func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	provs, depths := transmitProviders(t, 3)
+	blockBytes := int64(provs[0].Layout().BlockLen()) * narrowDelayBytes
+	for _, budget := range []int64{-1, 7 * blockBytes} {
+		cfg := Config{Providers: provs, Depths: depths, BudgetBytes: budget}
+		warmed, err := NewShared(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := NewShared(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		quota := serial.PlanQuota()
+		touch := serial.Attach()
+		for tx, q := range quota {
+			for id := 0; id < q; id++ {
+				touch.Nappe16T(tx, id)
+			}
+		}
+
+		if err := faultpoint.Activate("delaycache.fill=every:1"); err != nil {
+			t.Fatal(err)
+		}
+		reader := warmed.Attach()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for id := 0; id < quota[0]; id++ {
+				reader.Nappe16T(0, id)
+			}
+		}()
+		warmed.Warm()
+		<-done
+		faultpoint.Deactivate()
+		for _, ps := range faultpoint.Snapshot() {
+			if ps.Name == "delaycache.fill" && ps.Calls != int64(serial.ResidentBlocks()) {
+				t.Errorf("budget %d: fill fault point called %d times, want once per block (%d)",
+					budget, ps.Calls, serial.ResidentBlocks())
+			}
+		}
+
+		ws, ss := warmed.Stats(), serial.Stats()
+		if ws.Fills != ss.Fills || ws.Misses != ss.Misses || ws.BytesResident != ss.BytesResident ||
+			ws.Fills != int64(serial.ResidentBlocks()) {
+			t.Errorf("budget %d: warmed %+v, serially touched %+v", budget, ws, ss)
+		}
+		// Every planned slot was requested by Warm and again by the reader's
+		// share; exactly one request per block ran the generator.
+		if want := int64(quota[0]); ws.Hits != want {
+			t.Errorf("budget %d: hits = %d, want the reader's %d", budget, ws.Hits, want)
+		}
+		check := warmed.Attach()
+		for tx, q := range quota {
+			for id := 0; id < q; id++ {
+				got, want := check.Nappe16T(tx, id), touch.Nappe16T(tx, id)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("budget %d block (%d,%d) slot %d: warmed %d != serial %d",
+							budget, tx, id, i, got[i], want[i])
+					}
+				}
+			}
+			if check.Nappe16T(tx, q) != nil {
+				t.Errorf("budget %d: block (%d,%d) resident outside the plan", budget, tx, q)
+			}
+		}
 	}
 }

@@ -178,6 +178,7 @@ type FixedApprox struct {
 	lo   []int64 // segment start, scaled by 2^ArgFrac
 	c1   []int64 // slope words, scaled by 2^SlopeFrac
 	v0   []int64 // line value at segment start, scaled by 2^OffsetFrac
+	ints *IntDatapath
 }
 
 // NewFixed quantizes an Approx into a hardware datapath model.
@@ -190,6 +191,7 @@ func NewFixed(a *Approx, cfg FixedConfig) *FixedApprox {
 		f.c1[i] = int64(math.Round(math.Ldexp(s.C1, cfg.SlopeFrac)))
 		f.v0[i] = int64(math.Round(math.Ldexp(s.C1*s.Lo+s.C0, cfg.OffsetFrac)))
 	}
+	f.ints = newIntDatapath(f)
 	return f
 }
 
@@ -241,6 +243,95 @@ func shiftRound(x int64, n int) int64 {
 		return (x + half) >> uint(n)
 	}
 	return -((-x + half) >> uint(n))
+}
+
+// SegOp is one segment packed for the integer datapath: the float bounds
+// the segment cursor compares against, and the three integer operands of
+// the multiply-add with the offset already aligned to OutFrac.
+type SegOp struct {
+	Lo, Hi float64 // Segment.Lo/Hi, the cursor's comparands
+	LoRaw  int64   // segment start, scaled by 2^ArgFrac
+	C1     int64   // slope word, scaled by 2^SlopeFrac
+	V0     int64   // line value at segment start, scaled by 2^OutFrac
+}
+
+// IntDatapath is EvalSeg with everything that depends only on the
+// FixedConfig done once: the shift amounts, their rounding halves and the
+// per-segment offset alignment. What is left per argument is one
+// float→integer rounding, a subtract, a multiply, a rounding shift and an
+// add (Raw), all on int64, with results in raw OutFrac units so that two
+// legs add as integers and round once more to a sample index (Index).
+// Block generators inline these into their fill loops; EvalSeg remains the
+// specification and Raw(op, α) == EvalSeg(seg, α)·2^OutFrac for every α ≥ 0.
+type IntDatapath struct {
+	Ops       []SegOp
+	argScale  float64 // 2^ArgFrac
+	prodShift uint    // ArgFrac + SlopeFrac − OutFrac
+	prodHalf  int64   // 1 << (prodShift−1)
+	outShift  uint    // OutFrac
+	outHalf   int64   // 1 << (OutFrac−1)
+}
+
+// newIntDatapath packs f for the integer form, or returns nil when the
+// config is one it does not cover: both roundings must be genuine right
+// shifts (product shift and OutFrac positive) and the argument scaling a
+// multiplication by a power of two ≥ 1.
+func newIntDatapath(f *FixedApprox) *IntDatapath {
+	cfg := f.Cfg
+	prodShift := cfg.ArgFrac + cfg.SlopeFrac - cfg.OutFrac
+	if cfg.ArgFrac < 0 || prodShift <= 0 || prodShift > 62 || cfg.OutFrac <= 0 || cfg.OutFrac > 62 {
+		return nil
+	}
+	d := &IntDatapath{
+		Ops:       make([]SegOp, len(f.lo)),
+		argScale:  math.Ldexp(1, cfg.ArgFrac),
+		prodShift: uint(prodShift),
+		prodHalf:  1 << uint(prodShift-1),
+		outShift:  uint(cfg.OutFrac),
+		outHalf:   1 << uint(cfg.OutFrac-1),
+	}
+	for i, s := range f.Base.Segments {
+		d.Ops[i] = SegOp{Lo: s.Lo, Hi: s.Hi, LoRaw: f.lo[i], C1: f.c1[i],
+			V0: shiftRound(f.v0[i], cfg.OffsetFrac-cfg.OutFrac)}
+	}
+	return d
+}
+
+// Integer returns the hoisted integer form of the datapath, or nil when
+// the FixedConfig is outside what it covers (callers then stay on
+// EvalSeg/EvalSlice).
+func (f *FixedApprox) Integer() *IntDatapath { return f.ints }
+
+// Raw evaluates segment op at argument alpha ≥ 0 and returns the result in
+// raw OutFrac units: EvalSeg before its final scaling back to float.
+func (d *IntDatapath) Raw(op *SegOp, alpha float64) int64 {
+	return roundShift((roundNonNeg(alpha*d.argScale)-op.LoRaw)*op.C1, d.prodHalf, d.prodShift) + op.V0
+}
+
+// Index rounds a raw OutFrac value (one leg, or a sum of legs) to the
+// nearest integer sample, ties away from zero — math.Round of the float the
+// raw value stands for.
+func (d *IntDatapath) Index(raw int64) int64 {
+	return roundShift(raw, d.outHalf, d.outShift)
+}
+
+// roundNonNeg is math.Round for 0 ≤ x < 2^63 without the library call:
+// truncate, then step up when the discarded fraction reaches one half. The
+// fraction x − ⌊x⌋ is exact in float64, so ties and the value just below a
+// tie (0.49999999999999994, which ⌊x+0.5⌋ gets wrong) round as Round does.
+func roundNonNeg(x float64) int64 {
+	t := int64(x)
+	if x-float64(t) >= 0.5 {
+		t++
+	}
+	return t
+}
+
+// roundShift is shiftRound for n > 0 with half = 1<<(n−1) supplied by the
+// caller and the sign branch folded into the bias: x>>63 is −1 for negative
+// x, and ⌊(x + half − 1) / 2ⁿ⌋ = −⌊(−x + half) / 2ⁿ⌋ there.
+func roundShift(x, half int64, n uint) int64 {
+	return (x + half + x>>63) >> (n & 63)
 }
 
 // LUTBits returns the total coefficient-storage footprint in bits, assuming

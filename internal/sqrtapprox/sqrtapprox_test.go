@@ -326,3 +326,90 @@ func TestEvalSliceMatchesEval(t *testing.T) {
 		}
 	}
 }
+
+// TestRoundShiftMatchesShiftRound holds the hoisted shift form (sign folded
+// into the bias, half supplied) to shiftRound over signs, exact ties, the
+// values either side of a tie, and magnitudes up to where shiftRound's own
+// |x|+half would overflow.
+func TestRoundShiftMatchesShiftRound(t *testing.T) {
+	for _, n := range []uint{1, 2, 6, 18, 26, 40, 62} {
+		half := int64(1) << (n - 1)
+		xs := []int64{0, 1, -1, half, -half, half - 1, -half + 1, half + 1, -half - 1,
+			3 * half, -3 * half, 5*half - 1, -5*half + 1, 1<<n - 1, -(1<<n - 1),
+			1 << 40, -(1 << 40), 1<<61 + 12345, -(1<<61 + 12345), math.MaxInt64 - half, half - math.MaxInt64}
+		for k := int64(-9); k <= 9; k++ {
+			xs = append(xs, k*half, k*half+1, k*half-1)
+		}
+		for _, x := range xs {
+			if x > math.MaxInt64-half || x < half-math.MaxInt64 {
+				continue // k·half wrapped at n = 62
+			}
+			if got, want := roundShift(x, half, n), shiftRound(x, int(n)); got != want {
+				t.Errorf("roundShift(%d, n=%d) = %d, shiftRound = %d", x, n, got, want)
+			}
+		}
+	}
+}
+
+// TestRoundNonNegMatchesMathRound covers ties, the doubles adjacent to
+// ties (0.49999999999999994 is where ⌊x+0.5⌋ fails), integers, and values
+// past 2^52 where every double is an integer.
+func TestRoundNonNegMatchesMathRound(t *testing.T) {
+	xs := []float64{0, 0.25, 0.49999999999999994, 0.5, 0.5000000000000001, 0.75, 1, 1.5, 2.5,
+		1023.5, 4503599627370495.5, 4503599627370496, 4503599627370497, 1 << 53, 1<<53 + 2, 1 << 62}
+	for k := 0.0; k < 40; k++ {
+		tie := math.Ldexp(1, int(k)) + 0.5
+		xs = append(xs, tie, math.Nextafter(tie, 0), math.Nextafter(tie, math.Inf(1)))
+	}
+	for _, x := range xs {
+		if got, want := roundNonNeg(x), int64(math.Round(x)); got != want {
+			t.Errorf("roundNonNeg(%v) = %d, math.Round = %d", x, got, want)
+		}
+	}
+}
+
+// TestIntDatapathMatchesEvalSeg holds the hoisted integer form to the
+// EvalSeg specification on every segment — inside it, on its bounds, below
+// its start (negative offset) and far beyond its end — for the default
+// config, fractional argument bits, and an offset format wider and narrower
+// than the output; and pins which configs it declines.
+func TestIntDatapathMatchesEvalSeg(t *testing.T) {
+	a := paperApprox()
+	for _, cfg := range []FixedConfig{
+		DefaultFixedConfig(),
+		{ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6},
+		{ArgFrac: 0, SlopeFrac: 20, OffsetFrac: 10, OutFrac: 4},
+		{ArgFrac: 1, SlopeFrac: 24, OffsetFrac: 3, OutFrac: 8},
+	} {
+		f := NewFixed(a, cfg)
+		d := f.Integer()
+		if d == nil {
+			t.Fatalf("%+v: no integer datapath", cfg)
+		}
+		for seg, s := range a.Segments {
+			for _, alpha := range []float64{s.Lo, s.Hi, (s.Lo + s.Hi) / 2, s.Lo + 0.5, s.Lo + 0.375,
+				math.Nextafter(s.Lo+0.5, 0), s.Lo / 2, s.Hi * 3, 0} {
+				want := f.EvalSeg(seg, alpha)
+				if got := math.Ldexp(float64(d.Raw(&d.Ops[seg], alpha)), -cfg.OutFrac); got != want {
+					t.Fatalf("%+v seg %d alpha %v: Raw %v != EvalSeg %v", cfg, seg, alpha, got, want)
+				}
+				for _, tx := range []int64{0, 31, -d.Raw(&d.Ops[seg], alpha) - d.outHalf} {
+					raw := tx + d.Raw(&d.Ops[seg], alpha)
+					if got, want := d.Index(raw), int64(math.Round(math.Ldexp(float64(raw), -cfg.OutFrac))); got != want {
+						t.Fatalf("%+v Index(%d) = %d, math.Round = %d", cfg, raw, got, want)
+					}
+				}
+			}
+		}
+	}
+	for _, cfg := range []FixedConfig{
+		{ArgFrac: 0, SlopeFrac: 4, OffsetFrac: 6, OutFrac: 6},
+		{ArgFrac: 0, SlopeFrac: 6, OffsetFrac: 6, OutFrac: 6},
+		{ArgFrac: 0, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 0},
+		{ArgFrac: -1, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6},
+	} {
+		if NewFixed(a, cfg).Integer() != nil {
+			t.Errorf("%+v: integer datapath offered for a config it does not cover", cfg)
+		}
+	}
+}

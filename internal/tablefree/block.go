@@ -1,6 +1,11 @@
 package tablefree
 
-import "ultrabeam/internal/delay"
+import (
+	"math"
+
+	"ultrabeam/internal/delay"
+	"ultrabeam/internal/sqrtapprox"
+)
 
 // Layout implements delay.BlockProvider.
 func (p *Provider) Layout() delay.Layout {
@@ -24,28 +29,111 @@ func (p *Provider) FillNappe(id int, dst []float64) {
 	p.fillNappe(id, dst, nil)
 }
 
-// FillNappe16 implements delay.BlockProvider16: the identical §IV-B
-// decomposition and batched PWL evaluation, quantizing each voxel's element
-// plane as soon as it is produced so only one voxel of float64 values is
-// live at a time (the working set drops from a block to an element plane).
+// FillNappe16 implements delay.BlockProvider16. The fixed datapath — the
+// form the serving stack builds — runs the fused integer kernel
+// (fillNappe16Fixed); the ideal PWL, and a FixedConfig the integer form
+// does not cover, take the generic sweep with delay.Index16 applied per
+// voxel plane.
 func (p *Provider) FillNappe16(id int, dst delay.Block16) {
+	if p.UseFixed {
+		if dp := p.FixedDP.Integer(); dp != nil {
+			p.fillNappe16Fixed(id, dst, dp)
+			return
+		}
+	}
 	p.fillNappe(id, nil, dst)
 }
 
-// fillNappe is the shared nappe sweep: exactly one of dst (float64 block)
+// stackCols is the widest element row whose (Sx−xD)² scratch lives on the
+// fill's stack; wider apertures pay one allocation per nappe.
+const stackCols = 256
+
+// fillNappe16Fixed is the §IV-B unit as integer arithmetic: per element,
+// two float additions form the argument, the segment cursor steps to its
+// piece, and one rounding, one multiply, two rounding shifts and two adds
+// on int64 produce the saturated sample index — sqrtapprox.IntDatapath
+// holds the per-segment operands and the hoisted shift constants. The
+// transmit leg joins as a raw OutFrac integer: both legs are exact
+// multiples of 2^−OutFrac, so the float sum DelaySamples forms is exact and
+// equals the integer sum, and rounding that integer is math.Round of the
+// float. Every slot is bit-identical to Index16(DelaySamples(...)).
+func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.IntDatapath) {
+	l := p.Layout()
+	var stack [stackCols]float64
+	xt2 := stack[:] // per-column (Sx−xD)², refreshed per voxel
+	if l.NX > stackCols {
+		xt2 = make([]float64, l.NX)
+	}
+	xt2 = xt2[:l.NX]
+	ops := dp.Ops
+	cur := 0 // receive segment cursor, carried across rows and voxels
+	r := p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(id))
+	dst = dst[:l.BlockLen()]
+	for it := 0; it < l.NTheta; it++ {
+		for ip := 0; ip < l.NPhi; ip++ {
+			// geom.SphericalToCartesian with the per-axis sin/cos hoisted.
+			rc := r * p.cosPhi[ip]
+			sx, sy, sz := rc*p.sinTheta[it], r*p.sinPhi[ip], rc*p.cosTheta[it]
+			dx := sx - p.originS.X
+			dy := sy - p.originS.Y
+			dz := sz - p.originS.Z
+			argTx := dx*dx + dy*dy + dz*dz
+			txRaw := dp.Raw(&ops[p.FixedDP.Base.Find(argTx)], argTx)
+			zz := sz * sz
+			for ei, ex := range p.elemX {
+				xt := sx - ex
+				xt2[ei] = xt * xt
+			}
+			for _, ey := range p.elemY {
+				yt := sy - ey
+				yt2 := yt * yt
+				cur = fixedRow(dst[:l.NX], xt2, yt2, zz, txRaw, dp, cur)
+				dst = dst[l.NX:]
+			}
+		}
+	}
+}
+
+// fixedRow emits one element row of one voxel: xt2 holds the row's column
+// terms, yt2 and zz its shared row and depth terms (summed in DelaySamples'
+// association order), txRaw the voxel's transmit leg. It returns the segment
+// cursor for the next row. Kept out of line so the loop's operands stay in
+// registers.
+func fixedRow(row []int16, xt2 []float64, yt2, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, cur int) int {
+	ops := dp.Ops
+	last := len(ops) - 1
+	row = row[:len(xt2)]
+	for ei, x2 := range xt2 {
+		alpha := x2 + yt2 + zz
+		for cur < last && alpha >= ops[cur].Hi {
+			cur++
+		}
+		for cur > 0 && alpha < ops[cur].Lo {
+			cur--
+		}
+		idx := dp.Index(txRaw + dp.Raw(&ops[cur], alpha))
+		row[ei] = int16(min(max(idx, math.MinInt16), math.MaxInt16))
+	}
+	return cur
+}
+
+// fillNappe is the generic nappe sweep: exactly one of dst (float64 block)
 // and dst16 (quantized block) is non-nil. The float64 arithmetic and its
-// association order are identical on both paths — dst16 merely fuses
-// delay.Index16 into the per-voxel emit loop — which keeps the quantized
-// fill exact with respect to the float fill.
+// association order are identical on both paths — dst16 merely applies
+// delay.Index16 to each voxel plane as it is produced — which keeps the
+// quantized fill exact with respect to the float fill.
 func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
 	l := p.Layout()
 	nE := l.VoxelStride()
-	xt2 := make([]float64, l.NX) // per-column (Sx−xD)², refreshed per voxel
-	args := make([]float64, nE)  // batched receive √ arguments of one voxel
-	var voxel []float64          // per-voxel output plane on the quantized path
+	// One scratch: the per-column (Sx−xD)² row, then on the quantized path
+	// the voxel plane. Each voxel's receive √ arguments are written to its
+	// output plane and evaluated in place (the float64 path uses dst itself).
+	n := l.NX
 	if dst16 != nil {
-		voxel = make([]float64, nE)
+		n += nE
 	}
+	scratch := make([]float64, n)
+	xt2, voxel := scratch[:l.NX], scratch[l.NX:]
 	k := 0
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {
@@ -65,23 +153,23 @@ func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
 				xt := s.X - p.elemX[ei]
 				xt2[ei] = xt * xt
 			}
+			out := voxel
+			if dst16 == nil {
+				out = dst[k : k+nE]
+			}
 			j := 0
 			for ej := 0; ej < l.NY; ej++ {
 				yt := s.Y - p.elemY[ej]
 				yt2 := yt * yt
 				for ei := 0; ei < l.NX; ei++ {
-					args[j] = xt2[ei] + yt2 + zz
+					out[j] = xt2[ei] + yt2 + zz
 					j++
 				}
 			}
-			out := voxel
-			if dst16 == nil {
-				out = dst[k : k+nE]
-			}
 			if p.UseFixed {
-				p.FixedDP.EvalSlice(out, args)
+				p.FixedDP.EvalSlice(out, out)
 			} else {
-				p.Approx.EvalSlice(out, args)
+				p.Approx.EvalSlice(out, out)
 			}
 			if dst16 != nil {
 				for i, rx := range out {

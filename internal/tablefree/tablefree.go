@@ -52,6 +52,10 @@ type Provider struct {
 	// Precomputed geometry in sample units.
 	elemX, elemY []float64 // element coordinates, samples
 	originS      geom.Vec3 // origin, samples
+
+	// Per-axis factors of the Eq. (5) parametrization, for the block fill.
+	sinTheta, cosTheta []float64
+	sinPhi, cosPhi     []float64
 }
 
 // New builds the provider, sizing the PWL domain from the configuration's
@@ -79,7 +83,18 @@ func New(cfg Config) *Provider {
 	for j := range p.elemY {
 		p.elemY[j] = cfg.Conv.MetersToSamples(cfg.Arr.ElementY(j))
 	}
+	p.sinTheta, p.cosTheta = sinCos(cfg.Vol.Theta)
+	p.sinPhi, p.cosPhi = sinCos(cfg.Vol.Phi)
 	return p
+}
+
+// sinCos tabulates sin and cos at every node of an angular axis.
+func sinCos(ax geom.Grid) (sin, cos []float64) {
+	sin, cos = make([]float64, ax.N), make([]float64, ax.N)
+	for i := range sin {
+		sin[i], cos[i] = math.Sin(ax.At(i)), math.Cos(ax.At(i))
+	}
+	return sin, cos
 }
 
 // maxOneWaySamples bounds the largest one-way path (transmit or receive) in
