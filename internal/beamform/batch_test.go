@@ -210,8 +210,7 @@ func TestBatchAmortizesGeneration(t *testing.T) {
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
 	eng := New(cfg)
 	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	calls := 0
-	counted := &countingBlock{BlockProvider: delay.AsBlock(exactProvider(cfg), layout), calls: &calls}
+	counted := &countingBlock{BlockProvider: delay.AsBlock(exactProvider(cfg), layout)}
 	sess, err := eng.NewSession(counted)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +227,7 @@ func TestBatchAmortizesGeneration(t *testing.T) {
 	if err := sess.BeamformBatch(dsts, batch); err != nil {
 		t.Fatal(err)
 	}
-	if calls != cfg.Vol.Depth.N {
+	if calls := counted.calls.Load(); calls != int64(cfg.Vol.Depth.N) {
 		t.Errorf("batch of 3 ran the generator %d times, want once per depth slice (%d)",
 			calls, cfg.Vol.Depth.N)
 	}

@@ -368,13 +368,12 @@ func TestWideResidencyServesNarrowSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	calls := 0
-	counted := &countingBlock{BlockProvider: delay.AsBlock(p, layout), calls: &calls}
+	counted := &countingBlock{BlockProvider: delay.AsBlock(p, layout)}
 	src := retainingBoth{newRetainingSource(counted)}
 	for id := 0; id < cfg.Vol.Depth.N; id++ { // warm the wide blocks
 		src.Nappe(id)
 	}
-	warm := calls
+	warm := counted.calls.Load()
 	sess, err := eng.NewSession(src)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +383,7 @@ func TestWideResidencyServesNarrowSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != warm {
+	if calls := counted.calls.Load(); calls != warm {
 		t.Errorf("narrow session regenerated %d blocks despite wide residency", calls-warm)
 	}
 	for i := range ref.Data {

@@ -2,6 +2,7 @@ package beamform
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -83,13 +84,12 @@ func TestSessionRetainedSourceSkipsGeneration(t *testing.T) {
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
 	eng := New(cfg)
 	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	calls := 0
-	counted := &countingBlock{BlockProvider: delay.AsBlock(exactProvider(cfg), layout), calls: &calls}
+	counted := &countingBlock{BlockProvider: delay.AsBlock(exactProvider(cfg), layout)}
 	src := newRetainingSource(counted)
 	for id := 0; id < cfg.Vol.Depth.N; id++ { // warm outside the session
 		src.Nappe(id)
 	}
-	warm := calls
+	warm := counted.calls.Load()
 	sess, err := eng.NewSession(src)
 	if err != nil {
 		t.Fatal(err)
@@ -98,18 +98,19 @@ func TestSessionRetainedSourceSkipsGeneration(t *testing.T) {
 	if _, err := sess.Beamform(bufs); err != nil {
 		t.Fatal(err)
 	}
-	if calls != warm {
+	if calls := counted.calls.Load(); calls != warm {
 		t.Errorf("generator ran %d more times after warm-up", calls-warm)
 	}
 }
 
+// countingBlock counts generator runs; session workers fill concurrently.
 type countingBlock struct {
 	delay.BlockProvider
-	calls *int
+	calls atomic.Int64
 }
 
 func (c *countingBlock) FillNappe(id int, dst []float64) {
-	*c.calls++
+	c.calls.Add(1)
 	c.BlockProvider.FillNappe(id, dst)
 }
 

@@ -9,18 +9,21 @@ import (
 )
 
 // CorrTables holds the precomputed steering corrections of Eq. (7), in
-// sample units: the x part −xD·cosφ·sinθ indexed (element column, folded φ,
-// θ) and the y part −yD·sinφ indexed (element row, φ). At Table I scale the
-// counts are 100×64×128 + 100×128 = 832×10³, the paper's §V-B total.
+// sample units: the x part −xD·cosφ·sinθ for (θ, folded φ, element column)
+// and the y part −yD·sinφ for (φ, element row). They are stored in the order
+// the Fig. 4 adder chain consumes them — the element axis innermost — so the
+// x corrections of one steering direction are one contiguous row. At Table I
+// scale the counts are 100×64×128 + 100×128 = 832×10³, the paper's §V-B
+// total.
 type CorrTables struct {
 	NX, NTheta, NPhi int
 	NY               int
 	PhiFolded        int // distinct cosφ values (φ grid is symmetric)
 	Fmt              fixed.Format
 
-	xvals    []float64 // [ei][pf][it]
+	xvals    []float64 // [it][pf][ei]
 	xraws    []int64
-	yvals    []float64 // [ej][ip]
+	yvals    []float64 // [ip][ej]
 	yraws    []int64
 	SatCount int
 }
@@ -48,34 +51,39 @@ func BuildCorrTables(cfg Config) *CorrTables {
 		yvals: make([]float64, cfg.Arr.NY*cfg.Vol.Phi.N),
 		yraws: make([]int64, cfg.Arr.NY*cfg.Vol.Phi.N),
 	}
+	// Built in storage order, so each angle's sine and cosine is taken once.
 	toSamples := cfg.Conv.Fs / cfg.Conv.C
-	for ei := 0; ei < cfg.Arr.NX; ei++ {
-		xd := cfg.Arr.ElementX(ei) * toSamples
+	idx := 0
+	for it := 0; it < cfg.Vol.Theta.N; it++ {
+		stheta := math.Sin(cfg.Vol.Theta.At(it))
 		for p := 0; p < pf; p++ {
 			cphi := math.Cos(cfg.Vol.Phi.At(p)) // |cosφ| same on both halves
-			for it := 0; it < cfg.Vol.Theta.N; it++ {
-				v := -xd * cphi * math.Sin(cfg.Vol.Theta.At(it))
-				idx := (ei*pf+p)*cfg.Vol.Theta.N + it
+			for ei := 0; ei < cfg.Arr.NX; ei++ {
+				xd := cfg.Arr.ElementX(ei) * toSamples
+				v := -xd * cphi * stheta
 				c.xvals[idx] = v
 				q, sat := fixed.Quantize(v, cfg.CorrFmt, fixed.RoundNearest)
 				c.xraws[idx] = q.Raw
 				if sat {
 					c.SatCount++
 				}
+				idx++
 			}
 		}
 	}
-	for ej := 0; ej < cfg.Arr.NY; ej++ {
-		yd := cfg.Arr.ElementY(ej) * toSamples
-		for ip := 0; ip < cfg.Vol.Phi.N; ip++ {
-			v := -yd * math.Sin(cfg.Vol.Phi.At(ip))
-			idx := ej*cfg.Vol.Phi.N + ip
+	idx = 0
+	for ip := 0; ip < cfg.Vol.Phi.N; ip++ {
+		sphi := math.Sin(cfg.Vol.Phi.At(ip))
+		for ej := 0; ej < cfg.Arr.NY; ej++ {
+			yd := cfg.Arr.ElementY(ej) * toSamples
+			v := -yd * sphi
 			c.yvals[idx] = v
 			q, sat := fixed.Quantize(v, cfg.CorrFmt, fixed.RoundNearest)
 			c.yraws[idx] = q.Raw
 			if sat {
 				c.SatCount++
 			}
+			idx++
 		}
 	}
 	return c
@@ -92,19 +100,20 @@ func (c *CorrTables) StorageBits() int { return c.Entries() * c.Fmt.Bits() }
 
 // X returns the float x correction (samples) for element column ei at
 // steering (it, ip).
-func (c *CorrTables) X(ei, it, ip int) float64 {
-	return c.xvals[(ei*c.PhiFolded+phiFold(ip, c.NPhi))*c.NTheta+it]
-}
+func (c *CorrTables) X(ei, it, ip int) float64 { return c.xvals[c.xRow(it, ip)+ei] }
 
 // Y returns the float y correction for element row ej at elevation ip.
-func (c *CorrTables) Y(ej, ip int) float64 { return c.yvals[ej*c.NPhi+ip] }
+func (c *CorrTables) Y(ej, ip int) float64 { return c.yvals[ip*c.NY+ej] }
 
 // XRaw and YRaw return the fixed-point correction words.
-func (c *CorrTables) XRaw(ei, it, ip int) int64 {
-	return c.xraws[(ei*c.PhiFolded+phiFold(ip, c.NPhi))*c.NTheta+it]
-}
+func (c *CorrTables) XRaw(ei, it, ip int) int64 { return c.xraws[c.xRow(it, ip)+ei] }
 
-func (c *CorrTables) YRaw(ej, ip int) int64 { return c.yraws[ej*c.NPhi+ip] }
+func (c *CorrTables) YRaw(ej, ip int) int64 { return c.yraws[ip*c.NY+ej] }
+
+// xRow returns the offset of steering direction (it, ip)'s NX x corrections.
+func (c *CorrTables) xRow(it, ip int) int {
+	return (it*c.PhiFolded + phiFold(ip, c.NPhi)) * c.NX
+}
 
 // Provider generates delays through the TABLESTEER architecture: reference
 // table plus tilted-plane correction (Eq. 7). It implements delay.Provider.
@@ -116,6 +125,12 @@ type Provider struct {
 	Ref      *RefTable
 	Corr     *CorrTables
 	UseFixed bool
+
+	// The fixed datapath's block-fill operands, built once in New: int32
+	// words where the formats prove the narrow kernel (narrowProven),
+	// int64 words otherwise. Exactly one is set.
+	narrow *operands[int32]
+	wide   *operands[int64]
 }
 
 // New builds the provider, eagerly constructing both tables. Formats
@@ -124,7 +139,61 @@ func New(cfg Config) *Provider {
 	if !cfg.RefFmt.Valid() || !cfg.CorrFmt.Valid() {
 		cfg.RefFmt, cfg.CorrFmt = Bits18Config()
 	}
-	return &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: BuildCorrTables(cfg)}
+	p := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: BuildCorrTables(cfg)}
+	if narrowProven(cfg.RefFmt, cfg.CorrFmt) {
+		p.narrow = newOperands[int32](p.Ref, p.Corr)
+	} else {
+		p.wide = newOperands[int64](p.Ref, p.Corr)
+	}
+	return p
+}
+
+// operands is the fixed datapath's tables as the Fig. 4 adder chain consumes
+// them: every raw word shifted once, at build, to the common binary point —
+// the finer of the two formats' grids, alignedSum's alignment — so a steered
+// delay is two additions on words already in place, then one rounding.
+type operands[T int32 | int64] struct {
+	frac int // fractional bits of the common binary point
+	x, y []T // corrections in CorrTables order; shared between transmits
+	ref  []T // folded reference in RefTable order; one per transmit
+}
+
+func newOperands[T int32 | int64](ref *RefTable, corr *CorrTables) *operands[T] {
+	frac := max(ref.Fmt.FracBits, corr.Fmt.FracBits)
+	shift := uint(frac - corr.Fmt.FracBits)
+	o := operands[T]{frac: frac, x: align[T](corr.xraws, shift), y: align[T](corr.yraws, shift)}
+	return o.withRef(ref)
+}
+
+// withRef returns a copy of o around another transmit's reference table,
+// sharing the corrections.
+func (o operands[T]) withRef(ref *RefTable) *operands[T] {
+	o.ref = align[T](ref.raws, uint(o.frac-ref.Fmt.FracBits))
+	return &o
+}
+
+func align[T int32 | int64](raws []int64, shift uint) []T {
+	out := make([]T, len(raws))
+	for i, r := range raws {
+		out[i] = T(r << shift)
+	}
+	return out
+}
+
+// narrowProven reports whether the formats alone prove the int32 row kernel
+// (steerRow) exact and its int16 store unsaturated. Table words are
+// saturated to their formats at build, so a reference is at most
+// 2^RefFmt.IntBits samples in magnitude and each of the two corrections at
+// most 2^CorrFmt.IntBits: for u13.5 + 2·s13.4 the sum stays within 24 576 <
+// 32 767, no rounded index can reach an int16 rail, and the aligned sum plus
+// its rounding bias is far inside int32. A pair with no fractional bit to
+// round away, or whose bound admits saturation or overflows int32, is not
+// proven and fills through the int64 clamped rows instead.
+func narrowProven(ref, corr fixed.Format) bool {
+	frac := max(ref.FracBits, corr.FracBits)
+	bound := int64(1)<<ref.IntBits + 2<<corr.IntBits // |sum| in samples
+	return 1 <= frac && frac <= 30 && bound <= math.MaxInt16 &&
+		bound<<frac+1<<(frac-1) <= math.MaxInt32
 }
 
 // Name implements delay.Provider.
@@ -165,9 +234,9 @@ func alignedSum(refRaw, corrRaw int64, refFrac, corrFrac int) (sum int64, frac i
 // WithTransmit implements delay.TransmitProvider: a new folded reference
 // table is built for the transmit's origin (the §V "multiple precalculated
 // delay tables" extension MultiOrigin quantifies), while the correction
-// tables — which encode only the receive-side steering plane — would be
-// shared in hardware. The folding symmetry requires the origin on the z
-// axis; off-axis transmits are rejected.
+// tables — which encode only the receive-side steering plane — are shared
+// with p, as they would be in hardware. The folding symmetry requires the
+// origin on the z axis; off-axis transmits are rejected.
 func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	if tx.Origin.X != 0 || tx.Origin.Y != 0 {
 		return nil, fmt.Errorf("tablesteer: transmit origin must lie on the z axis for 4× folding, got %v",
@@ -175,8 +244,12 @@ func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	}
 	cfg := p.Cfg
 	cfg.OriginZ = tx.Origin.Z
-	np := New(cfg)
-	np.UseFixed = p.UseFixed
+	np := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: p.Corr, UseFixed: p.UseFixed}
+	if p.narrow != nil {
+		np.narrow = p.narrow.withRef(np.Ref)
+	} else {
+		np.wide = p.wide.withRef(np.Ref)
+	}
 	return np, nil
 }
 
