@@ -40,23 +40,42 @@
 // A finished voxel leaves the integer domain once: float64(acc) · scale,
 // where the caller's scale folds the frame's quantization step, wqScale
 // and 2^preShift back together (Engine.i16VoxelScale). Because every
-// operation before that point is integer arithmetic, the unrolled native
-// kernel and the purego golden are bit-identical — not PSNR-close — which
+// operation before that point is integer arithmetic, the AVX2 body and the
+// scalar golden are bit-identical — not PSNR-close — which
 // is the property the kernel_i16 tests assert.
 //
-// # The purego/native split
+// # The two bodies
 //
-// accumulateNappe16I16 has two bodies selected at build time:
+// accumulateNappe16I16 has exactly two bodies, chosen by build tag plus one
+// CPUID/XGETBV probe at init (no option selects between them):
 //
-//   - kernel_i16_generic.go (build purego || !amd64) defers to the scalar
-//     reference below — pure Go, the executable golden oracle
-//   - kernel_i16_amd64.go (build amd64 && !purego) is the SIMD-shaped
-//     variant: the gather body hand-unrolled 8 wide over four independent
-//     int32 accumulators, arranged so the compiler keeps eight echo-plane
-//     loads in flight per iteration
+//   - accumulateNappe16I16Ref (this file, always compiled) is the scalar
+//     golden: the whole kernel on purego and non-amd64 builds
+//     (kernel_i16_generic.go) and on amd64 hosts without AVX2
+//   - kernel_i16_amd64.s (build amd64 && !purego) is the AVX2 gather body:
+//     per voxel it walks the aperture eight elements per instruction over
+//     the unchanged voxel-major Block16 layout — VPMOVZXWD eight delays,
+//     VPMINUD clamp into the guard slot, VPADDD the row-offset table,
+//     VPGATHERDD from the guarded plane, VPMADDWD against the weight table,
+//     VPSRAD preShift per product exactly as the reference, VPADDD — and
+//     leaves one int32 per voxel in a per-worker row that the Go wrapper
+//     (kernel_i16_amd64.go) rescales in store or add mode
 //
-// accumulateNappe16I16Ref (this file) is always compiled, so native builds
-// property-test their unrolled kernel against the same reference body the
+// Memory safety lives in the Go wrapper, not the assembly: it checks
+// block, plane, table and row lengths before the call. Each gather reads a
+// dword — the sample plus the int16 after it — so the vector body stops
+// short of the aperture's last element, whose guard slot is the last int16
+// of the plane; the wrapper sums the remaining ≤ 8 elements in scalar Go
+// into the same int32. Zero-extending a delay maps negatives to ≥ 32768,
+// which the unsigned clamp routes to the guard slot only while
+// win ≤ delay.MaxEchoWindow — a precondition the wrapper checks.
+//
+// The body this replaced was the reference hand-unrolled 8 wide in Go and
+// documented as register-resident; its disassembly showed ≈30 scalar
+// instructions per sample, three bounds-check branches and all four
+// accumulators spilled to the stack (EXPERIMENTS B13).
+//
+// Native builds property-test the AVX2 body against the same reference the
 // purego build ships; CI runs the suite under both tag sets.
 package beamform
 
@@ -72,30 +91,65 @@ import (
 // the int32 below the overflow edge.
 const i16AccBound = 1 << 30
 
-// i16Gather packs one active element's kernel-constant operands — its
+// i16Gather packs one active element's operands for the scalar walk — its
 // index into the per-voxel delay row, its row offset within a guarded
-// plane, and its Q15 weight widened once — so the inner loop walks a
-// single array instead of three parallel ones. That is a register-file
-// decision, not a style one: the fixed-point kernel keeps its accumulators
-// in general-purpose registers (the float kernels park theirs in XMM), and
-// with three separate bases plus bounds the amd64 allocator spills them to
-// the stack. One base pointer keeps the whole loop state resident.
+// plane, and its Q15 weight widened once — so the reference loop carries
+// one base pointer instead of three parallel arrays.
 type i16Gather struct {
 	idx int32 // active element's index into a per-voxel delay row
 	ro  int32 // element's row offset in the guarded plane: idx·(win+1)
 	wq  int32 // Q15 apodization weight, widened once at table build
 }
 
-// i16GatherTable builds the packed per-element operand table for guarded
-// planes of window win (row stride win+1). Rebuilt only when the window
-// changes; both kernel bodies consume it read-only.
-func (e *Engine) i16GatherTable(win int) []i16Gather {
-	els := make([]i16Gather, len(e.activeIdx))
-	wq := e.activeWQ[:len(els)]
-	for j, d := range e.activeIdx {
-		els[j] = i16Gather{idx: d, ro: d * int32(win+1), wq: int32(wq[j])}
+// i16Table is the fixed-point kernel's operand table for guarded planes of
+// one window (row stride win+1). els is the active elements in ascending
+// index order — the reference's whole walk. ro and wq are the same
+// operands spread over the full aperture for the vector body, which loads
+// eight consecutive elements per instruction: ro[d] = d·(win+1), and
+// wq[d] = uint32(uint16(Q15 weight)) with zero for un-apodized elements.
+// The high half of each weight dword is zero so that VPMADDWD's second
+// product — the int16 a dword gather drags in after the sample — always
+// contributes 0 and the lane is the exact int32 s·wq.
+//
+// The vector body covers elements [0, nVec): whole 8-groups, never the
+// aperture's last element (its gather would read past the plane).
+// els[tail:] are the active elements at or beyond nVec, summed in scalar
+// Go. (Also skipping the all-zero 8-groups a Hann border leaves at both
+// ends of the range measured no win and was not kept — EXPERIMENTS B13.)
+type i16Table struct {
+	win  int
+	els  []i16Gather
+	ro   []int32
+	wq   []uint32
+	nVec int
+	tail int
+}
+
+// i16GatherTable builds the operand table for window win. Rebuilt only
+// when the window changes; both kernel bodies consume it read-only.
+func (e *Engine) i16GatherTable(win int) *i16Table {
+	nE := len(e.apod)
+	t := &i16Table{
+		win: win,
+		els: make([]i16Gather, len(e.activeIdx)),
+		ro:  make([]int32, nE),
+		wq:  make([]uint32, nE),
 	}
-	return els
+	for d := range t.ro {
+		t.ro[d] = int32(d * (win + 1))
+	}
+	for j, d := range e.activeIdx {
+		q := e.activeWQ[j]
+		t.els[j] = i16Gather{idx: d, ro: t.ro[d], wq: int32(q)}
+		t.wq[d] = uint32(uint16(q))
+	}
+	if nE > 0 {
+		t.nVec = (nE - 1) / 8 * 8
+	}
+	for t.tail < len(t.els) && int(t.els[t.tail].idx) < t.nVec {
+		t.tail++
+	}
+	return t
 }
 
 // initI16 precomputes the fixed-point apodization tables: Q15 weight
@@ -158,15 +212,16 @@ func (e *Engine) i16VoxelScale(frameScale float32) float64 {
 // accumulateNappe16Narrow: element d's win samples at stride win+1, guard
 // slot at row position win kept zero, out-of-window indices clamped into
 // it branchlessly), each product widened to int32, shifted by preShift and
-// accumulated in one int32. els is the engine's packed operand table for
-// this window (i16GatherTable); scale is Engine.i16VoxelScale of the
+// accumulated in one int32. tab is the engine's operand table for the
+// plane's window (i16GatherTable); scale is Engine.i16VoxelScale of the
 // plane's quantization step. This body is the golden reference: the purego
 // build's accumulateNappe16I16 is exactly this, and native builds are
 // property-tested bit-identical against it. The element order is the
 // shared activeIdx order, so add-mode compounding keeps the store-then-add
 // contract of every other kernel.
-func (e *Engine) accumulateNappe16I16Ref(blk delay.Block16, plane []int16, els []i16Gather, win, id int, out *Volume, scale float64, add bool) {
-	uw := uint(win)
+func (e *Engine) accumulateNappe16I16Ref(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool) {
+	els := tab.els
+	uw := uint(tab.win)
 	nE := len(e.apod)
 	sh := e.preShift & 15 // provably in-range: one SAR, no oversized-shift guard
 	k := 0

@@ -7,60 +7,97 @@ import (
 	"ultrabeam/internal/scan"
 )
 
-// accumulateNappe16I16 is the SIMD-shaped native body of the fixed-point
-// kernel: the gather body of accumulateNappe16I16Ref hand-unrolled 8 wide
-// over four independent int32 accumulators, walking the packed i16Gather
-// operand table so the whole loop carries one element base pointer instead
-// of three parallel arrays. The amd64 backend lowers each line to a
-// sign-extending load (MOVWLSX), a 32-bit multiply and one arithmetic
-// shift, with eight echo-plane loads in flight per iteration — the same
-// unroll discipline as the float32 narrow kernel, minus its floating-point
-// latency chains. Unlike that kernel, splitting the sum across lanes here
-// changes nothing numerically: integer addition is associative, so this
-// body is bit-identical to the purego golden (asserted by the kernel_i16
-// property tests), not merely PSNR-close. Build-gated rather than
-// GOAMD64-gated: every op is baseline amd64; with GOAMD64=v3 the compiler
-// is free to lower the shaped body further.
-func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, els []i16Gather, win, id int, out *Volume, scale float64, add bool) {
-	uw := uint(win)
+// i16HaveAVX2 is the one runtime decision the fixed-point kernel makes:
+// probed once at init, read-only afterwards. Tests clear it to drive the
+// no-AVX2 route on an AVX2 host.
+var i16HaveAVX2 = cpuHasAVX2()
+
+// i16KernelBody names the body accumulateNappe16I16 runs on this host.
+func i16KernelBody() string {
+	if i16HaveAVX2 {
+		return "avx2"
+	}
+	return "ref"
+}
+
+// cpuid and xgetbv are the raw instructions (kernel_i16_amd64.s).
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+func xgetbv() (eax, edx uint32)
+
+// cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM state: CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7.0:EBX bit 5.
+func cpuHasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
+		return false
+	}
+	if lo, _ := xgetbv(); lo&6 != 6 {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&(1<<5) != 0
+}
+
+// gatherMaddI16AVX2 is the vector body (kernel_i16_amd64.s): for each of
+// len(acc) voxels, whose delay rows sit nE apart in blk, it sums
+// plane[ro[d]+min(uint16(delay[d]), win)]·int16(wq[d]) >> sh over elements
+// d in [0, nVec) into acc. It checks nothing: every gather reads the dword
+// at its sample, so the caller must hold ro[d]+win+2 ≤ len(plane) for
+// every d < nVec, nVec a multiple of 8 and ≤ nE, len(blk) ≥ len(acc)·nE,
+// len(ro) and len(wq) ≥ nVec, and the high half of every wq dword zero.
+//
+//go:noescape
+func gatherMaddI16AVX2(acc []int32, blk []int16, plane []int16, ro []int32, wq []uint32, nE, nVec int, win, sh uint32)
+
+// accumulateNappe16I16 is the native fixed-point kernel: the AVX2 gather
+// body over the first tab.nVec elements, the scalar tail into the same int32
+// per voxel — integer addition is associative, so the split changes no
+// bit — then the reference's float64(acc)·scale in store or add mode. row
+// is the calling worker's int32 scratch, one slot per voxel of a nappe.
+// Hosts without AVX2 run the reference.
+func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) {
+	if !i16HaveAVX2 {
+		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
+		return
+	}
 	nE := len(e.apod)
-	nA := len(els)
-	// The &15 mask is semantically a no-op (initI16 bounds preShift to
-	// [0,15]) but proves to the compiler that the shift cannot exceed the
-	// register width, so every product gets one SAR instead of the five-op
-	// oversized-shift guard Go emits for an unbounded amount.
-	sh := e.preShift & 15
-	k := 0
-	for it := 0; it < e.Cfg.Vol.Theta.N; it++ {
-		base := out.Vol.Linear(scan.Index{Theta: it, Phi: 0, Depth: id})
-		for ip := 0; ip < e.Cfg.Vol.Phi.N; ip++ {
-			voxel := blk[k : k+nE]
-			// Each line fuses its gather address into the multiply-accumulate
-			// rather than materializing eight indices first: the short live
-			// ranges plus the single els base keep the four accumulators and
-			// the shift count in registers instead of spill slots.
-			var acc0, acc1, acc2, acc3 int32
-			j := 0
-			for ; j+8 <= nA; j += 8 {
-				acc0 += int32(plane[int(els[j].ro)+int(min(uint(int(voxel[els[j].idx])), uw))]) * els[j].wq >> sh
-				acc1 += int32(plane[int(els[j+1].ro)+int(min(uint(int(voxel[els[j+1].idx])), uw))]) * els[j+1].wq >> sh
-				acc2 += int32(plane[int(els[j+2].ro)+int(min(uint(int(voxel[els[j+2].idx])), uw))]) * els[j+2].wq >> sh
-				acc3 += int32(plane[int(els[j+3].ro)+int(min(uint(int(voxel[els[j+3].idx])), uw))]) * els[j+3].wq >> sh
-				acc0 += int32(plane[int(els[j+4].ro)+int(min(uint(int(voxel[els[j+4].idx])), uw))]) * els[j+4].wq >> sh
-				acc1 += int32(plane[int(els[j+5].ro)+int(min(uint(int(voxel[els[j+5].idx])), uw))]) * els[j+5].wq >> sh
-				acc2 += int32(plane[int(els[j+6].ro)+int(min(uint(int(voxel[els[j+6].idx])), uw))]) * els[j+6].wq >> sh
-				acc3 += int32(plane[int(els[j+7].ro)+int(min(uint(int(voxel[els[j+7].idx])), uw))]) * els[j+7].wq >> sh
+	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
+	// The assembly is unchecked; these are its whole safety argument. ro is
+	// ascending, so the last vector element bounds every gather's dword.
+	// Negative delays zero-extend to ≥ 32768 and must clamp to the guard
+	// slot, which needs win below that.
+	if tab.win <= 0 || tab.win > delay.MaxEchoWindow ||
+		len(blk) < len(row)*nE || len(tab.ro) != nE || len(tab.wq) != nE ||
+		tab.nVec < 0 || tab.nVec > max(nE-1, 0) || tab.nVec%8 != 0 ||
+		(tab.nVec > 0 && int(tab.ro[tab.nVec-1])+tab.win+2 > len(plane)) {
+		panic("beamform: i16 kernel operands violate the gather body's bounds contract")
+	}
+	gatherMaddI16AVX2(row, blk, plane, tab.ro, tab.wq, nE, tab.nVec, uint32(tab.win), uint32(e.preShift))
+
+	if tail := tab.els[tab.tail:]; len(tail) > 0 {
+		uw := uint(tab.win)
+		sh := e.preShift & 15
+		for k := range row {
+			voxel := blk[k*nE : (k+1)*nE]
+			acc := row[k]
+			for j := range tail {
+				u := int(tail[j].ro) + int(min(uint(int(voxel[tail[j].idx])), uw))
+				acc += int32(plane[u]) * tail[j].wq >> sh
 			}
-			for ; j < nA; j++ { // scalar tail: active counts not divisible by 8
-				acc0 += int32(plane[int(els[j].ro)+int(min(uint(int(voxel[els[j].idx])), uw))]) * els[j].wq >> sh
-			}
-			v := float64(acc0+acc1+acc2+acc3) * scale
-			if add {
-				out.Data[base+ip] += v
-			} else {
-				out.Data[base+ip] = v
-			}
-			k += nE
+			row[k] = acc
+		}
+	}
+	base := out.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous: θ, then φ fastest
+	dst := out.Data[base : base+len(row)]
+	for k, acc := range row {
+		v := float64(acc) * scale // rounded before the add, as in the reference
+		if add {
+			dst[k] += v
+		} else {
+			dst[k] = v
 		}
 	}
 }

@@ -1,21 +1,21 @@
-// Property tests for the fixed-point i16 kernel: the native (amd64
-// unrolled) body must be BIT-IDENTICAL to accumulateNappe16I16Ref — not
-// PSNR-close — because everything before the final float64 rescale is
-// integer arithmetic, and integer addition is associative. The adversarial
+// Property tests for the fixed-point i16 kernel: the native (amd64 AVX2)
+// body must be BIT-IDENTICAL to accumulateNappe16I16Ref — not PSNR-close —
+// because everything before the final float64 rescale is integer
+// arithmetic, and integer addition is associative. The adversarial
 // generators here drive exactly the inputs the saturation analysis in
-// kernel_i16.go reasons about: window-edge and out-of-range indices,
-// samples pinned at ±32767 with signs aligned to the weights (the
-// worst-case accumulation), ragged active-element tails that exercise the
-// 8-wide unroll's scalar remainder, and all-zero planes. Under -tags
-// purego the native body IS the reference, so the identity holds
-// trivially and the suite still validates the int64 no-overflow
-// cross-check.
+// kernel_i16.go reasons about and the shapes the vector body splits on:
+// apertures with an empty vector range, a tail only, one 8-wide remainder
+// and the 16-wide loop; window-edge, negative and int16-extreme indices;
+// samples pinned at ±32767 with signs aligned to the weights; the
+// per-product shift at both ends of its range. Under -tags purego the
+// native body IS the reference, so the identity holds trivially and the
+// suite still validates the int64 no-overflow cross-check.
 package beamform
 
 import (
 	"math"
-	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -25,42 +25,125 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
+// TestI16KernelBody logs which body accumulateNappe16I16 runs on this
+// build and host. CI greps the line, so a runner that silently fell back
+// to the reference is visible in the log instead of passing unnoticed.
+func TestI16KernelBody(t *testing.T) {
+	body := i16KernelBody()
+	if body != "avx2" && body != "ref" {
+		t.Fatalf("unknown i16 kernel body %q", body)
+	}
+	t.Logf("i16 accumulate body: %s", body)
+}
+
 // i16KernelHarness holds one synthetic kernel-call setup: an engine, a
-// guarded int16 plane, the packed operand table and a delay block the two
-// kernel bodies consume directly.
+// guarded int16 plane, the operand table, a delay block and the worker
+// row the two kernel bodies consume directly.
 type i16KernelHarness struct {
 	eng   *Engine
 	plane []int16
-	els   []i16Gather
+	tab   *i16Table
 	blk   delay.Block16
+	row   []int32
 	win   int
+	rng   uint64
 }
 
-// newI16Harness builds a Rect-window engine over an nx×ny array (Rect
-// keeps every element active, so nx·ny controls the unroll tail length
-// exactly) and allocates the plane/block buffers for the given window.
-func newI16Harness(t *testing.T, nx, ny, win int) *i16KernelHarness {
+// i16Apertures are the element counts the vector body splits on: 1 and 7
+// (vector range empty), 8 (one group, all of it scalar tail), 9 and 16 (one
+// 8-wide remainder), 17 (two groups, the second tail), 144 (the 16-wide
+// loop plus a remainder) and 256 (the 16-wide loop, then a full tail group).
+var i16Apertures = []struct{ nx, ny int }{{1, 1}, {7, 1}, {8, 1}, {3, 3}, {4, 4}, {17, 1}, {12, 12}, {16, 16}}
+
+// newI16Harness builds an engine over an nx×ny array (Rect keeps every
+// element active, Hann zeroes the border, so zero weights sit inside the
+// vector range) and allocates the plane/block buffers for the given
+// window. Every other quantized weight is negated, which
+// keeps the accumulator bound (Σ|wq| is unchanged) and makes the weight
+// table's zero-extension observable.
+func newI16Harness(t testing.TB, nx, ny, win int, window xdcr.Window) *i16KernelHarness {
 	t.Helper()
 	cfg := Config{
-		Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 5, 2, 4),
+		Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 5, 2, 3),
 		Arr:    xdcr.NewArray(nx, ny, 0.385e-3/2),
 		Conv:   conv,
-		Window: xdcr.Rect,
+		Window: window,
 	}
 	eng := New(cfg)
 	if !eng.i16OK {
-		t.Fatalf("%dx%d Rect aperture unexpectedly fails the accumulator bound", nx, ny)
+		t.Fatalf("%dx%d aperture unexpectedly fails the accumulator bound", nx, ny)
 	}
-	if want := nx * ny; len(eng.activeIdx) != want {
-		t.Fatalf("Rect window dropped elements: %d active of %d", len(eng.activeIdx), want)
+	for j := range eng.activeWQ {
+		if j%2 == 1 {
+			eng.activeWQ[j] = -eng.activeWQ[j]
+		}
 	}
 	nE := len(eng.apod)
+	nVox := cfg.Vol.Theta.N * cfg.Vol.Phi.N
 	return &i16KernelHarness{
 		eng:   eng,
 		plane: make([]int16, nE*(win+1)),
-		els:   eng.i16GatherTable(win),
-		blk:   make(delay.Block16, cfg.Vol.Theta.N*cfg.Vol.Phi.N*nE),
+		tab:   eng.i16GatherTable(win),
+		blk:   make(delay.Block16, nVox*nE),
+		row:   make([]int32, nVox),
 		win:   win,
+		rng:   0x1b16<<32 | uint64(nE*131+win),
+	}
+}
+
+// next is a xorshift64 step: the big-window cases fill 8 M samples, which
+// math/rand would dominate.
+func (h *i16KernelHarness) next() uint64 {
+	h.rng ^= h.rng << 13
+	h.rng ^= h.rng >> 7
+	h.rng ^= h.rng << 17
+	return h.rng
+}
+
+// fillPlane writes random samples everywhere, guard slots included when
+// dirtyGuards is set. Real ingest keeps guards zero; a dirty guard makes
+// "the clamp routed this index into the guard slot" visible in the sum,
+// and both bodies must still read the very same slot.
+func (h *i16KernelHarness) fillPlane(dirtyGuards bool) {
+	for i := range h.plane {
+		h.plane[i] = int16(h.next())
+	}
+	if !dirtyGuards {
+		for d := 0; d < len(h.eng.apod); d++ {
+			h.plane[d*(h.win+1)+h.win] = 0
+		}
+	}
+}
+
+// pinPlane sets every sample of every row to ±32767 with the sign of the
+// element's weight: each product then adds with the same sign, the worst
+// case of the saturation analysis.
+func (h *i16KernelHarness) pinPlane() {
+	for i := range h.plane {
+		h.plane[i] = 32767
+	}
+	for j, d := range h.eng.activeIdx {
+		if h.eng.activeWQ[j] < 0 {
+			row := h.plane[int(d)*(h.win+1):][:h.win+1]
+			for i := range row {
+				row[i] = -32767
+			}
+		}
+	}
+}
+
+// fillDelays mixes in-window indices with the edge set: both clamp
+// boundaries, the int16 extremes and −1, which the zero-extending clamp
+// must route into the guard slot.
+func (h *i16KernelHarness) fillDelays() {
+	edge := []int16{-32768, -1, 0, int16(h.win - 1), int16(h.win), 32767}
+	for i := range h.blk {
+		r := h.next()
+		if r%3 == 0 {
+			h.blk[i] = edge[(r>>8)%uint64(len(edge))]
+		} else {
+			h.blk[i] = int16((r >> 8) % uint64(h.win))
+		}
 	}
 }
 
@@ -73,55 +156,83 @@ func (h *i16KernelHarness) run(t *testing.T, name string, scale float64) {
 	ref := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
 	for _, add := range []bool{false, true} {
 		for id := 0; id < vol.Depth.N; id++ {
-			h.eng.accumulateNappe16I16(h.blk, h.plane, h.els, h.win, id, native, scale, add)
-			h.eng.accumulateNappe16I16Ref(h.blk, h.plane, h.els, h.win, id, ref, scale, add)
+			h.eng.accumulateNappe16I16(h.blk, h.plane, h.tab, id, native, scale, add, h.row)
+			h.eng.accumulateNappe16I16Ref(h.blk, h.plane, h.tab, id, ref, scale, add)
 		}
 		for i := range ref.Data {
 			if native.Data[i] != ref.Data[i] {
-				t.Fatalf("%s (add=%t): native %v != ref %v at voxel %d",
-					name, add, native.Data[i], ref.Data[i], i)
+				t.Fatalf("%s nE=%d win=%d sh=%d (add=%t): native %v != ref %v at voxel %d",
+					name, len(h.eng.apod), h.win, h.eng.preShift, add, native.Data[i], ref.Data[i], i)
 			}
 		}
 	}
 }
 
-// TestI16KernelNativeMatchesRef is the purego/native bit-identity
-// property: seeded random planes and adversarial index patterns across
-// aperture shapes whose active counts cover every 8-wide unroll tail
-// (1, 9→tail 1, 15→tail 7, 16→no tail, 21→tail 5).
+// TestI16KernelNativeMatchesRef is the native/reference bit-identity
+// property over the kernel contract's whole grid: every i16Apertures
+// shape, Rect and Hann, the smallest, a served and the largest window, and
+// the shift at the aperture's own value, 0 and 15.
 func TestI16KernelNativeMatchesRef(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x1b16))
-	shapes := []struct{ nx, ny int }{{1, 1}, {3, 3}, {5, 3}, {4, 4}, {7, 3}}
-	// Index edge cases the generator always mixes in: both clamp
-	// boundaries, the int16 extremes, and negative indices (which the
-	// branchless clamp must route into the guard slot).
-	edges := []int16{0, 1, -1, -32768, 32767}
-	for _, sh := range shapes {
-		for _, win := range []int{1, 7, 300} {
-			h := newI16Harness(t, sh.nx, sh.ny, win)
-			edge := append([]int16{int16(win - 1), int16(win)}, edges...)
-			for round := 0; round < 4; round++ {
-				for i := range h.plane {
-					h.plane[i] = int16(rng.Intn(65536) - 32768)
+	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
+		for _, sh := range i16Apertures {
+			for _, win := range []int{1, 8512, delay.MaxEchoWindow} {
+				h := newI16Harness(t, sh.nx, sh.ny, win, window)
+				own := h.eng.preShift
+				for _, shift := range []uint{own, 0, 15} {
+					h.eng.preShift = shift
+					h.fillDelays()
+					h.fillPlane(false)
+					h.run(t, "random", 1.0/32767)
+					h.fillPlane(true)
+					h.run(t, "dirty-guards", 1.0/32767)
+					h.pinPlane()
+					h.run(t, "pinned", 1.0)
 				}
-				// Guard slots stay zero, like every real ingest path.
-				for d := 0; d < len(h.eng.apod); d++ {
-					h.plane[d*(win+1)+win] = 0
-				}
+				h.eng.preShift = own
 				for i := range h.blk {
-					if rng.Intn(4) == 0 {
-						h.blk[i] = edge[rng.Intn(len(edge))]
-					} else {
-						h.blk[i] = int16(rng.Intn(win))
-					}
+					h.blk[i] = int16(win) // every gather lands in a guard slot
 				}
-				h.run(t, "random", 1.0/32767)
+				h.run(t, "all-guard", 1.0)
+				clear(h.plane)
+				h.run(t, "all-zero", 1.0)
 			}
-			// All-zero plane: exact silence from both bodies.
-			for i := range h.plane {
-				h.plane[i] = 0
+		}
+	}
+}
+
+// TestI16GatherTableVectorRange pins the split the native body's memory
+// safety rests on: the vector range is whole 8-groups, never reaches the
+// aperture's last element, carries a zero high half in every weight dword,
+// and together with the scalar tail covers every active element once.
+func TestI16GatherTableVectorRange(t *testing.T) {
+	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
+		for _, n := range i16Apertures {
+			h := newI16Harness(t, n.nx, n.ny, 9, window)
+			tab, nE := h.tab, len(h.eng.apod)
+			if tab.nVec != (nE-1)/8*8 {
+				t.Fatalf("nE=%d: vector range [0,%d) is not the whole 8-groups short of the last element", nE, tab.nVec)
 			}
-			h.run(t, "all-zero", 1.0)
+			for j, el := range tab.els {
+				d := int(el.idx)
+				if (d < tab.nVec) == (j >= tab.tail) {
+					t.Fatalf("nE=%d: active element %d vs vector range %d, but the tail starts at els[%d]", nE, d, tab.nVec, tab.tail)
+				}
+				if tab.wq[d] != uint32(uint16(int16(el.wq))) || int(tab.ro[d]) != d*(tab.win+1) {
+					t.Fatalf("nE=%d element %d: table row (%#x, %d) does not spread the packed operands", nE, d, tab.wq[d], tab.ro[d])
+				}
+			}
+			nonZero := 0
+			for _, q := range tab.wq {
+				if q>>16 != 0 {
+					t.Fatalf("nE=%d: weight dword %#x has a non-zero high half", nE, q)
+				}
+				if q != 0 {
+					nonZero++
+				}
+			}
+			if nonZero > len(tab.els) || len(tab.els) != len(h.eng.activeIdx) {
+				t.Fatalf("nE=%d: %d non-zero weights, %d table rows, %d active elements", nE, nonZero, len(tab.els), len(h.eng.activeIdx))
+			}
 		}
 	}
 }
@@ -136,14 +247,14 @@ func TestI16KernelNativeMatchesRef(t *testing.T) {
 func TestI16KernelSaturationExtremes(t *testing.T) {
 	cfg, _, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.02, 3, 1, 2)
-	eng := New(cfg) // Hann 16×16: 196 active elements, tail 4
+	eng := New(cfg) // Hann 16×16: 196 active elements
 	if !eng.i16OK {
 		t.Fatal("psf aperture unexpectedly fails the accumulator bound")
 	}
 	win := 9
 	nE := len(eng.apod)
 	plane := make([]int16, nE*(win+1))
-	els := eng.i16GatherTable(win)
+	tab := eng.i16GatherTable(win)
 	var acc64 int64
 	for j, d := range eng.activeIdx {
 		s := int16(32767)
@@ -160,11 +271,12 @@ func TestI16KernelSaturationExtremes(t *testing.T) {
 		t.Fatalf("worst-case sum %d escapes the documented bound %d", acc64, int64(i16AccBound))
 	}
 	blk := make(delay.Block16, cfg.Vol.Theta.N*cfg.Vol.Phi.N*nE) // all index 0
+	row := make([]int32, cfg.Vol.Theta.N*cfg.Vol.Phi.N)
 	native := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 	ref := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 	for id := 0; id < cfg.Vol.Depth.N; id++ {
-		eng.accumulateNappe16I16(blk, plane, els, win, id, native, 1.0, false)
-		eng.accumulateNappe16I16Ref(blk, plane, els, win, id, ref, 1.0, false)
+		eng.accumulateNappe16I16(blk, plane, tab, id, native, 1.0, false, row)
+		eng.accumulateNappe16I16Ref(blk, plane, tab, id, ref, 1.0, false)
 	}
 	for i := range ref.Data {
 		if ref.Data[i] != float64(acc64) {
@@ -533,4 +645,90 @@ func TestSessionInt16SteadyStateAllocFree(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("steady-state i16 BeamformInto allocates %.1f objects/frame, want 0", avg)
 	}
+}
+
+// TestBatchPlanesI16SteadyStateAllocFree holds the plane-ingest entry to
+// the same criterion: once the window's operand table exists, an i16 plane
+// batch over resident blocks allocates nothing — the native body's int32
+// row belongs to the worker, not to the call.
+func TestBatchPlanesI16SteadyStateAllocFree(t *testing.T) {
+	cfg, bufs, _ := psfSetup(t)
+	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
+	cfg.Precision = PrecisionInt16
+	src := newRetainingSource16(exactProvider(cfg))
+	for id := 0; id < cfg.Vol.Depth.N; id++ {
+		src.Nappe16(id)
+	}
+	sess, err := New(cfg).NewSession(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	win := len(bufs[0].Samples)
+	planes, scales := framePlanesI16(t, [][]rf.EchoBuffer{bufs}, win)
+	dsts := []*Volume{sess.NewVolume()}
+	run := func() {
+		if err := sess.BeamformBatchPlanesI16(dsts, win, planes, scales); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm: builds the operand table
+	if avg := testing.AllocsPerRun(20, run); avg > 0 {
+		t.Errorf("steady-state BeamformBatchPlanesI16 allocates %.1f objects/batch, want 0", avg)
+	}
+}
+
+// TestI16ConcurrentSessions runs several fixed-point sessions of one
+// engine at once (each with its own worker pool, all reading the engine's
+// weight tables) and holds every volume to a sequentially computed one.
+// Under -race this is the proof that the kernel's only shared state is
+// read-only.
+func TestI16ConcurrentSessions(t *testing.T) {
+	cfg, bufs, _ := psfSetup(t)
+	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 24)
+	cfg.Precision = PrecisionInt16
+	cfg.Workers = 2
+	eng := New(cfg)
+	frames := scaledFrames(bufs, 3)
+	want := make([]*Volume, len(frames))
+	ref, err := eng.NewSession(exactProvider(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range frames {
+		if want[k], err = ref.Beamform(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref.Close()
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess, err := eng.NewSession(exactProvider(cfg))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer sess.Close()
+			out := sess.NewVolume()
+			for round := 0; round < 3; round++ {
+				for k, f := range frames {
+					if err := sess.BeamformInto(out, f); err != nil {
+						t.Error(err)
+						return
+					}
+					for i := range out.Data {
+						if out.Data[i] != want[k].Data[i] {
+							t.Errorf("session %d frame %d voxel %d: %v != %v", g, k, i, out.Data[i], want[k].Data[i])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

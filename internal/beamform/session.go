@@ -167,12 +167,12 @@ type Session struct {
 	// int16 rows sharing flatWin/planeLen geometry with flat, plus one
 	// kernel rescale per frame×transmit plane (i16Scale[k·T+t] =
 	// Engine.i16VoxelScale of the plane's quantization step), written by
-	// the convert phase before the accumulate phase reads it. i16Els is
-	// the fixed-point kernel's packed per-element operand table for the
-	// current window (Engine.i16GatherTable), rebuilt with flatOff.
+	// the convert phase before the accumulate phase reads it. i16Tab is
+	// the fixed-point kernel's operand table for the current window
+	// (Engine.i16GatherTable), rebuilt with flatOff.
 	flatI16  []int16
 	i16Scale []float64
-	i16Els   []i16Gather
+	i16Tab   *i16Table
 
 	// extPlanes, when non-nil, carries caller-owned guarded float32 planes
 	// for the batch in flight (extPlanes[k][t] is frame k / transmit t,
@@ -264,12 +264,14 @@ func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
 }
 
 // worker is the persistent per-worker loop: it owns one reusable narrow
-// nappe buffer and one float64 scratch for the life of the session, and
+// nappe buffer, one float64 scratch and one int32 voxel row (the
+// fixed-point kernel's accumulators) for the life of the session, and
 // serves whichever job each frame dispatches — flattening its stripe of
 // echo buffers, or beamforming depth slices w, w+workers, ... of the frame.
 func (s *Session) worker(w int) {
 	scratch := make([]float64, s.layout.BlockLen())
 	buf16 := make(delay.Block16, s.layout.BlockLen())
+	row := make([]int32, s.layout.NTheta*s.layout.NPhi)
 	for range s.start[w] {
 		switch s.job {
 		case jobConvert:
@@ -277,9 +279,9 @@ func (s *Session) worker(w int) {
 		case jobConvertAccumulate:
 			s.convert(w)
 			s.barrier()
-			s.accumulateStripe(w, buf16, scratch)
+			s.accumulateStripe(w, buf16, scratch, row)
 		default:
-			s.accumulateStripe(w, buf16, scratch)
+			s.accumulateStripe(w, buf16, scratch, row)
 		}
 		s.done <- struct{}{}
 	}
@@ -359,7 +361,7 @@ func (s *Session) convertStripeI16(w int) {
 // per-voxel accumulation order is exactly the single-frame order (the
 // batching bit-identity contract), while a non-resident block is generated
 // once per batch instead of once per frame.
-func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64) {
+func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64, row []int32) {
 	nTx := len(s.bps)
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
 		for t := 0; t < nTx; t++ {
@@ -405,13 +407,13 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 			if s.useI16 {
 				if s.extPlanesI16 != nil {
 					for k := range s.extPlanesI16 {
-						s.eng.accumulateNappe16I16(blk, s.extPlanesI16[k][t], s.i16Els, s.flatWin, id, s.outs[k], s.i16Scale[k*nTx+t], add)
+						s.eng.accumulateNappe16I16(blk, s.extPlanesI16[k][t], s.i16Tab, id, s.outs[k], s.i16Scale[k*nTx+t], add, row)
 					}
 					continue
 				}
 				for k := range s.batch {
 					plane := s.flatI16[(k*nTx+t)*s.planeLen : (k*nTx+t+1)*s.planeLen]
-					s.eng.accumulateNappe16I16(blk, plane, s.i16Els, s.flatWin, id, s.outs[k], s.i16Scale[k*nTx+t], add)
+					s.eng.accumulateNappe16I16(blk, plane, s.i16Tab, id, s.outs[k], s.i16Scale[k*nTx+t], add, row)
 				}
 			} else if s.useFlat {
 				if s.extPlanes != nil {
@@ -579,7 +581,7 @@ func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error
 				s.flatOff[j] = d * int32(win+1)
 			}
 			if s.useI16 {
-				s.i16Els = s.eng.i16GatherTable(win)
+				s.i16Tab = s.eng.i16GatherTable(win)
 			}
 		}
 		// Grow only: a smaller batch reuses the larger plane set (rows
@@ -775,7 +777,7 @@ func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]i
 		for j, d := range s.eng.activeIdx {
 			s.flatOff[j] = d * int32(win+1)
 		}
-		s.i16Els = s.eng.i16GatherTable(win)
+		s.i16Tab = s.eng.i16GatherTable(win)
 	}
 	if n := len(planes) * nTx; n > len(s.i16Scale) {
 		s.i16Scale = make([]float64, n)

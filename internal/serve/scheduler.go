@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -554,6 +555,13 @@ func (p *PendingFrame) Wait(ctx context.Context) (*beamform.Volume, error) {
 		}
 		s.mu.Unlock()
 		<-p.job.done
+		if errors.Is(p.job.err, ErrExpired) {
+			// The dispatcher purged the frame from the queue in the same
+			// instant the caller's wait lapsed: it never reached a core
+			// slot either, so it is the same expiry as above, not a
+			// generic wait timeout.
+			return nil, ErrExpired
+		}
 		return nil, ctx.Err()
 	}
 }
@@ -578,7 +586,9 @@ func (s *Scheduler) removeJobLocked(g *schedGeom, job *frameJob) bool {
 	q := g.lanes[job.lane]
 	for i, j := range q {
 		if j == job {
-			g.lanes[job.lane] = append(q[:i], q[i+1:]...)
+			// Delete zeroes the vacated tail slot: the backing array must
+			// not keep the job's decoded planes reachable.
+			g.lanes[job.lane] = slices.Delete(q, i, i+1)
 			g.queued--
 			return true
 		}
@@ -727,7 +737,9 @@ func (s *Scheduler) takeBatchLocked(g *schedGeom) []*frameJob {
 			n++
 		}
 		batch := append([]*frameJob(nil), q[first:first+n]...)
-		g.lanes[lane] = append(q[:first], q[first+n:]...)
+		// Delete zeroes the n vacated tail slots, so the lane's backing
+		// array stops pinning the batch (planes and volume) once it completes.
+		g.lanes[lane] = slices.Delete(q, first, first+n)
 		g.queued -= n
 		if n > s.cfg.MaxBatch {
 			s.inflated.Add(1)

@@ -529,3 +529,52 @@ func TestLaneParsingAndFingerprint(t *testing.T) {
 		t.Error("lane names changed — they are wire format")
 	}
 }
+
+// TestSchedulerLaneQueueReleasesJobs: a lane queue shrinks in place, so
+// every slot a dispatch or a cancel vacates must be zeroed — a stale
+// pointer in the backing array keeps a finished job's decoded planes and
+// volume reachable until the slot happens to be overwritten. Five frames
+// reserve slots (sizing the array), one in the middle is cancelled while
+// queued, one aborts, the rest dispatch; afterwards no slot up to cap
+// holds a job.
+func TestSchedulerLaneQueueReleasesJobs(t *testing.T) {
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64, MaxBatch: 2})
+	defer sched.Close()
+	req := tinyRequest()
+	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
+	pending := make([]*PendingFrame, 5)
+	for i := range pending {
+		p, err := sched.Begin(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending[i] = p
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := pending[2].Wait(cancelled); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled wait: %v, want context.Canceled", err)
+	}
+	pending[0].Abort()
+	for _, i := range []int{1, 3, 4} {
+		pending[i].CompleteBuffers(frame)
+	}
+	for _, i := range []int{1, 3, 4} {
+		if _, err := pending[i].Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched.mu.Lock()
+	defer sched.mu.Unlock()
+	g := pending[0].g
+	if g.queued != 0 {
+		t.Fatalf("%d frames still queued", g.queued)
+	}
+	for lane, q := range g.lanes {
+		for i, j := range q[:cap(q)] {
+			if j != nil {
+				t.Errorf("lane %d slot %d of %d still holds a job after its queue emptied", lane, i, cap(q))
+			}
+		}
+	}
+}

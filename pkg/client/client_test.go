@@ -102,37 +102,43 @@ func TestBackoffSchedule(t *testing.T) {
 
 // stubStream serves one cine connection: hello handshake, then n single-
 // frame compounds each answered with a volume echoing the frame's first
-// sample, then a final action (GOAWAY, an in-band error, or nothing).
-func stubStream(t *testing.T, ln net.Listener, answer int, then func(net.Conn)) {
+// sample, then a final action (GOAWAY, an in-band error, or nothing). It
+// returns the first samples of the compounds it answered.
+func stubStream(t *testing.T, ln net.Listener, answer int, then func(net.Conn)) (answered []float64) {
 	t.Helper()
 	conn, err := ln.Accept()
 	if err != nil {
-		return
+		return nil
 	}
 	defer conn.Close()
 	if _, err := wire.ReadHello(conn); err != nil {
 		t.Errorf("stub hello: %v", err)
-		return
+		return nil
 	}
 	wire.WriteHelloReply(conn, 0, "ok")
 	for i := 0; i < answer; i++ {
 		f, err := wire.ReadFrame(conn, 0)
 		if err != nil {
 			t.Errorf("stub frame %d: %v", i, err)
-			return
+			return answered
 		}
 		if err := wire.WriteVolume(conn, wire.EncodingF64, 1, 1, 1, f.F64[:1]); err != nil {
-			return
+			return answered
 		}
+		answered = append(answered, f.F64[0])
 	}
 	if then != nil {
 		then(conn)
 	}
+	return answered
 }
 
 // TestStreamRehomeResends is the SDK's sequence-tracking contract: a
 // GOAWAY mid-burst reconnects (through the Dial hook) and resends exactly
-// the unanswered compounds, in order — nothing is beamformed twice.
+// the unanswered compounds, in order — nothing is beamformed twice. The
+// first server hangs up right after its GOAWAY, so the burst's later Sends
+// can hit a dead pipe while compound 1's reply is still unread: that reply
+// must be consumed, not discarded with the connection.
 func TestStreamRehomeResends(t *testing.T) {
 	ln1, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -152,9 +158,10 @@ func TestStreamRehomeResends(t *testing.T) {
 		stubStream(t, ln1, 1, func(c net.Conn) { wire.WriteGoAway(c, "draining") })
 	}()
 	done2 := make(chan struct{})
+	var second []float64 // published by close(done2)
 	go func() {
 		defer close(done2)
-		stubStream(t, ln2, 3, nil)
+		second = stubStream(t, ln2, 3, nil)
 	}()
 
 	var dials atomic.Int32
@@ -194,6 +201,9 @@ func TestStreamRehomeResends(t *testing.T) {
 	}
 	<-done1
 	<-done2
+	if len(second) != 3 || second[0] != 2 || second[1] != 3 || second[2] != 4 {
+		t.Errorf("second server beamformed %v, want exactly the unanswered [2 3 4]", second)
+	}
 }
 
 // TestStreamInBandErrorDefinitive: a per-compound error answers its

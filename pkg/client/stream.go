@@ -45,6 +45,7 @@ type Stream struct {
 
 	mu         sync.Mutex
 	conn       net.Conn
+	sendDead   bool     // a Send write failed on conn; it is kept only for Recv to drain
 	pending    [][]byte // encoded unanswered compounds, oldest first
 	attempt    int      // consecutive failed reconnect attempts (progress resets)
 	reconnects int
@@ -106,8 +107,8 @@ func DialHello(ctx context.Context, dial func(context.Context, string) (net.Conn
 // Send pushes one compound: frames in transmit order (their count must
 // match the query's transmits=). The compound is tracked as pending until
 // a reply — or an in-band per-compound error — answers it; a write
-// failure here is not fatal, the next Recv repairs the connection and
-// resends.
+// failure here is not fatal, Recv repairs the connection and resends once
+// it has read what the old one still holds.
 func (s *Stream) Send(frames ...Frame) error {
 	if len(frames) == 0 {
 		return errors.New("client: empty compound")
@@ -129,12 +130,15 @@ func (s *Stream) Send(frames ...Frame) error {
 		return errors.New("client: stream closed")
 	}
 	s.pending = append(s.pending, buf.Bytes())
-	if s.conn != nil {
+	if s.conn != nil && !s.sendDead {
 		if _, err := s.conn.Write(buf.Bytes()); err != nil {
-			// A broken pipe means everything unanswered resends on the
-			// next connection; dropping the conn makes Recv rebuild it.
-			s.conn.Close()
-			s.conn = nil
+			// A draining server answers what it took, says GOAWAY and hangs
+			// up, so a write can fail while those replies are still unread
+			// on this connection. Closing it here would discard them and
+			// resend — beamform twice — compounds already answered, so the
+			// connection stays for Recv to drain; it re-homes when the read
+			// side fails, which a connection that refuses writes soon does.
+			s.sendDead = true
 		}
 	}
 	return nil
@@ -241,7 +245,7 @@ func (s *Stream) rehome(ctx context.Context) error {
 		if !ok {
 			continue
 		}
-		s.conn = conn
+		s.conn, s.sendDead = conn, false
 		s.reconnects++
 		return nil
 	}
