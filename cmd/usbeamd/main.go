@@ -116,7 +116,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usbeamd:", err)
 		os.Exit(1)
 	}
-	hs := &http.Server{Addr: *addr, Handler: srv}
+	hs := serve.NewHTTPServer(*addr, srv)
 
 	// The stream transport shares the scheduler with HTTP: same lanes, same
 	// fused batches, same /stats counters.

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"ultrabeam/internal/cluster"
+	"ultrabeam/internal/serve"
 )
 
 func main() {
@@ -81,7 +82,7 @@ func main() {
 	r.CheckNow(ctx) // first ring before the listeners open
 	go r.Run(ctx)
 
-	hs := &http.Server{Addr: *addr, Handler: r.Handler()}
+	hs := serve.NewHTTPServer(*addr, r.Handler())
 
 	var streamWG sync.WaitGroup
 	var streamLn net.Listener

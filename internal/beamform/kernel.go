@@ -12,13 +12,18 @@ import (
 	"ultrabeam/internal/scan"
 )
 
-// accumulateNappe16 sums Eq. 1 for one depth slice from a quantized nappe
+// accumulateNappe16Ref sums Eq. 1 for one depth slice from a quantized nappe
 // block at float64 echo precision. The element iteration, weights and
 // accumulation order are exactly accumulateNappe's, and for echo windows
 // within delay.MaxEchoWindow every int16 index selects the same sample the
 // float64 delay would have — so this kernel is bit-identical to the scalar
 // reference while reading a quarter of the delay bytes.
-func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
+//
+// This body is the golden reference of the float64 kernel: the purego and
+// non-amd64 builds' accumulateNappe16 is exactly this (kernel_f64_generic.go),
+// and the native body (kernel_f64_amd64.go) is property-tested bitwise equal
+// to it.
+func (e *Engine) accumulateNappe16Ref(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
 	nE := len(e.apod)
 	k := 0
 	for it := 0; it < e.Cfg.Vol.Theta.N; it++ {

@@ -165,6 +165,9 @@ func TestSchedulerLanePreemption(t *testing.T) {
 // TestSchedulerFairnessAcrossGeometries: with one core slot and two
 // geometries under bulk load, the turnstile must interleave their batches
 // — neither geometry's backlog runs to completion before the other starts.
+// As in the preemption test the turnstile is plugged until both backlogs are
+// provably queued: a tiny geometry's eight frames otherwise finish before
+// the other geometry's goroutines have been scheduled at all.
 func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, CoreSlots: 1, MaxQueue: 64})
 	defer sched.Close()
@@ -191,11 +194,16 @@ func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 		order[name] = append(order[name], n)
 		mu.Unlock()
 	}
+	sched.slots <- struct{}{} // hold the only core slot: nothing dispatches
 	for i := 0; i < perGeom; i++ {
 		wg.Add(2)
 		go submit("A", reqA, frameA)
 		go submit("B", reqB, frameB)
 	}
+	for sched.Stats().Queued != 2*perGeom {
+		time.Sleep(time.Millisecond)
+	}
+	<-sched.slots // open the turnstile
 	wg.Wait()
 	last := func(name string) int64 {
 		max := int64(0)

@@ -155,6 +155,28 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return s, nil
 }
 
+// Bounds on what a connection may hold without sending a request: a client
+// gets HTTPReadHeaderTimeout to finish its request line and headers, and a
+// keep-alive connection with no request in flight is closed after
+// HTTPIdleTimeout. Bodies are not timed — a 17.4 MB f64 frame on a slow
+// link is legitimate and MaxBodyBytes already sizes it — so neither bound
+// can cut an upload or a beamform in progress.
+const (
+	HTTPReadHeaderTimeout = 10 * time.Second
+	HTTPIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server both daemons (usbeamd, usbeamrouter)
+// listen with: handler h on addr under the header and idle bounds above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: HTTPReadHeaderTimeout,
+		IdleTimeout:       HTTPIdleTimeout,
+	}
+}
+
 // Shutdown drains the server gracefully: new frames are refused with 503
 // + Retry-After (ErrDraining), open cine streams get an in-band GOAWAY at
 // their next compound boundary, /healthz flips to 503 with drain progress
@@ -476,7 +498,7 @@ func readFrame(r io.Reader, elements int, maxBytes int64) ([]rf.EchoBuffer, erro
 		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	for d := 0; d < elements; d++ {
-		bufs[d] = rf.EchoBuffer{Samples: samples[d*win : (d+1)*win]}
+		bufs[d] = rf.EchoBuffer{Samples: samples[d*win : (d+1)*win : (d+1)*win]}
 	}
 	return bufs, nil
 }
@@ -679,7 +701,7 @@ func decodeWireFrame(body io.Reader, h wire.Header, req SessionRequest, wantTx, 
 	}
 	bufs := make([]rf.EchoBuffer, elements)
 	for d := 0; d < elements; d++ {
-		bufs[d] = rf.EchoBuffer{Samples: samples[d*h.Window : (d+1)*h.Window]}
+		bufs[d] = rf.EchoBuffer{Samples: samples[d*h.Window : (d+1)*h.Window : (d+1)*h.Window]}
 	}
 	p.tx[t] = bufs
 	return nil

@@ -349,3 +349,31 @@ func TestServerWireEarlyValidation(t *testing.T) {
 		t.Errorf("raw ragged: status %d, want 400 (%s)", st, body)
 	}
 }
+
+// TestDecodedElementViewsAreCapped: both ingest routes cut every element's
+// view out of one backing array with a full slice expression, so an append
+// or reslice on one element cannot reach into its neighbour's samples.
+func TestDecodedElementViewsAreCapped(t *testing.T) {
+	req := tinyRequest()
+	bufs := tinyFrame(t, req.Spec)
+	elements := req.Spec.Elements()
+
+	fromRaw, err := readFrame(bytes.NewReader(encodeFrame(bufs)), elements, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := readWirePayload(bytes.NewReader(encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs}, 0)), req, 1, 1<<30, &wireRecorder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, views := range map[string][]rf.EchoBuffer{"raw body": fromRaw, "wire frame": p.tx[0]} {
+		if len(views) != elements {
+			t.Fatalf("%s: %d views for %d elements", name, len(views), elements)
+		}
+		for d, b := range views {
+			if len(b.Samples) == 0 || cap(b.Samples) != len(b.Samples) {
+				t.Fatalf("%s element %d: len %d cap %d — the view reaches past its own window", name, d, len(b.Samples), cap(b.Samples))
+			}
+		}
+	}
+}

@@ -84,6 +84,24 @@ func FuzzDecodeFrame(f *testing.F) {
 		b := buf.Bytes()
 		f.Add(b[:HeaderBytes+4+11]) // torn mid-sample (f64 lane)
 	}
+	// The f64 lane again in 24-byte chunks — DecodeF64's in-place route
+	// crosses a chunk prefix every three samples — torn and oversized.
+	{
+		fr := &Frame{Header: header(EncodingF64, 2, 9, 0), F64: testSamples(2 * 9)}
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, fr, 24); err != nil {
+			f.Fatalf("seed frame: %v", err)
+		}
+		b := buf.Bytes()
+		f.Add(bytes.Clone(b))                                             // complete, six chunks
+		f.Add(b[:HeaderBytes+(4+24)*2])                                   // cut at the second chunk boundary
+		f.Add(b[:HeaderBytes+(4+24)*2+4+13])                              // torn mid-sample in the third chunk
+		f.Add(b[:len(b)-1])                                               // one byte short
+		f.Add(append(bytes.Clone(b), b[HeaderBytes:HeaderBytes+4+24]...)) // a seventh chunk after the payload
+		over := bytes.Clone(b)
+		binary.LittleEndian.PutUint32(over[HeaderBytes+(4+24)*5:], 25) // last chunk overruns the payload by one
+		f.Add(append(over, 0))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -112,6 +130,19 @@ func FuzzDecodeFrame(f *testing.F) {
 		// whether the payload is well-formed.
 		if (errPlane == nil) != (errF64 == nil) {
 			t.Fatalf("decoder disagreement: DecodePlane err=%v, DecodeF64 err=%v", errPlane, errF64)
+		}
+		// The in-place f64 route and the portable loop are one decoder.
+		if h.Encoding == EncodingF64 {
+			slow := make([]float64, h.Samples())
+			errSlow := decodeF64Portable(newChunkReader(bytes.NewReader(data[len(data)-r.Len():]), h), h, slow)
+			if (errSlow == nil) != (errF64 == nil) || (errSlow != nil && errSlow.Error() != errF64.Error()) {
+				t.Fatalf("f64 routes disagree: DecodeF64 err=%v, portable err=%v", errF64, errSlow)
+			}
+			for i := range slow {
+				if errSlow == nil && math.Float64bits(slow[i]) != math.Float64bits(dst[i]) {
+					t.Fatalf("sample %d: DecodeF64 %#x, portable %#x", i, math.Float64bits(dst[i]), math.Float64bits(slow[i]))
+				}
+			}
 		}
 		if errPlane != nil {
 			return

@@ -47,6 +47,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"unsafe"
 
 	"ultrabeam/internal/faultpoint"
 )
@@ -393,17 +394,39 @@ func decodeSamples32(dst []float32, raw []byte, h Header) {
 	}
 }
 
+// hostLittleEndian reports whether a []float64's bytes are already in wire
+// order, which is what lets DecodeF64 read an f64 payload in place.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // DecodeF64 streams the frame payload into contiguous element-major
 // float64 samples (element d at dst[d·window : (d+1)·window]) — the
 // decode target of sessions whose kernel consumes float64 echoes. For
 // EncodingF64 the samples are bit-exact; i16/f32 widen exactly (every
 // int16·scale and float32 value is representable in float64). dst must
 // hold h.Samples() float64s.
+//
+// An f64 payload on a little-endian host is read through the chunk reader
+// straight into dst's bytes: a large body goes from the socket to the
+// samples with no scratch pass. Big-endian hosts and the widening encodings
+// take the portable loop.
 func DecodeF64(r io.Reader, h Header, dst []float64) error {
 	if len(dst) < h.Samples() {
 		return fmt.Errorf("wire: destination of %d float64s for %d samples", len(dst), h.Samples())
 	}
 	cr := newChunkReader(r, h)
+	if h.Encoding == EncodingF64 && hostLittleEndian {
+		raw := unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*h.Samples())
+		if _, err := io.ReadFull(cr, raw); err != nil {
+			return fmt.Errorf("wire: frame payload: %w", err)
+		}
+		return drainFrame(cr)
+	}
+	return decodeF64Portable(cr, h, dst)
+}
+
+// decodeF64Portable is DecodeF64 for any host and encoding: payload bytes
+// pass through a scratch buffer and convert sample by sample.
+func decodeF64Portable(cr *chunkReader, h Header, dst []float64) error {
 	size := h.Encoding.SampleBytes()
 	var scratch [decodeScratch]byte
 	for off := 0; off < h.Samples(); {

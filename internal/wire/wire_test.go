@@ -476,3 +476,91 @@ func TestDecodePlaneI16Rejects(t *testing.T) {
 		t.Fatal("truncated i16 payload decoded without error")
 	}
 }
+
+// TestDecodeF64ZeroCopyMatchesPortable is the differential test of the two
+// f64 ingest routes: on a little-endian host DecodeF64 reads an f64 payload
+// straight into dst's bytes, and it must be indistinguishable from the
+// portable scratch-and-convert loop — same sample bits (random bit patterns,
+// so NaN payloads and signed zeros are in the data), same error text for a
+// stream cut at every byte of the chunk stream (chunk boundaries, inside a
+// prefix, mid-sample) or carrying an oversize chunk, and dst beyond
+// h.Samples() untouched on every outcome.
+func TestDecodeF64ZeroCopyMatchesPortable(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: the portable loop is the only route")
+	}
+	const sentinel = 0x5e11_7e1d_dead_beef
+	rng := uint64(0xdec0de)
+	decode := func(stream []byte, h Header, portable bool) ([]float64, error) {
+		dst := make([]float64, h.Samples()+5)
+		for i := range dst {
+			dst[i] = math.Float64frombits(sentinel)
+		}
+		var err error
+		if r := bytes.NewReader(stream); portable {
+			err = decodeF64Portable(newChunkReader(r, h), h, dst)
+		} else {
+			err = DecodeF64(r, h, dst)
+		}
+		for i, v := range dst[h.Samples():] {
+			if math.Float64bits(v) != sentinel {
+				t.Fatalf("portable=%t: dst[Samples()+%d] overwritten with %#x", portable, i, math.Float64bits(v))
+			}
+		}
+		return dst[:h.Samples()], err
+	}
+	// 3×37 samples in sample-sized, sample-splitting, multi-sample and single
+	// chunks; 3×9000 samples (216 kB) crosses the portable loop's 64 kB
+	// scratch in DefaultChunk-sized and in odd 10 007-byte chunks.
+	for _, c := range []struct{ elems, win, chunk int }{
+		{3, 37, 8}, {3, 37, 13}, {3, 37, 100}, {3, 37, 0}, {3, 9000, 0}, {3, 9000, 10007},
+	} {
+		src := make([]float64, c.elems*c.win)
+		for i := range src {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			src[i] = math.Float64frombits(rng)
+		}
+		h := header(EncodingF64, c.elems, c.win, 0)
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &Frame{Header: h, F64: src}, c.chunk); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+		stream := buf.Bytes()[HeaderBytes:]
+
+		fast, errFast := decode(stream, h, false)
+		slow, errSlow := decode(stream, h, true)
+		if errFast != nil || errSlow != nil {
+			t.Fatalf("chunk %d: complete frame rejected: zero-copy %v, portable %v", c.chunk, errFast, errSlow)
+		}
+		for i := range src {
+			if math.Float64bits(fast[i]) != math.Float64bits(src[i]) || math.Float64bits(slow[i]) != math.Float64bits(src[i]) {
+				t.Fatalf("chunk %d sample %d: zero-copy %#x, portable %#x, source %#x", c.chunk, i,
+					math.Float64bits(fast[i]), math.Float64bits(slow[i]), math.Float64bits(src[i]))
+			}
+		}
+
+		step := 1
+		if len(stream) > 4096 {
+			step = 997 // the large frames: a sample of cut points, all residues mod 8
+		}
+		for cut := 0; cut < len(stream); cut += step {
+			_, errFast := decode(stream[:cut], h, false)
+			_, errSlow := decode(stream[:cut], h, true)
+			if errFast == nil || errSlow == nil || errFast.Error() != errSlow.Error() {
+				t.Fatalf("chunk %d cut at %d of %d: zero-copy %v, portable %v", c.chunk, cut, len(stream), errFast, errSlow)
+			}
+		}
+
+		// Oversize: the first chunk's prefix claims one byte more than the
+		// whole payload.
+		over := bytes.Clone(stream)
+		binary.LittleEndian.PutUint32(over, uint32(h.PayloadBytes()+1))
+		_, errFast = decode(over, h, false)
+		_, errSlow = decode(over, h, true)
+		if errFast == nil || errSlow == nil || errFast.Error() != errSlow.Error() {
+			t.Fatalf("chunk %d oversize prefix: zero-copy %v, portable %v", c.chunk, errFast, errSlow)
+		}
+	}
+}
