@@ -3,42 +3,19 @@
 package beamform
 
 import (
+	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/scan"
 )
 
-// i16HaveAVX2 is the one runtime decision the fixed-point kernel makes:
-// probed once at init, read-only afterwards. Tests clear it to drive the
-// no-AVX2 route on an AVX2 host.
-var i16HaveAVX2 = cpuHasAVX2()
-
-// i16KernelBody names the body accumulateNappe16I16 runs on this host.
+// i16KernelBody names the body accumulateNappe16I16 runs on this host:
+// cpufeat.AVX2, probed once at init, is the one runtime decision the
+// fixed-point kernel makes.
 func i16KernelBody() string {
-	if i16HaveAVX2 {
+	if cpufeat.AVX2 {
 		return "avx2"
 	}
 	return "ref"
-}
-
-// cpuid and xgetbv are the raw instructions (kernel_i16_amd64.s).
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
-
-// cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves the
-// YMM state: CPUID.1:ECX OSXSAVE+AVX, XCR0 bits 1-2, CPUID.7.0:EBX bit 5.
-func cpuHasAVX2() bool {
-	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, c, _ := cpuid(1, 0); c&(osxsave|avx) != osxsave|avx {
-		return false
-	}
-	if lo, _ := xgetbv(); lo&6 != 6 {
-		return false
-	}
-	_, b, _, _ := cpuid(7, 0)
-	return b&(1<<5) != 0
 }
 
 // gatherMaddI16AVX2 is the vector body (kernel_i16_amd64.s): for each of
@@ -59,7 +36,7 @@ func gatherMaddI16AVX2(acc []int32, blk []int16, plane []int16, ro []int32, wq [
 // is the calling worker's int32 scratch, one slot per voxel of a nappe.
 // Hosts without AVX2 run the reference.
 func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) {
-	if !i16HaveAVX2 {
+	if !cpufeat.AVX2 {
 		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
 		return
 	}

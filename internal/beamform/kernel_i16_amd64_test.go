@@ -5,6 +5,7 @@ package beamform
 import (
 	"testing"
 
+	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
@@ -16,10 +17,10 @@ import (
 // batch and a plane batch must come out bit-identical (==) whichever body
 // ran, in store mode (transmit 0) and add mode (transmits 1, 2).
 func TestI16NoAVX2Route(t *testing.T) {
-	if !i16HaveAVX2 {
+	if !cpufeat.AVX2 {
 		t.Skip("host has no AVX2: the reference is already the only route")
 	}
-	defer func() { i16HaveAVX2 = true }()
+	defer func() { cpufeat.AVX2 = true }()
 
 	cfg, _, target := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 20)
@@ -37,7 +38,7 @@ func TestI16NoAVX2Route(t *testing.T) {
 	}
 
 	run := func(avx2 bool) (fromBufs, fromPlanes *Volume) {
-		i16HaveAVX2 = avx2
+		cpufeat.AVX2 = avx2
 		if want := map[bool]string{true: "avx2", false: "ref"}[avx2]; i16KernelBody() != want {
 			t.Fatalf("body = %q with the probe at %t", i16KernelBody(), avx2)
 		}

@@ -11,6 +11,7 @@ import (
 	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/delaycache"
+	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
 )
 
@@ -230,8 +231,14 @@ func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 }
 
 // TestSchedulerBatchesBacklog: frames queued while the geometry builds must
-// dispatch as fused batches, visible in the batch-size counters.
+// dispatch as fused batches, visible in the batch-size counters. The build's
+// cache fills are stretched to a millisecond each so that the backlog does
+// not hang on how fast this host fills ten tiny nappes.
 func TestSchedulerBatchesBacklog(t *testing.T) {
+	if err := faultpoint.Activate("delaycache.fill=every:1:sleep=1ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.Deactivate()
 	sched := NewScheduler(SchedulerConfig{MaxBatch: 4, MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()

@@ -124,6 +124,10 @@ type Server struct {
 	// connections watch to send GOAWAY at the next compound boundary.
 	drainCh   chan struct{}
 	drainOnce sync.Once
+
+	// streamFrameTimeout is StreamFrameTimeout; a field so that a test can
+	// shorten it on one instance.
+	streamFrameTimeout time.Duration
 }
 
 // NewServer wires the handler tree over the pool or the scheduler.
@@ -140,7 +144,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.AcquireTimeout <= 0 {
 		cfg.AcquireTimeout = 10 * time.Second
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), drainCh: make(chan struct{})}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), drainCh: make(chan struct{}), streamFrameTimeout: StreamFrameTimeout}
 	// The versioned API lives under /v1/; the original paths stay mounted
 	// as aliases on the same handlers, so pre-/v1 clients keep working and
 	// the equivalence is structural, not best-effort.

@@ -29,6 +29,7 @@ import (
 	"log"
 	"net"
 	"net/url"
+	"os"
 	"sync"
 	"time"
 
@@ -45,9 +46,19 @@ const streamDepth = 4
 
 // streamPollInterval is how often an idle stream read wakes to check for
 // drain or context cancellation. Only the wait for a compound's first
-// byte polls; once a compound starts arriving it is read without an
-// artificial deadline.
+// byte polls; once a compound starts arriving each of its transmit frames
+// is read under StreamFrameTimeout instead.
 const streamPollInterval = 250 * time.Millisecond
+
+// StreamFrameTimeout bounds how long one transmit frame (header and
+// payload) of a compound may take to arrive once the compound's first byte
+// has. The compound's queue slot is reserved as soon as its first header
+// parses, so an upload that stalls would otherwise pin that slot for as
+// long as the peer keeps the socket open; on expiry the connection is
+// closed as client-gone and the slot released. The deadline is re-armed per
+// frame, not per compound — a 17.4 MB f64 frame fits it down to ≈ 5 Mbit/s —
+// and never covers the idle wait between compounds.
+const StreamFrameTimeout = 30 * time.Second
 
 // Injection points for the chaos harness: a read fault simulates the
 // server-side socket dying between compounds, a write fault a reply that
@@ -107,6 +118,13 @@ func streamStatus(err error) uint8 {
 	default:
 		return wire.StatusError
 	}
+}
+
+// uploadDied reports whether a frame read failed because the peer went
+// away — the byte stream ended mid-frame, or stopped for longer than the
+// frame deadline — rather than because it sent something malformed.
+func uploadDied(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, os.ErrDeadlineExceeded)
 }
 
 // serveStreamConn runs one cine connection to completion.
@@ -206,9 +224,9 @@ func (s *Server) serveStreamConn(ctx context.Context, conn net.Conn) {
 readLoop:
 	for {
 		// Between compounds, poll for the first byte with a short read
-		// deadline so a drain or cancellation interrupts an idle stream —
-		// an armed deadline only while no compound is in flight, so a slow
-		// but live upload is never cut mid-frame.
+		// deadline so a drain or cancellation interrupts an idle stream;
+		// it replaces the frame deadline the last compound left armed, so
+		// an idle connection is never timed out.
 		var n int
 		var rerr error
 		for {
@@ -232,7 +250,7 @@ readLoop:
 				break readLoop
 			}
 		}
-		conn.SetReadDeadline(time.Time{})
+		conn.SetReadDeadline(time.Now().Add(s.streamFrameTimeout))
 		if ferr := streamReadFault.Err(); ferr != nil {
 			// Injected ingest failure between compounds: internal, close.
 			log.Printf("serve: stream read failed (internal): %v", ferr)
@@ -246,8 +264,8 @@ readLoop:
 		start := time.Now()
 		h, herr := wire.ReadHeader(cr)
 		if herr != nil {
-			if errors.Is(herr, io.EOF) || errors.Is(herr, io.ErrUnexpectedEOF) {
-				cause = streamCloseClientGone // died mid-header
+			if uploadDied(herr) {
+				cause = streamCloseClientGone // died or stalled mid-header
 			} else {
 				fail(wireErr(herr))
 				cause = streamCloseDesync
@@ -284,6 +302,7 @@ readLoop:
 			before := cr.n
 			if t > 0 {
 				start = time.Now()
+				conn.SetReadDeadline(start.Add(s.streamFrameTimeout))
 				if h, derr = wire.ReadHeader(cr); derr != nil {
 					derr = wireErr(derr)
 					break
@@ -301,9 +320,10 @@ readLoop:
 			if pend != nil {
 				pend.Abort()
 			}
-			if errors.Is(derr, io.EOF) || errors.Is(derr, io.ErrUnexpectedEOF) {
-				// The upload died mid-compound: a torn frame, not a
-				// protocol violation — nobody is listening for a reply.
+			if uploadDied(derr) {
+				// The upload died or stalled mid-compound: a torn frame,
+				// not a protocol violation — nobody is listening for a
+				// reply.
 				cause = streamCloseClientGone
 				break
 			}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/url"
 	"sync"
 	"testing"
+	"time"
 
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/rf"
@@ -206,4 +208,86 @@ func TestStreamErrors(t *testing.T) {
 			t.Error("stream kept serving after a desynchronised frame")
 		}
 	})
+}
+
+// TestStreamDropsStalledUpload: a compound's queue slot is reserved when its
+// first header parses, so an upload that then stops must not hold it. The
+// frame deadline is shortened on this instance so the test need not wait
+// the production thirty seconds. A slow but live upload — a pause of 0.4
+// deadlines inside each transmit frame of a three-transmit compound, more
+// than one deadline in total but 0.6 s clear of it per frame on a loaded
+// host — is answered; one that stalls mid-payload is closed as client-gone
+// and its slot released.
+func TestStreamDropsStalledUpload(t *testing.T) {
+	_, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv, err := NewServer(ServerConfig{Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.streamFrameTimeout != StreamFrameTimeout || StreamFrameTimeout <= 0 {
+		t.Fatalf("NewServer frame deadline: %v", srv.streamFrameTimeout)
+	}
+	const frameBound = time.Second
+	srv.streamFrameTimeout = frameBound
+
+	spec := tinySpec()
+	bufs := tinyFrame(t, spec)
+	conn := dialStream(t, srv)
+	if err := wire.WriteHello(conn, tinyQuery(url.Values{"transmits": {"3"}, "arch": {"tablesteer"}, "resp": {"f32"}})); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.ReadHelloReply(conn); err != nil {
+		t.Fatalf("hello refused: %v", err)
+	}
+	body := encodeWire(t, wire.EncodingI16, [][]rf.EchoBuffer{bufs, bufs, bufs}, 0)
+	frame := len(body) / 3 // three equal transmit frames
+	if len(body) != 3*frame || frame%2 != 0 {
+		t.Fatalf("compound of %d bytes does not cut into six halves", len(body))
+	}
+	for cut := frame / 2; cut <= len(body); cut += frame / 2 {
+		if _, err := conn.Write(body[cut-frame/2 : cut]); err != nil {
+			t.Fatal(err)
+		}
+		if cut%frame != 0 {
+			time.Sleep(frameBound * 4 / 10) // mid-frame: the server is waiting on this payload
+		}
+	}
+	conn.SetReadDeadline(time.Now().Add(20 * frameBound))
+	if _, err := wire.ReadVolume(conn, 0); err != nil {
+		t.Fatalf("slow but live compound: %v", err)
+	}
+
+	// Half of the first frame, then silence: the header has parsed, so
+	// the slot is held — until the deadline.
+	if _, err := conn.Write(body[:frame/2]); err != nil {
+		t.Fatal(err)
+	}
+	held := time.Now()
+	for sched.QueuedFrames() != 1 {
+		if time.Since(held) > 20*frameBound {
+			t.Fatal("the stalled compound never reserved its slot: the test proves nothing")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	conn.SetReadDeadline(time.Now().Add(20 * frameBound))
+	if _, err := io.Copy(io.Discard, conn); err != nil { // returns nil at the server's close
+		t.Fatalf("stalled stream still open after %v: %v", time.Since(held), err)
+	}
+	if waited := time.Since(held); waited < frameBound/2 {
+		t.Fatalf("stream closed after %v, before the %v frame bound", waited, frameBound)
+	}
+	for sched.QueuedFrames() != 0 { // the close races the server's own bookkeeping by microseconds
+		if time.Since(held) > 20*frameBound {
+			t.Fatalf("queue slots still held after the close: %d", sched.QueuedFrames())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ws := sched.Stats().Wire
+	for ws.StreamClosesClientGone != 1 && time.Since(held) < 20*frameBound {
+		time.Sleep(time.Millisecond)
+		ws = sched.Stats().Wire
+	}
+	if ws.StreamClosesClientGone != 1 || ws.StreamClosesDesync != 0 {
+		t.Errorf("close causes: client-gone %d, desync %d; want 1, 0", ws.StreamClosesClientGone, ws.StreamClosesDesync)
+	}
 }

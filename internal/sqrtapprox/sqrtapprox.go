@@ -270,6 +270,7 @@ type IntDatapath struct {
 	prodHalf  int64   // 1 << (prodShift−1)
 	outShift  uint    // OutFrac
 	outHalf   int64   // 1 << (OutFrac−1)
+	lanes     *Lanes  // nil unless proveLanes holds
 }
 
 // newIntDatapath packs f for the integer form, or returns nil when the
@@ -294,6 +295,7 @@ func newIntDatapath(f *FixedApprox) *IntDatapath {
 		d.Ops[i] = SegOp{Lo: s.Lo, Hi: s.Hi, LoRaw: f.lo[i], C1: f.c1[i],
 			V0: shiftRound(f.v0[i], cfg.OffsetFrac-cfg.OutFrac)}
 	}
+	d.lanes, _ = d.proveLanes()
 	return d
 }
 
@@ -313,6 +315,92 @@ func (d *IntDatapath) Raw(op *SegOp, alpha float64) int64 {
 // raw value stands for.
 func (d *IntDatapath) Index(raw int64) int64 {
 	return roundShift(raw, d.outHalf, d.outShift)
+}
+
+// Lanes is the licence a SIMD body needs to run Raw and Index several
+// arguments at a time in 32-bit-wide integer lanes, with the constants it
+// then works from. It exists only when proveLanes holds for the datapath.
+type Lanes struct {
+	ArgMax    float64 // arguments in [0, ArgMax] are covered: the domain's upper end
+	ArgScale  float64 // 2^ArgFrac
+	ProdHalf  int64   // rounding half of the product shift
+	ProdShift uint64
+	OutHalf   int64 // rounding half of the index shift
+	OutShift  uint64
+}
+
+// Lanes returns the vector licence, or nil when the datapath fails a clause
+// of proveLanes (callers then stay on Raw/Index).
+func (d *IntDatapath) Lanes() *Lanes { return d.lanes }
+
+// LaneTxLimit bounds the raw leg a lane body may add to a receive result
+// before Index: |tx| < LaneTxLimit keeps the two-leg sum plus the rounding
+// half inside int32 (proveLanes holds every receive result to the same
+// limit less OutHalf).
+const LaneTxLimit = 1 << 30
+
+// proveLanes checks, once per datapath, everything a lane body assumes
+// beyond Raw/Index themselves. Writing t = Round(α·2^ArgFrac) and j for α's
+// segment, for every 0 ≤ α ≤ ArgMax:
+//
+//   - segments ascend and abut (Hi[j] == Lo[j+1]) from Lo[0] ≤ 0, so "the
+//     last j with α ≥ Lo[j]" is the segment the cursor walk lands on from
+//     any start, and it is monotone in α;
+//   - LoRaw[j] == Round(Lo[j]·2^ArgFrac) ≥ 0 and the scaled domain end is
+//     below 2^31: rounding is monotone, so 0 ≤ t − LoRaw[j] ≤ HiRaw[j] −
+//     LoRaw[j] < 2^31 — t converts to int32 and the offset is an unsigned
+//     32-bit multiplier operand;
+//   - 0 ≤ C1 < 2^31: the product is an unsigned 32×32 multiply, below 2^62,
+//     so adding the rounding half cannot wrap and a logical shift is the
+//     arithmetic one;
+//   - the largest receive result any segment can produce, plus OutHalf,
+//     stays within LaneTxLimit, so with |tx| < LaneTxLimit the Index stage
+//     fits int32.
+//
+// The returned error names the first clause that fails.
+func (d *IntDatapath) proveLanes() (*Lanes, error) {
+	const lim = 1 << 31
+	ops := d.Ops
+	if len(ops) == 0 {
+		return nil, fmt.Errorf("no segments")
+	}
+	if ops[0].Lo > 0 {
+		return nil, fmt.Errorf("segment 0 starts at %v > 0", ops[0].Lo)
+	}
+	last := len(ops) - 1
+	endRaw := math.Round(ops[last].Hi * d.argScale)
+	if !(endRaw < lim) {
+		return nil, fmt.Errorf("scaled domain end %v is not below 2^31", endRaw)
+	}
+	for j, op := range ops {
+		hiRaw := int64(endRaw)
+		if j < last {
+			if ops[j+1].Lo != op.Hi {
+				return nil, fmt.Errorf("segment %d ends at %v, segment %d starts at %v", j, op.Hi, j+1, ops[j+1].Lo)
+			}
+			hiRaw = ops[j+1].LoRaw
+		}
+		if !(op.Lo < op.Hi) {
+			return nil, fmt.Errorf("segment %d [%v, %v) does not ascend", j, op.Lo, op.Hi)
+		}
+		if op.LoRaw < 0 || float64(op.LoRaw) != math.Round(op.Lo*d.argScale) {
+			return nil, fmt.Errorf("segment %d: LoRaw %d is not the non-negative rounding of %v·%v", j, op.LoRaw, op.Lo, d.argScale)
+		}
+		if op.C1 < 0 || op.C1 >= lim {
+			return nil, fmt.Errorf("segment %d: slope word %d outside [0, 2^31)", j, op.C1)
+		}
+		// The product term is below 2^62 by the clauses above; holding V0
+		// to the limit first keeps the sum itself from wrapping.
+		recv := ((hiRaw-op.LoRaw)*op.C1 + d.prodHalf) >> d.prodShift
+		if op.V0 <= -LaneTxLimit || op.V0 >= LaneTxLimit || recv+max(op.V0, -op.V0)+d.outHalf > LaneTxLimit {
+			return nil, fmt.Errorf("segment %d: receive result bound %d + |%d| plus rounding half %d exceeds 2^30", j, recv, op.V0, d.outHalf)
+		}
+	}
+	return &Lanes{
+		ArgMax: ops[last].Hi, ArgScale: d.argScale,
+		ProdHalf: d.prodHalf, ProdShift: uint64(d.prodShift),
+		OutHalf: d.outHalf, OutShift: uint64(d.outShift),
+	}, nil
 }
 
 // roundNonNeg is math.Round for 0 ≤ x < 2^63 without the library call:

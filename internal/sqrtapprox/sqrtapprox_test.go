@@ -2,6 +2,7 @@ package sqrtapprox
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -412,4 +413,71 @@ func TestIntDatapathMatchesEvalSeg(t *testing.T) {
 			t.Errorf("%+v: integer datapath offered for a config it does not cover", cfg)
 		}
 	}
+}
+
+// TestLaneProofClauses fails each clause of proveLanes in turn — by config
+// where a FixedConfig can reach it, by editing a proven datapath's operands
+// where only a hand-built table can — and holds the licence of a proven
+// datapath to what it promises: inside [0, ArgMax] every offset, product
+// and two-leg sum a lane body forms stays within the widths it uses.
+func TestLaneProofClauses(t *testing.T) {
+	a := paperApprox()
+	fresh := func() *IntDatapath { return NewFixed(a, DefaultFixedConfig()).Integer() }
+	mid := len(a.Segments) / 2
+	for _, c := range []struct {
+		clause string
+		d      *IntDatapath
+	}{
+		{"scaled domain end", NewFixed(a, FixedConfig{ArgFrac: 8, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6}).Integer()},
+		{"slope word", NewFixed(a, FixedConfig{ArgFrac: 0, SlopeFrac: 32, OffsetFrac: 6, OutFrac: 6}).Integer()},
+		{"receive result bound", NewFixed(a, FixedConfig{ArgFrac: 0, SlopeFrac: 30, OffsetFrac: 18, OutFrac: 18}).Integer()},
+		{"receive result bound", NewFixed(a, FixedConfig{ArgFrac: 0, SlopeFrac: 30, OffsetFrac: 20, OutFrac: 20}).Integer()},
+		{"segment 0 starts", NewFixed(&Approx{Delta: a.Delta, Max: a.Max, Segments: a.Segments[1:]}, DefaultFixedConfig()).Integer()},
+		{"no segments", &IntDatapath{}},
+		{"starts at", edit(fresh(), func(ops []SegOp) { ops[mid].Lo++ })}, // a gap below mid
+		{"starts at", edit(fresh(), func(ops []SegOp) { ops[mid].Hi-- })}, // a gap above it
+		{"does not ascend", edit(fresh(), func(ops []SegOp) { ops[mid].Hi, ops[mid+1].Lo = ops[mid].Lo, ops[mid].Lo })},
+		{"LoRaw", edit(fresh(), func(ops []SegOp) { ops[mid].LoRaw++ })},                           // rounding is no longer monotone against it
+		{"LoRaw", edit(fresh(), func(ops []SegOp) { ops[0].Lo, ops[0].LoRaw = -3, -3 })},           // a negative start
+		{"slope word", edit(fresh(), func(ops []SegOp) { ops[mid].C1 = -ops[mid].C1 })},            // a negative product
+		{"receive result bound", edit(fresh(), func(ops []SegOp) { ops[mid].V0 = math.MinInt64 })}, // |V0| itself would wrap
+	} {
+		if c.d == nil {
+			t.Fatalf("%s: no integer datapath to prove", c.clause)
+		}
+		if ln, err := c.d.proveLanes(); ln != nil || err == nil || !strings.Contains(err.Error(), c.clause) {
+			t.Errorf("licence %v, error %v; want none and the %q clause", ln, err, c.clause)
+		}
+	}
+	for _, cfg := range []FixedConfig{DefaultFixedConfig(), {ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}} {
+		d := NewFixed(a, cfg).Integer()
+		ln := d.Lanes()
+		if ln == nil {
+			_, err := d.proveLanes()
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		if ln.ArgMax != a.Max || ln.ArgScale != d.argScale || ln.ProdHalf != d.prodHalf || ln.OutHalf != d.outHalf ||
+			ln.ProdShift != uint64(d.prodShift) || ln.OutShift != uint64(d.outShift) {
+			t.Errorf("%+v: licence %+v does not carry the datapath's constants", cfg, ln)
+		}
+		for j, op := range d.Ops {
+			for _, alpha := range []float64{max(op.Lo, 0), math.Nextafter(op.Hi, 0), (op.Lo + op.Hi) / 2} {
+				off := roundNonNeg(alpha*d.argScale) - op.LoRaw
+				if off < 0 || off >= 1<<31 || off*op.C1 < 0 {
+					t.Fatalf("%+v seg %d alpha %v: offset %d leaves the unsigned 32-bit multiplier", cfg, j, alpha, off)
+				}
+				for _, tx := range []int64{LaneTxLimit - 1, 1 - LaneTxLimit} {
+					if sum := tx + d.Raw(&d.Ops[j], alpha); sum+d.outHalf > math.MaxInt32 || sum-1 < math.MinInt32 {
+						t.Fatalf("%+v seg %d alpha %v tx %d: two-leg sum %d leaves int32", cfg, j, alpha, tx, sum)
+					}
+				}
+			}
+		}
+	}
+}
+
+// edit applies f to d's operand table and returns d.
+func edit(d *IntDatapath, f func([]SegOp)) *IntDatapath {
+	f(d.Ops)
+	return d
 }

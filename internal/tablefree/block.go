@@ -44,9 +44,10 @@ func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 	p.fillNappe(id, nil, dst)
 }
 
-// stackCols is the widest element row whose (Sx−xD)² scratch lives on the
-// fill's stack; wider apertures pay one allocation per nappe.
-const stackCols = 256
+// stackTerms is the most per-voxel squared terms (one per element column
+// plus one per row) whose scratch lives on the fill's stack; wider
+// apertures pay one allocation per nappe.
+const stackTerms = 512
 
 // fillNappe16Fixed is the §IV-B unit as integer arithmetic: per element,
 // two float additions form the argument, the segment cursor steps to its
@@ -59,39 +60,86 @@ const stackCols = 256
 // float. Every slot is bit-identical to Index16(DelaySamples(...)).
 func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.IntDatapath) {
 	l := p.Layout()
-	var stack [stackCols]float64
-	xt2 := stack[:] // per-column (Sx−xD)², refreshed per voxel
-	if l.NX > stackCols {
-		xt2 = make([]float64, l.NX)
+	var stack [stackTerms]float64
+	terms := stack[:]
+	if l.NX+l.NY > stackTerms {
+		terms = make([]float64, l.NX+l.NY)
 	}
-	xt2 = xt2[:l.NX]
+	// Per-column (Sx−xD)² and per-row (Sy−yD)², refreshed per voxel.
+	xt2, yt2 := terms[:l.NX], terms[l.NX:l.NX+l.NY]
 	ops := dp.Ops
+	nE := l.VoxelStride()
 	cur := 0 // receive segment cursor, carried across rows and voxels
 	r := p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(id))
 	dst = dst[:l.BlockLen()]
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {
-			// geom.SphericalToCartesian with the per-axis sin/cos hoisted.
-			rc := r * p.cosPhi[ip]
-			sx, sy, sz := rc*p.sinTheta[it], r*p.sinPhi[ip], rc*p.cosTheta[it]
-			dx := sx - p.originS.X
-			dy := sy - p.originS.Y
-			dz := sz - p.originS.Z
-			argTx := dx*dx + dy*dy + dz*dz
+			zz, argTx := p.planeTerms(it, ip, r, xt2, yt2)
 			txRaw := dp.Raw(&ops[p.FixedDP.Base.Find(argTx)], argTx)
-			zz := sz * sz
-			for ei, ex := range p.elemX {
-				xt := sx - ex
-				xt2[ei] = xt * xt
-			}
-			for _, ey := range p.elemY {
-				yt := sy - ey
-				yt2 := yt * yt
-				cur = fixedRow(dst[:l.NX], xt2, yt2, zz, txRaw, dp, cur)
-				dst = dst[l.NX:]
-			}
+			cur = fixedPlane(dst[:nE], xt2, yt2, zz, txRaw, dp, cur)
+			dst = dst[nE:]
 		}
 	}
+}
+
+// planeTerms decomposes the voxel at radius r (samples) on line (it, ip) as
+// §IV-B does: the per-column (Sx−xD)² into xt2, the per-row (Sy−yD)² into
+// yt2, and the shared Sz² and transmit argument |S−O|² as results. Each
+// element's receive argument is (xt2[ei] + yt2[ej]) + zz, args' association
+// order.
+func (p *Provider) planeTerms(it, ip int, r float64, xt2, yt2 []float64) (zz, argTx float64) {
+	// geom.SphericalToCartesian with the per-axis sin/cos hoisted.
+	rc := r * p.cosPhi[ip]
+	sx, sy, sz := rc*p.sinTheta[it], r*p.sinPhi[ip], rc*p.cosTheta[it]
+	dx := sx - p.originS.X
+	dy := sy - p.originS.Y
+	dz := sz - p.originS.Z
+	for ei, ex := range p.elemX {
+		xt := sx - ex
+		xt2[ei] = xt * xt
+	}
+	for ej, ey := range p.elemY {
+		yt := sy - ey
+		yt2[ej] = yt * yt
+	}
+	return sz * sz, dx*dx + dy*dy + dz*dz
+}
+
+// fixedPlane emits one voxel's element plane, len(yt2) rows of len(xt2)
+// slots: the host's native lane body (vecPlane) takes the leading columns
+// of every row when the datapath is proven and the voxel passes its guard,
+// and fixedRow — the executable specification — takes whatever it left:
+// the NX mod 4 tail, or the whole plane. It returns the segment cursor for
+// the next voxel.
+func fixedPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, cur int) int {
+	done, cur := vecPlane(plane, xt2, yt2, zz, txRaw, dp, cur)
+	if done == len(xt2) {
+		return cur
+	}
+	for _, y2 := range yt2 {
+		cur = fixedRow(plane[done:len(xt2)], xt2[done:], y2, zz, txRaw, dp, cur)
+		plane = plane[len(xt2):]
+	}
+	return cur
+}
+
+// segSpan returns the segments of the smallest and largest argument a plane
+// can form, fl(fl(x+y)+zz) over the extremes of its column and row terms:
+// float addition is monotone, so every element's argument — and, segments
+// ascending, its segment — lies between them. The cursor walk is fixedRow's.
+func segSpan(ops []sqrtapprox.SegOp, amin, amax float64, cur int) (lo, hi int) {
+	last := len(ops) - 1
+	for cur < last && amin >= ops[cur].Hi {
+		cur++
+	}
+	for cur > 0 && amin < ops[cur].Lo {
+		cur--
+	}
+	lo = cur
+	for cur < last && amax >= ops[cur].Hi {
+		cur++
+	}
+	return lo, cur
 }
 
 // fixedRow emits one element row of one voxel: xt2 holds the row's column
