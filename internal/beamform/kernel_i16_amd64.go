@@ -42,14 +42,7 @@ func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16
 	}
 	nE := len(e.apod)
 	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
-	// The assembly is unchecked; these are its whole safety argument. ro is
-	// ascending, so the last vector element bounds every gather's dword.
-	// Negative delays zero-extend to ≥ 32768 and must clamp to the guard
-	// slot, which needs win below that.
-	if tab.win <= 0 || tab.win > delay.MaxEchoWindow ||
-		len(blk) < len(row)*nE || len(tab.ro) != nE || len(tab.wq) != nE ||
-		tab.nVec < 0 || tab.nVec > max(nE-1, 0) || tab.nVec%8 != 0 ||
-		(tab.nVec > 0 && int(tab.ro[tab.nVec-1])+tab.win+2 > len(plane)) {
+	if !tab.gatherSafe(nE, plane) || len(blk) < len(row)*nE {
 		panic("beamform: i16 kernel operands violate the gather body's bounds contract")
 	}
 	gatherMaddI16AVX2(row, blk, plane, tab.ro, tab.wq, nE, tab.nVec, uint32(tab.win), uint32(e.preShift))
@@ -67,6 +60,24 @@ func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16
 			row[k] = acc
 		}
 	}
+	e.storeRowI16(row, id, out, scale, add)
+}
+
+// gatherSafe is the operand half of the vector bodies' bounds contract —
+// the assembly is unchecked, so this is its whole safety argument for the
+// table and the plane. ro is ascending, so the last vector element bounds
+// every gather's dword. Negative indices read as ≥ 32768 unsigned and must
+// clamp to the guard slot, which needs win below that.
+func (t *i16Table) gatherSafe(nE int, plane []int16) bool {
+	return t.win > 0 && t.win <= delay.MaxEchoWindow &&
+		len(t.ro) == nE && len(t.wq) == nE &&
+		t.nVec >= 0 && t.nVec <= max(nE-1, 0) && t.nVec%8 == 0 &&
+		(t.nVec == 0 || int(t.ro[t.nVec-1])+t.win+2 <= len(plane))
+}
+
+// storeRowI16 is the reference's float64(acc)·scale per voxel of nappe id,
+// stored or added.
+func (e *Engine) storeRowI16(row []int32, id int, out *Volume, scale float64, add bool) {
 	base := out.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous: θ, then φ fastest
 	dst := out.Data[base : base+len(row)]
 	for k, acc := range row {

@@ -73,3 +73,41 @@ func TestI16NoAVX2Route(t *testing.T) {
 		t.Fatal("compound volume is all zero: the comparison proved nothing")
 	}
 }
+
+// TestFusedSteerNoAVX2Route: with the probe cleared, a TABLESTEER i16
+// compound — uncached, so every nappe is fused-eligible — builds no fused
+// operand rows, reports the "ref" body and comes out == the AVX2 host's
+// fused volume, plane-fed and buffer-fed.
+func TestFusedSteerNoAVX2Route(t *testing.T) {
+	if !cpufeat.AVX2 {
+		t.Skip("host has no AVX2: fill-then-accumulate is already the only route")
+	}
+	defer func() { cpufeat.AVX2 = true }()
+	sc := newSteerCompound(t, 3, PrecisionInt16)
+	bufs, planes, scales := sc.frames(t, 2)
+	run := func(avx2 bool) []*Volume {
+		cpufeat.AVX2 = avx2
+		if want := map[bool]string{true: "avx2", false: "ref"}[avx2]; steerKernelBody() != want {
+			t.Fatalf("fused steer body = %q with the probe at %t", steerKernelBody(), avx2)
+		}
+		sess, _ := sc.session(t, true, -2)
+		defer sess.Close()
+		out := []*Volume{sess.NewVolume(), sess.NewVolume(), sess.NewVolume(), sess.NewVolume()}
+		if err := sess.BeamformBatch(out[:2], bufs); err != nil {
+			t.Fatal(err)
+		}
+		if err := sess.BeamformBatchPlanesI16(out[2:], sc.win, planes, scales); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	ref := run(false)
+	if n := sc.rows(); n != 0 {
+		t.Fatalf("the no-AVX2 route built %d fused operand rows", n)
+	}
+	fused := run(true)
+	if n := sc.rows(); n != int64(2*sc.depth*len(sc.gens)) {
+		t.Fatalf("the AVX2 route built %d fused operand rows, want %d", n, 2*sc.depth*len(sc.gens))
+	}
+	sameVolumes(t, "fused vs no-AVX2", fused, ref)
+}

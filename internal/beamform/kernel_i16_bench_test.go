@@ -3,8 +3,10 @@ package beamform
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -12,6 +14,7 @@ import (
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 	"ultrabeam/internal/tablefree"
+	"ultrabeam/internal/tablesteer"
 	"ultrabeam/internal/xdcr"
 )
 
@@ -49,16 +52,21 @@ var kernelBenchGrids = []kernelBenchGrid{
 
 const kernelBenchWin = 8512 // core.ReducedSpec().EchoBufferSamples()
 
-// setup builds the grid's engine, every nappe of TABLEFREE-generated delays
-// (resident, as a full cache serves them) and a volume to accumulate into.
-func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
+// config is the grid's engine configuration.
+func (g kernelBenchGrid) config() Config {
 	lambda := 1540.0 / 4e6
-	cfg := Config{
+	return Config{
 		Vol:    scan.NewVolume(geom.Radians(73), geom.Radians(73), 500*lambda, g.nth, g.nphi, g.ndep),
 		Arr:    xdcr.NewArray(g.nx, g.ny, lambda/2),
 		Conv:   conv,
 		Window: xdcr.Hann,
 	}
+}
+
+// setup builds the grid's engine, every nappe of TABLEFREE-generated delays
+// (resident, as a full cache serves them) and a volume to accumulate into.
+func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
+	cfg := g.config()
 	eng := New(cfg)
 	n := g.nth * g.nphi * len(eng.apod)
 	gen := delay.AsBlock(tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv}),
@@ -91,14 +99,20 @@ func (body kernelBenchBody) bench(b *testing.B, nappes, voxels int) {
 			body.run(id)
 		}
 	}
+	reportKernel(b, float64(voxels)*float64(body.perVoxel), body.bytes, 1)
+}
+
+// reportKernel states a whole-volume benchmark's rates: ms/volume (wall),
+// Msamples/s, cycles/sample per core at the /proc/cpuinfo clock with procs
+// cores busy, and the computed B/sample.
+func reportKernel(b *testing.B, samples, bytes float64, procs int) {
 	perVolume := b.Elapsed().Seconds() / float64(b.N)
-	samples := float64(voxels) * float64(body.perVoxel)
 	b.ReportMetric(perVolume*1e3, "ms/volume")
 	b.ReportMetric(samples/perVolume/1e6, "Msamples/s")
 	if mhz := hostMHz(); mhz > 0 {
-		b.ReportMetric(perVolume*mhz*1e6/samples, "cycles/sample")
+		b.ReportMetric(perVolume*float64(procs)*mhz*1e6/samples, "cycles/sample")
 	}
-	b.ReportMetric(body.bytes, "B/sample")
+	b.ReportMetric(bytes, "B/sample")
 }
 
 // BenchmarkAccumulateI16 is the committed source for the fixed-point
@@ -137,6 +151,101 @@ func BenchmarkAccumulateI16(b *testing.B) {
 		}
 		for _, body := range bodies {
 			b.Run(g.name+"/"+body.name, func(b *testing.B) { body.bench(b, g.ndep, len(out.Data)) })
+		}
+	}
+}
+
+// BenchmarkAccumulateSteerI16 is the committed source of the fused
+// TABLESTEER crossover: whole TABLESTEER-18b volumes against one guarded
+// int16 plane of the served window, through three routes —
+//
+//   - resident: every nappe's block filled once up front, as a full cache
+//     holds them, then the i16 gather body over it
+//   - fill+acc: a cache miss before the fused route, FillNappe16 (steerRow)
+//     into the worker's block and the i16 gather body over it
+//   - fused: the miss now, SteerRows into the worker's operand rows and the
+//     fused body (skipped where the build or host has none)
+//
+// GOMAXPROCS goroutines stripe the nappes as session workers do, so -cpu 1,2
+// reads each route at one and at two cores sharing the memory system;
+// cycles/sample is per core. B/sample counts the operand bytes each fetched
+// sample touches at any cache level: the resident delay (2), or the fill's
+// reference and x words and delay store plus the delay load (8+2+2), or the
+// fused ry and x words (4+4) — beside the dword gather (4) and the ro/wq
+// table (8) every route pays — plus the voxel's row and store over its
+// samples.
+func BenchmarkAccumulateSteerI16(b *testing.B) {
+	for _, g := range kernelBenchGrids {
+		cfg := g.config()
+		eng := New(cfg)
+		p := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})
+		p.UseFixed = true
+		ops := p.SteerOperands()
+		h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x57ee}
+		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
+		h.fillPlane(false)
+		tab := eng.i16GatherTable(kernelBenchWin)
+		out := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
+		l := p.Layout()
+		resident := make([]delay.Block16, g.ndep)
+		for id := range resident {
+			resident[id] = make(delay.Block16, l.BlockLen())
+			p.FillNappe16(id, resident[id])
+		}
+
+		type worker struct {
+			blk     delay.Block16
+			row, ry []int32
+		}
+		fetched := tab.nVec + len(tab.els) - tab.tail
+		voxel := (8 + 8) / float64(fetched)
+		routes := []struct {
+			name  string
+			bytes float64
+			run   func(w *worker, id int)
+		}{
+			{"resident", 2 + 4 + 8 + voxel, func(w *worker, id int) {
+				eng.accumulateNappe16I16(resident[id], h.plane, tab, id, out, 1, false, w.row)
+			}},
+			{"fill+acc", 8 + 2 + 2 + 4 + 8 + voxel, func(w *worker, id int) {
+				p.FillNappe16(id, w.blk)
+				eng.accumulateNappe16I16(w.blk, h.plane, tab, id, out, 1, false, w.row)
+			}},
+			{"fused", 4 + 4 + 4 + 8 + voxel, func(w *worker, id int) {
+				p.SteerRows(id, w.ry)
+				eng.accumulateSteerI16(w.ry, ops, h.plane, tab, id, out, 1, false, w.row)
+			}},
+		}
+		for _, route := range routes {
+			b.Run(g.name+"/"+route.name, func(b *testing.B) {
+				if route.name == "fused" && !fusedSteer() {
+					b.Skip("no fused steer body on this build or host")
+				}
+				procs := runtime.GOMAXPROCS(0)
+				workers := make([]*worker, procs)
+				for i := range workers {
+					workers[i] = &worker{
+						blk: make(delay.Block16, l.BlockLen()),
+						row: make([]int32, g.nth*g.nphi),
+						ry:  make([]int32, (g.nphi+1)*l.VoxelStride()),
+					}
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for w := range workers {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							for id := w; id < g.ndep; id += procs {
+								route.run(workers[w], id)
+							}
+						}()
+					}
+					wg.Wait()
+				}
+				reportKernel(b, float64(len(out.Data))*float64(fetched), route.bytes, procs)
+			})
 		}
 	}
 }

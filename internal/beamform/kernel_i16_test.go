@@ -63,15 +63,20 @@ var i16Apertures = []struct{ nx, ny int }{{1, 1}, {7, 1}, {8, 1}, {3, 3}, {4, 4}
 // table's zero-extension observable.
 func newI16Harness(t testing.TB, nx, ny, win int, window xdcr.Window) *i16KernelHarness {
 	t.Helper()
-	cfg := Config{
+	return newI16HarnessFor(t, Config{
 		Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 5, 2, 3),
 		Arr:    xdcr.NewArray(nx, ny, 0.385e-3/2),
 		Conv:   conv,
 		Window: window,
-	}
+	}, win)
+}
+
+// newI16HarnessFor is newI16Harness over any engine configuration.
+func newI16HarnessFor(t testing.TB, cfg Config, win int) *i16KernelHarness {
+	t.Helper()
 	eng := New(cfg)
 	if !eng.i16OK {
-		t.Fatalf("%dx%d aperture unexpectedly fails the accumulator bound", nx, ny)
+		t.Fatalf("%dx%d aperture unexpectedly fails the accumulator bound", cfg.Arr.NX, cfg.Arr.NY)
 	}
 	for j := range eng.activeWQ {
 		if j%2 == 1 {

@@ -73,6 +73,15 @@ type NappeSource16 interface {
 	Nappe16(id int) delay.Block16
 }
 
+// steerRoute is one transmit's fused TABLESTEER route: the provider's
+// delay.SteerSource and the shared operands it returned at session
+// construction (nil: the provider offers none, and the transmit always
+// fills blocks).
+type steerRoute struct {
+	src delay.SteerSource
+	ops *delay.SteerOperands
+}
+
 // sessionJob tells the worker pool what a dispatched token means.
 type sessionJob int
 
@@ -129,6 +138,8 @@ type Session struct {
 	bps     []delay.BlockProvider // one per transmit
 	srcs    []NappeSource         // per transmit; non-nil where blocks are retained wide
 	srcs16  []NappeSource16       // per transmit; non-nil where narrow blocks are retained
+	steers  []steerRoute          // per transmit; ops non-nil where the fused steer route exists
+	ryLen   int                   // per-worker fused operand scratch, 0 when no transmit has the route
 	layout  delay.Layout
 	workers int
 
@@ -238,6 +249,7 @@ func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
 		bps:     make([]delay.BlockProvider, len(ps)),
 		srcs:    make([]NappeSource, len(ps)),
 		srcs16:  make([]NappeSource16, len(ps)),
+		steers:  make([]steerRoute, len(ps)),
 		workers: e.workerCount(),
 		done:    make(chan struct{}),
 	}
@@ -253,6 +265,14 @@ func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
 		if src, ok := bp.(NappeSource16); ok {
 			s.srcs16[t] = src
 		}
+		// A build or host without the fused body never asks for operands,
+		// so it never builds the provider's tiled x table.
+		if src, ok := bp.(delay.SteerSource); ok && fusedSteer() {
+			if ops := src.SteerOperands(); ops != nil && len(ops.XOff) == layout.NTheta*layout.NPhi {
+				s.steers[t] = steerRoute{src: src, ops: ops}
+				s.ryLen = (layout.NPhi + 1) * layout.VoxelStride()
+			}
+		}
 	}
 	s.barRelease = make(chan struct{}, s.workers-1)
 	s.start = make([]chan struct{}, s.workers)
@@ -264,14 +284,16 @@ func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
 }
 
 // worker is the persistent per-worker loop: it owns one reusable narrow
-// nappe buffer, one float64 scratch and one int32 voxel row (the
-// fixed-point kernel's accumulators) for the life of the session, and
-// serves whichever job each frame dispatches — flattening its stripe of
-// echo buffers, or beamforming depth slices w, w+workers, ... of the frame.
+// nappe buffer, one float64 scratch, one int32 voxel row (the fixed-point
+// kernel's accumulators) and, when a transmit has the fused steer route, the
+// route's per-nappe operand rows, for the life of the session, and serves
+// whichever job each frame dispatches — flattening its stripe of echo
+// buffers, or beamforming depth slices w, w+workers, ... of the frame.
 func (s *Session) worker(w int) {
 	scratch := make([]float64, s.layout.BlockLen())
 	buf16 := make(delay.Block16, s.layout.BlockLen())
 	row := make([]int32, s.layout.NTheta*s.layout.NPhi)
+	ry := make([]int32, s.ryLen)
 	for range s.start[w] {
 		switch s.job {
 		case jobConvert:
@@ -279,9 +301,9 @@ func (s *Session) worker(w int) {
 		case jobConvertAccumulate:
 			s.convert(w)
 			s.barrier()
-			s.accumulateStripe(w, buf16, scratch, row)
+			s.accumulateStripe(w, buf16, scratch, row, ry)
 		default:
-			s.accumulateStripe(w, buf16, scratch, row)
+			s.accumulateStripe(w, buf16, scratch, row, ry)
 		}
 		s.done <- struct{}{}
 	}
@@ -360,8 +382,11 @@ func (s *Session) convertStripeI16(w int) {
 // loop nesting is slice → transmit → frame, so within each frame the
 // per-voxel accumulation order is exactly the single-frame order (the
 // batching bit-identity contract), while a non-resident block is generated
-// once per batch instead of once per frame.
-func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64, row []int32) {
+// once per batch instead of once per frame. On the i16 kernel a non-resident
+// nappe of a transmit with the fused steer route generates no block at all:
+// its per-nappe operand rows are built once per batch and every frame runs
+// the fused body, which is bit-identical to filling and accumulating.
+func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64, row, ry []int32) {
 	nTx := len(s.bps)
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
 		for t := 0; t < nTx; t++ {
@@ -401,21 +426,23 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 					resident = true
 				}
 			}
-			if !resident {
+			fused := !resident && s.useI16 && s.steers[t].ops != nil && fusedSteer()
+			if fused {
+				s.steers[t].src.SteerRows(id, ry)
+			} else if !resident {
 				delay.Fill16(s.bps[t], id, buf16, scratch)
 			}
-			if s.useI16 {
-				if s.extPlanesI16 != nil {
-					for k := range s.extPlanesI16 {
-						s.eng.accumulateNappe16I16(blk, s.extPlanesI16[k][t], s.i16Tab, id, s.outs[k], s.i16Scale[k*nTx+t], add, row)
+			switch {
+			case s.useI16:
+				for k := range s.outs {
+					plane, scale := s.planeI16(k, t), s.i16Scale[k*nTx+t]
+					if fused {
+						s.eng.accumulateSteerI16(ry, s.steers[t].ops, plane, s.i16Tab, id, s.outs[k], scale, add, row)
+					} else {
+						s.eng.accumulateNappe16I16(blk, plane, s.i16Tab, id, s.outs[k], scale, add, row)
 					}
-					continue
 				}
-				for k := range s.batch {
-					plane := s.flatI16[(k*nTx+t)*s.planeLen : (k*nTx+t+1)*s.planeLen]
-					s.eng.accumulateNappe16I16(blk, plane, s.i16Tab, id, s.outs[k], s.i16Scale[k*nTx+t], add, row)
-				}
-			} else if s.useFlat {
+			case s.useFlat:
 				if s.extPlanes != nil {
 					for k := range s.extPlanes {
 						s.eng.accumulateNappe16Narrow(blk, s.extPlanes[k][t], s.flatOff, s.flatWin, id, s.outs[k], add)
@@ -426,13 +453,24 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 					plane := s.flat[(k*nTx+t)*s.planeLen : (k*nTx+t+1)*s.planeLen]
 					s.eng.accumulateNappe16Narrow(blk, plane, s.flatOff, s.flatWin, id, s.outs[k], add)
 				}
-			} else {
+			default:
 				for k, frame := range s.batch {
 					s.eng.accumulateNappe16(blk, frame[t], id, s.outs[k], add)
 				}
 			}
 		}
 	}
+}
+
+// planeI16 returns the guarded int16 plane of frame k, transmit t of the
+// batch in flight: the caller's (BeamformBatchPlanesI16) or the convert
+// phase's.
+func (s *Session) planeI16(k, t int) []int16 {
+	if s.extPlanesI16 != nil {
+		return s.extPlanesI16[k][t]
+	}
+	r := k*len(s.bps) + t
+	return s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
 }
 
 // dispatch runs one job across the worker pool and waits for completion.

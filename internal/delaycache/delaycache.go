@@ -231,6 +231,32 @@ func (c *Cache) FillNappe16T(t, id int, dst delay.Block16) {
 	c.s.fill16(t, id, dst)
 }
 
+// SteerOperands implements delay.SteerSource for transmit 0.
+func (c *Cache) SteerOperands() *delay.SteerOperands { return c.steerOperands(0) }
+
+// SteerRows implements delay.SteerSource for transmit 0.
+func (c *Cache) SteerRows(id int, ry []int32) { c.steerRows(0, id, ry) }
+
+// steerOperands forwards transmit t's fused-steer operands, or nil when its
+// generator offers none — the beamform session then fills blocks through
+// FillNappe16T as before.
+func (c *Cache) steerOperands(t int) *delay.SteerOperands {
+	if src := c.s.steers[t]; src != nil {
+		return src.SteerOperands()
+	}
+	return nil
+}
+
+// steerRows forwards the per-nappe fused operands of (transmit t, nappe
+// id). A fused run is a generator run: it counts as a miss exactly as the
+// FillNappe16T it replaces would have, so the hit ratio reads the same
+// whichever route a non-resident nappe takes. Valid only where
+// steerOperands(t) is non-nil.
+func (c *Cache) steerRows(t, id int, ry []int32) {
+	c.miss()
+	c.s.steers[t].SteerRows(id, ry)
+}
+
 // Nappe returns the retained float64 block of nappe id for transmit 0; see
 // NappeT.
 func (c *Cache) Nappe(id int) []float64 { return c.NappeT(0, id) }
@@ -311,6 +337,12 @@ func (v *TransmitView) Nappe(id int) []float64 { return v.c.NappeT(v.t, id) }
 
 // Nappe16 exposes the retained quantized block (beamform.NappeSource16).
 func (v *TransmitView) Nappe16(id int) delay.Block16 { return v.c.Nappe16T(v.t, id) }
+
+// SteerOperands implements delay.SteerSource for the view's transmit.
+func (v *TransmitView) SteerOperands() *delay.SteerOperands { return v.c.steerOperands(v.t) }
+
+// SteerRows implements delay.SteerSource for the view's transmit (a miss).
+func (v *TransmitView) SteerRows(id int, ry []int32) { v.c.steerRows(v.t, id, ry) }
 
 // Stats snapshots the attachment the view belongs to (beamform's
 // CacheStatsSource — a session holding only transmit views can still report

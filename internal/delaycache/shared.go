@@ -48,6 +48,7 @@ var fillFault = faultpoint.New("delaycache.fill")
 type Shared struct {
 	inners    []delay.BlockProvider   // one generator per transmit
 	inners16  []delay.BlockProvider16 // nil entries where no native narrow fill exists
+	steers    []delay.SteerSource     // nil entries where the generator offers no fused operands
 	layout    delay.Layout
 	depths    int
 	budget    int64
@@ -127,10 +128,14 @@ func NewShared(cfg Config) (*Shared, error) {
 		return nil, fmt.Errorf("delaycache: non-positive depth count %d", cfg.Depths)
 	}
 	s := &Shared{inners: inners, inners16: make([]delay.BlockProvider16, len(inners)),
+		steers: make([]delay.SteerSource, len(inners)),
 		layout: l, depths: cfg.Depths, budget: cfg.BudgetBytes, wide: cfg.Wide}
 	for t, p := range inners {
 		if n, ok := p.(delay.BlockProvider16); ok {
 			s.inners16[t] = n
+		}
+		if n, ok := p.(delay.SteerSource); ok {
+			s.steers[t] = n
 		}
 	}
 	s.scratch.New = func() any { sl := make([]float64, l.BlockLen()); return &sl }

@@ -7,6 +7,8 @@ import (
 
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/faultpoint"
+	"ultrabeam/internal/geom"
+	"ultrabeam/internal/tablesteer"
 )
 
 // transmitProviders derives n steered per-transmit block providers from the
@@ -307,5 +309,61 @@ func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
 				t.Errorf("budget %d: block (%d,%d) resident outside the plan", budget, tx, q)
 			}
 		}
+	}
+}
+
+// TestSteerSourceForwardsAndCountsMiss: the cache and its transmit views
+// forward each transmit's fused-steer operands unchanged — the generator's
+// own shared operands, its own per-nappe rows — and count every SteerRows
+// call as one miss on the attachment and the store, exactly as the
+// FillNappe16T it stands in for would have, without filling a block. A
+// generator that offers no operands forwards nil.
+func TestSteerSourceForwardsAndCountsMiss(t *testing.T) {
+	e, depths := testExact(t)
+	base := tablesteer.New(tablesteer.Config{Vol: e.Vol, Arr: e.Arr, Conv: e.Conv})
+	base.UseFixed = true
+	gens := []*tablesteer.Provider{base}
+	q, err := base.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: -3e-3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens = append(gens, q.(*tablesteer.Provider))
+	l := base.Layout()
+	cache, err := New(Config{Providers: []delay.BlockProvider{gens[0], gens[1]}, Depths: depths,
+		BudgetBytes: int64(depths) * int64(l.BlockLen()) * narrowDelayBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.SteerOperands() != gens[0].SteerOperands() {
+		t.Fatal("the cache does not forward transmit 0's operands")
+	}
+	want, got := make([]int32, (l.NPhi+1)*l.VoxelStride()), make([]int32, (l.NPhi+1)*l.VoxelStride())
+	for tx, g := range gens {
+		v := cache.Transmit(tx)
+		if ops := v.SteerOperands(); ops == nil || ops != g.SteerOperands() {
+			t.Fatalf("transmit %d view forwards operands %p, generator has %p", tx, ops, g.SteerOperands())
+		}
+		for id := 0; id < depths; id++ {
+			before := cache.Stats()
+			v.SteerRows(id, got)
+			g.SteerRows(id, want)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("transmit %d nappe %d word %d: forwarded %d != generator %d", tx, id, i, got[i], want[i])
+				}
+			}
+			after := cache.Stats()
+			if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Fills != before.Fills ||
+				cache.Shared().Stats().Misses != after.Misses {
+				t.Fatalf("transmit %d nappe %d: stats %+v → %+v, want exactly one more miss", tx, id, before, after)
+			}
+		}
+	}
+	plain, err := New(Config{Provider: e, Depths: depths})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain.SteerOperands() != nil || plain.Transmit(0).SteerOperands() != nil {
+		t.Error("a cache over a generator without fused operands forwards some")
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ultrabeam/internal/beamform"
@@ -125,9 +126,12 @@ type Server struct {
 	drainCh   chan struct{}
 	drainOnce sync.Once
 
-	// streamFrameTimeout is StreamFrameTimeout; a field so that a test can
-	// shorten it on one instance.
+	// streamFrameTimeout is StreamFrameTimeout and maxStreams MaxStreams;
+	// fields so that a test can shorten them on one instance.
 	streamFrameTimeout time.Duration
+	maxStreams         int
+	// openStreams counts the cine connections past the stream cap's check.
+	openStreams atomic.Int64
 }
 
 // NewServer wires the handler tree over the pool or the scheduler.
@@ -144,7 +148,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.AcquireTimeout <= 0 {
 		cfg.AcquireTimeout = 10 * time.Second
 	}
-	s := &Server{cfg: cfg, mux: http.NewServeMux(), drainCh: make(chan struct{}), streamFrameTimeout: StreamFrameTimeout}
+	s := &Server{cfg: cfg, mux: http.NewServeMux(), drainCh: make(chan struct{}),
+		streamFrameTimeout: StreamFrameTimeout, maxStreams: MaxStreams}
 	// The versioned API lives under /v1/; the original paths stay mounted
 	// as aliases on the same handlers, so pre-/v1 clients keep working and
 	// the equivalence is structural, not best-effort.

@@ -9,9 +9,11 @@ import (
 	"bytes"
 	"net/http"
 	"net/url"
+	"strconv"
 	"testing"
 
 	"ultrabeam/internal/core"
+	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
 )
@@ -182,5 +184,84 @@ func TestStreamCineI16(t *testing.T) {
 	}
 	if ws := sched.Stats().Wire; ws.PlaneDecodesI16 < n {
 		t.Errorf("plane_decodes_i16 = %d, want ≥ %d", ws.PlaneDecodesI16, n)
+	}
+}
+
+// TestTableSteerI16BudgetInvariant: served TABLESTEER i16 compounds are
+// budget-invariant byte for byte — over HTTP and over the cine stream —
+// while the route a nappe takes is not: at budget=none every nappe runs the
+// fused steer body (on AVX2 hosts), at full residency none does, and half a
+// budget mixes resident blocks with fused misses in one volume.
+func TestTableSteerI16BudgetInvariant(t *testing.T) {
+	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	srv, err := NewServer(ServerConfig{Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	// Each transmit's echoes from its own axial source, so the compound
+	// focuses (echoes from the array center would miss every voxel).
+	var tx [][]rf.EchoBuffer
+	for _, o := range delayAxialSet(3, spec) {
+		bufs, err := rf.Synthesize(rf.Config{
+			Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
+			Origin: o.Origin, BufSamples: spec.EchoBufferSamples(),
+		}, rf.PointPhantom(geom.Vec3{Z: 0.6 * spec.Depth()}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx = append(tx, bufs)
+	}
+	body := encodeWire(t, wire.EncodingI16, tx, 0)
+	block := spec.FocalTheta * spec.FocalPhi * spec.ElemX * spec.ElemY * 2
+	half := strconv.Itoa(block * spec.FocalDepth * len(tx) / 2)
+	query := func(budget string) string {
+		q := url.Values{"arch": {"tablesteer"}, "precision": {"i16"}, "fmt": {"i16"}, "transmits": {"3"}}
+		if budget != "" {
+			q.Set("budget", budget)
+		}
+		return tinyQuery(q)
+	}
+
+	st, want, _ := postBytes(t, ts.URL+"/v1/beamform?"+query(""), wire.ContentType, body)
+	if st != http.StatusOK {
+		t.Fatalf("full residency: %d: %s", st, want)
+	}
+	ref, peak := decodeFloats(t, want), 0.0
+	for _, v := range ref {
+		peak = max(peak, v, -v)
+	}
+	if peak == 0 {
+		t.Fatal("the compound is all zero: the comparison proves nothing")
+	}
+	for _, budget := range []string{"none", half} {
+		st, got, _ := postBytes(t, ts.URL+"/v1/beamform?"+query(budget), wire.ContentType, body)
+		if st != http.StatusOK || !bytes.Equal(got, want) {
+			t.Fatalf("budget=%s: HTTP %d reply differs from full residency's", budget, st)
+		}
+		conn := dialStream(t, srv)
+		if err := wire.WriteHello(conn, query(budget)); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.ReadHelloReply(conn); err != nil {
+			t.Fatalf("budget=%s hello refused: %v", budget, err)
+		}
+		for i := 0; i < 2; i++ {
+			if _, err := conn.Write(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			vol, err := wire.ReadVolume(conn, 0)
+			if err != nil {
+				t.Fatalf("budget=%s stream volume %d: %v", budget, i, err)
+			}
+			for j := range ref {
+				if vol.Data[j] != ref[j] {
+					t.Fatalf("budget=%s stream volume %d voxel %d: %v != %v", budget, i, j, vol.Data[j], ref[j])
+				}
+			}
+		}
 	}
 }

@@ -60,6 +60,15 @@ const streamPollInterval = 250 * time.Millisecond
 // and never covers the idle wait between compounds.
 const StreamFrameTimeout = 30 * time.Second
 
+// MaxStreams caps the cine connections one server holds open at once. Each
+// holds a reader and a writer goroutine and up to streamDepth decoded
+// compounds, and a hello costs the client a few bytes — so without a cap an
+// idle-after-hello flood pins unbounded goroutines and buffers. A hello
+// beyond the cap is answered wire.StatusOverloaded and closed (counted in
+// WireStats.StreamClosesOverloaded); a slot frees when its connection ends.
+// Sixty-four is far past what one node beamforms at cine rates.
+const MaxStreams = 64
+
 // Injection points for the chaos harness: a read fault simulates the
 // server-side socket dying between compounds, a write fault a reply that
 // cannot be delivered. Both are internal-error closes, not client-gone.
@@ -133,6 +142,14 @@ func (s *Server) serveStreamConn(ctx context.Context, conn net.Conn) {
 	if err != nil {
 		return // nothing sane to reply to
 	}
+	if s.openStreams.Add(1) > int64(s.maxStreams) {
+		s.openStreams.Add(-1)
+		wire.WriteHelloReply(conn, wire.StatusOverloaded,
+			fmt.Sprintf("overloaded: %d cine streams open, retry after backoff", s.maxStreams))
+		s.wireRec().recordStreamClose(streamCloseOverloaded)
+		return
+	}
+	defer s.openStreams.Add(-1)
 	q, err := url.ParseQuery(query)
 	if err != nil {
 		wire.WriteHelloReply(conn, 1, fmt.Sprintf("bad query: %v", err))

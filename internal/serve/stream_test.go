@@ -291,3 +291,87 @@ func TestStreamDropsStalledUpload(t *testing.T) {
 		t.Errorf("close causes: client-gone %d, desync %d; want 1, 0", ws.StreamClosesClientGone, ws.StreamClosesDesync)
 	}
 }
+
+// TestStreamCapRefusesFlood: connections that say hello and then sit idle
+// hold stream slots, so a flood of them is capped. With the cap lowered on
+// this instance, every hello up to the cap is accepted, the next one is
+// answered StatusOverloaded and closed (and counted), and closing one
+// accepted connection frees a slot a new hello can take.
+func TestStreamCapRefusesFlood(t *testing.T) {
+	_, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv, err := NewServer(ServerConfig{Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.maxStreams != MaxStreams || MaxStreams <= 0 {
+		t.Fatalf("NewServer stream cap: %d", srv.maxStreams)
+	}
+	const limit = 3
+	srv.maxStreams = limit
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		srv.ServeStream(ctx, ln)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		ln.Close()
+		wg.Wait()
+	})
+	hello := func() (net.Conn, error) {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := wire.WriteHello(conn, tinyQuery(nil)); err != nil {
+			t.Fatal(err)
+		}
+		return conn, wire.ReadHelloReply(conn)
+	}
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		for start := time.Now(); !ok(); time.Sleep(time.Millisecond) {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	open := make([]net.Conn, limit)
+	for i := range open {
+		conn, err := hello()
+		if err != nil {
+			t.Fatalf("hello %d of %d refused: %v", i+1, limit, err)
+		}
+		open[i] = conn
+	}
+	over, err := hello()
+	var re *wire.RemoteError
+	if !errors.As(err, &re) || re.Status != wire.StatusOverloaded {
+		t.Fatalf("hello %d past a cap of %d: %v, want StatusOverloaded", limit+1, limit, err)
+	}
+	if n, err := over.Read(make([]byte, 1)); n != 0 || err == nil {
+		t.Fatalf("refused connection still open: read %d, %v", n, err)
+	}
+	waitFor("the refusal to be counted", func() bool { return sched.Stats().Wire.StreamClosesOverloaded == 1 })
+	if ws := sched.Stats().Wire; ws.Streams != limit {
+		t.Errorf("streams accepted = %d, want %d", ws.Streams, limit)
+	}
+
+	open[0].Close()
+	waitFor("the closed stream's slot to free", func() bool { return srv.openStreams.Load() == limit-1 })
+	if _, err := hello(); err != nil {
+		t.Fatalf("hello into a freed slot refused: %v", err)
+	}
+	if ws := sched.Stats().Wire; ws.StreamClosesOverloaded != 1 || ws.StreamClosesClean != 1 {
+		t.Errorf("close counters overloaded=%d clean=%d, want 1 and 1", ws.StreamClosesOverloaded, ws.StreamClosesClean)
+	}
+}

@@ -38,6 +38,7 @@ type wireRecorder struct {
 	closesDesync     atomic.Int64 // protocol violation desynced the byte stream
 	closesDrain      atomic.Int64 // server drain: GOAWAY sent
 	closesInternal   atomic.Int64 // server-side failure (incl. injected faults)
+	closesOverloaded atomic.Int64 // hello refused at the MaxStreams cap
 }
 
 // streamCloseCause labels why a cine connection ended.
@@ -49,6 +50,7 @@ const (
 	streamCloseDesync
 	streamCloseDrain
 	streamCloseInternal
+	streamCloseOverloaded
 )
 
 func (r *wireRecorder) recordStreamClose(cause streamCloseCause) {
@@ -61,6 +63,8 @@ func (r *wireRecorder) recordStreamClose(cause streamCloseCause) {
 		r.closesDrain.Add(1)
 	case streamCloseInternal:
 		r.closesInternal.Add(1)
+	case streamCloseOverloaded:
+		r.closesOverloaded.Add(1)
 	default:
 		r.closesClean.Add(1)
 	}
@@ -129,6 +133,7 @@ type WireStats struct {
 	StreamClosesDesync     int64 `json:"stream_closes_desync"`
 	StreamClosesDrain      int64 `json:"stream_closes_drain"`
 	StreamClosesInternal   int64 `json:"stream_closes_internal"`
+	StreamClosesOverloaded int64 `json:"stream_closes_overloaded"`
 }
 
 func (r *wireRecorder) stats() WireStats {
@@ -151,5 +156,6 @@ func (r *wireRecorder) stats() WireStats {
 		StreamClosesDesync:     r.closesDesync.Load(),
 		StreamClosesDrain:      r.closesDrain.Load(),
 		StreamClosesInternal:   r.closesInternal.Load(),
+		StreamClosesOverloaded: r.closesOverloaded.Load(),
 	}
 }

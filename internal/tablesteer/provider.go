@@ -131,6 +131,9 @@ type Provider struct {
 	// int64 words otherwise. Exactly one is set.
 	narrow *operands[int32]
 	wide   *operands[int64]
+	// fused is the narrow datapath's fused-accumulate operand set, shared
+	// with every derived transmit (fused.go); nil on the wide route.
+	fused *fusedOps
 }
 
 // New builds the provider, eagerly constructing both tables. Formats
@@ -142,6 +145,7 @@ func New(cfg Config) *Provider {
 	p := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: BuildCorrTables(cfg)}
 	if narrowProven(cfg.RefFmt, cfg.CorrFmt) {
 		p.narrow = newOperands[int32](p.Ref, p.Corr)
+		p.fused = &fusedOps{}
 	} else {
 		p.wide = newOperands[int64](p.Ref, p.Corr)
 	}
@@ -244,7 +248,7 @@ func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	}
 	cfg := p.Cfg
 	cfg.OriginZ = tx.Origin.Z
-	np := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: p.Corr, UseFixed: p.UseFixed}
+	np := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: p.Corr, UseFixed: p.UseFixed, fused: p.fused}
 	if p.narrow != nil {
 		np.narrow = p.narrow.withRef(np.Ref)
 	} else {
