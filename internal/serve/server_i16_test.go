@@ -228,3 +228,61 @@ func TestTableSteerI16BudgetInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestTableFreeI16BudgetInvariant: served TABLEFREE i16 volumes, single and
+// 3-transmit axial compound, are budget-invariant byte for byte over HTTP:
+// at budget=none every nappe is filled on the miss, at full residency every
+// nappe is a resident block, and half a budget mixes both in one volume.
+func TestTableFreeI16BudgetInvariant(t *testing.T) {
+	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	spec := tinySpec()
+	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	for _, nTx := range []int{1, 3} {
+		// A single transmit fires from the array center; a compound's
+		// transmits each from its own axial source.
+		tx := [][]rf.EchoBuffer{tinyFrame(t, spec)}
+		if nTx > 1 {
+			tx = nil
+			for _, o := range delayAxialSet(nTx, spec) {
+				bufs, err := rf.Synthesize(rf.Config{
+					Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
+					Origin: o.Origin, BufSamples: spec.EchoBufferSamples(),
+				}, rf.PointPhantom(geom.Vec3{Z: 0.6 * spec.Depth()}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				tx = append(tx, bufs)
+			}
+		}
+		body := encodeWire(t, wire.EncodingI16, tx, 0)
+		block := spec.FocalTheta * spec.FocalPhi * spec.ElemX * spec.ElemY * 2
+		half := strconv.Itoa(block * spec.FocalDepth * nTx / 2)
+		query := func(budget string) string {
+			q := url.Values{"arch": {"tablefree"}, "precision": {"i16"}, "fmt": {"i16"}}
+			if nTx > 1 {
+				q.Set("transmits", strconv.Itoa(nTx))
+			}
+			if budget != "" {
+				q.Set("budget", budget)
+			}
+			return tinyQuery(q)
+		}
+		st, want, _ := postBytes(t, ts.URL+"/v1/beamform?"+query(""), wire.ContentType, body)
+		if st != http.StatusOK {
+			t.Fatalf("transmits=%d full residency: %d: %s", nTx, st, want)
+		}
+		peak := 0.0
+		for _, v := range decodeFloats(t, want) {
+			peak = max(peak, v, -v)
+		}
+		if peak == 0 {
+			t.Fatalf("transmits=%d: the volume is all zero: the comparison proves nothing", nTx)
+		}
+		for _, budget := range []string{"none", half} {
+			st, got, _ := postBytes(t, ts.URL+"/v1/beamform?"+query(budget), wire.ContentType, body)
+			if st != http.StatusOK || !bytes.Equal(got, want) {
+				t.Fatalf("transmits=%d budget=%s: HTTP %d reply differs from full residency's", nTx, budget, st)
+			}
+		}
+	}
+}

@@ -76,12 +76,16 @@ func vecPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sq
 	return nVec, segLo
 }
 
-// minMax returns the extremes of v, which must not be empty. Plain compares:
-// the min/max builtins' NaN and signed-zero handling costs a sixth of the
-// fill here.
+// minMax returns the extremes of v, which must not be empty, both NaN if
+// any element is. Plain compares (the min/max builtins' NaN and signed-zero
+// handling costs a sixth of the fill here) skip a NaN past v[0], so each
+// element is also tested for NaN itself.
 func minMax(v []float64) (lo, hi float64) {
 	lo, hi = v[0], v[0]
 	for _, x := range v[1:] {
+		if x != x {
+			return x, x
+		}
 		if x < lo {
 			lo = x
 		}

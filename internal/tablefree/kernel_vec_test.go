@@ -484,3 +484,47 @@ func TestLaneFillConcurrentSharedTables(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestLaneGuardRejectsNaNTerms: a NaN column or row term anywhere in a
+// voxel, not only in the slot the extremes start from, must fail vecPlane's
+// guard, so fixedRow emits the whole plane. The lane body does not match
+// fixedRow on NaN arguments.
+func TestLaneGuardRejectsNaNTerms(t *testing.T) {
+	p := fixedProvider(smallConfig())
+	dp := p.FixedDP.Integer()
+	var xt2, yt2 []float64
+	var zz float64
+	var txRaw int64
+	eachPlane(p, 7, func(v int, x, y []float64, z float64, tx int64) {
+		if v == 0 {
+			xt2, yt2, zz, txRaw = append([]float64(nil), x...), append([]float64(nil), y...), z, tx
+		}
+	})
+	plane := make([]int16, len(xt2)*len(yt2))
+	if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, 0); fillKernelBody() == "avx2" && done == 0 {
+		t.Fatal("the finite voxel fell to fixedRow: the NaN cases would prove nothing")
+	}
+	for _, c := range []struct {
+		name     string
+		col, row int
+	}{{"column 5 and row 3", 5, 3}, {"column 5", 5, -1}, {"row 3", -1, 3}, {"column 0", 0, -1}, {"last row", -1, len(yt2) - 1}} {
+		x, y := append([]float64(nil), xt2...), append([]float64(nil), yt2...)
+		if c.col >= 0 {
+			x[c.col] = math.NaN()
+		}
+		if c.row >= 0 {
+			y[c.row] = math.NaN()
+		}
+		if done, _ := vecPlane(plane, x, y, zz, txRaw, dp, 0); done != 0 {
+			t.Errorf("%s: the guard passed a NaN voxel to the lane body (%d columns)", c.name, done)
+		}
+		got, want := make([]int16, len(plane)), make([]int16, len(plane))
+		fixedPlane(got, x, y, zz, txRaw, dp, 0)
+		rowsRef(want, x, y, zz, txRaw, dp)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s slot %d: fill %d != fixedRow %d", c.name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -307,6 +307,12 @@ const decodeScratch = 64 << 10
 // h.Elements·stride int16s with stride > h.Window. Only EncodingI16 frames
 // qualify (other encodings carry no scale and would need a server-side
 // quantization pass; callers route them through DecodeF64 instead).
+//
+// On a little-endian host each element row is read through the chunk
+// reader straight into the plane's bytes, as DecodeF64 reads f64: the wire
+// words are already the plane's int16s. Big-endian hosts take the portable
+// scratch-and-convert loop. Both read in the same pieces, so a short or
+// malformed stream fails with the same error on either.
 func DecodePlaneI16(r io.Reader, h Header, plane []int16, stride int) error {
 	if h.Encoding != EncodingI16 {
 		return fmt.Errorf("wire: DecodePlaneI16 needs an i16 frame (have %s)", h.Encoding)
@@ -317,20 +323,38 @@ func DecodePlaneI16(r io.Reader, h Header, plane []int16, stride int) error {
 	if need := h.Elements * stride; len(plane) < need {
 		return fmt.Errorf("wire: plane of %d int16s for %d elements × stride %d (need %d)", len(plane), h.Elements, stride, need)
 	}
-	cr := newChunkReader(r, h)
-	var scratch [decodeScratch]byte
+	return decodePlaneI16(newChunkReader(r, h), h, plane, stride, hostLittleEndian)
+}
+
+// decodePlaneI16 is DecodePlaneI16 past its checks. direct (little-endian
+// hosts only) reads each piece into the plane's own bytes; otherwise a
+// piece passes through scratch and converts word by word. The pieces are
+// the same either way: at most decodeScratch bytes, never across a row.
+func decodePlaneI16(cr *chunkReader, h Header, plane []int16, stride int, direct bool) error {
+	// A scratch array would escape through io.ReadFull's reader anyway,
+	// so only the portable route pays for one.
+	var scratch []byte
+	if !direct {
+		scratch = make([]byte, decodeScratch)
+	}
 	for d := 0; d < h.Elements; d++ {
 		row := plane[d*stride : d*stride+h.Window]
 		for off := 0; off < h.Window; {
-			n := (h.Window - off) * 2
-			if n > len(scratch) {
-				n = len(scratch)
+			n := min((h.Window-off)*2, decodeScratch)
+			out := row[off : off+n/2]
+			var buf []byte
+			if direct {
+				buf = unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(out))), n)
+			} else {
+				buf = scratch[:n]
 			}
-			if _, err := io.ReadFull(cr, scratch[:n]); err != nil {
+			if _, err := io.ReadFull(cr, buf); err != nil {
 				return fmt.Errorf("wire: frame payload (element %d): %w", d, err)
 			}
-			for i, out := 0, row[off:off+n/2]; i < len(out); i++ {
-				out[i] = int16(binary.LittleEndian.Uint16(scratch[2*i:]))
+			if !direct {
+				for i := range out {
+					out[i] = int16(binary.LittleEndian.Uint16(scratch[2*i:]))
+				}
 			}
 			off += n / 2
 		}

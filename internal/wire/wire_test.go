@@ -571,3 +571,89 @@ func TestDecodeF64ZeroCopyMatchesPortable(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodePlaneI16DirectMatchesPortable is the differential test of the
+// two i16 ingest routes: on a little-endian host DecodePlaneI16 reads each
+// element row straight into the plane's bytes, and it must be
+// indistinguishable from the portable scratch-and-convert loop — the same
+// int16s from random payloads (every bit pattern, both rails), in chunk
+// sizes that split a sample across two chunks (odd sizes) as well as whole
+// ones, guard slots and the slots past the last row untouched, and the same
+// error text for a stream cut anywhere or carrying an oversize chunk.
+func TestDecodePlaneI16DirectMatchesPortable(t *testing.T) {
+	if !hostLittleEndian {
+		t.Skip("big-endian host: the portable loop is the only route")
+	}
+	const poison = -999
+	rng := uint64(0x1d16)
+	for _, c := range []struct{ elems, win, extra, chunk int }{
+		{3, 37, 1, 7}, {3, 37, 1, 8}, {3, 37, 3, 13}, {3, 37, 1, 0}, {2, 9000, 1, 0}, {2, 9000, 2, 10007}, {1, 40000, 1, 4099},
+	} {
+		stride := c.win + c.extra
+		src := make([]int16, c.elems*c.win)
+		for i := range src {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			src[i] = int16(rng)
+		}
+		src[0], src[len(src)-1] = math.MinInt16, math.MaxInt16
+		h := header(EncodingI16, c.elems, c.win, 0.5)
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, &Frame{Header: h, I16: src}, c.chunk); err != nil {
+			t.Fatalf("WriteFrame: %v", err)
+		}
+		stream := buf.Bytes()[HeaderBytes:]
+		decode := func(stream []byte, direct bool) ([]int16, error) {
+			plane := make([]int16, c.elems*stride+4)
+			for i := range plane {
+				plane[i] = poison
+			}
+			err := decodePlaneI16(newChunkReader(bytes.NewReader(stream), h), h, plane, stride, direct)
+			for d := 0; d < c.elems; d++ {
+				for _, g := range plane[d*stride+c.win : (d+1)*stride] {
+					if g != poison {
+						t.Fatalf("direct=%t chunk %d: guard slot of element %d overwritten with %d", direct, c.chunk, d, g)
+					}
+				}
+			}
+			for i, v := range plane[c.elems*stride:] {
+				if v != poison {
+					t.Fatalf("direct=%t chunk %d: slot %d past the plane overwritten with %d", direct, c.chunk, i, v)
+				}
+			}
+			return plane, err
+		}
+		fast, errFast := decode(stream, true)
+		slow, errSlow := decode(stream, false)
+		if errFast != nil || errSlow != nil {
+			t.Fatalf("chunk %d: complete frame rejected: direct %v, portable %v", c.chunk, errFast, errSlow)
+		}
+		for d := 0; d < c.elems; d++ {
+			for j := 0; j < c.win; j++ {
+				if want := src[d*c.win+j]; fast[d*stride+j] != want || slow[d*stride+j] != want {
+					t.Fatalf("chunk %d element %d sample %d: direct %d, portable %d, source %d",
+						c.chunk, d, j, fast[d*stride+j], slow[d*stride+j], want)
+				}
+			}
+		}
+		step := 1
+		if len(stream) > 4096 {
+			step = 997
+		}
+		for cut := 0; cut < len(stream); cut += step {
+			_, errFast := decode(stream[:cut], true)
+			_, errSlow := decode(stream[:cut], false)
+			if errFast == nil || errSlow == nil || errFast.Error() != errSlow.Error() {
+				t.Fatalf("chunk %d cut at %d of %d: direct %v, portable %v", c.chunk, cut, len(stream), errFast, errSlow)
+			}
+		}
+		over := bytes.Clone(stream)
+		binary.LittleEndian.PutUint32(over, uint32(h.PayloadBytes()+1))
+		_, errFast = decode(over, true)
+		_, errSlow = decode(over, false)
+		if errFast == nil || errSlow == nil || errFast.Error() != errSlow.Error() {
+			t.Fatalf("chunk %d oversize prefix: direct %v, portable %v", c.chunk, errFast, errSlow)
+		}
+	}
+}
