@@ -1,6 +1,6 @@
 //go:build amd64 && !purego
 
-// Package cpufeat holds the one CPU-feature probe the native kernel bodies
+// Package cpufeat holds the CPU-feature probes the native kernel bodies
 // share (the i16 accumulate kernel in internal/beamform, the TABLEFREE fill
 // in internal/tablefree): run once at init, read-only afterwards.
 package cpufeat
@@ -10,6 +10,13 @@ package cpufeat
 // no-AVX2 route on an AVX2 host; nothing else writes it. On other
 // architectures and under -tags purego it is the constant false.
 var AVX2 = probeAVX2()
+
+// AVX512 reports whether the CPU implements AVX-512 F, DQ and VL, the OS
+// saves the opmask and full ZMM state, and AVX2 holds too — a body that
+// needs it may use every AVX2 instruction. Like AVX2 it is a variable only
+// so that tests can clear it; on other architectures and under -tags purego
+// it is the constant false.
+var AVX512 = AVX2 && probeAVX512()
 
 // cpuid and xgetbv are the raw instructions (cpufeat_amd64.s).
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -30,4 +37,16 @@ func probeAVX2() bool {
 	}
 	_, b, _, _ := cpuid(7, 0)
 	return b&(1<<5) != 0
+}
+
+// probeAVX512 checks, on a host probeAVX2 accepted, XCR0 bits 5-7 (opmask,
+// upper ZMM0-15, ZMM16-31) and CPUID.7.0:EBX bits 16 (F), 17 (DQ) and 31
+// (VL).
+func probeAVX512() bool {
+	if lo, _ := xgetbv(); lo&0xE0 != 0xE0 {
+		return false
+	}
+	const f, dq, vl = 1 << 16, 1 << 17, 1 << 31
+	_, b, _, _ := cpuid(7, 0)
+	return b&(f|dq|vl) == f|dq|vl
 }

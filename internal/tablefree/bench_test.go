@@ -62,28 +62,39 @@ type fillFunc func(id int, dst delay.Block16)
 // BenchmarkFillNappe16 reports the per-core quantized fill rate of the
 // generators a served miss can reach, on both served grids: the fused
 // integer kernel through the body this host runs (fixed), the same kernel
-// with every slot through fixedRow (fixed-ref: what a host without the lane
-// body gets), the generic sweep (ideal-pwl) and the √-per-delay reference
-// (exact). One iteration is one nappe; depths rotate so segments move.
-// x_unit_law is Mdelays/s over the paper's 167 MHz unit — ROADMAP's "≥ 3
-// per core" reads the fixed rows' column.
+// through the four-lane body with the AVX-512 probe cleared (fixed-avx2:
+// what an AVX2-only host gets; on a host that has AVX-512 the row is the
+// per-core baseline of the eight-lane body, so the ratio is read inside one
+// process), with every slot through fixedRow (fixed-ref: what a host
+// without a lane body gets), the generic sweep (ideal-pwl) and the
+// √-per-delay reference (exact). One iteration is one nappe; depths rotate
+// so segments move. x_unit_law is Mdelays/s over the paper's 167 MHz unit —
+// ROADMAP's "≥ 3 per core" reads the fixed rows' column.
 func BenchmarkFillNappe16(b *testing.B) {
 	mhz := hostMHz()
 	for _, g := range benchGrids {
 		fixed, ideal := fixedProvider(g.cfg), New(g.cfg)
-		rows := []struct {
+		type row struct {
 			name string
+			body string // the probes useBody sets for the row; "" leaves them
 			fill fillFunc
-		}{
-			{"fixed", fixed.FillNappe16},
-			{"fixed-ref", func(id int, dst delay.Block16) { refFill16(fixed, id, dst) }},
-			{"ideal-pwl", ideal.FillNappe16},
-			{"exact", exactFor(g.cfg).FillNappe16},
 		}
+		rows := []row{{"fixed", "", fixed.FillNappe16}}
+		if hostBodies()[0] == "avx512" {
+			rows = append(rows, row{"fixed-avx2", "avx2", fixed.FillNappe16})
+		}
+		rows = append(rows,
+			row{"fixed-ref", "", func(id int, dst delay.Block16) { refFill16(fixed, id, dst) }},
+			row{"ideal-pwl", "", ideal.FillNappe16},
+			row{"exact", "", exactFor(g.cfg).FillNappe16},
+		)
 		n := fixed.Layout().BlockLen()
 		dst := make(delay.Block16, n)
 		for _, r := range rows {
 			b.Run(g.name+"/"+r.name, func(b *testing.B) {
+				if r.body != "" {
+					defer useBody(r.body)()
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

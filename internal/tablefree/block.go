@@ -76,7 +76,7 @@ func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.In
 		for ip := 0; ip < l.NPhi; ip++ {
 			zz, argTx := p.planeTerms(it, ip, r, xt2, yt2)
 			txRaw := dp.Raw(&ops[p.FixedDP.Base.Find(argTx)], argTx)
-			cur = fixedPlane(dst[:nE], xt2, yt2, zz, txRaw, dp, cur)
+			cur = fixedPlane(dst[:nE], xt2, yt2, zz, txRaw, dp, p.perm, cur)
 			dst = dst[nE:]
 		}
 	}
@@ -107,12 +107,12 @@ func (p *Provider) planeTerms(it, ip int, r float64, xt2, yt2 []float64) (zz, ar
 
 // fixedPlane emits one voxel's element plane, len(yt2) rows of len(xt2)
 // slots: the host's native lane body (vecPlane) takes the leading columns
-// of every row when the datapath is proven and the voxel passes its guard,
-// and fixedRow — the executable specification — takes whatever it left:
-// the NX mod 4 tail, or the whole plane. It returns the segment cursor for
-// the next voxel.
-func fixedPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, cur int) int {
-	done, cur := vecPlane(plane, xt2, yt2, zz, txRaw, dp, cur)
+// of every row — or, through perm, the whole plane — when the datapath is
+// proven and the voxel passes its guard, and fixedRow — the executable
+// specification — takes whatever it left: the NX mod 4 tail, or the whole
+// plane. It returns the segment cursor for the next voxel.
+func fixedPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, perm *planePerm, cur int) int {
+	done, cur := vecPlane(plane, xt2, yt2, zz, txRaw, dp, perm, cur)
 	if done == len(xt2) {
 		return cur
 	}
@@ -121,6 +121,52 @@ func fixedPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *
 		plane = plane[len(xt2):]
 	}
 	return cur
+}
+
+// maxPermAxis is the widest aperture axis a planePerm covers: each axis's
+// terms fill at most two eight-lane registers, which one two-table permute
+// indexes.
+const maxPermAxis = 16
+
+// permGroup is one eight-slot group of a voxel plane: the column and the
+// row of each slot, the permute indices that gather its xt2 and yt2 terms.
+// They are stored as the qword lanes the permute reads, so a group costs
+// two plain loads rather than two widening ones.
+type permGroup struct{ col, row [8]uint64 }
+
+// planePerm walks an nx×ny element plane, row-major as Block16 lays it out,
+// as ⌈nx·ny/8⌉ groups of eight consecutive slots regardless of where rows
+// end. The last group's slots past the plane index column 0 of row 0 and
+// are masked off its store.
+type planePerm struct {
+	nx, ny int
+	groups []permGroup
+	full   int    // groups whose eight slots are all in the plane
+	last   uint16 // store mask of the group after them, 0 when there is none
+	xMask  uint16 // one bit per column: the lanes the xt2 load reads
+	yMask  uint16 // one bit per row
+}
+
+// newPlanePerm builds the permute table of an nx×ny plane, or returns nil
+// when either axis is wider than maxPermAxis.
+func newPlanePerm(nx, ny int) *planePerm {
+	if nx < 1 || ny < 1 || nx > maxPermAxis || ny > maxPermAxis {
+		return nil
+	}
+	n := nx * ny
+	pp := &planePerm{
+		nx: nx, ny: ny,
+		groups: make([]permGroup, (n+7)/8),
+		full:   n / 8,
+		last:   uint16(1)<<(n%8) - 1,
+		xMask:  uint16(1<<nx - 1),
+		yMask:  uint16(1<<ny - 1),
+	}
+	for k := 0; k < n; k++ {
+		g := &pp.groups[k/8]
+		g.col[k%8], g.row[k%8] = uint64(k%nx), uint64(k/nx)
+	}
+	return pp
 }
 
 // segSpan returns the segments of the smallest and largest argument a plane

@@ -157,3 +157,125 @@ rowdone:
 	JNZ  row
 	VZEROUPPER
 	RET
+
+// Register plan of the eight-lane body. Per call: Z16 Z17 xt2 (columns 0–7,
+// 8–15), Z18 Z19 yt2 (rows 0–7, 8–15), zero past the plane's axes; Z20 zz,
+// Z21 0.5, Z22 1.0, Z23 prodHalf and Z25 prodShift (qwords), Z24 2^ArgFrac,
+// Y26 txRaw, Y27 outHalf and Y28 outShift (dwords); K3 the last group's
+// store mask. The shifts take per-lane counts: one uop, where a count in
+// an XMM register costs two. Per group: Z0 the arguments, Z1/Z2/Z3 each
+// lane's LoRaw/C1/V0, Z4 Y5 scratch, K1 K2 the select and round masks.
+
+// GROUP8 leaves in Y4 the eight int32 sample indices of the group at DX,
+// before the saturating pack; sel and round are the labels of this
+// expansion. The stages are GROUP's and INDEX's, with:
+//
+//   - the terms gathered by VPERMI2PD: the group's column (row) indices
+//     pick from the two xt2 (yt2) registers, so α = (xt2 + yt2) + zz keeps
+//     DelaySamples' order;
+//   - segment select: α ≥ Lo[j] compares into K1 against an embedded
+//     broadcast, and three masked broadcasts replace the lanes' operands;
+//   - rounding: VRNDSCALEPD floor, +1.0 under the GE_OQ half mask, and a
+//     direct float64 → int64 conversion;
+//   - Index on the low dwords of the qword results (VPMOVQD), which the
+//     lane proof keeps inside int32.
+#define GROUP8(sel, round) \
+	VMOVDQU64    0(DX), Z0; \
+	VMOVDQU64    64(DX), Z4; \
+	VPERMI2PD    Z17, Z16, Z0; \
+	VPERMI2PD    Z19, Z18, Z4; \
+	VADDPD       Z4, Z0, Z0; \
+	VADDPD       Z20, Z0, Z0; \
+	TESTQ        R12, R12; \
+	JZ           round; \
+	VPBROADCASTQ SEG_LORAW(BX), Z1; \
+	VPBROADCASTQ SEG_C1(BX), Z2; \
+	VPBROADCASTQ SEG_V0(BX), Z3; \
+	MOVQ         $SEG_SIZE, CX; \
+sel: \
+	VCMPPD.BCST  $0x1D, SEG_LO(BX)(CX*1), Z0, K1; \
+	VPBROADCASTQ SEG_LORAW(BX)(CX*1), K1, Z1; \
+	VPBROADCASTQ SEG_C1(BX)(CX*1), K1, Z2; \
+	VPBROADCASTQ SEG_V0(BX)(CX*1), K1, Z3; \
+	ADDQ         $SEG_SIZE, CX; \
+	CMPQ         CX, R12; \
+	JLE          sel; \
+round: \
+	VMULPD       Z24, Z0, Z0; \
+	VRNDSCALEPD  $1, Z0, Z4; \
+	VSUBPD       Z4, Z0, Z0; \
+	VCMPPD       $0x1D, Z21, Z0, K2; \
+	VADDPD       Z22, Z4, K2, Z4; \
+	VCVTTPD2QQ   Z4, Z4; \
+	VPSUBQ       Z1, Z4, Z4; \
+	VPMULUDQ     Z2, Z4, Z4; \
+	VPADDQ       Z23, Z4, Z4; \
+	VPSRLVQ      Z25, Z4, Z4; \
+	VPADDQ       Z3, Z4, Z4; \
+	VPMOVQD      Z4, Y4; \
+	VPADDD       Y26, Y4, Y4; \
+	VPSRAD       $31, Y4, Y5; \
+	VPADDD       Y27, Y4, Y4; \
+	VPADDD       Y5, Y4, Y4; \
+	VPSRAVD      Y28, Y4, Y4
+
+// func fillPlaneAVX512(a *planeArgs)
+TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
+	MOVQ a+0(FP), DI
+	MOVQ planeArgs_dst(DI), R8       // the current group's first slot
+	MOVQ planeArgs_groups(DI), DX    // the current group's permute indices
+	MOVQ planeArgs_ops(DI), BX       // the voxel's lowest segment
+	MOVQ planeArgs_full(DI), R10     // full groups left
+	MOVQ planeArgs_nExtra(DI), R12
+	IMUL3Q $SEG_SIZE, R12, R12       // byte offset of the voxel's highest segment
+
+	MOVQ planeArgs_xt2(DI), SI
+	KMOVW planeArgs_xMask(DI), K1
+	VMOVUPD.Z (SI), K1, Z16
+	KSHIFTRW $8, K1, K1
+	VMOVUPD.Z 64(SI), K1, Z17
+	MOVQ planeArgs_yt2(DI), SI
+	KMOVW planeArgs_yMask(DI), K1
+	VMOVUPD.Z (SI), K1, Z18
+	KSHIFTRW $8, K1, K1
+	VMOVUPD.Z 64(SI), K1, Z19
+	KMOVW planeArgs_last(DI), K3
+
+	VBROADCASTSD planeArgs_zz(DI), Z20
+	MOVQ $0x3FE0000000000000, AX     // 0.5
+	VPBROADCASTQ AX, Z21
+	MOVQ $0x3FF0000000000000, AX     // 1.0
+	VPBROADCASTQ AX, Z22
+	VPBROADCASTQ planeArgs_prodHalf(DI), Z23
+	VBROADCASTSD planeArgs_argScale(DI), Z24
+	VPBROADCASTD planeArgs_txRaw(DI), Y26    // low dword: |txRaw| < 2^30
+	VPBROADCASTD planeArgs_outHalf(DI), Y27  // low dword: outHalf < 2^30
+	VPBROADCASTQ planeArgs_prodShift(DI), Z25
+	VPBROADCASTD planeArgs_outShift(DI), Y28 // low dword: outHalf < 2^30, so outShift ≤ 31
+
+	// Every lane starts on the voxel's lowest segment.
+	VPBROADCASTQ SEG_LORAW(BX), Z1
+	VPBROADCASTQ SEG_C1(BX), Z2
+	VPBROADCASTQ SEG_V0(BX), Z3
+
+	TESTQ R10, R10
+	JZ    tail
+
+full:
+	GROUP8(selF, roundF)
+	VPMOVSDW Y4, (R8)
+	ADDQ $128, DX
+	ADDQ $16, R8
+	DECQ R10
+	JNZ  full
+
+tail:
+	KORTESTW K3, K3
+	JZ       done
+	// The slots past the plane computed column 0 of row 0; K3 drops them.
+	GROUP8(selT, roundT)
+	VPMOVSDW Y4, K3, (R8)
+
+done:
+	VZEROUPPER
+	RET

@@ -9,6 +9,7 @@ import (
 	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/sqrtapprox"
+	"ultrabeam/internal/xdcr"
 )
 
 // TestSegOpLayout pins the sqrtapprox.SegOp offsets kernel_vec_amd64.s
@@ -21,37 +22,89 @@ func TestSegOpLayout(t *testing.T) {
 	}
 }
 
-// TestLaneNoAVX2Route clears the init-time probe — the route an amd64 host
-// without AVX2 takes — and holds whole nappes to it: the served aperture
-// and a width with a scalar tail must fill bit-identically (==) whichever
-// body ran.
+// hostBodies lists the fill bodies this host can run, widest first.
+func hostBodies() []string {
+	var bodies []string
+	if cpufeat.AVX512 {
+		bodies = append(bodies, "avx512")
+	}
+	if cpufeat.AVX2 {
+		bodies = append(bodies, "avx2")
+	}
+	return append(bodies, "ref")
+}
+
+// useBody sets the probes so that fillKernelBody names body — clearing
+// AVX512 for avx2, both for ref — and returns what restores them.
+func useBody(body string) (restore func()) {
+	avx2, avx512 := cpufeat.AVX2, cpufeat.AVX512
+	cpufeat.AVX2 = avx2 && body != "ref"
+	cpufeat.AVX512 = avx512 && body == "avx512"
+	return func() { cpufeat.AVX2, cpufeat.AVX512 = avx2, avx512 }
+}
+
+// routeAgrees fills every third nappe of p twice — once with the probes as
+// useBody(off) sets them, where no voxel may reach a lane body that body
+// does not run, once with useBody(on), where every voxel must take the
+// lanes — and holds the two to == slot for slot.
+func routeAgrees(t *testing.T, p *Provider, on, off string) {
+	t.Helper()
+	n := p.Layout().BlockLen()
+	ref, vec := make(delay.Block16, n), make(delay.Block16, n)
+	for id := 0; id < p.Cfg.Vol.Depth.N; id += 3 {
+		restore := useBody(off)
+		if fillKernelBody() != off {
+			t.Fatalf("body = %q with the probe cleared, want %q", fillKernelBody(), off)
+		}
+		cols := laneColumns(p.Cfg.Arr.NX, p.Cfg.Arr.NY)
+		plane := make([]int16, p.Layout().VoxelStride())
+		eachPlane(p, id, func(v int, xt2, yt2 []float64, zz float64, txRaw int64) {
+			if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, p.FixedDP.Integer(), p.perm, 0); done != cols {
+				t.Fatalf("nappe %d voxel %d: %d lane columns under %s, want %d", id, v, done, off, cols)
+			}
+		})
+		p.FillNappe16(id, ref)
+		restore()
+		restore = useBody(on)
+		if vec, scalar, _ := nappeCensus(p, id); scalar != 0 {
+			t.Fatalf("nappe %d: %d of %d voxels missed the %s body", id, scalar, vec+scalar, on)
+		}
+		p.FillNappe16(id, vec)
+		restore()
+		for i := range ref {
+			if vec[i] != ref[i] {
+				t.Fatalf("nappe %d slot %d: %s %d != %s %d", id, i, on, vec[i], off, ref[i])
+			}
+		}
+	}
+}
+
+// TestLaneNoAVX2Route clears the init-time probes — the route an amd64 host
+// without AVX2 (and so without AVX-512) takes — and holds whole nappes to
+// it: the served aperture and a width with a scalar tail must fill
+// bit-identically (==) whichever body ran.
 func TestLaneNoAVX2Route(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("host has no AVX2: fixedRow is already the only route")
 	}
-	defer func() { cpufeat.AVX2 = true }()
+	on := hostBodies()[0]
 	for _, p := range []*Provider{fixedProvider(smallConfig()), fixedProvider(blockSetup().Cfg)} {
-		n := p.Layout().BlockLen()
-		ref, avx := make(delay.Block16, n), make(delay.Block16, n)
-		for id := 0; id < p.Cfg.Vol.Depth.N; id += 3 {
-			cpufeat.AVX2 = false
-			if fillKernelBody() != "ref" {
-				t.Fatalf("body = %q with the probe cleared", fillKernelBody())
-			}
-			if vec, _, _ := nappeCensus(p, id); vec != 0 {
-				t.Fatalf("nappe %d: the lane body took %d voxels with the probe cleared", id, vec)
-			}
-			p.FillNappe16(id, ref)
-			cpufeat.AVX2 = true
-			if vec, scalar, _ := nappeCensus(p, id); scalar != 0 {
-				t.Fatalf("nappe %d: %d of %d voxels missed the lane body", id, scalar, vec+scalar)
-			}
-			p.FillNappe16(id, avx)
-			for i := range ref {
-				if avx[i] != ref[i] {
-					t.Fatalf("nappe %d slot %d: avx2 %d != ref %d", id, i, avx[i], ref[i])
-				}
-			}
-		}
+		routeAgrees(t, p, on, "ref")
+	}
+}
+
+// TestLaneNoAVX512Route is TestLaneNoAVX2Route for an AVX2-only host: with
+// AVX512 cleared the four-lane body must take exactly the leading NX&^3
+// columns of every voxel, and fill == the eight-lane body on the served
+// aperture, a plane with a scalar tail (8×5 has none; 13×7 does) and one
+// whose last eight-slot group is partial.
+func TestLaneNoAVX512Route(t *testing.T) {
+	if !cpufeat.AVX512 {
+		t.Skip("host has no AVX-512: the four-lane body is already the widest route")
+	}
+	tail := smallConfig()
+	tail.Arr = xdcr.NewArray(13, 7, 0.385e-3/2)
+	for _, p := range []*Provider{fixedProvider(smallConfig()), fixedProvider(blockSetup().Cfg), fixedProvider(tail)} {
+		routeAgrees(t, p, "avx512", "avx2")
 	}
 }

@@ -11,6 +11,6 @@ func fillKernelBody() string { return "ref" }
 // the executable specification the native body is held bit-identical to,
 // emits every slot. CI runs the full suite under -tags purego so this route
 // is always exercised, never just compiled.
-func vecPlane(_ []int16, _, _ []float64, _ float64, _ int64, _ *sqrtapprox.IntDatapath, cur int) (done, next int) {
+func vecPlane(_ []int16, _, _ []float64, _ float64, _ int64, _ *sqrtapprox.IntDatapath, _ *planePerm, cur int) (done, next int) {
 	return 0, cur
 }

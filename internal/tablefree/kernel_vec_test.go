@@ -18,10 +18,39 @@ import (
 // on this host and build — CI prints the line so a silent fallback shows.
 func TestFillKernelBody(t *testing.T) {
 	body := fillKernelBody()
-	if body != "avx2" && body != "ref" {
+	if body != "avx512" && body != "avx2" && body != "ref" {
 		t.Fatalf("unknown body %q", body)
 	}
 	t.Logf("tablefree fill body: %s", body)
+}
+
+// forEachBody runs f once per fill body this host offers (hostBodies), with
+// the probes set so that fillKernelBody names it, and restores them after.
+func forEachBody(t *testing.T, f func(t *testing.T)) {
+	for _, body := range hostBodies() {
+		t.Run(body, func(t *testing.T) {
+			defer useBody(body)()
+			if got := fillKernelBody(); got != body {
+				t.Fatalf("body = %q, want %q", got, body)
+			}
+			f(t)
+		})
+	}
+}
+
+// laneColumns is how many leading columns of every row of an nx×ny plane
+// the running body takes from a voxel that passes the guard.
+func laneColumns(nx, ny int) int {
+	switch fillKernelBody() {
+	case "avx512":
+		if nx <= maxPermAxis && ny <= maxPermAxis {
+			return nx
+		}
+		fallthrough
+	case "avx2":
+		return nx &^ 3
+	}
+	return 0
 }
 
 // rowsRef is the fixedRow path for one plane: what fixedPlane must equal
@@ -60,7 +89,7 @@ func nappeCensus(p *Provider, id int) (vec, scalar, maxSpan int) {
 	dp := p.FixedDP.Integer()
 	plane := make([]int16, p.Layout().VoxelStride())
 	eachPlane(p, id, func(_ int, xt2, yt2 []float64, zz float64, txRaw int64) {
-		if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, 0); done > 0 {
+		if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, p.perm, 0); done > 0 {
 			vec++
 		} else {
 			scalar++
@@ -95,21 +124,31 @@ func checkFill16Routes(t *testing.T, name string, p *Provider) {
 	}
 }
 
-// TestLaneFillMatchesRowsRandomGeometries is the lane body's bit-identity
+// TestLaneFillMatchesRowsRandomGeometries is the lane bodies' bit-identity
 // contract over whole nappes: every row width class (below one group, exact
 // groups, a paired group plus a single, each with and without a scalar
-// tail), 1×N and N×1 apertures, off-origin transmits built directly and
+// tail), 1×N and N×1 apertures, planes whose slot count is not a multiple
+// of eight (the eight-lane body's masked last group), 16 against 17 on
+// either axis (its aperture limit), off-origin transmits built directly and
 // derived through WithTransmit, the default FixedConfig and one with
 // fractional argument bits.
 func TestLaneFillMatchesRowsRandomGeometries(t *testing.T) {
+	forEachBody(t, laneFillMatchesRowsRandomGeometries)
+}
+
+func laneFillMatchesRowsRandomGeometries(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nxs := []int{1, 3, 4, 5, 8, 12, 16, 17, 32}
+	shapes := [][2]int{{3, 5}, {1, 7}, {12, 13}, {13, 12}, {16, 16}, {16, 17}, {17, 16}, {12, 12}}
 	origins := []geom.Vec3{{}, {X: 1.3e-3, Y: -0.7e-3, Z: -4e-3}, {X: -2e-3, Z: 3e-3}, {Y: 5e-3}}
 	fixedCfgs := []sqrtapprox.FixedConfig{{}, {ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6}}
 	took := 0
-	for trial := 0; trial < 3*len(nxs); trial++ {
+	for trial := 0; trial < 3*len(nxs)+len(shapes); trial++ {
 		nx, ny := nxs[trial%len(nxs)], []int{1, 2, 5, 9}[rng.Intn(4)]
-		if trial >= 2*len(nxs) {
+		switch {
+		case trial >= 3*len(nxs):
+			nx, ny = shapes[trial-3*len(nxs)][0], shapes[trial-3*len(nxs)][1]
+		case trial >= 2*len(nxs):
 			nx, ny = ny, nx // the same widths down the slow axis
 		}
 		cfg := Config{
@@ -134,7 +173,7 @@ func TestLaneFillMatchesRowsRandomGeometries(t *testing.T) {
 		vec, _, _ := nappeCensus(p, 0)
 		took += vec
 	}
-	if fillKernelBody() == "avx2" && took == 0 {
+	if fillKernelBody() != "ref" && took == 0 {
 		t.Fatal("the lane body never ran: the comparison proved nothing about it")
 	}
 }
@@ -144,7 +183,9 @@ func TestLaneFillMatchesRowsRandomGeometries(t *testing.T) {
 // segments put three and more under one voxel's plane, and the deepest
 // nappe at extreme steering, where arguments reach the domain's last
 // segment.
-func TestLaneFillShallowAndDeep(t *testing.T) {
+func TestLaneFillShallowAndDeep(t *testing.T) { forEachBody(t, laneFillShallowAndDeep) }
+
+func laneFillShallowAndDeep(t *testing.T) {
 	p := fixedProvider(Config{
 		Vol:  scan.NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 5, 4, 1200),
 		Arr:  xdcr.NewArray(16, 16, 0.385e-3/2),
@@ -162,7 +203,7 @@ func TestLaneFillShallowAndDeep(t *testing.T) {
 			}
 		}
 		vec, scalar, span := nappeCensus(p, id)
-		if fillKernelBody() == "avx2" && scalar != 0 {
+		if fillKernelBody() != "ref" && scalar != 0 {
 			t.Errorf("id=%d: %d of %d voxels fell to the scalar route", id, scalar, vec+scalar)
 		}
 		widest = max(widest, span)
@@ -178,9 +219,10 @@ func TestLaneFillShallowAndDeep(t *testing.T) {
 	}
 }
 
-// planeCase runs fixedPlane on hand-built terms and holds every slot to the
-// fixedRow path and to Index16 of the float datapath, and the slots either
-// side of the plane to staying untouched.
+// planeCase runs fixedPlane on hand-built terms, with the plane's own
+// permute table, and holds every slot to the fixedRow path and to Index16
+// of the float datapath, and the slots either side of the plane to staying
+// untouched.
 func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, xt2, yt2 []float64, zz float64, txRaw int64) {
 	t.Helper()
 	const pad, canary = 8, -7
@@ -191,7 +233,7 @@ func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, xt2, yt2 []
 		buf[i] = canary // also: a slot the fill skips must not pass by accident
 	}
 	got := buf[pad : pad+n : pad+n]
-	fixedPlane(got, xt2, yt2, zz, txRaw, dp, len(dp.Ops)/2)
+	fixedPlane(got, xt2, yt2, zz, txRaw, dp, newPlanePerm(len(xt2), len(yt2)), len(dp.Ops)/2)
 	rowsRef(want, xt2, yt2, zz, txRaw, dp)
 	for i := 0; i < pad; i++ {
 		if buf[i] != canary || buf[pad+n+i] != canary {
@@ -213,13 +255,19 @@ func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, xt2, yt2 []
 }
 
 // TestLanePlaneWritesOnlyItsPlane runs every group shape — singles, pairs,
-// a pair plus a single, each with and without a scalar tail — against
-// canaries either side of the plane: the single group's 8-byte store and
-// the pair's 16-byte one must end exactly where their columns do.
-func TestLanePlaneWritesOnlyItsPlane(t *testing.T) {
+// a pair plus a single, each with and without a scalar tail; planes of
+// whole eight-slot groups and planes whose last group is partial — against
+// canaries either side of the plane: the single group's 8-byte store, the
+// pair's 16-byte one and the masked store of a partial last group must end
+// exactly where their slots do. Each shape must also take the route the
+// body's aperture rule gives it.
+func TestLanePlaneWritesOnlyItsPlane(t *testing.T) { forEachBody(t, lanePlaneWritesOnlyItsPlane) }
+
+func lanePlaneWritesOnlyItsPlane(t *testing.T) {
 	p := fixedProvider(smallConfig())
-	for _, nx := range []int{1, 4, 5, 7, 8, 11, 12, 13, 16, 20, 23} {
-		for _, ny := range []int{1, 2, 5} {
+	dp := p.FixedDP.Integer()
+	for _, nx := range []int{1, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17, 20, 23} {
+		for _, ny := range []int{1, 2, 5, 7, 13, 16, 17} {
 			xt2, yt2 := make([]float64, nx), make([]float64, ny)
 			for i := range xt2 {
 				xt2[i] = float64(9 * i * i)
@@ -228,15 +276,32 @@ func TestLanePlaneWritesOnlyItsPlane(t *testing.T) {
 				yt2[j] = float64(1000 * j)
 			}
 			planeCase(t, "canary", p.FixedDP, xt2, yt2, 2.5e5, 31000)
+			plane := make([]int16, nx*ny)
+			if done, _ := vecPlane(plane, xt2, yt2, 2.5e5, 31000, dp, newPlanePerm(nx, ny), 0); done != laneColumns(nx, ny) {
+				t.Errorf("%dx%d: the lane body took %d columns, want %d", nx, ny, done, laneColumns(nx, ny))
+			}
 		}
+	}
+}
+
+// planeChunks runs planeCase over vals as one-row planes of at most
+// maxPermAxis columns, so that the eight-lane body takes every value.
+func planeChunks(t *testing.T, name string, f *sqrtapprox.FixedApprox, vals []float64, zz float64, txRaw int64) {
+	t.Helper()
+	for len(vals) > 0 {
+		n := min(len(vals), maxPermAxis)
+		planeCase(t, name, f, vals[:n], []float64{0}, zz, txRaw)
+		vals = vals[n:]
 	}
 }
 
 // TestLanePlaneSegmentBoundaries puts arguments exactly on every segment
 // start and one ulp either side — the per-lane select's ≥ against the
-// cursor's — in planes that mix many segments within one group of four,
-// and in every lane position.
-func TestLanePlaneSegmentBoundaries(t *testing.T) {
+// cursor's — in planes that mix many segments within one group, and in
+// every lane position of either body.
+func TestLanePlaneSegmentBoundaries(t *testing.T) { forEachBody(t, lanePlaneSegmentBoundaries) }
+
+func lanePlaneSegmentBoundaries(t *testing.T) {
 	for _, fc := range []sqrtapprox.FixedConfig{
 		sqrtapprox.DefaultFixedConfig(),
 		{ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5},
@@ -254,10 +319,8 @@ func TestLanePlaneSegmentBoundaries(t *testing.T) {
 		edges[0] = 0 // Nextafter(0, 0)
 		edges = append(edges, math.Nextafter(p.Approx.Max, 0), p.Approx.Max)
 		name := fmt.Sprintf("%+v", fc)
-		for shift := 0; shift < 4; shift++ {
-			xt2 := append(make([]float64, shift), edges...)
-			xt2 = xt2[:len(xt2)&^3]
-			planeCase(t, name+" ascending", p.FixedDP, xt2, []float64{0}, 0, 4321)
+		for shift := 0; shift < 8; shift++ {
+			planeChunks(t, name+" ascending", p.FixedDP, append(make([]float64, shift), edges...), 0, 4321)
 		}
 		// Adjacent pieces meet almost continuously, so taking the wrong side
 		// of a start shows only where their quantized values differ there —
@@ -297,7 +360,9 @@ func TestLanePlaneSegmentBoundaries(t *testing.T) {
 // rail, land the sum on an exact negative half, sit at the guard's own
 // edge (LaneTxLimit−1 runs the lanes, LaneTxLimit the scalar route) and lie
 // far beyond it.
-func TestLanePlaneRoundingTies(t *testing.T) {
+func TestLanePlaneRoundingTies(t *testing.T) { forEachBody(t, lanePlaneRoundingTies) }
+
+func lanePlaneRoundingTies(t *testing.T) {
 	for _, fc := range []sqrtapprox.FixedConfig{
 		sqrtapprox.DefaultFixedConfig(),
 		{ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6},
@@ -315,7 +380,6 @@ func TestLanePlaneRoundingTies(t *testing.T) {
 			tie := (math.Floor(base/lsb) + 0.5) * lsb
 			args = append(args, base, tie, math.Nextafter(tie, 0), math.Nextafter(tie, math.Inf(1)))
 		}
-		args = args[:len(args)&^3]
 		half := int64(1) << (fc.OutFrac - 1)
 		txRaws := []int64{0, 37, 12345 << fc.OutFrac, math.MaxInt16 << fc.OutFrac, -(40000 << fc.OutFrac), -3,
 			sqrtapprox.LaneTxLimit - 1, sqrtapprox.LaneTxLimit, -sqrtapprox.LaneTxLimit + 1, -sqrtapprox.LaneTxLimit,
@@ -327,7 +391,7 @@ func TestLanePlaneRoundingTies(t *testing.T) {
 			txRaws = append(txRaws, -rx-half-2*half*k)
 		}
 		for _, txRaw := range txRaws {
-			planeCase(t, fmt.Sprintf("%+v", fc), p.FixedDP, args, []float64{0}, 0, txRaw)
+			planeChunks(t, fmt.Sprintf("%+v", fc), p.FixedDP, args, 0, txRaw)
 		}
 	}
 }
@@ -337,7 +401,9 @@ func TestLanePlaneRoundingTies(t *testing.T) {
 // (x + y) + zz = 6.5 − ulp rounds to 6, (x + zz) + y = 6.5 to 7. Only
 // DelaySamples' order — the first — matches, and a sweep of transmit legs
 // carries the one-count difference across an index tie.
-func TestLanePlaneAssociationOrder(t *testing.T) {
+func TestLanePlaneAssociationOrder(t *testing.T) { forEachBody(t, lanePlaneAssociationOrder) }
+
+func lanePlaneAssociationOrder(t *testing.T) {
 	p := fixedProvider(smallConfig())
 	ulp := math.Nextafter(6.5, 7) - 6.5
 	x, y, zz := 0.6*ulp, 0.6*ulp, 6.5-2*ulp
@@ -392,7 +458,9 @@ func TestUnprovenDatapathsTakeRows(t *testing.T) {
 // nappe's largest arguments, so that the per-voxel guard (αmax within the
 // proven bound) passes and fails inside the same FillNappe16 call: both
 // routes write into one block, which must come out as the scalar law says.
-func TestLaneGuardTripsMidNappe(t *testing.T) {
+func TestLaneGuardTripsMidNappe(t *testing.T) { forEachBody(t, laneGuardTripsMidNappe) }
+
+func laneGuardTripsMidNappe(t *testing.T) {
 	p := fixedProvider(blockSetup().Cfg)
 	l := p.Layout()
 	id := p.Cfg.Vol.Depth.N / 2
@@ -417,17 +485,20 @@ func TestLaneGuardTripsMidNappe(t *testing.T) {
 		t.Fatal("the shrunk domain must still carry the lane proof")
 	}
 	vec, scalar, _ := nappeCensus(p, id)
-	if fillKernelBody() == "avx2" && (vec == 0 || scalar == 0) {
+	if fillKernelBody() != "ref" && (vec == 0 || scalar == 0) {
 		t.Fatalf("nappe %d: %d voxels through the lanes, %d through the guard; want both", id, vec, scalar)
 	}
 	checkFill16Routes(t, "shrunk domain", p)
 }
 
 // TestLaneFillAllocations holds the fill to zero allocations per call on
-// the served widths: whole groups (16), a pair plus a single (12) and a
-// scalar tail behind the lanes (17).
-func TestLaneFillAllocations(t *testing.T) {
-	for _, nx := range []int{16, 12, 17} {
+// the served widths: whole groups (16), a pair plus a single (12), a
+// partial last eight-slot group (13) and a scalar tail behind the lanes
+// (17).
+func TestLaneFillAllocations(t *testing.T) { forEachBody(t, laneFillAllocations) }
+
+func laneFillAllocations(t *testing.T) {
+	for _, nx := range []int{16, 12, 13, 17} {
 		cfg := smallConfig()
 		cfg.Arr = xdcr.NewArray(nx, 9, 0.385e-3/2)
 		p := fixedProvider(cfg)
@@ -443,6 +514,10 @@ func TestLaneFillAllocations(t *testing.T) {
 // goroutines at once: each reads its own operand table and writes only its
 // own dst (run under -race).
 func TestLaneFillConcurrentSharedTables(t *testing.T) {
+	forEachBody(t, laneFillConcurrentSharedTables)
+}
+
+func laneFillConcurrentSharedTables(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Vol = scan.NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 5, 5, 12)
 	cfg.Arr = xdcr.NewArray(12, 12, 0.385e-3/2)
@@ -452,6 +527,9 @@ func TestLaneFillConcurrentSharedTables(t *testing.T) {
 		q, err := rx.WithTransmit(delay.Transmit{Origin: o})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if q.(*Provider).perm != rx.perm {
+			t.Fatal("the derived unit rebuilt its permute table instead of sharing the receiver's")
 		}
 		provs = append(provs, q.(*Provider))
 	}
@@ -485,45 +563,62 @@ func TestLaneFillConcurrentSharedTables(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLaneGuardRejectsNaNTerms: a NaN column or row term anywhere in a
-// voxel, not only in the slot the extremes start from, must fail vecPlane's
-// guard, so fixedRow emits the whole plane. The lane body does not match
-// fixedRow on NaN arguments.
-func TestLaneGuardRejectsNaNTerms(t *testing.T) {
-	p := fixedProvider(smallConfig())
-	dp := p.FixedDP.Integer()
-	var xt2, yt2 []float64
-	var zz float64
-	var txRaw int64
-	eachPlane(p, 7, func(v int, x, y []float64, z float64, tx int64) {
-		if v == 0 {
-			xt2, yt2, zz, txRaw = append([]float64(nil), x...), append([]float64(nil), y...), z, tx
+// TestLaneGuardRejectsNaNTerms: a NaN column or row term anywhere in the
+// part of a voxel the lane body would take, not only in the slot the
+// extremes start from, must fail vecPlane's guard, so fixedRow emits the
+// whole plane. The lane bodies do not match fixedRow on NaN arguments. A
+// NaN only in the columns the body leaves to fixedRow may pass: the
+// eight-lane body leaves none, so on a 13-column aperture its guard covers
+// the column the four-lane body's tail keeps. A negative term — outside
+// the proof's 0 ≤ α, and no square — fails the guard the same way.
+func TestLaneGuardRejectsNaNTerms(t *testing.T) { forEachBody(t, laneGuardRejectsNaNTerms) }
+
+func laneGuardRejectsNaNTerms(t *testing.T) {
+	narrow := smallConfig()
+	narrow.Arr = xdcr.NewArray(13, 5, 0.385e-3/2)
+	for _, p := range []*Provider{fixedProvider(smallConfig()), fixedProvider(narrow)} {
+		dp := p.FixedDP.Integer()
+		var xt2, yt2 []float64
+		var zz float64
+		var txRaw int64
+		eachPlane(p, 7, func(v int, x, y []float64, z float64, tx int64) {
+			if v == 0 {
+				xt2, yt2, zz, txRaw = append([]float64(nil), x...), append([]float64(nil), y...), z, tx
+			}
+		})
+		nx, ny := len(xt2), len(yt2)
+		plane := make([]int16, nx*ny)
+		if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, p.perm, 0); done != laneColumns(nx, ny) {
+			t.Fatalf("%dx%d: the finite voxel took %d lane columns, want %d: the NaN cases would prove nothing", nx, ny, done, laneColumns(nx, ny))
 		}
-	})
-	plane := make([]int16, len(xt2)*len(yt2))
-	if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, 0); fillKernelBody() == "avx2" && done == 0 {
-		t.Fatal("the finite voxel fell to fixedRow: the NaN cases would prove nothing")
-	}
-	for _, c := range []struct {
-		name     string
-		col, row int
-	}{{"column 5 and row 3", 5, 3}, {"column 5", 5, -1}, {"row 3", -1, 3}, {"column 0", 0, -1}, {"last row", -1, len(yt2) - 1}} {
-		x, y := append([]float64(nil), xt2...), append([]float64(nil), yt2...)
-		if c.col >= 0 {
-			x[c.col] = math.NaN()
-		}
-		if c.row >= 0 {
-			y[c.row] = math.NaN()
-		}
-		if done, _ := vecPlane(plane, x, y, zz, txRaw, dp, 0); done != 0 {
-			t.Errorf("%s: the guard passed a NaN voxel to the lane body (%d columns)", c.name, done)
-		}
-		got, want := make([]int16, len(plane)), make([]int16, len(plane))
-		fixedPlane(got, x, y, zz, txRaw, dp, 0)
-		rowsRef(want, x, y, zz, txRaw, dp)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s slot %d: fill %d != fixedRow %d", c.name, i, got[i], want[i])
+		nan := math.NaN()
+		for _, c := range []struct {
+			name     string
+			col, row int
+			bad      float64
+		}{{"column 5 and row 3", 5, 3, nan}, {"column 5", 5, -1, nan}, {"row 3", -1, 3, nan}, {"column 0", 0, -1, nan},
+			{"last column", nx - 1, -1, nan}, {"last row", -1, ny - 1, nan},
+			{"negative column 5", 5, -1, -1}, {"negative zero row 3", -1, 3, math.Copysign(0, -1)}} {
+			x, y := append([]float64(nil), xt2...), append([]float64(nil), yt2...)
+			if c.col >= 0 {
+				x[c.col] = c.bad
+			}
+			if c.row >= 0 {
+				y[c.row] = c.bad
+			}
+			done, _ := vecPlane(plane, x, y, zz, txRaw, dp, p.perm, 0)
+			if tail := c.row < 0 && c.col >= laneColumns(nx, ny); !tail && done != 0 {
+				t.Errorf("%dx%d %s: the guard passed a NaN voxel to the lane body (%d columns)", nx, ny, c.name, done)
+			}
+			// fixedRow's value for a NaN argument depends on where its cursor
+			// stands, so a NaN the lanes left behind is held to nothing.
+			got, want := make([]int16, len(plane)), make([]int16, len(plane))
+			fixedPlane(got, x, y, zz, txRaw, dp, p.perm, 0)
+			rowsRef(want, x, y, zz, txRaw, dp)
+			for i := range want {
+				if got[i] != want[i] && (done == 0 || i%nx < done) {
+					t.Fatalf("%dx%d %s slot %d: fill %d != fixedRow %d", nx, ny, c.name, i, got[i], want[i])
+				}
 			}
 		}
 	}

@@ -56,11 +56,20 @@ type Provider struct {
 	// Per-axis factors of the Eq. (5) parametrization, for the block fill.
 	sinTheta, cosTheta []float64
 	sinPhi, cosPhi     []float64
+
+	// The element plane's eight-slot lane groups (nil past 16×16), shared
+	// read-only with every WithTransmit-derived unit: the aperture is theirs.
+	perm *planePerm
 }
 
 // New builds the provider, sizing the PWL domain from the configuration's
 // worst-case one-way distance.
 func New(cfg Config) *Provider {
+	return newProvider(cfg, newPlanePerm(cfg.Arr.NX, cfg.Arr.NY))
+}
+
+// newProvider is New with the plane's permute table supplied.
+func newProvider(cfg Config, perm *planePerm) *Provider {
 	if cfg.Delta <= 0 {
 		cfg.Delta = DefaultDelta
 	}
@@ -76,6 +85,7 @@ func New(cfg Config) *Provider {
 		elemX:   make([]float64, cfg.Arr.NX),
 		elemY:   make([]float64, cfg.Arr.NY),
 		originS: cfg.Origin.Scale(cfg.Conv.Fs / cfg.Conv.C),
+		perm:    perm,
 	}
 	for i := range p.elemX {
 		p.elemX[i] = cfg.Conv.MetersToSamples(cfg.Arr.ElementX(i))
@@ -152,11 +162,12 @@ func (p *Provider) NumSegments() int { return p.Approx.NumSegments() }
 // transmit leg on the fly (one shared √ per focal point, §IV-B), so any
 // emission origin is representable — the derived unit is rebuilt with the
 // PWL domain re-sized for the new worst-case path, exactly as New would
-// size it, and keeps the receiver's fixed/float datapath selection.
+// size it, and keeps the receiver's fixed/float datapath selection and its
+// plane permute table.
 func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	cfg := p.Cfg
 	cfg.Origin = tx.Origin
-	np := New(cfg)
+	np := newProvider(cfg, p.perm)
 	np.UseFixed = p.UseFixed
 	return np, nil
 }
