@@ -15,7 +15,8 @@
 // for the persistent cine transport. Membership follows each backend's
 // own /v1/healthz: a node answering the 503 drain contract leaves the ring
 // immediately (its geometries re-shard and get prewarmed on their new
-// owners via residency plans) but keeps serving /v1/plans until it exits.
+// owners from their canonical queries) but keeps serving /v1/plans until
+// it exits.
 //
 // The router exposes the same /v1 surface as a single daemon — /v1/beamform
 // proxied to the owner with the response (status, Retry-After, everything)

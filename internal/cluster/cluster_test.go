@@ -363,7 +363,7 @@ func TestNoBackendSynthesized503(t *testing.T) {
 }
 
 // TestRebalanceOnDrain is the warm-handoff contract end to end: drain the
-// owner, let the router ship its residency plan to the survivor, and the
+// owner, let the router ship its canonical query to the survivor, and the
 // survivor serves the same geometry bit-identically — without one cached
 // byte having crossed the network.
 func TestRebalanceOnDrain(t *testing.T) {

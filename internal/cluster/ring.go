@@ -10,10 +10,10 @@
 // Membership follows each backend's own /v1/healthz: a draining node (the
 // PR-8 graceful-drain contract) leaves the ring immediately but keeps
 // answering /v1/plans, which is exactly what rebalancing consumes — the
-// router ships each displaced geometry's residency *plan* (canonical /v1
-// query + per-transmit quota) to its new owner via /v1/prewarm, never the
-// cached bytes: deterministic block regeneration means the new owner
-// prefills an identical store and serves bit-identically.
+// router ships each displaced geometry's canonical /v1 query to its new
+// owner via /v1/prewarm, never the cached bytes: the query's budget fixes
+// the resident prefix and block regeneration is deterministic, so the new
+// owner prefills an identical store and serves bit-identically.
 //
 // The router proxies both transports. HTTP requests forward to the
 // owner with the backend's response — status, Retry-After, everything —

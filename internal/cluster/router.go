@@ -68,7 +68,7 @@ type backendState struct {
 
 // Router is the cluster frontend: an http.Handler proxying /v1/beamform
 // to geometry owners plus a stream listener (ServeStream) relaying cine
-// connections, with health-driven membership and plan-shipping rebalance
+// connections, with health-driven membership and query-shipping rebalance
 // behind both.
 type Router struct {
 	cfg Config
@@ -275,7 +275,7 @@ func (r *Router) owner(fp string) (Backend, bool) {
 // Owner exposes fingerprint→backend resolution (stats, tests, ops).
 func (r *Router) Owner(fp string) (Backend, bool) { return r.owner(fp) }
 
-// kickRebalance runs one plan-shipping sweep in the background.
+// kickRebalance runs one query-shipping sweep in the background.
 func (r *Router) kickRebalance() {
 	select {
 	case <-r.closed:
@@ -292,7 +292,7 @@ func (r *Router) kickRebalance() {
 // Rebalance pulls /v1/plans from every reachable backend — healthy and
 // draining alike; a draining node is precisely the one whose plans must
 // move — and replays each geometry whose ring owner is a different node
-// onto that owner via /v1/prewarm. Plans, not bytes: the new owner
+// onto that owner via /v1/prewarm. Queries, not bytes: the new owner
 // rebuilds the store deterministically. Sweeps are serialized; extra
 // kicks queue behind the running one.
 func (r *Router) Rebalance(ctx context.Context) {

@@ -1,148 +1,50 @@
 package delaycache
 
-import (
-	"testing"
+import "testing"
 
-	"ultrabeam/internal/delay"
-)
-
-// TestPlanUniformMatchesInterleavedPrefix: the default plan must be exactly
-// the legacy interleaved-prefix residency — quota[t] counts the keys
-// id·N + t below the resident budget — for every (resident, transmits,
-// depths) shape, including over-budget clamping.
+// TestPlanUniformMatchesInterleavedPrefix: the one residency rule. For every
+// (resident, transmits, depths) shape, including budgets past the whole
+// table, a block is resident exactly when its key id·T+t is below the
+// budget's block count, PlanQuota counts those keys per transmit, and an
+// eviction refills the same prefix.
 func TestPlanUniformMatchesInterleavedPrefix(t *testing.T) {
 	for _, tc := range []struct{ resident, transmits, depths int }{
 		{0, 1, 4}, {1, 1, 4}, {4, 1, 4}, {5, 2, 4}, {8, 2, 4},
-		{7, 3, 10}, {30, 3, 10}, {99, 3, 10}, {5, 4, 2},
+		{7, 3, 8}, {24, 3, 8}, {99, 3, 8}, {5, 4, 2},
 	} {
-		quota := PlanUniform(tc.resident, tc.transmits, tc.depths)
+		provs, _ := transmitProviders(t, tc.transmits)
+		blockBytes := int64(provs[0].Layout().BlockLen()) * narrowDelayBytes
+		store, err := NewShared(Config{Providers: provs, Depths: tc.depths,
+			BudgetBytes: int64(tc.resident) * blockBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resident := min(tc.resident, tc.transmits*tc.depths)
+		if store.ResidentBlocks() != resident {
+			t.Fatalf("%+v: ResidentBlocks = %d, want %d", tc, store.ResidentBlocks(), resident)
+		}
+		quota := store.PlanQuota()
 		if len(quota) != tc.transmits {
 			t.Fatalf("%+v: %d quotas", tc, len(quota))
 		}
-		resident := min(tc.resident, tc.transmits*tc.depths)
-		for tx := 0; tx < tc.transmits; tx++ {
-			want := 0
-			for id := 0; id < tc.depths; id++ {
-				if id*tc.transmits+tx < resident {
-					want++
+		view := store.Attach()
+		for round := 0; round < 2; round++ {
+			for tx := 0; tx < tc.transmits; tx++ {
+				want := 0
+				for id := 0; id < tc.depths; id++ {
+					in := id*tc.transmits+tx < resident
+					if in {
+						want++
+					}
+					if got := view.Nappe16T(tx, id) != nil; got != in {
+						t.Errorf("%+v round %d: tx %d nappe %d resident = %v, want %v", tc, round, tx, id, got, in)
+					}
+				}
+				if quota[tx] != want {
+					t.Errorf("%+v: quota[%d] = %d, want %d", tc, tx, quota[tx], want)
 				}
 			}
-			if quota[tx] != want {
-				t.Errorf("%+v: quota[%d] = %d, want %d", tc, tx, quota[tx], want)
-			}
+			store.Evict()
 		}
-	}
-}
-
-// TestPlanWeighted pins the weighted planner: uniform weights reproduce the
-// default plan, skewed weights shift quota toward hot transmits without
-// losing budget, per-transmit caps redistribute, and degenerate weights
-// fall back to uniform.
-func TestPlanWeighted(t *testing.T) {
-	if got, want := PlanWeighted(5, 4, []float64{1, 1}), PlanUniform(5, 2, 4); got[0] != want[0] || got[1] != want[1] {
-		t.Errorf("uniform weights: %v, want %v", got, want)
-	}
-	sum := func(q []int) int {
-		s := 0
-		for _, v := range q {
-			s += v
-		}
-		return s
-	}
-	q := PlanWeighted(6, 8, []float64{3, 1})
-	if sum(q) != 6 || q[0] <= q[1] {
-		t.Errorf("skewed weights: %v", q)
-	}
-	// Cap at depths: transmit 0 wants everything but can hold only 4; the
-	// remainder must land on transmit 1.
-	q = PlanWeighted(6, 4, []float64{100, 1})
-	if q[0] != 4 || q[1] != 2 {
-		t.Errorf("capped plan: %v, want [4 2]", q)
-	}
-	// Zero/negative weights fall back to uniform.
-	q = PlanWeighted(5, 4, []float64{0, -3})
-	w := PlanUniform(5, 2, 4)
-	if q[0] != w[0] || q[1] != w[1] {
-		t.Errorf("degenerate weights: %v, want %v", q, w)
-	}
-	if sum(PlanWeighted(100, 4, []float64{1, 1})) != 8 {
-		t.Error("over-budget plan must clamp to depths·transmits")
-	}
-}
-
-// TestPlanReshapesResidency: installing a skewed plan on a live store moves
-// which (transmit, nappe) pairs are resident — with bit-identical block
-// content wherever residency lands — and rejects quotas the store cannot
-// hold.
-func TestPlanReshapesResidency(t *testing.T) {
-	provs, depths := transmitProviders(t, 2)
-	shared, err := NewShared(Config{Providers: provs, Depths: depths,
-		BudgetBytes: 5 * int64(provs[0].Layout().BlockLen()) * narrowDelayBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := shared.Attach()
-	if q := shared.PlanQuota(); q[0] != 3 || q[1] != 2 {
-		t.Fatalf("default plan %v, want [3 2]", q)
-	}
-
-	// Skew the whole budget onto transmit 0 plus one block of transmit 1.
-	if err := shared.Plan([]int{4, 1}); err != nil {
-		t.Fatal(err)
-	}
-	wantResident := map[[2]int]bool{
-		{0, 0}: true, {0, 1}: true, {0, 2}: true, {0, 3}: true,
-		{1, 0}: true, {1, 1}: false, {1, 2}: false,
-	}
-	for key, want := range wantResident {
-		if got := cache.Nappe16T(key[0], key[1]) != nil; got != want {
-			t.Errorf("tx %d nappe %d resident = %v, want %v", key[0], key[1], got, want)
-		}
-	}
-	// Content under the plan is the provider's own fill, bit for bit.
-	want := make(delay.Block16, shared.Layout().BlockLen())
-	for id := 0; id < 4; id++ {
-		delay.Fill16(provs[0], id, want, make([]float64, shared.Layout().BlockLen()))
-		got := cache.Nappe16T(0, id)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("planned block (0,%d) differs at %d", id, k)
-			}
-		}
-	}
-
-	// Re-installing the same plan keeps filled blocks (no fills added).
-	fills := shared.Stats().Fills
-	if err := shared.Plan([]int{4, 1}); err != nil {
-		t.Fatal(err)
-	}
-	cache.Nappe16T(0, 0)
-	if got := shared.Stats().Fills; got != fills {
-		t.Errorf("no-op plan dropped filled blocks: fills %d → %d", fills, got)
-	}
-
-	// Eviction preserves the installed plan.
-	shared.Evict()
-	if q := shared.PlanQuota(); q[0] != 4 || q[1] != 1 {
-		t.Errorf("plan after eviction = %v, want [4 1]", q)
-	}
-	if cache.Nappe16T(1, 1) != nil || cache.Nappe16T(0, 3) == nil {
-		t.Error("post-eviction residency does not follow the installed plan")
-	}
-
-	// Invalid plans are rejected.
-	for _, bad := range [][]int{
-		{5},             // wrong arity
-		{-1, 2},         // negative quota
-		{depths + 1, 0}, // beyond depths
-		{4, 2},          // over budget
-	} {
-		if err := shared.Plan(bad); err == nil {
-			t.Errorf("plan %v must be rejected", bad)
-		}
-	}
-	// A plan may retain fewer blocks than the budget allows.
-	if err := shared.Plan([]int{1, 0}); err != nil {
-		t.Errorf("under-budget plan: %v", err)
 	}
 }

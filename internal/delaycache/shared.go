@@ -75,28 +75,13 @@ type Shared struct {
 	onEvict func(Stats)
 }
 
-// generation is one eviction epoch of the store: the block slots, the
-// residency plan that lays them out, and the count of slots filled so far
-// (the live resident footprint — the aggregate fills counter keeps counting
-// across evictions). Keeping the plan inside the generation makes Plan a
-// single atomic swap: every reader resolves quota, offsets and slots from
-// one consistent snapshot.
+// generation is one eviction epoch of the store: the resident block slots,
+// slot key id·T+t for every key below the budget's block count, and the
+// count of slots filled so far (the live resident footprint — the aggregate
+// fills counter keeps counting across evictions).
 type generation struct {
 	blocks []block
-	quota  []int // quota[t] shallowest nappes of transmit t are resident
-	offset []int // slot of (t, id): offset[t] + id
 	fills  atomic.Int64
-}
-
-// newGeneration lays out empty block slots for a residency plan.
-func newGeneration(quota []int) *generation {
-	offset := make([]int, len(quota))
-	total := 0
-	for t, q := range quota {
-		offset[t] = total
-		total += q
-	}
-	return &generation{blocks: make([]block, total), quota: quota, offset: offset}
 }
 
 // NewShared builds a sharable block store over cfg.Provider (or the
@@ -147,7 +132,7 @@ func NewShared(cfg Config) (*Shared, error) {
 			s.nResident = total
 		}
 	}
-	s.gen.Store(newGeneration(PlanUniform(s.nResident, len(inners), cfg.Depths)))
+	s.gen.Store(&generation{blocks: make([]block, s.nResident)})
 	return s, nil
 }
 
@@ -179,127 +164,20 @@ func (s *Shared) Evict() {
 	if s.onEvict != nil {
 		s.onEvict(s.Stats())
 	}
-	s.gen.Store(newGeneration(s.gen.Load().quota))
+	s.gen.Store(&generation{blocks: make([]block, s.nResident)})
 	s.evictions.Add(1)
 }
 
-// PlanUniform is the default residency plan: the interleaved (nappe,
-// transmit) prefix expressed as per-transmit quotas — quota[t] counts the
-// keys id·T+t below resident, i.e. all transmits of nappe 0, then nappe 1,
-// ... — so a store that never calls Plan retains exactly the set the PR-4/5
-// interleaved-prefix policy retained.
-func PlanUniform(resident, transmits, depths int) []int {
-	quota := make([]int, max(transmits, 0))
-	if transmits <= 0 {
-		return quota
-	}
-	if resident > depths*transmits {
-		resident = depths * transmits
-	}
-	for t := range quota {
-		if resident > t {
-			quota[t] = (resident - t + transmits - 1) / transmits
-		}
-	}
-	return quota
-}
-
-// PlanWeighted distributes resident blocks across transmits proportionally
-// to non-negative weights (largest-remainder rounding, each quota capped at
-// depths, leftovers reassigned to uncapped transmits). The scheduler feeds
-// it per-transmit demand — frame cadence per transmit — so a skewed
-// compound workload keeps its hot transmits resident instead of diluting
-// the budget 1/N across all of them; uniform weights reproduce PlanUniform.
-func PlanWeighted(resident, depths int, weights []float64) []int {
-	n := len(weights)
-	quota := make([]int, n)
-	if n == 0 || resident <= 0 {
-		return quota
-	}
-	if resident > depths*n {
-		resident = depths * n
-	}
-	var sum float64
-	for _, w := range weights {
-		if w > 0 {
-			sum += w
-		}
-	}
-	if sum == 0 {
-		return PlanUniform(resident, n, depths)
-	}
-	rem := make([]float64, n)
-	total := 0
-	for t, w := range weights {
-		if w < 0 {
-			w = 0
-		}
-		share := float64(resident) * w / sum
-		q := int(share)
-		if q > depths {
-			q = depths
-		}
-		quota[t] = q
-		total += q
-		rem[t] = share - float64(q)
-	}
-	for total < resident {
-		best, bi := -2.0, -1
-		for t := range quota {
-			if quota[t] < depths && rem[t] > best {
-				best, bi = rem[t], t
-			}
-		}
-		if bi < 0 {
-			break
-		}
-		quota[bi]++
-		rem[bi] = -1
-		total++
-	}
-	return quota
-}
-
-// Plan installs a per-transmit residency plan: quota[t] of transmit t's
-// shallowest nappe blocks stay resident. The plan reshapes which blocks the
-// budget retains, never their bytes — a block outside the plan regenerates
-// bit-identically on demand — so results are plan-invariant; only the
-// hit/miss split moves. Quotas must fit the store: one entry per transmit,
-// each within [0, Depths], summing to at most the budget's block count.
-// Installing a plan equal to the current one is a no-op; otherwise the
-// current generation (and any filled blocks) is dropped, exactly as Evict
-// drops it, and refills happen lazily under the new layout. The serving
-// scheduler computes plans from per-transmit frame cadence (PlanWeighted)
-// when it warms a geometry.
-func (s *Shared) Plan(quota []int) error {
-	if len(quota) != len(s.inners) {
-		return fmt.Errorf("delaycache: plan has %d quotas for %d transmits", len(quota), len(s.inners))
-	}
-	total := 0
-	for t, q := range quota {
-		if q < 0 || q > s.depths {
-			return fmt.Errorf("delaycache: transmit %d quota %d outside [0, %d]", t, q, s.depths)
-		}
-		total += q
-	}
-	if total > s.nResident {
-		return fmt.Errorf("delaycache: plan retains %d blocks over the budget's %d", total, s.nResident)
-	}
-	cur := s.gen.Load()
-	same := len(cur.quota) == len(quota)
-	for t := 0; same && t < len(quota); t++ {
-		same = cur.quota[t] == quota[t]
-	}
-	if same {
-		return nil
-	}
-	s.gen.Store(newGeneration(append([]int(nil), quota...)))
-	return nil
-}
-
-// PlanQuota returns a copy of the residency plan currently in force.
+// PlanQuota returns, per transmit, how many of its shallowest nappes are
+// resident: the keys id·T+t below ResidentBlocks, counted per transmit.
+// It is a view of the one residency rule, not a setting.
 func (s *Shared) PlanQuota() []int {
-	return append([]int(nil), s.gen.Load().quota...)
+	n := len(s.inners)
+	quota := make([]int, n)
+	for t := range quota {
+		quota[t] = (s.nResident - t + n - 1) / n
+	}
+	return quota
 }
 
 // DelayBytes returns the storage cost of one cached delay value.
@@ -326,8 +204,7 @@ func (s *Shared) Layout() delay.Layout { return s.layout }
 
 // resident returns the filled block slot for (transmit t, nappe id) in the
 // current generation — running the generator under the slot's once on first
-// access — or nil when the pair is outside the generation's residency plan
-// (by default the interleaved prefix, PlanUniform; reshaped by Plan).
+// access — or nil when the pair's key id·T+t is past the resident prefix.
 // filled reports whether this call ran the generator. Aggregate
 // hit/miss/fill counters are updated here; attachments layer their own
 // counters on the result.
@@ -335,11 +212,12 @@ func (s *Shared) resident(t, id int) (b *block, filled bool) {
 	if t < 0 || t >= len(s.inners) || id < 0 || id >= s.depths {
 		return nil, false
 	}
-	gen := s.gen.Load()
-	if id >= gen.quota[t] {
+	key := id*len(s.inners) + t
+	if key >= s.nResident {
 		return nil, false
 	}
-	b = &gen.blocks[gen.offset[t]+id]
+	gen := s.gen.Load()
+	b = &gen.blocks[key]
 	b.once.Do(func() {
 		// Latency-only injection: a fill has no error path (the generator
 		// is deterministic math), so the chaos harness perturbs its timing
@@ -375,26 +253,20 @@ func (s *Shared) fill16(t, id int, dst delay.Block16) {
 
 // Warm fills every resident block of the current generation eagerly
 // (attachment counters are untouched; the serving scheduler warms a
-// handed-off geometry's store ahead of its traffic). The (transmit, nappe) plan is striped over
-// min(GOMAXPROCS, blocks) goroutines: every block is its own sync.Once, so
-// the fills are independent, and a live session touching a block meanwhile
-// just takes that once first.
+// handed-off geometry's store ahead of its traffic). The resident keys are
+// striped over min(GOMAXPROCS, blocks) goroutines: every block is its own
+// sync.Once, so the fills are independent, and a live session touching a
+// block meanwhile just takes that once first.
 func (s *Shared) Warm() {
-	gen := s.gen.Load()
-	workers := min(runtime.GOMAXPROCS(0), len(gen.blocks))
+	n := len(s.inners)
+	workers := min(runtime.GOMAXPROCS(0), s.nResident)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			k := 0
-			for t, q := range gen.quota {
-				for id := 0; id < q; id++ {
-					if k%workers == w {
-						s.resident(t, id)
-					}
-					k++
-				}
+			for key := w; key < s.nResident; key += workers {
+				s.resident(key%n, key/n)
 			}
 		}(w)
 	}

@@ -198,9 +198,9 @@ func TestTransmitConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSharedWarmParallelMatchesSerialFirstTouch: Warm stripes the residency
-// plan over GOMAXPROCS goroutines; the store it leaves must be the one a
-// single goroutine first-touching every planned block leaves — same bytes,
+// TestSharedWarmParallelMatchesSerialFirstTouch: Warm stripes the resident
+// keys over GOMAXPROCS goroutines; the store it leaves must be the one a
+// single goroutine first-touching every resident block leaves — same bytes,
 // same fill/miss/hit counts, one fault-point call per block — at full and
 // partial residency, with a live reader racing the warm (run under -race).
 func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
@@ -251,7 +251,7 @@ func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
 			ws.Fills != int64(serial.ResidentBlocks()) {
 			t.Errorf("budget %d: warmed %+v, serially touched %+v", budget, ws, ss)
 		}
-		// Every planned slot was requested by Warm and again by the reader's
+		// Every resident slot was requested by Warm and again by the reader's
 		// share; exactly one request per block ran the generator.
 		if want := int64(quota[0]); ws.Hits != want {
 			t.Errorf("budget %d: hits = %d, want the reader's %d", budget, ws.Hits, want)
@@ -268,7 +268,7 @@ func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
 				}
 			}
 			if check.Nappe16T(tx, q) != nil {
-				t.Errorf("budget %d: block (%d,%d) resident outside the plan", budget, tx, q)
+				t.Errorf("budget %d: block (%d,%d) resident outside the prefix", budget, tx, q)
 			}
 		}
 	}

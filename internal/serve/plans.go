@@ -1,12 +1,12 @@
-// Residency-plan export/import: the warm-store handoff half of the
-// cluster. A geometry's warm state is fully described by two small values
-// — the canonical /v1 query naming the session (RequestOptions.Encode) and
-// the per-transmit residency quotas its delay store runs — because block
-// content is deterministic by the delaycache contract: a new owner that
-// builds the same session, installs the same plan and warms serves
-// bit-identically to the old owner. So rebalancing ships plans, never
-// bytes: GET /v1/plans exports them, POST /v1/prewarm replays one on the
-// new owner, and the router drives both when ring membership changes.
+// Warm-store handoff: the export/import half of cluster rebalancing. A
+// geometry's warm state is fully described by the canonical /v1 query
+// naming the session (RequestOptions.Encode): the query carries the cache
+// budget, the budget fixes the resident prefix (delaycache's one residency
+// rule), and block content is deterministic — so a new owner that builds
+// the same session and warms serves bit-identically to the old owner.
+// Rebalancing ships queries, never bytes: GET /v1/plans exports them, POST
+// /v1/prewarm replays one on the new owner, and the router drives both
+// when ring membership changes.
 package serve
 
 import (
@@ -17,12 +17,8 @@ import (
 type ResidencyPlan struct {
 	// Query is the canonical /v1 query string reconstructing the session
 	// request (ParseOptions of exactly these parameters rebuilds the same
-	// fingerprint on any node).
+	// fingerprint, and so the same resident prefix, on any node).
 	Query string `json:"query"`
-	// Quota is the per-transmit residency plan in force, omitted for a
-	// full-residency store (the default plan is already optimal there).
-	// The importer clamps it to its own budget (delaycache.ClampQuota).
-	Quota []int `json:"quota,omitempty"`
 }
 
 // PlansResponse is the GET /v1/plans payload.
@@ -30,7 +26,7 @@ type PlansResponse struct {
 	Plans []ResidencyPlan `json:"plans"`
 	// Skipped counts geometries whose request is not expressible in the
 	// /v1 grammar (programmatic transmit sets, non-Table-I specs): they
-	// serve fine locally but cannot be handed off by plan.
+	// serve fine locally but cannot be handed off.
 	Skipped int `json:"skipped,omitempty"`
 }
 
@@ -51,28 +47,21 @@ func (s *Scheduler) ExportPlans() PlansResponse {
 			resp.Skipped++
 			continue
 		}
-		p := ResidencyPlan{Query: query}
-		if g.cache != nil {
-			if store := g.cache.Shared(); store != nil && !store.FullResidency() {
-				p.Quota = store.PlanQuota()
-			}
-		}
-		resp.Plans = append(resp.Plans, p)
+		resp.Plans = append(resp.Plans, ResidencyPlan{Query: query})
 	}
 	return resp
 }
 
-// Prewarm replays an exported residency plan: it creates the geometry if
-// cold (building the session and delay store exactly as the first live
-// frame would), installs the imported quota clamped to the local budget,
-// and fills the planned blocks in the background. Deterministic residency
-// makes this a complete warm-store handoff — after the fill, the node
-// serves the geometry bit-identically to the exporter, without one cached
-// byte having crossed the network. Returns ErrDraining/ErrClosed from a
-// node that cannot take new geometries, ErrOverloaded when every slot is
-// pinned by live work. A geometry still mid-build keeps its own plan (its
-// store fills lazily); prewarming it again later is cheap and idempotent.
-func (s *Scheduler) Prewarm(req SessionRequest, quota []int) error {
+// Prewarm replays an exported geometry: it creates the geometry if cold
+// (building the session and delay store exactly as the first live frame
+// would) and fills its resident blocks in the background. Deterministic
+// residency makes this a complete warm-store handoff — after the fill, the
+// node serves the geometry bit-identically to the exporter, without one
+// cached byte having crossed the network. Returns ErrDraining/ErrClosed
+// from a node that cannot take new geometries, ErrOverloaded when every
+// slot is pinned by live work. A geometry still mid-build from live
+// traffic fills lazily; prewarming it again later is cheap and idempotent.
+func (s *Scheduler) Prewarm(req SessionRequest) error {
 	if err := req.validate(); err != nil {
 		return err
 	}
@@ -93,8 +82,7 @@ func (s *Scheduler) Prewarm(req SessionRequest, quota []int) error {
 			s.mu.Unlock()
 			return ErrOverloaded
 		}
-		g = &schedGeom{fp: fp, req: req, building: true, lastUsed: now,
-			prewarm: append([]int(nil), quota...), warmOnBuild: true}
+		g = &schedGeom{fp: fp, req: req, building: true, lastUsed: now, warmOnBuild: true}
 		s.geoms[fp] = g
 		s.wg.Add(1)
 		go s.build(g)
@@ -104,30 +92,13 @@ func (s *Scheduler) Prewarm(req SessionRequest, quota []int) error {
 	g.lastUsed = now
 	cache := g.cache
 	s.mu.Unlock()
-	if cache == nil {
-		return nil // mid-build: its own planStore/lazy fills take over
+	if cache != nil {
+		s.warmInBackground(cache.Shared())
 	}
-	store := cache.Shared()
-	installPlan(store, quota)
-	s.warmInBackground(store)
 	return nil
 }
 
-// installPlan applies an imported quota to a store, clamped to the local
-// budget; arity mismatches (a different transmits= on the exporter than
-// the store was built with — impossible for same-fingerprint handoff,
-// defensive here) keep the local plan.
-func installPlan(store *delaycache.Shared, quota []int) {
-	if store == nil || store.FullResidency() || len(quota) == 0 {
-		return
-	}
-	if len(quota) != store.Transmits() {
-		return
-	}
-	_ = store.Plan(delaycache.ClampQuota(quota, store.Depths(), store.ResidentBlocks()))
-}
-
-// warmInBackground prefills a store's planned blocks off the request path.
+// warmInBackground prefills a store's resident blocks off the request path.
 // Concurrent live fills are safe and never duplicated (per-block
 // sync.Once); Close waits for the fill through s.wg.
 func (s *Scheduler) warmInBackground(store *delaycache.Shared) {

@@ -22,8 +22,8 @@
 //
 // Results are bit-identical to beamforming each frame alone:
 // BeamformBatch preserves each frame's accumulation order, batches fuse
-// only same-shape frames, and the delay store's residency plan changes
-// which blocks are resident, never their bytes.
+// only same-shape frames, and a delay block reads the same bytes whether
+// it is resident or regenerated.
 package serve
 
 import (
@@ -111,13 +111,6 @@ type SchedulerConfig struct {
 	// IdleTTL evicts a geometry — its hot session and delay store — once
 	// nothing has used it for this long. 0 keeps geometries forever.
 	IdleTTL time.Duration
-	// PlanWeights, when set, supplies per-transmit residency weights for a
-	// new geometry's delay store (fed to delaycache.PlanWeighted). nil
-	// plans uniform cadence — every transmit fires once per compound
-	// frame — which is exactly the store's default interleaved-prefix
-	// residency; skewed per-transmit cadence is where a plan moves the
-	// hit rate.
-	PlanWeights func(req SessionRequest) []float64
 	// PressureWindow is how long queue occupancy must hold above a ladder
 	// threshold before the overload level climbs a rung (hysteresis against
 	// momentary spikes). <=0 defaults to 250ms.
@@ -204,9 +197,8 @@ type schedGeom struct {
 	running  bool // dispatch loop live
 	lastUsed time.Time
 
-	// prewarm/warmOnBuild carry a handed-off residency plan into build():
+	// warmOnBuild makes build() prefill the store of a handed-off geometry:
 	// set only at creation (Prewarm), read by build without the lock.
-	prewarm     []int
 	warmOnBuild bool
 }
 
@@ -572,8 +564,8 @@ func (p *PendingFrame) Wait(ctx context.Context) (*beamform.Volume, error) {
 // Submit enqueues one decoded frame for req's geometry on req.Lane and
 // blocks until the frame is beamformed, returning its volume: the
 // whole-frame form of Begin → CompleteBuffers → Wait. The first frame of
-// a cold geometry triggers the session build (and delay-store warm plan);
-// frames queue behind the build.
+// a cold geometry triggers the session build; frames queue behind the
+// build.
 func (s *Scheduler) Submit(ctx context.Context, req SessionRequest, tx [][]rf.EchoBuffer) (*beamform.Volume, error) {
 	p, err := s.Begin(req)
 	if err != nil {
@@ -600,9 +592,7 @@ func (s *Scheduler) removeJobLocked(g *schedGeom, job *frameJob) bool {
 }
 
 // build constructs the geometry's hot session (first Submit of a cold
-// fingerprint runs it in its own goroutine; frames queue meanwhile). A
-// cached request gets a delay store planned by PlanWeights — the
-// compound-aware budget plan — before any frame touches it.
+// fingerprint runs it in its own goroutine; frames queue meanwhile).
 func (s *Scheduler) build(g *schedGeom) {
 	defer s.wg.Done()
 	var sess *beamform.Session
@@ -610,12 +600,6 @@ func (s *Scheduler) build(g *schedGeom) {
 	err := buildFault.Err()
 	if err == nil {
 		sess, cache, err = g.req.Spec.NewSessionConfig(g.req.Config, g.req.Arch.NewProvider(g.req.Spec))
-	}
-	if err == nil && cache != nil {
-		s.planStore(cache.Shared(), g.req)
-		if g.warmOnBuild {
-			installPlan(cache.Shared(), g.prewarm)
-		}
 	}
 
 	s.mu.Lock()
@@ -642,36 +626,11 @@ func (s *Scheduler) build(g *schedGeom) {
 	}
 	s.mu.Unlock()
 	if g.warmOnBuild && cache != nil {
-		// A handed-off geometry prefills its planned blocks now, off the
-		// request path — the whole point of shipping the plan ahead of the
+		// A handed-off geometry prefills its resident blocks now, off the
+		// request path — the whole point of handing it off ahead of the
 		// traffic.
 		s.warmInBackground(cache.Shared())
 	}
-}
-
-// planStore installs the per-transmit residency plan on a geometry's
-// store. With no PlanWeights hook the cadence is uniform — every transmit
-// once per compound frame — and the weighted plan collapses to the store's
-// default interleaved prefix (delaycache.PlanUniform), so planning is a
-// no-op exactly when the default is already optimal.
-func (s *Scheduler) planStore(store *delaycache.Shared, req SessionRequest) {
-	if store == nil || store.FullResidency() {
-		return
-	}
-	var weights []float64
-	if s.cfg.PlanWeights != nil {
-		weights = s.cfg.PlanWeights(req)
-	}
-	if len(weights) != store.Transmits() {
-		weights = make([]float64, store.Transmits())
-		for i := range weights {
-			weights[i] = 1
-		}
-	}
-	// Quotas computed from demand can only be invalid if PlanWeights
-	// returned garbage arity (handled above), so the error is impossible
-	// by construction; ignore defensively rather than fail the build.
-	_ = store.Plan(delaycache.PlanWeighted(store.ResidentBlocks(), store.Depths(), weights))
 }
 
 // run is a geometry's dispatch loop: acquire a core slot, take the next
@@ -1087,7 +1046,6 @@ type SchedGeometryStats struct {
 	Building    bool              `json:"building,omitempty"`
 	IdleForSec  float64           `json:"idle_for_sec"`
 	HitRate     float64           `json:"cache_hit_rate"`
-	Plan        []int             `json:"plan,omitempty"` // per-transmit residency quotas
 	Cache       *delaycache.Stats `json:"cache,omitempty"`
 }
 
@@ -1170,11 +1128,9 @@ func (s *Scheduler) Stats() SchedulerStats {
 			gs.Frames = g.sess.Frames()
 		}
 		if g.cache != nil {
-			store := g.cache.Shared()
-			cs := store.Stats()
+			cs := g.cache.Shared().Stats()
 			gs.Cache = &cs
 			gs.HitRate = cs.HitRate()
-			gs.Plan = store.PlanQuota()
 		}
 		for lane := range g.lanes {
 			laneQueued[lane] += len(g.lanes[lane])

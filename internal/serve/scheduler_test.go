@@ -423,17 +423,21 @@ func TestSchedulerGeometryCapEvictsColdest(t *testing.T) {
 	}
 }
 
-// TestSchedulerPlanWeights: the compound-aware budget plan reaches the
-// geometry's delay store — skewed per-transmit cadence reshapes residency
-// quotas (visible in stats) — without changing beamformed bytes.
-func TestSchedulerPlanWeights(t *testing.T) {
+// TestSchedulerStoreKeepsInterleavedPrefix: a compound geometry the
+// scheduler builds runs its delay store under the one residency rule — the
+// interleaved (nappe, transmit) prefix of its budget — and serves the solo
+// session's bytes. An odd block count tells the interleaved prefix from any
+// transmit-major split.
+func TestSchedulerStoreKeepsInterleavedPrefix(t *testing.T) {
 	req := tinyRequest()
 	req.Config.Transmits = delayAxialSet(2, req.Spec)
-	req.Config.CacheBudget = tinyBudgetHalf(req.Spec, 2)
+	vol := req.Spec.Volume()
+	blockBytes := 2 * int64(vol.Theta.N*vol.Phi.N*req.Spec.ElemX*req.Spec.ElemY)
+	const resident = 7
+	req.Config.CacheBudget = resident * blockBytes
 	frames := scaledTinyFrames(t, req.Spec, 2)
 	tx := [][]rf.EchoBuffer{frames[0], frames[1]}
 
-	// Solo reference under the default uniform plan.
 	sess, cache, err := req.Spec.NewSessionConfig(req.Config, req.Arch.NewProvider(req.Spec))
 	if err != nil {
 		t.Fatal(err)
@@ -444,33 +448,46 @@ func TestSchedulerPlanWeights(t *testing.T) {
 	}
 	destroySession(sess, cache)
 
-	sched := NewScheduler(SchedulerConfig{
-		PlanWeights: func(SessionRequest) []float64 { return []float64{3, 1} },
-	})
+	sched := NewScheduler(SchedulerConfig{})
 	defer sched.Close()
-	got, err := sched.Submit(context.Background(), req, tx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.Data {
-		if ref.Data[i] != got.Data[i] {
-			t.Fatalf("planned store changes beamformed bytes at %d", i)
+	var hits [2]int64
+	for frame := range hits {
+		got, err := sched.Submit(context.Background(), req, tx)
+		if err != nil {
+			t.Fatal(err)
 		}
+		for i := range ref.Data {
+			if ref.Data[i] != got.Data[i] {
+				t.Fatalf("frame %d: scheduled store changes beamformed bytes at %d", frame, i)
+			}
+		}
+		st := sched.Stats()
+		if len(st.Geometries) != 1 || st.Geometries[0].Cache == nil {
+			t.Fatalf("geometries: %+v", st.Geometries)
+		}
+		if cs := st.Geometries[0].Cache; cs.ResidentBlocks != resident {
+			t.Fatalf("resident blocks %d, want %d", cs.ResidentBlocks, resident)
+		}
+		hits[frame] = st.Geometries[0].Cache.Hits
 	}
-	st := sched.Stats()
-	if len(st.Geometries) != 1 {
-		t.Fatalf("geometries: %+v", st.Geometries)
+	if d := hits[1] - hits[0]; d != resident {
+		t.Errorf("a warm frame hit %d blocks, want the %d-block prefix", d, resident)
 	}
-	resident := 0
-	for _, q := range st.Geometries[0].Plan {
-		resident += q
+
+	sched.mu.Lock()
+	var store *delaycache.Shared
+	for _, g := range sched.geoms {
+		store = g.cache.Shared()
 	}
-	want := delaycache.PlanWeighted(resident, req.Spec.FocalDepth, []float64{3, 1})
-	if len(st.Geometries[0].Plan) != 2 || st.Geometries[0].Plan[0] != want[0] {
-		t.Errorf("installed plan %v, want %v", st.Geometries[0].Plan, want)
-	}
-	if st.Geometries[0].Plan[0] <= st.Geometries[0].Plan[1] {
-		t.Errorf("skewed weights did not skew the plan: %v", st.Geometries[0].Plan)
+	sched.mu.Unlock()
+	view := store.Attach()
+	defer view.Detach()
+	for tx := 0; tx < 2; tx++ {
+		for id := 0; id < vol.Depth.N; id++ {
+			if got, want := view.Nappe16T(tx, id) != nil, id*2+tx < resident; got != want {
+				t.Errorf("tx %d nappe %d resident = %v, want %v", tx, id, got, want)
+			}
+		}
 	}
 }
 

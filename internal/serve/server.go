@@ -62,10 +62,10 @@ const deadlineGrace = 50 * time.Millisecond
 //	POST /v1/beamform   RF wire frames → volume/scanline
 //	GET  /v1/healthz    liveness (503 + drain progress while draining)
 //	GET  /v1/stats      scheduler + shared-cache + wire statistics (JSON)
-//	GET  /v1/plans      residency-plan export (the cluster handoff source —
-//	                    answers during drain)
-//	POST /v1/prewarm    residency-plan import: build + plan + warm one
-//	                    geometry ahead of its traffic (202 Accepted)
+//	GET  /v1/plans      live-geometry export as canonical queries (the
+//	                    cluster handoff source — answers during drain)
+//	POST /v1/prewarm    handoff import: build + warm one geometry ahead of
+//	                    its traffic (202 Accepted)
 //
 // /v1/beamform query parameters:
 //
@@ -211,9 +211,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handlePlans exports the scheduler's live geometries as residency plans —
+// handlePlans exports the scheduler's live geometries as canonical queries —
 // the warm-store handoff source. Deliberately not gated on draining: a
-// draining node is exactly the one whose plans the router wants.
+// draining node is exactly the one whose geometries the router wants.
 func (s *Server) handlePlans(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -223,9 +223,11 @@ func (s *Server) handlePlans(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handlePrewarm imports one residency plan: body {"query": "...", "quota":
-// [...]} as exported by /v1/plans. Replies 202 — the fill proceeds in the
-// background; the geometry serves (lazily filling) immediately.
+// handlePrewarm imports one geometry: body {"query": "..."} as exported by
+// /v1/plans. Unknown fields are ignored, so the per-transmit "quota" an
+// older exporter still sends is accepted and has no effect. Replies 202 —
+// the fill proceeds in the background; the geometry serves (lazily
+// filling) immediately.
 func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 	var plan ResidencyPlan
 	body := http.MaxBytesReader(w, r.Body, 1<<20)
@@ -243,7 +245,7 @@ func (s *Server) handlePrewarm(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, perr)
 		return
 	}
-	if err := s.cfg.Scheduler.Prewarm(opts.Request, plan.Quota); err != nil {
+	if err := s.cfg.Scheduler.Prewarm(opts.Request); err != nil {
 		s.writeError(w, err)
 		return
 	}
