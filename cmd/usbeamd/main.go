@@ -9,7 +9,7 @@
 // Usage:
 //
 //	usbeamd [-addr :8642] [-stream-addr :8643] [-max-geometries N]
-//	        [-max-queue N] [-max-batch N] [-core-slots N] [-idle-ttl 5m]
+//	        [-max-queue N] [-max-batch N] [-idle-ttl 5m]
 //	        [-acquire-timeout 10s] [-max-body 256MiB] [-drain-timeout 30s]
 //
 // SIGTERM (or interrupt) triggers a graceful drain: /v1/healthz flips to 503
@@ -59,7 +59,6 @@ func main() {
 	maxGeometries := flag.Int("max-geometries", 4, "warm geometries the scheduler keeps hot")
 	maxQueue := flag.Int("max-queue", 64, "queued frames per geometry before 503")
 	maxBatch := flag.Int("max-batch", 4, "frames fused into one scheduler dispatch")
-	coreSlots := flag.Int("core-slots", 1, "geometries beamforming concurrently (scheduler turnstile width)")
 	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict geometries idle this long (0 = never)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max time a request may queue for a session")
 	maxBody := flag.Int64("max-body", 256<<20, "request body byte cap")
@@ -84,7 +83,6 @@ func main() {
 		MaxGeometries: *maxGeometries,
 		MaxQueue:      *maxQueue,
 		MaxBatch:      *maxBatch,
-		CoreSlots:     *coreSlots,
 		IdleTTL:       *idleTTL,
 	})
 	srv, err := serve.NewServer(serve.ServerConfig{

@@ -19,11 +19,12 @@
 // it exits.
 //
 // The router exposes the same /v1 surface as a single daemon — /v1/beamform
-// proxied to the owner with the response (status, Retry-After, everything)
-// copied through verbatim, /v1/healthz for the cluster, /v1/stats
+// reverse-proxied to the owner with the response (status, Retry-After,
+// body) crossing verbatim, /v1/healthz for the cluster, /v1/stats
 // aggregating router counters with every node's own stats — plus the cine
 // stream transport on -stream-addr, re-homed to the next owner mid-stream
-// if a backend drains or dies.
+// if a backend drains or dies. A stream that spends -retries reconnects
+// without an answer is closed, and the client re-homes through the router.
 //
 // SIGTERM closes the listeners; in-flight requests and streams finish.
 package main
@@ -54,7 +55,7 @@ func main() {
 	healthInterval := flag.Duration("health-interval", time.Second, "backend /v1/healthz probe period")
 	healthTimeout := flag.Duration("health-timeout", 2*time.Second, "per-probe (and backend dial) timeout")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per backend on the hash ring")
-	retries := flag.Int("retries", 5, "consecutive re-home attempts before a relayed stream gives up")
+	retries := flag.Int("retries", 5, "re-home attempts without an answered compound before a relayed stream gives up")
 	maxBody := flag.Int64("max-body", 256<<20, "request body byte cap")
 	flag.Parse()
 

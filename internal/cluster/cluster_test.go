@@ -107,6 +107,12 @@ func startRouter(t *testing.T, nodes ...*node) (*Router, string, string) {
 	for _, n := range nodes {
 		backends = append(backends, n.be)
 	}
+	return serveRouter(t, backends...)
+}
+
+// serveRouter is startRouter over any backends, stubs included.
+func serveRouter(t *testing.T, backends ...Backend) (*Router, string, string) {
+	t.Helper()
 	r := New(Config{Backends: backends, HealthInterval: 100 * time.Millisecond, Retries: 8, Logf: t.Logf})
 	r.CheckNow(context.Background())
 	hts := httptest.NewServer(r.Handler())
@@ -408,9 +414,7 @@ func TestRebalanceOnDrain(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	r.Rebalance(ctx)
-	r.stats.Lock()
-	prewarms := r.stats.PrewarmsSent
-	r.stats.Unlock()
+	prewarms := r.stats.PrewarmsSent.Load()
 	if prewarms < 1 {
 		t.Errorf("rebalance shipped %d plans, want ≥1", prewarms)
 	}
@@ -503,9 +507,7 @@ func TestStreamRehomeMidStream(t *testing.T) {
 	if s.Reconnects() != 0 {
 		t.Errorf("client reconnected %d times — the re-home leaked through the proxy", s.Reconnects())
 	}
-	r.stats.Lock()
-	rehomes := r.stats.Rehomes
-	r.stats.Unlock()
+	rehomes := r.stats.Rehomes.Load()
 	if rehomes < 1 {
 		t.Error("router never re-homed the stream")
 	}

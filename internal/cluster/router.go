@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httputil"
 	"net/url"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ultrabeam/internal/serve"
@@ -45,15 +49,17 @@ type Config struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one probe. <=0 defaults to 2s.
 	HealthTimeout time.Duration
-	// HTTP overrides the proxy/probe client (nil = http.DefaultClient).
+	// HTTP overrides the probe client and, through its Transport, the
+	// proxy's (nil = http.DefaultClient).
 	HTTP *http.Client
 	// VNodes per backend on the ring (<=0 = DefaultVNodes).
 	VNodes int
 	// MaxBodyBytes caps one proxied request body. <=0 defaults to 256 MiB
 	// (the serve default).
 	MaxBodyBytes int64
-	// Retries bounds a stream re-home's consecutive reconnect attempts.
-	// <=0 defaults to 5.
+	// Retries bounds a relayed stream's reconnects with no answered
+	// compound in between; a relay out of budget closes the client
+	// connection. <=0 defaults to 5.
 	Retries int
 	// Logf receives routing decisions (nil = silent).
 	Logf func(format string, args ...any)
@@ -80,15 +86,12 @@ type Router struct {
 	rebalanceMu sync.Mutex // serializes rebalance sweeps
 
 	stats struct {
-		sync.Mutex
-		Proxied      int64 `json:"proxied"`
-		Retried      int64 `json:"retried"`
-		NoBackend    int64 `json:"no_backend"`
-		Streams      int64 `json:"streams"`
-		Rehomes      int64 `json:"rehomes"`
-		Rebalances   int64 `json:"rebalances"`
-		PrewarmsSent int64 `json:"prewarms_sent"`
+		Proxied, Retried, NoBackend, Streams, Rehomes, Rebalances, PrewarmsSent atomic.Int64
 	}
+
+	// dialStream opens the connection under a backend stream leg (nil =
+	// TCP); tests inject fake legs here.
+	dialStream func(ctx context.Context, addr string) (net.Conn, error)
 
 	wg     sync.WaitGroup
 	closed chan struct{}
@@ -261,8 +264,9 @@ func (r *Router) markUnhealthy(name, reason string) {
 	r.kickRebalance()
 }
 
-// owner resolves a fingerprint to its current owner.
-func (r *Router) owner(fp string) (Backend, bool) {
+// Owner resolves a fingerprint to its current owner (routing, stats,
+// tests, ops).
+func (r *Router) Owner(fp string) (Backend, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	name := r.ring.Owner(fp)
@@ -271,9 +275,6 @@ func (r *Router) owner(fp string) (Backend, bool) {
 	}
 	return r.state[name].b, true
 }
-
-// Owner exposes fingerprint→backend resolution (stats, tests, ops).
-func (r *Router) Owner(fp string) (Backend, bool) { return r.owner(fp) }
 
 // kickRebalance runs one query-shipping sweep in the background.
 func (r *Router) kickRebalance() {
@@ -298,9 +299,7 @@ func (r *Router) kickRebalance() {
 func (r *Router) Rebalance(ctx context.Context) {
 	r.rebalanceMu.Lock()
 	defer r.rebalanceMu.Unlock()
-	r.stats.Lock()
-	r.stats.Rebalances++
-	r.stats.Unlock()
+	r.stats.Rebalances.Add(1)
 
 	r.mu.Lock()
 	var sources []Backend
@@ -318,12 +317,13 @@ func (r *Router) Rebalance(ctx context.Context) {
 			continue
 		}
 		for _, p := range plans {
-			fp, err := fingerprintOf(p.Query)
+			opts, err := parseQuery(p.Query)
 			if err != nil {
 				r.logf("cluster: unparseable plan from %s: %v", src.name(), err)
 				continue
 			}
-			dst, ok := r.owner(fp)
+			fp := opts.Fingerprint()
+			dst, ok := r.Owner(fp)
 			if !ok || dst.name() == src.name() {
 				continue
 			}
@@ -331,9 +331,7 @@ func (r *Router) Rebalance(ctx context.Context) {
 				r.logf("cluster: prewarm %s on %s: %v", fp, dst.name(), err)
 				continue
 			}
-			r.stats.Lock()
-			r.stats.PrewarmsSent++
-			r.stats.Unlock()
+			r.stats.PrewarmsSent.Add(1)
 			r.logf("cluster: re-homed plan %s: %s → %s", fp, src.name(), dst.name())
 		}
 	}
@@ -385,19 +383,15 @@ func (r *Router) sendPrewarm(ctx context.Context, b Backend, p serve.ResidencyPl
 	return nil
 }
 
-// fingerprintOf derives the shard key of a /v1 query string — the same
-// ParseOptions the backends run, so router and node can never disagree
-// about a session's identity.
-func fingerprintOf(query string) (string, error) {
+// parseQuery parses a /v1 query string (a plan's, a stream hello's) with
+// the same ParseOptions the backends run, so router and node can never
+// disagree about a session's identity — its Fingerprint, the shard key.
+func parseQuery(query string) (serve.RequestOptions, error) {
 	q, err := url.ParseQuery(query)
 	if err != nil {
-		return "", err
+		return serve.RequestOptions{}, fmt.Errorf("bad query: %w", err)
 	}
-	opts, err := serve.ParseOptions(q, nil)
-	if err != nil {
-		return "", err
-	}
-	return opts.Fingerprint(), nil
+	return serve.ParseOptions(q, nil)
 }
 
 // Handler returns the router's HTTP face: /v1/beamform proxied by shard
@@ -410,13 +404,14 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// handleBeamform proxies one request to the owner of its fingerprint.
-// The backend's response crosses verbatim — status, Retry-After and all:
-// a 503's Retry-After is derived from that node's actual queue depth, so
-// the router forwarding it unchanged is strictly better advice than
-// anything it could synthesize. The router synthesizes a 503 only when no
-// backend is available at all. A dial failure demotes the backend and
-// retries once on the recomputed owner.
+// handleBeamform proxies one request to the owner of its fingerprint
+// through an httputil.ReverseProxy. The backend's response crosses
+// verbatim — status, Retry-After and all, less the hop-by-hop headers: a
+// 503's Retry-After is derived from that node's actual queue depth, so the
+// router forwarding it unchanged is strictly better advice than anything
+// it could synthesize. The router synthesizes a 503 only when no backend
+// is available at all. A failed round trip demotes the backend and retries
+// once on the recomputed owner, which is why the body is buffered first.
 func (r *Router) handleBeamform(w http.ResponseWriter, req *http.Request) {
 	opts, err := serve.ParseOptions(req.URL.Query(), req.Header)
 	if err != nil {
@@ -426,55 +421,48 @@ func (r *Router) handleBeamform(w http.ResponseWriter, req *http.Request) {
 	fp := opts.Fingerprint()
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, r.cfg.MaxBodyBytes))
 	if err != nil {
-		http.Error(w, fmt.Sprintf("reading body: %v", err), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			status = http.StatusRequestEntityTooLarge // the node's answer to the same body
+		}
+		http.Error(w, fmt.Sprintf("reading body: %v", err), status)
 		return
 	}
 	for attempt := 0; ; attempt++ {
-		b, ok := r.owner(fp)
+		b, ok := r.Owner(fp)
 		if !ok {
 			r.noBackend(w)
 			return
 		}
-		u := "http://" + b.Addr + "/v1/beamform"
-		if req.URL.RawQuery != "" {
-			u += "?" + req.URL.RawQuery
+		var failed error
+		proxy := &httputil.ReverseProxy{
+			Rewrite: func(pr *httputil.ProxyRequest) {
+				pr.SetURL(&url.URL{Scheme: "http", Host: b.Addr})
+				// GetBody lets the transport replay the body on a stale
+				// keep-alive connection instead of failing the round trip.
+				pr.Out.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+				pr.Out.Body, _ = pr.Out.GetBody()
+				pr.Out.ContentLength, pr.Out.TransferEncoding = int64(len(body)), nil
+			},
+			Transport: r.httpc().Transport,
+			ModifyResponse: func(resp *http.Response) error {
+				resp.Header.Set("X-Ultrabeam-Backend", b.name())
+				r.stats.Proxied.Add(1)
+				return nil
+			},
+			ErrorHandler: func(_ http.ResponseWriter, _ *http.Request, err error) { failed = err },
 		}
-		preq, err := http.NewRequestWithContext(req.Context(), http.MethodPost, u, bytes.NewReader(body))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+		proxy.ServeHTTP(w, req)
+		if failed == nil || req.Context().Err() != nil {
+			return // answered, or the client is gone and nothing is owed
+		}
+		r.markUnhealthy(b.name(), fmt.Sprintf("proxy: %v", failed))
+		if attempt > 0 {
+			http.Error(w, fmt.Sprintf("backend %s: %v", b.name(), failed), http.StatusBadGateway)
 			return
 		}
-		copyHeaders(preq.Header, req.Header)
-		resp, err := r.httpc().Do(preq)
-		if err != nil {
-			if req.Context().Err() != nil {
-				return // client gone; nothing to answer
-			}
-			r.markUnhealthy(b.name(), fmt.Sprintf("proxy: %v", err))
-			if attempt == 0 {
-				r.stats.Lock()
-				r.stats.Retried++
-				r.stats.Unlock()
-				continue
-			}
-			http.Error(w, fmt.Sprintf("backend %s: %v", b.name(), err), http.StatusBadGateway)
-			return
-		}
-		copyHeaders(w.Header(), resp.Header)
-		w.Header().Set("X-Ultrabeam-Backend", b.name())
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-		resp.Body.Close()
-		r.stats.Lock()
-		r.stats.Proxied++
-		r.stats.Unlock()
-		return
-	}
-}
-
-func copyHeaders(dst, src http.Header) {
-	for k, vs := range src {
-		dst[k] = append([]string(nil), vs...)
+		r.stats.Retried.Add(1)
 	}
 }
 
@@ -482,13 +470,8 @@ func copyHeaders(dst, src http.Header) {
 // forward to there is no queue-derived hint to pass through, so the
 // Retry-After is the health interval — the soonest the ring can change.
 func (r *Router) noBackend(w http.ResponseWriter) {
-	r.stats.Lock()
-	r.stats.NoBackend++
-	r.stats.Unlock()
-	secs := int(r.cfg.HealthInterval / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
+	r.stats.NoBackend.Add(1)
+	secs := max(1, int(r.cfg.HealthInterval/time.Second))
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	http.Error(w, "no backend available", http.StatusServiceUnavailable)
 }
@@ -547,14 +530,12 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 		}
 		cancel()
 	}
-	r.stats.Lock()
 	router := map[string]int64{
-		"proxied": r.stats.Proxied, "retried": r.stats.Retried,
-		"no_backend_503s": r.stats.NoBackend, "streams": r.stats.Streams,
-		"stream_rehomes": r.stats.Rehomes, "rebalances": r.stats.Rebalances,
-		"prewarms_sent": r.stats.PrewarmsSent,
+		"proxied": r.stats.Proxied.Load(), "retried": r.stats.Retried.Load(),
+		"no_backend_503s": r.stats.NoBackend.Load(), "streams": r.stats.Streams.Load(),
+		"stream_rehomes": r.stats.Rehomes.Load(), "rebalances": r.stats.Rebalances.Load(),
+		"prewarms_sent": r.stats.PrewarmsSent.Load(),
 	}
-	r.stats.Unlock()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -6,11 +6,10 @@ import (
 	"errors"
 	"io"
 	"net"
-	"net/url"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"ultrabeam/internal/serve"
 	"ultrabeam/internal/wire"
 	"ultrabeam/pkg/client"
 )
@@ -25,10 +24,12 @@ import (
 // The one thing the relay interprets is the drain contract. A backend
 // GOAWAY is hop-by-hop: the proxy consumes it, demotes the backend,
 // re-homes the stream to the fingerprint's next owner and resends every
-// unanswered compound in order — the client sees nothing but latency.
-// That works because the proxy buffers each compound before forwarding
-// (a backend never receives a torn compound) and because an unanswered
-// compound was, by the drain contract, never beamformed.
+// unanswered compound in order (wire.Resender, the same machine the SDK
+// runs) — the client sees nothing but latency. That works because the
+// proxy buffers each compound before forwarding (a backend never receives
+// a torn compound) and because an unanswered compound was, by the drain
+// contract, never beamformed. A relay out of retry budget closes the
+// client connection, and the client re-homes through the router.
 
 // ServeStream accepts client cine connections on ln until the listener
 // closes or ctx is done, relaying each to its geometry's owner.
@@ -68,18 +69,19 @@ func (t *errTrackWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// streamRelay is one routed cine stream. The resend machine (legs) is the
+// SDK's; what is the relay's own is the owner lookup, the hop-by-hop
+// GOAWAY, demoting a backend on direct evidence, and closing the backend
+// leg once the client has finished sending.
 type streamRelay struct {
-	r      *Router
-	query  string
-	fp     string
-	wantTx int
-	client net.Conn
-
-	mu          sync.Mutex
-	backend     net.Conn
-	backendName string
-	pending     [][]byte // raw unanswered compounds, oldest first
-	readerDone  bool
+	r       *Router
+	query   string
+	fp      string
+	wantTx  int
+	client  net.Conn
+	legs    *wire.Resender
+	backend string      // the current leg's owner; only the reply half dials
+	done    atomic.Bool // the client finished sending
 }
 
 func (r *Router) relayStream(ctx context.Context, conn net.Conn) {
@@ -90,12 +92,7 @@ func (r *Router) relayStream(ctx context.Context, conn net.Conn) {
 	if err != nil {
 		return
 	}
-	q, err := url.ParseQuery(query)
-	if err != nil {
-		wire.WriteHelloReply(conn, 1, "bad query: "+err.Error())
-		return
-	}
-	opts, err := serve.ParseOptions(q, nil)
+	opts, err := parseQuery(query)
 	if err != nil {
 		wire.WriteHelloReply(conn, 1, err.Error())
 		return
@@ -105,43 +102,52 @@ func (r *Router) relayStream(ctx context.Context, conn net.Conn) {
 		wantTx: max(1, len(opts.Request.Config.Transmits)), client: conn,
 	}
 	// First leg before acking the client's hello: a cluster with no owner
-	// (or one that refuses streams) refuses the hello with the reason.
-	if err := s.connectLocked(ctx); err != nil {
-		wire.WriteHelloReply(conn, 1, err.Error())
+	// refuses the hello with the reason, and an owner's refusal crosses as
+	// the answer to the client's own hello.
+	leg, err := s.dialLeg(ctx)
+	if err != nil {
+		status, msg := uint8(1), err.Error()
+		var refused *wire.RemoteError
+		if errors.As(err, &refused) {
+			status, msg = refused.Status, refused.Msg
+		}
+		wire.WriteHelloReply(conn, status, msg)
 		return
 	}
-	defer func() {
-		s.mu.Lock()
-		if s.backend != nil {
-			s.backend.Close()
-		}
-		s.mu.Unlock()
-	}()
+	wait := func(attempt int) { time.Sleep(client.Backoff(attempt-1, "")) }
+	s.legs = wire.NewResender(leg, s.dialLeg, wait, r.cfg.Retries)
+	defer s.legs.Close()
 	if err := wire.WriteHelloReply(conn, 0, "ok"); err != nil {
 		return
 	}
-	r.stats.Lock()
-	r.stats.Streams++
-	r.stats.Unlock()
+	r.stats.Streams.Add(1)
 
-	writerErr := make(chan error, 1)
-	go func() { writerErr <- s.relayReplies(ctx) }()
+	replies := make(chan struct{})
+	go func() {
+		defer close(replies)
+		// Whether everything owed was answered, the client left or the
+		// retry budget ran out, the client connection is over: closing it
+		// ends relayFrames, and a client still owed answers re-homes
+		// through the router itself.
+		defer conn.Close()
+		if err := s.relayReplies(ctx); err != nil {
+			r.logf("cluster: stream for %s over: %v", s.fp, err)
+		}
+	}()
 	s.relayFrames()
-	<-writerErr
+	<-replies
 }
 
-// relayFrames is the client→backend half: read one full compound,
-// remember it as pending, forward it. Buffering the compound first means
-// a backend swap mid-upload can never leave a torn compound behind.
+// relayFrames is the client→backend half: read one full compound and hand
+// it to the resend machine. Buffering the compound first means a backend
+// swap mid-upload can never leave a torn compound behind.
 func (s *streamRelay) relayFrames() {
 	defer func() {
-		s.mu.Lock()
-		s.readerDone = true
-		// Wake a writer blocked on a backend read with nothing left owed.
-		if len(s.pending) == 0 && s.backend != nil {
-			s.backend.Close()
+		s.done.Store(true)
+		// Wake a reply half blocked on a leg that owes nothing more.
+		if s.legs.Pending() == 0 {
+			s.legs.Close()
 		}
-		s.mu.Unlock()
 	}()
 	for {
 		var buf bytes.Buffer
@@ -157,138 +163,72 @@ func (s *streamRelay) relayFrames() {
 				return
 			}
 		}
-		s.mu.Lock()
-		s.pending = append(s.pending, buf.Bytes())
-		if s.backend != nil {
-			if _, err := s.backend.Write(buf.Bytes()); err != nil {
-				// Broken leg: the reply side notices and re-homes; this
-				// compound is pending and will be resent there.
-				s.backend.Close()
-				s.backend = nil
-			}
+		if s.legs.Send(buf.Bytes()) != nil {
+			return
 		}
-		s.mu.Unlock()
 	}
 }
 
 // relayReplies is the backend→client half: forward answers in order, ack
-// pending compounds, and re-home on GOAWAY or a dead backend.
+// pending compounds, and re-home on GOAWAY or a dead leg. It returns once
+// the client has finished sending and everything it sent is answered.
 func (s *streamRelay) relayReplies(ctx context.Context) error {
-	for {
-		s.mu.Lock()
-		done := s.readerDone && len(s.pending) == 0
-		conn := s.backend
-		s.mu.Unlock()
-		if done {
-			return nil
-		}
-		if conn == nil {
-			if err := s.rehome(ctx); err != nil {
+	for !s.done.Load() || s.legs.Pending() > 0 {
+		leg := s.legs.Leg()
+		if leg == nil {
+			if err := s.legs.Rehome(ctx); err != nil {
 				return err
 			}
+			s.r.stats.Rehomes.Add(1)
+			s.r.logf("cluster: stream re-homed to %s (%d compounds resent)", s.backend, s.legs.Pending())
 			continue
 		}
 		tw := &errTrackWriter{w: s.client}
-		status, err := wire.CopyVolume(tw, conn, 0)
-		if err != nil {
-			if tw.err != nil {
-				return tw.err // client gone; the relay is over
-			}
-			s.dropBackend(conn, "stream read: "+err.Error())
-			continue
-		}
-		if status == wire.StatusGoAway {
+		status, err := wire.CopyVolume(tw, leg, 0)
+		switch {
+		case tw.err != nil:
+			return tw.err // client gone; the relay is over
+		case err != nil:
+			s.drop(leg, "stream read: "+err.Error())
+		case status == wire.StatusGoAway:
 			// Hop-by-hop drain notice (already consumed, not forwarded):
 			// this backend answers nothing more we are owed.
-			s.r.markUnhealthy(s.backendName, "stream GOAWAY")
-			s.dropBackend(conn, "goaway")
-			continue
+			s.r.markUnhealthy(s.backend, "stream GOAWAY")
+			s.drop(leg, "goaway")
+		default:
+			s.legs.Ack()
 		}
-		s.ackOne()
 	}
+	return nil
 }
 
-func (s *streamRelay) ackOne() {
-	s.mu.Lock()
-	if len(s.pending) > 0 {
-		s.pending = s.pending[1:]
-	}
-	if s.readerDone && len(s.pending) == 0 && s.backend != nil {
-		// Everything owed is answered and no more is coming: release the
-		// backend leg so both halves wind down.
-		s.backend.Close()
-		s.backend = nil
-	}
-	s.mu.Unlock()
+func (s *streamRelay) drop(leg net.Conn, reason string) {
+	s.legs.Drop(leg)
+	s.r.logf("cluster: stream leg to %s dropped (%s); %d compounds pending", s.backend, reason, s.legs.Pending())
 }
 
-func (s *streamRelay) dropBackend(conn net.Conn, reason string) {
-	s.mu.Lock()
-	if s.backend == conn {
-		conn.Close()
-		s.backend = nil
-		s.r.logf("cluster: stream leg to %s dropped (%s); %d compounds pending", s.backendName, reason, len(s.pending))
-	}
-	s.mu.Unlock()
-}
-
-// rehome re-resolves the fingerprint's owner (membership may just have
-// changed — often because this very stream observed the GOAWAY), opens a
-// new leg and resends every unanswered compound in order. Consecutive
-// failures back off with jitter and give up after the retry budget; any
-// answered compound resets the count via connectLocked's success path.
-func (s *streamRelay) rehome(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for attempt := 0; ; attempt++ {
-		if s.readerDone && len(s.pending) == 0 {
-			return nil
-		}
-		if attempt > s.r.cfg.Retries {
-			return errors.New("cluster: stream re-home exhausted retries")
-		}
-		if attempt > 0 {
-			time.Sleep(client.Backoff(attempt-1, ""))
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if err := s.connectLocked(ctx); err != nil {
-			s.r.logf("cluster: stream re-home for %s: %v", s.fp, err)
-			continue
-		}
-		s.r.stats.Lock()
-		s.r.stats.Rehomes++
-		s.r.stats.Unlock()
-		s.r.logf("cluster: stream re-homed to %s (%d compounds resent)", s.backendName, len(s.pending))
-		return nil
-	}
-}
-
-// connectLocked opens a leg to the current owner and replays the pending
-// backlog. Callers hold s.mu (or own s exclusively, before the relay
-// starts).
-func (s *streamRelay) connectLocked(ctx context.Context) error {
-	owner, ok := s.r.owner(s.fp)
+// dialLeg opens a leg to the fingerprint's current owner. A transport
+// failure is direct evidence and demotes the owner; a refused hello (a
+// node at its stream cap, say) is the node's answer and demotes nothing.
+func (s *streamRelay) dialLeg(ctx context.Context) (net.Conn, error) {
+	owner, ok := s.r.Owner(s.fp)
 	if !ok {
-		return errors.New("no backend available")
+		return nil, errors.New("no backend available")
 	}
 	if owner.StreamAddr == "" {
-		return errors.New("owner " + owner.name() + " takes no streams")
+		return nil, errors.New("owner " + owner.name() + " takes no streams")
 	}
 	dctx, cancel := context.WithTimeout(ctx, s.r.cfg.HealthTimeout)
-	conn, err := client.DialHello(dctx, nil, owner.StreamAddr, s.query)
-	cancel()
+	defer cancel()
+	leg, err := client.DialHello(dctx, s.r.dialStream, owner.StreamAddr, s.query)
 	if err != nil {
-		s.r.markUnhealthy(owner.name(), "stream dial: "+err.Error())
-		return err
-	}
-	for _, c := range s.pending {
-		if _, err := conn.Write(c); err != nil {
-			conn.Close()
-			return err
+		s.r.logf("cluster: stream leg to %s for %s: %v", owner.name(), s.fp, err)
+		var refused *wire.RemoteError
+		if !errors.As(err, &refused) {
+			s.r.markUnhealthy(owner.name(), "stream dial: "+err.Error())
 		}
+		return nil, err
 	}
-	s.backend, s.backendName = conn, owner.name()
-	return nil
+	s.backend = owner.name()
+	return leg, nil
 }

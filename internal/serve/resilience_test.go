@@ -22,7 +22,7 @@ import (
 // deadline passes while it waits in queue fails with ErrExpired before it
 // ever reaches a core slot, and the expiry shows up in the stats.
 func TestSchedulerDeadlineExpiresInQueue(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 8, CoreSlots: 1})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 8})
 	defer sched.Close()
 	req := tinyRequest()
 	req.Lane = LaneBulk
@@ -72,7 +72,7 @@ func TestSchedulerDeadlineExpiresInQueue(t *testing.T) {
 // TestSchedulerDrain: Drain finishes every frame already queued, refuses
 // new ones with ErrDraining, and returns once the queues are empty.
 func TestSchedulerDrain(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 16, CoreSlots: 1})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 16})
 	defer sched.Close()
 	req := tinyRequest()
 	req.Lane = LaneBulk
@@ -127,7 +127,7 @@ func TestSchedulerDrain(t *testing.T) {
 // TestSchedulerDrainTimeout: a Drain whose context expires returns the
 // context error instead of hanging on a plugged queue.
 func TestSchedulerDrainTimeout(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{CoreSlots: 1})
+	sched := NewScheduler(SchedulerConfig{})
 	defer sched.Close()
 	req := tinyRequest()
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
@@ -150,7 +150,7 @@ func TestSchedulerDrainTimeout(t *testing.T) {
 // alongside them completes normally.
 func TestSchedulerPressureLadder(t *testing.T) {
 	sched := NewScheduler(SchedulerConfig{
-		MaxQueue: 16, MaxBatch: 2, CoreSlots: 1,
+		MaxQueue: 16, MaxBatch: 2,
 		PressureWindow: time.Millisecond,
 	})
 	defer sched.Close()
@@ -229,7 +229,7 @@ func TestSchedulerPressureLadder(t *testing.T) {
 // bulk batches beyond MaxBatch (amortizing harder instead of shedding).
 func TestSchedulerPressureInflatesBulkBatches(t *testing.T) {
 	sched := NewScheduler(SchedulerConfig{
-		MaxQueue: 32, MaxBatch: 2, CoreSlots: 1,
+		MaxQueue: 32, MaxBatch: 2,
 		PressureWindow: time.Millisecond,
 	})
 	defer sched.Close()
@@ -275,7 +275,7 @@ func TestSchedulerPressureInflatesBulkBatches(t *testing.T) {
 // depth, not a constant — a deep backlog on a cold scheduler quotes its
 // assumed drain time, an idle one quotes the floor.
 func TestRetryAfterScalesWithBacklog(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 64, CoreSlots: 1})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	if got := sched.RetryAfterSeconds(); got != 1 {
 		t.Errorf("idle cold scheduler Retry-After = %d, want 1", got)
@@ -399,7 +399,7 @@ func TestServerDeadlineParsing(t *testing.T) {
 // TestServerExpiredDeadlineIs504: a frame dropped because its deadline
 // lapsed in queue maps to 504, distinct from the retryable 503 family.
 func TestServerExpiredDeadlineIs504(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 8, CoreSlots: 1})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 8})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)

@@ -15,10 +15,12 @@
 // Two priority lanes ride the same queue: every interactive frame of a
 // geometry dispatches before any bulk frame, so a live probe view preempts
 // a cine stream at the next batch boundary — MaxBatch bounds how long a
-// bulk batch can make an interactive frame wait. A turnstile of CoreSlots
-// tokens time-slices the core budget across geometries: a dispatch loop
-// acquires a slot per batch, so one geometry's bulk backlog cannot starve
-// another geometry (batch-boundary round-robin through the slot queue).
+// bulk batch can make an interactive frame wait. A one-token turnstile
+// time-slices the core budget across geometries: a dispatch loop holds the
+// token per batch, so one geometry's bulk backlog cannot starve another
+// geometry (batch-boundary round-robin through the token queue). Sessions
+// already parallelize internally across cores, so one geometry at a time
+// is the whole budget.
 //
 // Results are bit-identical to beamforming each frame alone:
 // BeamformBatch preserves each frame's accumulation order, batches fuse
@@ -102,12 +104,6 @@ type SchedulerConfig struct {
 	// frame waits at most one in-flight batch before preempting. <=0
 	// defaults to 4.
 	MaxBatch int
-	// CoreSlots is how many geometries may beamform concurrently — the
-	// time-slice width of the core budget. Sessions already parallelize
-	// internally across cores, so the default 1 (strict round-robin at
-	// batch boundaries) is right unless GOMAXPROCS far exceeds the depth
-	// count.
-	CoreSlots int
 	// IdleTTL evicts a geometry — its hot session and delay store — once
 	// nothing has used it for this long. 0 keeps geometries forever.
 	IdleTTL time.Duration
@@ -155,8 +151,8 @@ type Scheduler struct {
 	pressureRiseAt time.Time
 	pressureLevel  atomic.Int32
 
-	// slots is the core-budget turnstile: a dispatch loop holds a token
-	// for the duration of one batch. Waiting loops queue on the channel,
+	// slots is the core-budget turnstile, one token wide: a dispatch loop
+	// holds it for the duration of one batch. Waiting loops queue on the channel,
 	// which hands tokens out approximately FIFO — the time-slicing
 	// fairness mechanism.
 	slots chan struct{}
@@ -275,9 +271,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4
 	}
-	if cfg.CoreSlots <= 0 {
-		cfg.CoreSlots = 1
-	}
 	if cfg.PressureWindow <= 0 {
 		cfg.PressureWindow = 250 * time.Millisecond
 	}
@@ -287,7 +280,7 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	s := &Scheduler{
 		cfg:        cfg,
 		geoms:      map[string]*schedGeom{},
-		slots:      make(chan struct{}, cfg.CoreSlots),
+		slots:      make(chan struct{}, 1),
 		batchSizes: make([]atomic.Int64, cfg.MaxBatch),
 	}
 	if cfg.IdleTTL > 0 {
@@ -1056,7 +1049,6 @@ type SchedulerStats struct {
 	MaxGeometries int `json:"max_geometries"`
 	MaxQueue      int `json:"max_queue"`
 	MaxBatch      int `json:"max_batch"`
-	CoreSlots     int `json:"core_slots"`
 
 	GeometriesLive int `json:"geometries_live"`
 	Queued         int `json:"queued"`
@@ -1092,7 +1084,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 		MaxGeometries:   s.cfg.MaxGeometries,
 		MaxQueue:        s.cfg.MaxQueue,
 		MaxBatch:        s.cfg.MaxBatch,
-		CoreSlots:       s.cfg.CoreSlots,
 		Submits:         s.submits.Load(),
 		Completed:       s.completed.Load(),
 		Overloads:       s.overloads.Load(),

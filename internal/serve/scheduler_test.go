@@ -112,7 +112,7 @@ func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
 // whole backlog is provably queued before the interactive frame arrives,
 // then opens it and watches the completion sequence.
 func TestSchedulerLanePreemption(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, MaxQueue: 64, CoreSlots: 1})
+	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
@@ -166,7 +166,7 @@ func TestSchedulerLanePreemption(t *testing.T) {
 // provably queued: a tiny geometry's eight frames otherwise finish before
 // the other geometry's goroutines have been scheduled at all.
 func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, CoreSlots: 1, MaxQueue: 64})
+	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, MaxQueue: 64})
 	defer sched.Close()
 	reqA := tinyRequest()
 	reqA.Lane = LaneBulk

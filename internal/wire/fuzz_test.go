@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -160,6 +161,69 @@ func FuzzDecodeFrame(f *testing.F) {
 			if plane[d*stride+h.Window] != 0 {
 				t.Fatalf("guard slot of element %d written", d)
 			}
+		}
+	})
+}
+
+// FuzzReadHello throws arbitrary bytes at the hello parser — the first
+// thing a server or the cluster relay reads from an untrusted client. A
+// hello that parses must be exactly what WriteHello emits for its query,
+// and nothing past it may be consumed. Seeds: testdata/fuzz/FuzzReadHello
+// (a valid hello, an empty query, a bad magic, a truncated query, a length
+// past the input).
+func FuzzReadHello(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		q, err := ReadHello(r)
+		if err != nil {
+			return
+		}
+		var want bytes.Buffer
+		if err := WriteHello(&want, q); err != nil {
+			t.Fatalf("parsed query %q does not re-encode: %v", q, err)
+		}
+		if used := data[:len(data)-r.Len()]; !bytes.Equal(used, want.Bytes()) {
+			t.Fatalf("consumed %q, re-encodes as %q", used, want.Bytes())
+		}
+	})
+}
+
+// FuzzCopyVolume throws arbitrary bytes at the relay's volume copier — the
+// one parser of backend bytes on the cluster's stream path. The contract:
+// a failed copy writes nothing toward the client; a GOAWAY is consumed and
+// writes nothing; any other message crosses verbatim and alone; and every
+// message ReadVolume accepts (or reports as a remote error) relays. Seeds:
+// testdata/fuzz/FuzzCopyVolume (OK, error and GOAWAY statuses, a truncated
+// payload, a bad magic, non-zero reserved bytes, an oversized length).
+func FuzzCopyVolume(f *testing.F) {
+	const maxPayload = 1 << 16
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var dst bytes.Buffer
+		r := bytes.NewReader(data)
+		status, err := CopyVolume(&dst, r, maxPayload)
+		_, rerr := ReadVolume(bytes.NewReader(data), maxPayload)
+		var re *RemoteError
+		if (rerr == nil || errors.As(rerr, &re)) && err != nil {
+			t.Fatalf("ReadVolume accepts the message (%v), CopyVolume fails: %v", rerr, err)
+		}
+		if err != nil {
+			if dst.Len() != 0 {
+				t.Fatalf("failed copy leaked %d bytes toward the client", dst.Len())
+			}
+			return
+		}
+		used := data[:len(data)-r.Len()]
+		if status != used[4] || (re != nil && re.Status != status) {
+			t.Fatalf("status %d for a message whose status byte is %d", status, used[4])
+		}
+		if status == StatusGoAway {
+			if dst.Len() != 0 {
+				t.Fatalf("GOAWAY leaked %d bytes toward the client", dst.Len())
+			}
+			return
+		}
+		if !bytes.Equal(dst.Bytes(), used) {
+			t.Fatalf("relayed %d bytes, consumed %d: not verbatim", dst.Len(), len(used))
 		}
 	})
 }

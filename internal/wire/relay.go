@@ -73,39 +73,17 @@ func CopyFrame(dst io.Writer, src io.Reader, h Header) error {
 // must leave the client stream untouched — the relay sees the read error,
 // writes nothing, and the unanswered compound re-homes whole.
 func CopyVolume(dst io.Writer, src io.Reader, maxPayload int64) (uint8, error) {
-	var raw [volHeaderBytes]byte
-	if _, err := io.ReadFull(src, raw[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading volume header: %w", err)
-	}
-	if string(raw[0:4]) != volMagic {
-		return 0, fmt.Errorf("wire: bad volume magic %q", raw[0:4])
-	}
-	if raw[6] != 0 || raw[7] != 0 {
-		return 0, fmt.Errorf("wire: reserved volume bytes not 0")
+	raw, payload, err := readVolumeHeader(src, maxPayload)
+	if err != nil {
+		return 0, err
 	}
 	status := raw[4]
-	payload := binary.LittleEndian.Uint64(raw[20:])
-	if maxPayload <= 0 {
-		maxPayload = 1 << 30
-	}
-	if payload > uint64(maxPayload) {
-		return 0, fmt.Errorf("wire: volume payload %d bytes exceeds cap %d", payload, maxPayload)
-	}
-	if status == StatusGoAway {
-		if _, err := io.CopyN(io.Discard, src, int64(payload)); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return 0, fmt.Errorf("wire: reading drain notice: %w", err)
-		}
-		return status, nil
-	}
 	body := make([]byte, int(payload))
 	if _, err := io.ReadFull(src, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
 		return 0, fmt.Errorf("wire: reading volume payload: %w", err)
+	}
+	if status == StatusGoAway {
+		return status, nil // consumed, never forwarded
 	}
 	if _, err := dst.Write(raw[:]); err != nil {
 		return 0, fmt.Errorf("wire: relaying volume header: %w", err)

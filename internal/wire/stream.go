@@ -237,31 +237,40 @@ func writeVolumeHeader(dst []byte, status uint8, enc Encoding, theta, phi, depth
 	binary.LittleEndian.PutUint64(dst[20:], payload)
 }
 
+// readVolumeHeader reads one volume header and checks what every reader
+// of it needs: the magic, zero reserved bytes, and a payload within
+// maxPayload (≤0 = 1 GiB).
+func readVolumeHeader(r io.Reader, maxPayload int64) (raw [volHeaderBytes]byte, payload uint64, err error) {
+	if _, err = io.ReadFull(r, raw[:]); err != nil {
+		return raw, 0, fmt.Errorf("wire: reading volume header: %w", err)
+	}
+	if string(raw[0:4]) != volMagic {
+		return raw, 0, fmt.Errorf("wire: bad volume magic %q", raw[0:4])
+	}
+	if raw[6] != 0 || raw[7] != 0 {
+		return raw, 0, fmt.Errorf("wire: reserved volume bytes not 0")
+	}
+	if maxPayload <= 0 {
+		maxPayload = 1 << 30
+	}
+	if payload = binary.LittleEndian.Uint64(raw[20:]); payload > uint64(maxPayload) {
+		return raw, 0, fmt.Errorf("wire: volume payload %d bytes exceeds cap %d", payload, maxPayload)
+	}
+	return raw, payload, nil
+}
+
 // ReadVolume reads one volume reply. A non-zero status returns
 // (*RemoteError); maxPayload caps the accepted payload (≤0 = 1 GiB).
 func ReadVolume(r io.Reader, maxPayload int64) (*Volume, error) {
-	var raw [volHeaderBytes]byte
-	if _, err := io.ReadFull(r, raw[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading volume header: %w", err)
-	}
-	if string(raw[0:4]) != volMagic {
-		return nil, fmt.Errorf("wire: bad volume magic %q", raw[0:4])
-	}
-	if raw[6] != 0 || raw[7] != 0 {
-		return nil, fmt.Errorf("wire: reserved volume bytes not 0")
+	raw, payload, err := readVolumeHeader(r, maxPayload)
+	if err != nil {
+		return nil, err
 	}
 	status := raw[4]
 	enc := Encoding(raw[5])
 	theta := int(binary.LittleEndian.Uint32(raw[8:]))
 	phi := int(binary.LittleEndian.Uint32(raw[12:]))
 	depth := int(binary.LittleEndian.Uint32(raw[16:]))
-	payload := binary.LittleEndian.Uint64(raw[20:])
-	if maxPayload <= 0 {
-		maxPayload = 1 << 30
-	}
-	if payload > uint64(maxPayload) {
-		return nil, fmt.Errorf("wire: volume payload %d bytes exceeds cap %d", payload, maxPayload)
-	}
 	if status != 0 {
 		msg := make([]byte, payload)
 		if _, err := io.ReadFull(r, msg); err != nil {

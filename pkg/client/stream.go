@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net"
 	"net/url"
-	"sync"
 	"time"
 
 	"ultrabeam/internal/wire"
@@ -33,23 +32,15 @@ type Volume struct {
 
 // Stream is a persistent cine connection: compounds pushed with Send,
 // volumes read in order with Recv. It sequence-tracks what the server has
-// answered; a GOAWAY (server drain) or dead connection redials through
-// the client's Dial hook with jittered backoff and resends only the
-// unanswered compounds, in order — re-homing is invisible to the caller
-// beyond latency. One goroutine may Send while another Recvs; neither
-// method may itself be called concurrently.
+// answered (wire.Resender); a GOAWAY (server drain) or dead connection
+// redials through the client's Dial hook with jittered backoff and resends
+// only the unanswered compounds, in order — re-homing is invisible to the
+// caller beyond latency. One goroutine may Send while another Recvs;
+// neither method may itself be called concurrently.
 type Stream struct {
-	c     *Client
-	query string
-	enc   wire.Encoding
-
-	mu         sync.Mutex
-	conn       net.Conn
-	sendDead   bool     // a Send write failed on conn; it is kept only for Recv to drain
-	pending    [][]byte // encoded unanswered compounds, oldest first
-	attempt    int      // consecutive failed reconnect attempts (progress resets)
-	reconnects int
-	closed     bool
+	c    *Client
+	enc  wire.Encoding
+	legs *wire.Resender
 }
 
 // DialStream opens the cine transport and performs the hello handshake.
@@ -66,11 +57,23 @@ func (c *Client) DialStream(ctx context.Context, query string) (*Stream, error) 
 			return nil, err
 		}
 	}
-	conn, err := DialHello(ctx, c.Dial, c.StreamAddr, query)
+	dial := func(ctx context.Context) (net.Conn, error) {
+		conn, err := DialHello(ctx, c.Dial, c.StreamAddr, query)
+		if err != nil {
+			c.logf("client: stream dial: %v", err)
+		}
+		return conn, err
+	}
+	conn, err := dial(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &Stream{c: c, query: query, enc: enc, conn: conn}, nil
+	wait := func(attempt int) {
+		d := Backoff(attempt-1, "")
+		c.logf("client: stream reconnect attempt %d in %v", attempt+1, d.Round(time.Millisecond))
+		c.sleep(d)
+	}
+	return &Stream{c: c, enc: enc, legs: wire.NewResender(conn, dial, wait, c.retries())}, nil
 }
 
 // DialHello dials addr (through dial, or TCP when nil) and runs the
@@ -124,24 +127,7 @@ func (s *Stream) Send(frames ...Frame) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return errors.New("client: stream closed")
-	}
-	s.pending = append(s.pending, buf.Bytes())
-	if s.conn != nil && !s.sendDead {
-		if _, err := s.conn.Write(buf.Bytes()); err != nil {
-			// A draining server answers what it took, says GOAWAY and hangs
-			// up, so a write can fail while those replies are still unread
-			// on this connection. Closing it here would discard them and
-			// resend — beamform twice — compounds already answered, so the
-			// connection stays for Recv to drain; it re-homes when the read
-			// side fails, which a connection that refuses writes soon does.
-			s.sendDead = true
-		}
-	}
-	return nil
+	return s.legs.Send(buf.Bytes())
 }
 
 // Recv returns the next answer in compound order. A server-side
@@ -152,15 +138,9 @@ func (s *Stream) Send(frames ...Frame) error {
 // consecutive reconnect attempts; any answered compound resets it.
 func (s *Stream) Recv(ctx context.Context) (*Volume, error) {
 	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, errors.New("client: stream closed")
-		}
-		conn := s.conn
-		s.mu.Unlock()
+		conn := s.legs.Leg()
 		if conn == nil {
-			if err := s.rehome(ctx); err != nil {
+			if err := s.legs.Rehome(ctx); err != nil {
 				return nil, err
 			}
 			continue
@@ -170,7 +150,7 @@ func (s *Stream) Recv(ctx context.Context) (*Volume, error) {
 		}
 		v, err := wire.ReadVolume(conn, 0)
 		if err == nil {
-			s.ackOne()
+			s.legs.Ack()
 			return &Volume{Theta: v.Theta, Phi: v.Phi, Depth: v.Depth, Data: v.Data}, nil
 		}
 		if ctx.Err() != nil {
@@ -178,7 +158,7 @@ func (s *Stream) Recv(ctx context.Context) (*Volume, error) {
 		}
 		var re *wire.RemoteError
 		if errors.As(err, &re) && re.Status != wire.StatusGoAway {
-			s.ackOne()
+			s.legs.Ack()
 			return nil, &RemoteError{Status: re.Status, Msg: re.Msg}
 		}
 		if wire.IsGoAway(err) {
@@ -186,94 +166,15 @@ func (s *Stream) Recv(ctx context.Context) (*Volume, error) {
 		} else {
 			s.c.logf("client: stream read: %v; re-homing %d pending", err, s.Pending())
 		}
-		s.mu.Lock()
-		if s.conn == conn {
-			conn.Close()
-			s.conn = nil
-		}
-		s.mu.Unlock()
-	}
-}
-
-// ackOne records a definitive answer for the oldest pending compound.
-func (s *Stream) ackOne() {
-	s.mu.Lock()
-	if len(s.pending) > 0 {
-		s.pending = s.pending[1:]
-	}
-	s.attempt = 0
-	s.mu.Unlock()
-}
-
-// rehome rebuilds the connection: backoff, redial + hello, resend every
-// pending compound in order. Sends block for the duration (they would
-// only race the resend otherwise).
-func (s *Stream) rehome(ctx context.Context) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.closed {
-			return errors.New("client: stream closed")
-		}
-		if s.attempt > s.c.retries() {
-			return fmt.Errorf("client: stream gave up after %d reconnect attempts with %d compounds unanswered",
-				s.attempt, len(s.pending))
-		}
-		if s.attempt > 0 {
-			d := Backoff(s.attempt-1, "")
-			s.c.logf("client: stream reconnect %d (%d unanswered) in %v",
-				s.reconnects+1, len(s.pending), d.Round(time.Millisecond))
-			s.c.sleep(d)
-		}
-		s.attempt++
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		conn, err := DialHello(ctx, s.c.Dial, s.c.StreamAddr, s.query)
-		if err != nil {
-			s.c.logf("client: stream redial: %v", err)
-			continue
-		}
-		ok := true
-		for _, buf := range s.pending {
-			if _, err := conn.Write(buf); err != nil {
-				conn.Close()
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		s.conn, s.sendDead = conn, false
-		s.reconnects++
-		return nil
+		s.legs.Drop(conn)
 	}
 }
 
 // Pending returns how many compounds await an answer.
-func (s *Stream) Pending() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.pending)
-}
+func (s *Stream) Pending() int { return s.legs.Pending() }
 
 // Reconnects returns how many times the stream re-homed.
-func (s *Stream) Reconnects() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reconnects
-}
+func (s *Stream) Reconnects() int { return s.legs.Reconnects() }
 
 // Close tears the stream down; pending compounds are abandoned.
-func (s *Stream) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	if s.conn != nil {
-		err := s.conn.Close()
-		s.conn = nil
-		return err
-	}
-	return nil
-}
+func (s *Stream) Close() error { return s.legs.Close() }
