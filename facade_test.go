@@ -77,13 +77,16 @@ func TestFacadeSessionAndCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	frames := make([][]ultrabeam.EchoBuffer, 3)
-	for i := range frames {
-		frames[i] = bufs
-	}
-	vols, err := sess.BeamformFrames(frames)
-	if err != nil {
-		t.Fatal(err)
+	vols := make([]*ultrabeam.Volume, 3)
+	var warm ultrabeam.CacheStats // after frame 0, which fills the cache
+	for f := range vols {
+		vols[f] = sess.NewVolume()
+		if err := sess.BeamformInto(vols[f], bufs); err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		if f == 0 {
+			warm = cache.Stats()
+		}
 	}
 	for f := 1; f < len(vols); f++ {
 		for i := range vols[0].Data {
@@ -93,8 +96,8 @@ func TestFacadeSessionAndCache(t *testing.T) {
 		}
 	}
 	var st ultrabeam.CacheStats = cache.Stats()
-	if !cache.FullResidency() || st.Hits == 0 {
-		t.Errorf("cache did not amortize: %v", st)
+	if !cache.FullResidency() || st.Hits == 0 || st.Misses != warm.Misses {
+		t.Errorf("cache did not amortize: frame 0 %v, after frame 2 %v", warm, st)
 	}
 }
 

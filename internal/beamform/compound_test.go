@@ -155,8 +155,8 @@ func TestCompoundShapeErrors(t *testing.T) {
 	}
 }
 
-// TestCompoundStream drives StreamCompound through several frames with a
-// reused output volume and checks frames stay identical and finite.
+// TestCompoundStream drives BeamformCompoundInto through several frames
+// with a reused output volume and checks frames stay identical and finite.
 func TestCompoundStream(t *testing.T) {
 	cfg, _, target := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 15)
@@ -169,22 +169,20 @@ func TestCompoundStream(t *testing.T) {
 	}
 	defer sess.Close()
 	var first []float64
-	err = sess.StreamCompound(3,
-		func(int) ([][]rf.EchoBuffer, error) { return txBufs, nil },
-		func(frame int, v *Volume) error {
-			if first == nil {
-				first = append([]float64(nil), v.Data...)
-				return nil
+	v := sess.NewVolume()
+	for frame := 0; frame < 3; frame++ {
+		if err := sess.BeamformCompoundInto(v, txBufs); err != nil {
+			t.Fatalf("frame %d: %v", frame, err)
+		}
+		if first == nil {
+			first = append([]float64(nil), v.Data...)
+			continue
+		}
+		for i := range first {
+			if v.Data[i] != first[i] || math.IsNaN(v.Data[i]) {
+				t.Fatalf("frame %d drifts at %d", frame, i)
 			}
-			for i := range first {
-				if v.Data[i] != first[i] || math.IsNaN(v.Data[i]) {
-					t.Fatalf("frame %d drifts at %d", frame, i)
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+		}
 	}
 	if sess.Frames() != 3 {
 		t.Errorf("Frames = %d, want 3", sess.Frames())

@@ -694,3 +694,46 @@ func TestI16ConcurrentSessions(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPlaneFitRuleIsPerPlane: the i16 kernel's int32 row offsets index one
+// frame×transmit plane at a time, so whether a frame fits is decided per
+// plane, from its Shape, in either form. A 16-transmit, 10,000-element,
+// window-32,767 compound (5.2 G samples across its planes, 328 M per
+// plane) runs the i16 kernel as buffers exactly as it does as planes. The
+// buffer form shares one backing window across all 160,000 echo buffers:
+// the shape reads only lengths.
+func TestPlaneFitRuleIsPerPlane(t *testing.T) {
+	const nTx, win = 16, delay.MaxEchoWindow
+	eng := New(Config{Arr: xdcr.NewArray(100, 100, 0.385e-3/2), Window: xdcr.Hann, Precision: PrecisionInt16})
+	if !eng.I16Capable() {
+		t.Fatal("a 100×100 Hann aperture should meet the int32 accumulator bound")
+	}
+	elems := eng.Cfg.Arr.Elements()
+	samples := make([]float64, win)
+	bufs := make([]rf.EchoBuffer, nTx*elems)
+	for i := range bufs {
+		bufs[i].Samples = samples
+	}
+	tx := make([][]rf.EchoBuffer, nTx)
+	for t := range tx {
+		tx[t] = bufs[t*elems : (t+1)*elems]
+	}
+	bufShape := Frame{Bufs: tx}.Shape()
+	if want := (Shape{Transmits: nTx, Elements: elems, Win: win, Uniform: true}); bufShape != want {
+		t.Fatalf("buffer shape %+v, want %+v", bufShape, want)
+	}
+	// The plane form of the same frame differs only in its form flag (a
+	// plane frame's Shape reads Elements off len(Planes[0])/(Win+1); 655 MB
+	// of plane is not built here).
+	planeShape := bufShape
+	planeShape.Planes = true
+	small := Frame{Planes: [][]int16{make([]int16, 4*(7+1))}, Scales: []float32{1}, Win: 7}
+	if got, want := small.Shape(), (Shape{Transmits: 1, Elements: 4, Win: 7, Uniform: true, Planes: true}); got != want {
+		t.Fatalf("plane shape %+v, want %+v", got, want)
+	}
+	bn, bi := eng.datapath(bufShape)
+	pn, pi := eng.datapath(planeShape)
+	if !bn || !bi || !pn || !pi {
+		t.Errorf("buffers pick narrow=%v i16=%v, planes narrow=%v i16=%v; want the i16 kernel for both", bn, bi, pn, pi)
+	}
+}

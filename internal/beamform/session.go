@@ -16,8 +16,8 @@
 // PrecisionFloat64 gathers the float64 echo buffers directly (the golden
 // kernel), and PrecisionInt16 gathers a guarded int16 plane — 2 B/sample,
 // one scale per frame×transmit — accumulating in int32 fixed point through
-// the purego/native kernel_i16 split. The plane either arrives from the
-// caller (BeamformBatchPlanesI16, the wire ingest) or is quantized from
+// the purego/native kernel_i16 split. A Frame carries either form: the
+// plane arrives from the caller (the i16 wire ingest) or is quantized from
 // echo buffers by a convert phase dispatched before the accumulate phase.
 //
 // Multi-transmit compounding (PR 4): a session built over N per-transmit
@@ -28,7 +28,7 @@
 // transmit order, which keeps the compounded float64 frame bit-identical to
 // the explicit sequential sum (the compounding invariance contract).
 //
-// Frame batching (PR 6): BeamformBatch fuses K same-shape frames into one
+// Frame batching (PR 6): Run fuses K same-Shape frames into one
 // worker dispatch, walking each depth slice once per transmit for the whole
 // batch — the delay block is obtained (or, when non-resident under a partial
 // cache budget, regenerated) once and applied to all K frames. Per-frame
@@ -82,10 +82,10 @@ const (
 )
 
 // Session is a reusable multi-frame beamformer: one geometry, one delay
-// provider per transmit, a persistent worker pool. Single-insonification
-// frames are beamformed by Beamform / BeamformInto / BeamformFrames /
-// Stream; compound frames by BeamformCompound / BeamformCompoundInto /
-// StreamCompound; Close releases the workers. A Session must not be used
+// provider per transmit, a persistent worker pool. Run beamforms a batch of
+// Frames; Beamform / BeamformInto (single insonification) and
+// BeamformCompound / BeamformCompoundInto (compound) are its one-frame
+// forms; Close releases the workers. A Session must not be used
 // concurrently — one frame is in flight at a time (the parallelism is
 // inside the frame).
 type Session struct {
@@ -103,44 +103,37 @@ type Session struct {
 	// Per-batch shared state, published before the start tokens and
 	// therefore visible to workers via the channel happens-before edge.
 	job    sessionJob
-	batch  [][][]rf.EchoBuffer // frames in flight: [frame][transmit][element]
-	outs   []*Volume           // one destination volume per frame in flight
-	narrow bool                // int16 delay blocks are exact for this batch's windows
-	useI16 bool                // accumulate through the fixed-point i16 kernel this batch
+	frames []Frame   // frames in flight
+	outs   []*Volume // one destination volume per frame in flight
+	narrow bool      // int16 delay blocks are exact for this batch's windows
+	useI16 bool      // accumulate through the fixed-point i16 kernel this batch
 
-	// tx1 / batch1 / out1 are the persistent wrappers BeamformInto and
-	// BeamformCompoundInto reuse so the steady-state single frame stays
-	// allocation-free through the batched dispatch path.
-	tx1    [1][]rf.EchoBuffer
-	batch1 [1][][]rf.EchoBuffer
-	out1   [1]*Volume
+	// adapt / tx1 / out1 are the persistent wrappers the adapters over Run
+	// reuse so the steady-state single frame stays allocation-free through
+	// the batched dispatch path.
+	adapt []Frame
+	tx1   [1][]rf.EchoBuffer
+	out1  [1]*Volume
 
-	// The i16 kernel's guarded echo planes (PrecisionInt16): one guarded
-	// row of flatWin+1 quantized samples per element, guard slots
-	// permanently zero (the kernel's out-of-window target), plane k·T+t at
-	// (k·T+t)·planeLen, rebuilt by the convert job and reused across frames
-	// of the same window length; plus one kernel rescale per frame×transmit
-	// plane (i16Scale[k·T+t] = Engine.i16VoxelScale of the plane's
-	// quantization step), written before the accumulate phase reads it.
-	// i16Tab is the kernel's operand table for the current window
-	// (Engine.i16GatherTable).
+	// The i16 kernel's guarded echo planes (PrecisionInt16) for buffer
+	// frames: one guarded row of flatWin+1 quantized samples per element,
+	// guard slots permanently zero (the kernel's out-of-window target),
+	// plane k·T+t at (k·T+t)·planeLen, rebuilt by the convert job and reused
+	// across frames of the same window length; plus one kernel rescale per
+	// frame×transmit plane (i16Scale[k·T+t] = Engine.i16VoxelScale of the
+	// plane's quantization step), written before the accumulate phase reads
+	// it — by the convert job, or from a plane frame's Scales. i16Tab is the
+	// kernel's operand table for the current window (Engine.i16GatherTable).
 	flatI16  []int16
 	flatWin  int
 	planeLen int
 	i16Scale []float64
 	i16Tab   *i16Table
 
-	// extPlanesI16, when non-nil, carries caller-owned guarded int16 planes
-	// for the batch in flight (wire.DecodePlaneI16 output, extPlanesI16[k][t]
-	// is frame k / transmit t), their rescales carried in i16Scale exactly
-	// as the convert phase would have left them — the convert dispatch is
-	// skipped entirely.
-	extPlanesI16 [][][]int16
-
-	// frames is atomic: a serving frontend scrapes Frames() from stats
+	// beamformed is atomic: a serving frontend scrapes Frames() from stats
 	// goroutines while the owning goroutine beamforms.
-	frames atomic.Int64
-	closed bool
+	beamformed atomic.Int64
+	closed     bool
 }
 
 // CacheStatsSource is implemented by caching delay providers that can
@@ -238,12 +231,12 @@ func (s *Session) worker(w int) {
 // worker's indivisible unit. Plane k·T+t starts at (k·T+t)·planeLen and
 // its kernel rescale lands in i16Scale[k·T+t].
 func (s *Session) convertStripeI16(w int) {
-	nTx := len(s.batch[0])
-	total := len(s.batch) * nTx
+	nTx := len(s.bps)
+	total := len(s.frames) * nTx
 	for r := w; r < total; r += s.workers {
 		k, t := r/nTx, r%nTx
 		plane := s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
-		scale := rf.QuantizePlaneI16(plane, s.batch[k][t], s.flatWin)
+		scale := rf.QuantizePlaneI16(plane, s.frames[k].Bufs[t], s.flatWin)
 		s.i16Scale[r] = s.eng.i16VoxelScale(scale)
 	}
 }
@@ -270,8 +263,8 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 				// An echo window beyond delay.MaxEchoWindow defeats int16
 				// selection indices: float64 blocks end to end.
 				s.bps[t].FillNappe(id, scratch)
-				for k, frame := range s.batch {
-					s.eng.accumulateNappe(scratch, frame[t], id, s.outs[k], add)
+				for k, f := range s.frames {
+					s.eng.accumulateNappe(scratch, f.Bufs[t], id, s.outs[k], add)
 				}
 				continue
 			}
@@ -289,8 +282,8 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 				delay.Fill16(s.bps[t], id, buf16, scratch)
 			}
 			if !s.useI16 {
-				for k, frame := range s.batch {
-					s.eng.accumulateNappe16(blk, frame[t], id, s.outs[k], add)
+				for k, f := range s.frames {
+					s.eng.accumulateNappe16(blk, f.Bufs[t], id, s.outs[k], add)
 				}
 				continue
 			}
@@ -307,11 +300,10 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 }
 
 // planeI16 returns the guarded int16 plane of frame k, transmit t of the
-// batch in flight: the caller's (BeamformBatchPlanesI16) or the convert
-// phase's.
+// batch in flight: a plane frame's own, or the convert phase's.
 func (s *Session) planeI16(k, t int) []int16 {
-	if s.extPlanesI16 != nil {
-		return s.extPlanesI16[k][t]
+	if p := s.frames[k].Planes; p != nil {
+		return p[t]
 	}
 	r := k*len(s.bps) + t
 	return s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
@@ -334,7 +326,7 @@ func (s *Session) Workers() int { return s.workers }
 // Frames returns how many frames the session has beamformed. It is safe to
 // call concurrently with a frame in flight (the counter is atomic), so a
 // stats endpoint can scrape live sessions.
-func (s *Session) Frames() int64 { return s.frames.Load() }
+func (s *Session) Frames() int64 { return s.beamformed.Load() }
 
 // CacheStats returns the delay-cache snapshot of the transmit-0 provider
 // when the session was built over a caching chain, and ok=false otherwise.
@@ -357,58 +349,100 @@ func (s *Session) Transmits() int { return len(s.bps) }
 // one is installed).
 func (s *Session) Provider() delay.BlockProvider { return s.bps[0] }
 
-// frameShape classifies the frame's echo buffers across every transmit:
-// whether int16 selection indices are exact for every window, and whether
-// the windows are uniform (the i16 plane needs one stride).
-func frameShape(txBufs [][]rf.EchoBuffer) (narrowOK, uniform bool, win int) {
-	narrowOK, uniform, win = true, true, 0
-	first := true
-	for _, bufs := range txBufs {
-		for _, b := range bufs {
-			n := len(b.Samples)
-			if n > delay.MaxEchoWindow {
-				narrowOK = false
-			}
-			if first {
-				win, first = n, false
-			} else if n != win {
-				uniform = false
-			}
-		}
-	}
-	return narrowOK, uniform, win
+// Frame is one compound frame in the form it reaches the session: float64
+// echo buffers (Bufs[t][element], the golden form every precision takes),
+// or guarded int16 planes — the layout the convert phase builds and
+// wire.DecodePlaneI16 streams an i16 frame into. Planes[t] holds element
+// d's Win samples at d·(Win+1), with the guard slot at position Win of
+// each row zero (the kernel's clamp target: a non-zero guard corrupts
+// out-of-window gathers), and sample = int16·Scales[t]. Exactly one of
+// Bufs and Planes is set.
+type Frame struct {
+	Bufs   [][]rf.EchoBuffer
+	Planes [][]int16
+	Scales []float32
+	Win    int
 }
 
-// BeamformBatch beamforms a batch of compound frames in one dispatch over
-// the worker pool: batch[k][t] holds the echo buffers of frame k recorded
-// after insonification t, and dsts[k] receives frame k's compounded volume.
-// The per-frame results are bit-identical to len(batch) sequential
-// BeamformCompoundInto calls — each frame's per-voxel accumulation still
-// runs store-then-add in transmit order per depth slice — while every
-// transmit's delay block is obtained once per depth slice for the whole
-// batch, so blocks outside a partial cache budget are regenerated once per
-// batch instead of once per frame. That amortization is the serving
-// scheduler's throughput lever.
+// Shape is everything the session's datapath decision reads off a frame,
+// and so the one key frames fuse into a batch by: frames of equal Shape
+// take the same kernel alone or together.
+type Shape struct {
+	Transmits, Elements int
+	Win                 int  // the longest echo window
+	Uniform             bool // every row holds Win samples (a plane needs one stride)
+	Planes              bool // the frame is in the int16 plane form
+}
+
+// Shape classifies f. It reads only lengths, never samples.
+func (f Frame) Shape() Shape {
+	if f.Planes != nil {
+		sh := Shape{Transmits: len(f.Planes), Win: f.Win, Uniform: true, Planes: true}
+		if len(f.Planes) > 0 && f.Win >= 0 {
+			sh.Elements = len(f.Planes[0]) / (f.Win + 1)
+		}
+		return sh
+	}
+	sh := Shape{Transmits: len(f.Bufs), Uniform: true}
+	if len(f.Bufs) > 0 {
+		sh.Elements = len(f.Bufs[0])
+	}
+	for t, bufs := range f.Bufs {
+		for d, b := range bufs {
+			n := len(b.Samples)
+			if t+d > 0 && n != sh.Win {
+				sh.Uniform = false
+			}
+			sh.Win = max(sh.Win, n)
+		}
+	}
+	return sh
+}
+
+// datapath is the session's one kernel decision for frames of shape sh:
+// narrow when int16 selection indices are exact for every window, i16 when
+// the fixed-point kernel runs. That takes a uniform window whose plane
+// fits the int32 row offsets — one plane at a time, since the kernel
+// gathers from one frame×transmit plane per call — on a PrecisionInt16
+// engine whose aperture met the int32 accumulator bound; anything else
+// runs the exact float64 kernel. It reads only the shape, so a batched
+// frame takes exactly the kernel it would take alone.
+func (e *Engine) datapath(sh Shape) (narrow, i16 bool) {
+	narrow = sh.Win <= delay.MaxEchoWindow
+	return narrow, narrow && sh.Uniform && sh.Elements*(sh.Win+1) <= math.MaxInt32 &&
+		e.Cfg.Precision == PrecisionInt16 && e.i16OK
+}
+
+// Run beamforms a batch of compound frames in one dispatch over the worker
+// pool: frames[k] is compound frame k and dsts[k] receives its volume. The
+// per-frame results are bit-identical to len(frames) single-frame calls —
+// each frame's per-voxel accumulation still runs store-then-add in
+// transmit order per depth slice — while every transmit's delay block is
+// obtained once per depth slice for the whole batch, so blocks outside a
+// partial cache budget are regenerated once per batch instead of once per
+// frame. That amortization is the serving scheduler's throughput lever.
 //
-// Every frame of a batch must share one shape: the same transmit count,
-// element count and window classification (frameShape), because the
-// narrow/i16 datapath decisions are made once for the whole batch — and
-// must equal what each frame would decide alone, or bit-identity breaks.
-// Mixed shapes return an error; callers batching heterogeneous traffic
-// group frames by shape first. dsts must be distinct volumes carrying the
-// session's grid.
-func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error {
+// Every frame of a batch must share one Shape, because the datapath is
+// decided once for the whole batch; callers batching heterogeneous traffic
+// group frames by Shape first. dsts must be distinct volumes carrying the
+// session's grid. A plane frame is bit-identical to the buffer frame
+// that quantizes to the same int16 samples and scales. It needs
+// Precision=i16 and a window within delay.MaxEchoWindow; on an engine
+// whose aperture defeated the int32 accumulator bound it is widened to
+// float64 buffers exactly as wire.DecodeF64 widens an i16 payload, and
+// runs the float64 kernel.
+func (s *Session) Run(dsts []*Volume, frames []Frame) error {
 	if s.closed {
 		return errors.New("beamform: session is closed")
 	}
 	if err := batchFault.Err(); err != nil {
 		return err
 	}
-	if len(batch) == 0 {
+	if len(frames) == 0 {
 		return errors.New("beamform: empty batch")
 	}
-	if len(dsts) != len(batch) {
-		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(batch))
+	if len(dsts) != len(frames) {
+		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(frames))
 	}
 	for k, dst := range dsts {
 		if dst == nil || len(dst.Data) != s.eng.Cfg.Vol.Points() {
@@ -424,148 +458,148 @@ func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error
 			}
 		}
 	}
-	var narrowOK, uniform bool
-	var win int
-	for k, txBufs := range batch {
-		if len(txBufs) != len(s.bps) {
-			return fmt.Errorf("beamform: %d echo sets for %d transmits", len(txBufs), len(s.bps))
+	sh := frames[0].Shape()
+	for k, f := range frames {
+		if err := s.checkFrame(f); err != nil {
+			return fmt.Errorf("beamform: frame %d: %w", k, err)
 		}
-		for t, bufs := range txBufs {
-			if len(bufs) != s.eng.Cfg.Arr.Elements() {
-				return fmt.Errorf("beamform: transmit %d has %d echo buffers for %d elements",
-					t, len(bufs), s.eng.Cfg.Arr.Elements())
-			}
-		}
-		n, u, w := frameShape(txBufs)
-		if k == 0 {
-			narrowOK, uniform, win = n, u, w
-		} else if n != narrowOK || u != uniform || w != win {
+		if f.Shape() != sh {
 			return fmt.Errorf("beamform: frame %d shape differs from frame 0 (a batch fuses one shape; group frames by shape)", k)
 		}
 	}
-	s.narrow = narrowOK
-	// The i16 decision is per-frame-shape, independent of batch size, so a
-	// batched frame takes exactly the kernel it would take alone. An
-	// aperture that defeated the int32 accumulator bound (i16OK false)
-	// demotes to the exact float64 kernel rather than risking overflow.
-	planeFits := uniform && len(batch[0])*len(batch[0][0])*(win+1) <= math.MaxInt32 // row offsets are int32
-	s.useI16 = s.narrow && planeFits && s.eng.Cfg.Precision == PrecisionInt16 && s.eng.i16OK
-	s.batch, s.outs = batch, dsts
-	if s.useI16 {
-		s.sizePlanes(win, len(batch[0][0])*(win+1))
-		// Grow only: a smaller batch reuses the larger plane set (rows
-		// never move within a plane, so guard slots stay zero).
-		if need := len(batch) * len(batch[0]) * s.planeLen; need > len(s.flatI16) {
-			s.flatI16 = make([]int16, need)
-		}
-		if n := len(batch) * len(batch[0]); n > len(s.i16Scale) {
+	narrow, i16 := s.eng.datapath(sh)
+	if sh.Planes && !i16 {
+		frames = widen(frames)
+	}
+	s.frames, s.outs, s.narrow, s.useI16 = frames, dsts, narrow, i16
+	if i16 {
+		nTx := len(s.bps)
+		s.sizePlanes(sh.Win, sh.Elements*(sh.Win+1))
+		if n := len(frames) * nTx; n > len(s.i16Scale) {
 			s.i16Scale = make([]float64, n)
 		}
-		s.dispatch(jobConvert)
+		if sh.Planes {
+			for k, f := range frames {
+				for t, sc := range f.Scales {
+					s.i16Scale[k*nTx+t] = s.eng.i16VoxelScale(sc)
+				}
+			}
+		} else {
+			// Grow only: a smaller batch reuses the larger plane set (rows
+			// never move within a plane, so guard slots stay zero).
+			if need := len(frames) * nTx * s.planeLen; need > len(s.flatI16) {
+				s.flatI16 = make([]int16, need)
+			}
+			s.dispatch(jobConvert)
+		}
 	}
 	s.dispatch(jobAccumulate)
-	s.batch, s.outs = nil, nil
-	s.frames.Add(int64(len(batch)))
+	s.frames, s.outs = nil, nil
+	s.beamformed.Add(int64(len(frames)))
 	return nil
 }
 
-// BeamformBatchPlanesI16 beamforms a batch of compound frames whose echoes
-// already live in guarded int16 planes — the layout the convert phase of
-// BeamformBatch builds, and the one wire.DecodePlaneI16 streams straight
-// off an i16 UBF1 frame: planes[k][t] holds frame k / transmit t as
-// elements·(win+1) int16s, element d's window at d·(win+1), and the guard
-// slot (position win of each row) zero — it is the kernel's clamp target,
-// so a non-zero guard corrupts out-of-window gathers. scales[k][t] is the
-// quantization step of frame k / transmit t (sample = int16·scale,
-// positive and finite, as the wire header carries it). When the client
-// ships i16 frames, ingest is a near-memcpy: no float intermediate exists
-// anywhere between the ADC words on the wire and the kernel's gathers, and
-// the convert dispatch is skipped.
-//
-// It requires PrecisionInt16 on an aperture that satisfied the int32
-// accumulator bound (Engine.I16Capable; sessions whose aperture demoted
-// reject plane batches rather than silently widening, because the caller
-// already quantized) and a window within delay.MaxEchoWindow. The
-// accumulation order matches BeamformBatch's i16 path exactly, so a plane
-// batch is bit-identical to BeamformBatch over echo buffers that quantize
-// to the same int16 samples and scales.
-func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]int16, scales [][]float32) error {
-	if s.closed {
-		return errors.New("beamform: session is closed")
+// checkFrame validates one frame against the session's transmits and
+// aperture.
+func (s *Session) checkFrame(f Frame) error {
+	nTx, elems := len(s.bps), s.eng.Cfg.Arr.Elements()
+	if (f.Bufs == nil) == (f.Planes == nil) {
+		return errors.New("a frame carries exactly one of echo buffers and int16 planes")
 	}
-	if err := batchFault.Err(); err != nil {
-		return err
-	}
-	if s.eng.Cfg.Precision != PrecisionInt16 {
-		return fmt.Errorf("beamform: i16 plane batches need Precision=i16 (have %s)", s.eng.Cfg.Precision)
-	}
-	if !s.eng.i16OK {
-		return errors.New("beamform: aperture exceeds the int32 accumulator bound; i16 plane batches unavailable")
-	}
-	if win <= 0 || win > delay.MaxEchoWindow {
-		return fmt.Errorf("beamform: plane window %d outside (0, %d]", win, delay.MaxEchoWindow)
-	}
-	if len(planes) == 0 {
-		return errors.New("beamform: empty batch")
-	}
-	if len(dsts) != len(planes) {
-		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(planes))
-	}
-	elems := s.eng.Cfg.Arr.Elements()
-	planeLen := elems * (win + 1)
-	if planeLen > math.MaxInt32 { // row offsets are int32
-		return fmt.Errorf("beamform: plane of %d int16s exceeds the int32 offset range", planeLen)
-	}
-	for k, dst := range dsts {
-		if dst == nil || len(dst.Data) != s.eng.Cfg.Vol.Points() {
-			return fmt.Errorf("beamform: destination volume needs %d points", s.eng.Cfg.Vol.Points())
+	if f.Bufs != nil {
+		if len(f.Bufs) != nTx {
+			return fmt.Errorf("%d echo sets for %d transmits", len(f.Bufs), nTx)
 		}
-		if dst.Vol != s.eng.Cfg.Vol {
-			return fmt.Errorf("beamform: destination grid %v is not the session grid %v",
-				dst.Vol, s.eng.Cfg.Vol)
-		}
-		for j := 0; j < k; j++ {
-			if dsts[j] == dst {
-				return fmt.Errorf("beamform: frames %d and %d share a destination volume", j, k)
+		for t, bufs := range f.Bufs {
+			if len(bufs) != elems {
+				return fmt.Errorf("transmit %d has %d echo buffers for %d elements", t, len(bufs), elems)
 			}
 		}
+		return nil
 	}
+	if s.eng.Cfg.Precision != PrecisionInt16 {
+		return fmt.Errorf("i16 plane frames need Precision=i16 (have %s)", s.eng.Cfg.Precision)
+	}
+	if f.Win <= 0 || f.Win > delay.MaxEchoWindow {
+		return fmt.Errorf("plane window %d outside (0, %d]", f.Win, delay.MaxEchoWindow)
+	}
+	if len(f.Planes) != nTx || len(f.Scales) != nTx {
+		return fmt.Errorf("%d planes and %d scales for %d transmits", len(f.Planes), len(f.Scales), nTx)
+	}
+	for t, p := range f.Planes {
+		if len(p) != elems*(f.Win+1) {
+			return fmt.Errorf("transmit %d plane has %d int16s (want %d elements × %d)", t, len(p), elems, f.Win+1)
+		}
+		if sc := f.Scales[t]; !(sc > 0) || math.IsInf(float64(sc), 0) {
+			return fmt.Errorf("transmit %d scale %v is not a positive finite factor", t, sc)
+		}
+	}
+	return nil
+}
+
+// widen returns plane frames as float64 echo buffers, sample =
+// float64(int16)·float64(scale) — the exact widening wire.DecodeF64
+// applies to an i16 payload, so a widened frame beamforms bit-identically
+// to the same wire frame decoded to float64.
+func widen(frames []Frame) []Frame {
+	out := make([]Frame, len(frames))
+	for k, f := range frames {
+		out[k].Bufs = make([][]rf.EchoBuffer, len(f.Planes))
+		for t, p := range f.Planes {
+			elems, stride, sc := len(p)/(f.Win+1), f.Win+1, float64(f.Scales[t])
+			samples := make([]float64, elems*f.Win)
+			bufs := make([]rf.EchoBuffer, elems)
+			for d := range bufs {
+				row := samples[d*f.Win : (d+1)*f.Win : (d+1)*f.Win]
+				for i, v := range p[d*stride : d*stride+f.Win] {
+					row[i] = float64(v) * sc
+				}
+				bufs[d].Samples = row
+			}
+			out[k].Bufs[t] = bufs
+		}
+	}
+	return out
+}
+
+// slots returns n of the session's grow-only adapter frames, so the
+// adapters below wrap their callers' batches without allocating.
+func (s *Session) slots(n int) []Frame {
+	if n > len(s.adapt) {
+		s.adapt = make([]Frame, n)
+	}
+	return s.adapt[:n]
+}
+
+// runSlots runs the adapter frames fs and drops their references, so the
+// session does not pin a caller's echoes between batches.
+func (s *Session) runSlots(dsts []*Volume, fs []Frame) error {
+	err := s.Run(dsts, fs)
+	clear(fs)
+	return err
+}
+
+// BeamformBatch is Run over float64 echo sets: batch[k][t] holds the echo
+// buffers of frame k recorded after insonification t.
+func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error {
+	fs := s.slots(len(batch))
+	for k, tx := range batch {
+		fs[k] = Frame{Bufs: tx}
+	}
+	return s.runSlots(dsts, fs)
+}
+
+// BeamformBatchPlanesI16 is Run over guarded int16 planes: planes[k][t]
+// and scales[k][t] are frame k / transmit t, every plane of window win.
+func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]int16, scales [][]float32) error {
 	if len(scales) != len(planes) {
 		return fmt.Errorf("beamform: %d scale sets for %d frames", len(scales), len(planes))
 	}
-	nTx := len(s.bps)
-	for k, tx := range planes {
-		if len(tx) != nTx {
-			return fmt.Errorf("beamform: frame %d has %d planes for %d transmits", k, len(tx), nTx)
-		}
-		if len(scales[k]) != nTx {
-			return fmt.Errorf("beamform: frame %d has %d scales for %d transmits", k, len(scales[k]), nTx)
-		}
-		for t, p := range tx {
-			if len(p) != planeLen {
-				return fmt.Errorf("beamform: frame %d transmit %d plane has %d int16s (want %d elements × %d)",
-					k, t, len(p), elems, win+1)
-			}
-			if sc := scales[k][t]; !(sc > 0) || math.IsInf(float64(sc), 0) {
-				return fmt.Errorf("beamform: frame %d transmit %d scale %v is not a positive finite factor", k, t, sc)
-			}
-		}
+	fs := s.slots(len(planes))
+	for k := range planes {
+		fs[k] = Frame{Planes: planes[k], Scales: scales[k], Win: win}
 	}
-	s.narrow, s.useI16 = true, true
-	s.sizePlanes(win, planeLen)
-	if n := len(planes) * nTx; n > len(s.i16Scale) {
-		s.i16Scale = make([]float64, n)
-	}
-	for k := range scales {
-		for t, sc := range scales[k] {
-			s.i16Scale[k*nTx+t] = s.eng.i16VoxelScale(sc)
-		}
-	}
-	s.extPlanesI16, s.outs = planes, dsts
-	s.dispatch(jobAccumulate)
-	s.extPlanesI16, s.outs = nil, nil
-	s.frames.Add(int64(len(planes)))
-	return nil
+	return s.runSlots(dsts, fs)
 }
 
 // sizePlanes sets the i16 plane geometry for window win, rebuilding the
@@ -588,16 +622,17 @@ func (s *Session) sizePlanes(win, planeLen int) {
 // first frame sizes any cache and, on the i16 path, the quantized echo
 // planes). dst must carry the session's volume grid.
 func (s *Session) BeamformCompoundInto(dst *Volume, txBufs [][]rf.EchoBuffer) error {
-	s.batch1[0], s.out1[0] = txBufs, dst
-	err := s.BeamformBatch(s.out1[:], s.batch1[:])
-	s.batch1[0], s.out1[0] = nil, nil
+	fs := s.slots(1)
+	fs[0], s.out1[0] = Frame{Bufs: txBufs}, dst
+	err := s.runSlots(s.out1[:], fs)
+	s.out1[0] = nil
 	return err
 }
 
 // NewVolume allocates an output volume on the session's grid — the
-// destination shape BeamformInto / BeamformBatch expect. Serving callers
-// that batch frames allocate destinations through this instead of knowing
-// the engine's volume configuration.
+// destination shape BeamformInto / Run expect. Serving callers that batch
+// frames allocate destinations through this instead of knowing the
+// engine's volume configuration.
 func (s *Session) NewVolume() *Volume {
 	return &Volume{Vol: s.eng.Cfg.Vol, Data: make([]float64, s.eng.Cfg.Vol.Points())}
 }
@@ -634,61 +669,6 @@ func (s *Session) Beamform(bufs []rf.EchoBuffer) (*Volume, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// BeamformFrames beamforms a cine sequence, one output volume per frame.
-// Frame 0 warms any cache in the provider chain; later frames reuse it.
-func (s *Session) BeamformFrames(frames [][]rf.EchoBuffer) ([]*Volume, error) {
-	out := make([]*Volume, len(frames))
-	for i, bufs := range frames {
-		v, err := s.Beamform(bufs)
-		if err != nil {
-			return nil, fmt.Errorf("frame %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// Stream beamforms n frames through one reused output volume: src produces
-// the echo buffers of each frame, sink consumes the beamformed volume
-// before the next frame overwrites it. This is the constant-memory serving
-// shape — per-frame cost is one src call, one beamform, one sink call.
-func (s *Session) Stream(n int, src func(frame int) ([]rf.EchoBuffer, error), sink func(frame int, v *Volume) error) error {
-	out := &Volume{Vol: s.eng.Cfg.Vol, Data: make([]float64, s.eng.Cfg.Vol.Points())}
-	for i := 0; i < n; i++ {
-		bufs, err := src(i)
-		if err != nil {
-			return fmt.Errorf("frame %d source: %w", i, err)
-		}
-		if err := s.BeamformInto(out, bufs); err != nil {
-			return fmt.Errorf("frame %d: %w", i, err)
-		}
-		if err := sink(i, out); err != nil {
-			return fmt.Errorf("frame %d sink: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// StreamCompound is Stream's compound form: src produces the per-transmit
-// echo sets of each frame, sink consumes the compounded volume before the
-// next frame overwrites it.
-func (s *Session) StreamCompound(n int, src func(frame int) ([][]rf.EchoBuffer, error), sink func(frame int, v *Volume) error) error {
-	out := &Volume{Vol: s.eng.Cfg.Vol, Data: make([]float64, s.eng.Cfg.Vol.Points())}
-	for i := 0; i < n; i++ {
-		txBufs, err := src(i)
-		if err != nil {
-			return fmt.Errorf("frame %d source: %w", i, err)
-		}
-		if err := s.BeamformCompoundInto(out, txBufs); err != nil {
-			return fmt.Errorf("frame %d: %w", i, err)
-		}
-		if err := sink(i, out); err != nil {
-			return fmt.Errorf("frame %d sink: %w", i, err)
-		}
-	}
-	return nil
 }
 
 // Close stops the worker pool. The session is unusable afterwards; Close is

@@ -8,7 +8,6 @@ import (
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/geom"
-	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 )
 
@@ -149,12 +148,12 @@ func TestSessionBeamformFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	vols, err := sess.BeamformFrames([][]rf.EchoBuffer{bufs, bufs, bufs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vols) != 3 {
-		t.Fatalf("got %d volumes", len(vols))
+	vols := make([]*Volume, 3)
+	for f := range vols {
+		vols[f] = sess.NewVolume()
+		if err := sess.BeamformInto(vols[f], bufs); err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
 	}
 	for f := 1; f < 3; f++ {
 		for i := range vols[0].Data {
@@ -163,7 +162,7 @@ func TestSessionBeamformFrames(t *testing.T) {
 			}
 		}
 	}
-	if _, err := sess.BeamformFrames([][]rf.EchoBuffer{bufs[:1]}); err == nil {
+	if err := sess.BeamformInto(sess.NewVolume(), bufs[:1]); err == nil {
 		t.Error("bad frame must fail")
 	}
 }
@@ -181,23 +180,20 @@ func TestSessionStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := 0
-	err = sess.Stream(4,
-		func(int) ([]rf.EchoBuffer, error) { return bufs, nil },
-		func(f int, v *Volume) error {
-			frames++
-			for i := range want.Data {
-				if want.Data[i] != v.Data[i] {
-					t.Fatalf("frame %d differs at %d", f, i)
-				}
+	// One reused output volume: each frame overwrites the last.
+	v := sess.NewVolume()
+	for f := 0; f < 4; f++ {
+		if err := sess.BeamformInto(v, bufs); err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		for i := range want.Data {
+			if want.Data[i] != v.Data[i] {
+				t.Fatalf("frame %d differs at %d", f, i)
 			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
+		}
 	}
-	if frames != 4 {
-		t.Errorf("sink saw %d frames, want 4", frames)
+	if sess.Frames() != 4 {
+		t.Errorf("Frames = %d, want 4", sess.Frames())
 	}
 }
 
@@ -303,9 +299,10 @@ func TestSessionScrapeWhileStreaming(t *testing.T) {
 			}
 		}
 	}()
-	err = sess.Stream(frames,
-		func(int) ([]rf.EchoBuffer, error) { return bufs, nil },
-		func(int, *Volume) error { return nil })
+	v := sess.NewVolume()
+	for f := 0; f < frames && err == nil; f++ {
+		err = sess.BeamformInto(v, bufs)
+	}
 	close(stop)
 	wg.Wait()
 	if err != nil {

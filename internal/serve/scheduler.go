@@ -3,7 +3,7 @@
 // fight for the same cores while each frame regenerates its own
 // non-resident delay blocks. The scheduler keeps one hot beamform.Session
 // per warm geometry, a per-geometry frame queue in front of it, and a
-// dispatch loop that drains the queue through Session.BeamformBatch — so
+// dispatch loop that drains the queue through Session.Run — so
 // consecutive frames of
 // one geometry share a single pass over the depth slices and every
 // non-resident delay block is regenerated once per batch instead of once
@@ -23,9 +23,9 @@
 // is the whole budget.
 //
 // Results are bit-identical to beamforming each frame alone:
-// BeamformBatch preserves each frame's accumulation order, batches fuse
-// only same-shape frames, and a delay block reads the same bytes whether
-// it is resident or regenerated.
+// Session.Run preserves each frame's accumulation order, batches fuse
+// only frames of one beamform.Shape, and a delay block reads the same
+// bytes whether it is resident or regenerated.
 package serve
 
 import (
@@ -40,7 +40,6 @@ import (
 	"time"
 
 	"ultrabeam/internal/beamform"
-	"ultrabeam/internal/delay"
 	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
@@ -198,21 +197,17 @@ type schedGeom struct {
 	warmOnBuild bool
 }
 
-// frameJob is one submitted frame: decoded echo sets (or pre-decoded int16
-// planes, on the i16 wire ingest path) in, volume out. A job enters
-// its lane queue the moment Begin reserves the slot — possibly before its
-// upload has finished arriving — and becomes dispatchable only when ready
-// flips (Complete*), so decode overlaps the backlog without a stalled
-// upload ever blocking a batch.
+// frameJob is one submitted frame: a decoded beamform.Frame in, volume
+// out. A job enters its lane queue the moment Begin reserves the slot —
+// possibly before its upload has finished arriving — and becomes
+// dispatchable only when ready flips (Complete*), so decode overlaps the
+// backlog without a stalled upload ever blocking a batch.
 type frameJob struct {
-	tx        [][]rf.EchoBuffer
-	planesI16 [][][]int16 // i16 plane ingest: planesI16[0][t], one frame per job
-	scales    [][]float32 // i16 quantization scales: scales[0][t]
-	win       int         // plane window (planesI16 != nil)
-	lane      Lane
-	shape     shapeKey
-	enq       time.Time
-	deadline  time.Time // zero: no client deadline; else drop from queue past it
+	frame    beamform.Frame
+	shape    beamform.Shape // the batch-fusion key: Run fuses one Shape
+	lane     Lane
+	enq      time.Time
+	deadline time.Time // zero: no client deadline; else drop from queue past it
 
 	ready   bool      // payload fully decoded; batchable
 	readyAt time.Time // lane wait is measured from here, not enq:
@@ -221,42 +216,6 @@ type frameJob struct {
 	out  *beamform.Volume
 	err  error
 	done chan struct{}
-}
-
-// shapeKey classifies a frame for batch fusion: BeamformBatch fuses only
-// frames whose narrow/flat datapath decisions agree, so the scheduler
-// groups queued frames by this key (mirroring beamform's frameShape plus
-// the element arity). Plane-ingest frames fuse only with each other — they
-// dispatch through BeamformBatchPlanesI16.
-type shapeKey struct {
-	transmits int
-	elements  int
-	narrowOK  bool
-	uniform   bool
-	win       int
-	i16       bool
-}
-
-func frameShapeKey(tx [][]rf.EchoBuffer) shapeKey {
-	k := shapeKey{transmits: len(tx), narrowOK: true, uniform: true}
-	if len(tx) > 0 {
-		k.elements = len(tx[0])
-	}
-	first := true
-	for _, bufs := range tx {
-		for _, b := range bufs {
-			n := len(b.Samples)
-			if n > delay.MaxEchoWindow {
-				k.narrowOK = false
-			}
-			if first {
-				k.win, first = n, false
-			} else if n != k.win {
-				k.uniform = false
-			}
-		}
-	}
-	return k
 }
 
 // NewScheduler builds a scheduler and, when cfg.IdleTTL > 0, starts the
@@ -320,9 +279,9 @@ func (s *Scheduler) janitor() {
 }
 
 // PendingFrame is a queue slot reserved by Begin before the frame's
-// payload exists server-side: the streaming-ingest handle. Exactly one of
-// CompleteBuffers / CompletePlanesI16 / Abort must follow, then Wait
-// collects the volume. The slot holds its lane position while the upload
+// payload exists server-side: the streaming-ingest handle. Exactly one
+// completion (CompleteBuffers or CompletePlanesI16) or Abort must follow,
+// then Wait collects the volume. The slot holds its lane position while the upload
 // decodes, and the first frame of a cold geometry starts the session build
 // immediately — so by the time a large upload finishes arriving, the
 // session is warm and the backlog ahead of it has drained.
@@ -457,9 +416,11 @@ func (s *Scheduler) updatePressureLocked(now time.Time) {
 // bulk batches inflate, 2 = bulk frames shed).
 func (s *Scheduler) PressureLevel() int { return int(s.pressureLevel.Load()) }
 
-// complete marks the pending job dispatchable and kicks the geometry's
-// dispatch loop if it parked while every queued job was still uploading.
-func (p *PendingFrame) complete() {
+// complete delivers the decoded frame, marks the job dispatchable and
+// kicks the geometry's dispatch loop if it parked while every queued job
+// was still uploading.
+func (p *PendingFrame) complete(f beamform.Frame) {
+	p.job.frame, p.job.shape = f, f.Shape()
 	s := p.s
 	s.mu.Lock()
 	p.job.ready = true
@@ -475,29 +436,14 @@ func (p *PendingFrame) complete() {
 
 // CompleteBuffers delivers the frame's decoded echo sets (tx[t][element])
 // and makes the job dispatchable.
-func (p *PendingFrame) CompleteBuffers(tx [][]rf.EchoBuffer) {
-	p.job.tx = tx
-	p.job.shape = frameShapeKey(tx)
-	p.complete()
-}
+func (p *PendingFrame) CompleteBuffers(tx [][]rf.EchoBuffer) { p.complete(beamform.Frame{Bufs: tx}) }
 
-// CompletePlanesI16 delivers the frame as guarded int16 echo planes with
-// their per-transmit quantization scales — the layout wire.DecodePlaneI16
-// streams into — and makes the job dispatchable through
-// Session.BeamformBatchPlanesI16. The geometry's session must run
-// Precision=i16 (the fingerprint carries precision, so an i16-completed
-// geometry is fixed-point by construction); every plane must be
-// elements·(win+1) long with zero guard slots and every scale positive
-// finite.
+// CompletePlanesI16 delivers the frame as guarded int16 echo planes of
+// window win with their per-transmit quantization scales — the layout
+// wire.DecodePlaneI16 streams into (see beamform.Frame) — and makes the
+// job dispatchable.
 func (p *PendingFrame) CompletePlanesI16(win int, planes [][]int16, scales []float32) {
-	p.job.planesI16 = [][][]int16{planes}
-	p.job.scales = [][]float32{scales}
-	p.job.win = win
-	p.job.shape = shapeKey{
-		transmits: len(planes), elements: p.g.req.Spec.Elements(),
-		narrowOK: true, uniform: true, win: win, i16: true,
-	}
-	p.complete()
+	p.complete(beamform.Frame{Planes: planes, Scales: scales, Win: win})
 }
 
 // Abort releases the reserved slot without dispatching — the upload
@@ -650,8 +596,8 @@ func (s *Scheduler) run(g *schedGeom) {
 
 // takeBatchLocked removes the next batch from g's queues: the interactive
 // lane always first — that is the whole preemption mechanism — then bulk;
-// within a lane, up to MaxBatch consecutive ready frames of one shape (the
-// fusion precondition of Session.BeamformBatch). Jobs still uploading
+// within a lane, up to MaxBatch consecutive ready frames of one
+// beamform.Shape (the fusion precondition of Session.Run). Jobs still uploading
 // (ready=false) are skipped over, not waited on — a stalled uplink never
 // blocks the frames queued behind it — and since only ready jobs are ever
 // taken, a pending slot cannot deadlock dispatch.
@@ -730,31 +676,18 @@ func (s *Scheduler) shedBulkLocked(g *schedGeom) {
 
 // dispatch beamforms one batch through the geometry's hot session and
 // completes its jobs. A batch error fails every job in it (the session
-// rejects malformed frames before touching any output). Plane batches
-// (i16 wire ingest) run through BeamformBatchPlanesI16 — same accumulation
-// order, no convert phase; the shape key keeps the two forms apart.
+// rejects malformed frames before touching any output).
 func (s *Scheduler) dispatch(g *schedGeom, batch []*frameJob) {
 	start := s.cfg.Now()
 	outs := make([]*beamform.Volume, len(batch))
+	frames := make([]beamform.Frame, len(batch))
 	for i, j := range batch {
-		outs[i] = g.sess.NewVolume()
+		outs[i], frames[i] = g.sess.NewVolume(), j.frame
 		s.lanes[j.lane].observe(start.Sub(j.readyAt))
 	}
 	err := dispatchFault.Err()
-	if err == nil && batch[0].shape.i16 {
-		planes := make([][][]int16, len(batch))
-		scales := make([][]float32, len(batch))
-		for i, j := range batch {
-			planes[i] = j.planesI16[0]
-			scales[i] = j.scales[0]
-		}
-		err = g.sess.BeamformBatchPlanesI16(outs, batch[0].win, planes, scales)
-	} else if err == nil {
-		frames := make([][][]rf.EchoBuffer, len(batch))
-		for i, j := range batch {
-			frames[i] = j.tx
-		}
-		err = g.sess.BeamformBatch(outs, frames)
+	if err == nil {
+		err = g.sess.Run(outs, frames)
 	}
 
 	s.batches.Add(1)

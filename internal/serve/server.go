@@ -289,28 +289,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// wirePayload is one compound frame decoded off the wire: guarded int16
-// planes plus their per-transmit quantization scales (planesI16[t],
-// scales[t] — the ADC-native path feeding the fixed-point kernel with no
-// float conversion at ingest), or float64 echo sets (tx[t][element] — the
-// golden path every precision accepts). Exactly one of planesI16 / tx is
-// non-nil.
-type wirePayload struct {
-	planesI16 [][]int16
-	scales    []float32
-	win       int
-	tx        [][]rf.EchoBuffer
-}
-
-// complete hands the decoded compound to its reserved queue slot.
-func (p *wirePayload) complete(pend *PendingFrame) {
-	if p.planesI16 != nil {
-		pend.CompletePlanesI16(p.win, p.planesI16, p.scales)
-	} else {
-		pend.CompleteBuffers(p.tx)
-	}
-}
-
 // wireErr maps a wire decode error onto an HTTP status: a tripped
 // http.MaxBytesReader (the cap on the whole request body) is 413, any
 // other malformed frame is 400.
@@ -320,19 +298,6 @@ func wireErr(err error) error {
 		return tooLarge("body exceeds %d bytes", mbe.Limit)
 	}
 	return &httpError{status: http.StatusBadRequest, msg: err.Error(), cause: err}
-}
-
-// planesI16Usable reports whether a frame decodes straight into a guarded
-// int16 plane: an i16-encoded wire frame bound for a precision=i16 session
-// — the quantized samples on the wire are exactly what the fixed-point
-// kernel gathers, so ingest is a near-memcpy and the header's scale rides
-// along. Any other encoding sent to an i16 session falls back to float64
-// echo buffers (the session quantizes in its convert phase); a compound
-// that switches encodings after an i16 transmit 0 is rejected by the
-// decoder's encoding check.
-func planesI16Usable(req SessionRequest, h wire.Header) bool {
-	return req.Config.Precision == beamform.PrecisionInt16 &&
-		h.Encoding == wire.EncodingI16 && h.Window <= delay.MaxEchoWindow
 }
 
 // checkWireHeader validates a frame header against the request geometry
@@ -358,28 +323,29 @@ func checkWireHeader(h wire.Header, req SessionRequest, wantTx, t, win int, maxB
 	return nil
 }
 
-// decodeWireFrame streams a checked frame's payload into p, picking p's
-// form on the first transmit: guarded int16 planes for an i16 frame bound
-// for an i16 session, float64 echo buffers otherwise.
-func decodeWireFrame(body io.Reader, h wire.Header, req SessionRequest, wantTx, t int, p *wirePayload) error {
+// decodeWireFrame streams a checked frame's payload into f, picking f's
+// form on the first transmit. An i16 frame bound for a precision=i16
+// session decodes straight into a guarded int16 plane: the quantized
+// samples on the wire are exactly what the fixed-point kernel gathers, so
+// ingest is a near-memcpy and the header's scale rides along. Any other
+// frame decodes into float64 echo buffers (an i16 session quantizes those
+// in its convert phase); a compound that switches encodings after an i16
+// transmit 0 is rejected by the decoder's encoding check.
+func decodeWireFrame(body io.Reader, h wire.Header, req SessionRequest, wantTx, t int, f *beamform.Frame) error {
 	elements := req.Spec.Elements()
 	if t == 0 {
-		p.win = h.Window
-		if planesI16Usable(req, h) {
-			p.planesI16 = make([][]int16, wantTx)
-			p.scales = make([]float32, wantTx)
+		if req.Config.Precision == beamform.PrecisionInt16 && h.Encoding == wire.EncodingI16 && h.Window <= delay.MaxEchoWindow {
+			f.Planes, f.Scales, f.Win = make([][]int16, wantTx), make([]float32, wantTx), h.Window
 		} else {
-			p.tx = make([][]rf.EchoBuffer, wantTx)
+			f.Bufs = make([][]rf.EchoBuffer, wantTx)
 		}
 	}
-	if p.planesI16 != nil {
-		stride := p.win + 1
-		plane := make([]int16, elements*stride) // fresh: guard slots zero
-		if err := wire.DecodePlaneI16(body, h, plane, stride); err != nil {
+	if f.Planes != nil {
+		plane := make([]int16, elements*(f.Win+1)) // fresh: guard slots zero
+		if err := wire.DecodePlaneI16(body, h, plane, f.Win+1); err != nil {
 			return wireErr(err)
 		}
-		p.planesI16[t] = plane
-		p.scales[t] = h.Scale
+		f.Planes[t], f.Scales[t] = plane, h.Scale
 		return nil
 	}
 	samples := make([]float64, elements*h.Window)
@@ -390,7 +356,7 @@ func decodeWireFrame(body io.Reader, h wire.Header, req SessionRequest, wantTx, 
 	for d := 0; d < elements; d++ {
 		bufs[d] = rf.EchoBuffer{Samples: samples[d*h.Window : (d+1)*h.Window : (d+1)*h.Window]}
 	}
-	p.tx[t] = bufs
+	f.Bufs[t] = bufs
 	return nil
 }
 
@@ -412,9 +378,9 @@ func (s *Server) readFirstHeader(cr *countingReader, req SessionRequest) (wire.H
 // it calls next with the frame's start time; the stream transport re-arms
 // its per-frame read deadline there (nil on HTTP, whose body is bounded by
 // MaxBodyBytes instead).
-func (s *Server) readCompound(cr *countingReader, h wire.Header, start time.Time, req SessionRequest, next func(time.Time)) (*wirePayload, error) {
-	var p wirePayload
-	wantTx := txCount(req)
+func (s *Server) readCompound(cr *countingReader, h wire.Header, start time.Time, req SessionRequest, next func(time.Time)) (beamform.Frame, error) {
+	var f beamform.Frame
+	wantTx, win := txCount(req), h.Window
 	read := int64(0)
 	for t := 0; t < wantTx; t++ {
 		if t > 0 {
@@ -424,19 +390,19 @@ func (s *Server) readCompound(cr *countingReader, h wire.Header, start time.Time
 			}
 			var err error
 			if h, err = wire.ReadHeader(cr); err != nil {
-				return nil, wireErr(err)
+				return f, wireErr(err)
 			}
-			if err := checkWireHeader(h, req, wantTx, t, p.win, s.cfg.MaxBodyBytes); err != nil {
-				return nil, err
+			if err := checkWireHeader(h, req, wantTx, t, win, s.cfg.MaxBodyBytes); err != nil {
+				return f, err
 			}
 		}
-		if err := decodeWireFrame(cr, h, req, wantTx, t, &p); err != nil {
-			return nil, err
+		if err := decodeWireFrame(cr, h, req, wantTx, t, &f); err != nil {
+			return f, err
 		}
-		s.wireRec().recordIngest(h.Encoding, cr.n-read, time.Since(start), p.planesI16 != nil)
+		s.wireRec().recordIngest(h.Encoding, cr.n-read, time.Since(start), f.Planes != nil)
 		read = cr.n
 	}
-	return &p, nil
+	return f, nil
 }
 
 func (s *Server) handleBeamform(w http.ResponseWriter, r *http.Request) {
@@ -474,13 +440,13 @@ func (s *Server) handleBeamform(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	p, err := s.readCompound(cr, h, decodeStart, req, nil)
+	f, err := s.readCompound(cr, h, decodeStart, req, nil)
 	if err != nil {
 		pend.Abort()
 		s.writeError(w, err)
 		return
 	}
-	p.complete(pend)
+	pend.complete(f)
 	vol, err := pend.Wait(ctx)
 	if err != nil {
 		s.writeError(w, err)

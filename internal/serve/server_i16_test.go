@@ -1,15 +1,18 @@
 // End-to-end tests for the precision=i16 serving path: an i16 wire body on
 // a PrecisionInt16 session decodes straight into a guarded int16 plane (the
-// zero-conversion ingest), rides BeamformBatchPlanesI16 over HTTP and the
-// cine stream, and shows up in the plane-decode counter.
+// zero-conversion ingest), rides Session.Run as a plane beamform.Frame over
+// HTTP and the cine stream, and shows up in the plane-decode counter.
 package serve
 
 import (
 	"bytes"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strconv"
 	"testing"
+	"time"
 
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/geom"
@@ -284,5 +287,65 @@ func TestTableFreeI16BudgetInvariant(t *testing.T) {
 				t.Fatalf("transmits=%d budget=%s: HTTP %d reply differs from full residency's", nTx, budget, st)
 			}
 		}
+	}
+}
+
+// TestServerWireI16PastAccumulatorBound: a 200×200 rect aperture defeats
+// the i16 kernel's int32 accumulator bound, so a precision=i16 session runs
+// the float64 kernel. An i16 body still decodes into int16 planes there;
+// the session widens them exactly as the float64 decode would, so the
+// answer is 200 and the volume is bitwise the precision=float64 one.
+func TestServerWireI16PastAccumulatorBound(t *testing.T) {
+	// A 40,000-element volume takes seconds under -race: the queue bound is
+	// raised past the default 10 s so only a wrong answer fails the test.
+	sched := NewScheduler(SchedulerConfig{MaxBatch: 4})
+	t.Cleanup(sched.Close)
+	srv, err := NewServer(ServerConfig{Scheduler: sched, AcquireTimeout: 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	// One scanline on a fine depth axis: nappe 0's central delays (≈ 40
+	// samples) fall inside the short window, and budget=none keeps the
+	// 40,000-element aperture's delays out of memory.
+	const nx, ny, win = 200, 200, 64
+	samples := make([]float64, nx*ny*win)
+	for i := range samples {
+		samples[i] = float64(i*7919%2001 - 1000)
+	}
+	fr, err := wire.NewFrame(wire.EncodingI16, nx*ny, win, 0, 1, samples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	if err := wire.WriteFrame(&body, fr, 0); err != nil {
+		t.Fatal(err)
+	}
+	vols := map[string][]float64{}
+	for _, prec := range []string{"i16", "float64"} {
+		q := url.Values{
+			"spec": {"reduced"}, "elemx": {strconv.Itoa(nx)}, "elemy": {strconv.Itoa(ny)},
+			"ftheta": {"1"}, "fphi": {"1"}, "fdepth": {"200"}, "window": {"rect"},
+			"arch": {"exact"}, "budget": {"none"}, "precision": {prec},
+		}
+		st, raw, _ := postBytes(t, ts.URL+"/v1/beamform?"+q.Encode(), wire.ContentType, body.Bytes())
+		if st != http.StatusOK {
+			t.Fatalf("precision=%s: %d: %s", prec, st, raw)
+		}
+		vols[prec] = decodeFloats(t, raw)
+	}
+	nonzero := false
+	for i, v := range vols["float64"] {
+		if math.Float64bits(v) != math.Float64bits(vols["i16"][i]) {
+			t.Fatalf("voxel %d: precision=i16 %v, precision=float64 %v", i, vols["i16"][i], v)
+		}
+		nonzero = nonzero || v != 0
+	}
+	if !nonzero {
+		t.Error("volume is all zero: the comparison proves nothing")
+	}
+	if ws := sched.Stats().Wire; ws.PlaneDecodesI16 != 1 {
+		t.Errorf("plane_decodes_i16 = %d, want 1 (the i16 session's body took the plane form)", ws.PlaneDecodesI16)
 	}
 }

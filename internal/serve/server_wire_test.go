@@ -341,11 +341,11 @@ func TestDecodedElementViewsAreCapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p wirePayload
-	if err := decodeWireFrame(r, h, req, 1, 0, &p); err != nil {
+	var f beamform.Frame
+	if err := decodeWireFrame(r, h, req, 1, 0, &f); err != nil {
 		t.Fatal(err)
 	}
-	views := p.tx[0]
+	views := f.Bufs[0]
 	if len(views) != elements {
 		t.Fatalf("%d views for %d elements", len(views), elements)
 	}

@@ -300,7 +300,7 @@ readLoop:
 		// stream in sync, drop the compound, and report in-band — one
 		// saturated moment must not kill a live cine feed, and a draining
 		// server still answers every frame it read before the GOAWAY.
-		p, derr := s.readCompound(cr, h, start, req, func(at time.Time) {
+		f, derr := s.readCompound(cr, h, start, req, func(at time.Time) {
 			conn.SetReadDeadline(at.Add(s.streamFrameTimeout))
 		})
 		if derr != nil {
@@ -326,7 +326,7 @@ readLoop:
 			}
 			continue
 		}
-		p.complete(pend)
+		pend.complete(f)
 		select {
 		case results <- result{pend: pend}:
 		case <-writerDone:

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -224,6 +226,92 @@ func FuzzCopyVolume(f *testing.F) {
 		}
 		if !bytes.Equal(dst.Bytes(), used) {
 			t.Fatalf("relayed %d bytes, consumed %d: not verbatim", dst.Len(), len(used))
+		}
+	})
+}
+
+// FuzzCopyFrame throws arbitrary bytes at the relay's frame copier — the
+// cluster router's one parser of client payload bytes on the stream path —
+// with ReadFrame, the whole-frame decoder, as its differential. The
+// contract: the copier accepts exactly the frames ReadFrame accepts,
+// consumes exactly the same bytes, relays them verbatim (header re-marshaled
+// byte for byte, chunk prefixes included), and the relayed bytes decode to
+// the same samples. Seeds: testdata/fuzz/FuzzCopyFrame (one valid frame per
+// encoding, chunked and whole, one followed by the next frame; zero,
+// oversized and overrunning chunk prefixes; torn headers, prefixes and
+// payloads; a bad magic).
+func FuzzCopyFrame(f *testing.F) {
+	const maxPayload = 1 << 16
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		h, err := ReadHeader(r)
+		if err != nil || h.PayloadBytes() > maxPayload {
+			return // the relay copies only headers it has read and checked
+		}
+		var dst bytes.Buffer
+		errCopy := CopyFrame(&dst, r, h)
+		ref := bytes.NewReader(data)
+		want, errRead := ReadFrame(ref, maxPayload)
+		if (errCopy == nil) != (errRead == nil) {
+			t.Fatalf("CopyFrame err=%v, ReadFrame err=%v", errCopy, errRead)
+		}
+		if errCopy != nil {
+			return
+		}
+		used := data[:len(data)-r.Len()]
+		if ref.Len() != r.Len() {
+			t.Fatalf("CopyFrame consumed %d bytes, ReadFrame %d", len(used), len(data)-ref.Len())
+		}
+		if !bytes.Equal(dst.Bytes(), used) {
+			t.Fatalf("relayed %d bytes, consumed %d: not verbatim", dst.Len(), len(used))
+		}
+		got, err := ReadFrame(bytes.NewReader(dst.Bytes()), maxPayload)
+		if err != nil {
+			t.Fatalf("relayed frame does not decode: %v", err)
+		}
+		if got.Header != want.Header || !slices.Equal(got.I16, want.I16) ||
+			!slices.EqualFunc(got.F32, want.F32, func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) ||
+			!slices.EqualFunc(got.F64, want.F64, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatal("relayed frame decodes to different samples")
+		}
+	})
+}
+
+// FuzzReadHelloReply throws arbitrary bytes at the handshake reply parser —
+// what the SDK and the cluster relay read first from a backend. A reply
+// that parses, accepted or refused, must be exactly what WriteHelloReply
+// emits for its status and message, and nothing past it may be consumed;
+// the only other outcome is a short read. Seeds:
+// testdata/fuzz/FuzzReadHelloReply (ok with and without a message, error
+// and overloaded refusals, a torn prefix, a torn message, a length past
+// the input, an ok followed by a volume).
+func FuzzReadHelloReply(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		err := ReadHelloReply(r)
+		var re *RemoteError
+		var status uint8
+		var msg string
+		switch {
+		case err == nil:
+			msg = string(data[3 : len(data)-r.Len()])
+		case errors.As(err, &re):
+			if re.Status == 0 {
+				t.Fatalf("refusal with status 0: %v", err)
+			}
+			status, msg = re.Status, re.Msg
+		default:
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("not a short read: %v", err)
+			}
+			return
+		}
+		var want bytes.Buffer
+		if err := WriteHelloReply(&want, status, msg); err != nil {
+			t.Fatal(err)
+		}
+		if used := data[:len(data)-r.Len()]; !bytes.Equal(used, want.Bytes()) {
+			t.Fatalf("consumed %q, re-encodes as %q", used, want.Bytes())
 		}
 	})
 }

@@ -28,7 +28,10 @@
 //
 //	sess, cache, err := spec.NewCachedSession(ultrabeam.Hann, tf, -1)
 //	defer sess.Close()
-//	vols, err := sess.BeamformFrames(frames)
+//	vol := sess.NewVolume()
+//	for _, bufs := range frames {
+//		err = sess.BeamformInto(vol, bufs) // frame 0 fills the cache
+//	}
 //	fmt.Println(cache.Stats()) // hits, misses, resident bytes
 //
 // Serving is the long-lived form of all of this (see internal/serve and
