@@ -271,21 +271,17 @@ func runProvider(b *testing.B, s core.SystemSpec, p delay.Provider) {
 }
 
 // Compile-time interface checks for every provider implementation: all
-// three architectures implement the scalar, block and narrow-block
-// interfaces (the ScalarAdapter lifts any Provider onto both block forms).
+// three architectures implement the scalar and block interfaces, the block
+// one in both its float64 and narrow forms (the ScalarAdapter lifts any
+// Provider onto it).
 var (
-	_ delay.Provider        = (*delay.Exact)(nil)
-	_ delay.Provider        = (*tablefree.Provider)(nil)
-	_ delay.Provider        = (*tablesteer.Provider)(nil)
-	_ delay.BlockProvider   = (*delay.Exact)(nil)
-	_ delay.BlockProvider   = (*tablefree.Provider)(nil)
-	_ delay.BlockProvider   = (*tablesteer.Provider)(nil)
-	_ delay.BlockProvider   = (*delay.ScalarAdapter)(nil)
-	_ delay.BlockProvider16 = (*delay.Exact)(nil)
-	_ delay.BlockProvider16 = (*tablefree.Provider)(nil)
-	_ delay.BlockProvider16 = (*tablesteer.Provider)(nil)
-	_ delay.BlockProvider16 = (*delay.ScalarAdapter)(nil)
-	_ delay.BlockProvider16 = (*delaycache.Cache)(nil)
+	_ delay.Provider      = (*delay.Exact)(nil)
+	_ delay.Provider      = (*tablefree.Provider)(nil)
+	_ delay.Provider      = (*tablesteer.Provider)(nil)
+	_ delay.BlockProvider = (*delay.Exact)(nil)
+	_ delay.BlockProvider = (*tablefree.Provider)(nil)
+	_ delay.BlockProvider = (*tablesteer.Provider)(nil)
+	_ delay.BlockProvider = (*delay.ScalarAdapter)(nil)
 )
 
 // Multi-frame session benchmarks (ISSUE 2): one iteration = one frame
@@ -383,7 +379,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			p := s.NewTableFree()
 			p.UseFixed = true
 			cache, err := delaycache.New(delaycache.Config{
-				Provider: p, Depths: s.FocalDepth, BudgetBytes: -1,
+				Providers: []delay.BlockProvider{p}, Depths: s.FocalDepth, BudgetBytes: -1,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -391,7 +387,7 @@ func BenchmarkKernelPrecision(b *testing.B) {
 			cache.Warm()
 			eng := s.NewBeamformer(xdcr.Hann, scan.NappeOrder)
 			eng.Cfg.Precision = tc.prec
-			sess, err := eng.NewSession(cache)
+			sess, err := eng.NewSessionGenerators(cache.Shared().Generators(), cache)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -414,28 +410,28 @@ func BenchmarkKernelPrecision(b *testing.B) {
 	}
 }
 
-// BenchmarkDelayCacheFillNappe isolates the cache's copy-serve path against
-// regenerating the block, on one ReducedSpec nappe.
-func BenchmarkDelayCacheFillNappe(b *testing.B) {
+// BenchmarkDelayCacheNappe16 isolates the cache's resident-block lookup
+// against regenerating the narrow block, on one ReducedSpec nappe.
+func BenchmarkDelayCacheNappe16(b *testing.B) {
 	s := core.ReducedSpec()
 	e := s.NewExact()
 	cache, err := delaycache.New(delaycache.Config{
-		Provider: e, Depths: s.FocalDepth, BudgetBytes: -1,
+		Providers: []delay.BlockProvider{e}, Depths: s.FocalDepth, BudgetBytes: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	dst := make([]float64, e.Layout().BlockLen())
+	dst := make(delay.Block16, e.Layout().BlockLen())
 	for _, bench := range []struct {
 		name string
-		bp   delay.BlockProvider
-	}{{"cached", cache}, {"generate", e}} {
+		run  func()
+	}{{"resident", func() { cache.Nappe16T(0, 0) }}, {"generate", func() { e.FillNappe16(0, dst) }}} {
 		b.Run(bench.name, func(b *testing.B) {
-			bench.bp.FillNappe(0, dst) // warm
+			bench.run() // warm
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bench.bp.FillNappe(0, dst)
+				bench.run()
 			}
 			b.StopTimer()
 			rate := float64(e.Layout().BlockLen()) * float64(b.N) / b.Elapsed().Seconds()

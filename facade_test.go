@@ -96,7 +96,7 @@ func TestFacadeSessionAndCache(t *testing.T) {
 		}
 	}
 	var st ultrabeam.CacheStats = cache.Stats()
-	if !cache.FullResidency() || st.Hits == 0 || st.Misses != warm.Misses {
+	if !cache.Shared().FullResidency() || st.Hits == 0 || st.Misses != warm.Misses {
 		t.Errorf("cache did not amortize: frame 0 %v, after frame 2 %v", warm, st)
 	}
 }

@@ -38,17 +38,16 @@ func batchSession(t testing.TB, eng *Engine, cfg Config, budget int64) *Session 
 	p := delay.AsBlock(exactProvider(cfg), delay.Layout{
 		NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY,
 	})
-	var prov delay.Provider = p
 	if budget >= -1 {
 		cache, err := delaycache.New(delaycache.Config{
-			Provider: p, Depths: cfg.Vol.Depth.N, BudgetBytes: budget,
+			Providers: []delay.BlockProvider{p}, Depths: cfg.Vol.Depth.N, BudgetBytes: budget,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		prov = cache
+		return cachedSession(t, eng, cache)
 	}
-	sess, err := eng.NewSession(prov)
+	sess, err := eng.NewSession(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,15 +160,7 @@ func TestBatchCompoundMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			views := make([]delay.Provider, len(provs))
-			for i := range provs {
-				views[i] = cache.Transmit(i)
-			}
-			sess, err := eng.NewSessionProviders(views)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return sess
+			return cachedSession(t, eng, cache)
 		}
 
 		refSess := newSess()
@@ -285,11 +276,7 @@ func TestBatchSteadyStateAllocFree(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
 	eng := New(cfg)
-	src := newRetainingSource16(exactProvider(cfg))
-	sess, err := eng.NewSession(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cachedSession(t, eng, fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N))
 	defer sess.Close()
 
 	frames := scaledFrames(bufs, 3)

@@ -236,10 +236,9 @@ func TestF64KernelThroughSession(t *testing.T) {
 	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
 	want := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 	blk := make(delay.Block16, layout.BlockLen())
-	scratch := make([]float64, layout.BlockLen())
 	for id := 0; id < cfg.Vol.Depth.N; id++ {
 		for ti, p := range provs {
-			delay.Fill16(delay.AsBlock(p, layout), id, blk, scratch)
+			delay.AsBlock(p, layout).FillNappe16(id, blk)
 			eng.accumulateNappe16Ref(blk, txBufs[ti], id, want, ti > 0)
 		}
 	}

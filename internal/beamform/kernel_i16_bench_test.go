@@ -72,10 +72,9 @@ func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
 	gen := delay.AsBlock(tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv}),
 		delay.Layout{NTheta: g.nth, NPhi: g.nphi, NX: g.nx, NY: g.ny})
 	blocks := make([]delay.Block16, g.ndep)
-	scratch := make([]float64, n)
 	for id := range blocks {
 		blocks[id] = make(delay.Block16, n)
-		delay.Fill16(gen, id, blocks[id], scratch)
+		gen.FillNappe16(id, blocks[id])
 	}
 	return eng, blocks, &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 }

@@ -586,14 +586,9 @@ func TestSessionInt16SteadyStateAllocFree(t *testing.T) {
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
 	cfg.Precision = PrecisionInt16
 	eng := New(cfg)
-	src := newRetainingSource16(exactProvider(cfg))
-	for id := 0; id < cfg.Vol.Depth.N; id++ {
-		src.Nappe16(id)
-	}
-	sess, err := eng.NewSession(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N)
+	cache.Warm()
+	sess := cachedSession(t, eng, cache)
 	defer sess.Close()
 	out := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 	if err := sess.BeamformInto(out, bufs); err != nil { // warm: sizes plane
@@ -617,14 +612,9 @@ func TestBatchPlanesI16SteadyStateAllocFree(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
 	cfg.Precision = PrecisionInt16
-	src := newRetainingSource16(exactProvider(cfg))
-	for id := 0; id < cfg.Vol.Depth.N; id++ {
-		src.Nappe16(id)
-	}
-	sess, err := New(cfg).NewSession(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N)
+	cache.Warm()
+	sess := cachedSession(t, New(cfg), cache)
 	defer sess.Close()
 	win := len(bufs[0].Samples)
 	planes, scales := framePlanesI16(t, [][]rf.EchoBuffer{bufs}, win)

@@ -223,7 +223,7 @@ func TestFusedSteerIndexExtremes(t *testing.T) {
 
 // unfusedProvider hides a generator's delay.SteerSource, so a session over
 // it fills blocks: the golden twin's route.
-type unfusedProvider struct{ delay.BlockProvider16 }
+type unfusedProvider struct{ delay.BlockProvider }
 
 // countingSteer counts the fused route's per-nappe operand builds — the
 // route pin: one call per non-resident (nappe, transmit) per batch where the
@@ -287,22 +287,14 @@ func (sc *steerCompound) session(t *testing.T, fused bool, budget int64) (*Sessi
 			blocks[i] = unfusedProvider{g}
 		}
 	}
-	provs := make([]delay.Provider, len(blocks))
 	var cache *delaycache.Cache
 	if budget >= -1 {
 		var err error
 		if cache, err = delaycache.New(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: budget}); err != nil {
 			t.Fatal(err)
 		}
-		for i := range provs {
-			provs[i] = cache.Transmit(i)
-		}
-	} else {
-		for i, b := range blocks {
-			provs[i] = b
-		}
 	}
-	sess, err := New(sc.cfg).NewSessionProviders(provs)
+	sess, err := New(sc.cfg).NewSessionGenerators(blocks, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,6 +420,41 @@ func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 	}
 }
 
+// TestFusedSteerCountsOneMissPerNonResident: through a half-budget cache, an
+// i16 TABLESTEER session asks the cache once per (transmit, nappe) per
+// batch. Each fused non-resident pair counts exactly one miss, on the
+// attachment and on the store, and fills no block. Each resident pair
+// counts one fill on the first batch and one hit on every later batch.
+func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
+	sc := newSteerCompound(t, 2, PrecisionInt16)
+	bufs, _, _ := sc.frames(t, 3)
+	blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
+	resident := int64(sc.depth * len(sc.gens) / 2)
+	sess, cache := sc.session(t, true, resident*blockBytes)
+	defer sess.Close()
+	nonResident := int64(sc.depth*len(sc.gens)) - resident
+	dsts := []*Volume{sess.NewVolume(), sess.NewVolume(), sess.NewVolume()}
+	for batch := 0; batch < 3; batch++ {
+		before, rows := cache.Stats(), sc.rows()
+		if err := sess.BeamformBatch(dsts, bufs); err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		wantMisses, wantHits := nonResident, resident
+		if batch == 0 {
+			wantMisses, wantHits = nonResident+resident, 0
+		}
+		if after.Misses-before.Misses != wantMisses || after.Hits-before.Hits != wantHits ||
+			after.Fills != resident || cache.Shared().Stats().Misses != after.Misses {
+			t.Errorf("batch %d: stats %+v → %+v, want %d more misses, %d more hits, %d fills",
+				batch, before, after, wantMisses, wantHits, resident)
+		}
+		if fusedSteer() && sc.rows()-rows != nonResident {
+			t.Errorf("batch %d: %d fused operand builds, want %d", batch, sc.rows()-rows, nonResident)
+		}
+	}
+}
+
 // TestFusedSteerRoutes pins what never takes the fused route: the float64
 // precision, TABLESTEER's float datapath and the unproven
 // formats that fill through clampedRow (no operands at all) — each session
@@ -530,21 +557,14 @@ func TestFusedSteerConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			provs := make([]delay.Provider, len(blocks))
-			if g%2 == 0 {
-				for i, b := range blocks {
-					provs[i] = b
-				}
-			} else {
-				c := shared.Attach()
+			var c *delaycache.Cache
+			if g%2 == 1 {
+				c = shared.Attach()
 				defer c.Detach()
-				for i := range provs {
-					provs[i] = c.Transmit(i)
-				}
 			}
 			cfg := sc.cfg
 			cfg.Workers = 2
-			sess, err := New(cfg).NewSessionProviders(provs)
+			sess, err := New(cfg).NewSessionGenerators(blocks, c)
 			if err != nil {
 				t.Error(err)
 				return

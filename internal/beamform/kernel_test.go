@@ -1,44 +1,43 @@
 package beamform
 
 import (
-	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 )
 
-// retainingSource16 retains every narrow block — the in-package stand-in
-// for delaycache.Cache's fast path. Session workers call Nappe16
-// concurrently, so the map is mutex-guarded.
-type retainingSource16 struct {
-	delay.BlockProvider16
-	mu     sync.Mutex
-	blocks map[int]delay.Block16
-}
-
-func newRetainingSource16(bp delay.BlockProvider16) *retainingSource16 {
-	return &retainingSource16{BlockProvider16: bp, blocks: map[int]delay.Block16{}}
-}
-
-func (r *retainingSource16) Nappe16(id int) delay.Block16 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if blk, ok := r.blocks[id]; ok {
-		return blk
+// fullCache returns a full-budget delay cache over the single generator
+// gen: every nappe is resident once touched.
+func fullCache(t testing.TB, gen delay.BlockProvider, depths int) *delaycache.Cache {
+	t.Helper()
+	c, err := delaycache.New(delaycache.Config{
+		Providers: []delay.BlockProvider{gen}, Depths: depths, BudgetBytes: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	blk := make(delay.Block16, r.Layout().BlockLen())
-	r.FillNappe16(id, blk)
-	r.blocks[id] = blk
-	return blk
+	return c
+}
+
+// cachedSession builds a session over cache and the generators its store
+// fills from.
+func cachedSession(t testing.TB, eng *Engine, cache *delaycache.Cache) *Session {
+	t.Helper()
+	sess, err := eng.NewSessionGenerators(cache.Shared().Generators(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
 }
 
 // TestPrecisionFloat64BitIdentical pins the tentpole's exactness claim:
-// the default narrow-delay session — int16 blocks filled natively, via
-// quantization, or served resident from a NappeSource16 — reproduces the
-// scalar float64 reference bit for bit.
+// the default narrow-delay session — int16 blocks filled by the generator
+// or served resident from a delay cache — reproduces the scalar float64
+// reference bit for bit.
 func TestPrecisionFloat64BitIdentical(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
@@ -48,17 +47,15 @@ func TestPrecisionFloat64BitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	providers := map[string]delay.Provider{
-		"native16":   p,
-		"quantized":  &wideOnlyProvider{delay.AsBlock(p, layout)},
-		"resident16": newRetainingSource16(p),
+	native16, err := eng.NewSession(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, prov := range providers {
-		sess, err := eng.NewSession(prov)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sessions := map[string]*Session{
+		"native16":   native16,
+		"resident16": cachedSession(t, eng, fullCache(t, p, cfg.Vol.Depth.N)),
+	}
+	for name, sess := range sessions {
 		for frame := 0; frame < 2; frame++ {
 			vol, err := sess.Beamform(bufs)
 			if err != nil {
@@ -73,12 +70,6 @@ func TestPrecisionFloat64BitIdentical(t *testing.T) {
 		}
 		sess.Close()
 	}
-}
-
-// wideOnlyProvider hides the BlockProvider16 fast path, forcing the
-// session's quantize-through-scratch branch.
-type wideOnlyProvider struct {
-	delay.BlockProvider
 }
 
 // TestHugeEchoWindowFallsBackWide: a window beyond delay.MaxEchoWindow
@@ -116,6 +107,51 @@ func TestHugeEchoWindowFallsBackWide(t *testing.T) {
 			if ref.Data[i] != vol.Data[i] {
 				t.Fatalf("%v: differs at %d", prec, i)
 			}
+		}
+	}
+}
+
+// TestWideFallbackCountsEveryBlockAMiss: on the float64 fallback the narrow
+// store can serve no block, so each frame of a cached compound session costs
+// exactly one miss per (transmit, nappe) and hits nothing — at full budget,
+// frame after frame.
+func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) {
+	cfg, _, _ := psfSetup(t)
+	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
+	cfg.Arr.NX, cfg.Arr.NY = 4, 4
+	bufs, err := rf.Synthesize(rf.Config{
+		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
+		BufSamples: delay.MaxEchoWindow + 100,
+	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []delay.BlockProvider
+	for _, tx := range delay.SteeredTransmits(2, 0.004, 0.004) {
+		p, err := exactProvider(cfg).WithTransmit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens = append(gens, p.(delay.BlockProvider))
+	}
+	cache, err := delaycache.New(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := cachedSession(t, New(cfg), cache)
+	defer sess.Close()
+	dst := sess.NewVolume()
+	perFrame := int64(cfg.Vol.Depth.N * len(gens))
+	for frame := 0; frame < 3; frame++ {
+		before := cache.Stats()
+		if err := sess.BeamformCompoundInto(dst, [][]rf.EchoBuffer{bufs, bufs}); err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		if after.Misses-before.Misses != perFrame || after.Hits != before.Hits ||
+			cache.Shared().Stats().Misses != after.Misses {
+			t.Errorf("frame %d: stats %+v → %+v, want exactly %d more misses and no hits",
+				frame, before, after, perFrame)
 		}
 	}
 }

@@ -1,8 +1,8 @@
 // Session: the persistent multi-frame form of the engine. PR 1 made one
 // frame fast (block datapath); a cine sequence calls the beamformer once
 // per frame, and delays depend only on geometry — so the per-frame setup
-// (worker spawn, nappe buffers, output volume) and, with a caching
-// provider, delay generation itself are all amortizable across frames.
+// (worker spawn, nappe buffers, output volume) and, with a delay-cache
+// attachment, delay generation itself are all amortizable across frames.
 // Session keeps a worker pool and per-worker nappe buffers alive between
 // frames, and its steady-state BeamformInto performs no allocation at all:
 // frame dispatch is a token send per worker on prebuilt channels.
@@ -55,18 +55,9 @@ import (
 // atomic load) unless a schedule arms it.
 var batchFault = faultpoint.New("beamform.batch")
 
-// NappeSource16 is the optional fast path a caching BlockProvider can
-// offer: Nappe16 returns a retained read-only quantized block for nappe id,
-// or nil when the nappe is not resident. When a session provider implements
-// it (delaycache.Cache and its per-transmit views do), resident nappes are
-// consumed in place — no generation, no copy, 2 bytes per delay.
-type NappeSource16 interface {
-	Nappe16(id int) delay.Block16
-}
-
-// steerRoute is one transmit's fused TABLESTEER route: the provider's
+// steerRoute is one transmit's fused TABLESTEER route: the generator's
 // delay.SteerSource and the shared operands it returned at session
-// construction (nil: the provider offers none, and the transmit always
+// construction (nil: the generator offers none, and the transmit always
 // fills blocks).
 type steerRoute struct {
 	src delay.SteerSource
@@ -82,16 +73,16 @@ const (
 )
 
 // Session is a reusable multi-frame beamformer: one geometry, one delay
-// provider per transmit, a persistent worker pool. Run beamforms a batch of
-// Frames; Beamform / BeamformInto (single insonification) and
-// BeamformCompound / BeamformCompoundInto (compound) are its one-frame
-// forms; Close releases the workers. A Session must not be used
-// concurrently — one frame is in flight at a time (the parallelism is
-// inside the frame).
+// generator per transmit, at most one delay-cache attachment, a persistent
+// worker pool. Run beamforms a batch of Frames; Beamform / BeamformInto
+// (single insonification) and BeamformCompound / BeamformCompoundInto
+// (compound) are its one-frame forms; Close releases the workers. A
+// Session must not be used concurrently — one frame is in flight at a time
+// (the parallelism is inside the frame).
 type Session struct {
 	eng     *Engine
-	bps     []delay.BlockProvider // one per transmit
-	srcs16  []NappeSource16       // per transmit; non-nil where narrow blocks are retained
+	gens    []delay.BlockProvider // one generator per transmit
+	cache   *delaycache.Cache     // the resident blocks of every transmit; nil when uncached
 	steers  []steerRoute          // per transmit; ops non-nil where the fused steer route exists
 	ryLen   int                   // per-worker fused operand scratch, 0 when no transmit has the route
 	layout  delay.Layout
@@ -136,59 +127,64 @@ type Session struct {
 	closed     bool
 }
 
-// CacheStatsSource is implemented by caching delay providers that can
-// report effectiveness counters (delaycache.Cache and its transmit views).
-// The session surfaces it through CacheStats so a /stats scraper never has
-// to know which provider chain a session was built over.
-type CacheStatsSource interface {
-	Stats() delaycache.Stats
-}
-
 // NewSession builds a single-transmit session running the engine's block
-// datapath over p (plain Providers are lifted via delay.AsBlock, caching
-// providers are detected through NappeSource16) and spawns the
-// worker pool. Callers own the session lifecycle: Close it when the cine
-// sequence ends.
+// datapath over p (plain Providers are lifted via delay.AsBlock) and spawns
+// the worker pool. Callers own the session lifecycle: Close it when the
+// cine sequence ends.
 func (e *Engine) NewSession(p delay.Provider) (*Session, error) {
 	return e.NewSessionProviders([]delay.Provider{p})
 }
 
-// NewSessionProviders builds a session over one delay provider per
-// transmit of a compounding set: ps[t] generates the delays of transmit t
-// (derive the set with delay.ForTransmits, or pass delaycache.Cache
-// per-transmit views to share one block budget across the set). A
-// single-entry list is the plain single-insonification session.
+// NewSessionProviders builds an uncached session over one delay provider
+// per transmit of a compounding set: ps[t] generates the delays of transmit
+// t (derive the set with delay.ForTransmits). A single-entry list is the
+// plain single-insonification session.
 func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
-	if len(ps) == 0 {
-		return nil, errors.New("beamform: no delay providers")
-	}
-	layout := delay.Layout{
-		NTheta: e.Cfg.Vol.Theta.N, NPhi: e.Cfg.Vol.Phi.N,
-		NX: e.Cfg.Arr.NX, NY: e.Cfg.Arr.NY,
-	}
-	if !layout.Valid() {
-		return nil, fmt.Errorf("beamform: invalid nappe layout %v", layout)
-	}
-	s := &Session{
-		eng: e, layout: layout,
-		bps:     make([]delay.BlockProvider, len(ps)),
-		srcs16:  make([]NappeSource16, len(ps)),
-		steers:  make([]steerRoute, len(ps)),
-		workers: e.workerCount(),
-		done:    make(chan struct{}),
-	}
+	gens := make([]delay.BlockProvider, len(ps))
 	for t, p := range ps {
 		if p == nil {
 			return nil, fmt.Errorf("beamform: nil delay provider for transmit %d", t)
 		}
-		bp := delay.AsBlock(p, layout)
-		s.bps[t] = bp
-		if src, ok := bp.(NappeSource16); ok {
-			s.srcs16[t] = src
+		gens[t] = delay.AsBlock(p, e.layout())
+	}
+	return e.NewSessionGenerators(gens, nil)
+}
+
+// NewSessionGenerators builds a session over one block generator per
+// transmit and, when cache is non-nil, one delay-cache attachment whose
+// store fills from those same generators (Shared.Generators): each
+// (transmit, nappe) block comes from the attachment when resident and from
+// gens[t] otherwise. The session does not Detach the attachment.
+func (e *Engine) NewSessionGenerators(gens []delay.BlockProvider, cache *delaycache.Cache) (*Session, error) {
+	layout := e.layout()
+	if !layout.Valid() {
+		return nil, fmt.Errorf("beamform: invalid nappe layout %v", layout)
+	}
+	if len(gens) == 0 {
+		return nil, errors.New("beamform: no delay providers")
+	}
+	for t, g := range gens {
+		if g == nil || g.Layout() != layout {
+			return nil, fmt.Errorf("beamform: transmit %d generator does not fill layout %v", t, layout)
 		}
+	}
+	if cache != nil {
+		st := cache.Shared()
+		if st.Layout() != layout || st.Transmits() != len(gens) || st.Depths() != e.Cfg.Vol.Depth.N {
+			return nil, fmt.Errorf("beamform: cache holds %d transmits × %d nappes of %v, session needs %d × %d of %v",
+				st.Transmits(), st.Depths(), st.Layout(), len(gens), e.Cfg.Vol.Depth.N, layout)
+		}
+	}
+	s := &Session{
+		eng: e, layout: layout, gens: gens, cache: cache,
+		steers:  make([]steerRoute, len(gens)),
+		workers: e.workerCount(),
+		done:    make(chan struct{}),
+	}
+	for t, g := range gens {
 		// A build or host without the fused body never asks for operands,
-		// so it never builds the provider's tiled x table.
-		if src, ok := bp.(delay.SteerSource); ok && fusedSteer() {
+		// so it never builds the generator's tiled x table.
+		if src, ok := g.(delay.SteerSource); ok && fusedSteer() {
 			if ops := src.SteerOperands(); ops != nil && len(ops.XOff) == layout.NTheta*layout.NPhi {
 				s.steers[t] = steerRoute{src: src, ops: ops}
 				s.ryLen = (layout.NPhi + 1) * layout.VoxelStride()
@@ -201,6 +197,14 @@ func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
 		go s.worker(w)
 	}
 	return s, nil
+}
+
+// layout is the nappe block geometry of the engine's grid and aperture.
+func (e *Engine) layout() delay.Layout {
+	return delay.Layout{
+		NTheta: e.Cfg.Vol.Theta.N, NPhi: e.Cfg.Vol.Phi.N,
+		NX: e.Cfg.Arr.NX, NY: e.Cfg.Arr.NY,
+	}
 }
 
 // worker is the persistent per-worker loop: it owns one reusable narrow
@@ -231,7 +235,7 @@ func (s *Session) worker(w int) {
 // worker's indivisible unit. Plane k·T+t starts at (k·T+t)·planeLen and
 // its kernel rescale lands in i16Scale[k·T+t].
 func (s *Session) convertStripeI16(w int) {
-	nTx := len(s.bps)
+	nTx := len(s.gens)
 	total := len(s.frames) * nTx
 	for r := w; r < total; r += s.workers {
 		k, t := r/nTx, r%nTx
@@ -242,44 +246,46 @@ func (s *Session) convertStripeI16(w int) {
 }
 
 // accumulateStripe beamforms depth slices w, w+workers, ... of the batch:
-// for each slice, every transmit's delay block is obtained once — a narrow
-// (or, on fallback, float64) block, resident blocks from a NappeSource16
-// consumed in place — and the precision-selected kernel runs over every
-// frame of the batch with the first transmit storing and later transmits
-// adding. The
-// loop nesting is slice → transmit → frame, so within each frame the
-// per-voxel accumulation order is exactly the single-frame order (the
-// batching bit-identity contract), while a non-resident block is generated
-// once per batch instead of once per frame. On the i16 kernel a non-resident
-// nappe of a transmit with the fused steer route generates no block at all:
-// its per-nappe operand rows are built once per batch and every frame runs
-// the fused body, which is bit-identical to filling and accumulating.
+// for each slice, every transmit's delays are obtained once — the cache's
+// resident block consumed in place, else the transmit's generator filling
+// the worker's narrow (or, on fallback, float64) block — and the
+// precision-selected kernel runs over every frame of the batch with the
+// first transmit storing and later transmits adding. The loop nesting is
+// slice → transmit → frame, so within each frame the per-voxel
+// accumulation order is exactly the single-frame order (the batching
+// bit-identity contract), while a non-resident block is generated once per
+// batch instead of once per frame. On the i16 kernel a non-resident nappe
+// of a transmit with the fused steer route generates no block at all: its
+// per-nappe operand rows are built once per batch and every frame runs the
+// fused body, which is bit-identical to filling and accumulating.
 func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64, row, ry []int32) {
-	nTx := len(s.bps)
+	nTx := len(s.gens)
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
 		for t := 0; t < nTx; t++ {
 			add := t > 0
 			if !s.narrow {
 				// An echo window beyond delay.MaxEchoWindow defeats int16
-				// selection indices: float64 blocks end to end.
-				s.bps[t].FillNappe(id, scratch)
+				// selection indices: float64 blocks end to end, which the
+				// narrow store never holds.
+				if s.cache != nil {
+					s.cache.Miss()
+				}
+				s.gens[t].FillNappe(id, scratch)
 				for k, f := range s.frames {
 					s.eng.accumulateNappe(scratch, f.Bufs[t], id, s.outs[k], add)
 				}
 				continue
 			}
-			blk := buf16
-			resident := false
-			if s.srcs16[t] != nil {
-				if r := s.srcs16[t].Nappe16(id); r != nil {
-					blk, resident = r, true
-				}
+			var blk delay.Block16
+			if s.cache != nil {
+				blk = s.cache.Nappe16T(t, id)
 			}
-			fused := !resident && s.useI16 && s.steers[t].ops != nil && fusedSteer()
+			fused := blk == nil && s.useI16 && s.steers[t].ops != nil && fusedSteer()
 			if fused {
 				s.steers[t].src.SteerRows(id, ry)
-			} else if !resident {
-				delay.Fill16(s.bps[t], id, buf16, scratch)
+			} else if blk == nil {
+				s.gens[t].FillNappe16(id, buf16)
+				blk = buf16
 			}
 			if !s.useI16 {
 				for k, f := range s.frames {
@@ -305,7 +311,7 @@ func (s *Session) planeI16(k, t int) []int16 {
 	if p := s.frames[k].Planes; p != nil {
 		return p[t]
 	}
-	r := k*len(s.bps) + t
+	r := k*len(s.gens) + t
 	return s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
 }
 
@@ -328,26 +334,21 @@ func (s *Session) Workers() int { return s.workers }
 // stats endpoint can scrape live sessions.
 func (s *Session) Frames() int64 { return s.beamformed.Load() }
 
-// CacheStats returns the delay-cache snapshot of the transmit-0 provider
-// when the session was built over a caching chain, and ok=false otherwise.
-// Like Frames, it is safe to call concurrently with a frame in flight —
-// the cache counters are atomic — which is what lets a serving frontend's
-// /stats endpoint scrape checked-out sessions without stopping them.
+// CacheStats returns the session's delay-cache attachment snapshot, and
+// ok=false when the session is uncached. Like Frames, it is safe to call
+// concurrently with a frame in flight — the cache counters are atomic —
+// which is what lets a serving frontend's /stats endpoint scrape live
+// sessions without stopping them.
 func (s *Session) CacheStats() (st delaycache.Stats, ok bool) {
-	src, ok := s.bps[0].(CacheStatsSource)
-	if !ok {
+	if s.cache == nil {
 		return delaycache.Stats{}, false
 	}
-	return src.Stats(), true
+	return s.cache.Stats(), true
 }
 
 // Transmits returns the per-frame insonification count (1 for a plain
 // session).
-func (s *Session) Transmits() int { return len(s.bps) }
-
-// Provider returns the block provider of transmit 0 (the cache view when
-// one is installed).
-func (s *Session) Provider() delay.BlockProvider { return s.bps[0] }
+func (s *Session) Transmits() int { return len(s.gens) }
 
 // Frame is one compound frame in the form it reaches the session: float64
 // echo buffers (Bufs[t][element], the golden form every precision takes),
@@ -473,7 +474,7 @@ func (s *Session) Run(dsts []*Volume, frames []Frame) error {
 	}
 	s.frames, s.outs, s.narrow, s.useI16 = frames, dsts, narrow, i16
 	if i16 {
-		nTx := len(s.bps)
+		nTx := len(s.gens)
 		s.sizePlanes(sh.Win, sh.Elements*(sh.Win+1))
 		if n := len(frames) * nTx; n > len(s.i16Scale) {
 			s.i16Scale = make([]float64, n)
@@ -502,7 +503,7 @@ func (s *Session) Run(dsts []*Volume, frames []Frame) error {
 // checkFrame validates one frame against the session's transmits and
 // aperture.
 func (s *Session) checkFrame(f Frame) error {
-	nTx, elems := len(s.bps), s.eng.Cfg.Arr.Elements()
+	nTx, elems := len(s.gens), s.eng.Cfg.Arr.Elements()
 	if (f.Bufs == nil) == (f.Planes == nil) {
 		return errors.New("a frame carries exactly one of echo buffers and int16 planes")
 	}
@@ -653,8 +654,8 @@ func (s *Session) BeamformCompound(txBufs [][]rf.EchoBuffer) (*Volume, error) {
 // must carry the session's volume grid. It requires a single-transmit
 // session; compound sessions beamform via BeamformCompoundInto.
 func (s *Session) BeamformInto(dst *Volume, bufs []rf.EchoBuffer) error {
-	if len(s.bps) != 1 {
-		return fmt.Errorf("beamform: session compounds %d transmits; use BeamformCompoundInto", len(s.bps))
+	if len(s.gens) != 1 {
+		return fmt.Errorf("beamform: session compounds %d transmits; use BeamformCompoundInto", len(s.gens))
 	}
 	s.tx1[0] = bufs
 	err := s.BeamformCompoundInto(dst, s.tx1[:])

@@ -6,13 +6,12 @@ import (
 	"testing"
 
 	"ultrabeam/internal/delay"
-	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/scan"
 )
 
 func TestSessionMatchesScalarReference(t *testing.T) {
-	// The session (uncached and with a retaining NappeSource16) joins the
+	// The session (uncached and over a full-budget delay cache) joins the
 	// path-invariance family: bit-identical to BeamformScalar.
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
@@ -22,15 +21,15 @@ func TestSessionMatchesScalarReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sources := map[string]delay.Provider{
-		"plain":    p,
-		"retained": newRetainingSource16(p),
+	plain, err := eng.NewSession(p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name, prov := range sources {
-		sess, err := eng.NewSession(prov)
-		if err != nil {
-			t.Fatal(err)
-		}
+	sessions := map[string]*Session{
+		"plain":    plain,
+		"retained": cachedSession(t, eng, fullCache(t, p, cfg.Vol.Depth.N)),
+	}
+	for name, sess := range sessions {
 		for frame := 0; frame < 3; frame++ { // repeated frames stay identical
 			vol, err := sess.Beamform(bufs)
 			if err != nil {
@@ -51,21 +50,16 @@ func TestSessionMatchesScalarReference(t *testing.T) {
 }
 
 func TestSessionRetainedSourceSkipsGeneration(t *testing.T) {
-	// With every block resident, a warmed retaining source must serve later
-	// frames without any fill call reaching the generator.
+	// With every block resident, a warmed full-budget cache must serve
+	// later frames without any fill call reaching the generator.
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
 	eng := New(cfg)
-	counted := &countingBlock16{BlockProvider16: exactProvider(cfg)}
-	src := newRetainingSource16(counted)
-	for id := 0; id < cfg.Vol.Depth.N; id++ { // warm outside the session
-		src.Nappe16(id)
-	}
+	counted := &countingBlock{BlockProvider: exactProvider(cfg)}
+	cache := fullCache(t, counted, cfg.Vol.Depth.N)
+	cache.Warm() // warm outside the session
 	warm := counted.calls.Load()
-	sess, err := eng.NewSession(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cachedSession(t, eng, cache)
 	defer sess.Close()
 	if _, err := sess.Beamform(bufs); err != nil {
 		t.Fatal(err)
@@ -75,7 +69,8 @@ func TestSessionRetainedSourceSkipsGeneration(t *testing.T) {
 	}
 }
 
-// countingBlock counts generator runs; session workers fill concurrently.
+// countingBlock counts generator runs of either fill; session workers fill
+// concurrently.
 type countingBlock struct {
 	delay.BlockProvider
 	calls atomic.Int64
@@ -86,20 +81,9 @@ func (c *countingBlock) FillNappe(id int, dst []float64) {
 	c.BlockProvider.FillNappe(id, dst)
 }
 
-// countingBlock16 counts runs of either fill of a narrow provider.
-type countingBlock16 struct {
-	delay.BlockProvider16
-	calls atomic.Int64
-}
-
-func (c *countingBlock16) FillNappe(id int, dst []float64) {
+func (c *countingBlock) FillNappe16(id int, dst delay.Block16) {
 	c.calls.Add(1)
-	c.BlockProvider16.FillNappe(id, dst)
-}
-
-func (c *countingBlock16) FillNappe16(id int, dst delay.Block16) {
-	c.calls.Add(1)
-	c.BlockProvider16.FillNappe16(id, dst)
+	c.BlockProvider.FillNappe16(id, dst)
 }
 
 func TestSessionBeamformIntoValidation(t *testing.T) {
@@ -231,11 +215,7 @@ func TestSessionSteadyStateAllocFree(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
 	eng := New(cfg)
-	src := newRetainingSource16(exactProvider(cfg))
-	sess, err := eng.NewSession(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cachedSession(t, eng, fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N))
 	defer sess.Close()
 	out := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 	if err := sess.BeamformInto(out, bufs); err != nil { // warm
@@ -259,17 +239,7 @@ func TestSessionScrapeWhileStreaming(t *testing.T) {
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
 	eng := New(cfg)
 	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	cache, err := delaycache.New(delaycache.Config{
-		Provider: delay.AsBlock(exactProvider(cfg), layout),
-		Depths:   cfg.Vol.Depth.N, BudgetBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := eng.NewSession(cache)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := cachedSession(t, eng, fullCache(t, delay.AsBlock(exactProvider(cfg), layout), cfg.Vol.Depth.N))
 	defer sess.Close()
 
 	const frames = 6
@@ -300,6 +270,7 @@ func TestSessionScrapeWhileStreaming(t *testing.T) {
 		}
 	}()
 	v := sess.NewVolume()
+	var err error
 	for f := 0; f < frames && err == nil; f++ {
 		err = sess.BeamformInto(v, bufs)
 	}

@@ -245,59 +245,38 @@ func (s SystemSpec) transmitProviders(cfg SessionConfig, p delay.Provider) ([]de
 // NewSessionConfig builds a session with an explicit datapath
 // configuration. The returned cache is the session's attachment (a fresh
 // private store under cfg.Cached, a view of cfg.SharedCache when one is
-// supplied) and nil when the session is uncached. When cfg.SharedCache is
-// set, p is not consulted at all — the store's own wrapped providers
-// generate every block, so attaching sessions skip provider construction
-// entirely (for TABLESTEER that is a whole reference-table build saved
-// per session).
+// supplied) and nil when the session is uncached; a cached session runs
+// the store's own generators for the blocks the store does not hold. When
+// cfg.SharedCache is set, p is not consulted at all, so attaching sessions
+// skip provider construction entirely (for TABLESTEER that is a whole
+// reference-table build saved per session).
 func (s SystemSpec) NewSessionConfig(cfg SessionConfig, p delay.Provider) (*beamform.Session, *delaycache.Cache, error) {
 	eng := s.NewBeamformer(cfg.Window, scan.NappeOrder)
 	eng.Cfg.Precision = cfg.Precision
-	var provs []delay.Provider
-	var cache *delaycache.Cache
+	store := cfg.SharedCache
 	switch {
-	case cfg.SharedCache != nil:
-		vol := s.Volume()
-		layout := delay.Layout{NTheta: vol.Theta.N, NPhi: vol.Phi.N, NX: s.ElemX, NY: s.ElemY}
-		transmits := len(cfg.Transmits)
-		if transmits == 0 {
-			transmits = 1
+	case store != nil:
+		if transmits := max(len(cfg.Transmits), 1); store.Transmits() != transmits {
+			return nil, nil, fmt.Errorf("core: shared cache serves %d transmits, session compounds %d", store.Transmits(), transmits)
 		}
-		if got := cfg.SharedCache.Layout(); got != layout {
-			return nil, nil, fmt.Errorf("core: shared cache layout %v does not match spec layout %v", got, layout)
-		}
-		if got := cfg.SharedCache.Transmits(); got != transmits {
-			return nil, nil, fmt.Errorf("core: shared cache serves %d transmits, session compounds %d", got, transmits)
-		}
-		if got := cfg.SharedCache.Depths(); got != vol.Depth.N {
-			return nil, nil, fmt.Errorf("core: shared cache holds %d depths, spec has %d", got, vol.Depth.N)
-		}
-		cache = cfg.SharedCache.Attach()
-		provs = make([]delay.Provider, transmits)
 	case cfg.Cached:
-		shared, err := s.NewSharedCache(cfg, p)
+		var err error
+		if store, err = s.NewSharedCache(cfg, p); err != nil {
+			return nil, nil, err
+		}
+	default:
+		provs, err := s.transmitProviders(cfg, p)
 		if err != nil {
 			return nil, nil, err
 		}
-		cache = shared.Attach()
-		provs = make([]delay.Provider, shared.Transmits())
-	default:
-		var err error
-		if provs, err = s.transmitProviders(cfg, p); err != nil {
-			return nil, nil, err
-		}
+		sess, err := eng.NewSessionProviders(provs)
+		return sess, nil, err
 	}
-	if cache != nil {
-		for t := range provs {
-			provs[t] = cache.Transmit(t)
-		}
-	}
-	sess, err := eng.NewSessionProviders(provs)
+	cache := store.Attach()
+	sess, err := eng.NewSessionGenerators(store.Generators(), cache)
 	if err != nil {
-		if cache != nil {
-			cache.Detach()
-		}
-		return nil, nil, err
+		cache.Detach()
+		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	return sess, cache, nil
 }

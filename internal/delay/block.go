@@ -46,14 +46,17 @@ func (l Layout) String() string {
 	return fmt.Sprintf("%d×%dθφ × %d×%d elements", l.NTheta, l.NPhi, l.NX, l.NY)
 }
 
-// BlockProvider generates delays one depth nappe at a time. FillNappe must
-// produce values bit-identical to DelaySamples — the block path changes the
-// schedule of the computation, never its arithmetic — so the scalar method
-// remains the executable specification and the equivalence tests hold both
-// implementations to it.
+// BlockProvider generates delays one depth nappe at a time, in both the
+// float64 form and the quantized Block16 form the session kernels consume.
+// FillNappe must produce values bit-identical to DelaySamples — the block
+// path changes the schedule of the computation, never its arithmetic — and
+// FillNappe16 exactly Index16 of them, so the scalar method remains the
+// executable specification and the equivalence tests hold every
+// implementation to it.
 //
-// FillNappe must be safe for concurrent use by multiple goroutines with
-// distinct dst buffers: the streaming beamformer calls it from every worker.
+// Both fills must be safe for concurrent use by multiple goroutines with
+// distinct dst buffers: the streaming beamformer calls them from every
+// worker.
 type BlockProvider interface {
 	Provider
 	// Layout reports the block geometry this provider fills.
@@ -61,6 +64,10 @@ type BlockProvider interface {
 	// FillNappe writes the delays of depth nappe id into dst following
 	// Layout. dst must hold at least Layout().BlockLen() values.
 	FillNappe(id int, dst []float64)
+	// FillNappe16 writes the quantized delays of depth nappe id into dst
+	// following Layout, without materializing a float64 block. dst must
+	// hold at least Layout().BlockLen() values.
+	FillNappe16(id int, dst Block16)
 }
 
 // AsBlock returns p as a BlockProvider filling blocks of layout want: p

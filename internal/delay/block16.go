@@ -51,32 +51,11 @@ func QuantizeNappe(dst Block16, src []float64) {
 	}
 }
 
-// BlockProvider16 is a BlockProvider that can also fill the quantized form
-// natively — without materializing a float64 block first. FillNappe16 must
-// produce exactly Index16 of the values FillNappe would produce (the
-// equivalence tests hold every implementation to it), and like FillNappe it
-// must be safe for concurrent use with distinct dst buffers.
-type BlockProvider16 interface {
-	BlockProvider
-	// FillNappe16 writes the quantized delays of depth nappe id into dst
-	// following Layout. dst must hold at least Layout().BlockLen() values.
-	FillNappe16(id int, dst Block16)
-}
+// BlockProvider16 is an alias of BlockProvider, whose FillNappe16 fills the
+// narrow form.
+type BlockProvider16 = BlockProvider
 
-// Fill16 fills dst with the quantized block of nappe id through the
-// cheapest available path: natively when bp implements BlockProvider16,
-// otherwise via a float64 fill into scratch followed by quantization.
-// scratch may be nil only when bp is native.
-func Fill16(bp BlockProvider, id int, dst Block16, scratch []float64) {
-	if n, ok := bp.(BlockProvider16); ok {
-		n.FillNappe16(id, dst)
-		return
-	}
-	bp.FillNappe(id, scratch)
-	QuantizeNappe(dst, scratch[:bp.Layout().BlockLen()])
-}
-
-// FillNappe16 implements BlockProvider16 for the exact reference: the same
+// FillNappe16 implements BlockProvider for the exact reference: the same
 // per-voxel transmit-leg hoist as FillNappe with the quantization fused
 // into the element loop, so no float64 block is ever materialized.
 func (e *Exact) FillNappe16(id int, dst Block16) {
@@ -95,7 +74,7 @@ func (e *Exact) FillNappe16(id int, dst Block16) {
 	}
 }
 
-// FillNappe16 implements BlockProvider16 with one scalar call per slot,
+// FillNappe16 implements BlockProvider with one scalar call per slot,
 // quantizing each delay as it is produced.
 func (a *ScalarAdapter) FillNappe16(id int, dst Block16) {
 	k := 0

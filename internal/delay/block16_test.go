@@ -57,7 +57,7 @@ func TestQuantizeNappeMatchesSlotwiseIndex16(t *testing.T) {
 
 func TestExactFillNappe16BitIdentical(t *testing.T) {
 	// The native quantized fill must equal QuantizeNappe over the float
-	// fill, slot for slot — the BlockProvider16 contract.
+	// fill, slot for slot — the BlockProvider contract.
 	e, _, _ := smallSetup()
 	l := e.Layout()
 	wide := make([]float64, l.BlockLen())
@@ -86,30 +86,6 @@ func TestScalarAdapterFillNappe16(t *testing.T) {
 	for k := range native {
 		if native[k] != adapted[k] {
 			t.Fatalf("slot %d: native %d != adapter %d", k, native[k], adapted[k])
-		}
-	}
-}
-
-func TestFill16NativeAndScratchPaths(t *testing.T) {
-	e, _, _ := smallSetup()
-	l := e.Layout()
-	want := make(Block16, l.BlockLen())
-	e.FillNappe16(5, want)
-
-	native := make(Block16, l.BlockLen())
-	Fill16(e, 5, native, nil) // Exact is native: no scratch needed
-
-	type wideOnly struct{ BlockProvider } // hides FillNappe16
-	scratch := make([]float64, l.BlockLen())
-	quantized := make(Block16, l.BlockLen())
-	Fill16(wideOnly{e}, 5, quantized, scratch)
-
-	for k := range want {
-		if native[k] != want[k] {
-			t.Fatalf("native Fill16 slot %d: %d != %d", k, native[k], want[k])
-		}
-		if quantized[k] != want[k] {
-			t.Fatalf("scratch Fill16 slot %d: %d != %d", k, quantized[k], want[k])
 		}
 	}
 }

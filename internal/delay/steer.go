@@ -32,9 +32,9 @@ type SteerOperands struct {
 }
 
 // SteerSource is the optional operand source a steering generator offers
-// beside its block fills. The beamform session discovers it at
-// construction, the way it discovers NappeSource16, and on a non-resident
-// nappe of the fixed-point datapath beamforms straight from the operands.
+// beside its block fills. The beamform session discovers it on each
+// transmit's generator at construction, and on a non-resident nappe of the
+// fixed-point datapath beamforms straight from the operands.
 type SteerSource interface {
 	// SteerOperands returns the shared operands, or nil when the provider's
 	// datapath does not prove the fused arithmetic exact (the float

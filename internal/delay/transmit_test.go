@@ -35,9 +35,9 @@ func TestExactWithTransmitMatchesDirectConstruction(t *testing.T) {
 		t.Error("WithTransmit mutated the receiver")
 	}
 	// The derived provider keeps the block/scalar bit-identity contract.
-	bp, ok := q.(BlockProvider16)
+	bp, ok := q.(BlockProvider)
 	if !ok {
-		t.Fatal("derived exact provider must stay a BlockProvider16")
+		t.Fatal("derived exact provider must stay a BlockProvider")
 	}
 	blk := make([]float64, bp.Layout().BlockLen())
 	blk16 := make(Block16, bp.Layout().BlockLen())

@@ -19,8 +19,8 @@
 // the retained prefix mirrors the §V-B circular-buffer window that keeps
 // the shallowest not-yet-consumed slices on chip. Blocks fill lazily on
 // first access (frame 1 warms the cache) and are bit-identical to the
-// wrapped provider's fills by construction: the cache stores exactly what
-// the provider produced and never recomputes.
+// generator's fills by construction: the cache stores exactly what the
+// generator produced and never recomputes.
 //
 // Multi-transmit compounding multiplies the working set by the transmit
 // count: each insonification has its own delay law, so blocks are keyed by
@@ -35,6 +35,9 @@
 // blocks (one store per geometry, any number of concurrent readers — see
 // shared.go) and Cache is one consumer's attachment to a store, carrying
 // per-attachment hit/miss counters on top of the store's aggregate Stats.
+// A Cache sits next to the delay generators, not in front of them: a
+// consumer asks it for the resident block of (transmit, nappe) and, when
+// it holds none, runs the transmit's generator itself (Shared.Generators).
 // New builds the classic private pairing — a fresh store with exactly one
 // attachment; NewShared + Attach is the serving form where N sessions of
 // one probe geometry pay one delay budget between them.
@@ -58,36 +61,26 @@ const (
 
 // Config assembles a Shared store (and, through New, a private Cache).
 type Config struct {
-	// Provider is the wrapped block generator; its Layout fixes the block
-	// geometry. Providers implementing delay.BlockProvider16 fill narrow
-	// blocks natively; plain BlockProviders are quantized through a pooled
-	// float64 scratch.
-	Provider delay.BlockProvider
-	// Providers, when non-empty, supplies one block generator per transmit
-	// of a compounding set (overriding Provider): blocks are then keyed by
+	// Providers supplies one block generator per transmit of a compounding
+	// set (a single entry for one insonification): blocks are keyed by
 	// (transmit, nappe) and the byte budget is shared across the set. All
-	// entries must share one Layout. A single-entry list is equivalent to
-	// Provider.
+	// entries must share one Layout, which fixes the block geometry.
 	Providers []delay.BlockProvider
 	// Depths is the number of depth nappes (valid fill ids are
 	// 0..Depths-1), normally Volume.Depth.N.
 	Depths int
 	// BudgetBytes caps resident storage. Negative means unlimited (full
-	// residency); zero retains nothing (every fill is a miss). The store
-	// serves Nappe16/FillNappe16 from residency and delegates FillNappe to
-	// the provider: quantized storage cannot reproduce fractional delays,
-	// so the float64 path is never served from it.
+	// residency); zero retains nothing (every request is a miss).
 	BudgetBytes int64
 }
 
-// Cache is a delay.BlockProvider16 view of a Shared block store: blocks a
-// consumer requests are served from (and filled into) the store, while the
-// view's own Stats count only this attachment's traffic. It is safe for
-// concurrent use: distinct blocks fill independently and a block is
-// generated exactly once (sync.Once per block in the store), with later
-// readers — on any attachment — served the retained data. The plain
-// BlockProvider methods address transmit 0; the *T methods and the
-// Transmit(t) views address the rest of a compounding set.
+// Cache is one consumer's attachment to a Shared block store: it serves
+// the resident quantized block of (transmit, nappe), filling it into the
+// store on first access, and its Stats count only this attachment's
+// traffic. It is safe for concurrent use: distinct blocks fill
+// independently and a block is generated exactly once (sync.Once per block
+// in the store), with later readers — on any attachment — served the
+// retained data.
 type Cache struct {
 	s *Shared
 
@@ -100,10 +93,9 @@ type block struct {
 	n16  delay.Block16
 }
 
-// New builds a private store-plus-attachment over cfg.Provider (or the
-// cfg.Providers transmit set) — the single-consumer cache shape. Sessions
-// that should share one delay budget attach to a common NewShared store
-// instead.
+// New builds a private store-plus-attachment over cfg.Providers — the
+// single-consumer cache shape. Sessions that should share one delay budget
+// attach to a common NewShared store instead.
 func New(cfg Config) (*Cache, error) {
 	s, err := NewShared(cfg)
 	if err != nil {
@@ -130,176 +122,29 @@ func (c *Cache) Shared() *Shared { return c.s }
 // done so Stats.Attachments stays truthful). Detach is not idempotent.
 func (c *Cache) Detach() { c.s.attached.Add(-1) }
 
-// DelayBytes returns the storage cost of one cached delay value.
-func (c *Cache) DelayBytes() int64 { return c.s.DelayBytes() }
-
-// BlockBytes returns the storage cost of one resident nappe block.
-func (c *Cache) BlockBytes() int64 { return c.s.BlockBytes() }
-
-// ResidentBlocks returns how many blocks the budget retains (k of
-// Depths·Transmits).
-func (c *Cache) ResidentBlocks() int { return c.s.ResidentBlocks() }
-
-// FullResidency reports whether every (transmit, nappe) block is retained.
-func (c *Cache) FullResidency() bool { return c.s.FullResidency() }
-
-// Transmits returns the transmit-set size the store serves (1 when built
-// from a single Provider).
-func (c *Cache) Transmits() int { return c.s.Transmits() }
-
-// Name implements delay.Provider.
-func (c *Cache) Name() string { return "cached(" + c.s.inners[0].Name() + ")" }
-
-// DelaySamples implements delay.Provider by forwarding to the wrapped
-// transmit-0 provider — the scalar path stays the executable specification
-// and is not cached.
-func (c *Cache) DelaySamples(it, ip, id, ei, ej int) float64 {
-	return c.s.inners[0].DelaySamples(it, ip, id, ei, ej)
-}
-
-// Layout implements delay.BlockProvider.
-func (c *Cache) Layout() delay.Layout { return c.s.layout }
-
-// miss records one generator-run request on both counter layers.
-func (c *Cache) miss() { c.misses.Add(1); c.s.misses.Add(1) }
-
-// resident fetches the block slot for (t, id) from the store, layering the
-// attachment's hit/miss counters over the store's aggregate ones (a fill on
-// this attachment is a miss here and everywhere; a block another attachment
-// already filled is a hit).
-func (c *Cache) resident(t, id int) *block {
-	b, filled := c.s.resident(t, id)
-	if b == nil {
-		return nil
-	}
-	if filled {
-		c.misses.Add(1)
-	} else {
-		c.hits.Add(1)
-	}
-	return b
-}
-
-// FillNappe implements delay.BlockProvider for transmit 0; see FillNappeT.
-func (c *Cache) FillNappe(id int, dst []float64) { c.FillNappeT(0, id, dst) }
-
-// FillNappeT fills the float64 block of (transmit t, nappe id), always
-// through the wrapped provider — quantized storage can not reproduce
-// fractional delays, and the float64 path stays golden.
-func (c *Cache) FillNappeT(t, id int, dst []float64) {
-	c.miss()
-	c.s.inners[t].FillNappe(id, dst)
-}
-
-// FillNappe16 implements delay.BlockProvider16 for transmit 0; see
-// FillNappe16T.
-func (c *Cache) FillNappe16(id int, dst delay.Block16) { c.FillNappe16T(0, id, dst) }
-
-// FillNappe16T fills the quantized block of (transmit t, nappe id):
-// resident blocks are copied from retained data and non-resident blocks
-// regenerate through the narrowest path the provider offers. Values are
-// bit-identical to an uncached quantized fill in every case.
-func (c *Cache) FillNappe16T(t, id int, dst delay.Block16) {
-	if blk := c.Nappe16T(t, id); blk != nil {
-		copy(dst, blk)
-		return
-	}
-	c.miss()
-	c.s.fill16(t, id, dst)
-}
-
-// SteerOperands implements delay.SteerSource for transmit 0.
-func (c *Cache) SteerOperands() *delay.SteerOperands { return c.steerOperands(0) }
-
-// SteerRows implements delay.SteerSource for transmit 0.
-func (c *Cache) SteerRows(id int, ry []int32) { c.steerRows(0, id, ry) }
-
-// steerOperands forwards transmit t's fused-steer operands, or nil when its
-// generator offers none — the beamform session then fills blocks through
-// FillNappe16T as before.
-func (c *Cache) steerOperands(t int) *delay.SteerOperands {
-	if src := c.s.steers[t]; src != nil {
-		return src.SteerOperands()
-	}
-	return nil
-}
-
-// steerRows forwards the per-nappe fused operands of (transmit t, nappe
-// id). A fused run is a generator run: it counts as a miss exactly as the
-// FillNappe16T it replaces would have, so the hit ratio reads the same
-// whichever route a non-resident nappe takes. Valid only where
-// steerOperands(t) is non-nil.
-func (c *Cache) steerRows(t, id int, ry []int32) {
-	c.miss()
-	c.s.steers[t].SteerRows(id, ry)
-}
-
-// Nappe16 returns the retained quantized block of nappe id for transmit 0;
-// see Nappe16T.
-func (c *Cache) Nappe16(id int) delay.Block16 { return c.Nappe16T(0, id) }
+// Miss records one generator run the store cannot serve — a float64 block,
+// which the narrow store never holds — on this attachment and the store,
+// so a consumer's wide fallback counts as the miss it is.
+func (c *Cache) Miss() { c.misses.Add(1); c.s.misses.Add(1) }
 
 // Nappe16T returns the retained quantized block of (transmit t, nappe id),
 // generating it on first access, or nil when the block is not resident.
-// Callers must treat the returned slice as read-only; consuming it directly
-// (as the beamform session does) skips both generation and the copy
-// FillNappe16T would pay.
+// A nil result for a pair in range counts one miss — the caller runs the
+// generator instead — and out-of-range pairs count nothing. Callers must
+// treat the returned slice as read-only; consuming it directly (as the
+// beamform session does) skips both generation and any copy.
 func (c *Cache) Nappe16T(t, id int) delay.Block16 {
-	if b := c.resident(t, id); b != nil {
-		return b.n16
+	b, miss := c.s.resident(t, id)
+	if miss {
+		c.misses.Add(1)
+	} else if b != nil {
+		c.hits.Add(1)
 	}
-	return nil
-}
-
-// TransmitView is the per-transmit face of a multi-transmit attachment: a
-// delay.BlockProvider16 whose fills and resident-block accessors address
-// one transmit of the set. The beamform session consumes one view per
-// transmit, all backed by the same shared-budget block store.
-type TransmitView struct {
-	c *Cache
-	t int
-}
-
-// Transmit returns the view addressing transmit t. It panics on an
-// out-of-range index — transmit counts are fixed at construction, so a bad
-// index is a programming error, not a runtime condition.
-func (c *Cache) Transmit(t int) *TransmitView {
-	if t < 0 || t >= len(c.s.inners) {
-		panic(fmt.Sprintf("delaycache: transmit %d of %d", t, len(c.s.inners)))
+	if b == nil {
+		return nil
 	}
-	return &TransmitView{c: c, t: t}
+	return b.n16
 }
-
-// Name implements delay.Provider.
-func (v *TransmitView) Name() string { return "cached(" + v.c.s.inners[v.t].Name() + ")" }
-
-// DelaySamples implements delay.Provider, forwarding to the view's wrapped
-// provider (uncached, like Cache.DelaySamples).
-func (v *TransmitView) DelaySamples(it, ip, id, ei, ej int) float64 {
-	return v.c.s.inners[v.t].DelaySamples(it, ip, id, ei, ej)
-}
-
-// Layout implements delay.BlockProvider.
-func (v *TransmitView) Layout() delay.Layout { return v.c.s.layout }
-
-// FillNappe implements delay.BlockProvider for the view's transmit.
-func (v *TransmitView) FillNappe(id int, dst []float64) { v.c.FillNappeT(v.t, id, dst) }
-
-// FillNappe16 implements delay.BlockProvider16 for the view's transmit.
-func (v *TransmitView) FillNappe16(id int, dst delay.Block16) { v.c.FillNappe16T(v.t, id, dst) }
-
-// Nappe16 exposes the retained quantized block (beamform.NappeSource16).
-func (v *TransmitView) Nappe16(id int) delay.Block16 { return v.c.Nappe16T(v.t, id) }
-
-// SteerOperands implements delay.SteerSource for the view's transmit.
-func (v *TransmitView) SteerOperands() *delay.SteerOperands { return v.c.steerOperands(v.t) }
-
-// SteerRows implements delay.SteerSource for the view's transmit (a miss).
-func (v *TransmitView) SteerRows(id int, ry []int32) { v.c.steerRows(v.t, id, ry) }
-
-// Stats snapshots the attachment the view belongs to (beamform's
-// CacheStatsSource — a session holding only transmit views can still report
-// cache effectiveness).
-func (v *TransmitView) Stats() Stats { return v.c.Stats() }
 
 // Stats is a point-in-time snapshot of cache effectiveness. A Shared store
 // reports aggregate traffic across every attachment; a Cache reports its
@@ -350,8 +195,8 @@ func (c *Cache) Stats() Stats {
 // of a cine does this implicitly; Warm lets benchmarks separate warm-up
 // from steady state).
 func (c *Cache) Warm() {
-	n := len(c.s.inners)
+	n := len(c.s.gens)
 	for key := 0; key < c.s.nResident; key++ {
-		c.resident(key%n, key/n)
+		c.Nappe16T(key%n, key/n)
 	}
 }

@@ -12,19 +12,20 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
-// countingProvider wraps a BlockProvider and counts fill invocations on
-// both granularities. It deliberately does NOT implement BlockProvider16 —
-// narrow fills must route through the quantizing scratch path — so it also
-// covers the non-native provider case.
+// countingProvider wraps a BlockProvider and counts its quantized fills —
+// the one fill the store runs.
 type countingProvider struct {
 	delay.BlockProvider
 	calls atomic.Int64
 }
 
-func (c *countingProvider) FillNappe(id int, dst []float64) {
+func (c *countingProvider) FillNappe16(id int, dst delay.Block16) {
 	c.calls.Add(1)
-	c.BlockProvider.FillNappe(id, dst)
+	c.BlockProvider.FillNappe16(id, dst)
 }
+
+// one is the single-transmit provider set of p.
+func one(p delay.BlockProvider) []delay.BlockProvider { return []delay.BlockProvider{p} }
 
 func testExact(t *testing.T) (*delay.Exact, int) {
 	t.Helper()
@@ -35,13 +36,16 @@ func testExact(t *testing.T) (*delay.Exact, int) {
 
 func TestCacheValidation(t *testing.T) {
 	e, depths := testExact(t)
-	if _, err := New(Config{Provider: nil, Depths: depths}); err == nil {
+	if _, err := New(Config{Depths: depths}); err == nil {
+		t.Error("no provider must fail")
+	}
+	if _, err := New(Config{Providers: one(nil), Depths: depths}); err == nil {
 		t.Error("nil provider must fail")
 	}
-	if _, err := New(Config{Provider: e, Depths: 0}); err == nil {
+	if _, err := New(Config{Providers: one(e), Depths: 0}); err == nil {
 		t.Error("zero depths must fail")
 	}
-	if _, err := New(Config{Provider: e, Depths: depths, BudgetBytes: -1}); err != nil {
+	if _, err := New(Config{Providers: one(e), Depths: depths, BudgetBytes: -1}); err != nil {
 		t.Errorf("unlimited budget: %v", err)
 	}
 }
@@ -61,14 +65,14 @@ func TestResidencyPolicy(t *testing.T) {
 		{0, 0},
 	}
 	for _, c := range cases {
-		cache, err := New(Config{Provider: e, Depths: depths, BudgetBytes: c.budget})
+		store, err := NewShared(Config{Providers: one(e), Depths: depths, BudgetBytes: c.budget})
 		if err != nil {
 			t.Fatalf("budget %d: %v", c.budget, err)
 		}
-		if got := cache.ResidentBlocks(); got != c.resident {
+		if got := store.ResidentBlocks(); got != c.resident {
 			t.Errorf("budget %d: resident = %d, want %d", c.budget, got, c.resident)
 		}
-		if full := cache.FullResidency(); full != (c.resident == depths) {
+		if full := store.FullResidency(); full != (c.resident == depths) {
 			t.Errorf("budget %d: FullResidency = %v", c.budget, full)
 		}
 	}
@@ -85,7 +89,7 @@ func TestNarrowResidencyQuadruples(t *testing.T) {
 	budget := BudgetFromBanks(memmodel.BankArray{
 		Spec: memmodel.BankSpec{WordBits: 18, Lines: 1024}, Banks: 128})
 
-	narrow, err := New(Config{Provider: e, Depths: vol.Depth.N, BudgetBytes: budget})
+	narrow, err := NewShared(Config{Providers: one(e), Depths: vol.Depth.N, BudgetBytes: budget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,74 +110,32 @@ func TestNarrowResidencyQuadruples(t *testing.T) {
 }
 
 func TestCacheBitIdentity16(t *testing.T) {
-	// Cached narrow fills — resident (copied), resident (direct Nappe16)
-	// and non-resident (regenerated) — must all be bit-identical to the
-	// provider's quantized fill, across repeated frames.
+	// Resident blocks must be bit-identical to the provider's quantized
+	// fill across repeated frames, and the rest of the depth axis must not
+	// be resident.
 	e, depths := testExact(t)
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
-	cache, err := New(Config{Provider: e, Depths: depths, BudgetBytes: blockBytes * int64(depths/2)})
+	cache, err := New(Config{Providers: one(e), Depths: depths, BudgetBytes: blockBytes * int64(depths/2)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := make(delay.Block16, e.Layout().BlockLen())
-	got := make(delay.Block16, e.Layout().BlockLen())
 	for frame := 0; frame < 3; frame++ {
 		for id := 0; id < depths; id++ {
+			blk := cache.Nappe16T(0, id)
+			if (blk != nil) != (id < depths/2) {
+				t.Fatalf("frame %d nappe %d: resident = %v", frame, id, blk != nil)
+			}
+			if blk == nil {
+				continue
+			}
 			e.FillNappe16(id, want)
-			cache.FillNappe16(id, got)
 			for k := range want {
-				if want[k] != got[k] {
-					t.Fatalf("frame %d nappe %d slot %d: cache %v, direct %v",
-						frame, id, k, got[k], want[k])
-				}
-			}
-			if blk := cache.Nappe16(id); blk != nil {
-				for k := range want {
-					if want[k] != blk[k] {
-						t.Fatalf("nappe %d slot %d: retained %v, direct %v", id, k, blk[k], want[k])
-					}
+				if want[k] != blk[k] {
+					t.Fatalf("frame %d nappe %d slot %d: retained %v, direct %v", frame, id, k, blk[k], want[k])
 				}
 			}
 		}
-	}
-}
-
-func TestNarrowCacheGoldenFloatPathUncached(t *testing.T) {
-	// The float64 accessor must stay golden: FillNappe always reproduces
-	// the provider's fractional values, never a widened quantized block.
-	e, depths := testExact(t)
-	cache, err := New(Config{Provider: e, Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Warm()
-	want := make([]float64, e.Layout().BlockLen())
-	got := make([]float64, e.Layout().BlockLen())
-	for id := 0; id < depths; id++ {
-		e.FillNappe(id, want)
-		cache.FillNappe(id, got)
-		for k := range want {
-			if want[k] != got[k] {
-				t.Fatalf("nappe %d slot %d: %v != %v", id, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-func TestCacheScalarPathForwards(t *testing.T) {
-	e, depths := testExact(t)
-	cache, err := New(Config{Provider: e, Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := cache.DelaySamples(1, 2, 3, 0, 1), e.DelaySamples(1, 2, 3, 0, 1); got != want {
-		t.Errorf("DelaySamples = %v, want %v", got, want)
-	}
-	if cache.Name() != "cached(exact)" {
-		t.Errorf("Name = %q", cache.Name())
-	}
-	if cache.Layout() != e.Layout() {
-		t.Errorf("Layout = %v", cache.Layout())
 	}
 }
 
@@ -182,32 +144,32 @@ func TestCacheStatsAndSingleFill(t *testing.T) {
 	counting := &countingProvider{BlockProvider: e}
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
 	resident := 3
-	cache, err := New(Config{Provider: counting, Depths: depths,
+	cache, err := New(Config{Providers: one(counting), Depths: depths,
 		BudgetBytes: blockBytes * int64(resident)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make(delay.Block16, e.Layout().BlockLen())
 	frames := 4
 	for frame := 0; frame < frames; frame++ {
 		for id := 0; id < depths; id++ {
-			cache.FillNappe16(id, dst)
+			cache.Nappe16T(0, id)
 		}
 	}
 	st := cache.Stats()
-	// Resident nappes generate once ever; the rest generate every frame.
-	wantCalls := int64(resident + (depths-resident)*frames)
-	if counting.calls.Load() != wantCalls {
-		t.Errorf("generator ran %d times, want %d", counting.calls.Load(), wantCalls)
+	// Resident nappes generate once ever, in the store; the rest miss every
+	// frame and the caller regenerates them.
+	if counting.calls.Load() != int64(resident) {
+		t.Errorf("store ran the generator %d times, want %d", counting.calls.Load(), resident)
 	}
+	wantMisses := int64(resident + (depths-resident)*frames)
 	if st.Fills != int64(resident) {
 		t.Errorf("Fills = %d, want %d", st.Fills, resident)
 	}
 	if st.Hits != int64(resident*(frames-1)) {
 		t.Errorf("Hits = %d, want %d", st.Hits, resident*(frames-1))
 	}
-	if st.Misses != wantCalls {
-		t.Errorf("Misses = %d, want %d", st.Misses, wantCalls)
+	if st.Misses != wantMisses || cache.Shared().Stats().Misses != wantMisses {
+		t.Errorf("Misses = %d (store %d), want %d", st.Misses, cache.Shared().Stats().Misses, wantMisses)
 	}
 	if st.DelayBytes != narrowDelayBytes {
 		t.Errorf("DelayBytes = %d", st.DelayBytes)
@@ -230,7 +192,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	// (run under -race in CI).
 	e, depths := testExact(t)
 	counting := &countingProvider{BlockProvider: e}
-	cache, err := New(Config{Provider: counting, Depths: depths, BudgetBytes: -1})
+	cache, err := New(Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +203,9 @@ func TestCacheConcurrentAccess(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make(delay.Block16, e.Layout().BlockLen())
 			for rep := 0; rep < 20; rep++ {
 				for id := 0; id < depths; id++ {
-					cache.FillNappe16(id, dst)
+					cache.Nappe16T(0, id)
 				}
 			}
 		}()
@@ -253,7 +214,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if counting.calls.Load() != int64(depths) {
 		t.Errorf("generator ran %d times for %d resident blocks", counting.calls.Load(), depths)
 	}
-	got := cache.Nappe16(0)
+	got := cache.Nappe16T(0, 0)
 	for k := range want {
 		if got[k] != want[k] {
 			t.Fatalf("slot %d: %v != %v", k, got[k], want[k])
@@ -269,7 +230,7 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 	e, depths := testExact(t)
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
 	resident := depths / 2
-	cache, err := New(Config{Provider: e, Depths: depths,
+	cache, err := New(Config{Providers: one(e), Depths: depths,
 		BudgetBytes: blockBytes * int64(resident)})
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +258,7 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 			// snapshot's, ahead of it by at most one fill per goroutine in
 			// flight. The exact balance is held on the quiescent snapshot
 			// below.
-			after := cache.Stats().Fills + 2*readers
+			after := cache.Stats().Fills + readers
 			if st.BytesResident < st.Fills*st.BlockBytes || st.BytesResident > after*st.BlockBytes {
 				t.Errorf("BytesResident %d outside [%d, %d] fills × BlockBytes %d",
 					st.BytesResident, st.Fills, after, st.BlockBytes)
@@ -309,21 +270,9 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := make(delay.Block16, e.Layout().BlockLen())
 			for rep := 0; rep < reps; rep++ {
 				for id := 0; id < depths; id++ {
-					cache.FillNappe16(id, dst)
-				}
-			}
-		}()
-	}
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rep := 0; rep < reps; rep++ {
-				for id := 0; id < depths; id++ {
-					cache.Nappe16(id)
+					cache.Nappe16T(0, id)
 				}
 			}
 		}()
@@ -332,9 +281,8 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 	close(stop)
 	pollWG.Wait()
 	st := cache.Stats()
-	// Request ledger: FillNappe16 and Nappe16 each issued readers×reps×depths
-	// requests, but Nappe16 only counts inside the resident set.
-	requests := int64(readers * reps * (depths + resident))
+	// Request ledger: every in-range request counts once, resident or not.
+	requests := int64(readers * reps * depths)
 	if st.Hits+st.Misses != requests {
 		t.Errorf("hits %d + misses %d != %d requests", st.Hits, st.Misses, requests)
 	}
@@ -349,7 +297,7 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 func TestWarm(t *testing.T) {
 	e, depths := testExact(t)
 	counting := &countingProvider{BlockProvider: e}
-	cache, err := New(Config{Provider: counting, Depths: depths, BudgetBytes: -1})
+	cache, err := New(Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +329,3 @@ func TestBudgetFromBanks(t *testing.T) {
 		t.Errorf("Bytes = %d", banks.Bytes())
 	}
 }
-
-// Cache must satisfy both block interfaces and the session's fast path.
-var (
-	_ delay.BlockProvider   = (*Cache)(nil)
-	_ delay.BlockProvider16 = (*Cache)(nil)
-)

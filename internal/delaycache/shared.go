@@ -9,9 +9,9 @@
 // The store keeps both contracts of the single-consumer cache:
 //
 //   - Bit-identity: a block is generated exactly once (sync.Once per slot)
-//     by the wrapped provider and every attachment reads the same bytes, so
-//     volumes beamformed through a shared store are bit-identical to solo
-//     runs at every budget.
+//     by its transmit's generator and every attachment reads the same
+//     bytes, so volumes beamformed through a shared store are bit-identical
+//     to solo runs at every budget.
 //   - Deterministic prefix: the resident set is a pure function of geometry
 //     and budget — the interleaved (nappe, transmit) prefix — never of
 //     which attachment touched a block first.
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,9 +48,7 @@ var fillFault = faultpoint.New("delaycache.fill")
 // view; a store with a single attachment behaves exactly like the PR-2
 // private cache (New composes the two).
 type Shared struct {
-	inners    []delay.BlockProvider   // one generator per transmit
-	inners16  []delay.BlockProvider16 // nil entries where no native narrow fill exists
-	steers    []delay.SteerSource     // nil entries where the generator offers no fused operands
+	gens      []delay.BlockProvider // one generator per transmit
 	layout    delay.Layout
 	depths    int
 	budget    int64
@@ -60,19 +59,12 @@ type Shared struct {
 	// blocks — eviction never invalidates data an accumulate loop holds.
 	gen atomic.Pointer[generation]
 
-	// scratch pools float64 buffers for quantizing fills of providers
-	// without a native narrow path.
-	scratch sync.Pool
-
 	// Aggregate counters across every attachment.
 	hits      atomic.Int64
 	misses    atomic.Int64
 	fills     atomic.Int64
 	evictions atomic.Int64
 	attached  atomic.Int64
-
-	// onEvict, when set, observes each Evict with the pre-eviction stats.
-	onEvict func(Stats)
 }
 
 // generation is one eviction epoch of the store: the resident block slots,
@@ -84,26 +76,25 @@ type generation struct {
 	fills  atomic.Int64
 }
 
-// NewShared builds a sharable block store over cfg.Provider (or the
-// cfg.Providers transmit set). The resident block count is
-// min(Depths·Transmits, BudgetBytes/BlockBytes); see the package comment
-// for the partial-residency policy.
+// NewShared builds a sharable block store over the cfg.Providers transmit
+// set. The resident block count is min(Depths·Transmits,
+// BudgetBytes/BlockBytes); see the package comment for the
+// partial-residency policy.
 func NewShared(cfg Config) (*Shared, error) {
-	inners := cfg.Providers
-	if len(inners) == 0 {
-		if cfg.Provider == nil {
-			return nil, errors.New("delaycache: nil provider")
-		}
-		inners = []delay.BlockProvider{cfg.Provider}
+	gens := cfg.Providers
+	if len(gens) == 0 {
+		return nil, errors.New("delaycache: no providers")
 	}
-	l := inners[0].Layout()
-	if !l.Valid() {
-		return nil, fmt.Errorf("delaycache: invalid layout %v", l)
-	}
-	for t, p := range inners {
+	for t, p := range gens {
 		if p == nil {
 			return nil, fmt.Errorf("delaycache: nil provider for transmit %d", t)
 		}
+	}
+	l := gens[0].Layout()
+	if !l.Valid() {
+		return nil, fmt.Errorf("delaycache: invalid layout %v", l)
+	}
+	for t, p := range gens {
 		if p.Layout() != l {
 			return nil, fmt.Errorf("delaycache: transmit %d layout %v differs from %v",
 				t, p.Layout(), l)
@@ -112,19 +103,8 @@ func NewShared(cfg Config) (*Shared, error) {
 	if cfg.Depths <= 0 {
 		return nil, fmt.Errorf("delaycache: non-positive depth count %d", cfg.Depths)
 	}
-	s := &Shared{inners: inners, inners16: make([]delay.BlockProvider16, len(inners)),
-		steers: make([]delay.SteerSource, len(inners)),
-		layout: l, depths: cfg.Depths, budget: cfg.BudgetBytes}
-	for t, p := range inners {
-		if n, ok := p.(delay.BlockProvider16); ok {
-			s.inners16[t] = n
-		}
-		if n, ok := p.(delay.SteerSource); ok {
-			s.steers[t] = n
-		}
-	}
-	s.scratch.New = func() any { sl := make([]float64, l.BlockLen()); return &sl }
-	total := cfg.Depths * len(inners)
+	s := &Shared{gens: gens, layout: l, depths: cfg.Depths, budget: cfg.BudgetBytes}
+	total := cfg.Depths * len(gens)
 	s.nResident = total
 	if cfg.BudgetBytes >= 0 {
 		s.nResident = int(cfg.BudgetBytes / s.BlockBytes())
@@ -148,12 +128,6 @@ func (s *Shared) Attach() *Cache {
 // Attachments returns the number of currently attached views.
 func (s *Shared) Attachments() int { return int(s.attached.Load()) }
 
-// OnEvict installs fn as the eviction observer: each Evict calls it
-// synchronously with the stats snapshot taken just before the blocks drop.
-// Install the hook before the store is shared; it is not synchronized
-// against concurrent Evict calls.
-func (s *Shared) OnEvict(fn func(Stats)) { s.onEvict = fn }
-
 // Evict drops every filled block by installing a fresh generation of empty
 // slots. Readers holding blocks of the old generation keep valid data; new
 // requests refill lazily, and — residency being the deterministic prefix —
@@ -161,9 +135,6 @@ func (s *Shared) OnEvict(fn func(Stats)) { s.onEvict = fn }
 // regeneration time. The serving scheduler calls this when a geometry has
 // been idle past its TTL.
 func (s *Shared) Evict() {
-	if s.onEvict != nil {
-		s.onEvict(s.Stats())
-	}
 	s.gen.Store(&generation{blocks: make([]block, s.nResident)})
 	s.evictions.Add(1)
 }
@@ -172,7 +143,7 @@ func (s *Shared) Evict() {
 // resident: the keys id·T+t below ResidentBlocks, counted per transmit.
 // It is a view of the one residency rule, not a setting.
 func (s *Shared) PlanQuota() []int {
-	n := len(s.inners)
+	n := len(s.gens)
 	quota := make([]int, n)
 	for t := range quota {
 		quota[t] = (s.nResident - t + n - 1) / n
@@ -191,10 +162,15 @@ func (s *Shared) BlockBytes() int64 { return int64(s.layout.BlockLen()) * s.Dela
 func (s *Shared) ResidentBlocks() int { return s.nResident }
 
 // FullResidency reports whether every (transmit, nappe) block is retained.
-func (s *Shared) FullResidency() bool { return s.nResident == s.depths*len(s.inners) }
+func (s *Shared) FullResidency() bool { return s.nResident == s.depths*len(s.gens) }
 
 // Transmits returns the transmit-set size the store serves.
-func (s *Shared) Transmits() int { return len(s.inners) }
+func (s *Shared) Transmits() int { return len(s.gens) }
+
+// Generators returns a copy of the per-transmit block generators the store
+// fills from — the generators a consumer runs itself for the blocks the
+// store does not hold.
+func (s *Shared) Generators() []delay.BlockProvider { return slices.Clone(s.gens) }
 
 // Depths returns the depth-nappe count of the geometry.
 func (s *Shared) Depths() int { return s.depths }
@@ -204,17 +180,19 @@ func (s *Shared) Layout() delay.Layout { return s.layout }
 
 // resident returns the filled block slot for (transmit t, nappe id) in the
 // current generation — running the generator under the slot's once on first
-// access — or nil when the pair's key id·T+t is past the resident prefix.
-// filled reports whether this call ran the generator. Aggregate
-// hit/miss/fill counters are updated here; attachments layer their own
-// counters on the result.
-func (s *Shared) resident(t, id int) (b *block, filled bool) {
-	if t < 0 || t >= len(s.inners) || id < 0 || id >= s.depths {
+// access — or nil when the pair's key id·T+t is past the resident prefix or
+// out of range. miss reports whether the request costs a generator run:
+// this call filled the slot, or the pair is in range but not resident (the
+// caller regenerates it). Aggregate hit/miss/fill counters are updated
+// here; attachments layer their own counters on the result.
+func (s *Shared) resident(t, id int) (b *block, miss bool) {
+	if t < 0 || t >= len(s.gens) || id < 0 || id >= s.depths {
 		return nil, false
 	}
-	key := id*len(s.inners) + t
+	key := id*len(s.gens) + t
 	if key >= s.nResident {
-		return nil, false
+		s.misses.Add(1)
+		return nil, true
 	}
 	gen := s.gen.Load()
 	b = &gen.blocks[key]
@@ -224,31 +202,18 @@ func (s *Shared) resident(t, id int) (b *block, filled bool) {
 		// — every waiter on this once observes the stall — never its bytes.
 		fillFault.Fire()
 		data := make(delay.Block16, s.layout.BlockLen())
-		s.fill16(t, id, data)
+		s.gens[t].FillNappe16(id, data)
 		b.n16 = data
 		gen.fills.Add(1)
-		filled = true
+		miss = true
 	})
-	if filled {
+	if miss {
 		s.misses.Add(1)
 		s.fills.Add(1)
 	} else {
 		s.hits.Add(1)
 	}
-	return b, filled
-}
-
-// fill16 regenerates the quantized block of (t, id) through delay.Fill16,
-// borrowing a pooled scratch only when the provider lacks a native narrow
-// fill.
-func (s *Shared) fill16(t, id int, dst delay.Block16) {
-	if n := s.inners16[t]; n != nil {
-		n.FillNappe16(id, dst)
-		return
-	}
-	sc := s.scratch.Get().(*[]float64)
-	delay.Fill16(s.inners[t], id, dst, *sc)
-	s.scratch.Put(sc)
+	return b, miss
 }
 
 // Warm fills every resident block of the current generation eagerly
@@ -258,7 +223,7 @@ func (s *Shared) fill16(t, id int, dst delay.Block16) {
 // sync.Once, so the fills are independent, and a live session touching a
 // block meanwhile just takes that once first.
 func (s *Shared) Warm() {
-	n := len(s.inners)
+	n := len(s.gens)
 	workers := min(runtime.GOMAXPROCS(0), s.nResident)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -283,8 +248,8 @@ func (s *Shared) Stats() Stats {
 		Evictions:      s.evictions.Load(),
 		Attachments:    int(s.attached.Load()),
 		ResidentBlocks: s.nResident,
-		TotalBlocks:    s.depths * len(s.inners),
-		Transmits:      len(s.inners),
+		TotalBlocks:    s.depths * len(s.gens),
+		Transmits:      len(s.gens),
 		DelayBytes:     s.DelayBytes(),
 		BlockBytes:     s.BlockBytes(),
 		BytesResident:  s.gen.Load().fills.Load() * s.BlockBytes(),

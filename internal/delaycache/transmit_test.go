@@ -7,8 +7,6 @@ import (
 
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/faultpoint"
-	"ultrabeam/internal/geom"
-	"ultrabeam/internal/tablesteer"
 )
 
 // transmitProviders derives n steered per-transmit block providers from the
@@ -37,20 +35,20 @@ func TestTransmitKeysAreDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Transmits() != 3 {
-		t.Fatalf("Transmits = %d", cache.Transmits())
+	if cache.Shared().Transmits() != 3 {
+		t.Fatalf("Transmits = %d", cache.Shared().Transmits())
 	}
-	if !cache.FullResidency() {
+	if !cache.Shared().FullResidency() {
 		t.Fatal("unlimited budget must retain the whole (transmit, nappe) space")
 	}
-	want := make(delay.Block16, cache.Layout().BlockLen())
+	want := make(delay.Block16, provs[0].Layout().BlockLen())
 	for tx := 0; tx < 3; tx++ {
 		for id := 0; id < depths; id++ {
 			got := cache.Nappe16T(tx, id)
 			if got == nil {
 				t.Fatalf("tx %d nappe %d not resident at full residency", tx, id)
 			}
-			delay.Fill16(provs[tx], id, want, make([]float64, cache.Layout().BlockLen()))
+			provs[tx].FillNappe16(id, want)
 			for k := range want {
 				if got[k] != want[k] {
 					t.Fatalf("tx %d nappe %d differs at %d", tx, id, k)
@@ -88,8 +86,8 @@ func TestTransmitResidencyInterleavesNappeMajor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.ResidentBlocks() != 5 {
-		t.Fatalf("resident = %d, want 5", cache.ResidentBlocks())
+	if cache.Shared().ResidentBlocks() != 5 {
+		t.Fatalf("resident = %d, want 5", cache.Shared().ResidentBlocks())
 	}
 	wantResident := map[[2]int]bool{
 		{0, 0}: true, {1, 0}: true,
@@ -109,53 +107,41 @@ func TestTransmitResidencyInterleavesNappeMajor(t *testing.T) {
 	}
 }
 
-// TestTransmitViewsShareOneBudget: the per-transmit views are faces of one
-// block store — a fill through view t is a hit for every later reader of
-// (t, id), and a single-transmit cache behaves exactly as before.
+// TestTransmitViewsShareOneBudget: every transmit's blocks live in one
+// store behind one attachment — a block filled on first request for (t, id)
+// is a hit for every later reader of it, and each transmit's generator runs
+// once per resident block.
 func TestTransmitViewsShareOneBudget(t *testing.T) {
 	provs, depths := transmitProviders(t, 2)
 	counting := make([]delay.BlockProvider, len(provs))
-	var calls [2]int64
 	for i, p := range provs {
-		cp := &countingProvider{BlockProvider: p}
-		counting[i] = cp
+		counting[i] = &countingProvider{BlockProvider: p}
 	}
 	cache, err := New(Config{Providers: counting, Depths: depths, BudgetBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := []*TransmitView{cache.Transmit(0), cache.Transmit(1)}
-	dst := make(delay.Block16, cache.Layout().BlockLen())
 	for round := 0; round < 3; round++ {
-		for tx, v := range views {
+		for tx := range counting {
 			for id := 0; id < depths; id++ {
-				v.FillNappe16(id, dst)
-				if blk := v.Nappe16(id); blk == nil {
-					t.Fatalf("view %d nappe %d not resident", tx, id)
+				if blk := cache.Nappe16T(tx, id); blk == nil {
+					t.Fatalf("transmit %d nappe %d not resident", tx, id)
 				}
 			}
 		}
 	}
-	for i := range counting {
-		calls[i] = counting[i].(*countingProvider).calls.Load()
-		if calls[i] != int64(depths) {
-			t.Errorf("transmit %d generator ran %d times, want %d (fill-once)", i, calls[i], depths)
+	for i, c := range counting {
+		if calls := c.(*countingProvider).calls.Load(); calls != int64(depths) {
+			t.Errorf("transmit %d generator ran %d times, want %d (fill-once)", i, calls, depths)
 		}
 	}
 	st := cache.Stats()
 	if st.Fills != int64(2*depths) {
 		t.Errorf("fills = %d, want %d", st.Fills, 2*depths)
 	}
-	if st.Hits == 0 {
-		t.Error("steady-state rounds must hit")
+	if st.Hits != int64(2*2*depths) {
+		t.Errorf("hits = %d, want every steady-state request (%d)", st.Hits, 2*2*depths)
 	}
-	// Views panic on out-of-range transmit indices (programming error).
-	defer func() {
-		if recover() == nil {
-			t.Error("Transmit(9) must panic")
-		}
-	}()
-	cache.Transmit(9)
 }
 
 // TestTransmitWarmConcurrent: Warm and concurrent per-view readers must be
@@ -172,9 +158,8 @@ func TestTransmitWarmConcurrent(t *testing.T) {
 	for tx := 0; tx < 2; tx++ {
 		go func(tx int) {
 			defer wg.Done()
-			dst := make(delay.Block16, cache.Layout().BlockLen())
 			for id := 0; id < depths; id++ {
-				cache.FillNappe16T(tx, id, dst)
+				cache.Nappe16T(tx, id)
 			}
 		}(tx)
 	}
@@ -271,61 +256,5 @@ func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
 				t.Errorf("budget %d: block (%d,%d) resident outside the prefix", budget, tx, q)
 			}
 		}
-	}
-}
-
-// TestSteerSourceForwardsAndCountsMiss: the cache and its transmit views
-// forward each transmit's fused-steer operands unchanged — the generator's
-// own shared operands, its own per-nappe rows — and count every SteerRows
-// call as one miss on the attachment and the store, exactly as the
-// FillNappe16T it stands in for would have, without filling a block. A
-// generator that offers no operands forwards nil.
-func TestSteerSourceForwardsAndCountsMiss(t *testing.T) {
-	e, depths := testExact(t)
-	base := tablesteer.New(tablesteer.Config{Vol: e.Vol, Arr: e.Arr, Conv: e.Conv})
-	base.UseFixed = true
-	gens := []*tablesteer.Provider{base}
-	q, err := base.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: -3e-3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gens = append(gens, q.(*tablesteer.Provider))
-	l := base.Layout()
-	cache, err := New(Config{Providers: []delay.BlockProvider{gens[0], gens[1]}, Depths: depths,
-		BudgetBytes: int64(depths) * int64(l.BlockLen()) * narrowDelayBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cache.SteerOperands() != gens[0].SteerOperands() {
-		t.Fatal("the cache does not forward transmit 0's operands")
-	}
-	want, got := make([]int32, (l.NPhi+1)*l.VoxelStride()), make([]int32, (l.NPhi+1)*l.VoxelStride())
-	for tx, g := range gens {
-		v := cache.Transmit(tx)
-		if ops := v.SteerOperands(); ops == nil || ops != g.SteerOperands() {
-			t.Fatalf("transmit %d view forwards operands %p, generator has %p", tx, ops, g.SteerOperands())
-		}
-		for id := 0; id < depths; id++ {
-			before := cache.Stats()
-			v.SteerRows(id, got)
-			g.SteerRows(id, want)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("transmit %d nappe %d word %d: forwarded %d != generator %d", tx, id, i, got[i], want[i])
-				}
-			}
-			after := cache.Stats()
-			if after.Misses != before.Misses+1 || after.Hits != before.Hits || after.Fills != before.Fills ||
-				cache.Shared().Stats().Misses != after.Misses {
-				t.Fatalf("transmit %d nappe %d: stats %+v → %+v, want exactly one more miss", tx, id, before, after)
-			}
-		}
-	}
-	plain, err := New(Config{Provider: e, Depths: depths})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.SteerOperands() != nil || plain.Transmit(0).SteerOperands() != nil {
-		t.Error("a cache over a generator without fused operands forwards some")
 	}
 }

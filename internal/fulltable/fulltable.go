@@ -120,7 +120,7 @@ func (t *Table) FillNappe(id int, dst []float64) {
 	copy(dst, t.nappe(id))
 }
 
-// FillNappe16 implements delay.BlockProvider16, quantizing the stored slice.
+// FillNappe16 implements delay.BlockProvider, quantizing the stored slice.
 func (t *Table) FillNappe16(id int, dst delay.Block16) {
 	delay.QuantizeNappe(dst, t.nappe(id))
 }

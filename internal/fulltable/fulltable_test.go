@@ -157,5 +157,5 @@ func TestTableBlockPath(t *testing.T) {
 			}
 		}
 	}
-	var _ delay.BlockProvider16 = (*Table)(nil)
+	var _ delay.BlockProvider = (*Table)(nil)
 }

@@ -269,6 +269,14 @@ func TestSchedulerPressureInflatesBulkBatches(t *testing.T) {
 	if st.Degraded != 0 {
 		t.Errorf("mid-ladder pressure shed %d frames — shedding is the top rung only", st.Degraded)
 	}
+	sum := int64(0)
+	for _, c := range st.BatchSizeCounts {
+		sum += c
+	}
+	if sum != st.Batches {
+		t.Errorf("batch size counts %v sum to %d, want every one of %d batches (inflated ones in the top bucket)",
+			st.BatchSizeCounts, sum, st.Batches)
+	}
 }
 
 // TestRetryAfterScalesWithBacklog: the Retry-After hint derives from queue

@@ -171,7 +171,7 @@ type Scheduler struct {
 	inflated   atomic.Int64 // bulk batches fused beyond MaxBatch
 	dispatchNs atomic.Int64 // wall time spent inside dispatch (rate source)
 
-	batchSizes  []atomic.Int64 // batchSizes[k]: batches of size k+1
+	batchSizes  []atomic.Int64 // batchSizes[k]: batches of size k+1; the last bucket, MaxBatch or more
 	lanes       [numLanes]laneRecorder
 	laneExpired [numLanes]atomic.Int64
 	wire        wireRecorder
@@ -693,9 +693,7 @@ func (s *Scheduler) dispatch(g *schedGeom, batch []*frameJob) {
 	s.batches.Add(1)
 	s.fused.Add(int64(len(batch)))
 	s.dispatchNs.Add(int64(s.cfg.Now().Sub(start)))
-	if k := len(batch) - 1; k < len(s.batchSizes) {
-		s.batchSizes[k].Add(1)
-	}
+	s.batchSizes[min(len(batch), len(s.batchSizes))-1].Add(1)
 	s.mu.Lock()
 	g.lastUsed = s.cfg.Now()
 	s.mu.Unlock()
@@ -1002,8 +1000,10 @@ type SchedulerStats struct {
 	Draining      bool `json:"draining,omitempty"`
 	RetryAfterSec int  `json:"retry_after_sec"`
 
-	// BatchSizeCounts[k] counts dispatched batches of k+1 frames; the mass
-	// above index 0 is the amortization actually realized.
+	// BatchSizeCounts[k] counts dispatched batches of k+1 frames, and the
+	// last bucket batches of MaxBatch frames or more (the pressure ladder's
+	// inflated ones), so the counts sum to Batches; the mass above index 0
+	// is the amortization actually realized.
 	BatchSizeCounts []int64              `json:"batch_size_counts"`
 	Lanes           map[string]LaneStats `json:"lanes"`
 	Wire            WireStats            `json:"wire"`

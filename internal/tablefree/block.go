@@ -29,7 +29,7 @@ func (p *Provider) FillNappe(id int, dst []float64) {
 	p.fillNappe(id, dst, nil)
 }
 
-// FillNappe16 implements delay.BlockProvider16. The fixed datapath — the
+// FillNappe16 implements delay.BlockProvider. The fixed datapath — the
 // form the serving stack builds — runs the fused integer kernel
 // (fillNappe16Fixed); the ideal PWL, and a FixedConfig the integer form
 // does not cover, take the generic sweep with delay.Index16 applied per

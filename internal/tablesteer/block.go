@@ -41,7 +41,7 @@ func (p *Provider) FillNappe(id int, dst []float64) {
 	}
 }
 
-// FillNappe16 implements delay.BlockProvider16: the same walk as FillNappe
+// FillNappe16 implements delay.BlockProvider: the same walk as FillNappe
 // with the rounding to an echo-buffer index fused into the row, so no
 // float64 block is materialized. The fixed datapath with formats that prove
 // it (narrowProven: every shipped pair) runs steerRow — int32 adds and one

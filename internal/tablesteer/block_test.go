@@ -111,5 +111,5 @@ func TestFillNappe16BitIdentical(t *testing.T) {
 			}
 		}
 	}
-	var _ delay.BlockProvider16 = (*Provider)(nil)
+	var _ delay.BlockProvider = (*Provider)(nil)
 }

@@ -70,11 +70,12 @@ type SystemSpec = core.SystemSpec
 type Provider = delay.Provider
 
 // BlockProvider generates delays one depth nappe at a time into a
-// caller-owned contiguous buffer; see delay.BlockProvider.
+// caller-owned contiguous buffer, as float64 delays or as quantized int16
+// selection indices; see delay.BlockProvider.
 type BlockProvider = delay.BlockProvider
 
-// BlockProvider16 additionally fills quantized int16 delay blocks natively;
-// see delay.BlockProvider16. Every provider in this module implements it.
+// BlockProvider16 is an alias of BlockProvider, whose FillNappe16 fills the
+// narrow form.
 type BlockProvider16 = delay.BlockProvider16
 
 // Block16 is a nappe delay block of int16 selection indices — the narrow
@@ -103,8 +104,8 @@ type Volume = beamform.Volume
 
 // Session is a persistent multi-frame beamformer: worker pool and nappe
 // buffers live across frames, BeamformInto is allocation-free in steady
-// state, and a caching provider amortizes delay generation across the cine
-// sequence. Build one with SystemSpec.NewSession / NewCachedSession, or
+// state, and a delay cache attachment amortizes delay generation across the
+// cine sequence. Build one with SystemSpec.NewSession / NewCachedSession, or
 // with SessionConfig.Transmits set for multi-transmit compounding
 // (BeamformCompound sums N insonifications coherently, bit-identical to
 // the sequential per-transmit sum on the float64 path).
@@ -135,10 +136,11 @@ func AxialTransmits(n int, zmin, zmax float64) []Transmit {
 }
 
 // DelayCache retains filled nappe delay blocks across frames under a byte
-// budget — the §V-B "on-FPGA table as a cache" design point in software.
-// Since PR 5 a DelayCache is one consumer's attachment to a
-// SharedDelayCache block store (a private store when built through
-// NewCachedSession).
+// budget — the §V-B "on-FPGA table as a cache" design point in software. It
+// is one consumer's attachment to a SharedDelayCache block store (a private
+// store when built through NewCachedSession): a Session asks it for the
+// resident block of each (transmit, nappe) and runs the transmit's delay
+// generator itself when the store holds none.
 type DelayCache = delaycache.Cache
 
 // SharedDelayCache is the geometry-keyed block store any number of
