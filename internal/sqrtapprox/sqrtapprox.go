@@ -77,9 +77,10 @@ func fitSegment(lo, hi, sqrtLo, sqrtHi float64) Segment {
 func (a *Approx) NumSegments() int { return len(a.Segments) }
 
 // Find locates the segment containing α by binary search. Arguments outside
-// [0, Max] clamp to the first/last segment.
+// [0, Max] clamp to the first/last segment, and a NaN to the first: the
+// result is always a valid index.
 func (a *Approx) Find(alpha float64) int {
-	if alpha <= 0 {
+	if !(alpha > 0) {
 		return 0
 	}
 	if alpha >= a.Max {
@@ -303,6 +304,22 @@ func newIntDatapath(f *FixedApprox) *IntDatapath {
 // the FixedConfig is outside what it covers (callers then stay on
 // EvalSeg/EvalSlice).
 func (f *FixedApprox) Integer() *IntDatapath { return f.ints }
+
+// Walk is the Fig. 2(a) tracker's step rule on a SegOp table: from segment
+// cur, step up while α ≥ Hi and down while α < Lo. On ascending, abutting
+// segments (every table New builds) it lands on Find(α) from any start, for
+// every α but NaN, which leaves cur where it stands. Block fills carry cur
+// from one argument to the next, so a step is rare and a search never runs.
+func Walk(ops []SegOp, cur int, alpha float64) int {
+	last := len(ops) - 1
+	for cur < last && alpha >= ops[cur].Hi {
+		cur++
+	}
+	for cur > 0 && alpha < ops[cur].Lo {
+		cur--
+	}
+	return cur
+}
 
 // Raw evaluates segment op at argument alpha ≥ 0 and returns the result in
 // raw OutFrac units: EvalSeg before its final scaling back to float.

@@ -187,6 +187,53 @@ func TestLUTBits(t *testing.T) {
 	}
 }
 
+// TestFindNaNInRange: a NaN argument maps to segment 0, so Find never
+// returns an index outside the table and neither Eval indexes past it.
+func TestFindNaNInRange(t *testing.T) {
+	a := paperApprox()
+	if got := a.Find(math.NaN()); got != 0 {
+		t.Fatalf("Find(NaN) = %d, want 0", got)
+	}
+	a.Eval(math.NaN())
+	NewFixed(a, DefaultFixedConfig()).Eval(math.NaN())
+}
+
+// FuzzFindMatchesCursor holds the segment cursor — Walk on the integer
+// datapath's table, and the Tracker on the float one — to Find: from every
+// start segment, every finite or infinite argument lands on Find(α), and a
+// NaN leaves an index inside the table. The block fills carry that cursor
+// for both legs and are held to Find-based Eval through it. Seeds:
+// testdata/fuzz (0, −0, ±Inf, NaN, Max), plus each segment's Lo and Hi.
+func FuzzFindMatchesCursor(f *testing.F) {
+	a := paperApprox()
+	ops := NewFixed(a, DefaultFixedConfig()).Integer().Ops
+	for i, s := range a.Segments {
+		f.Add(s.Lo, uint(i))
+		f.Add(s.Hi, uint(i))
+	}
+	f.Fuzz(func(t *testing.T, alpha float64, start uint) {
+		want := a.Find(alpha)
+		if want < 0 || want >= len(a.Segments) {
+			t.Fatalf("Find(%v) = %d outside [0, %d)", alpha, want, len(a.Segments))
+		}
+		for cur := range ops {
+			cur = (cur + int(start%uint(len(ops)))) % len(ops)
+			got := Walk(ops, cur, alpha)
+			tr := &Tracker{A: a, Cur: cur}
+			seek := tr.Seek(alpha)
+			if math.IsNaN(alpha) {
+				if got != cur || seek != cur {
+					t.Fatalf("NaN from %d: Walk %d, Seek %d; want it to stay", cur, got, seek)
+				}
+				continue
+			}
+			if got != want || seek != want {
+				t.Fatalf("α=%v from segment %d: Walk %d, Seek %d, Find %d", alpha, cur, got, seek, want)
+			}
+		}
+	})
+}
+
 func TestTrackerConvergesLikeFind(t *testing.T) {
 	a := paperApprox()
 	tr := NewTracker(a)

@@ -44,10 +44,18 @@ func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 	p.fillNappe(id, nil, dst)
 }
 
-// stackTerms is the most per-voxel squared terms (one per element column
-// plus one per row) whose scratch lives on the fill's stack; wider
+// stackTerms is the most float64 scratch (per-voxel squared terms: one per
+// element column plus one per row) that lives on a fill's stack; wider
 // apertures pay one allocation per nappe.
 const stackTerms = 512
+
+// voxel is one focal point's share of the §IV-B decomposition: its
+// coordinates on the two element axes, the depth term Sz² every element
+// shares, and the transmit leg in raw OutFrac units.
+type voxel struct {
+	sx, sy, zz float64
+	txRaw      int64
+}
 
 // fillNappe16Fixed is the §IV-B unit as integer arithmetic: per element,
 // two float additions form the argument, the segment cursor steps to its
@@ -57,7 +65,9 @@ const stackTerms = 512
 // transmit leg joins as a raw OutFrac integer: both legs are exact
 // multiples of 2^−OutFrac, so the float sum DelaySamples forms is exact and
 // equals the integer sum, and rounding that integer is math.Round of the
-// float. Every slot is bit-identical to Index16(DelaySamples(...)).
+// float. Each leg carries its own segment cursor from voxel to voxel,
+// sqrtapprox.Walk, which lands where FixedApprox.Eval's Find does. Every
+// slot is bit-identical to Index16(DelaySamples(...)).
 func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.IntDatapath) {
 	l := p.Layout()
 	var stack [stackTerms]float64
@@ -65,35 +75,44 @@ func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.In
 	if l.NX+l.NY > stackTerms {
 		terms = make([]float64, l.NX+l.NY)
 	}
-	// Per-column (Sx−xD)² and per-row (Sy−yD)², refreshed per voxel.
+	// Per-column (Sx−xD)² and per-row (Sy−yD)², formed per voxel where a
+	// route reads them.
 	xt2, yt2 := terms[:l.NX], terms[l.NX:l.NX+l.NY]
 	ops := dp.Ops
 	nE := l.VoxelStride()
-	cur := 0 // receive segment cursor, carried across rows and voxels
+	rx, tx := 0, 0 // receive and transmit segment cursors
+	var lc laneCall
+	p.initLaneCall(&lc, dp)
 	r := p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(id))
 	dst = dst[:l.BlockLen()]
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {
-			zz, argTx := p.planeTerms(it, ip, r, xt2, yt2)
-			txRaw := dp.Raw(&ops[p.FixedDP.Base.Find(argTx)], argTx)
-			cur = fixedPlane(dst[:nE], xt2, yt2, zz, txRaw, dp, p.perm, cur)
+			v, argTx := p.focal(it, ip, r)
+			tx = sqrtapprox.Walk(ops, tx, argTx)
+			v.txRaw = dp.Raw(&ops[tx], argTx)
+			rx = p.fixedPlane(dst[:nE], v, xt2, yt2, dp, &lc, rx)
 			dst = dst[nE:]
 		}
 	}
 }
 
-// planeTerms decomposes the voxel at radius r (samples) on line (it, ip) as
-// §IV-B does: the per-column (Sx−xD)² into xt2, the per-row (Sy−yD)² into
-// yt2, and the shared Sz² and transmit argument |S−O|² as results. Each
-// element's receive argument is (xt2[ei] + yt2[ej]) + zz, args' association
-// order.
-func (p *Provider) planeTerms(it, ip int, r float64, xt2, yt2 []float64) (zz, argTx float64) {
+// focal places the voxel at radius r (samples) on line (it, ip) as §IV-B
+// decomposes it: Sx and Sy, the shared Sz², and the transmit argument
+// |S−O|². Each element's receive argument is (xt2[ei] + yt2[ej]) + zz,
+// args' association order, with the terms planeTerms forms.
+func (p *Provider) focal(it, ip int, r float64) (v voxel, argTx float64) {
 	// geom.SphericalToCartesian with the per-axis sin/cos hoisted.
 	rc := r * p.cosPhi[ip]
 	sx, sy, sz := rc*p.sinTheta[it], r*p.sinPhi[ip], rc*p.cosTheta[it]
 	dx := sx - p.originS.X
 	dy := sy - p.originS.Y
 	dz := sz - p.originS.Z
+	return voxel{sx: sx, sy: sy, zz: sz * sz}, dx*dx + dy*dy + dz*dz
+}
+
+// planeTerms writes a voxel's per-column (Sx−xD)² into xt2 and per-row
+// (Sy−yD)² into yt2.
+func (p *Provider) planeTerms(sx, sy float64, xt2, yt2 []float64) {
 	for ei, ex := range p.elemX {
 		xt := sx - ex
 		xt2[ei] = xt * xt
@@ -102,25 +121,112 @@ func (p *Provider) planeTerms(it, ip int, r float64, xt2, yt2 []float64) (zz, ar
 		yt := sy - ey
 		yt2[ej] = yt * yt
 	}
-	return sz * sz, dx*dx + dy*dy + dz*dz
 }
 
-// fixedPlane emits one voxel's element plane, len(yt2) rows of len(xt2)
-// slots: the host's native lane body (vecPlane) takes the leading columns
-// of every row — or, through perm, the whole plane — when the datapath is
-// proven and the voxel passes its guard, and fixedRow — the executable
-// specification — takes whatever it left: the NX mod 4 tail, or the whole
-// plane. It returns the segment cursor for the next voxel.
-func fixedPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, perm *planePerm, cur int) int {
-	done, cur := vecPlane(plane, xt2, yt2, zz, txRaw, dp, perm, cur)
+// fixedPlane emits one voxel's element plane, NY rows of NX slots: the
+// host's native lane body (vecPlane, through lc) takes the leading columns
+// of every row — or the whole plane — when the datapath is proven and the
+// voxel passes its guard, and fixedRow — the executable specification —
+// takes whatever it left: the NX mod 4 tail, or the whole plane. It
+// returns the segment cursor for the next voxel.
+func (p *Provider) fixedPlane(plane []int16, v voxel, xt2, yt2 []float64, dp *sqrtapprox.IntDatapath, lc *laneCall, cur int) int {
+	done, cur := p.vecPlane(plane, v, xt2, yt2, lc, cur)
 	if done == len(xt2) {
 		return cur
 	}
 	for _, y2 := range yt2 {
-		cur = fixedRow(plane[done:len(xt2)], xt2[done:], y2, zz, txRaw, dp, cur)
+		cur = fixedRow(plane[done:len(xt2)], xt2[done:], y2, v.zz, v.txRaw, dp, cur)
 		plane = plane[len(xt2):]
 	}
 	return cur
+}
+
+// vecPlane runs lc's lane body over the leading lc.nVec columns of every
+// row of one voxel's plane, and reports how many it took. Whenever it
+// leaves columns, xt2 and yt2 hold the voxel's terms. It takes none when
+// the fill has no lane body (initLaneCall), the element axes are not pitch
+// grids, or the voxel fails the guard the lane proof is conditioned on
+// (lanes). The guard's argument extremes are not scanned for but derived
+// from the grids (termExtremes). cur is the carried segment cursor; the
+// voxel's lowest segment is returned in its place.
+func (p *Provider) vecPlane(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCall, cur int) (done, next int) {
+	if lc.nVec == 0 || !p.pitchGrid {
+		p.planeTerms(v.sx, v.sy, xt2, yt2)
+		return 0, cur
+	}
+	xlo, xhi := termExtremes(p.elemX[:lc.nVec], p.invPitchX, v.sx)
+	ylo, yhi := termExtremes(p.elemY, p.invPitchY, v.sy)
+	return p.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
+}
+
+// provePitch checks, once per provider, the precondition termExtremes
+// rests on: both element axes are pitch grids (pitchInv). A provider that
+// fails it sends every voxel to fixedRow.
+func (p *Provider) provePitch() {
+	var okX, okY bool
+	p.invPitchX, okX = pitchInv(p.elemX)
+	p.invPitchY, okY = pitchInv(p.elemY)
+	p.pitchGrid = okX && okY
+}
+
+// pitchInv reports whether e is a pitch grid — finite, strictly monotone,
+// and every element within a quarter pitch of e[0] + i·pitch — and returns
+// 1/pitch (0 for one element). On such a grid the element nearest a point
+// u pitches from e[0] is within one of round(u): termExtremes' ±1.
+func pitchInv(e []float64) (inv float64, ok bool) {
+	n := len(e)
+	if n == 0 {
+		return 0, false
+	}
+	pitch := 0.0
+	if n > 1 {
+		pitch = (e[n-1] - e[0]) / float64(n-1)
+		inv = 1 / pitch
+	}
+	for i, x := range e {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return 0, false
+		}
+		if i > 0 && !(pitch > 0 && x > e[i-1] || pitch < 0 && x < e[i-1]) {
+			return 0, false
+		}
+		if !(math.Abs(x-(e[0]+float64(i)*pitch)) <= math.Abs(pitch)/4) {
+			return 0, false
+		}
+	}
+	return inv, true
+}
+
+// termExtremes returns the smallest and largest of the terms
+// fl(fl(s−e[i])²) over a pitch grid e (inv = 1/pitch), without forming
+// them. Rounding is monotone, so fl(s−e[i]) is monotone in i and its
+// rounded square falls then rises: the largest term is an endpoint's, and
+// the smallest is the nearest element's, whose index is within one of
+// round((s−e[0])·inv). A NaN s makes the largest NaN, which fails the
+// guard; the index stays in range for any s.
+func termExtremes(e []float64, inv, s float64) (lo, hi float64) {
+	n := len(e)
+	// The terms are squares, never −0, so their float64 order is the order
+	// of their bit patterns as unsigned integers, a NaN above +Inf: integer
+	// min and max compile to conditional moves, and each product is
+	// rounded on its own, as planeTerms stores it (no fused multiply-add).
+	sq := func(x float64) uint64 { d := s - x; return math.Float64bits(d * d) }
+	hi = math.Float64frombits(max(sq(e[0]), sq(e[n-1])))
+	k := 0
+	if q := (s - e[0]) * inv; q > 0 {
+		if q > float64(n-1) {
+			q = float64(n - 1)
+		}
+		k = int(q + 0.5)
+	}
+	b := sq(e[k])
+	if k > 0 {
+		b = min(b, sq(e[k-1]))
+	}
+	if k < n-1 {
+		b = min(b, sq(e[k+1]))
+	}
+	return math.Float64frombits(b), hi
 }
 
 // maxPermAxis is the widest aperture axis a planePerm covers: each axis's
@@ -174,18 +280,8 @@ func newPlanePerm(nx, ny int) *planePerm {
 // float addition is monotone, so every element's argument — and, segments
 // ascending, its segment — lies between them. The cursor walk is fixedRow's.
 func segSpan(ops []sqrtapprox.SegOp, amin, amax float64, cur int) (lo, hi int) {
-	last := len(ops) - 1
-	for cur < last && amin >= ops[cur].Hi {
-		cur++
-	}
-	for cur > 0 && amin < ops[cur].Lo {
-		cur--
-	}
-	lo = cur
-	for cur < last && amax >= ops[cur].Hi {
-		cur++
-	}
-	return lo, cur
+	lo = sqrtapprox.Walk(ops, cur, amin)
+	return lo, sqrtapprox.Walk(ops, lo, amax)
 }
 
 // fixedRow emits one element row of one voxel: xt2 holds the row's column
@@ -199,6 +295,8 @@ func fixedRow(row []int16, xt2 []float64, yt2, zz float64, txRaw int64, dp *sqrt
 	row = row[:len(xt2)]
 	for ei, x2 := range xt2 {
 		alpha := x2 + yt2 + zz
+		// sqrtapprox.Walk's step rule, written out: inlined here, Walk
+		// measured about 3 % slower in this loop.
 		for cur < last && alpha >= ops[cur].Hi {
 			cur++
 		}
@@ -226,8 +324,12 @@ func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
 	if dst16 != nil {
 		n += nE
 	}
-	scratch := make([]float64, n)
-	xt2, voxel := scratch[:l.NX], scratch[l.NX:]
+	var stack [stackTerms]float64
+	scratch := stack[:]
+	if n > stackTerms {
+		scratch = make([]float64, n)
+	}
+	xt2, plane := scratch[:l.NX], scratch[l.NX:n]
 	k := 0
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {
@@ -247,7 +349,7 @@ func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
 				xt := s.X - p.elemX[ei]
 				xt2[ei] = xt * xt
 			}
-			out := voxel
+			out := plane
 			if dst16 == nil {
 				out = dst[k : k+nE]
 			}

@@ -3,8 +3,6 @@
 package tablefree
 
 import (
-	"math"
-
 	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/sqrtapprox"
 )
@@ -24,12 +22,15 @@ func fillKernelBody() string {
 }
 
 // planeArgs is the lane bodies' operand block; kernel_vec_amd64.s addresses
-// the fields through go_asm.h, so their order is free. fillPlaneAVX2 reads
-// the row fields (nx, nVec, ny), fillPlaneAVX512 the permute ones.
+// the fields through go_asm.h, so their order is free. A fill sets the
+// fields its voxels share once (initLaneCall) and the rest per voxel
+// (lanes). fillPlaneAVX2 reads the row fields (nx, nVec, ny) and takes the
+// voxel's terms as arguments, fillPlaneAVX512 the grid and permute fields.
 type planeArgs struct {
 	dst       *int16            // the plane's first slot
-	xt2       *float64          // column terms
-	yt2       *float64          // row terms
+	elemX     *float64          // element columns, samples
+	elemY     *float64          // element rows, samples
+	sx, sy    float64           // the voxel on the element axes
 	ops       *sqrtapprox.SegOp // the voxel's lowest segment
 	nx        int
 	nVec      int // multiple of 4, ≤ nx: the leading columns of each row written
@@ -53,83 +54,86 @@ type planeArgs struct {
 // arguments (xt2[i] + yt2[j]) + zz at a time, each lane's segment operands
 // selected by compare-and-blend from ops[0..nExtra], then Raw and Index in
 // 32-bit integer lanes and a saturating pack to int16. It checks nothing:
-// vecPlane's guard and sqrtapprox's lane proof are its whole contract.
+// the guard in lanes and sqrtapprox's lane proof are its whole contract.
 //
 //go:noescape
-func fillPlaneAVX2(a *planeArgs)
+func fillPlaneAVX2(a *planeArgs, xt2, yt2 *float64)
 
-// fillPlaneAVX512 is the eight-lane body: the same stages over the whole
-// plane in planePerm's groups, each group's terms gathered by a two-table
-// permute from xt2 and yt2 held in registers, the segment select a k-mask
-// compare and masked broadcasts, and the last partial group's store masked.
-// Like fillPlaneAVX2 it checks nothing.
+// fillPlaneAVX512 is the eight-lane body: it forms the column and row
+// terms in four registers — (s − e)² by VSUBPD and VMULPD, planeTerms'
+// operations — then runs the same stages over the whole plane in
+// planePerm's groups, each group's terms gathered from those registers by
+// a two-table permute, the segment select a k-mask compare and masked
+// broadcasts, and the last partial group's store masked. Like
+// fillPlaneAVX2 it checks nothing.
 //
 //go:noescape
 func fillPlaneAVX512(a *planeArgs)
 
-// vecPlane runs a lane body over one voxel's plane and reports how many
-// leading columns of every row it took: all of them when the host has
-// AVX-512 and perm is this plane's table, else the leading len(xt2)&^3
-// through the AVX2 body. It takes none when the host has no AVX2, the
-// datapath carries no lane proof, or this voxel fails the guard the proof
-// is conditioned on: its largest argument over the columns taken within
-// Lanes.ArgMax (negated so that a NaN sum fails too) and its transmit leg
-// within LaneTxLimit. cur is the carried segment cursor; the voxel's lowest
-// segment is returned in its place.
-func vecPlane(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath, perm *planePerm, cur int) (done, next int) {
-	ln := dp.Lanes()
-	if ln == nil || !cpufeat.AVX2 || len(yt2) == 0 {
-		return 0, cur
-	}
-	wide := cpufeat.AVX512 && perm != nil && perm.nx == len(xt2) && perm.ny == len(yt2)
-	nVec := len(xt2) &^ 3
-	if wide {
-		nVec = len(xt2)
-	}
-	if nVec == 0 {
-		return 0, cur
-	}
-	xmin, xmax := minMax(xt2[:nVec])
-	ymin, ymax := minMax(yt2)
-	amax := xmax + ymax + zz
-	if !(amax <= ln.ArgMax) || txRaw <= -sqrtapprox.LaneTxLimit || txRaw >= sqrtapprox.LaneTxLimit {
-		return 0, cur
-	}
-	segLo, segHi := segSpan(dp.Ops, xmin+ymin+zz, amax, cur)
-	_ = plane[len(xt2)*len(yt2)-1] // the bodies write rows at stride len(xt2)
-	a := &planeArgs{
-		dst: &plane[0], xt2: &xt2[0], yt2: &yt2[0], ops: &dp.Ops[segLo],
-		nx: len(xt2), nVec: nVec, ny: len(yt2), nExtra: segHi - segLo,
-		zz: zz, txRaw: txRaw,
-		argScale: ln.ArgScale, prodHalf: ln.ProdHalf, prodShift: ln.ProdShift,
-		outHalf: ln.OutHalf, outShift: ln.OutShift,
-	}
-	if wide {
-		a.groups, a.full, a.last = &perm.groups[0], perm.full, perm.last
-		a.xMask, a.yMask = perm.xMask, perm.yMask
-		fillPlaneAVX512(a)
-	} else {
-		fillPlaneAVX2(a)
-	}
-	return nVec, segLo
+// laneCall is one fill's call of the lane body: the operand block, with the
+// fields all the fill's voxels share set once, and which body it calls.
+// nVec is how many leading columns of every row the body takes from a voxel
+// that passes the guard, 0 when no voxel of the fill can reach a body.
+type laneCall struct {
+	a      planeArgs
+	nVec   int
+	wide   bool
+	ops    []sqrtapprox.SegOp
+	argMax float64
 }
 
-// minMax returns the extremes of v, which must not be empty, both NaN if
-// any element is NaN or carries a sign bit (the lane proof covers only
-// 0 ≤ α, and the terms are squares). On such terms the float64 order is
-// the order of the bit patterns as unsigned integers, with every NaN and
-// every negative value above +Inf, so integer min and max — conditional
-// moves — find the extremes without the branches that a parabola of column
-// terms mispredicts.
-func minMax(v []float64) (lo, hi float64) {
-	l := math.Float64bits(v[0])
-	h := l
-	for _, x := range v[1:] {
-		b := math.Float64bits(x)
-		l, h = min(l, b), max(h, b)
+// initLaneCall prepares lc for filling p's planes through datapath dp. The
+// body is the eight-lane one, over every column, when the host has AVX-512
+// and p.perm is its aperture's table; else the AVX2 body over the leading
+// nx&^3. There is none without AVX2 or without dp's lane proof.
+func (p *Provider) initLaneCall(lc *laneCall, dp *sqrtapprox.IntDatapath) {
+	nx, ny := len(p.elemX), len(p.elemY)
+	ln := dp.Lanes()
+	if ln == nil || ny == 0 || !cpufeat.AVX2 {
+		return
 	}
-	if h > math.Float64bits(math.Inf(1)) {
-		return math.NaN(), math.NaN()
+	lc.wide = cpufeat.AVX512 && p.perm != nil && p.perm.nx == nx && p.perm.ny == ny
+	lc.nVec = nx &^ 3
+	if lc.wide {
+		lc.nVec = nx
 	}
-	return math.Float64frombits(l), math.Float64frombits(h)
+	lc.ops, lc.argMax = dp.Ops, ln.ArgMax
+	a := &lc.a
+	a.nx, a.nVec, a.ny = nx, lc.nVec, ny
+	a.argScale, a.prodHalf, a.prodShift = ln.ArgScale, ln.ProdHalf, ln.ProdShift
+	a.outHalf, a.outShift = ln.OutHalf, ln.OutShift
+	if lc.wide {
+		a.elemX, a.elemY = &p.elemX[0], &p.elemY[0]
+		a.groups, a.full, a.last = &p.perm.groups[0], p.perm.full, p.perm.last
+		a.xMask, a.yMask = p.perm.xMask, p.perm.yMask
+	}
+}
+
+// lanes runs lc's lane body over a voxel whose arguments lie in [amin,
+// amax], and reports how many leading columns of every row it took.
+// Whenever it leaves columns, xt2 and yt2 hold the voxel's terms: the
+// eight-lane body forms them in its registers, so they are written only on
+// the other routes. It takes none when the voxel fails the guard the lane
+// proof is conditioned on: amax within Lanes.ArgMax (negated so that a NaN
+// fails too) and the transmit leg within LaneTxLimit. cur is the carried
+// segment cursor; the voxel's lowest segment is returned in its place.
+func (p *Provider) lanes(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCall, amin, amax float64, cur int) (done, next int) {
+	if lc.nVec == 0 || !(amax <= lc.argMax) ||
+		v.txRaw <= -sqrtapprox.LaneTxLimit || v.txRaw >= sqrtapprox.LaneTxLimit {
+		p.planeTerms(v.sx, v.sy, xt2, yt2)
+		return 0, cur
+	}
+	segLo, segHi := segSpan(lc.ops, amin, amax, cur)
+	a := &lc.a
+	_ = plane[a.nx*a.ny-1] // the bodies write rows at stride nx
+	a.dst, a.ops, a.nExtra = &plane[0], &lc.ops[segLo], segHi-segLo
+	a.zz, a.txRaw = v.zz, v.txRaw
+	if lc.wide {
+		a.sx, a.sy = v.sx, v.sy
+		fillPlaneAVX512(a)
+		return lc.nVec, segLo
+	}
+	p.planeTerms(v.sx, v.sy, xt2, yt2)
+	fillPlaneAVX2(a, &xt2[0], &yt2[0])
+	return lc.nVec, segLo
 }

@@ -86,12 +86,12 @@ round: \
 	VEXTRACTI128 $1, Y0, X5; \
 	VPUNPCKLDQ   X5, X0, X0
 
-// func fillPlaneAVX2(a *planeArgs)
-TEXT ·fillPlaneAVX2(SB), NOSPLIT, $64-8
+// func fillPlaneAVX2(a *planeArgs, xt2, yt2 *float64)
+TEXT ·fillPlaneAVX2(SB), NOSPLIT, $64-24
 	MOVQ a+0(FP), DI
 	MOVQ planeArgs_dst(DI), R8       // current output row
-	MOVQ planeArgs_xt2(DI), SI
-	MOVQ planeArgs_yt2(DI), DX       // current row term
+	MOVQ xt2+8(FP), SI
+	MOVQ yt2+16(FP), DX              // current row term
 	MOVQ planeArgs_ops(DI), BX       // the voxel's lowest segment
 	MOVQ planeArgs_nx(DI), R9
 	SHLQ $1, R9                      // bytes per output row
@@ -158,8 +158,10 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// Register plan of the eight-lane body. Per call: Z16 Z17 xt2 (columns 0–7,
-// 8–15), Z18 Z19 yt2 (rows 0–7, 8–15), zero past the plane's axes; Z20 zz,
+// Register plan of the eight-lane body. Per call: Z16 Z17 the column terms
+// (columns 0–7, 8–15), Z18 Z19 the row terms (rows 0–7, 8–15), formed from
+// the element coordinates and garbage past the plane's axes, where no
+// permute index reaches; Z29 Z30 sx, sy while they are formed; Z20 zz,
 // Z21 0.5, Z22 1.0, Z23 prodHalf and Z25 prodShift (qwords), Z24 2^ArgFrac,
 // Y26 txRaw, Y27 outHalf and Y28 outShift (dwords); K3 the last group's
 // store mask. The shifts take per-lane counts: one uop, where a count in
@@ -171,8 +173,8 @@ rowdone:
 // expansion. The stages are GROUP's and INDEX's, with:
 //
 //   - the terms gathered by VPERMI2PD: the group's column (row) indices
-//     pick from the two xt2 (yt2) registers, so α = (xt2 + yt2) + zz keeps
-//     DelaySamples' order;
+//     pick from the two column (row) term registers, so α = (xt2 + yt2) +
+//     zz keeps DelaySamples' order;
 //   - segment select: α ≥ Lo[j] compares into K1 against an embedded
 //     broadcast, and three masked broadcasts replace the lanes' operands;
 //   - rounding: VRNDSCALEPD floor, +1.0 under the GE_OQ half mask, and a
@@ -229,16 +231,28 @@ TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
 	MOVQ planeArgs_nExtra(DI), R12
 	IMUL3Q $SEG_SIZE, R12, R12       // byte offset of the voxel's highest segment
 
-	MOVQ planeArgs_xt2(DI), SI
+	// The terms (s − e)², planeTerms' two IEEE operations and no FMA, from
+	// masked, zeroing loads of the element coordinates.
+	MOVQ planeArgs_elemX(DI), SI
+	VBROADCASTSD planeArgs_sx(DI), Z29
 	KMOVW planeArgs_xMask(DI), K1
 	VMOVUPD.Z (SI), K1, Z16
 	KSHIFTRW $8, K1, K1
 	VMOVUPD.Z 64(SI), K1, Z17
-	MOVQ planeArgs_yt2(DI), SI
+	VSUBPD Z16, Z29, Z16
+	VSUBPD Z17, Z29, Z17
+	VMULPD Z16, Z16, Z16
+	VMULPD Z17, Z17, Z17
+	MOVQ planeArgs_elemY(DI), SI
+	VBROADCASTSD planeArgs_sy(DI), Z30
 	KMOVW planeArgs_yMask(DI), K1
 	VMOVUPD.Z (SI), K1, Z18
 	KSHIFTRW $8, K1, K1
 	VMOVUPD.Z 64(SI), K1, Z19
+	VSUBPD Z18, Z30, Z18
+	VSUBPD Z19, Z30, Z19
+	VMULPD Z18, Z18, Z18
+	VMULPD Z19, Z19, Z19
 	KMOVW planeArgs_last(DI), K3
 
 	VBROADCASTSD planeArgs_zz(DI), Z20

@@ -58,9 +58,11 @@ func routeAgrees(t *testing.T, p *Provider, on, off string) {
 		}
 		cols := laneColumns(p.Cfg.Arr.NX, p.Cfg.Arr.NY)
 		plane := make([]int16, p.Layout().VoxelStride())
-		eachPlane(p, id, func(v int, xt2, yt2 []float64, zz float64, txRaw int64) {
-			if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, p.FixedDP.Integer(), p.perm, 0); done != cols {
-				t.Fatalf("nappe %d voxel %d: %d lane columns under %s, want %d", id, v, done, off, cols)
+		x, y := make([]float64, p.Cfg.Arr.NX), make([]float64, p.Cfg.Arr.NY)
+		lc := laneCallFor(p, p.FixedDP.Integer())
+		eachPlane(p, id, func(k int, v voxel, _, _ []float64) {
+			if done, _ := p.vecPlane(plane, v, x, y, lc, 0); done != cols {
+				t.Fatalf("nappe %d voxel %d: %d lane columns under %s, want %d", id, k, done, off, cols)
 			}
 		})
 		p.FillNappe16(id, ref)

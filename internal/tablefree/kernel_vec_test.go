@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -63,44 +64,63 @@ func rowsRef(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqr
 }
 
 // eachPlane walks nappe id voxel by voxel as fillNappe16Fixed does, handing
-// f each plane's index and terms.
-func eachPlane(p *Provider, id int, f func(v int, xt2, yt2 []float64, zz float64, txRaw int64)) {
+// f each plane's index, voxel and terms. The transmit leg comes from Find,
+// not the fill's cursor.
+func eachPlane(p *Provider, id int, f func(k int, v voxel, xt2, yt2 []float64)) {
 	l, dp := p.Layout(), p.FixedDP.Integer()
 	xt2, yt2 := make([]float64, l.NX), make([]float64, l.NY)
 	r := p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(id))
-	for v := 0; v < l.NTheta*l.NPhi; v++ {
-		zz, argTx := p.planeTerms(v/l.NPhi, v%l.NPhi, r, xt2, yt2)
-		f(v, xt2, yt2, zz, dp.Raw(&dp.Ops[p.FixedDP.Base.Find(argTx)], argTx))
+	for k := 0; k < l.NTheta*l.NPhi; k++ {
+		v, argTx := p.focal(k/l.NPhi, k%l.NPhi, r)
+		v.txRaw = dp.Raw(&dp.Ops[p.FixedDP.Base.Find(argTx)], argTx)
+		p.planeTerms(v.sx, v.sy, xt2, yt2)
+		f(k, v, xt2, yt2)
 	}
 }
 
 // refFill16 is fillNappe16Fixed with every slot through fixedRow.
 func refFill16(p *Provider, id int, dst delay.Block16) {
 	nE, dp := p.Layout().VoxelStride(), p.FixedDP.Integer()
-	eachPlane(p, id, func(v int, xt2, yt2 []float64, zz float64, txRaw int64) {
-		rowsRef(dst[v*nE:][:nE], xt2, yt2, zz, txRaw, dp)
+	eachPlane(p, id, func(k int, v voxel, xt2, yt2 []float64) {
+		rowsRef(dst[k*nE:][:nE], xt2, yt2, v.zz, v.txRaw, dp)
 	})
+}
+
+// laneCallFor is the laneCall a fill of q through dp makes under the probes
+// as they stand.
+func laneCallFor(q *Provider, dp *sqrtapprox.IntDatapath) *laneCall {
+	lc := new(laneCall)
+	q.initLaneCall(lc, dp)
+	return lc
+}
+
+// scanExtremes is the smallest and largest of v, both NaN if any is: the
+// guard's extremes found by looking, which termExtremes must equal.
+func scanExtremes(v []float64) (lo, hi float64) {
+	lo, hi = v[0], v[0]
+	for _, x := range v[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	return lo, hi
 }
 
 // nappeCensus reports how many voxels of nappe id the lane body takes (on a
 // build or host without it, none) and the widest segment span any voxel's
 // arguments cover.
 func nappeCensus(p *Provider, id int) (vec, scalar, maxSpan int) {
-	dp := p.FixedDP.Integer()
-	plane := make([]int16, p.Layout().VoxelStride())
-	eachPlane(p, id, func(_ int, xt2, yt2 []float64, zz float64, txRaw int64) {
-		if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, p.perm, 0); done > 0 {
+	l, dp := p.Layout(), p.FixedDP.Integer()
+	plane := make([]int16, l.VoxelStride())
+	x, y := make([]float64, l.NX), make([]float64, l.NY)
+	lc := laneCallFor(p, dp)
+	eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
+		if done, _ := p.vecPlane(plane, v, x, y, lc, 0); done > 0 {
 			vec++
 		} else {
 			scalar++
 		}
-		amin, amax := math.Inf(1), 0.0
-		for _, x := range xt2 {
-			for _, y := range yt2 {
-				amin, amax = min(amin, x+y+zz), max(amax, x+y+zz)
-			}
-		}
-		lo, hi := segSpan(dp.Ops, amin, amax, 0)
+		xlo, xhi := scanExtremes(xt2)
+		ylo, yhi := scanExtremes(yt2)
+		lo, hi := segSpan(dp.Ops, xlo+ylo+v.zz, xhi+yhi+v.zz, 0)
 		maxSpan = max(maxSpan, hi-lo)
 	})
 	return vec, scalar, maxSpan
@@ -125,24 +145,28 @@ func checkFill16Routes(t *testing.T, name string, p *Provider) {
 }
 
 // TestLaneFillMatchesRowsRandomGeometries is the lane bodies' bit-identity
-// contract over whole nappes: every row width class (below one group, exact
-// groups, a paired group plus a single, each with and without a scalar
-// tail), 1×N and N×1 apertures, planes whose slot count is not a multiple
-// of eight (the eight-lane body's masked last group), 16 against 17 on
-// either axis (its aperture limit), off-origin transmits built directly and
-// derived through WithTransmit, the default FixedConfig and one with
-// fractional argument bits.
+// contract over whole nappes (laneGeometries), each filled from a transmit
+// built directly and from one derived through WithTransmit.
 func TestLaneFillMatchesRowsRandomGeometries(t *testing.T) {
 	forEachBody(t, laneFillMatchesRowsRandomGeometries)
 }
 
-func laneFillMatchesRowsRandomGeometries(t *testing.T) {
+var laneOrigins = []geom.Vec3{{}, {X: 1.3e-3, Y: -0.7e-3, Z: -4e-3}, {X: -2e-3, Z: 3e-3}, {Y: 5e-3}}
+
+// laneGeometries are the lane suite's randomized geometries: every row
+// width class (below one group, exact groups, a paired group plus a single,
+// each with and without a scalar tail), 1×N and N×1 apertures, planes whose
+// slot count is not a multiple of eight (the eight-lane body's masked last
+// group), 16 against 17 on either axis and on both (its aperture limit),
+// Table I's 100×100 aperture, off-origin transmits, the default FixedConfig
+// and one with fractional argument bits. Geometry k transmits from
+// laneOrigins[k mod 4]; the test derives a unit at the next one.
+func laneGeometries() []Config {
 	rng := rand.New(rand.NewSource(23))
 	nxs := []int{1, 3, 4, 5, 8, 12, 16, 17, 32}
-	shapes := [][2]int{{3, 5}, {1, 7}, {12, 13}, {13, 12}, {16, 16}, {16, 17}, {17, 16}, {12, 12}}
-	origins := []geom.Vec3{{}, {X: 1.3e-3, Y: -0.7e-3, Z: -4e-3}, {X: -2e-3, Z: 3e-3}, {Y: 5e-3}}
+	shapes := [][2]int{{3, 5}, {1, 7}, {12, 13}, {13, 12}, {16, 16}, {16, 17}, {17, 16}, {12, 12}, {17, 17}, {100, 100}}
 	fixedCfgs := []sqrtapprox.FixedConfig{{}, {ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6}}
-	took := 0
+	var cfgs []Config
 	for trial := 0; trial < 3*len(nxs)+len(shapes); trial++ {
 		nx, ny := nxs[trial%len(nxs)], []int{1, 2, 5, 9}[rng.Intn(4)]
 		switch {
@@ -151,21 +175,28 @@ func laneFillMatchesRowsRandomGeometries(t *testing.T) {
 		case trial >= 2*len(nxs):
 			nx, ny = ny, nx // the same widths down the slow axis
 		}
-		cfg := Config{
+		cfgs = append(cfgs, Config{
 			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
 				0.02+0.15*rng.Float64(), 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(4)),
 			Arr:    xdcr.NewArray(nx, ny, (0.1+0.3*rng.Float64())*1e-3),
-			Origin: origins[trial%len(origins)],
+			Origin: laneOrigins[trial%len(laneOrigins)],
 			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
 			Fixed:  fixedCfgs[trial%len(fixedCfgs)],
-		}
+		})
+	}
+	return cfgs
+}
+
+func laneFillMatchesRowsRandomGeometries(t *testing.T) {
+	took := 0
+	for trial, cfg := range laneGeometries() {
 		p := fixedProvider(cfg)
 		if p.FixedDP.Integer().Lanes() == nil {
 			t.Fatalf("trial %d: %+v must carry the lane proof", trial, p.Cfg.Fixed)
 		}
-		name := fmt.Sprintf("trial %d %dx%d %+v", trial, nx, ny, cfg)
+		name := fmt.Sprintf("trial %d %dx%d %+v", trial, cfg.Arr.NX, cfg.Arr.NY, cfg)
 		checkFill16Routes(t, name, p)
-		q, err := p.WithTransmit(delay.Transmit{Origin: origins[(trial+1)%len(origins)]})
+		q, err := p.WithTransmit(delay.Transmit{Origin: laneOrigins[(trial+1)%len(laneOrigins)]})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,36 +250,87 @@ func laneFillShallowAndDeep(t *testing.T) {
 	}
 }
 
-// planeCase runs fixedPlane on hand-built terms, with the plane's own
-// permute table, and holds every slot to the fixedRow path and to Index16
-// of the float datapath, and the slots either side of the plane to staying
-// untouched.
-func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, xt2, yt2 []float64, zz float64, txRaw int64) {
+// handAperture is a provider over hand-built element coordinates, with only
+// its aperture set: for a voxel at sx = sy = 0, element −d forms the term
+// fl(d²), so a test picks its terms through the offsets d.
+func handAperture(dx, dy []float64) *Provider {
+	q := &Provider{elemX: make([]float64, len(dx)), elemY: make([]float64, len(dy)), perm: newPlanePerm(len(dx), len(dy))}
+	for i, d := range dx {
+		q.elemX[i] = -d
+	}
+	for j, d := range dy {
+		q.elemY[j] = -d
+	}
+	q.provePitch()
+	return q
+}
+
+// sqrts returns the offsets whose terms are v, to within their rounding.
+func sqrts(v ...float64) []float64 {
+	for i, x := range v {
+		v[i] = math.Sqrt(x)
+	}
+	return v
+}
+
+// handPlane is fixedPlane on a hand-built aperture. On a pitch grid it is
+// fixedPlane itself, derived guard included. Any other grid is outside what
+// the derived guard covers, so there the guard's extremes are scanned from
+// the formed terms, and the lane body and the fixedRow tail run as
+// fixedPlane runs them.
+func handPlane(q *Provider, plane []int16, v voxel, dp *sqrtapprox.IntDatapath, cur int) {
+	xt2, yt2 := make([]float64, len(q.elemX)), make([]float64, len(q.elemY))
+	lc := laneCallFor(q, dp)
+	if q.pitchGrid {
+		q.fixedPlane(plane, v, xt2, yt2, dp, lc, cur)
+		return
+	}
+	q.planeTerms(v.sx, v.sy, xt2, yt2)
+	done := 0
+	if lc.nVec > 0 {
+		xlo, xhi := scanExtremes(xt2[:lc.nVec])
+		ylo, yhi := scanExtremes(yt2)
+		done, cur = q.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
+	}
+	if done == len(xt2) {
+		return
+	}
+	for j, y2 := range yt2 {
+		cur = fixedRow(plane[j*len(xt2)+done:(j+1)*len(xt2)], xt2[done:], y2, v.zz, v.txRaw, dp, cur)
+	}
+}
+
+// planeCase runs handPlane on aperture q, with its own permute table, and
+// holds every slot to the fixedRow path and to Index16 of the float
+// datapath, and the slots either side of the plane to staying untouched.
+func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider, v voxel) {
 	t.Helper()
 	const pad, canary = 8, -7
 	dp := f.Integer()
+	xt2, yt2 := make([]float64, len(q.elemX)), make([]float64, len(q.elemY))
+	q.planeTerms(v.sx, v.sy, xt2, yt2)
 	n := len(xt2) * len(yt2)
 	buf, want := make([]int16, pad+n+pad), make([]int16, n)
 	for i := range buf {
 		buf[i] = canary // also: a slot the fill skips must not pass by accident
 	}
 	got := buf[pad : pad+n : pad+n]
-	fixedPlane(got, xt2, yt2, zz, txRaw, dp, newPlanePerm(len(xt2), len(yt2)), len(dp.Ops)/2)
-	rowsRef(want, xt2, yt2, zz, txRaw, dp)
+	handPlane(q, got, v, dp, len(dp.Ops)/2)
+	rowsRef(want, xt2, yt2, v.zz, v.txRaw, dp)
 	for i := 0; i < pad; i++ {
 		if buf[i] != canary || buf[pad+n+i] != canary {
 			t.Fatalf("%s %dx%d: the fill wrote outside its plane", name, len(xt2), len(yt2))
 		}
 	}
-	tx := math.Ldexp(float64(txRaw), -f.Cfg.OutFrac)
+	tx := math.Ldexp(float64(v.txRaw), -f.Cfg.OutFrac)
 	for j, y := range yt2 {
 		for i, x := range xt2 {
 			k := j*len(xt2) + i
 			if got[k] != want[k] {
-				t.Errorf("%s txRaw=%d (%v+%v)+%v: plane %d != fixedRow %d", name, txRaw, x, y, zz, got[k], want[k])
+				t.Errorf("%s txRaw=%d (%v+%v)+%v: plane %d != fixedRow %d", name, v.txRaw, x, y, v.zz, got[k], want[k])
 			}
-			if float := delay.Index16(tx + f.Eval(x+y+zz)); want[k] != float {
-				t.Errorf("%s txRaw=%d (%v+%v)+%v: fixedRow %d != Index16 %d", name, txRaw, x, y, zz, want[k], float)
+			if float := delay.Index16(tx + f.Eval(x+y+v.zz)); want[k] != float {
+				t.Errorf("%s txRaw=%d (%v+%v)+%v: fixedRow %d != Index16 %d", name, v.txRaw, x, y, v.zz, want[k], float)
 			}
 		}
 	}
@@ -268,29 +350,56 @@ func lanePlaneWritesOnlyItsPlane(t *testing.T) {
 	dp := p.FixedDP.Integer()
 	for _, nx := range []int{1, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17, 20, 23} {
 		for _, ny := range []int{1, 2, 5, 7, 13, 16, 17} {
-			xt2, yt2 := make([]float64, nx), make([]float64, ny)
-			for i := range xt2 {
-				xt2[i] = float64(9 * i * i)
+			// Pitch grids: terms 9i² and 900j², through the derived guard.
+			dx, dy := make([]float64, nx), make([]float64, ny)
+			for i := range dx {
+				dx[i] = float64(3 * i)
 			}
-			for j := range yt2 {
-				yt2[j] = float64(1000 * j)
+			for j := range dy {
+				dy[j] = float64(30 * j)
 			}
-			planeCase(t, "canary", p.FixedDP, xt2, yt2, 2.5e5, 31000)
+			q := handAperture(dx, dy)
+			v := voxel{zz: 2.5e5, txRaw: 31000}
+			planeCase(t, "canary", p.FixedDP, q, v)
 			plane := make([]int16, nx*ny)
-			if done, _ := vecPlane(plane, xt2, yt2, 2.5e5, 31000, dp, newPlanePerm(nx, ny), 0); done != laneColumns(nx, ny) {
+			if done, _ := q.vecPlane(plane, v, make([]float64, nx), make([]float64, ny), laneCallFor(q, dp), 0); done != laneColumns(nx, ny) {
 				t.Errorf("%dx%d: the lane body took %d columns, want %d", nx, ny, done, laneColumns(nx, ny))
 			}
 		}
 	}
 }
 
-// planeChunks runs planeCase over vals as one-row planes of at most
-// maxPermAxis columns, so that the eight-lane body takes every value.
-func planeChunks(t *testing.T, name string, f *sqrtapprox.FixedApprox, vals []float64, zz float64, txRaw int64) {
+// reach returns offsets whose terms sum to exactly alpha in DelaySamples'
+// order, fl(fl(dx²) + fl(dy²)) == alpha: dx carries all but a few ulps, and
+// dy, whose square is fine-grained at that size, the exact remainder.
+func reach(t *testing.T, alpha float64) (dx, dy float64) {
+	t.Helper()
+	dx = math.Sqrt(alpha)
+	for dx > 0 && float64(dx*dx) > alpha {
+		dx = math.Nextafter(dx, 0)
+	}
+	x := float64(dx * dx)
+	dy = math.Sqrt(alpha - x)
+	if got := x + float64(dy*dy); got != alpha {
+		t.Fatalf("no offsets reach %v: %v", alpha, got)
+	}
+	return dx, dy
+}
+
+// planeChunks runs planeCase over vals as square planes of at most
+// maxPermAxis columns, so that the eight-lane body takes every value: slot
+// (i, i) of a plane forms vals[i] exactly (reach), and the other slots of
+// column i add other rows' small remainders to the same column term, so
+// every row mixes all the values.
+func planeChunks(t *testing.T, name string, f *sqrtapprox.FixedApprox, vals []float64, txRaw int64) {
 	t.Helper()
 	for len(vals) > 0 {
 		n := min(len(vals), maxPermAxis)
-		planeCase(t, name, f, vals[:n], []float64{0}, zz, txRaw)
+		dx, dy := make([]float64, n), make([]float64, n)
+		for i, a := range vals[:n] {
+			dx[i], dy[i] = reach(t, a)
+		}
+		planeCase(t, name, f, handAperture(dx, dy), voxel{txRaw: txRaw})
 		vals = vals[n:]
 	}
 }
@@ -320,7 +429,7 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 		edges = append(edges, math.Nextafter(p.Approx.Max, 0), p.Approx.Max)
 		name := fmt.Sprintf("%+v", fc)
 		for shift := 0; shift < 8; shift++ {
-			planeChunks(t, name+" ascending", p.FixedDP, append(make([]float64, shift), edges...), 0, 4321)
+			planeChunks(t, name+" ascending", p.FixedDP, append(make([]float64, shift), edges...), 4321)
 		}
 		// Adjacent pieces meet almost continuously, so taking the wrong side
 		// of a start shows only where their quantized values differ there —
@@ -337,7 +446,7 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 			}
 			differ++
 			tie := int64(1)<<(fc.OutFrac-1) - max(here, below)
-			planeCase(t, name+" discriminating", p.FixedDP, []float64{lo, math.Nextafter(lo, 0), lo, lo}, []float64{0}, 0, tie)
+			planeChunks(t, name+" discriminating", p.FixedDP, []float64{lo, math.Nextafter(lo, 0), lo, lo}, tie)
 		}
 		if differ == 0 {
 			t.Fatalf("%s: no segment start where the two pieces' raw values differ", name)
@@ -347,9 +456,11 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 		for _, j := range []int{1, 2, 7, len(p.Approx.Segments) / 2, len(p.Approx.Segments) - 1} {
 			lo := p.Approx.Segments[j].Lo
 			ulp := math.Nextafter(lo, math.Inf(1)) - lo
-			xt2 := []float64{0, ulp / 2, ulp, 2 * ulp, 0.75 * lo, lo, 0, 0}
-			planeCase(t, name+" summed", p.FixedDP, xt2, []float64{0.25 * lo, 0.5 * lo, 0}, 0.5*lo, -99)
-			planeCase(t, name+" summed", p.FixedDP, xt2, []float64{0.75 * lo}, 0.25*lo, 0)
+			dx := sqrts(0, ulp/2, ulp, 2*ulp, 0.75*lo, lo, 0, 0)
+			planeCase(t, name+" summed", p.FixedDP, handAperture(dx, sqrts(0.25*lo, 0.5*lo, 0)), voxel{zz: 0.5 * lo, txRaw: -99})
+			// y + zz == lo exactly: zz is y's exact complement.
+			dy := math.Sqrt(0.75 * lo)
+			planeCase(t, name+" summed", p.FixedDP, handAperture(dx, []float64{dy}), voxel{zz: lo - float64(dy*dy)})
 		}
 	}
 }
@@ -391,7 +502,7 @@ func lanePlaneRoundingTies(t *testing.T) {
 			txRaws = append(txRaws, -rx-half-2*half*k)
 		}
 		for _, txRaw := range txRaws {
-			planeChunks(t, fmt.Sprintf("%+v", fc), p.FixedDP, args, 0, txRaw)
+			planeChunks(t, fmt.Sprintf("%+v", fc), p.FixedDP, args, txRaw)
 		}
 	}
 }
@@ -406,12 +517,14 @@ func TestLanePlaneAssociationOrder(t *testing.T) { forEachBody(t, lanePlaneAssoc
 func lanePlaneAssociationOrder(t *testing.T) {
 	p := fixedProvider(smallConfig())
 	ulp := math.Nextafter(6.5, 7) - 6.5
-	x, y, zz := 0.6*ulp, 0.6*ulp, 6.5-2*ulp
-	if (x+y)+zz == (x+zz)+y {
+	d, zz := math.Sqrt(0.6*ulp), 6.5-2*ulp
+	x := float64(d * d) // the column and the row term alike
+	if (x+x)+zz == (x+zz)+x {
 		t.Fatal("the two association orders agree: the case proves nothing")
 	}
+	q := handAperture([]float64{d, d, 0, d}, []float64{d, 0})
 	for txRaw := int64(0); txRaw < 64; txRaw++ {
-		planeCase(t, "association", p.FixedDP, []float64{x, x, 0, x}, []float64{y, 0}, zz, txRaw)
+		planeCase(t, "association", p.FixedDP, q, voxel{zz: zz, txRaw: txRaw})
 	}
 }
 
@@ -563,14 +676,14 @@ func laneFillConcurrentSharedTables(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLaneGuardRejectsNaNTerms: a NaN column or row term anywhere in the
-// part of a voxel the lane body would take, not only in the slot the
-// extremes start from, must fail vecPlane's guard, so fixedRow emits the
-// whole plane. The lane bodies do not match fixedRow on NaN arguments. A
-// NaN only in the columns the body leaves to fixedRow may pass: the
-// eight-lane body leaves none, so on a 13-column aperture its guard covers
-// the column the four-lane body's tail keeps. A negative term — outside
-// the proof's 0 ≤ α, and no square — fails the guard the same way.
+// TestLaneGuardRejectsNaNTerms: the guard's extremes are derived from the
+// element grids, so a NaN reaches the lane arguments only through the voxel
+// — sx, sy or zz — or through the grid itself. A NaN or infinite voxel
+// coordinate must fail vecPlane's guard, so fixedRow emits the whole plane
+// (the lane bodies do not match fixedRow on NaN arguments). A provider
+// whose element grid is not finite and strictly monotone fails the
+// precondition provePitch checks once, and no voxel of it reaches a lane
+// body; a descending grid is still a pitch grid and keeps the lanes.
 func TestLaneGuardRejectsNaNTerms(t *testing.T) { forEachBody(t, laneGuardRejectsNaNTerms) }
 
 func laneGuardRejectsNaNTerms(t *testing.T) {
@@ -578,48 +691,220 @@ func laneGuardRejectsNaNTerms(t *testing.T) {
 	narrow.Arr = xdcr.NewArray(13, 5, 0.385e-3/2)
 	for _, p := range []*Provider{fixedProvider(smallConfig()), fixedProvider(narrow)} {
 		dp := p.FixedDP.Integer()
-		var xt2, yt2 []float64
-		var zz float64
-		var txRaw int64
-		eachPlane(p, 7, func(v int, x, y []float64, z float64, tx int64) {
-			if v == 0 {
-				xt2, yt2, zz, txRaw = append([]float64(nil), x...), append([]float64(nil), y...), z, tx
+		var v voxel
+		eachPlane(p, 7, func(k int, w voxel, _, _ []float64) {
+			if k == 0 {
+				v = w
 			}
 		})
-		nx, ny := len(xt2), len(yt2)
-		plane := make([]int16, nx*ny)
-		if done, _ := vecPlane(plane, xt2, yt2, zz, txRaw, dp, p.perm, 0); done != laneColumns(nx, ny) {
+		nx, ny := len(p.elemX), len(p.elemY)
+		plane, xt2, yt2 := make([]int16, nx*ny), make([]float64, nx), make([]float64, ny)
+		lc := laneCallFor(p, dp)
+		if done, _ := p.vecPlane(plane, v, xt2, yt2, lc, 0); done != laneColumns(nx, ny) {
 			t.Fatalf("%dx%d: the finite voxel took %d lane columns, want %d: the NaN cases would prove nothing", nx, ny, done, laneColumns(nx, ny))
 		}
-		nan := math.NaN()
+		nan, inf := math.NaN(), math.Inf(1)
 		for _, c := range []struct {
-			name     string
-			col, row int
-			bad      float64
-		}{{"column 5 and row 3", 5, 3, nan}, {"column 5", 5, -1, nan}, {"row 3", -1, 3, nan}, {"column 0", 0, -1, nan},
-			{"last column", nx - 1, -1, nan}, {"last row", -1, ny - 1, nan},
-			{"negative column 5", 5, -1, -1}, {"negative zero row 3", -1, 3, math.Copysign(0, -1)}} {
-			x, y := append([]float64(nil), xt2...), append([]float64(nil), yt2...)
-			if c.col >= 0 {
-				x[c.col] = c.bad
+			name string
+			bad  func(w *voxel)
+		}{
+			{"sx NaN", func(w *voxel) { w.sx = nan }}, {"sy NaN", func(w *voxel) { w.sy = nan }},
+			{"zz NaN", func(w *voxel) { w.zz = nan }}, {"sx and sy NaN", func(w *voxel) { w.sx, w.sy = nan, nan }},
+			{"sx +Inf", func(w *voxel) { w.sx = inf }}, {"sy −Inf", func(w *voxel) { w.sy = -inf }},
+			{"zz +Inf", func(w *voxel) { w.zz = inf }},
+		} {
+			w := v
+			c.bad(&w)
+			if done, _ := p.vecPlane(plane, w, xt2, yt2, lc, 0); done != 0 {
+				t.Errorf("%dx%d %s: the guard passed the voxel to the lane body (%d columns)", nx, ny, c.name, done)
 			}
-			if c.row >= 0 {
-				y[c.row] = c.bad
-			}
-			done, _ := vecPlane(plane, x, y, zz, txRaw, dp, p.perm, 0)
-			if tail := c.row < 0 && c.col >= laneColumns(nx, ny); !tail && done != 0 {
-				t.Errorf("%dx%d %s: the guard passed a NaN voxel to the lane body (%d columns)", nx, ny, c.name, done)
-			}
-			// fixedRow's value for a NaN argument depends on where its cursor
-			// stands, so a NaN the lanes left behind is held to nothing.
+			// Both routes start their cursor at 0, so even fixedRow's
+			// cursor-dependent value for a NaN argument must agree.
 			got, want := make([]int16, len(plane)), make([]int16, len(plane))
-			fixedPlane(got, x, y, zz, txRaw, dp, p.perm, 0)
-			rowsRef(want, x, y, zz, txRaw, dp)
+			p.fixedPlane(got, w, xt2, yt2, dp, lc, 0)
+			x, y := make([]float64, nx), make([]float64, ny)
+			p.planeTerms(w.sx, w.sy, x, y)
+			rowsRef(want, x, y, w.zz, w.txRaw, dp)
 			for i := range want {
-				if got[i] != want[i] && (done == 0 || i%nx < done) {
+				if got[i] != want[i] {
 					t.Fatalf("%dx%d %s slot %d: fill %d != fixedRow %d", nx, ny, c.name, i, got[i], want[i])
 				}
 			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		bad    func(e []float64)
+		finite bool
+	}{
+		{"NaN element", func(e []float64) { e[3] = math.NaN() }, false},
+		{"+Inf element", func(e []float64) { e[0] = math.Inf(1) }, false},
+		{"two elements swapped", func(e []float64) { e[2], e[3] = e[3], e[2] }, true},
+		{"two elements equal", func(e []float64) { e[1] = e[2] }, true},
+	} {
+		for _, axis := range []string{"x", "y"} {
+			p := fixedProvider(blockSetup().Cfg)
+			e := p.elemX
+			if axis == "y" {
+				e = p.elemY
+			}
+			c.bad(e)
+			p.provePitch()
+			if p.pitchGrid {
+				t.Errorf("%s on %s: the grid passed the pitch precondition", c.name, axis)
+			}
+			for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
+				if vec, _, _ := nappeCensus(p, id); vec != 0 {
+					t.Fatalf("%s on %s, nappe %d: %d voxels took the lane body", c.name, axis, id, vec)
+				}
+			}
+			if c.finite {
+				checkFill16Routes(t, c.name+" on "+axis, p)
+			}
+		}
+	}
+	p := fixedProvider(blockSetup().Cfg)
+	slices.Reverse(p.elemX)
+	slices.Reverse(p.elemY)
+	p.provePitch()
+	if !p.pitchGrid {
+		t.Fatal("a descending grid failed the pitch precondition")
+	}
+	if vec, _, _ := nappeCensus(p, 5); fillKernelBody() != "ref" && vec == 0 {
+		t.Fatal("no voxel of the descending grid took the lane body")
+	}
+	checkFill16Routes(t, "descending", p)
+}
+
+// TestTermExtremesMatchScan is the derived guard's oracle: on every voxel
+// of both served grids and of every lane-suite geometry, the extremes
+// termExtremes derives from the element grid equal, bit for bit, the
+// minimum and maximum of the terms planeTerms writes — over the whole row
+// axis, and over the whole column axis and the leading NX&^3 columns the
+// four-lane body takes.
+func TestTermExtremesMatchScan(t *testing.T) {
+	cfgs := laneGeometries()
+	for _, g := range benchGrids {
+		cfgs = append(cfgs, g.cfg)
+	}
+	for _, cfg := range cfgs {
+		p := fixedProvider(cfg)
+		if !p.pitchGrid {
+			t.Fatalf("%dx%d: the array's element grid failed the pitch precondition", cfg.Arr.NX, cfg.Arr.NY)
+		}
+		nx := len(p.elemX)
+		for id := 0; id < cfg.Vol.Depth.N; id++ {
+			eachPlane(p, id, func(k int, v voxel, xt2, yt2 []float64) {
+				for _, n := range []int{nx, nx &^ 3} {
+					if n > 0 {
+						checkExtremes(t, "column", p.elemX[:n], p.invPitchX, v.sx, xt2[:n])
+					}
+				}
+				checkExtremes(t, "row", p.elemY, p.invPitchY, v.sy, yt2)
+			})
+		}
+	}
+}
+
+// checkExtremes holds termExtremes(e, inv, s) to scanExtremes(terms).
+func checkExtremes(t *testing.T, axis string, e []float64, inv, s float64, terms []float64) {
+	t.Helper()
+	lo, hi := termExtremes(e, inv, s)
+	slo, shi := scanExtremes(terms)
+	if math.Float64bits(lo) != math.Float64bits(slo) || math.Float64bits(hi) != math.Float64bits(shi) {
+		t.Fatalf("%s axis of %d, s=%v: derived [%v, %v], scanned [%v, %v]", axis, len(e), s, lo, hi, slo, shi)
+	}
+}
+
+// TestTermExtremesNearMidpoints puts s where the nearest-element index is
+// hardest: swept across every gap of ascending, descending and jittered
+// pitch grids (elements up to a fifth of a pitch off their nominal place,
+// inside the precondition's quarter), and ulp by ulp across each gap's
+// midpoint. On the jittered grids round((s−e[0])/pitch) names the wrong
+// element over part of each gap, which only the ±1 neighbours repair: the
+// test counts those points and requires some.
+func TestTermExtremesNearMidpoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	var grids [][]float64
+	for _, n := range []int{2, 3, 12, 16, 17, 100} {
+		pitch := 3.87 + rng.Float64()
+		even, jitter := make([]float64, n), make([]float64, n)
+		for i := range even {
+			even[i] = (float64(i) - float64(n-1)/2) * pitch
+			jitter[i] = even[i]
+			if i > 0 && i < n-1 {
+				jitter[i] += (rng.Float64() - 0.5) * 0.4 * pitch
+			}
+		}
+		back := slices.Clone(jitter)
+		slices.Reverse(back)
+		grids = append(grids, even, jitter, back)
+	}
+	repaired := 0
+	for _, e := range grids {
+		inv, ok := pitchInv(e)
+		if !ok {
+			t.Fatalf("grid %v failed the pitch precondition", e)
+		}
+		terms := make([]float64, len(e))
+		check := func(s float64) {
+			for i, x := range e {
+				d := s - x
+				terms[i] = d * d
+			}
+			checkExtremes(t, "hand-built", e, inv, s, terms)
+			k := int(min(max((s-e[0])*inv, 0), float64(len(e)-1)) + 0.5)
+			if terms[k] != slices.Min(terms) {
+				repaired++
+			}
+		}
+		for i := 0; i+1 < len(e); i++ {
+			for f := -0.25; f <= 1.25; f += 1.0 / 64 {
+				check(e[i] + f*(e[i+1]-e[i]))
+			}
+			mid := (e[i] + e[i+1]) / 2
+			lo, hi := mid, mid
+			for k := 0; k < 32; k++ {
+				check(lo)
+				check(hi)
+				lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+			}
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("the rounded index always named the nearest element: the ±1 neighbours went untested")
+	}
+	t.Logf("%d points where a ±1 neighbour held the smallest term", repaired)
+}
+
+// TestPitchInv pins the precondition provePitch checks once per provider:
+// finite, strictly monotone, every element within a quarter pitch of its
+// nominal place.
+func TestPitchInv(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		e    []float64
+		ok   bool
+	}{
+		{"ascending", []float64{-3, -1, 1, 3}, true},
+		{"descending", []float64{3, 1, -1, -3}, true},
+		{"one element", []float64{7}, true},
+		{"jitter within a quarter pitch", []float64{0, 2.4, 4, 6}, true},
+		{"no elements", nil, false},
+		{"jitter past a quarter pitch", []float64{0, 2.6, 4, 6}, false},
+		{"equal neighbours", []float64{0, 2, 2, 6}, false},
+		{"swapped neighbours", []float64{0, 4, 2, 6}, false},
+		{"NaN", []float64{0, math.NaN(), 4, 6}, false},
+		{"NaN alone", []float64{math.NaN()}, false},
+		{"+Inf end", []float64{0, 2, 4, math.Inf(1)}, false},
+		{"overflowing pitch", []float64{-math.MaxFloat64, 0, math.MaxFloat64}, false},
+	} {
+		inv, ok := pitchInv(c.e)
+		if ok != c.ok {
+			t.Errorf("%s %v: ok = %v, want %v", c.name, c.e, ok, c.ok)
+		}
+		if ok && len(c.e) > 1 && inv*(c.e[len(c.e)-1]-c.e[0]) != float64(len(c.e)-1) {
+			t.Errorf("%s: 1/pitch = %v", c.name, inv)
 		}
 	}
 }

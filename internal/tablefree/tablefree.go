@@ -53,6 +53,12 @@ type Provider struct {
 	elemX, elemY []float64 // element coordinates, samples
 	originS      geom.Vec3 // origin, samples
 
+	// The lane guard's reading of the element axes: 1/pitch of each, and
+	// whether both are pitch grids (pitchInv), without which no voxel
+	// reaches a lane body.
+	invPitchX, invPitchY float64
+	pitchGrid            bool
+
 	// Per-axis factors of the Eq. (5) parametrization, for the block fill.
 	sinTheta, cosTheta []float64
 	sinPhi, cosPhi     []float64
@@ -93,6 +99,7 @@ func newProvider(cfg Config, perm *planePerm) *Provider {
 	for j := range p.elemY {
 		p.elemY[j] = cfg.Conv.MetersToSamples(cfg.Arr.ElementY(j))
 	}
+	p.provePitch()
 	p.sinTheta, p.cosTheta = sinCos(cfg.Vol.Theta)
 	p.sinPhi, p.cosPhi = sinCos(cfg.Vol.Phi)
 	return p
