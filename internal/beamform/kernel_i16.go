@@ -38,43 +38,54 @@
 // A finished voxel leaves the integer domain once: float64(acc) · scale,
 // where the caller's scale folds the frame's quantization step, wqScale
 // and 2^preShift back together (Engine.i16VoxelScale). Because every
-// operation before that point is integer arithmetic, the AVX2 body and the
-// scalar golden are bit-identical — not PSNR-close — which
-// is the property the kernel_i16 tests assert.
+// operation before that point is integer arithmetic, the vector bodies and
+// the scalar golden are bit-identical — not PSNR-close — which is the
+// property the kernel_i16 tests assert.
 //
-// # The two bodies
+// # The three bodies
 //
-// accumulateNappe16I16 has exactly two bodies, chosen by build tag plus one
-// CPUID/XGETBV probe at init (no option selects between them):
+// accumulateNappe16I16 has exactly three bodies, chosen by build tag plus
+// the CPUID/XGETBV probes at init (no option selects between them):
 //
 //   - accumulateNappe16I16Ref (this file, always compiled) is the scalar
 //     golden: the whole kernel on purego and non-amd64 builds
 //     (kernel_i16_generic.go) and on amd64 hosts without AVX2
-//   - kernel_i16_amd64.s (build amd64 && !purego) is the AVX2 gather body:
-//     per voxel it walks the aperture eight elements per instruction over
-//     the unchanged voxel-major Block16 layout — VPMOVZXWD eight delays,
-//     VPMINUD clamp into the guard slot, VPADDD the row-offset table,
-//     VPGATHERDD from the guarded plane, VPMADDWD against the weight table,
-//     VPSRAD preShift per product exactly as the reference, VPADDD — and
-//     leaves one int32 per voxel in a per-worker row that the Go wrapper
-//     (kernel_i16_amd64.go) rescales in store or add mode
+//   - gatherMaddI16AVX2 (kernel_i16_amd64.s, build amd64 && !purego) is the
+//     AVX2 gather body: per voxel it walks the aperture eight elements per
+//     instruction over the unchanged voxel-major Block16 layout —
+//     VPMOVZXWD eight delays, VPMINUD clamp into the guard slot, VPADDD the
+//     row-offset table, VPGATHERDD from the guarded plane, VPMADDWD against
+//     the weight table, VPSRAD preShift per product exactly as the
+//     reference, VPADDD — and leaves one int32 per voxel in a per-worker
+//     row that the Go wrapper (kernel_i16_amd64.go) rescales in store or
+//     add mode
+//   - tileMaddI16AVX512 (same files, hosts with AVX-512 F, DQ, BW and VL)
+//     is the gather-free tile body: it walks the nappe in 16-voxel tiles
+//     along a snake (snakeTiles), and per element loads the one short
+//     window of its echo row that the tile's delays select from and picks
+//     each voxel's sample with a word permute. A tile whose delays some
+//     apodized element's window cannot serve (a span above 63 samples, or
+//     an index past win) is handed back and runs through the AVX2 body
 //
 // Memory safety lives in the Go wrapper, not the assembly: it checks
-// block, plane, table and row lengths before the call. Each gather reads a
-// dword — the sample plus the int16 after it — so the vector body stops
-// short of the aperture's last element, whose guard slot is the last int16
-// of the plane; the wrapper sums the remaining ≤ 8 elements in scalar Go
-// into the same int32. Zero-extending a delay maps negatives to ≥ 32768,
-// which the unsigned clamp routes to the guard slot only while
-// win ≤ delay.MaxEchoWindow — a precondition the wrapper checks.
+// block, plane, table, tile list and row lengths before the call. Each
+// gather reads a dword — the sample plus the int16 after it — so the AVX2
+// body stops short of the aperture's last element, whose guard slot is the
+// last int16 of the plane; the wrapper sums the remaining ≤ 8 elements in
+// scalar Go into the same int32. Zero-extending a delay maps negatives to
+// ≥ 32768, which the unsigned clamp routes to the guard slot only while
+// win ≤ delay.MaxEchoWindow — a precondition the wrapper checks. The tile
+// body's window loads are masked to the samples between an element's
+// smallest and largest delay, both at most win, so they never leave the
+// element's row.
 //
 // The body this replaced was the reference hand-unrolled 8 wide in Go and
 // documented as register-resident; its disassembly showed ≈30 scalar
 // instructions per sample, three bounds-check branches and all four
 // accumulators spilled to the stack (EXPERIMENTS B13).
 //
-// Native builds property-test the AVX2 body against the same reference the
-// purego build ships; CI runs the suite under both tag sets.
+// Native builds property-test both vector bodies against the same reference
+// the purego build ships; CI runs the suite under both tag sets.
 package beamform
 
 import (
@@ -102,18 +113,26 @@ type i16Gather struct {
 // i16Table is the fixed-point kernel's operand table for guarded planes of
 // one window (row stride win+1). els is the active elements in ascending
 // index order — the reference's whole walk. ro and wq are the same
-// operands spread over the full aperture for the vector body, which loads
-// eight consecutive elements per instruction: ro[d] = d·(win+1), and
-// wq[d] = uint32(uint16(Q15 weight)) with zero for un-apodized elements.
+// operands spread over the full aperture for the vector bodies, which load
+// eight or sixteen consecutive elements per instruction: ro[d] = d·(win+1),
+// and wq[d] = uint32(uint16(Q15 weight)) with zero for un-apodized elements.
 // The high half of each weight dword is zero so that VPMADDWD's second
 // product — the int16 a dword gather drags in after the sample — always
 // contributes 0 and the lane is the exact int32 s·wq.
 //
-// The vector body covers elements [0, nVec): whole 8-groups, never the
+// The AVX2 body covers elements [0, nVec): whole 8-groups, never the
 // aperture's last element (its gather would read past the plane).
 // els[tail:] are the active elements at or beyond nVec, summed in scalar
 // Go. (Also skipping the all-zero 8-groups a Hann border leaves at both
 // ends of the range measured no win and was not kept — EXPERIMENTS B13.)
+//
+// The AVX-512 tile body walks 16-element groups. grp[g] has bit i set when
+// element 16g+i is apodized; lastLen masks the elements of the last group
+// that exist. ro's backing array runs to len(grp)·16 entries, zero past nE,
+// so a group's sixteen row offsets are one load. wpair holds, per group g
+// and element pair k (elements 16g+k and 16g+k+8, which share one permute),
+// sixteen weight dwords in the lane order the body's products land in:
+// wq[16g+k] in 128-bit lanes 0 and 2, wq[16g+k+8] in lanes 1 and 3.
 type i16Table struct {
 	win  int
 	els  []i16Gather
@@ -121,17 +140,25 @@ type i16Table struct {
 	wq   []uint32
 	nVec int
 	tail int
+
+	grp     []uint16
+	lastLen uint16
+	wpair   []uint32
 }
 
 // i16GatherTable builds the operand table for window win. Rebuilt only
-// when the window changes; both kernel bodies consume it read-only.
+// when the window changes; every kernel body consumes it read-only.
 func (e *Engine) i16GatherTable(win int) *i16Table {
 	nE := len(e.apod)
+	nG := (nE + 15) / 16
 	t := &i16Table{
-		win: win,
-		els: make([]i16Gather, len(e.activeIdx)),
-		ro:  make([]int32, nE),
-		wq:  make([]uint32, nE),
+		win:     win,
+		els:     make([]i16Gather, len(e.activeIdx)),
+		ro:      make([]int32, nE, nG*16),
+		wq:      make([]uint32, nE),
+		grp:     make([]uint16, nG),
+		lastLen: 0xFFFF,
+		wpair:   make([]uint32, nG*8*16),
 	}
 	for d := range t.ro {
 		t.ro[d] = int32(d * (win + 1))
@@ -140,6 +167,19 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 		q := e.activeWQ[j]
 		t.els[j] = i16Gather{idx: d, ro: t.ro[d], wq: int32(q)}
 		t.wq[d] = uint32(uint16(q))
+		t.grp[d/16] |= 1 << (d % 16)
+		// Element i of a group belongs to pair i%8: its weight fills
+		// 128-bit lanes 0 and 2 of the pair's dwords for i < 8, lanes 1
+		// and 3 above.
+		pair := t.wpair[(d/16*8+d%8)*16:][:16]
+		for l := int(d%16/8) * 4; l < 16; l += 8 {
+			for w := l; w < l+4; w++ {
+				pair[w] = t.wq[d]
+			}
+		}
+	}
+	if r := nE % 16; r != 0 {
+		t.lastLen = 1<<r - 1
 	}
 	if nE > 0 {
 		t.nVec = (nE - 1) / 8 * 8
@@ -148,6 +188,31 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 		t.tail++
 	}
 	return t
+}
+
+// snakeTiles cuts the nTh×nPh voxel plane of a nappe into tiles of 16 voxel
+// indices (θ-major, φ fastest, as Block16 lays voxels out) along a
+// boustrophedon walk: θ rows alternate between φ up and φ down, so every
+// tile is a connected path of neighbouring voxels whose delays differ by
+// little. A partial last tile repeats its last voxel. The last θ row runs φ
+// up, so the walk ends on the plane's last voxel and the list's last entry
+// is its largest index — the bound the AVX-512 wrapper checks.
+func snakeTiles(nTh, nPh int) []int32 {
+	n := nTh * nPh
+	tiles := make([]int32, 0, (n+15)/16*16)
+	for it := 0; it < nTh; it++ {
+		for j := 0; j < nPh; j++ {
+			ip := j
+			if (nTh-1-it)%2 == 1 {
+				ip = nPh - 1 - j
+			}
+			tiles = append(tiles, int32(it*nPh+ip))
+		}
+	}
+	for len(tiles)%16 != 0 {
+		tiles = append(tiles, tiles[len(tiles)-1])
+	}
+	return tiles
 }
 
 // initI16 precomputes the fixed-point apodization tables: Q15 weight

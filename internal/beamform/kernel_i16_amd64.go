@@ -9,13 +9,16 @@ import (
 )
 
 // i16KernelBody names the body accumulateNappe16I16 runs on this host:
-// cpufeat.AVX2, probed once at init, is the one runtime decision the
-// fixed-point kernel makes.
+// cpufeat.AVX512 and cpufeat.AVX2, probed once at init, are the only
+// runtime decisions the fixed-point kernel makes.
 func i16KernelBody() string {
-	if cpufeat.AVX2 {
-		return "avx2"
+	switch {
+	case !cpufeat.AVX2:
+		return "ref"
+	case cpufeat.AVX512:
+		return "avx512"
 	}
-	return "ref"
+	return "avx2"
 }
 
 // gatherMaddI16AVX2 is the vector body (kernel_i16_amd64.s): for each of
@@ -29,28 +32,58 @@ func i16KernelBody() string {
 //go:noescape
 func gatherMaddI16AVX2(acc []int32, blk []int16, plane []int16, ro []int32, wq []uint32, nE, nVec int, win, sh uint32)
 
-// accumulateNappe16I16 is the native fixed-point kernel: the AVX2 gather
-// body over the first tab.nVec elements, the scalar tail into the same int32
-// per voxel — integer addition is associative, so the split changes no
-// bit — then the reference's float64(acc)·scale in store or add mode. row
-// is the calling worker's int32 scratch, one slot per voxel of a nappe.
-// Hosts without AVX2 run the reference.
+// tileMaddI16AVX512 is the tile body (kernel_i16_amd64.s): it walks the
+// 16-voxel tiles of tiles in order and, for each, sums
+// plane[ro[d]+delay[d]]·int16(wq[d]) >> sh over the apodized elements d into
+// row[v] for each of the tile's voxels v, whose delay rows sit nE apart in
+// blk. grp, lastLen and wpair are the table's group masks and pair weights.
+// It stops at the first tile whose delays some apodized element's window
+// cannot serve — a span above 63 samples, or an index above win (a negative
+// one reads as ≥ 32768) — and returns the number of tiles it finished, that
+// tile's voxels untouched. It checks nothing: the caller must hold
+// len(tiles) a multiple of 16, every tile index v < len(row) with
+// len(blk) ≥ len(row)·nE, len(grp) = ⌈nE/16⌉ with no bit at or past nE,
+// len(ro) = 16·len(grp), len(wpair) = 128·len(grp),
+// ro[d]+win+1 ≤ len(plane) for every apodized d, and win ≤ 32767.
+//
+//go:noescape
+func tileMaddI16AVX512(row []int32, blk []int16, plane []int16, tiles []int32, ro []int32, wpair []uint32, grp []uint16, nE int, win, sh uint32, lastLen uint16) int
+
+// accumulateNappe16I16 is the native fixed-point kernel. With AVX-512 the
+// tile body sums every apodized element into the worker's int32 row, one
+// slot per voxel of the nappe, and a tile it hands back runs voxel by voxel
+// through the AVX2 route. Without AVX-512 the AVX2 route runs every voxel:
+// the gather body over the first tab.nVec elements, then the scalar tail
+// into the same int32 — integer addition is associative, so no split
+// changes a bit. The reference's float64(acc)·scale follows in store or add
+// mode. Hosts without AVX2 run the reference.
 func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) {
 	if !cpufeat.AVX2 {
 		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
 		return
 	}
-	nE := len(e.apod)
 	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
-	if !tab.gatherSafe(nE, plane) || len(blk) < len(row)*nE {
+	if cpufeat.AVX512 {
+		e.tileRowI16(blk, plane, tab, row)
+	} else {
+		e.gatherRowI16(blk, plane, tab, row, 0, len(row))
+	}
+	e.storeRowI16(row, id, out, scale, add)
+}
+
+// gatherRowI16 sums voxels [k0, k1) of the nappe into row through the AVX2
+// gather body and the scalar tail.
+func (e *Engine) gatherRowI16(blk delay.Block16, plane []int16, tab *i16Table, row []int32, k0, k1 int) {
+	nE := len(e.apod)
+	if !tab.gatherSafe(nE, plane) || k0 < 0 || k1 > len(row) || len(blk) < k1*nE {
 		panic("beamform: i16 kernel operands violate the gather body's bounds contract")
 	}
-	gatherMaddI16AVX2(row, blk, plane, tab.ro, tab.wq, nE, tab.nVec, uint32(tab.win), uint32(e.preShift))
+	gatherMaddI16AVX2(row[k0:k1], blk[k0*nE:], plane, tab.ro, tab.wq, nE, tab.nVec, uint32(tab.win), uint32(e.preShift))
 
 	if tail := tab.els[tab.tail:]; len(tail) > 0 {
 		uw := uint(tab.win)
 		sh := e.preShift & 15
-		for k := range row {
+		for k := k0; k < k1; k++ {
 			voxel := blk[k*nE : (k+1)*nE]
 			acc := row[k]
 			for j := range tail {
@@ -60,10 +93,36 @@ func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16
 			row[k] = acc
 		}
 	}
-	e.storeRowI16(row, id, out, scale, add)
 }
 
-// gatherSafe is the operand half of the vector bodies' bounds contract —
+// tileRowI16 fills row, one int32 per voxel of the nappe, through the tile
+// body, and sends every tile the body hands back through gatherRowI16 one
+// voxel at a time. It returns the number of tiles that fell back.
+func (e *Engine) tileRowI16(blk delay.Block16, plane []int16, tab *i16Table, row []int32) (fallbacks int) {
+	nE, tiles := len(e.apod), e.i16Tiles
+	if len(tiles) == 0 {
+		return 0
+	}
+	if !tab.tileSafe(nE, plane) || len(tiles) != (len(row)+15)&^15 ||
+		int(tiles[len(tiles)-1]) != len(row)-1 || len(blk) < len(row)*nE {
+		panic("beamform: i16 kernel operands violate the tile body's bounds contract")
+	}
+	ro := tab.ro[:len(tab.grp)*16]
+	for t := 0; t < len(tiles); {
+		t += 16 * tileMaddI16AVX512(row, blk, plane, tiles[t:], ro, tab.wpair, tab.grp, nE,
+			uint32(tab.win), uint32(e.preShift), tab.lastLen)
+		if t < len(tiles) {
+			for _, v := range tiles[t : t+16] {
+				e.gatherRowI16(blk, plane, tab, row, int(v), int(v)+1)
+			}
+			t += 16
+			fallbacks++
+		}
+	}
+	return fallbacks
+}
+
+// gatherSafe is the operand half of the AVX2 body's bounds contract —
 // the assembly is unchecked, so this is its whole safety argument for the
 // table and the plane. ro is ascending, so the last vector element bounds
 // every gather's dword. Negative indices read as ≥ 32768 unsigned and must
@@ -73,6 +132,17 @@ func (t *i16Table) gatherSafe(nE int, plane []int16) bool {
 		len(t.ro) == nE && len(t.wq) == nE &&
 		t.nVec >= 0 && t.nVec <= max(nE-1, 0) && t.nVec%8 == 0 &&
 		(t.nVec == 0 || int(t.ro[t.nVec-1])+t.win+2 <= len(plane))
+}
+
+// tileSafe is the same half of the tile body's contract. Its window loads
+// stop at the guard slot, so the last element's row must fit the plane; the
+// tables must span whole groups; and the unsigned word compare against win
+// must see every negative index as out of range.
+func (t *i16Table) tileSafe(nE int, plane []int16) bool {
+	nG := (nE + 15) / 16
+	return t.win > 0 && t.win <= delay.MaxEchoWindow &&
+		len(t.ro) == nE && cap(t.ro) >= nG*16 && len(t.grp) == nG && len(t.wpair) == nG*128 &&
+		(nE == 0 || int(t.ro[nE-1])+t.win+1 <= len(plane))
 }
 
 // storeRowI16 is the reference's float64(acc)·scale per voxel of nappe id,

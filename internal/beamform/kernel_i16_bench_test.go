@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -114,18 +115,39 @@ func reportKernel(b *testing.B, samples, bytes float64, procs int) {
 	b.ReportMetric(bytes, "B/sample")
 }
 
+// i16Body is one i16 accumulate body under test: run beamforms nappe id of
+// blk into out in store mode with the worker's row, and returns the tiles
+// it handed back (the AVX-512 body's fallbacks; 0 for the others).
+type i16Body struct {
+	name string
+	run  func(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int
+}
+
+// i16RefBody is the scalar reference as an i16Body.
+func i16RefBody(e *Engine) i16Body {
+	return i16Body{"ref", func(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, _ []int32) int {
+		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, 1, false)
+		return 0
+	}}
+}
+
 // BenchmarkAccumulateI16 is the committed source for the fixed-point
-// kernel's cycles/sample (ROADMAP item 2): whole volumes against one guarded
-// int16 plane of the served window, through the scalar reference and through
-// the body this build and host select.
+// kernel's cycles/sample: whole volumes against one guarded int16 plane of
+// the served window, one row per body this host runs — avx512, avx2, ref —
+// on both grids. GOMAXPROCS goroutines stripe the nappes as session workers
+// do, so -cpu 1,2 reads each body at one and at two cores; cycles/sample is
+// per core.
 //
 // Msamples/s and cycles/sample count the samples a body fetches per voxel:
 // the active elements for the reference, the vector range plus the scalar
-// tail for the native body (which also fetches the range's zero-weight
-// elements). B/sample: the delay, the echo fetch (a dword per gather on the
-// native body) and the operand-table entry per sample, plus the voxel's
-// float64 store — and the native int32 row's write and read — spread over
-// its samples.
+// tail for avx2 (which also fetches the range's zero-weight elements), and
+// both elements of every pair holding an active one for avx512. B/sample:
+// the delay, the echo fetch (a dword per gather on avx2; on avx512 at most
+// a 64-word window per element shared by a tile's 16 voxels) and the
+// operand-table entry per sample, plus the voxel's float64 store — and the
+// int32 row's write and read — spread over its samples. fallback_tiles/volume
+// counts the tiles the avx512 body handed back to the avx2 one: 0 on the
+// served grids' delays.
 func BenchmarkAccumulateI16(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
@@ -133,23 +155,54 @@ func BenchmarkAccumulateI16(b *testing.B) {
 		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
 		h.fillPlane(false)
 		tab := eng.i16GatherTable(kernelBenchWin)
-		row := make([]int32, g.nth*g.nphi)
 
 		nA := len(tab.els)
-		fetched := tab.nVec + nA - tab.tail
-		bodies := []kernelBenchBody{
-			{"ref", nA, 2 + 2 + 12 + 8/float64(nA), func(id int) {
-				eng.accumulateNappe16I16Ref(blocks[id], h.plane, tab, id, out, 1, false)
-			}},
-			{"native-" + i16KernelBody(), fetched, 2 + 4 + 8 + (8+8)/float64(fetched), func(id int) {
-				eng.accumulateNappe16I16(blocks[id], h.plane, tab, id, out, 1, false, row)
-			}},
+		pairs := 0
+		for _, m := range tab.grp {
+			for k := 0; k < 8; k++ {
+				if m&(0x101<<k) != 0 {
+					pairs++
+				}
+			}
 		}
-		if i16KernelBody() == "ref" {
-			bodies[1].perVoxel, bodies[1].bytes = bodies[0].perVoxel, bodies[0].bytes
+		geometry := map[string]struct {
+			perVoxel int
+			bytes    float64
+		}{
+			"ref":    {nA, 2 + 2 + 12 + 8/float64(nA)},
+			"avx2":   {tab.nVec + nA - tab.tail, 2 + 4 + 8 + (8+8)/float64(tab.nVec+nA-tab.tail)},
+			"avx512": {2 * pairs, 2 + 8 + 2 + (8+8)/float64(2*pairs)},
 		}
-		for _, body := range bodies {
-			b.Run(g.name+"/"+body.name, func(b *testing.B) { body.bench(b, g.ndep, len(out.Data)) })
+		for _, body := range i16HostBodies(eng) {
+			b.Run(g.name+"/"+body.name, func(b *testing.B) {
+				procs := runtime.GOMAXPROCS(0)
+				rows := make([][]int32, procs)
+				for w := range rows {
+					rows[w] = make([]int32, g.nth*g.nphi)
+				}
+				var fallbacks atomic.Int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for w := range rows {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							n := 0
+							for id := w; id < g.ndep; id += procs {
+								n += body.run(blocks[id], h.plane, tab, id, out, rows[w])
+							}
+							fallbacks.Add(int64(n))
+						}()
+					}
+					wg.Wait()
+				}
+				geo := geometry[body.name]
+				reportKernel(b, float64(len(out.Data))*float64(geo.perVoxel), geo.bytes, procs)
+				if body.name == "avx512" {
+					b.ReportMetric(float64(fallbacks.Load())/float64(b.N), "fallback_tiles/volume")
+				}
+			})
 		}
 	}
 }

@@ -1,0 +1,9 @@
+//go:build purego || !amd64
+
+package beamform
+
+// i16HostBodies lists the i16 accumulate bodies this build can run: the
+// reference alone.
+func i16HostBodies(e *Engine) []i16Body {
+	return []i16Body{i16RefBody(e)}
+}

@@ -30,7 +30,7 @@ import (
 // to the reference is visible in the log instead of passing unnoticed.
 func TestI16KernelBody(t *testing.T) {
 	body := i16KernelBody()
-	if body != "avx2" && body != "ref" {
+	if body != "avx512" && body != "avx2" && body != "ref" {
 		t.Fatalf("unknown i16 kernel body %q", body)
 	}
 	t.Logf("i16 accumulate body: %s", body)
@@ -49,10 +49,13 @@ type i16KernelHarness struct {
 	rng   uint64
 }
 
-// i16Apertures are the element counts the vector body splits on: 1 and 7
+// i16Apertures are the element counts the vector bodies split on: 1 and 7
 // (vector range empty), 8 (one group, all of it scalar tail), 9 and 16 (one
 // 8-wide remainder), 17 (two groups, the second tail), 144 (the 16-wide
 // loop plus a remainder) and 256 (the 16-wide loop, then a full tail group).
+// For the AVX-512 tile body's 16-element groups: 1, 7, 8 and 9 are one short
+// group, 16 one whole group, 17 a whole group and a one-element short one,
+// 144 and 256 whole groups only.
 var i16Apertures = []struct{ nx, ny int }{{1, 1}, {7, 1}, {8, 1}, {3, 3}, {4, 4}, {17, 1}, {12, 12}, {16, 16}}
 
 // newI16Harness builds an engine over an nx×ny array (Rect keeps every
@@ -152,6 +155,27 @@ func (h *i16KernelHarness) fillDelays() {
 	}
 }
 
+// fillTileDelays gives every element a base delay and every voxel an
+// in-window delay at most spread samples above its element's base — the
+// locality every served delay block has, so the AVX-512 body takes each
+// tile itself instead of handing it back (spread 31 keeps every element
+// group narrow, 63 makes most of them wide). Un-apodized elements get
+// arbitrary int16 delays, which no body reads.
+func (h *i16KernelHarness) fillTileDelays(spread int) {
+	nE := len(h.eng.apod)
+	spread = min(spread, h.win)
+	for d := 0; d < nE; d++ {
+		base := int(h.next() % uint64(h.win-spread+1))
+		for k := d; k < len(h.blk); k += nE {
+			if h.eng.apod[d] == 0 {
+				h.blk[k] = int16(h.next())
+			} else {
+				h.blk[k] = int16(base + int(h.next()%uint64(spread+1)))
+			}
+		}
+	}
+}
+
 // run drives both kernel bodies over every depth slice and asserts exact
 // equality, in store mode and then add mode on top of the stored pass.
 func (h *i16KernelHarness) run(t *testing.T, name string, scale float64) {
@@ -205,10 +229,91 @@ func TestI16KernelNativeMatchesRef(t *testing.T) {
 	}
 }
 
-// TestI16GatherTableVectorRange pins the split the native body's memory
+// TestI16TileRouteMatchesRef holds the native body to the reference on
+// delays whose tiles the AVX-512 body accepts, through narrow and wide
+// element groups: every i16Apertures shape, Rect and Hann, θ×φ planes of
+// one voxel to 7×3 — most of them leave a partial last tile — windows of 1
+// (every delay in the guard slot's reach), 40 and 200, and the shift at the
+// aperture's own value, 0 and 15; then the largest window, and a served
+// 33×33 plane and window under the largest aperture.
+func TestI16TileRouteMatchesRef(t *testing.T) {
+	type tileCase struct {
+		nx, ny, nth, nphi, win int
+	}
+	var cases []tileCase
+	for _, ap := range i16Apertures {
+		for _, pl := range []struct{ nth, nphi int }{{1, 1}, {5, 2}, {4, 4}, {7, 3}} {
+			for _, win := range []int{1, 40, 200} {
+				cases = append(cases, tileCase{ap.nx, ap.ny, pl.nth, pl.nphi, win})
+			}
+		}
+	}
+	cases = append(cases, tileCase{3, 3, 5, 2, delay.MaxEchoWindow}, tileCase{16, 16, 33, 33, 8512})
+	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
+		for _, c := range cases {
+			h := newI16HarnessFor(t, Config{
+				Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, c.nth, c.nphi, 2),
+				Arr:    xdcr.NewArray(c.nx, c.ny, 0.385e-3/2),
+				Conv:   conv,
+				Window: window,
+			}, c.win)
+			own := h.eng.preShift
+			for _, shift := range []uint{own, 0, 15} {
+				h.eng.preShift = shift
+				for _, spread := range []int{31, 63} {
+					h.fillTileDelays(spread)
+					h.fillPlane(true)
+					h.run(t, "tile", 1.0/32767)
+				}
+			}
+			h.eng.preShift = own
+			h.pinPlane()
+			h.run(t, "tile-pinned", 1.0)
+		}
+	}
+}
+
+// TestSnakeTiles pins the tile walk: each plane voxel once, consecutive
+// voxels neighbours in θ or φ, a partial last tile padded with its last
+// voxel, and the plane's last voxel as the list's last entry.
+func TestSnakeTiles(t *testing.T) {
+	for _, pl := range []struct{ nth, nphi int }{{0, 0}, {1, 1}, {1, 17}, {5, 2}, {4, 4}, {7, 3}, {2, 9}, {33, 33}} {
+		n := pl.nth * pl.nphi
+		tiles := snakeTiles(pl.nth, pl.nphi)
+		if len(tiles) != (n+15)/16*16 {
+			t.Fatalf("%d×%d: %d entries, want %d", pl.nth, pl.nphi, len(tiles), (n+15)/16*16)
+		}
+		seen := make([]bool, n)
+		for i, v := range tiles[:n] {
+			if v < 0 || int(v) >= n || seen[v] {
+				t.Fatalf("%d×%d: entry %d = %d is outside the plane or repeated", pl.nth, pl.nphi, i, v)
+			}
+			seen[v] = true
+			if i > 0 {
+				p := tiles[i-1]
+				dth, dph := int(v)/pl.nphi-int(p)/pl.nphi, int(v)%pl.nphi-int(p)%pl.nphi
+				if dth*dth+dph*dph != 1 {
+					t.Fatalf("%d×%d: voxels %d and %d are consecutive in the walk but not neighbours", pl.nth, pl.nphi, p, v)
+				}
+			}
+		}
+		for _, v := range tiles[n:] {
+			if v != tiles[n-1] {
+				t.Fatalf("%d×%d: padding entry %d does not repeat the last voxel %d", pl.nth, pl.nphi, v, tiles[n-1])
+			}
+		}
+		if n > 0 && int(tiles[len(tiles)-1]) != n-1 {
+			t.Fatalf("%d×%d: walk ends on %d, not the last voxel %d", pl.nth, pl.nphi, tiles[len(tiles)-1], n-1)
+		}
+	}
+}
+
+// TestI16GatherTableVectorRange pins the split the AVX2 body's memory
 // safety rests on: the vector range is whole 8-groups, never reaches the
 // aperture's last element, carries a zero high half in every weight dword,
-// and together with the scalar tail covers every active element once.
+// and together with the scalar tail covers every active element once. It
+// also pins the tile body's group masks, pair weights and padded row
+// offsets.
 func TestI16GatherTableVectorRange(t *testing.T) {
 	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
 		for _, n := range i16Apertures {
@@ -237,6 +342,37 @@ func TestI16GatherTableVectorRange(t *testing.T) {
 			}
 			if nonZero > len(tab.els) || len(tab.els) != len(h.eng.activeIdx) {
 				t.Fatalf("nE=%d: %d non-zero weights, %d table rows, %d active elements", nE, nonZero, len(tab.els), len(h.eng.activeIdx))
+			}
+			// The tile body's view: one apodization bit per element, none
+			// at or past nE, the pair weights in their lanes, and row
+			// offsets readable to the end of the last group.
+			nG := (nE + 15) / 16
+			if len(tab.grp) != nG || len(tab.wpair) != nG*128 || cap(tab.ro) < nG*16 {
+				t.Fatalf("nE=%d: %d group masks, %d pair weights, ro capacity %d", nE, len(tab.grp), len(tab.wpair), cap(tab.ro))
+			}
+			if want := uint16(1<<(nE-(nG-1)*16) - 1); tab.lastLen != want {
+				t.Fatalf("nE=%d: last group mask %#x, want %#x", nE, tab.lastLen, want)
+			}
+			for d := 0; d < nG*16; d++ {
+				apod := d < nE && h.eng.apod[d] != 0
+				if got := tab.grp[d/16]>>(d%16)&1 == 1; got != apod {
+					t.Fatalf("nE=%d element %d: group bit %t, apodized %t", nE, d, got, apod)
+				}
+				if d >= nE && tab.ro[:nG*16][d] != 0 {
+					t.Fatalf("nE=%d: row offset %d past the aperture is %d", nE, d, tab.ro[:nG*16][d])
+				}
+				var w uint32
+				if d < nE {
+					w = tab.wq[d]
+				}
+				pair := tab.wpair[(d/16*8+d%8)*16:][:16]
+				for l := d % 16 / 8 * 4; l < 16; l += 8 {
+					for _, got := range pair[l : l+4] {
+						if got != w {
+							t.Fatalf("nE=%d element %d: pair weight %#x, want %#x", nE, d, got, w)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -11,8 +11,8 @@ package cpufeat
 // architectures and under -tags purego it is the constant false.
 var AVX2 = probeAVX2()
 
-// AVX512 reports whether the CPU implements AVX-512 F, DQ and VL, the OS
-// saves the opmask and full ZMM state, and AVX2 holds too — a body that
+// AVX512 reports whether the CPU implements AVX-512 F, DQ, BW and VL, the
+// OS saves the opmask and full ZMM state, and AVX2 holds too — a body that
 // needs it may use every AVX2 instruction. Like AVX2 it is a variable only
 // so that tests can clear it; on other architectures and under -tags purego
 // it is the constant false.
@@ -40,13 +40,13 @@ func probeAVX2() bool {
 }
 
 // probeAVX512 checks, on a host probeAVX2 accepted, XCR0 bits 5-7 (opmask,
-// upper ZMM0-15, ZMM16-31) and CPUID.7.0:EBX bits 16 (F), 17 (DQ) and 31
-// (VL).
+// upper ZMM0-15, ZMM16-31) and CPUID.7.0:EBX bits 16 (F), 17 (DQ), 30 (BW)
+// and 31 (VL).
 func probeAVX512() bool {
 	if lo, _ := xgetbv(); lo&0xE0 != 0xE0 {
 		return false
 	}
-	const f, dq, vl = 1 << 16, 1 << 17, 1 << 31
+	const f, dq, bw, vl = 1 << 16, 1 << 17, 1 << 30, 1 << 31
 	_, b, _, _ := cpuid(7, 0)
-	return b&(f|dq|vl) == f|dq|vl
+	return b&(f|dq|bw|vl) == f|dq|bw|vl
 }

@@ -31,15 +31,15 @@ func TestAVX2AgreesWithKernel(t *testing.T) {
 }
 
 // TestAVX512AgreesWithKernel holds the probe to the kernel's avx512f,
-// avx512dq and avx512vl flags (the kernel drops all three when the OS does
-// not enable the ZMM state), together with avx2.
+// avx512dq, avx512bw and avx512vl flags (the kernel drops all four when the
+// OS does not enable the ZMM state), together with avx2.
 func TestAVX512AgreesWithKernel(t *testing.T) {
 	flags := cpuinfoFlags(t)
 	kernel := hasFlag(flags, "avx2")
-	for _, f := range []string{"avx512f", "avx512dq", "avx512vl"} {
+	for _, f := range []string{"avx512f", "avx512dq", "avx512bw", "avx512vl"} {
 		kernel = kernel && hasFlag(flags, f)
 	}
 	if AVX512 != kernel {
-		t.Fatalf("probe reports AVX512 = %t, /proc/cpuinfo avx2+avx512f+avx512dq+avx512vl says %t", AVX512, kernel)
+		t.Fatalf("probe reports AVX512 = %t, /proc/cpuinfo avx2+avx512f+avx512dq+avx512bw+avx512vl says %t", AVX512, kernel)
 	}
 }
