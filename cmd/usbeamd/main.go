@@ -57,7 +57,7 @@ func main() {
 	addr := flag.String("addr", ":8642", "listen address")
 	streamAddr := flag.String("stream-addr", "", "also listen for the persistent cine stream transport on this TCP address")
 	maxGeometries := flag.Int("max-geometries", 4, "warm geometries the scheduler keeps hot")
-	maxQueue := flag.Int("max-queue", 64, "queued frames per geometry before 503")
+	maxQueue := flag.Int("max-queue", 64, "queued frames per geometry and lane before 503")
 	maxBatch := flag.Int("max-batch", 4, "frames fused into one scheduler dispatch")
 	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict geometries idle this long (0 = never)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max time a request may queue for a session")

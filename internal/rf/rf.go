@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/fixed"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/xdcr"
 )
@@ -147,11 +148,11 @@ func Plane32(bufs []EchoBuffer, win int) ([]float32, error) {
 // int16 plane: element d's win samples at plane[d·(win+1)], guard slots
 // zero (the fixed-point kernel's clamp target for out-of-window indices),
 // plus one per-frame quantization scale such that sample = int16·scale.
-// Quantization follows the wire codec's QuantizeI16 contract exactly:
-// scale is peak/32767 so the loudest sample spans the full int16 range,
-// values round to even and saturate at ±32767, ±Inf saturates, NaN
-// quantizes to 0, and an all-zero (or all-non-finite) frame gets scale 1 —
-// the scale is always positive and finite, never NaN-pinned. The
+// Quantization is the int16 echo-sample rule of package fixed, the one
+// the wire codec's QuantizeI16 runs too: scale is peak/32767 so the
+// loudest sample spans the full int16 range, values round to even and
+// saturate at ±32767, ±Inf saturates, NaN quantizes to 0, and an all-zero
+// (or all-non-finite) frame gets scale 1. The
 // fixed-point beamform kernel (PrecisionInt16) gathers from this layout;
 // the wire layer's DecodePlaneI16 produces the same layout straight off the
 // network.
@@ -178,46 +179,15 @@ func PlaneI16(bufs []EchoBuffer, win int) ([]int16, float32, error) {
 func QuantizePlaneI16(plane []int16, bufs []EchoBuffer, win int) (scale float32) {
 	peak := 0.0
 	for _, b := range bufs {
-		for _, v := range b.Samples {
-			if a := math.Abs(v); a > peak && !math.IsInf(v, 0) {
-				peak = a
-			}
-		}
+		peak = fixed.PeakI16(peak, b.Samples)
 	}
-	s := peak / 32767
-	if s == 0 || math.IsNaN(s) {
-		s = 1
-	}
-	scale = float32(s)
-	inv := 1 / float64(scale) // one divide; the loops multiply
+	scale = fixed.ScaleI16(peak)
 	stride := win + 1
 	for d, b := range bufs {
-		row := plane[d*stride : d*stride+win]
-		for i, v := range b.Samples {
-			x := v * inv
-			switch {
-			case math.IsNaN(x):
-				row[i] = 0
-			case x >= 32767:
-				row[i] = 32767
-			case x <= -32767:
-				row[i] = -32767
-			default:
-				row[i] = int16((x + roundI16Magic) - roundI16Magic)
-			}
-		}
+		fixed.QuantizeRowI16(plane[d*stride:d*stride+win], b.Samples, scale)
 	}
 	return scale
 }
-
-// roundI16Magic rounds half-to-even without math.RoundToEven's bit
-// twiddling (which amd64 does not intrinsify and which dominated the
-// convert phase's profile): adding 3·2^51 pushes any |x| < 2^51 into
-// [2^52, 2^53), where float64 spacing is exactly 1.0, so the add itself
-// rounds to the nearest integer with IEEE ties-to-even; the subtraction of
-// two integers that close is exact. The constant's parity is even, so tie
-// parity — and therefore every result bit — matches math.RoundToEven.
-const roundI16Magic = float64(3 << 51)
 
 // Config drives echo synthesis.
 type Config struct {

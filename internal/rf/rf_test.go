@@ -6,6 +6,7 @@ import (
 
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/geom"
+	"ultrabeam/internal/wire"
 	"ultrabeam/internal/xdcr"
 )
 
@@ -387,5 +388,51 @@ func TestPlaneI16Validation(t *testing.T) {
 	}
 	if _, _, err := PlaneI16(bufs[:1], 0); err == nil {
 		t.Error("zero window must be rejected")
+	}
+}
+
+// TestPlaneI16MatchesWireQuantizeI16: a frame quantized into a plane and
+// the same frame quantized into a wire i16 payload carry equal words and
+// an equal scale, on the inputs where a private copy of the rule would
+// drift first — non-finite samples, values past ±32767, exact ties and an
+// all-zero frame. Each frame puts its peak in the second row, so the peak
+// must span rows.
+func TestPlaneI16MatchesWireQuantizeI16(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		rows [][]float64
+	}{
+		{"nonfinite", [][]float64{{nan, inf, -inf, 3}, {-7, nan, 0.25, 1}}},
+		{"saturation", [][]float64{{32767, -32767, 32766.5, 1}, {32767.5, -32767.5, -1, 0}}},
+		{"ties_at_scale_1", [][]float64{{0.5, 1.5, 2.5, -0.5}, {-1.5, -2.5, 32766.5, 32767}}},
+		{"ties_below_peak", [][]float64{{-0.5, 0.5, 3.5, -3.5}, {4.5, -4.5, -32767, 0}}},
+		{"all_zero", [][]float64{{0, 0, 0, 0}, {0, 0, 0, 0}}},
+		{"all_nonfinite", [][]float64{{nan, inf, -inf, nan}, {-inf, nan, inf, inf}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const win = 4
+			bufs := make([]EchoBuffer, len(tc.rows))
+			var flat []float64
+			for d, row := range tc.rows {
+				bufs[d].Samples = row
+				flat = append(flat, row...)
+			}
+			plane, scale, err := PlaneI16(bufs, win)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, wscale := wire.QuantizeI16(flat)
+			if scale != wscale {
+				t.Fatalf("plane scale %v, wire scale %v", scale, wscale)
+			}
+			for d := range tc.rows {
+				for i := 0; i < win; i++ {
+					if got, want := plane[d*(win+1)+i], q[d*win+i]; got != want {
+						t.Errorf("row %d sample %d (%v): plane %d, wire %d", d, i, tc.rows[d][i], got, want)
+					}
+				}
+			}
+		})
 	}
 }

@@ -144,138 +144,79 @@ func TestSchedulerDrainTimeout(t *testing.T) {
 	<-sched.slots
 }
 
-// TestSchedulerPressureLadder drives the overload ladder to its top rung:
-// sustained near-full occupancy first inflates bulk batches, then sheds
-// ready bulk frames as ErrDegraded — while every interactive frame
-// alongside them completes normally.
-func TestSchedulerPressureLadder(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{
-		MaxQueue: 16, MaxBatch: 2,
-		PressureWindow: time.Millisecond,
-	})
+// TestSchedulerAdmitsInteractiveWhenBulkLaneFull: MaxQueue bounds each
+// lane on its own. With the bulk lane full, an interactive frame is still
+// admitted, one more bulk frame is refused, and once the turnstile opens
+// the interactive frame dispatches before any bulk frame. The clock stands
+// still while the frames queue and ticks on every read after, so each
+// batch's queue wait is its dispatch position.
+func TestSchedulerAdmitsInteractiveWhenBulkLaneFull(t *testing.T) {
+	const maxQueue = 4
+	var mu sync.Mutex
+	clock, tick := time.Unix(1000, 0), time.Duration(0)
+	now := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		clock = clock.Add(tick)
+		return clock
+	}
+	// MaxBatch = MaxQueue: the whole bulk lane fuses into one batch, so
+	// every bulk frame shares one dispatch position.
+	sched := NewScheduler(SchedulerConfig{MaxQueue: maxQueue, MaxBatch: maxQueue, Now: now})
 	defer sched.Close()
 	req := tinyRequest()
 	bulkReq := req
 	bulkReq.Lane = LaneBulk
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
 
-	sched.slots <- struct{}{} // plug: occupancy builds and holds
+	sched.slots <- struct{}{} // plug the turnstile: everything queues
+	var bulk []*PendingFrame
+	for i := 0; i < maxQueue; i++ {
+		p, err := sched.Begin(bulkReq)
+		if err != nil {
+			t.Fatalf("bulk frame %d: %v", i, err)
+		}
+		bulk = append(bulk, p)
+	}
+	live, err := sched.Begin(req)
+	if err != nil {
+		t.Fatalf("interactive frame next to a full bulk lane: %v", err)
+	}
+	if _, err := sched.Begin(bulkReq); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("bulk frame beyond MaxQueue: %v, want ErrOverloaded", err)
+	}
+	for _, p := range bulk {
+		p.CompleteBuffers(frame)
+	}
+	live.CompleteBuffers(frame)
 
-	// 15 bulk + 1 interactive = 16/16 full; after the interactive batch
-	// dispatches, 15/16 ≈ 94% keeps the shed rung engaged (recovery is
-	// immediate, so the bulk lane must still be over the high-water mark
-	// on its own when its turn comes).
-	var degraded, bulkOK atomic.Int64
-	var wg sync.WaitGroup
-	const bulk = 15
-	for i := 0; i < bulk; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, err := sched.Submit(context.Background(), bulkReq, frame)
-			switch {
-			case errors.Is(err, ErrDegraded):
-				degraded.Add(1)
-			case err == nil:
-				bulkOK.Add(1)
-			default:
-				t.Errorf("bulk: %v", err)
-			}
-		}()
+	mu.Lock()
+	tick = time.Millisecond
+	mu.Unlock()
+	<-sched.slots // open the turnstile
+	if _, err := live.Wait(context.Background()); err != nil {
+		t.Fatalf("interactive frame: %v", err)
 	}
-	interactiveErr := make(chan error, 1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := sched.Submit(context.Background(), req, frame)
-		interactiveErr <- err
-	}()
-	for sched.Stats().Queued != bulk+1 {
-		time.Sleep(time.Millisecond)
-	}
-	// Climb the ladder: one rung per sustained pressure window.
-	for i := 0; i < 2; i++ {
-		time.Sleep(3 * time.Millisecond)
-		sched.mu.Lock()
-		sched.updatePressureLocked(time.Now())
-		sched.mu.Unlock()
-	}
-	if lvl := sched.PressureLevel(); lvl != pressureShed {
-		t.Fatalf("pressure level after sustained full queue = %d, want %d", lvl, pressureShed)
-	}
-	<-sched.slots // open: dispatch sees the sustained pressure
-	wg.Wait()
-	if err := <-interactiveErr; err != nil {
-		t.Errorf("interactive frame under shed pressure: %v", err)
-	}
-	if degraded.Load() == 0 {
-		t.Error("top-rung pressure shed no bulk frames")
+	for i, p := range bulk {
+		if _, err := p.Wait(context.Background()); err != nil {
+			t.Fatalf("bulk frame %d: %v", i, err)
+		}
 	}
 	st := sched.Stats()
-	if st.Degraded != degraded.Load() {
-		t.Errorf("stats degraded = %d, callers saw %d", st.Degraded, degraded.Load())
+	if st.Overloads != 1 {
+		t.Errorf("overloads = %d, want 1 (the bulk frame beyond MaxQueue)", st.Overloads)
 	}
-	// The ladder must recover once the queue empties: the next submit
-	// recomputes occupancy at zero.
-	if _, err := sched.Submit(context.Background(), req, frame); err != nil {
-		t.Fatalf("post-recovery submit: %v", err)
+	if got := st.BatchSizeCounts; got[0] != 1 || got[maxQueue-1] != 1 || st.Batches != 2 {
+		t.Errorf("batches = %d sized %v, want the interactive frame alone and one bulk batch of %d",
+			st.Batches, got, maxQueue)
 	}
-	if lvl := sched.PressureLevel(); lvl != 0 {
-		t.Errorf("pressure level after recovery = %d, want 0", lvl)
+	live1, bulk1 := st.Lanes["interactive"], st.Lanes["bulk"]
+	if live1.Dispatched != 1 || bulk1.Dispatched != maxQueue {
+		t.Fatalf("dispatched interactive=%d bulk=%d, want 1 and %d", live1.Dispatched, bulk1.Dispatched, maxQueue)
 	}
-}
-
-// TestSchedulerPressureInflatesBulkBatches: the ladder's first rung fuses
-// bulk batches beyond MaxBatch (amortizing harder instead of shedding).
-func TestSchedulerPressureInflatesBulkBatches(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{
-		MaxQueue: 32, MaxBatch: 2,
-		PressureWindow: time.Millisecond,
-	})
-	defer sched.Close()
-	req := tinyRequest()
-	req.Lane = LaneBulk
-	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
-
-	sched.slots <- struct{}{}
-	var wg sync.WaitGroup
-	const n = 20 // 20/32 = 62%: above the inflate rung, below shed
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sched.Submit(context.Background(), req, frame); err != nil {
-				t.Errorf("bulk: %v", err)
-			}
-		}()
-	}
-	for sched.Stats().Queued != n {
-		time.Sleep(time.Millisecond)
-	}
-	// Hold occupancy across the window so dispatch-time recomputation has
-	// a sustained rise to act on.
-	time.Sleep(3 * time.Millisecond)
-	sched.mu.Lock()
-	sched.updatePressureLocked(time.Now())
-	sched.mu.Unlock()
-	time.Sleep(3 * time.Millisecond)
-	<-sched.slots
-	wg.Wait()
-	st := sched.Stats()
-	if st.Inflated == 0 {
-		t.Errorf("no inflated batches under sustained mid-ladder pressure (batches=%d fused=%d)",
-			st.Batches, st.Fused)
-	}
-	if st.Degraded != 0 {
-		t.Errorf("mid-ladder pressure shed %d frames — shedding is the top rung only", st.Degraded)
-	}
-	sum := int64(0)
-	for _, c := range st.BatchSizeCounts {
-		sum += c
-	}
-	if sum != st.Batches {
-		t.Errorf("batch size counts %v sum to %d, want every one of %d batches (inflated ones in the top bucket)",
-			st.BatchSizeCounts, sum, st.Batches)
+	if live1.WaitP50Ms >= bulk1.WaitP50Ms {
+		t.Errorf("interactive wait %.0f ms ≥ bulk wait %.0f ms: the bulk batch dispatched first",
+			live1.WaitP50Ms, bulk1.WaitP50Ms)
 	}
 }
 
@@ -574,9 +515,6 @@ func TestStreamStatusMapping(t *testing.T) {
 	if got := streamStatus(ErrOverloaded); got != wire.StatusOverloaded {
 		t.Errorf("overloaded status = %d", got)
 	}
-	if got := streamStatus(ErrDegraded); got != wire.StatusDegraded {
-		t.Errorf("degraded status = %d", got)
-	}
 	if got := streamStatus(ErrDraining); got != wire.StatusGoAway {
 		t.Errorf("draining status = %d", got)
 	}
@@ -584,11 +522,8 @@ func TestStreamStatusMapping(t *testing.T) {
 		t.Errorf("generic status = %d", got)
 	}
 	err := &wire.RemoteError{Status: wire.StatusGoAway, Msg: "draining"}
-	if !wire.IsGoAway(err) || wire.IsDegraded(err) {
+	if !wire.IsGoAway(err) {
 		t.Error("GOAWAY classification broken")
-	}
-	if !wire.IsDegraded(&wire.RemoteError{Status: wire.StatusDegraded}) {
-		t.Error("degraded classification broken")
 	}
 	if wire.IsGoAway(errors.New("plain")) {
 		t.Error("plain errors must not classify as GOAWAY")

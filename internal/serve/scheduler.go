@@ -15,12 +15,13 @@
 // Two priority lanes ride the same queue: every interactive frame of a
 // geometry dispatches before any bulk frame, so a live probe view preempts
 // a cine stream at the next batch boundary — MaxBatch bounds how long a
-// bulk batch can make an interactive frame wait. A one-token turnstile
-// time-slices the core budget across geometries: a dispatch loop holds the
-// token per batch, so one geometry's bulk backlog cannot starve another
-// geometry (batch-boundary round-robin through the token queue). Sessions
-// already parallelize internally across cores, so one geometry at a time
-// is the whole budget.
+// bulk batch can make an interactive frame wait. Each lane has its own
+// MaxQueue bound, so a bulk backlog can never refuse an interactive frame.
+// A one-token turnstile time-slices the core budget across geometries: a
+// dispatch loop holds the token per batch, so one geometry's bulk backlog
+// cannot starve another geometry (batch-boundary round-robin through the
+// token queue). Sessions already parallelize internally across cores, so
+// one geometry at a time is the whole budget.
 //
 // Results are bit-identical to beamforming each frame alone:
 // Session.Run preserves each frame's accumulation order, batches fuse
@@ -32,7 +33,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
@@ -62,25 +62,6 @@ var ErrDraining = errors.New("serve: draining for shutdown")
 // sat in queue — the frame was dropped before burning a core slot.
 var ErrExpired = errors.New("serve: frame deadline expired in queue")
 
-// ErrDegraded fails a bulk frame shed by the overload pressure ladder:
-// the frame was accepted and decoded, then deliberately dropped so
-// interactive frames keep their latency. The transport layers surface it
-// with an explicit "degraded" marker, never as a generic failure.
-var ErrDegraded = errors.New("serve: bulk frame shed under overload")
-
-// Pressure ladder rungs. Occupancy is the fullest geometry queue as a
-// fraction of MaxQueue; the level climbs one rung per sustained
-// PressureWindow above a threshold and drops the moment occupancy recedes.
-const (
-	pressureInflate = 1 // bulk batches fuse up to bulkInflateFactor× MaxBatch
-	pressureShed    = 2 // ready bulk frames are decode-and-dropped as degraded
-
-	pressureLoFrac = 0.5
-	pressureHiFrac = 0.9
-
-	bulkInflateFactor = 4
-)
-
 // Injection points for the chaos harness (inert single-load checks unless
 // a faultpoint schedule is activated).
 var (
@@ -95,8 +76,10 @@ type SchedulerConfig struct {
 	// idle one, or is refused with ErrOverloaded when all are busy. <=0
 	// defaults to 4.
 	MaxGeometries int
-	// MaxQueue bounds queued frames per geometry across both lanes; beyond
-	// it Submit refuses with ErrOverloaded. <=0 defaults to 64.
+	// MaxQueue bounds queued frames per geometry and lane; beyond it Begin
+	// refuses that lane with ErrOverloaded, so a geometry holds at most
+	// 2×MaxQueue frames and a full bulk lane never refuses an interactive
+	// frame. <=0 defaults to 64.
 	MaxQueue int
 	// MaxBatch caps how many consecutive same-shape, same-lane frames one
 	// dispatch fuses. It is the interactive-latency knob: an interactive
@@ -106,28 +89,8 @@ type SchedulerConfig struct {
 	// IdleTTL evicts a geometry — its hot session and delay store — once
 	// nothing has used it for this long. 0 keeps geometries forever.
 	IdleTTL time.Duration
-	// PressureWindow is how long queue occupancy must hold above a ladder
-	// threshold before the overload level climbs a rung (hysteresis against
-	// momentary spikes). <=0 defaults to 250ms.
-	PressureWindow time.Duration
 	// Now injects a clock for tests; nil means time.Now.
 	Now func() time.Time
-	// Jitter draws the janitor's random start delay given the sweep
-	// interval; nil draws uniformly from [0, interval). The first sweep is
-	// delayed by the draw so periodic sweeps of schedulers that started
-	// together (one deployment rolling out many processes) never
-	// synchronize into an eviction thundering herd. Inject a deterministic
-	// func in tests.
-	Jitter func(interval time.Duration) time.Duration
-}
-
-// startJitter is the default janitor start-delay draw: uniform over
-// [0, interval).
-func startJitter(interval time.Duration) time.Duration {
-	if interval <= 0 {
-		return 0
-	}
-	return time.Duration(rand.Int63n(int64(interval)))
 }
 
 // Scheduler owns one hot session per warm geometry and schedules decoded
@@ -141,14 +104,6 @@ type Scheduler struct {
 	geoms    map[string]*schedGeom
 	closed   bool
 	draining bool
-
-	// pressure is the overload ladder level (0 = normal). pressureRiseAt
-	// marks when occupancy first demanded a higher rung; the level climbs
-	// only after PressureWindow of sustained demand. Guarded by mu;
-	// pressureLevel mirrors it for lock-free reads.
-	pressure       int
-	pressureRiseAt time.Time
-	pressureLevel  atomic.Int32
 
 	// slots is the core-budget turnstile, one token wide: a dispatch loop
 	// holds it for the duration of one batch. Waiting loops queue on the channel,
@@ -167,11 +122,9 @@ type Scheduler struct {
 	batches    atomic.Int64
 	fused      atomic.Int64 // frames dispatched through batches
 	expired    atomic.Int64 // frames dropped in queue past their deadline
-	degraded   atomic.Int64 // bulk frames shed by the pressure ladder
-	inflated   atomic.Int64 // bulk batches fused beyond MaxBatch
 	dispatchNs atomic.Int64 // wall time spent inside dispatch (rate source)
 
-	batchSizes  []atomic.Int64 // batchSizes[k]: batches of size k+1; the last bucket, MaxBatch or more
+	batchSizes  []atomic.Int64 // batchSizes[k]: batches of size k+1
 	lanes       [numLanes]laneRecorder
 	laneExpired [numLanes]atomic.Int64
 	wire        wireRecorder
@@ -219,7 +172,7 @@ type frameJob struct {
 }
 
 // NewScheduler builds a scheduler and, when cfg.IdleTTL > 0, starts the
-// jittered janitor. Close the scheduler to stop it.
+// janitor. Close the scheduler to stop it.
 func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.MaxGeometries <= 0 {
 		cfg.MaxGeometries = 4
@@ -229,9 +182,6 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 4
-	}
-	if cfg.PressureWindow <= 0 {
-		cfg.PressureWindow = 250 * time.Millisecond
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -251,29 +201,18 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 }
 
 // janitor sweeps at half the TTL, so an idle geometry lives at most ~1.5×
-// IdleTTL, after a jittered start delay.
+// IdleTTL. Eviction is gated on each geometry's own lastUsed, so when the
+// sweeps happen to run moves an eviction by less than TTL/2.
 func (s *Scheduler) janitor() {
 	defer close(s.janitorDone)
-	interval := s.cfg.IdleTTL / 2
-	jitter := s.cfg.Jitter
-	if jitter == nil {
-		jitter = startJitter
-	}
-	start := time.NewTimer(jitter(interval))
-	defer start.Stop()
-	select {
-	case <-s.janitorStop:
-		return
-	case <-start.C:
-	}
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(s.cfg.IdleTTL / 2)
 	defer tick.Stop()
 	for {
-		s.Sweep(s.cfg.Now())
 		select {
 		case <-s.janitorStop:
 			return
 		case <-tick.C:
+			s.Sweep(s.cfg.Now())
 		}
 	}
 }
@@ -293,8 +232,9 @@ type PendingFrame struct {
 
 // Begin reserves a queue slot for one frame of req's geometry on req.Lane
 // and triggers the session build for a cold geometry — before the frame's
-// payload has arrived. A full per-geometry queue, or a cold geometry
-// beyond MaxGeometries with no evictable peer, refuses with ErrOverloaded
+// payload has arrived. A full lane (MaxQueue frames of this geometry on
+// req.Lane; the other lane does not count), or a cold geometry beyond
+// MaxGeometries with no evictable peer, refuses with ErrOverloaded
 // (the typed signal the HTTP layer maps to 503); a draining scheduler
 // refuses with ErrDraining. A req.Deadline > 0 stamps the job: if the
 // deadline passes while the frame is still queued it is dropped with
@@ -335,12 +275,12 @@ func (s *Scheduler) Begin(req SessionRequest) (*PendingFrame, error) {
 		s.wg.Add(1)
 		go s.build(g)
 	}
-	if g.queued >= s.cfg.MaxQueue {
+	if len(g.lanes[lane]) >= s.cfg.MaxQueue {
 		// Expired frames still holding slots are dead weight; reclaim them
 		// before refusing a live client.
 		s.purgeExpiredLocked(g, job.enq)
 	}
-	if g.queued >= s.cfg.MaxQueue {
+	if len(g.lanes[lane]) >= s.cfg.MaxQueue {
 		s.overloads.Add(1)
 		s.mu.Unlock()
 		return nil, ErrOverloaded
@@ -348,7 +288,6 @@ func (s *Scheduler) Begin(req SessionRequest) (*PendingFrame, error) {
 	g.lanes[lane] = append(g.lanes[lane], job)
 	g.queued++
 	g.lastUsed = job.enq
-	s.updatePressureLocked(job.enq)
 	s.mu.Unlock()
 	return &PendingFrame{s: s, g: g, job: job}, nil
 }
@@ -377,44 +316,6 @@ func (s *Scheduler) purgeExpiredLocked(g *schedGeom, now time.Time) {
 		g.lanes[lane] = kept
 	}
 }
-
-// updatePressureLocked recomputes the overload ladder level from queue
-// occupancy (fullest geometry as a fraction of MaxQueue). Climbing a rung
-// requires the demand to hold for PressureWindow; recovery is immediate.
-// Caller holds the lock.
-func (s *Scheduler) updatePressureLocked(now time.Time) {
-	occ := 0.0
-	for _, g := range s.geoms {
-		if o := float64(g.queued) / float64(s.cfg.MaxQueue); o > occ {
-			occ = o
-		}
-	}
-	target := 0
-	switch {
-	case occ >= pressureHiFrac:
-		target = pressureShed
-	case occ >= pressureLoFrac:
-		target = pressureInflate
-	}
-	if target > s.pressure {
-		if s.pressureRiseAt.IsZero() {
-			s.pressureRiseAt = now
-		} else if now.Sub(s.pressureRiseAt) >= s.cfg.PressureWindow {
-			s.pressure++
-			s.pressureRiseAt = now
-		}
-	} else {
-		s.pressureRiseAt = time.Time{}
-		if target < s.pressure {
-			s.pressure = target
-		}
-	}
-	s.pressureLevel.Store(int32(s.pressure))
-}
-
-// PressureLevel reports the current overload ladder rung (0 = normal, 1 =
-// bulk batches inflate, 2 = bulk frames shed).
-func (s *Scheduler) PressureLevel() int { return int(s.pressureLevel.Load()) }
 
 // complete delivers the decoded frame, marks the job dispatchable and
 // kicks the geometry's dispatch loop if it parked while every queued job
@@ -462,8 +363,9 @@ func (p *PendingFrame) Abort() {
 
 // Wait blocks until the frame's batch has run, returning its volume. On
 // ctx cancellation the slot is released if the job has not entered a
-// batch yet; an in-flight batch finishes regardless, the caller just
-// stops waiting.
+// batch yet; once it has, Wait still blocks until that batch finishes,
+// because the batch reads the frame's samples until then and the caller
+// may reuse them as soon as Wait returns. It then returns the ctx error.
 func (p *PendingFrame) Wait(ctx context.Context) (*beamform.Volume, error) {
 	s := p.s
 	select {
@@ -602,25 +504,12 @@ func (s *Scheduler) run(g *schedGeom) {
 // blocks the frames queued behind it — and since only ready jobs are ever
 // taken, a pending slot cannot deadlock dispatch.
 //
-// This is also where deadlines and the pressure ladder bite: expired jobs
-// are purged before any batch forms (a dead frame never reaches a core
-// slot), and under overload the bulk lane first fuses larger batches
-// (amortizing harder) and then, at the shed rung, decode-and-drops its
-// ready frames as ErrDegraded — the interactive lane is never shed.
-// Caller holds the lock.
+// This is also where deadlines bite: expired jobs are purged before any
+// batch forms, so a dead frame never reaches a core slot. Caller holds
+// the lock.
 func (s *Scheduler) takeBatchLocked(g *schedGeom) []*frameJob {
-	now := s.cfg.Now()
-	s.purgeExpiredLocked(g, now)
-	s.updatePressureLocked(now)
+	s.purgeExpiredLocked(g, s.cfg.Now())
 	for lane := Lane(0); lane < numLanes; lane++ {
-		if lane == LaneBulk && s.pressure >= pressureShed {
-			s.shedBulkLocked(g)
-			continue
-		}
-		limit := s.cfg.MaxBatch
-		if lane == LaneBulk && s.pressure >= pressureInflate {
-			limit = s.cfg.MaxBatch * bulkInflateFactor
-		}
 		q := g.lanes[lane]
 		first := -1
 		for i, j := range q {
@@ -633,7 +522,7 @@ func (s *Scheduler) takeBatchLocked(g *schedGeom) []*frameJob {
 			continue
 		}
 		n := 1
-		for first+n < len(q) && n < limit &&
+		for first+n < len(q) && n < s.cfg.MaxBatch &&
 			q[first+n].ready && q[first+n].shape == q[first].shape {
 			n++
 		}
@@ -642,36 +531,9 @@ func (s *Scheduler) takeBatchLocked(g *schedGeom) []*frameJob {
 		// array stops pinning the batch (planes and volume) once it completes.
 		g.lanes[lane] = slices.Delete(q, first, first+n)
 		g.queued -= n
-		if n > s.cfg.MaxBatch {
-			s.inflated.Add(1)
-		}
 		return batch
 	}
 	return nil
-}
-
-// shedBulkLocked decode-and-drops every ready bulk frame of g with
-// ErrDegraded — the pressure ladder's last rung before interactive
-// latency would suffer. Frames still uploading keep their slots (they
-// will be shed or dispatched once ready, depending on pressure then).
-// Caller holds the lock.
-func (s *Scheduler) shedBulkLocked(g *schedGeom) {
-	q := g.lanes[LaneBulk]
-	kept := q[:0]
-	for _, j := range q {
-		if !j.ready {
-			kept = append(kept, j)
-			continue
-		}
-		g.queued--
-		s.degraded.Add(1)
-		j.err = ErrDegraded
-		close(j.done)
-	}
-	for i := len(kept); i < len(q); i++ {
-		q[i] = nil
-	}
-	g.lanes[LaneBulk] = kept
 }
 
 // dispatch beamforms one batch through the geometry's hot session and
@@ -693,7 +555,7 @@ func (s *Scheduler) dispatch(g *schedGeom, batch []*frameJob) {
 	s.batches.Add(1)
 	s.fused.Add(int64(len(batch)))
 	s.dispatchNs.Add(int64(s.cfg.Now().Sub(start)))
-	s.batchSizes[min(len(batch), len(s.batchSizes))-1].Add(1)
+	s.batchSizes[len(batch)-1].Add(1)
 	s.mu.Lock()
 	g.lastUsed = s.cfg.Now()
 	s.mu.Unlock()
@@ -766,7 +628,7 @@ func destroySession(sess *beamform.Session, cache *delaycache.Cache) {
 
 // Sweep evicts every geometry that is fully idle — no queue, no dispatch
 // loop, no build — and unused for at least IdleTTL. The janitor calls this
-// on its jittered timer; tests call it directly with a synthetic clock.
+// on its ticker; tests call it directly with a synthetic clock.
 func (s *Scheduler) Sweep(now time.Time) {
 	if s.cfg.IdleTTL <= 0 {
 		return
@@ -991,19 +853,15 @@ type SchedulerStats struct {
 	Batches   int64 `json:"batches"`
 	Fused     int64 `json:"batched_frames"`
 	Expired   int64 `json:"expired"`
-	Degraded  int64 `json:"degraded_shed"`
-	Inflated  int64 `json:"inflated_batches"`
 
-	// Resilience posture: the overload ladder rung, whether a drain is in
-	// progress, and the backoff hint overloaded clients are being given.
-	PressureLevel int  `json:"pressure_level"`
+	// Resilience posture: whether a drain is in progress, and the backoff
+	// hint overloaded clients are being given.
 	Draining      bool `json:"draining,omitempty"`
 	RetryAfterSec int  `json:"retry_after_sec"`
 
-	// BatchSizeCounts[k] counts dispatched batches of k+1 frames, and the
-	// last bucket batches of MaxBatch frames or more (the pressure ladder's
-	// inflated ones), so the counts sum to Batches; the mass above index 0
-	// is the amortization actually realized.
+	// BatchSizeCounts[k] counts dispatched batches of k+1 frames, so the
+	// counts sum to Batches; the mass above index 0 is the amortization
+	// actually realized.
 	BatchSizeCounts []int64              `json:"batch_size_counts"`
 	Lanes           map[string]LaneStats `json:"lanes"`
 	Wire            WireStats            `json:"wire"`
@@ -1024,9 +882,6 @@ func (s *Scheduler) Stats() SchedulerStats {
 		Batches:         s.batches.Load(),
 		Fused:           s.fused.Load(),
 		Expired:         s.expired.Load(),
-		Degraded:        s.degraded.Load(),
-		Inflated:        s.inflated.Load(),
-		PressureLevel:   s.PressureLevel(),
 		RetryAfterSec:   s.RetryAfterSeconds(),
 		BatchSizeCounts: make([]int64, len(s.batchSizes)),
 		Lanes:           map[string]LaneStats{},

@@ -197,7 +197,21 @@ func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 		go submit("A", reqA, frameA)
 		go submit("B", reqB, frameB)
 	}
-	for sched.Stats().Queued != 2*perGeom {
+	// Both backlogs queued, both sessions built and both dispatch loops
+	// spawned: a build still running when the turnstile opens would let
+	// the other geometry drain alone.
+	settled := func() bool {
+		sched.mu.Lock()
+		defer sched.mu.Unlock()
+		n := 0
+		for _, g := range sched.geoms {
+			if g.queued == perGeom && !g.building && g.running {
+				n++
+			}
+		}
+		return n == 2
+	}
+	for !settled() {
 		time.Sleep(time.Millisecond)
 	}
 	<-sched.slots // open the turnstile
@@ -370,8 +384,7 @@ func TestSchedulerTTLSweepAndRebuild(t *testing.T) {
 	clock := time.Unix(1000, 0)
 	var mu sync.Mutex
 	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
-	sched := NewScheduler(SchedulerConfig{IdleTTL: time.Minute, Now: now,
-		Jitter: func(time.Duration) time.Duration { return 0 }})
+	sched := NewScheduler(SchedulerConfig{IdleTTL: time.Minute, Now: now})
 	defer sched.Close()
 	req := tinyRequest()
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
@@ -491,33 +504,35 @@ func TestSchedulerStoreKeepsInterleavedPrefix(t *testing.T) {
 	}
 }
 
-// TestJanitorJitterInjectable: the scheduler's janitor draws its start
-// delay through the injectable jitter hook (desynchronized periodic
-// sweeps, modelled on random start delays).
-func TestJanitorJitterInjectable(t *testing.T) {
-	calls := make(chan time.Duration, 1)
-	jitter := func(interval time.Duration) time.Duration {
-		select {
-		case calls <- interval:
-		default:
+// TestJanitorEvictsIdleGeometry: the janitor's own ticker sweeps — with
+// no direct Sweep call, a geometry idle past IdleTTL on the scheduler's
+// clock is evicted, and one still inside it is not.
+func TestJanitorEvictsIdleGeometry(t *testing.T) {
+	var mu sync.Mutex
+	clock := time.Unix(1000, 0)
+	now := func() time.Time { mu.Lock(); defer mu.Unlock(); return clock }
+	sched := NewScheduler(SchedulerConfig{IdleTTL: 20 * time.Millisecond, Now: now})
+	defer sched.Close()
+	req := tinyRequest()
+	if _, err := sched.Submit(context.Background(), req, [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond) // several ticks; the clock stands still
+	if st := sched.Stats(); st.GeometriesLive != 1 || st.Evictions != 0 {
+		t.Fatalf("janitor evicted a geometry idle for 0s of a 20ms TTL: %+v", st)
+	}
+	mu.Lock()
+	clock = clock.Add(time.Minute)
+	mu.Unlock()
+	deadline := time.Now().Add(5 * time.Second)
+	for sched.Stats().GeometriesLive != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("janitor never evicted the idle geometry")
 		}
-		return 0
+		time.Sleep(2 * time.Millisecond)
 	}
-	s := NewScheduler(SchedulerConfig{IdleTTL: time.Hour, Jitter: jitter})
-	select {
-	case got := <-calls:
-		if got != 30*time.Minute {
-			t.Errorf("scheduler jitter interval = %v, want 30m", got)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("scheduler janitor never drew its jitter")
-	}
-	s.Close()
-	if d := startJitter(time.Minute); d < 0 || d >= time.Minute {
-		t.Errorf("default jitter %v outside [0, 1m)", d)
-	}
-	if startJitter(0) != 0 {
-		t.Error("zero interval must draw zero jitter")
+	if st := sched.Stats(); st.Evictions != 1 {
+		t.Errorf("evictions = %d, want 1", st.Evictions)
 	}
 }
 

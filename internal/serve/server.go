@@ -494,18 +494,12 @@ func txCount(req SessionRequest) int {
 // drain and queue timeout are 503 (retryable backpressure) with a
 // Retry-After derived from live queue depth and dispatch rate — not a
 // constant — so clients back off proportionally to how far behind the
-// node actually is. Degraded frames are 503 with an explicit
-// X-Ultrabeam-Degraded marker (the frame was shed deliberately, not
-// failed); an expired client deadline is 504; parse errors 400.
+// node actually is. An expired client deadline is 504; parse errors 400.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	var he *httpError
 	switch {
 	case errors.As(err, &he):
 		http.Error(w, he.msg, he.status)
-	case errors.Is(err, ErrDegraded):
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.Scheduler.RetryAfterSeconds()))
-		w.Header().Set("X-Ultrabeam-Degraded", "shed")
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrDraining):
 		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.Scheduler.RetryAfterSeconds()))
 		w.Header().Set("X-Ultrabeam-Draining", "1")

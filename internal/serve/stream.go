@@ -88,9 +88,9 @@ var (
 //	server → one volume ("UBV1") per compound, in order: the beamformed
 //	         volume or scanline in the negotiated resp= encoding, or a
 //	         non-zero status with an error message for that compound
-//	         (StatusOverloaded: resend after backoff; StatusDegraded: shed
-//	         by the overload ladder; StatusGoAway: the server is draining,
-//	         reconnect elsewhere and resend).
+//	         (StatusOverloaded: this frame's lane is full, resend after
+//	         backoff; StatusGoAway: the server is draining, reconnect
+//	         elsewhere and resend).
 func (s *Server) ServeStream(ctx context.Context, ln net.Listener) error {
 	var wg sync.WaitGroup
 	defer wg.Wait()
@@ -117,8 +117,6 @@ func streamStatus(err error) uint8 {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return wire.StatusOverloaded
-	case errors.Is(err, ErrDegraded):
-		return wire.StatusDegraded
 	case errors.Is(err, ErrDraining):
 		return wire.StatusGoAway
 	default:
@@ -287,7 +285,7 @@ readLoop:
 		// client interleave priorities on one connection (0 keeps the
 		// connection's lane, 1 forces interactive, 2 forces bulk).
 		creq := req
-		if h.Lane >= 1 && int(h.Lane) <= numLanes {
+		if h.Lane > 0 { // wire.Header.Validate caps it at 2
 			creq.Lane = Lane(h.Lane - 1)
 		}
 		pend, berr := s.cfg.Scheduler.Begin(creq)

@@ -38,10 +38,9 @@ const (
 	// StatusOverloaded: the frame was refused by backpressure; resend it
 	// after backing off. The connection stays usable.
 	StatusOverloaded uint8 = 2
-	// StatusDegraded: the frame was accepted and decoded, then
-	// deliberately shed by the server's overload ladder. Resending
-	// immediately will likely be shed again.
-	StatusDegraded uint8 = 3
+	// Value 3 is unassigned: it once marked a frame shed under overload,
+	// and it is not reused, so an older peer never misreads a new status.
+	//
 	// StatusGoAway: the server is draining; no more frames will be
 	// accepted on this connection. Sent in-band at a compound boundary so
 	// the client can reconnect elsewhere without losing a frame.
@@ -70,13 +69,6 @@ func WriteGoAway(w io.Writer, msg string) error {
 func IsGoAway(err error) bool {
 	var re *RemoteError
 	return errors.As(err, &re) && re.Status == StatusGoAway
-}
-
-// IsDegraded reports whether err marks a frame shed by the server's
-// overload degradation ladder.
-func IsDegraded(err error) bool {
-	var re *RemoteError
-	return errors.As(err, &re) && re.Status == StatusDegraded
 }
 
 // WriteHello sends the stream handshake: the same query-string parameters

@@ -8,7 +8,8 @@
 //	  0  magic    "UBF1"
 //	  4  version  uint8  (1)
 //	  5  encoding uint8  (0 = f64, 1 = f32, 2 = i16)
-//	  6  lane     uint8  (scheduling hint: 0 interactive, 1 bulk)
+//	  6  lane     uint8  (scheduling hint: 0 keep the stream's lane,
+//	                      1 interactive, 2 bulk; higher is malformed)
 //	  7  flags    uint8  (reserved, must be 0)
 //	  8  elements uint32 (receive elements, ej·NX+ei row order)
 //	 12  window   uint32 (echo samples per element)
@@ -47,6 +48,7 @@ import (
 	"unsafe"
 
 	"ultrabeam/internal/faultpoint"
+	"ultrabeam/internal/fixed"
 )
 
 // Encoding selects the sample representation of a frame payload.
@@ -137,7 +139,7 @@ const (
 // Header describes one wire frame.
 type Header struct {
 	Encoding Encoding
-	Lane     uint8   // scheduling hint (serve.Lane numbering)
+	Lane     uint8   // scheduling hint: 0 keeps the stream's lane, 1 interactive, 2 bulk
 	Elements int     // receive elements
 	Window   int     // echo samples per element
 	TxIndex  int     // transmit index within the compound set
@@ -158,6 +160,9 @@ func (h Header) Samples() int { return h.Elements * h.Window }
 func (h Header) Validate() error {
 	if h.Encoding.SampleBytes() == 0 {
 		return fmt.Errorf("wire: unknown encoding %d", h.Encoding)
+	}
+	if h.Lane > 2 {
+		return fmt.Errorf("wire: lane %d outside [0, 2]", h.Lane)
 	}
 	if h.Elements <= 0 || h.Elements > MaxElements {
 		return fmt.Errorf("wire: %d elements outside (0, %d]", h.Elements, MaxElements)
@@ -197,8 +202,8 @@ func (h Header) marshal(dst []byte) {
 }
 
 // ReadHeader reads and validates one frame header. A malformed magic,
-// version, flag byte, geometry, scale or payload size is rejected here —
-// before a single payload byte is read.
+// version, lane or flag byte, geometry, scale or payload size is rejected
+// here — before a single payload byte is read.
 func ReadHeader(r io.Reader) (Header, error) {
 	var raw [HeaderBytes]byte
 	if _, err := io.ReadFull(r, raw[:]); err != nil {
@@ -474,46 +479,18 @@ func NewFrame(enc Encoding, elements, window, txIndex, txCount int, samples []fl
 	return f, nil
 }
 
-// QuantizeI16 builds an i16 frame payload from float64 samples: scale is
-// max|v|/32767 so the loudest sample spans the full int16 range, values
-// round to the nearest step and saturate at ±32767, +Inf/−Inf saturate,
-// NaN quantizes to 0. An all-zero (or all-non-finite) frame gets scale 1.
+// QuantizeI16 builds an i16 frame payload from float64 samples by the
+// int16 echo-sample rule of package fixed, the one rf.QuantizePlaneI16
+// runs too: scale is max|v|/32767 so the loudest sample spans the full
+// int16 range, values round half to even and saturate at ±32767,
+// +Inf/−Inf saturate, NaN quantizes to 0. An all-zero (or
+// all-non-finite) frame gets scale 1.
 func QuantizeI16(samples []float64) (q []int16, scale float32) {
-	peak := 0.0
-	for _, v := range samples {
-		if a := math.Abs(v); a > peak && !math.IsInf(v, 0) {
-			peak = a
-		}
-	}
-	s := peak / 32767
-	if s == 0 || math.IsNaN(s) {
-		s = 1
-	}
-	scale = float32(s)
-	inv := 1 / float64(scale) // one divide; the loop multiplies
+	scale = fixed.ScaleI16(fixed.PeakI16(0, samples))
 	q = make([]int16, len(samples))
-	for i, v := range samples {
-		x := v * inv
-		switch {
-		case math.IsNaN(x):
-			q[i] = 0
-		case x >= 32767:
-			q[i] = 32767
-		case x <= -32767:
-			q[i] = -32767
-		default:
-			// Half-to-even via the 3·2^51 magic constant — bit-identical to
-			// math.RoundToEven for |x| < 32767 and much cheaper; see
-			// rf.QuantizePlaneI16, whose rounding this must match exactly
-			// (plane batches are bit-identical to wire-quantized batches
-			// only because the two quantizers agree on every sample).
-			q[i] = int16((x + roundI16Magic) - roundI16Magic)
-		}
-	}
+	fixed.QuantizeRowI16(q, samples, scale)
 	return q, scale
 }
-
-const roundI16Magic = float64(3 << 51)
 
 // WriteFrame emits one frame — header then chunked payload — with
 // chunkBytes-sized chunks (≤0 selects DefaultChunk). This is the client

@@ -229,6 +229,7 @@ func TestReadHeaderRejectsMalformed(t *testing.T) {
 		{"magic", func(b []byte) { b[0] = 'X' }, "magic"},
 		{"version", func(b []byte) { b[4] = 9 }, "version"},
 		{"encoding", func(b []byte) { b[5] = 7 }, "encoding"},
+		{"lane", func(b []byte) { b[6] = 3 }, "lane"},
 		{"flags", func(b []byte) { b[7] = 1 }, "flag"},
 		{"zero_elements", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 0) }, "elements"},
 		{"huge_elements", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], MaxElements+1) }, "elements"},

@@ -119,7 +119,7 @@ func (e *HTTPError) Error() string {
 }
 
 // RemoteError is a per-compound in-band answer from the stream transport
-// (the wire StatusError/StatusOverloaded/StatusDegraded family). It is
+// (the wire StatusError/StatusOverloaded family). It is
 // definitive for its compound — the frame counted as answered and is
 // never resent — and the stream stays usable.
 type RemoteError struct {
@@ -134,10 +134,6 @@ func (e *RemoteError) Error() string {
 // Overloaded reports whether err is backpressure pushback — the server
 // refused the frame before decoding it; resend after backing off.
 func (e *RemoteError) Overloaded() bool { return e.Status == wire.StatusOverloaded }
-
-// Degraded reports whether err marks a frame shed by the server's
-// overload degradation ladder.
-func (e *RemoteError) Degraded() bool { return e.Status == wire.StatusDegraded }
 
 // Result is one decoded HTTP beamform response.
 type Result struct {

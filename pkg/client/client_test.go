@@ -246,7 +246,7 @@ func TestStreamInBandErrorDefinitive(t *testing.T) {
 		if _, err := wire.ReadFrame(conn, 0); err != nil {
 			return
 		}
-		wire.WriteVolumeError(conn, wire.StatusDegraded, "shed by ladder")
+		wire.WriteVolumeError(conn, wire.StatusOverloaded, "lane full")
 		f, err := wire.ReadFrame(conn, 0)
 		if err != nil {
 			return
@@ -267,8 +267,8 @@ func TestStreamInBandErrorDefinitive(t *testing.T) {
 	defer cancel()
 	_, err = s.Recv(ctx)
 	var re *RemoteError
-	if !errors.As(err, &re) || !re.Degraded() {
-		t.Fatalf("got %v, want degraded *RemoteError", err)
+	if !errors.As(err, &re) || !re.Overloaded() {
+		t.Fatalf("got %v, want overloaded *RemoteError", err)
 	}
 	v, err := s.Recv(ctx)
 	if err != nil {
