@@ -150,15 +150,18 @@ type Engine struct {
 	// headroom bound, i16Rescale folds wqScale and the shift back out of a
 	// finished voxel, and i16OK reports whether the bound was satisfiable
 	// for this aperture (the session demotes to the exact float64 kernel
-	// when it was not). i16Tiles is the AVX-512 body's walk of a nappe's
-	// θ×φ plane, sixteen voxel indices per tile (snakeTiles): it depends on
-	// the grid alone, so it is cut once here.
+	// when it was not).
+	//
+	// tiles is the walk of a nappe's θ×φ plane that both AVX-512 tile
+	// bodies take — the i16 one (kernel_i16_amd64.s) and the float64 one
+	// (kernel_f64_amd64.s) — sixteen voxel indices per tile (snakeTiles): it
+	// depends on the grid alone, so it is cut once here.
 	activeWQ   []int16
 	wqScale    float64
 	preShift   uint
 	i16Rescale float64
 	i16OK      bool
-	i16Tiles   []int32
+	tiles      []int32
 }
 
 // New builds an engine, precomputing the separable apodization.
@@ -171,7 +174,7 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e.initI16()
-	e.i16Tiles = snakeTiles(cfg.Vol.Theta.N, cfg.Vol.Phi.N)
+	e.tiles = snakeTiles(cfg.Vol.Theta.N, cfg.Vol.Phi.N)
 	return e
 }
 

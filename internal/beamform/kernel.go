@@ -21,8 +21,8 @@ import (
 //
 // This body is the golden reference of the float64 kernel: the purego and
 // non-amd64 builds' accumulateNappe16 is exactly this (kernel_f64_generic.go),
-// and the native body (kernel_f64_amd64.go) is property-tested bitwise equal
-// to it.
+// and both native bodies (kernel_f64_amd64.go: the AVX-512 tile body and the
+// SSE2 body) are property-tested bitwise equal to it.
 func (e *Engine) accumulateNappe16Ref(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
 	nE := len(e.apod)
 	k := 0

@@ -3,17 +3,23 @@
 package beamform
 
 import (
+	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 )
 
-// f64KernelBody names the body accumulateNappe16 runs on this build. SSE2
-// and CMOV are amd64 baseline, so unlike the i16 kernel there is no probe:
-// GOARCH and the purego tag decide alone.
-func f64KernelBody() string { return "sse2" }
+// f64KernelBody names the body accumulateNappe16 runs on this host:
+// cpufeat.AVX512, probed once at init, picks the tile body; SSE2 and CMOV
+// are amd64 baseline, so every other amd64 host runs the eight-chain body.
+func f64KernelBody() string {
+	if cpufeat.AVX512 {
+		return "avx512"
+	}
+	return "sse2"
+}
 
-// f64Row is one active element's operands for the native body, in
+// f64Row is one active element's operands for the native bodies, in
 // activeIdx order: its echo row (p nil and n 0 for an empty window), the
 // byte offset of its delay within a voxel's row of the block, its weight.
 // The assembly reads the fields by offset (0, 8, 16, 24; 32 B a row).
@@ -24,11 +30,11 @@ type f64Row struct {
 	w   float64
 }
 
-// f64StackRows is the aperture up to which the operand table lives on the
-// caller's stack (8 kB); the served specs have 144 and 256 elements.
+// f64StackRows is the aperture up to which the operand tables live on the
+// caller's stack (8.5 kB); the served specs have 144 and 256 elements.
 const f64StackRows = 256
 
-// sumRows8F64 is the native body (kernel_f64_amd64.s): for each group of
+// sumRows8F64 is the SSE2 body (kernel_f64_amd64.s): for each group of
 // eight voxels of dst, whose delay rows sit nE int16s apart in blk, it runs
 // eight independent acc += w·sample chains over tab in order — a separate
 // MULSD and ADDSD per sample, never fused — where sample is the element's
@@ -43,14 +49,37 @@ const f64StackRows = 256
 //go:noescape
 func sumRows8F64(dst []float64, blk []int16, tab []f64Row, nE int, add bool)
 
+// tileMaddF64AVX512 is the tile body (kernel_f64_amd64.s): it walks the
+// 16-voxel tiles of tiles in order, each as two 8-voxel halves, and sums
+// w·sample over the apodized elements — grp's bits, each taking the next
+// row of tab — in element order into one chain per voxel, a separate
+// VMULPD and VADDPD per step, then stores the sums to dst (add false) or
+// adds them. Per element and half it takes the samples from one masked
+// window load and a VPERMPD — two and a VPERMT2PD for a span above 7 — when
+// the half's delays span at most 15 and the largest is below lens[d]
+// (unsigned); otherwise from a VGATHERQPD masked to the delays below
+// lens[d], the rest +0. It returns the number of element-halves that
+// gathered. It checks nothing: the caller must hold f64TileSafe.
+//
+//go:noescape
+func tileMaddF64AVX512(dst []float64, blk []int16, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, nE int, lastLen uint16, add bool) (gathered int)
+
 // accumulateNappe16 is the native float64 kernel. The reference walks one
-// voxel at a time and every add waits for the one before it; this body
-// keeps eight voxels' sums in flight at once. Each voxel's own sum is still
-// the reference's sequence — active elements in activeIdx order, product
-// rounded, then added — so the result is bitwise the reference's: the
-// interleaving reorders work between voxels, never within one. The last
-// voxels mod 8 of the nappe run that same sequence in Go.
+// voxel at a time and every add waits for the one before it; the native
+// bodies keep many voxels' sums in flight at once — the tile body sixteen,
+// the SSE2 body eight. Each voxel's own sum is still the reference's
+// sequence — active elements in activeIdx order, product rounded, then
+// added — so the result is bitwise the reference's: the interleaving
+// reorders work between voxels, never within one.
 func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
+	e.nappeF64(blk, bufs, id, out, add, cpufeat.AVX512)
+}
+
+// nappeF64 runs nappe id through the tile body (tiles set; the host must
+// have AVX-512) or the SSE2 body and returns the element-halves the tile
+// body gathered. The SSE2 body covers the first ⌊voxels/8⌋·8 voxels and
+// the last voxels mod 8 run the reference's sequence in Go.
+func (e *Engine) nappeF64(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add, tiles bool) int {
 	nE := len(e.apod)
 	nVox := e.Cfg.Vol.Theta.N * e.Cfg.Vol.Phi.N
 	base := out.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous: θ, then φ fastest
@@ -70,6 +99,9 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 		}
 		tab = append(tab, r)
 	}
+	if tiles && nE > 0 {
+		return e.tileRowF64(dst, blk, tab, add)
+	}
 	n8 := nVox &^ 7
 	sumRows8F64(dst[:n8], blk, tab, nE, add)
 	for v := n8; v < nVox; v++ {
@@ -84,4 +116,57 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 			dst[v] = acc
 		}
 	}
+	return 0
+}
+
+// tileRowF64 builds the tile body's group tables for tab — per 16-element
+// group its apodization bits, per element its row length as the unsigned
+// accept bound — checks the body's contract and runs it over the nappe.
+func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add bool) int {
+	nE := len(e.apod)
+	nG := (nE + 15) / 16
+	var grpStack [f64StackRows / 16]uint16
+	var lensStack [f64StackRows]uint16
+	grp, lens := grpStack[:], lensStack[:]
+	if nG > len(grpStack) {
+		grp, lens = make([]uint16, nG), make([]uint16, 16*nG)
+	}
+	grp, lens = grp[:nG], lens[:16*nG]
+	for j, d := range e.activeIdx {
+		grp[d/16] |= 1 << (d % 16)
+		// An int16 delay is at most 32767, so a longer row accepts every
+		// non-negative one; 32768 as a word keeps every negative one out.
+		lens[d] = uint16(min(tab[j].n, 1<<15))
+	}
+	if !f64TileSafe(dst, blk, e.tiles, tab, grp, lens, nE) {
+		panic("beamform: f64 kernel operands violate the tile body's bounds contract")
+	}
+	return tileMaddF64AVX512(dst, blk, e.tiles, tab, grp, lens, nE, lastLen(nE), add)
+}
+
+// f64TileSafe is the tile body's bounds contract — the assembly is
+// unchecked, so this is its whole safety argument. The tile list covers the
+// nappe and ends on its last voxel, its largest index (snakeTiles), so every
+// store and every delay row is inside dst and blk. The group tables span
+// whole groups with no bit past the aperture, the short last group's row
+// loads stop at element nE−1, and each apodized element consumes the next
+// row of tab in order, which must be exactly used up. Its window loads and
+// gathers stay below lens[d], which must not exceed its row's length.
+func f64TileSafe(dst []float64, blk delay.Block16, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
+	nG := (nE + 15) / 16
+	if nE <= 0 || len(dst) == 0 || len(tiles) != (len(dst)+15)&^15 || int(tiles[len(tiles)-1]) != len(dst)-1 ||
+		len(blk) < len(dst)*nE || len(grp) != nG || len(lens) != 16*nG || grp[nG-1]&^lastLen(nE) != 0 {
+		return false
+	}
+	j := 0
+	for d := range lens {
+		if grp[d/16]&(1<<(d%16)) == 0 {
+			continue
+		}
+		if j == len(tab) || int(lens[d]) > tab[j].n || tab[j].n > 0 && tab[j].p == nil {
+			return false
+		}
+		j++
+	}
+	return j == len(tab)
 }

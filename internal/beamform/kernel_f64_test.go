@@ -23,11 +23,11 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
-// TestF64KernelBody logs which body accumulateNappe16 runs on this build;
-// CI greps the line beside the i16 kernel's.
+// TestF64KernelBody logs which body accumulateNappe16 runs on this build
+// and host; CI greps the line beside the i16 kernel's.
 func TestF64KernelBody(t *testing.T) {
 	body := f64KernelBody()
-	if body != "sse2" && body != "ref" {
+	if body != "avx512" && body != "sse2" && body != "ref" {
 		t.Fatalf("unknown f64 kernel body %q", body)
 	}
 	t.Logf("f64 accumulate body: %s", body)
@@ -115,26 +115,39 @@ func (h *f64KernelHarness) fillDelays() {
 	}
 }
 
-// run drives both bodies over both depth slices, store mode on volumes
-// pre-filled with different garbage and then add mode on top, and compares
-// bit patterns.
+// run drives every native body this host offers (f64HostBodies: the
+// AVX-512 tile body, the SSE2 body) and the reference over both depth
+// slices, store mode on volumes pre-filled with different garbage and then
+// add mode on top, and compares bit patterns.
 func (h *f64KernelHarness) run(t *testing.T, name string) {
 	t.Helper()
 	vol := h.eng.Cfg.Vol
-	native := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
 	ref := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
 	for i := range ref.Data {
-		native.Data[i], ref.Data[i] = 1e300, -1e300 // store mode must overwrite
+		ref.Data[i] = -1e300 // store mode must overwrite
 	}
 	for _, add := range []bool{false, true} {
 		for id := 0; id < vol.Depth.N; id++ {
-			h.eng.accumulateNappe16(h.blk, h.bufs, id, native, add)
 			h.eng.accumulateNappe16Ref(h.blk, h.bufs, id, ref, add)
+		}
+	}
+	for _, body := range f64HostBodies(h.eng) {
+		if body.name == "ref" {
+			continue
+		}
+		native := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
+		for i := range native.Data {
+			native.Data[i] = 1e300
+		}
+		for _, add := range []bool{false, true} {
+			for id := 0; id < vol.Depth.N; id++ {
+				body.run(h.blk, h.bufs, id, native, add)
+			}
 		}
 		for i := range ref.Data {
 			if math.Float64bits(native.Data[i]) != math.Float64bits(ref.Data[i]) {
-				t.Fatalf("%s %dx%d elements, %d voxels, win %d (add=%t): native %v (%#x) != ref %v (%#x) at voxel %d",
-					name, h.eng.Cfg.Arr.NX, h.eng.Cfg.Arr.NY, vol.Theta.N*vol.Phi.N, h.win, add,
+				t.Fatalf("%s %s %dx%d elements, %d voxels, win %d: native %v (%#x) != ref %v (%#x) at voxel %d after store and add",
+					body.name, name, h.eng.Cfg.Arr.NX, h.eng.Cfg.Arr.NY, vol.Theta.N*vol.Phi.N, h.win,
 					native.Data[i], math.Float64bits(native.Data[i]), ref.Data[i], math.Float64bits(ref.Data[i]), i)
 			}
 		}
@@ -143,13 +156,18 @@ func (h *f64KernelHarness) run(t *testing.T, name string) {
 
 // f64Apertures: single elements, 1×N and N×1 lines, odd rectangles and the
 // two served apertures. Under Hann the border elements weigh zero and are
-// compacted out of activeIdx (a 1×N or N×1 Hann line keeps no element).
-var f64Apertures = []struct{ nx, ny int }{{1, 1}, {1, 7}, {7, 1}, {3, 3}, {5, 3}, {3, 4}, {12, 12}, {16, 16}}
+// compacted out of activeIdx (a 1×N or N×1 Hann line keeps no element). For
+// the tile body's 16-element groups: up to 15 elements are one short group,
+// 17 and 30 a whole group and a short one, 144 and 256 whole groups only.
+var f64Apertures = []struct{ nx, ny int }{{1, 1}, {1, 7}, {7, 1}, {3, 3}, {5, 3}, {3, 4}, {17, 1}, {6, 5}, {12, 12}, {16, 16}}
 
 // TestF64KernelNativeMatchesRef is the bit-identity property over every
 // aperture shape, Rect and Hann, voxel counts 1…17 (every remainder of the
-// eight-wide group, with and without whole groups before it), and uniform,
-// ragged and empty windows.
+// SSE2 body's eight-voxel group, one whole tile of the tile body or a
+// partial one, with and without a whole one before it), and uniform, ragged
+// and empty windows. Windows of 1 and 9 samples put random delays mostly in
+// the tile body's window, narrow and wide; 700 puts them mostly in its
+// gather.
 func TestF64KernelNativeMatchesRef(t *testing.T) {
 	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
 		for _, a := range f64Apertures {
@@ -213,11 +231,16 @@ func TestF64KernelSkipsZeroWeightElements(t *testing.T) {
 	}
 }
 
-// TestF64KernelThroughSession holds a whole Session to the reference: a
-// 3-transmit compound batch of two frames (store on transmit 0, add on 1
-// and 2; 27 voxels a nappe — three groups and a tail) must equal, bit for
-// bit, the same nappes pushed through accumulateNappe16Ref by hand.
-func TestF64KernelThroughSession(t *testing.T) {
+// TestF64KernelThroughSession holds a whole Session to the reference.
+func TestF64KernelThroughSession(t *testing.T) { f64SessionMatchesRef(t) }
+
+// f64SessionMatchesRef runs a 3-transmit compound batch of two frames (store
+// on transmit 0, add on 1 and 2; 27 voxels a nappe — two tiles, the second
+// partial, or three eight-voxel groups and a tail) through a Session on the
+// body the probe currently selects, and requires it to equal, bit for bit,
+// the same nappes pushed through accumulateNappe16Ref by hand.
+func f64SessionMatchesRef(t *testing.T) {
+	t.Helper()
 	cfg, _, target := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 20)
 	txs := delay.SteeredTransmits(3, 0.004, 0.004)

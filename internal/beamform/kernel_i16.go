@@ -157,7 +157,7 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 		ro:      make([]int32, nE, nG*16),
 		wq:      make([]uint32, nE),
 		grp:     make([]uint16, nG),
-		lastLen: 0xFFFF,
+		lastLen: lastLen(nE),
 		wpair:   make([]uint32, nG*8*16),
 	}
 	for d := range t.ro {
@@ -177,9 +177,6 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 				pair[w] = t.wq[d]
 			}
 		}
-	}
-	if r := nE % 16; r != 0 {
-		t.lastLen = 1<<r - 1
 	}
 	if nE > 0 {
 		t.nVec = (nE - 1) / 8 * 8
@@ -213,6 +210,15 @@ func snakeTiles(nTh, nPh int) []int32 {
 		tiles = append(tiles, tiles[len(tiles)-1])
 	}
 	return tiles
+}
+
+// lastLen masks the elements of an nE-element aperture's last 16-element
+// group that exist, the group both tile bodies load under a mask.
+func lastLen(nE int) uint16 {
+	if r := nE % 16; r != 0 {
+		return 1<<r - 1
+	}
+	return 0xFFFF
 }
 
 // initI16 precomputes the fixed-point apodization tables: Q15 weight

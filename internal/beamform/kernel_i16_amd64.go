@@ -99,7 +99,7 @@ func (e *Engine) gatherRowI16(blk delay.Block16, plane []int16, tab *i16Table, r
 // body, and sends every tile the body hands back through gatherRowI16 one
 // voxel at a time. It returns the number of tiles that fell back.
 func (e *Engine) tileRowI16(blk delay.Block16, plane []int16, tab *i16Table, row []int32) (fallbacks int) {
-	nE, tiles := len(e.apod), e.i16Tiles
+	nE, tiles := len(e.apod), e.tiles
 	if len(tiles) == 0 {
 		return 0
 	}

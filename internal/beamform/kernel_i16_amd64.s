@@ -1,6 +1,7 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "kernel_tile_amd64.h"
 
 // One 8-element group at element offset AX of the current voxel, summed
 // into accumulator acc: zero-extend eight delays, clamp to win (the guard
@@ -77,10 +78,12 @@ done:
 	VZEROUPPER
 	RET
 
-// The AVX-512 tile body. Frame: the current tile's sixteen delay-row
-// addresses at 0(SP), the next tile's at 128(SP), per element of the group
-// in flight its window start ro+min at 256(SP) and its 64-bit window load
-// mask at 320(SP).
+// The AVX-512 tile body. Its front end — row addresses, delay-row loads,
+// min/max, transpose, prefetch — is kernel_tile_amd64.h, shared with the
+// float64 tile body. Frame: the current tile's sixteen delay-row addresses
+// at 0(SP), the next tile's at 128(SP), per element of the group in flight
+// its window start ro+min at 256(SP) and its 64-bit window load mask at
+// 320(SP).
 //
 // Register plan. Per call: Z24 the delay-row stride and Z25 blk, Z26 2 and
 // Z27 −1 (qwords; −1 serves every width), Z28 the product shift (dwords),
@@ -92,31 +95,12 @@ done:
 // apodization mask (AX too), K3 its wide elements; Z16–Z21, K1 K2 K4
 // scratch.
 
-// Two delay rows of the group at byte offset R13: voxels whose row
-// addresses sit at ra(SP) and rb(SP), into the low and high halves of z.
-#define TILE_ROWS(ra, rb, z, y) \
-	MOVQ         ra(SP), R14; \
-	VMOVDQU      (R14)(R13*1), y; \
-	MOVQ         rb(SP), R14; \
-	VINSERTI64X4 $1, (R14)(R13*1), z, z
-
-// TILE_ROWS for a last group shorter than 16 elements: the loads fault-
-// suppress the lanes past the aperture and read them as 0.
-#define TILE_ROWS_SHORT(ra, rb, z, y) \
-	MOVQ         ra(SP), R14; \
-	VMOVDQU16.Z  (R14)(R13*1), K7, y; \
-	MOVQ         rb(SP), R14; \
-	VMOVDQU16.Z  (R14)(R13*1), K7, Y16; \
-	VINSERTI64X4 $1, Y16, z, z
-
 // Two of the next tile's delay rows into cache for the group at R13, then
 // past the element pair unless either of its elements (bits of AX) is
 // apodized.
 #define TILE_NEXT(pa, pb, bits, skip) \
-	MOVQ       pa(SP), R14; \
-	PREFETCHT0 (R14)(R13*1); \
-	MOVQ       pb(SP), R14; \
-	PREFETCHT0 (R14)(R13*1); \
+	TILE_PREFETCH(pa); \
+	TILE_PREFETCH(pb); \
 	TESTL      $bits, AX; \
 	JZ         skip
 
@@ -210,27 +194,7 @@ TEXT ·tileMaddI16AVX512(SB), 0, $448-200
 	JZ    done
 
 tile:
-	// Row addresses of this tile and of the next, whose rows the group
-	// loop prefetches; the last tile prefetches its own.
-	LEAQ      64(R8), AX
-	CMPQ      R10, $1
-	CMOVQEQ   R8, AX
-	VPMOVZXDQ (R8), Z16
-	VPMOVZXDQ 32(R8), Z17
-	VPMOVZXDQ (AX), Z18
-	VPMOVZXDQ 32(AX), Z19
-	VPMULUDQ  Z24, Z16, Z16
-	VPMULUDQ  Z24, Z17, Z17
-	VPMULUDQ  Z24, Z18, Z18
-	VPMULUDQ  Z24, Z19, Z19
-	VPADDQ    Z25, Z16, Z16
-	VPADDQ    Z25, Z17, Z17
-	VPADDQ    Z25, Z18, Z18
-	VPADDQ    Z25, Z19, Z19
-	VMOVDQU64 Z16, 0(SP)
-	VMOVDQU64 Z17, 64(SP)
-	VMOVDQU64 Z18, 128(SP)
-	VMOVDQU64 Z19, 192(SP)
+	TILE_ADDRS
 	VPXORD    Z22, Z22, Z22
 	VPXORD    Z23, Z23, Z23
 	MOVQ      ro_base+96(FP), DX
@@ -244,50 +208,12 @@ group:
 	TESTL   AX, AX
 	JZ      nextgroup
 	KMOVW   AX, K6
-	CMPQ    R12, $1
-	JNE     full
-	KORTESTW K7, K7
-	JCC     short                // the last group, and it is short
+	TILE_LOAD_ROWS(full, short, loaded)
 
-full:
-	TILE_ROWS(0, 64, Z0, Y0)
-	TILE_ROWS(8, 72, Z1, Y1)
-	TILE_ROWS(16, 80, Z2, Y2)
-	TILE_ROWS(24, 88, Z3, Y3)
-	TILE_ROWS(32, 96, Z4, Y4)
-	TILE_ROWS(40, 104, Z5, Y5)
-	TILE_ROWS(48, 112, Z6, Y6)
-	TILE_ROWS(56, 120, Z7, Y7)
-	JMP loaded
-
-short:
-	TILE_ROWS_SHORT(0, 64, Z0, Y0)
-	TILE_ROWS_SHORT(8, 72, Z1, Y1)
-	TILE_ROWS_SHORT(16, 80, Z2, Y2)
-	TILE_ROWS_SHORT(24, 88, Z3, Y3)
-	TILE_ROWS_SHORT(32, 96, Z4, Y4)
-	TILE_ROWS_SHORT(40, 104, Z5, Y5)
-	TILE_ROWS_SHORT(48, 112, Z6, Y6)
-	TILE_ROWS_SHORT(56, 120, Z7, Y7)
-
-loaded:
 	// Each element's min (Y16) and max (Y17) over the tile's sixteen voxels.
-	VPMINUW       Z1, Z0, Z16
-	VPMINUW       Z3, Z2, Z17
-	VPMINUW       Z5, Z4, Z18
-	VPMINUW       Z7, Z6, Z19
-	VPMINUW       Z17, Z16, Z16
-	VPMINUW       Z19, Z18, Z18
-	VPMINUW       Z18, Z16, Z16
-	VEXTRACTI64X4 $1, Z16, Y17
-	VPMINUW       Y17, Y16, Y16
-	VPMAXUW       Z1, Z0, Z17
-	VPMAXUW       Z3, Z2, Z18
-	VPMAXUW       Z5, Z4, Z19
-	VPMAXUW       Z7, Z6, Z20
-	VPMAXUW       Z18, Z17, Z17
-	VPMAXUW       Z20, Z19, Z19
-	VPMAXUW       Z19, Z17, Z17
+	TILE_MINMAX
+	VEXTRACTI64X4 $1, Z16, Y18
+	VPMINUW       Y18, Y16, Y16
 	VEXTRACTI64X4 $1, Z17, Y18
 	VPMAXUW       Y18, Y17, Y17
 
@@ -340,33 +266,8 @@ wideoffsets:
 	VPSUBW       Z16, Z6, Z6
 	VPSUBW       Z16, Z7, Z7
 
-	// Transpose [voxel][element] to [element][voxel] within 128-bit lanes:
-	// Z(8+k) holds element k's offsets for voxels 0–7 in lane 0 and 8–15 in
-	// lane 2, element k+8's in lanes 1 and 3.
-	VPUNPCKLWD  Z1, Z0, Z8
-	VPUNPCKHWD  Z1, Z0, Z9
-	VPUNPCKLWD  Z3, Z2, Z10
-	VPUNPCKHWD  Z3, Z2, Z11
-	VPUNPCKLWD  Z5, Z4, Z12
-	VPUNPCKHWD  Z5, Z4, Z13
-	VPUNPCKLWD  Z7, Z6, Z14
-	VPUNPCKHWD  Z7, Z6, Z15
-	VPUNPCKLDQ  Z10, Z8, Z0
-	VPUNPCKHDQ  Z10, Z8, Z1
-	VPUNPCKLDQ  Z11, Z9, Z2
-	VPUNPCKHDQ  Z11, Z9, Z3
-	VPUNPCKLDQ  Z14, Z12, Z4
-	VPUNPCKHDQ  Z14, Z12, Z5
-	VPUNPCKLDQ  Z15, Z13, Z6
-	VPUNPCKHDQ  Z15, Z13, Z7
-	VPUNPCKLQDQ Z4, Z0, Z8
-	VPUNPCKHQDQ Z4, Z0, Z9
-	VPUNPCKLQDQ Z5, Z1, Z10
-	VPUNPCKHQDQ Z5, Z1, Z11
-	VPUNPCKLQDQ Z6, Z2, Z12
-	VPUNPCKHQDQ Z6, Z2, Z13
-	VPUNPCKLQDQ Z7, Z3, Z14
-	VPUNPCKHQDQ Z7, Z3, Z15
+	// Transpose: Z(8+k) holds element k's offsets and element k+8's.
+	TILE_TRANSPOSE
 
 	KORTESTW K3, K3
 	JNZ      wide

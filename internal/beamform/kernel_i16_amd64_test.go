@@ -10,8 +10,6 @@ import (
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
-	"ultrabeam/internal/tablefree"
-	"ultrabeam/internal/tablesteer"
 	"ultrabeam/internal/xdcr"
 )
 
@@ -179,7 +177,7 @@ func TestI16TileAcceptRule(t *testing.T) {
 			Conv:   conv,
 			Window: ap.window,
 		}, win)
-		nE, tiles := len(h.eng.apod), h.eng.i16Tiles
+		nE, tiles := len(h.eng.apod), h.eng.tiles
 		apod, unapod := -1, -1
 		for d := nE - 1; d >= 0; d-- {
 			if h.eng.apod[d] != 0 {
@@ -219,65 +217,6 @@ func TestI16TileAcceptRule(t *testing.T) {
 					t.Fatalf("nE=%d %s on tile %d: %d tiles handed back, want %d", nE, tc.name, first/16, got, tc.want)
 				}
 				h.run(t, tc.name, 1.0/32767)
-			}
-		}
-	}
-}
-
-// TestI16TileServedBlocks runs the AVX-512 body over generator-filled delay
-// blocks of both served grids — TABLEFREE and the 18-bit fixed TABLESTEER,
-// each for the on-axis transmit and the axial transmits=4 set the server
-// builds — and requires that no tile is handed back, and that sampled
-// nappes come out == the reference.
-func TestI16TileServedBlocks(t *testing.T) {
-	if !cpufeat.AVX512 {
-		t.Skip("host has no AVX-512: no tile body to hand tiles back")
-	}
-	for _, g := range kernelBenchGrids {
-		cfg := g.config()
-		eng := New(cfg)
-		h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x71e5}
-		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
-		h.fillPlane(false)
-		tab := eng.i16GatherTable(kernelBenchWin)
-		row := make([]int32, g.nth*g.nphi)
-		layout := delay.Layout{NTheta: g.nth, NPhi: g.nphi, NX: g.nx, NY: g.ny}
-		steer := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})
-		steer.UseFixed = true
-		lambda := cfg.Conv.C / 4e6
-		axial := delay.AxialTransmits(4, -10*lambda, -30*lambda)
-		for _, arch := range []struct {
-			name string
-			p    delay.Provider
-		}{
-			{"tablefree", tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})},
-			{"tablesteer", steer},
-		} {
-			txs, err := delay.ForTransmits(arch.p, axial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tx, p := range append([]delay.Provider{arch.p}, txs...) {
-				gen := delay.AsBlock(p, layout)
-				blk := make(delay.Block16, layout.BlockLen())
-				native := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
-				ref := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
-				for id := 0; id < g.ndep; id++ {
-					gen.FillNappe16(id, blk)
-					if n := eng.tileRowI16(blk, h.plane, tab, row); n != 0 {
-						t.Fatalf("%s %s transmit %d nappe %d: %d tiles handed back", g.name, arch.name, tx, id, n)
-					}
-					if id%9 != 0 {
-						continue
-					}
-					eng.accumulateNappe16I16(blk, h.plane, tab, id, native, 1, false, row)
-					eng.accumulateNappe16I16Ref(blk, h.plane, tab, id, ref, 1, false)
-				}
-				for i := range ref.Data {
-					if native.Data[i] != ref.Data[i] {
-						t.Fatalf("%s %s transmit %d voxel %d: native %v != ref %v", g.name, arch.name, tx, i, native.Data[i], ref.Data[i])
-					}
-				}
 			}
 		}
 	}

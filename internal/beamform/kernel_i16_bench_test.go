@@ -80,28 +80,6 @@ func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
 	return eng, blocks, &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 }
 
-// kernelBenchBody is one kernel body under the benchmark: run accumulates
-// nappe id; perVoxel is the samples it fetches per voxel and bytes the
-// computed (not measured) bytes it moves per fetched sample.
-type kernelBenchBody struct {
-	name     string
-	perVoxel int
-	bytes    float64
-	run      func(id int)
-}
-
-// bench times whole volumes — one op is every nappe once, one core — and
-// reports ms/volume (the figure that compares bodies), Msamples/s,
-// cycles/sample at the /proc/cpuinfo clock and the computed B/sample.
-func (body kernelBenchBody) bench(b *testing.B, nappes, voxels int) {
-	for i := 0; i < b.N; i++ {
-		for id := 0; id < nappes; id++ {
-			body.run(id)
-		}
-	}
-	reportKernel(b, float64(voxels)*float64(body.perVoxel), body.bytes, 1)
-}
-
 // reportKernel states a whole-volume benchmark's rates: ms/volume (wall),
 // Msamples/s, cycles/sample per core at the /proc/cpuinfo clock with procs
 // cores busy, and the computed B/sample.
@@ -302,14 +280,35 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 	}
 }
 
+// f64Body is one f64 accumulate body under test: run beamforms nappe id of
+// blk into out, stored or added, and returns the element-halves it gathered
+// (the avx512 body's; 0 for the others).
+type f64Body struct {
+	name string
+	run  func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int
+}
+
+// f64RefBody is the scalar reference as an f64Body.
+func f64RefBody(e *Engine) f64Body {
+	return f64Body{"ref", func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int {
+		e.accumulateNappe16Ref(blk, bufs, id, out, add)
+		return 0
+	}}
+}
+
 // BenchmarkAccumulateF64 is the float64 golden kernel's row of the same
 // table: whole volumes against float64 echo buffers of the served window
-// (17.4 MB on the reduced grid), through the scalar reference and through
-// the body this build selects. Both bodies fetch exactly the active elements
-// per voxel. B/sample: the delay (2), the echo (8) and the operands the body
-// re-reads — the reference's index, weight and slice header per sample
-// (4+8+24), the native body's 32 B row once per eight voxels — plus the
-// voxel's store spread over its samples.
+// (17.4 MB on the reduced grid), one row per body this host runs — avx512,
+// sse2, ref — on both grids. GOMAXPROCS goroutines stripe the nappes as
+// session workers do, so -cpu 1,2 reads each body at one and at two cores;
+// cycles/sample is per core. Every body fetches exactly the active elements
+// per voxel. B/sample: the delay (2), the echo — 8 per sample, or on avx512
+// at most a 16-sample window per element shared by a half-tile's 8 voxels
+// (16) — and the operands the body re-reads: the reference's index, weight
+// and slice header per sample (4+8+24), sse2's 32 B row once per eight
+// voxels, avx512's once per sixteen; plus the voxel's store spread over its
+// samples. gathered/volume counts the avx512 body's element-halves that
+// took the gather instead of the window: 0 on the served grids' delays.
 func BenchmarkAccumulateF64(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
@@ -323,19 +322,37 @@ func BenchmarkAccumulateF64(b *testing.B) {
 		}
 
 		nA := len(eng.activeIdx)
-		bodies := []kernelBenchBody{
-			{"ref", nA, 2 + 8 + (4 + 8 + 24) + 8/float64(nA), func(id int) {
-				eng.accumulateNappe16Ref(blocks[id], bufs, id, out, false)
-			}},
-			{"native-" + f64KernelBody(), nA, 2 + 8 + 32.0/8 + 8/float64(nA), func(id int) {
-				eng.accumulateNappe16(blocks[id], bufs, id, out, false)
-			}},
+		voxel := 8 / float64(nA)
+		bytes := map[string]float64{
+			"ref":    2 + 8 + (4 + 8 + 24) + voxel,
+			"sse2":   2 + 8 + 32.0/8 + voxel,
+			"avx512": 2 + 16 + 32.0/16 + voxel,
 		}
-		if f64KernelBody() == "ref" {
-			bodies[1].bytes = bodies[0].bytes
-		}
-		for _, body := range bodies {
-			b.Run(g.name+"/"+body.name, func(b *testing.B) { body.bench(b, g.ndep, len(out.Data)) })
+		for _, body := range f64HostBodies(eng) {
+			b.Run(g.name+"/"+body.name, func(b *testing.B) {
+				procs := runtime.GOMAXPROCS(0)
+				var gathered atomic.Int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var wg sync.WaitGroup
+					for w := 0; w < procs; w++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							n := 0
+							for id := w; id < g.ndep; id += procs {
+								n += body.run(blocks[id], bufs, id, out, false)
+							}
+							gathered.Add(int64(n))
+						}()
+					}
+					wg.Wait()
+				}
+				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[body.name], procs)
+				if body.name == "avx512" {
+					b.ReportMetric(float64(gathered.Load())/float64(b.N), "gathered/volume")
+				}
+			})
 		}
 	}
 }

@@ -88,16 +88,16 @@ func TestI16KernelDelaysFlushAgainstGuardPage(t *testing.T) {
 			}, 200)
 			blkMem, releaseBlk := flushAgainstGuardPage(t, len(h.blk)*2)
 			h.blk = unsafe.Slice((*int16)(unsafe.Pointer(&blkMem[0])), len(h.blk))
-			tiles := h.eng.i16Tiles
+			tiles := h.eng.tiles
 			tileMem, releaseTiles := flushAgainstGuardPage(t, len(tiles)*4)
-			h.eng.i16Tiles = unsafe.Slice((*int32)(unsafe.Pointer(&tileMem[0])), len(tiles))
-			copy(h.eng.i16Tiles, tiles)
+			h.eng.tiles = unsafe.Slice((*int32)(unsafe.Pointer(&tileMem[0])), len(tiles))
+			copy(h.eng.tiles, tiles)
 			h.fillPlane(true)
 			for _, spread := range []int{31, 63} {
 				h.fillTileDelays(spread)
 				h.run(t, "delay-guard-page", 1.0/32767)
 			}
-			h.blk, h.eng.i16Tiles = nil, tiles
+			h.blk, h.eng.tiles = nil, tiles
 			releaseBlk()
 			releaseTiles()
 		}
