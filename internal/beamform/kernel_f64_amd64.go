@@ -146,16 +146,16 @@ func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add 
 
 // f64TileSafe is the tile body's bounds contract — the assembly is
 // unchecked, so this is its whole safety argument. The tile list covers the
-// nappe and ends on its last voxel, its largest index (snakeTiles), so every
-// store and every delay row is inside dst and blk. The group tables span
-// whole groups with no bit past the aperture, the short last group's row
-// loads stop at element nE−1, and each apodized element consumes the next
-// row of tab in order, which must be exactly used up. Its window loads and
-// gathers stay below lens[d], which must not exceed its row's length.
+// nappe (tilesCover), so every store and every delay row is inside dst and
+// blk. The group tables span whole groups with no bit past the aperture,
+// the short last group's row loads stop at element nE−1, and each apodized
+// element consumes the next row of tab in order, which must be exactly used
+// up. Its window loads and gathers stay below lens[d], which must not
+// exceed its row's length.
 func f64TileSafe(dst []float64, blk delay.Block16, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
 	nG := (nE + 15) / 16
-	if nE <= 0 || len(dst) == 0 || len(tiles) != (len(dst)+15)&^15 || int(tiles[len(tiles)-1]) != len(dst)-1 ||
-		len(blk) < len(dst)*nE || len(grp) != nG || len(lens) != 16*nG || grp[nG-1]&^lastLen(nE) != 0 {
+	if nE <= 0 || !tilesCover(tiles, len(dst), blk, nE) ||
+		len(grp) != nG || len(lens) != 16*nG || grp[nG-1]&^lastLen(nE) != 0 {
 		return false
 	}
 	j := 0

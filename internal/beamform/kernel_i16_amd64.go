@@ -103,8 +103,7 @@ func (e *Engine) tileRowI16(blk delay.Block16, plane []int16, tab *i16Table, row
 	if len(tiles) == 0 {
 		return 0
 	}
-	if !tab.tileSafe(nE, plane) || len(tiles) != (len(row)+15)&^15 ||
-		int(tiles[len(tiles)-1]) != len(row)-1 || len(blk) < len(row)*nE {
+	if !tab.tileSafe(nE, plane) || !tilesCover(tiles, len(row), blk, nE) {
 		panic("beamform: i16 kernel operands violate the tile body's bounds contract")
 	}
 	ro := tab.ro[:len(tab.grp)*16]
@@ -120,6 +119,15 @@ func (e *Engine) tileRowI16(blk delay.Block16, plane []int16, tab *i16Table, row
 		}
 	}
 	return fallbacks
+}
+
+// tilesCover is the tile-list half of both tile bodies' bounds contract,
+// the front end they share (kernel_tile_amd64.h): the list covers an
+// n-voxel nappe in whole tiles and ends on its last voxel, its largest
+// index (snakeTiles), so every store and every delay row is inside the
+// nappe's n outputs and the block's n·nE delays.
+func tilesCover(tiles []int32, n int, blk delay.Block16, nE int) bool {
+	return n > 0 && len(tiles) == (n+15)&^15 && int(tiles[len(tiles)-1]) == n-1 && len(blk) >= n*nE
 }
 
 // gatherSafe is the operand half of the AVX2 body's bounds contract —

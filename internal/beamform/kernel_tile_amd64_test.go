@@ -32,6 +32,7 @@ type tileCensusRow struct {
 var (
 	tileCensusOnce sync.Once
 	tileCensus     []tileCensusRow
+	tileCensusErr  error
 )
 
 // servedTileCensus generates every nappe of the TABLEFREE and the 18-bit
@@ -39,22 +40,32 @@ var (
 // transmit and the axial transmits=4 set, once per test binary, and runs
 // both tile bodies over each block: the i16 body against a guarded int16
 // plane, the f64 body against float64 echo rows of the served window. Every
-// ninth nappe also goes through both references.
+// ninth nappe also goes through both references. A census that could not be
+// built fails every test that reads it.
 func servedTileCensus(t *testing.T) []tileCensusRow {
+	t.Helper()
 	if !cpufeat.AVX512 {
 		t.Skip("host has no AVX-512: no tile bodies")
 	}
 	tileCensusOnce.Do(func() {
 		for _, g := range kernelBenchGrids {
-			tileCensus = append(tileCensus, censusGrid(t, g)...)
+			rows, err := censusGrid(g)
+			if err != nil {
+				tileCensusErr = fmt.Errorf("%s census: %w", g.name, err)
+				return
+			}
+			tileCensus = append(tileCensus, rows...)
 		}
 	})
+	if tileCensusErr != nil {
+		t.Fatal(tileCensusErr)
+	}
 	return tileCensus
 }
 
 // censusGrid is servedTileCensus for one grid: one row per generator and
 // transmit.
-func censusGrid(t *testing.T, g kernelBenchGrid) []tileCensusRow {
+func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 	cfg := g.config()
 	eng := New(cfg)
 	h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x71e5}
@@ -82,7 +93,7 @@ func censusGrid(t *testing.T, g kernelBenchGrid) []tileCensusRow {
 	} {
 		txs, err := delay.ForTransmits(arch.p, axial)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for tx, p := range append([]delay.Provider{arch.p}, txs...) {
 			gen := delay.AsBlock(p, layout)
@@ -116,7 +127,7 @@ func censusGrid(t *testing.T, g kernelBenchGrid) []tileCensusRow {
 			rows = append(rows, r)
 		}
 	}
-	return rows
+	return rows, nil
 }
 
 // TestI16TileServedBlocks requires that the i16 tile body hands back no
