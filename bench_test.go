@@ -169,20 +169,20 @@ func BenchmarkImageQuality_PSF(b *testing.B) {
 	b.ReportMetric(r.Similarity["tablesteer-18b"], "similarity-tablesteer")
 }
 
-// BenchmarkBeamform_Scalar and BenchmarkBeamform_Block contrast the two
-// engine datapaths on the full ReducedSpec pipeline (ISSUE 1 acceptance:
-// block ≥ 2× scalar). Both report delays/s — the paper's figure of merit —
+// BenchmarkBeamform_Scalar and BenchmarkBeamform_Block contrast the scalar
+// reference (BeamformScalar) with the block datapath (Beamform) on the full
+// ReducedSpec pipeline. Both report delays/s — the paper's figure of merit —
 // as a custom metric so the reproduction log records the speedup.
 
 func BenchmarkBeamform_Scalar(b *testing.B) {
-	runBeamformPath(b, beamform.ScalarPath)
+	runBeamformPath(b, (*beamform.Engine).BeamformScalar)
 }
 
 func BenchmarkBeamform_Block(b *testing.B) {
-	runBeamformPath(b, beamform.BlockPath)
+	runBeamformPath(b, (*beamform.Engine).Beamform)
 }
 
-func runBeamformPath(b *testing.B, path beamform.Path) {
+func runBeamformPath(b *testing.B, run func(*beamform.Engine, delay.Provider, []rf.EchoBuffer) (*beamform.Volume, error)) {
 	s := core.ReducedSpec()
 	bufs, err := rf.Synthesize(rf.Config{
 		Arr: s.Array(), Conv: s.Converter(), Pulse: rf.NewPulse(s.Fc, s.B),
@@ -192,12 +192,11 @@ func runBeamformPath(b *testing.B, path beamform.Path) {
 		b.Fatal(err)
 	}
 	eng := s.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-	eng.Cfg.Path = path
 	p := s.NewExact()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Beamform(p, bufs); err != nil {
+		if _, err := run(eng, p, bufs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -207,7 +206,7 @@ func runBeamformPath(b *testing.B, path beamform.Path) {
 }
 
 // BenchmarkFillNappe measures the raw bulk-generation rate of each native
-// BlockProvider against its ScalarAdapter-wrapped self.
+// BlockProvider's FillNappe16 against its ScalarAdapter-wrapped self.
 
 func BenchmarkFillNappe(b *testing.B) {
 	s := core.ReducedSpec()
@@ -225,11 +224,11 @@ func BenchmarkFillNappe(b *testing.B) {
 			{p.Name() + "/scalar", &delay.ScalarAdapter{P: p, L: layout}},
 		} {
 			b.Run(bench.name, func(b *testing.B) {
-				dst := make([]float64, layout.BlockLen())
+				dst := make(delay.Block16, layout.BlockLen())
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bench.bp.FillNappe(i%s.FocalDepth, dst)
+					bench.bp.FillNappe16(i%s.FocalDepth, dst)
 				}
 				b.StopTimer()
 				rate := float64(layout.BlockLen()) * float64(b.N) / b.Elapsed().Seconds()

@@ -1,8 +1,8 @@
 // Block/scalar equivalence at the facade level: for every delay
-// architecture of the paper, the nappe-granular FillNappe datapath must be
-// bit-identical to the scalar DelaySamples reference — the contract that
-// lets the streaming beamformer switch paths freely (ISSUE 1 acceptance
-// criterion; see DESIGN.md §5).
+// architecture of the paper, the nappe-granular FillNappe16 datapath must
+// hold exactly Index16 of the scalar DelaySamples reference — the contract
+// that makes the streaming beamformer's volumes bit-identical to the scalar
+// one (see DESIGN.md §5).
 package ultrabeam_test
 
 import (
@@ -59,17 +59,17 @@ func TestFillNappeBitIdenticalAllProviders(t *testing.T) {
 				t.Fatalf("%T must implement delay.BlockProvider", tc.prov)
 			}
 			l := bp.Layout()
-			dst := make([]float64, l.BlockLen())
+			dst := make(delay.Block16, l.BlockLen())
 			for id := 0; id < s.FocalDepth; id++ {
-				bp.FillNappe(id, dst)
+				bp.FillNappe16(id, dst)
 				for it := 0; it < l.NTheta; it++ {
 					for ip := 0; ip < l.NPhi; ip++ {
 						for ej := 0; ej < l.NY; ej++ {
 							for ei := 0; ei < l.NX; ei++ {
-								want := tc.prov.DelaySamples(it, ip, id, ei, ej)
+								want := delay.Index16(tc.prov.DelaySamples(it, ip, id, ei, ej))
 								got := dst[l.Index(it, ip, ei, ej)]
 								if got != want {
-									t.Fatalf("id=%d (%d,%d,%d,%d): block %v != scalar %v",
+									t.Fatalf("id=%d (%d,%d,%d,%d): block %d != Index16(scalar) %d",
 										id, it, ip, ei, ej, got, want)
 								}
 							}
@@ -96,7 +96,7 @@ func TestBeamformBlockPathReproducesScalarPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, err := eng.BeamformBlock(prov, bufs)
+		block, err := eng.Beamform(prov, bufs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,14 +5,14 @@
 // Usage:
 //
 //	beamsim [-provider exact|tablefree|tablesteer] [-phantom point|grid|speckle]
-//	        [-depth 0.02] [-out image.pgm] [-compare] [-path block|scalar]
+//	        [-depth 0.02] [-out image.pgm] [-compare]
 //	        [-precision float64|i16] [-frames N] [-cache-budget BYTES]
 //	        [-transmits N]
 //
+// An unknown -provider, -phantom or -precision name exits with status 2.
+//
 // -compare beamforms through all three providers and reports similarity,
-// the §II-A image-quality experiment. -path selects the engine datapath:
-// the default streaming block path (nappe-granular FillNappe) or the scalar
-// per-voxel×element reference; both image identically.
+// the §II-A image-quality experiment.
 //
 // -precision selects the session kernel: float64 (int16 delay blocks,
 // float64 echo — bit-identical golden model, the default) or i16 (int16
@@ -54,7 +54,6 @@ func main() {
 	depth := flag.Float64("depth", 0.02, "target depth in meters")
 	out := flag.String("out", "", "write a B-mode PGM slice to this path")
 	compare := flag.Bool("compare", false, "beamform with all providers and compare")
-	path := flag.String("path", "block", "delay datapath: block|scalar")
 	precision := flag.String("precision", "float64", "session kernel: float64|i16")
 	frames := flag.Int("frames", 1, "cine frames to beamform through one session")
 	cacheBudget := flag.Int64("cache-budget", -1, "delay-cache bytes (0 = uncached, <0 = full residency)")
@@ -67,8 +66,8 @@ func main() {
 	spec.DepthLambda = 100 // 38.5 mm imaging depth
 
 	ph := buildPhantom(*phantom, *depth)
+	p := selectProvider(spec, *provider)
 	eng := spec.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-	eng.Cfg.Path = parsePath(*path)
 	eng.Cfg.Precision = parsePrecision(*precision)
 
 	// The default-origin echo set serves every mode except the compound
@@ -91,20 +90,11 @@ func main() {
 		return
 	}
 
-	p := selectProvider(spec, *provider)
 	var vol *beamform.Volume
 	switch {
 	case *transmits > 1:
-		if eng.Cfg.Path != beamform.BlockPath {
-			fmt.Fprintln(os.Stderr, "beamsim: -transmits always streams the block datapath; drop -path", *path)
-			os.Exit(2)
-		}
 		vol = runCompound(spec, p, ph, *transmits, *frames, *cacheBudget, eng.Cfg.Precision)
 	case *frames > 1:
-		if eng.Cfg.Path != beamform.BlockPath {
-			fmt.Fprintln(os.Stderr, "beamsim: -frames > 1 always streams the block datapath; drop -path", *path)
-			os.Exit(2)
-		}
 		vol = runCine(spec, p, synthesize(), *frames, *cacheBudget, eng.Cfg.Precision)
 	default:
 		var err error
@@ -124,6 +114,8 @@ func main() {
 
 func buildPhantom(kind string, depth float64) rf.Phantom {
 	switch kind {
+	case "point":
+		return rf.PointPhantom(geom.Vec3{Z: depth})
 	case "grid":
 		return rf.GridPhantom([]geom.Vec3{
 			{Z: depth * 0.6}, {Z: depth}, {Z: depth * 1.4},
@@ -133,13 +125,13 @@ func buildPhantom(kind string, depth float64) rf.Phantom {
 		return rf.SpecklePhantom(400,
 			geom.Vec3{X: -0.008, Y: -0.0002, Z: depth * 0.5},
 			geom.Vec3{X: 0.008, Y: 0.0002, Z: depth * 1.5}, 42)
-	default:
-		return rf.PointPhantom(geom.Vec3{Z: depth})
 	}
+	usageError("unknown phantom %q (want point|grid|speckle)", kind)
+	return rf.Phantom{}
 }
 
 // runCine beamforms a static cine through one persistent session (cached
-// unless budget is 0 — the cine always streams the block datapath) and
+// unless budget is 0) and
 // reports sustained frames/s plus cache effectiveness. It returns the last
 // beamformed frame for the usual PSF report and -out image.
 func runCine(spec core.SystemSpec, p delay.Provider, bufs []rf.EchoBuffer, frames int, budget int64, prec beamform.Precision) *beamform.Volume {
@@ -196,26 +188,18 @@ func runCompound(spec core.SystemSpec, p delay.Provider, ph rf.Phantom, n, frame
 	return out
 }
 
-func parsePath(name string) beamform.Path {
-	p, err := beamform.ParsePath(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "beamsim:", err)
-		os.Exit(2)
-	}
-	return p
-}
-
 func parsePrecision(name string) beamform.Precision {
 	p, err := beamform.ParsePrecision(name)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "beamsim:", err)
-		os.Exit(2)
+		usageError("%v", err)
 	}
 	return p
 }
 
 func selectProvider(spec core.SystemSpec, name string) delay.Provider {
 	switch name {
+	case "exact":
+		return spec.NewExact()
 	case "tablefree":
 		p := spec.NewTableFree()
 		p.UseFixed = true
@@ -224,9 +208,16 @@ func selectProvider(spec core.SystemSpec, name string) delay.Provider {
 		p := spec.NewTableSteer(18)
 		p.UseFixed = true
 		return p
-	default:
-		return spec.NewExact()
 	}
+	usageError("unknown provider %q (want exact|tablefree|tablesteer)", name)
+	return nil
+}
+
+// usageError reports a bad flag value and exits with status 2, the flag
+// package's status for a usage error.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "beamsim: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func runCompare(spec core.SystemSpec, eng *beamform.Engine, bufs []rf.EchoBuffer) {

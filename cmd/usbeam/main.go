@@ -19,12 +19,11 @@
 //	throughput  §IV-B / §V-B performance laws
 //	bound       §V-A Lagrange bound on the steering error
 //	block       B1 block-vs-scalar delay-generation rates (always reduced scale)
-//	quality     §II-A image-quality experiment (-path block|scalar)
+//	quality     §II-A image-quality experiment
 //	all         every text experiment in sequence
 //
 // Global flags: -reduced runs on the laptop-scale spec; -exhaustive uses
-// stride-1 sweeps (minutes at paper scale); -path selects the beamformer's
-// delay datapath where one is used. -cpuprofile/-memprofile write pprof
+// stride-1 sweeps (minutes at paper scale). -cpuprofile/-memprofile write pprof
 // profiles of the selected experiment, so kernel iterations need no ad-hoc
 // instrumentation. Serving performance is measured by the served-volume
 // benchmark in bench/ (bash bench/run.sh), not here.
@@ -38,7 +37,6 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/experiments"
 	"ultrabeam/internal/report"
@@ -60,7 +58,6 @@ func main() {
 	phi := fs.Float64("phi", 10, "steering elevation in degrees (figure3c/3d)")
 	depth := fs.Int("depth", 500, "depth index (figure3d)")
 	n := fs.Int("n", 2_000_000, "Monte Carlo samples (fixedpoint)")
-	path := fs.String("path", "block", "beamformer delay datapath: block|scalar")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile after the experiment to this path")
 	if err := fs.Parse(os.Args[2:]); err != nil {
@@ -133,9 +130,7 @@ func main() {
 		q.PhiDeg = 0
 		q.DepthLambda = 80
 		var r experiments.ImageQualityResult
-		r, err = experiments.ImageQualityPath(q, 0.02, parsePath(*path))
-		if err == nil {
-			fmt.Printf("engine datapath: %s\n", parsePath(*path))
+		if r, err = experiments.ImageQuality(q, 0.02); err == nil {
 			err = r.Table().Render(os.Stdout)
 		}
 	case "all":
@@ -208,15 +203,6 @@ func runAll(spec core.SystemSpec, opt tablesteer.SweepOptions) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-func parsePath(name string) beamform.Path {
-	p, err := beamform.ParsePath(name)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "usbeam:", err)
-		os.Exit(2)
-	}
-	return p
 }
 
 func clampDepth(d int, spec core.SystemSpec) int {
@@ -299,6 +285,6 @@ func usage() {
 subcommands: specs orders figure2 figure3a figure3c figure3d accuracy
              fixedpoint storage throughput bound block quality all
 flags: -reduced -exhaustive -arch tablefree|tablesteer -out FILE
-       -theta DEG -phi DEG -depth N -n SAMPLES -path block|scalar
+       -theta DEG -phi DEG -depth N -n SAMPLES
        -cpuprofile FILE -memprofile FILE`)
 }

@@ -9,16 +9,17 @@
 // will be the same regardless of how delays are obtained at runtime, so
 // long as delays are equally accurate".
 //
-// The engine runs one of two datapaths. The default BlockPath is the
-// software form of the paper's nappe-order streaming hardware: each worker
-// owns one reusable nappe delay buffer, asks the provider to fill it in
-// bulk (delay.BlockProvider.FillNappe — one call per depth slice instead of
+// The engine has one datapath, the software form of the paper's
+// nappe-order streaming hardware: each worker owns one reusable int16 nappe
+// delay block, asks the provider to fill it in bulk
+// (delay.BlockProvider.FillNappe16 — one call per depth slice instead of
 // one virtual call per voxel×element) and then walks the contiguous block
 // and the apodization table with a single linear cursor, exactly as the
 // Fig. 4 beamformer consumes a constant-depth table slice intensively
-// before moving deeper (§V-B). ScalarPath keeps the per-voxel×element
-// DelaySamples dispatch as the executable reference; both paths produce bit-
-// identical volumes, which the block-equivalence tests assert.
+// before moving deeper (§V-B). BeamformScalar keeps the per-voxel×element
+// DelaySamples dispatch as the executable specification; the block
+// datapath's volumes are bit-identical to it, which the path-invariance
+// tests assert.
 package beamform
 
 import (
@@ -34,41 +35,6 @@ import (
 	"ultrabeam/internal/scan"
 	"ultrabeam/internal/xdcr"
 )
-
-// Path selects the engine's delay-generation datapath.
-type Path int
-
-const (
-	// BlockPath streams delays nappe-at-a-time through per-worker reusable
-	// buffers via delay.BlockProvider (the default, and the fast path).
-	BlockPath Path = iota
-	// ScalarPath issues one delay.Provider.DelaySamples call per
-	// voxel×element — the reference datapath the block path is tested
-	// against, and the software analogue of random-access table lookup.
-	ScalarPath
-)
-
-func (p Path) String() string {
-	switch p {
-	case BlockPath:
-		return "block"
-	case ScalarPath:
-		return "scalar"
-	}
-	return fmt.Sprintf("Path(%d)", int(p))
-}
-
-// ParsePath parses a datapath name ("block" or "scalar") — the shared
-// parser behind the CLI -path flags.
-func ParsePath(name string) (Path, error) {
-	switch name {
-	case "block":
-		return BlockPath, nil
-	case "scalar":
-		return ScalarPath, nil
-	}
-	return BlockPath, fmt.Errorf("beamform: unknown path %q (want block|scalar)", name)
-}
 
 // Precision selects the session's accumulate kernel: which echo samples it
 // gathers and how it sums them. Both kernels consume int16 delay blocks,
@@ -126,7 +92,6 @@ type Config struct {
 	Window  xdcr.Window // receive apodization (w in Eq. 1)
 	Order   scan.Order  // sweep order (nappe or scanline)
 	Workers int         // parallel workers; 0 = GOMAXPROCS
-	Path    Path        // delay datapath (zero value = BlockPath)
 	// Precision selects the session kernel width (zero value =
 	// PrecisionFloat64, the bit-identical golden model).
 	Precision Precision
@@ -249,26 +214,17 @@ func (v *Volume) NappeSlice(id int) []float64 {
 }
 
 // Beamform runs Eq. 1 over the whole volume using delays from p and echoes
-// from bufs (indexed like xdcr.Array). Delays are rounded to integer
-// selection indices exactly as the hardware's rounding adders do. The
-// configured Path selects the delay datapath; both produce bit-identical
-// volumes.
+// from bufs (indexed like xdcr.Array), through the streaming nappe
+// pipeline: every worker owns one reusable int16 nappe delay block, fills
+// it with a single BlockProvider call per depth slice (plain Providers are
+// lifted via delay.ScalarAdapter) and accumulates Eq. 1 by walking the
+// contiguous block. Delays are rounded to integer selection indices exactly
+// as the hardware's rounding adders do, and the volume is bit-identical to
+// BeamformScalar's. It is the single-frame form of Session: a throwaway
+// session beamforms one frame and shuts down. Cine callers should hold a
+// Session instead and amortize the pool (and any delay cache) across
+// frames.
 func (e *Engine) Beamform(p delay.Provider, bufs []rf.EchoBuffer) (*Volume, error) {
-	if e.Cfg.Path == ScalarPath {
-		return e.BeamformScalar(p, bufs)
-	}
-	return e.BeamformBlock(p, bufs)
-}
-
-// BeamformBlock runs the streaming nappe pipeline: every worker owns one
-// reusable nappe delay buffer, fills it with a single BlockProvider call per
-// depth slice (plain Providers are lifted via delay.ScalarAdapter) and
-// accumulates Eq. 1 by walking the contiguous block. No allocation and no
-// interface dispatch happen in the inner loops. It is the single-frame form
-// of Session: a throwaway session beamforms one frame and shuts down. Cine
-// callers should hold a Session instead and amortize the pool (and any
-// delay cache) across frames.
-func (e *Engine) BeamformBlock(p delay.Provider, bufs []rf.EchoBuffer) (*Volume, error) {
 	s, err := e.NewSession(p)
 	if err != nil {
 		return nil, err
@@ -292,7 +248,9 @@ func (e *Engine) BeamformCompound(ps []delay.Provider, txBufs [][]rf.EchoBuffer)
 	return s.BeamformCompound(txBufs)
 }
 
-// BeamformScalar runs the per-voxel×element reference datapath.
+// BeamformScalar runs the per-voxel×element reference datapath: one
+// DelaySamples call and one Index rounding per voxel×element, the
+// executable specification every block kernel is held to.
 func (e *Engine) BeamformScalar(p delay.Provider, bufs []rf.EchoBuffer) (*Volume, error) {
 	out, workers, err := e.prepare(p, bufs)
 	if err != nil {
@@ -308,7 +266,7 @@ func (e *Engine) BeamformScalar(p delay.Provider, bufs []rf.EchoBuffer) (*Volume
 		go func(w int) {
 			defer wg.Done()
 			for id := w; id < e.Cfg.Vol.Depth.N; id += workers {
-				e.beamformNappe(p, bufs, id, out)
+				e.beamformNappe(p, bufs, id, out, false)
 			}
 		}(w)
 	}
@@ -345,41 +303,15 @@ func (e *Engine) workerCount() int {
 	return workers
 }
 
-// accumulateNappe sums Eq. 1 for one depth slice from a filled nappe block:
-// the delay block, the apodization table and the echo-buffer array all share
-// the ej·NX+ei element order, so one linear cursor drives all three. The
-// element accumulation order matches beamformNappe exactly, keeping the two
-// paths bit-identical.
-//
-// add selects the store mode: false overwrites the output voxel (the
+// beamformNappe sums Eq. 1 for one depth slice straight from the scalar
+// law. add selects the store mode: false overwrites the output voxel (the
 // single-transmit frame), true adds the slice's Eq. 1 sum onto whatever a
 // previous transmit left there — compounding N transmits in increasing
 // transmit order therefore produces exactly the sequential per-transmit sum
 // ((v₀+v₁)+v₂)…, which the compounding invariance tests assert bitwise.
-// The same contract holds for every kernel below.
-func (e *Engine) accumulateNappe(block []float64, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
-	nE := len(e.apod)
-	k := 0
-	for it := 0; it < e.Cfg.Vol.Theta.N; it++ {
-		base := out.Vol.Linear(scan.Index{Theta: it, Phi: 0, Depth: id})
-		for ip := 0; ip < e.Cfg.Vol.Phi.N; ip++ {
-			voxel := block[k : k+nE]
-			acc := 0.0
-			w := e.activeW[:len(e.activeIdx)] // hoists the bounds check
-			for j, d := range e.activeIdx {
-				acc += w[j] * bufs[d].At(delay.Index(voxel[d]))
-			}
-			if add {
-				out.Data[base+ip] += acc
-			} else {
-				out.Data[base+ip] = acc
-			}
-			k += nE
-		}
-	}
-}
-
-func (e *Engine) beamformNappe(p delay.Provider, bufs []rf.EchoBuffer, id int, out *Volume) {
+// Every kernel holds the same contract, and sums each voxel's elements in
+// this order: ascending element index, zero weights skipped.
+func (e *Engine) beamformNappe(p delay.Provider, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
 	arr := e.Cfg.Arr
 	for it := 0; it < e.Cfg.Vol.Theta.N; it++ {
 		for ip := 0; ip < e.Cfg.Vol.Phi.N; ip++ {
@@ -394,7 +326,12 @@ func (e *Engine) beamformNappe(p delay.Provider, bufs []rf.EchoBuffer, id int, o
 					acc += w * bufs[arr.Index(ei, ej)].At(idx)
 				}
 			}
-			out.Data[out.Vol.Linear(scan.Index{Theta: it, Phi: ip, Depth: id})] = acc
+			i := out.Vol.Linear(scan.Index{Theta: it, Phi: ip, Depth: id})
+			if add {
+				out.Data[i] += acc
+			} else {
+				out.Data[i] = acc
+			}
 		}
 	}
 }

@@ -158,7 +158,7 @@ func TestOrderInvariance(t *testing.T) {
 func TestPathInvariance(t *testing.T) {
 	// The block streaming pipeline must reproduce the scalar reference path
 	// bit for bit, for every provider architecture (the engine-level form of
-	// the FillNappe bit-identity contract).
+	// the FillNappe16 bit-identity contract).
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
 	providers := map[string]delay.Provider{
@@ -180,7 +180,7 @@ func TestPathInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		block, err := eng.BeamformBlock(p, bufs)
+		block, err := eng.Beamform(p, bufs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,31 +193,6 @@ func TestPathInvariance(t *testing.T) {
 	}
 }
 
-func TestPathConfigSelectsDatapath(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 30)
-	if BlockPath.String() != "block" || ScalarPath.String() != "scalar" {
-		t.Error("path names")
-	}
-	blockCfg := cfg
-	blockCfg.Path = BlockPath
-	scalarCfg := cfg
-	scalarCfg.Path = ScalarPath
-	a, err := New(blockCfg).Beamform(exactProvider(cfg), bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(scalarCfg).Beamform(exactProvider(cfg), bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("configured paths disagree at %d", i)
-		}
-	}
-}
-
 func TestBlockPathScalarAdapterFallback(t *testing.T) {
 	// A provider that implements only the scalar interface must still run on
 	// the block path, through delay.ScalarAdapter, with identical output.
@@ -225,11 +200,11 @@ func TestBlockPathScalarAdapterFallback(t *testing.T) {
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 30)
 	eng := New(cfg)
 	wrapped := scalarOnly{exactProvider(cfg)}
-	adapted, err := eng.BeamformBlock(wrapped, bufs)
+	adapted, err := eng.Beamform(wrapped, bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	native, err := eng.BeamformBlock(exactProvider(cfg), bufs)
+	native, err := eng.Beamform(exactProvider(cfg), bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,23 +301,6 @@ func TestBeamformValidation(t *testing.T) {
 	}
 	if _, err := New(cfg).Beamform(exactProvider(cfg), bufs[:3]); err == nil {
 		t.Error("wrong buffer count must fail")
-	}
-}
-
-func TestParsePath(t *testing.T) {
-	for name, want := range map[string]Path{"block": BlockPath, "scalar": ScalarPath} {
-		got, err := ParsePath(name)
-		if err != nil || got != want {
-			t.Errorf("ParsePath(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "Block", "nappe", "block "} {
-		if _, err := ParsePath(bad); err == nil {
-			t.Errorf("ParsePath(%q) must fail", bad)
-		}
-	}
-	if Path(99).String() == "" {
-		t.Error("unknown Path must still render")
 	}
 }
 

@@ -1,9 +1,10 @@
-// The golden accumulate kernel over narrow delay blocks. accumulateNappe
-// (beamform.go) is the float64-block kernel kept for echo windows beyond
-// delay.MaxEchoWindow; the kernel here consumes delay.Block16 selection
-// indices — the representation the paper's hardware moves (14-bit words,
-// §V-B) — against float64 echo buffers, bit-identical to the scalar
-// reference. kernel_i16.go holds the fixed-point kernel.
+// The golden accumulate kernel over narrow delay blocks: it consumes
+// delay.Block16 selection indices — the one delay representation the
+// session moves, as the paper's hardware moves 14-bit words (§V-B) —
+// against float64 echo buffers, bit-identical to the scalar reference at
+// any window length (a nappe whose saturated index could stand for an
+// in-window delay never reaches it; see Session). kernel_i16.go holds the
+// fixed-point kernel.
 package beamform
 
 import (
@@ -13,11 +14,12 @@ import (
 )
 
 // accumulateNappe16Ref sums Eq. 1 for one depth slice from a quantized nappe
-// block at float64 echo precision. The element iteration, weights and
-// accumulation order are exactly accumulateNappe's, and for echo windows
-// within delay.MaxEchoWindow every int16 index selects the same sample the
-// float64 delay would have — so this kernel is bit-identical to the scalar
-// reference while reading a quarter of the delay bytes.
+// block at float64 echo precision, in beamformNappe's store/add modes. The
+// element iteration, weights and accumulation order are exactly
+// beamformNappe's, and every index but the saturated math.MaxInt16 — and
+// that one too within delay.MaxEchoWindow — selects the same sample the
+// fractional delay would have, so this kernel is bit-identical to the
+// scalar reference while reading a quarter of a float64 delay's bytes.
 //
 // This body is the golden reference of the float64 kernel: the purego and
 // non-amd64 builds' accumulateNappe16 is exactly this (kernel_f64_generic.go),

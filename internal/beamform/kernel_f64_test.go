@@ -102,15 +102,17 @@ func (h *f64KernelHarness) fillRows(win int, lens func(d int) int) {
 }
 
 // fillDelays mixes in-window indices with both window edges, −1 and the
-// int16 extremes.
+// int16 extremes. A window longer than the int16 range has its edges at
+// 32766 and 32767.
 func (h *f64KernelHarness) fillDelays() {
-	edge := []int16{-32768, -32767, -1, 0, int16(h.win - 1), int16(h.win), 32767}
+	hi := min(h.win, math.MaxInt16)
+	edge := []int16{-32768, -32767, -1, 0, int16(hi - 1), int16(hi), 32767}
 	for i := range h.blk {
 		r := h.next()
 		if r%3 == 0 {
 			h.blk[i] = edge[(r>>8)%uint64(len(edge))]
 		} else {
-			h.blk[i] = int16((r >> 8) % uint64(h.win))
+			h.blk[i] = int16((r >> 8) % uint64(hi))
 		}
 	}
 }
@@ -213,6 +215,26 @@ func TestF64KernelServedNappe(t *testing.T) {
 			h.blk[i] = d
 		}
 		h.run(t, "constant-delay")
+	}
+}
+
+// TestF64KernelLongRows runs rows longer than 32768 samples — the windows
+// beyond delay.MaxEchoWindow a session sends through this kernel — where
+// every non-negative int16 delay, 32767 included, is inside the row: ragged
+// lengths around 1<<15, random and constant delays at the int16 edges.
+func TestF64KernelLongRows(t *testing.T) {
+	const win = 1<<15 + 1000
+	h := newF64Harness(5, 3, 17, 1, xdcr.Rect)
+	h.fillRows(win, func(int) int { return win })
+	h.fillDelays()
+	h.run(t, "long")
+	h.fillRows(win, func(d int) int { return []int{win, 1 << 15, 1<<15 + 1, 1<<15 - 1, 40}[d%5] })
+	h.run(t, "long-ragged")
+	for _, d := range []int16{-32768, -1, 0, 32751, 32766, 32767} {
+		for i := range h.blk {
+			h.blk[i] = d
+		}
+		h.run(t, "long-constant-delay")
 	}
 }
 

@@ -1,6 +1,10 @@
 package beamform
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -72,86 +76,125 @@ func TestPrecisionFloat64BitIdentical(t *testing.T) {
 	}
 }
 
-// TestHugeEchoWindowFallsBackWide: a window beyond delay.MaxEchoWindow
-// defeats int16 indexing, so the session must demote to the float64 block
-// datapath — at every precision — and still match the scalar reference.
-func TestHugeEchoWindowFallsBackWide(t *testing.T) {
-	cfg, _, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
-	cfg.Arr.NX, cfg.Arr.NY = 4, 4
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
-		BufSamples: delay.MaxEchoWindow + 100,
-	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
-		c := cfg
-		c.Precision = prec
-		eng := New(c)
-		ref, err := eng.BeamformScalar(exactProvider(c), bufs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sess, err := eng.NewSession(exactProvider(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vol, err := sess.Beamform(bufs)
-		sess.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Data {
-			if ref.Data[i] != vol.Data[i] {
-				t.Fatalf("%v: differs at %d", prec, i)
-			}
-		}
-	}
+// shifted adds extra samples to element (ei, ej)'s delays. It offers only
+// the scalar interface, so sessions fill its blocks through
+// delay.ScalarAdapter.
+type shifted struct {
+	delay.Provider
+	ei, ej int
+	extra  float64
 }
 
-// TestWideFallbackCountsEveryBlockAMiss: on the float64 fallback the narrow
-// store can serve no block, so each frame of a cached compound session costs
-// exactly one miss per (transmit, nappe) and hits nothing — at full budget,
-// frame after frame.
-func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) {
+func (s shifted) DelaySamples(it, ip, id, ei, ej int) float64 {
+	d := s.Provider.DelaySamples(it, ip, id, ei, ej)
+	if ei == s.ei && ej == s.ej {
+		d += s.extra
+	}
+	return d
+}
+
+// TestLongEchoWindowMatchesScalar: a window beyond delay.MaxEchoWindow
+// takes the same int16 blocks as every other frame — filled, or resident in
+// a full-budget cache — through the float64 kernel, at either precision,
+// for a single transmit and a compound. On the "saturated" geometry one
+// element's delays sit 40 000 samples out, still inside the window: every
+// nappe holds the saturated index math.MaxInt16 and must be beamformed from
+// the scalar law, because reading sample 32767 of the noise echoes instead
+// of the true delay would show. Every case must equal the transmit-ordered
+// sum of BeamformScalar volumes bit for bit.
+func TestLongEchoWindowMatchesScalar(t *testing.T) {
 	cfg, _, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
 	cfg.Arr.NX, cfg.Arr.NY = 4, 4
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
-		BufSamples: delay.MaxEchoWindow + 100,
-	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
+	const win = 42000
+	rng := rand.New(rand.NewSource(38))
+	txs := delay.SteeredTransmits(2, 0.004, 0.004)
+	txBufs := make([][]rf.EchoBuffer, len(txs))
+	for ti := range txBufs {
+		txBufs[ti] = make([]rf.EchoBuffer, cfg.Arr.Elements())
+		for d := range txBufs[ti] {
+			row := make([]float64, win)
+			for i := range row {
+				row[i] = rng.NormFloat64()
+			}
+			txBufs[ti][d].Samples = row
+		}
+	}
+	inRange, err := delay.ForTransmits(exactProvider(cfg), txs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gens []delay.BlockProvider
-	for _, tx := range delay.SteeredTransmits(2, 0.004, 0.004) {
-		p, err := exactProvider(cfg).WithTransmit(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens = append(gens, p.(delay.BlockProvider))
+	saturated := make([]delay.Provider, len(inRange))
+	for ti, p := range inRange {
+		saturated[ti] = shifted{Provider: p, ei: 1, ej: 2, extra: 40000}
 	}
-	cache, err := delaycache.New(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
+	if New(cfg).apod[cfg.Arr.Index(1, 2)] == 0 {
+		t.Fatal("the shifted element must carry weight")
 	}
-	sess := cachedSession(t, New(cfg), cache)
-	defer sess.Close()
-	dst := sess.NewVolume()
-	perFrame := int64(cfg.Vol.Depth.N * len(gens))
-	for frame := 0; frame < 3; frame++ {
-		before := cache.Stats()
-		if err := sess.BeamformCompoundInto(dst, [][]rf.EchoBuffer{bufs, bufs}); err != nil {
-			t.Fatal(err)
+	layout := New(cfg).layout()
+	blk := make(delay.Block16, layout.BlockLen())
+	for _, g := range []struct {
+		name  string
+		provs []delay.Provider
+	}{{"in-range", inRange}, {"saturated", saturated}} {
+		for ti, p := range g.provs {
+			for id := 0; id < cfg.Vol.Depth.N; id++ {
+				delay.AsBlock(p, layout).FillNappe16(id, blk)
+				if slices.Contains(blk, math.MaxInt16) != (g.name == "saturated") {
+					t.Fatalf("%s transmit %d nappe %d: saturation is not what the case needs", g.name, ti, id)
+				}
+			}
 		}
-		after := cache.Stats()
-		if after.Misses-before.Misses != perFrame || after.Hits != before.Hits ||
-			cache.Shared().Stats().Misses != after.Misses {
-			t.Errorf("frame %d: stats %+v → %+v, want exactly %d more misses and no hits",
-				frame, before, after, perFrame)
+		for _, nTx := range []int{1, 2} {
+			ref := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
+			for ti, p := range g.provs[:nTx] {
+				vol, err := New(cfg).BeamformScalar(p, txBufs[ti])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range vol.Data {
+					ref.Data[i] += v
+				}
+			}
+			for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
+				c := cfg
+				c.Precision = prec
+				eng := New(c)
+				gens := make([]delay.BlockProvider, nTx)
+				for ti, p := range g.provs[:nTx] {
+					gens[ti] = delay.AsBlock(p, layout)
+				}
+				for _, cached := range []bool{false, true} {
+					name := fmt.Sprintf("%s/%dtx/%v/cached=%t", g.name, nTx, prec, cached)
+					var cache *delaycache.Cache
+					if cached {
+						if cache, err = delaycache.New(delaycache.Config{
+							Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1,
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					sess, err := eng.NewSessionGenerators(gens, cache)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for frame := 0; frame < 2; frame++ {
+						vol := sess.NewVolume()
+						if err := sess.BeamformCompoundInto(vol, txBufs[:nTx]); err != nil {
+							t.Fatal(err)
+						}
+						for i := range ref.Data {
+							if math.Float64bits(vol.Data[i]) != math.Float64bits(ref.Data[i]) {
+								t.Fatalf("%s frame %d: voxel %d = %v, scalar %v", name, frame, i, vol.Data[i], ref.Data[i])
+							}
+						}
+					}
+					sess.Close()
+					if cached && cache.Stats().Hits == 0 {
+						t.Errorf("%s: the second frame read no resident block (%v)", name, cache.Stats())
+					}
+				}
+			}
 		}
 	}
 }

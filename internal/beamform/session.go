@@ -7,12 +7,15 @@
 // frames, and its steady-state BeamformInto performs no allocation at all:
 // frame dispatch is a token send per worker on prebuilt channels.
 //
-// The session's hot datapath is narrow (PR 3): workers fill and consume
-// delay.Block16 selection indices — 2 bytes per delay instead of 8 — which
-// is exact for any echo window within delay.MaxEchoWindow (every Table I
-// scale window; see Precision). Frames whose buffers exceed that window
-// fall back to the float64 block datapath automatically, so correctness
-// never depends on the geometry. The session runs one of two kernels:
+// The session's one delay datapath is narrow: workers fill and
+// consume delay.Block16 selection indices — 2 bytes per delay instead of
+// 8 — resident in the delay cache or filled per nappe. They are exact for
+// any echo window within delay.MaxEchoWindow (every Table I scale window;
+// see Precision). A longer window takes the same blocks through the float64
+// kernel, except that a nappe holding the saturated index math.MaxInt16 —
+// which may stand for a delay inside such a window — is beamformed from the
+// scalar law for that transmit, so correctness never depends on the
+// geometry. The session runs one of two kernels:
 // PrecisionFloat64 gathers the float64 echo buffers directly (the golden
 // kernel), and PrecisionInt16 gathers a guarded int16 plane — 2 B/sample,
 // one scale per frame×transmit — accumulating in int32 fixed point through
@@ -42,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"ultrabeam/internal/delay"
@@ -96,7 +100,7 @@ type Session struct {
 	job    sessionJob
 	frames []Frame   // frames in flight
 	outs   []*Volume // one destination volume per frame in flight
-	narrow bool      // int16 delay blocks are exact for this batch's windows
+	narrow bool      // every int16 delay index is exact for this batch's windows
 	useI16 bool      // accumulate through the fixed-point i16 kernel this batch
 
 	// adapt / tx1 / out1 are the persistent wrappers the adapters over Run
@@ -208,13 +212,12 @@ func (e *Engine) layout() delay.Layout {
 }
 
 // worker is the persistent per-worker loop: it owns one reusable narrow
-// nappe buffer, one float64 scratch, one int32 voxel row (the fixed-point
-// kernel's accumulators) and, when a transmit has the fused steer route, the
-// route's per-nappe operand rows, for the life of the session, and serves
+// nappe buffer, one int32 voxel row (the fixed-point kernel's accumulators)
+// and, when a transmit has the fused steer route, the route's per-nappe
+// operand rows, for the life of the session, and serves
 // whichever job each frame dispatches — quantizing its stripe of echo
 // planes, or beamforming depth slices w, w+workers, ... of the frame.
 func (s *Session) worker(w int) {
-	scratch := make([]float64, s.layout.BlockLen())
 	buf16 := make(delay.Block16, s.layout.BlockLen())
 	row := make([]int32, s.layout.NTheta*s.layout.NPhi)
 	ry := make([]int32, s.ryLen)
@@ -222,7 +225,7 @@ func (s *Session) worker(w int) {
 		if s.job == jobConvert {
 			s.convertStripeI16(w)
 		} else {
-			s.accumulateStripe(w, buf16, scratch, row, ry)
+			s.accumulateStripe(w, buf16, row, ry)
 		}
 		s.done <- struct{}{}
 	}
@@ -248,9 +251,11 @@ func (s *Session) convertStripeI16(w int) {
 // accumulateStripe beamforms depth slices w, w+workers, ... of the batch:
 // for each slice, every transmit's delays are obtained once — the cache's
 // resident block consumed in place, else the transmit's generator filling
-// the worker's narrow (or, on fallback, float64) block — and the
-// precision-selected kernel runs over every frame of the batch with the
-// first transmit storing and later transmits adding. The loop nesting is
+// the worker's block — and the precision-selected kernel runs over every
+// frame of the batch with the first transmit storing and later transmits
+// adding. On a batch whose window is beyond delay.MaxEchoWindow, a block
+// holding math.MaxInt16 runs beamformNappe instead: the saturated index
+// stands for a delay the window may hold. The loop nesting is
 // slice → transmit → frame, so within each frame the per-voxel
 // accumulation order is exactly the single-frame order (the batching
 // bit-identity contract), while a non-resident block is generated once per
@@ -258,24 +263,11 @@ func (s *Session) convertStripeI16(w int) {
 // of a transmit with the fused steer route generates no block at all: its
 // per-nappe operand rows are built once per batch and every frame runs the
 // fused body, which is bit-identical to filling and accumulating.
-func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64, row, ry []int32) {
+func (s *Session) accumulateStripe(w int, buf16 delay.Block16, row, ry []int32) {
 	nTx := len(s.gens)
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
 		for t := 0; t < nTx; t++ {
 			add := t > 0
-			if !s.narrow {
-				// An echo window beyond delay.MaxEchoWindow defeats int16
-				// selection indices: float64 blocks end to end, which the
-				// narrow store never holds.
-				if s.cache != nil {
-					s.cache.Miss()
-				}
-				s.gens[t].FillNappe(id, scratch)
-				for k, f := range s.frames {
-					s.eng.accumulateNappe(scratch, f.Bufs[t], id, s.outs[k], add)
-				}
-				continue
-			}
 			var blk delay.Block16
 			if s.cache != nil {
 				blk = s.cache.Nappe16T(t, id)
@@ -288,8 +280,13 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, scratch []float64
 				blk = buf16
 			}
 			if !s.useI16 {
+				scalar := !s.narrow && slices.Contains(blk, math.MaxInt16)
 				for k, f := range s.frames {
-					s.eng.accumulateNappe16(blk, f.Bufs[t], id, s.outs[k], add)
+					if scalar {
+						s.eng.beamformNappe(s.gens[t], f.Bufs[t], id, s.outs[k], add)
+					} else {
+						s.eng.accumulateNappe16(blk, f.Bufs[t], id, s.outs[k], add)
+					}
 				}
 				continue
 			}
@@ -401,7 +398,8 @@ func (f Frame) Shape() Shape {
 }
 
 // datapath is the session's one kernel decision for frames of shape sh:
-// narrow when int16 selection indices are exact for every window, i16 when
+// narrow when every int16 selection index, saturated ones included, is
+// exact for every window, i16 when
 // the fixed-point kernel runs. That takes a uniform window whose plane
 // fits the int32 row offsets — one plane at a time, since the kernel
 // gathers from one frame×transmit plane per call — on a PrecisionInt16

@@ -69,16 +69,10 @@ func TestSessionRetainedSourceSkipsGeneration(t *testing.T) {
 	}
 }
 
-// countingBlock counts generator runs of either fill; session workers fill
-// concurrently.
+// countingBlock counts generator runs; session workers fill concurrently.
 type countingBlock struct {
 	delay.BlockProvider
 	calls atomic.Int64
-}
-
-func (c *countingBlock) FillNappe(id int, dst []float64) {
-	c.calls.Add(1)
-	c.BlockProvider.FillNappe(id, dst)
 }
 
 func (c *countingBlock) FillNappe16(id int, dst delay.Block16) {

@@ -3,10 +3,11 @@
 // Algorithm 1 nappe sweep — all (θ, φ, element) delays of one depth slice
 // are produced together, amortizing per-voxel work across the aperture and
 // per-nappe work across the whole steering plane. BlockProvider is the
-// software form of that datapath: one FillNappe call materializes a full
-// θ×φ×element delay plane into a caller-owned contiguous buffer, removing
-// the per-delay virtual dispatch that makes the scalar path the software
-// analogue of the random-access table problem (§II-B).
+// software form of that datapath: one FillNappe16 call materializes a full
+// θ×φ×element plane of int16 selection indices into a caller-owned
+// contiguous buffer, removing the per-delay virtual dispatch that makes the
+// scalar path the software analogue of the random-access table problem
+// (§II-B).
 package delay
 
 import (
@@ -46,27 +47,22 @@ func (l Layout) String() string {
 	return fmt.Sprintf("%d×%dθφ × %d×%d elements", l.NTheta, l.NPhi, l.NX, l.NY)
 }
 
-// BlockProvider generates delays one depth nappe at a time, in both the
-// float64 form and the quantized Block16 form the session kernels consume.
-// FillNappe must produce values bit-identical to DelaySamples — the block
-// path changes the schedule of the computation, never its arithmetic — and
-// FillNappe16 exactly Index16 of them, so the scalar method remains the
-// executable specification and the equivalence tests hold every
-// implementation to it.
+// BlockProvider generates delays one depth nappe at a time, in the
+// quantized Block16 form the session kernels consume. FillNappe16 must
+// write exactly Index16(DelaySamples(…)) into every slot — the block path
+// changes the schedule of the computation, never its arithmetic — so the
+// scalar method remains the executable specification and the equivalence
+// tests hold every implementation to it.
 //
-// Both fills must be safe for concurrent use by multiple goroutines with
-// distinct dst buffers: the streaming beamformer calls them from every
+// The fill must be safe for concurrent use by multiple goroutines with
+// distinct dst buffers: the streaming beamformer calls it from every
 // worker.
 type BlockProvider interface {
 	Provider
 	// Layout reports the block geometry this provider fills.
 	Layout() Layout
-	// FillNappe writes the delays of depth nappe id into dst following
-	// Layout. dst must hold at least Layout().BlockLen() values.
-	FillNappe(id int, dst []float64)
 	// FillNappe16 writes the quantized delays of depth nappe id into dst
-	// following Layout, without materializing a float64 block. dst must
-	// hold at least Layout().BlockLen() values.
+	// following Layout. dst must hold at least Layout().BlockLen() values.
 	FillNappe16(id int, dst Block16)
 }
 
@@ -99,28 +95,13 @@ func (a *ScalarAdapter) DelaySamples(it, ip, id, ei, ej int) float64 {
 // Layout implements BlockProvider.
 func (a *ScalarAdapter) Layout() Layout { return a.L }
 
-// FillNappe implements BlockProvider with one scalar call per slot.
-func (a *ScalarAdapter) FillNappe(id int, dst []float64) {
-	k := 0
-	for it := 0; it < a.L.NTheta; it++ {
-		for ip := 0; ip < a.L.NPhi; ip++ {
-			for ej := 0; ej < a.L.NY; ej++ {
-				for ei := 0; ei < a.L.NX; ei++ {
-					dst[k] = a.P.DelaySamples(it, ip, id, ei, ej)
-					k++
-				}
-			}
-		}
-	}
-}
-
 // Layout implements BlockProvider for the exact reference.
 func (e *Exact) Layout() Layout {
 	return Layout{NTheta: e.Vol.Theta.N, NPhi: e.Vol.Phi.N, NX: e.Arr.NX, NY: e.Arr.NY}
 }
 
 // elementGrid materializes the element positions in block order (ej·NX+ei),
-// the per-nappe hoist both fill flavours share.
+// the per-nappe hoist of the exact fill.
 func (e *Exact) elementGrid() []geom.Vec3 {
 	l := e.Layout()
 	elems := make([]geom.Vec3, l.NX*l.NY)
@@ -130,44 +111,4 @@ func (e *Exact) elementGrid() []geom.Vec3 {
 		}
 	}
 	return elems
-}
-
-// FillNappe implements BlockProvider: the focal point and its transmit leg
-// |S−O| are computed once per voxel and reused across the whole element
-// plane (the per-element work drops from two square roots to one), with the
-// remaining arithmetic ordered exactly as DelaySamples orders it.
-func (e *Exact) FillNappe(id int, dst []float64) {
-	l := e.Layout()
-	elems := e.elementGrid()
-	k := 0
-	for it := 0; it < l.NTheta; it++ {
-		for ip := 0; ip < l.NPhi; ip++ {
-			s := e.Vol.FocalPoint(it, ip, id)
-			tx := s.Dist(e.Origin)
-			for _, d := range elems {
-				dst[k] = e.Conv.SecondsToSamples((tx + s.Dist(d)) / e.Conv.C)
-				k++
-			}
-		}
-	}
-}
-
-// CompareBlock sweeps the full volume and aperture nappe-by-nappe through
-// the block path of both providers and accumulates the same statistics as
-// Compare with strideE = 1 — the bulk form the §VI-A accuracy sweeps use
-// when the whole element plane is wanted anyway.
-func CompareBlock(p Provider, e *Exact) Stats {
-	layout := e.Layout()
-	bp := AsBlock(p, layout)
-	approx := make([]float64, layout.BlockLen())
-	exact := make([]float64, layout.BlockLen())
-	var st Stats
-	for id := 0; id < e.Vol.Depth.N; id++ {
-		bp.FillNappe(id, approx)
-		e.FillNappe(id, exact)
-		for k := range exact {
-			st.Add(approx[k], exact[k])
-		}
-	}
-	return st
 }

@@ -1,30 +1,32 @@
-// Narrow delay blocks: the int16 form of the nappe datapath. The paper's
+// Narrow delay blocks: the one form of the nappe datapath. The paper's
 // delay words are small — 14-bit selection indices into an echo window of
-// "slightly more than 8000 samples" (§V-B) — yet a float64 block spends
-// 8 bytes per delay, 4× the bandwidth and cache residency the hardware
-// design point assumes. Block16 stores the *integer selection index* the
-// beamformer actually consumes, in 2 bytes per delay. Quantization is
-// exact: the beamformer rounds every fractional delay through Index before
-// touching an echo buffer, and for any echo window of at most MaxEchoWindow
-// samples the saturated int16 index selects the identical sample (indices
-// beyond the window read as silence on both paths), so the narrow datapath
-// is bit-identical to the float64 reference by construction — not within a
-// tolerance.
+// "slightly more than 8000 samples" (§V-B) — so a block stores the *integer
+// selection index* the beamformer actually consumes, in 2 bytes per delay.
+// Quantization is exact: the beamformer rounds every fractional delay
+// through Index before touching an echo buffer, and Index16 is that same
+// rounding saturated to int16. Every index but math.MaxInt16 selects the
+// identical sample in any window (a delay below −32768 saturates to
+// math.MinInt16, negative, silence like the delay itself); math.MaxInt16
+// stands for every delay ≥ 32767 and reads silence in any window of at most
+// MaxEchoWindow samples, exactly like the delay it replaces. A longer window
+// must not read it as a sample index — the session beamforms such a nappe
+// through the scalar law instead.
 package delay
 
 import "math"
 
-// MaxEchoWindow is the largest echo-buffer length for which int16 selection
-// indices are exact: saturation at math.MaxInt16 must itself land outside
-// the window so a saturated index reads silence, exactly like the wide
-// index it stands for. Table I windows are ~8.5k samples — a quarter of
-// this bound — matching the paper's 13/14-bit index budget.
+// MaxEchoWindow is the largest echo-buffer length in which every int16
+// selection index, saturated ones included, selects what the scalar law
+// selects: saturation at math.MaxInt16 must itself land outside the window
+// so a saturated index reads silence, exactly like the wide index it stands
+// for. Table I windows are ~8.5k samples — a quarter of this bound —
+// matching the paper's 13/14-bit index budget.
 const MaxEchoWindow = math.MaxInt16
 
-// Block16 is a nappe delay block of quantized selection indices, laid out
-// exactly like the float64 block of the same Layout (θ, φ, element row,
-// element column). At 2 bytes per delay it carries the same information the
-// beamformer uses at a quarter of the float64 footprint.
+// Block16 is a nappe delay block of quantized selection indices in Layout
+// order (θ, φ, element row, element column). At 2 bytes per delay it
+// carries the same information the beamformer uses at a quarter of a
+// float64 block's footprint.
 type Block16 []int16
 
 // Index16 rounds a fractional delay to its int16 echo-buffer selection
@@ -42,7 +44,7 @@ func Index16(samples float64) int16 {
 	return int16(r)
 }
 
-// QuantizeNappe converts a filled float64 nappe block into its Block16 form
+// QuantizeNappe converts a float64 nappe of delays into its Block16 form
 // slot for slot. dst must hold at least len(src) values.
 func QuantizeNappe(dst Block16, src []float64) {
 	dst = dst[:len(src)]
@@ -51,13 +53,15 @@ func QuantizeNappe(dst Block16, src []float64) {
 	}
 }
 
-// BlockProvider16 is an alias of BlockProvider, whose FillNappe16 fills the
-// narrow form.
+// BlockProvider16 is an alias of BlockProvider.
 type BlockProvider16 = BlockProvider
 
-// FillNappe16 implements BlockProvider for the exact reference: the same
-// per-voxel transmit-leg hoist as FillNappe with the quantization fused
-// into the element loop, so no float64 block is ever materialized.
+// FillNappe16 implements BlockProvider for the exact reference: the focal
+// point and its transmit leg |S−O| are computed once per voxel and reused
+// across the whole element plane (the per-element work drops from two
+// square roots to one), the remaining arithmetic is ordered exactly as
+// DelaySamples orders it, and the quantization is fused into the element
+// loop.
 func (e *Exact) FillNappe16(id int, dst Block16) {
 	l := e.Layout()
 	elems := e.elementGrid()

@@ -3,6 +3,8 @@ package delay
 import (
 	"math"
 	"testing"
+
+	"ultrabeam/internal/geom"
 )
 
 func TestIndex16MatchesIndex(t *testing.T) {
@@ -31,6 +33,7 @@ func TestIndex16Saturates(t *testing.T) {
 		{math.MinInt16 - 1, math.MinInt16},
 		{-1e12, math.MinInt16},
 		{math.Inf(-1), math.MinInt16},
+		{math.NaN(), math.MaxInt16},
 	}
 	for _, c := range cases {
 		if got := Index16(c.in); got != c.want {
@@ -41,6 +44,12 @@ func TestIndex16Saturates(t *testing.T) {
 	// path accepts: MaxInt16 ≥ MaxEchoWindow and MinInt16 < 0.
 	if MaxEchoWindow > math.MaxInt16 {
 		t.Error("MaxEchoWindow admits windows the saturated index could alias into")
+	}
+	// A NaN delay reads silence through the scalar rounding too, on every
+	// platform: Go leaves NaN→int to the platform, and arm64's 0 would read
+	// sample 0.
+	if got := Index(math.NaN()); got != -1 {
+		t.Errorf("Index(NaN) = %d, want -1", got)
 	}
 }
 
@@ -55,22 +64,17 @@ func TestQuantizeNappeMatchesSlotwiseIndex16(t *testing.T) {
 	}
 }
 
+// TestExactFillNappe16BitIdentical holds the exact fill to Index16 of the
+// scalar law where it saturates: an emission origin 2 m behind the array
+// puts every delay beyond 32767 samples, so every slot must be the
+// saturated math.MaxInt16 the long-window session reads as "use the scalar
+// law".
 func TestExactFillNappe16BitIdentical(t *testing.T) {
-	// The native quantized fill must equal QuantizeNappe over the float
-	// fill, slot for slot — the BlockProvider contract.
-	e, _, _ := smallSetup()
-	l := e.Layout()
-	wide := make([]float64, l.BlockLen())
-	want := make(Block16, l.BlockLen())
-	got := make(Block16, l.BlockLen())
-	for _, id := range []int{0, e.Vol.Depth.N / 2, e.Vol.Depth.N - 1} {
-		e.FillNappe(id, wide)
-		QuantizeNappe(want, wide)
-		e.FillNappe16(id, got)
-		for k := range want {
-			if got[k] != want[k] {
-				t.Fatalf("id=%d slot %d: native %d != quantized %d", id, k, got[k], want[k])
-			}
+	_, v, a := smallSetup()
+	far := NewExact(v, a, geom.Vec3{Z: -2}, conv)
+	for k, d := range checkFill16(t, far, []int{0, v.Depth.N - 1}) {
+		if d != math.MaxInt16 {
+			t.Fatalf("slot %d = %d: the far origin must saturate every delay", k, d)
 		}
 	}
 }

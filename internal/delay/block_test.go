@@ -46,27 +46,39 @@ func TestLayoutIndexing(t *testing.T) {
 	}
 }
 
-func TestExactFillNappeBitIdentical(t *testing.T) {
-	e, _, _ := smallSetup()
-	l := e.Layout()
-	dst := make([]float64, l.BlockLen())
-	for _, id := range []int{0, e.Vol.Depth.N / 2, e.Vol.Depth.N - 1} {
-		e.FillNappe(id, dst)
+// checkFill16 holds bp's FillNappe16 to Index16 of the scalar law, slot by
+// slot at every coordinate of nappes ids, and returns the slots seen.
+func checkFill16(t *testing.T, bp BlockProvider, ids []int) []int16 {
+	t.Helper()
+	l := bp.Layout()
+	dst := make(Block16, l.BlockLen())
+	var seen []int16
+	for _, id := range ids {
+		bp.FillNappe16(id, dst)
 		for it := 0; it < l.NTheta; it++ {
 			for ip := 0; ip < l.NPhi; ip++ {
 				for ej := 0; ej < l.NY; ej++ {
 					for ei := 0; ei < l.NX; ei++ {
-						want := e.DelaySamples(it, ip, id, ei, ej)
+						want := Index16(bp.DelaySamples(it, ip, id, ei, ej))
 						got := dst[l.Index(it, ip, ei, ej)]
 						if got != want {
-							t.Fatalf("id=%d (%d,%d,%d,%d): block %v != scalar %v",
+							t.Fatalf("id=%d (%d,%d,%d,%d): block %d != Index16(scalar) %d",
 								id, it, ip, ei, ej, got, want)
 						}
 					}
 				}
 			}
 		}
+		seen = append(seen, dst...)
 	}
+	return seen
+}
+
+// TestExactFillNappeBitIdentical holds the exact fill to Index16 of its
+// scalar law at every coordinate of three nappes.
+func TestExactFillNappeBitIdentical(t *testing.T) {
+	e, _, _ := smallSetup()
+	checkFill16(t, e, []int{0, e.Vol.Depth.N / 2, e.Vol.Depth.N - 1})
 }
 
 func TestScalarAdapterMatchesNativeFill(t *testing.T) {
@@ -79,13 +91,13 @@ func TestScalarAdapterMatchesNativeFill(t *testing.T) {
 	if adapter.DelaySamples(1, 2, 3, 4, 5) != e.DelaySamples(1, 2, 3, 4, 5) {
 		t.Error("adapter scalar path must forward")
 	}
-	native := make([]float64, l.BlockLen())
-	adapted := make([]float64, l.BlockLen())
-	e.FillNappe(7, native)
-	adapter.FillNappe(7, adapted)
+	native := make(Block16, l.BlockLen())
+	adapted := make(Block16, l.BlockLen())
+	e.FillNappe16(7, native)
+	adapter.FillNappe16(7, adapted)
 	for i := range native {
 		if native[i] != adapted[i] {
-			t.Fatalf("slot %d: native %v != adapter %v", i, native[i], adapted[i])
+			t.Fatalf("slot %d: native %d != adapter %d", i, native[i], adapted[i])
 		}
 	}
 }
@@ -107,34 +119,39 @@ func TestAsBlockSelectsNativeOrAdapter(t *testing.T) {
 	}
 }
 
-func TestCompareBlockMatchesCompare(t *testing.T) {
+// TestCompareMatchesPairwiseSweep holds Compare to the statistics of an
+// independent pair-by-pair sweep, for the full aperture and for a strided
+// one; a stride below 1 means the full aperture.
+func TestCompareMatchesPairwiseSweep(t *testing.T) {
 	v := scan.NewVolume(geom.Radians(40), geom.Radians(40), 0.05, 5, 5, 8)
 	a := xdcr.NewArray(6, 6, 0.385e-3/2)
 	e := NewExact(v, a, geom.Vec3{}, conv)
 	// A second exact provider displaced slightly in origin gives nonzero
 	// but deterministic errors for the statistics comparison.
 	p := NewExact(v, a, geom.Vec3{Z: 0.5e-3}, conv)
-	// Reference: the pre-block scalar sweep (Compare with strideE = 1 now
-	// routes through CompareBlock, so accumulate it independently here).
-	var scalar Stats
-	v.Walk(scan.NappeOrder, func(ix scan.Index) {
-		for ej := 0; ej < a.NY; ej++ {
-			for ei := 0; ei < a.NX; ei++ {
-				scalar.Add(p.DelaySamples(ix.Theta, ix.Phi, ix.Depth, ei, ej),
-					e.DelaySamples(ix.Theta, ix.Phi, ix.Depth, ei, ej))
+	for _, stride := range []int{1, 2} {
+		var want Stats
+		v.Walk(scan.NappeOrder, func(ix scan.Index) {
+			for ej := 0; ej < a.NY; ej += stride {
+				for ei := 0; ei < a.NX; ei += stride {
+					want.Add(p.DelaySamples(ix.Theta, ix.Phi, ix.Depth, ei, ej),
+						e.DelaySamples(ix.Theta, ix.Phi, ix.Depth, ei, ej))
+				}
+			}
+		})
+		if got := Compare(p, e, stride); got != want {
+			t.Errorf("stride %d: Compare diverges from the pairwise sweep:\n sweep   %v\n Compare %v",
+				stride, want.String(), got.String())
+		}
+		if want.MaxAbs == 0 {
+			t.Error("displaced origin should produce nonzero error")
+		}
+		if stride == 1 {
+			for _, clamped := range []int{0, -3} {
+				if got := Compare(p, e, clamped); got != want {
+					t.Errorf("stride %d must compare the full aperture: %v", clamped, got.String())
+				}
 			}
 		}
-	})
-	block := CompareBlock(p, e)
-	if viaCompare := Compare(p, e, 1); viaCompare != block {
-		t.Errorf("Compare(strideE=1) must route through the block path")
-	}
-	if scalar.N != block.N || scalar.MeanAbs != block.MeanAbs ||
-		scalar.MaxAbs != block.MaxAbs || scalar.MaxAbsIndex != block.MaxAbsIndex ||
-		scalar.OffIndexCount != block.OffIndexCount {
-		t.Errorf("block stats diverge:\n scalar %v\n block  %v", scalar.String(), block.String())
-	}
-	if block.MaxAbs == 0 {
-		t.Error("displaced origin should produce nonzero error")
 	}
 }

@@ -5,13 +5,14 @@
 //
 // Delays are produced at two granularities. Provider.DelaySamples is the
 // scalar law — one (voxel, element) pair per call — and stays the executable
-// specification. BlockProvider.FillNappe is the bulk form: one call fills
-// the contiguous θ×φ×element delay block of a whole depth nappe, mirroring
-// the paper's Algorithm 1 nappe sweep in which both hardware architectures
-// amortize per-voxel work (transmit leg, reference-table slice) across the
-// aperture. The streaming beamformer consumes nappe blocks; ScalarAdapter
-// lifts any plain Provider onto the block interface unchanged. Block fills
-// are bit-identical to the scalar law by contract.
+// specification. BlockProvider.FillNappe16 is the bulk form: one call fills
+// the contiguous θ×φ×element block of int16 selection indices of a whole
+// depth nappe, mirroring the paper's Algorithm 1 nappe sweep in which both
+// hardware architectures amortize per-voxel work (transmit leg,
+// reference-table slice) across the aperture. The streaming beamformer
+// consumes nappe blocks; ScalarAdapter lifts any plain Provider onto the
+// block interface unchanged. Every block slot is Index16 of the scalar law
+// by contract.
 //
 // One "sample" is 1/fs (31.25 ns at the Table I sampling rate of 32 MHz);
 // the delay value used by the beamformer is the sample index into each
@@ -72,12 +73,22 @@ type Provider interface {
 // index, the quantity the paper compares across implementations ("quantizing
 // both to an integer selection index prior to comparison", §VI-A).
 //
-// This sits on the beamformer's per-delay hot path. Keep math.Round: its
+// A NaN delay selects −1, silence: Go leaves the conversion of NaN to int
+// to the platform (amd64 yields math.MinInt64, arm64 0, which would read
+// sample 0), and Index16 maps NaN to a saturated index that reads silence
+// too.
+//
+// This sits on the scalar reference's per-delay path. Keep math.Round: its
 // branchless bit manipulation beats a truncate-and-compare half rule, whose
 // f ≥ 0.5 branch is data-dependent on random delay fractions and pays a
 // misprediction roughly every other delay (~1.6× slower end to end when
-// tried).
-func Index(samples float64) int { return int(math.Round(samples)) }
+// tried). The NaN test is never taken on a real delay.
+func Index(samples float64) int {
+	if samples != samples {
+		return -1
+	}
+	return int(math.Round(samples))
+}
 
 // Exact is the float64 golden-model Provider: Eq. (2) evaluated directly.
 // It plays the role of the paper's Matlab high-precision reference.
@@ -214,15 +225,11 @@ func (st *Stats) String() string {
 }
 
 // Compare sweeps a subsampled volume/aperture and accumulates provider-vs-
-// exact statistics. strideE subsamples elements, the volume is walked as
-// given (callers pass a pre-subsampled volume for coarse sweeps). Full-
-// aperture sweeps (strideE ≤ 1) run through the block path — both sides are
-// generated nappe-at-a-time via FillNappe — which visits the exact same
-// pairs in the exact same order, so the statistics are unchanged.
+// exact statistics. strideE subsamples elements (values below 1 mean the
+// full aperture), the volume is walked as given (callers pass a
+// pre-subsampled volume for coarse sweeps).
 func Compare(p Provider, e *Exact, strideE int) Stats {
-	if strideE <= 1 {
-		return CompareBlock(p, e)
-	}
+	strideE = max(strideE, 1)
 	var st Stats
 	e.Vol.Walk(scan.NappeOrder, func(ix scan.Index) {
 		for ej := 0; ej < e.Arr.NY; ej += strideE {

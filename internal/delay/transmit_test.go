@@ -39,29 +39,11 @@ func TestExactWithTransmitMatchesDirectConstruction(t *testing.T) {
 	if !ok {
 		t.Fatal("derived exact provider must stay a BlockProvider")
 	}
-	blk := make([]float64, bp.Layout().BlockLen())
-	blk16 := make(Block16, bp.Layout().BlockLen())
-	for id := 0; id < e.Vol.Depth.N; id++ {
-		bp.FillNappe(id, blk)
-		bp.FillNappe16(id, blk16)
-		k := 0
-		for it := 0; it < e.Vol.Theta.N; it++ {
-			for ip := 0; ip < e.Vol.Phi.N; ip++ {
-				for ej := 0; ej < e.Arr.NY; ej++ {
-					for ei := 0; ei < e.Arr.NX; ei++ {
-						want := q.DelaySamples(it, ip, id, ei, ej)
-						if blk[k] != want {
-							t.Fatalf("block fill differs at %d", k)
-						}
-						if blk16[k] != Index16(want) {
-							t.Fatalf("narrow fill differs at %d", k)
-						}
-						k++
-					}
-				}
-			}
-		}
+	ids := make([]int, e.Vol.Depth.N)
+	for id := range ids {
+		ids[id] = id
 	}
+	checkFill16(t, bp, ids)
 }
 
 func TestForTransmitsDerivesAndRejects(t *testing.T) {

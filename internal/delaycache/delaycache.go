@@ -122,11 +122,6 @@ func (c *Cache) Shared() *Shared { return c.s }
 // done so Stats.Attachments stays truthful). Detach is not idempotent.
 func (c *Cache) Detach() { c.s.attached.Add(-1) }
 
-// Miss records one generator run the store cannot serve — a float64 block,
-// which the narrow store never holds — on this attachment and the store,
-// so a consumer's wide fallback counts as the miss it is.
-func (c *Cache) Miss() { c.misses.Add(1); c.s.misses.Add(1) }
-
 // Nappe16T returns the retained quantized block of (transmit t, nappe id),
 // generating it on first access, or nil when the block is not resident.
 // A nil result for a pair in range counts one miss — the caller runs the

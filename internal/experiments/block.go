@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"ultrabeam/internal/core"
@@ -12,15 +11,16 @@ import (
 
 // BlockPathRow measures one provider on experiment B1: the software
 // delay-generation rate of the scalar per-voxel×element datapath against
-// the nappe-granular block datapath, plus the bit-identity check between
+// the nappe-granular block datapath — both producing the int16 selection
+// indices the served kernels consume — plus the bit-identity check between
 // the two (which must be exactly zero).
 type BlockPathRow struct {
 	Provider     string
 	Delays       int     // delays generated per full-volume sweep
-	ScalarPerSec float64 // delays/s through DelaySamples
-	BlockPerSec  float64 // delays/s through FillNappe
+	ScalarPerSec float64 // delays/s through Index16(DelaySamples)
+	BlockPerSec  float64 // delays/s through FillNappe16
 	Speedup      float64
-	MaxAbsDiff   float64 // max |block − scalar|, must be 0
+	Mismatches   int // int16 slots where block ≠ scalar, must be 0
 }
 
 // BlockPathResult carries experiment B1 (the ISSUE 1 tentpole measurement):
@@ -54,19 +54,19 @@ func measureBlockPath(s core.SystemSpec, p delay.Provider) BlockPathRow {
 	}
 	bp := delay.AsBlock(p, layout)
 	adapter := &delay.ScalarAdapter{P: p, L: layout} // one DelaySamples call per slot
-	block := make([]float64, layout.BlockLen())
-	scalar := make([]float64, layout.BlockLen())
+	block := make(delay.Block16, layout.BlockLen())
+	scalar := make(delay.Block16, layout.BlockLen())
 	row := BlockPathRow{Provider: p.Name(), Delays: vol.Depth.N * layout.BlockLen()}
 
 	start := time.Now()
 	for id := 0; id < vol.Depth.N; id++ {
-		adapter.FillNappe(id, scalar)
+		adapter.FillNappe16(id, scalar)
 	}
 	row.ScalarPerSec = float64(row.Delays) / time.Since(start).Seconds()
 
 	start = time.Now()
 	for id := 0; id < vol.Depth.N; id++ {
-		bp.FillNappe(id, block)
+		bp.FillNappe16(id, block)
 	}
 	row.BlockPerSec = float64(row.Delays) / time.Since(start).Seconds()
 	row.Speedup = row.BlockPerSec / row.ScalarPerSec
@@ -74,11 +74,11 @@ func measureBlockPath(s core.SystemSpec, p delay.Provider) BlockPathRow {
 	// The timing loops overwrite the buffers per nappe; re-fill the last
 	// nappe on both paths for the equivalence column.
 	last := vol.Depth.N - 1
-	bp.FillNappe(last, block)
-	adapter.FillNappe(last, scalar)
+	bp.FillNappe16(last, block)
+	adapter.FillNappe16(last, scalar)
 	for k := range block {
-		if d := math.Abs(block[k] - scalar[k]); d > row.MaxAbsDiff {
-			row.MaxAbsDiff = d
+		if block[k] != scalar[k] {
+			row.Mismatches++
 		}
 	}
 	return row
@@ -87,14 +87,14 @@ func measureBlockPath(s core.SystemSpec, p delay.Provider) BlockPathRow {
 // Table renders B1.
 func (r BlockPathResult) Table() *report.Table {
 	t := report.NewTable("B1 — block vs scalar delay generation (software datapath)",
-		"provider", "delays/sweep", "scalar rate", "block rate", "speedup", "max |diff|")
+		"provider", "delays/sweep", "scalar rate", "block rate", "speedup", "differing slots")
 	for _, row := range r.Rows {
 		t.Add(row.Provider,
 			report.Eng(float64(row.Delays)),
 			report.Eng(row.ScalarPerSec)+"/s",
 			report.Eng(row.BlockPerSec)+"/s",
 			fmt.Sprintf("%.1f×", row.Speedup),
-			fmt.Sprintf("%g", row.MaxAbsDiff))
+			fmt.Sprintf("%d", row.Mismatches))
 	}
 	return t
 }

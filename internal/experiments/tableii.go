@@ -148,16 +148,8 @@ type ImageQualityResult struct {
 }
 
 // ImageQuality beamforms a point phantom through exact, TABLEFREE and
-// TABLESTEER delays at reduced scale and compares the resulting images,
-// using the default block datapath.
+// TABLESTEER delays at reduced scale and compares the resulting images.
 func ImageQuality(s core.SystemSpec, targetDepth float64) (ImageQualityResult, error) {
-	return ImageQualityPath(s, targetDepth, beamform.BlockPath)
-}
-
-// ImageQualityPath is ImageQuality with an explicit engine datapath — the
-// §II-A experiment doubles as an end-to-end check that the block and scalar
-// paths image identically.
-func ImageQualityPath(s core.SystemSpec, targetDepth float64, path beamform.Path) (ImageQualityResult, error) {
 	res := ImageQualityResult{
 		Metrics:    map[string]beamform.PSFMetrics{},
 		Similarity: map[string]float64{},
@@ -171,7 +163,6 @@ func ImageQualityPath(s core.SystemSpec, targetDepth float64, path beamform.Path
 		return res, err
 	}
 	eng := s.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-	eng.Cfg.Path = path
 	exactVol, err := eng.Beamform(s.NewExact(), bufs)
 	if err != nil {
 		return res, err

@@ -115,11 +115,6 @@ func (t *Table) nappe(id int) []float64 {
 	return t.data[id*n : (id+1)*n]
 }
 
-// FillNappe implements delay.BlockProvider with a single contiguous copy.
-func (t *Table) FillNappe(id int, dst []float64) {
-	copy(dst, t.nappe(id))
-}
-
 // FillNappe16 implements delay.BlockProvider, quantizing the stored slice.
 func (t *Table) FillNappe16(id int, dst delay.Block16) {
 	delay.QuantizeNappe(dst, t.nappe(id))

@@ -118,9 +118,9 @@ func BenchmarkTableLookup(b *testing.B) {
 	}
 }
 
-// TestTableBlockPath holds the materialized table's block fills — a
-// contiguous copy of the nappe-major storage — to the scalar lookup, and
-// the quantized fill to delay.QuantizeNappe over the float fill.
+// TestTableBlockPath holds the materialized table's block fill — the
+// nappe-major storage quantized slice for slice — to Index16 of the scalar
+// lookup at every coordinate.
 func TestTableBlockPath(t *testing.T) {
 	v, a := smallVolume()
 	tbl, err := Build(v, a, geom.Vec3{}, conv, fixed.Format{IntBits: 14, FracBits: 20})
@@ -131,29 +131,20 @@ func TestTableBlockPath(t *testing.T) {
 	if want := (delay.Layout{NTheta: v.Theta.N, NPhi: v.Phi.N, NX: a.NX, NY: a.NY}); l != want {
 		t.Fatalf("Layout = %+v, want %+v", l, want)
 	}
-	wide := make([]float64, l.BlockLen())
 	q := make(delay.Block16, l.BlockLen())
-	want16 := make(delay.Block16, l.BlockLen())
 	for _, id := range []int{0, v.Depth.N / 2, v.Depth.N - 1} {
-		tbl.FillNappe(id, wide)
+		tbl.FillNappe16(id, q)
 		for it := 0; it < l.NTheta; it++ {
 			for ip := 0; ip < l.NPhi; ip++ {
 				for ej := 0; ej < l.NY; ej++ {
 					for ei := 0; ei < l.NX; ei++ {
-						want := tbl.DelaySamples(it, ip, id, ei, ej)
-						if got := wide[l.Index(it, ip, ei, ej)]; got != want {
-							t.Fatalf("id=%d (%d,%d,%d,%d): block %v != scalar %v",
+						want := delay.Index16(tbl.DelaySamples(it, ip, id, ei, ej))
+						if got := q[l.Index(it, ip, ei, ej)]; got != want {
+							t.Fatalf("id=%d (%d,%d,%d,%d): block %d != Index16(scalar) %d",
 								id, it, ip, ei, ej, got, want)
 						}
 					}
 				}
-			}
-		}
-		delay.QuantizeNappe(want16, wide)
-		tbl.FillNappe16(id, q)
-		for k := range want16 {
-			if q[k] != want16[k] {
-				t.Fatalf("id=%d slot %d: native16 %d != quantized %d", id, k, q[k], want16[k])
 			}
 		}
 	}

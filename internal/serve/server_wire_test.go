@@ -12,7 +12,10 @@ import (
 
 	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/core"
+	"ultrabeam/internal/delay"
+	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
+	"ultrabeam/internal/scan"
 	"ultrabeam/internal/wire"
 )
 
@@ -109,6 +112,43 @@ func TestServerWireF64BitIdentity(t *testing.T) {
 				if vol[i] != ref.Data[i] {
 					t.Fatalf("%s chunk %d: f64 wire volume differs from the direct session at %d", prec, chunk, i)
 				}
+			}
+		}
+	}
+}
+
+// TestServerWireLongWindowF64: an f64 frame whose window is one sample
+// beyond delay.MaxEchoWindow is served through the cached int16 blocks of
+// every other frame and returns exactly the scalar golden volume.
+func TestServerWireLongWindowF64(t *testing.T) {
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
+	req := tinyRequest()
+	spec := req.Spec
+	spec.DepthLambda = core.ReducedSpec().DepthLambda // the depth tinyQuery selects
+	bufs, err := rf.Synthesize(rf.Config{
+		Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
+		BufSamples: delay.MaxEchoWindow + 1,
+	}, rf.PointPhantom(geom.Vec3{Z: 0.6 * spec.Depth()}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := spec.NewBeamformer(req.Config.Window, scan.NappeOrder).BeamformScalar(req.Arch.NewProvider(spec), bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs}, 0)
+	for frame := 0; frame < 2; frame++ { // the second frame reads resident blocks
+		st, raw, _ := postBytes(t, ts.URL+"/v1/beamform?"+tinyQuery(nil), wire.ContentType, body)
+		if st != http.StatusOK {
+			t.Fatalf("frame %d: %d: %s", frame, st, raw)
+		}
+		vol := decodeFloats(t, raw)
+		if len(vol) != len(golden.Data) {
+			t.Fatalf("frame %d: %d voxels, want %d", frame, len(vol), len(golden.Data))
+		}
+		for i, v := range golden.Data {
+			if math.Float64bits(vol[i]) != math.Float64bits(v) {
+				t.Fatalf("frame %d: voxel %d = %v, scalar golden %v", frame, i, vol[i], v)
 			}
 		}
 	}

@@ -15,25 +15,19 @@ func (p *Provider) Layout() delay.Layout {
 	}
 }
 
-// FillNappe implements delay.BlockProvider with the §IV-B geometry
+// FillNappe16 implements delay.BlockProvider with the §IV-B geometry
 // decomposition applied at block granularity: per voxel, the transmit leg
 // √|S−O|² is approximated once and shared by the whole element plane (in
 // hardware it is "computed only once and then distributed to all the
 // element-specific units"), the squared x terms are computed once per
 // transducer column and the squared y/z terms once per row, and the receive
 // square roots are evaluated as one batch through the incremental segment
-// cursor instead of a binary search per element. Results are bit-identical
-// to DelaySamples: the argument association order and the PWL evaluation are
-// unchanged, only their schedule is.
-func (p *Provider) FillNappe(id int, dst []float64) {
-	p.fillNappe(id, dst, nil)
-}
-
-// FillNappe16 implements delay.BlockProvider. The fixed datapath — the
+// cursor instead of a binary search per element. The fixed datapath — the
 // form the serving stack builds — runs the fused integer kernel
 // (fillNappe16Fixed); the ideal PWL, and a FixedConfig the integer form
-// does not cover, take the generic sweep with delay.Index16 applied per
-// voxel plane.
+// does not cover, take the generic sweep (fillNappe16). Every slot is
+// Index16(DelaySamples(…)): the argument association order and the PWL
+// evaluation are unchanged, only their schedule is.
 func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 	if p.UseFixed {
 		if dp := p.FixedDP.Integer(); dp != nil {
@@ -41,7 +35,7 @@ func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 			return
 		}
 	}
-	p.fillNappe(id, nil, dst)
+	p.fillNappe16(id, dst)
 }
 
 // stackTerms is the most float64 scratch (per-voxel squared terms: one per
@@ -309,21 +303,15 @@ func fixedRow(row []int16, xt2 []float64, yt2, zz float64, txRaw int64, dp *sqrt
 	return cur
 }
 
-// fillNappe is the generic nappe sweep: exactly one of dst (float64 block)
-// and dst16 (quantized block) is non-nil. The float64 arithmetic and its
-// association order are identical on both paths — dst16 merely applies
-// delay.Index16 to each voxel plane as it is produced — which keeps the
-// quantized fill exact with respect to the float fill.
-func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
+// fillNappe16 is the generic nappe sweep: the float64 arithmetic of
+// DelaySamples in its association order, with delay.Index16 applied to each
+// voxel plane as it is produced.
+func (p *Provider) fillNappe16(id int, dst delay.Block16) {
 	l := p.Layout()
 	nE := l.VoxelStride()
-	// One scratch: the per-column (Sx−xD)² row, then on the quantized path
-	// the voxel plane. Each voxel's receive √ arguments are written to its
-	// output plane and evaluated in place (the float64 path uses dst itself).
-	n := l.NX
-	if dst16 != nil {
-		n += nE
-	}
+	// One scratch: the per-column (Sx−xD)² row, then the voxel plane, whose
+	// receive √ arguments are written and evaluated in place.
+	n := l.NX + nE
 	var stack [stackTerms]float64
 	scratch := stack[:]
 	if n > stackTerms {
@@ -349,32 +337,22 @@ func (p *Provider) fillNappe(id int, dst []float64, dst16 delay.Block16) {
 				xt := s.X - p.elemX[ei]
 				xt2[ei] = xt * xt
 			}
-			out := plane
-			if dst16 == nil {
-				out = dst[k : k+nE]
-			}
 			j := 0
 			for ej := 0; ej < l.NY; ej++ {
 				yt := s.Y - p.elemY[ej]
 				yt2 := yt * yt
 				for ei := 0; ei < l.NX; ei++ {
-					out[j] = xt2[ei] + yt2 + zz
+					plane[j] = xt2[ei] + yt2 + zz
 					j++
 				}
 			}
 			if p.UseFixed {
-				p.FixedDP.EvalSlice(out, out)
+				p.FixedDP.EvalSlice(plane, plane)
 			} else {
-				p.Approx.EvalSlice(out, out)
+				p.Approx.EvalSlice(plane, plane)
 			}
-			if dst16 != nil {
-				for i, rx := range out {
-					dst16[k+i] = delay.Index16(tx + rx)
-				}
-			} else {
-				for i := range out {
-					out[i] = tx + out[i]
-				}
+			for i, rx := range plane {
+				dst[k+i] = delay.Index16(tx + rx)
 			}
 			k += nE
 		}

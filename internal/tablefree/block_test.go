@@ -1,6 +1,7 @@
 package tablefree
 
 import (
+	"math"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -17,32 +18,16 @@ func blockSetup() *Provider {
 	})
 }
 
-// TestFillNappeBitIdentical holds the block fill to the scalar reference for
-// both the ideal-PWL and the fixed-point datapaths, at every depth.
+// TestFillNappeBitIdentical holds the block fill to Index16 of the scalar
+// reference for both the ideal-PWL and the fixed-point datapaths, at every
+// depth.
 func TestFillNappeBitIdentical(t *testing.T) {
 	for _, fixed := range []bool{false, true} {
 		p := blockSetup()
 		p.UseFixed = fixed
-		l := p.Layout()
-		dst := make([]float64, l.BlockLen())
-		for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-			p.FillNappe(id, dst)
-			for it := 0; it < l.NTheta; it++ {
-				for ip := 0; ip < l.NPhi; ip++ {
-					for ej := 0; ej < l.NY; ej++ {
-						for ei := 0; ei < l.NX; ei++ {
-							want := p.DelaySamples(it, ip, id, ei, ej)
-							got := dst[l.Index(it, ip, ei, ej)]
-							if got != want {
-								t.Fatalf("%s id=%d (%d,%d,%d,%d): block %v != scalar %v",
-									p.Name(), id, it, ip, ei, ej, got, want)
-							}
-						}
-					}
-				}
-			}
-		}
+		checkFill16(t, p.Name(), p)
 	}
+	var _ delay.BlockProvider = (*Provider)(nil)
 }
 
 func TestLayoutMatchesConfig(t *testing.T) {
@@ -54,27 +39,19 @@ func TestLayoutMatchesConfig(t *testing.T) {
 	var _ delay.BlockProvider = p
 }
 
-// TestFillNappe16BitIdentical holds the native quantized fill to
-// delay.QuantizeNappe over the float fill, slot for slot, on both datapaths.
+// TestFillNappe16BitIdentical drives the generic sweep — the ideal PWL's
+// fill — past the int16 range, as TestFusedFill16Saturates drives the fused
+// fixed kernel: deep nappes must pin at MaxInt16 exactly where Index16
+// does, the saturated index a long-window session reads as "use the scalar
+// law".
 func TestFillNappe16BitIdentical(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		p := blockSetup()
-		p.UseFixed = fixed
-		l := p.Layout()
-		wide := make([]float64, l.BlockLen())
-		want := make(delay.Block16, l.BlockLen())
-		got := make(delay.Block16, l.BlockLen())
-		for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-			p.FillNappe(id, wide)
-			delay.QuantizeNappe(want, wide)
-			p.FillNappe16(id, got)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s fixed=%v id=%d slot %d: native %d != quantized %d",
-						p.Name(), fixed, id, k, got[k], want[k])
-				}
-			}
-		}
+	p := New(Config{
+		Vol:  scan.NewVolume(geom.Radians(73), geom.Radians(40), 1.0, 4, 3, 9),
+		Arr:  xdcr.NewArray(6, 5, 0.2e-3),
+		Conv: delay.Converter{C: 1540, Fs: 32e6},
+	})
+	lo, hi := checkFill16(t, "deep", p)
+	if hi != math.MaxInt16 || lo >= math.MaxInt16/2 {
+		t.Fatalf("index range [%d, %d] does not straddle saturation", lo, hi)
 	}
-	var _ delay.BlockProvider = (*Provider)(nil)
 }

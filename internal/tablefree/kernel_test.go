@@ -197,21 +197,17 @@ func TestUncoveredFixedConfigTakesGenericRoute(t *testing.T) {
 	}
 }
 
-// TestFillNappe16Allocations holds the fixed fill and the float64 fill to
-// zero allocations per call — their scratch is on the stack — and the
-// quantized generic sweep, whose scratch holds a voxel plane too, to one.
+// TestFillNappe16Allocations holds the fixed fill to zero allocations per
+// call — its scratch is on the stack — and the generic sweep, whose scratch
+// holds a voxel plane too, to one.
 func TestFillNappe16Allocations(t *testing.T) {
 	fixed, ideal := fixedProvider(smallConfig()), New(smallConfig())
 	dst := make(delay.Block16, fixed.Layout().BlockLen())
-	wide := make([]float64, fixed.Layout().BlockLen())
 	if n := testing.AllocsPerRun(20, func() { fixed.FillNappe16(7, dst) }); n != 0 {
 		t.Errorf("fixed FillNappe16: %v allocs per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { ideal.FillNappe16(7, dst) }); n > 1 {
 		t.Errorf("ideal-PWL FillNappe16: %v allocs per call, want ≤ 1", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { fixed.FillNappe(7, wide) }); n != 0 {
-		t.Errorf("fixed FillNappe: %v allocs per call, want 0", n)
 	}
 }
 

@@ -34,9 +34,9 @@ func TestWithTransmitMatchesRebuiltProvider(t *testing.T) {
 		if !ok || qp.UseFixed != fixed {
 			t.Fatalf("derived provider lost the datapath selection (fixed=%v)", fixed)
 		}
-		blk := make([]float64, qp.Layout().BlockLen())
+		blk := make(delay.Block16, qp.Layout().BlockLen())
 		for id := 0; id < cfg.Vol.Depth.N; id += 3 {
-			qp.FillNappe(id, blk)
+			qp.FillNappe16(id, blk)
 			k := 0
 			for it := 0; it < cfg.Vol.Theta.N; it++ {
 				for ip := 0; ip < cfg.Vol.Phi.N; ip++ {
@@ -46,7 +46,7 @@ func TestWithTransmitMatchesRebuiltProvider(t *testing.T) {
 							if got := qp.DelaySamples(it, ip, id, ei, ej); got != w {
 								t.Fatalf("fixed=%v scalar differs at (%d,%d,%d,%d,%d)", fixed, it, ip, id, ei, ej)
 							}
-							if blk[k] != w {
+							if blk[k] != delay.Index16(w) {
 								t.Fatalf("fixed=%v block fill differs at %d", fixed, k)
 							}
 							k++

@@ -14,39 +14,21 @@ func (p *Provider) Layout() delay.Layout {
 	}
 }
 
-// FillNappe implements delay.BlockProvider, mirroring the Fig. 4 datapath at
-// block granularity: the folded reference slice of depth nappe id is
+// FillNappe16 implements delay.BlockProvider, mirroring the Fig. 4 datapath
+// at block granularity: the folded reference slice of depth nappe id is
 // unfolded to the full aperture exactly once per nappe (the slice the DRAM
 // streamer keeps on chip, §V-B) and then every steering direction is
 // produced by broadcast-adding the separable corrections — the x table row
 // for (θ, φ) across element columns and the y table word for φ across
-// element rows. Per delay that leaves two additions, against two table
-// folds and three indexed lookups on the scalar path. Results are
-// bit-identical to DelaySamples: the float path keeps the (ref + x) + y
-// association, and the fixed path adds words pre-aligned to the common
-// binary point with the same shifts as alignedSum.
-func (p *Provider) FillNappe(id int, dst []float64) {
-	l, c := p.Layout(), p.Corr
-	switch {
-	case !p.UseFixed:
-		var stack [stackElems]float64
-		ref := unfold(stack[:], p.Ref.vals, id, l)
-		c.eachRow(func(k, r, x, y int) {
-			sumRow(dst[k:k+l.NX], ref[r:r+l.NX], c.xvals[x:x+l.NX], c.yvals[y])
-		})
-	case p.narrow != nil:
-		fillScaled(p, p.narrow, id, dst)
-	default:
-		fillScaled(p, p.wide, id, dst)
-	}
-}
-
-// FillNappe16 implements delay.BlockProvider: the same walk as FillNappe
-// with the rounding to an echo-buffer index fused into the row, so no
-// float64 block is materialized. The fixed datapath with formats that prove
-// it (narrowProven: every shipped pair) runs steerRow — int32 adds and one
-// rounding shift, no float; any other pair adds in int64 and clamps through
-// delay.Index16. Every slot equals Index16(DelaySamples(…)).
+// element rows — with the rounding to an echo-buffer index fused into the
+// row. Per delay that leaves two additions and a rounding, against two
+// table folds and three indexed lookups on the scalar path. The float path
+// keeps the (ref + x) + y association. The fixed datapath with formats that
+// prove it (narrowProven: every shipped pair) runs steerRow — int32 adds
+// and one rounding shift, no float; any other pair adds in int64 words
+// pre-aligned to the common binary point with the same shifts as
+// alignedSum and clamps through delay.Index16. Every slot equals
+// Index16(DelaySamples(…)).
 func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 	l, c := p.Layout(), p.Corr
 	switch {
@@ -74,19 +56,6 @@ func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 			clampedRow(dst[k:k+l.NX], ref[r:r+l.NX], o.x[x:x+l.NX], o.y[y], scale)
 		})
 	}
-}
-
-// fillScaled is the fixed datapath's float64 fill: the aligned integer sum
-// scaled back by the common power of two — an exact operation, so the result
-// matches the scalar fixed path bit for bit.
-func fillScaled[T int32 | int64](p *Provider, o *operands[T], id int, dst []float64) {
-	l := p.Layout()
-	scale := math.Ldexp(1, -o.frac)
-	var stack [stackElems]T
-	ref := unfold(stack[:], o.ref, id, l)
-	p.Corr.eachRow(func(k, r, x, y int) {
-		scaledRow(dst[k:k+l.NX], ref[r:r+l.NX], o.x[x:x+l.NX], o.y[y], scale)
-	})
 }
 
 // stackElems is the largest aperture whose unfolded reference slice lives
@@ -149,20 +118,6 @@ func clampedRow(row []int16, ref, x []int64, y int64, scale float64) {
 	row, x = row[:len(ref)], x[:len(ref)]
 	for ei, r := range ref {
 		row[ei] = delay.Index16(float64(r+x[ei]+y) * scale)
-	}
-}
-
-func scaledRow[T int32 | int64](row []float64, ref, x []T, y T, scale float64) {
-	row, x = row[:len(ref)], x[:len(ref)]
-	for ei, r := range ref {
-		row[ei] = float64(r+x[ei]+y) * scale
-	}
-}
-
-func sumRow(row, ref, x []float64, y float64) {
-	row, x = row[:len(ref)], x[:len(ref)]
-	for ei, r := range ref {
-		row[ei] = r + x[ei] + y
 	}
 }
 

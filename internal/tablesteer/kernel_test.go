@@ -14,31 +14,23 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
-// checkFills holds FillNappe16 to Index16(DelaySamples) and FillNappe to
-// DelaySamples slot for slot at every nappe, and returns the smallest and
-// largest index seen.
+// checkFills holds FillNappe16 to Index16(DelaySamples) slot for slot at
+// every nappe, and returns the smallest and largest index seen.
 func checkFills(t *testing.T, name string, p *Provider) (lo, hi int16) {
 	t.Helper()
 	l := p.Layout()
 	got := make(delay.Block16, l.BlockLen())
-	wide := make([]float64, l.BlockLen())
 	lo, hi = math.MaxInt16, math.MinInt16
 	for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
 		p.FillNappe16(id, got)
-		p.FillNappe(id, wide)
 		for it := 0; it < l.NTheta; it++ {
 			for ip := 0; ip < l.NPhi; ip++ {
 				for ej := 0; ej < l.NY; ej++ {
 					for ei := 0; ei < l.NX; ei++ {
 						k := l.Index(it, ip, ei, ej)
-						s := p.DelaySamples(it, ip, id, ei, ej)
-						if want := delay.Index16(s); got[k] != want {
+						if want := delay.Index16(p.DelaySamples(it, ip, id, ei, ej)); got[k] != want {
 							t.Fatalf("%s id=%d (%d,%d,%d,%d): fill16 %d != scalar %d",
 								name, id, it, ip, ei, ej, got[k], want)
-						}
-						if wide[k] != s {
-							t.Fatalf("%s id=%d (%d,%d,%d,%d): fill %v != scalar %v",
-								name, id, it, ip, ei, ej, wide[k], s)
 						}
 						lo, hi = min(lo, got[k]), max(hi, got[k])
 					}
@@ -250,9 +242,9 @@ func sharesCorrections[T int32 | int64](p, q *operands[T]) bool {
 	return &q.x[0] == &p.x[0] && &q.y[0] == &p.y[0] && &q.ref[0] != &p.ref[0]
 }
 
-// TestFillNappeAllocations: every fill keeps its unfolded reference slice
-// on the stack up to a 256-element aperture and pays one allocation per
-// nappe beyond it.
+// TestFillNappeAllocations: every FillNappe16 route keeps its unfolded
+// reference slice on the stack up to a 256-element aperture and pays one
+// allocation per nappe beyond it.
 func TestFillNappeAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		nx, ny int
@@ -264,13 +256,9 @@ func TestFillNappeAllocations(t *testing.T) {
 		wideCfg.RefFmt = fixed.Format{IntBits: 16, FracBits: 3}
 		for _, p := range []*Provider{New(cfg), New(wideCfg)} {
 			dst := make(delay.Block16, p.Layout().BlockLen())
-			f64 := make([]float64, p.Layout().BlockLen())
 			for _, p.UseFixed = range []bool{true, false} {
 				if n := testing.AllocsPerRun(20, func() { p.FillNappe16(3, dst) }); n != tc.want {
 					t.Errorf("%d×%d %s fixed=%v FillNappe16: %v allocs per call, want %v", tc.nx, tc.ny, p.Cfg.RefFmt, p.UseFixed, n, tc.want)
-				}
-				if n := testing.AllocsPerRun(20, func() { p.FillNappe(3, f64) }); n != tc.want {
-					t.Errorf("%d×%d %s fixed=%v FillNappe: %v allocs per call, want %v", tc.nx, tc.ny, p.Cfg.RefFmt, p.UseFixed, n, tc.want)
 				}
 			}
 		}

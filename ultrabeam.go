@@ -17,9 +17,10 @@
 //	d := ts.DelaySamples(it, ip, id, ei, ej)
 //
 // Every provider also implements the block-granular BlockProvider
-// interface: FillNappe materializes all θ×φ×element delays of one depth
-// nappe into a contiguous buffer in a single call, the bulk datapath the
-// streaming beamformer and the paper's nappe-order hardware both consume.
+// interface: FillNappe16 materializes all θ×φ×element delays of one depth
+// nappe, as int16 selection indices, into a contiguous buffer in a single
+// call — the one delay datapath the streaming beamformer and the paper's
+// nappe-order hardware both consume.
 //
 // Multi-frame imaging goes through a Session — a persistent worker pool
 // whose steady-state BeamformInto is allocation-free — optionally fed by a
@@ -70,21 +71,20 @@ type SystemSpec = core.SystemSpec
 type Provider = delay.Provider
 
 // BlockProvider generates delays one depth nappe at a time into a
-// caller-owned contiguous buffer, as float64 delays or as quantized int16
-// selection indices; see delay.BlockProvider.
+// caller-owned contiguous buffer of quantized int16 selection indices; see
+// delay.BlockProvider.
 type BlockProvider = delay.BlockProvider
 
-// BlockProvider16 is an alias of BlockProvider, whose FillNappe16 fills the
-// narrow form.
+// BlockProvider16 is an alias of BlockProvider.
 type BlockProvider16 = delay.BlockProvider16
 
-// Block16 is a nappe delay block of int16 selection indices — the narrow
-// datapath representation, 2 bytes per delay, exact for echo windows within
-// MaxEchoWindow samples; see delay.Block16.
+// Block16 is a nappe delay block of int16 selection indices — the delay
+// datapath's one representation, 2 bytes per delay; see delay.Block16.
 type Block16 = delay.Block16
 
-// MaxEchoWindow is the largest echo-buffer length for which int16 selection
-// indices are exact; see delay.MaxEchoWindow.
+// MaxEchoWindow is the largest echo-buffer length in which every int16
+// selection index, saturated ones included, is exact; see
+// delay.MaxEchoWindow.
 const MaxEchoWindow = delay.MaxEchoWindow
 
 // Layout describes the stride order of a nappe delay block.
