@@ -76,6 +76,96 @@ func TestPrecisionFloat64BitIdentical(t *testing.T) {
 	}
 }
 
+// TestHugeEchoWindowFallsBackWide: a window beyond delay.MaxEchoWindow
+// defeats int16 echo indexing, so the session must fall back to the wide
+// (float64) echo kernel over its int16 delay blocks — at every precision —
+// and still match the scalar reference.
+func TestHugeEchoWindowFallsBackWide(t *testing.T) {
+	cfg, _, _ := psfSetup(t)
+	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
+	cfg.Arr.NX, cfg.Arr.NY = 4, 4
+	bufs, err := rf.Synthesize(rf.Config{
+		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
+		BufSamples: delay.MaxEchoWindow + 100,
+	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
+		c := cfg
+		c.Precision = prec
+		eng := New(c)
+		ref, err := eng.BeamformScalar(exactProvider(c), bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.NewSession(exactProvider(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol, err := sess.Beamform(bufs)
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.Data {
+			if math.Float64bits(ref.Data[i]) != math.Float64bits(vol.Data[i]) {
+				t.Fatalf("%v: differs at %d", prec, i)
+			}
+		}
+	}
+}
+
+// TestWideFallbackCountsEveryBlockAMiss: the wide fallback for a long echo
+// window reads the same delay store as every other frame, one request per
+// (transmit, nappe). On a cold full-budget cache the first compound frame
+// counts every block a miss and hits nothing; every later frame counts every
+// block a hit and misses nothing.
+func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) {
+	cfg, _, _ := psfSetup(t)
+	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
+	cfg.Arr.NX, cfg.Arr.NY = 4, 4
+	bufs, err := rf.Synthesize(rf.Config{
+		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
+		BufSamples: delay.MaxEchoWindow + 100,
+	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gens []delay.BlockProvider
+	for _, tx := range delay.SteeredTransmits(2, 0.004, 0.004) {
+		p, err := exactProvider(cfg).WithTransmit(tx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens = append(gens, p.(delay.BlockProvider))
+	}
+	cache, err := delaycache.New(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess := cachedSession(t, New(cfg), cache)
+	defer sess.Close()
+	dst := sess.NewVolume()
+	perFrame := int64(cfg.Vol.Depth.N * len(gens))
+	for frame := 0; frame < 3; frame++ {
+		before := cache.Stats()
+		if err := sess.BeamformCompoundInto(dst, [][]rf.EchoBuffer{bufs, bufs}); err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		wantMisses, wantHits := perFrame, int64(0)
+		if frame > 0 {
+			wantMisses, wantHits = 0, perFrame
+		}
+		if after.Misses-before.Misses != wantMisses || after.Hits-before.Hits != wantHits ||
+			cache.Shared().Stats().Misses != after.Misses {
+			t.Errorf("frame %d: stats %+v → %+v, want exactly %d more misses and %d more hits",
+				frame, before, after, wantMisses, wantHits)
+		}
+	}
+}
+
 // shifted adds extra samples to element (ei, ej)'s delays. It offers only
 // the scalar interface, so sessions fill its blocks through
 // delay.ScalarAdapter.
