@@ -1,15 +1,16 @@
 // Command usbeamd is the long-lived beamforming daemon. It runs the
 // per-geometry frame scheduler: one hot session per warm probe geometry,
 // incoming frames queued into priority lanes (interactive jumps bulk/cine)
-// and dispatched as fused batches that amortize delay-block regeneration
-// across the backlog. See internal/serve.Server for the wire protocol,
+// and dispatched one frame at a time, while the geometry's shared delay
+// store amortizes delay generation across frames. See
+// internal/serve.Server for the wire protocol,
 // /v1/healthz for liveness and /v1/stats for occupancy, lane wait
 // percentiles and shared-cache hit rates.
 //
 // Usage:
 //
 //	usbeamd [-addr :8642] [-stream-addr :8643] [-max-geometries N]
-//	        [-max-queue N] [-max-batch N] [-idle-ttl 5m]
+//	        [-max-queue N] [-idle-ttl 5m]
 //	        [-acquire-timeout 10s] [-max-body 256MiB] [-drain-timeout 30s]
 //
 // SIGTERM (or interrupt) triggers a graceful drain: /v1/healthz flips to 503
@@ -58,7 +59,6 @@ func main() {
 	streamAddr := flag.String("stream-addr", "", "also listen for the persistent cine stream transport on this TCP address")
 	maxGeometries := flag.Int("max-geometries", 4, "warm geometries the scheduler keeps hot")
 	maxQueue := flag.Int("max-queue", 64, "queued frames per geometry and lane before 503")
-	maxBatch := flag.Int("max-batch", 4, "frames fused into one scheduler dispatch")
 	idleTTL := flag.Duration("idle-ttl", 5*time.Minute, "evict geometries idle this long (0 = never)")
 	acquireTimeout := flag.Duration("acquire-timeout", 10*time.Second, "max time a request may queue for a session")
 	maxBody := flag.Int64("max-body", 256<<20, "request body byte cap")
@@ -82,7 +82,6 @@ func main() {
 	sched := serve.NewScheduler(serve.SchedulerConfig{
 		MaxGeometries: *maxGeometries,
 		MaxQueue:      *maxQueue,
-		MaxBatch:      *maxBatch,
 		IdleTTL:       *idleTTL,
 	})
 	srv, err := serve.NewServer(serve.ServerConfig{
@@ -95,7 +94,7 @@ func main() {
 	hs := serve.NewHTTPServer(*addr, srv)
 
 	// The stream transport shares the scheduler with HTTP: same lanes, same
-	// fused batches, same /stats counters.
+	// /stats counters.
 	streamCtx, streamCancel := context.WithCancel(context.Background())
 	var streamWG sync.WaitGroup
 	var streamLn net.Listener
@@ -144,7 +143,7 @@ func main() {
 			log.Println("usbeamd: shutdown:", err)
 		}
 	}()
-	log.Printf("usbeamd: serving on %s (max %d geometries, batch %d, idle TTL %s)", *addr, *maxGeometries, *maxBatch, *idleTTL)
+	log.Printf("usbeamd: serving on %s (max %d geometries, idle TTL %s)", *addr, *maxGeometries, *idleTTL)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "usbeamd:", err)
 		os.Exit(1)

@@ -261,7 +261,8 @@ func TestFacadeCompoundInvariance(t *testing.T) {
 }
 
 // TestFacadeServingScheduler exercises the serving surface through the
-// public package: shared store via SessionConfig, scheduled frames keyed by
+// public package: a shared store attached through NewSessionGenerators,
+// scheduled frames keyed by
 // fingerprint onto one warm geometry, and the HTTP server round trip.
 func TestFacadeServingScheduler(t *testing.T) {
 	spec := ultrabeam.ReducedSpec()
@@ -282,14 +283,14 @@ func TestFacadeServingScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attach := cfg
-	attach.Cached, attach.SharedCache = false, shared
-	s1, c1, err := spec.NewSessionConfig(attach, spec.NewExact())
+	eng := spec.NewBeamformer(cfg.Window, ultrabeam.NappeOrder)
+	c1, c2 := shared.Attach(), shared.Attach()
+	s1, err := eng.NewSessionGenerators(shared.Generators(), c1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, c2, err := spec.NewSessionConfig(attach, spec.NewExact())
+	s2, err := eng.NewSessionGenerators(shared.Generators(), c2)
 	if err != nil {
 		t.Fatal(err)
 	}

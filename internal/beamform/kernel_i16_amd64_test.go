@@ -147,8 +147,9 @@ func TestFusedSteerNoAVX2Route(t *testing.T) {
 		t.Fatalf("the no-AVX2 route built %d fused operand rows", n)
 	}
 	fused := run(true)
-	if n := sc.rows(); n != int64(2*sc.depth*len(sc.gens)) {
-		t.Fatalf("the AVX2 route built %d fused operand rows, want %d", n, 2*sc.depth*len(sc.gens))
+	// One build per (nappe, transmit) per frame: four frames.
+	if n := sc.rows(); n != int64(4*sc.depth*len(sc.gens)) {
+		t.Fatalf("the AVX2 route built %d fused operand rows, want %d", n, 4*sc.depth*len(sc.gens))
 	}
 	sameVolumes(t, "fused vs no-AVX2", fused, ref)
 }

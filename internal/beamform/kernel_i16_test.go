@@ -671,9 +671,6 @@ func TestBatchPlanesI16Validation(t *testing.T) {
 		{"window_over_max", func() error {
 			return one(delay.MaxEchoWindow+1, [][][]int16{{plane}}, [][]float32{{scale}})
 		}},
-		{"empty_batch", func() error {
-			return sess.BeamformBatchPlanesI16(nil, win, nil, nil)
-		}},
 		{"transmit_count", func() error {
 			return one(win, [][][]int16{{plane, plane}}, [][]float32{{scale, scale}})
 		}},
@@ -695,9 +692,8 @@ func TestBatchPlanesI16Validation(t *testing.T) {
 		{"inf_scale", func() error {
 			return one(win, [][][]int16{{plane}}, [][]float32{{float32(math.Inf(1))}})
 		}},
-		{"shared_dst", func() error {
-			d := sess.NewVolume()
-			return sess.BeamformBatchPlanesI16([]*Volume{d, d}, win,
+		{"dst_count", func() error {
+			return sess.BeamformBatchPlanesI16([]*Volume{sess.NewVolume()}, win,
 				[][][]int16{{plane}, {plane}}, [][]float32{{scale}, {scale}})
 		}},
 		{"nil_dst", func() error {

@@ -226,7 +226,7 @@ func TestFusedSteerIndexExtremes(t *testing.T) {
 type unfusedProvider struct{ delay.BlockProvider }
 
 // countingSteer counts the fused route's per-nappe operand builds — the
-// route pin: one call per non-resident (nappe, transmit) per batch where the
+// route pin: one call per non-resident (nappe, transmit) per frame where the
 // fused body runs, none anywhere else.
 type countingSteer struct {
 	*tablesteer.Provider
@@ -351,13 +351,13 @@ func sameVolumes(t *testing.T, name string, got, want []*Volume) {
 // TestFusedSteerSessionsMatchUnfused holds whole sessions to the twin: a
 // session over the TABLESTEER generators against the same session with
 // their SteerSource hidden, bit for bit, in every shape the fused route
-// serves — single and 4-transmit compound (store then add), batches of 1
-// and 3, buffer-fed and plane-fed, uncached and through a half-budget
-// delaycache (only its non-resident nappes take the route). The route pin:
-// the fused session builds operand rows exactly once per non-resident
-// (nappe, transmit) per batch where the fused body exists and never
-// otherwise, and both sessions' cache counters read the same, because a
-// fused run counts the miss the fill it replaces would have.
+// serves — single and 4-transmit compound (store then add), calls of 1
+// and 3 frames, buffer-fed and plane-fed, uncached and through a
+// half-budget delaycache (only its non-resident nappes take the route).
+// The route pin: the fused session builds operand rows exactly once per
+// non-resident (nappe, transmit) per frame where the fused body exists and
+// never otherwise, and both sessions' cache counters read the same, because
+// a fused run counts the miss the fill it replaces would have.
 func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 	for _, nTx := range []int{1, 4} {
 		sc := newSteerCompound(t, nTx, PrecisionInt16)
@@ -379,7 +379,7 @@ func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 						for k := range dsts {
 							dsts[k] = sess.NewVolume()
 						}
-						for range 2 { // the second batch runs warm
+						for range 2 { // the second call runs warm
 							var err error
 							if fed == "buffers" {
 								err = sess.BeamformBatch(dsts, bufs[:n])
@@ -405,7 +405,7 @@ func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 					sameVolumes(t, name, got, want)
 					wantRows := int64(0)
 					if fusedSteer() {
-						wantRows = 2 * nonResident
+						wantRows = 2 * int64(n) * nonResident
 					}
 					if rows := sc.rows() - before; rows != wantRows {
 						t.Errorf("%s: %d fused operand builds, want %d", name, rows, wantRows)
@@ -422,9 +422,10 @@ func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 
 // TestFusedSteerCountsOneMissPerNonResident: through a half-budget cache, an
 // i16 TABLESTEER session asks the cache once per (transmit, nappe) per
-// batch. Each fused non-resident pair counts exactly one miss, on the
-// attachment and on the store, and fills no block. Each resident pair
-// counts one fill on the first batch and one hit on every later batch.
+// frame, so a 3-frame call asks 3× per pair. Each fused non-resident pair
+// counts exactly one miss per frame, on the attachment and on the store,
+// and fills no block. Each resident pair counts one fill on the first frame
+// of the first call and one hit on every later frame.
 func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
 	sc := newSteerCompound(t, 2, PrecisionInt16)
 	bufs, _, _ := sc.frames(t, 3)
@@ -434,23 +435,24 @@ func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
 	defer sess.Close()
 	nonResident := int64(sc.depth*len(sc.gens)) - resident
 	dsts := []*Volume{sess.NewVolume(), sess.NewVolume(), sess.NewVolume()}
+	frames := int64(len(dsts))
 	for batch := 0; batch < 3; batch++ {
 		before, rows := cache.Stats(), sc.rows()
 		if err := sess.BeamformBatch(dsts, bufs); err != nil {
 			t.Fatal(err)
 		}
 		after := cache.Stats()
-		wantMisses, wantHits := nonResident, resident
+		wantMisses, wantHits := frames*nonResident, frames*resident
 		if batch == 0 {
-			wantMisses, wantHits = nonResident+resident, 0
+			wantMisses, wantHits = frames*nonResident+resident, (frames-1)*resident
 		}
 		if after.Misses-before.Misses != wantMisses || after.Hits-before.Hits != wantHits ||
 			after.Fills != resident || cache.Shared().Stats().Misses != after.Misses {
 			t.Errorf("batch %d: stats %+v → %+v, want %d more misses, %d more hits, %d fills",
 				batch, before, after, wantMisses, wantHits, resident)
 		}
-		if fusedSteer() && sc.rows()-rows != nonResident {
-			t.Errorf("batch %d: %d fused operand builds, want %d", batch, sc.rows()-rows, nonResident)
+		if fusedSteer() && sc.rows()-rows != frames*nonResident {
+			t.Errorf("batch %d: %d fused operand builds, want %d", batch, sc.rows()-rows, frames*nonResident)
 		}
 	}
 }

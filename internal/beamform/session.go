@@ -30,15 +30,6 @@
 // is transmit-major and identical to summing N single-transmit volumes in
 // transmit order, which keeps the compounded float64 frame bit-identical to
 // the explicit sequential sum (the compounding invariance contract).
-//
-// Frame batching (PR 6): Run fuses K same-Shape frames into one
-// worker dispatch, walking each depth slice once per transmit for the whole
-// batch — the delay block is obtained (or, when non-resident under a partial
-// cache budget, regenerated) once and applied to all K frames. Per-frame
-// results stay bit-identical to K sequential BeamformCompoundInto calls
-// because the accumulation order within each frame is unchanged; the batch
-// changes only how often delay blocks are produced, which is the serving
-// scheduler's throughput lever (amortized regeneration).
 package beamform
 
 import (
@@ -54,8 +45,8 @@ import (
 	"ultrabeam/internal/rf"
 )
 
-// batchFault fails a whole batch dispatch before it touches any output —
-// the chaos harness's stand-in for a kernel-level failure. Inert (one
+// batchFault fails a frame's dispatch before it touches any output — the
+// chaos harness's stand-in for a kernel-level failure. Inert (one
 // atomic load) unless a schedule arms it.
 var batchFault = faultpoint.New("beamform.batch")
 
@@ -78,9 +69,9 @@ const (
 
 // Session is a reusable multi-frame beamformer: one geometry, one delay
 // generator per transmit, at most one delay-cache attachment, a persistent
-// worker pool. Run beamforms a batch of Frames; Beamform / BeamformInto
+// worker pool. Run beamforms one Frame; Beamform / BeamformInto
 // (single insonification) and BeamformCompound / BeamformCompoundInto
-// (compound) are its one-frame forms; Close releases the workers. A
+// (compound) are its echo-buffer forms; Close releases the workers. A
 // Session must not be used concurrently — one frame is in flight at a time
 // (the parallelism is inside the frame).
 type Session struct {
@@ -95,27 +86,24 @@ type Session struct {
 	start []chan struct{} // per-worker frame triggers
 	done  chan struct{}   // workers report job completion
 
-	// Per-batch shared state, published before the start tokens and
+	// Per-frame shared state, published before the start tokens and
 	// therefore visible to workers via the channel happens-before edge.
 	job    sessionJob
-	frames []Frame   // frames in flight
-	outs   []*Volume // one destination volume per frame in flight
-	narrow bool      // every int16 delay index is exact for this batch's windows
-	useI16 bool      // accumulate through the fixed-point i16 kernel this batch
+	frame  Frame   // the frame in flight
+	out    *Volume // its destination volume
+	narrow bool    // every int16 delay index is exact for this frame's window
+	useI16 bool    // accumulate through the fixed-point i16 kernel this frame
 
-	// adapt / tx1 / out1 are the persistent wrappers the adapters over Run
-	// reuse so the steady-state single frame stays allocation-free through
-	// the batched dispatch path.
-	adapt []Frame
-	tx1   [1][]rf.EchoBuffer
-	out1  [1]*Volume
+	// tx1 is the persistent wrapper BeamformInto reuses so the
+	// steady-state single-insonification frame stays allocation-free.
+	tx1 [1][]rf.EchoBuffer
 
 	// The i16 kernel's guarded echo planes (PrecisionInt16) for buffer
 	// frames: one guarded row of flatWin+1 quantized samples per element,
 	// guard slots permanently zero (the kernel's out-of-window target),
-	// plane k·T+t at (k·T+t)·planeLen, rebuilt by the convert job and reused
-	// across frames of the same window length; plus one kernel rescale per
-	// frame×transmit plane (i16Scale[k·T+t] = Engine.i16VoxelScale of the
+	// transmit t's plane at t·planeLen, rebuilt by the convert job and
+	// reused across frames of the same window length; plus one kernel
+	// rescale per transmit (i16Scale[t] = Engine.i16VoxelScale of the
 	// plane's quantization step), written before the accumulate phase reads
 	// it — by the convert job, or from a plane frame's Scales. i16Tab is the
 	// kernel's operand table for the current window (Engine.i16GatherTable).
@@ -181,9 +169,10 @@ func (e *Engine) NewSessionGenerators(gens []delay.BlockProvider, cache *delayca
 	}
 	s := &Session{
 		eng: e, layout: layout, gens: gens, cache: cache,
-		steers:  make([]steerRoute, len(gens)),
-		workers: e.workerCount(),
-		done:    make(chan struct{}),
+		steers:   make([]steerRoute, len(gens)),
+		workers:  e.workerCount(),
+		done:     make(chan struct{}),
+		i16Scale: make([]float64, len(gens)),
 	}
 	for t, g := range gens {
 		// A build or host without the fused body never asks for operands,
@@ -231,42 +220,34 @@ func (s *Session) worker(w int) {
 	}
 }
 
-// convertStripeI16 quantizes echo buffers of the batch into the session's
-// guarded int16 planes, striping over whole (frame, transmit) planes
-// rather than element rows: the per-frame quantization scale is a
-// reduction over the entire plane (the peak pass), so a plane is one
-// worker's indivisible unit. Plane k·T+t starts at (k·T+t)·planeLen and
-// its kernel rescale lands in i16Scale[k·T+t].
+// convertStripeI16 quantizes the frame's echo buffers into the session's
+// guarded int16 planes, striping over whole transmit planes rather than
+// element rows: the quantization scale is a reduction over the entire
+// plane (the peak pass), so a plane is one worker's indivisible unit.
+// Transmit t's plane starts at t·planeLen and its kernel rescale lands in
+// i16Scale[t].
 func (s *Session) convertStripeI16(w int) {
-	nTx := len(s.gens)
-	total := len(s.frames) * nTx
-	for r := w; r < total; r += s.workers {
-		k, t := r/nTx, r%nTx
-		plane := s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
-		scale := rf.QuantizePlaneI16(plane, s.frames[k].Bufs[t], s.flatWin)
-		s.i16Scale[r] = s.eng.i16VoxelScale(scale)
+	for t := w; t < len(s.gens); t += s.workers {
+		scale := rf.QuantizePlaneI16(s.planeI16(t), s.frame.Bufs[t], s.flatWin)
+		s.i16Scale[t] = s.eng.i16VoxelScale(scale)
 	}
 }
 
-// accumulateStripe beamforms depth slices w, w+workers, ... of the batch:
-// for each slice, every transmit's delays are obtained once — the cache's
+// accumulateStripe beamforms depth slices w, w+workers, ... of the frame:
+// for each slice, every transmit's delays are obtained — the cache's
 // resident block consumed in place, else the transmit's generator filling
-// the worker's block — and the precision-selected kernel runs over every
-// frame of the batch with the first transmit storing and later transmits
-// adding. On a batch whose window is beyond delay.MaxEchoWindow, a block
-// holding math.MaxInt16 runs beamformNappe instead: the saturated index
-// stands for a delay the window may hold. The loop nesting is
-// slice → transmit → frame, so within each frame the per-voxel
-// accumulation order is exactly the single-frame order (the batching
-// bit-identity contract), while a non-resident block is generated once per
-// batch instead of once per frame. On the i16 kernel a non-resident nappe
-// of a transmit with the fused steer route generates no block at all: its
-// per-nappe operand rows are built once per batch and every frame runs the
-// fused body, which is bit-identical to filling and accumulating.
+// the worker's block — and the precision-selected kernel runs with the
+// first transmit storing and later transmits adding, so the per-voxel
+// accumulation order is transmit-major. On a frame whose window is beyond
+// delay.MaxEchoWindow, a block holding math.MaxInt16 runs beamformNappe
+// instead: the saturated index stands for a delay the window may hold. On
+// the i16 kernel a non-resident nappe of a transmit with the fused steer
+// route generates no block at all: its per-nappe operand rows are built
+// and the fused body runs, which is bit-identical to filling and
+// accumulating.
 func (s *Session) accumulateStripe(w int, buf16 delay.Block16, row, ry []int32) {
-	nTx := len(s.gens)
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
-		for t := 0; t < nTx; t++ {
+		for t := range s.gens {
 			add := t > 0
 			var blk delay.Block16
 			if s.cache != nil {
@@ -279,37 +260,27 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, row, ry []int32) 
 				s.gens[t].FillNappe16(id, buf16)
 				blk = buf16
 			}
-			if !s.useI16 {
-				scalar := !s.narrow && slices.Contains(blk, math.MaxInt16)
-				for k, f := range s.frames {
-					if scalar {
-						s.eng.beamformNappe(s.gens[t], f.Bufs[t], id, s.outs[k], add)
-					} else {
-						s.eng.accumulateNappe16(blk, f.Bufs[t], id, s.outs[k], add)
-					}
-				}
-				continue
-			}
-			for k := range s.outs {
-				plane, scale := s.planeI16(k, t), s.i16Scale[k*nTx+t]
-				if fused {
-					s.eng.accumulateSteerI16(ry, s.steers[t].ops, plane, s.i16Tab, id, s.outs[k], scale, add, row)
-				} else {
-					s.eng.accumulateNappe16I16(blk, plane, s.i16Tab, id, s.outs[k], scale, add, row)
-				}
+			switch {
+			case !s.useI16 && !s.narrow && slices.Contains(blk, math.MaxInt16):
+				s.eng.beamformNappe(s.gens[t], s.frame.Bufs[t], id, s.out, add)
+			case !s.useI16:
+				s.eng.accumulateNappe16(blk, s.frame.Bufs[t], id, s.out, add)
+			case fused:
+				s.eng.accumulateSteerI16(ry, s.steers[t].ops, s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
+			default:
+				s.eng.accumulateNappe16I16(blk, s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
 			}
 		}
 	}
 }
 
-// planeI16 returns the guarded int16 plane of frame k, transmit t of the
-// batch in flight: a plane frame's own, or the convert phase's.
-func (s *Session) planeI16(k, t int) []int16 {
-	if p := s.frames[k].Planes; p != nil {
+// planeI16 returns the guarded int16 plane of transmit t of the frame in
+// flight: a plane frame's own, or the convert phase's.
+func (s *Session) planeI16(t int) []int16 {
+	if p := s.frame.Planes; p != nil {
 		return p[t]
 	}
-	r := k*len(s.gens) + t
-	return s.flatI16[r*s.planeLen : (r+1)*s.planeLen]
+	return s.flatI16[t*s.planeLen : (t+1)*s.planeLen]
 }
 
 // dispatch runs one job across the worker pool and waits for completion.
@@ -362,9 +333,8 @@ type Frame struct {
 	Win    int
 }
 
-// Shape is everything the session's datapath decision reads off a frame,
-// and so the one key frames fuse into a batch by: frames of equal Shape
-// take the same kernel alone or together.
+// Shape is everything the session's datapath decision reads off a frame:
+// frames of equal Shape take the same kernel.
 type Shape struct {
 	Transmits, Elements int
 	Win                 int  // the longest echo window
@@ -402,99 +372,65 @@ func (f Frame) Shape() Shape {
 // exact for every window, i16 when
 // the fixed-point kernel runs. That takes a uniform window whose plane
 // fits the int32 row offsets — one plane at a time, since the kernel
-// gathers from one frame×transmit plane per call — on a PrecisionInt16
+// gathers from one transmit plane per call — on a PrecisionInt16
 // engine whose aperture met the int32 accumulator bound; anything else
-// runs the exact float64 kernel. It reads only the shape, so a batched
-// frame takes exactly the kernel it would take alone.
+// runs the exact float64 kernel. It reads only the shape, never samples.
 func (e *Engine) datapath(sh Shape) (narrow, i16 bool) {
 	narrow = sh.Win <= delay.MaxEchoWindow
 	return narrow, narrow && sh.Uniform && sh.Elements*(sh.Win+1) <= math.MaxInt32 &&
 		e.Cfg.Precision == PrecisionInt16 && e.i16OK
 }
 
-// Run beamforms a batch of compound frames in one dispatch over the worker
-// pool: frames[k] is compound frame k and dsts[k] receives its volume. The
-// per-frame results are bit-identical to len(frames) single-frame calls —
-// each frame's per-voxel accumulation still runs store-then-add in
-// transmit order per depth slice — while every transmit's delay block is
-// obtained once per depth slice for the whole batch, so blocks outside a
-// partial cache budget are regenerated once per batch instead of once per
-// frame. That amortization is the serving scheduler's throughput lever.
-//
-// Every frame of a batch must share one Shape, because the datapath is
-// decided once for the whole batch; callers batching heterogeneous traffic
-// group frames by Shape first. dsts must be distinct volumes carrying the
+// Run beamforms one compound frame into dst, reusing dst.Data in place:
+// each depth slice runs store-then-add in transmit order, so the volume is
+// the coherent sum of the per-transmit beamformations. dst must carry the
 // session's grid. A plane frame is bit-identical to the buffer frame
 // that quantizes to the same int16 samples and scales. It needs
 // Precision=i16 and a window within delay.MaxEchoWindow; on an engine
 // whose aperture defeated the int32 accumulator bound it is widened to
 // float64 buffers exactly as wire.DecodeF64 widens an i16 payload, and
 // runs the float64 kernel.
-func (s *Session) Run(dsts []*Volume, frames []Frame) error {
+func (s *Session) Run(dst *Volume, f Frame) error {
 	if s.closed {
 		return errors.New("beamform: session is closed")
 	}
 	if err := batchFault.Err(); err != nil {
 		return err
 	}
-	if len(frames) == 0 {
-		return errors.New("beamform: empty batch")
+	if dst == nil || len(dst.Data) != s.eng.Cfg.Vol.Points() {
+		return fmt.Errorf("beamform: destination volume needs %d points", s.eng.Cfg.Vol.Points())
 	}
-	if len(dsts) != len(frames) {
-		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(frames))
+	if dst.Vol != s.eng.Cfg.Vol {
+		return fmt.Errorf("beamform: destination grid %v is not the session grid %v",
+			dst.Vol, s.eng.Cfg.Vol)
 	}
-	for k, dst := range dsts {
-		if dst == nil || len(dst.Data) != s.eng.Cfg.Vol.Points() {
-			return fmt.Errorf("beamform: destination volume needs %d points", s.eng.Cfg.Vol.Points())
-		}
-		if dst.Vol != s.eng.Cfg.Vol {
-			return fmt.Errorf("beamform: destination grid %v is not the session grid %v",
-				dst.Vol, s.eng.Cfg.Vol)
-		}
-		for j := 0; j < k; j++ {
-			if dsts[j] == dst {
-				return fmt.Errorf("beamform: frames %d and %d share a destination volume", j, k)
-			}
-		}
+	if err := s.checkFrame(f); err != nil {
+		return fmt.Errorf("beamform: %w", err)
 	}
-	sh := frames[0].Shape()
-	for k, f := range frames {
-		if err := s.checkFrame(f); err != nil {
-			return fmt.Errorf("beamform: frame %d: %w", k, err)
-		}
-		if f.Shape() != sh {
-			return fmt.Errorf("beamform: frame %d shape differs from frame 0 (a batch fuses one shape; group frames by shape)", k)
-		}
-	}
+	sh := f.Shape()
 	narrow, i16 := s.eng.datapath(sh)
 	if sh.Planes && !i16 {
-		frames = widen(frames)
+		f = widen(f)
 	}
-	s.frames, s.outs, s.narrow, s.useI16 = frames, dsts, narrow, i16
+	s.frame, s.out, s.narrow, s.useI16 = f, dst, narrow, i16
 	if i16 {
-		nTx := len(s.gens)
 		s.sizePlanes(sh.Win, sh.Elements*(sh.Win+1))
-		if n := len(frames) * nTx; n > len(s.i16Scale) {
-			s.i16Scale = make([]float64, n)
-		}
 		if sh.Planes {
-			for k, f := range frames {
-				for t, sc := range f.Scales {
-					s.i16Scale[k*nTx+t] = s.eng.i16VoxelScale(sc)
-				}
+			for t, sc := range f.Scales {
+				s.i16Scale[t] = s.eng.i16VoxelScale(sc)
 			}
 		} else {
-			// Grow only: a smaller batch reuses the larger plane set (rows
-			// never move within a plane, so guard slots stay zero).
-			if need := len(frames) * nTx * s.planeLen; need > len(s.flatI16) {
-				s.flatI16 = make([]int16, need)
+			if s.flatI16 == nil {
+				s.flatI16 = make([]int16, len(s.gens)*s.planeLen)
 			}
 			s.dispatch(jobConvert)
 		}
 	}
 	s.dispatch(jobAccumulate)
-	s.frames, s.outs = nil, nil
-	s.beamformed.Add(int64(len(frames)))
+	// Drop the references, so the session does not pin a caller's echoes
+	// between frames.
+	s.frame, s.out = Frame{}, nil
+	s.beamformed.Add(1)
 	return nil
 }
 
@@ -536,74 +472,61 @@ func (s *Session) checkFrame(f Frame) error {
 	return nil
 }
 
-// widen returns plane frames as float64 echo buffers, sample =
+// widen returns a plane frame as float64 echo buffers, sample =
 // float64(int16)·float64(scale) — the exact widening wire.DecodeF64
 // applies to an i16 payload, so a widened frame beamforms bit-identically
 // to the same wire frame decoded to float64.
-func widen(frames []Frame) []Frame {
-	out := make([]Frame, len(frames))
-	for k, f := range frames {
-		out[k].Bufs = make([][]rf.EchoBuffer, len(f.Planes))
-		for t, p := range f.Planes {
-			elems, stride, sc := len(p)/(f.Win+1), f.Win+1, float64(f.Scales[t])
-			samples := make([]float64, elems*f.Win)
-			bufs := make([]rf.EchoBuffer, elems)
-			for d := range bufs {
-				row := samples[d*f.Win : (d+1)*f.Win : (d+1)*f.Win]
-				for i, v := range p[d*stride : d*stride+f.Win] {
-					row[i] = float64(v) * sc
-				}
-				bufs[d].Samples = row
+func widen(f Frame) Frame {
+	out := Frame{Bufs: make([][]rf.EchoBuffer, len(f.Planes))}
+	for t, p := range f.Planes {
+		elems, stride, sc := len(p)/(f.Win+1), f.Win+1, float64(f.Scales[t])
+		samples := make([]float64, elems*f.Win)
+		bufs := make([]rf.EchoBuffer, elems)
+		for d := range bufs {
+			row := samples[d*f.Win : (d+1)*f.Win : (d+1)*f.Win]
+			for i, v := range p[d*stride : d*stride+f.Win] {
+				row[i] = float64(v) * sc
 			}
-			out[k].Bufs[t] = bufs
+			bufs[d].Samples = row
 		}
+		out.Bufs[t] = bufs
 	}
 	return out
 }
 
-// slots returns n of the session's grow-only adapter frames, so the
-// adapters below wrap their callers' batches without allocating.
-func (s *Session) slots(n int) []Frame {
-	if n > len(s.adapt) {
-		s.adapt = make([]Frame, n)
-	}
-	return s.adapt[:n]
-}
-
-// runSlots runs the adapter frames fs and drops their references, so the
-// session does not pin a caller's echoes between batches.
-func (s *Session) runSlots(dsts []*Volume, fs []Frame) error {
-	err := s.Run(dsts, fs)
-	clear(fs)
-	return err
-}
-
-// BeamformBatch is Run over float64 echo sets: batch[k][t] holds the echo
-// buffers of frame k recorded after insonification t.
+// BeamformBatch runs float64 echo sets frame by frame: batch[k][t] holds
+// the echo buffers of frame k recorded after insonification t, and dsts[k]
+// receives its volume.
 func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error {
-	fs := s.slots(len(batch))
-	for k, tx := range batch {
-		fs[k] = Frame{Bufs: tx}
+	if len(dsts) != len(batch) {
+		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(batch))
 	}
-	return s.runSlots(dsts, fs)
+	for k, tx := range batch {
+		if err := s.Run(dsts[k], Frame{Bufs: tx}); err != nil {
+			return fmt.Errorf("frame %d: %w", k, err)
+		}
+	}
+	return nil
 }
 
-// BeamformBatchPlanesI16 is Run over guarded int16 planes: planes[k][t]
-// and scales[k][t] are frame k / transmit t, every plane of window win.
+// BeamformBatchPlanesI16 runs guarded int16 planes frame by frame:
+// planes[k][t] and scales[k][t] are frame k / transmit t, every plane of
+// window win, and dsts[k] receives frame k's volume.
 func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]int16, scales [][]float32) error {
-	if len(scales) != len(planes) {
-		return fmt.Errorf("beamform: %d scale sets for %d frames", len(scales), len(planes))
+	if len(dsts) != len(planes) || len(scales) != len(planes) {
+		return fmt.Errorf("beamform: %d destination volumes and %d scale sets for %d frames", len(dsts), len(scales), len(planes))
 	}
-	fs := s.slots(len(planes))
 	for k := range planes {
-		fs[k] = Frame{Planes: planes[k], Scales: scales[k], Win: win}
+		if err := s.Run(dsts[k], Frame{Planes: planes[k], Scales: scales[k], Win: win}); err != nil {
+			return fmt.Errorf("frame %d: %w", k, err)
+		}
 	}
-	return s.runSlots(dsts, fs)
+	return nil
 }
 
 // sizePlanes sets the i16 plane geometry for window win, rebuilding the
 // kernel's operand table and dropping the session's own planes when the
-// window changed (the next buffer batch re-sizes them).
+// window changed (the next buffer frame re-sizes them).
 func (s *Session) sizePlanes(win, planeLen int) {
 	if s.flatWin == win && s.planeLen == planeLen {
 		return
@@ -621,17 +544,13 @@ func (s *Session) sizePlanes(win, planeLen int) {
 // first frame sizes any cache and, on the i16 path, the quantized echo
 // planes). dst must carry the session's volume grid.
 func (s *Session) BeamformCompoundInto(dst *Volume, txBufs [][]rf.EchoBuffer) error {
-	fs := s.slots(1)
-	fs[0], s.out1[0] = Frame{Bufs: txBufs}, dst
-	err := s.runSlots(s.out1[:], fs)
-	s.out1[0] = nil
-	return err
+	return s.Run(dst, Frame{Bufs: txBufs})
 }
 
 // NewVolume allocates an output volume on the session's grid — the
-// destination shape BeamformInto / Run expect. Serving callers that batch
-// frames allocate destinations through this instead of knowing the
-// engine's volume configuration.
+// destination shape BeamformInto / Run expect. Serving callers allocate
+// destinations through this instead of knowing the engine's volume
+// configuration.
 func (s *Session) NewVolume() *Volume {
 	return &Volume{Vol: s.eng.Cfg.Vol, Data: make([]float64, s.eng.Cfg.Vol.Points())}
 }

@@ -194,18 +194,12 @@ type SessionConfig struct {
 	// one shared-budget cache keyed by (transmit, nappe) feeds them all.
 	// Empty means a single insonification using p's own emission origin.
 	Transmits []delay.Transmit
-	// SharedCache, when non-nil, attaches the session to an existing
-	// geometry-keyed block store instead of building a private cache —
-	// the serving shape where N concurrent sessions of one probe
-	// geometry pay one delay budget between them. The store must have been
-	// built for this spec and transmit set (NewSharedCache does exactly
-	// that); Cached/CacheBudget are ignored when it is set.
-	SharedCache *delaycache.Shared
 }
 
 // NewSharedCache builds a sharable delay block store for this spec and
-// session configuration: the store any number of later NewSessionConfig
-// calls (with cfg.SharedCache set) can attach to concurrently. The provider
+// session configuration, which any number of sessions can attach to
+// concurrently: each takes a store.Attach() view and runs
+// Engine.NewSessionGenerators(store.Generators(), view). The provider
 // derivation matches the private-cache path of NewSessionConfig exactly, so
 // attached sessions are bit-identical to sessions owning a private cache of
 // the same budget.
@@ -243,34 +237,24 @@ func (s SystemSpec) transmitProviders(cfg SessionConfig, p delay.Provider) ([]de
 }
 
 // NewSessionConfig builds a session with an explicit datapath
-// configuration. The returned cache is the session's attachment (a fresh
-// private store under cfg.Cached, a view of cfg.SharedCache when one is
-// supplied) and nil when the session is uncached; a cached session runs
-// the store's own generators for the blocks the store does not hold. When
-// cfg.SharedCache is set, p is not consulted at all, so attaching sessions
-// skip provider construction entirely (for TABLESTEER that is a whole
-// reference-table build saved per session).
+// configuration. The returned cache is the session's attachment to a fresh
+// private store under cfg.Cached, and nil when the session is uncached; a
+// cached session runs the store's own generators for the blocks the store
+// does not hold.
 func (s SystemSpec) NewSessionConfig(cfg SessionConfig, p delay.Provider) (*beamform.Session, *delaycache.Cache, error) {
 	eng := s.NewBeamformer(cfg.Window, scan.NappeOrder)
 	eng.Cfg.Precision = cfg.Precision
-	store := cfg.SharedCache
-	switch {
-	case store != nil:
-		if transmits := max(len(cfg.Transmits), 1); store.Transmits() != transmits {
-			return nil, nil, fmt.Errorf("core: shared cache serves %d transmits, session compounds %d", store.Transmits(), transmits)
-		}
-	case cfg.Cached:
-		var err error
-		if store, err = s.NewSharedCache(cfg, p); err != nil {
-			return nil, nil, err
-		}
-	default:
+	if !cfg.Cached {
 		provs, err := s.transmitProviders(cfg, p)
 		if err != nil {
 			return nil, nil, err
 		}
 		sess, err := eng.NewSessionProviders(provs)
 		return sess, nil, err
+	}
+	store, err := s.NewSharedCache(cfg, p)
+	if err != nil {
+		return nil, nil, err
 	}
 	cache := store.Attach()
 	sess, err := eng.NewSessionGenerators(store.Generators(), cache)

@@ -7,6 +7,7 @@ import (
 
 	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
@@ -234,6 +235,21 @@ func TestNewSessionConfigTransmits(t *testing.T) {
 	sess2.Close()
 }
 
+// attachSession builds a session of s over a view of store — the serving
+// shape where N sessions of one geometry pay one delay budget: the store's
+// own generators fill what it does not hold.
+func attachSession(s SystemSpec, cfg SessionConfig, store *delaycache.Shared) (*beamform.Session, *delaycache.Cache, error) {
+	eng := s.NewBeamformer(cfg.Window, scan.NappeOrder)
+	eng.Cfg.Precision = cfg.Precision
+	cache := store.Attach()
+	sess, err := eng.NewSessionGenerators(store.Generators(), cache)
+	if err != nil {
+		cache.Detach()
+		return nil, nil, err
+	}
+	return sess, cache, nil
+}
+
 // TestSharedCacheConcurrentBitIdentity is the cache-sharing contract: two
 // sessions of the same geometry attached to one Shared block store, running
 // concurrently, produce volumes bit-identical to a solo session owning a
@@ -279,11 +295,9 @@ func TestSharedCacheConcurrentBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s: %v", prec, name, err)
 			}
-			attach := cfg
-			attach.Cached, attach.SharedCache = false, shared
 			var wg sync.WaitGroup
 			for stream := 0; stream < 2; stream++ {
-				sess, cache, err := s.NewSessionConfig(attach, s.NewExact())
+				sess, cache, err := attachSession(s, cfg, shared)
 				if err != nil {
 					t.Fatalf("%v/%s attach %d: %v", prec, name, stream, err)
 				}
@@ -322,7 +336,7 @@ func TestSharedCacheConcurrentBitIdentity(t *testing.T) {
 			if st := shared.Stats(); st.Evictions != 1 || st.BytesResident != 0 {
 				t.Errorf("%v/%s post-evict stats: %+v", prec, name, st)
 			}
-			sess, cache, err := s.NewSessionConfig(attach, s.NewExact())
+			sess, cache, err := attachSession(s, cfg, shared)
 			if err != nil {
 				t.Fatalf("%v/%s re-attach: %v", prec, name, err)
 			}
@@ -347,12 +361,16 @@ func TestSharedCacheConcurrentBitIdentity(t *testing.T) {
 	}
 	other := s
 	other.FocalTheta = 7
-	if _, _, err := other.NewSessionConfig(SessionConfig{Window: xdcr.Hann, SharedCache: shared}, other.NewExact()); err == nil {
+	if _, _, err := attachSession(other, SessionConfig{Window: xdcr.Hann}, shared); err == nil {
 		t.Error("layout mismatch must fail")
 	}
-	compound := SessionConfig{Window: xdcr.Hann, SharedCache: shared,
-		Transmits: delay.AxialTransmits(2, -0.01, -0.02)}
-	if _, _, err := s.NewSessionConfig(compound, s.NewExact()); err == nil {
+	if got := shared.Attachments(); got != 0 {
+		t.Errorf("a refused attachment stayed attached: %d attachments", got)
+	}
+	view := shared.Attach()
+	defer view.Detach()
+	gens := shared.Generators()
+	if _, err := s.NewBeamformer(xdcr.Hann, scan.NappeOrder).NewSessionGenerators(append(gens, gens...), view); err == nil {
 		t.Error("transmit-count mismatch must fail")
 	}
 }

@@ -51,7 +51,7 @@ const chaosSchedule = "seed=1813;" +
 //   - nothing leaks: goroutines settle back to baseline, no core slot or
 //     queued frame is stranded, and a graceful drain completes.
 func TestChaosSoak(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 32, MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 32})
 	srv := ts.Config.Handler.(*Server)
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda

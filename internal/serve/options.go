@@ -9,6 +9,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -133,8 +134,10 @@ func ParseOptions(q url.Values, hdr http.Header) (RequestOptions, error) {
 	}
 	var deadline time.Duration
 	if deadlineMs != "" {
-		ms, err := strconv.Atoi(deadlineMs)
-		if err != nil || ms <= 0 {
+		// The bound keeps ms·time.Millisecond from wrapping: a wrapped
+		// deadline would read as none, or as one already past.
+		ms, err := strconv.ParseInt(deadlineMs, 10, 64)
+		if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 			return o, badRequest("bad deadline_ms=%q (want a positive integer)", deadlineMs)
 		}
 		deadline = time.Duration(ms) * time.Millisecond
@@ -232,9 +235,6 @@ func (o RequestOptions) Encode() (url.Values, error) {
 			}
 		}
 		q.Set("transmits", strconv.Itoa(n))
-	}
-	if cfg.SharedCache != nil {
-		return nil, fmt.Errorf("serve: SharedCache is not part of the request grammar")
 	}
 	if o.Request.Lane != LaneInteractive {
 		q.Set("lane", o.Request.Lane.String())

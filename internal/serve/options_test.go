@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -15,6 +16,7 @@ import (
 	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
 )
 
@@ -271,5 +273,76 @@ func TestPrewarmRefusals(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("draining prewarm carries no Retry-After")
+	}
+}
+
+// TestDeadlineOverflowRefused: a deadline_ms whose duration overflows
+// time.Duration is a bad request on every spelling — the POST parameter,
+// the X-Ultrabeam-Deadline-Ms header and the stream hello — instead of
+// wrapping to no deadline (9223372036855) or to a 0.45 ms one that expires
+// in queue (18446744073710). The largest representable value still parses
+// and round-trips.
+func TestDeadlineOverflowRefused(t *testing.T) {
+	overflows := []string{"9223372036855", "18446744073710"}
+	for _, ms := range overflows {
+		if _, err := ParseOptions(url.Values{"deadline_ms": {ms}}, nil); err == nil {
+			t.Errorf("deadline_ms=%s accepted", ms)
+		}
+	}
+	const largest = 9223372036854
+	opts, err := ParseOptions(url.Values{"deadline_ms": {strconv.Itoa(largest)}}, nil)
+	if err != nil {
+		t.Fatalf("deadline_ms=%d: %v", largest, err)
+	}
+	if opts.Request.Deadline != largest*time.Millisecond {
+		t.Errorf("deadline_ms=%d parsed as %v", largest, opts.Request.Deadline)
+	}
+	enc, err := opts.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ParseOptions(enc, nil); err != nil || back.Request.Deadline != opts.Request.Deadline {
+		t.Errorf("deadline_ms=%d does not round-trip: %v, %v", largest, back.Request.Deadline, err)
+	}
+
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv, err := NewServer(ServerConfig{Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
+	for _, ms := range overflows {
+		if st, _, _ := postBytes(t, ts.URL+"/v1/beamform?"+tinyQuery(url.Values{"deadline_ms": {ms}}),
+			wire.ContentType, body); st != http.StatusBadRequest {
+			t.Errorf("POST deadline_ms=%s: status %d, want 400", ms, st)
+		}
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/beamform?"+tinyQuery(nil), bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", wire.ContentType)
+		req.Header.Set("X-Ultrabeam-Deadline-Ms", ms)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST X-Ultrabeam-Deadline-Ms: %s: status %d, want 400", ms, resp.StatusCode)
+		}
+		conn := dialStream(t, srv)
+		if err := wire.WriteHello(conn, tinyQuery(url.Values{"deadline_ms": {ms}})); err != nil {
+			t.Fatal(err)
+		}
+		var re *wire.RemoteError
+		if err := wire.ReadHelloReply(conn); !errors.As(err, &re) {
+			t.Errorf("stream hello deadline_ms=%s: %v, want a refusal", ms, err)
+		}
+	}
+	if got := sched.Stats().Submits; got != 0 {
+		t.Errorf("%d frames reached the scheduler", got)
 	}
 }

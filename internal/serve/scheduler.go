@@ -1,32 +1,25 @@
 // Scheduler: the frame scheduler, the serving stack's one concurrency
 // model. Checking a session out per connection would make N worker pools
-// fight for the same cores while each frame regenerates its own
-// non-resident delay blocks. The scheduler keeps one hot beamform.Session
+// fight for the same cores. The scheduler keeps one hot beamform.Session
 // per warm geometry, a per-geometry frame queue in front of it, and a
-// dispatch loop that drains the queue through Session.Run — so
-// consecutive frames of
-// one geometry share a single pass over the depth slices and every
-// non-resident delay block is regenerated once per batch instead of once
-// per frame. Under a partial cache budget that amortization is the
-// throughput win (EXPERIMENTS.md B6); the ffdas lesson (keep one
-// reconstruction pipeline saturated and feed it a queue) applied to the
-// CPU datapath.
+// dispatch loop that drains the queue one frame per Session.Run — the
+// ffdas lesson (keep one reconstruction pipeline saturated and feed it a
+// queue) applied to the CPU datapath. Delay generation is amortized across
+// frames by the geometry's delay store, not by the dispatch.
 //
 // Two priority lanes ride the same queue: every interactive frame of a
 // geometry dispatches before any bulk frame, so a live probe view preempts
-// a cine stream at the next batch boundary — MaxBatch bounds how long a
-// bulk batch can make an interactive frame wait. Each lane has its own
+// a cine stream at the next frame boundary. Each lane has its own
 // MaxQueue bound, so a bulk backlog can never refuse an interactive frame.
 // A one-token turnstile time-slices the core budget across geometries: a
-// dispatch loop holds the token per batch, so one geometry's bulk backlog
-// cannot starve another geometry (batch-boundary round-robin through the
+// dispatch loop holds the token per frame, so one geometry's bulk backlog
+// cannot starve another geometry (frame-boundary round-robin through the
 // token queue). Sessions already parallelize internally across cores, so
 // one geometry at a time is the whole budget.
 //
-// Results are bit-identical to beamforming each frame alone:
-// Session.Run preserves each frame's accumulation order, batches fuse
-// only frames of one beamform.Shape, and a delay block reads the same
-// bytes whether it is resident or regenerated.
+// Results are bit-identical to beamforming each frame alone: the
+// scheduler only orders frames, and a delay block reads the same bytes
+// whether it is resident or regenerated.
 package serve
 
 import (
@@ -81,11 +74,6 @@ type SchedulerConfig struct {
 	// 2×MaxQueue frames and a full bulk lane never refuses an interactive
 	// frame. <=0 defaults to 64.
 	MaxQueue int
-	// MaxBatch caps how many consecutive same-shape, same-lane frames one
-	// dispatch fuses. It is the interactive-latency knob: an interactive
-	// frame waits at most one in-flight batch before preempting. <=0
-	// defaults to 4.
-	MaxBatch int
 	// IdleTTL evicts a geometry — its hot session and delay store — once
 	// nothing has used it for this long. 0 keeps geometries forever.
 	IdleTTL time.Duration
@@ -106,7 +94,7 @@ type Scheduler struct {
 	draining bool
 
 	// slots is the core-budget turnstile, one token wide: a dispatch loop
-	// holds it for the duration of one batch. Waiting loops queue on the channel,
+	// holds it for the duration of one frame. Waiting loops queue on the channel,
 	// which hands tokens out approximately FIFO — the time-slicing
 	// fairness mechanism.
 	slots chan struct{}
@@ -119,12 +107,10 @@ type Scheduler struct {
 	completed  atomic.Int64
 	overloads  atomic.Int64
 	evictions  atomic.Int64
-	batches    atomic.Int64
-	fused      atomic.Int64 // frames dispatched through batches
+	dispatched atomic.Int64 // frames run through Session.Run
 	expired    atomic.Int64 // frames dropped in queue past their deadline
 	dispatchNs atomic.Int64 // wall time spent inside dispatch (rate source)
 
-	batchSizes  []atomic.Int64 // batchSizes[k]: batches of size k+1
 	lanes       [numLanes]laneRecorder
 	laneExpired [numLanes]atomic.Int64
 	wire        wireRecorder
@@ -154,15 +140,14 @@ type schedGeom struct {
 // out. A job enters its lane queue the moment Begin reserves the slot —
 // possibly before its upload has finished arriving — and becomes
 // dispatchable only when ready flips (Complete*), so decode overlaps the
-// backlog without a stalled upload ever blocking a batch.
+// backlog without a stalled upload ever blocking the lane.
 type frameJob struct {
 	frame    beamform.Frame
-	shape    beamform.Shape // the batch-fusion key: Run fuses one Shape
 	lane     Lane
 	enq      time.Time
 	deadline time.Time // zero: no client deadline; else drop from queue past it
 
-	ready   bool      // payload fully decoded; batchable
+	ready   bool      // payload fully decoded; dispatchable
 	readyAt time.Time // lane wait is measured from here, not enq:
 	// queue time under the scheduler's control, not the client's uplink
 
@@ -180,17 +165,13 @@ func NewScheduler(cfg SchedulerConfig) *Scheduler {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 4
-	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
 	s := &Scheduler{
-		cfg:        cfg,
-		geoms:      map[string]*schedGeom{},
-		slots:      make(chan struct{}, 1),
-		batchSizes: make([]atomic.Int64, cfg.MaxBatch),
+		cfg:   cfg,
+		geoms: map[string]*schedGeom{},
+		slots: make(chan struct{}, 1),
 	}
 	if cfg.IdleTTL > 0 {
 		s.janitorStop = make(chan struct{})
@@ -321,7 +302,7 @@ func (s *Scheduler) purgeExpiredLocked(g *schedGeom, now time.Time) {
 // kicks the geometry's dispatch loop if it parked while every queued job
 // was still uploading.
 func (p *PendingFrame) complete(f beamform.Frame) {
-	p.job.frame, p.job.shape = f, f.Shape()
+	p.job.frame = f
 	s := p.s
 	s.mu.Lock()
 	p.job.ready = true
@@ -361,10 +342,10 @@ func (p *PendingFrame) Abort() {
 	}
 }
 
-// Wait blocks until the frame's batch has run, returning its volume. On
-// ctx cancellation the slot is released if the job has not entered a
-// batch yet; once it has, Wait still blocks until that batch finishes,
-// because the batch reads the frame's samples until then and the caller
+// Wait blocks until the frame has run, returning its volume. On ctx
+// cancellation the slot is released if the job has not been dispatched
+// yet; once it has, Wait still blocks until its Session.Run finishes,
+// because the session reads the frame's samples until then and the caller
 // may reuse them as soon as Wait returns. It then returns the ctx error.
 func (p *PendingFrame) Wait(ctx context.Context) (*beamform.Volume, error) {
 	s := p.s
@@ -417,7 +398,7 @@ func (s *Scheduler) Submit(ctx context.Context, req SessionRequest, tx [][]rf.Ec
 }
 
 // removeJobLocked unlinks a cancelled job from its lane queue; false means
-// the job was already taken by a batch. Caller holds the lock.
+// the job was already taken for dispatch. Caller holds the lock.
 func (s *Scheduler) removeJobLocked(g *schedGeom, job *frameJob) bool {
 	q := g.lanes[job.lane]
 	for i, j := range q {
@@ -475,15 +456,15 @@ func (s *Scheduler) build(g *schedGeom) {
 }
 
 // run is a geometry's dispatch loop: acquire a core slot, take the next
-// batch (interactive lane first), beamform it, release the slot; exit when
+// frame (interactive lane first), beamform it, release the slot; exit when
 // the queue drains. Demand respawns the loop on the next Submit.
 func (s *Scheduler) run(g *schedGeom) {
 	defer s.wg.Done()
 	for {
-		s.slots <- struct{}{} // turnstile: one batch per turn
+		s.slots <- struct{}{} // turnstile: one frame per turn
 		s.mu.Lock()
-		batch := s.takeBatchLocked(g)
-		if batch == nil {
+		job := s.takeLocked(g)
+		if job == nil {
 			g.running = false
 			g.lastUsed = s.cfg.Now()
 			s.mu.Unlock()
@@ -491,83 +472,61 @@ func (s *Scheduler) run(g *schedGeom) {
 			return
 		}
 		s.mu.Unlock()
-		s.dispatch(g, batch)
+		s.dispatch(g, job)
 		<-s.slots
 	}
 }
 
-// takeBatchLocked removes the next batch from g's queues: the interactive
-// lane always first — that is the whole preemption mechanism — then bulk;
-// within a lane, up to MaxBatch consecutive ready frames of one
-// beamform.Shape (the fusion precondition of Session.Run). Jobs still uploading
-// (ready=false) are skipped over, not waited on — a stalled uplink never
-// blocks the frames queued behind it — and since only ready jobs are ever
-// taken, a pending slot cannot deadlock dispatch.
+// takeLocked removes the next frame from g's queues: the first ready job
+// of the interactive lane — that is the whole preemption mechanism — else
+// of the bulk lane. Jobs still uploading (ready=false) are skipped over,
+// not waited on — a stalled uplink never blocks the frames queued behind
+// it — and since only ready jobs are ever taken, a pending slot cannot
+// deadlock dispatch.
 //
-// This is also where deadlines bite: expired jobs are purged before any
-// batch forms, so a dead frame never reaches a core slot. Caller holds
+// This is also where deadlines bite: expired jobs are purged before a
+// frame is taken, so a dead frame never reaches a core slot. Caller holds
 // the lock.
-func (s *Scheduler) takeBatchLocked(g *schedGeom) []*frameJob {
+func (s *Scheduler) takeLocked(g *schedGeom) *frameJob {
 	s.purgeExpiredLocked(g, s.cfg.Now())
-	for lane := Lane(0); lane < numLanes; lane++ {
+	for lane := range g.lanes {
 		q := g.lanes[lane]
-		first := -1
-		for i, j := range q {
-			if j.ready {
-				first = i
-				break
-			}
+		if i := slices.IndexFunc(q, func(j *frameJob) bool { return j.ready }); i >= 0 {
+			job := q[i]
+			// Delete zeroes the vacated tail slot, so the lane's backing
+			// array stops pinning the job (planes and volume) once it completes.
+			g.lanes[lane] = slices.Delete(q, i, i+1)
+			g.queued--
+			return job
 		}
-		if first < 0 {
-			continue
-		}
-		n := 1
-		for first+n < len(q) && n < s.cfg.MaxBatch &&
-			q[first+n].ready && q[first+n].shape == q[first].shape {
-			n++
-		}
-		batch := append([]*frameJob(nil), q[first:first+n]...)
-		// Delete zeroes the n vacated tail slots, so the lane's backing
-		// array stops pinning the batch (planes and volume) once it completes.
-		g.lanes[lane] = slices.Delete(q, first, first+n)
-		g.queued -= n
-		return batch
 	}
 	return nil
 }
 
-// dispatch beamforms one batch through the geometry's hot session and
-// completes its jobs. A batch error fails every job in it (the session
-// rejects malformed frames before touching any output).
-func (s *Scheduler) dispatch(g *schedGeom, batch []*frameJob) {
+// dispatch beamforms one frame through the geometry's hot session and
+// completes its job. An error fails that job only (the session rejects a
+// malformed frame before touching any output).
+func (s *Scheduler) dispatch(g *schedGeom, job *frameJob) {
 	start := s.cfg.Now()
-	outs := make([]*beamform.Volume, len(batch))
-	frames := make([]beamform.Frame, len(batch))
-	for i, j := range batch {
-		outs[i], frames[i] = g.sess.NewVolume(), j.frame
-		s.lanes[j.lane].observe(start.Sub(j.readyAt))
-	}
+	s.lanes[job.lane].observe(start.Sub(job.readyAt))
+	out := g.sess.NewVolume()
 	err := dispatchFault.Err()
 	if err == nil {
-		err = g.sess.Run(outs, frames)
+		err = g.sess.Run(out, job.frame)
 	}
 
-	s.batches.Add(1)
-	s.fused.Add(int64(len(batch)))
+	s.dispatched.Add(1)
 	s.dispatchNs.Add(int64(s.cfg.Now().Sub(start)))
-	s.batchSizes[len(batch)-1].Add(1)
 	s.mu.Lock()
 	g.lastUsed = s.cfg.Now()
 	s.mu.Unlock()
 
-	for i, j := range batch {
-		if err != nil {
-			j.err = err
-		} else {
-			j.out = outs[i]
-		}
-		close(j.done)
+	if err != nil {
+		job.err = err
+	} else {
+		job.out = out
 	}
+	close(job.done)
 }
 
 // drainLocked empties both lanes of g, returning the orphaned jobs for the
@@ -724,7 +683,7 @@ func (s *Scheduler) RetryAfterSeconds() int {
 	queued := s.QueuedFrames()
 	rate := 0.0
 	if ns := s.dispatchNs.Load(); ns > 0 {
-		rate = float64(s.fused.Load()) / (float64(ns) / 1e9)
+		rate = float64(s.dispatched.Load()) / (float64(ns) / 1e9)
 	}
 	if rate <= 0 {
 		rate = 4 // cold scheduler: no measurement yet, assume a few frames/s
@@ -740,7 +699,7 @@ func (s *Scheduler) RetryAfterSeconds() int {
 }
 
 // Close shuts the scheduler down: queued frames fail with ErrClosed,
-// in-flight batches finish, dispatch loops and builders join, then every
+// in-flight frames finish, dispatch loops and builders join, then every
 // hot session closes and every store evicts. Close is idempotent.
 func (s *Scheduler) Close() {
 	s.mu.Lock()
@@ -836,12 +795,11 @@ type SchedGeometryStats struct {
 }
 
 // SchedulerStats snapshots the scheduler for /stats: queue depths,
-// per-lane wait percentiles and batch-size counters — the observability
-// the batching and preemption claims are checked against.
+// dispatch counters and per-lane wait percentiles — the observability the
+// preemption claims are checked against.
 type SchedulerStats struct {
 	MaxGeometries int `json:"max_geometries"`
 	MaxQueue      int `json:"max_queue"`
-	MaxBatch      int `json:"max_batch"`
 
 	GeometriesLive int `json:"geometries_live"`
 	Queued         int `json:"queued"`
@@ -850,45 +808,39 @@ type SchedulerStats struct {
 	Completed int64 `json:"completed"`
 	Overloads int64 `json:"overloads"`
 	Evictions int64 `json:"evictions"`
-	Batches   int64 `json:"batches"`
-	Fused     int64 `json:"batched_frames"`
-	Expired   int64 `json:"expired"`
+	// Batches and Fused both count dispatched frames: every dispatch runs
+	// one frame, so their ratio — the mean batch — is 1.
+	Batches int64 `json:"batches"`
+	Fused   int64 `json:"batched_frames"`
+	Expired int64 `json:"expired"`
 
 	// Resilience posture: whether a drain is in progress, and the backoff
 	// hint overloaded clients are being given.
 	Draining      bool `json:"draining,omitempty"`
 	RetryAfterSec int  `json:"retry_after_sec"`
 
-	// BatchSizeCounts[k] counts dispatched batches of k+1 frames, so the
-	// counts sum to Batches; the mass above index 0 is the amortization
-	// actually realized.
-	BatchSizeCounts []int64              `json:"batch_size_counts"`
-	Lanes           map[string]LaneStats `json:"lanes"`
-	Wire            WireStats            `json:"wire"`
-	Geometries      []SchedGeometryStats `json:"geometries"`
+	Lanes      map[string]LaneStats `json:"lanes"`
+	Wire       WireStats            `json:"wire"`
+	Geometries []SchedGeometryStats `json:"geometries"`
 }
 
 // Stats snapshots the scheduler. It is safe against in-flight dispatches:
 // frame and cache counters are atomic.
 func (s *Scheduler) Stats() SchedulerStats {
+	dispatched := s.dispatched.Load()
 	st := SchedulerStats{
-		MaxGeometries:   s.cfg.MaxGeometries,
-		MaxQueue:        s.cfg.MaxQueue,
-		MaxBatch:        s.cfg.MaxBatch,
-		Submits:         s.submits.Load(),
-		Completed:       s.completed.Load(),
-		Overloads:       s.overloads.Load(),
-		Evictions:       s.evictions.Load(),
-		Batches:         s.batches.Load(),
-		Fused:           s.fused.Load(),
-		Expired:         s.expired.Load(),
-		RetryAfterSec:   s.RetryAfterSeconds(),
-		BatchSizeCounts: make([]int64, len(s.batchSizes)),
-		Lanes:           map[string]LaneStats{},
-		Wire:            s.wire.stats(),
-	}
-	for k := range s.batchSizes {
-		st.BatchSizeCounts[k] = s.batchSizes[k].Load()
+		MaxGeometries: s.cfg.MaxGeometries,
+		MaxQueue:      s.cfg.MaxQueue,
+		Submits:       s.submits.Load(),
+		Completed:     s.completed.Load(),
+		Overloads:     s.overloads.Load(),
+		Evictions:     s.evictions.Load(),
+		Batches:       dispatched,
+		Fused:         dispatched,
+		Expired:       s.expired.Load(),
+		RetryAfterSec: s.RetryAfterSeconds(),
+		Lanes:         map[string]LaneStats{},
+		Wire:          s.wire.stats(),
 	}
 	laneQueued := [numLanes]int{}
 	s.mu.Lock()

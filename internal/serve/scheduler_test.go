@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,11 +14,12 @@ import (
 	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
+	"ultrabeam/internal/scan"
 )
 
 // tinyBudgetHalf returns a byte budget retaining about half the spec's
 // (transmit, nappe) block space in a narrow store — the partial-residency
-// regime where batching actually amortizes regeneration.
+// regime that mixes resident blocks with regenerated ones.
 func tinyBudgetHalf(s core.SystemSpec, transmits int) int64 {
 	vol := s.Volume()
 	blockLen := int64(vol.Theta.N) * int64(vol.Phi.N) * int64(s.ElemX) * int64(s.ElemY)
@@ -44,12 +46,11 @@ func scaledTinyFrames(t testing.TB, s core.SystemSpec, n int) [][]rf.EchoBuffer 
 	return frames
 }
 
-// TestSchedulerBitIdentityEveryPrecision is the scheduling half of the
-// batching invariance contract (run under -race in CI): volumes coming out
-// of the scheduler — built from concurrent submissions across both lanes,
-// fused into batches, over a half-resident delay store — must be
-// bit-identical to a solo session beamforming the same frames one at a
-// time.
+// TestSchedulerBitIdentityEveryPrecision is the scheduling invariance
+// contract (run under -race in CI): volumes coming out of the scheduler —
+// built from concurrent submissions across both lanes, over a
+// half-resident delay store — must be bit-identical to a solo session
+// beamforming the same frames one at a time.
 func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
 	for _, prec := range []beamform.Precision{beamform.PrecisionFloat64, beamform.PrecisionInt16} {
 		req := tinyRequest()
@@ -72,7 +73,7 @@ func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
 		}
 		destroySession(sess, cache)
 
-		sched := NewScheduler(SchedulerConfig{MaxBatch: 3})
+		sched := NewScheduler(SchedulerConfig{})
 		var wg sync.WaitGroup
 		outs := make([]*beamform.Volume, len(frames))
 		errs := make([]error, len(frames))
@@ -112,7 +113,7 @@ func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
 // whole backlog is provably queued before the interactive frame arrives,
 // then opens it and watches the completion sequence.
 func TestSchedulerLanePreemption(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, MaxQueue: 64})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
@@ -152,7 +153,7 @@ func TestSchedulerLanePreemption(t *testing.T) {
 	<-sched.slots // open the turnstile
 	wg.Wait()
 	// The interactive frame entered last but must dispatch first (its own
-	// batch of one). Allow one completion of slack for goroutine wakeup
+	// dispatch). Allow one completion of slack for goroutine wakeup
 	// order; a FIFO would finish it 7th.
 	if got := interactiveSeq.Load(); got > 2 {
 		t.Errorf("interactive frame completed %d-th of %d — the cine backlog was not preempted", got, cine+1)
@@ -160,13 +161,13 @@ func TestSchedulerLanePreemption(t *testing.T) {
 }
 
 // TestSchedulerFairnessAcrossGeometries: with one core slot and two
-// geometries under bulk load, the turnstile must interleave their batches
+// geometries under bulk load, the turnstile must interleave their frames
 // — neither geometry's backlog runs to completion before the other starts.
 // As in the preemption test the turnstile is plugged until both backlogs are
 // provably queued: a tiny geometry's eight frames otherwise finish before
 // the other geometry's goroutines have been scheduled at all.
 func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 2, MaxQueue: 64})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	reqA := tinyRequest()
 	reqA.Lane = LaneBulk
@@ -240,45 +241,49 @@ func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 	}
 }
 
-// TestSchedulerBatchesBacklog: frames queued while the geometry builds must
-// dispatch as fused batches, visible in the batch-size counters. The build's
-// cache fills are stretched to a millisecond each so that the backlog does
-// not hang on how fast this host fills ten tiny nappes.
+// TestSchedulerBatchesBacklog: frames queued while the geometry builds
+// dispatch one frame per Session.Run — Batches and Fused both count 8 for 8
+// concurrent submits — and every served float64 volume is the scalar
+// golden. The build's cache fills are stretched to a millisecond each so
+// that the backlog does not hang on how fast this host fills ten tiny
+// nappes.
 func TestSchedulerBatchesBacklog(t *testing.T) {
 	if err := faultpoint.Activate("delaycache.fill=every:1:sleep=1ms"); err != nil {
 		t.Fatal(err)
 	}
 	defer faultpoint.Deactivate()
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 4, MaxQueue: 64})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()
 	req.Lane = LaneBulk
-	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
+	bufs := tinyFrame(t, req.Spec)
+	frame := [][]rf.EchoBuffer{bufs}
+	golden, err := req.Spec.NewBeamformer(req.Config.Window, scan.NappeOrder).BeamformScalar(req.Arch.NewProvider(req.Spec), bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	outs := make([]*beamform.Volume, 8)
+	for i := range outs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sched.Submit(context.Background(), req, frame); err != nil {
+			var err error
+			if outs[i], err = sched.Submit(context.Background(), req, frame); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
+	for i, out := range outs {
+		if out != nil && !slices.Equal(out.Data, golden.Data) {
+			t.Errorf("frame %d differs from the scalar golden", i)
+		}
+	}
 	st := sched.Stats()
-	if st.Fused != 8 {
-		t.Fatalf("fused %d frames, want 8", st.Fused)
-	}
-	if st.Batches >= 8 {
-		t.Errorf("8 frames dispatched as %d batches — no fusion happened", st.Batches)
-	}
-	fusedViaCounts := int64(0)
-	for k, c := range st.BatchSizeCounts {
-		fusedViaCounts += c * int64(k+1)
-	}
-	if fusedViaCounts != st.Fused {
-		t.Errorf("batch-size counters account for %d frames, fused=%d", fusedViaCounts, st.Fused)
+	if st.Batches != 8 || st.Fused != 8 {
+		t.Errorf("batches = %d, batched frames = %d, want 8 and 8 (one frame per dispatch)", st.Batches, st.Fused)
 	}
 	if lanes := st.Lanes["bulk"]; lanes.Dispatched != 8 {
 		t.Errorf("bulk lane dispatched = %d, want 8", lanes.Dispatched)
@@ -286,10 +291,9 @@ func TestSchedulerBatchesBacklog(t *testing.T) {
 }
 
 // TestSchedulerMixedShapesSplitBatches: frames of different echo windows
-// queued together must all succeed — the shape key splits them into
-// separate batches instead of poisoning one fused dispatch.
+// on one geometry, queued together, must all complete.
 func TestSchedulerMixedShapesSplitBatches(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 8, MaxQueue: 64})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()
 	req.Lane = LaneBulk
@@ -322,7 +326,7 @@ func TestSchedulerMixedShapesSplitBatches(t *testing.T) {
 // ErrOverloaded, and Close fails queued work with ErrClosed and rejects
 // later submits.
 func TestSchedulerOverloadAndClose(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 1, MaxBatch: 1})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 1})
 	req := tinyRequest()
 	req.Lane = LaneBulk
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
@@ -571,7 +575,7 @@ func TestLaneParsingAndFingerprint(t *testing.T) {
 // queued, one aborts, the rest dispatch; afterwards no slot up to cap
 // holds a job.
 func TestSchedulerLaneQueueReleasesJobs(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 64, MaxBatch: 2})
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
 	defer sched.Close()
 	req := tinyRequest()
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}

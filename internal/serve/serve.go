@@ -1,8 +1,8 @@
 // Package serve is the long-lived serving frontend over the beamforming
 // stack: a Scheduler that keeps one hot beamform.Session per geometry,
 // keyed by a canonical geometry/config fingerprint and attached to one
-// delay block store, and feeds it every frame of that geometry as fused
-// batches — and a Server that beamforms binary UBF1 wire frames arriving
+// delay block store, and feeds it every frame of that geometry one frame
+// per dispatch — and a Server that beamforms binary UBF1 wire frames arriving
 // over HTTP (/v1) or the persistent cine stream through that scheduler.
 //
 // This is the paper's amortization argument pushed to its serving
@@ -94,11 +94,10 @@ type Lane int
 const (
 	// LaneInteractive is the default: latency-sensitive single frames
 	// (live probe view, tele-ultrasound interaction) that preempt bulk
-	// work at the next batch boundary.
+	// work at the next frame boundary.
 	LaneInteractive Lane = iota
 	// LaneBulk marks throughput traffic — cine sequences, reprocessing —
-	// that the scheduler batches aggressively and runs when no
-	// interactive frame is waiting.
+	// that the scheduler runs when no interactive frame is waiting.
 	LaneBulk
 
 	numLanes = 2
@@ -129,8 +128,7 @@ func ParseLane(name string) (Lane, error) {
 
 // SessionRequest is everything that determines whether two requests can
 // share a warm session: the Table I geometry, the session datapath
-// configuration and the delay architecture. Config.SharedCache must be nil
-// — attaching to stores is the scheduler's job.
+// configuration and the delay architecture.
 //
 // Lane is a scheduling hint, not part of the geometry: it is deliberately
 // excluded from Fingerprint so interactive and bulk traffic of one probe
@@ -175,11 +173,5 @@ func (r SessionRequest) Fingerprint() string {
 
 // validate rejects requests the scheduler cannot key.
 func (r SessionRequest) validate() error {
-	if err := r.Spec.Validate(); err != nil {
-		return err
-	}
-	if r.Config.SharedCache != nil {
-		return fmt.Errorf("serve: SessionRequest.Config.SharedCache must be nil (the scheduler owns store attachment)")
-	}
-	return nil
+	return r.Spec.Validate()
 }

@@ -39,7 +39,7 @@ import (
 // ServerConfig assembles a Server.
 type ServerConfig struct {
 	// Scheduler serves the sessions: one hot session per geometry, requests
-	// queued into per-geometry lanes and dispatched as fused batches.
+	// queued into per-geometry lanes and dispatched one frame at a time.
 	// Required.
 	Scheduler *Scheduler
 	// MaxBodyBytes caps one request body (all transmits together).

@@ -26,7 +26,7 @@ import (
 // quantizes in its convert phase) — both reconstruct the f64 reference
 // above 60 dB.
 func TestServerWireI16Session(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -60,7 +60,7 @@ func TestServerWireI16Session(t *testing.T) {
 // int16-plane path per transmit; a compound that switches encoding after
 // an i16 first frame is a protocol violation answered with 400.
 func TestServerWireI16Compound(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -107,7 +107,7 @@ func TestServerWireI16Compound(t *testing.T) {
 // — an i16 hello (precision=i16&fmt=i16), a pipelined burst, volumes back
 // in order above 60 dB, and every frame counted as an i16 plane decode.
 func TestStreamCineI16(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	srv, err := NewServer(ServerConfig{Scheduler: sched})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestStreamCineI16(t *testing.T) {
 // fused steer body (on AVX2 hosts), at full residency none does, and half a
 // budget mixes resident blocks with fused misses in one volume.
 func TestTableSteerI16BudgetInvariant(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	srv, err := NewServer(ServerConfig{Scheduler: sched})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +237,7 @@ func TestTableSteerI16BudgetInvariant(t *testing.T) {
 // at budget=none every nappe is filled on the miss, at full residency every
 // nappe is a resident block, and half a budget mixes both in one volume.
 func TestTableFreeI16BudgetInvariant(t *testing.T) {
-	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	for _, nTx := range []int{1, 3} {
@@ -298,7 +298,7 @@ func TestTableFreeI16BudgetInvariant(t *testing.T) {
 func TestServerWireI16PastAccumulatorBound(t *testing.T) {
 	// A 40,000-element volume takes seconds under -race: the queue bound is
 	// raised past the default 10 s so only a wrong answer fails the test.
-	sched := NewScheduler(SchedulerConfig{MaxBatch: 4})
+	sched := NewScheduler(SchedulerConfig{})
 	t.Cleanup(sched.Close)
 	srv, err := NewServer(ServerConfig{Scheduler: sched, AcquireTimeout: 2 * time.Minute})
 	if err != nil {

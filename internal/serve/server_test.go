@@ -296,12 +296,12 @@ func TestServerOversizedBodyIs413(t *testing.T) {
 }
 
 // TestServerScheduledBitIdentity: the scheduled serving mode returns the
-// same bytes as a direct session — batching and lanes change when a frame
+// same bytes as a direct session — queueing and lanes change when a frame
 // runs, never what it computes — and the lane routing is wire-visible:
 // the X-Ultrabeam-Lane header wins over the lane= parameter, and both land
 // in the per-lane dispatch counters.
 func TestServerScheduledBitIdentity(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -382,10 +382,10 @@ func TestServerScheduledBitIdentity(t *testing.T) {
 }
 
 // TestServerScheduledStats scrapes /v1/stats: the JSON must carry the
-// scheduler shape — lane wait percentiles, batch-size counters, queue
+// scheduler shape — lane wait percentiles, dispatch counters, queue
 // depth — that the CI smoke test greps for.
 func TestServerScheduledStats(t *testing.T) {
-	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -410,7 +410,7 @@ func TestServerScheduledStats(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatalf("stats decode: %v\n%s", err, raw)
 	}
-	if st.Completed != 1 || st.GeometriesLive != 1 || st.Batches != 1 {
+	if st.Completed != 1 || st.GeometriesLive != 1 || st.Batches != 1 || st.Fused != 1 {
 		t.Fatalf("scheduler stats: %s", raw)
 	}
 	lane, ok := st.Lanes["interactive"]
@@ -420,15 +420,17 @@ func TestServerScheduledStats(t *testing.T) {
 	if lane.WaitP99Ms < 0 {
 		t.Errorf("negative wait percentile: %+v", lane)
 	}
-	if len(st.BatchSizeCounts) != 4 || st.BatchSizeCounts[0] != 1 {
-		t.Errorf("batch size counters: %v", st.BatchSizeCounts)
-	}
 	if len(st.Geometries) != 1 || st.Geometries[0].Frames != 1 {
 		t.Errorf("geometry stats: %s", raw)
 	}
-	for _, key := range []string{`"lanes"`, `"batch_size_counts"`, `"queued"`} {
+	for _, key := range []string{`"lanes"`, `"batches"`, `"batched_frames"`, `"queued"`} {
 		if !bytes.Contains(raw, []byte(key)) {
 			t.Errorf("stats JSON lacks %s:\n%s", key, raw)
+		}
+	}
+	for _, key := range []string{`"max_batch"`, `"batch_size_counts"`} {
+		if bytes.Contains(raw, []byte(key)) {
+			t.Errorf("stats JSON still carries %s:\n%s", key, raw)
 		}
 	}
 }

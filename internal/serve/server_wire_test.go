@@ -80,7 +80,7 @@ func postBytes(t *testing.T, url, ct string, body []byte) (int, []byte, http.Hea
 // precisions and whatever the chunking, so the wire inherits the
 // scheduler's bit-identity contract unchanged.
 func TestServerWireF64BitIdentity(t *testing.T) {
-	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -159,7 +159,7 @@ func TestServerWireLongWindowF64(t *testing.T) {
 // session through the int16 plane, every other pairing through float64
 // buffers — and only that one pairing counts as a plane decode.
 func TestServerWireNarrowPSNR(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -199,7 +199,7 @@ func TestServerWireNarrowPSNR(t *testing.T) {
 // TestServerWireCompound: a multi-transmit wire body (concatenated frames)
 // matches a direct compound session bit for bit.
 func TestServerWireCompound(t *testing.T) {
-	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)
@@ -234,7 +234,7 @@ func TestServerWireCompound(t *testing.T) {
 // reply and round-trips through float32 exactly — the volume is computed
 // in float64 but every narrowed sample must match its float32 cast.
 func TestServerWireF32Response(t *testing.T) {
-	ts, _ := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, _ := newSchedTestServer(t, SchedulerConfig{})
 	spec := tinySpec()
 	spec.DepthLambda = core.ReducedSpec().DepthLambda
 	bufs := tinyFrame(t, spec)

@@ -50,7 +50,7 @@ func dialStream(t *testing.T, srv *Server) net.Conn {
 // replies on a float64 session, volumes back in order matching the HTTP
 // f64 path above 60 dB, and stream counters moving.
 func TestStreamCine(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxBatch: 4})
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	srv, err := NewServer(ServerConfig{Scheduler: sched})
 	if err != nil {
 		t.Fatal(err)

@@ -39,9 +39,6 @@ type ErrorStats struct {
 	sumAbs, sumAbsAcc float64
 }
 
-// MeanAbsSamples converts the all-pairs mean to sample units given fs.
-func (e ErrorStats) MeanAbsSamples(fs float64) float64 { return e.MeanAbsSec * fs }
-
 // MaxAcceptedSamples converts the directivity-filtered max to samples.
 func (e ErrorStats) MaxAcceptedSamples(fs float64) float64 { return e.MaxAbsSecAcc * fs }
 
@@ -92,12 +89,6 @@ func (e *ErrorStats) finish() {
 type SweepOptions struct {
 	StrideTheta, StridePhi, StrideDepth, StrideElem int
 	Parallel                                        bool
-}
-
-// DefaultSweep samples the volume densely enough for stable statistics in
-// test time (≈10⁷ pair evaluations at Table I geometry).
-func DefaultSweep() SweepOptions {
-	return SweepOptions{StrideTheta: 8, StridePhi: 8, StrideDepth: 20, StrideElem: 12, Parallel: true}
 }
 
 func (o SweepOptions) norm() SweepOptions {

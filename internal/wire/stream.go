@@ -175,33 +175,6 @@ func WriteVolume(w io.Writer, enc Encoding, theta, phi, depth int, data []float6
 	return err
 }
 
-// WriteVolume32 is WriteVolume for float32 source samples: f32 replies are
-// bit-exact (no widen/narrow round trip), f64 replies widen exactly.
-func WriteVolume32(w io.Writer, enc Encoding, theta, phi, depth int, data []float32) error {
-	if enc != EncodingF64 && enc != EncodingF32 {
-		return fmt.Errorf("wire: volume encoding %s not supported (want f64|f32)", enc)
-	}
-	n := theta * phi * depth
-	if theta <= 0 || phi <= 0 || depth <= 0 || len(data) != n {
-		return fmt.Errorf("wire: %d voxels for a %d×%d×%d volume", len(data), theta, phi, depth)
-	}
-	size := enc.SampleBytes()
-	buf := make([]byte, volHeaderBytes+n*size)
-	writeVolumeHeader(buf, 0, enc, theta, phi, depth, uint64(n*size))
-	p := buf[volHeaderBytes:]
-	if enc == EncodingF32 {
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v))
-		}
-	} else {
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(float64(v)))
-		}
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
 // WriteVolumeError emits a volume reply carrying an error instead of
 // samples; the client's ReadVolume surfaces it as a *RemoteError.
 func WriteVolumeError(w io.Writer, status uint8, msg string) error {

@@ -289,12 +289,6 @@ func (c *chunkReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// PayloadReader returns a reader of the frame's raw payload bytes,
-// de-chunked: exactly h.PayloadBytes() bytes then io.EOF. The streaming
-// decoders consume it incrementally; most callers want DecodePlaneI16 /
-// DecodeF64 instead.
-func PayloadReader(r io.Reader, h Header) io.Reader { return newChunkReader(r, h) }
-
 // decodeScratch is the per-call streaming buffer: big enough to amortize
 // Read calls, small enough that a decode makes progress chunk by chunk
 // instead of buffering a frame.

@@ -39,7 +39,7 @@
 // cmd/usbeamd): a Scheduler keeps one hot Session per geometry fingerprint
 // with one SharedDelayCache per geometry — N concurrent cine streams of one
 // probe pay one delay budget — and feeds it every frame of that geometry
-// as fused batches, with priority lanes, bounded-queue backpressure
+// one frame per dispatch, with priority lanes, bounded-queue backpressure
 // (ErrOverloaded → 503) and TTL eviction of idle geometries; a Server
 // beamforms UBF1 wire frames POSTed to /v1/beamform through it:
 //
@@ -146,7 +146,9 @@ type DelayCache = delaycache.Cache
 // SharedDelayCache is the geometry-keyed block store any number of
 // concurrent Sessions can attach to: the delay working set belongs to the
 // geometry, not the connection. Build one with SystemSpec.NewSharedCache
-// and hand sessions SessionConfig.SharedCache; see delaycache.Shared.
+// and give each session an Attach view through
+// Engine.NewSessionGenerators(store.Generators(), view); see
+// delaycache.Shared.
 type SharedDelayCache = delaycache.Shared
 
 // CacheStats snapshots delay-cache effectiveness (hits, misses, residency,
@@ -199,16 +201,16 @@ type BankArray = memmodel.BankArray
 func BudgetFromBanks(a BankArray) int64 { return delaycache.BudgetFromBanks(a) }
 
 // Scheduler keeps one hot Session per geometry/config fingerprint, sharing
-// one SharedDelayCache per geometry, and dispatches queued frames as fused
-// batches with priority lanes, bounded-queue backpressure and TTL eviction
-// of idle geometries; see serve.Scheduler.
+// one SharedDelayCache per geometry, and dispatches queued frames one at a
+// time with priority lanes, bounded-queue backpressure and TTL eviction of
+// idle geometries; see serve.Scheduler.
 type Scheduler = serve.Scheduler
 
-// SchedulerConfig sizes a Scheduler (geometry cap, queue bound, batch
-// size, idle TTL).
+// SchedulerConfig sizes a Scheduler (geometry cap, queue bound, idle
+// TTL).
 type SchedulerConfig = serve.SchedulerConfig
 
-// SchedulerStats snapshots queue depths, lane waits, batch sizes and
+// SchedulerStats snapshots queue depths, dispatch counts, lane waits and
 // per-geometry cache hit rates.
 type SchedulerStats = serve.SchedulerStats
 
