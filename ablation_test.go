@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"ultrabeam/internal/core"
+	"ultrabeam/internal/delay"
 	"ultrabeam/internal/fixed"
 	"ultrabeam/internal/scan"
 	"ultrabeam/internal/sqrtapprox"
@@ -99,27 +100,29 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 }
 
 // BenchmarkAblationMultiOrigin quantifies the §V synthetic-aperture
-// extension: storage versus the number of precalculated origin tables.
+// extension: storage versus the number of precalculated origin tables, one
+// reference table per derived transmit over the shared corrections.
 func BenchmarkAblationMultiOrigin(b *testing.B) {
 	spec := core.ReducedSpec()
-	ref, corr := tablesteer.Bits18Config()
-	cfg := tablesteer.Config{Vol: spec.Volume(), Arr: spec.Array(),
-		Conv: spec.Converter(), RefFmt: ref, CorrFmt: corr}
+	p := spec.NewTableSteer(18)
 	for _, n := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("origins=%d", n), func(b *testing.B) {
-			origins := make([]float64, n)
-			for i := range origins {
-				origins[i] = -0.001 * float64(i)
+			txs := make([]delay.Transmit, n)
+			for i := range txs {
+				txs[i].Origin.Z = -0.001 * float64(i)
 			}
-			var m *tablesteer.MultiOrigin
+			var provs []delay.Provider
 			for i := 0; i < b.N; i++ {
 				var err error
-				m, err = tablesteer.NewMultiOrigin(cfg, origins)
-				if err != nil {
+				if provs, err = delay.ForTransmits(p, txs); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(m.StorageBits())/1e6, "storage-Mb")
+			bits := p.Corr.StorageBits()
+			for _, q := range provs {
+				bits += q.(*tablesteer.Provider).Ref.StorageBits()
+			}
+			b.ReportMetric(float64(bits)/1e6, "storage-Mb")
 		})
 	}
 }

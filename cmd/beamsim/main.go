@@ -5,14 +5,12 @@
 // Usage:
 //
 //	beamsim [-provider exact|tablefree|tablesteer] [-phantom point|grid|speckle]
-//	        [-depth 0.02] [-out image.pgm] [-compare]
+//	        [-depth 0.02] [-out image.pgm]
 //	        [-precision float64|i16] [-frames N] [-cache-budget BYTES]
 //	        [-transmits N]
 //
 // An unknown -provider, -phantom or -precision name exits with status 2.
-//
-// -compare beamforms through all three providers and reports similarity,
-// the §II-A image-quality experiment.
+// The §II-A image-quality comparison across providers is `usbeam quality`.
 //
 // -precision selects the session kernel: float64 (int16 delay blocks,
 // float64 echo — bit-identical golden model, the default) or i16 (int16
@@ -24,11 +22,12 @@
 // cache that amortizes generation across frames: 0 disables caching,
 // negative means unlimited (full residency, the default).
 //
-// -transmits N compounds N steered diverging-wave insonifications per
-// frame (virtual sources behind the array): echoes are synthesized once
-// per transmit and the session coherently sums the N beamformations —
-// the delay cache is then keyed by (transmit, nappe) and its budget is
-// shared across the set.
+// -transmits N compounds N diverging-wave insonifications per frame from
+// the axial virtual-source set a transmits=N serving request uses
+// (core.SystemSpec.AxialTransmits), which every provider represents:
+// echoes are synthesized once per transmit and the session coherently sums
+// the N beamformations — the delay cache is then keyed by (transmit,
+// nappe) and its budget is shared across the set.
 package main
 
 import (
@@ -53,11 +52,10 @@ func main() {
 	phantom := flag.String("phantom", "point", "phantom: point|grid|speckle")
 	depth := flag.Float64("depth", 0.02, "target depth in meters")
 	out := flag.String("out", "", "write a B-mode PGM slice to this path")
-	compare := flag.Bool("compare", false, "beamform with all providers and compare")
 	precision := flag.String("precision", "float64", "session kernel: float64|i16")
 	frames := flag.Int("frames", 1, "cine frames to beamform through one session")
 	cacheBudget := flag.Int64("cache-budget", -1, "delay-cache bytes (0 = uncached, <0 = full residency)")
-	transmits := flag.Int("transmits", 1, "steered insonifications compounded per frame")
+	transmits := flag.Int("transmits", 1, "axial insonifications compounded per frame")
 	flag.Parse()
 
 	spec := core.ReducedSpec()
@@ -79,15 +77,6 @@ func main() {
 		}, ph)
 		check(err)
 		return bufs
-	}
-
-	if *compare {
-		if *frames > 1 || *transmits > 1 {
-			fmt.Fprintln(os.Stderr, "beamsim: -compare is a single-frame single-transmit experiment; drop -frames/-transmits")
-			os.Exit(2)
-		}
-		runCompare(spec, eng, synthesize())
-		return
 	}
 
 	var vol *beamform.Volume
@@ -156,14 +145,14 @@ func runCine(spec core.SystemSpec, p delay.Provider, bufs []rf.EchoBuffer, frame
 	return out
 }
 
-// runCompound beamforms a compound cine: n steered diverging-wave
-// transmits per frame (virtual sources half an aperture behind the array,
-// laterally spread over half an aperture), echoes synthesized once per
-// transmit, one persistent session summing the insonifications coherently.
+// runCompound beamforms a compound cine: n diverging-wave transmits per
+// frame from on-axis virtual sources 10λ to 30λ behind the array
+// (spec.AxialTransmits), echoes synthesized once per transmit, one
+// persistent session summing the insonifications coherently.
 // It reports sustained compound frames/s and cache effectiveness, and
 // returns the last compounded frame.
 func runCompound(spec core.SystemSpec, p delay.Provider, ph rf.Phantom, n, frames int, budget int64, prec beamform.Precision) *beamform.Volume {
-	txs := delay.SteeredTransmits(n, spec.Aperture()/2, spec.Aperture()/2)
+	txs := spec.AxialTransmits(n)
 	txBufs, err := experiments.CompoundEchoes(spec, txs, ph)
 	check(err)
 	sess, cache, err := spec.NewSessionConfig(core.SessionConfig{
@@ -218,21 +207,6 @@ func selectProvider(spec core.SystemSpec, name string) delay.Provider {
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "beamsim: "+format+"\n", args...)
 	os.Exit(2)
-}
-
-func runCompare(spec core.SystemSpec, eng *beamform.Engine, bufs []rf.EchoBuffer) {
-	exact, err := eng.Beamform(spec.NewExact(), bufs)
-	check(err)
-	fmt.Println("§II-A image-quality comparison (similarity vs exact delays):")
-	for _, name := range []string{"tablefree", "tablesteer"} {
-		vol, err := eng.Beamform(selectProvider(spec, name), bufs)
-		check(err)
-		sim, err := beamform.Similarity(exact, vol)
-		check(err)
-		psr, err := beamform.PeakSignalRatio(exact, vol)
-		check(err)
-		fmt.Printf("  %-11s similarity %.4f, difference %.1f dB below peak\n", name, sim, psr)
-	}
 }
 
 // writePGM renders the θ×depth B-mode slice (φ index 0) log-compressed to

@@ -64,14 +64,16 @@ func (g kernelBenchGrid) config() Config {
 	}
 }
 
-// setup builds the grid's engine, every nappe of TABLEFREE-generated delays
-// (resident, as a full cache serves them) and a volume to accumulate into.
+// setup builds the grid's engine, every nappe of delays from the fixed
+// TABLEFREE datapath the server builds (resident, as a full cache serves
+// them) and a volume to accumulate into.
 func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
 	cfg := g.config()
 	eng := New(cfg)
 	n := g.nth * g.nphi * len(eng.apod)
-	gen := delay.AsBlock(tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv}),
-		delay.Layout{NTheta: g.nth, NPhi: g.nphi, NX: g.nx, NY: g.ny})
+	tf := tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv})
+	tf.UseFixed = true
+	gen := delay.AsBlock(tf, delay.Layout{NTheta: g.nth, NPhi: g.nphi, NX: g.nx, NY: g.ny})
 	blocks := make([]delay.Block16, g.ndep)
 	for id := range blocks {
 		blocks[id] = make(delay.Block16, n)

@@ -458,9 +458,9 @@ func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
 }
 
 // TestFusedSteerRoutes pins what never takes the fused route: the float64
-// precision, TABLESTEER's float datapath and the unproven
-// formats that fill through clampedRow (no operands at all) — each session
-// builds no operand rows and equals its block-filling twin.
+// precision, TABLESTEER's float datapath and the unproven formats that fill
+// through the scalar law (no operands at all) — each session builds no
+// operand rows and equals its block-filling twin.
 func TestFusedSteerRoutes(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64} {
 		sc := newSteerCompound(t, 2, prec)
@@ -485,7 +485,7 @@ func TestFusedSteerRoutes(t *testing.T) {
 	float := steerProvider(cfg, fixed.U13p5, fixed.S13p4)
 	float.UseFixed = false
 	unproven := steerProvider(cfg, fixed.Format{IntBits: 16, FracBits: 3}, fixed.S13p4)
-	for name, p := range map[string]*tablesteer.Provider{"float datapath": float, "clampedRow u16.3": unproven} {
+	for name, p := range map[string]*tablesteer.Provider{"float datapath": float, "scalar-law u16.3": unproven} {
 		if p.SteerOperands() != nil {
 			t.Errorf("%s offers fused operands", name)
 		}

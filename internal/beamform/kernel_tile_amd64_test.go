@@ -35,8 +35,8 @@ var (
 	tileCensusErr  error
 )
 
-// servedTileCensus generates every nappe of the TABLEFREE and the 18-bit
-// fixed TABLESTEER delay blocks of both served grids, for the on-axis
+// servedTileCensus generates every nappe of the fixed TABLEFREE and the
+// 18-bit fixed TABLESTEER delay blocks of both served grids, for the on-axis
 // transmit and the axial transmits=4 set, once per test binary, and runs
 // both tile bodies over each block: the i16 body against a guarded int16
 // plane, the f64 body against float64 echo rows of the served window. Every
@@ -76,6 +76,8 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 	fh := &f64KernelHarness{eng: eng, bufs: make([]rf.EchoBuffer, len(eng.apod)), rng: 0xf64c}
 	fh.fillRows(kernelBenchWin, func(int) int { return kernelBenchWin })
 	layout := delay.Layout{NTheta: g.nth, NPhi: g.nphi, NX: g.nx, NY: g.ny}
+	free := tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})
+	free.UseFixed = true // the datapath serve.ArchTableFree builds
 	steer := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})
 	steer.UseFixed = true
 	lambda := cfg.Conv.C / 4e6
@@ -88,7 +90,7 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 		name string
 		p    delay.Provider
 	}{
-		{"tablefree", tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})},
+		{"tablefree", free},
 		{"tablesteer", steer},
 	} {
 		txs, err := delay.ForTransmits(arch.p, axial)

@@ -126,6 +126,15 @@ func (s SystemSpec) EchoBufferSamples() int {
 	return int(2*s.DepthLambda*s.SamplesPerLambda()) + 512
 }
 
+// AxialTransmits returns the n-transmit set a transmits=N request or a
+// compound cine runs: on-axis virtual sources spread from 10λ to 30λ
+// behind the aperture (delay.AxialTransmits), the set every delay
+// generator, TABLESTEER's folding included, can represent.
+func (s SystemSpec) AxialTransmits(n int) []delay.Transmit {
+	l := s.Lambda()
+	return delay.AxialTransmits(n, -10*l, -30*l)
+}
+
 // NewExact returns the float64 golden-model provider.
 func (s SystemSpec) NewExact() *delay.Exact {
 	return delay.NewExact(s.Volume(), s.Array(), geom.Vec3{}, s.Converter())

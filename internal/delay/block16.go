@@ -44,15 +44,6 @@ func Index16(samples float64) int16 {
 	return int16(r)
 }
 
-// QuantizeNappe converts a float64 nappe of delays into its Block16 form
-// slot for slot. dst must hold at least len(src) values.
-func QuantizeNappe(dst Block16, src []float64) {
-	dst = dst[:len(src)]
-	for i, v := range src {
-		dst[i] = Index16(v)
-	}
-}
-
 // BlockProvider16 is an alias of BlockProvider.
 type BlockProvider16 = BlockProvider
 
@@ -79,7 +70,9 @@ func (e *Exact) FillNappe16(id int, dst Block16) {
 }
 
 // FillNappe16 implements BlockProvider with one scalar call per slot,
-// quantizing each delay as it is produced.
+// quantizing each delay as it is produced. It is the one block fill of the
+// scalar law: a plain Provider takes it through AsBlock, and a generator
+// takes it for every configuration its native fill does not serve.
 func (a *ScalarAdapter) FillNappe16(id int, dst Block16) {
 	k := 0
 	for it := 0; it < a.L.NTheta; it++ {

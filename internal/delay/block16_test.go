@@ -53,17 +53,6 @@ func TestIndex16Saturates(t *testing.T) {
 	}
 }
 
-func TestQuantizeNappeMatchesSlotwiseIndex16(t *testing.T) {
-	src := []float64{0.2, -3.7, 40000, -40000, 812.5, 811.5}
-	dst := make(Block16, len(src))
-	QuantizeNappe(dst, src)
-	for i, v := range src {
-		if dst[i] != Index16(v) {
-			t.Errorf("slot %d: %d != Index16(%v) = %d", i, dst[i], v, Index16(v))
-		}
-	}
-}
-
 // TestExactFillNappe16BitIdentical holds the exact fill to Index16 of the
 // scalar law where it saturates: an emission origin 2 m behind the array
 // puts every delay beyond 32767 samples, so every slot must be the

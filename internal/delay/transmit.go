@@ -101,9 +101,9 @@ func SteeredTransmits(n int, depthBehind, span float64) []Transmit {
 
 // AxialTransmits returns n on-axis virtual sources with depths evenly
 // spanning [zmin, zmax] (negative = behind the aperture). Every origin lies
-// on the z axis, so the set is representable by all four architectures —
-// TABLESTEER included (one folded reference table per transmit, the §V
-// "multiple precalculated delay tables" extension).
+// on the z axis, so every delay generator represents the set — exact,
+// TABLEFREE, and TABLESTEER too (one folded reference table per transmit,
+// the §V "multiple precalculated delay tables" extension).
 func AxialTransmits(n int, zmin, zmax float64) []Transmit {
 	if n <= 0 {
 		return []Transmit{{}}

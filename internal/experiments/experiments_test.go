@@ -251,6 +251,9 @@ func TestImageQualityQ1(t *testing.T) {
 		if sim < 0.95 {
 			t.Errorf("%s similarity = %.4f, the §II-A claim wants ≈1", name, sim)
 		}
+		if psr := r.PeakRatio[name]; psr < 40 {
+			t.Errorf("%s difference only %.1f dB below the exact peak", name, psr)
+		}
 	}
 	if r.Similarity["exact"] != 1 {
 		t.Error("exact self-similarity must be 1")

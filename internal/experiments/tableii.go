@@ -145,6 +145,7 @@ func PaperTableIIRow(arch string) (TableIIRow, bool) {
 type ImageQualityResult struct {
 	Metrics    map[string]beamform.PSFMetrics
 	Similarity map[string]float64 // vs exact-delay volume
+	PeakRatio  map[string]float64 // exact peak over the difference's RMS, dB (beamform.PeakSignalRatio)
 }
 
 // ImageQuality beamforms a point phantom through exact, TABLEFREE and
@@ -153,6 +154,7 @@ func ImageQuality(s core.SystemSpec, targetDepth float64) (ImageQualityResult, e
 	res := ImageQualityResult{
 		Metrics:    map[string]beamform.PSFMetrics{},
 		Similarity: map[string]float64{},
+		PeakRatio:  map[string]float64{},
 	}
 	target := geom.Vec3{Z: targetDepth}
 	bufs, err := rf.Synthesize(rf.Config{
@@ -193,6 +195,11 @@ func ImageQuality(s core.SystemSpec, targetDepth float64) (ImageQualityResult, e
 			return res, err
 		}
 		res.Similarity[name] = sim
+		psr, err := beamform.PeakSignalRatio(exactVol, v)
+		if err != nil {
+			return res, err
+		}
+		res.PeakRatio[name] = psr
 	}
 	return res, nil
 }
@@ -200,13 +207,14 @@ func ImageQuality(s core.SystemSpec, targetDepth float64) (ImageQualityResult, e
 // Table renders Q1.
 func (r ImageQualityResult) Table() *report.Table {
 	t := report.NewTable("§II-A — image quality across delay architectures",
-		"provider", "similarity vs exact", "axial FWHM", "lateral FWHM")
+		"provider", "similarity vs exact", "difference below peak", "axial FWHM", "lateral FWHM")
 	for _, name := range []string{"exact", "tablefree-fixed", "tablesteer-18b"} {
 		m, ok := r.Metrics[name]
 		if !ok {
 			continue
 		}
 		t.Add(name, fmt.Sprintf("%.4f", r.Similarity[name]),
+			fmt.Sprintf("%.1f dB", r.PeakRatio[name]),
 			fmt.Sprintf("%.2f mm", m.AxialFWHMmm),
 			fmt.Sprintf("%.2f°", m.LateralFWHMdeg))
 	}

@@ -125,7 +125,7 @@ func ParseOptions(q url.Values, hdr http.Header) (RequestOptions, error) {
 		if n > 1 {
 			// Axial virtual sources behind the aperture: the transmit set
 			// every architecture (incl. TABLESTEER's folding) can represent.
-			cfg.Transmits = delayAxialSet(n, spec)
+			cfg.Transmits = spec.AxialTransmits(n)
 		}
 	}
 	lane, err := ParseLane(laneName)
@@ -224,7 +224,7 @@ func (o RequestOptions) Encode() (url.Values, error) {
 		q.Set("budget", strconv.FormatInt(cfg.CacheBudget, 10))
 	}
 	if n := len(cfg.Transmits); n > 0 {
-		want := delayAxialSet(n, o.Request.Spec)
+		want := o.Request.Spec.AxialTransmits(n)
 		if len(want) != n {
 			return nil, fmt.Errorf("serve: %d-transmit set not expressible", n)
 		}

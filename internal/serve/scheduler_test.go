@@ -447,7 +447,7 @@ func TestSchedulerGeometryCapEvictsColdest(t *testing.T) {
 // transmit-major split.
 func TestSchedulerStoreKeepsInterleavedPrefix(t *testing.T) {
 	req := tinyRequest()
-	req.Config.Transmits = delayAxialSet(2, req.Spec)
+	req.Config.Transmits = req.Spec.AxialTransmits(2)
 	vol := req.Spec.Volume()
 	blockBytes := 2 * int64(vol.Theta.N*vol.Phi.N*req.Spec.ElemX*req.Spec.ElemY)
 	const resident = 7

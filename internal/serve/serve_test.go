@@ -53,7 +53,7 @@ func TestFingerprintDistinguishesConfigs(t *testing.T) {
 		"budget":    func(r *SessionRequest) { r.Config.CacheBudget = 1024 },
 		"uncached":  func(r *SessionRequest) { r.Config.Cached = false },
 		"transmits": func(r *SessionRequest) {
-			r.Config.Transmits = delayAxialSet(2, r.Spec)
+			r.Config.Transmits = r.Spec.AxialTransmits(2)
 		},
 	}
 	for name, mutate := range variants {

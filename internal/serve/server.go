@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"ultrabeam/internal/beamform"
-	"ultrabeam/internal/core"
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
@@ -514,11 +513,4 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
-}
-
-// delayAxialSet builds the n-transmit axial virtual-source set used by the
-// transmits= parameter: sources spread from 10λ to 30λ behind the aperture.
-func delayAxialSet(n int, spec core.SystemSpec) []delay.Transmit {
-	l := spec.Lambda()
-	return delay.AxialTransmits(n, -10*l, -30*l)
 }

@@ -169,7 +169,7 @@ func TestTableSteerI16BudgetInvariant(t *testing.T) {
 	// Each transmit's echoes from its own axial source, so the compound
 	// focuses (echoes from the array center would miss every voxel).
 	var tx [][]rf.EchoBuffer
-	for _, o := range delayAxialSet(3, spec) {
+	for _, o := range spec.AxialTransmits(3) {
 		bufs, err := rf.Synthesize(rf.Config{
 			Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
 			Origin: o.Origin, BufSamples: spec.EchoBufferSamples(),
@@ -246,7 +246,7 @@ func TestTableFreeI16BudgetInvariant(t *testing.T) {
 		tx := [][]rf.EchoBuffer{tinyFrame(t, spec)}
 		if nTx > 1 {
 			tx = nil
-			for _, o := range delayAxialSet(nTx, spec) {
+			for _, o := range spec.AxialTransmits(nTx) {
 				bufs, err := rf.Synthesize(rf.Config{
 					Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
 					Origin: o.Origin, BufSamples: spec.EchoBufferSamples(),

@@ -205,7 +205,7 @@ func TestServerWireCompound(t *testing.T) {
 	bufs := tinyFrame(t, spec)
 
 	cfg := core.SessionConfig{Window: tinyRequest().Config.Window, Cached: true, CacheBudget: -1,
-		Transmits: delayAxialSet(2, spec)}
+		Transmits: spec.AxialTransmits(2)}
 	solo, _, err := spec.NewSessionConfig(cfg, ArchTableFree.NewProvider(spec))
 	if err != nil {
 		t.Fatal(err)

@@ -95,26 +95,6 @@ func (a *Approx) Eval(alpha float64) float64 {
 	return s.C1*alpha + s.C0
 }
 
-// EvalSlice evaluates the approximation over a batch of arguments into dst,
-// carrying an incremental segment cursor from one argument to the next — the
-// software form of the Fig. 2(a) tracker. Consecutive arguments of a nappe
-// sweep move by at most a few segments, so the per-argument binary search of
-// Eval disappears; the selected segment (and therefore the result) is
-// identical to Eval's for every argument.
-func (a *Approx) EvalSlice(dst, alphas []float64) {
-	cur, last := 0, len(a.Segments)-1
-	for i, alpha := range alphas {
-		for cur < last && alpha >= a.Segments[cur].Hi {
-			cur++
-		}
-		for cur > 0 && alpha < a.Segments[cur].Lo {
-			cur--
-		}
-		s := a.Segments[cur]
-		dst[i] = s.C1*alpha + s.C0
-	}
-}
-
 // MaxObservedError scans the domain with n probe points per segment and
 // returns the largest |√α − Eval(α)| — a verification aid for tests and for
 // the Fig. 2(b) error-profile experiment.
@@ -216,23 +196,6 @@ func (f *FixedApprox) Eval(alpha float64) float64 {
 	return f.EvalSeg(f.Base.Find(alpha), alpha)
 }
 
-// EvalSlice is the batched counterpart of Eval: it walks the arguments with
-// the same incremental segment cursor as Approx.EvalSlice and evaluates each
-// through the fixed-point datapath, bit-identical to per-argument Eval.
-func (f *FixedApprox) EvalSlice(dst, alphas []float64) {
-	segs := f.Base.Segments
-	cur, last := 0, len(segs)-1
-	for i, alpha := range alphas {
-		for cur < last && alpha >= segs[cur].Hi {
-			cur++
-		}
-		for cur > 0 && alpha < segs[cur].Lo {
-			cur--
-		}
-		dst[i] = f.EvalSeg(cur, alpha)
-	}
-}
-
 // shiftRound shifts right by n (rounding to nearest, ties away from zero)
 // or left by −n.
 func shiftRound(x int64, n int) int64 {
@@ -302,7 +265,7 @@ func newIntDatapath(f *FixedApprox) *IntDatapath {
 
 // Integer returns the hoisted integer form of the datapath, or nil when
 // the FixedConfig is outside what it covers (callers then stay on
-// EvalSeg/EvalSlice).
+// EvalSeg).
 func (f *FixedApprox) Integer() *IntDatapath { return f.ints }
 
 // Walk is the Fig. 2(a) tracker's step rule on a SegOp table: from segment

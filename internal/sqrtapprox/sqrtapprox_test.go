@@ -342,39 +342,6 @@ func BenchmarkTrackerSeek(b *testing.B) {
 	}
 }
 
-// TestEvalSliceMatchesEval holds the batched cursor evaluators to the
-// per-argument binary-search path, bit for bit, on sweeps that move both
-// smoothly (nappe-like) and with large jumps (scanline restarts), in both
-// directions and beyond the domain edges.
-func TestEvalSliceMatchesEval(t *testing.T) {
-	a := paperApprox()
-	f := NewFixed(a, DefaultFixedConfig())
-	n := 4096
-	sweeps := [][]float64{make([]float64, n), make([]float64, n), make([]float64, n)}
-	for i := 0; i < n; i++ {
-		x := float64(i) / float64(n-1)
-		sweeps[0][i] = x * paperDomain                                            // ascending
-		sweeps[1][i] = (1 - x) * paperDomain                                      // descending
-		sweeps[2][i] = float64((i*2654435761)%n) / float64(n) * 1.2 * paperDomain // jumpy, past Max
-	}
-	sweeps[2][0] = -1 // below the domain
-	dst := make([]float64, n)
-	for si, alphas := range sweeps {
-		a.EvalSlice(dst, alphas)
-		for i, alpha := range alphas {
-			if want := a.Eval(alpha); dst[i] != want {
-				t.Fatalf("sweep %d float: EvalSlice(%v) = %v, Eval = %v", si, alpha, dst[i], want)
-			}
-		}
-		f.EvalSlice(dst, alphas)
-		for i, alpha := range alphas {
-			if want := f.Eval(alpha); dst[i] != want {
-				t.Fatalf("sweep %d fixed: EvalSlice(%v) = %v, Eval = %v", si, alpha, dst[i], want)
-			}
-		}
-	}
-}
-
 // TestRoundShiftMatchesShiftRound holds the hoisted shift form (sign folded
 // into the bias, half supplied) to shiftRound over signs, exact ties, the
 // values either side of a tie, and magnitudes up to where shiftRound's own

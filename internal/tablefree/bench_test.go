@@ -66,14 +66,14 @@ type fillFunc func(id int, dst delay.Block16)
 // what an AVX2-only host gets; on a host that has AVX-512 the row is the
 // per-core baseline of the eight-lane body, so the ratio is read inside one
 // process), with every slot through fixedRow (fixed-ref: what a host
-// without a lane body gets), the generic sweep (ideal-pwl) and the
-// √-per-delay reference (exact). One iteration is one nappe; depths rotate
-// so segments move. x_unit_law is Mdelays/s over the paper's 167 MHz unit —
-// ROADMAP's "≥ 3 per core" reads the fixed rows' column.
+// without a lane body gets) and the √-per-delay reference (exact). One
+// iteration is one nappe; depths rotate so segments move. x_unit_law is
+// Mdelays/s over the paper's 167 MHz unit — ROADMAP's "≥ 3 per core" reads
+// the fixed rows' column.
 func BenchmarkFillNappe16(b *testing.B) {
 	mhz := hostMHz()
 	for _, g := range benchGrids {
-		fixed, ideal := fixedProvider(g.cfg), New(g.cfg)
+		fixed := fixedProvider(g.cfg)
 		type row struct {
 			name string
 			body string // the probes useBody sets for the row; "" leaves them
@@ -85,7 +85,6 @@ func BenchmarkFillNappe16(b *testing.B) {
 		}
 		rows = append(rows,
 			row{"fixed-ref", "", func(id int, dst delay.Block16) { refFill16(fixed, id, dst) }},
-			row{"ideal-pwl", "", ideal.FillNappe16},
 			row{"exact", "", exactFor(g.cfg).FillNappe16},
 		)
 		n := fixed.Layout().BlockLen()

@@ -22,12 +22,13 @@ func (p *Provider) Layout() delay.Layout {
 // element-specific units"), the squared x terms are computed once per
 // transducer column and the squared y/z terms once per row, and the receive
 // square roots are evaluated as one batch through the incremental segment
-// cursor instead of a binary search per element. The fixed datapath — the
-// form the serving stack builds — runs the fused integer kernel
-// (fillNappe16Fixed); the ideal PWL, and a FixedConfig the integer form
-// does not cover, take the generic sweep (fillNappe16). Every slot is
-// Index16(DelaySamples(…)): the argument association order and the PWL
-// evaluation are unchanged, only their schedule is.
+// cursor instead of a binary search per element. That is one route: the
+// fixed datapath — the form the serving stack builds — through the fused
+// integer kernel (fillNappe16Fixed). The ideal PWL, and a FixedConfig the
+// integer form does not cover, fill through the scalar law
+// (delay.ScalarAdapter). Every slot is Index16(DelaySamples(…)): the argument
+// association order and the PWL evaluation are unchanged, only their
+// schedule is.
 func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 	if p.UseFixed {
 		if dp := p.FixedDP.Integer(); dp != nil {
@@ -35,7 +36,7 @@ func (p *Provider) FillNappe16(id int, dst delay.Block16) {
 			return
 		}
 	}
-	p.fillNappe16(id, dst)
+	(&delay.ScalarAdapter{P: p, L: p.Layout()}).FillNappe16(id, dst)
 }
 
 // stackTerms is the most float64 scratch (per-voxel squared terms: one per
@@ -301,60 +302,4 @@ func fixedRow(row []int16, xt2 []float64, yt2, zz float64, txRaw int64, dp *sqrt
 		row[ei] = int16(min(max(idx, math.MinInt16), math.MaxInt16))
 	}
 	return cur
-}
-
-// fillNappe16 is the generic nappe sweep: the float64 arithmetic of
-// DelaySamples in its association order, with delay.Index16 applied to each
-// voxel plane as it is produced.
-func (p *Provider) fillNappe16(id int, dst delay.Block16) {
-	l := p.Layout()
-	nE := l.VoxelStride()
-	// One scratch: the per-column (Sx−xD)² row, then the voxel plane, whose
-	// receive √ arguments are written and evaluated in place.
-	n := l.NX + nE
-	var stack [stackTerms]float64
-	scratch := stack[:]
-	if n > stackTerms {
-		scratch = make([]float64, n)
-	}
-	xt2, plane := scratch[:l.NX], scratch[l.NX:n]
-	k := 0
-	for it := 0; it < l.NTheta; it++ {
-		for ip := 0; ip < l.NPhi; ip++ {
-			s := p.focalSamples(it, ip, id)
-			dx := s.X - p.originS.X
-			dy := s.Y - p.originS.Y
-			dz := s.Z - p.originS.Z
-			argTx := dx*dx + dy*dy + dz*dz
-			var tx float64
-			if p.UseFixed {
-				tx = p.FixedDP.Eval(argTx)
-			} else {
-				tx = p.Approx.Eval(argTx)
-			}
-			zz := s.Z * s.Z
-			for ei := 0; ei < l.NX; ei++ {
-				xt := s.X - p.elemX[ei]
-				xt2[ei] = xt * xt
-			}
-			j := 0
-			for ej := 0; ej < l.NY; ej++ {
-				yt := s.Y - p.elemY[ej]
-				yt2 := yt * yt
-				for ei := 0; ei < l.NX; ei++ {
-					plane[j] = xt2[ei] + yt2 + zz
-					j++
-				}
-			}
-			if p.UseFixed {
-				p.FixedDP.EvalSlice(plane, plane)
-			} else {
-				p.Approx.EvalSlice(plane, plane)
-			}
-			for i, rx := range plane {
-				dst[k+i] = delay.Index16(tx + rx)
-			}
-			k += nE
-		}
-	}
 }

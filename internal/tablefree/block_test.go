@@ -39,8 +39,8 @@ func TestLayoutMatchesConfig(t *testing.T) {
 	var _ delay.BlockProvider = p
 }
 
-// TestFillNappe16BitIdentical drives the generic sweep — the ideal PWL's
-// fill — past the int16 range, as TestFusedFill16Saturates drives the fused
+// TestFillNappe16BitIdentical drives the ideal PWL's fill — the scalar
+// law — past the int16 range, as TestFusedFill16Saturates drives the fused
 // fixed kernel: deep nappes must pin at MaxInt16 exactly where Index16
 // does, the saturated index a long-window session reads as "use the scalar
 // law".

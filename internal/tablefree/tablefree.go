@@ -11,9 +11,10 @@
 // transmit leg |S−O| is computed once per point and shared by all units.
 //
 // The package provides a float "ideal PWL" provider and a fixed-point
-// datapath provider (the synthesized hardware), a sweep simulator that
-// counts segment-tracker stalls, and the throughput/frame-rate law the
-// paper quotes ("about 1 fps per 20 MHz of operating frequency").
+// datapath provider (the synthesized hardware, and the one with a native
+// block fill), a sweep simulator that counts segment-tracker stalls, and
+// the throughput/frame-rate law the paper quotes ("about 1 fps per 20 MHz
+// of operating frequency").
 package tablefree
 
 import (

@@ -1,6 +1,7 @@
 package tablesteer
 
 import (
+	"fmt"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -21,8 +22,9 @@ func reducedConfig() Config {
 	}
 }
 
-// BenchmarkFillNappe16 reports the per-core quantized fill rate of the three
-// TABLESTEER datapaths a served miss can reach. One iteration is one nappe.
+// BenchmarkFillNappe16 reports the per-core quantized fill rate of the
+// TABLESTEER datapath a served miss reaches, at both shipped widths. One
+// iteration is one nappe.
 // x_lane_law reads the rate against the paper's own law: one Fig. 4 output
 // lane delivers a delay per cycle at PaperArch's 200 MHz, so 1.0 is one
 // hardware lane's worth from one core. Against memory the kernel moves 2 B
@@ -30,19 +32,15 @@ func reducedConfig() Config {
 // delay; the y word and the unfold amortize over a row and a nappe.
 func BenchmarkFillNappe16(b *testing.B) {
 	laneMdelays := PaperArch(18).ClockHz / 1e6
-	for _, r := range []struct {
-		name  string
-		bits  int
-		fixed bool
-	}{{"fixed-18b", 18, true}, {"fixed-14b", 14, true}, {"float", 18, false}} {
+	for _, bits := range []int{18, 14} {
 		cfg := reducedConfig()
 		cfg.RefFmt, cfg.CorrFmt = Bits18Config()
-		if r.bits == 14 {
+		if bits == 14 {
 			cfg.RefFmt, cfg.CorrFmt = Bits14Config()
 		}
 		p := New(cfg)
-		p.UseFixed = r.fixed
-		b.Run(r.name, func(b *testing.B) {
+		p.UseFixed = true
+		b.Run(fmt.Sprintf("fixed-%db", bits), func(b *testing.B) {
 			n := p.Layout().BlockLen()
 			dst := make(delay.Block16, n)
 			b.ReportAllocs()

@@ -1,10 +1,6 @@
 package tablesteer
 
-import (
-	"math"
-
-	"ultrabeam/internal/delay"
-)
+import "ultrabeam/internal/delay"
 
 // Layout implements delay.BlockProvider.
 func (p *Provider) Layout() delay.Layout {
@@ -21,41 +17,25 @@ func (p *Provider) Layout() delay.Layout {
 // produced by broadcast-adding the separable corrections — the x table row
 // for (θ, φ) across element columns and the y table word for φ across
 // element rows — with the rounding to an echo-buffer index fused into the
-// row. Per delay that leaves two additions and a rounding, against two
-// table folds and three indexed lookups on the scalar path. The float path
-// keeps the (ref + x) + y association. The fixed datapath with formats that
-// prove it (narrowProven: every shipped pair) runs steerRow — int32 adds
-// and one rounding shift, no float; any other pair adds in int64 words
-// pre-aligned to the common binary point with the same shifts as
-// alignedSum and clamps through delay.Index16. Every slot equals
-// Index16(DelaySamples(…)).
+// row. Per delay that leaves two int32 additions and one rounding shift,
+// against two table folds and three indexed lookups on the scalar path.
+// That is one route: the fixed datapath with formats that prove it
+// (narrowProven: every shipped pair) through steerRow. The float datapath
+// and an unproven pair fill through the scalar law (delay.ScalarAdapter).
+// Every slot equals Index16(DelaySamples(…)).
 func (p *Provider) FillNappe16(id int, dst delay.Block16) {
-	l, c := p.Layout(), p.Corr
-	switch {
-	case !p.UseFixed:
-		var stack [stackElems]float64
-		ref := unfold(stack[:], p.Ref.vals, id, l)
-		c.eachRow(func(k, r, x, y int) {
-			indexRow(dst[k:k+l.NX], ref[r:r+l.NX], c.xvals[x:x+l.NX], c.yvals[y])
-		})
-	case p.narrow != nil:
-		o := p.narrow
-		// half is hoisted out of steerRow: forming it per row costs 6–12 %.
-		half, frac := int32(1)<<(o.frac-1), uint(o.frac)
-		var stack [stackElems]int32
-		ref := unfold(stack[:], o.ref, id, l)
-		c.eachRow(func(k, r, x, y int) {
-			steerRow(dst[k:k+l.NX], ref[r:r+l.NX], o.x[x:x+l.NX], o.y[y], half, frac)
-		})
-	default:
-		o := p.wide
-		scale := math.Ldexp(1, -o.frac)
-		var stack [stackElems]int64
-		ref := unfold(stack[:], o.ref, id, l)
-		c.eachRow(func(k, r, x, y int) {
-			clampedRow(dst[k:k+l.NX], ref[r:r+l.NX], o.x[x:x+l.NX], o.y[y], scale)
-		})
+	l, o := p.Layout(), p.narrow
+	if !p.UseFixed || o == nil {
+		(&delay.ScalarAdapter{P: p, L: l}).FillNappe16(id, dst)
+		return
 	}
+	// half is hoisted out of steerRow: forming it per row costs 6–12 %.
+	half, frac := int32(1)<<(o.frac-1), uint(o.frac)
+	var stack [stackElems]int32
+	ref := unfold(stack[:], o.ref, id, l)
+	p.Corr.eachRow(func(k, r, x, y int) {
+		steerRow(dst[k:k+l.NX], ref[r:r+l.NX], o.x[x:x+l.NX], o.y[y], half, frac)
+	})
 }
 
 // stackElems is the largest aperture whose unfolded reference slice lives
@@ -64,11 +44,11 @@ const stackElems = 256
 
 // unfold expands nappe id of a folded [depth][qy][qx] reference table to
 // full-aperture [row][column] order, into stack when the aperture fits it.
-func unfold[T any](stack, table []T, id int, l delay.Layout) []T {
+func unfold(stack, table []int32, id int, l delay.Layout) []int32 {
 	qx, qy := foldedDim(l.NX), foldedDim(l.NY)
 	ref := stack
 	if l.VoxelStride() > len(stack) {
-		ref = make([]T, l.VoxelStride())
+		ref = make([]int32, l.VoxelStride())
 	}
 	for ej := 0; ej < l.NY; ej++ {
 		folded := table[(id*qy+foldIndex(ej, l.NY))*qx:][:qx]
@@ -80,11 +60,11 @@ func unfold[T any](stack, table []T, id int, l delay.Layout) []T {
 	return ref[:l.VoxelStride()]
 }
 
-// eachRow is the one staging walk every fill shares. In block order — θ, φ,
-// element row — it hands visit the offsets of one element row's operands:
-// its NX outputs in the block (k), its reference words in the unfolded slice
-// (r), its steering direction's x corrections (x) and its y correction (y)
-// in the tables' storage order.
+// eachRow is the fill's staging walk. In block order — θ, φ, element row —
+// it hands visit the offsets of one element row's operands: its NX outputs
+// in the block (k), its reference words in the unfolded slice (r), its
+// steering direction's x corrections (x) and its y correction (y) in the
+// tables' storage order.
 func (c *CorrTables) eachRow(visit func(k, r, x, y int)) {
 	k := 0
 	for it := 0; it < c.NTheta; it++ {
@@ -109,21 +89,5 @@ func steerRow(row []int16, ref, x []int32, y, half int32, frac uint) {
 	for ei, r := range ref {
 		v := r + x[ei] + y
 		row[ei] = int16((v + half + v>>31) >> (frac & 31))
-	}
-}
-
-// clampedRow is the unproven-format row: int64 adds, then the spec's own
-// scale, round and int16 saturation.
-func clampedRow(row []int16, ref, x []int64, y int64, scale float64) {
-	row, x = row[:len(ref)], x[:len(ref)]
-	for ei, r := range ref {
-		row[ei] = delay.Index16(float64(r+x[ei]+y) * scale)
-	}
-}
-
-func indexRow(row []int16, ref, x []float64, y float64) {
-	row, x = row[:len(ref)], x[:len(ref)]
-	for ei, r := range ref {
-		row[ei] = delay.Index16(r + x[ei] + y)
 	}
 }

@@ -18,7 +18,8 @@ type fusedOps struct {
 
 // SteerOperands implements delay.SteerSource: the tiled x corrections and
 // the rounding constants steerRow uses, or nil off the proven fixed
-// datapath — the float path and the int64 clampedRow formats fill blocks.
+// datapath — the float datapath and an unproven format pair fill blocks
+// through the scalar law instead.
 func (p *Provider) SteerOperands() *delay.SteerOperands {
 	if !p.UseFixed || p.narrow == nil {
 		return nil
@@ -31,7 +32,7 @@ func (p *Provider) SteerOperands() *delay.SteerOperands {
 // once per element row, and records where voxel (θ, φ)'s row starts.
 // Offsets are int32 like every other kernel operand; a table whose rows
 // cannot be addressed so gets no fused route.
-func tileOperands(o *operands[int32], c *CorrTables) *delay.SteerOperands {
+func tileOperands(o *operands, c *CorrTables) *delay.SteerOperands {
 	nE := c.NX * c.NY
 	dirs := c.NTheta * c.PhiFolded
 	if int64(dirs)*int64(nE) > math.MaxInt32 {

@@ -70,9 +70,9 @@ func TestNarrowProvenFromFormatsAlone(t *testing.T) {
 			Vol: scan.NewVolume(1, 1, 0.05, 2, 2, 2), Arr: xdcr.NewArray(2, 2, 0.2e-3), Conv: conv,
 			RefFmt: f.ref, CorrFmt: f.corr,
 		})
-		if (p.narrow != nil) != f.narrow || (p.wide != nil) == f.narrow {
-			t.Errorf("%s: operands narrow=%v wide=%v, want exactly the %v route",
-				f.name, p.narrow != nil, p.wide != nil, f.narrow)
+		if (p.narrow != nil) != f.narrow || (p.fused != nil) != f.narrow {
+			t.Errorf("%s: operands narrow=%v fused=%v, want both %v",
+				f.name, p.narrow != nil, p.fused != nil, f.narrow)
 		}
 	}
 }
@@ -110,11 +110,11 @@ func TestFillsMatchScalarRandomGeometries(t *testing.T) {
 	}
 }
 
-// TestClampedRouteSaturates pins the unproven-format route where its clamp
-// fires: a u16.3 reference holds the > 40 000-sample delays of a 1 m volume
-// at 32 MHz, so deep nappes must sit at MaxInt16 exactly where Index16 puts
-// them while shallow ones do not.
-func TestClampedRouteSaturates(t *testing.T) {
+// TestUnprovenRouteSaturates pins the unproven-format route — the scalar
+// law — where Index16 saturates: a u16.3 reference holds the > 40 000-sample
+// delays of a 1 m volume at 32 MHz, so deep nappes must sit at MaxInt16
+// exactly where Index16 puts them while shallow ones do not.
+func TestUnprovenRouteSaturates(t *testing.T) {
 	p := New(Config{
 		Vol:    scan.NewVolume(geom.Radians(73), geom.Radians(40), 1.0, 4, 3, 9),
 		Arr:    xdcr.NewArray(6, 5, 0.2e-3),
@@ -122,8 +122,8 @@ func TestClampedRouteSaturates(t *testing.T) {
 		RefFmt: fixed.Format{IntBits: 16, FracBits: 3}, CorrFmt: fixed.S13p4,
 	})
 	p.UseFixed = true
-	if p.wide == nil || p.Ref.SatCount != 0 {
-		t.Fatalf("want the int64 route with an unsaturated table, got wide=%v SatCount=%d", p.wide != nil, p.Ref.SatCount)
+	if p.narrow != nil || p.Ref.SatCount != 0 {
+		t.Fatalf("want the unproven route with an unsaturated table, got narrow=%v SatCount=%d", p.narrow != nil, p.Ref.SatCount)
 	}
 	lo, hi := checkFills(t, "deep", p)
 	if hi != math.MaxInt16 || lo >= math.MaxInt16/2 {
@@ -201,50 +201,77 @@ func TestSteerRowRoundingEdges(t *testing.T) {
 // TestWithTransmitSharesCorrections: the correction tables encode only the
 // receive-side plane, so a derived transmit must hold the very same tables —
 // raw and pre-aligned — and rebuild only its reference, while every delay
-// equals a provider built from scratch at that origin.
+// equals a provider built from scratch at that origin. A set of N origins
+// therefore stores Corr + N·Ref bits (the §V "multiple precalculated delay
+// tables" at their extra cost), and where the grid has an unsteered line
+// the float datapath is the exact law there at every origin.
 func TestWithTransmitSharesCorrections(t *testing.T) {
+	odd := blockSetup(18).Cfg
+	odd.Vol = scan.NewVolume(geom.Radians(60), geom.Radians(60), 0.06, 7, 5, 12)
+	origins := []float64{0, -3e-3, 2.5e-3, -5e-3, -10e-3}
 	for _, f := range formatPairs {
-		cfg := blockSetup(18).Cfg
-		cfg.RefFmt, cfg.CorrFmt = f.ref, f.corr
-		p := New(cfg)
-		p.UseFixed = true
-		for _, z := range []float64{0, -3e-3, 2.5e-3} {
-			dp, err := p.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: z}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := dp.(*Provider)
-			if q.Corr != p.Corr || q.Ref == p.Ref {
-				t.Fatalf("%s z=%v: Corr shared=%v Ref rebuilt=%v, want both", f.name, z, q.Corr == p.Corr, q.Ref != p.Ref)
-			}
-			if f.narrow && !sharesCorrections(p.narrow, q.narrow) || !f.narrow && !sharesCorrections(p.wide, q.wide) {
-				t.Fatalf("%s z=%v: aligned corrections not shared, or reference not rebuilt", f.name, z)
-			}
-			cfg.OriginZ = z
-			fresh := New(cfg)
-			fresh.UseFixed = true
-			l := q.Layout()
-			got, want := make(delay.Block16, l.BlockLen()), make(delay.Block16, l.BlockLen())
-			for id := 0; id < cfg.Vol.Depth.N; id++ {
-				q.FillNappe16(id, got)
-				fresh.FillNappe16(id, want)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("%s z=%v id=%d slot %d: derived %d != fresh %d", f.name, z, id, k, got[k], want[k])
+		for _, cfg := range []Config{blockSetup(18).Cfg, odd} {
+			cfg.RefFmt, cfg.CorrFmt = f.ref, f.corr
+			p := New(cfg)
+			p.UseFixed = true
+			bits := p.Corr.StorageBits()
+			for _, z := range origins {
+				dp, err := p.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: z}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				q := dp.(*Provider)
+				if q.Corr != p.Corr || q.Ref == p.Ref {
+					t.Fatalf("%s z=%v: Corr shared=%v Ref rebuilt=%v, want both", f.name, z, q.Corr == p.Corr, q.Ref != p.Ref)
+				}
+				if f.narrow && !sharesCorrections(p.narrow, q.narrow) || !f.narrow && q.narrow != nil {
+					t.Fatalf("%s z=%v: aligned corrections not shared, or reference not rebuilt", f.name, z)
+				}
+				bits += q.Ref.StorageBits()
+				cfg.OriginZ = z
+				fresh := New(cfg)
+				fresh.UseFixed = true
+				l := q.Layout()
+				got, want := make(delay.Block16, l.BlockLen()), make(delay.Block16, l.BlockLen())
+				for id := 0; id < cfg.Vol.Depth.N; id++ {
+					q.FillNappe16(id, got)
+					fresh.FillNappe16(id, want)
+					for k := range want {
+						if got[k] != want[k] {
+							t.Fatalf("%s z=%v id=%d slot %d: derived %d != fresh %d", f.name, z, id, k, got[k], want[k])
+						}
 					}
 				}
+				if cfg.Vol.Theta.N%2 == 0 || cfg.Vol.Phi.N%2 == 0 {
+					continue
+				}
+				q.UseFixed = false
+				e := delay.NewExact(cfg.Vol, cfg.Arr, geom.Vec3{Z: z}, cfg.Conv)
+				itC, ipC := cfg.Vol.Theta.N/2, cfg.Vol.Phi.N/2
+				for id := 0; id < cfg.Vol.Depth.N; id++ {
+					for _, el := range [][2]int{{0, 0}, {5, 2}, {7, 5}} {
+						got, want := q.DelaySamples(itC, ipC, id, el[0], el[1]), e.DelaySamples(itC, ipC, id, el[0], el[1])
+						if math.Abs(got-want) > 1e-9 {
+							t.Fatalf("%s z=%v id=%d element %v: unsteered %v != exact %v", f.name, z, id, el, got, want)
+						}
+					}
+				}
+			}
+			if want := p.Corr.StorageBits() + len(origins)*p.Ref.StorageBits(); bits != want {
+				t.Errorf("%s: %d origins store %d bits, want Corr + N·Ref = %d", f.name, len(origins), bits, want)
 			}
 		}
 	}
 }
 
-func sharesCorrections[T int32 | int64](p, q *operands[T]) bool {
+func sharesCorrections(p, q *operands) bool {
 	return &q.x[0] == &p.x[0] && &q.y[0] == &p.y[0] && &q.ref[0] != &p.ref[0]
 }
 
-// TestFillNappeAllocations: every FillNappe16 route keeps its unfolded
-// reference slice on the stack up to a 256-element aperture and pays one
-// allocation per nappe beyond it.
+// TestFillNappeAllocations: the native route keeps its unfolded reference
+// slice on the stack up to a 256-element aperture and pays one allocation
+// per nappe beyond it; the float datapath and an unproven format pair fill
+// through the scalar law, which allocates nothing at any aperture.
 func TestFillNappeAllocations(t *testing.T) {
 	for _, tc := range []struct {
 		nx, ny int
@@ -257,8 +284,12 @@ func TestFillNappeAllocations(t *testing.T) {
 		for _, p := range []*Provider{New(cfg), New(wideCfg)} {
 			dst := make(delay.Block16, p.Layout().BlockLen())
 			for _, p.UseFixed = range []bool{true, false} {
-				if n := testing.AllocsPerRun(20, func() { p.FillNappe16(3, dst) }); n != tc.want {
-					t.Errorf("%d×%d %s fixed=%v FillNappe16: %v allocs per call, want %v", tc.nx, tc.ny, p.Cfg.RefFmt, p.UseFixed, n, tc.want)
+				want := tc.want
+				if !p.UseFixed || p.narrow == nil {
+					want = 0
+				}
+				if n := testing.AllocsPerRun(20, func() { p.FillNappe16(3, dst) }); n != want {
+					t.Errorf("%d×%d %s fixed=%v FillNappe16: %v allocs per call, want %v", tc.nx, tc.ny, p.Cfg.RefFmt, p.UseFixed, n, want)
 				}
 			}
 		}

@@ -126,13 +126,12 @@ type Provider struct {
 	Corr     *CorrTables
 	UseFixed bool
 
-	// The fixed datapath's block-fill operands, built once in New: int32
-	// words where the formats prove the narrow kernel (narrowProven),
-	// int64 words otherwise. Exactly one is set.
-	narrow *operands[int32]
-	wide   *operands[int64]
+	// The fixed datapath's block-fill operands, built once in New where the
+	// formats prove the int32 kernel (narrowProven); nil otherwise, and the
+	// fixed datapath then fills through the scalar law.
+	narrow *operands
 	// fused is the narrow datapath's fused-accumulate operand set, shared
-	// with every derived transmit (fused.go); nil on the wide route.
+	// with every derived transmit (fused.go); nil without narrow.
 	fused *fusedOps
 }
 
@@ -144,10 +143,8 @@ func New(cfg Config) *Provider {
 	}
 	p := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: BuildCorrTables(cfg)}
 	if narrowProven(cfg.RefFmt, cfg.CorrFmt) {
-		p.narrow = newOperands[int32](p.Ref, p.Corr)
+		p.narrow = newOperands(p.Ref, p.Corr)
 		p.fused = &fusedOps{}
-	} else {
-		p.wide = newOperands[int64](p.Ref, p.Corr)
 	}
 	return p
 }
@@ -156,30 +153,30 @@ func New(cfg Config) *Provider {
 // them: every raw word shifted once, at build, to the common binary point —
 // the finer of the two formats' grids, alignedSum's alignment — so a steered
 // delay is two additions on words already in place, then one rounding.
-type operands[T int32 | int64] struct {
-	frac int // fractional bits of the common binary point
-	x, y []T // corrections in CorrTables order; shared between transmits
-	ref  []T // folded reference in RefTable order; one per transmit
+type operands struct {
+	frac int     // fractional bits of the common binary point
+	x, y []int32 // corrections in CorrTables order; shared between transmits
+	ref  []int32 // folded reference in RefTable order; one per transmit
 }
 
-func newOperands[T int32 | int64](ref *RefTable, corr *CorrTables) *operands[T] {
+func newOperands(ref *RefTable, corr *CorrTables) *operands {
 	frac := max(ref.Fmt.FracBits, corr.Fmt.FracBits)
 	shift := uint(frac - corr.Fmt.FracBits)
-	o := operands[T]{frac: frac, x: align[T](corr.xraws, shift), y: align[T](corr.yraws, shift)}
+	o := operands{frac: frac, x: align(corr.xraws, shift), y: align(corr.yraws, shift)}
 	return o.withRef(ref)
 }
 
 // withRef returns a copy of o around another transmit's reference table,
 // sharing the corrections.
-func (o operands[T]) withRef(ref *RefTable) *operands[T] {
-	o.ref = align[T](ref.raws, uint(o.frac-ref.Fmt.FracBits))
+func (o operands) withRef(ref *RefTable) *operands {
+	o.ref = align(ref.raws, uint(o.frac-ref.Fmt.FracBits))
 	return &o
 }
 
-func align[T int32 | int64](raws []int64, shift uint) []T {
-	out := make([]T, len(raws))
+func align(raws []int64, shift uint) []int32 {
+	out := make([]int32, len(raws))
 	for i, r := range raws {
-		out[i] = T(r << shift)
+		out[i] = int32(r << shift)
 	}
 	return out
 }
@@ -192,7 +189,7 @@ func align[T int32 | int64](raws []int64, shift uint) []T {
 // 32 767, no rounded index can reach an int16 rail, and the aligned sum plus
 // its rounding bias is far inside int32. A pair with no fractional bit to
 // round away, or whose bound admits saturation or overflows int32, is not
-// proven and fills through the int64 clamped rows instead.
+// proven and fills through the scalar law instead.
 func narrowProven(ref, corr fixed.Format) bool {
 	frac := max(ref.FracBits, corr.FracBits)
 	bound := int64(1)<<ref.IntBits + 2<<corr.IntBits // |sum| in samples
@@ -237,9 +234,10 @@ func alignedSum(refRaw, corrRaw int64, refFrac, corrFrac int) (sum int64, frac i
 
 // WithTransmit implements delay.TransmitProvider: a new folded reference
 // table is built for the transmit's origin (the §V "multiple precalculated
-// delay tables" extension MultiOrigin quantifies), while the correction
-// tables — which encode only the receive-side steering plane — are shared
-// with p, as they would be in hardware. The folding symmetry requires the
+// delay tables" extension, at the extra cost of one reference table per
+// transmit), while the correction tables — which encode only the
+// receive-side steering plane — are shared with p, as they would be in
+// hardware. The folding symmetry requires the
 // origin on the z axis; off-axis transmits are rejected.
 func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	if tx.Origin.X != 0 || tx.Origin.Y != 0 {
@@ -251,8 +249,6 @@ func (p *Provider) WithTransmit(tx delay.Transmit) (delay.Provider, error) {
 	np := &Provider{Cfg: cfg, Ref: BuildRefTable(cfg), Corr: p.Corr, UseFixed: p.UseFixed, fused: p.fused}
 	if p.narrow != nil {
 		np.narrow = p.narrow.withRef(np.Ref)
-	} else {
-		np.wide = p.wide.withRef(np.Ref)
 	}
 	return np, nil
 }

@@ -1,6 +1,7 @@
 package tablesteer
 
 import (
+	"math"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -42,5 +43,30 @@ func TestWithTransmitRebuildsReferenceTable(t *testing.T) {
 	}
 	if _, err := p.WithTransmit(delay.Transmit{Origin: geom.Vec3{Y: 1e-3, Z: -1e-3}}); err == nil {
 		t.Error("off-axis transmit must be rejected")
+	}
+}
+
+// TestMultiOriginSteeredError: steered delays from a displaced origin still
+// follow the Taylor correction within the §V-A bound — the transmit leg is
+// exact in the derived reference table; only the receive steering is
+// approximated.
+func TestMultiOriginSteeredError(t *testing.T) {
+	cfg := smallConfig()
+	txs, err := delay.ForTransmits(New(cfg), []delay.Transmit{{Origin: geom.Vec3{Z: -0.004}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := delay.NewExact(cfg.Vol, cfg.Arr, geom.Vec3{Z: -0.004}, cfg.Conv)
+	worst := 0.0
+	for it := 0; it < cfg.Vol.Theta.N; it += 4 {
+		for id := 0; id < cfg.Vol.Depth.N; id += 8 {
+			for _, el := range [][2]int{{0, 0}, {15, 15}} {
+				worst = max(worst, math.Abs(txs[0].DelaySamples(it, 3, id, el[0], el[1])-
+					e.DelaySamples(it, 3, id, el[0], el[1])))
+			}
+		}
+	}
+	if worst > 215 {
+		t.Errorf("multi-origin steering error %v samples exceeds bound", worst)
 	}
 }
