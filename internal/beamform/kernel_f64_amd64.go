@@ -154,7 +154,7 @@ func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add 
 // exceed its row's length.
 func f64TileSafe(dst []float64, blk delay.Block16, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
 	nG := (nE + 15) / 16
-	if nE <= 0 || !tilesCover(tiles, len(dst), blk, nE) ||
+	if nE <= 0 || !tilesCover(tiles, len(dst)) || len(blk) < len(dst)*nE ||
 		len(grp) != nG || len(lens) != 16*nG || grp[nG-1]&^lastLen(nE) != 0 {
 		return false
 	}

@@ -2,6 +2,8 @@
 
 package beamform
 
+import "testing"
+
 // i16HostBodies lists the i16 accumulate bodies this build can run: the
 // reference alone.
 func i16HostBodies(e *Engine) []i16Body {
@@ -13,3 +15,12 @@ func i16HostBodies(e *Engine) []i16Body {
 func f64HostBodies(e *Engine) []f64Body {
 	return []f64Body{f64RefBody(e)}
 }
+
+// eachSteerBody runs f once under the name of the fused steer body this
+// build runs: "ref", fill-then-accumulate.
+func eachSteerBody(t *testing.T, f func(t *testing.T)) {
+	t.Run(steerKernelBody(), f)
+}
+
+// steerHostBodies lists the fused steer bodies this build can run: none.
+func steerHostBodies(*Engine) []steerBody { return nil }

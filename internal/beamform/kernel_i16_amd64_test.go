@@ -3,6 +3,7 @@
 package beamform
 
 import (
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/cpufeat"
@@ -115,10 +116,23 @@ func TestI16NoAVX512Route(t *testing.T) {
 	sameRouteVolumes(t, "avx512 vs avx2", gotBufs, gotPlanes, refBufs, refPlanes)
 }
 
+// eachSteerBody runs f once per fused steer body this host offers, as a
+// subtest named after it: with the probes as the host set them, and on an
+// AVX-512 host again with the AVX-512 probe cleared, so the AVX2 fused body
+// stays tested there.
+func eachSteerBody(t *testing.T, f func(t *testing.T)) {
+	t.Run(steerKernelBody(), f)
+	if cpufeat.AVX512 {
+		defer func() { cpufeat.AVX512 = true }()
+		cpufeat.AVX512 = false
+		t.Run(steerKernelBody(), f)
+	}
+}
+
 // TestFusedSteerNoAVX2Route: with the probe cleared, a TABLESTEER i16
 // compound — uncached, so every nappe is fused-eligible — builds no fused
-// operand rows, reports the "ref" body and comes out == the AVX2 host's
-// fused volume, plane-fed and buffer-fed.
+// operand rows, reports the "ref" body and comes out == the host's fused
+// volume, plane-fed and buffer-fed.
 func TestFusedSteerNoAVX2Route(t *testing.T) {
 	if !cpufeat.AVX2 {
 		t.Skip("host has no AVX2: fill-then-accumulate is already the only route")
@@ -126,9 +140,10 @@ func TestFusedSteerNoAVX2Route(t *testing.T) {
 	defer func() { cpufeat.AVX2 = true }()
 	sc := newSteerCompound(t, 3, PrecisionInt16)
 	bufs, planes, scales := sc.frames(t, 2)
+	host := steerKernelBody()
 	run := func(avx2 bool) []*Volume {
 		cpufeat.AVX2 = avx2
-		if want := map[bool]string{true: "avx2", false: "ref"}[avx2]; steerKernelBody() != want {
+		if want := map[bool]string{true: host, false: "ref"}[avx2]; steerKernelBody() != want {
 			t.Fatalf("fused steer body = %q with the probe at %t", steerKernelBody(), avx2)
 		}
 		sess, _ := sc.session(t, true, -2)
@@ -149,7 +164,7 @@ func TestFusedSteerNoAVX2Route(t *testing.T) {
 	fused := run(true)
 	// One build per (nappe, transmit) per frame: four frames.
 	if n := sc.rows(); n != int64(4*sc.depth*len(sc.gens)) {
-		t.Fatalf("the AVX2 route built %d fused operand rows, want %d", n, 4*sc.depth*len(sc.gens))
+		t.Fatalf("the %s route built %d fused operand rows, want %d", host, n, 4*sc.depth*len(sc.gens))
 	}
 	sameVolumes(t, "fused vs no-AVX2", fused, ref)
 }
@@ -161,7 +176,9 @@ func TestFusedSteerNoAVX2Route(t *testing.T) {
 // window) is taken and win+1 handed back; a negative delay is handed back;
 // out-of-range delays on an un-apodized element are ignored. Every case
 // must also come out == the reference, the handed-back tile through the
-// AVX2 body.
+// AVX2 body. The fused tile body, fed operands whose indices are the same
+// delays (blockSteerOps), must hand back the same tiles and sum the same
+// row.
 func TestI16TileAcceptRule(t *testing.T) {
 	if !cpufeat.AVX512 {
 		t.Skip("host has no AVX-512: no tile body to hand tiles back")
@@ -217,6 +234,15 @@ func TestI16TileAcceptRule(t *testing.T) {
 				if got := h.eng.tileRowI16(h.blk, h.plane, h.tab, h.row); got != tc.want {
 					t.Fatalf("nE=%d %s on tile %d: %d tiles handed back, want %d", nE, tc.name, first/16, got, tc.want)
 				}
+				want := slices.Clone(h.row)
+				ops, ry := blockSteerOps(h.blk, h.eng.Cfg.Vol.Phi.N, nE)
+				route := &steerRoute{ops: ops, offs: h.eng.steerTileOffsets(ops)}
+				if got := h.eng.tileSteerRowI16(ry, route, h.plane, h.tab, h.row); got != tc.want {
+					t.Fatalf("nE=%d %s on tile %d: the fused body handed back %d tiles, want %d", nE, tc.name, first/16, got, tc.want)
+				}
+				if !slices.Equal(h.row, want) {
+					t.Fatalf("nE=%d %s on tile %d: the fused row differs from the i16 tile body's", nE, tc.name, first/16)
+				}
 				h.run(t, tc.name, 1.0/32767)
 			}
 		}
@@ -245,4 +271,46 @@ func i16HostBodies(e *Engine) []i16Body {
 		}})
 	}
 	return append(bodies, i16RefBody(e))
+}
+
+// blockSteerOps returns fused steer operands whose indices are exactly
+// blk's delays, over nPh φ values and nE elements: one XT row per voxel
+// holding its delays at binary point 4, XOff the identity, and an all-zero
+// ry.
+func blockSteerOps(blk delay.Block16, nPh, nE int) (*delay.SteerOperands, []int32) {
+	const frac = 4
+	ops := &delay.SteerOperands{Frac: frac, Half: 1 << (frac - 1), XT: make([]int32, len(blk)), XOff: make([]int32, len(blk)/nE)}
+	for k := range ops.XOff {
+		ops.XOff[k] = int32(k * nE)
+	}
+	for i, d := range blk {
+		ops.XT[i] = int32(d) << frac
+	}
+	return ops, make([]int32, nPh*nE)
+}
+
+// steerHostBodies lists the fused steer bodies this host can run, whatever
+// the probes currently select: the AVX-512 tile body (counting the tiles it
+// hands back) and the AVX2 gather body.
+func steerHostBodies(e *Engine) []steerBody {
+	var bodies []steerBody
+	if cpufeat.AVX512 {
+		bodies = append(bodies, steerBody{"avx512", func(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int {
+			row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
+			n := e.tileSteerRowI16(ry, r, plane, tab, row)
+			e.storeRowI16(row, id, out, 1, false)
+			return n
+		}})
+	}
+	if cpufeat.AVX2 {
+		bodies = append(bodies, steerBody{"avx2", func(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int {
+			row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
+			for k := 0; k < len(row); k += e.Cfg.Vol.Phi.N {
+				e.gatherSteerRowI16(ry, r.ops, plane, tab, row, k, k+e.Cfg.Vol.Phi.N)
+			}
+			e.storeRowI16(row, id, out, 1, false)
+			return 0
+		}})
+	}
+	return bodies
 }

@@ -187,25 +187,38 @@ func BenchmarkAccumulateI16(b *testing.B) {
 	}
 }
 
+// steerBody is one fused steer body under test: run beamforms nappe id,
+// whose operand rows are ry, into out in store mode with the worker's row,
+// and returns the tiles it handed back (the avx512 body's fallbacks; 0 for
+// the other).
+type steerBody struct {
+	name string
+	run  func(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int
+}
+
 // BenchmarkAccumulateSteerI16 is the committed source of the fused
 // TABLESTEER crossover: whole TABLESTEER-18b volumes against one guarded
-// int16 plane of the served window, through three routes —
+// int16 plane of the served window, through these routes —
 //
 //   - resident: every nappe's block filled once up front, as a full cache
-//     holds them, then the i16 gather body over it
+//     holds them, then the host's i16 body over it
 //   - fill+acc: a cache miss before the fused route, FillNappe16 (steerRow)
-//     into the worker's block and the i16 gather body over it
-//   - fused: the miss now, SteerRows into the worker's operand rows and the
-//     fused body (skipped where the build or host has none)
+//     into the worker's block and the host's i16 body over it
+//   - fused-avx512, fused-avx2: the miss now, SteerRows into the worker's
+//     operand rows and one fused body — each one this build and host
+//     offers, whatever the probes select
 //
 // GOMAXPROCS goroutines stripe the nappes as session workers do, so -cpu 1,2
 // reads each route at one and at two cores sharing the memory system;
-// cycles/sample is per core. B/sample counts the operand bytes each fetched
-// sample touches at any cache level: the resident delay (2), or the fill's
-// reference and x words and delay store plus the delay load (8+2+2), or the
-// fused ry and x words (4+4) — beside the dword gather (4) and the ro/wq
-// table (8) every route pays — plus the voxel's row and store over its
-// samples.
+// cycles/sample is per core, over the samples the AVX2 gather body fetches
+// (the vector range plus the scalar tail), the same count on every row so
+// that rows compare as times. B/sample counts the operand bytes each
+// fetched sample touches at any cache level: the resident delay (2), or the
+// fill's reference and x words and delay store plus the delay load
+// (8+2+2), or the fused ry and x words (4+4) — beside the dword gather (4)
+// and the ro/wq table (8) the gather body pays — plus the voxel's row and
+// store over its samples. fallback_tiles/volume counts the tiles the
+// fused-avx512 body handed back: 0 on the served grids.
 func BenchmarkAccumulateSteerI16(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		cfg := g.config()
@@ -213,6 +226,7 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 		p := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: cfg.Conv})
 		p.UseFixed = true
 		ops := p.SteerOperands()
+		sr := &steerRoute{ops: ops, offs: eng.steerTileOffsets(ops)}
 		h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x57ee}
 		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
 		h.fillPlane(false)
@@ -231,28 +245,30 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 		}
 		fetched := tab.nVec + len(tab.els) - tab.tail
 		voxel := (8 + 8) / float64(fetched)
-		routes := []struct {
+		type route struct {
 			name  string
 			bytes float64
-			run   func(w *worker, id int)
-		}{
-			{"resident", 2 + 4 + 8 + voxel, func(w *worker, id int) {
+			run   func(w *worker, id int) int
+		}
+		routes := []route{
+			{"resident", 2 + 4 + 8 + voxel, func(w *worker, id int) int {
 				eng.accumulateNappe16I16(resident[id], h.plane, tab, id, out, 1, false, w.row)
+				return 0
 			}},
-			{"fill+acc", 8 + 2 + 2 + 4 + 8 + voxel, func(w *worker, id int) {
+			{"fill+acc", 8 + 2 + 2 + 4 + 8 + voxel, func(w *worker, id int) int {
 				p.FillNappe16(id, w.blk)
 				eng.accumulateNappe16I16(w.blk, h.plane, tab, id, out, 1, false, w.row)
-			}},
-			{"fused", 4 + 4 + 4 + 8 + voxel, func(w *worker, id int) {
-				p.SteerRows(id, w.ry)
-				eng.accumulateSteerI16(w.ry, ops, h.plane, tab, id, out, 1, false, w.row)
+				return 0
 			}},
 		}
-		for _, route := range routes {
-			b.Run(g.name+"/"+route.name, func(b *testing.B) {
-				if route.name == "fused" && !fusedSteer() {
-					b.Skip("no fused steer body on this build or host")
-				}
+		for _, body := range steerHostBodies(eng) {
+			routes = append(routes, route{"fused-" + body.name, 4 + 4 + 4 + 8 + voxel, func(w *worker, id int) int {
+				p.SteerRows(id, w.ry)
+				return body.run(w.ry, sr, h.plane, tab, id, out, w.row)
+			}})
+		}
+		for _, rt := range routes {
+			b.Run(g.name+"/"+rt.name, func(b *testing.B) {
 				procs := runtime.GOMAXPROCS(0)
 				workers := make([]*worker, procs)
 				for i := range workers {
@@ -262,6 +278,7 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 						ry:  make([]int32, (g.nphi+1)*l.VoxelStride()),
 					}
 				}
+				var fallbacks atomic.Int64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					var wg sync.WaitGroup
@@ -269,14 +286,19 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 						wg.Add(1)
 						go func() {
 							defer wg.Done()
+							n := 0
 							for id := w; id < g.ndep; id += procs {
-								route.run(workers[w], id)
+								n += rt.run(workers[w], id)
 							}
+							fallbacks.Add(int64(n))
 						}()
 					}
 					wg.Wait()
 				}
-				reportKernel(b, float64(len(out.Data))*float64(fetched), route.bytes, procs)
+				reportKernel(b, float64(len(out.Data))*float64(fetched), rt.bytes, procs)
+				if rt.name == "fused-avx512" {
+					b.ReportMetric(float64(fallbacks.Load())/float64(b.N), "fallback_tiles/volume")
+				}
 			})
 		}
 	}

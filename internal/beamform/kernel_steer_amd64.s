@@ -1,6 +1,7 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "kernel_tile_amd64.h"
 
 // One 8-element group at element offset AX of the current voxel: the steered
 // sums v = ry + xt, rounded to selection indices (v + half + v>>31) >> frac
@@ -90,5 +91,72 @@ hsum:
 	JNZ  voxel
 
 done:
+	VZEROUPPER
+	RET
+
+// The fused AVX-512 tile body: tileMaddI16AVX512 with the delay-row loads
+// replaced by rows computed from the steer operands (STEER_LOAD_ROWS), so
+// the block never exists. Front end and fixed-point back end are
+// kernel_tile_amd64.h. Frame: the tile's sixteen ry row addresses at
+// 0(SP), the next tile's XT row addresses at 128(SP), the back end's window
+// starts at 256(SP) and masks at 320(SP), the tile's XT row addresses at
+// 448(SP). Per call beyond the header's plan: Z24 half and Z25 frac
+// (dwords); per tile R9 the tile's row offsets.
+
+// func tileMaddSteerAVX512(row []int32, ry, xt []int32, plane []int16, tiles, offs []int32, ro []int32, wpair []uint32, grp []uint16, win, sh uint32, lastLen uint16, half int32, frac uint32) int
+TEXT ·tileMaddSteerAVX512(SB), 0, $576-248
+	MOVQ  row_base+0(FP), DI
+	MOVQ  plane_base+72(FP), BX
+	MOVQ  tiles_base+96(FP), R8
+	MOVQ  tiles_len+104(FP), R10
+	SHRQ  $4, R10                // tiles left
+	MOVQ  offs_base+120(FP), R9
+	MOVL  half+228(FP), AX
+	VPBROADCASTD AX, Z24
+	MOVL  frac+232(FP), AX
+	VPBROADCASTD AX, Z25
+	MOVL  sh+220(FP), CX
+	MOVL  win+216(FP), DX
+	MOVWLZX lastLen+224(FP), R11
+	TILE_I16_CONSTS
+
+	TESTQ R10, R10
+	JZ    done
+
+tile:
+	VPBROADCASTQ ry_base+24(FP), Z22
+	VPBROADCASTQ xt_base+48(FP), Z23
+	STEER_ADDRS
+	VPXORD    Z22, Z22, Z22
+	VPXORD    Z23, Z23, Z23
+	MOVQ      ro_base+144(FP), DX
+	MOVQ      wpair_base+168(FP), CX
+	MOVQ      grp_base+192(FP), R11
+	MOVQ      grp_len+200(FP), R12
+	XORQ      R13, R13
+
+group:
+	MOVWLZX (R11), AX
+	TESTL   AX, AX
+	JZ      nextgroup
+	KMOVW   AX, K6
+	STEER_LOAD_ROWS(full, short, loaded)
+	TILE_I16_GROUP(done, nextgroup)
+
+nextgroup:
+	TILE_I16_NEXT_GROUP(4)
+	JNZ  group
+
+	TILE_I16_STORE
+	ADDQ $64, R8
+	ADDQ $128, R9
+	DECQ R10
+	JNZ  tile
+
+done:
+	MOVQ tiles_len+104(FP), AX
+	SHRQ $4, AX
+	SUBQ R10, AX
+	MOVQ AX, ret+240(FP)
 	VZEROUPPER
 	RET

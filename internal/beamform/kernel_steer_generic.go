@@ -13,8 +13,11 @@ func fusedSteer() bool { return false }
 // steerKernelBody names the body a fused-eligible nappe runs on this build.
 func steerKernelBody() string { return "ref" }
 
+// steerTileOffsets has no tile body to lay offsets out for on this build.
+func (e *Engine) steerTileOffsets(*delay.SteerOperands) []int32 { return nil }
+
 // accumulateSteerI16 has no body on this build; the session never routes a
 // nappe here because fusedSteer is false.
-func (e *Engine) accumulateSteerI16(_ []int32, _ *delay.SteerOperands, _ []int16, _ *i16Table, _ int, _ *Volume, _ float64, _ bool, _ []int32) {
+func (e *Engine) accumulateSteerI16(_ []int32, _ *steerRoute, _ []int16, _ *i16Table, _ int, _ *Volume, _ float64, _ bool, _ []int32) {
 	panic("beamform: no fused steer body on this build")
 }

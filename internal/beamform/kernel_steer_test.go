@@ -6,6 +6,9 @@
 // (plane- and buffer-fed batches, single and compound, cached and not).
 // The kernel-level tests skip where the build or host has no fused body;
 // the session-level ones run everywhere and there pin the unfused route.
+// The twin families run once per fused body the host offers
+// (eachSteerBody): on an AVX-512 host the tile body, then the AVX2 gather
+// body with the AVX-512 probe cleared.
 package beamform
 
 import (
@@ -26,15 +29,16 @@ import (
 )
 
 // TestSteerKernelBody logs which body a fused-eligible nappe runs on this
-// build and host (CI greps the line). The fused body is AVX2 only and rides
-// the AVX2 probe: it runs exactly where the i16 kernel has a native body.
+// build and host (CI greps the line). The fused bodies ride the i16
+// kernel's probes: the tile body runs exactly where the i16 body is the
+// AVX-512 tile body, the gather body exactly where it is the AVX2 one.
 func TestSteerKernelBody(t *testing.T) {
 	body := steerKernelBody()
-	if body != "avx2" && body != "ref" {
+	if body != "avx512" && body != "avx2" && body != "ref" {
 		t.Fatalf("unknown fused steer body %q", body)
 	}
-	if (body == "avx2") != (i16KernelBody() != "ref") {
-		t.Fatalf("fused steer body %q beside i16 body %q: the fused body must run exactly where the i16 body is native", body, i16KernelBody())
+	if body != i16KernelBody() {
+		t.Fatalf("fused steer body %q beside i16 body %q: each fused body must run exactly where its i16 body does", body, i16KernelBody())
 	}
 	t.Logf("fused steer body: %s", body)
 }
@@ -67,12 +71,13 @@ func (h *i16KernelHarness) fusedRun(t *testing.T, name string, ops *delay.SteerO
 	fused := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
 	twin := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
 	ry := make([]int32, (vol.Phi.N+1)*len(h.eng.apod))
+	route := &steerRoute{ops: ops, offs: h.eng.steerTileOffsets(ops)}
 	for _, add := range []bool{false, true} {
 		for id := 0; id < vol.Depth.N; id++ {
 			fill(id, h.blk)
 			h.eng.accumulateNappe16I16Ref(h.blk, h.plane, h.tab, id, twin, scale, add)
 			rows(id, ry)
-			h.eng.accumulateSteerI16(ry, ops, h.plane, h.tab, id, fused, scale, add, h.row)
+			h.eng.accumulateSteerI16(ry, route, h.plane, h.tab, id, fused, scale, add, h.row)
 		}
 		for i := range twin.Data {
 			if fused.Data[i] != twin.Data[i] {
@@ -91,63 +96,65 @@ func (h *i16KernelHarness) fusedRun(t *testing.T, name string, ops *delay.SteerO
 // range (so window-edge indices clamp into the guard slot) and the largest
 // window, random / dirty-guard / ±32767-pinned planes.
 func TestFusedSteerMatchesFillThenAccumulate(t *testing.T) {
-	if !fusedSteer() {
-		t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
-	}
-	rng := rand.New(rand.NewSource(25))
-	apertures := [][2]int{{1, 1}, {3, 3}, {8, 1}, {1, 8}, {12, 12}, {16, 16}, {17, 2}, {1, 17}, {17, 1}, {12, 5}}
-	offsets := []float64{-4e-3, 3e-3, -0.4e-3, 11e-3}
-	clamped, inWindow := 0, 0
-	for trial, ap := range apertures {
-		f := steerFormats[trial%len(steerFormats)]
-		cfg := Config{
-			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-				0.01+0.1*rng.Float64(), 1+rng.Intn(5), 2+trial%2+2*rng.Intn(2), 1+rng.Intn(3)),
-			Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.4*rng.Float64())*1e-3),
-			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-			Window: []xdcr.Window{xdcr.Rect, xdcr.Hann}[trial%2],
+	eachSteerBody(t, func(t *testing.T) {
+		if !fusedSteer() {
+			t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
 		}
-		base := steerProvider(cfg, f.ref, f.corr)
-		derived, err := base.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: offsets[trial%len(offsets)]}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range []*tablesteer.Provider{base, derived.(*tablesteer.Provider)} {
-			ops := p.SteerOperands()
-			if ops == nil {
-				t.Fatalf("trial %d %s: proven format offers no fused operands", trial, f.name)
+		rng := rand.New(rand.NewSource(25))
+		apertures := [][2]int{{1, 1}, {3, 3}, {8, 1}, {1, 8}, {12, 12}, {16, 16}, {17, 2}, {1, 17}, {17, 1}, {12, 5}}
+		offsets := []float64{-4e-3, 3e-3, -0.4e-3, 11e-3}
+		clamped, inWindow := 0, 0
+		for trial, ap := range apertures {
+			f := steerFormats[trial%len(steerFormats)]
+			cfg := Config{
+				Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
+					0.01+0.1*rng.Float64(), 1+rng.Intn(5), 2+trial%2+2*rng.Intn(2), 1+rng.Intn(3)),
+				Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.4*rng.Float64())*1e-3),
+				Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
+				Window: []xdcr.Window{xdcr.Rect, xdcr.Hann}[trial%2],
 			}
-			// The window cuts the nappe's own index range in half.
-			hi := int16(0)
-			blk := make(delay.Block16, p.Layout().BlockLen())
-			for id := 0; id < cfg.Vol.Depth.N; id++ {
-				p.FillNappe16(id, blk)
-				for _, v := range blk {
-					hi = max(hi, v)
+			base := steerProvider(cfg, f.ref, f.corr)
+			derived, err := base.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: offsets[trial%len(offsets)]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*tablesteer.Provider{base, derived.(*tablesteer.Provider)} {
+				ops := p.SteerOperands()
+				if ops == nil {
+					t.Fatalf("trial %d %s: proven format offers no fused operands", trial, f.name)
 				}
-			}
-			for _, win := range []int{max(int(hi)/2, 1), delay.MaxEchoWindow} {
-				h := newI16HarnessFor(t, cfg, win)
-				name := fmt.Sprintf("trial %d %s %d×%d φ=%d z=%v", trial, f.name, ap[0], ap[1], cfg.Vol.Phi.N, p.Cfg.OriginZ)
-				h.fillPlane(false)
-				h.fusedRun(t, name+" random", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
-				h.fillPlane(true)
-				h.fusedRun(t, name+" dirty-guards", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
-				h.pinPlane()
-				h.fusedRun(t, name+" pinned", ops, p.FillNappe16, p.SteerRows, 1.0)
-				for _, v := range h.blk {
-					if int(v) >= win || v < 0 {
-						clamped++
-					} else {
-						inWindow++
+				// The window cuts the nappe's own index range in half.
+				hi := int16(0)
+				blk := make(delay.Block16, p.Layout().BlockLen())
+				for id := 0; id < cfg.Vol.Depth.N; id++ {
+					p.FillNappe16(id, blk)
+					for _, v := range blk {
+						hi = max(hi, v)
+					}
+				}
+				for _, win := range []int{max(int(hi)/2, 1), delay.MaxEchoWindow} {
+					h := newI16HarnessFor(t, cfg, win)
+					name := fmt.Sprintf("trial %d %s %d×%d φ=%d z=%v", trial, f.name, ap[0], ap[1], cfg.Vol.Phi.N, p.Cfg.OriginZ)
+					h.fillPlane(false)
+					h.fusedRun(t, name+" random", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
+					h.fillPlane(true)
+					h.fusedRun(t, name+" dirty-guards", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
+					h.pinPlane()
+					h.fusedRun(t, name+" pinned", ops, p.FillNappe16, p.SteerRows, 1.0)
+					for _, v := range h.blk {
+						if int(v) >= win || v < 0 {
+							clamped++
+						} else {
+							inWindow++
+						}
 					}
 				}
 			}
 		}
-	}
-	if clamped == 0 || inWindow == 0 {
-		t.Fatalf("%d clamped and %d in-window indices: the windows did not cut the delay range", clamped, inWindow)
-	}
+		if clamped == 0 || inWindow == 0 {
+			t.Fatalf("%d clamped and %d in-window indices: the windows did not cut the delay range", clamped, inWindow)
+		}
+	})
 }
 
 // TestFusedSteerIndexExtremes drives the rounding and the unsigned clamp
@@ -158,67 +165,69 @@ func TestFusedSteerMatchesFillThenAccumulate(t *testing.T) {
 // and the largest window. The twin's block is steerRow's formula applied to
 // the same operands.
 func TestFusedSteerIndexExtremes(t *testing.T) {
-	if !fusedSteer() {
-		t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
-	}
-	for _, ap := range i16Apertures {
-		for _, win := range []int{1, 8512, delay.MaxEchoWindow} {
-			for _, frac := range []uint32{1, 5, 9, 16} {
-				cfg := Config{
-					Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 3, 3, 2),
-					Arr:    xdcr.NewArray(ap.nx, ap.ny, 0.385e-3/2),
-					Conv:   conv,
-					Window: xdcr.Rect,
-				}
-				h := newI16HarnessFor(t, cfg, win)
-				nE, nTh, nPh := len(h.eng.apod), cfg.Vol.Theta.N, cfg.Vol.Phi.N
-				pf := (nPh + 1) / 2
-				ops := &delay.SteerOperands{Frac: frac, Half: 1 << (frac - 1),
-					XT: make([]int32, nTh*pf*nE), XOff: make([]int32, nTh*nPh)}
-				for it := 0; it < nTh; it++ {
-					for ip := 0; ip < nPh; ip++ {
-						ops.XOff[it*nPh+ip] = int32((it*pf + min(ip, nPh-1-ip)) * nE)
+	eachSteerBody(t, func(t *testing.T) {
+		if !fusedSteer() {
+			t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
+		}
+		for _, ap := range i16Apertures {
+			for _, win := range []int{1, 8512, delay.MaxEchoWindow} {
+				for _, frac := range []uint32{1, 5, 9, 16} {
+					cfg := Config{
+						Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 3, 3, 2),
+						Arr:    xdcr.NewArray(ap.nx, ap.ny, 0.385e-3/2),
+						Conv:   conv,
+						Window: xdcr.Rect,
 					}
-				}
-				// Each sum is target·2^frac plus two terms of magnitude below
-				// half, so every index is target−1, target or target+1: inside
-				// int16 for targets one step off the rails, as narrowProven
-				// guarantees of the real formats.
-				targets := []int32{-32767, -1, 0, 1, int32(win) - 1, int32(win), min(int32(win)+1, 32766), 32766}
-				one := int32(1) << frac
-				noise := func() int32 { return int32(h.next()%uint64(one)) - one/2 }
-				depthRows := make([][]int32, cfg.Vol.Depth.N)
-				for id := range depthRows {
-					depthRows[id] = make([]int32, (nPh+1)*nE)
-					for i := range depthRows[id][:nPh*nE] {
-						tg := targets[h.next()%uint64(len(targets))]
-						if h.next()%3 == 0 {
-							tg = min(int32(h.next()%uint64(win+2))-1, 32766)
-						}
-						depthRows[id][i] = tg<<frac + noise()
-					}
-				}
-				for i := range ops.XT {
-					ops.XT[i] = noise()
-				}
-				fill := func(id int, blk delay.Block16) {
-					for k := 0; k < nTh*nPh; k++ {
-						r, x := depthRows[id][k%nPh*nE:][:nE], ops.XT[ops.XOff[k]:][:nE]
-						for d := range r {
-							v := r[d] + x[d]
-							blk[k*nE+d] = int16((v + ops.Half + v>>31) >> frac)
+					h := newI16HarnessFor(t, cfg, win)
+					nE, nTh, nPh := len(h.eng.apod), cfg.Vol.Theta.N, cfg.Vol.Phi.N
+					pf := (nPh + 1) / 2
+					ops := &delay.SteerOperands{Frac: frac, Half: 1 << (frac - 1),
+						XT: make([]int32, nTh*pf*nE), XOff: make([]int32, nTh*nPh)}
+					for it := 0; it < nTh; it++ {
+						for ip := 0; ip < nPh; ip++ {
+							ops.XOff[it*nPh+ip] = int32((it*pf + min(ip, nPh-1-ip)) * nE)
 						}
 					}
+					// Each sum is target·2^frac plus two terms of magnitude below
+					// half, so every index is target−1, target or target+1: inside
+					// int16 for targets one step off the rails, as narrowProven
+					// guarantees of the real formats.
+					targets := []int32{-32767, -1, 0, 1, int32(win) - 1, int32(win), min(int32(win)+1, 32766), 32766}
+					one := int32(1) << frac
+					noise := func() int32 { return int32(h.next()%uint64(one)) - one/2 }
+					depthRows := make([][]int32, cfg.Vol.Depth.N)
+					for id := range depthRows {
+						depthRows[id] = make([]int32, (nPh+1)*nE)
+						for i := range depthRows[id][:nPh*nE] {
+							tg := targets[h.next()%uint64(len(targets))]
+							if h.next()%3 == 0 {
+								tg = min(int32(h.next()%uint64(win+2))-1, 32766)
+							}
+							depthRows[id][i] = tg<<frac + noise()
+						}
+					}
+					for i := range ops.XT {
+						ops.XT[i] = noise()
+					}
+					fill := func(id int, blk delay.Block16) {
+						for k := 0; k < nTh*nPh; k++ {
+							r, x := depthRows[id][k%nPh*nE:][:nE], ops.XT[ops.XOff[k]:][:nE]
+							for d := range r {
+								v := r[d] + x[d]
+								blk[k*nE+d] = int16((v + ops.Half + v>>31) >> frac)
+							}
+						}
+					}
+					rows := func(id int, ry []int32) { copy(ry, depthRows[id]) }
+					name := fmt.Sprintf("%d×%d frac=%d", ap.nx, ap.ny, frac)
+					h.fillPlane(true)
+					h.fusedRun(t, name+" dirty-guards", ops, fill, rows, 1.0/32767)
+					h.pinPlane()
+					h.fusedRun(t, name+" pinned", ops, fill, rows, 1.0)
 				}
-				rows := func(id int, ry []int32) { copy(ry, depthRows[id]) }
-				name := fmt.Sprintf("%d×%d frac=%d", ap.nx, ap.ny, frac)
-				h.fillPlane(true)
-				h.fusedRun(t, name+" dirty-guards", ops, fill, rows, 1.0/32767)
-				h.pinPlane()
-				h.fusedRun(t, name+" pinned", ops, fill, rows, 1.0)
 			}
 		}
-	}
+	})
 }
 
 // unfusedProvider hides a generator's delay.SteerSource, so a session over
@@ -359,65 +368,67 @@ func sameVolumes(t *testing.T, name string, got, want []*Volume) {
 // never otherwise, and both sessions' cache counters read the same, because
 // a fused run counts the miss the fill it replaces would have.
 func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
-	for _, nTx := range []int{1, 4} {
-		sc := newSteerCompound(t, nTx, PrecisionInt16)
-		bufs, planes, scales := sc.frames(t, 3)
-		blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
-		half := int64(sc.depth*nTx/2) * blockBytes
-		for _, budget := range []int64{-2, half} {
-			nonResident := int64(sc.depth * nTx)
-			if budget >= 0 {
-				nonResident -= budget / blockBytes
-			}
-			for _, n := range []int{1, 3} {
-				for _, fed := range []string{"buffers", "planes"} {
-					name := fmt.Sprintf("tx=%d budget=%d batch=%d %s", nTx, budget, n, fed)
-					run := func(fused bool) ([]*Volume, delaycache.Stats) {
-						sess, cache := sc.session(t, fused, budget)
-						defer sess.Close()
-						dsts := make([]*Volume, n)
-						for k := range dsts {
-							dsts[k] = sess.NewVolume()
-						}
-						for range 2 { // the second call runs warm
-							var err error
-							if fed == "buffers" {
-								err = sess.BeamformBatch(dsts, bufs[:n])
-							} else {
-								err = sess.BeamformBatchPlanesI16(dsts, sc.win, planes[:n], scales[:n])
+	eachSteerBody(t, func(t *testing.T) {
+		for _, nTx := range []int{1, 4} {
+			sc := newSteerCompound(t, nTx, PrecisionInt16)
+			bufs, planes, scales := sc.frames(t, 3)
+			blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
+			half := int64(sc.depth*nTx/2) * blockBytes
+			for _, budget := range []int64{-2, half} {
+				nonResident := int64(sc.depth * nTx)
+				if budget >= 0 {
+					nonResident -= budget / blockBytes
+				}
+				for _, n := range []int{1, 3} {
+					for _, fed := range []string{"buffers", "planes"} {
+						name := fmt.Sprintf("tx=%d budget=%d batch=%d %s", nTx, budget, n, fed)
+						run := func(fused bool) ([]*Volume, delaycache.Stats) {
+							sess, cache := sc.session(t, fused, budget)
+							defer sess.Close()
+							dsts := make([]*Volume, n)
+							for k := range dsts {
+								dsts[k] = sess.NewVolume()
 							}
-							if err != nil {
-								t.Fatal(err)
+							for range 2 { // the second call runs warm
+								var err error
+								if fed == "buffers" {
+									err = sess.BeamformBatch(dsts, bufs[:n])
+								} else {
+									err = sess.BeamformBatchPlanesI16(dsts, sc.win, planes[:n], scales[:n])
+								}
+								if err != nil {
+									t.Fatal(err)
+								}
 							}
+							var st delaycache.Stats
+							if cache != nil {
+								st = cache.Stats()
+							}
+							return dsts, st
 						}
-						var st delaycache.Stats
-						if cache != nil {
-							st = cache.Stats()
+						before := sc.rows()
+						want, wantSt := run(false)
+						if sc.rows() != before {
+							t.Fatalf("%s: the unfused session built fused operand rows", name)
 						}
-						return dsts, st
-					}
-					before := sc.rows()
-					want, wantSt := run(false)
-					if sc.rows() != before {
-						t.Fatalf("%s: the unfused session built fused operand rows", name)
-					}
-					got, gotSt := run(true)
-					sameVolumes(t, name, got, want)
-					wantRows := int64(0)
-					if fusedSteer() {
-						wantRows = 2 * int64(n) * nonResident
-					}
-					if rows := sc.rows() - before; rows != wantRows {
-						t.Errorf("%s: %d fused operand builds, want %d", name, rows, wantRows)
-					}
-					if gotSt.Hits != wantSt.Hits || gotSt.Misses != wantSt.Misses {
-						t.Errorf("%s: fused session counted %d hits / %d misses, fill-then-accumulate %d / %d",
-							name, gotSt.Hits, gotSt.Misses, wantSt.Hits, wantSt.Misses)
+						got, gotSt := run(true)
+						sameVolumes(t, name, got, want)
+						wantRows := int64(0)
+						if fusedSteer() {
+							wantRows = 2 * int64(n) * nonResident
+						}
+						if rows := sc.rows() - before; rows != wantRows {
+							t.Errorf("%s: %d fused operand builds, want %d", name, rows, wantRows)
+						}
+						if gotSt.Hits != wantSt.Hits || gotSt.Misses != wantSt.Misses {
+							t.Errorf("%s: fused session counted %d hits / %d misses, fill-then-accumulate %d / %d",
+								name, gotSt.Hits, gotSt.Misses, wantSt.Hits, wantSt.Misses)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestFusedSteerCountsOneMissPerNonResident: through a half-budget cache, an
@@ -534,60 +545,62 @@ func TestFusedSteerSteadyStateAllocFree(t *testing.T) {
 // -race this is the proof that the tiled x table, the generators' tables
 // and the store are only read by the fused route.
 func TestFusedSteerConcurrentSessions(t *testing.T) {
-	sc := newSteerCompound(t, 3, PrecisionInt16)
-	bufs, _, _ := sc.frames(t, 2)
-	ref, _ := sc.session(t, false, -2)
-	want := make([]*Volume, len(bufs))
-	for k, f := range bufs {
-		want[k] = ref.NewVolume()
-		if err := ref.BeamformCompoundInto(want[k], f); err != nil {
+	eachSteerBody(t, func(t *testing.T) {
+		sc := newSteerCompound(t, 3, PrecisionInt16)
+		bufs, _, _ := sc.frames(t, 2)
+		ref, _ := sc.session(t, false, -2)
+		want := make([]*Volume, len(bufs))
+		for k, f := range bufs {
+			want[k] = ref.NewVolume()
+			if err := ref.BeamformCompoundInto(want[k], f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref.Close()
+		blocks := make([]delay.BlockProvider, len(sc.gens))
+		for i, g := range sc.gens {
+			blocks[i] = g
+		}
+		blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
+		shared, err := delaycache.NewShared(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: int64(sc.depth) * blockBytes})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	ref.Close()
-	blocks := make([]delay.BlockProvider, len(sc.gens))
-	for i, g := range sc.gens {
-		blocks[i] = g
-	}
-	blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
-	shared, err := delaycache.NewShared(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: int64(sc.depth) * blockBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var c *delaycache.Cache
-			if g%2 == 1 {
-				c = shared.Attach()
-				defer c.Detach()
-			}
-			cfg := sc.cfg
-			cfg.Workers = 2
-			sess, err := New(cfg).NewSessionGenerators(blocks, c)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer sess.Close()
-			out := sess.NewVolume()
-			for round := 0; round < 2; round++ {
-				for k, f := range bufs {
-					if err := sess.BeamformCompoundInto(out, f); err != nil {
-						t.Error(err)
-						return
-					}
-					for i := range out.Data {
-						if out.Data[i] != want[k].Data[i] {
-							t.Errorf("session %d frame %d voxel %d: %v != %v", g, k, i, out.Data[i], want[k].Data[i])
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var c *delaycache.Cache
+				if g%2 == 1 {
+					c = shared.Attach()
+					defer c.Detach()
+				}
+				cfg := sc.cfg
+				cfg.Workers = 2
+				sess, err := New(cfg).NewSessionGenerators(blocks, c)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer sess.Close()
+				out := sess.NewVolume()
+				for round := 0; round < 2; round++ {
+					for k, f := range bufs {
+						if err := sess.BeamformCompoundInto(out, f); err != nil {
+							t.Error(err)
 							return
+						}
+						for i := range out.Data {
+							if out.Data[i] != want[k].Data[i] {
+								t.Errorf("session %d frame %d voxel %d: %v != %v", g, k, i, out.Data[i], want[k].Data[i])
+								return
+							}
 						}
 					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
+			}()
+		}
+		wg.Wait()
+	})
 }

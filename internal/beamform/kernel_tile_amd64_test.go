@@ -15,9 +15,10 @@ import (
 	"ultrabeam/internal/tablesteer"
 )
 
-// tileCensusRow is one served block set's reading by both AVX-512 tile
+// tileCensusRow is one served block set's reading by the AVX-512 tile
 // bodies: a grid, a generator and a transmit — 0 the on-axis one, 1–4 the
-// axial transmits=4 set the server builds.
+// axial transmits=4 set the server builds. A TABLESTEER row also reads the
+// fused tile body over the same delays, computed from the steer operands.
 type tileCensusRow struct {
 	grid, arch string
 	tx         int
@@ -27,6 +28,10 @@ type tileCensusRow struct {
 	halves     int    // f64 element-halves visited, over every nappe
 	i16Diff    string // the first sampled voxel where the i16 body != its reference
 	f64Diff    string // likewise for the f64 body
+	fused      bool   // the row ran the fused steer tile body
+	fusedBacks int    // fused tiles handed back, over every nappe
+	fusedFirst int    // the first nappe that handed one back, or −1
+	fusedDiff  string // the first sampled voxel where the fused body != the reference
 }
 
 var (
@@ -39,9 +44,10 @@ var (
 // 18-bit fixed TABLESTEER delay blocks of both served grids, for the on-axis
 // transmit and the axial transmits=4 set, once per test binary, and runs
 // both tile bodies over each block: the i16 body against a guarded int16
-// plane, the f64 body against float64 echo rows of the served window. Every
-// ninth nappe also goes through both references. A census that could not be
-// built fails every test that reads it.
+// plane, the f64 body against float64 echo rows of the served window. Each
+// TABLESTEER nappe also runs the fused tile body from its SteerRows against
+// the same plane. Every ninth nappe also goes through the references. A
+// census that could not be built fails every test that reads it.
 func servedTileCensus(t *testing.T) []tileCensusRow {
 	t.Helper()
 	if !cpufeat.AVX512 {
@@ -83,8 +89,9 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 	lambda := cfg.Conv.C / 4e6
 	axial := delay.AxialTransmits(4, -10*lambda, -30*lambda)
 	vol := func() *Volume { return &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())} }
-	native, ref, f64Native, f64Ref := vol(), vol(), vol(), vol()
+	native, ref, fused, f64Native, f64Ref := vol(), vol(), vol(), vol(), vol()
 	blk := make(delay.Block16, layout.BlockLen())
+	ry := make([]int32, (g.nphi+1)*layout.VoxelStride())
 	var rows []tileCensusRow
 	for _, arch := range []struct {
 		name string
@@ -99,8 +106,25 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 		}
 		for tx, p := range append([]delay.Provider{arch.p}, txs...) {
 			gen := delay.AsBlock(p, layout)
-			r := tileCensusRow{grid: g.name, arch: arch.name, tx: tx, firstBack: -1}
+			r := tileCensusRow{grid: g.name, arch: arch.name, tx: tx, firstBack: -1, fusedFirst: -1}
+			src, _ := p.(delay.SteerSource)
+			var sr *steerRoute
+			if src != nil {
+				if ops := src.SteerOperands(); ops != nil {
+					sr = &steerRoute{src: src, ops: ops, offs: eng.steerTileOffsets(ops)}
+					r.fused = true
+				}
+			}
 			for id := 0; id < g.ndep; id++ {
+				if sr != nil {
+					src.SteerRows(id, ry)
+					if n := eng.tileSteerRowI16(ry, sr, h.plane, tab, row); n != 0 {
+						r.fusedBacks += n
+						if r.fusedFirst < 0 {
+							r.fusedFirst = id
+						}
+					}
+				}
 				gen.FillNappe16(id, blk)
 				if n := eng.tileRowI16(blk, h.plane, tab, row); n != 0 {
 					r.fallbacks += n
@@ -116,8 +140,14 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 				eng.accumulateNappe16I16(blk, h.plane, tab, id, native, 1, false, row)
 				eng.accumulateNappe16I16Ref(blk, h.plane, tab, id, ref, 1, false)
 				eng.accumulateNappe16Ref(blk, fh.bufs, id, f64Ref, false)
+				if sr != nil {
+					eng.accumulateSteerI16(ry, sr, h.plane, tab, id, fused, 1, false, row)
+				}
 				base := cfg.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous
 				for i := base; i < base+g.nth*g.nphi; i++ {
+					if sr != nil && r.fusedDiff == "" && fused.Data[i] != ref.Data[i] {
+						r.fusedDiff = fmt.Sprintf("voxel %d: fused %v != ref %v", i, fused.Data[i], ref.Data[i])
+					}
 					if r.i16Diff == "" && native.Data[i] != ref.Data[i] {
 						r.i16Diff = fmt.Sprintf("voxel %d: native %v != ref %v", i, native.Data[i], ref.Data[i])
 					}
@@ -134,8 +164,9 @@ func censusGrid(g kernelBenchGrid) ([]tileCensusRow, error) {
 
 // TestI16TileServedBlocks requires that the i16 tile body hands back no
 // tile of any served block — both grids, TABLEFREE and TABLESTEER, the
-// on-axis transmit and the axial set — and that sampled nappes come out ==
-// the reference.
+// on-axis transmit and the axial set — that the fused steer tile body runs
+// every TABLESTEER row and hands back no tile either, and that sampled
+// nappes of both come out == the reference.
 func TestI16TileServedBlocks(t *testing.T) {
 	for _, r := range servedTileCensus(t) {
 		if r.fallbacks != 0 {
@@ -143,6 +174,15 @@ func TestI16TileServedBlocks(t *testing.T) {
 		}
 		if r.i16Diff != "" {
 			t.Fatalf("%s %s transmit %d %s", r.grid, r.arch, r.tx, r.i16Diff)
+		}
+		if r.fused != (r.arch == "tablesteer") {
+			t.Fatalf("%s %s transmit %d: fused steer route %t", r.grid, r.arch, r.tx, r.fused)
+		}
+		if r.fusedBacks != 0 {
+			t.Fatalf("%s %s transmit %d nappe %d: %d fused tiles handed back over the volume", r.grid, r.arch, r.tx, r.fusedFirst, r.fusedBacks)
+		}
+		if r.fusedDiff != "" {
+			t.Fatalf("%s %s transmit %d %s", r.grid, r.arch, r.tx, r.fusedDiff)
 		}
 	}
 }

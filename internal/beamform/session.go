@@ -51,12 +51,15 @@ import (
 var batchFault = faultpoint.New("beamform.batch")
 
 // steerRoute is one transmit's fused TABLESTEER route: the generator's
-// delay.SteerSource and the shared operands it returned at session
+// delay.SteerSource, the shared operands it returned at session
 // construction (nil: the generator offers none, and the transmit always
-// fills blocks).
+// fills blocks) and the AVX-512 tile body's row offsets for them
+// (Engine.steerTileOffsets), shared by every transmit with the same
+// operands.
 type steerRoute struct {
-	src delay.SteerSource
-	ops *delay.SteerOperands
+	src  delay.SteerSource
+	ops  *delay.SteerOperands
+	offs []int32
 }
 
 // sessionJob tells the worker pool what a dispatched token means.
@@ -180,6 +183,14 @@ func (e *Engine) NewSessionGenerators(gens []delay.BlockProvider, cache *delayca
 		if src, ok := g.(delay.SteerSource); ok && fusedSteer() {
 			if ops := src.SteerOperands(); ops != nil && len(ops.XOff) == layout.NTheta*layout.NPhi {
 				s.steers[t] = steerRoute{src: src, ops: ops}
+				for _, r := range s.steers[:t] {
+					if r.ops == ops {
+						s.steers[t].offs = r.offs
+					}
+				}
+				if s.steers[t].offs == nil {
+					s.steers[t].offs = e.steerTileOffsets(ops)
+				}
 				s.ryLen = (layout.NPhi + 1) * layout.VoxelStride()
 			}
 		}
@@ -266,7 +277,7 @@ func (s *Session) accumulateStripe(w int, buf16 delay.Block16, row, ry []int32) 
 			case !s.useI16:
 				s.eng.accumulateNappe16(blk, s.frame.Bufs[t], id, s.out, add)
 			case fused:
-				s.eng.accumulateSteerI16(ry, s.steers[t].ops, s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
+				s.eng.accumulateSteerI16(ry, &s.steers[t], s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
 			default:
 				s.eng.accumulateNappe16I16(blk, s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
 			}

@@ -16,12 +16,10 @@ package serve
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -468,15 +466,7 @@ func (s *Server) handleBeamform(w http.ResponseWriter, r *http.Request) {
 	hdr.Set("X-Ultrabeam-Elapsed-Ms", strconv.FormatFloat(time.Since(start).Seconds()*1e3, 'f', 3, 64))
 	hdr.Set("Content-Length", strconv.Itoa(size*len(data)))
 	out := make([]byte, size*len(data))
-	if respEnc == wire.EncodingF32 {
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(v))
-		}
-	}
+	wire.PutVolumeSamples(out, respEnc, data)
 	s.wireRec().recordReply(int64(len(out)))
 	w.Write(out)
 }

@@ -375,3 +375,46 @@ func TestStreamCapRefusesFlood(t *testing.T) {
 		t.Errorf("close counters overloaded=%d clean=%d, want 1 and 1", ws.StreamClosesOverloaded, ws.StreamClosesClean)
 	}
 }
+
+// TestReplyMatchesStreamPayload: the HTTP reply body and the stream
+// volume's payload are the same bytes (wire.PutVolumeSamples) for the same
+// frame, in both reply encodings, and the stream header names the
+// encoding.
+func TestReplyMatchesStreamPayload(t *testing.T) {
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv, err := NewServer(ServerConfig{Scheduler: sched})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := tinySpec()
+	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
+	for _, enc := range []wire.Encoding{wire.EncodingF64, wire.EncodingF32} {
+		query := tinyQuery(url.Values{"resp": {enc.String()}})
+		st, reply, _ := postBytes(t, ts.URL+"/v1/beamform?"+query, wire.ContentType, body)
+		if st != http.StatusOK {
+			t.Fatalf("%s POST: %d: %s", enc, st, reply)
+		}
+		conn := dialStream(t, srv)
+		if err := wire.WriteHello(conn, query); err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.ReadHelloReply(conn); err != nil {
+			t.Fatalf("hello refused: %v", err)
+		}
+		if _, err := conn.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		const header = 28 // magic, status, encoding, reserved, θ φ depth, payload length
+		raw := make([]byte, header+len(reply))
+		if _, err := io.ReadFull(conn, raw); err != nil {
+			t.Fatalf("%s stream volume: %v", enc, err)
+		}
+		if wire.Encoding(raw[5]) != enc || raw[4] != 0 {
+			t.Fatalf("%s stream volume: status %d encoding %d", enc, raw[4], raw[5])
+		}
+		if !bytes.Equal(raw[header:], reply) {
+			t.Fatalf("%s: the HTTP reply's %d bytes differ from the stream volume's payload", enc, len(reply))
+		}
+	}
+}

@@ -161,18 +161,25 @@ func WriteVolume(w io.Writer, enc Encoding, theta, phi, depth int, data []float6
 	size := enc.SampleBytes()
 	buf := make([]byte, volHeaderBytes+n*size)
 	writeVolumeHeader(buf, 0, enc, theta, phi, depth, uint64(n*size))
-	p := buf[volHeaderBytes:]
-	if enc == EncodingF32 {
-		for i, v := range data {
-			binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(float32(v)))
-		}
-	} else {
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(v))
-		}
-	}
+	PutVolumeSamples(buf[volHeaderBytes:], enc, data)
 	_, err := w.Write(buf)
 	return err
+}
+
+// PutVolumeSamples encodes data into dst as a volume payload, the bytes
+// both reply transports carry: little-endian float32 samples for
+// EncodingF32, float64 for EncodingF64 (the only two reply encodings; the
+// caller has checked enc). dst must hold len(data)·enc.SampleBytes() bytes.
+func PutVolumeSamples(dst []byte, enc Encoding, data []float64) {
+	if enc == EncodingF32 {
+		for i, v := range data {
+			binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(float32(v)))
+		}
+		return
+	}
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
+	}
 }
 
 // WriteVolumeError emits a volume reply carrying an error instead of
