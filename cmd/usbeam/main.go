@@ -1,5 +1,5 @@
 // Command usbeam regenerates the paper's tables, figures and section
-// experiments from the command line.
+// experiments from the command line, and runs the imaging pipeline.
 //
 // Usage:
 //
@@ -7,6 +7,8 @@
 //
 // Subcommands:
 //
+//	sim         imaging pipeline: phantom → RF → beamform → PSF metrics / PGM
+//	table2      Table II FPGA resource model (-device virtex7|ultrascale, -paper)
 //	specs       Table I system specification
 //	orders      Algorithm 1 / Fig. 1 sweep-order locality
 //	figure2     Fig. 2(b) PWL square-root error profile (CSV to -out)
@@ -22,16 +24,30 @@
 //	quality     §II-A image-quality experiment
 //	all         every text experiment in sequence
 //
-// Global flags: -reduced runs on the laptop-scale spec; -exhaustive uses
-// stride-1 sweeps (minutes at paper scale). -cpuprofile/-memprofile write pprof
-// profiles of the selected experiment, so kernel iterations need no ad-hoc
-// instrumentation. Serving performance is measured by the served-volume
-// benchmark in bench/ (bash bench/run.sh), not here.
+// sim and table2 take their own flags:
+//
+//	usbeam sim [-arch exact|tablefree|tablesteer] [-phantom point|grid|speckle]
+//	           [-depth 0.02] [-out image.pgm] [-precision float64|i16]
+//	           [-frames N] [-cache-budget BYTES] [-transmits N]
+//	usbeam table2 [-device virtex7|ultrascale] [-paper]
+//
+// An unknown -arch, -phantom, -precision or -device value exits with
+// status 2. The §II-A image-quality comparison across architectures is
+// usbeam quality.
+//
+// The other subcommands share these flags: -reduced runs on the
+// laptop-scale spec; -exhaustive uses stride-1 sweeps (minutes at paper
+// scale). -cpuprofile/-memprofile write pprof profiles of the selected
+// experiment, so kernel iterations need no ad-hoc instrumentation. Serving
+// performance is measured by the served-volume benchmark in bench/
+// (bash bench/run.sh), not here.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -43,12 +59,40 @@ import (
 	"ultrabeam/internal/tablesteer"
 )
 
+// coarseSweep is the strided TABLESTEER sweep behind the Lagrange bound and
+// Table II's inaccuracy column.
+var coarseSweep = tablesteer.SweepOptions{StrideTheta: 16, StridePhi: 16, StrideDepth: 16, StrideElem: 12, Parallel: true}
+
+// usageErr marks a bad flag value; main exits with status 2 on it, the flag
+// package's status for a usage error.
+type usageErr struct{ error }
+
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd := os.Args[1]
+	var err error
+	switch cmd, args := os.Args[1], os.Args[2:]; cmd {
+	case "sim":
+		err = runSim(args)
+	case "table2":
+		err = runTable2(args)
+	default:
+		err = runExperiment(cmd, args)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "usbeam:", err)
+		if errors.As(err, new(usageErr)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// runExperiment runs one of the experiment subcommands that share the
+// -reduced/-exhaustive/profile flags.
+func runExperiment(cmd string, args []string) error {
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	reduced := fs.Bool("reduced", false, "use the laptop-scale spec")
 	exhaustive := fs.Bool("exhaustive", false, "stride-1 sweeps (slow)")
@@ -60,9 +104,7 @@ func main() {
 	n := fs.Int("n", 2_000_000, "Monte Carlo samples (fixedpoint)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile after the experiment to this path")
-	if err := fs.Parse(os.Args[2:]); err != nil {
-		os.Exit(2)
-	}
+	fs.Parse(args)
 	spec := core.PaperSpec()
 	if *reduced {
 		spec = core.ReducedSpec()
@@ -75,8 +117,7 @@ func main() {
 	}
 	stopProfiles, err := startProfiles(*cpuprofile, *memprofile)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "usbeam:", err)
-		os.Exit(1)
+		return err
 	}
 
 	switch cmd {
@@ -117,8 +158,7 @@ func main() {
 	case "throughput":
 		err = experiments.Throughput(spec).Table().Render(os.Stdout)
 	case "bound":
-		r := experiments.SteerAccuracy(spec, tablesteer.SweepOptions{
-			StrideTheta: 16, StridePhi: 16, StrideDepth: 16, StrideElem: 12, Parallel: true})
+		r := experiments.SteerAccuracy(spec, coarseSweep)
 		fmt.Printf("Lagrange bound: %.2f µs = %.0f samples (paper: 6.7 µs / 214)\n",
 			r.BoundSec*1e6, r.BoundSec*spec.Fs)
 	case "block":
@@ -140,10 +180,7 @@ func main() {
 		os.Exit(2)
 	}
 	stopProfiles()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "usbeam:", err)
-		os.Exit(1)
-	}
+	return err
 }
 
 // startProfiles starts a CPU profile and/or arms a heap-profile write; the
@@ -215,76 +252,72 @@ func clampDepth(d int, spec core.SystemSpec) int {
 	return d
 }
 
-func openOut(path string) (*os.File, func(), error) {
+// writeOut runs write against the file at path, or against stdout when
+// path is empty.
+func writeOut(path string, write func(io.Writer) error) error {
 	if path == "" {
-		return os.Stdout, func() {}, nil
+		return write(os.Stdout)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	return f, func() { f.Close() }, nil
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func writeSeries(path string, s report.Series) error {
-	f, done, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	defer done()
-	return report.WriteCSV(f, s)
+	return writeOut(path, func(f io.Writer) error { return report.WriteCSV(f, s) })
 }
 
 func writeDots(path string, dots [][3]int) error {
-	f, done, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	defer done()
-	if _, err := fmt.Fprintln(f, "qx,qy,depth"); err != nil {
-		return err
-	}
-	for _, d := range dots {
-		if _, err := fmt.Fprintf(f, "%d,%d,%d\n", d[0], d[1], d[2]); err != nil {
+	return writeOut(path, func(f io.Writer) error {
+		if _, err := fmt.Fprintln(f, "qx,qy,depth"); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-func writeGrid(path string, grid []float64, width int) error {
-	f, done, err := openOut(path)
-	if err != nil {
-		return err
-	}
-	defer done()
-	for i := 0; i < len(grid); i += width {
-		end := i + width
-		if end > len(grid) {
-			end = len(grid)
-		}
-		for j, v := range grid[i:end] {
-			if j > 0 {
-				if _, err := fmt.Fprint(f, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprint(f, strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
+		for _, d := range dots {
+			if _, err := fmt.Fprintf(f, "%d,%d,%d\n", d[0], d[1], d[2]); err != nil {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintln(f); err != nil {
-			return err
+		return nil
+	})
+}
+
+func writeGrid(path string, grid []float64, width int) error {
+	return writeOut(path, func(f io.Writer) error {
+		for i := 0; i < len(grid); i += width {
+			row := grid[i:min(i+width, len(grid))]
+			for j, v := range row {
+				if j > 0 {
+					if _, err := fmt.Fprint(f, ","); err != nil {
+						return err
+					}
+				}
+				if _, err := fmt.Fprint(f, strconv.FormatFloat(v, 'g', -1, 64)); err != nil {
+					return err
+				}
+			}
+			if _, err := fmt.Fprintln(f); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: usbeam <subcommand> [flags]
-subcommands: specs orders figure2 figure3a figure3c figure3d accuracy
-             fixedpoint storage throughput bound block quality all
-flags: -reduced -exhaustive -arch tablefree|tablesteer -out FILE
-       -theta DEG -phi DEG -depth N -n SAMPLES
-       -cpuprofile FILE -memprofile FILE`)
+subcommands: sim table2 specs orders figure2 figure3a figure3c figure3d
+             accuracy fixedpoint storage throughput bound block quality all
+sim flags: -arch exact|tablefree|tablesteer -phantom point|grid|speckle
+           -depth METERS -out FILE.pgm -precision float64|i16 -frames N
+           -cache-budget BYTES -transmits N
+table2 flags: -device virtex7|ultrascale -paper
+other flags: -reduced -exhaustive -arch tablefree|tablesteer -out FILE
+             -theta DEG -phi DEG -depth N -n SAMPLES
+             -cpuprofile FILE -memprofile FILE`)
 }

@@ -128,7 +128,7 @@ func TestFacadeNarrowDatapath(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every provider fills narrow blocks through the facade type.
-	var bp ultrabeam.BlockProvider16 = spec.NewExact()
+	var bp ultrabeam.BlockProvider = spec.NewExact()
 	blk := make(ultrabeam.Block16, bp.Layout().BlockLen())
 	bp.FillNappe16(0, blk)
 	if len(bufs[0].Samples) > ultrabeam.MaxEchoWindow {

@@ -10,7 +10,7 @@ import (
 // scheduler's session keys: a release that changes any of these strings
 // re-shards every geometry in a live cluster and cold-starts every warm
 // store during a rolling upgrade. The strings below are a compatibility
-// contract (DESIGN.md §3.12) — if this test fails, you have broken it;
+// contract (DESIGN.md §2.2) — if this test fails, you have broken it;
 // do not update the vectors without a deliberate, documented migration.
 func TestFingerprintGoldenVectors(t *testing.T) {
 	vectors := []struct {

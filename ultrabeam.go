@@ -75,9 +75,6 @@ type Provider = delay.Provider
 // delay.BlockProvider.
 type BlockProvider = delay.BlockProvider
 
-// BlockProvider16 is an alias of BlockProvider.
-type BlockProvider16 = delay.BlockProvider16
-
 // Block16 is a nappe delay block of int16 selection indices — the delay
 // datapath's one representation, 2 bytes per delay; see delay.Block16.
 type Block16 = delay.Block16
