@@ -19,9 +19,9 @@
 // compound boundary, and every frame already queued finishes (bounded by
 // -drain-timeout) before the listeners close.
 //
-// -faults (or the ULTRABEAM_FAULTS environment variable) arms the
-// internal/faultpoint chaos schedule — deterministic injected failures for
-// resilience testing, never for production.
+// -faults arms the internal/faultpoint chaos schedule — deterministic
+// injected failures for resilience testing, never for production. It is
+// the only way to arm one: no environment variable does.
 //
 // -stream-addr additionally listens for the persistent cine stream
 // transport: one TCP connection per probe, wire frames in, volumes out, no
@@ -72,11 +72,6 @@ func main() {
 			os.Exit(1)
 		}
 		log.Printf("usbeamd: fault injection ARMED (%s) — not for production", *faults)
-	} else if err := faultpoint.ActivateFromEnv(); err != nil {
-		fmt.Fprintf(os.Stderr, "usbeamd: %s: %v\n", faultpoint.EnvVar, err)
-		os.Exit(1)
-	} else if faultpoint.Active() {
-		log.Printf("usbeamd: fault injection ARMED via %s — not for production", faultpoint.EnvVar)
 	}
 
 	sched := serve.NewScheduler(serve.SchedulerConfig{

@@ -70,16 +70,11 @@ func tileMaddF64AVX512(dst []float64, blk []int16, tiles []int32, tab []f64Row, 
 // the SSE2 body eight. Each voxel's own sum is still the reference's
 // sequence — active elements in activeIdx order, product rounded, then
 // added — so the result is bitwise the reference's: the interleaving
-// reorders work between voxels, never within one.
-func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
-	e.nappeF64(blk, bufs, id, out, add, cpufeat.AVX512)
-}
-
-// nappeF64 runs nappe id through the tile body (tiles set; the host must
-// have AVX-512) or the SSE2 body and returns the element-halves the tile
-// body gathered. The SSE2 body covers the first ⌊voxels/8⌋·8 voxels and
-// the last voxels mod 8 run the reference's sequence in Go.
-func (e *Engine) nappeF64(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add, tiles bool) int {
+// reorders work between voxels, never within one. With AVX-512 the tile
+// body runs the nappe and the element-halves it gathered are returned;
+// otherwise the SSE2 body covers the first ⌊voxels/8⌋·8 voxels, the last
+// voxels mod 8 run the reference's sequence in Go, and 0 is returned.
+func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) (gathered int) {
 	nE := len(e.apod)
 	nVox := e.Cfg.Vol.Theta.N * e.Cfg.Vol.Phi.N
 	base := out.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous: θ, then φ fastest
@@ -99,7 +94,7 @@ func (e *Engine) nappeF64(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *
 		}
 		tab = append(tab, r)
 	}
-	if tiles && nE > 0 {
+	if cpufeat.AVX512 && nE > 0 {
 		return e.tileRowF64(dst, blk, tab, add)
 	}
 	n8 := nVox &^ 7

@@ -56,19 +56,21 @@ func tileMaddI16AVX512(row []int32, blk []int16, plane []int16, tiles []int32, r
 // the gather body over the first tab.nVec elements, then the scalar tail
 // into the same int32 — integer addition is associative, so no split
 // changes a bit. The reference's float64(acc)·scale follows in store or add
-// mode. Hosts without AVX2 run the reference.
-func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) {
+// mode. Hosts without AVX2 run the reference. It returns the tiles the tile
+// body handed back, 0 on the other routes.
+func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) (fallbacks int) {
 	if !cpufeat.AVX2 {
 		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
-		return
+		return 0
 	}
 	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
 	if cpufeat.AVX512 {
-		e.tileRowI16(blk, plane, tab, row)
+		fallbacks = e.tileRowI16(blk, plane, tab, row)
 	} else {
 		e.gatherRowI16(blk, plane, tab, row, 0, len(row))
 	}
 	e.storeRowI16(row, id, out, scale, add)
+	return fallbacks
 }
 
 // gatherRowI16 sums voxels [k0, k1) of the nappe into row through the AVX2

@@ -95,20 +95,17 @@ func reportKernel(b *testing.B, samples, bytes float64, procs int) {
 	b.ReportMetric(bytes, "B/sample")
 }
 
-// i16Body is one i16 accumulate body under test: run beamforms nappe id of
-// blk into out in store mode with the worker's row, and returns the tiles
-// it handed back (the AVX-512 body's fallbacks; 0 for the others).
-type i16Body struct {
-	name string
-	run  func(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int
-}
-
-// i16RefBody is the scalar reference as an i16Body.
-func i16RefBody(e *Engine) i16Body {
-	return i16Body{"ref", func(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, _ []int32) int {
-		e.accumulateNappe16I16Ref(blk, plane, tab, id, out, 1, false)
-		return 0
-	}}
+// benchPlane is a guarded int16 plane of the served window for eng: random
+// samples, guard slots zero.
+func benchPlane(eng *Engine, seed uint64) []int16 {
+	rng := newXorshift(seed)
+	plane := make([]int16, len(eng.apod)*(kernelBenchWin+1))
+	for i := range plane {
+		if i%(kernelBenchWin+1) != kernelBenchWin {
+			plane[i] = int16(rng.next())
+		}
+	}
+	return plane
 }
 
 // BenchmarkAccumulateI16 is the committed source for the fixed-point
@@ -131,9 +128,7 @@ func i16RefBody(e *Engine) i16Body {
 func BenchmarkAccumulateI16(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
-		h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x1b16}
-		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
-		h.fillPlane(false)
+		plane := benchPlane(eng, 0x1b16)
 		tab := eng.i16GatherTable(kernelBenchWin)
 
 		nA := len(tab.els)
@@ -153,8 +148,9 @@ func BenchmarkAccumulateI16(b *testing.B) {
 			"avx2":   {tab.nVec + nA - tab.tail, 2 + 4 + 8 + (8+8)/float64(tab.nVec+nA-tab.tail)},
 			"avx512": {2 * pairs, 2 + 8 + 2 + (8+8)/float64(2*pairs)},
 		}
-		for _, body := range i16HostBodies(eng) {
-			b.Run(g.name+"/"+body.name, func(b *testing.B) {
+		for _, r := range hostRoutes() {
+			b.Run(g.name+"/"+r.name, func(b *testing.B) {
+				defer r.use()()
 				procs := runtime.GOMAXPROCS(0)
 				rows := make([][]int32, procs)
 				for w := range rows {
@@ -170,30 +166,21 @@ func BenchmarkAccumulateI16(b *testing.B) {
 							defer wg.Done()
 							n := 0
 							for id := w; id < g.ndep; id += procs {
-								n += body.run(blocks[id], h.plane, tab, id, out, rows[w])
+								n += eng.accumulateNappe16I16(blocks[id], plane, tab, id, out, 1, false, rows[w])
 							}
 							fallbacks.Add(int64(n))
 						}()
 					}
 					wg.Wait()
 				}
-				geo := geometry[body.name]
+				geo := geometry[r.name]
 				reportKernel(b, float64(len(out.Data))*float64(geo.perVoxel), geo.bytes, procs)
-				if body.name == "avx512" {
+				if r.avx512 {
 					b.ReportMetric(float64(fallbacks.Load())/float64(b.N), "fallback_tiles/volume")
 				}
 			})
 		}
 	}
-}
-
-// steerBody is one fused steer body under test: run beamforms nappe id,
-// whose operand rows are ry, into out in store mode with the worker's row,
-// and returns the tiles it handed back (the avx512 body's fallbacks; 0 for
-// the other).
-type steerBody struct {
-	name string
-	run  func(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, row []int32) int
 }
 
 // BenchmarkAccumulateSteerI16 is the committed source of the fused
@@ -227,9 +214,7 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 		p.UseFixed = true
 		ops := p.SteerOperands()
 		sr := &steerRoute{ops: ops, offs: eng.steerTileOffsets(ops)}
-		h := &i16KernelHarness{eng: eng, win: kernelBenchWin, rng: 0x57ee}
-		h.plane = make([]int16, len(eng.apod)*(kernelBenchWin+1))
-		h.fillPlane(false)
+		plane := benchPlane(eng, 0x57ee)
 		tab := eng.i16GatherTable(kernelBenchWin)
 		out := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 		l := p.Layout()
@@ -245,30 +230,35 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 		}
 		fetched := tab.nVec + len(tab.els) - tab.tail
 		voxel := (8 + 8) / float64(fetched)
-		type route struct {
+		type row struct {
 			name  string
 			bytes float64
 			run   func(w *worker, id int) int
+			r     route // the probes the row runs under
 		}
-		routes := []route{
+		host := hostRoutes()[0]
+		routes := []row{
 			{"resident", 2 + 4 + 8 + voxel, func(w *worker, id int) int {
-				eng.accumulateNappe16I16(resident[id], h.plane, tab, id, out, 1, false, w.row)
+				eng.accumulateNappe16I16(resident[id], plane, tab, id, out, 1, false, w.row)
 				return 0
-			}},
+			}, host},
 			{"fill+acc", 8 + 2 + 2 + 4 + 8 + voxel, func(w *worker, id int) int {
 				p.FillNappe16(id, w.blk)
-				eng.accumulateNappe16I16(w.blk, h.plane, tab, id, out, 1, false, w.row)
+				eng.accumulateNappe16I16(w.blk, plane, tab, id, out, 1, false, w.row)
 				return 0
-			}},
+			}, host},
 		}
-		for _, body := range steerHostBodies(eng) {
-			routes = append(routes, route{"fused-" + body.name, 4 + 4 + 4 + 8 + voxel, func(w *worker, id int) int {
-				p.SteerRows(id, w.ry)
-				return body.run(w.ry, sr, h.plane, tab, id, out, w.row)
-			}})
+		for _, r := range hostRoutes() {
+			if r.avx2 {
+				routes = append(routes, row{"fused-" + r.name, 4 + 4 + 4 + 8 + voxel, func(w *worker, id int) int {
+					p.SteerRows(id, w.ry)
+					return eng.accumulateSteerI16(w.ry, sr, plane, tab, id, out, 1, false, w.row)
+				}, r})
+			}
 		}
 		for _, rt := range routes {
 			b.Run(g.name+"/"+rt.name, func(b *testing.B) {
+				defer rt.r.use()()
 				procs := runtime.GOMAXPROCS(0)
 				workers := make([]*worker, procs)
 				for i := range workers {
@@ -304,22 +294,6 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 	}
 }
 
-// f64Body is one f64 accumulate body under test: run beamforms nappe id of
-// blk into out, stored or added, and returns the element-halves it gathered
-// (the avx512 body's; 0 for the others).
-type f64Body struct {
-	name string
-	run  func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int
-}
-
-// f64RefBody is the scalar reference as an f64Body.
-func f64RefBody(e *Engine) f64Body {
-	return f64Body{"ref", func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int {
-		e.accumulateNappe16Ref(blk, bufs, id, out, add)
-		return 0
-	}}
-}
-
 // BenchmarkAccumulateF64 is the float64 golden kernel's row of the same
 // table: whole volumes against float64 echo buffers of the served window
 // (17.4 MB on the reduced grid), one row per body this host runs — avx512,
@@ -352,8 +326,24 @@ func BenchmarkAccumulateF64(b *testing.B) {
 			"sse2":   2 + 8 + 32.0/8 + voxel,
 			"avx512": 2 + 16 + 32.0/16 + voxel,
 		}
-		for _, body := range f64HostBodies(eng) {
-			b.Run(g.name+"/"+body.name, func(b *testing.B) {
+		ran := map[string]bool{}
+		for _, r := range append(hostRoutes(), route{name: "ref"}) {
+			restore := r.use()
+			name := f64KernelBody()
+			restore()
+			run := eng.accumulateNappe16
+			if r == (route{name: "ref"}) {
+				name, run = "ref", func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int {
+					eng.accumulateNappe16Ref(blk, bufs, id, out, add)
+					return 0
+				}
+			}
+			if ran[name] {
+				continue
+			}
+			ran[name] = true
+			b.Run(g.name+"/"+name, func(b *testing.B) {
+				defer r.use()()
 				procs := runtime.GOMAXPROCS(0)
 				var gathered atomic.Int64
 				b.ResetTimer()
@@ -365,15 +355,15 @@ func BenchmarkAccumulateF64(b *testing.B) {
 							defer wg.Done()
 							n := 0
 							for id := w; id < g.ndep; id += procs {
-								n += body.run(blocks[id], bufs, id, out, false)
+								n += run(blocks[id], bufs, id, out, false)
 							}
 							gathered.Add(int64(n))
 						}()
 					}
 					wg.Wait()
 				}
-				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[body.name], procs)
-				if body.name == "avx512" {
+				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[name], procs)
+				if name == "avx512" {
 					b.ReportMetric(float64(gathered.Load())/float64(b.N), "gathered/volume")
 				}
 			})

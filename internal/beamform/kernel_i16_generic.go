@@ -11,7 +11,9 @@ func i16KernelBody() string { return "ref" }
 // golden reference itself: the executable oracle the native variant is
 // held bit-identical to. CI runs the full kernel suite under -tags purego
 // so this body is always exercised, never just compiled. The worker's
-// int32 row is the native body's scratch and goes unused here.
-func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, _ []int32) {
+// int32 row is the native body's scratch and goes unused here, and no tile
+// is ever handed back.
+func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, _ []int32) (fallbacks int) {
 	e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
+	return 0
 }

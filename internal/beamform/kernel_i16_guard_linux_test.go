@@ -6,10 +6,6 @@ import (
 	"syscall"
 	"testing"
 	"unsafe"
-
-	"ultrabeam/internal/geom"
-	"ultrabeam/internal/scan"
-	"ultrabeam/internal/xdcr"
 )
 
 // flushAgainstGuardPage maps size bytes whose last byte is the last one
@@ -32,74 +28,89 @@ func flushAgainstGuardPage(t *testing.T, size int) (mem []byte, release func()) 
 	}
 }
 
+// guardedInt16s maps n int16s whose last one ends flush against a
+// PROT_NONE page.
+func guardedInt16s(t *testing.T, n int) ([]int16, func()) {
+	t.Helper()
+	mem, release := flushAgainstGuardPage(t, n*2)
+	return unsafe.Slice((*int16)(unsafe.Pointer(&mem[0])), n), release
+}
+
 // TestI16KernelPlaneFlushAgainstGuardPage proves the native bodies' sample
 // loads cannot leave the plane: the plane is mapped so that its last
 // int16 is the last two bytes before a PROT_NONE page, and the kernel runs
 // with every delay clamped into the guard slot — for the aperture's last
 // element that is the plane's last int16, the one sample a vector gather
-// must never fetch past and the AVX-512 body's window load must end on.
-// (Delays of win are a span-0 tile the AVX-512 body takes; the other three
-// values are handed back to the AVX2 body. Where the window allows, delays
-// alternating between win−40 and win make every group wide, so the second
-// half of each 64-word window load ends on the guard slot too.) A body that
-// over-reads dies here with SIGSEGV instead of passing silently on whatever
-// the heap had next.
+// must never fetch past and a tile body's window load must end on.
+// (Delays of win are a span-0 tile the tile bodies take; the other three
+// values are handed back to the gather bodies. Where the window allows,
+// delays alternating between win−40 and win make every group wide, so the
+// second half of each 64-word window load ends on the guard slot too.) A
+// body that over-reads dies here with SIGSEGV instead of passing silently
+// on whatever the heap had next; every body must also equal the twin.
 func TestI16KernelPlaneFlushAgainstGuardPage(t *testing.T) {
-	for _, n := range []struct{ nx, ny int }{{8, 1}, {4, 4}, {17, 1}, {16, 16}} {
+	v := newVerdicts(kernelRoutes())
+	var b builder
+	for _, n := range [][2]int{{8, 1}, {4, 4}, {17, 1}, {16, 16}} {
 		for _, win := range []int{1, 9, 8512} {
-			h := newI16Harness(t, n.nx, n.ny, win, xdcr.Rect)
-			mem, release := flushAgainstGuardPage(t, len(h.plane)*2)
-			h.plane = unsafe.Slice((*int16)(unsafe.Pointer(&mem[0])), len(h.plane))
-			h.fillPlane(true)
+			c := b.build(t, kshape{NX: n[0], NY: n[1], NTh: 5, NPh: 2, NDep: 3, Win: win, Shift: -1, Seed: 11})
+			plane, release := guardedInt16s(t, len(c.plane))
+			c.plane = plane
+			c.fillPlane(plane, sDirty)
+			blk, nE := c.blks[0], len(c.eng.apod)
 			for _, d := range []int16{int16(win), -1, 32767, -32768} {
-				for i := range h.blk {
-					h.blk[i] = d
+				for i := range blk {
+					blk[i] = d
 				}
-				h.run(t, "guard-page", 1.0)
+				c.check(t, v, famI16)
 			}
 			if win > 40 {
-				nE := len(h.eng.apod)
-				for i := range h.blk {
-					h.blk[i] = int16(win - 40*(i/nE%2))
+				for i := range blk {
+					blk[i] = int16(win - 40*(i/nE%2))
 				}
-				h.run(t, "guard-page-wide", 1.0)
+				c.check(t, v, famI16)
 			}
-			h.plane = nil
 			release()
 		}
 	}
+	v.report(t)
 }
 
-// TestI16KernelDelaysFlushAgainstGuardPage does the same for the delay
-// block and the tile list, which the AVX-512 body reads with masked row
-// loads and a look-ahead for its prefetch: the block's last delay and the
-// list's last entry each end flush against a PROT_NONE page. The planes
-// leave a partial last tile, the apertures a short last element group, and
-// the delays are ones the AVX-512 body takes, so its last tile reads the
-// last voxel's row up to the final delay.
+// delaysAgainstGuardPage checks c with its delay block and the engine's
+// tile list, which the tile bodies read with masked row loads and a
+// look-ahead for their prefetch, each ending flush against a PROT_NONE
+// page.
+func delaysAgainstGuardPage(t *testing.T, v *verdicts, c *kcase, fams int) {
+	blk, releaseBlk := guardedInt16s(t, len(c.blks[0]))
+	copy(blk, c.blks[0])
+	for i := range c.blks {
+		c.blks[i] = blk
+	}
+	tiles := c.eng.tiles
+	mem, releaseTiles := flushAgainstGuardPage(t, len(tiles)*4)
+	c.eng.tiles = unsafe.Slice((*int32)(unsafe.Pointer(&mem[0])), len(tiles))
+	copy(c.eng.tiles, tiles)
+	c.check(t, v, fams)
+	c.eng.tiles = tiles
+	releaseBlk()
+	releaseTiles()
+}
+
+// TestI16KernelDelaysFlushAgainstGuardPage runs delaysAgainstGuardPage on
+// planes that leave a partial last tile, apertures with a short last
+// element group, and delays the tile bodies take, narrow and wide, so
+// their last tile reads the last voxel's row up to the final delay.
 func TestI16KernelDelaysFlushAgainstGuardPage(t *testing.T) {
-	for _, n := range []struct{ nx, ny int }{{1, 1}, {3, 3}, {17, 1}, {12, 12}, {16, 16}} {
-		for _, pl := range []struct{ nth, nphi int }{{7, 5}, {4, 4}} {
-			h := newI16HarnessFor(t, Config{
-				Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, pl.nth, pl.nphi, 2),
-				Arr:    xdcr.NewArray(n.nx, n.ny, 0.385e-3/2),
-				Conv:   conv,
-				Window: xdcr.Rect,
-			}, 200)
-			blkMem, releaseBlk := flushAgainstGuardPage(t, len(h.blk)*2)
-			h.blk = unsafe.Slice((*int16)(unsafe.Pointer(&blkMem[0])), len(h.blk))
-			tiles := h.eng.tiles
-			tileMem, releaseTiles := flushAgainstGuardPage(t, len(tiles)*4)
-			h.eng.tiles = unsafe.Slice((*int32)(unsafe.Pointer(&tileMem[0])), len(tiles))
-			copy(h.eng.tiles, tiles)
-			h.fillPlane(true)
+	v := newVerdicts(kernelRoutes())
+	var b builder
+	for _, n := range [][2]int{{1, 1}, {3, 3}, {17, 1}, {12, 12}, {16, 16}} {
+		for _, pl := range [][2]int{{7, 5}, {4, 4}} {
 			for _, spread := range []int{31, 63} {
-				h.fillTileDelays(spread)
-				h.run(t, "delay-guard-page", 1.0/32767)
+				c := b.build(t, kshape{NX: n[0], NY: n[1], NTh: pl[0], NPh: pl[1], NDep: 2, Win: 200, Shift: -1,
+					Delays: dTile, Arg: spread, Samples: sDirty, Seed: 12})
+				delaysAgainstGuardPage(t, v, c, famI16)
 			}
-			h.blk, h.eng.tiles = nil, tiles
-			releaseBlk()
-			releaseTiles()
 		}
 	}
+	v.report(t)
 }

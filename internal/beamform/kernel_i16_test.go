@@ -1,15 +1,7 @@
-// Property tests for the fixed-point i16 kernel: the native (amd64 AVX2)
-// body must be BIT-IDENTICAL to accumulateNappe16I16Ref — not PSNR-close —
-// because everything before the final float64 rescale is integer
-// arithmetic, and integer addition is associative. The adversarial
-// generators here drive exactly the inputs the saturation analysis in
-// kernel_i16.go reasons about and the shapes the vector body splits on:
-// apertures with an empty vector range, a tail only, one 8-wide remainder
-// and the 16-wide loop; window-edge, negative and int16-extreme indices;
-// samples pinned at ±32767 with signs aligned to the weights; the
-// per-product shift at both ends of its range. Under -tags purego the
-// native body IS the reference, so the identity holds trivially and the
-// suite still validates the int64 no-overflow cross-check.
+// Tests of the fixed-point i16 kernel beside the conformance matrix
+// (conformance_test.go): its operand table and tile walk, the accumulator
+// bound and its int64 cross-check, the PSNR gates, the plane-batch ingest
+// and its error surface, alloc-freedom and concurrent sessions.
 package beamform
 
 import (
@@ -36,242 +28,15 @@ func TestI16KernelBody(t *testing.T) {
 	t.Logf("i16 accumulate body: %s", body)
 }
 
-// i16KernelHarness holds one synthetic kernel-call setup: an engine, a
-// guarded int16 plane, the operand table, a delay block and the worker
-// row the two kernel bodies consume directly.
-type i16KernelHarness struct {
-	eng   *Engine
-	plane []int16
-	tab   *i16Table
-	blk   delay.Block16
-	row   []int32
-	win   int
-	rng   uint64
-}
+// TestI16NoAVX2Route is the i16 session row of the matrix with both probes
+// cleared — the route an amd64 host without AVX2 takes — and on the host's
+// route: a 3-transmit compound (store on transmit 0, add on 1 and 2) as a
+// buffer batch and as a plane batch, both == the twin.
+func TestI16NoAVX2Route(t *testing.T) { sessionRows(t, "i16", "ref", "host") }
 
-// i16Apertures are the element counts the vector bodies split on: 1 and 7
-// (vector range empty), 8 (one group, all of it scalar tail), 9 and 16 (one
-// 8-wide remainder), 17 (two groups, the second tail), 144 (the 16-wide
-// loop plus a remainder) and 256 (the 16-wide loop, then a full tail group).
-// For the AVX-512 tile body's 16-element groups: 1, 7, 8 and 9 are one short
-// group, 16 one whole group, 17 a whole group and a one-element short one,
-// 144 and 256 whole groups only.
-var i16Apertures = []struct{ nx, ny int }{{1, 1}, {7, 1}, {8, 1}, {3, 3}, {4, 4}, {17, 1}, {12, 12}, {16, 16}}
-
-// newI16Harness builds an engine over an nx×ny array (Rect keeps every
-// element active, Hann zeroes the border, so zero weights sit inside the
-// vector range) and allocates the plane/block buffers for the given
-// window. Every other quantized weight is negated, which
-// keeps the accumulator bound (Σ|wq| is unchanged) and makes the weight
-// table's zero-extension observable.
-func newI16Harness(t testing.TB, nx, ny, win int, window xdcr.Window) *i16KernelHarness {
-	t.Helper()
-	return newI16HarnessFor(t, Config{
-		Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 5, 2, 3),
-		Arr:    xdcr.NewArray(nx, ny, 0.385e-3/2),
-		Conv:   conv,
-		Window: window,
-	}, win)
-}
-
-// newI16HarnessFor is newI16Harness over any engine configuration.
-func newI16HarnessFor(t testing.TB, cfg Config, win int) *i16KernelHarness {
-	t.Helper()
-	eng := New(cfg)
-	if !eng.i16OK {
-		t.Fatalf("%dx%d aperture unexpectedly fails the accumulator bound", cfg.Arr.NX, cfg.Arr.NY)
-	}
-	for j := range eng.activeWQ {
-		if j%2 == 1 {
-			eng.activeWQ[j] = -eng.activeWQ[j]
-		}
-	}
-	nE := len(eng.apod)
-	nVox := cfg.Vol.Theta.N * cfg.Vol.Phi.N
-	return &i16KernelHarness{
-		eng:   eng,
-		plane: make([]int16, nE*(win+1)),
-		tab:   eng.i16GatherTable(win),
-		blk:   make(delay.Block16, nVox*nE),
-		row:   make([]int32, nVox),
-		win:   win,
-		rng:   0x1b16<<32 | uint64(nE*131+win),
-	}
-}
-
-// next is a xorshift64 step: the big-window cases fill 8 M samples, which
-// math/rand would dominate.
-func (h *i16KernelHarness) next() uint64 {
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	return h.rng
-}
-
-// fillPlane writes random samples everywhere, guard slots included when
-// dirtyGuards is set. Real ingest keeps guards zero; a dirty guard makes
-// "the clamp routed this index into the guard slot" visible in the sum,
-// and both bodies must still read the very same slot.
-func (h *i16KernelHarness) fillPlane(dirtyGuards bool) {
-	for i := range h.plane {
-		h.plane[i] = int16(h.next())
-	}
-	if !dirtyGuards {
-		for d := 0; d < len(h.eng.apod); d++ {
-			h.plane[d*(h.win+1)+h.win] = 0
-		}
-	}
-}
-
-// pinPlane sets every sample of every row to ±32767 with the sign of the
-// element's weight: each product then adds with the same sign, the worst
-// case of the saturation analysis.
-func (h *i16KernelHarness) pinPlane() {
-	for i := range h.plane {
-		h.plane[i] = 32767
-	}
-	for j, d := range h.eng.activeIdx {
-		if h.eng.activeWQ[j] < 0 {
-			row := h.plane[int(d)*(h.win+1):][:h.win+1]
-			for i := range row {
-				row[i] = -32767
-			}
-		}
-	}
-}
-
-// fillDelays mixes in-window indices with the edge set: both clamp
-// boundaries, the int16 extremes and −1, which the zero-extending clamp
-// must route into the guard slot.
-func (h *i16KernelHarness) fillDelays() {
-	edge := []int16{-32768, -1, 0, int16(h.win - 1), int16(h.win), 32767}
-	for i := range h.blk {
-		r := h.next()
-		if r%3 == 0 {
-			h.blk[i] = edge[(r>>8)%uint64(len(edge))]
-		} else {
-			h.blk[i] = int16((r >> 8) % uint64(h.win))
-		}
-	}
-}
-
-// fillTileDelays gives every element a base delay and every voxel an
-// in-window delay at most spread samples above its element's base — the
-// locality every served delay block has, so the AVX-512 body takes each
-// tile itself instead of handing it back (spread 31 keeps every element
-// group narrow, 63 makes most of them wide). Un-apodized elements get
-// arbitrary int16 delays, which no body reads.
-func (h *i16KernelHarness) fillTileDelays(spread int) {
-	nE := len(h.eng.apod)
-	spread = min(spread, h.win)
-	for d := 0; d < nE; d++ {
-		base := int(h.next() % uint64(h.win-spread+1))
-		for k := d; k < len(h.blk); k += nE {
-			if h.eng.apod[d] == 0 {
-				h.blk[k] = int16(h.next())
-			} else {
-				h.blk[k] = int16(base + int(h.next()%uint64(spread+1)))
-			}
-		}
-	}
-}
-
-// run drives both kernel bodies over every depth slice and asserts exact
-// equality, in store mode and then add mode on top of the stored pass.
-func (h *i16KernelHarness) run(t *testing.T, name string, scale float64) {
-	t.Helper()
-	vol := h.eng.Cfg.Vol
-	native := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
-	ref := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
-	for _, add := range []bool{false, true} {
-		for id := 0; id < vol.Depth.N; id++ {
-			h.eng.accumulateNappe16I16(h.blk, h.plane, h.tab, id, native, scale, add, h.row)
-			h.eng.accumulateNappe16I16Ref(h.blk, h.plane, h.tab, id, ref, scale, add)
-		}
-		for i := range ref.Data {
-			if native.Data[i] != ref.Data[i] {
-				t.Fatalf("%s nE=%d win=%d sh=%d (add=%t): native %v != ref %v at voxel %d",
-					name, len(h.eng.apod), h.win, h.eng.preShift, add, native.Data[i], ref.Data[i], i)
-			}
-		}
-	}
-}
-
-// TestI16KernelNativeMatchesRef is the native/reference bit-identity
-// property over the kernel contract's whole grid: every i16Apertures
-// shape, Rect and Hann, the smallest, a served and the largest window, and
-// the shift at the aperture's own value, 0 and 15.
-func TestI16KernelNativeMatchesRef(t *testing.T) {
-	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
-		for _, sh := range i16Apertures {
-			for _, win := range []int{1, 8512, delay.MaxEchoWindow} {
-				h := newI16Harness(t, sh.nx, sh.ny, win, window)
-				own := h.eng.preShift
-				for _, shift := range []uint{own, 0, 15} {
-					h.eng.preShift = shift
-					h.fillDelays()
-					h.fillPlane(false)
-					h.run(t, "random", 1.0/32767)
-					h.fillPlane(true)
-					h.run(t, "dirty-guards", 1.0/32767)
-					h.pinPlane()
-					h.run(t, "pinned", 1.0)
-				}
-				h.eng.preShift = own
-				for i := range h.blk {
-					h.blk[i] = int16(win) // every gather lands in a guard slot
-				}
-				h.run(t, "all-guard", 1.0)
-				clear(h.plane)
-				h.run(t, "all-zero", 1.0)
-			}
-		}
-	}
-}
-
-// TestI16TileRouteMatchesRef holds the native body to the reference on
-// delays whose tiles the AVX-512 body accepts, through narrow and wide
-// element groups: every i16Apertures shape, Rect and Hann, θ×φ planes of
-// one voxel to 7×3 — most of them leave a partial last tile — windows of 1
-// (every delay in the guard slot's reach), 40 and 200, and the shift at the
-// aperture's own value, 0 and 15; then the largest window, and a served
-// 33×33 plane and window under the largest aperture.
-func TestI16TileRouteMatchesRef(t *testing.T) {
-	type tileCase struct {
-		nx, ny, nth, nphi, win int
-	}
-	var cases []tileCase
-	for _, ap := range i16Apertures {
-		for _, pl := range []struct{ nth, nphi int }{{1, 1}, {5, 2}, {4, 4}, {7, 3}} {
-			for _, win := range []int{1, 40, 200} {
-				cases = append(cases, tileCase{ap.nx, ap.ny, pl.nth, pl.nphi, win})
-			}
-		}
-	}
-	cases = append(cases, tileCase{3, 3, 5, 2, delay.MaxEchoWindow}, tileCase{16, 16, 33, 33, 8512})
-	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
-		for _, c := range cases {
-			h := newI16HarnessFor(t, Config{
-				Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, c.nth, c.nphi, 2),
-				Arr:    xdcr.NewArray(c.nx, c.ny, 0.385e-3/2),
-				Conv:   conv,
-				Window: window,
-			}, c.win)
-			own := h.eng.preShift
-			for _, shift := range []uint{own, 0, 15} {
-				h.eng.preShift = shift
-				for _, spread := range []int{31, 63} {
-					h.fillTileDelays(spread)
-					h.fillPlane(true)
-					h.run(t, "tile", 1.0/32767)
-				}
-			}
-			h.eng.preShift = own
-			h.pinPlane()
-			h.run(t, "tile-pinned", 1.0)
-		}
-	}
-}
+// TestI16NoAVX512Route is the same row with only the AVX-512 probe cleared:
+// the AVX2 gather body an AVX2-only host runs.
+func TestI16NoAVX512Route(t *testing.T) { sessionRows(t, "i16", "avx2") }
 
 // TestSnakeTiles pins the tile walk: each plane voxel once, consecutive
 // voxels neighbours in θ or φ, a partial last tile padded with its last
@@ -315,9 +80,10 @@ func TestSnakeTiles(t *testing.T) {
 // also pins the tile body's group masks, pair weights and padded row
 // offsets.
 func TestI16GatherTableVectorRange(t *testing.T) {
-	for _, window := range []xdcr.Window{xdcr.Rect, xdcr.Hann} {
+	var b builder
+	for _, hann := range []bool{false, true} {
 		for _, n := range i16Apertures {
-			h := newI16Harness(t, n.nx, n.ny, 9, window)
+			h := b.build(t, kshape{NX: n[0], NY: n[1], Hann: hann, NTh: 5, NPh: 2, NDep: 3, Win: 9, Shift: -1})
 			tab, nE := h.tab, len(h.eng.apod)
 			if tab.nVec != (nE-1)/8*8 {
 				t.Fatalf("nE=%d: vector range [0,%d) is not the whole 8-groups short of the last element", nE, tab.nVec)

@@ -104,17 +104,19 @@ func (e *Engine) steerTileOffsets(ops *delay.SteerOperands) []int32 {
 // over the block FillNappe16 would have produced. With AVX-512 the tile
 // body runs the nappe; otherwise the gather body runs one θ row of voxels
 // per call (ry's rows are the φ axis). The float64 rescale is the i16
-// wrapper's.
-func (e *Engine) accumulateSteerI16(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) {
+// wrapper's. It returns the tiles the tile body handed back, 0 on the AVX2
+// route.
+func (e *Engine) accumulateSteerI16(ry []int32, r *steerRoute, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) (fallbacks int) {
 	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
 	if cpufeat.AVX512 {
-		e.tileSteerRowI16(ry, r, plane, tab, row)
+		fallbacks = e.tileSteerRowI16(ry, r, plane, tab, row)
 	} else {
 		for k := 0; k < len(row); k += e.Cfg.Vol.Phi.N {
 			e.gatherSteerRowI16(ry, r.ops, plane, tab, row, k, k+e.Cfg.Vol.Phi.N)
 		}
 	}
 	e.storeRowI16(row, id, out, scale, add)
+	return fallbacks
 }
 
 // gatherSteerRowI16 sums voxels [k0, k1) of one θ row of the nappe into row

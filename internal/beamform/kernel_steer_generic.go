@@ -18,6 +18,6 @@ func (e *Engine) steerTileOffsets(*delay.SteerOperands) []int32 { return nil }
 
 // accumulateSteerI16 has no body on this build; the session never routes a
 // nappe here because fusedSteer is false.
-func (e *Engine) accumulateSteerI16(_ []int32, _ *steerRoute, _ []int16, _ *i16Table, _ int, _ *Volume, _ float64, _ bool, _ []int32) {
+func (e *Engine) accumulateSteerI16(_ []int32, _ *steerRoute, _ []int16, _ *i16Table, _ int, _ *Volume, _ float64, _ bool, _ []int32) int {
 	panic("beamform: no fused steer body on this build")
 }

@@ -1,19 +1,15 @@
-// Property tests for the fused TABLESTEER accumulate. Its golden twin is
-// tablesteer's steerRow (FillNappe16 on the proven formats) followed by
-// accumulateNappe16I16Ref, and the fused body must equal that composition
-// bit for bit — not PSNR-close — over randomized geometries, at the index
-// extremes the unsigned clamp reasons about, and through whole sessions
-// (plane- and buffer-fed batches, single and compound, cached and not).
-// The kernel-level tests skip where the build or host has no fused body;
-// the session-level ones run everywhere and there pin the unfused route.
-// The twin families run once per fused body the host offers
-// (eachSteerBody): on an AVX-512 host the tile body, then the AVX2 gather
-// body with the AVX-512 probe cleared.
+// Session-level tests of the fused TABLESTEER accumulate: its kernel rows
+// run in the conformance matrix (conformance_test.go), against the golden
+// twin — tablesteer's steerRow (FillNappe16 on the proven formats) followed
+// by accumulateNappe16I16Ref. Here whole sessions (plane- and buffer-fed
+// batches, single and compound, cached and not) must equal the unfused
+// route bit for bit, on every route the host offers, and the route itself
+// is pinned: operand rows built, cache counters, what never takes it.
 package beamform
 
 import (
 	"fmt"
-	"math/rand"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,7 +21,6 @@ import (
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 	"ultrabeam/internal/tablesteer"
-	"ultrabeam/internal/xdcr"
 )
 
 // TestSteerKernelBody logs which body a fused-eligible nappe runs on this
@@ -43,17 +38,6 @@ func TestSteerKernelBody(t *testing.T) {
 	t.Logf("fused steer body: %s", body)
 }
 
-// steerFormats are the (reference, correction) pairs tablesteer proves
-// narrow — the only ones that offer fused operands.
-var steerFormats = []struct {
-	name      string
-	ref, corr fixed.Format
-}{
-	{"18b", fixed.U13p5, fixed.S13p4},
-	{"14b", fixed.U13p1, fixed.Format{IntBits: 9, FracBits: 4, Signed: true}},
-	{"corr-finer", fixed.U13p1, fixed.S13p4},
-}
-
 // steerProvider builds the fixed-datapath TABLESTEER generator of cfg's
 // volume and aperture.
 func steerProvider(cfg Config, ref, corr fixed.Format) *tablesteer.Provider {
@@ -62,173 +46,10 @@ func steerProvider(cfg Config, ref, corr fixed.Format) *tablesteer.Provider {
 	return p
 }
 
-// fusedRun drives the fused body and its twin over every nappe of vol,
-// store then add, and fails on the first voxel that differs. fill writes the
-// twin's block of nappe id; rows writes the fused body's ry.
-func (h *i16KernelHarness) fusedRun(t *testing.T, name string, ops *delay.SteerOperands, fill func(id int, blk delay.Block16), rows func(id int, ry []int32), scale float64) {
-	t.Helper()
-	vol := h.eng.Cfg.Vol
-	fused := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
-	twin := &Volume{Vol: vol, Data: make([]float64, vol.Points())}
-	ry := make([]int32, (vol.Phi.N+1)*len(h.eng.apod))
-	route := &steerRoute{ops: ops, offs: h.eng.steerTileOffsets(ops)}
-	for _, add := range []bool{false, true} {
-		for id := 0; id < vol.Depth.N; id++ {
-			fill(id, h.blk)
-			h.eng.accumulateNappe16I16Ref(h.blk, h.plane, h.tab, id, twin, scale, add)
-			rows(id, ry)
-			h.eng.accumulateSteerI16(ry, route, h.plane, h.tab, id, fused, scale, add, h.row)
-		}
-		for i := range twin.Data {
-			if fused.Data[i] != twin.Data[i] {
-				t.Fatalf("%s nE=%d win=%d sh=%d (add=%t): fused %v != fill+ref %v at voxel %d",
-					name, len(h.eng.apod), h.win, h.eng.preShift, add, fused.Data[i], twin.Data[i], i)
-			}
-		}
-	}
-}
-
-// TestFusedSteerMatchesFillThenAccumulate is the twin property over real
-// generators: randomized volumes and apertures (NX ∈ {1, 3, 8, 12, 16, 17},
-// 1×N and N×1, odd and even φ axes so the fold maps two φ rows onto one x
-// row or leaves a middle row alone), every proven format pair, the provider
-// and an off-origin derived transmit, windows that cut through the delay
-// range (so window-edge indices clamp into the guard slot) and the largest
-// window, random / dirty-guard / ±32767-pinned planes.
-func TestFusedSteerMatchesFillThenAccumulate(t *testing.T) {
-	eachSteerBody(t, func(t *testing.T) {
-		if !fusedSteer() {
-			t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
-		}
-		rng := rand.New(rand.NewSource(25))
-		apertures := [][2]int{{1, 1}, {3, 3}, {8, 1}, {1, 8}, {12, 12}, {16, 16}, {17, 2}, {1, 17}, {17, 1}, {12, 5}}
-		offsets := []float64{-4e-3, 3e-3, -0.4e-3, 11e-3}
-		clamped, inWindow := 0, 0
-		for trial, ap := range apertures {
-			f := steerFormats[trial%len(steerFormats)]
-			cfg := Config{
-				Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-					0.01+0.1*rng.Float64(), 1+rng.Intn(5), 2+trial%2+2*rng.Intn(2), 1+rng.Intn(3)),
-				Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.4*rng.Float64())*1e-3),
-				Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-				Window: []xdcr.Window{xdcr.Rect, xdcr.Hann}[trial%2],
-			}
-			base := steerProvider(cfg, f.ref, f.corr)
-			derived, err := base.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: offsets[trial%len(offsets)]}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range []*tablesteer.Provider{base, derived.(*tablesteer.Provider)} {
-				ops := p.SteerOperands()
-				if ops == nil {
-					t.Fatalf("trial %d %s: proven format offers no fused operands", trial, f.name)
-				}
-				// The window cuts the nappe's own index range in half.
-				hi := int16(0)
-				blk := make(delay.Block16, p.Layout().BlockLen())
-				for id := 0; id < cfg.Vol.Depth.N; id++ {
-					p.FillNappe16(id, blk)
-					for _, v := range blk {
-						hi = max(hi, v)
-					}
-				}
-				for _, win := range []int{max(int(hi)/2, 1), delay.MaxEchoWindow} {
-					h := newI16HarnessFor(t, cfg, win)
-					name := fmt.Sprintf("trial %d %s %d×%d φ=%d z=%v", trial, f.name, ap[0], ap[1], cfg.Vol.Phi.N, p.Cfg.OriginZ)
-					h.fillPlane(false)
-					h.fusedRun(t, name+" random", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
-					h.fillPlane(true)
-					h.fusedRun(t, name+" dirty-guards", ops, p.FillNappe16, p.SteerRows, 1.0/32767)
-					h.pinPlane()
-					h.fusedRun(t, name+" pinned", ops, p.FillNappe16, p.SteerRows, 1.0)
-					for _, v := range h.blk {
-						if int(v) >= win || v < 0 {
-							clamped++
-						} else {
-							inWindow++
-						}
-					}
-				}
-			}
-		}
-		if clamped == 0 || inWindow == 0 {
-			t.Fatalf("%d clamped and %d in-window indices: the windows did not cut the delay range", clamped, inWindow)
-		}
-	})
-}
-
-// TestFusedSteerIndexExtremes drives the rounding and the unsigned clamp
-// where the real generators never go: synthetic operands whose indices land
-// on both int16 rails, on −1 and 0, and on win−1, win and win+1, with the
-// rounding bias at several binary points, every i16Apertures shape (empty
-// vector range, tail only, 8- and 16-wide loops) and the smallest, a served
-// and the largest window. The twin's block is steerRow's formula applied to
-// the same operands.
-func TestFusedSteerIndexExtremes(t *testing.T) {
-	eachSteerBody(t, func(t *testing.T) {
-		if !fusedSteer() {
-			t.Skip("no fused steer body on this build or host: fill-then-accumulate is the only route")
-		}
-		for _, ap := range i16Apertures {
-			for _, win := range []int{1, 8512, delay.MaxEchoWindow} {
-				for _, frac := range []uint32{1, 5, 9, 16} {
-					cfg := Config{
-						Vol:    scan.NewVolume(geom.Radians(30), geom.Radians(8), 0.02, 3, 3, 2),
-						Arr:    xdcr.NewArray(ap.nx, ap.ny, 0.385e-3/2),
-						Conv:   conv,
-						Window: xdcr.Rect,
-					}
-					h := newI16HarnessFor(t, cfg, win)
-					nE, nTh, nPh := len(h.eng.apod), cfg.Vol.Theta.N, cfg.Vol.Phi.N
-					pf := (nPh + 1) / 2
-					ops := &delay.SteerOperands{Frac: frac, Half: 1 << (frac - 1),
-						XT: make([]int32, nTh*pf*nE), XOff: make([]int32, nTh*nPh)}
-					for it := 0; it < nTh; it++ {
-						for ip := 0; ip < nPh; ip++ {
-							ops.XOff[it*nPh+ip] = int32((it*pf + min(ip, nPh-1-ip)) * nE)
-						}
-					}
-					// Each sum is target·2^frac plus two terms of magnitude below
-					// half, so every index is target−1, target or target+1: inside
-					// int16 for targets one step off the rails, as narrowProven
-					// guarantees of the real formats.
-					targets := []int32{-32767, -1, 0, 1, int32(win) - 1, int32(win), min(int32(win)+1, 32766), 32766}
-					one := int32(1) << frac
-					noise := func() int32 { return int32(h.next()%uint64(one)) - one/2 }
-					depthRows := make([][]int32, cfg.Vol.Depth.N)
-					for id := range depthRows {
-						depthRows[id] = make([]int32, (nPh+1)*nE)
-						for i := range depthRows[id][:nPh*nE] {
-							tg := targets[h.next()%uint64(len(targets))]
-							if h.next()%3 == 0 {
-								tg = min(int32(h.next()%uint64(win+2))-1, 32766)
-							}
-							depthRows[id][i] = tg<<frac + noise()
-						}
-					}
-					for i := range ops.XT {
-						ops.XT[i] = noise()
-					}
-					fill := func(id int, blk delay.Block16) {
-						for k := 0; k < nTh*nPh; k++ {
-							r, x := depthRows[id][k%nPh*nE:][:nE], ops.XT[ops.XOff[k]:][:nE]
-							for d := range r {
-								v := r[d] + x[d]
-								blk[k*nE+d] = int16((v + ops.Half + v>>31) >> frac)
-							}
-						}
-					}
-					rows := func(id int, ry []int32) { copy(ry, depthRows[id]) }
-					name := fmt.Sprintf("%d×%d frac=%d", ap.nx, ap.ny, frac)
-					h.fillPlane(true)
-					h.fusedRun(t, name+" dirty-guards", ops, fill, rows, 1.0/32767)
-					h.pinPlane()
-					h.fusedRun(t, name+" pinned", ops, fill, rows, 1.0)
-				}
-			}
-		}
-	})
-}
+// TestFusedSteerNoAVX2Route is the TABLESTEER session row of the matrix
+// with both probes cleared — fill-then-accumulate, no operand rows — and on
+// the host's route, the fused body: both == the twin, plane- and buffer-fed.
+func TestFusedSteerNoAVX2Route(t *testing.T) { sessionRows(t, "steer", "ref", "host") }
 
 // unfusedProvider hides a generator's delay.SteerSource, so a session over
 // it fills blocks: the golden twin's route.
@@ -340,95 +161,112 @@ func (sc *steerCompound) rows() int64 {
 	return n
 }
 
-// sameVolumes fails on the first voxel where got differs from want.
+// sameVolumes fails on the first voxel where got differs from want in its
+// bits, or where every volume is all zero (volumesDiffer).
 func sameVolumes(t *testing.T, name string, got, want []*Volume) {
 	t.Helper()
-	peak := 0.0
-	for k := range want {
-		for i := range want[k].Data {
-			if got[k].Data[i] != want[k].Data[i] {
-				t.Fatalf("%s frame %d voxel %d: %v != %v", name, k, i, got[k].Data[i], want[k].Data[i])
-			}
-			peak = max(peak, want[k].Data[i], -want[k].Data[i])
-		}
-	}
-	if peak == 0 {
-		t.Fatalf("%s: all-zero volumes prove nothing", name)
+	if msg := volumesDiffer(got, want); msg != "" {
+		t.Fatalf("%s %s", name, msg)
 	}
 }
 
-// TestFusedSteerSessionsMatchUnfused holds whole sessions to the twin: a
-// session over the TABLESTEER generators against the same session with
-// their SteerSource hidden, bit for bit, in every shape the fused route
-// serves — single and 4-transmit compound (store then add), calls of 1
-// and 3 frames, buffer-fed and plane-fed, uncached and through a
-// half-budget delaycache (only its non-resident nappes take the route).
-// The route pin: the fused session builds operand rows exactly once per
-// non-resident (nappe, transmit) per frame where the fused body exists and
-// never otherwise, and both sessions' cache counters read the same, because
-// a fused run counts the miss the fill it replaces would have.
+func volumesDiffer(got, want []*Volume) string {
+	peak := 0.0
+	for k := range want {
+		for i, w := range want[k].Data {
+			if g := got[k].Data[i]; math.Float64bits(g) != math.Float64bits(w) {
+				return fmt.Sprintf("frame %d voxel %d: %v != %v", k, i, g, w)
+			}
+			peak = max(peak, math.Abs(w))
+		}
+	}
+	if peak == 0 {
+		return "all-zero volumes prove nothing"
+	}
+	return ""
+}
+
+// TestFusedSteerSessionsMatchUnfused holds whole sessions to the twin — the
+// same session with the generators' SteerSource hidden, run once per shape
+// on the host's route — bit for bit, on every fused route the host offers,
+// in every shape the fused route serves: single and 4-transmit compound
+// (store then add), calls of 1 and 3 frames, buffer-fed and plane-fed,
+// uncached and through a half-budget delaycache (only its non-resident
+// nappes take the route). The route pin: the fused session builds operand
+// rows exactly once per non-resident (nappe, transmit) per frame where a
+// fused body runs and never otherwise, and both sessions' cache counters
+// read the same, because a fused run counts the miss the fill it replaces
+// would have.
 func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
-	eachSteerBody(t, func(t *testing.T) {
-		for _, nTx := range []int{1, 4} {
-			sc := newSteerCompound(t, nTx, PrecisionInt16)
-			bufs, planes, scales := sc.frames(t, 3)
-			blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
-			half := int64(sc.depth*nTx/2) * blockBytes
-			for _, budget := range []int64{-2, half} {
-				nonResident := int64(sc.depth * nTx)
-				if budget >= 0 {
-					nonResident -= budget / blockBytes
-				}
-				for _, n := range []int{1, 3} {
-					for _, fed := range []string{"buffers", "planes"} {
-						name := fmt.Sprintf("tx=%d budget=%d batch=%d %s", nTx, budget, n, fed)
-						run := func(fused bool) ([]*Volume, delaycache.Stats) {
-							sess, cache := sc.session(t, fused, budget)
-							defer sess.Close()
-							dsts := make([]*Volume, n)
-							for k := range dsts {
-								dsts[k] = sess.NewVolume()
-							}
-							for range 2 { // the second call runs warm
-								var err error
-								if fed == "buffers" {
-									err = sess.BeamformBatch(dsts, bufs[:n])
-								} else {
-									err = sess.BeamformBatchPlanesI16(dsts, sc.win, planes[:n], scales[:n])
-								}
-								if err != nil {
-									t.Fatal(err)
-								}
-							}
-							var st delaycache.Stats
-							if cache != nil {
-								st = cache.Stats()
-							}
-							return dsts, st
-						}
+	v := newVerdicts(kernelRoutes())
+	for _, nTx := range []int{1, 4} {
+		sc := newSteerCompound(t, nTx, PrecisionInt16)
+		bufs, planes, scales := sc.frames(t, 3)
+		blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
+		half := int64(sc.depth*nTx/2) * blockBytes
+		for _, budget := range []int64{-2, half} {
+			nonResident := int64(sc.depth * nTx)
+			if budget >= 0 {
+				nonResident -= budget / blockBytes
+			}
+			for _, n := range []int{1, 3} {
+				for _, fed := range []string{"buffers", "planes"} {
+					name := fmt.Sprintf("tx=%d budget=%d batch=%d %s", nTx, budget, n, fed)
+					run := func(fused bool) ([]*Volume, delaycache.Stats, int64) {
 						before := sc.rows()
-						want, wantSt := run(false)
-						if sc.rows() != before {
-							t.Fatalf("%s: the unfused session built fused operand rows", name)
+						sess, cache := sc.session(t, fused, budget)
+						defer sess.Close()
+						dsts := make([]*Volume, n)
+						for k := range dsts {
+							dsts[k] = sess.NewVolume()
 						}
-						got, gotSt := run(true)
-						sameVolumes(t, name, got, want)
-						wantRows := int64(0)
-						if fusedSteer() {
-							wantRows = 2 * int64(n) * nonResident
+						for range 2 { // the second call runs warm
+							var err error
+							if fed == "buffers" {
+								err = sess.BeamformBatch(dsts, bufs[:n])
+							} else {
+								err = sess.BeamformBatchPlanesI16(dsts, sc.win, planes[:n], scales[:n])
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
 						}
-						if rows := sc.rows() - before; rows != wantRows {
-							t.Errorf("%s: %d fused operand builds, want %d", name, rows, wantRows)
+						var st delaycache.Stats
+						if cache != nil {
+							st = cache.Stats()
+						}
+						return dsts, st, sc.rows() - before
+					}
+					want, wantSt, rows := run(false)
+					if rows != 0 {
+						t.Fatalf("%s: the unfused session built %d fused operand rows", name, rows)
+					}
+					for _, r := range v.routes {
+						got, gotSt, rows, wantRows := func() ([]*Volume, delaycache.Stats, int64, int64) {
+							defer r.use()()
+							got, st, rows := run(true)
+							if !fusedSteer() {
+								return got, st, rows, 0
+							}
+							return got, st, rows, 2 * int64(n) * nonResident
+						}()
+						v.ran[r.name]++
+						if msg := volumesDiffer(got, want); msg != "" {
+							v.failf(r, "%s: %s", name, msg)
+						}
+						if rows != wantRows {
+							v.failf(r, "%s: %d fused operand builds, want %d", name, rows, wantRows)
 						}
 						if gotSt.Hits != wantSt.Hits || gotSt.Misses != wantSt.Misses {
-							t.Errorf("%s: fused session counted %d hits / %d misses, fill-then-accumulate %d / %d",
+							v.failf(r, "%s: fused session counted %d hits / %d misses, fill-then-accumulate %d / %d",
 								name, gotSt.Hits, gotSt.Misses, wantSt.Hits, wantSt.Misses)
 						}
 					}
 				}
 			}
 		}
-	})
+	}
+	v.report(t)
 }
 
 // TestFusedSteerCountsOneMissPerNonResident: through a half-budget cache, an
@@ -545,7 +383,7 @@ func TestFusedSteerSteadyStateAllocFree(t *testing.T) {
 // -race this is the proof that the tiled x table, the generators' tables
 // and the store are only read by the fused route.
 func TestFusedSteerConcurrentSessions(t *testing.T) {
-	eachSteerBody(t, func(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
 		sc := newSteerCompound(t, 3, PrecisionInt16)
 		bufs, _, _ := sc.frames(t, 2)
 		ref, _ := sc.session(t, false, -2)

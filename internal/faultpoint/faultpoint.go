@@ -2,8 +2,8 @@
 // named injection points compiled into production code paths (session
 // build, shared-cache fill, wire decode, stream read/write, scheduler
 // dispatch) that stay inert — one atomic bool load — until a schedule
-// activates them. Activation is explicit (a CLI flag, the ULTRABEAM_FAULTS
-// environment variable, or a test calling Activate) and deterministic: a
+// activates them. Activation is explicit (usbeamd's -faults flag, or a
+// test calling Activate) and deterministic: a
 // seeded spec produces the same fire/no-fire decision sequence at every
 // point on every run, so a chaos failure reproduces from its seed instead
 // of vanishing when the race detector slows the schedule down.
@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,10 +37,6 @@ import (
 // (and chaos tests) can tell deliberate faults from organic failures with
 // errors.Is.
 var ErrInjected = errors.New("injected fault")
-
-// EnvVar is the environment variable ActivateFromEnv reads the schedule
-// spec from.
-const EnvVar = "ULTRABEAM_FAULTS"
 
 // active is the global fast-path switch: every Point check starts (and,
 // when no schedule is armed, ends) with this single atomic load.
@@ -253,10 +248,6 @@ func Activate(spec string) error {
 	active.Store(true)
 	return nil
 }
-
-// ActivateFromEnv arms the schedule named by ULTRABEAM_FAULTS, if set —
-// the production activation path (usbeamd also exposes it as -faults).
-func ActivateFromEnv() error { return Activate(os.Getenv(EnvVar)) }
 
 // Deactivate clears the schedule: every point returns to the inert
 // single-load fast path. Counters are preserved for Snapshot until the

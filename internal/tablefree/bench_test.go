@@ -33,8 +33,6 @@ func gridConfig(elems, lines, depths int) Config {
 	}
 }
 
-func reducedConfig() Config { return benchGrids[0].cfg }
-
 // unitLawMdelays is one §IV-B unit: a delay per cycle at the paper's 167 MHz.
 const unitLawMdelays = 167.0
 
@@ -76,24 +74,23 @@ func BenchmarkFillNappe16(b *testing.B) {
 		fixed := fixedProvider(g.cfg)
 		type row struct {
 			name string
-			body string // the probes useBody sets for the row; "" leaves them
+			r    route // the probes the row runs under
 			fill fillFunc
 		}
-		rows := []row{{"fixed", "", fixed.FillNappe16}}
-		if hostBodies()[0] == "avx512" {
-			rows = append(rows, row{"fixed-avx2", "avx2", fixed.FillNappe16})
+		host := hostRoutes()[0]
+		rows := []row{{"fixed", host, fixed.FillNappe16}}
+		if host.avx512 {
+			rows = append(rows, row{"fixed-avx2", hostRoutes()[1], fixed.FillNappe16})
 		}
 		rows = append(rows,
-			row{"fixed-ref", "", func(id int, dst delay.Block16) { refFill16(fixed, id, dst) }},
-			row{"exact", "", exactFor(g.cfg).FillNappe16},
+			row{"fixed-ref", host, func(id int, dst delay.Block16) { refFill16(fixed, id, dst) }},
+			row{"exact", host, exactFor(g.cfg).FillNappe16},
 		)
 		n := fixed.Layout().BlockLen()
 		dst := make(delay.Block16, n)
 		for _, r := range rows {
 			b.Run(g.name+"/"+r.name, func(b *testing.B) {
-				if r.body != "" {
-					defer useBody(r.body)()
-				}
+				defer r.r.use()()
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -22,11 +22,9 @@ func blockSetup() *Provider {
 // reference for both the ideal-PWL and the fixed-point datapaths, at every
 // depth.
 func TestFillNappeBitIdentical(t *testing.T) {
-	for _, fixed := range []bool{false, true} {
-		p := blockSetup()
-		p.UseFixed = fixed
-		checkFill16(t, p.Name(), p)
-	}
+	ideal, fixed := blockSetup(), blockSetup()
+	fixed.UseFixed = true
+	conform(t, all(ideal.Name(), ideal), all(fixed.Name(), fixed))
 	var _ delay.BlockProvider = (*Provider)(nil)
 }
 
@@ -50,8 +48,7 @@ func TestFillNappe16BitIdentical(t *testing.T) {
 		Arr:  xdcr.NewArray(6, 5, 0.2e-3),
 		Conv: delay.Converter{C: 1540, Fs: 32e6},
 	})
-	lo, hi := checkFill16(t, "deep", p)
-	if hi != math.MaxInt16 || lo >= math.MaxInt16/2 {
-		t.Fatalf("index range [%d, %d] does not straddle saturation", lo, hi)
+	if v := conform(t, all("deep", p)); v.hi != math.MaxInt16 || v.lo >= math.MaxInt16/2 {
+		t.Fatalf("index range [%d, %d] does not straddle saturation", v.lo, v.hi)
 	}
 }

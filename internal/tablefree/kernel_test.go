@@ -3,7 +3,6 @@ package tablefree
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -14,72 +13,10 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
-// checkFill16 holds FillNappe16 to Index16(DelaySamples) slot for slot at
-// every nappe and returns the smallest and largest index seen.
-func checkFill16(t *testing.T, name string, p *Provider) (lo, hi int16) {
-	t.Helper()
-	l := p.Layout()
-	got := make(delay.Block16, l.BlockLen())
-	lo, hi = math.MaxInt16, math.MinInt16
-	for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-		p.FillNappe16(id, got)
-		for it := 0; it < l.NTheta; it++ {
-			for ip := 0; ip < l.NPhi; ip++ {
-				for ej := 0; ej < l.NY; ej++ {
-					for ei := 0; ei < l.NX; ei++ {
-						want := delay.Index16(p.DelaySamples(it, ip, id, ei, ej))
-						if g := got[l.Index(it, ip, ei, ej)]; g != want {
-							t.Fatalf("%s id=%d (%d,%d,%d,%d): fill %d != scalar %d",
-								name, id, it, ip, ei, ej, g, want)
-						}
-						lo, hi = min(lo, want), max(hi, want)
-					}
-				}
-			}
-		}
-	}
-	return lo, hi
-}
-
 func fixedProvider(cfg Config) *Provider {
 	p := New(cfg)
 	p.UseFixed = true
 	return p
-}
-
-// TestFusedFill16MatchesScalarRandomGeometries is the adversarial side of
-// the bit-identity contract: randomized small geometries (odd and even
-// axes, 1×N and N×1 apertures, single-node angular axes), on- and off-axis
-// transmit origins including behind the array, at the default FixedConfig
-// and one with fractional argument bits.
-func TestFusedFill16MatchesScalarRandomGeometries(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	apertures := [][2]int{{1, 7}, {6, 1}, {1, 1}, {5, 4}, {8, 3}, {3, 9}}
-	origins := []geom.Vec3{{}, {X: 1.3e-3, Y: -0.7e-3, Z: -4e-3}, {X: -2e-3, Z: 3e-3}, {Y: 5e-3}}
-	fixedCfgs := []sqrtapprox.FixedConfig{{}, {ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6}}
-	for trial := 0; trial < 36; trial++ {
-		ap := apertures[trial%len(apertures)]
-		cfg := Config{
-			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-				0.02+0.15*rng.Float64(), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(5)),
-			Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.3*rng.Float64())*1e-3),
-			Origin: origins[trial%len(origins)],
-			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-			Fixed:  fixedCfgs[trial%len(fixedCfgs)],
-		}
-		p := fixedProvider(cfg)
-		if p.FixedDP.Integer() == nil {
-			t.Fatalf("trial %d: %+v must run the integer kernel", trial, p.Cfg.Fixed)
-		}
-		name := fmt.Sprintf("trial %d %+v", trial, cfg)
-		checkFill16(t, name, p)
-		// The derived transmit unit is what a compound session fills from.
-		q, err := p.WithTransmit(delay.Transmit{Origin: origins[(trial+1)%len(origins)]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFill16(t, name+" derived", q.(*Provider))
-	}
 }
 
 // TestFusedFill16Saturates drives the index range past int16: at 1 m depth
@@ -91,9 +28,8 @@ func TestFusedFill16Saturates(t *testing.T) {
 		Arr:  xdcr.NewArray(6, 5, 0.2e-3),
 		Conv: conv,
 	})
-	lo, hi := checkFill16(t, "deep", p)
-	if hi != math.MaxInt16 || lo >= math.MaxInt16/2 {
-		t.Fatalf("index range [%d, %d] does not straddle saturation", lo, hi)
+	if v := conform(t, all("deep", p)); v.hi != math.MaxInt16 || v.lo >= math.MaxInt16/2 {
+		t.Fatalf("index range [%d, %d] does not straddle saturation", v.lo, v.hi)
 	}
 }
 
@@ -121,7 +57,7 @@ func TestFusedFill16ClampedSegments(t *testing.T) {
 	if below == 0 || beyond == 0 {
 		t.Fatalf("geometry exercises %d below-domain and %d beyond-domain nappes; want both", below, beyond)
 	}
-	checkFill16(t, "cut domain", p)
+	conform(t, all("cut domain", p))
 }
 
 // TestFixedRowRoundingEdges feeds the row kernel hand-built arguments whose
@@ -190,7 +126,7 @@ func TestUncoveredFixedConfigFillsThroughScalarLaw(t *testing.T) {
 		if p.FixedDP.Integer() != nil {
 			t.Errorf("%+v: integer datapath offered for a config it does not cover", fc)
 		}
-		checkFill16(t, fmt.Sprintf("%+v", fc), p)
+		conform(t, all(fmt.Sprintf("%+v", fc), p))
 	}
 	if fixedProvider(blockSetup().Cfg).FixedDP.Integer() == nil {
 		t.Error("default FixedConfig must run the integer kernel")

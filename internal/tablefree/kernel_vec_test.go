@@ -25,20 +25,6 @@ func TestFillKernelBody(t *testing.T) {
 	t.Logf("tablefree fill body: %s", body)
 }
 
-// forEachBody runs f once per fill body this host offers (hostBodies), with
-// the probes set so that fillKernelBody names it, and restores them after.
-func forEachBody(t *testing.T, f func(t *testing.T)) {
-	for _, body := range hostBodies() {
-		t.Run(body, func(t *testing.T) {
-			defer useBody(body)()
-			if got := fillKernelBody(); got != body {
-				t.Fatalf("body = %q, want %q", got, body)
-			}
-			f(t)
-		})
-	}
-}
-
 // laneColumns is how many leading columns of every row of an nx×ny plane
 // the running body takes from a voxel that passes the guard.
 func laneColumns(nx, ny int) int {
@@ -105,16 +91,20 @@ func scanExtremes(v []float64) (lo, hi float64) {
 }
 
 // nappeCensus reports how many voxels of nappe id the lane body takes (on a
-// build or host without it, none) and the widest segment span any voxel's
-// arguments cover.
-func nappeCensus(p *Provider, id int) (vec, scalar, maxSpan int) {
+// build or host without it, none) and how many of those take other than
+// laneColumns, and the widest segment span any voxel's arguments cover.
+func nappeCensus(p *Provider, id int) (vec, scalar, odd, maxSpan int) {
 	l, dp := p.Layout(), p.FixedDP.Integer()
 	plane := make([]int16, l.VoxelStride())
 	x, y := make([]float64, l.NX), make([]float64, l.NY)
 	lc := laneCallFor(p, dp)
+	cols := laneColumns(l.NX, l.NY)
 	eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
 		if done, _ := p.vecPlane(plane, v, x, y, lc, 0); done > 0 {
 			vec++
+			if done != cols {
+				odd++
+			}
 		} else {
 			scalar++
 		}
@@ -123,123 +113,27 @@ func nappeCensus(p *Provider, id int) (vec, scalar, maxSpan int) {
 		lo, hi := segSpan(dp.Ops, xlo+ylo+v.zz, xhi+yhi+v.zz, 0)
 		maxSpan = max(maxSpan, hi-lo)
 	})
-	return vec, scalar, maxSpan
+	return vec, scalar, odd, maxSpan
 }
 
-// checkFill16Routes holds FillNappe16 to both of its oracles at every
-// nappe: the fixedRow path slot for slot, and Index16(DelaySamples).
-func checkFill16Routes(t *testing.T, name string, p *Provider) {
-	t.Helper()
-	checkFill16(t, name, p)
-	n := p.Layout().BlockLen()
-	got, want := make(delay.Block16, n), make(delay.Block16, n)
-	for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-		p.FillNappe16(id, got)
-		refFill16(p, id, want)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s id=%d slot %d: fill %d != fixedRow path %d", name, id, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestLaneFillMatchesRowsRandomGeometries is the lane bodies' bit-identity
-// contract over whole nappes (laneGeometries), each filled from a transmit
-// built directly and from one derived through WithTransmit.
-func TestLaneFillMatchesRowsRandomGeometries(t *testing.T) {
-	forEachBody(t, laneFillMatchesRowsRandomGeometries)
-}
-
-var laneOrigins = []geom.Vec3{{}, {X: 1.3e-3, Y: -0.7e-3, Z: -4e-3}, {X: -2e-3, Z: 3e-3}, {Y: 5e-3}}
-
-// laneGeometries are the lane suite's randomized geometries: every row
-// width class (below one group, exact groups, a paired group plus a single,
-// each with and without a scalar tail), 1×N and N×1 apertures, planes whose
-// slot count is not a multiple of eight (the eight-lane body's masked last
-// group), 16 against 17 on either axis and on both (its aperture limit),
-// Table I's 100×100 aperture, off-origin transmits, the default FixedConfig
-// and one with fractional argument bits. Geometry k transmits from
-// laneOrigins[k mod 4]; the test derives a unit at the next one.
-func laneGeometries() []Config {
-	rng := rand.New(rand.NewSource(23))
-	nxs := []int{1, 3, 4, 5, 8, 12, 16, 17, 32}
-	shapes := [][2]int{{3, 5}, {1, 7}, {12, 13}, {13, 12}, {16, 16}, {16, 17}, {17, 16}, {12, 12}, {17, 17}, {100, 100}}
-	fixedCfgs := []sqrtapprox.FixedConfig{{}, {ArgFrac: 2, SlopeFrac: 24, OffsetFrac: 6, OutFrac: 6}}
-	var cfgs []Config
-	for trial := 0; trial < 3*len(nxs)+len(shapes); trial++ {
-		nx, ny := nxs[trial%len(nxs)], []int{1, 2, 5, 9}[rng.Intn(4)]
-		switch {
-		case trial >= 3*len(nxs):
-			nx, ny = shapes[trial-3*len(nxs)][0], shapes[trial-3*len(nxs)][1]
-		case trial >= 2*len(nxs):
-			nx, ny = ny, nx // the same widths down the slow axis
-		}
-		cfgs = append(cfgs, Config{
-			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-				0.02+0.15*rng.Float64(), 1+rng.Intn(5), 1+rng.Intn(5), 1+rng.Intn(4)),
-			Arr:    xdcr.NewArray(nx, ny, (0.1+0.3*rng.Float64())*1e-3),
-			Origin: laneOrigins[trial%len(laneOrigins)],
-			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-			Fixed:  fixedCfgs[trial%len(fixedCfgs)],
-		})
-	}
-	return cfgs
-}
-
-func laneFillMatchesRowsRandomGeometries(t *testing.T) {
-	took := 0
-	for trial, cfg := range laneGeometries() {
-		p := fixedProvider(cfg)
-		if p.FixedDP.Integer().Lanes() == nil {
-			t.Fatalf("trial %d: %+v must carry the lane proof", trial, p.Cfg.Fixed)
-		}
-		name := fmt.Sprintf("trial %d %dx%d %+v", trial, cfg.Arr.NX, cfg.Arr.NY, cfg)
-		checkFill16Routes(t, name, p)
-		q, err := p.WithTransmit(delay.Transmit{Origin: laneOrigins[(trial+1)%len(laneOrigins)]})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkFill16Routes(t, name+" derived", q.(*Provider))
-		vec, _, _ := nappeCensus(p, 0)
-		took += vec
-	}
-	if fillKernelBody() != "ref" && took == 0 {
-		t.Fatal("the lane body never ran: the comparison proved nothing about it")
-	}
-}
-
-// TestLaneFillShallowAndDeep covers the two ends of the segment table on the
-// served aperture: nappes a few samples deep, where the short leading
-// segments put three and more under one voxel's plane, and the deepest
-// nappe at extreme steering, where arguments reach the domain's last
-// segment.
-func TestLaneFillShallowAndDeep(t *testing.T) { forEachBody(t, laneFillShallowAndDeep) }
-
-func laneFillShallowAndDeep(t *testing.T) {
+// TestLaneFillShallowAndDeep is the matrix over the two ends of the segment
+// table on the served aperture: nappes a few samples deep, where the short
+// leading segments put three and more under one voxel's plane, and the
+// deepest nappe at extreme steering, where arguments reach the domain's
+// last segment. No voxel may miss a lane route's body.
+func TestLaneFillShallowAndDeep(t *testing.T) {
 	p := fixedProvider(Config{
 		Vol:  scan.NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 5, 4, 1200),
 		Arr:  xdcr.NewArray(16, 16, 0.385e-3/2),
 		Conv: conv,
 	})
-	n := p.Layout().BlockLen()
-	got, want := make(delay.Block16, n), make(delay.Block16, n)
-	widest := 0
-	for _, id := range []int{0, 1, 2, 3, 5, 8, 13, 40, 600, 1199} {
-		p.FillNappe16(id, got)
-		refFill16(p, id, want)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("id=%d slot %d: fill %d != fixedRow path %d", id, i, got[i], want[i])
-			}
+	v := conform(t, fill{"shallow and deep", p, []int{0, 1, 2, 3, 5, 8, 13, 40, 600, 1199}})
+	for _, r := range laneRoutes() {
+		if c := v.census[r.name]; c.scalar != 0 {
+			t.Errorf("%s route: %d of %d voxels fell to the scalar route", r.name, c.scalar, c.vec+c.scalar)
 		}
-		vec, scalar, span := nappeCensus(p, id)
-		if fillKernelBody() != "ref" && scalar != 0 {
-			t.Errorf("id=%d: %d of %d voxels fell to the scalar route", id, scalar, vec+scalar)
-		}
-		widest = max(widest, span)
 	}
-	if widest < 3 {
+	if widest := v.census[hostRoutes()[0].name].span; widest < 3 {
 		t.Fatalf("widest voxel spans %d extra segments; want ≥ 3 to exercise the select loop", widest)
 	}
 	last := len(p.Approx.Segments) - 1
@@ -343,7 +237,7 @@ func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider
 // pair's 16-byte one and the masked store of a partial last group must end
 // exactly where their slots do. Each shape must also take the route the
 // body's aperture rule gives it.
-func TestLanePlaneWritesOnlyItsPlane(t *testing.T) { forEachBody(t, lanePlaneWritesOnlyItsPlane) }
+func TestLanePlaneWritesOnlyItsPlane(t *testing.T) { eachBody(t, lanePlaneWritesOnlyItsPlane) }
 
 func lanePlaneWritesOnlyItsPlane(t *testing.T) {
 	p := fixedProvider(smallConfig())
@@ -408,7 +302,7 @@ func planeChunks(t *testing.T, name string, f *sqrtapprox.FixedApprox, vals []fl
 // start and one ulp either side — the per-lane select's ≥ against the
 // cursor's — in planes that mix many segments within one group, and in
 // every lane position of either body.
-func TestLanePlaneSegmentBoundaries(t *testing.T) { forEachBody(t, lanePlaneSegmentBoundaries) }
+func TestLanePlaneSegmentBoundaries(t *testing.T) { eachBody(t, lanePlaneSegmentBoundaries) }
 
 func lanePlaneSegmentBoundaries(t *testing.T) {
 	for _, fc := range []sqrtapprox.FixedConfig{
@@ -471,7 +365,7 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 // rail, land the sum on an exact negative half, sit at the guard's own
 // edge (LaneTxLimit−1 runs the lanes, LaneTxLimit the scalar route) and lie
 // far beyond it.
-func TestLanePlaneRoundingTies(t *testing.T) { forEachBody(t, lanePlaneRoundingTies) }
+func TestLanePlaneRoundingTies(t *testing.T) { eachBody(t, lanePlaneRoundingTies) }
 
 func lanePlaneRoundingTies(t *testing.T) {
 	for _, fc := range []sqrtapprox.FixedConfig{
@@ -512,7 +406,7 @@ func lanePlaneRoundingTies(t *testing.T) {
 // (x + y) + zz = 6.5 − ulp rounds to 6, (x + zz) + y = 6.5 to 7. Only
 // DelaySamples' order — the first — matches, and a sweep of transmit legs
 // carries the one-count difference across an index tie.
-func TestLanePlaneAssociationOrder(t *testing.T) { forEachBody(t, lanePlaneAssociationOrder) }
+func TestLanePlaneAssociationOrder(t *testing.T) { eachBody(t, lanePlaneAssociationOrder) }
 
 func lanePlaneAssociationOrder(t *testing.T) {
 	p := fixedProvider(smallConfig())
@@ -560,20 +454,17 @@ func TestUnprovenDatapathsTakeRows(t *testing.T) {
 		if ln := dp.Lanes(); ln != nil {
 			t.Errorf("%+v: licence %+v; want none (the %s clause)", c.p.Cfg.Fixed, ln, c.clause)
 		}
-		if vec, _, _ := nappeCensus(c.p, c.p.Cfg.Vol.Depth.N-1); vec != 0 {
-			t.Errorf("%s: the lane body took %d voxels", c.clause, vec)
+		if v := conform(t, all(c.clause, c.p)); v.census[hostRoutes()[0].name].vec != 0 {
+			t.Errorf("%s: the lane body took %d voxels", c.clause, v.census[hostRoutes()[0].name].vec)
 		}
-		checkFill16Routes(t, c.clause, c.p)
 	}
 }
 
 // TestLaneGuardTripsMidNappe shrinks the PWL domain to the median of one
 // nappe's largest arguments, so that the per-voxel guard (αmax within the
 // proven bound) passes and fails inside the same FillNappe16 call: both
-// routes write into one block, which must come out as the scalar law says.
-func TestLaneGuardTripsMidNappe(t *testing.T) { forEachBody(t, laneGuardTripsMidNappe) }
-
-func laneGuardTripsMidNappe(t *testing.T) {
+// routes write into one block, which the matrix holds to the scalar law.
+func TestLaneGuardTripsMidNappe(t *testing.T) {
 	p := fixedProvider(blockSetup().Cfg)
 	l := p.Layout()
 	id := p.Cfg.Vol.Depth.N / 2
@@ -597,18 +488,20 @@ func laneGuardTripsMidNappe(t *testing.T) {
 	if p.FixedDP.Integer().Lanes() == nil {
 		t.Fatal("the shrunk domain must still carry the lane proof")
 	}
-	vec, scalar, _ := nappeCensus(p, id)
-	if fillKernelBody() != "ref" && (vec == 0 || scalar == 0) {
-		t.Fatalf("nappe %d: %d voxels through the lanes, %d through the guard; want both", id, vec, scalar)
+	v := conform(t, fill{"shrunk domain", p, []int{id}})
+	for _, r := range laneRoutes() {
+		if c := v.census[r.name]; c.vec == 0 || c.scalar == 0 {
+			t.Fatalf("%s route, nappe %d: %d voxels through the lanes, %d through the guard; want both", r.name, id, c.vec, c.scalar)
+		}
 	}
-	checkFill16Routes(t, "shrunk domain", p)
+	conform(t, all("shrunk domain", p))
 }
 
 // TestLaneFillAllocations holds the fill to zero allocations per call on
 // the served widths: whole groups (16), a pair plus a single (12), a
 // partial last eight-slot group (13) and a scalar tail behind the lanes
 // (17).
-func TestLaneFillAllocations(t *testing.T) { forEachBody(t, laneFillAllocations) }
+func TestLaneFillAllocations(t *testing.T) { eachBody(t, laneFillAllocations) }
 
 func laneFillAllocations(t *testing.T) {
 	for _, nx := range []int{16, 12, 13, 17} {
@@ -627,7 +520,7 @@ func laneFillAllocations(t *testing.T) {
 // goroutines at once: each reads its own operand table and writes only its
 // own dst (run under -race).
 func TestLaneFillConcurrentSharedTables(t *testing.T) {
-	forEachBody(t, laneFillConcurrentSharedTables)
+	eachBody(t, laneFillConcurrentSharedTables)
 }
 
 func laneFillConcurrentSharedTables(t *testing.T) {
@@ -684,7 +577,7 @@ func laneFillConcurrentSharedTables(t *testing.T) {
 // whose element grid is not finite and strictly monotone fails the
 // precondition provePitch checks once, and no voxel of it reaches a lane
 // body; a descending grid is still a pitch grid and keeps the lanes.
-func TestLaneGuardRejectsNaNTerms(t *testing.T) { forEachBody(t, laneGuardRejectsNaNTerms) }
+func TestLaneGuardRejectsNaNTerms(t *testing.T) { eachBody(t, laneGuardRejectsNaNTerms) }
 
 func laneGuardRejectsNaNTerms(t *testing.T) {
 	narrow := smallConfig()
@@ -754,12 +647,12 @@ func laneGuardRejectsNaNTerms(t *testing.T) {
 				t.Errorf("%s on %s: the grid passed the pitch precondition", c.name, axis)
 			}
 			for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-				if vec, _, _ := nappeCensus(p, id); vec != 0 {
+				if vec, _, _, _ := nappeCensus(p, id); vec != 0 {
 					t.Fatalf("%s on %s, nappe %d: %d voxels took the lane body", c.name, axis, id, vec)
 				}
 			}
 			if c.finite {
-				checkFill16Routes(t, c.name+" on "+axis, p)
+				lawFills(t, c.name+" on "+axis, p)
 			}
 		}
 	}
@@ -770,10 +663,10 @@ func laneGuardRejectsNaNTerms(t *testing.T) {
 	if !p.pitchGrid {
 		t.Fatal("a descending grid failed the pitch precondition")
 	}
-	if vec, _, _ := nappeCensus(p, 5); fillKernelBody() != "ref" && vec == 0 {
+	if vec, _, _, _ := nappeCensus(p, 5); fillKernelBody() != "ref" && vec == 0 {
 		t.Fatal("no voxel of the descending grid took the lane body")
 	}
-	checkFill16Routes(t, "descending", p)
+	lawFills(t, "descending", p)
 }
 
 // TestTermExtremesMatchScan is the derived guard's oracle: on every voxel
@@ -783,7 +676,10 @@ func laneGuardRejectsNaNTerms(t *testing.T) {
 // axis, and over the whole column axis and the leading NX&^3 columns the
 // four-lane body takes.
 func TestTermExtremesMatchScan(t *testing.T) {
-	cfgs := laneGeometries()
+	var cfgs []Config
+	for _, s := range laneShapes() {
+		cfgs = append(cfgs, s.config())
+	}
 	for _, g := range benchGrids {
 		cfgs = append(cfgs, g.cfg)
 	}

@@ -1,7 +1,6 @@
 package tablesteer
 
 import (
-	"fmt"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -52,33 +51,14 @@ func blockCases() []*Provider {
 // unfold plus separable broadcast corrections, rounded in the row — to
 // Index16 of the scalar reference, slot by slot at every depth.
 func TestFillNappeBitIdentical(t *testing.T) {
-	for _, prov := range blockCases() {
-		l := prov.Layout()
-		checkFills(t, fmt.Sprintf("%s %d×%d", prov.Name(), l.NX, l.NY), prov)
-	}
+	conform(t, 1, blockCases()...)
 	var _ delay.BlockProvider = (*Provider)(nil)
 }
 
-// TestFillNappe16BitIdentical holds the native quantized fill to the
-// generic one: delay.ScalarAdapter over the same provider's scalar law,
-// which walks the block in layout order. A native fill that wrote the right
-// values into the wrong slots would differ here.
+// TestFillNappe16BitIdentical is the matrix over the served shapes.
 func TestFillNappe16BitIdentical(t *testing.T) {
-	for _, prov := range blockCases() {
-		l := prov.Layout()
-		adapter := &delay.ScalarAdapter{P: prov, L: l}
-		want := make(delay.Block16, l.BlockLen())
-		got := make(delay.Block16, l.BlockLen())
-		for id := 0; id < prov.Cfg.Vol.Depth.N; id++ {
-			adapter.FillNappe16(id, want)
-			prov.FillNappe16(id, got)
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("%s %d×%d fixed=%v id=%d slot %d: native %d != adapter %d",
-						prov.Name(), l.NX, l.NY, prov.UseFixed, id, k, got[k], want[k])
-				}
-			}
-		}
+	for _, s := range servedShapes() {
+		conform(t, s.Stride, s.provider(t))
 	}
 }
 

@@ -2,13 +2,11 @@ package tablesteer
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/geom"
-	"ultrabeam/internal/scan"
 	"ultrabeam/internal/xdcr"
 )
 
@@ -29,59 +27,6 @@ func fusedIndices(p *Provider, ops *delay.SteerOperands, id int, dst delay.Block
 				panic(fmt.Sprintf("fused index %d leaves int16", idx))
 			}
 			dst[k*nE+d] = int16(idx)
-		}
-	}
-}
-
-// TestSteerOperandsReproduceFill holds the fused operand contract to the
-// block fill slot for slot: on the same randomized geometries as
-// TestFillsMatchScalarRandomGeometries (odd and even axes, 1×N and N×1,
-// single-node angular axes), every proven format pair offers operands
-// whose indices equal FillNappe16 — and therefore Index16(DelaySamples) —
-// for the provider and an off-origin derived transmit, while the unproven
-// pairs and the float datapath offer none.
-func TestSteerOperandsReproduceFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	apertures := [][2]int{{1, 7}, {6, 1}, {1, 1}, {5, 4}, {8, 3}, {3, 9}, {12, 12}, {17, 16}}
-	for trial := 0; trial < len(apertures)*len(formatPairs); trial++ {
-		ap := apertures[trial%len(apertures)]
-		f := formatPairs[trial/len(apertures)]
-		cfg := Config{
-			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-				0.02+0.15*rng.Float64(), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(5)),
-			Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.3*rng.Float64())*1e-3),
-			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-			RefFmt: f.ref, CorrFmt: f.corr,
-		}
-		p := New(cfg)
-		if p.SteerOperands() != nil {
-			t.Fatalf("trial %d %s: the float datapath offers fused operands", trial, f.name)
-		}
-		p.UseFixed = true
-		q, err := p.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: -3e-3 + 1e-3*float64(trial%5)}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, prov := range []*Provider{p, q.(*Provider)} {
-			ops := prov.SteerOperands()
-			if (ops != nil) != f.narrow {
-				t.Fatalf("trial %d %s: operands offered = %v, want %v (narrowProven)", trial, f.name, ops != nil, f.narrow)
-			}
-			if ops == nil {
-				continue
-			}
-			l := prov.Layout()
-			want, got := make(delay.Block16, l.BlockLen()), make(delay.Block16, l.BlockLen())
-			for id := 0; id < cfg.Vol.Depth.N; id++ {
-				prov.FillNappe16(id, want)
-				fusedIndices(prov, ops, id, got)
-				for k := range want {
-					if got[k] != want[k] {
-						t.Fatalf("trial %d %s %d×%d z=%v id=%d slot %d: fused index %d != fill %d",
-							trial, f.name, ap[0], ap[1], prov.Cfg.OriginZ, id, k, got[k], want[k])
-					}
-				}
-			}
 		}
 	}
 }

@@ -1,9 +1,7 @@
 package tablesteer
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -13,33 +11,6 @@ import (
 	"ultrabeam/internal/scan"
 	"ultrabeam/internal/xdcr"
 )
-
-// checkFills holds FillNappe16 to Index16(DelaySamples) slot for slot at
-// every nappe, and returns the smallest and largest index seen.
-func checkFills(t *testing.T, name string, p *Provider) (lo, hi int16) {
-	t.Helper()
-	l := p.Layout()
-	got := make(delay.Block16, l.BlockLen())
-	lo, hi = math.MaxInt16, math.MinInt16
-	for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-		p.FillNappe16(id, got)
-		for it := 0; it < l.NTheta; it++ {
-			for ip := 0; ip < l.NPhi; ip++ {
-				for ej := 0; ej < l.NY; ej++ {
-					for ei := 0; ei < l.NX; ei++ {
-						k := l.Index(it, ip, ei, ej)
-						if want := delay.Index16(p.DelaySamples(it, ip, id, ei, ej)); got[k] != want {
-							t.Fatalf("%s id=%d (%d,%d,%d,%d): fill16 %d != scalar %d",
-								name, id, it, ip, ei, ej, got[k], want)
-						}
-						lo, hi = min(lo, got[k]), max(hi, got[k])
-					}
-				}
-			}
-		}
-	}
-	return lo, hi
-}
 
 // formatPairs are the (reference, correction) formats the kernel tests
 // cover, with the route narrowProven must pick from the formats alone.
@@ -77,39 +48,6 @@ func TestNarrowProvenFromFormatsAlone(t *testing.T) {
 	}
 }
 
-// TestFillsMatchScalarRandomGeometries is the adversarial side of the
-// bit-identity contract: randomized small geometries (odd and even axes,
-// 1×N and N×1 apertures, single-node angular axes) under every format pair
-// on both routes, each followed by a derived transmit with an off-origin z
-// offset — the provider a compound session fills from.
-func TestFillsMatchScalarRandomGeometries(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	apertures := [][2]int{{1, 7}, {6, 1}, {1, 1}, {5, 4}, {8, 3}, {3, 9}, {16, 16}}
-	offsets := []float64{-4e-3, 3e-3, -0.4e-3, 11e-3}
-	for trial := 0; trial < len(apertures)*len(formatPairs); trial++ {
-		ap := apertures[trial%len(apertures)]
-		f := formatPairs[trial/len(apertures)]
-		cfg := Config{
-			Vol: scan.NewVolume(geom.Radians(20+60*rng.Float64()), geom.Radians(10+70*rng.Float64()),
-				0.02+0.15*rng.Float64(), 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(5)),
-			Arr:    xdcr.NewArray(ap[0], ap[1], (0.1+0.3*rng.Float64())*1e-3),
-			Conv:   delay.Converter{C: 1540, Fs: []float64{20e6, 32e6, 50e6}[trial%3]},
-			RefFmt: f.ref, CorrFmt: f.corr,
-		}
-		for _, useFixed := range []bool{true, false} {
-			p := New(cfg)
-			p.UseFixed = useFixed
-			name := fmt.Sprintf("trial %d %s fixed=%v %d×%d", trial, f.name, useFixed, ap[0], ap[1])
-			checkFills(t, name, p)
-			q, err := p.WithTransmit(delay.Transmit{Origin: geom.Vec3{Z: offsets[trial%len(offsets)]}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkFills(t, name+" derived", q.(*Provider))
-		}
-	}
-}
-
 // TestUnprovenRouteSaturates pins the unproven-format route — the scalar
 // law — where Index16 saturates: a u16.3 reference holds the > 40 000-sample
 // delays of a 1 m volume at 32 MHz, so deep nappes must sit at MaxInt16
@@ -125,7 +63,7 @@ func TestUnprovenRouteSaturates(t *testing.T) {
 	if p.narrow != nil || p.Ref.SatCount != 0 {
 		t.Fatalf("want the unproven route with an unsaturated table, got narrow=%v SatCount=%d", p.narrow != nil, p.Ref.SatCount)
 	}
-	lo, hi := checkFills(t, "deep", p)
+	lo, hi := conform(t, 1, p)
 	if hi != math.MaxInt16 || lo >= math.MaxInt16/2 {
 		t.Fatalf("index range [%d, %d] does not straddle saturation", lo, hi)
 	}
