@@ -322,29 +322,22 @@ func runSessionFrames(b *testing.B, s core.SystemSpec, p delay.Provider, cached 
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sess *beamform.Session
-	if cached {
-		var cache *delaycache.Cache
-		sess, cache, err = s.NewCachedSession(xdcr.Hann, p, -1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache.Warm()
-	} else {
-		sess, err = s.NewBeamformer(xdcr.Hann, scan.NappeOrder).NewSession(p)
-		if err != nil {
-			b.Fatal(err)
-		}
+	sess, cache, err := s.NewSessionConfig(core.SessionConfig{Window: xdcr.Hann, Cached: cached, CacheBudget: -1}, p)
+	if err != nil {
+		b.Fatal(err)
 	}
 	defer sess.Close()
-	out := &beamform.Volume{Vol: s.Volume(), Data: make([]float64, s.Points())}
-	if err := sess.BeamformInto(out, bufs); err != nil { // steady state
+	if cache != nil {
+		cache.Warm()
+	}
+	out, frame := sess.NewVolume(), beamform.Frame{Bufs: [][]rf.EchoBuffer{bufs}}
+	if err := sess.Run(out, frame); err != nil { // steady state
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sess.BeamformInto(out, bufs); err != nil {
+		if err := sess.Run(out, frame); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -377,28 +370,22 @@ func BenchmarkKernelPrecision(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			p := s.NewTableFree()
 			p.UseFixed = true
-			cache, err := delaycache.New(delaycache.Config{
-				Providers: []delay.BlockProvider{p}, Depths: s.FocalDepth, BudgetBytes: -1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cache.Warm()
-			eng := s.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-			eng.Cfg.Precision = tc.prec
-			sess, err := eng.NewSessionGenerators(cache.Shared().Generators(), cache)
+			sess, cache, err := s.NewSessionConfig(core.SessionConfig{
+				Window: xdcr.Hann, Precision: tc.prec, Cached: true, CacheBudget: -1,
+			}, p)
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer sess.Close()
-			out := &beamform.Volume{Vol: s.Volume(), Data: make([]float64, s.Points())}
-			if err := sess.BeamformInto(out, bufs); err != nil { // steady state
+			cache.Warm()
+			out, frame := sess.NewVolume(), beamform.Frame{Bufs: [][]rf.EchoBuffer{bufs}}
+			if err := sess.Run(out, frame); err != nil { // steady state
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := sess.BeamformInto(out, bufs); err != nil {
+				if err := sess.Run(out, frame); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -414,12 +401,13 @@ func BenchmarkKernelPrecision(b *testing.B) {
 func BenchmarkDelayCacheNappe16(b *testing.B) {
 	s := core.ReducedSpec()
 	e := s.NewExact()
-	cache, err := delaycache.New(delaycache.Config{
+	store, err := delaycache.NewShared(delaycache.Config{
 		Providers: []delay.BlockProvider{e}, Depths: s.FocalDepth, BudgetBytes: -1,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
+	cache := store.Attach()
 	dst := make(delay.Block16, e.Layout().BlockLen())
 	for _, bench := range []struct {
 		name string

@@ -26,11 +26,12 @@ import (
 // through serve.Arch.NewProvider, so sim, the server and the benchmark run
 // one definition of each architecture. -precision selects the session
 // kernel: float64 (the bit-identical golden model) or i16 (a quantized
-// int16 echo plane, int32 fixed-point accumulate). -frames > 1 beamforms a
-// static cine through one persistent Session and reports sustained
-// frames/s; -cache-budget bounds its delay cache (0 uncached, negative full
-// residency). -transmits N compounds the N axial diverging-wave transmits a
-// transmits=N serving request uses (core.SystemSpec.AxialTransmits).
+// int16 echo plane, int32 fixed-point accumulate). Every run beamforms a
+// static cine of -frames frames through one persistent Session and reports
+// sustained frames/s; -cache-budget bounds its delay cache (0 uncached,
+// negative full residency). -transmits N compounds the N axial
+// diverging-wave transmits a transmits=N serving request uses
+// (core.SystemSpec.AxialTransmits).
 func runSim(args []string) error {
 	fs := flag.NewFlagSet("sim", flag.ExitOnError)
 	archName := fs.String("arch", "exact", "delay architecture: exact|tablefree|tablesteer")
@@ -63,15 +64,7 @@ func runSim(args []string) error {
 	p := arch.NewProvider(spec)
 	cfg := core.SessionConfig{Window: xdcr.Hann, Precision: prec, Cached: *cacheBudget != 0, CacheBudget: *cacheBudget}
 
-	var vol *beamform.Volume
-	switch {
-	case *transmits > 1:
-		vol, err = runCompound(spec, cfg, p, ph, *transmits, *frames)
-	case *frames > 1:
-		vol, err = runCine(spec, cfg, p, ph, *frames)
-	default:
-		vol, err = runFrame(spec, prec, p, ph)
-	}
+	vol, err := runCine(spec, cfg, p, ph, *transmits, max(*frames, 1))
 	if err != nil {
 		return err
 	}
@@ -109,67 +102,30 @@ func buildPhantom(kind string, depth float64) (rf.Phantom, error) {
 	return rf.Phantom{}, usageErr{fmt.Errorf("unknown phantom %q (want point|grid|speckle)", kind)}
 }
 
-// synthesize simulates the default-origin echo set of one frame.
-func synthesize(spec core.SystemSpec, ph rf.Phantom) ([]rf.EchoBuffer, error) {
-	return rf.Synthesize(rf.Config{
-		Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
-		BufSamples: spec.EchoBufferSamples(),
-	}, ph)
-}
-
-// runFrame beamforms one frame through a one-shot engine.
-func runFrame(spec core.SystemSpec, prec beamform.Precision, p delay.Provider, ph rf.Phantom) (*beamform.Volume, error) {
-	bufs, err := synthesize(spec, ph)
+// runCine beamforms a static cine through one persistent session: n
+// transmits per frame — one is the plain frame from the provider's own
+// origin, more are the axial diverging-wave set a transmits=N request
+// compounds, echoes synthesized once per transmit — frames times. It prints
+// the sustained rate and the cache's stats, and returns the last frame.
+func runCine(spec core.SystemSpec, cfg core.SessionConfig, p delay.Provider, ph rf.Phantom, n, frames int) (*beamform.Volume, error) {
+	txs, what := []delay.Transmit{{}}, "frames"
+	if n > 1 {
+		cfg.Transmits = spec.AxialTransmits(n)
+		txs, what = cfg.Transmits, fmt.Sprintf("compound frames (%d transmits each)", n)
+	}
+	txBufs, err := experiments.CompoundEchoes(spec, txs, ph)
 	if err != nil {
 		return nil, err
 	}
-	eng := spec.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-	eng.Cfg.Precision = prec
-	return eng.Beamform(p, bufs)
-}
-
-// runCine beamforms a static cine through one persistent session and
-// reports sustained frames/s plus cache effectiveness. It returns the last
-// frame.
-func runCine(spec core.SystemSpec, cfg core.SessionConfig, p delay.Provider, ph rf.Phantom, frames int) (*beamform.Volume, error) {
-	bufs, err := synthesize(spec, ph)
-	if err != nil {
-		return nil, err
-	}
-	return runSession(spec, cfg, p, frames, "frames", func(s *beamform.Session, out *beamform.Volume) error {
-		return s.BeamformInto(out, bufs)
-	})
-}
-
-// runCompound beamforms a compound cine: n diverging-wave transmits per
-// frame from on-axis virtual sources behind the array, echoes synthesized
-// once per transmit, one persistent session summing the insonifications
-// coherently. It returns the last compounded frame.
-func runCompound(spec core.SystemSpec, cfg core.SessionConfig, p delay.Provider, ph rf.Phantom, n, frames int) (*beamform.Volume, error) {
-	cfg.Transmits = spec.AxialTransmits(n)
-	txBufs, err := experiments.CompoundEchoes(spec, cfg.Transmits, ph)
-	if err != nil {
-		return nil, err
-	}
-	what := fmt.Sprintf("compound frames (%d transmits each)", n)
-	return runSession(spec, cfg, p, frames, what, func(s *beamform.Session, out *beamform.Volume) error {
-		return s.BeamformCompoundInto(out, txBufs)
-	})
-}
-
-// runSession runs frame frames times through one session built from cfg
-// and prints the sustained rate and the cache's stats.
-func runSession(spec core.SystemSpec, cfg core.SessionConfig, p delay.Provider, frames int, what string,
-	frame func(*beamform.Session, *beamform.Volume) error) (*beamform.Volume, error) {
 	sess, cache, err := spec.NewSessionConfig(cfg, p)
 	if err != nil {
 		return nil, err
 	}
 	defer sess.Close()
-	out := &beamform.Volume{Vol: spec.Volume(), Data: make([]float64, spec.Points())}
+	out := sess.NewVolume()
 	start := time.Now()
 	for i := 0; i < frames; i++ {
-		if err := frame(sess, out); err != nil {
+		if err := sess.Run(out, beamform.Frame{Bufs: txBufs}); err != nil {
 			return nil, err
 		}
 	}

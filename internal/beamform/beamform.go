@@ -3,8 +3,9 @@
 //
 //	s(S) = Σ_D w(S,D) · e(D, tp(O,S,D))
 //
-// over a pluggable delay.Provider, in either of the Algorithm 1 sweep
-// orders, with separable receive apodization and parallel workers. The
+// over a pluggable delay.Provider, with separable receive apodization and
+// parallel workers over depth slices (either Algorithm 1 sweep order gives
+// the same volume, so the engine walks nappes only). The
 // accompanying metrics quantify the paper's §II-A claim that "image quality
 // will be the same regardless of how delays are obtained at runtime, so
 // long as delays are equally accurate".
@@ -90,7 +91,6 @@ type Config struct {
 	Arr     xdcr.Array
 	Conv    delay.Converter
 	Window  xdcr.Window // receive apodization (w in Eq. 1)
-	Order   scan.Order  // sweep order (nappe or scanline)
 	Workers int         // parallel workers; 0 = GOMAXPROCS
 	// Precision selects the session kernel width (zero value =
 	// PrecisionFloat64, the bit-identical golden model).
@@ -220,32 +220,24 @@ func (v *Volume) NappeSlice(id int) []float64 {
 // lifted via delay.ScalarAdapter) and accumulates Eq. 1 by walking the
 // contiguous block. Delays are rounded to integer selection indices exactly
 // as the hardware's rounding adders do, and the volume is bit-identical to
-// BeamformScalar's. It is the single-frame form of Session: a throwaway
-// session beamforms one frame and shuts down. Cine callers should hold a
-// Session instead and amortize the pool (and any delay cache) across
+// BeamformScalar's. It is the one throwaway-session convenience: a session
+// built by NewSession runs the frame and shuts down. Cine callers should
+// hold a Session instead and amortize the pool (and any delay cache) across
 // frames.
 func (e *Engine) Beamform(p delay.Provider, bufs []rf.EchoBuffer) (*Volume, error) {
-	s, err := e.NewSession(p)
+	if p == nil {
+		return nil, errors.New("beamform: nil delay provider")
+	}
+	s, err := e.NewSession([]delay.BlockProvider{delay.AsBlock(p, e.layout())}, nil)
 	if err != nil {
 		return nil, err
 	}
 	defer s.Close()
-	return s.Beamform(bufs)
-}
-
-// BeamformCompound coherently compounds one multi-transmit frame through a
-// throwaway session: ps[t] generates the delays of transmit t and txBufs[t]
-// holds the echoes its insonification produced. The result is bit-identical
-// to beamforming each transmit separately and summing the volumes in
-// transmit order (the float64 compounding contract). Cine callers should
-// hold a Session built with NewSessionProviders instead.
-func (e *Engine) BeamformCompound(ps []delay.Provider, txBufs [][]rf.EchoBuffer) (*Volume, error) {
-	s, err := e.NewSessionProviders(ps)
-	if err != nil {
+	out := s.NewVolume()
+	if err := s.Run(out, Frame{Bufs: [][]rf.EchoBuffer{bufs}}); err != nil {
 		return nil, err
 	}
-	defer s.Close()
-	return s.BeamformCompound(txBufs)
+	return out, nil
 }
 
 // BeamformScalar runs the per-voxel×element reference datapath: one
@@ -256,10 +248,9 @@ func (e *Engine) BeamformScalar(p delay.Provider, bufs []rf.EchoBuffer) (*Volume
 	if err != nil {
 		return nil, err
 	}
-	// Depth slices are independent; parallelize across them regardless of
-	// the logical sweep order (the order affects hardware table walking,
-	// not the numerical result — Algorithm 1's two flavours are equivalent,
-	// which TestOrderInvariance asserts).
+	// Depth slices are independent; parallelize across them. The sweep
+	// order of Algorithm 1 affects hardware table walking, not the
+	// numerical result, so the engine has no order setting.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -1161,127 +1161,3 @@ func FuzzKernelConformance(f *testing.F) {
 		}
 	})
 }
-
-// sessionCase is a session shape of the matrix — one 3-transmit compound
-// frame — and its twin: the frame beamformed by hand through the scalar
-// twins, each transmit's block from its generator, stored on transmit 0
-// and added on the rest; at i16 on the plane rf.PlaneI16 quantizes, as the
-// session's convert phase does. Built once per test binary and kind.
-type sessionCase struct {
-	cfg    Config
-	gens   []delay.BlockProvider
-	rows   func() int64 // the TABLESTEER kind's fused operand rows built so far
-	bufs   [][]rf.EchoBuffer
-	planes [][]int16 // the frame as rf.PlaneI16 quantizes it, per transmit
-	scales []float32
-	twin   *Volume
-}
-
-var sessionCases = map[string]*sessionCase{}
-
-// sessionFor is kind's case: "i16" and "f64" a 9×3×20 grid under the psf
-// aperture with three steered transmits, "steer" the i16 TABLESTEER
-// compound over three axial ones (steerCompound).
-func sessionFor(t *testing.T, kind string) *sessionCase {
-	if sc := sessionCases[kind]; sc != nil {
-		return sc
-	}
-	sc := &sessionCase{}
-	if kind == "steer" {
-		st := newSteerCompound(t, 3, PrecisionInt16)
-		sc.cfg, sc.bufs, sc.rows = st.cfg, st.bufs, st.rows
-		for _, g := range st.gens {
-			sc.gens = append(sc.gens, g)
-		}
-	} else {
-		cfg, _, target := psfSetup(t)
-		cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 20)
-		if kind == "i16" {
-			cfg.Precision = PrecisionInt16
-		}
-		provs, bufs := compoundSetup(t, cfg, delay.SteeredTransmits(3, 0.004, 0.004), target)
-		for _, p := range provs {
-			sc.gens = append(sc.gens, delay.AsBlock(p, delay.Layout{NTheta: 9, NPhi: 3, NX: cfg.Arr.NX, NY: cfg.Arr.NY}))
-		}
-		sc.cfg, sc.bufs = cfg, bufs
-	}
-	eng, vol, win := New(sc.cfg), sc.cfg.Vol, len(sc.bufs[0][0].Samples)
-	sc.twin = &Volume{Vol: vol, Data: make([]float64, vol.Points())}
-	blk := make(delay.Block16, vol.Theta.N*vol.Phi.N*sc.cfg.Arr.Elements())
-	for ti, bufs := range sc.bufs {
-		plane, scale, err := rf.PlaneI16(bufs, win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.planes, sc.scales = append(sc.planes, plane), append(sc.scales, scale)
-		for id := range vol.Depth.N {
-			sc.gens[ti].FillNappe16(id, blk)
-			if sc.cfg.Precision == PrecisionInt16 {
-				eng.accumulateNappe16I16Ref(blk, plane, eng.i16GatherTable(win), id, sc.twin, eng.i16VoxelScale(scale), ti > 0)
-			} else {
-				eng.accumulateNappe16Ref(blk, bufs, id, sc.twin, ti > 0)
-			}
-		}
-	}
-	sessionCases[kind] = sc
-	return sc
-}
-
-// sessionRows runs kind's session on each named route the host offers
-// ("host" is the probes as the host set them) and holds its volumes
-// bitwise to the twin.
-func sessionRows(t *testing.T, kind string, names ...string) {
-	sc := sessionFor(t, kind)
-	ran := 0
-	for i, r := range hostRoutes() {
-		if !slices.Contains(names, r.name) && (i > 0 || !slices.Contains(names, "host")) {
-			continue
-		}
-		got := sc.run(t, r)
-		sameVolumes(t, kind+" session on the "+r.name+" route", got, slices.Repeat([]*Volume{sc.twin}, len(got)))
-		ran++
-	}
-	if ran == 0 {
-		t.Skip("this host offers none of the routes", names)
-	}
-}
-
-// run beamforms the frame through a session on route r, as a buffer batch
-// and, at i16, as a plane batch. The TABLESTEER session must build one
-// fused operand row per (nappe, transmit) and frame exactly where a fused
-// body runs.
-func (sc *sessionCase) run(t *testing.T, r route) []*Volume {
-	defer r.use()()
-	if msg := r.wrongBodies(); msg != "" {
-		t.Fatal(msg)
-	}
-	var rows int64
-	if sc.rows != nil {
-		rows = sc.rows()
-	}
-	sess, err := New(sc.cfg).NewSessionGenerators(sc.gens, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	got := []*Volume{sess.NewVolume()}
-	if err := sess.BeamformBatch(got, [][][]rf.EchoBuffer{sc.bufs}); err != nil {
-		t.Fatal(err)
-	}
-	if sc.cfg.Precision == PrecisionInt16 {
-		got = append(got, sess.NewVolume())
-		if err := sess.BeamformBatchPlanesI16(got[1:], len(sc.bufs[0][0].Samples), [][][]int16{sc.planes}, [][]float32{sc.scales}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if sc.rows != nil {
-		want := int64(0)
-		if fusedSteer() {
-			want = int64(len(got) * sc.cfg.Vol.Depth.N * len(sc.gens))
-		}
-		if rows = sc.rows() - rows; rows != want {
-			t.Errorf("%s route: %d fused operand rows built, want %d", r.name, rows, want)
-		}
-	}
-	return got
-}

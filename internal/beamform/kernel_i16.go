@@ -264,11 +264,6 @@ func (e *Engine) initI16() {
 	e.i16Rescale = e.wqScale * float64(int64(1)<<e.preShift)
 }
 
-// I16Capable reports whether the engine's aperture satisfied the int32
-// accumulator bound — when false, a PrecisionInt16 session demotes every
-// frame to the exact float64 kernel.
-func (e *Engine) I16Capable() bool { return e.i16OK }
-
 // i16VoxelScale folds a frame's quantization step into the engine's fixed
 // rescale: the factor that converts a finished int32 voxel accumulation to
 // the physical Eq. 1 sum.

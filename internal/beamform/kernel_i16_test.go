@@ -1,13 +1,11 @@
 // Tests of the fixed-point i16 kernel beside the conformance matrix
-// (conformance_test.go): its operand table and tile walk, the accumulator
-// bound and its int64 cross-check, the PSNR gates, the plane-batch ingest
-// and its error surface, alloc-freedom and concurrent sessions.
+// (conformance_test.go) and the session matrix (session_test.go): its
+// operand table and tile walk, the accumulator bound and its int64
+// cross-check, the PSNR gates and the per-plane fit rule.
 package beamform
 
 import (
 	"math"
-	"strings"
-	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -30,8 +28,8 @@ func TestI16KernelBody(t *testing.T) {
 
 // TestI16NoAVX2Route is the i16 session row of the matrix with both probes
 // cleared — the route an amd64 host without AVX2 takes — and on the host's
-// route: a 3-transmit compound (store on transmit 0, add on 1 and 2) as a
-// buffer batch and as a plane batch, both == the twin.
+// route: a 3-transmit compound (store on transmit 0, add on 1 and 2) fed
+// as buffers and as planes, through Run and the batch column, == the twin.
 func TestI16NoAVX2Route(t *testing.T) { sessionRows(t, "i16", "ref", "host") }
 
 // TestI16NoAVX512Route is the same row with only the AVX-512 probe cleared:
@@ -242,13 +240,7 @@ func TestPrecisionInt16PSNRGate(t *testing.T) {
 	}
 	c16 := cfg
 	c16.Precision = PrecisionInt16
-	eng := New(c16)
-	sess, err := eng.NewSession(exactProvider(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	fixed, err := sess.Beamform(bufs)
+	fixed, err := New(c16).Beamform(exactProvider(cfg), bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,27 +267,23 @@ func TestPrecisionInt16CompoundPSNR(t *testing.T) {
 	cfg, _, target := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
 	txs := delay.SteeredTransmits(3, 0.004, 0.004)
-	provs, txBufs := compoundSetup(t, cfg, txs, target)
-	goldenSess, err := New(cfg).NewSessionProviders(provs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden, err := goldenSess.BeamformCompound(txBufs)
-	goldenSess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	provs, txBufs := compoundSetup(t, cfg, exactProvider(cfg), txs, target)
 	c16 := cfg
 	c16.Precision = PrecisionInt16
-	sess, err := New(c16).NewSessionProviders(provs)
-	if err != nil {
-		t.Fatal(err)
+	var vols []*Volume
+	for _, c := range []Config{cfg, c16} {
+		gens := make([]delay.BlockProvider, len(provs))
+		for ti, p := range provs {
+			gens[ti] = delay.AsBlock(p, New(c).layout())
+		}
+		sess, err := New(c).NewSession(gens, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vols = append(vols, runFrame(t, sess, txBufs...))
+		sess.Close()
 	}
-	defer sess.Close()
-	fixed, err := sess.BeamformCompound(txBufs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden, fixed := vols[0], vols[1]
 	psnr, err := PeakSignalRatio(golden, fixed)
 	if err != nil {
 		t.Fatal(err)
@@ -303,284 +291,6 @@ func TestPrecisionInt16CompoundPSNR(t *testing.T) {
 	if psnr < 60 {
 		t.Errorf("i16 compound PSNR = %.1f dB, want ≥ 60", psnr)
 	}
-}
-
-// framePlanesI16 flattens single-transmit frames through rf.PlaneI16 —
-// the same quantization contract the session's convert phase applies.
-func framePlanesI16(t *testing.T, frames [][]rf.EchoBuffer, win int) ([][][]int16, [][]float32) {
-	t.Helper()
-	planes := make([][][]int16, len(frames))
-	scales := make([][]float32, len(frames))
-	for k, f := range frames {
-		p, scale, err := rf.PlaneI16(f, win)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planes[k] = [][]int16{p}
-		scales[k] = []float32{scale}
-	}
-	return planes, scales
-}
-
-// TestBatchPlanesI16MatchesBufferBatch is the zero-conversion ingest
-// contract: an i16 plane batch (quantized by rf.PlaneI16, the layout
-// wire.DecodePlaneI16 streams into) must produce exactly the volumes of a
-// buffer batch over the same samples — bit-identical, because the convert
-// phase applies the very same quantization before the same kernel — at
-// every cache budget, interleaved with buffer batches on one session.
-func TestBatchPlanesI16MatchesBufferBatch(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 30)
-	cfg.Precision = PrecisionInt16
-	frames := scaledFrames(bufs, 4)
-	win := len(bufs[0].Samples)
-	planes, scales := framePlanesI16(t, frames, win)
-
-	for _, budget := range []int64{-2, -1, 0} {
-		eng := New(cfg)
-		refSess := batchSession(t, eng, cfg, budget)
-		refs := make([]*Volume, len(frames))
-		for k, f := range frames {
-			v, err := refSess.Beamform(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[k] = v
-		}
-		refSess.Close()
-
-		sess := batchSession(t, eng, cfg, budget)
-		check := func(dsts []*Volume, ks ...int) {
-			t.Helper()
-			for i, k := range ks {
-				for j := range refs[k].Data {
-					if refs[k].Data[j] != dsts[i].Data[j] {
-						t.Fatalf("budget %d: i16 plane frame %d differs from buffer path at %d: %v vs %v",
-							budget, k, j, dsts[i].Data[j], refs[k].Data[j])
-					}
-				}
-			}
-		}
-		planeBatch := func(ks ...int) {
-			t.Helper()
-			dsts := make([]*Volume, len(ks))
-			sub := make([][][]int16, len(ks))
-			sc := make([][]float32, len(ks))
-			for i, k := range ks {
-				dsts[i] = sess.NewVolume()
-				sub[i] = planes[k]
-				sc[i] = scales[k]
-			}
-			if err := sess.BeamformBatchPlanesI16(dsts, win, sub, sc); err != nil {
-				t.Fatal(err)
-			}
-			check(dsts, ks...)
-		}
-		planeBatch(0, 1)
-		planeBatch(2, 3, 0)
-		// Interleave a buffer batch: the convert phase must re-quantize
-		// into its own plane without disturbing the external-plane state.
-		dst := sess.NewVolume()
-		if err := sess.BeamformBatch([]*Volume{dst}, [][][]rf.EchoBuffer{{frames[1]}}); err != nil {
-			t.Fatal(err)
-		}
-		check([]*Volume{dst}, 1)
-		planeBatch(3)
-		if got := sess.Frames(); got != 7 {
-			t.Errorf("budget %d: Frames = %d, want 7", budget, got)
-		}
-		sess.Close()
-	}
-}
-
-// TestBatchPlanesI16Validation pins the i16 plane-batch error surface,
-// including the NaN-pinned and non-finite scales the wire header could
-// in principle carry.
-func TestBatchPlanesI16Validation(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 16)
-	win := len(bufs[0].Samples)
-	plane, scale, err := rf.PlaneI16(bufs, win)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("needs_i16", func(t *testing.T) {
-		c := cfg
-		c.Precision = PrecisionFloat64
-		sess := batchSession(t, New(c), c, -1)
-		defer sess.Close()
-		err := sess.BeamformBatchPlanesI16([]*Volume{sess.NewVolume()}, win,
-			[][][]int16{{plane}}, [][]float32{{scale}})
-		if err == nil || !strings.Contains(err.Error(), "i16") {
-			t.Fatalf("float64 session accepted an i16 plane batch: %v", err)
-		}
-	})
-
-	c := cfg
-	c.Precision = PrecisionInt16
-	sess := batchSession(t, New(c), c, -1)
-	defer sess.Close()
-	one := func(win int, planes [][][]int16, scales [][]float32, dsts ...*Volume) error {
-		if dsts == nil {
-			dsts = []*Volume{sess.NewVolume()}
-		}
-		return sess.BeamformBatchPlanesI16(dsts, win, planes, scales)
-	}
-	cases := []struct {
-		name string
-		run  func() error
-	}{
-		{"zero_window", func() error {
-			return one(0, [][][]int16{{plane}}, [][]float32{{scale}})
-		}},
-		{"window_over_max", func() error {
-			return one(delay.MaxEchoWindow+1, [][][]int16{{plane}}, [][]float32{{scale}})
-		}},
-		{"transmit_count", func() error {
-			return one(win, [][][]int16{{plane, plane}}, [][]float32{{scale, scale}})
-		}},
-		{"scale_arity", func() error {
-			return one(win, [][][]int16{{plane}}, [][]float32{{scale, scale}})
-		}},
-		{"short_plane", func() error {
-			return one(win, [][][]int16{{plane[:10]}}, [][]float32{{scale}})
-		}},
-		{"zero_scale", func() error {
-			return one(win, [][][]int16{{plane}}, [][]float32{{0}})
-		}},
-		{"negative_scale", func() error {
-			return one(win, [][][]int16{{plane}}, [][]float32{{-1}})
-		}},
-		{"nan_scale", func() error {
-			return one(win, [][][]int16{{plane}}, [][]float32{{float32(math.NaN())}})
-		}},
-		{"inf_scale", func() error {
-			return one(win, [][][]int16{{plane}}, [][]float32{{float32(math.Inf(1))}})
-		}},
-		{"dst_count", func() error {
-			return sess.BeamformBatchPlanesI16([]*Volume{sess.NewVolume()}, win,
-				[][][]int16{{plane}, {plane}}, [][]float32{{scale}, {scale}})
-		}},
-		{"nil_dst", func() error {
-			return sess.BeamformBatchPlanesI16([]*Volume{nil}, win,
-				[][][]int16{{plane}}, [][]float32{{scale}})
-		}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.run(); err == nil {
-				t.Fatal("invalid i16 plane batch accepted")
-			}
-		})
-	}
-}
-
-// TestSessionInt16SteadyStateAllocFree extends the alloc-free criterion
-// to the fixed-point path: once the int16 plane exists and blocks are
-// resident, i16 frames allocate nothing.
-func TestSessionInt16SteadyStateAllocFree(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
-	cfg.Precision = PrecisionInt16
-	eng := New(cfg)
-	cache := fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N)
-	cache.Warm()
-	sess := cachedSession(t, eng, cache)
-	defer sess.Close()
-	out := &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
-	if err := sess.BeamformInto(out, bufs); err != nil { // warm: sizes plane
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := sess.BeamformInto(out, bufs); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > 0 {
-		t.Errorf("steady-state i16 BeamformInto allocates %.1f objects/frame, want 0", avg)
-	}
-}
-
-// TestBatchPlanesI16SteadyStateAllocFree holds the plane-ingest entry to
-// the same criterion: once the window's operand table exists, an i16 plane
-// batch over resident blocks allocates nothing — the native body's int32
-// row belongs to the worker, not to the call.
-func TestBatchPlanesI16SteadyStateAllocFree(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 16)
-	cfg.Precision = PrecisionInt16
-	cache := fullCache(t, exactProvider(cfg), cfg.Vol.Depth.N)
-	cache.Warm()
-	sess := cachedSession(t, New(cfg), cache)
-	defer sess.Close()
-	win := len(bufs[0].Samples)
-	planes, scales := framePlanesI16(t, [][]rf.EchoBuffer{bufs}, win)
-	dsts := []*Volume{sess.NewVolume()}
-	run := func() {
-		if err := sess.BeamformBatchPlanesI16(dsts, win, planes, scales); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run() // warm: builds the operand table
-	if avg := testing.AllocsPerRun(20, run); avg > 0 {
-		t.Errorf("steady-state BeamformBatchPlanesI16 allocates %.1f objects/batch, want 0", avg)
-	}
-}
-
-// TestI16ConcurrentSessions runs several fixed-point sessions of one
-// engine at once (each with its own worker pool, all reading the engine's
-// weight tables) and holds every volume to a sequentially computed one.
-// Under -race this is the proof that the kernel's only shared state is
-// read-only.
-func TestI16ConcurrentSessions(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 24)
-	cfg.Precision = PrecisionInt16
-	cfg.Workers = 2
-	eng := New(cfg)
-	frames := scaledFrames(bufs, 3)
-	want := make([]*Volume, len(frames))
-	ref, err := eng.NewSession(exactProvider(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, f := range frames {
-		if want[k], err = ref.Beamform(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref.Close()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sess, err := eng.NewSession(exactProvider(cfg))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer sess.Close()
-			out := sess.NewVolume()
-			for round := 0; round < 3; round++ {
-				for k, f := range frames {
-					if err := sess.BeamformInto(out, f); err != nil {
-						t.Error(err)
-						return
-					}
-					for i := range out.Data {
-						if out.Data[i] != want[k].Data[i] {
-							t.Errorf("session %d frame %d voxel %d: %v != %v", g, k, i, out.Data[i], want[k].Data[i])
-							return
-						}
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestPlaneFitRuleIsPerPlane: the i16 kernel's int32 row offsets index one
@@ -593,7 +303,7 @@ func TestI16ConcurrentSessions(t *testing.T) {
 func TestPlaneFitRuleIsPerPlane(t *testing.T) {
 	const nTx, win = 16, delay.MaxEchoWindow
 	eng := New(Config{Arr: xdcr.NewArray(100, 100, 0.385e-3/2), Window: xdcr.Hann, Precision: PrecisionInt16})
-	if !eng.I16Capable() {
+	if !eng.i16OK {
 		t.Fatal("a 100×100 Hann aperture should meet the int32 accumulator bound")
 	}
 	elems := eng.Cfg.Arr.Elements()

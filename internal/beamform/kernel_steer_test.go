@@ -10,7 +10,6 @@ package beamform
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -57,15 +56,20 @@ type unfusedProvider struct{ delay.BlockProvider }
 
 // countingSteer counts the fused route's per-nappe operand builds — the
 // route pin: one call per non-resident (nappe, transmit) per frame where the
-// fused body runs, none anywhere else.
+// fused body runs, none anywhere else — and the block fills.
 type countingSteer struct {
 	*tablesteer.Provider
-	rows atomic.Int64
+	rows, fills atomic.Int64
 }
 
 func (c *countingSteer) SteerRows(id int, ry []int32) {
 	c.rows.Add(1)
 	c.Provider.SteerRows(id, ry)
+}
+
+func (c *countingSteer) FillNappe16(id int, dst delay.Block16) {
+	c.fills.Add(1)
+	c.Provider.FillNappe16(id, dst)
 }
 
 // steerCompound is a TABLESTEER compound setup: the psf aperture over a
@@ -119,12 +123,13 @@ func (sc *steerCompound) session(t *testing.T, fused bool, budget int64) (*Sessi
 	}
 	var cache *delaycache.Cache
 	if budget >= -1 {
-		var err error
-		if cache, err = delaycache.New(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: budget}); err != nil {
+		store, err := delaycache.NewShared(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: budget})
+		if err != nil {
 			t.Fatal(err)
 		}
+		cache = store.Attach()
 	}
-	sess, err := New(sc.cfg).NewSessionGenerators(blocks, cache)
+	sess, err := New(sc.cfg).NewSession(blocks, cache)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +145,7 @@ func (sc *steerCompound) frames(t *testing.T, n int) ([][][]rf.EchoBuffer, [][][
 	scales := make([][]float32, n)
 	for k := range bufs {
 		for _, tx := range sc.bufs {
-			f := scaledFrames(tx, k+1)[k]
+			f := scaledEchoes(tx, 1+0.25*float64(k), sc.win)
 			p, s, err := rf.PlaneI16(f, sc.win)
 			if err != nil {
 				t.Fatal(err)
@@ -340,105 +345,11 @@ func TestFusedSteerRoutes(t *testing.T) {
 		}
 		c := &countingSteer{Provider: p}
 		cfg.Precision = PrecisionInt16
-		sess, err := New(cfg).NewSession(c)
-		if err != nil {
+		if _, err := New(cfg).Beamform(c, bufs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sess.Beamform(bufs); err != nil {
-			t.Fatal(err)
-		}
-		sess.Close()
 		if n := c.rows.Load(); n != 0 {
 			t.Errorf("%s: i16 session built %d fused operand rows", name, n)
 		}
 	}
-}
-
-// TestFusedSteerSteadyStateAllocFree: an uncached TABLESTEER i16 session —
-// every nappe on the fused route — allocates nothing per frame once warm,
-// plane-fed or buffer-fed: ry is the worker's, and SteerRows unfolds into
-// its last row.
-func TestFusedSteerSteadyStateAllocFree(t *testing.T) {
-	sc := newSteerCompound(t, 2, PrecisionInt16)
-	bufs, planes, scales := sc.frames(t, 1)
-	sess, _ := sc.session(t, true, -2)
-	defer sess.Close()
-	dst := sess.NewVolume()
-	dsts := []*Volume{dst}
-	runs := map[string]func(){
-		"planes":  func() { _ = sess.BeamformBatchPlanesI16(dsts, sc.win, planes, scales) },
-		"buffers": func() { _ = sess.BeamformCompoundInto(dst, bufs[0]) },
-	}
-	for name, run := range runs {
-		run() // warm: sizes the plane, builds the operand table
-		if avg := testing.AllocsPerRun(10, run); avg > 0 {
-			t.Errorf("steady-state fused %s batch allocates %.1f objects, want 0", name, avg)
-		}
-	}
-}
-
-// TestFusedSteerConcurrentSessions runs several i16 sessions at once over
-// one set of generators — uncached, and attached to one shared half-budget
-// store — and holds every volume to a sequentially computed one. Under
-// -race this is the proof that the tiled x table, the generators' tables
-// and the store are only read by the fused route.
-func TestFusedSteerConcurrentSessions(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		sc := newSteerCompound(t, 3, PrecisionInt16)
-		bufs, _, _ := sc.frames(t, 2)
-		ref, _ := sc.session(t, false, -2)
-		want := make([]*Volume, len(bufs))
-		for k, f := range bufs {
-			want[k] = ref.NewVolume()
-			if err := ref.BeamformCompoundInto(want[k], f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ref.Close()
-		blocks := make([]delay.BlockProvider, len(sc.gens))
-		for i, g := range sc.gens {
-			blocks[i] = g
-		}
-		blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
-		shared, err := delaycache.NewShared(delaycache.Config{Providers: blocks, Depths: sc.depth, BudgetBytes: int64(sc.depth) * blockBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				var c *delaycache.Cache
-				if g%2 == 1 {
-					c = shared.Attach()
-					defer c.Detach()
-				}
-				cfg := sc.cfg
-				cfg.Workers = 2
-				sess, err := New(cfg).NewSessionGenerators(blocks, c)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				defer sess.Close()
-				out := sess.NewVolume()
-				for round := 0; round < 2; round++ {
-					for k, f := range bufs {
-						if err := sess.BeamformCompoundInto(out, f); err != nil {
-							t.Error(err)
-							return
-						}
-						for i := range out.Data {
-							if out.Data[i] != want[k].Data[i] {
-								t.Errorf("session %d frame %d voxel %d: %v != %v", g, k, i, out.Data[i], want[k].Data[i])
-								return
-							}
-						}
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	})
 }

@@ -14,68 +14,6 @@ import (
 	"ultrabeam/internal/scan"
 )
 
-// fullCache returns a full-budget delay cache over the single generator
-// gen: every nappe is resident once touched.
-func fullCache(t testing.TB, gen delay.BlockProvider, depths int) *delaycache.Cache {
-	t.Helper()
-	c, err := delaycache.New(delaycache.Config{
-		Providers: []delay.BlockProvider{gen}, Depths: depths, BudgetBytes: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// cachedSession builds a session over cache and the generators its store
-// fills from.
-func cachedSession(t testing.TB, eng *Engine, cache *delaycache.Cache) *Session {
-	t.Helper()
-	sess, err := eng.NewSessionGenerators(cache.Shared().Generators(), cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sess
-}
-
-// TestPrecisionFloat64BitIdentical pins the tentpole's exactness claim:
-// the default narrow-delay session — int16 blocks filled by the generator
-// or served resident from a delay cache — reproduces the scalar float64
-// reference bit for bit.
-func TestPrecisionFloat64BitIdentical(t *testing.T) {
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
-	eng := New(cfg)
-	p := exactProvider(cfg)
-	ref, err := eng.BeamformScalar(p, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	native16, err := eng.NewSession(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessions := map[string]*Session{
-		"native16":   native16,
-		"resident16": cachedSession(t, eng, fullCache(t, p, cfg.Vol.Depth.N)),
-	}
-	for name, sess := range sessions {
-		for frame := 0; frame < 2; frame++ {
-			vol, err := sess.Beamform(bufs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range ref.Data {
-				if ref.Data[i] != vol.Data[i] {
-					t.Fatalf("%s frame %d differs at %d: %v vs %v",
-						name, frame, i, vol.Data[i], ref.Data[i])
-				}
-			}
-		}
-		sess.Close()
-	}
-}
-
 // TestHugeEchoWindowFallsBackWide: a window beyond delay.MaxEchoWindow
 // defeats int16 echo indexing, so the session must fall back to the wide
 // (float64) echo kernel over its int16 delay blocks — at every precision —
@@ -99,12 +37,7 @@ func TestHugeEchoWindowFallsBackWide(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := eng.NewSession(exactProvider(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		vol, err := sess.Beamform(bufs)
-		sess.Close()
+		vol, err := eng.Beamform(exactProvider(c), bufs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,17 +73,21 @@ func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) {
 		}
 		gens = append(gens, p.(delay.BlockProvider))
 	}
-	cache, err := delaycache.New(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
+	store, err := delaycache.NewShared(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := cachedSession(t, New(cfg), cache)
+	cache := store.Attach()
+	sess, err := New(cfg).NewSession(gens, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer sess.Close()
 	dst := sess.NewVolume()
 	perFrame := int64(cfg.Vol.Depth.N * len(gens))
 	for frame := 0; frame < 3; frame++ {
 		before := cache.Stats()
-		if err := sess.BeamformCompoundInto(dst, [][]rf.EchoBuffer{bufs, bufs}); err != nil {
+		if err := sess.Run(dst, Frame{Bufs: [][]rf.EchoBuffer{bufs, bufs}}); err != nil {
 			t.Fatal(err)
 		}
 		after := cache.Stats()
@@ -258,21 +195,20 @@ func TestLongEchoWindowMatchesScalar(t *testing.T) {
 					name := fmt.Sprintf("%s/%dtx/%v/cached=%t", g.name, nTx, prec, cached)
 					var cache *delaycache.Cache
 					if cached {
-						if cache, err = delaycache.New(delaycache.Config{
+						store, err := delaycache.NewShared(delaycache.Config{
 							Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1,
-						}); err != nil {
+						})
+						if err != nil {
 							t.Fatal(err)
 						}
+						cache = store.Attach()
 					}
-					sess, err := eng.NewSessionGenerators(gens, cache)
+					sess, err := eng.NewSession(gens, cache)
 					if err != nil {
 						t.Fatal(err)
 					}
 					for frame := 0; frame < 2; frame++ {
-						vol := sess.NewVolume()
-						if err := sess.BeamformCompoundInto(vol, txBufs[:nTx]); err != nil {
-							t.Fatal(err)
-						}
+						vol := runFrame(t, sess, txBufs[:nTx]...)
 						for i := range ref.Data {
 							if math.Float64bits(vol.Data[i]) != math.Float64bits(ref.Data[i]) {
 								t.Fatalf("%s frame %d: voxel %d = %v, scalar %v", name, frame, i, vol.Data[i], ref.Data[i])
@@ -306,12 +242,7 @@ func TestNonUniformWindowsDemoteI16(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := eng.NewSession(exactProvider(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	vol, err := sess.Beamform(ragged)
+	vol, err := eng.Beamform(exactProvider(c), ragged)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +264,7 @@ func TestNarrowKernelMasksOutOfWindow(t *testing.T) {
 	eng := New(c)
 	// An origin displaced 10 m away pushes every delay beyond any buffer.
 	far := delay.NewExact(c.Vol, c.Arr, geom.Vec3{Z: -10}, c.Conv)
-	sess, err := eng.NewSession(far)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	vol, err := sess.Beamform(bufs)
+	vol, err := eng.Beamform(far, bufs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // (worker spawn, nappe buffers, output volume) and, with a delay-cache
 // attachment, delay generation itself are all amortizable across frames.
 // Session keeps a worker pool and per-worker nappe buffers alive between
-// frames, and its steady-state BeamformInto performs no allocation at all:
-// frame dispatch is a token send per worker on prebuilt channels.
+// frames, and its steady-state Run performs no allocation at all: frame
+// dispatch is a token send per worker on prebuilt channels.
 //
 // The session's one delay datapath is narrow: workers fill and
 // consume delay.Block16 selection indices — 2 bytes per delay instead of
@@ -72,11 +72,10 @@ const (
 
 // Session is a reusable multi-frame beamformer: one geometry, one delay
 // generator per transmit, at most one delay-cache attachment, a persistent
-// worker pool. Run beamforms one Frame; Beamform / BeamformInto
-// (single insonification) and BeamformCompound / BeamformCompoundInto
-// (compound) are its echo-buffer forms; Close releases the workers. A
-// Session must not be used concurrently — one frame is in flight at a time
-// (the parallelism is inside the frame).
+// worker pool. Run is the one way it beamforms a frame, single or compound,
+// echo buffers or int16 planes; Close releases the workers. A Session must
+// not be used concurrently — one frame is in flight at a time (the
+// parallelism is inside the frame).
 type Session struct {
 	eng     *Engine
 	gens    []delay.BlockProvider // one generator per transmit
@@ -96,10 +95,6 @@ type Session struct {
 	out    *Volume // its destination volume
 	narrow bool    // every int16 delay index is exact for this frame's window
 	useI16 bool    // accumulate through the fixed-point i16 kernel this frame
-
-	// tx1 is the persistent wrapper BeamformInto reuses so the
-	// steady-state single-insonification frame stays allocation-free.
-	tx1 [1][]rf.EchoBuffer
 
 	// The i16 kernel's guarded echo planes (PrecisionInt16) for buffer
 	// frames: one guarded row of flatWin+1 quantized samples per element,
@@ -122,35 +117,15 @@ type Session struct {
 	closed     bool
 }
 
-// NewSession builds a single-transmit session running the engine's block
-// datapath over p (plain Providers are lifted via delay.AsBlock) and spawns
-// the worker pool. Callers own the session lifecycle: Close it when the
-// cine sequence ends.
-func (e *Engine) NewSession(p delay.Provider) (*Session, error) {
-	return e.NewSessionProviders([]delay.Provider{p})
-}
-
-// NewSessionProviders builds an uncached session over one delay provider
-// per transmit of a compounding set: ps[t] generates the delays of transmit
-// t (derive the set with delay.ForTransmits). A single-entry list is the
-// plain single-insonification session.
-func (e *Engine) NewSessionProviders(ps []delay.Provider) (*Session, error) {
-	gens := make([]delay.BlockProvider, len(ps))
-	for t, p := range ps {
-		if p == nil {
-			return nil, fmt.Errorf("beamform: nil delay provider for transmit %d", t)
-		}
-		gens[t] = delay.AsBlock(p, e.layout())
-	}
-	return e.NewSessionGenerators(gens, nil)
-}
-
-// NewSessionGenerators builds a session over one block generator per
-// transmit and, when cache is non-nil, one delay-cache attachment whose
-// store fills from those same generators (Shared.Generators): each
-// (transmit, nappe) block comes from the attachment when resident and from
-// gens[t] otherwise. The session does not Detach the attachment.
-func (e *Engine) NewSessionGenerators(gens []delay.BlockProvider, cache *delaycache.Cache) (*Session, error) {
+// NewSession builds a session over one block generator per transmit of a
+// compounding set (a single entry for one insonification; derive a set
+// with delay.ForTransmits and lift plain Providers with delay.AsBlock) and,
+// when cache is non-nil, one delay-cache attachment whose store fills from
+// those same generators (Shared.Generators): each (transmit, nappe) block
+// comes from the attachment when resident and from gens[t] otherwise. It
+// spawns the worker pool; the caller Closes the session when the cine
+// sequence ends. The session does not Detach the attachment.
+func (e *Engine) NewSession(gens []delay.BlockProvider, cache *delaycache.Cache) (*Session, error) {
 	layout := e.layout()
 	if !layout.Valid() {
 		return nil, fmt.Errorf("beamform: invalid nappe layout %v", layout)
@@ -313,22 +288,6 @@ func (s *Session) Workers() int { return s.workers }
 // stats endpoint can scrape live sessions.
 func (s *Session) Frames() int64 { return s.beamformed.Load() }
 
-// CacheStats returns the session's delay-cache attachment snapshot, and
-// ok=false when the session is uncached. Like Frames, it is safe to call
-// concurrently with a frame in flight — the cache counters are atomic —
-// which is what lets a serving frontend's /stats endpoint scrape live
-// sessions without stopping them.
-func (s *Session) CacheStats() (st delaycache.Stats, ok bool) {
-	if s.cache == nil {
-		return delaycache.Stats{}, false
-	}
-	return s.cache.Stats(), true
-}
-
-// Transmits returns the per-frame insonification count (1 for a plain
-// session).
-func (s *Session) Transmits() int { return len(s.gens) }
-
 // Frame is one compound frame in the form it reaches the session: float64
 // echo buffers (Bufs[t][element], the golden form every precision takes),
 // or guarded int16 planes — the layout the convert phase builds and
@@ -394,8 +353,10 @@ func (e *Engine) datapath(sh Shape) (narrow, i16 bool) {
 
 // Run beamforms one compound frame into dst, reusing dst.Data in place:
 // each depth slice runs store-then-add in transmit order, so the volume is
-// the coherent sum of the per-transmit beamformations. dst must carry the
-// session's grid. A plane frame is bit-identical to the buffer frame
+// the coherent sum of the per-transmit beamformations (a single-transmit
+// frame is a compound of one). dst must carry the session's grid. Once a
+// window's first frame has sized the i16 planes (and warmed any cache), Run
+// allocates nothing. A plane frame is bit-identical to the buffer frame
 // that quantizes to the same int16 samples and scales. It needs
 // Precision=i16 and a window within delay.MaxEchoWindow; on an engine
 // whose aperture defeated the int32 accumulator bound it is widened to
@@ -505,9 +466,10 @@ func widen(f Frame) Frame {
 	return out
 }
 
-// BeamformBatch runs float64 echo sets frame by frame: batch[k][t] holds
-// the echo buffers of frame k recorded after insonification t, and dsts[k]
-// receives its volume.
+// BeamformBatch runs float64 echo sets through Run frame by frame:
+// batch[k][t] holds the echo buffers of frame k recorded after
+// insonification t, and dsts[k] receives its volume. It is a loop over Run
+// kept for the benchmark's per-layer replay; nothing else calls it.
 func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error {
 	if len(dsts) != len(batch) {
 		return fmt.Errorf("beamform: %d destination volumes for %d frames", len(dsts), len(batch))
@@ -520,9 +482,10 @@ func (s *Session) BeamformBatch(dsts []*Volume, batch [][][]rf.EchoBuffer) error
 	return nil
 }
 
-// BeamformBatchPlanesI16 runs guarded int16 planes frame by frame:
-// planes[k][t] and scales[k][t] are frame k / transmit t, every plane of
-// window win, and dsts[k] receives frame k's volume.
+// BeamformBatchPlanesI16 runs guarded int16 planes through Run frame by
+// frame: planes[k][t] and scales[k][t] are frame k / transmit t, every
+// plane of window win, and dsts[k] receives frame k's volume. Like
+// BeamformBatch it is a benchmark-only loop over Run.
 func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]int16, scales [][]float32) error {
 	if len(dsts) != len(planes) || len(scales) != len(planes) {
 		return fmt.Errorf("beamform: %d destination volumes and %d scale sets for %d frames", len(dsts), len(scales), len(planes))
@@ -547,57 +510,12 @@ func (s *Session) sizePlanes(win, planeLen int) {
 	s.i16Tab = s.eng.i16GatherTable(win)
 }
 
-// BeamformCompoundInto beamforms one compound frame into dst, reusing
-// dst.Data in place: txBufs[t] holds the echo buffers recorded after
-// insonification t, and the output volume is the coherent sum of the
-// per-transmit beamformations in transmit order. With one transmit this is
-// exactly BeamformInto. The steady state performs no allocation (after the
-// first frame sizes any cache and, on the i16 path, the quantized echo
-// planes). dst must carry the session's volume grid.
-func (s *Session) BeamformCompoundInto(dst *Volume, txBufs [][]rf.EchoBuffer) error {
-	return s.Run(dst, Frame{Bufs: txBufs})
-}
-
 // NewVolume allocates an output volume on the session's grid — the
-// destination shape BeamformInto / Run expect. Serving callers allocate
+// destination shape Run expects. Serving callers allocate
 // destinations through this instead of knowing the engine's volume
 // configuration.
 func (s *Session) NewVolume() *Volume {
 	return &Volume{Vol: s.eng.Cfg.Vol, Data: make([]float64, s.eng.Cfg.Vol.Points())}
-}
-
-// BeamformCompound beamforms one compound frame into a fresh volume.
-func (s *Session) BeamformCompound(txBufs [][]rf.EchoBuffer) (*Volume, error) {
-	out := s.NewVolume()
-	if err := s.BeamformCompoundInto(out, txBufs); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BeamformInto beamforms one single-insonification frame from bufs into
-// dst, reusing dst.Data in place. This is the allocation-free steady state:
-// after the first frame (which may warm a cache, and on the i16 path sizes
-// the quantized echo plane) no allocation occurs on this path. dst
-// must carry the session's volume grid. It requires a single-transmit
-// session; compound sessions beamform via BeamformCompoundInto.
-func (s *Session) BeamformInto(dst *Volume, bufs []rf.EchoBuffer) error {
-	if len(s.gens) != 1 {
-		return fmt.Errorf("beamform: session compounds %d transmits; use BeamformCompoundInto", len(s.gens))
-	}
-	s.tx1[0] = bufs
-	err := s.BeamformCompoundInto(dst, s.tx1[:])
-	s.tx1[0] = nil
-	return err
-}
-
-// Beamform beamforms one frame into a freshly allocated volume.
-func (s *Session) Beamform(bufs []rf.EchoBuffer) (*Volume, error) {
-	out := s.NewVolume()
-	if err := s.BeamformInto(out, bufs); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Close stops the worker pool. The session is unusable afterwards; Close is

@@ -162,31 +162,13 @@ func (s SystemSpec) NewTableSteer(bits int) *tablesteer.Provider {
 	return tablesteer.New(cfg)
 }
 
-// NewBeamformer returns a delay-and-sum engine for this system.
+// NewBeamformer returns a delay-and-sum engine for this system. order
+// names the Algorithm 1 sweep; every order yields the same volume (depth
+// slices are independent), so the engine does not keep it.
 func (s SystemSpec) NewBeamformer(w xdcr.Window, order scan.Order) *beamform.Engine {
 	return beamform.New(beamform.Config{
-		Vol: s.Volume(), Arr: s.Array(), Conv: s.Converter(),
-		Window: w, Order: order,
+		Vol: s.Volume(), Arr: s.Array(), Conv: s.Converter(), Window: w,
 	})
-}
-
-// NewSession returns a persistent multi-frame beamforming session over p:
-// the worker pool and per-worker nappe buffers live across frames. Close it
-// when the cine sequence ends.
-func (s SystemSpec) NewSession(w xdcr.Window, p delay.Provider) (*beamform.Session, error) {
-	return s.NewBeamformer(w, scan.NappeOrder).NewSession(p)
-}
-
-// NewCachedSession returns a session whose delay generation is amortized
-// across frames through a delaycache.Cache with the given byte budget
-// (negative = unlimited / full residency; see delaycache.BudgetFromBanks
-// for the paper's BRAM-derived design point). Frame 0 warms the cache;
-// later frames skip generation for every resident nappe. The cache is
-// returned alongside the session for Stats inspection.
-func (s SystemSpec) NewCachedSession(w xdcr.Window, p delay.Provider, budgetBytes int64) (*beamform.Session, *delaycache.Cache, error) {
-	return s.NewSessionConfig(SessionConfig{
-		Window: w, Cached: true, CacheBudget: budgetBytes,
-	}, p)
 }
 
 // SessionConfig selects the datapath of a session built by
@@ -208,67 +190,70 @@ type SessionConfig struct {
 // NewSharedCache builds a sharable delay block store for this spec and
 // session configuration, which any number of sessions can attach to
 // concurrently: each takes a store.Attach() view and runs
-// Engine.NewSessionGenerators(store.Generators(), view). The provider
-// derivation matches the private-cache path of NewSessionConfig exactly, so
-// attached sessions are bit-identical to sessions owning a private cache of
-// the same budget.
+// Engine.NewSession(store.Generators(), view). The generators are the ones
+// NewSessionConfig lifts, so attached sessions are bit-identical to
+// sessions owning a private cache of the same budget.
 func (s SystemSpec) NewSharedCache(cfg SessionConfig, p delay.Provider) (*delaycache.Shared, error) {
-	provs, err := s.transmitProviders(cfg, p)
+	gens, err := s.generators(cfg, p)
 	if err != nil {
 		return nil, err
 	}
-	vol := s.Volume()
-	layout := delay.Layout{NTheta: vol.Theta.N, NPhi: vol.Phi.N, NX: s.ElemX, NY: s.ElemY}
-	blocks := make([]delay.BlockProvider, len(provs))
-	for t, q := range provs {
-		blocks[t] = delay.AsBlock(q, layout)
-	}
 	return delaycache.NewShared(delaycache.Config{
-		Providers: blocks, Depths: vol.Depth.N,
-		BudgetBytes: cfg.CacheBudget,
+		Providers: gens, Depths: s.FocalDepth, BudgetBytes: cfg.CacheBudget,
 	})
 }
 
-// transmitProviders derives the per-transmit provider set of a session
-// configuration (the single-entry set when cfg.Transmits is empty).
-func (s SystemSpec) transmitProviders(cfg SessionConfig, p delay.Provider) ([]delay.Provider, error) {
+// generators derives the per-transmit block generators of a session
+// configuration — p's own emission origin when cfg.Transmits is empty,
+// else one variant of p per transmit (delay.ForTransmits) — lifted onto
+// this spec's nappe layout.
+func (s SystemSpec) generators(cfg SessionConfig, p delay.Provider) ([]delay.BlockProvider, error) {
 	if p == nil {
 		return nil, fmt.Errorf("core: nil delay provider")
 	}
-	if len(cfg.Transmits) == 0 {
-		return []delay.Provider{p}, nil
+	provs := []delay.Provider{p}
+	if len(cfg.Transmits) > 0 {
+		var err error
+		if provs, err = delay.ForTransmits(p, cfg.Transmits); err != nil {
+			return nil, fmt.Errorf("core: %w", err)
+		}
 	}
-	provs, err := delay.ForTransmits(p, cfg.Transmits)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+	layout := delay.Layout{NTheta: s.FocalTheta, NPhi: s.FocalPhi, NX: s.ElemX, NY: s.ElemY}
+	gens := make([]delay.BlockProvider, len(provs))
+	for t, q := range provs {
+		gens[t] = delay.AsBlock(q, layout)
 	}
-	return provs, nil
+	return gens, nil
 }
 
 // NewSessionConfig builds a session with an explicit datapath
-// configuration. The returned cache is the session's attachment to a fresh
-// private store under cfg.Cached, and nil when the session is uncached; a
-// cached session runs the store's own generators for the blocks the store
-// does not hold.
+// configuration — the one way to build a session from a spec. The returned cache
+// is the session's attachment to a fresh private store under cfg.Cached,
+// and nil when the session is uncached; a cached session runs the store's
+// own generators for the blocks the store does not hold. Close the session
+// when the cine sequence ends.
 func (s SystemSpec) NewSessionConfig(cfg SessionConfig, p delay.Provider) (*beamform.Session, *delaycache.Cache, error) {
 	eng := s.NewBeamformer(cfg.Window, scan.NappeOrder)
 	eng.Cfg.Precision = cfg.Precision
-	if !cfg.Cached {
-		provs, err := s.transmitProviders(cfg, p)
-		if err != nil {
-			return nil, nil, err
+	var gens []delay.BlockProvider
+	var cache *delaycache.Cache
+	var err error
+	if cfg.Cached {
+		var store *delaycache.Shared
+		if store, err = s.NewSharedCache(cfg, p); err == nil {
+			gens, cache = store.Generators(), store.Attach()
 		}
-		sess, err := eng.NewSessionProviders(provs)
-		return sess, nil, err
+	} else {
+		gens, err = s.generators(cfg, p)
 	}
-	store, err := s.NewSharedCache(cfg, p)
 	if err != nil {
 		return nil, nil, err
 	}
-	cache := store.Attach()
-	sess, err := eng.NewSessionGenerators(store.Generators(), cache)
+	sess, err := eng.NewSession(gens, cache)
 	if err != nil {
-		cache.Detach()
+		if cache != nil {
+			cache.Detach()
+		}
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
 	return sess, cache, nil

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sync"
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/beamform"
@@ -116,7 +116,7 @@ func TestNewBeamformer(t *testing.T) {
 	if eng.Cfg.Vol.Points() != s.Points() {
 		t.Error("beamformer volume mismatch")
 	}
-	if eng.Cfg.Window != xdcr.Hann || eng.Cfg.Order != scan.NappeOrder {
+	if eng.Cfg.Window != xdcr.Hann {
 		t.Error("beamformer config not applied")
 	}
 }
@@ -127,10 +127,13 @@ func TestSpecString(t *testing.T) {
 	}
 }
 
-func TestNewCachedSessionBitIdentity(t *testing.T) {
-	// A cached cine through the facade constructors must be bit-identical to
-	// the scalar reference on every frame, at full and partial residency —
-	// the core-level member of the TestPathInvariance family.
+// TestNewSessionConfigTransmits: NewSessionConfig lifts one generator set
+// on its uncached and cached paths and for NewSharedCache — a session of
+// each, and one attached to a shared store, beamform a two-transmit frame
+// to the same non-zero volume — keys the cache by the whole transmit set,
+// and refuses a nil provider, or a transmit set the architecture cannot
+// represent, when it builds rather than when it beamforms.
+func TestNewSessionConfigTransmits(t *testing.T) {
 	s := ReducedSpec()
 	s.ElemX, s.ElemY = 8, 8
 	s.FocalTheta, s.FocalPhi, s.FocalDepth = 9, 3, 10
@@ -142,80 +145,48 @@ func TestNewCachedSessionBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := s.NewBeamformer(xdcr.Hann, scan.NappeOrder)
-	ref, err := eng.BeamformScalar(s.NewExact(), bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockBytes := int64(s.FocalTheta*s.FocalPhi*s.Elements()) * 8
-	for name, budget := range map[string]int64{
-		"full": -1, "half": blockBytes * int64(s.FocalDepth) / 2, "none": 0,
-	} {
-		sess, cache, err := s.NewCachedSession(xdcr.Hann, s.NewExact(), budget)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for frame := 0; frame < 3; frame++ {
-			vol, err := sess.Beamform(bufs)
-			if err != nil {
-				t.Fatalf("%s frame %d: %v", name, frame, err)
-			}
-			for i := range ref.Data {
-				if ref.Data[i] != vol.Data[i] {
-					t.Fatalf("%s frame %d: differs from scalar reference at %d",
-						name, frame, i)
-				}
-			}
-		}
-		st := cache.Stats()
-		if name == "full" {
-			if !cache.Shared().FullResidency() {
-				t.Error("unlimited budget must reach full residency")
-			}
-			if st.Hits != int64(2*s.FocalDepth) {
-				t.Errorf("full residency hits = %d, want %d", st.Hits, 2*s.FocalDepth)
-			}
-		}
-		sess.Close()
-	}
-	if _, _, err := s.NewCachedSession(xdcr.Hann, nil, -1); err == nil {
-		t.Error("nil provider must fail")
-	}
-}
-
-func TestNewSession(t *testing.T) {
-	s := ReducedSpec()
-	sess, err := s.NewSession(xdcr.Hann, s.NewExact())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.Workers() < 1 {
-		t.Error("session has no workers")
-	}
-	if _, err := s.NewSession(xdcr.Hann, nil); err == nil {
-		t.Error("nil provider must fail")
-	}
-}
-
-func TestNewSessionConfigTransmits(t *testing.T) {
-	s := ReducedSpec()
-	s.ElemX, s.ElemY = 8, 8
-	s.FocalTheta, s.FocalPhi, s.FocalDepth = 9, 3, 10
-	s.DepthLambda = 60
 	txs := delay.SteeredTransmits(2, s.Aperture()/2, s.Aperture()/2)
-	sess, cache, err := s.NewSessionConfig(SessionConfig{
-		Window: xdcr.Hann, Cached: true, CacheBudget: -1, Transmits: txs,
-	}, s.NewTableFree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if sess.Transmits() != 2 {
-		t.Errorf("session transmits = %d", sess.Transmits())
-	}
-	if cache.Shared().Transmits() != 2 || cache.Stats().TotalBlocks != 2*s.FocalDepth {
-		t.Errorf("cache keyed wrong: %+v", cache.Stats())
+	cfg := SessionConfig{Window: xdcr.Hann, CacheBudget: -1, Transmits: txs}
+	var want []float64
+	for _, kind := range []string{"uncached", "cached", "shared"} {
+		var sess *beamform.Session
+		var cache *delaycache.Cache
+		if kind == "shared" {
+			store, err := s.NewSharedCache(cfg, s.NewTableFree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cache = store.Attach()
+			sess, err = s.NewBeamformer(xdcr.Hann, scan.NappeOrder).NewSession(store.Generators(), cache)
+			if err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			c := cfg
+			c.Cached = kind == "cached"
+			if sess, cache, err = s.NewSessionConfig(c, s.NewTableFree()); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := s.NewSessionConfig(c, nil); err == nil {
+				t.Errorf("%s: nil provider must fail", kind)
+			}
+		}
+		if (cache != nil) != (kind != "uncached") ||
+			cache != nil && (cache.Shared().Transmits() != 2 || cache.Stats().TotalBlocks != 2*s.FocalDepth) {
+			t.Errorf("%s: cache keyed wrong: %v", kind, cache)
+		}
+		vol := sess.NewVolume()
+		err := sess.Run(vol, beamform.Frame{Bufs: [][]rf.EchoBuffer{bufs, bufs}})
+		sess.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = vol.Data
+		}
+		if !slices.Equal(vol.Data, want) || !slices.ContainsFunc(want, func(v float64) bool { return v != 0 }) {
+			t.Errorf("%s session differs from the uncached one or is silent", kind)
+		}
 	}
 	// TABLESTEER cannot represent off-axis transmits: the derivation error
 	// must surface from NewSessionConfig, not at beamform time.
@@ -233,144 +204,4 @@ func TestNewSessionConfigTransmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess2.Close()
-}
-
-// attachSession builds a session of s over a view of store — the serving
-// shape where N sessions of one geometry pay one delay budget: the store's
-// own generators fill what it does not hold.
-func attachSession(s SystemSpec, cfg SessionConfig, store *delaycache.Shared) (*beamform.Session, *delaycache.Cache, error) {
-	eng := s.NewBeamformer(cfg.Window, scan.NappeOrder)
-	eng.Cfg.Precision = cfg.Precision
-	cache := store.Attach()
-	sess, err := eng.NewSessionGenerators(store.Generators(), cache)
-	if err != nil {
-		cache.Detach()
-		return nil, nil, err
-	}
-	return sess, cache, nil
-}
-
-// TestSharedCacheConcurrentBitIdentity is the cache-sharing contract: two
-// sessions of the same geometry attached to one Shared block store, running
-// concurrently, produce volumes bit-identical to a solo session owning a
-// private cache of the same budget — at every precision, at full and
-// partial residency, and across an eviction. Run under -race this also
-// proves the store's concurrent fill path.
-func TestSharedCacheConcurrentBitIdentity(t *testing.T) {
-	s := ReducedSpec()
-	s.ElemX, s.ElemY = 8, 8
-	s.FocalTheta, s.FocalPhi, s.FocalDepth = 9, 3, 10
-	s.DepthLambda = 60
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: s.Array(), Conv: s.Converter(), Pulse: rf.NewPulse(s.Fc, s.B),
-		BufSamples: s.EchoBufferSamples(),
-	}, rf.PointPhantom(geom.Vec3{Z: 0.6 * s.Depth()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	blockBytes := int64(s.FocalTheta*s.FocalPhi*s.Elements()) * 2 // narrow store
-	budgets := map[string]int64{
-		"full": -1, "half": blockBytes * int64(s.FocalDepth) / 2, "none": 0,
-	}
-	precisions := []beamform.Precision{beamform.PrecisionFloat64, beamform.PrecisionInt16}
-	const frames = 3
-	for _, prec := range precisions {
-		for name, budget := range budgets {
-			cfg := SessionConfig{
-				Window: xdcr.Hann, Precision: prec,
-				Cached: true, CacheBudget: budget,
-			}
-			// Solo reference: a private cache of the same budget.
-			solo, _, err := s.NewSessionConfig(cfg, s.NewExact())
-			if err != nil {
-				t.Fatalf("%v/%s solo: %v", prec, name, err)
-			}
-			ref, err := solo.Beamform(bufs)
-			solo.Close()
-			if err != nil {
-				t.Fatalf("%v/%s solo: %v", prec, name, err)
-			}
-
-			shared, err := s.NewSharedCache(cfg, s.NewExact())
-			if err != nil {
-				t.Fatalf("%v/%s: %v", prec, name, err)
-			}
-			var wg sync.WaitGroup
-			for stream := 0; stream < 2; stream++ {
-				sess, cache, err := attachSession(s, cfg, shared)
-				if err != nil {
-					t.Fatalf("%v/%s attach %d: %v", prec, name, stream, err)
-				}
-				if cache.Shared() != shared {
-					t.Fatalf("%v/%s: attachment not backed by the shared store", prec, name)
-				}
-				wg.Add(1)
-				go func(stream int) {
-					defer wg.Done()
-					defer sess.Close()
-					defer cache.Detach()
-					out := &beamform.Volume{Vol: ref.Vol, Data: make([]float64, len(ref.Data))}
-					for f := 0; f < frames; f++ {
-						if err := sess.BeamformInto(out, bufs); err != nil {
-							t.Errorf("%v/%s stream %d frame %d: %v", prec, name, stream, f, err)
-							return
-						}
-						for i := range ref.Data {
-							if ref.Data[i] != out.Data[i] {
-								t.Errorf("%v/%s stream %d frame %d: differs from solo run at %d",
-									prec, name, stream, f, i)
-								return
-							}
-						}
-					}
-				}(stream)
-			}
-			wg.Wait()
-			if got := shared.Attachments(); got != 0 {
-				t.Errorf("%v/%s: %d attachments after detach, want 0", prec, name, got)
-			}
-
-			// Eviction drops the blocks; a rewarmed run is still bit-identical
-			// (deterministic prefix: the same blocks refill with the same bytes).
-			shared.Evict()
-			if st := shared.Stats(); st.Evictions != 1 || st.BytesResident != 0 {
-				t.Errorf("%v/%s post-evict stats: %+v", prec, name, st)
-			}
-			sess, cache, err := attachSession(s, cfg, shared)
-			if err != nil {
-				t.Fatalf("%v/%s re-attach: %v", prec, name, err)
-			}
-			vol, err := sess.Beamform(bufs)
-			if err != nil {
-				t.Fatalf("%v/%s post-evict frame: %v", prec, name, err)
-			}
-			for i := range ref.Data {
-				if ref.Data[i] != vol.Data[i] {
-					t.Fatalf("%v/%s: post-eviction rewarm differs from solo run at %d", prec, name, i)
-				}
-			}
-			cache.Detach()
-			sess.Close()
-		}
-	}
-
-	// Attaching a store of the wrong shape must fail loudly.
-	shared, err := s.NewSharedCache(SessionConfig{Window: xdcr.Hann, CacheBudget: -1}, s.NewExact())
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := s
-	other.FocalTheta = 7
-	if _, _, err := attachSession(other, SessionConfig{Window: xdcr.Hann}, shared); err == nil {
-		t.Error("layout mismatch must fail")
-	}
-	if got := shared.Attachments(); got != 0 {
-		t.Errorf("a refused attachment stayed attached: %d attachments", got)
-	}
-	view := shared.Attach()
-	defer view.Detach()
-	gens := shared.Generators()
-	if _, err := s.NewBeamformer(xdcr.Hann, scan.NappeOrder).NewSessionGenerators(append(gens, gens...), view); err == nil {
-		t.Error("transmit-count mismatch must fail")
-	}
 }

@@ -38,9 +38,9 @@
 // A Cache sits next to the delay generators, not in front of them: a
 // consumer asks it for the resident block of (transmit, nappe) and, when
 // it holds none, runs the transmit's generator itself (Shared.Generators).
-// New builds the classic private pairing — a fresh store with exactly one
-// attachment; NewShared + Attach is the serving form where N sessions of
-// one probe geometry pay one delay budget between them.
+// NewShared + Attach is the one way to build one: a private cache is a
+// fresh store with exactly one attachment, and the serving form attaches N
+// sessions of one probe geometry so they pay one delay budget between them.
 package delaycache
 
 import (
@@ -59,7 +59,7 @@ const (
 	wideDelayBytes   = 8 // float64 fractional delay
 )
 
-// Config assembles a Shared store (and, through New, a private Cache).
+// Config assembles a Shared store.
 type Config struct {
 	// Providers supplies one block generator per transmit of a compounding
 	// set (a single entry for one insonification): blocks are keyed by
@@ -91,17 +91,6 @@ type Cache struct {
 type block struct {
 	once sync.Once
 	n16  delay.Block16
-}
-
-// New builds a private store-plus-attachment over cfg.Providers — the
-// single-consumer cache shape. Sessions that should share one delay budget
-// attach to a common NewShared store instead.
-func New(cfg Config) (*Cache, error) {
-	s, err := NewShared(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.Attach(), nil
 }
 
 // BudgetFromBanks translates a BRAM bank array into a cache budget: the

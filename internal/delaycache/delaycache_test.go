@@ -24,6 +24,17 @@ func (c *countingProvider) FillNappe16(id int, dst delay.Block16) {
 	c.BlockProvider.FillNappe16(id, dst)
 }
 
+// attach builds a private cache: a fresh store over cfg and its one
+// attachment.
+func attach(t *testing.T, cfg Config) *Cache {
+	t.Helper()
+	s, err := NewShared(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Attach()
+}
+
 // one is the single-transmit provider set of p.
 func one(p delay.BlockProvider) []delay.BlockProvider { return []delay.BlockProvider{p} }
 
@@ -36,16 +47,16 @@ func testExact(t *testing.T) (*delay.Exact, int) {
 
 func TestCacheValidation(t *testing.T) {
 	e, depths := testExact(t)
-	if _, err := New(Config{Depths: depths}); err == nil {
+	if _, err := NewShared(Config{Depths: depths}); err == nil {
 		t.Error("no provider must fail")
 	}
-	if _, err := New(Config{Providers: one(nil), Depths: depths}); err == nil {
+	if _, err := NewShared(Config{Providers: one(nil), Depths: depths}); err == nil {
 		t.Error("nil provider must fail")
 	}
-	if _, err := New(Config{Providers: one(e), Depths: 0}); err == nil {
+	if _, err := NewShared(Config{Providers: one(e), Depths: 0}); err == nil {
 		t.Error("zero depths must fail")
 	}
-	if _, err := New(Config{Providers: one(e), Depths: depths, BudgetBytes: -1}); err != nil {
+	if _, err := NewShared(Config{Providers: one(e), Depths: depths, BudgetBytes: -1}); err != nil {
 		t.Errorf("unlimited budget: %v", err)
 	}
 }
@@ -115,10 +126,7 @@ func TestCacheBitIdentity16(t *testing.T) {
 	// be resident.
 	e, depths := testExact(t)
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
-	cache, err := New(Config{Providers: one(e), Depths: depths, BudgetBytes: blockBytes * int64(depths/2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: one(e), Depths: depths, BudgetBytes: blockBytes * int64(depths/2)})
 	want := make(delay.Block16, e.Layout().BlockLen())
 	for frame := 0; frame < 3; frame++ {
 		for id := 0; id < depths; id++ {
@@ -144,11 +152,8 @@ func TestCacheStatsAndSingleFill(t *testing.T) {
 	counting := &countingProvider{BlockProvider: e}
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
 	resident := 3
-	cache, err := New(Config{Providers: one(counting), Depths: depths,
+	cache := attach(t, Config{Providers: one(counting), Depths: depths,
 		BudgetBytes: blockBytes * int64(resident)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	frames := 4
 	for frame := 0; frame < frames; frame++ {
 		for id := 0; id < depths; id++ {
@@ -192,10 +197,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	// (run under -race in CI).
 	e, depths := testExact(t)
 	counting := &countingProvider{BlockProvider: e}
-	cache, err := New(Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
 	want := make(delay.Block16, e.Layout().BlockLen())
 	e.FillNappe16(0, want)
 	var wg sync.WaitGroup
@@ -230,11 +232,8 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 	e, depths := testExact(t)
 	blockBytes := int64(e.Layout().BlockLen()) * narrowDelayBytes
 	resident := depths / 2
-	cache, err := New(Config{Providers: one(e), Depths: depths,
+	cache := attach(t, Config{Providers: one(e), Depths: depths,
 		BudgetBytes: blockBytes * int64(resident)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const readers, reps = 6, 25
 	var wg, pollWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -297,10 +296,7 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 func TestWarm(t *testing.T) {
 	e, depths := testExact(t)
 	counting := &countingProvider{BlockProvider: e}
-	cache, err := New(Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: one(counting), Depths: depths, BudgetBytes: -1})
 	cache.Warm()
 	if counting.calls.Load() != int64(depths) {
 		t.Errorf("Warm ran generator %d times, want %d", counting.calls.Load(), depths)

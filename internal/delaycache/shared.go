@@ -45,8 +45,7 @@ var fillFault = faultpoint.New("delaycache.fill")
 
 // Shared is the geometry-keyed block store many Cache attachments read
 // concurrently. Build one with NewShared and hand each consumer an Attach()
-// view; a store with a single attachment behaves exactly like the PR-2
-// private cache (New composes the two).
+// view; a store with a single attachment is a private cache.
 type Shared struct {
 	gens      []delay.BlockProvider // one generator per transmit
 	layout    delay.Layout

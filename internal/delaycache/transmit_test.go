@@ -31,10 +31,7 @@ func transmitProviders(t *testing.T, n int) ([]delay.BlockProvider, int) {
 // direct fill.
 func TestTransmitKeysAreDistinct(t *testing.T) {
 	provs, depths := transmitProviders(t, 3)
-	cache, err := New(Config{Providers: provs, Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: provs, Depths: depths, BudgetBytes: -1})
 	if cache.Shared().Transmits() != 3 {
 		t.Fatalf("Transmits = %d", cache.Shared().Transmits())
 	}
@@ -81,11 +78,8 @@ func TestTransmitResidencyInterleavesNappeMajor(t *testing.T) {
 	provs, depths := transmitProviders(t, 2)
 	// Budget for 5 blocks: nappes 0–1 fully resident for both transmits,
 	// nappe 2 resident for transmit 0 only.
-	cache, err := New(Config{Providers: provs, Depths: depths,
+	cache := attach(t, Config{Providers: provs, Depths: depths,
 		BudgetBytes: 5 * int64(provs[0].Layout().BlockLen()) * narrowDelayBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if cache.Shared().ResidentBlocks() != 5 {
 		t.Fatalf("resident = %d, want 5", cache.Shared().ResidentBlocks())
 	}
@@ -117,10 +111,7 @@ func TestTransmitViewsShareOneBudget(t *testing.T) {
 	for i, p := range provs {
 		counting[i] = &countingProvider{BlockProvider: p}
 	}
-	cache, err := New(Config{Providers: counting, Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: counting, Depths: depths, BudgetBytes: -1})
 	for round := 0; round < 3; round++ {
 		for tx := range counting {
 			for id := 0; id < depths; id++ {
@@ -148,10 +139,7 @@ func TestTransmitViewsShareOneBudget(t *testing.T) {
 // race-free and agree (run under -race in CI).
 func TestTransmitWarmConcurrent(t *testing.T) {
 	provs, depths := transmitProviders(t, 2)
-	cache, err := New(Config{Providers: provs, Depths: depths, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := attach(t, Config{Providers: provs, Depths: depths, BudgetBytes: -1})
 	var wg sync.WaitGroup
 	wg.Add(3)
 	go func() { defer wg.Done(); cache.Warm() }()
@@ -172,13 +160,13 @@ func TestTransmitWarmConcurrent(t *testing.T) {
 // TestTransmitConfigValidation: mismatched layouts and nil entries fail.
 func TestTransmitConfigValidation(t *testing.T) {
 	provs, depths := transmitProviders(t, 2)
-	if _, err := New(Config{Providers: []delay.BlockProvider{provs[0], nil}, Depths: depths}); err == nil {
+	if _, err := NewShared(Config{Providers: []delay.BlockProvider{provs[0], nil}, Depths: depths}); err == nil {
 		t.Error("nil transmit provider must fail")
 	}
 	other, _ := testExact(t)
 	shrunk := *other
 	shrunk.Arr.NX = 2 // different layout
-	if _, err := New(Config{Providers: []delay.BlockProvider{provs[0], &shrunk}, Depths: depths}); err == nil {
+	if _, err := NewShared(Config{Providers: []delay.BlockProvider{provs[0], &shrunk}, Depths: depths}); err == nil {
 		t.Error("layout mismatch across transmits must fail")
 	}
 }

@@ -32,7 +32,7 @@ func BenchmarkEvictionRewarm(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer destroySession(sess, cache)
-				if _, err := sess.Beamform(bufs); err != nil { // warm the prefix
+				if _, err := runFrame(sess, bufs); err != nil { // warm the prefix
 					b.Fatal(err)
 				}
 				shared := cache.Shared()
@@ -41,7 +41,7 @@ func BenchmarkEvictionRewarm(b *testing.B) {
 					if mode == "evict-each-frame" {
 						shared.Evict()
 					}
-					if _, err := sess.Beamform(bufs); err != nil {
+					if _, err := runFrame(sess, bufs); err != nil {
 						b.Fatal(err)
 					}
 				}

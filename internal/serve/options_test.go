@@ -16,6 +16,7 @@ import (
 	"ultrabeam/internal/beamform"
 	"ultrabeam/internal/core"
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
 )
@@ -273,6 +274,39 @@ func TestPrewarmRefusals(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("draining prewarm carries no Retry-After")
+	}
+}
+
+// TestCloseWaitsForPrewarm: Close returns only after every background warm
+// has finished. Each round prewarms an already-warm geometry whose store
+// was just evicted, so the warm refills it at a millisecond per block, and
+// closes at once: once Close has returned, the store's fill count must not
+// move.
+func TestCloseWaitsForPrewarm(t *testing.T) {
+	if err := faultpoint.Activate("delaycache.fill=every:1:sleep=1ms"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultpoint.Deactivate()
+	req := tinyRequest()
+	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
+	for round := 0; round < 5; round++ {
+		sched := NewScheduler(SchedulerConfig{})
+		if _, err := sched.Submit(context.Background(), req, frame); err != nil { // builds the geometry
+			t.Fatal(err)
+		}
+		sched.mu.Lock()
+		store := sched.geoms[req.Fingerprint()].cache.Shared()
+		sched.mu.Unlock()
+		store.Evict()
+		if err := sched.Prewarm(req); err != nil {
+			t.Fatal(err)
+		}
+		sched.Close()
+		fills := store.Stats().Fills
+		time.Sleep(20 * time.Millisecond)
+		if got := store.Stats().Fills; got != fills {
+			t.Fatalf("round %d: %d blocks filled after Close returned", round, got-fills)
+		}
 	}
 }
 

@@ -91,23 +91,21 @@ func (s *Scheduler) Prewarm(req SessionRequest) error {
 	}
 	g.lastUsed = now
 	cache := g.cache
+	if cache != nil {
+		s.wg.Add(1) // under s.mu while open, so Close waits for the warm
+	}
 	s.mu.Unlock()
 	if cache != nil {
-		s.warmInBackground(cache.Shared())
+		go s.warm(cache.Shared())
 	}
 	return nil
 }
 
-// warmInBackground prefills a store's resident blocks off the request path.
-// Concurrent live fills are safe and never duplicated (per-block
-// sync.Once); Close waits for the fill through s.wg.
-func (s *Scheduler) warmInBackground(store *delaycache.Shared) {
-	if store == nil {
-		return
-	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		store.Warm()
-	}()
+// warm prefills a store's resident blocks off the request path. Concurrent
+// live fills are safe and never duplicated (per-block sync.Once). The
+// caller takes the warm's s.wg slot under s.mu while the scheduler is open,
+// the way Begin does for builds, so Close returns only after the fill.
+func (s *Scheduler) warm(store *delaycache.Shared) {
+	defer s.wg.Done()
+	store.Warm()
 }

@@ -446,12 +446,16 @@ func (s *Scheduler) build(g *schedGeom) {
 		s.wg.Add(1)
 		go s.run(g)
 	}
+	// A handed-off geometry prefills its resident blocks now, off the
+	// request path — the whole point of handing it off ahead of the
+	// traffic.
+	warm := g.warmOnBuild && cache != nil
+	if warm {
+		s.wg.Add(1)
+	}
 	s.mu.Unlock()
-	if g.warmOnBuild && cache != nil {
-		// A handed-off geometry prefills its resident blocks now, off the
-		// request path — the whole point of handing it off ahead of the
-		// traffic.
-		s.warmInBackground(cache.Shared())
+	if warm {
+		go s.warm(cache.Shared())
 	}
 }
 

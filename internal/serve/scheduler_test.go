@@ -65,7 +65,7 @@ func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
 		}
 		refs := make([]*beamform.Volume, len(frames))
 		for k, f := range frames {
-			v, err := sess.Beamform(f)
+			v, err := runFrame(sess, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -459,7 +459,7 @@ func TestSchedulerStoreKeepsInterleavedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sess.BeamformCompound(tx)
+	ref, err := runFrame(sess, tx...)
 	if err != nil {
 		t.Fatal(err)
 	}

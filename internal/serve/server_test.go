@@ -101,7 +101,7 @@ func TestServerBeamformVolume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solo.Beamform(bufs)
+	ref, err := runFrame(solo, bufs)
 	solo.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -312,7 +312,7 @@ func TestServerScheduledBitIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solo.Beamform(bufs)
+	ref, err := runFrame(solo, bufs)
 	solo.Close()
 	if err != nil {
 		t.Fatal(err)

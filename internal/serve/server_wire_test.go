@@ -92,7 +92,7 @@ func TestServerWireF64BitIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := solo.Beamform(bufs)
+		ref, err := runFrame(solo, bufs)
 		solo.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestServerWireCompound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := solo.BeamformCompound([][]rf.EchoBuffer{bufs, bufs})
+	ref, err := runFrame(solo, bufs, bufs)
 	solo.Close()
 	if err != nil {
 		t.Fatal(err)

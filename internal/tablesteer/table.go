@@ -30,8 +30,9 @@ type Config struct {
 	// Directivity prunes reference-table entries for on-axis points outside
 	// an element's acceptance cone (Fig. 3a). Zero value = no pruning.
 	Directivity xdcr.Directivity
-	// OriginOffset displaces the sound origin along the z axis (the paper's
-	// folding requires O vertically aligned with the array center).
+	// OriginZ places the sound origin O at (0, 0, OriginZ), meters along
+	// the z axis (the paper's folding requires O vertically aligned with
+	// the array center).
 	OriginZ float64
 }
 

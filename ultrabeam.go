@@ -23,15 +23,18 @@
 // nappe-order hardware both consume.
 //
 // Multi-frame imaging goes through a Session — a persistent worker pool
-// whose steady-state BeamformInto is allocation-free — optionally fed by a
-// budgeted DelayCache that retains filled nappe blocks across frames (the
-// §V-B BRAM-as-cache design point in software):
+// whose steady-state Run is allocation-free — optionally fed by a budgeted
+// DelayCache that retains filled nappe blocks across frames (the §V-B
+// BRAM-as-cache design point in software). SystemSpec.NewSessionConfig
+// builds one and Run beamforms each Frame:
 //
-//	sess, cache, err := spec.NewCachedSession(ultrabeam.Hann, tf, -1)
+//	sess, cache, err := spec.NewSessionConfig(ultrabeam.SessionConfig{
+//		Window: ultrabeam.Hann, Cached: true, CacheBudget: -1,
+//	}, tf)
 //	defer sess.Close()
 //	vol := sess.NewVolume()
 //	for _, bufs := range frames {
-//		err = sess.BeamformInto(vol, bufs) // frame 0 fills the cache
+//		err = sess.Run(vol, ultrabeam.Frame{Bufs: [][]ultrabeam.EchoBuffer{bufs}}) // frame 0 fills the cache
 //	}
 //	fmt.Println(cache.Stats()) // hits, misses, resident bytes
 //
@@ -100,13 +103,16 @@ type Engine = beamform.Engine
 type Volume = beamform.Volume
 
 // Session is a persistent multi-frame beamformer: worker pool and nappe
-// buffers live across frames, BeamformInto is allocation-free in steady
-// state, and a delay cache attachment amortizes delay generation across the
-// cine sequence. Build one with SystemSpec.NewSession / NewCachedSession, or
-// with SessionConfig.Transmits set for multi-transmit compounding
-// (BeamformCompound sums N insonifications coherently, bit-identical to
-// the sequential per-transmit sum on the float64 path).
+// buffers live across frames, Run is allocation-free in steady state, and a
+// delay cache attachment amortizes delay generation across the cine
+// sequence. Build one with SystemSpec.NewSessionConfig; with
+// SessionConfig.Transmits set, Run sums N insonifications coherently,
+// bit-identical to the sequential per-transmit sum on the float64 path.
 type Session = beamform.Session
+
+// Frame is one frame as Session.Run takes it: per-transmit float64 echo
+// buffers, or guarded int16 planes with their scales; see beamform.Frame.
+type Frame = beamform.Frame
 
 // Transmit describes one insonification of the volume: the emission
 // reference O of the transmit leg. The zero value emits from the array
@@ -135,7 +141,7 @@ func AxialTransmits(n int, zmin, zmax float64) []Transmit {
 // DelayCache retains filled nappe delay blocks across frames under a byte
 // budget — the §V-B "on-FPGA table as a cache" design point in software. It
 // is one consumer's attachment to a SharedDelayCache block store (a private
-// store when built through NewCachedSession): a Session asks it for the
+// store when built through NewSessionConfig): a Session asks it for the
 // resident block of each (transmit, nappe) and runs the transmit's delay
 // generator itself when the store holds none.
 type DelayCache = delaycache.Cache
@@ -144,8 +150,7 @@ type DelayCache = delaycache.Cache
 // concurrent Sessions can attach to: the delay working set belongs to the
 // geometry, not the connection. Build one with SystemSpec.NewSharedCache
 // and give each session an Attach view through
-// Engine.NewSessionGenerators(store.Generators(), view); see
-// delaycache.Shared.
+// Engine.NewSession(store.Generators(), view); see delaycache.Shared.
 type SharedDelayCache = delaycache.Shared
 
 // CacheStats snapshots delay-cache effectiveness (hits, misses, residency,
