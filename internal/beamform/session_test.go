@@ -15,8 +15,8 @@
 // BeamformBatch* column, with the delay store evicted in between, and each
 // volume must equal its twin bit for bit. The Test* functions are the
 // matrix's rows: == the twin with the Frames count and the generator and
-// fused-row counts, zero steady-state allocations, the refusal table, and a
-// concurrent Frames scrape under -race. The route rows in the kernel test
+// fused-row counts, zero steady-state allocations, the refusal tables, and
+// concurrent Frames scrapes under -race. The route rows in the kernel test
 // files run the same cases with the CPUID probes cleared (sessionRows).
 package beamform
 
@@ -25,6 +25,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -518,187 +519,292 @@ func TestSessionSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSessionRunRefusals is the refusal table: Run's frame and destination
-// checks, the batch column's count checks and the constructors'. Each
-// refuses before any work, so no Frames count moves; the session then
-// still beamforms, and once closed refuses every frame.
-func TestSessionRunRefusals(t *testing.T) {
-	sc64, sc16 := sceneFor(t, "f64", 1), sceneFor(t, "i16", 3)
-	s64, _ := sessionCase{budget: "uncached"}.session(t, sc64, nil, nil)
-	defer s64.Close()
-	s16, c16 := sessionCase{budget: "full"}.session(t, sc16, nil, nil)
-	defer s16.Close()
-	b, f := sc64.frames[0].bufs, sc16.frames[0]
-	p, sc, win := f.planes, f.scales, f.win
-	v64, v16 := s64.NewVolume(), s16.NewVolume()
-	plane := func(win int, planes [][]int16, scales ...float32) error {
-		return s16.Run(v16, Frame{Planes: planes, Scales: scales, Win: win})
-	}
-	scaled := func(s float32) []float32 { return []float32{sc[0], s, sc[2]} }
-	newSession := func(cfg Config, gens []delay.BlockProvider, c *delaycache.Cache) error {
-		_, err := New(cfg).NewSession(gens, c)
-		return err
-	}
-	other := sc64.cfg
-	other.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 7, 3, 20)
-	for _, tc := range []struct {
-		name string
-		run  func() error
-	}{
-		{"nil_dst", func() error { return s64.Run(nil, Frame{Bufs: b}) }},
-		{"missized_dst", func() error { return s64.Run(&Volume{Vol: sc64.cfg.Vol}, Frame{Bufs: b}) }},
-		{"wrong_grid_dst", func() error { return s64.Run(&Volume{Data: make([]float64, len(v64.Data))}, Frame{Bufs: b}) }},
-		{"no_form", func() error { return s64.Run(v64, Frame{}) }},
-		{"both_forms", func() error { return s16.Run(v16, Frame{Bufs: f.bufs, Planes: p, Scales: sc, Win: win}) }},
-		{"extra_transmit", func() error { return s64.Run(v64, Frame{Bufs: [][]rf.EchoBuffer{b[0], b[0]}}) }},
-		{"missing_transmit", func() error { return s16.Run(v16, Frame{Bufs: f.bufs[:1]}) }},
-		{"element_count", func() error { return s64.Run(v64, Frame{Bufs: [][]rf.EchoBuffer{b[0][:3]}}) }},
-		{"needs_i16", func() error { return s64.Run(v64, Frame{Planes: p[:1], Scales: sc[:1], Win: win}) }},
-		{"zero_window", func() error { return plane(0, p, sc...) }},
-		{"window_over_max", func() error { return plane(delay.MaxEchoWindow+1, p, sc...) }},
-		{"plane_count", func() error { return plane(win, p[:2], sc...) }},
-		{"scale_arity", func() error { return plane(win, p, sc[:2]...) }},
-		{"short_plane", func() error { return plane(win, [][]int16{p[0], p[1][:10], p[2]}, sc...) }},
-		{"zero_scale", func() error { return plane(win, p, scaled(0)...) }},
-		{"negative_scale", func() error { return plane(win, p, scaled(-1)...) }},
-		{"nan_scale", func() error { return plane(win, p, scaled(float32(math.NaN()))...) }},
-		{"inf_scale", func() error { return plane(win, p, scaled(float32(math.Inf(1)))...) }},
-		{"batch_dst_count", func() error { return s64.BeamformBatch([]*Volume{v64}, [][][]rf.EchoBuffer{b, b}) }},
-		{"batch_nil_dst", func() error { return s64.BeamformBatch([]*Volume{nil}, [][][]rf.EchoBuffer{b}) }},
-		{"plane_batch_dst_count", func() error {
-			return s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{p, p}, [][]float32{sc, sc})
-		}},
-		{"plane_batch_scale_sets", func() error {
-			return s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{p}, [][]float32{sc, sc})
-		}},
-		{"plane_batch_nil_dst", func() error {
-			return s16.BeamformBatchPlanesI16([]*Volume{nil}, win, [][][]int16{p}, [][]float32{sc})
-		}},
-		{"no_generators", func() error { return newSession(sc64.cfg, nil, nil) }},
-		{"nil_generator", func() error { return newSession(sc64.cfg, []delay.BlockProvider{nil}, nil) }},
-		{"generator_layout", func() error { return newSession(other, sc64.gens, nil) }},
-		{"cache_transmits", func() error { return newSession(sc16.cfg, sc16.gens[:1], c16) }},
-		{"cache_layout", func() error {
-			e := exactProvider(other)
-			return newSession(other, []delay.BlockProvider{e, e, e}, c16)
-		}},
-		{"beamform_nil_provider", func() error { _, err := New(sc64.cfg).Beamform(nil, b[0]); return err }},
-		{"beamform_element_count", func() error { _, err := New(sc64.cfg).Beamform(sc64.gens[0], b[0][:3]); return err }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			before := s64.Frames() + s16.Frames()
-			if err := tc.run(); err == nil {
-				t.Fatal("accepted")
+// refusalFixture holds what the refusal tables share: an uncached float64
+// single-transmit session and a full-budget i16 session over three
+// transmits, a destination of each, and the i16 scene's first frame.
+type refusalFixture struct {
+	sc64, sc16 *sessionScene
+	s64, s16   *Session
+	c16        *delaycache.Cache
+	v64, v16   *Volume
+	b          [][]rf.EchoBuffer // the float64 scene's first frame
+	f          sceneFrame        // the i16 scene's first frame
+}
+
+func newRefusalFixture(t *testing.T) *refusalFixture {
+	fx := &refusalFixture{sc64: sceneFor(t, "f64", 1), sc16: sceneFor(t, "i16", 3)}
+	fx.s64, _ = sessionCase{budget: "uncached"}.session(t, fx.sc64, nil, nil)
+	fx.s16, fx.c16 = sessionCase{budget: "full"}.session(t, fx.sc16, nil, nil)
+	t.Cleanup(func() { fx.s64.Close(); fx.s16.Close() })
+	fx.v64, fx.v16 = fx.s64.NewVolume(), fx.s16.NewVolume()
+	fx.b, fx.f = fx.sc64.frames[0].bufs, fx.sc16.frames[0]
+	return fx
+}
+
+// refusal is one row of a refusal table: every call must refuse it.
+type refusal struct {
+	name  string
+	calls []func() error
+}
+
+func refused(name string, calls ...func() error) refusal { return refusal{name, calls} }
+
+// refuse runs each row as a subtest. A call refuses before any work, so
+// no Frames count moves.
+func (fx *refusalFixture) refuse(t *testing.T, rows []refusal) {
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			before := fx.s64.Frames() + fx.s16.Frames()
+			for i, call := range r.calls {
+				if err := call(); err == nil {
+					t.Fatalf("call %d accepted", i)
+				}
 			}
-			if n := s64.Frames() + s16.Frames() - before; n != 0 {
+			if n := fx.s64.Frames() + fx.s16.Frames() - before; n != 0 {
 				t.Errorf("a refused call counted %d frames", n)
 			}
 		})
 	}
-	if err := s16.Run(v16, Frame{Bufs: f.bufs}); err != nil {
-		t.Fatal(err)
-	}
-	sameVolumes(t, "after the refusals", []*Volume{v16}, []*Volume{f.twin})
-	s16.Close()
-	s16.Close() // idempotent
-	if err := s16.Run(v16, Frame{Bufs: f.bufs}); err == nil {
-		t.Error("closed session accepted a frame")
+}
+
+// TestSessionBeamformIntoValidation holds Run's single-frame checks — the
+// destination and the frame's form and shape — and the session's close:
+// after the refusals the session still beamforms its twin, Close is
+// idempotent, and a closed session refuses every frame.
+func TestSessionBeamformIntoValidation(t *testing.T) {
+	fx := newRefusalFixture(t)
+	s64, s16, v64, v16, b, f := fx.s64, fx.s16, fx.v64, fx.v16, fx.b, fx.f
+	fx.refuse(t, []refusal{
+		refused("nil_dst", func() error { return s64.Run(nil, Frame{Bufs: b}) }),
+		refused("missized_dst", func() error { return s64.Run(&Volume{Vol: fx.sc64.cfg.Vol}, Frame{Bufs: b}) }),
+		refused("wrong_grid_dst", func() error { return s64.Run(&Volume{Data: make([]float64, len(v64.Data))}, Frame{Bufs: b}) }),
+		refused("no_form", func() error { return s64.Run(v64, Frame{}) }),
+		refused("both_forms", func() error {
+			return s16.Run(v16, Frame{Bufs: f.bufs, Planes: f.planes, Scales: f.scales, Win: f.win})
+		}),
+		refused("extra_transmit", func() error { return s64.Run(v64, Frame{Bufs: [][]rf.EchoBuffer{b[0], b[0]}}) }),
+		refused("missing_transmit", func() error { return s16.Run(v16, Frame{Bufs: f.bufs[:1]}) }),
+		refused("element_count", func() error { return s64.Run(v64, Frame{Bufs: [][]rf.EchoBuffer{b[0][:3]}}) }),
+	})
+	for _, s := range []struct {
+		sess *Session
+		dst  *Volume
+		f    sceneFrame
+	}{{s64, v64, fx.sc64.frames[0]}, {s16, v16, f}} {
+		if err := s.sess.Run(s.dst, Frame{Bufs: s.f.bufs}); err != nil {
+			t.Fatal(err)
+		}
+		sameVolumes(t, "after the refusals", []*Volume{s.dst}, []*Volume{s.f.twin})
+		s.sess.Close()
+		s.sess.Close() // idempotent
+		if err := s.sess.Run(s.dst, Frame{Bufs: s.f.bufs}); err == nil {
+			t.Error("closed session accepted a frame")
+		}
 	}
 }
 
-// TestSessionScrapeWhileStreaming runs sessions concurrently on every route
-// the host offers — i16 and fused TABLESTEER ones uncached and two of each
-// attached to one shared half-budget store, float64 ones two to a full
-// store, the sessions of a scene on one engine — each frame == its twin,
-// while a scraper reads every session's Frames and every attachment's
-// Stats. Under -race this is the proof that the kernels, the engine's
-// weight tables, the generators' tables and the stores are only read, and
-// that the /stats scrape is synchronized.
-func TestSessionScrapeWhileStreaming(t *testing.T) {
-	eachBody(t, func(t *testing.T) {
-		type stream struct {
-			c     sessionCase
-			sc    *sessionScene
-			sess  *Session
-			cache *delaycache.Cache
-		}
-		var streams []stream
-		engines := map[*sessionScene]*Engine{}
-		for _, c := range []sessionCase{
-			{kind: "i16", nTx: 3, budget: "uncached"}, {kind: "i16", nTx: 3, budget: "half"},
-			{kind: "steer", nTx: 3, budget: "uncached"}, {kind: "steer", nTx: 3, budget: "half"},
-			{kind: "f64", nTx: 1, budget: "full"},
-		} {
-			c.workers, c.order = 2, frameOrders[0][:2]
-			sc := sceneFor(t, c.kind, c.nTx)
-			if engines[sc] == nil { // the sessions of a scene share one engine's tables
-				cfg := sc.cfg
-				cfg.Workers = c.workers
-				engines[sc] = New(cfg)
+// TestBatchPlanesI16Validation holds the int16 plane frame's checks —
+// window, plane and scale counts, plane lengths, and the NaN-pinned and
+// non-finite scales a wire header could in principle carry — through Run
+// and the BeamformBatchPlanesI16 column alike, and the column's own
+// destination checks. After the refusals the column still beamforms the
+// frame's twin.
+func TestBatchPlanesI16Validation(t *testing.T) {
+	fx := newRefusalFixture(t)
+	s16, v16 := fx.s16, fx.v16
+	p, sc, win := fx.f.planes, fx.f.scales, fx.f.win
+	plane := func(name string, win int, planes [][]int16, scales ...float32) refusal {
+		return refused(name,
+			func() error { return s16.Run(v16, Frame{Planes: planes, Scales: scales, Win: win}) },
+			func() error {
+				return s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{planes}, [][]float32{scales})
+			})
+	}
+	scaled := func(s float32) []float32 { return []float32{sc[0], s, sc[2]} }
+	needsI16 := func(run func() error) func() error {
+		return func() error {
+			err := run()
+			if err != nil && !strings.Contains(err.Error(), "i16") {
+				return nil // refused, but not for the precision
 			}
-			sess, cache := c.session(t, sc, engines[sc], nil)
+			return err
+		}
+	}
+	fx.refuse(t, []refusal{
+		refused("needs_i16",
+			needsI16(func() error { return fx.s64.Run(fx.v64, Frame{Planes: p[:1], Scales: sc[:1], Win: win}) }),
+			needsI16(func() error {
+				return fx.s64.BeamformBatchPlanesI16([]*Volume{fx.v64}, win, [][][]int16{p[:1]}, [][]float32{sc[:1]})
+			})),
+		plane("zero_window", 0, p, sc...),
+		plane("window_over_max", delay.MaxEchoWindow+1, p, sc...),
+		plane("transmit_count", win, p[:2], sc[:2]...),
+		plane("scale_arity", win, p, sc[:2]...),
+		plane("short_plane", win, [][]int16{p[0], p[1][:10], p[2]}, sc...),
+		plane("zero_scale", win, p, scaled(0)...),
+		plane("negative_scale", win, p, scaled(-1)...),
+		plane("nan_scale", win, p, scaled(float32(math.NaN()))...),
+		plane("inf_scale", win, p, scaled(float32(math.Inf(1)))...),
+		refused("dst_count", func() error {
+			return s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{p, p}, [][]float32{sc, sc})
+		}),
+		refused("scale_sets", func() error {
+			return s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{p}, [][]float32{sc, sc})
+		}),
+		refused("nil_dst", func() error {
+			return s16.BeamformBatchPlanesI16([]*Volume{nil}, win, [][][]int16{p}, [][]float32{sc})
+		}),
+	})
+	if err := s16.BeamformBatchPlanesI16([]*Volume{v16}, win, [][][]int16{p}, [][]float32{sc}); err != nil {
+		t.Fatal(err)
+	}
+	sameVolumes(t, "after the refusals", []*Volume{v16}, []*Volume{fx.f.twin})
+}
+
+// TestSessionRefusals is the rest of the refusal table: the BeamformBatch
+// column's count checks, the constructor's, and the one-shot
+// Engine.Beamform's.
+func TestSessionRefusals(t *testing.T) {
+	fx := newRefusalFixture(t)
+	s64, v64, b := fx.s64, fx.v64, fx.b
+	newSession := func(cfg Config, gens []delay.BlockProvider, c *delaycache.Cache) error {
+		_, err := New(cfg).NewSession(gens, c)
+		return err
+	}
+	other := fx.sc64.cfg
+	other.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 7, 3, 20)
+	fx.refuse(t, []refusal{
+		refused("batch_dst_count", func() error { return s64.BeamformBatch([]*Volume{v64}, [][][]rf.EchoBuffer{b, b}) }),
+		refused("batch_nil_dst", func() error { return s64.BeamformBatch([]*Volume{nil}, [][][]rf.EchoBuffer{b}) }),
+		refused("no_generators", func() error { return newSession(fx.sc64.cfg, nil, nil) }),
+		refused("nil_generator", func() error { return newSession(fx.sc64.cfg, []delay.BlockProvider{nil}, nil) }),
+		refused("generator_layout", func() error { return newSession(other, fx.sc64.gens, nil) }),
+		refused("cache_transmits", func() error { return newSession(fx.sc16.cfg, fx.sc16.gens[:1], fx.c16) }),
+		refused("cache_layout", func() error {
+			e := exactProvider(other)
+			return newSession(other, []delay.BlockProvider{e, e, e}, fx.c16)
+		}),
+		refused("beamform_nil_provider", func() error { _, err := New(fx.sc64.cfg).Beamform(nil, b[0]); return err }),
+		refused("beamform_element_count", func() error {
+			_, err := New(fx.sc64.cfg).Beamform(fx.sc64.gens[0], b[0][:3])
+			return err
+		}),
+	})
+}
+
+// streamConcurrently runs the cases' sessions concurrently — two of each
+// cached case attached to one shared store, the sessions of a scene on one
+// engine — each frame == its twin, while a scraper reads every session's
+// Frames and every attachment's Stats. Under -race this is the proof that
+// the kernels, the engine's weight tables, the generators' tables and the
+// stores are only read, and that the /stats scrape is synchronized.
+func streamConcurrently(t *testing.T, cases []sessionCase) {
+	type stream struct {
+		c     sessionCase
+		sc    *sessionScene
+		sess  *Session
+		cache *delaycache.Cache
+	}
+	var streams []stream
+	engines := map[*sessionScene]*Engine{}
+	for _, c := range cases {
+		c.workers, c.order = 2, frameOrders[0][:2]
+		sc := sceneFor(t, c.kind, c.nTx)
+		if engines[sc] == nil { // the sessions of a scene share one engine's tables
+			cfg := sc.cfg
+			cfg.Workers = c.workers
+			engines[sc] = New(cfg)
+		}
+		sess, cache := c.session(t, sc, engines[sc], nil)
+		streams = append(streams, stream{c, sc, sess, cache})
+		if cache != nil { // a second session on the same store
+			sess, cache = c.session(t, sc, engines[sc], cache.Shared())
 			streams = append(streams, stream{c, sc, sess, cache})
-			if cache != nil { // a second session on the same store
-				sess, cache = c.session(t, sc, engines[sc], cache.Shared())
-				streams = append(streams, stream{c, sc, sess, cache})
-			}
 		}
-		stop := make(chan struct{})
-		var scraper, wg sync.WaitGroup
-		scraper.Add(1)
-		go func() {
-			defer scraper.Done()
-			for {
-				select {
-				case <-stop:
+	}
+	stop := make(chan struct{})
+	var scraper, wg sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, s := range streams {
+				if n := s.sess.Frames(); n < 0 || n > int64(len(s.c.order)) {
+					t.Errorf("%v: Frames = %d out of [0, %d]", s.c, n, len(s.c.order))
 					return
-				default:
 				}
-				for _, s := range streams {
-					if n := s.sess.Frames(); n < 0 || n > int64(len(s.c.order)) {
-						t.Errorf("%v: Frames = %d out of [0, %d]", s.c, n, len(s.c.order))
+				if s.cache != nil {
+					if st := s.cache.Stats(); st.Hits < 0 || st.Misses < 0 {
+						t.Errorf("%v: negative cache counters %+v", s.c, st)
 						return
 					}
-					if s.cache != nil {
-						if st := s.cache.Stats(); st.Hits < 0 || st.Misses < 0 {
-							t.Errorf("%v: negative cache counters %+v", s.c, st)
-							return
-						}
-					}
+				}
+			}
+		}
+	}()
+	for _, s := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sc, out := s.sc, s.sess.NewVolume()
+			for _, k := range s.c.order {
+				if err := s.sess.Run(out, sc.frames[k].frame(false)); err != nil {
+					t.Error(err)
+					return
+				}
+				if msg := volumesDiffer([]*Volume{out}, []*Volume{sc.frames[k].twin}); msg != "" {
+					t.Errorf("%v: %s", s.c, msg)
+					return
 				}
 			}
 		}()
-		for _, s := range streams {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sc, out := s.sc, s.sess.NewVolume()
-				for _, k := range s.c.order {
-					if err := s.sess.Run(out, sc.frames[k].frame(false)); err != nil {
-						t.Error(err)
-						return
-					}
-					if msg := volumesDiffer([]*Volume{out}, []*Volume{sc.frames[k].twin}); msg != "" {
-						t.Errorf("%v: %s", s.c, msg)
-						return
-					}
-				}
-			}()
+	}
+	wg.Wait()
+	close(stop)
+	scraper.Wait()
+	for _, s := range streams {
+		if s.sess.Frames() != int64(len(s.c.order)) {
+			t.Errorf("%v: Frames = %d, want %d", s.c, s.sess.Frames(), len(s.c.order))
 		}
-		wg.Wait()
-		close(stop)
-		scraper.Wait()
-		for _, s := range streams {
-			if s.sess.Frames() != int64(len(s.c.order)) {
-				t.Errorf("%v: Frames = %d, want %d", s.c, s.sess.Frames(), len(s.c.order))
-			}
-			s.sess.Close()
-			if s.cache != nil {
-				s.cache.Detach()
+		s.sess.Close()
+		if s.cache != nil {
+			s.cache.Detach()
+		}
+	}
+	for _, s := range streams {
+		if s.cache != nil {
+			if n := s.cache.Shared().Attachments(); n != 0 {
+				t.Errorf("%v: %d attachments after every session detached", s.c, n)
 			}
 		}
-		if n := streams[1].cache.Shared().Attachments(); n != 0 {
-			t.Errorf("%d attachments after every session detached", n)
-		}
+	}
+}
+
+// TestSessionScrapeWhileStreaming streams i16 sessions uncached and two on
+// one shared half-budget store, and float64 ones two to a full store, on
+// every route the host offers (streamConcurrently).
+func TestSessionScrapeWhileStreaming(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		streamConcurrently(t, []sessionCase{
+			{kind: "i16", nTx: 3, budget: "uncached"}, {kind: "i16", nTx: 3, budget: "half"},
+			{kind: "f64", nTx: 1, budget: "full"},
+		})
+	})
+}
+
+// TestFusedSteerConcurrentSessions streams fused TABLESTEER sessions
+// uncached and two on one shared half-budget store, on every route the
+// host offers (streamConcurrently): the tiled x table, the generators'
+// tables and the store are only read by the fused route.
+func TestFusedSteerConcurrentSessions(t *testing.T) {
+	eachBody(t, func(t *testing.T) {
+		streamConcurrently(t, []sessionCase{
+			{kind: "steer", nTx: 3, budget: "uncached"}, {kind: "steer", nTx: 3, budget: "half"},
+		})
 	})
 }
