@@ -45,9 +45,6 @@ func (cv Converter) SamplesToSeconds(s float64) float64 { return s / cv.Fs }
 // MetersToSamples converts a one-way path length to sample units.
 func (cv Converter) MetersToSamples(d float64) float64 { return d * cv.Fs / cv.C }
 
-// SamplesToMeters converts sample units to a one-way path length.
-func (cv Converter) SamplesToMeters(s float64) float64 { return s * cv.C / cv.Fs }
-
 // SamplePeriod returns the duration of one sample in seconds.
 func (cv Converter) SamplePeriod() float64 { return 1 / cv.Fs }
 
@@ -132,27 +129,6 @@ func (e *Exact) ReceiveSamples(it, ip, id, ei, ej int) float64 {
 	return e.Conv.MetersToSamples(s.Dist(d))
 }
 
-// MaxTwoWaySamples bounds the largest delay any provider must represent: the
-// deepest, most-steered focal point received by the farthest corner element.
-// It determines the echo-buffer depth (13-bit indices: "slightly more than
-// 8000 samples" in §V-B).
-func (e *Exact) MaxTwoWaySamples() float64 {
-	worst := 0.0
-	v := e.Vol
-	corners := [][2]int{{0, 0}, {e.Arr.NX - 1, 0}, {0, e.Arr.NY - 1}, {e.Arr.NX - 1, e.Arr.NY - 1}}
-	for _, it := range []int{0, v.Theta.N - 1} {
-		for _, ip := range []int{0, v.Phi.N - 1} {
-			for _, c := range corners {
-				d := e.DelaySamples(it, ip, v.Depth.N-1, c[0], c[1])
-				if d > worst {
-					worst = d
-				}
-			}
-		}
-	}
-	return worst
-}
-
 // Stats accumulates error statistics between a provider under test and the
 // exact reference, in sample units, both raw (fractional) and after
 // quantization to selection indices.
@@ -197,25 +173,6 @@ func (st *Stats) OffIndexFraction() float64 {
 		return 0
 	}
 	return float64(st.OffIndexCount) / float64(st.N)
-}
-
-// Merge folds other into st (for parallel sweeps).
-func (st *Stats) Merge(other Stats) {
-	if other.N == 0 {
-		return
-	}
-	st.N += other.N
-	st.sumAbs += other.sumAbs
-	st.sumAbsIdx += other.sumAbsIdx
-	if other.MaxAbs > st.MaxAbs {
-		st.MaxAbs = other.MaxAbs
-	}
-	if other.MaxAbsIndex > st.MaxAbsIndex {
-		st.MaxAbsIndex = other.MaxAbsIndex
-	}
-	st.OffIndexCount += other.OffIndexCount
-	st.MeanAbs = st.sumAbs / float64(st.N)
-	st.MeanAbsIndex = st.sumAbsIdx / float64(st.N)
 }
 
 // String renders the statistics in the paper's terms.

@@ -30,9 +30,6 @@ func TestConverterRoundTrips(t *testing.T) {
 	if got := conv.MetersToSamples(0.385e-3); math.Abs(got-8) > 1e-9 {
 		t.Errorf("λ = %v samples, want 8", got)
 	}
-	if got := conv.SamplesToMeters(conv.MetersToSamples(0.1)); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("meters round-trip = %v", got)
-	}
 	if got := conv.SamplePeriod(); math.Abs(got-31.25e-9) > 1e-18 {
 		t.Errorf("sample period = %v", got)
 	}
@@ -99,22 +96,6 @@ func TestExactDelayMonotoneInDepthOnAxis(t *testing.T) {
 	}
 }
 
-func TestMaxTwoWaySamplesMatchesPaperEchoBuffer(t *testing.T) {
-	// Full Table I geometry: the echo buffer must hold "slightly more than
-	// 8000 samples" (two-way 2×500λ = 8000 plus steering/aperture margin),
-	// still within a 13-bit index (8192)... the paper stores 13-bit indices.
-	v := scan.NewVolume(geom.Radians(73), geom.Radians(73), 500*0.385e-3, 128, 128, 1000)
-	a := xdcr.NewArray(100, 100, 0.385e-3/2)
-	e := NewExact(v, a, geom.Vec3{}, conv)
-	max := e.MaxTwoWaySamples()
-	if max < 8000 {
-		t.Errorf("max two-way delay %v should exceed the nominal 8000 samples", max)
-	}
-	if max > 8500 {
-		t.Errorf("max two-way delay %v unexpectedly large for Table I geometry", max)
-	}
-}
-
 func TestIndexRounding(t *testing.T) {
 	if Index(103.49) != 103 || Index(103.5) != 104 || Index(-0.2) != 0 {
 		t.Error("Index rounding broken")
@@ -149,30 +130,6 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 	if math.Abs(st.OffIndexFraction()-2.0/3) > 1e-12 {
 		t.Errorf("fraction = %v", st.OffIndexFraction())
-	}
-}
-
-func TestStatsMerge(t *testing.T) {
-	var a, b, whole Stats
-	samples := [][2]float64{{1, 1.2}, {5, 5}, {9, 8.1}, {3, 3.4}}
-	for i, s := range samples {
-		whole.Add(s[0], s[1])
-		if i < 2 {
-			a.Add(s[0], s[1])
-		} else {
-			b.Add(s[0], s[1])
-		}
-	}
-	a.Merge(b)
-	if a.N != whole.N || math.Abs(a.MeanAbs-whole.MeanAbs) > 1e-12 ||
-		a.MaxAbs != whole.MaxAbs || a.MaxAbsIndex != whole.MaxAbsIndex ||
-		a.OffIndexCount != whole.OffIndexCount {
-		t.Errorf("merge mismatch: %+v vs %+v", a, whole)
-	}
-	var empty Stats
-	a.Merge(empty) // must be a no-op
-	if a.N != whole.N {
-		t.Error("merging empty stats changed N")
 	}
 }
 

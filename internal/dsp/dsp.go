@@ -103,16 +103,6 @@ func (iq IQ) Envelope() []float64 {
 	return out
 }
 
-// EnvelopeDetect is the one-call pipeline: demodulate at f0 and return the
-// envelope. Suitable defaults: cutoff = f0/fs, taps = 31.
-func EnvelopeDetect(rf []float64, f0, fs float64) ([]float64, error) {
-	iq, err := Demodulate(rf, f0, fs, f0/fs, 31)
-	if err != nil {
-		return nil, err
-	}
-	return iq.Envelope(), nil
-}
-
 // LogCompress maps an envelope to decibels relative to its own maximum,
 // clamped at -dynamicRange dB (standard B-mode display compression).
 func LogCompress(env []float64, dynamicRange float64) []float64 {
@@ -139,20 +129,6 @@ func LogCompress(env []float64, dynamicRange float64) []float64 {
 			db = -dynamicRange
 		}
 		out[i] = db
-	}
-	return out
-}
-
-// Decimate keeps every factor-th sample (after the caller has bandlimited).
-func Decimate(x []float64, factor int) []float64 {
-	if factor <= 1 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, 0, (len(x)+factor-1)/factor)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
 	}
 	return out
 }

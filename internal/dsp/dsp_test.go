@@ -107,10 +107,11 @@ func TestDemodulateRecoversEnvelope(t *testing.T) {
 		tEnv := (float64(i) - center) / sigma
 		rf[i] = math.Exp(-tEnv*tEnv/2) * math.Cos(2*math.Pi*f0/fs*float64(i))
 	}
-	env, err := EnvelopeDetect(rf, f0, fs)
+	iq, err := Demodulate(rf, f0, fs, f0/fs, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
+	env := iq.Envelope()
 	p := PeakIndex(env)
 	if p < 390 || p > 410 {
 		t.Errorf("envelope peak at %d, want ≈400", p)
@@ -139,11 +140,11 @@ func TestEnvelopeNonNegativeProperty(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			rf[i] = float64(int32(s>>33)) / math.MaxInt32
 		}
-		env, err := EnvelopeDetect(rf, 4e6, 32e6)
+		iq, err := Demodulate(rf, 4e6, 32e6, 4e6/32e6, 31)
 		if err != nil {
 			return false
 		}
-		for _, v := range env {
+		for _, v := range iq.Envelope() {
 			if v < 0 || math.IsNaN(v) {
 				return false
 			}
@@ -173,25 +174,6 @@ func TestLogCompress(t *testing.T) {
 	allZero := LogCompress([]float64{0, 0}, 60)
 	if allZero[0] != -60 || allZero[1] != -60 {
 		t.Error("all-zero envelope maps to floor")
-	}
-}
-
-func TestDecimate(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	y := Decimate(x, 3)
-	want := []float64{0, 3, 6}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("decimate[%d] = %v", i, y[i])
-		}
-	}
-	same := Decimate(x, 1)
-	same[0] = 99
-	if x[0] == 99 {
-		t.Error("factor-1 decimation must copy")
 	}
 }
 
@@ -247,18 +229,5 @@ func TestRMS(t *testing.T) {
 	}
 	if got := RMS([]float64{3, 4, 3, 4}); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
 		t.Errorf("RMS = %v", got)
-	}
-}
-
-func BenchmarkEnvelopeDetect(b *testing.B) {
-	rf := make([]float64, 4096)
-	for i := range rf {
-		rf[i] = math.Sin(2 * math.Pi * 0.125 * float64(i))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EnvelopeDetect(rf, 4e6, 32e6); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

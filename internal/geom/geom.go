@@ -64,28 +64,6 @@ func SphericalToCartesian(r, theta, phi float64) Vec3 {
 	}
 }
 
-// CartesianToSpherical inverts Eq. (5), returning (r, θ, φ). For points with
-// r = 0 the angles are reported as 0.
-func CartesianToSpherical(p Vec3) (r, theta, phi float64) {
-	r = p.Norm()
-	if r == 0 {
-		return 0, 0, 0
-	}
-	phi = math.Asin(clamp(p.Y/r, -1, 1))
-	theta = math.Atan2(p.X, p.Z)
-	return r, theta, phi
-}
-
-func clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
 // Grid is a uniform 1-D sampling of an interval, used for the θ, φ and depth
 // axes of the focal-point grid.
 type Grid struct {

@@ -67,18 +67,12 @@ func TestSphericalRoundTrip(t *testing.T) {
 		theta := (float64(thRaw)/65535 - 0.5) * Radians(73)
 		phi := (float64(phRaw)/65535 - 0.5) * Radians(73)
 		p := SphericalToCartesian(r, theta, phi)
-		r2, th2, ph2 := CartesianToSpherical(p)
-		return almost(r2, r, 1e-12) && almost(th2, theta, 1e-9) && almost(ph2, phi, 1e-9)
+		// Eq. (5) inverted: r = |p|, φ = asin(y/r), θ = atan2(x, z).
+		r2 := p.Norm()
+		return almost(r2, r, 1e-12) && almost(math.Atan2(p.X, p.Z), theta, 1e-9) && almost(math.Asin(p.Y/r2), phi, 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCartesianToSphericalOrigin(t *testing.T) {
-	r, th, ph := CartesianToSpherical(Vec3{})
-	if r != 0 || th != 0 || ph != 0 {
-		t.Errorf("origin = (%v,%v,%v)", r, th, ph)
 	}
 }
 

@@ -105,21 +105,6 @@ func (b EchoBuffer) At(i int) float64 {
 	return b.Samples[i]
 }
 
-// AtLinear returns the linearly interpolated value at a fractional index,
-// the float golden-model variant used for oversampled comparisons. Indices
-// outside [0, len-1] read as silence, like the integer path.
-func (b EchoBuffer) AtLinear(x float64) float64 {
-	if len(b.Samples) == 0 || x < 0 || x > float64(len(b.Samples)-1) {
-		return 0
-	}
-	i := int(math.Floor(x))
-	if i >= len(b.Samples)-1 {
-		return b.Samples[len(b.Samples)-1]
-	}
-	f := x - float64(i)
-	return b.Samples[i]*(1-f) + b.Samples[i+1]*f
-}
-
 // Plane32 flattens a uniform-window echo buffer set into one guarded
 // float32 plane: element d's win samples at plane[d·(win+1)] (one rounding
 // per sample), and the trailing guard slot of every row zero — the layout

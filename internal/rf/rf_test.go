@@ -78,12 +78,6 @@ func TestEchoBufferAccess(t *testing.T) {
 	if b.At(1) != 2 {
 		t.Error("in-range read")
 	}
-	if got := b.AtLinear(0.5); got != 1.5 {
-		t.Errorf("linear interp = %v", got)
-	}
-	if b.AtLinear(2.5) != 0 || b.AtLinear(-0.5) != 0 {
-		t.Error("linear interp out of range must be 0")
-	}
 }
 
 func TestSynthesizeEchoArrivalTime(t *testing.T) {
@@ -238,20 +232,8 @@ func TestEchoBufferBoundaryIndices(t *testing.T) {
 		t.Error("boundary out-of-window reads must be 0")
 	}
 	empty := EchoBuffer{}
-	if empty.At(0) != 0 || empty.AtLinear(0) != 0 {
+	if empty.At(0) != 0 {
 		t.Error("empty buffer must read silence")
-	}
-	// AtLinear boundaries: exactly 0 and exactly len-1 are in range, just
-	// beyond either edge is silence, and the top cell clamps to the last
-	// sample rather than interpolating past it.
-	if b.AtLinear(0) != 1 || b.AtLinear(float64(n-1)) != 4 {
-		t.Error("AtLinear endpoint reads")
-	}
-	if b.AtLinear(float64(n-1)+1e-9) != 0 || b.AtLinear(-1e-9) != 0 {
-		t.Error("AtLinear just outside the window must be 0")
-	}
-	if got := b.AtLinear(float64(n-2) + 0.25); got != 3.25 {
-		t.Errorf("AtLinear top-cell interp = %v", got)
 	}
 }
 

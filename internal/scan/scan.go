@@ -32,9 +32,6 @@ func NewVolume(totalTheta, totalPhi, maxDepth float64, nTheta, nPhi, nDepth int)
 // Points returns the total focal-point count |V|.
 func (v Volume) Points() int { return v.Theta.N * v.Phi.N * v.Depth.N }
 
-// Scanlines returns the number of lines of sight (θ×φ combinations).
-func (v Volume) Scanlines() int { return v.Theta.N * v.Phi.N }
-
 // FocalPoint returns the Cartesian position of grid node (it, ip, id) via
 // the Eq. (5) parametrization.
 func (v Volume) FocalPoint(it, ip, id int) geom.Vec3 {
@@ -108,22 +105,6 @@ func (v Volume) Walk(o Order, fn func(Index)) {
 	}
 }
 
-// WalkNappe visits the points of a single nappe (depth slice).
-func (v Volume) WalkNappe(id int, fn func(Index)) {
-	for it := 0; it < v.Theta.N; it++ {
-		for ip := 0; ip < v.Phi.N; ip++ {
-			fn(Index{Theta: it, Phi: ip, Depth: id})
-		}
-	}
-}
-
-// WalkScanline visits the points of a single scanline (θ, φ fixed).
-func (v Volume) WalkScanline(it, ip int, fn func(Index)) {
-	for id := 0; id < v.Depth.N; id++ {
-		fn(Index{Theta: it, Phi: ip, Depth: id})
-	}
-}
-
 // DepthLocality quantifies table-walk locality for a sweep order: it returns
 // the total number of depth-slice changes encountered while walking the
 // volume. A nappe-by-nappe walk changes slice only Depth.N−1 times; a
@@ -143,22 +124,4 @@ func (v Volume) DepthLocality(o Order) int {
 		}
 	})
 	return changes
-}
-
-// Subsample returns a coarser volume keeping every strideT-th θ, strideP-th
-// φ and strideD-th depth (at least one point per axis), for sampled accuracy
-// sweeps at paper geometry.
-func (v Volume) Subsample(strideT, strideP, strideD int) Volume {
-	sub := func(g geom.Grid, s int) geom.Grid {
-		if s < 1 {
-			s = 1
-		}
-		n := (g.N + s - 1) / s
-		if n < 1 {
-			n = 1
-		}
-		// Preserve the full interval so extreme angles stay covered.
-		return geom.Grid{Min: g.Min, Max: g.Max, N: n}
-	}
-	return Volume{Theta: sub(v.Theta, strideT), Phi: sub(v.Phi, strideP), Depth: sub(v.Depth, strideD)}
 }

@@ -16,9 +16,6 @@ func TestVolumeCounts(t *testing.T) {
 	if v.Points() != 8*4*16 {
 		t.Errorf("Points = %d", v.Points())
 	}
-	if v.Scanlines() != 32 {
-		t.Errorf("Scanlines = %d", v.Scanlines())
-	}
 }
 
 func TestPaperVolumeDimensions(t *testing.T) {
@@ -104,30 +101,6 @@ func TestLinearIndexBijective(t *testing.T) {
 	})
 }
 
-func TestWalkNappeAndScanline(t *testing.T) {
-	v := testVolume()
-	n := 0
-	v.WalkNappe(3, func(ix Index) {
-		if ix.Depth != 3 {
-			t.Fatal("WalkNappe wandered off its depth")
-		}
-		n++
-	})
-	if n != v.Scanlines() {
-		t.Errorf("nappe size = %d, want %d", n, v.Scanlines())
-	}
-	n = 0
-	v.WalkScanline(2, 1, func(ix Index) {
-		if ix.Theta != 2 || ix.Phi != 1 {
-			t.Fatal("WalkScanline wandered off its line")
-		}
-		n++
-	})
-	if n != v.Depth.N {
-		t.Errorf("scanline length = %d, want %d", n, v.Depth.N)
-	}
-}
-
 func TestDepthLocality(t *testing.T) {
 	v := testVolume()
 	nappe := v.DepthLocality(NappeOrder)
@@ -136,31 +109,11 @@ func TestDepthLocality(t *testing.T) {
 		t.Errorf("nappe depth changes = %d, want %d", nappe, v.Depth.N-1)
 	}
 	// A scanline sweep re-walks the whole depth axis per line.
-	if want := v.Scanlines()*v.Depth.N - 1; scanline != want {
+	if want := v.Theta.N*v.Phi.N*v.Depth.N - 1; scanline != want {
 		t.Errorf("scanline depth changes = %d, want %d", scanline, want)
 	}
 	if scanline <= nappe {
 		t.Error("scanline order must have strictly worse depth locality")
-	}
-}
-
-func TestSubsample(t *testing.T) {
-	v := NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 128, 128, 1000)
-	s := v.Subsample(4, 4, 10)
-	if s.Theta.N != 32 || s.Phi.N != 32 || s.Depth.N != 100 {
-		t.Errorf("subsampled dims = %d×%d×%d", s.Theta.N, s.Phi.N, s.Depth.N)
-	}
-	// Interval endpoints preserved.
-	if s.Theta.Min != v.Theta.Min || s.Theta.Max != v.Theta.Max {
-		t.Error("subsample must preserve angular span")
-	}
-	if s.Depth.Max != v.Depth.Max {
-		t.Error("subsample must preserve max depth")
-	}
-	// Degenerate strides clamp to 1 point minimum.
-	tiny := v.Subsample(1000, 1000, 100000)
-	if tiny.Theta.N < 1 || tiny.Depth.N < 1 {
-		t.Error("subsample collapsed to zero points")
 	}
 }
 

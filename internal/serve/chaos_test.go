@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"ultrabeam/internal/core"
 	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
@@ -53,8 +52,7 @@ const chaosSchedule = "seed=1813;" +
 func TestChaosSoak(t *testing.T) {
 	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 32})
 	srv := ts.Config.Handler.(*Server)
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	spec := servedSpec()
 	tx := [][]rf.EchoBuffer{tinyFrame(t, spec)}
 
 	f64Body := encodeWire(t, wire.EncodingF64, tx, 8192)
@@ -276,31 +274,6 @@ func chaosPost(t *testing.T, url, ct string, body, golden []byte, transport stri
 		return
 	}
 	clean.add()
-}
-
-// mustStreamVolume pushes one compound over a fresh fault-free stream
-// connection and returns the decoded volume.
-func mustStreamVolume(t *testing.T, addr, query string, body []byte) []float64 {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := wire.WriteHello(conn, query); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadHelloReply(conn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	vol, err := wire.ReadVolume(conn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return vol.Data
 }
 
 // chaosStream is one tolerant cine client: it pushes compounds one at a

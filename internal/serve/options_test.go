@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/url"
@@ -153,8 +152,7 @@ func TestOptionsEncodeRejectsInexpressible(t *testing.T) {
 func TestPlansPrewarmHandoff(t *testing.T) {
 	tsA, _ := newSchedTestServer(t, SchedulerConfig{})
 	tsB, schedB := newSchedTestServer(t, SchedulerConfig{})
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	spec := servedSpec()
 	bufs := tinyFrame(t, spec)
 
 	// A partial budget (5 of the 10 depth blocks), so the handoff has a
@@ -172,7 +170,7 @@ func TestPlansPrewarmHandoff(t *testing.T) {
 	post := func(ts string) []byte {
 		t.Helper()
 		resp, err := http.Post(ts+"/v1/beamform?"+tinyQuery(q),
-			wire.ContentType, bytes.NewReader(encodeFrame(bufs)))
+			wire.ContentType, bytes.NewReader(encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs}, 0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,18 +309,11 @@ func TestCloseWaitsForPrewarm(t *testing.T) {
 }
 
 // TestDeadlineOverflowRefused: a deadline_ms whose duration overflows
-// time.Duration is a bad request on every spelling — the POST parameter,
-// the X-Ultrabeam-Deadline-Ms header and the stream hello — instead of
-// wrapping to no deadline (9223372036855) or to a 0.45 ms one that expires
-// in queue (18446744073710). The largest representable value still parses
-// and round-trips.
+// time.Duration (9223372036855 would wrap to no deadline, 18446744073710 to
+// a 0.45 ms one) is a 400 on the POST parameter and header and a refused
+// stream hello (its refusal rows); the largest representable value still
+// parses and round-trips.
 func TestDeadlineOverflowRefused(t *testing.T) {
-	overflows := []string{"9223372036855", "18446744073710"}
-	for _, ms := range overflows {
-		if _, err := ParseOptions(url.Values{"deadline_ms": {ms}}, nil); err == nil {
-			t.Errorf("deadline_ms=%s accepted", ms)
-		}
-	}
 	const largest = 9223372036854
 	opts, err := ParseOptions(url.Values{"deadline_ms": {strconv.Itoa(largest)}}, nil)
 	if err != nil {
@@ -338,45 +329,36 @@ func TestDeadlineOverflowRefused(t *testing.T) {
 	if back, err := ParseOptions(enc, nil); err != nil || back.Request.Deadline != opts.Request.Deadline {
 		t.Errorf("deadline_ms=%d does not round-trip: %v, %v", largest, back.Request.Deadline, err)
 	}
+	refuseRows(t)
+}
 
-	ts, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
+// TestServerDeadlineParsing: the per-request deadline arrives as the
+// deadline_ms query parameter or the X-Ultrabeam-Deadline-Ms header (the
+// header wins), rejects garbage — a 400 on either transport, as its
+// refusal row shows — and never leaks into the geometry fingerprint.
+func TestServerDeadlineParsing(t *testing.T) {
+	q := url.Values{"spec": {"reduced"}, "deadline_ms": {"250"}}
+	opts, err := ParseOptions(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
-	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
-	for _, ms := range overflows {
-		if st, _, _ := postBytes(t, ts.URL+"/v1/beamform?"+tinyQuery(url.Values{"deadline_ms": {ms}}),
-			wire.ContentType, body); st != http.StatusBadRequest {
-			t.Errorf("POST deadline_ms=%s: status %d, want 400", ms, st)
-		}
-		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/beamform?"+tinyQuery(nil), bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", wire.ContentType)
-		req.Header.Set("X-Ultrabeam-Deadline-Ms", ms)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST X-Ultrabeam-Deadline-Ms: %s: status %d, want 400", ms, resp.StatusCode)
-		}
-		conn := dialStream(t, srv)
-		if err := wire.WriteHello(conn, tinyQuery(url.Values{"deadline_ms": {ms}})); err != nil {
-			t.Fatal(err)
-		}
-		var re *wire.RemoteError
-		if err := wire.ReadHelloReply(conn); !errors.As(err, &re) {
-			t.Errorf("stream hello deadline_ms=%s: %v, want a refusal", ms, err)
+	if opts.Request.Deadline != 250*time.Millisecond {
+		t.Errorf("deadline_ms=250 parsed as %v", opts.Request.Deadline)
+	}
+	hopts, err := ParseOptions(q, http.Header{"X-Ultrabeam-Deadline-Ms": {"40"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hopts.Request.Deadline != 40*time.Millisecond {
+		t.Errorf("header override parsed as %v, want 40ms", hopts.Request.Deadline)
+	}
+	if opts.Fingerprint() != hopts.Fingerprint() {
+		t.Error("deadline must not split the geometry fingerprint")
+	}
+	for _, bad := range []string{"0", "-5", "soon", "1.5"} {
+		if _, err := ParseOptions(url.Values{"spec": {"reduced"}, "deadline_ms": {bad}}, nil); err == nil {
+			t.Errorf("deadline_ms=%q accepted", bad)
 		}
 	}
-	if got := sched.Stats().Submits; got != 0 {
-		t.Errorf("%d frames reached the scheduler", got)
-	}
+	refuseRows(t)
 }

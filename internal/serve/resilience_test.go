@@ -6,15 +6,12 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/url"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ultrabeam/internal/core"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
 )
@@ -266,8 +263,7 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 func TestServerShutdownSurface(t *testing.T) {
 	ts, sched := newSchedTestServer(t, SchedulerConfig{})
 	srv := ts.Config.Handler.(*Server)
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	spec := servedSpec()
 	tx := [][]rf.EchoBuffer{tinyFrame(t, spec)}
 
 	resp, err := http.Get(ts.URL + "/v1/healthz")
@@ -315,84 +311,16 @@ func TestServerShutdownSurface(t *testing.T) {
 	}
 }
 
-// TestServerDeadlineParsing: the per-request deadline arrives as the
-// deadline_ms query parameter or the X-Ultrabeam-Deadline-Ms header (the
-// header wins), rejects garbage, and never leaks into the geometry
-// fingerprint.
-func TestServerDeadlineParsing(t *testing.T) {
-	q := url.Values{"spec": {"reduced"}, "deadline_ms": {"250"}}
-	opts, err := ParseOptions(q, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.Request.Deadline != 250*time.Millisecond {
-		t.Errorf("deadline_ms=250 parsed as %v", opts.Request.Deadline)
-	}
-	hopts, err := ParseOptions(q, http.Header{"X-Ultrabeam-Deadline-Ms": {"40"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hopts.Request.Deadline != 40*time.Millisecond {
-		t.Errorf("header override parsed as %v, want 40ms", hopts.Request.Deadline)
-	}
-	if opts.Fingerprint() != hopts.Fingerprint() {
-		t.Error("deadline must not split the geometry fingerprint")
-	}
-	for _, bad := range []string{"0", "-5", "soon", "1.5"} {
-		if _, err := ParseOptions(url.Values{"spec": {"reduced"}, "deadline_ms": {bad}}, nil); err == nil {
-			t.Errorf("deadline_ms=%q accepted", bad)
-		}
-	}
-}
-
-// TestServerExpiredDeadlineIs504: a frame dropped because its deadline
-// lapsed in queue maps to 504, distinct from the retryable 503 family.
-func TestServerExpiredDeadlineIs504(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{MaxQueue: 8})
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
-	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
-
-	sched.slots <- struct{}{} // plug dispatch so the deadline lapses in queue
-	status := make(chan int, 1)
-	go func() {
-		st, _, _ := postBytes(t, ts.URL+"/v1/beamform?"+tinyQuery(url.Values{"deadline_ms": {"25"}}),
-			wire.ContentType, body)
-		status <- st
-	}()
-	for sched.Stats().Queued != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(50 * time.Millisecond)
-	<-sched.slots
-	if st := <-status; st != http.StatusGatewayTimeout {
-		t.Errorf("expired-in-queue frame: status %d, want 504", st)
-	}
-	if got := sched.Stats().Expired; got != 1 {
-		t.Errorf("stats expired = %d, want 1", got)
-	}
-}
-
 // TestStreamDrainSendsGoAway: a cine stream on a server that starts
 // draining gets every already-submitted compound answered, then an
 // in-band GOAWAY — and the close is counted as a drain, not an error.
 func TestStreamDrainSendsGoAway(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv := ts.Config.Handler.(*Server)
+	spec := servedSpec()
 	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
 
-	conn := dialStream(t, srv)
-	if err := wire.WriteHello(conn, tinyQuery(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadHelloReply(conn); err != nil {
-		t.Fatal(err)
-	}
+	conn := helloStream(t, srv, tinyQuery(nil))
 	if _, err := conn.Write(body); err != nil {
 		t.Fatal(err)
 	}
@@ -440,26 +368,17 @@ func waitStreamCloses(t *testing.T, sched *Scheduler, ok func(WireStats) bool) {
 // reconnect pushing the same compound gets a volume bit-identical to an
 // untouched connection's.
 func TestStreamTornFrameReconnect(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv := ts.Config.Handler.(*Server)
+	spec := servedSpec()
 	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 8192)
 
 	// Reference: one clean connection, one compound.
-	ref := streamOneCompound(t, srv, body)
+	addr := serveStream(t, srv)
+	ref := mustStreamVolume(t, addr, tinyQuery(nil), body)
 
 	// Torn upload: half a compound, then the connection dies.
-	conn := dialStream(t, srv)
-	if err := wire.WriteHello(conn, tinyQuery(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadHelloReply(conn); err != nil {
-		t.Fatal(err)
-	}
+	conn := helloStream(t, srv, tinyQuery(nil))
 	if _, err := conn.Write(body[:len(body)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +386,7 @@ func TestStreamTornFrameReconnect(t *testing.T) {
 	waitStreamCloses(t, sched, func(ws WireStats) bool { return ws.StreamClosesClientGone >= 1 })
 
 	// Reconnect: the same compound beamforms to the same bytes.
-	got := streamOneCompound(t, srv, body)
+	got := mustStreamVolume(t, addr, tinyQuery(nil), body)
 	if len(got) != len(ref) {
 		t.Fatalf("post-reconnect volume has %d points, want %d", len(got), len(ref))
 	}
@@ -476,59 +395,6 @@ func TestStreamTornFrameReconnect(t *testing.T) {
 			t.Fatalf("post-reconnect volume differs at %d: torn upload corrupted state", i)
 		}
 	}
-	// Both bracketing connections half-closed at a compound boundary.
+	// Both bracketing connections closed at a compound boundary.
 	waitStreamCloses(t, sched, func(ws WireStats) bool { return ws.StreamClosesClean == 2 })
-}
-
-// streamOneCompound pushes one compound over a fresh connection and
-// returns the volume, closing cleanly.
-func streamOneCompound(t *testing.T, srv *Server, body []byte) []float64 {
-	t.Helper()
-	conn := dialStream(t, srv)
-	if err := wire.WriteHello(conn, tinyQuery(nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadHelloReply(conn); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(body); err != nil {
-		t.Fatal(err)
-	}
-	vol, err := wire.ReadVolume(conn, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Half-close the upload so the server sees a clean EOF at the
-	// compound boundary.
-	if tc, ok := conn.(interface{ CloseWrite() error }); ok {
-		tc.CloseWrite()
-	} else {
-		conn.Close()
-	}
-	return vol.Data
-}
-
-// TestStreamStatusMapping: in-band per-compound refusals carry typed
-// statuses — an overloaded queue answers StatusOverloaded so clients can
-// tell "resend later" from "this frame is broken".
-func TestStreamStatusMapping(t *testing.T) {
-	if got := streamStatus(ErrOverloaded); got != wire.StatusOverloaded {
-		t.Errorf("overloaded status = %d", got)
-	}
-	if got := streamStatus(ErrDraining); got != wire.StatusGoAway {
-		t.Errorf("draining status = %d", got)
-	}
-	if got := streamStatus(errors.New("boom")); got != wire.StatusError {
-		t.Errorf("generic status = %d", got)
-	}
-	err := &wire.RemoteError{Status: wire.StatusGoAway, Msg: "draining"}
-	if !wire.IsGoAway(err) {
-		t.Error("GOAWAY classification broken")
-	}
-	if wire.IsGoAway(errors.New("plain")) {
-		t.Error("plain errors must not classify as GOAWAY")
-	}
-	if !strings.Contains(err.Error(), "draining") {
-		t.Errorf("remote error text lost the message: %q", err.Error())
-	}
 }

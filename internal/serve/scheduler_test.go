@@ -9,103 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"ultrabeam/internal/beamform"
-	"ultrabeam/internal/core"
-	"ultrabeam/internal/delaycache"
-	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/rf"
-	"ultrabeam/internal/scan"
 )
-
-// tinyBudgetHalf returns a byte budget retaining about half the spec's
-// (transmit, nappe) block space in a narrow store — the partial-residency
-// regime that mixes resident blocks with regenerated ones.
-func tinyBudgetHalf(s core.SystemSpec, transmits int) int64 {
-	vol := s.Volume()
-	blockLen := int64(vol.Theta.N) * int64(vol.Phi.N) * int64(s.ElemX) * int64(s.ElemY)
-	return blockLen * 2 * int64(vol.Depth.N) * int64(transmits) / 2
-}
-
-// scaledTinyFrames derives n distinct frames from one synthesized echo set.
-func scaledTinyFrames(t testing.TB, s core.SystemSpec, n int) [][]rf.EchoBuffer {
-	t.Helper()
-	base := tinyFrame(t, s)
-	frames := make([][]rf.EchoBuffer, n)
-	for k := 0; k < n; k++ {
-		scale := 1 + 0.2*float64(k)
-		frame := make([]rf.EchoBuffer, len(base))
-		for d, b := range base {
-			samples := make([]float64, len(b.Samples))
-			for i, v := range b.Samples {
-				samples[i] = v * scale
-			}
-			frame[d] = rf.EchoBuffer{Samples: samples}
-		}
-		frames[k] = frame
-	}
-	return frames
-}
-
-// TestSchedulerBitIdentityEveryPrecision is the scheduling invariance
-// contract (run under -race in CI): volumes coming out of the scheduler —
-// built from concurrent submissions across both lanes, over a
-// half-resident delay store — must be bit-identical to a solo session
-// beamforming the same frames one at a time.
-func TestSchedulerBitIdentityEveryPrecision(t *testing.T) {
-	for _, prec := range []beamform.Precision{beamform.PrecisionFloat64, beamform.PrecisionInt16} {
-		req := tinyRequest()
-		req.Config.Precision = prec
-		req.Config.CacheBudget = tinyBudgetHalf(req.Spec, 1)
-		frames := scaledTinyFrames(t, req.Spec, 6)
-
-		// Solo reference, one frame at a time.
-		sess, cache, err := req.Spec.NewSessionConfig(req.Config, req.Arch.NewProvider(req.Spec))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs := make([]*beamform.Volume, len(frames))
-		for k, f := range frames {
-			v, err := runFrame(sess, f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[k] = v
-		}
-		destroySession(sess, cache)
-
-		sched := NewScheduler(SchedulerConfig{})
-		var wg sync.WaitGroup
-		outs := make([]*beamform.Volume, len(frames))
-		errs := make([]error, len(frames))
-		for k, f := range frames {
-			wg.Add(1)
-			go func(k int, f []rf.EchoBuffer) {
-				defer wg.Done()
-				r := req
-				if k%2 == 1 {
-					r.Lane = LaneBulk
-				}
-				outs[k], errs[k] = sched.Submit(context.Background(), r, [][]rf.EchoBuffer{f})
-			}(k, f)
-		}
-		wg.Wait()
-		for k := range frames {
-			if errs[k] != nil {
-				t.Fatalf("%v frame %d: %v", prec, k, errs[k])
-			}
-			for i := range refs[k].Data {
-				if refs[k].Data[i] != outs[k].Data[i] {
-					t.Fatalf("%v frame %d: scheduled volume differs from solo at %d", prec, k, i)
-				}
-			}
-		}
-		st := sched.Stats()
-		if st.Completed != int64(len(frames)) || st.Fused != int64(len(frames)) {
-			t.Errorf("%v: stats completed=%d fused=%d, want %d", prec, st.Completed, st.Fused, len(frames))
-		}
-		sched.Close()
-	}
-}
 
 // TestSchedulerLanePreemption: an interactive frame enqueued behind a full
 // cine backlog must dispatch ahead of it — the lane mechanism, not FIFO
@@ -217,108 +122,9 @@ func TestSchedulerFairnessAcrossGeometries(t *testing.T) {
 	}
 	<-sched.slots // open the turnstile
 	wg.Wait()
-	last := func(name string) int64 {
-		max := int64(0)
-		for _, n := range order[name] {
-			if n > max {
-				max = n
-			}
-		}
-		return max
-	}
-	first := func(name string) int64 {
-		min := seq.Load() + 1
-		for _, n := range order[name] {
-			if n < min {
-				min = n
-			}
-		}
-		return min
-	}
-	if first("A") > last("B") || first("B") > last("A") {
-		t.Errorf("geometries did not interleave: A=[%d,%d] B=[%d,%d]",
-			first("A"), last("A"), first("B"), last("B"))
-	}
-}
-
-// TestSchedulerBatchesBacklog: frames queued while the geometry builds
-// dispatch one frame per Session.Run — Batches and Fused both count 8 for 8
-// concurrent submits — and every served float64 volume is the scalar
-// golden. The build's cache fills are stretched to a millisecond each so
-// that the backlog does not hang on how fast this host fills ten tiny
-// nappes.
-func TestSchedulerBatchesBacklog(t *testing.T) {
-	if err := faultpoint.Activate("delaycache.fill=every:1:sleep=1ms"); err != nil {
-		t.Fatal(err)
-	}
-	defer faultpoint.Deactivate()
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
-	defer sched.Close()
-	req := tinyRequest()
-	req.Lane = LaneBulk
-	bufs := tinyFrame(t, req.Spec)
-	frame := [][]rf.EchoBuffer{bufs}
-	golden, err := req.Spec.NewBeamformer(req.Config.Window, scan.NappeOrder).BeamformScalar(req.Arch.NewProvider(req.Spec), bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	outs := make([]*beamform.Volume, 8)
-	for i := range outs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var err error
-			if outs[i], err = sched.Submit(context.Background(), req, frame); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	for i, out := range outs {
-		if out != nil && !slices.Equal(out.Data, golden.Data) {
-			t.Errorf("frame %d differs from the scalar golden", i)
-		}
-	}
-	st := sched.Stats()
-	if st.Batches != 8 || st.Fused != 8 {
-		t.Errorf("batches = %d, batched frames = %d, want 8 and 8 (one frame per dispatch)", st.Batches, st.Fused)
-	}
-	if lanes := st.Lanes["bulk"]; lanes.Dispatched != 8 {
-		t.Errorf("bulk lane dispatched = %d, want 8", lanes.Dispatched)
-	}
-}
-
-// TestSchedulerMixedShapesSplitBatches: frames of different echo windows
-// on one geometry, queued together, must all complete.
-func TestSchedulerMixedShapesSplitBatches(t *testing.T) {
-	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
-	defer sched.Close()
-	req := tinyRequest()
-	req.Lane = LaneBulk
-	long := tinyFrame(t, req.Spec)
-	short := make([]rf.EchoBuffer, len(long))
-	for d, b := range long {
-		short[d] = rf.EchoBuffer{Samples: b.Samples[:len(b.Samples)-9]}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		bufs := long
-		if i%2 == 1 {
-			bufs = short
-		}
-		wg.Add(1)
-		go func(bufs []rf.EchoBuffer) {
-			defer wg.Done()
-			if _, err := sched.Submit(context.Background(), req, [][]rf.EchoBuffer{bufs}); err != nil {
-				t.Errorf("submit: %v", err)
-			}
-		}(bufs)
-	}
-	wg.Wait()
-	if st := sched.Stats(); st.Completed != 8 {
-		t.Errorf("completed = %d, want 8", st.Completed)
+	a, b := order["A"], order["B"]
+	if len(a) != perGeom || len(b) != perGeom || slices.Min(a) > slices.Max(b) || slices.Min(b) > slices.Max(a) {
+		t.Errorf("geometries did not interleave: A=%v B=%v", a, b)
 	}
 }
 
@@ -437,74 +243,6 @@ func TestSchedulerGeometryCapEvictsColdest(t *testing.T) {
 	st := sched.Stats()
 	if st.GeometriesLive != 1 || st.Evictions != 1 {
 		t.Errorf("cap eviction: live=%d evictions=%d, want 1/1", st.GeometriesLive, st.Evictions)
-	}
-}
-
-// TestSchedulerStoreKeepsInterleavedPrefix: a compound geometry the
-// scheduler builds runs its delay store under the one residency rule — the
-// interleaved (nappe, transmit) prefix of its budget — and serves the solo
-// session's bytes. An odd block count tells the interleaved prefix from any
-// transmit-major split.
-func TestSchedulerStoreKeepsInterleavedPrefix(t *testing.T) {
-	req := tinyRequest()
-	req.Config.Transmits = req.Spec.AxialTransmits(2)
-	vol := req.Spec.Volume()
-	blockBytes := 2 * int64(vol.Theta.N*vol.Phi.N*req.Spec.ElemX*req.Spec.ElemY)
-	const resident = 7
-	req.Config.CacheBudget = resident * blockBytes
-	frames := scaledTinyFrames(t, req.Spec, 2)
-	tx := [][]rf.EchoBuffer{frames[0], frames[1]}
-
-	sess, cache, err := req.Spec.NewSessionConfig(req.Config, req.Arch.NewProvider(req.Spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := runFrame(sess, tx...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	destroySession(sess, cache)
-
-	sched := NewScheduler(SchedulerConfig{})
-	defer sched.Close()
-	var hits [2]int64
-	for frame := range hits {
-		got, err := sched.Submit(context.Background(), req, tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Data {
-			if ref.Data[i] != got.Data[i] {
-				t.Fatalf("frame %d: scheduled store changes beamformed bytes at %d", frame, i)
-			}
-		}
-		st := sched.Stats()
-		if len(st.Geometries) != 1 || st.Geometries[0].Cache == nil {
-			t.Fatalf("geometries: %+v", st.Geometries)
-		}
-		if cs := st.Geometries[0].Cache; cs.ResidentBlocks != resident {
-			t.Fatalf("resident blocks %d, want %d", cs.ResidentBlocks, resident)
-		}
-		hits[frame] = st.Geometries[0].Cache.Hits
-	}
-	if d := hits[1] - hits[0]; d != resident {
-		t.Errorf("a warm frame hit %d blocks, want the %d-block prefix", d, resident)
-	}
-
-	sched.mu.Lock()
-	var store *delaycache.Shared
-	for _, g := range sched.geoms {
-		store = g.cache.Shared()
-	}
-	sched.mu.Unlock()
-	view := store.Attach()
-	defer view.Detach()
-	for tx := 0; tx < 2; tx++ {
-		for id := 0; id < vol.Depth.N; id++ {
-			if got, want := view.Nappe16T(tx, id) != nil, id*2+tx < resident; got != want {
-				t.Errorf("tx %d nappe %d resident = %v, want %v", tx, id, got, want)
-			}
-		}
 	}
 }
 

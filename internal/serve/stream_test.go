@@ -1,25 +1,22 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
 	"net"
-	"net/http"
 	"net/url"
 	"sync"
 	"testing"
 	"time"
 
-	"ultrabeam/internal/core"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/wire"
 )
 
-// dialStream starts a stream listener over srv and returns a connected
-// client conn.
-func dialStream(t *testing.T, srv *Server) net.Conn {
+// serveStream starts a stream listener over srv for the test's lifetime
+// and returns its address.
+func serveStream(t *testing.T, srv *Server) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -37,7 +34,14 @@ func dialStream(t *testing.T, srv *Server) net.Conn {
 		ln.Close()
 		wg.Wait()
 	})
-	conn, err := net.Dial("tcp", ln.Addr().String())
+	return ln.Addr().String()
+}
+
+// dialStream starts a stream listener over srv and returns a connected
+// client conn.
+func dialStream(t *testing.T, srv *Server) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", serveStream(t, srv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,30 +49,10 @@ func dialStream(t *testing.T, srv *Server) net.Conn {
 	return conn
 }
 
-// TestStreamCine drives the persistent transport end to end: hello, a
-// burst of alternating i16 and f32 compounds pipelined ahead of the
-// replies on a float64 session, volumes back in order matching the HTTP
-// f64 path above 60 dB, and stream counters moving.
-func TestStreamCine(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
-	bufs := tinyFrame(t, spec)
-	tx := [][]rf.EchoBuffer{bufs}
-	query := tinyQuery(url.Values{"resp": {"f32"}})
-
-	// HTTP f64 reference volume on the same scheduler.
-	st, refRaw, _ := postBytes(t, ts.URL+"/v1/beamform?"+tinyQuery(nil),
-		wire.ContentType, encodeWire(t, wire.EncodingF64, tx, 0))
-	if st != http.StatusOK {
-		t.Fatalf("reference POST: %d: %s", st, refRaw)
-	}
-	ref := decodeFloats(t, refRaw)
-
+// helloStream dials a stream listener over srv and says hello with query,
+// failing the test if the server refuses it.
+func helloStream(t *testing.T, srv *Server, query string) net.Conn {
+	t.Helper()
 	conn := dialStream(t, srv)
 	if err := wire.WriteHello(conn, query); err != nil {
 		t.Fatal(err)
@@ -76,138 +60,33 @@ func TestStreamCine(t *testing.T) {
 	if err := wire.ReadHelloReply(conn); err != nil {
 		t.Fatalf("hello refused: %v", err)
 	}
-
-	// Push a pipelined burst, then read the replies in order.
-	const n = 6
-	bodies := [][]byte{encodeWire(t, wire.EncodingI16, tx, 8192), encodeWire(t, wire.EncodingF32, tx, 8192)}
-	for i := 0; i < n; i++ {
-		if _, err := conn.Write(bodies[i%2]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < n; i++ {
-		vol, err := wire.ReadVolume(conn, 0)
-		if err != nil {
-			t.Fatalf("volume %d: %v", i, err)
-		}
-		if vol.Encoding != wire.EncodingF32 {
-			t.Fatalf("volume %d encoding %s, want f32", i, vol.Encoding)
-		}
-		if len(vol.Data) != len(ref) {
-			t.Fatalf("volume %d has %d points, want %d", i, len(vol.Data), len(ref))
-		}
-		if db := psnr(ref, vol.Data); db < 60 {
-			t.Errorf("volume %d PSNR = %.1f dB, want ≥ 60", i, db)
-		}
-	}
-
-	ws := sched.Stats().Wire
-	if ws.Streams != 1 {
-		t.Errorf("streams = %d, want 1", ws.Streams)
-	}
-	if ws.FramesI16 != n/2 || ws.FramesF32 != n/2 {
-		t.Errorf("i16/f32 frames = %d/%d, want %d each", ws.FramesI16, ws.FramesF32, n/2)
-	}
-	if ws.PlaneDecodesI16 != 0 {
-		t.Errorf("plane decodes = %d on a float64 session, want 0", ws.PlaneDecodesI16)
-	}
+	return conn
 }
 
-// TestStreamScanline: the out=scanline selection applies per connection.
-func TestStreamScanline(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
+// mustStreamVolume pushes one compound over a fresh stream connection to
+// addr and returns the decoded volume; the connection closes at the
+// compound boundary.
+func mustStreamVolume(t *testing.T, addr, query string, body []byte) []float64 {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
-	bufs := tinyFrame(t, spec)
-
-	conn := dialStream(t, srv)
-	if err := wire.WriteHello(conn, tinyQuery(url.Values{"out": {"scanline"}})); err != nil {
+	defer conn.Close()
+	if err := wire.WriteHello(conn, query); err != nil {
 		t.Fatal(err)
 	}
 	if err := wire.ReadHelloReply(conn); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write(encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs}, 0)); err != nil {
+	if _, err := conn.Write(body); err != nil {
 		t.Fatal(err)
 	}
 	vol, err := wire.ReadVolume(conn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vol.Theta != 1 || vol.Phi != 1 || vol.Depth != spec.FocalDepth {
-		t.Fatalf("scanline reply shape %d×%d×%d, want 1×1×%d", vol.Theta, vol.Phi, vol.Depth, spec.FocalDepth)
-	}
-}
-
-// TestStreamErrors: a bad hello — including one naming a removed
-// precision — is refused with a message; a frame whose geometry mismatches
-// the connection comes back as an in-band error reply rather than a
-// dropped connection mid-write.
-func TestStreamErrors(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("bad_hello", func(t *testing.T) {
-		conn := dialStream(t, srv)
-		if err := wire.WriteHello(conn, "spec=nope"); err != nil {
-			t.Fatal(err)
-		}
-		var re *wire.RemoteError
-		if err := wire.ReadHelloReply(conn); !errors.As(err, &re) {
-			t.Fatalf("bad hello: %v, want RemoteError", err)
-		}
-	})
-
-	t.Run("removed_precision_refused", func(t *testing.T) {
-		conn := dialStream(t, srv)
-		if err := wire.WriteHello(conn, tinyQuery(url.Values{"precision": {"float32"}})); err != nil {
-			t.Fatal(err)
-		}
-		var re *wire.RemoteError
-		if err := wire.ReadHelloReply(conn); !errors.As(err, &re) || !bytes.Contains([]byte(re.Msg), []byte("float64|i16")) {
-			t.Fatalf("precision=float32 hello: %v, want a refusal naming float64|i16", err)
-		}
-	})
-
-	t.Run("geometry_mismatch_in_band", func(t *testing.T) {
-		spec := tinySpec()
-		spec.DepthLambda = core.ReducedSpec().DepthLambda
-		bufs := tinyFrame(t, spec)
-		conn := dialStream(t, srv)
-		if err := wire.WriteHello(conn, tinyQuery(nil)); err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.ReadHelloReply(conn); err != nil {
-			t.Fatal(err)
-		}
-		// One good compound, then a frame claiming 3 elements.
-		good := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs}, 0)
-		bad := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{bufs[:3]}, 0)
-		if _, err := conn.Write(append(append([]byte{}, good...), bad...)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wire.ReadVolume(conn, 0); err != nil {
-			t.Fatalf("good compound: %v", err)
-		}
-		var re *wire.RemoteError
-		if _, err := wire.ReadVolume(conn, 0); !errors.As(err, &re) {
-			t.Fatalf("mismatched frame: %v, want RemoteError", err)
-		}
-		if !bytes.Contains([]byte(re.Msg), []byte("elements")) {
-			t.Errorf("error message %q does not name the mismatch", re.Msg)
-		}
-		// The server stops reading after desync; the conn closes cleanly.
-		if _, err := wire.ReadVolume(conn, 0); err == nil {
-			t.Error("stream kept serving after a desynchronised frame")
-		}
-	})
+	return vol.Data
 }
 
 // TestStreamDropsStalledUpload: a compound's queue slot is reserved when its
@@ -219,11 +98,8 @@ func TestStreamErrors(t *testing.T) {
 // host — is answered; one that stalls mid-payload is closed as client-gone
 // and its slot released.
 func TestStreamDropsStalledUpload(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv := ts.Config.Handler.(*Server)
 	if srv.streamFrameTimeout != StreamFrameTimeout || StreamFrameTimeout <= 0 {
 		t.Fatalf("NewServer frame deadline: %v", srv.streamFrameTimeout)
 	}
@@ -232,13 +108,7 @@ func TestStreamDropsStalledUpload(t *testing.T) {
 
 	spec := tinySpec()
 	bufs := tinyFrame(t, spec)
-	conn := dialStream(t, srv)
-	if err := wire.WriteHello(conn, tinyQuery(url.Values{"transmits": {"3"}, "arch": {"tablesteer"}, "resp": {"f32"}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.ReadHelloReply(conn); err != nil {
-		t.Fatalf("hello refused: %v", err)
-	}
+	conn := helloStream(t, srv, tinyQuery(url.Values{"transmits": {"3"}, "arch": {"tablesteer"}, "resp": {"f32"}}))
 	body := encodeWire(t, wire.EncodingI16, [][]rf.EchoBuffer{bufs, bufs, bufs}, 0)
 	frame := len(body) / 3 // three equal transmit frames
 	if len(body) != 3*frame || frame%2 != 0 {
@@ -298,34 +168,16 @@ func TestStreamDropsStalledUpload(t *testing.T) {
 // answered StatusOverloaded and closed (and counted), and closing one
 // accepted connection frees a slot a new hello can take.
 func TestStreamCapRefusesFlood(t *testing.T) {
-	_, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts, sched := newSchedTestServer(t, SchedulerConfig{})
+	srv := ts.Config.Handler.(*Server)
 	if srv.maxStreams != MaxStreams || MaxStreams <= 0 {
 		t.Fatalf("NewServer stream cap: %d", srv.maxStreams)
 	}
 	const limit = 3
 	srv.maxStreams = limit
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		srv.ServeStream(ctx, ln)
-	}()
-	t.Cleanup(func() {
-		cancel()
-		ln.Close()
-		wg.Wait()
-	})
+	addr := serveStream(t, srv)
 	hello := func() (net.Conn, error) {
-		conn, err := net.Dial("tcp", ln.Addr().String())
+		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -373,48 +225,5 @@ func TestStreamCapRefusesFlood(t *testing.T) {
 	}
 	if ws := sched.Stats().Wire; ws.StreamClosesOverloaded != 1 || ws.StreamClosesClean != 1 {
 		t.Errorf("close counters overloaded=%d clean=%d, want 1 and 1", ws.StreamClosesOverloaded, ws.StreamClosesClean)
-	}
-}
-
-// TestReplyMatchesStreamPayload: the HTTP reply body and the stream
-// volume's payload are the same bytes (wire.PutVolumeSamples) for the same
-// frame, in both reply encodings, and the stream header names the
-// encoding.
-func TestReplyMatchesStreamPayload(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv, err := NewServer(ServerConfig{Scheduler: sched})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := tinySpec()
-	spec.DepthLambda = core.ReducedSpec().DepthLambda
-	body := encodeWire(t, wire.EncodingF64, [][]rf.EchoBuffer{tinyFrame(t, spec)}, 0)
-	for _, enc := range []wire.Encoding{wire.EncodingF64, wire.EncodingF32} {
-		query := tinyQuery(url.Values{"resp": {enc.String()}})
-		st, reply, _ := postBytes(t, ts.URL+"/v1/beamform?"+query, wire.ContentType, body)
-		if st != http.StatusOK {
-			t.Fatalf("%s POST: %d: %s", enc, st, reply)
-		}
-		conn := dialStream(t, srv)
-		if err := wire.WriteHello(conn, query); err != nil {
-			t.Fatal(err)
-		}
-		if err := wire.ReadHelloReply(conn); err != nil {
-			t.Fatalf("hello refused: %v", err)
-		}
-		if _, err := conn.Write(body); err != nil {
-			t.Fatal(err)
-		}
-		const header = 28 // magic, status, encoding, reserved, θ φ depth, payload length
-		raw := make([]byte, header+len(reply))
-		if _, err := io.ReadFull(conn, raw); err != nil {
-			t.Fatalf("%s stream volume: %v", enc, err)
-		}
-		if wire.Encoding(raw[5]) != enc || raw[4] != 0 {
-			t.Fatalf("%s stream volume: status %d encoding %d", enc, raw[4], raw[5])
-		}
-		if !bytes.Equal(raw[header:], reply) {
-			t.Fatalf("%s: the HTTP reply's %d bytes differ from the stream volume's payload", enc, len(reply))
-		}
 	}
 }

@@ -159,9 +159,6 @@ func (t *RefTable) index(qx, qy, d int) int { return (d*t.QY+qy)*t.QX + qx }
 // Entries returns the stored entry count (the paper's 2.5×10⁶ at Table I).
 func (t *RefTable) Entries() int { return t.QX * t.QY * t.Depths }
 
-// LiveEntries returns entries surviving directivity pruning.
-func (t *RefTable) LiveEntries() int { return t.Entries() - t.PrunedCount }
-
 // StorageBits returns the folded-table footprint (45 Mb at 18-bit Table I).
 func (t *RefTable) StorageBits() int { return t.Entries() * t.Fmt.Bits() }
 

@@ -164,9 +164,6 @@ func TestRefTableDirectivityPruning(t *testing.T) {
 	if tbl.PrunedCount == 0 {
 		t.Fatal("60° cone should prune shallow off-axis entries")
 	}
-	if tbl.LiveEntries()+tbl.PrunedCount != tbl.Entries() {
-		t.Error("live + pruned != total")
-	}
 	// The shallowest nappe must be the most pruned (Fig. 3a cone shape).
 	prunedAt := func(d int) int {
 		n := 0
@@ -215,8 +212,8 @@ func TestFig3aDots(t *testing.T) {
 	cfg.Directivity = DefaultDirectivity()
 	tbl := BuildRefTable(cfg)
 	all := tbl.Fig3aDots(1, 1)
-	if len(all) != tbl.LiveEntries() {
-		t.Errorf("dots = %d, want live entries %d", len(all), tbl.LiveEntries())
+	if live := tbl.Entries() - tbl.PrunedCount; len(all) != live {
+		t.Errorf("dots = %d, want live entries %d", len(all), live)
 	}
 	strided := tbl.Fig3aDots(2, 4)
 	if len(strided) >= len(all) {

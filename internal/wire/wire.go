@@ -549,21 +549,6 @@ func WriteFrame(w io.Writer, f *Frame, chunkBytes int) error {
 	return nil
 }
 
-// FrameWireBytes returns the exact on-the-wire size of a frame written by
-// WriteFrame with the given chunk size — the accounting behind the B7
-// bytes-per-frame record.
-func FrameWireBytes(h Header, chunkBytes int) int64 {
-	if chunkBytes <= 0 {
-		chunkBytes = DefaultChunk
-	}
-	if chunkBytes > MaxChunk {
-		chunkBytes = MaxChunk
-	}
-	payload := h.PayloadBytes()
-	chunks := (payload + int64(chunkBytes) - 1) / int64(chunkBytes)
-	return HeaderBytes + payload + 4*chunks
-}
-
 // ReadFrame reads one whole frame (header plus payload) into memory — the
 // convenience form for tests, fuzzing and small clients; servers use
 // ReadHeader + DecodePlaneI16/DecodeF64 to stream. maxPayload rejects frames

@@ -46,9 +46,6 @@ func TestFrameRoundTripAllEncodings(t *testing.T) {
 			if err := WriteFrame(&buf, f, chunk); err != nil {
 				t.Fatalf("WriteFrame: %v", err)
 			}
-			if got, want := int64(buf.Len()), FrameWireBytes(f.Header, chunk); got != want {
-				t.Fatalf("wire bytes = %d, FrameWireBytes = %d", got, want)
-			}
 			rt, err := ReadFrame(bytes.NewReader(buf.Bytes()), 0)
 			if err != nil {
 				t.Fatalf("ReadFrame: %v", err)
