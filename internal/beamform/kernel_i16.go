@@ -152,6 +152,7 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 	nE := len(e.apod)
 	nG := (nE + 15) / 16
 	t := &i16Table{
+		win:     win,
 		els:     make([]i16Gather, len(e.activeIdx)),
 		ro:      make([]int32, nE, nG*16),
 		wq:      make([]uint32, nE),
@@ -159,9 +160,12 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 		lastLen: lastLen(nE),
 		wpair:   make([]uint32, nG*8*16),
 	}
+	for d := range t.ro {
+		t.ro[d] = int32(d * (win + 1))
+	}
 	for j, d := range e.activeIdx {
 		q := e.activeWQ[j]
-		t.els[j] = i16Gather{idx: d, wq: int32(q)}
+		t.els[j] = i16Gather{idx: d, ro: t.ro[d], wq: int32(q)}
 		t.wq[d] = uint32(uint16(q))
 		t.grp[d/16] |= 1 << (d % 16)
 		// Element i of a group belongs to pair i%8: its weight fills
@@ -180,20 +184,7 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 	for t.tail < len(t.els) && int(t.els[t.tail].idx) < t.nVec {
 		t.tail++
 	}
-	t.rewindow(win)
 	return t
-}
-
-// rewindow sets the table to window win: the row offsets are the only
-// operands that depend on it.
-func (t *i16Table) rewindow(win int) {
-	t.win = win
-	for d := range t.ro {
-		t.ro[d] = int32(d * (win + 1))
-	}
-	for j := range t.els {
-		t.els[j].ro = t.ro[t.els[j].idx]
-	}
 }
 
 // snakeTiles cuts the nTh×nPh voxel plane of a nappe into tiles of 16 voxel

@@ -111,11 +111,6 @@ type Session struct {
 	i16Scale []float64
 	i16Tab   *i16Table
 
-	// wide holds a plane frame widened to float64 rows of window wideWin,
-	// on an engine whose aperture defeated the int32 accumulator bound.
-	wide    [][]rf.EchoBuffer
-	wideWin int
-
 	// beamformed is atomic: a serving frontend scrapes Frames() from stats
 	// goroutines while the owning goroutine beamforms.
 	beamformed atomic.Int64
@@ -360,14 +355,15 @@ func (e *Engine) datapath(sh Shape) (narrow, i16 bool) {
 // each depth slice runs store-then-add in transmit order, so the volume is
 // the coherent sum of the per-transmit beamformations (a single-transmit
 // frame is a compound of one). dst must carry the session's grid. Once a
-// window's first frame has sized the i16 planes or the widened rows (and
-// warmed any cache), Run allocates nothing on any path, and a change to a
-// window whose planes fit those reuses them. A plane frame is
-// bit-identical to the buffer frame that quantizes to the same int16
-// samples and scales. It needs Precision=i16 and a window within
-// delay.MaxEchoWindow; on an engine whose aperture defeated the int32
-// accumulator bound it is widened to float64 buffers exactly as
-// wire.DecodeF64 widens an i16 payload, and runs the float64 kernel.
+// window's first frame has sized the i16 planes (and warmed any cache), Run
+// allocates nothing for that window's frames; the first frame after a
+// window change allocates the i16 planes and the kernel's operand table
+// afresh. A plane frame is bit-identical to the buffer frame that
+// quantizes to the same int16 samples and scales. It needs Precision=i16
+// and a window within delay.MaxEchoWindow; on an engine whose aperture
+// defeated the int32 accumulator bound it is widened to freshly allocated
+// float64 buffers, exactly as wire.DecodeF64 widens an i16 payload, and
+// runs the float64 kernel, so such frames allocate every time.
 func (s *Session) Run(dst *Volume, f Frame) error {
 	if s.closed {
 		return errors.New("beamform: session is closed")
@@ -388,7 +384,7 @@ func (s *Session) Run(dst *Volume, f Frame) error {
 	sh := f.Shape()
 	narrow, i16 := s.eng.datapath(sh)
 	if sh.Planes && !i16 {
-		f = s.widen(f)
+		f = widen(f)
 	}
 	s.frame, s.out, s.narrow, s.useI16 = f, dst, narrow, i16
 	if i16 {
@@ -453,32 +449,23 @@ func (s *Session) checkFrame(f Frame) error {
 // widen returns a plane frame as float64 echo buffers, sample =
 // float64(int16)·float64(scale) — the exact widening wire.DecodeF64
 // applies to an i16 payload, so a widened frame beamforms bit-identically
-// to the same wire frame decoded to float64. The rows are the session's
-// own, allocated on a window's first widened frame and reused after it.
-func (s *Session) widen(f Frame) Frame {
-	stride := f.Win + 1
-	if s.wideWin != f.Win {
-		elems := len(f.Planes[0]) / stride
-		samples := make([]float64, len(f.Planes)*elems*f.Win)
-		s.wide = make([][]rf.EchoBuffer, len(f.Planes))
-		for t := range s.wide {
-			s.wide[t] = make([]rf.EchoBuffer, elems)
-			for d := range s.wide[t] {
-				lo := (t*elems + d) * f.Win
-				s.wide[t][d].Samples = samples[lo : lo+f.Win : lo+f.Win]
-			}
-		}
-		s.wideWin = f.Win
-	}
+// to the same wire frame decoded to float64.
+func widen(f Frame) Frame {
+	out := Frame{Bufs: make([][]rf.EchoBuffer, len(f.Planes))}
 	for t, p := range f.Planes {
-		sc := float64(f.Scales[t])
-		for d, b := range s.wide[t] {
+		elems, stride, sc := len(p)/(f.Win+1), f.Win+1, float64(f.Scales[t])
+		samples := make([]float64, elems*f.Win)
+		bufs := make([]rf.EchoBuffer, elems)
+		for d := range bufs {
+			row := samples[d*f.Win : (d+1)*f.Win : (d+1)*f.Win]
 			for i, v := range p[d*stride : d*stride+f.Win] {
-				b.Samples[i] = float64(v) * sc
+				row[i] = float64(v) * sc
 			}
+			bufs[d].Samples = row
 		}
+		out.Bufs[t] = bufs
 	}
-	return Frame{Bufs: s.wide}
+	return out
 }
 
 // BeamformBatch runs float64 echo sets through Run frame by frame:
@@ -513,27 +500,16 @@ func (s *Session) BeamformBatchPlanesI16(dsts []*Volume, win int, planes [][][]i
 	return nil
 }
 
-// sizePlanes sets the i16 plane geometry for window win. On a window
-// change it re-windows the kernel's operand table in place and reslices the
-// session's own planes when their capacity fits, cleared so that every
-// row's guard slot is zero again (the convert job writes samples only);
-// planes too small are dropped, and the next buffer frame allocates them.
+// sizePlanes sets the i16 plane geometry for window win, rebuilding the
+// kernel's operand table and dropping the session's own planes when the
+// window changed (the next buffer frame re-sizes them).
 func (s *Session) sizePlanes(win, planeLen int) {
 	if s.flatWin == win && s.planeLen == planeLen {
 		return
 	}
+	s.flatI16 = nil
 	s.flatWin, s.planeLen = win, planeLen
-	if n := len(s.gens) * planeLen; cap(s.flatI16) >= n {
-		s.flatI16 = s.flatI16[:n]
-		clear(s.flatI16)
-	} else {
-		s.flatI16 = nil
-	}
-	if s.i16Tab == nil {
-		s.i16Tab = s.eng.i16GatherTable(win)
-	} else {
-		s.i16Tab.rewindow(win)
-	}
+	s.i16Tab = s.eng.i16GatherTable(win)
 }
 
 // NewVolume allocates an output volume on the session's grid — the

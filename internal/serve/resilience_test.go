@@ -43,9 +43,7 @@ func TestSchedulerDeadlineExpiresInQueue(t *testing.T) {
 		_, err := sched.Submit(context.Background(), req, frame)
 		patient <- err
 	}()
-	for sched.Stats().Queued != 2 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, 2)
 	time.Sleep(30 * time.Millisecond) // let the impatient deadline lapse
 	<-sched.slots                     // open the turnstile
 	wg.Wait()
@@ -92,9 +90,7 @@ func TestSchedulerDrain(t *testing.T) {
 			done.Add(1)
 		}()
 	}
-	for sched.Stats().Queued != n {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, n)
 
 	drained := make(chan error, 1)
 	go func() { drained <- sched.Drain(context.Background()) }()
@@ -131,9 +127,7 @@ func TestSchedulerDrainTimeout(t *testing.T) {
 	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
 	sched.slots <- struct{}{}
 	go sched.Submit(context.Background(), req, frame)
-	for sched.Stats().Queued != 1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if err := sched.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
@@ -239,9 +233,7 @@ func TestRetryAfterScalesWithBacklog(t *testing.T) {
 			sched.Submit(context.Background(), req, frame)
 		}()
 	}
-	for sched.Stats().Queued != n {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, n)
 	// Cold scheduler assumes 4 frames/s: 21 frames ahead → ceil(21/4) = 6.
 	if got := sched.RetryAfterSeconds(); got != 6 {
 		t.Errorf("Retry-After with %d queued = %d, want 6", n, got)
@@ -347,6 +339,14 @@ func TestStreamDrainSendsGoAway(t *testing.T) {
 	}
 	if err := wire.ReadHelloReply(conn2); err == nil {
 		t.Error("draining server accepted a new stream hello")
+	}
+}
+
+// waitQueued polls until n frames sit in sched's queues, or for 5 s: a
+// queue that never fills then fails the caller's checks, not the binary.
+func waitQueued(sched *Scheduler, n int) {
+	for deadline := time.Now().Add(5 * time.Second); sched.Stats().Queued != n && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
 	}
 }
 

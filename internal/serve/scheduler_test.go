@@ -40,9 +40,7 @@ func TestSchedulerLanePreemption(t *testing.T) {
 			seq.Add(1)
 		}()
 	}
-	for sched.Stats().Queued != cine {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, cine)
 	var interactiveSeq atomic.Int64
 	wg.Add(1)
 	go func() {
@@ -52,9 +50,7 @@ func TestSchedulerLanePreemption(t *testing.T) {
 		}
 		interactiveSeq.Store(seq.Add(1))
 	}()
-	for sched.Stats().Queued != cine+1 {
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(sched, cine+1)
 	<-sched.slots // open the turnstile
 	wg.Wait()
 	// The interactive frame entered last but must dispatch first (its own

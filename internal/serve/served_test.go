@@ -341,7 +341,8 @@ func (sc *servedScene) body(t testing.TB, k int, enc wire.Encoding, chunk int, l
 // twin is the volume a solo uncached session of arch and prec computes from
 // frame k's body in enc, decoded as decodeWireFrame decodes it: into
 // guarded int16 planes for an i16 body on an i16 session within
-// delay.MaxEchoWindow, else into float64 rows.
+// delay.MaxEchoWindow, else into float64 rows. Each twin but the f64 body's
+// float64 one must lie within 60 dB of that one.
 func (sc *servedScene) twin(t testing.TB, arch Arch, prec beamform.Precision, k int, enc wire.Encoding) *beamform.Volume {
 	key := fmt.Sprint(arch, prec, k, enc)
 	if v := sc.twins[key]; v != nil {
@@ -386,7 +387,7 @@ func (sc *servedScene) twin(t testing.TB, arch Arch, prec beamform.Precision, k 
 		t.Fatal(err)
 	}
 	ref := v // a zero-energy reference fails: a comparison with it proves nothing
-	if prec == beamform.PrecisionInt16 {
+	if prec == beamform.PrecisionInt16 || enc != wire.EncodingF64 {
 		ref = sc.twin(t, arch, beamform.PrecisionFloat64, k, wire.EncodingF64)
 	}
 	if db, err := beamform.PeakSignalRatio(ref, v); err != nil || db < 60 {
@@ -413,7 +414,6 @@ func (c servedCase) reply(twin *beamform.Volume) []byte {
 func (c servedCase) run(t *testing.T) {
 	sc := servedSceneFor(t, c.nTx)
 	ts, sched := newSchedTestServer(t, SchedulerConfig{})
-	srv := ts.Config.Handler.(*Server)
 	var bodies, replies [][]byte
 	var bytesIn, bytesOut int64
 	for n, k := range c.order {
@@ -425,7 +425,7 @@ func (c servedCase) run(t *testing.T) {
 		bytesIn += int64(len(bodies[n]))
 	}
 	if c.stream {
-		replies = c.streamFrames(t, srv, sched, bodies)
+		replies = c.streamFrames(t, ts.Config.Handler.(*Server), sched, bodies)
 	} else {
 		for n, b := range bodies {
 			replies = append(replies, c.post(t, ts.URL, n, b))
@@ -482,16 +482,20 @@ func (c servedCase) post(t *testing.T, base string, n int, body []byte) []byte {
 	return raw
 }
 
-// streamFrames serves the bodies over one pipelined cine stream and
-// returns each volume's payload bytes after checking its header. The
-// stream is closed at a compound boundary before the counters are read.
+// streamFrames serves the bodies over one pipelined cine stream, queued
+// behind the held core slot before the first dispatch (a backlog of both
+// windows of a crossing order), and returns each volume's payload bytes
+// after checking its header; the stream closes before the counters are read.
 func (c servedCase) streamFrames(t *testing.T, srv *Server, sched *Scheduler, bodies [][]byte) [][]byte {
 	conn := helloStream(t, srv, c.query())
-	for _, b := range bodies { // all sent before the first reply is read
+	sched.slots <- struct{}{}
+	for _, b := range bodies {
 		if _, err := conn.Write(b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	waitQueued(sched, len(bodies))
+	<-sched.slots // open the turnstile
 	spec := servedSpec()
 	theta, phi := spec.FocalTheta, spec.FocalPhi
 	if c.scanline {
