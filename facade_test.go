@@ -126,17 +126,8 @@ func TestFacadeBudgetFromBanks(t *testing.T) {
 }
 
 func TestFacadeNarrowDatapath(t *testing.T) {
-	spec := ultrabeam.ReducedSpec()
-	spec.ElemX, spec.ElemY = 8, 8
-	spec.FocalTheta, spec.FocalPhi, spec.FocalDepth = 9, 3, 10
-	spec.DepthLambda = 60
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
-		BufSamples: spec.EchoBufferSamples(),
-	}, rf.PointPhantom(geom.Vec3{Z: 0.6 * spec.Depth()}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, tx := facadeScene(t, ultrabeam.Transmit{})
+	bufs := tx[0]
 	// Every provider fills narrow blocks through the facade type.
 	var bp ultrabeam.BlockProvider = spec.NewExact()
 	blk := make(ultrabeam.Block16, bp.Layout().BlockLen())
@@ -212,21 +203,13 @@ func TestFacadeCompoundInvariance(t *testing.T) {
 // scheduled frames keyed by
 // fingerprint onto one warm geometry, and the HTTP server round trip.
 func TestFacadeServingScheduler(t *testing.T) {
-	spec := ultrabeam.ReducedSpec()
-	spec.ElemX, spec.ElemY = 8, 8
-	spec.FocalTheta, spec.FocalPhi, spec.FocalDepth = 9, 3, 10
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: spec.Array(), Conv: spec.Converter(), Pulse: rf.NewPulse(spec.Fc, spec.B),
-		BufSamples: spec.EchoBufferSamples(),
-	}, rf.PointPhantom(geom.Vec3{Z: 0.6 * spec.Depth()}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	spec, tx := facadeScene(t, ultrabeam.Transmit{})
+	bufs := tx[0]
 
 	// A shared store built and attached through the facade aliases.
 	cfg := ultrabeam.SessionConfig{Window: ultrabeam.Hann, Cached: true, CacheBudget: -1}
 	var shared *ultrabeam.SharedDelayCache
-	shared, err = spec.NewSharedCache(cfg, spec.NewExact())
+	shared, err := spec.NewSharedCache(cfg, spec.NewExact())
 	if err != nil {
 		t.Fatal(err)
 	}

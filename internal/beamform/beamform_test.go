@@ -2,6 +2,7 @@ package beamform
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -132,10 +133,16 @@ func TestBeamformApodizationLowersSidelobes(t *testing.T) {
 	t.Logf("sidelobes beyond first null: rect %.4f, hann %.4f", sr, sh)
 }
 
-func TestPathInvariance(t *testing.T) {
-	// The block streaming pipeline must reproduce the scalar reference path
-	// bit for bit, for every provider architecture (the engine-level form of
-	// the FillNappe16 bit-identity contract).
+// TestPathInvariance: the block streaming pipeline must reproduce the
+// scalar reference path bit for bit, for every provider architecture (the
+// engine-level form of the FillNappe16 bit-identity contract).
+func TestPathInvariance(t *testing.T) { pathInvariance(t, "") }
+
+func TestBlockPathScalarAdapterFallback(t *testing.T) { pathInvariance(t, "scalar-only") }
+
+// pathInvariance holds Beamform to BeamformScalar for every provider, or
+// for the one named only.
+func pathInvariance(t *testing.T, only string) {
 	cfg, bufs, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(40), geom.Radians(10), 0.03, 9, 3, 40)
 	providers := map[string]delay.Provider{
@@ -151,6 +158,12 @@ func TestPathInvariance(t *testing.T) {
 	tsFixed := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv})
 	tsFixed.UseFixed = true
 	providers["tablesteer-fixed"] = tsFixed
+	// A provider with only the scalar interface runs on the block path
+	// through delay.ScalarAdapter (TestBlockPathScalarAdapterFallback).
+	providers["scalar-only"] = scalarOnly{exactProvider(cfg)}
+	if only != "" {
+		providers = map[string]delay.Provider{only: providers[only]}
+	}
 	eng := New(cfg)
 	for name, p := range providers {
 		scalar, err := eng.BeamformScalar(p, bufs)
@@ -170,28 +183,6 @@ func TestPathInvariance(t *testing.T) {
 	}
 }
 
-func TestBlockPathScalarAdapterFallback(t *testing.T) {
-	// A provider that implements only the scalar interface must still run on
-	// the block path, through delay.ScalarAdapter, with identical output.
-	cfg, bufs, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 30)
-	eng := New(cfg)
-	wrapped := scalarOnly{exactProvider(cfg)}
-	adapted, err := eng.Beamform(wrapped, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	native, err := eng.Beamform(exactProvider(cfg), bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range native.Data {
-		if native.Data[i] != adapted.Data[i] {
-			t.Fatalf("adapter fallback diverges at %d", i)
-		}
-	}
-}
-
 // scalarOnly hides the BlockProvider implementation of the wrapped provider.
 type scalarOnly struct{ p delay.Provider }
 
@@ -200,100 +191,87 @@ func (s scalarOnly) DelaySamples(it, ip, id, ei, ej int) float64 {
 	return s.p.DelaySamples(it, ip, id, ei, ej)
 }
 
+// TestImageQualityAcrossProviders: the paper's §II-A claim, equally
+// accurate delay generation yields the same image. TABLEFREE (±0.5 sample)
+// and TABLESTEER-18b (Taylor error) volumes must correlate ≈1 with the
+// exact-delay volume, with the PSF peak where the exact one has it.
 func TestImageQualityAcrossProviders(t *testing.T) {
-	// The paper's §II-A claim: equally accurate delay generation yields the
-	// same image. TABLEFREE (±0.5 sample) and TABLESTEER (Taylor error)
-	// volumes must correlate ≈1 with the exact-delay volume.
 	cfg, bufs, _ := psfSetup(t)
 	exact, err := New(cfg).Beamform(exactProvider(cfg), bufs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf := tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv})
-	tfVol, err := New(cfg).Beamform(tf, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, corr := tablesteer.Bits18Config()
-	ts := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv,
-		RefFmt: ref, CorrFmt: corr})
-	ts.UseFixed = true
-	tsVol, err := New(cfg).Beamform(ts, bufs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simTF, err := Similarity(exact, tfVol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	simTS, err := Similarity(exact, tsVol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simTF < 0.98 {
-		t.Errorf("TABLEFREE similarity = %.4f, want ≈1", simTF)
-	}
-	if simTS < 0.95 {
-		t.Errorf("TABLESTEER similarity = %.4f, want ≈1", simTS)
-	}
-	t.Logf("image similarity vs exact: tablefree %.4f, tablesteer-18b %.4f", simTF, simTS)
-	// PSF stays put across providers.
 	me, err := MeasurePSF(exact, conv, 4e6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, err := MeasurePSF(tfVol, conv, 4e6)
-	if err != nil {
-		t.Fatal(err)
+	ref, corr := tablesteer.Bits18Config()
+	ts := tablesteer.New(tablesteer.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv, RefFmt: ref, CorrFmt: corr})
+	ts.UseFixed = true
+	for _, c := range []struct {
+		p   delay.Provider
+		min float64
+	}{{tablefree.New(tablefree.Config{Vol: cfg.Vol, Arr: cfg.Arr, Conv: conv}), 0.98}, {ts, 0.95}} {
+		vol, err := New(cfg).Beamform(c.p, bufs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := Similarity(exact, vol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := MeasurePSF(vol, conv, 4e6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim < c.min || m.PeakIndex != me.PeakIndex {
+			t.Errorf("%s: similarity %.4f (want ≥ %v), PSF peak %v (exact %v)", c.p.Name(), sim, c.min, m.PeakIndex, me.PeakIndex)
+		}
+		t.Logf("image similarity vs exact: %s %.4f", c.p.Name(), sim)
 	}
-	if me.PeakIndex != mt.PeakIndex {
-		t.Errorf("PSF peak moved: %v vs %v", me.PeakIndex, mt.PeakIndex)
+}
+
+// rampVolume is a 3×4×5 volume whose every sample is its own index.
+func rampVolume() *Volume {
+	v := &Volume{Vol: scan.NewVolume(geom.Radians(10), geom.Radians(10), 0.01, 3, 4, 5), Data: make([]float64, 3*4*5)}
+	for i := range v.Data {
+		v.Data[i] = float64(i)
+	}
+	return v
+}
+
+// fibersMatch holds v's scanline (θ 2, φ 1), lateral profile (φ 1, depth 3)
+// and nappe slice (depth 3), as extracted by one accessor form, to At,
+// sample for sample.
+func fibersMatch(t *testing.T, v *Volume, form string, line, lat, nappe []float64) {
+	t.Helper()
+	at := func(it, ip, id int) float64 { return v.At(scan.Index{Theta: it, Phi: ip, Depth: id}) }
+	if len(line) != 5 || len(lat) != 3 || len(nappe) != 12 {
+		t.Fatalf("%s: fibers of %d, %d and %d samples", form, len(line), len(lat), len(nappe))
+	}
+	for id, got := range line {
+		if got != at(2, 1, id) {
+			t.Errorf("%s scanline[%d] = %v, want %v", form, id, got, at(2, 1, id))
+		}
+	}
+	for it, got := range lat {
+		if got != at(it, 1, 3) {
+			t.Errorf("%s lateral profile[%d] = %v, want %v", form, it, got, at(it, 1, 3))
+		}
+	}
+	for i, got := range nappe {
+		if got != at(i/4, i%4, 3) {
+			t.Errorf("%s nappe slice[%d] = %v, want %v", form, i, got, at(i/4, i%4, 3))
+		}
 	}
 }
 
 func TestVolumeAccessors(t *testing.T) {
-	v := &Volume{
-		Vol:  scan.NewVolume(geom.Radians(10), geom.Radians(10), 0.01, 3, 4, 5),
-		Data: make([]float64, 3*4*5),
-	}
-	ix := scan.Index{Theta: 2, Phi: 1, Depth: 3}
-	v.Data[v.Vol.Linear(ix)] = 7
-	if v.At(ix) != 7 {
+	v := rampVolume()
+	if ix := (scan.Index{Theta: 2, Phi: 1, Depth: 3}); v.At(ix) != float64(v.Vol.Linear(ix)) {
 		t.Error("At broken")
 	}
-	if line := v.Scanline(2, 1); len(line) != 5 || line[3] != 7 {
-		t.Errorf("Scanline = %v", line)
-	}
-	if lat := v.LateralProfile(1, 3); len(lat) != 3 || lat[2] != 7 {
-		t.Errorf("LateralProfile = %v", lat)
-	}
-	if sl := v.NappeSlice(3); len(sl) != 12 || sl[2*4+1] != 7 {
-		t.Errorf("NappeSlice wrong")
-	}
-	// Accessors must return the full fiber, not just the marked point: fill
-	// the grid with a linear ramp and check every extracted sample.
-	for i := range v.Data {
-		v.Data[i] = float64(i)
-	}
-	at := func(it, ip, id int) float64 {
-		return v.At(scan.Index{Theta: it, Phi: ip, Depth: id})
-	}
-	for id, got := range v.Scanline(2, 1) {
-		if got != at(2, 1, id) {
-			t.Errorf("Scanline[%d] = %v, want %v", id, got, at(2, 1, id))
-		}
-	}
-	for it, got := range v.LateralProfile(1, 3) {
-		if got != at(it, 1, 3) {
-			t.Errorf("LateralProfile[%d] = %v, want %v", it, got, at(it, 1, 3))
-		}
-	}
-	for i, got := range v.NappeSlice(3) {
-		it, ip := i/4, i%4
-		if got != at(it, ip, 3) {
-			t.Errorf("NappeSlice[%d] = %v, want %v", i, got, at(it, ip, 3))
-		}
-	}
+	fibersMatch(t, v, "plain", v.Scanline(2, 1), v.LateralProfile(1, 3), v.NappeSlice(3))
 }
 
 func TestSimilarityProperties(t *testing.T) {
@@ -337,58 +315,20 @@ func TestPeakSignalRatio(t *testing.T) {
 	}
 }
 
-func BenchmarkBeamformExact(b *testing.B) {
-	cfg, bufs, _ := psfSetup(b)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 21, 1, 100)
-	eng := New(cfg)
-	p := exactProvider(cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Beamform(p, bufs); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// TestVolumeIntoAccessorsReuseBuffers: the Into variants match the plain
+// accessors, reuse a caller buffer of sufficient capacity in place, grow
+// an undersized one, and through one buffer do not allocate.
 func TestVolumeIntoAccessorsReuseBuffers(t *testing.T) {
-	v := &Volume{
-		Vol:  scan.NewVolume(geom.Radians(10), geom.Radians(10), 0.01, 3, 4, 5),
-		Data: make([]float64, 3*4*5),
-	}
-	for i := range v.Data {
-		v.Data[i] = float64(i)
-	}
-	// Into variants must match the allocating accessors and reuse a caller
-	// buffer of sufficient capacity in place.
+	v := rampVolume()
 	buf := make([]float64, 0, 64)
 	line := v.ScanlineInto(buf, 2, 1)
 	if &line[0] != &buf[:1][0] {
 		t.Error("ScanlineInto must reuse the caller buffer")
 	}
-	for id, got := range line {
-		if want := v.At(scan.Index{Theta: 2, Phi: 1, Depth: id}); got != want {
-			t.Errorf("ScanlineInto[%d] = %v, want %v", id, got, want)
-		}
-	}
+	kept := slices.Clone(line)
 	lat := v.LateralProfileInto(line, 1, 3) // reuse again, different length
-	if len(lat) != 3 {
-		t.Fatalf("LateralProfileInto len = %d", len(lat))
-	}
-	for it, got := range lat {
-		if want := v.At(scan.Index{Theta: it, Phi: 1, Depth: 3}); got != want {
-			t.Errorf("LateralProfileInto[%d] = %v, want %v", it, got, want)
-		}
-	}
-	sl := v.NappeSliceInto(nil, 3) // nil dst allocates, like the plain form
-	for i, got := range sl {
-		if want := v.At(scan.Index{Theta: i / 4, Phi: i % 4, Depth: 3}); got != want {
-			t.Errorf("NappeSliceInto[%d] = %v, want %v", i, got, want)
-		}
-	}
-	// Undersized buffers grow rather than panic.
-	small := make([]float64, 1)
-	if got := v.NappeSliceInto(small, 3); len(got) != 12 {
+	fibersMatch(t, v, "Into", kept, lat, v.NappeSliceInto(nil, 3))
+	if got := v.NappeSliceInto(make([]float64, 1), 3); len(got) != 12 {
 		t.Errorf("undersized NappeSliceInto len = %d", len(got))
 	}
 	// The analysis-loop shape the variants exist for: repeated extraction

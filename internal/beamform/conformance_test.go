@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -1049,74 +1048,38 @@ func TestFusedSteerMatchesFillThenAccumulate(t *testing.T) {
 	}
 }
 
-// servedCensus is, per served shape, what the tile bodies hand back over
-// every nappe — i16 tiles, fused tiles, f64 element-halves — run once per
-// test binary on the AVX-512 route. A census the first caller left short
-// fails every caller.
-var (
-	censusOnce sync.Once
-	census     [][3]int
-)
-
-func servedCensus(t *testing.T) [][3]int {
-	censusOnce.Do(func() {
-		defer route{"avx512", "avx512", true, true}.use()()
-		var b builder
-		for _, s := range servedShapes(1) {
-			c := b.build(t, s)
-			vol := c.eng.Cfg.Vol
-			out, row := &Volume{Vol: vol, Data: make([]float64, vol.Points())}, make([]int32, vol.Theta.N*vol.Phi.N)
-			var n [3]int
-			for i, id := range c.nappes() {
-				n[0] += c.eng.accumulateNappe16I16(c.blks[i], c.plane, c.tab, id, out, 1, false, row)
-				if c.ops != nil {
-					n[1] += c.eng.accumulateSteerI16(c.rys[i], &steerRoute{ops: c.ops, offs: c.eng.steerTileOffsets(c.ops)}, c.plane, c.tab, id, out, 1, false, row)
-				}
-				n[2] += c.eng.accumulateNappe16(c.blks[i], c.bufs, id, out, false)
-			}
-			census = append(census, n)
-		}
-	})
-	if len(census) != len(servedShapes(1)) { // the first caller stopped mid-census
-		t.Fatalf("the served census holds %d of %d shapes", len(census), len(servedShapes(1)))
-	}
-	return census
-}
-
-// TestI16TileServedBlocks is the matrix over every ninth nappe of the
-// served shapes; over every nappe, neither i16 tile body may hand a tile
-// back, and the fused one must run every TABLESTEER shape.
-// TestF64TileServedBlocks holds the f64 tile body to gathering no
-// element-half of the on-axis blocks; the axial set's share is logged, not
-// asserted: its transmit leg from a source behind the aperture widens the
-// spans at shallow depths.
+// TestI16TileServedBlocks and TestF64TileServedBlocks are the matrix over
+// every ninth nappe of the served shapes, the i16 and fused bodies in one
+// and the f64 body in the other. On those nappes the accept rules, which
+// the matrix holds the tile bodies' hand-backs to, must hand back no i16
+// or fused tile, and the f64 body must gather no element-half of the
+// on-axis blocks; the axial set's gathers are logged, not asserted: its
+// transmit leg from a source behind the aperture widens the spans at
+// shallow depths. The fused body must run every TABLESTEER shape.
 func TestI16TileServedBlocks(t *testing.T) {
-	conform(t, servedShapes(9), famAll, func(c *kcase) {
+	conform(t, servedShapes(9), famI16, func(c *kcase) {
 		if (c.ops != nil) != (c.s.Arg/5 == 1) {
 			t.Errorf("%+v: fused steer operands %t", c.s, c.ops != nil)
 		}
-	})
-	if !hostRoutes()[0].avx512 {
-		t.Skip("host has no AVX-512: no tile bodies")
-	}
-	for k, n := range servedCensus(t) {
-		if n[0] != 0 || n[1] != 0 {
-			t.Errorf("%+v: %d i16 and %d fused tiles handed back", servedShapes(1)[k], n[0], n[1])
+		for i, blk := range c.blks {
+			if n := i16Fallbacks(c.eng, blk, c.win); n != 0 {
+				t.Errorf("%+v nappe %d: the accept rule hands back %d tiles", c.s, c.nappes()[i], n)
+			}
 		}
-	}
+	})
 }
 
 func TestF64TileServedBlocks(t *testing.T) {
-	if !hostRoutes()[0].avx512 {
-		t.Skip("host has no AVX-512: no tile body")
-	}
-	for k, n := range servedCensus(t) {
-		s := servedShapes(1)[k]
-		if s.Arg%5 == 0 && n[2] != 0 {
-			t.Errorf("%+v on-axis transmit: %d element-halves gathered", s, n[2])
+	conform(t, servedShapes(9), famF64, func(c *kcase) {
+		n := 0
+		for _, blk := range c.blks {
+			n += f64Gathers(c.eng, blk, c.bufs)
 		}
-		t.Logf("%dx%d arch %d transmit %d: %d element-halves gathered", s.NX, s.NX, s.Arg/5, s.Arg%5, n[2])
-	}
+		if c.s.Arg%5 == 0 && n != 0 {
+			t.Errorf("%+v on-axis transmit: %d element-halves gathered", c.s, n)
+		}
+		t.Logf("%dx%d arch %d transmit %d: %d element-halves gathered", c.s.NX, c.s.NX, c.s.Arg/5, c.s.Arg%5, n)
+	})
 }
 
 // FuzzKernelConformance runs the matrix on one generated shape, each field

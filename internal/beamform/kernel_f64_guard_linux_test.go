@@ -4,7 +4,6 @@ package beamform
 
 import (
 	"testing"
-	"unsafe"
 
 	"ultrabeam/internal/rf"
 )
@@ -28,9 +27,8 @@ func TestF64KernelRowsFlushAgainstGuardPage(t *testing.T) {
 			c := b.build(t, kshape{NX: a[0], NY: a[1], NTh: 7, NPh: 5, NDep: 2, Win: n, Shift: -1, Seed: 13})
 			var releases []func()
 			for d, buf := range c.bufs {
-				mem, release := flushAgainstGuardPage(t, n*8)
+				row, release := guarded[float64](t, n)
 				releases = append(releases, release)
-				row := unsafe.Slice((*float64)(unsafe.Pointer(&mem[0])), n)
 				copy(row, buf.Samples)
 				c.bufs[d] = rf.EchoBuffer{Samples: row}
 			}

@@ -95,6 +95,31 @@ func reportKernel(b *testing.B, samples, bytes float64, procs int) {
 	b.ReportMetric(bytes, "B/sample")
 }
 
+// stripeVolumes times b.N whole volumes, GOMAXPROCS goroutines striping
+// the nappes as session workers do — worker w runs nappes w, w+procs, … —
+// and returns what run handed back per volume.
+func stripeVolumes(b *testing.B, ndep int, run func(w, id int) int) float64 {
+	procs := runtime.GOMAXPROCS(0)
+	var handed atomic.Int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for w := 0; w < procs; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				n := 0
+				for id := w; id < ndep; id += procs {
+					n += run(w, id)
+				}
+				handed.Add(int64(n))
+			}()
+		}
+		wg.Wait()
+	}
+	return float64(handed.Load()) / float64(b.N)
+}
+
 // benchPlane is a guarded int16 plane of the served window for eng: random
 // samples, guard slots zero.
 func benchPlane(eng *Engine, seed uint64) []int16 {
@@ -156,27 +181,13 @@ func BenchmarkAccumulateI16(b *testing.B) {
 				for w := range rows {
 					rows[w] = make([]int32, g.nth*g.nphi)
 				}
-				var fallbacks atomic.Int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := range rows {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							n := 0
-							for id := w; id < g.ndep; id += procs {
-								n += eng.accumulateNappe16I16(blocks[id], plane, tab, id, out, 1, false, rows[w])
-							}
-							fallbacks.Add(int64(n))
-						}()
-					}
-					wg.Wait()
-				}
+				fallbacks := stripeVolumes(b, g.ndep, func(w, id int) int {
+					return eng.accumulateNappe16I16(blocks[id], plane, tab, id, out, 1, false, rows[w])
+				})
 				geo := geometry[r.name]
 				reportKernel(b, float64(len(out.Data))*float64(geo.perVoxel), geo.bytes, procs)
 				if r.avx512 {
-					b.ReportMetric(float64(fallbacks.Load())/float64(b.N), "fallback_tiles/volume")
+					b.ReportMetric(fallbacks, "fallback_tiles/volume")
 				}
 			})
 		}
@@ -268,26 +279,10 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 						ry:  make([]int32, (g.nphi+1)*l.VoxelStride()),
 					}
 				}
-				var fallbacks atomic.Int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := range workers {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							n := 0
-							for id := w; id < g.ndep; id += procs {
-								n += rt.run(workers[w], id)
-							}
-							fallbacks.Add(int64(n))
-						}()
-					}
-					wg.Wait()
-				}
+				fallbacks := stripeVolumes(b, g.ndep, func(w, id int) int { return rt.run(workers[w], id) })
 				reportKernel(b, float64(len(out.Data))*float64(fetched), rt.bytes, procs)
 				if rt.name == "fused-avx512" {
-					b.ReportMetric(float64(fallbacks.Load())/float64(b.N), "fallback_tiles/volume")
+					b.ReportMetric(fallbacks, "fallback_tiles/volume")
 				}
 			})
 		}
@@ -344,27 +339,10 @@ func BenchmarkAccumulateF64(b *testing.B) {
 			ran[name] = true
 			b.Run(g.name+"/"+name, func(b *testing.B) {
 				defer r.use()()
-				procs := runtime.GOMAXPROCS(0)
-				var gathered atomic.Int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					for w := 0; w < procs; w++ {
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							n := 0
-							for id := w; id < g.ndep; id += procs {
-								n += run(blocks[id], bufs, id, out, false)
-							}
-							gathered.Add(int64(n))
-						}()
-					}
-					wg.Wait()
-				}
-				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[name], procs)
+				gathered := stripeVolumes(b, g.ndep, func(_, id int) int { return run(blocks[id], bufs, id, out, false) })
+				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[name], runtime.GOMAXPROCS(0))
 				if name == "avx512" {
-					b.ReportMetric(float64(gathered.Load())/float64(b.N), "gathered/volume")
+					b.ReportMetric(gathered, "gathered/volume")
 				}
 			})
 		}

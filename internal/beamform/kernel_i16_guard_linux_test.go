@@ -8,11 +8,11 @@ import (
 	"unsafe"
 )
 
-// flushAgainstGuardPage maps size bytes whose last byte is the last one
-// before a PROT_NONE page; release unmaps them.
-func flushAgainstGuardPage(t *testing.T, size int) (mem []byte, release func()) {
+// guarded maps n values of T whose last one ends flush against a PROT_NONE
+// page; release unmaps them.
+func guarded[T any](t *testing.T, n int) (vals []T, release func()) {
 	t.Helper()
-	page := syscall.Getpagesize()
+	size, page := n*int(unsafe.Sizeof(*new(T))), syscall.Getpagesize()
 	span := (size + page - 1) / page * page
 	all, err := syscall.Mmap(-1, 0, span+page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
 	if err != nil {
@@ -21,19 +21,11 @@ func flushAgainstGuardPage(t *testing.T, size int) (mem []byte, release func()) 
 	if err := syscall.Mprotect(all[span:], syscall.PROT_NONE); err != nil {
 		t.Fatal(err)
 	}
-	return all[span-size : span], func() {
+	return unsafe.Slice((*T)(unsafe.Pointer(&all[span-size])), n), func() {
 		if err := syscall.Munmap(all); err != nil {
 			t.Fatal(err)
 		}
 	}
-}
-
-// guardedInt16s maps n int16s whose last one ends flush against a
-// PROT_NONE page.
-func guardedInt16s(t *testing.T, n int) ([]int16, func()) {
-	t.Helper()
-	mem, release := flushAgainstGuardPage(t, n*2)
-	return unsafe.Slice((*int16)(unsafe.Pointer(&mem[0])), n), release
 }
 
 // TestI16KernelPlaneFlushAgainstGuardPage proves the native bodies' sample
@@ -54,7 +46,7 @@ func TestI16KernelPlaneFlushAgainstGuardPage(t *testing.T) {
 	for _, n := range [][2]int{{8, 1}, {4, 4}, {17, 1}, {16, 16}} {
 		for _, win := range []int{1, 9, 8512} {
 			c := b.build(t, kshape{NX: n[0], NY: n[1], NTh: 5, NPh: 2, NDep: 3, Win: win, Shift: -1, Seed: 11})
-			plane, release := guardedInt16s(t, len(c.plane))
+			plane, release := guarded[int16](t, len(c.plane))
 			c.plane = plane
 			c.fillPlane(plane, sDirty)
 			blk, nE := c.blks[0], len(c.eng.apod)
@@ -81,14 +73,14 @@ func TestI16KernelPlaneFlushAgainstGuardPage(t *testing.T) {
 // look-ahead for their prefetch, each ending flush against a PROT_NONE
 // page.
 func delaysAgainstGuardPage(t *testing.T, v *verdicts, c *kcase, fams int) {
-	blk, releaseBlk := guardedInt16s(t, len(c.blks[0]))
+	blk, releaseBlk := guarded[int16](t, len(c.blks[0]))
 	copy(blk, c.blks[0])
 	for i := range c.blks {
 		c.blks[i] = blk
 	}
 	tiles := c.eng.tiles
-	mem, releaseTiles := flushAgainstGuardPage(t, len(tiles)*4)
-	c.eng.tiles = unsafe.Slice((*int32)(unsafe.Pointer(&mem[0])), len(tiles))
+	var releaseTiles func()
+	c.eng.tiles, releaseTiles = guarded[int32](t, len(tiles))
 	copy(c.eng.tiles, tiles)
 	c.check(t, v, fams)
 	c.eng.tiles = tiles

@@ -260,38 +260,12 @@ func TestPrecisionInt16PSNRGate(t *testing.T) {
 	}
 }
 
-// TestPrecisionInt16CompoundPSNR extends the gate to compounding: an
-// N-transmit fixed-point compound must reconstruct the float64 compound
-// above 60 dB (each transmit quantizes with its own frame scale).
-func TestPrecisionInt16CompoundPSNR(t *testing.T) {
-	cfg, _, target := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(40), 0, 0.03, 7, 1, 20)
-	txs := delay.SteeredTransmits(3, 0.004, 0.004)
-	provs, txBufs := compoundSetup(t, cfg, exactProvider(cfg), txs, target)
-	c16 := cfg
-	c16.Precision = PrecisionInt16
-	var vols []*Volume
-	for _, c := range []Config{cfg, c16} {
-		gens := make([]delay.BlockProvider, len(provs))
-		for ti, p := range provs {
-			gens[ti] = delay.AsBlock(p, New(c).layout())
-		}
-		sess, err := New(c).NewSession(gens, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vols = append(vols, runFrame(t, sess, txBufs...))
-		sess.Close()
-	}
-	golden, fixed := vols[0], vols[1]
-	psnr, err := PeakSignalRatio(golden, fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if psnr < 60 {
-		t.Errorf("i16 compound PSNR = %.1f dB, want ≥ 60", psnr)
-	}
-}
+// TestPrecisionInt16CompoundPSNR extends the gate to compounding: the
+// three-transmit i16 scene's twin, which every i16 case of the session
+// matrix equals bit for bit, must reconstruct the float64 compound above
+// 60 dB on every frame, each transmit quantized with its own scale
+// (sceneFor holds it).
+func TestPrecisionInt16CompoundPSNR(t *testing.T) { sceneFor(t, "i16", 3) }
 
 // TestPlaneFitRuleIsPerPlane: the i16 kernel's int32 row offsets index one
 // frame×transmit plane at a time, so whether a frame fits is decided per

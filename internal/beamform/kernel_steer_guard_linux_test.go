@@ -4,18 +4,9 @@ package beamform
 
 import (
 	"testing"
-	"unsafe"
 
 	"ultrabeam/internal/delay"
 )
-
-// guardedInt32s maps n int32s whose last one ends flush against a
-// PROT_NONE page (flushAgainstGuardPage).
-func guardedInt32s(t *testing.T, n int) ([]int32, func()) {
-	t.Helper()
-	mem, release := flushAgainstGuardPage(t, n*4)
-	return unsafe.Slice((*int32)(unsafe.Pointer(&mem[0])), n), release
-}
 
 // TestFusedSteerOperandsFlushAgainstGuardPage proves the fused bodies'
 // loads cannot leave their operands: ry (exactly the NPhi rows the kernel
@@ -41,11 +32,11 @@ func TestFusedSteerOperandsFlushAgainstGuardPage(t *testing.T) {
 			c := b.build(t, kshape{NX: ap[0], NY: ap[1], NTh: 7, NPh: 5, NDep: 1, Win: win, Shift: -1, Seed: 15})
 			nE, nTh, nPh := len(c.eng.apod), 7, 5
 			pf := (nPh + 1) / 2
-			plane, releasePlane := guardedInt16s(t, len(c.plane))
+			plane, releasePlane := guarded[int16](t, len(c.plane))
 			c.plane = plane
 			c.fillPlane(plane, sDirty)
-			xt, releaseXT := guardedInt32s(t, nTh*pf*nE)
-			ry, releaseRy := guardedInt32s(t, nPh*nE)
+			xt, releaseXT := guarded[int32](t, nTh*pf*nE)
+			ry, releaseRy := guarded[int32](t, nPh*nE)
 			c.ops = &delay.SteerOperands{Frac: frac, Half: 1 << (frac - 1), XT: xt, XOff: make([]int32, nTh*nPh)}
 			for k := range c.ops.XOff {
 				c.ops.XOff[k] = int32((k/nPh*pf + min(k%nPh, nPh-1-k%nPh)) * nE)
@@ -53,7 +44,7 @@ func TestFusedSteerOperandsFlushAgainstGuardPage(t *testing.T) {
 			offs := c.eng.steerTileOffsets(c.ops)
 			c.route, c.rys = &steerRoute{ops: c.ops}, [][]int32{ry}
 			var releaseOffs func()
-			c.route.offs, releaseOffs = guardedInt32s(t, len(offs))
+			c.route.offs, releaseOffs = guarded[int32](t, len(offs))
 			copy(c.route.offs, offs)
 			cases := [][2]int32{{int32(win), 0}, {-1, 0}, {32767, 0}} // every index, and the shift of every other direction
 			if win > 40 {

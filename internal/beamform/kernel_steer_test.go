@@ -1,9 +1,8 @@
 // Session-level tests of the fused TABLESTEER accumulate: its kernel rows
 // run in the conformance matrix (conformance_test.go), against the golden
 // twin — tablesteer's steerRow (FillNappe16 on the proven formats) followed
-// by accumulateNappe16I16Ref. Here whole sessions (plane- and buffer-fed
-// batches, single and compound, cached and not) must equal the unfused
-// route bit for bit, on every route the host offers, and the route itself
+// by accumulateNappe16I16Ref. Here the session matrix's TABLESTEER rows
+// run on every route the host offers (sessionRows), and the route itself
 // is pinned: operand rows built, cache counters, what never takes it.
 package beamform
 
@@ -136,26 +135,16 @@ func (sc *steerCompound) session(t *testing.T, fused bool, budget int64) (*Sessi
 	return sess, cache
 }
 
-// frames returns n compound frames (each transmit's echoes scaled per
-// frame) as echo buffers and as the guarded i16 planes rf.PlaneI16 builds.
-func (sc *steerCompound) frames(t *testing.T, n int) ([][][]rf.EchoBuffer, [][][]int16, [][]float32) {
-	t.Helper()
+// frames returns n compound frames, each transmit's echoes scaled per
+// frame.
+func (sc *steerCompound) frames(n int) [][][]rf.EchoBuffer {
 	bufs := make([][][]rf.EchoBuffer, n)
-	planes := make([][][]int16, n)
-	scales := make([][]float32, n)
 	for k := range bufs {
 		for _, tx := range sc.bufs {
-			f := scaledEchoes(tx, 1+0.25*float64(k), sc.win)
-			p, s, err := rf.PlaneI16(f, sc.win)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bufs[k] = append(bufs[k], f)
-			planes[k] = append(planes[k], p)
-			scales[k] = append(scales[k], s)
+			bufs[k] = append(bufs[k], scaledEchoes(tx, 1+0.25*float64(k), sc.win))
 		}
 	}
-	return bufs, planes, scales
+	return bufs
 }
 
 func (sc *steerCompound) rows() int64 {
@@ -191,88 +180,14 @@ func volumesDiffer(got, want []*Volume) string {
 	return ""
 }
 
-// TestFusedSteerSessionsMatchUnfused holds whole sessions to the twin — the
-// same session with the generators' SteerSource hidden, run once per shape
-// on the host's route — bit for bit, on every fused route the host offers,
-// in every shape the fused route serves: single and 4-transmit compound
-// (store then add), calls of 1 and 3 frames, buffer-fed and plane-fed,
-// uncached and through a half-budget delaycache (only its non-resident
-// nappes take the route). The route pin: the fused session builds operand
-// rows exactly once per non-resident (nappe, transmit) per frame where a
-// fused body runs and never otherwise, and both sessions' cache counters
-// read the same, because a fused run counts the miss the fill it replaces
-// would have.
-func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
-	v := newVerdicts(kernelRoutes())
-	for _, nTx := range []int{1, 4} {
-		sc := newSteerCompound(t, nTx, PrecisionInt16)
-		bufs, planes, scales := sc.frames(t, 3)
-		blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
-		half := int64(sc.depth*nTx/2) * blockBytes
-		for _, budget := range []int64{-2, half} {
-			nonResident := int64(sc.depth * nTx)
-			if budget >= 0 {
-				nonResident -= budget / blockBytes
-			}
-			for _, n := range []int{1, 3} {
-				for _, fed := range []string{"buffers", "planes"} {
-					name := fmt.Sprintf("tx=%d budget=%d batch=%d %s", nTx, budget, n, fed)
-					run := func(fused bool) ([]*Volume, delaycache.Stats, int64) {
-						before := sc.rows()
-						sess, cache := sc.session(t, fused, budget)
-						defer sess.Close()
-						dsts := make([]*Volume, n)
-						for k := range dsts {
-							dsts[k] = sess.NewVolume()
-						}
-						for range 2 { // the second call runs warm
-							var err error
-							if fed == "buffers" {
-								err = sess.BeamformBatch(dsts, bufs[:n])
-							} else {
-								err = sess.BeamformBatchPlanesI16(dsts, sc.win, planes[:n], scales[:n])
-							}
-							if err != nil {
-								t.Fatal(err)
-							}
-						}
-						var st delaycache.Stats
-						if cache != nil {
-							st = cache.Stats()
-						}
-						return dsts, st, sc.rows() - before
-					}
-					want, wantSt, rows := run(false)
-					if rows != 0 {
-						t.Fatalf("%s: the unfused session built %d fused operand rows", name, rows)
-					}
-					for _, r := range v.routes {
-						got, gotSt, rows, wantRows := func() ([]*Volume, delaycache.Stats, int64, int64) {
-							defer r.use()()
-							got, st, rows := run(true)
-							if !fusedSteer() {
-								return got, st, rows, 0
-							}
-							return got, st, rows, 2 * int64(n) * nonResident
-						}()
-						v.ran[r.name]++
-						if msg := volumesDiffer(got, want); msg != "" {
-							v.failf(r, "%s: %s", name, msg)
-						}
-						if rows != wantRows {
-							v.failf(r, "%s: %d fused operand builds, want %d", name, rows, wantRows)
-						}
-						if gotSt.Hits != wantSt.Hits || gotSt.Misses != wantSt.Misses {
-							v.failf(r, "%s: fused session counted %d hits / %d misses, fill-then-accumulate %d / %d",
-								name, gotSt.Hits, gotSt.Misses, wantSt.Hits, wantSt.Misses)
-						}
-					}
-				}
-			}
-		}
-	}
-	v.report(t)
-}
+// TestFusedSteerSessionsMatchUnfused is the TABLESTEER session row on
+// every fused route the host offers: uncached and half-resident sessions,
+// buffer- and plane-fed, == the twin the unfused blocks give, with the
+// route pin that the fused session builds operand rows once per
+// non-resident (nappe, transmit) per frame where a fused body runs and
+// never otherwise (sessionRows). TestFusedSteerCountsOneMissPerNonResident
+// holds its cache counters.
+func TestFusedSteerSessionsMatchUnfused(t *testing.T) { sessionRows(t, "steer", "avx512", "avx2") }
 
 // TestFusedSteerCountsOneMissPerNonResident: through a half-budget cache, an
 // i16 TABLESTEER session asks the cache once per (transmit, nappe) per
@@ -282,7 +197,7 @@ func TestFusedSteerSessionsMatchUnfused(t *testing.T) {
 // of the first call and one hit on every later frame.
 func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
 	sc := newSteerCompound(t, 2, PrecisionInt16)
-	bufs, _, _ := sc.frames(t, 3)
+	bufs := sc.frames(3)
 	blockBytes := int64(sc.cfg.Vol.Theta.N*sc.cfg.Vol.Phi.N*len(sc.bufs[0])) * 2
 	resident := int64(sc.depth * len(sc.gens) / 2)
 	sess, cache := sc.session(t, true, resident*blockBytes)
@@ -318,7 +233,7 @@ func TestFusedSteerCountsOneMissPerNonResident(t *testing.T) {
 func TestFusedSteerRoutes(t *testing.T) {
 	for _, prec := range []Precision{PrecisionFloat64} {
 		sc := newSteerCompound(t, 2, prec)
-		bufs, _, _ := sc.frames(t, 1)
+		bufs := sc.frames(1)
 		run := func(fused bool) []*Volume {
 			sess, _ := sc.session(t, fused, -2)
 			defer sess.Close()

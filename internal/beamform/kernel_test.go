@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -13,95 +14,6 @@ import (
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 )
-
-// TestHugeEchoWindowFallsBackWide: a window beyond delay.MaxEchoWindow
-// defeats int16 echo indexing, so the session must fall back to the wide
-// (float64) echo kernel over its int16 delay blocks — at every precision —
-// and still match the scalar reference.
-func TestHugeEchoWindowFallsBackWide(t *testing.T) {
-	cfg, _, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
-	cfg.Arr.NX, cfg.Arr.NY = 4, 4
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
-		BufSamples: delay.MaxEchoWindow + 100,
-	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
-		c := cfg
-		c.Precision = prec
-		eng := New(c)
-		ref, err := eng.BeamformScalar(exactProvider(c), bufs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		vol, err := eng.Beamform(exactProvider(c), bufs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.Data {
-			if math.Float64bits(ref.Data[i]) != math.Float64bits(vol.Data[i]) {
-				t.Fatalf("%v: differs at %d", prec, i)
-			}
-		}
-	}
-}
-
-// TestWideFallbackCountsEveryBlockAMiss: the wide fallback for a long echo
-// window reads the same delay store as every other frame, one request per
-// (transmit, nappe). On a cold full-budget cache the first compound frame
-// counts every block a miss and hits nothing; every later frame counts every
-// block a hit and misses nothing.
-func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) {
-	cfg, _, _ := psfSetup(t)
-	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
-	cfg.Arr.NX, cfg.Arr.NY = 4, 4
-	bufs, err := rf.Synthesize(rf.Config{
-		Arr: cfg.Arr, Conv: cfg.Conv, Pulse: rf.NewPulse(4e6, 4e6),
-		BufSamples: delay.MaxEchoWindow + 100,
-	}, rf.PointPhantom(geom.Vec3{Z: 0.02}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var gens []delay.BlockProvider
-	for _, tx := range delay.SteeredTransmits(2, 0.004, 0.004) {
-		p, err := exactProvider(cfg).WithTransmit(tx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gens = append(gens, p.(delay.BlockProvider))
-	}
-	store, err := delaycache.NewShared(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := store.Attach()
-	sess, err := New(cfg).NewSession(gens, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	dst := sess.NewVolume()
-	perFrame := int64(cfg.Vol.Depth.N * len(gens))
-	for frame := 0; frame < 3; frame++ {
-		before := cache.Stats()
-		if err := sess.Run(dst, Frame{Bufs: [][]rf.EchoBuffer{bufs, bufs}}); err != nil {
-			t.Fatal(err)
-		}
-		after := cache.Stats()
-		wantMisses, wantHits := perFrame, int64(0)
-		if frame > 0 {
-			wantMisses, wantHits = 0, perFrame
-		}
-		if after.Misses-before.Misses != wantMisses || after.Hits-before.Hits != wantHits ||
-			cache.Shared().Stats().Misses != after.Misses {
-			t.Errorf("frame %d: stats %+v → %+v, want exactly %d more misses and %d more hits",
-				frame, before, after, wantMisses, wantHits)
-		}
-	}
-}
 
 // shifted adds extra samples to element (ei, ej)'s delays. It offers only
 // the scalar interface, so sessions fill its blocks through
@@ -128,8 +40,19 @@ func (s shifted) DelaySamples(it, ip, id, ei, ej int) float64 {
 // nappe holds the saturated index math.MaxInt16 and must be beamformed from
 // the scalar law, because reading sample 32767 of the noise echoes instead
 // of the true delay would show. Every case must equal the transmit-ordered
-// sum of BeamformScalar volumes bit for bit.
-func TestLongEchoWindowMatchesScalar(t *testing.T) {
+// sum of BeamformScalar volumes bit for bit, and a cached case reads the
+// store once per (transmit, nappe): the first frame misses every block,
+// the second hits every one. TestHugeEchoWindowFallsBackWide is its
+// uncached single-transmit rows (Engine.Beamform's one session),
+// TestWideFallbackCountsEveryBlockAMiss its cached compound rows.
+func TestLongEchoWindowMatchesScalar(t *testing.T) { longWindowRows(t, "") }
+
+func TestHugeEchoWindowFallsBackWide(t *testing.T) { longWindowRows(t, "in-range/1tx/uncached") }
+
+func TestWideFallbackCountsEveryBlockAMiss(t *testing.T) { longWindowRows(t, "in-range/2tx/cached") }
+
+// longWindowRows runs the cases whose name holds match.
+func longWindowRows(t *testing.T, match string) {
 	cfg, _, _ := psfSetup(t)
 	cfg.Vol = scan.NewVolume(geom.Radians(30), 0, 0.03, 5, 1, 12)
 	cfg.Arr.NX, cfg.Arr.NY = 4, 4
@@ -160,6 +83,7 @@ func TestLongEchoWindowMatchesScalar(t *testing.T) {
 	}
 	layout := New(cfg).layout()
 	blk := make(delay.Block16, layout.BlockLen())
+	ran := 0
 	for _, g := range []struct {
 		name  string
 		provs []delay.Provider
@@ -183,45 +107,60 @@ func TestLongEchoWindowMatchesScalar(t *testing.T) {
 					ref.Data[i] += v
 				}
 			}
-			for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
-				c := cfg
-				c.Precision = prec
-				eng := New(c)
-				gens := make([]delay.BlockProvider, nTx)
-				for ti, p := range g.provs[:nTx] {
-					gens[ti] = delay.AsBlock(p, layout)
-				}
-				for _, cached := range []bool{false, true} {
-					name := fmt.Sprintf("%s/%dtx/%v/cached=%t", g.name, nTx, prec, cached)
+			gens := make([]delay.BlockProvider, nTx)
+			for ti, p := range g.provs[:nTx] {
+				gens[ti] = delay.AsBlock(p, layout)
+			}
+			perFrame := int64(nTx * cfg.Vol.Depth.N)
+			for _, cached := range []bool{false, true} {
+				for _, prec := range []Precision{PrecisionFloat64, PrecisionInt16} {
+					name := fmt.Sprintf("%s/%dtx/%s/%v", g.name, nTx, map[bool]string{false: "uncached", true: "cached"}[cached], prec)
+					if !strings.Contains(name, match) {
+						continue
+					}
+					ran++
 					var cache *delaycache.Cache
 					if cached {
-						store, err := delaycache.NewShared(delaycache.Config{
-							Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1,
-						})
+						store, err := delaycache.NewShared(delaycache.Config{Providers: gens, Depths: cfg.Vol.Depth.N, BudgetBytes: -1})
 						if err != nil {
 							t.Fatal(err)
 						}
 						cache = store.Attach()
 					}
-					sess, err := eng.NewSession(gens, cache)
+					c := cfg
+					c.Precision = prec
+					sess, err := New(c).NewSession(gens, cache)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for frame := 0; frame < 2; frame++ {
+					for frame := int64(0); frame < 2; frame++ {
+						var before delaycache.Stats
+						if cached {
+							before = cache.Stats()
+						}
 						vol := runFrame(t, sess, txBufs[:nTx]...)
 						for i := range ref.Data {
 							if math.Float64bits(vol.Data[i]) != math.Float64bits(ref.Data[i]) {
 								t.Fatalf("%s frame %d: voxel %d = %v, scalar %v", name, frame, i, vol.Data[i], ref.Data[i])
 							}
 						}
+						if !cached {
+							continue
+						}
+						after := cache.Stats()
+						if misses, hits := after.Misses-before.Misses, after.Hits-before.Hits; misses != perFrame*(1-frame) || hits != perFrame*frame ||
+							cache.Shared().Stats().Misses != after.Misses {
+							t.Errorf("%s frame %d: stats %+v → %+v, want exactly %d more misses and %d more hits",
+								name, frame, before, after, perFrame*(1-frame), perFrame*frame)
+						}
 					}
 					sess.Close()
-					if cached && cache.Stats().Hits == 0 {
-						t.Errorf("%s: the second frame read no resident block (%v)", name, cache.Stats())
-					}
 				}
 			}
 		}
+	}
+	if ran == 0 {
+		t.Fatalf("no case matches %q", match)
 	}
 }
 

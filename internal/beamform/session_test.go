@@ -346,10 +346,10 @@ func (c sessionCase) run(t *testing.T) {
 	}
 }
 
-// sessionRows runs kind's uncached three-transmit case over frames of both
-// windows, in each frame form the kind takes, on each named route the host
-// offers ("host" is the probes as the host set them), as subtests named
-// after the route.
+// sessionRows runs kind's three-transmit case, uncached and through a
+// half-budget store, over frames of both windows, in each frame form the
+// kind takes, on each named route the host offers ("host" is the probes as
+// the host set them), as subtests named after the route.
 func sessionRows(t *testing.T, kind string, names ...string) {
 	ran := 0
 	for i, r := range hostRoutes() {
@@ -362,9 +362,11 @@ func sessionRows(t *testing.T, kind string, names ...string) {
 			if msg := r.wrongBodies(); msg != "" {
 				t.Fatal(msg)
 			}
-			for _, planes := range []bool{false, true} {
-				if !planes || kind != "f64" {
-					sessionCase{kind, 3, "uncached", planes, 0, []int{0, 2}}.run(t)
+			for _, budget := range []string{"uncached", "half"} {
+				for _, planes := range []bool{false, true} {
+					if !planes || kind != "f64" {
+						sessionCase{kind, 3, budget, planes, 0, []int{0, 2}}.run(t)
+					}
 				}
 			}
 		})

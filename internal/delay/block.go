@@ -84,6 +84,9 @@ type ScalarAdapter struct {
 	L Layout
 }
 
+// ScalarAdapter lifts any Provider onto the block interface.
+var _ BlockProvider = (*ScalarAdapter)(nil)
+
 // Name implements Provider, forwarding to the wrapped provider.
 func (a *ScalarAdapter) Name() string { return a.P.Name() }
 

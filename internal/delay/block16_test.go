@@ -2,6 +2,7 @@ package delay
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/geom"
@@ -68,17 +69,20 @@ func TestExactFillNappe16BitIdentical(t *testing.T) {
 	}
 }
 
-func TestScalarAdapterFillNappe16(t *testing.T) {
+// TestScalarAdapterFillNappe16 holds the adapter's fill of a nappe to the
+// native one (adapterMatchesNative).
+func TestScalarAdapterFillNappe16(t *testing.T) { adapterMatchesNative(t, 3) }
+
+// adapterMatchesNative holds ScalarAdapter's fill of nappe id, over the
+// exact provider's own layout, to its native fill.
+func adapterMatchesNative(t *testing.T, id int) {
+	t.Helper()
 	e, _, _ := smallSetup()
 	l := e.Layout()
-	adapter := &ScalarAdapter{P: e, L: l}
-	native := make(Block16, l.BlockLen())
-	adapted := make(Block16, l.BlockLen())
-	e.FillNappe16(3, native)
-	adapter.FillNappe16(3, adapted)
-	for k := range native {
-		if native[k] != adapted[k] {
-			t.Fatalf("slot %d: native %d != adapter %d", k, native[k], adapted[k])
-		}
+	native, adapted := make(Block16, l.BlockLen()), make(Block16, l.BlockLen())
+	e.FillNappe16(id, native)
+	(&ScalarAdapter{P: e, L: l}).FillNappe16(id, adapted)
+	if !slices.Equal(native, adapted) {
+		t.Fatalf("nappe %d: the adapter's fill differs from the native one", id)
 	}
 }

@@ -83,23 +83,14 @@ func TestExactFillNappeBitIdentical(t *testing.T) {
 
 func TestScalarAdapterMatchesNativeFill(t *testing.T) {
 	e, _, _ := smallSetup()
-	l := e.Layout()
-	adapter := &ScalarAdapter{P: e, L: l}
+	adapter := &ScalarAdapter{P: e, L: e.Layout()}
 	if adapter.Name() != e.Name() {
 		t.Errorf("adapter name = %q", adapter.Name())
 	}
 	if adapter.DelaySamples(1, 2, 3, 4, 5) != e.DelaySamples(1, 2, 3, 4, 5) {
 		t.Error("adapter scalar path must forward")
 	}
-	native := make(Block16, l.BlockLen())
-	adapted := make(Block16, l.BlockLen())
-	e.FillNappe16(7, native)
-	adapter.FillNappe16(7, adapted)
-	for i := range native {
-		if native[i] != adapted[i] {
-			t.Fatalf("slot %d: native %d != adapter %d", i, native[i], adapted[i])
-		}
-	}
+	adapterMatchesNative(t, 7)
 }
 
 func TestAsBlockSelectsNativeOrAdapter(t *testing.T) {

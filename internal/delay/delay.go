@@ -96,6 +96,9 @@ type Exact struct {
 	Conv   Converter
 }
 
+// Exact fills blocks natively (FillNappe16).
+var _ BlockProvider = (*Exact)(nil)
+
 // NewExact builds the reference provider. A zero Origin places the emission
 // reference at the array center, the paper's default.
 func NewExact(v scan.Volume, a xdcr.Array, origin geom.Vec3, cv Converter) *Exact {

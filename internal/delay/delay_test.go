@@ -151,11 +151,3 @@ func TestCompareExactAgainstItself(t *testing.T) {
 		t.Errorf("self-comparison must be exact: %v", st.String())
 	}
 }
-
-func BenchmarkExactDelay(b *testing.B) {
-	e, _, _ := smallSetup()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.DelaySamples(4, 4, i%25, i%16, (i/16)%16)
-	}
-}

@@ -22,8 +22,7 @@
 // post-eviction rewarm refills exactly the same blocks with exactly the
 // same bytes — eviction affects warm-up latency, never results — which is
 // what makes TTL eviction of idle geometries safe for the serving
-// scheduler (and what BenchmarkEvictionRewarm in the serve package
-// measures).
+// scheduler.
 package delaycache
 
 import (

@@ -265,8 +265,8 @@ func TestImageQualityQ1(t *testing.T) {
 
 func TestBlockPathB1(t *testing.T) {
 	// Tiny spec: B1's point is the rate contrast, but the test asserts only
-	// the invariants (counts, bit-identity, rendering) — wall-clock ratios
-	// are asserted by BenchmarkBeamform_* where timing is controlled.
+	// the invariants (counts, bit-identity, rendering) — the wall-clock
+	// ratios are what `usbeam block` reports.
 	s := core.ReducedSpec()
 	s.ElemX, s.ElemY = 8, 8
 	s.FocalTheta, s.FocalPhi, s.FocalDepth = 9, 9, 12

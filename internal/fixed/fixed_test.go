@@ -286,18 +286,3 @@ func TestConvertRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func BenchmarkQuantize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Quantize(float64(i%8000)+0.37, U13p5, RoundNearest)
-	}
-}
-
-func BenchmarkAddConvert(b *testing.B) {
-	x := MustQuantize(1234.5, U13p5, RoundNearest)
-	y := MustQuantize(-12.25, S13p4, RoundNearest)
-	for i := 0; i < b.N; i++ {
-		s := Add(x, y)
-		Convert(s, U13p0, RoundNearest)
-	}
-}

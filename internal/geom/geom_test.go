@@ -129,9 +129,3 @@ func TestVecString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
-
-func BenchmarkSphericalToCartesian(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		SphericalToCartesian(0.1, 0.3, -0.2)
-	}
-}

@@ -193,11 +193,3 @@ func TestSimulateStreamInvalidConfigStallsEverything(t *testing.T) {
 		t.Errorf("invalid config stalls = %d, want 30", stalls)
 	}
 }
-
-func BenchmarkSimulateStream(b *testing.B) {
-	s := paperStream()
-	perCycle := float64(s.WordsPerNappe) / float64(s.CyclesPerNappe)
-	for i := 0; i < b.N; i++ {
-		s.SimulateStream(100, 1.1*perCycle)
-	}
-}

@@ -208,17 +208,6 @@ func TestSynthesizeValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkSynthesizePoint(b *testing.B) {
-	cfg := testConfig()
-	ph := PointPhantom(geom.Vec3{Z: 0.02})
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Synthesize(cfg, ph); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func TestEchoBufferBoundaryIndices(t *testing.T) {
 	// The exact boundary semantics the int16 datapath's exactness proof
 	// leans on: index len-1 is the last real sample, len and -1 read as

@@ -132,15 +132,3 @@ func TestVolumeString(t *testing.T) {
 		t.Error("empty description")
 	}
 }
-
-func BenchmarkWalkNappe(b *testing.B) {
-	v := NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 64, 64, 50)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		count := 0
-		v.Walk(NappeOrder, func(Index) { count++ })
-		if count != v.Points() {
-			b.Fatal("bad count")
-		}
-	}
-}

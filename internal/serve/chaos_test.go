@@ -102,7 +102,7 @@ func TestChaosSoak(t *testing.T) {
 		iters               = 12
 	)
 	var wg sync.WaitGroup
-	var cleanF64, cleanI16, cleanStream, faulted counter
+	var cleanF64, cleanI16, cleanStream, cleanVariant, faulted counter
 	// The cold geometry has no pre-chaos golden (warming it would defeat
 	// the point): its clean responses must instead all agree with each
 	// other, and with the fault-free answer computed after recovery.
@@ -129,24 +129,15 @@ func TestChaosSoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				resp, err := http.Post(variantURL, wire.ContentType, bytes.NewReader(f64Body))
-				if err != nil {
-					faulted.add()
-					continue
+				if raw := chaosPost(t, variantURL, wire.ContentType, f64Body, nil, "cold-geometry", &cleanVariant, &faulted); raw != nil {
+					variantMu.Lock()
+					if variantRef == nil {
+						variantRef = raw
+					} else if !bytes.Equal(raw, variantRef) {
+						t.Error("cold-geometry responses under chaos disagree with each other")
+					}
+					variantMu.Unlock()
 				}
-				raw, rerr := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if rerr != nil || resp.StatusCode != http.StatusOK {
-					faulted.add()
-					continue
-				}
-				variantMu.Lock()
-				if variantRef == nil {
-					variantRef = raw
-				} else if !bytes.Equal(raw, variantRef) {
-					t.Error("cold-geometry responses under chaos disagree with each other")
-				}
-				variantMu.Unlock()
 			}
 		}()
 	}
@@ -157,8 +148,8 @@ func TestChaosSoak(t *testing.T) {
 	case <-time.After(2 * time.Minute):
 		t.Fatal("chaos soak hung: a client loop never completed")
 	}
-	t.Logf("soak: %d/%d/%d clean f64/i16/stream responses, %d faulted",
-		cleanF64.n(), cleanI16.n(), cleanStream.n(), faulted.n())
+	t.Logf("soak: %d/%d/%d/%d clean f64/i16/stream/cold-geometry responses, %d faulted",
+		cleanF64.n(), cleanI16.n(), cleanStream.n(), cleanVariant.n(), faulted.n())
 	if cleanF64.n() == 0 || cleanI16.n() == 0 || cleanStream.n() == 0 {
 		t.Error("a transport produced no clean responses under chaos — rates too hot to prove bit-identity")
 	}
@@ -255,25 +246,27 @@ func mustPost(t *testing.T, url, ct string, body []byte) []byte {
 }
 
 // chaosPost is one tolerant HTTP round trip under chaos: transport errors
-// and 4xx/5xx are expected casualties; a 200 must match the golden.
-func chaosPost(t *testing.T, url, ct string, body, golden []byte, transport string, clean, faulted *counter) {
+// and 4xx/5xx are expected casualties; a 200 must match the golden, when
+// there is one, and its body is returned.
+func chaosPost(t *testing.T, url, ct string, body, golden []byte, transport string, clean, faulted *counter) []byte {
 	t.Helper()
 	resp, err := http.Post(url, ct, bytes.NewReader(body))
 	if err != nil {
 		faulted.add()
-		return
+		return nil
 	}
 	raw, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil || resp.StatusCode != http.StatusOK {
 		faulted.add()
-		return
+		return nil
 	}
-	if !bytes.Equal(raw, golden) {
+	if golden != nil && !bytes.Equal(raw, golden) {
 		t.Errorf("%s: a 200 response under chaos differs from the fault-free golden", transport)
-		return
+		return nil
 	}
 	clean.add()
+	return raw
 }
 
 // chaosStream is one tolerant cine client: it pushes compounds one at a

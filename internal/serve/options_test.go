@@ -240,41 +240,6 @@ func TestPlansPrewarmHandoff(t *testing.T) {
 	}
 }
 
-// TestPrewarmRefusals: prewarm respects the node's lifecycle the same way
-// live traffic does.
-func TestPrewarmRefusals(t *testing.T) {
-	ts, sched := newSchedTestServer(t, SchedulerConfig{})
-	plan := func(query string) []byte {
-		b, _ := json.Marshal(ResidencyPlan{Query: query})
-		return b
-	}
-	resp, err := http.Post(ts.URL+"/v1/prewarm", "application/json",
-		bytes.NewReader(plan("spec=nosuch")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad plan query: %d, want 400", resp.StatusCode)
-	}
-
-	if err := sched.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	resp, err = http.Post(ts.URL+"/v1/prewarm", "application/json",
-		bytes.NewReader(plan(tinyQuery(nil))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Errorf("prewarm during drain: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Error("draining prewarm carries no Retry-After")
-	}
-}
-
 // TestCloseWaitsForPrewarm: Close returns only after every background warm
 // has finished. Each round prewarms an already-warm geometry whose store
 // was just evicted, so the warm refills it at a millisecond per block, and

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"ultrabeam/internal/faultpoint"
 	"ultrabeam/internal/wire"
 )
 
@@ -34,13 +35,13 @@ type servedRefusal struct {
 	path    string      // method and path, when not a POST to /v1/beamform
 	body    []byte      // nil is one good f64 frame
 	maxBody int64
-	state   string // the scheduler's: "full" (the lane's one slot held), "draining" or "expired" (its clock races ahead)
+	state   string // the scheduler's: "full" (the lane's one slot held), "draining", "expired" (its clock races ahead) or "write fault" (every stream reply write fails)
 	status  int
 	headers []string // reply headers the POST carries
 	msg     string   // what both refusals say
 	hello   bool     // the stream refuses the hello
 	inband  uint8    // else the in-band status of the compound's reply (0: none)
-	closed  string   // and how the stream closes: "clean", "client gone", "desync" or "drain"
+	closed  string   // and how the stream closes: "clean", "client gone", "desync", "drain" or "internal"
 	reached bool
 }
 
@@ -106,6 +107,11 @@ func servedRefusals(t *testing.T) []servedRefusal {
 			msg: "draining", inband: wire.StatusGoAway, closed: "drain"},
 		{name: "expired in queue", test: "TestServerExpiredDeadlineIs504", q: param("deadline_ms", "25"), state: "expired",
 			status: 504, msg: "expired", inband: wire.StatusError, closed: "clean", reached: true},
+		{name: "reply write fails", state: "write fault", closed: "internal", reached: true},
+		{name: "prewarm of a bad plan", test: "TestPrewarmRefusals", path: "POST /v1/prewarm",
+			body: []byte(`{"query":"spec=nosuch"}`), status: 400, msg: "unknown spec"},
+		{name: "prewarm while draining", test: "TestPrewarmRefusals", path: "POST /v1/prewarm", state: "draining",
+			body: []byte(`{"query":"` + tinyQuery(nil) + `"}`), status: 503, headers: []string{"Retry-After"}, msg: "draining"},
 		{name: "bad deadline", test: "TestServerDeadlineParsing", q: param("deadline_ms", "soon"), status: 400,
 			msg: "deadline_ms", hello: true},
 		{name: "overflowing deadline", test: "TestDeadlineOverflowRefused", q: param("deadline_ms", "9223372036855"),
@@ -126,6 +132,8 @@ func servedRefusals(t *testing.T) []servedRefusal {
 // scheduler state; "" when the failure has no stream form.
 func (r servedRefusal) streamTest() string {
 	switch {
+	case r.path != "": // an HTTP route of its own
+		return ""
 	case r.hello && r.test == "TestServerRejectsRemovedSurface":
 		return "TestStreamErrors/removed_precision_refused"
 	case r.hello:
@@ -175,6 +183,7 @@ func TestServerOversizedBodyIs413(t *testing.T)    { refuseRows(t) }
 func TestServerOverloadMapsTo503(t *testing.T)     { refuseRows(t) }
 func TestServerExpiredDeadlineIs504(t *testing.T)  { refuseRows(t) }
 func TestStreamStatusMapping(t *testing.T)         { refuseRows(t) }
+func TestPrewarmRefusals(t *testing.T)             { refuseRows(t) }
 
 func TestStreamErrors(t *testing.T) {
 	for _, sub := range []string{"bad_hello", "removed_precision_refused", "geometry_mismatch_in_band"} {
@@ -218,6 +227,11 @@ func (r servedRefusal) serve(t *testing.T) (*Scheduler, *Server) {
 		if err := sched.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+	case "write fault":
+		if err := faultpoint.Activate("serve.stream.write=1"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(faultpoint.Deactivate)
 	}
 	before := sched.Stats().Submits
 	t.Cleanup(func() {
@@ -263,7 +277,10 @@ func (r servedRefusal) post(t *testing.T) {
 }
 
 // streamed is the row's stream column: the hello, then the body as one
-// upload, half-closed, and the one reply it gets, if any.
+// upload, half-closed, and the one reply it gets, if any. After a failed
+// reply write the client keeps its half open, and the server must close
+// the stream within a few idle polls rather than leave it to the client's
+// deadline.
 func (r servedRefusal) streamed(t *testing.T) {
 	sched, srv := r.serve(t)
 	conn := dialStream(t, srv)
@@ -283,8 +300,14 @@ func (r servedRefusal) streamed(t *testing.T) {
 	if _, err := conn.Write(r.body); err != nil {
 		t.Fatal(err)
 	}
-	conn.(interface{ CloseWrite() error }).CloseWrite()
+	if r.state != "write fault" {
+		conn.(interface{ CloseWrite() error }).CloseWrite()
+	}
+	start := time.Now()
 	_, err := wire.ReadVolume(conn, 0)
+	if waited := time.Since(start); r.state == "write fault" && waited > 4*streamPollInterval {
+		t.Errorf("the stream closed %v after the upload, want within %v", waited, 4*streamPollInterval)
+	}
 	if r.inband == 0 {
 		if err == nil || errors.As(err, &re) {
 			t.Errorf("reply %v, want none", err)
@@ -295,6 +318,6 @@ func (r servedRefusal) streamed(t *testing.T) {
 	}
 	waitStreamCloses(t, sched, func(ws WireStats) bool {
 		return map[string]int64{"clean": ws.StreamClosesClean, "client gone": ws.StreamClosesClientGone,
-			"desync": ws.StreamClosesDesync, "drain": ws.StreamClosesDrain}[r.closed] == 1
+			"desync": ws.StreamClosesDesync, "drain": ws.StreamClosesDrain, "internal": ws.StreamClosesInternal}[r.closed] == 1
 	})
 }

@@ -34,12 +34,6 @@ func tinyRequest() SessionRequest {
 	}
 }
 
-// runFrame beamforms one frame of per-transmit echoes into a fresh volume.
-func runFrame(sess *beamform.Session, tx ...[]rf.EchoBuffer) (*beamform.Volume, error) {
-	v := sess.NewVolume()
-	return v, sess.Run(v, beamform.Frame{Bufs: tx})
-}
-
 func tinyFrame(t testing.TB, s core.SystemSpec) []rf.EchoBuffer {
 	t.Helper()
 	bufs, err := rf.Synthesize(rf.Config{

@@ -231,15 +231,21 @@ func (s *Server) serveStreamConn(ctx context.Context, conn net.Conn) {
 readLoop:
 	for {
 		// Between compounds, poll for the first byte with a short read
-		// deadline so a drain or cancellation interrupts an idle stream;
-		// it replaces the frame deadline the last compound left armed, so
-		// an idle connection is never timed out.
+		// deadline so a drain, a cancellation or a writer that stopped on
+		// a failed reply interrupts an idle stream; it replaces the frame
+		// deadline the last compound left armed, so an idle connection is
+		// never timed out.
 		var n int
 		var rerr error
 		for {
 			if ctx.Err() != nil || s.draining() {
 				cause = streamCloseDrain
 				break readLoop
+			}
+			select {
+			case <-writerDone: // writerCause says why
+				break readLoop
+			default:
 			}
 			conn.SetReadDeadline(time.Now().Add(streamPollInterval))
 			n, rerr = conn.Read(first[:])

@@ -2,6 +2,7 @@ package sqrtapprox
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,15 +116,7 @@ func TestErrorProfileShape(t *testing.T) {
 	if len(alphas) != 5000 || len(errs) != 5000 {
 		t.Fatal("bad profile size")
 	}
-	minE, maxE := math.Inf(1), math.Inf(-1)
-	for _, e := range errs {
-		if e < minE {
-			minE = e
-		}
-		if e > maxE {
-			maxE = e
-		}
-	}
+	minE, maxE := slices.Min(errs), slices.Max(errs)
 	// Fig. 2(b): error oscillates between −δ and +δ.
 	if maxE > a.Delta*(1+1e-9) || minE < -a.Delta*(1+1e-9) {
 		t.Errorf("profile range [%v, %v] outside ±δ", minE, maxE)
@@ -146,18 +139,19 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 	}
 }
 
-func TestFixedApproxCloseToFloat(t *testing.T) {
-	a := paperApprox()
-	f := NewFixed(a, DefaultFixedConfig())
-	worst := 0.0
-	for alpha := 0.0; alpha <= paperDomain; alpha += paperDomain / 3000 {
-		d := math.Abs(f.Eval(alpha) - a.Eval(alpha))
-		if d > worst {
-			worst = d
-		}
+// fixedWorst is the largest |fixed Eval − ref| over n even steps of the
+// paper domain.
+func fixedWorst(n int, ref func(alpha float64) float64) (worst float64) {
+	f := NewFixed(paperApprox(), DefaultFixedConfig())
+	for alpha := 0.0; alpha <= paperDomain; alpha += paperDomain / float64(n) {
+		worst = max(worst, math.Abs(f.Eval(alpha)-ref(alpha)))
 	}
+	return worst
+}
+
+func TestFixedApproxCloseToFloat(t *testing.T) {
 	// Fixed-point effects add only fractions of an output LSB (2^-6).
-	if worst > 0.05 {
+	if worst := fixedWorst(3000, paperApprox().Eval); worst > 0.05 {
 		t.Errorf("fixed-point deviates from float PWL by %v samples", worst)
 	}
 }
@@ -165,16 +159,7 @@ func TestFixedApproxCloseToFloat(t *testing.T) {
 func TestFixedApproxTotalError(t *testing.T) {
 	// Against true sqrt, the fixed datapath stays within δ plus fixed-point
 	// slack — the paper's TABLEFREE per-sqrt error story.
-	a := paperApprox()
-	f := NewFixed(a, DefaultFixedConfig())
-	worst := 0.0
-	for alpha := 0.0; alpha <= paperDomain; alpha += paperDomain / 5000 {
-		d := math.Abs(f.Eval(alpha) - math.Sqrt(alpha))
-		if d > worst {
-			worst = d
-		}
-	}
-	if worst > paperDelta+0.05 {
+	if worst := fixedWorst(5000, math.Sqrt); worst > paperDelta+0.05 {
 		t.Errorf("fixed-point total error %v exceeds δ+slack", worst)
 	}
 }
@@ -317,28 +302,6 @@ func TestShiftRound(t *testing.T) {
 		if got := shiftRound(tt.x, tt.n); got != tt.want {
 			t.Errorf("shiftRound(%d,%d) = %d, want %d", tt.x, tt.n, got, tt.want)
 		}
-	}
-}
-
-func BenchmarkEvalFloat(b *testing.B) {
-	a := paperApprox()
-	for i := 0; i < b.N; i++ {
-		a.Eval(float64(i%int(paperDomain)) + 0.5)
-	}
-}
-
-func BenchmarkEvalFixed(b *testing.B) {
-	f := NewFixed(paperApprox(), DefaultFixedConfig())
-	for i := 0; i < b.N; i++ {
-		f.Eval(float64(i % int(paperDomain)))
-	}
-}
-
-func BenchmarkTrackerSeek(b *testing.B) {
-	a := paperApprox()
-	tr := NewTracker(a)
-	for i := 0; i < b.N; i++ {
-		tr.Seek(float64(i%int(paperDomain)) * 1.0)
 	}
 }
 

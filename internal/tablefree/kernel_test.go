@@ -133,44 +133,72 @@ func TestUncoveredFixedConfigFillsThroughScalarLaw(t *testing.T) {
 	}
 }
 
-// TestFillNappe16Allocations holds both routes to zero allocations per
-// call: the fixed fill keeps its scratch on the stack, and the ideal PWL's
-// scalar-law fill has none.
-func TestFillNappe16Allocations(t *testing.T) {
-	fixed, ideal := fixedProvider(smallConfig()), New(smallConfig())
-	dst := make(delay.Block16, fixed.Layout().BlockLen())
-	if n := testing.AllocsPerRun(20, func() { fixed.FillNappe16(7, dst) }); n != 0 {
-		t.Errorf("fixed FillNappe16: %v allocs per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { ideal.FillNappe16(7, dst) }); n != 0 {
-		t.Errorf("ideal-PWL FillNappe16: %v allocs per call, want 0", n)
+// TestFillNappe16Allocations holds the fill to zero allocations per call
+// on every route: the fixed fill keeps its scratch on the stack on the
+// served widths — whole groups (16), a pair plus a single (12), a partial
+// last eight-slot group (13) and a scalar tail behind the lanes (17) — and
+// the ideal PWL's scalar-law fill has none. TestLaneFillAllocations is the
+// same row.
+func TestFillNappe16Allocations(t *testing.T) { eachBody(t, fillAllocations) }
+
+func fillAllocations(t *testing.T) {
+	for _, nx := range []int{16, 12, 13, 17} {
+		cfg := smallConfig()
+		cfg.Arr = xdcr.NewArray(nx, 9, 0.385e-3/2)
+		for _, p := range []*Provider{fixedProvider(cfg), New(cfg)} {
+			dst := make(delay.Block16, p.Layout().BlockLen())
+			if n := testing.AllocsPerRun(10, func() { p.FillNappe16(7, dst) }); n != 0 {
+				t.Errorf("NX=%d fixed=%t: %v allocs per FillNappe16, want 0", nx, p.UseFixed, n)
+			}
+		}
 	}
 }
 
-// TestFillNappe16ConcurrentCallers exercises the BlockProvider contract the
-// kernel's scratch must respect: one provider, many goroutines, distinct
-// dst — every block equal to the serial fill (run under -race).
-func TestFillNappe16ConcurrentCallers(t *testing.T) {
-	p := fixedProvider(blockSetup().Cfg)
-	n := p.Layout().BlockLen()
-	depths := p.Cfg.Vol.Depth.N
-	want := make([]delay.Block16, depths)
-	for id := range want {
-		want[id] = make(delay.Block16, n)
-		p.FillNappe16(id, want[id])
+// TestFillNappe16ConcurrentCallers fills from a receiver and the transmit
+// units derived from it — the providers a compound session holds — on many
+// goroutines at once: each reads its own operand table and the receiver's
+// shared permute table, writes only its own dst, and every block equals
+// the fixedRow path (run under -race). TestLaneFillConcurrentSharedTables
+// is the same row.
+func TestFillNappe16ConcurrentCallers(t *testing.T) { eachBody(t, concurrentFills) }
+
+func concurrentFills(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Vol = scan.NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 5, 5, 12)
+	cfg.Arr = xdcr.NewArray(12, 12, 0.385e-3/2)
+	rx := fixedProvider(cfg)
+	provs := []*Provider{rx}
+	for _, o := range []geom.Vec3{{X: 2e-3, Z: -3e-3}, {Y: -1e-3, Z: -5e-3}} {
+		q, err := rx.WithTransmit(delay.Transmit{Origin: o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.(*Provider).perm != rx.perm {
+			t.Fatal("the derived unit rebuilt its permute table instead of sharing the receiver's")
+		}
+		provs = append(provs, q.(*Provider))
+	}
+	n, depths := rx.Layout().BlockLen(), cfg.Vol.Depth.N
+	want := make([][]delay.Block16, len(provs))
+	for i, p := range provs {
+		want[i] = make([]delay.Block16, depths)
+		for id := range want[i] {
+			want[i][id] = make(delay.Block16, n)
+			refFill16(p, id, want[i][id])
+		}
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 6; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			dst := make(delay.Block16, n)
-			for k := 0; k < 3*depths; k++ {
-				id := (k + g) % depths
-				p.FillNappe16(id, dst)
-				for i := range dst {
-					if dst[i] != want[id][i] {
-						t.Errorf("goroutine %d nappe %d slot %d: %d != %d", g, id, i, dst[i], want[id][i])
+			for k := 0; k < 4*depths; k++ {
+				i, id := (g+k)%len(provs), (k+g)%depths
+				provs[i].FillNappe16(id, dst)
+				for s := range dst {
+					if dst[s] != want[i][id][s] {
+						t.Errorf("goroutine %d provider %d nappe %d slot %d: %d != %d", g, i, id, s, dst[s], want[i][id][s])
 						return
 					}
 				}

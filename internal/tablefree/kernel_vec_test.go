@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -497,77 +496,9 @@ func TestLaneGuardTripsMidNappe(t *testing.T) {
 	conform(t, all("shrunk domain", p))
 }
 
-// TestLaneFillAllocations holds the fill to zero allocations per call on
-// the served widths: whole groups (16), a pair plus a single (12), a
-// partial last eight-slot group (13) and a scalar tail behind the lanes
-// (17).
-func TestLaneFillAllocations(t *testing.T) { eachBody(t, laneFillAllocations) }
+func TestLaneFillAllocations(t *testing.T) { eachBody(t, fillAllocations) }
 
-func laneFillAllocations(t *testing.T) {
-	for _, nx := range []int{16, 12, 13, 17} {
-		cfg := smallConfig()
-		cfg.Arr = xdcr.NewArray(nx, 9, 0.385e-3/2)
-		p := fixedProvider(cfg)
-		dst := make(delay.Block16, p.Layout().BlockLen())
-		if n := testing.AllocsPerRun(10, func() { p.FillNappe16(7, dst) }); n != 0 {
-			t.Errorf("NX=%d: %v allocs per FillNappe16, want 0", nx, n)
-		}
-	}
-}
-
-// TestLaneFillConcurrentSharedTables fills from a receiver and the transmit
-// units derived from it — the providers a compound session holds — on many
-// goroutines at once: each reads its own operand table and writes only its
-// own dst (run under -race).
-func TestLaneFillConcurrentSharedTables(t *testing.T) {
-	eachBody(t, laneFillConcurrentSharedTables)
-}
-
-func laneFillConcurrentSharedTables(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Vol = scan.NewVolume(geom.Radians(73), geom.Radians(73), 0.1925, 5, 5, 12)
-	cfg.Arr = xdcr.NewArray(12, 12, 0.385e-3/2)
-	rx := fixedProvider(cfg)
-	provs := []*Provider{rx}
-	for _, o := range []geom.Vec3{{X: 2e-3, Z: -3e-3}, {Y: -1e-3, Z: -5e-3}} {
-		q, err := rx.WithTransmit(delay.Transmit{Origin: o})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if q.(*Provider).perm != rx.perm {
-			t.Fatal("the derived unit rebuilt its permute table instead of sharing the receiver's")
-		}
-		provs = append(provs, q.(*Provider))
-	}
-	n, depths := rx.Layout().BlockLen(), cfg.Vol.Depth.N
-	want := make([][]delay.Block16, len(provs))
-	for i, p := range provs {
-		want[i] = make([]delay.Block16, depths)
-		for id := range want[i] {
-			want[i][id] = make(delay.Block16, n)
-			refFill16(p, id, want[i][id])
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			dst := make(delay.Block16, n)
-			for k := 0; k < 4*depths; k++ {
-				i, id := (g+k)%len(provs), (k+g)%depths
-				provs[i].FillNappe16(id, dst)
-				for s := range dst {
-					if dst[s] != want[i][id][s] {
-						t.Errorf("goroutine %d provider %d nappe %d slot %d: %d != %d", g, i, id, s, dst[s], want[i][id][s])
-						return
-					}
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-}
+func TestLaneFillConcurrentSharedTables(t *testing.T) { eachBody(t, concurrentFills) }
 
 // TestLaneGuardRejectsNaNTerms: the guard's extremes are derived from the
 // element grids, so a NaN reaches the lane arguments only through the voxel
@@ -669,56 +600,31 @@ func laneGuardRejectsNaNTerms(t *testing.T) {
 	lawFills(t, "descending", p)
 }
 
-// TestTermExtremesMatchScan is the derived guard's oracle: on every voxel
-// of both served grids and of every lane-suite geometry, the extremes
-// termExtremes derives from the element grid equal, bit for bit, the
-// minimum and maximum of the terms planeTerms writes — over the whole row
-// axis, and over the whole column axis and the leading NX&^3 columns the
-// four-lane body takes.
+// TestTermExtremesMatchScan is the derived guard's oracle on the element
+// grids the fills run — both axes of both served grids and of every
+// lane-suite geometry — and TestTermExtremesNearMidpoints on hand-built
+// ascending, descending and jittered pitch grids (elements up to a fifth
+// of a pitch off their nominal place, inside the precondition's quarter).
+// On each, s sweeps every gap from a quarter pitch before it to a quarter
+// past, and ulp by ulp across its midpoint, and the extremes termExtremes
+// derives must equal, bit for bit, the smallest and largest term — over
+// the whole axis and over the leading NX&^3 elements the four-lane body
+// takes. On the jittered grids round((s−e[0])/pitch) names the wrong
+// element over part of each gap, which only the ±1 neighbours repair: the
+// hand-built row counts those points and requires some.
 func TestTermExtremesMatchScan(t *testing.T) {
-	var cfgs []Config
+	var grids [][]float64
 	for _, s := range laneShapes() {
-		cfgs = append(cfgs, s.config())
+		p := fixedProvider(s.config())
+		grids = append(grids, p.elemX, p.elemY)
 	}
 	for _, g := range benchGrids {
-		cfgs = append(cfgs, g.cfg)
+		p := fixedProvider(g.cfg)
+		grids = append(grids, p.elemX, p.elemY)
 	}
-	for _, cfg := range cfgs {
-		p := fixedProvider(cfg)
-		if !p.pitchGrid {
-			t.Fatalf("%dx%d: the array's element grid failed the pitch precondition", cfg.Arr.NX, cfg.Arr.NY)
-		}
-		nx := len(p.elemX)
-		for id := 0; id < cfg.Vol.Depth.N; id++ {
-			eachPlane(p, id, func(k int, v voxel, xt2, yt2 []float64) {
-				for _, n := range []int{nx, nx &^ 3} {
-					if n > 0 {
-						checkExtremes(t, "column", p.elemX[:n], p.invPitchX, v.sx, xt2[:n])
-					}
-				}
-				checkExtremes(t, "row", p.elemY, p.invPitchY, v.sy, yt2)
-			})
-		}
-	}
+	extremesSweep(t, grids)
 }
 
-// checkExtremes holds termExtremes(e, inv, s) to scanExtremes(terms).
-func checkExtremes(t *testing.T, axis string, e []float64, inv, s float64, terms []float64) {
-	t.Helper()
-	lo, hi := termExtremes(e, inv, s)
-	slo, shi := scanExtremes(terms)
-	if math.Float64bits(lo) != math.Float64bits(slo) || math.Float64bits(hi) != math.Float64bits(shi) {
-		t.Fatalf("%s axis of %d, s=%v: derived [%v, %v], scanned [%v, %v]", axis, len(e), s, lo, hi, slo, shi)
-	}
-}
-
-// TestTermExtremesNearMidpoints puts s where the nearest-element index is
-// hardest: swept across every gap of ascending, descending and jittered
-// pitch grids (elements up to a fifth of a pitch off their nominal place,
-// inside the precondition's quarter), and ulp by ulp across each gap's
-// midpoint. On the jittered grids round((s−e[0])/pitch) names the wrong
-// element over part of each gap, which only the ±1 neighbours repair: the
-// test counts those points and requires some.
 func TestTermExtremesNearMidpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	var grids [][]float64
@@ -736,7 +642,17 @@ func TestTermExtremesNearMidpoints(t *testing.T) {
 		slices.Reverse(back)
 		grids = append(grids, even, jitter, back)
 	}
-	repaired := 0
+	if repaired := extremesSweep(t, grids); repaired == 0 {
+		t.Fatal("the rounded index always named the nearest element: the ±1 neighbours went untested")
+	} else {
+		t.Logf("%d points where a ±1 neighbour held the smallest term", repaired)
+	}
+}
+
+// extremesSweep holds termExtremes to the scanned extremes over grids and
+// returns at how many points the rounded index missed the nearest element.
+func extremesSweep(t *testing.T, grids [][]float64) (repaired int) {
+	t.Helper()
 	for _, e := range grids {
 		inv, ok := pitchInv(e)
 		if !ok {
@@ -748,7 +664,16 @@ func TestTermExtremesNearMidpoints(t *testing.T) {
 				d := s - x
 				terms[i] = d * d
 			}
-			checkExtremes(t, "hand-built", e, inv, s, terms)
+			for _, n := range []int{len(e), len(e) &^ 3} {
+				if n == 0 {
+					continue
+				}
+				lo, hi := termExtremes(e[:n], inv, s)
+				slo, shi := scanExtremes(terms[:n])
+				if math.Float64bits(lo) != math.Float64bits(slo) || math.Float64bits(hi) != math.Float64bits(shi) {
+					t.Fatalf("axis of %d of %d, s=%v: derived [%v, %v], scanned [%v, %v]", n, len(e), s, lo, hi, slo, shi)
+				}
+			}
 			k := int(min(max((s-e[0])*inv, 0), float64(len(e)-1)) + 0.5)
 			if terms[k] != slices.Min(terms) {
 				repaired++
@@ -767,10 +692,7 @@ func TestTermExtremesNearMidpoints(t *testing.T) {
 			}
 		}
 	}
-	if repaired == 0 {
-		t.Fatal("the rounded index always named the nearest element: the ±1 neighbours went untested")
-	}
-	t.Logf("%d points where a ±1 neighbour held the smallest term", repaired)
+	return repaired
 }
 
 // TestPitchInv pins the precondition provePitch checks once per provider:

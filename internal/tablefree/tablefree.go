@@ -69,6 +69,9 @@ type Provider struct {
 	perm *planePerm
 }
 
+// Provider fills blocks natively (FillNappe16).
+var _ delay.BlockProvider = (*Provider)(nil)
+
 // New builds the provider, sizing the PWL domain from the configuration's
 // worst-case one-way distance.
 func New(cfg Config) *Provider {

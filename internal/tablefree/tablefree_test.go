@@ -239,26 +239,3 @@ func TestStallFractionEmpty(t *testing.T) {
 		t.Error("empty sweep should report 0 stalls")
 	}
 }
-
-func BenchmarkDelaySamplesFloat(b *testing.B) {
-	p := New(smallConfig())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		p.DelaySamples(i%17, (i/17)%17, i%50, i%16, (i/16)%16)
-	}
-}
-
-func BenchmarkDelaySamplesFixed(b *testing.B) {
-	p := New(smallConfig())
-	p.UseFixed = true
-	for i := 0; i < b.N; i++ {
-		p.DelaySamples(i%17, (i/17)%17, i%50, i%16, (i/16)%16)
-	}
-}
-
-func BenchmarkSimulateSweepNappe(b *testing.B) {
-	p := New(smallConfig())
-	for i := 0; i < b.N; i++ {
-		p.SimulateSweep(scan.NappeOrder, 8, 8)
-	}
-}

@@ -205,18 +205,3 @@ func TestDepthErrorProfileDecays(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkErrorSweepSampled(b *testing.B) {
-	cfg := paperConfig()
-	cfg.Directivity = DefaultDirectivity()
-	opt := SweepOptions{StrideTheta: 16, StridePhi: 16, StrideDepth: 50, StrideElem: 24, Parallel: true}
-	for i := 0; i < b.N; i++ {
-		ErrorSweep(cfg, opt)
-	}
-}
-
-func BenchmarkFixedPointMonteCarlo(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		FixedPointMonteCarlo(100_000, fixed.U13p5, fixed.S13p4, int64(i))
-	}
-}

@@ -52,7 +52,6 @@ func blockCases() []*Provider {
 // Index16 of the scalar reference, slot by slot at every depth.
 func TestFillNappeBitIdentical(t *testing.T) {
 	conform(t, 1, blockCases()...)
-	var _ delay.BlockProvider = (*Provider)(nil)
 }
 
 // TestFillNappe16BitIdentical is the matrix over the served shapes.

@@ -135,6 +135,9 @@ type Provider struct {
 	fused *fusedOps
 }
 
+// Provider fills blocks natively (FillNappe16).
+var _ delay.BlockProvider = (*Provider)(nil)
+
 // New builds the provider, eagerly constructing both tables. Formats
 // default to the 18-bit design point when left zero.
 func New(cfg Config) *Provider {

@@ -243,18 +243,3 @@ func TestCorrectionPlaneIsPlane(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkDelaySamplesFloat(b *testing.B) {
-	p := New(smallConfig())
-	for i := 0; i < b.N; i++ {
-		p.DelaySamples(i%17, (i/17)%17, i%40, i%16, (i/16)%16)
-	}
-}
-
-func BenchmarkDelaySamplesFixed(b *testing.B) {
-	p := New(smallConfig())
-	p.UseFixed = true
-	for i := 0; i < b.N; i++ {
-		p.DelaySamples(i%17, (i/17)%17, i%40, i%16, (i/16)%16)
-	}
-}

@@ -266,11 +266,3 @@ func TestFormatsMatchPaperWidths(t *testing.T) {
 		t.Error("14-bit config widths wrong")
 	}
 }
-
-func BenchmarkBuildRefTablePaperScale(b *testing.B) {
-	cfg := paperConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		BuildRefTable(cfg)
-	}
-}

@@ -3,83 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"testing"
 )
-
-// relayFrame writes one frame in enc with a forced chunk size and returns
-// its exact wire bytes.
-func relayFrame(t *testing.T, enc Encoding, chunkBytes int) []byte {
-	t.Helper()
-	const elements, window = 4, 300
-	samples := make([]float64, elements*window)
-	for i := range samples {
-		samples[i] = float64(i%97)/96 - 0.5
-	}
-	f, err := NewFrame(enc, elements, window, 0, 1, samples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteFrame(&buf, f, chunkBytes); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestCopyFrameVerbatim is the relay's bit-identity contract: what leaves
-// the proxy is byte for byte what arrived — in particular an i16 frame's
-// quantized samples and scale factor cross untouched (a decode/re-encode
-// round trip would pick a new scale and change them).
-func TestCopyFrameVerbatim(t *testing.T) {
-	for _, enc := range []Encoding{EncodingF64, EncodingF32, EncodingI16} {
-		for _, chunk := range []int{0, 512, 1000} { // multi-chunk and ragged-tail framings
-			orig := relayFrame(t, enc, chunk)
-			src := bytes.NewReader(orig)
-			h, err := ReadHeader(src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var dst bytes.Buffer
-			if err := CopyFrame(&dst, src, h); err != nil {
-				t.Fatalf("%s chunk=%d: %v", enc, chunk, err)
-			}
-			if !bytes.Equal(dst.Bytes(), orig) {
-				t.Errorf("%s chunk=%d: relayed frame differs from original (%d vs %d bytes)",
-					enc, chunk, dst.Len(), len(orig))
-			}
-			if src.Len() != 0 {
-				t.Errorf("%s chunk=%d: relay left %d bytes unread", enc, chunk, src.Len())
-			}
-		}
-	}
-}
-
-func TestCopyFrameMalformed(t *testing.T) {
-	orig := relayFrame(t, EncodingI16, 512)
-
-	// A zeroed chunk prefix is malformed, not a short copy.
-	bad := append([]byte(nil), orig...)
-	bad[HeaderBytes], bad[HeaderBytes+1], bad[HeaderBytes+2], bad[HeaderBytes+3] = 0, 0, 0, 0
-	src := bytes.NewReader(bad)
-	h, err := ReadHeader(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CopyFrame(io.Discard, src, h); err == nil {
-		t.Error("zero chunk prefix relayed without error")
-	}
-
-	// A transfer dying mid-payload surfaces as an unexpected EOF.
-	src = bytes.NewReader(orig[:len(orig)-7])
-	if h, err = ReadHeader(src); err != nil {
-		t.Fatal(err)
-	}
-	err = CopyFrame(io.Discard, src, h)
-	if !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Errorf("torn frame relayed with %v, want unexpected EOF", err)
-	}
-}
 
 func TestCopyVolumePassthrough(t *testing.T) {
 	data := make([]float64, 2*3*5)

@@ -168,12 +168,3 @@ func TestApodization2DSeparable(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkDirectivityWeight(b *testing.B) {
-	d := Directivity{MaxAngle: geom.Radians(45), Exponent: 1}
-	pos := geom.Vec3{X: 0.001}
-	s := geom.Vec3{X: 0.01, Y: 0.02, Z: 0.05}
-	for i := 0; i < b.N; i++ {
-		d.Weight(pos, s)
-	}
-}
