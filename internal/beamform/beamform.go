@@ -119,8 +119,9 @@ type Engine struct {
 	//
 	// tiles is the walk of a nappe's θ×φ plane that both AVX-512 tile
 	// bodies take — the i16 one (kernel_i16_amd64.s) and the float64 one
-	// (kernel_f64_amd64.s) — sixteen voxel indices per tile (snakeTiles): it
-	// depends on the grid alone, so it is cut once here.
+	// (kernel_f64_amd64.s) — sixteen voxel indices per tile
+	// (delay.Layout.SnakeTiles): it depends on the grid alone, so it is cut
+	// once here.
 	activeWQ   []int16
 	wqScale    float64
 	preShift   uint
@@ -139,7 +140,7 @@ func New(cfg Config) *Engine {
 		}
 	}
 	e.initI16()
-	e.tiles = snakeTiles(cfg.Vol.Theta.N, cfg.Vol.Phi.N)
+	e.tiles = e.layout().SnakeTiles()
 	return e
 }
 

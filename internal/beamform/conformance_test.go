@@ -8,7 +8,11 @@
 // One shape generator (kshape, the corpus functions, FuzzKernelConformance)
 // names every input: aperture and apodization, θ×φ×depth grid, echo window,
 // per-product shift, delay pattern, i16 sample pattern and f64 row lengths.
-// For each shape the twins are computed once; then every CPUID route the
+// Every delay block is also converted to the store's tile-native form
+// (delaycache.NewNative), which must expand back to the block exactly, and
+// the tile-native entries (accumulateNativeI16, accumulateNativeF64) join
+// the bodies held to the twins. For each shape the twins are computed once;
+// then every CPUID route the
 // host offers (hostRoutes: the probes as the host set them, then cleared in
 // turn) runs every body against them, in store mode over garbage and then
 // add mode on top, and the tile bodies' hand-back counters are held to the
@@ -27,6 +31,7 @@ import (
 	"testing"
 
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/fixed"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
@@ -79,6 +84,7 @@ const (
 	dSteerGen          // steerGeos[Geo]'s generator; its off-origin derived transmit for odd Arg
 	dSteerRails        // synthetic fused operands at binary point Arg, indices on the int16 rails and window edges
 	dServed            // a served grid's fixed generator: Arg/5 0 TABLEFREE, 1 TABLESTEER; Arg%5 the transmit
+	dSpan              // every element's delays over each tile span exactly Arg: base + Arg on odd walk positions
 	nDelayClasses
 )
 
@@ -354,6 +360,26 @@ func longRowShapes() []kshape {
 		rLong, -32768, -1, 0, 32751, 32766, 32767)
 }
 
+// nativeShapes walk the tile-native form's edges: spans of 0, 63 and 64 (the
+// i16 accept bound), 255 (the widest a record holds) and 256 (kept raw),
+// on a plane whose last tile is padded and on a one-line one; a negative
+// index in every slot (a base the tile bodies read as ≥ 32768) and
+// math.MaxInt16 (kept raw); the served 33×33 plane — 1089 voxels, 68 whole
+// tiles and one padded — under the largest aperture.
+func nativeShapes() (out []kshape) {
+	for _, pl := range [][2]int{{7, 5}, {1, 19}} {
+		for _, span := range []int{0, 63, 64, 255, 256} {
+			out = append(out, kshape{NX: 4, NY: 4, Hann: true, NTh: pl[0], NPh: pl[1], NDep: 2, Win: 400, Shift: -1,
+				Delays: dSpan, Arg: span, Samples: sDirty, Seed: 15})
+		}
+	}
+	for _, d := range []int{-1, -32768, math.MaxInt16} {
+		out = append(out, kshape{NX: 17, NY: 1, NTh: 7, NPh: 5, NDep: 2, Win: 400, Shift: -1, Delays: dConst, Arg: d, Samples: sDirty, Seed: 15})
+	}
+	return append(out, kshape{NX: 16, NY: 16, Hann: true, NTh: 33, NPh: 33, NDep: 2, Win: 300, Shift: -1,
+		Delays: dTile, Arg: 63, Samples: sDirty, Seed: 15})
+}
+
 // servedShapes are the BENCHMARK workloads' blocks: both grids (16×16 over
 // 33×33×100, 12×12 over 25×25×80, Hann, window 8512), the fixed TABLEFREE
 // and 18-bit TABLESTEER generators, the on-axis transmit and the four axial
@@ -398,6 +424,8 @@ type kcase struct {
 	route *steerRoute // check builds it from ops unless set
 	bufs  []rf.EchoBuffer
 	rng   *xorshift
+	// recs allocates a tile-native block's records; nil is make.
+	recs func(n int) []byte
 }
 
 // nappes are the depth indices the case runs.
@@ -522,6 +550,12 @@ func (b *builder) build(t testing.TB, s kshape) *kcase {
 		first := s.Arg % 2 * (len(eng.tiles) - 16)
 		for i, v := range eng.tiles[first : first+16] {
 			blk[int(v)*nE+d] = int16(ec.delay(i, c.win))
+		}
+	case dSpan:
+		for i, v := range eng.tiles {
+			for d := range nE {
+				blk[int(v)*nE+d] = int16(10 + d%50 + s.Arg*(i%2))
+			}
 		}
 	case dSteerGen:
 		c.steerGenerator(t)
@@ -781,9 +815,12 @@ func (b *builder) fillRows(c *kcase) {
 // i16Fallbacks counts the tiles of blk the i16 tile bodies must hand back,
 // by the accept rule stated plainly: some apodized element's delays over
 // the tile span more than 63 or reach past win, read as unsigned words.
-func i16Fallbacks(e *Engine, blk delay.Block16, win int) (n int) {
+// native counts the tile-native body's: those and every tile in raw
+// (rawTiles; nil is none).
+func i16Fallbacks(e *Engine, blk delay.Block16, win int, raw []bool) (n, native int) {
 	nE := len(e.apod)
 	for t := 0; t < len(e.tiles); t += 16 {
+		fails := false
 		for _, d := range e.activeIdx {
 			lo, hi := uint16(0xFFFF), uint16(0)
 			for _, v := range e.tiles[t : t+16] {
@@ -791,19 +828,26 @@ func i16Fallbacks(e *Engine, blk delay.Block16, win int) (n int) {
 				lo, hi = min(lo, u), max(hi, u)
 			}
 			if hi-lo > 63 || int(hi) > win {
-				n++
+				fails = true
 				break
 			}
 		}
+		if fails {
+			n++
+		}
+		if fails || raw != nil && raw[t/16] {
+			native++
+		}
 	}
-	return n
+	return n, native
 }
 
 // f64Gathers counts the element-halves of blk the f64 tile body must
 // gather: per tile, 8-voxel half and apodized element d, the half's delays
 // span more than 15 or the largest is not below min(len(bufs[d]), 32768),
-// read as unsigned words.
-func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer) (n int) {
+// read as unsigned words. native counts the tile-native body's: the same
+// halves but those of the tiles in raw (nil is none), which it hands back.
+func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer, raw []bool) (n, native int) {
 	nE := len(e.apod)
 	for t := 0; t < len(e.tiles); t += 8 {
 		for _, d := range e.activeIdx {
@@ -814,10 +858,40 @@ func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer) (n int) {
 			}
 			if hi-lo > 15 || int(hi) >= min(len(bufs[d].Samples), 1<<15) {
 				n++
+				if raw == nil || !raw[t/16] {
+					native++
+				}
 			}
 		}
 	}
-	return n
+	return n, native
+}
+
+// rawTiles marks the tiles whose delays the tile-native form keeps raw in a
+// group holding an apodized element, stated plainly: over the tile, some
+// element of such a group spans more than 255 as unsigned words, or some
+// delay of the group is math.MaxInt16.
+func rawTiles(e *Engine, blk delay.Block16) []bool {
+	nE := len(e.apod)
+	grp := make([]bool, (nE+15)/16)
+	for _, d := range e.activeIdx {
+		grp[d/16] = true
+	}
+	raw := make([]bool, len(e.tiles)/16)
+	for t := range raw {
+		for g, apod := range grp {
+			for k := 16 * g; apod && !raw[t] && k < min(16*g+16, nE); k++ {
+				lo, hi := uint16(0xFFFF), uint16(0)
+				for _, v := range e.tiles[16*t : 16*t+16] {
+					u := uint16(blk[int(v)*nE+k])
+					lo, hi = min(lo, u), max(hi, u)
+					raw[t] = raw[t] || u == math.MaxInt16
+				}
+				raw[t] = raw[t] || hi-lo > 255
+			}
+		}
+	}
+	return raw
 }
 
 // verdicts collect per route the first failure and the comparisons run, so
@@ -898,11 +972,39 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 		}
 		return f
 	}
+	// The tile-native form of every block, which must expand back to it,
+	// and which tiles of it the tile-native bodies hand back; scratch is a
+	// worker's block buffer.
+	nats, raws := make([]*delaycache.Native, len(ids)), make([][]bool, len(ids))
+	l := eng.layout()
+	scratch := make(delay.Block16, max(l.BlockLen(), 16*l.VoxelStride()))
+	for i, blk := range c.blks {
+		if i > 0 && &blk[0] == &c.blks[i-1][0] { // one block for every nappe
+			nats[i], raws[i] = nats[i-1], raws[i-1]
+			continue
+		}
+		nat := delaycache.NewNative(l, l.SnakeTiles(), blk)
+		if c.recs != nil {
+			recs := c.recs(len(nat.Recs))
+			copy(recs, nat.Recs)
+			nat.Recs = recs
+		}
+		nat.Expand(scratch)
+		for k := range blk {
+			if scratch[k] != blk[k] {
+				t.Errorf("%s: the tile-native block expands delay %d to %d, not %d", name, k, scratch[k], blk[k])
+				break
+			}
+		}
+		nats[i], raws[i] = nat, rawTiles(eng, blk)
+	}
 	const scale = 1.0 / 32767
 	if c.tab != nil && fams&famI16 != 0 {
 		model, hand := 0, 0
+		nativeModel := 0
 		for i := range ids {
-			model += i16Fallbacks(eng, c.blks[i], c.win)
+			n, nat := i16Fallbacks(eng, c.blks[i], c.win, raws[i])
+			model, nativeModel = model+n, nativeModel+nat
 		}
 		if c.s.Delays == dEdge {
 			hand = edgeCases[c.s.Arg/2].i16 * len(ids)
@@ -918,6 +1020,14 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 			return n
 		}
 		fs = append(fs, f)
+		f.name, f.model = "i16-native", nativeModel
+		f.run = func(out *Volume, add bool) (n int) {
+			for i, id := range ids {
+				n += eng.accumulateNativeI16(nats[i], scratch, c.plane, c.tab, id, out, scale, add, row)
+			}
+			return n
+		}
+		fs = append(fs, f)
 		ops, rys, sr := c.ops, c.rys, c.route
 		if ops == nil && c.s.Delays != dServed {
 			var ry []int32
@@ -928,7 +1038,8 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 			sr = &steerRoute{ops: ops, offs: eng.steerTileOffsets(ops)}
 		}
 		if ops != nil {
-			f.name, f.run = "fused", func(out *Volume, add bool) (n int) {
+			f.name, f.model = "fused", fs[len(fs)-2].model
+			f.run = func(out *Volume, add bool) (n int) {
 				if !fusedSteer() {
 					return -1
 				}
@@ -942,8 +1053,10 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 	}
 	if c.bufs != nil && fams&famF64 != 0 {
 		model, hand := 0, 0
+		nativeModel := 0
 		for i := range ids {
-			model += f64Gathers(eng, c.blks[i], c.bufs)
+			n, nat := f64Gathers(eng, c.blks[i], c.bufs, raws[i])
+			model, nativeModel = model+n, nativeModel+nat
 		}
 		if c.s.Delays == dEdge {
 			if hand = model; c.s.Arg%2 == 0 { // the hand counts are the first tile's
@@ -959,6 +1072,14 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 		f.run = func(out *Volume, add bool) (n int) {
 			for i, id := range ids {
 				n += eng.accumulateNappe16(c.blks[i], c.bufs, id, out, add)
+			}
+			return n
+		}
+		fs = append(fs, f)
+		f.name, f.model = "f64-native", nativeModel
+		f.run = func(out *Volume, add bool) (n int) {
+			for i, id := range ids {
+				n += eng.accumulateNativeF64(nats[i], scratch, c.bufs, id, out, add)
 			}
 			return n
 		}
@@ -1026,6 +1147,7 @@ func TestFusedSteerIndexExtremes(t *testing.T)   { conform(t, steerRailShapes(),
 func TestF64KernelNativeMatchesRef(t *testing.T) { conform(t, f64Shapes(), famAll, nil) }
 func TestF64KernelServedNappe(t *testing.T)      { conform(t, servedNappeShapes(), famAll, nil) }
 func TestF64KernelLongRows(t *testing.T)         { conform(t, longRowShapes(), famAll, nil) }
+func TestNativeFormatEdges(t *testing.T)         { conform(t, nativeShapes(), famAll, nil) }
 
 // TestFusedSteerMatchesFillThenAccumulate is the matrix over
 // steerGenShapes, whose windows must cut the delay range: some indices
@@ -1062,7 +1184,7 @@ func TestI16TileServedBlocks(t *testing.T) {
 			t.Errorf("%+v: fused steer operands %t", c.s, c.ops != nil)
 		}
 		for i, blk := range c.blks {
-			if n := i16Fallbacks(c.eng, blk, c.win); n != 0 {
+			if n, _ := i16Fallbacks(c.eng, blk, c.win, nil); n != 0 {
 				t.Errorf("%+v nappe %d: the accept rule hands back %d tiles", c.s, c.nappes()[i], n)
 			}
 		}
@@ -1073,7 +1195,8 @@ func TestF64TileServedBlocks(t *testing.T) {
 	conform(t, servedShapes(9), famF64, func(c *kcase) {
 		n := 0
 		for _, blk := range c.blks {
-			n += f64Gathers(c.eng, blk, c.bufs)
+			g, _ := f64Gathers(c.eng, blk, c.bufs, nil)
+			n += g
 		}
 		if c.s.Arg%5 == 0 && n != 0 {
 			t.Errorf("%+v on-axis transmit: %d element-halves gathered", c.s, n)
@@ -1092,6 +1215,7 @@ func FuzzKernelConformance(f *testing.F) {
 		f64Shapes(), servedNappeShapes(), longRowShapes()} {
 		seeds = append(seeds, class[len(class)/2])
 	}
+	seeds = append(seeds, nativeShapes()...)
 	var b builder
 	for _, s := range seeds {
 		f.Add(uint8(s.NX), uint8(s.NY), s.Hann, uint8(s.NTh), uint8(s.NPh), uint8(s.NDep), uint8(s.Stride),
@@ -1114,6 +1238,8 @@ func FuzzKernelConformance(f *testing.F) {
 			s.Arg, s.Win = max(s.Arg%17, 1), min(s.Win, delay.MaxEchoWindow)
 		case dServed:
 			s.Arg, s.Stride = s.Arg%10, max(s.Stride, 9)
+		case dSpan:
+			s.Arg %= 300
 		}
 		v := newVerdicts(kernelRoutes())
 		if c := b.build(t, s); c != nil {

@@ -5,6 +5,7 @@ package beamform
 import (
 	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
 )
@@ -64,6 +65,20 @@ func sumRows8F64(dst []float64, blk []int16, tab []f64Row, nE int, add bool)
 //go:noescape
 func tileMaddF64AVX512(dst []float64, blk []int16, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, nE int, lastLen uint16, add bool) (gathered int)
 
+// tileMaddF64NativeAVX512 is the tile-native body (kernel_f64_amd64.s):
+// tileMaddF64AVX512 over the delaycache.Native records recs of the tiles
+// in tiles, one record per tile and group, which it reads in order. Per
+// apodized element it takes the tile's window when the tile's delays span
+// at most 15 and the largest is below lens[d], and otherwise applies
+// tileMaddF64AVX512's per-half rule; it returns the element-halves that
+// gathered, the same ones tileMaddF64AVX512 gathers. It checks nothing: the
+// caller must hold f64TileSafe for the tables, len(recs) ≥
+// len(tiles)/16·len(grp) records, every tile index v < len(dst), and no raw
+// group (delaycache.Native.Spilled) among the apodized groups of tiles.
+//
+//go:noescape
+func tileMaddF64NativeAVX512(dst []float64, recs []byte, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, add bool) (gathered int)
+
 // accumulateNappe16 is the native float64 kernel. The reference walks one
 // voxel at a time and every add waits for the one before it; the native
 // bodies keep many voxels' sums in flight at once — the tile body sixteen,
@@ -83,17 +98,7 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 		panic("beamform: delay block shorter than the nappe it feeds")
 	}
 	var stack [f64StackRows]f64Row
-	tab := stack[:0]
-	if len(e.activeIdx) > len(stack) {
-		tab = make([]f64Row, 0, len(e.activeIdx))
-	}
-	for j, d := range e.activeIdx { // d < nE by construction, so off < 2·nE
-		r := f64Row{off: 2 * int(d), w: e.activeW[j]}
-		if s := bufs[d].Samples; len(s) > 0 {
-			r.p, r.n = &s[0], len(s)
-		}
-		tab = append(tab, r)
-	}
+	tab := e.f64Rows(stack[:0], bufs)
 	if cpufeat.AVX512 && nE > 0 {
 		return e.tileRowF64(dst, blk, tab, add)
 	}
@@ -114,16 +119,28 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 	return 0
 }
 
-// tileRowF64 builds the tile body's group tables for tab — per 16-element
+// f64Rows appends the native bodies' operand rows for bufs to tab, one per
+// active element in activeIdx order (d < nE by construction, so off < 2·nE).
+func (e *Engine) f64Rows(tab []f64Row, bufs []rf.EchoBuffer) []f64Row {
+	if len(e.activeIdx) > cap(tab) {
+		tab = make([]f64Row, 0, len(e.activeIdx))
+	}
+	for j, d := range e.activeIdx {
+		r := f64Row{off: 2 * int(d), w: e.activeW[j]}
+		if s := bufs[d].Samples; len(s) > 0 {
+			r.p, r.n = &s[0], len(s)
+		}
+		tab = append(tab, r)
+	}
+	return tab
+}
+
+// f64Groups builds the tile bodies' group tables for tab — per 16-element
 // group its apodization bits, per element its row length as the unsigned
-// accept bound — checks the body's contract and runs it over the nappe.
-func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add bool) int {
-	nE := len(e.apod)
-	nG := (nE + 15) / 16
-	var grpStack [f64StackRows / 16]uint16
-	var lensStack [f64StackRows]uint16
-	grp, lens := grpStack[:], lensStack[:]
-	if nG > len(grpStack) {
+// accept bound — in grp and lens when they are long enough.
+func (e *Engine) f64Groups(tab []f64Row, grp, lens []uint16) ([]uint16, []uint16) {
+	nG := (len(e.apod) + 15) / 16
+	if nG > len(grp) || 16*nG > len(lens) {
 		grp, lens = make([]uint16, nG), make([]uint16, 16*nG)
 	}
 	grp, lens = grp[:nG], lens[:16*nG]
@@ -133,23 +150,75 @@ func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add 
 		// non-negative one; 32768 as a word keeps every negative one out.
 		lens[d] = uint16(min(tab[j].n, 1<<15))
 	}
-	if !f64TileSafe(dst, blk, e.tiles, tab, grp, lens, nE) {
+	return grp, lens
+}
+
+// tileRowF64 builds the tile body's group tables for tab, checks the
+// body's contract and runs it over the nappe.
+func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add bool) int {
+	nE := len(e.apod)
+	var grpStack [f64StackRows / 16]uint16
+	var lensStack [f64StackRows]uint16
+	grp, lens := e.f64Groups(tab, grpStack[:], lensStack[:])
+	if !f64TileSafe(dst, e.tiles, tab, grp, lens, nE) || len(blk) < len(dst)*nE {
 		panic("beamform: f64 kernel operands violate the tile body's bounds contract")
 	}
 	return tileMaddF64AVX512(dst, blk, e.tiles, tab, grp, lens, nE, lastLen(nE), add)
 }
 
-// f64TileSafe is the tile body's bounds contract — the assembly is
-// unchecked, so this is its whole safety argument. The tile list covers the
-// nappe (tilesCover), so every store and every delay row is inside dst and
-// blk. The group tables span whole groups with no bit past the aperture,
-// the short last group's row loads stop at element nE−1, and each apodized
-// element consumes the next row of tab in order, which must be exactly used
-// up. Its window loads and gathers stay below lens[d], which must not
-// exceed its row's length.
-func f64TileSafe(dst []float64, blk delay.Block16, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
+// accumulateNativeF64 is accumulateNappe16 over a resident block in the
+// tile-native form. With AVX-512 the tile-native body runs every tile but
+// those holding a raw group under the apodization, which handBackF64 runs
+// from the tile's expanded delays; it returns the element-halves the body
+// gathered. A block the store kept unconverted runs through
+// accumulateNappe16 as it is; otherwise the block is expanded into scratch,
+// a worker's block buffer, and accumulateNappe16 runs on it.
+func (e *Engine) accumulateNativeF64(nat *delaycache.Native, scratch delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) (gathered int) {
+	nE := len(e.apod)
+	if nat.Raw != nil {
+		return e.accumulateNappe16(nat.Raw, bufs, id, out, add)
+	}
+	if !cpufeat.AVX512 || nE == 0 {
+		nat.Expand(scratch)
+		return e.accumulateNappe16(scratch, bufs, id, out, add)
+	}
+	nVox := e.Cfg.Vol.Theta.N * e.Cfg.Vol.Phi.N
+	base := out.Vol.Linear(scan.Index{Depth: id})
+	dst := out.Data[base : base+nVox]
+	var stack [f64StackRows]f64Row
+	tab := e.f64Rows(stack[:0], bufs)
+	var grpStack [f64StackRows / 16]uint16
+	var lensStack [f64StackRows]uint16
+	grp, lens := e.f64Groups(tab, grpStack[:], lensStack[:])
+	if !f64TileSafe(dst, e.tiles, tab, grp, lens, nE) || !e.nativeCovers(nat) || len(scratch) < 16*nE {
+		panic("beamform: f64 kernel operands violate the tile-native body's bounds contract")
+	}
+	nT, rec := len(e.tiles)/16, len(grp)*delaycache.NativeRecordBytes
+	for t := 0; t < nT; {
+		end := nat.NextRawTile(t, grp)
+		if end > t {
+			gathered += tileMaddF64NativeAVX512(dst, nat.Recs[t*rec:], e.tiles[16*t:16*end], tab, grp, lens, add)
+		}
+		if end < nT {
+			e.handBackF64(nat, end, scratch, bufs, dst, add)
+		}
+		t = end + 1
+	}
+	return gathered
+}
+
+// f64TileSafe is the tile bodies' bounds contract on everything but the
+// delays — the assembly is unchecked, so this and the delays' own check
+// (a block of len(dst)·nE delays, or nativeCovers) are its whole safety
+// argument. The tile list covers the nappe (tilesCover), so every store
+// and every delay row is inside dst and the block. The group tables span
+// whole groups with no bit past the aperture, the short last group's row
+// loads stop at element nE−1, and each apodized element consumes the next
+// row of tab in order, which must be exactly used up. Its window loads and
+// gathers stay below lens[d], which must not exceed its row's length.
+func f64TileSafe(dst []float64, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
 	nG := (nE + 15) / 16
-	if nE <= 0 || !tilesCover(tiles, len(dst)) || len(blk) < len(dst)*nE ||
+	if nE <= 0 || !tilesCover(tiles, len(dst)) ||
 		len(grp) != nG || len(lens) != 16*nG || grp[nG-1]&^lastLen(nE) != 0 {
 		return false
 	}

@@ -4,6 +4,7 @@ package beamform
 
 import (
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/rf"
 )
 
@@ -17,4 +18,15 @@ func f64KernelBody() string { return "ref" }
 func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) (gathered int) {
 	e.accumulateNappe16Ref(blk, bufs, id, out, add)
 	return 0
+}
+
+// accumulateNativeF64 runs the reference on the block: as the store kept
+// it, or expanded into scratch.
+func (e *Engine) accumulateNativeF64(nat *delaycache.Native, scratch delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int {
+	blk := nat.Raw
+	if blk == nil {
+		nat.Expand(scratch)
+		blk = scratch
+	}
+	return e.accumulateNappe16(blk, bufs, id, out, add)
 }

@@ -61,11 +61,12 @@
 //     add mode
 //   - tileMaddI16AVX512 (same files, hosts with AVX-512 F, DQ, BW and VL)
 //     is the gather-free tile body: it walks the nappe in 16-voxel tiles
-//     along a snake (snakeTiles), and per element loads the one short
-//     window of its echo row that the tile's delays select from and picks
-//     each voxel's sample with a word permute. A tile whose delays some
-//     apodized element's window cannot serve (a span above 63 samples, or
-//     an index past win) is handed back and runs through the AVX2 body
+//     along a snake (delay.Layout.SnakeTiles), and per element loads the
+//     one short window of its echo row that the tile's delays select from
+//     and picks each voxel's sample with a word permute. A tile whose
+//     delays some apodized element's window cannot serve (a span above 63
+//     samples, or an index past win) is handed back and runs through the
+//     AVX2 body
 //
 // Memory safety lives in the Go wrapper, not the assembly: it checks
 // block, plane, table, tile list and row lengths before the call. Each
@@ -185,31 +186,6 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 		t.tail++
 	}
 	return t
-}
-
-// snakeTiles cuts the nTh×nPh voxel plane of a nappe into tiles of 16 voxel
-// indices (θ-major, φ fastest, as Block16 lays voxels out) along a
-// boustrophedon walk: θ rows alternate between φ up and φ down, so every
-// tile is a connected path of neighbouring voxels whose delays differ by
-// little. A partial last tile repeats its last voxel. The last θ row runs φ
-// up, so the walk ends on the plane's last voxel and the list's last entry
-// is its largest index — the bound the AVX-512 wrapper checks.
-func snakeTiles(nTh, nPh int) []int32 {
-	n := nTh * nPh
-	tiles := make([]int32, 0, (n+15)/16*16)
-	for it := 0; it < nTh; it++ {
-		for j := 0; j < nPh; j++ {
-			ip := j
-			if (nTh-1-it)%2 == 1 {
-				ip = nPh - 1 - j
-			}
-			tiles = append(tiles, int32(it*nPh+ip))
-		}
-	}
-	for len(tiles)%16 != 0 {
-		tiles = append(tiles, tiles[len(tiles)-1])
-	}
-	return tiles
 }
 
 // lastLen masks the elements of an nE-element aperture's last 16-element

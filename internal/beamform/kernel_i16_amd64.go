@@ -5,6 +5,7 @@ package beamform
 import (
 	"ultrabeam/internal/cpufeat"
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/scan"
 )
 
@@ -48,6 +49,72 @@ func gatherMaddI16AVX2(acc []int32, blk []int16, plane []int16, ro []int32, wq [
 //
 //go:noescape
 func tileMaddI16AVX512(row []int32, blk []int16, plane []int16, tiles []int32, ro []int32, wpair []uint32, grp []uint16, nE int, win, sh uint32, lastLen uint16) int
+
+// tileMaddI16NativeAVX512 is tileMaddI16AVX512 over the delaycache.Native
+// records recs of the tiles in tiles, one record per tile and group, read
+// in order: each group's mins, spans and pair-ordered offsets are loaded,
+// not computed. It hands back the same tiles by the same rule and returns
+// the number it finished. It checks nothing: the caller must hold
+// tileSafe, len(recs) ≥ len(tiles)/16·len(grp) records, every tile index
+// below len(row), and no raw group (delaycache.Native.Spilled) among the
+// apodized groups of tiles.
+//
+//go:noescape
+func tileMaddI16NativeAVX512(row []int32, recs []byte, plane []int16, tiles []int32, ro []int32, wpair []uint32, grp []uint16, win, sh uint32) int
+
+// accumulateNativeI16 is accumulateNappe16I16 over a resident block in the
+// tile-native form. With AVX-512 the tile-native body fills the row, and a
+// tile it hands back — or one holding a raw group under the apodization —
+// runs from its expanded delays through the AVX2 route (handBackI16); it
+// returns those tiles. A block the store kept unconverted runs through
+// accumulateNappe16I16 as it is; otherwise the block is expanded into
+// scratch, a worker's block buffer, and accumulateNappe16I16 runs on it.
+func (e *Engine) accumulateNativeI16(nat *delaycache.Native, scratch delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) (fallbacks int) {
+	if nat.Raw != nil {
+		return e.accumulateNappe16I16(nat.Raw, plane, tab, id, out, scale, add, row)
+	}
+	if !cpufeat.AVX512 {
+		nat.Expand(scratch)
+		return e.accumulateNappe16I16(scratch, plane, tab, id, out, scale, add, row)
+	}
+	row = row[:e.Cfg.Vol.Theta.N*e.Cfg.Vol.Phi.N]
+	nE, tiles := len(e.apod), e.tiles
+	if !tab.tileSafe(nE, plane) || !tilesCover(tiles, len(row)) || !e.nativeCovers(nat) || len(scratch) < 16*nE {
+		panic("beamform: i16 kernel operands violate the tile-native body's bounds contract")
+	}
+	nT, rec := len(tiles)/16, len(tab.grp)*delaycache.NativeRecordBytes
+	ro := tab.ro[:len(tab.grp)*16]
+	for t := 0; t < nT; {
+		end := nat.NextRawTile(t, tab.grp)
+		for t < end {
+			t += tileMaddI16NativeAVX512(row, nat.Recs[t*rec:], plane, tiles[16*t:16*end], ro, tab.wpair, tab.grp,
+				uint32(tab.win), uint32(e.preShift))
+			if t < end {
+				e.handBackI16(nat, t, scratch, plane, tab, row)
+				t++
+				fallbacks++
+			}
+		}
+		if end < nT {
+			e.handBackI16(nat, end, scratch, plane, tab, row)
+			fallbacks++
+		}
+		t = end + 1
+	}
+	e.storeRowI16(row, id, out, scale, add)
+	return fallbacks
+}
+
+// handBackI16 sums tile i of a tile-native block into row from its
+// expanded delays (scratch holds at least 16·nE) through gatherRowI16.
+func (e *Engine) handBackI16(nat *delaycache.Native, i int, scratch []int16, plane []int16, tab *i16Table, row []int32) {
+	nat.ExpandTile(i, scratch)
+	var acc [16]int32
+	e.gatherRowI16(scratch, plane, tab, acc[:], 0, 16)
+	for s, v := range e.tiles[16*i : 16*i+16] {
+		row[v] = acc[s]
+	}
+}
 
 // accumulateNappe16I16 is the native fixed-point kernel. With AVX-512 the
 // tile body sums every apodized element into the worker's int32 row, one
@@ -126,8 +193,9 @@ func (e *Engine) tileRowI16(blk delay.Block16, plane []int16, tab *i16Table, row
 // tilesCover is the tile-list half of every tile body's bounds contract,
 // the front end they share (kernel_tile_amd64.h): the list covers an
 // n-voxel nappe in whole tiles and ends on its last voxel, its largest
-// index (snakeTiles), so every store is inside the nappe's n outputs and,
-// with a block of n·nE delays, every delay row inside the block.
+// index (delay.Layout.SnakeTiles), so every store is inside the nappe's n
+// outputs and, with a block of n·nE delays, every delay row inside the
+// block.
 func tilesCover(tiles []int32, n int) bool {
 	return n > 0 && len(tiles) == (n+15)&^15 && int(tiles[len(tiles)-1]) == n-1
 }

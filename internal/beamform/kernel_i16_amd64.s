@@ -141,3 +141,112 @@ done:
 	MOVQ AX, ret+192(FP)
 	VZEROUPPER
 	RET
+
+// The tile-native body: tileMaddI16AVX512 over a resident block stored as
+// delaycache.Native records, one 304-byte record per (tile, group) at SI —
+// bases, spans and pair-ordered offsets. Its front end is three loads per
+// group where the computing one loads sixteen rows, takes their min/max
+// tree, subtracts and transposes: the bases are the mins, base + span the
+// maxes, and each pair's offsets are one zero-extending load. The accept
+// rule, the windows and the pair steps are the computing body's
+// (TILE_I16_WINDOWS, TILE_PAIR32_AT, TILE_PAIR64_AT); the records stream in
+// order, so no row is prefetched. Frame: as the computing body's, of which
+// only the window starts at 256(SP) and the load masks at 320(SP) are used.
+// Z0 holds the narrow pair bias as the pair-ordered offsets need it: 32 in
+// 128-bit lanes 1 and 3 (element k+8's), 0 in lanes 0 and 2.
+
+// A pair step of a narrow group: the pair's offsets from the record at o,
+// element k+8's biased into the second table.
+#define NATIVE_PAIR32(bits, ba, bb, ma, mb, w, o, skip) \
+	TESTL     $bits, AX; \
+	JZ        skip; \
+	VPMOVZXBW o(SI), Z8; \
+	VPADDW    Z0, Z8, Z8; \
+	TILE_PAIR32_AT(ba, bb, ma, mb, w, Z8); \
+skip:
+
+// A pair step of a wide group: each element's offsets index its own window.
+#define NATIVE_PAIR64(bits, ba, bb, ma, mb, w, o, skip) \
+	TESTL     $bits, AX; \
+	JZ        skip; \
+	VPMOVZXBW o(SI), Z8; \
+	TILE_PAIR64_AT(ba, bb, ma, mb, w, Z8); \
+skip:
+
+// func tileMaddI16NativeAVX512(row []int32, recs []byte, plane []int16, tiles []int32, ro []int32, wpair []uint32, grp []uint16, win, sh uint32) int
+TEXT ·tileMaddI16NativeAVX512(SB), 0, $448-184
+	MOVQ  row_base+0(FP), DI
+	MOVQ  recs_base+24(FP), SI
+	MOVQ  plane_base+48(FP), BX
+	MOVQ  tiles_base+72(FP), R8
+	MOVQ  tiles_len+80(FP), R10
+	SHRQ  $4, R10                // tiles left
+	MOVL  sh+172(FP), CX
+	MOVL  win+168(FP), DX
+	MOVL  $0xFFFF, R11
+	TILE_I16_CONSTS
+	MOVL         $32, AX
+	VPBROADCASTW AX, Z0
+	VMOVDQU64.Z  Z0, K5, Z0
+
+	TESTQ R10, R10
+	JZ    done
+
+tile:
+	VPXORD    Z22, Z22, Z22
+	VPXORD    Z23, Z23, Z23
+	MOVQ      ro_base+96(FP), DX
+	MOVQ      wpair_base+120(FP), CX
+	MOVQ      grp_base+144(FP), R11
+	MOVQ      grp_len+152(FP), R12
+
+group:
+	MOVWLZX (R11), AX
+	TESTL   AX, AX
+	JZ      nextgroup
+	KMOVW   AX, K6
+	VMOVDQU16 (SI), Y16          // bases: the mins
+	VPMOVZXBW 32(SI), Y18        // spans
+	VPADDW    Y18, Y16, Y17      // the maxes
+	TILE_I16_WINDOWS(done)
+	KORTESTW K3, K3
+	JNZ      wide
+	NATIVE_PAIR32(0x0101, 256, 288, 320, 384, 0, 48, narrow1)
+	NATIVE_PAIR32(0x0202, 260, 292, 328, 392, 64, 80, narrow2)
+	NATIVE_PAIR32(0x0404, 264, 296, 336, 400, 128, 112, narrow3)
+	NATIVE_PAIR32(0x0808, 268, 300, 344, 408, 192, 144, narrow4)
+	NATIVE_PAIR32(0x1010, 272, 304, 352, 416, 256, 176, narrow5)
+	NATIVE_PAIR32(0x2020, 276, 308, 360, 424, 320, 208, narrow6)
+	NATIVE_PAIR32(0x4040, 280, 312, 368, 432, 384, 240, narrow7)
+	NATIVE_PAIR32(0x8080, 284, 316, 376, 440, 448, 272, narrow8)
+	JMP nextgroup
+wide:
+	NATIVE_PAIR64(0x0101, 256, 288, 320, 384, 0, 48, wide1)
+	NATIVE_PAIR64(0x0202, 260, 292, 328, 392, 64, 80, wide2)
+	NATIVE_PAIR64(0x0404, 264, 296, 336, 400, 128, 112, wide3)
+	NATIVE_PAIR64(0x0808, 268, 300, 344, 408, 192, 144, wide4)
+	NATIVE_PAIR64(0x1010, 272, 304, 352, 416, 256, 176, wide5)
+	NATIVE_PAIR64(0x2020, 276, 308, 360, 424, 320, 208, wide6)
+	NATIVE_PAIR64(0x4040, 280, 312, 368, 432, 384, 240, wide7)
+	NATIVE_PAIR64(0x8080, 284, 316, 376, 440, 448, 272, wide8)
+
+nextgroup:
+	ADDQ $64, DX
+	ADDQ $512, CX
+	ADDQ $304, SI
+	ADDQ $2, R11
+	DECQ R12
+	JNZ  group
+
+	TILE_I16_STORE
+	ADDQ $64, R8
+	DECQ R10
+	JNZ  tile
+
+done:
+	MOVQ tiles_len+80(FP), AX
+	SHRQ $4, AX
+	SUBQ R10, AX
+	MOVQ AX, ret+176(FP)
+	VZEROUPPER
+	RET

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
 	"ultrabeam/internal/geom"
 	"ultrabeam/internal/rf"
 	"ultrabeam/internal/scan"
@@ -82,6 +83,27 @@ func (g kernelBenchGrid) setup() (*Engine, []delay.Block16, *Volume) {
 	return eng, blocks, &Volume{Vol: cfg.Vol, Data: make([]float64, cfg.Vol.Points())}
 }
 
+// natives converts every nappe's block to the tile-native form a resident
+// store holds.
+func natives(eng *Engine, blocks []delay.Block16) []*delaycache.Native {
+	l := eng.layout()
+	nats := make([]*delaycache.Native, len(blocks))
+	for id, blk := range blocks {
+		nats[id] = delaycache.NewNative(l, l.SnakeTiles(), blk)
+	}
+	return nats
+}
+
+// scratches is one tile-native expansion scratch per GOMAXPROCS worker.
+func scratches(eng *Engine) []delay.Block16 {
+	l := eng.layout()
+	s := make([]delay.Block16, runtime.GOMAXPROCS(0))
+	for w := range s {
+		s[w] = make(delay.Block16, max(l.BlockLen(), 16*l.VoxelStride()))
+	}
+	return s
+}
+
 // reportKernel states a whole-volume benchmark's rates: ms/volume (wall),
 // Msamples/s, cycles/sample per core at the /proc/cpuinfo clock with procs
 // cores busy, and the computed B/sample.
@@ -149,10 +171,13 @@ func benchPlane(eng *Engine, seed uint64) []int16 {
 // operand-table entry per sample, plus the voxel's float64 store — and the
 // int32 row's write and read — spread over its samples. fallback_tiles/volume
 // counts the tiles the avx512 body handed back to the avx2 one: 0 on the
-// served grids' delays.
+// served grids' delays. The avx512-native row runs the tile-native body
+// over the blocks in the form a resident store holds them
+// (accumulateNativeI16), its delay 304 B per 256 instead of 2 B each.
 func BenchmarkAccumulateI16(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
+		nats := natives(eng, blocks)
 		plane := benchPlane(eng, 0x1b16)
 		tab := eng.i16GatherTable(kernelBenchWin)
 
@@ -173,23 +198,37 @@ func BenchmarkAccumulateI16(b *testing.B) {
 			"avx2":   {tab.nVec + nA - tab.tail, 2 + 4 + 8 + (8+8)/float64(tab.nVec+nA-tab.tail)},
 			"avx512": {2 * pairs, 2 + 8 + 2 + (8+8)/float64(2*pairs)},
 		}
+		geometry["avx512-native"] = struct {
+			perVoxel int
+			bytes    float64
+		}{2 * pairs, geometry["avx512"].bytes - 2 + 304.0/256}
 		for _, r := range hostRoutes() {
-			b.Run(g.name+"/"+r.name, func(b *testing.B) {
-				defer r.use()()
-				procs := runtime.GOMAXPROCS(0)
-				rows := make([][]int32, procs)
-				for w := range rows {
-					rows[w] = make([]int32, g.nth*g.nphi)
-				}
-				fallbacks := stripeVolumes(b, g.ndep, func(w, id int) int {
-					return eng.accumulateNappe16I16(blocks[id], plane, tab, id, out, 1, false, rows[w])
+			names := []string{r.name}
+			if r.avx512 {
+				names = append(names, "avx512-native")
+			}
+			for _, name := range names {
+				b.Run(g.name+"/"+name, func(b *testing.B) {
+					defer r.use()()
+					procs := runtime.GOMAXPROCS(0)
+					rows := make([][]int32, procs)
+					for w := range rows {
+						rows[w] = make([]int32, g.nth*g.nphi)
+					}
+					scratch := scratches(eng)
+					fallbacks := stripeVolumes(b, g.ndep, func(w, id int) int {
+						if name == "avx512-native" {
+							return eng.accumulateNativeI16(nats[id], scratch[w], plane, tab, id, out, 1, false, rows[w])
+						}
+						return eng.accumulateNappe16I16(blocks[id], plane, tab, id, out, 1, false, rows[w])
+					})
+					geo := geometry[name]
+					reportKernel(b, float64(len(out.Data))*float64(geo.perVoxel), geo.bytes, procs)
+					if r.avx512 {
+						b.ReportMetric(fallbacks, "fallback_tiles/volume")
+					}
 				})
-				geo := geometry[r.name]
-				reportKernel(b, float64(len(out.Data))*float64(geo.perVoxel), geo.bytes, procs)
-				if r.avx512 {
-					b.ReportMetric(fallbacks, "fallback_tiles/volume")
-				}
-			})
+			}
 		}
 	}
 }
@@ -301,10 +340,14 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 // and slice header per sample (4+8+24), sse2's 32 B row once per eight
 // voxels, avx512's once per sixteen; plus the voxel's store spread over its
 // samples. gathered/volume counts the avx512 body's element-halves that
-// took the gather instead of the window: 0 on the served grids' delays.
+// took the gather instead of the window: 0 on the served grids' delays. The
+// avx512-native row runs the tile-native body over the blocks in the form a
+// resident store holds them (accumulateNativeF64): its delay 304 B per 256,
+// and one window per element shared by the tile's 16 voxels.
 func BenchmarkAccumulateF64(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
+		nats := natives(eng, blocks)
 		samples := make([]float64, len(eng.apod)*kernelBenchWin)
 		for i := range samples {
 			samples[i] = float64(int16(i * 40503)) // ADC-like words, no pattern a row shares
@@ -317,12 +360,24 @@ func BenchmarkAccumulateF64(b *testing.B) {
 		nA := len(eng.activeIdx)
 		voxel := 8 / float64(nA)
 		bytes := map[string]float64{
-			"ref":    2 + 8 + (4 + 8 + 24) + voxel,
-			"sse2":   2 + 8 + 32.0/8 + voxel,
-			"avx512": 2 + 16 + 32.0/16 + voxel,
+			"ref":           2 + 8 + (4 + 8 + 24) + voxel,
+			"sse2":          2 + 8 + 32.0/8 + voxel,
+			"avx512":        2 + 16 + 32.0/16 + voxel,
+			"avx512-native": 304.0/256 + 8 + 32.0/16 + voxel,
 		}
 		ran := map[string]bool{}
 		for _, r := range append(hostRoutes(), route{name: "ref"}) {
+			if r.avx512 {
+				b.Run(g.name+"/avx512-native", func(b *testing.B) {
+					defer r.use()()
+					scratch := scratches(eng)
+					gathered := stripeVolumes(b, g.ndep, func(w, id int) int {
+						return eng.accumulateNativeF64(nats[id], scratch[w], bufs, id, out, false)
+					})
+					reportKernel(b, float64(len(out.Data))*float64(nA), bytes["avx512-native"], runtime.GOMAXPROCS(0))
+					b.ReportMetric(gathered, "gathered/volume")
+				})
+			}
 			restore := r.use()
 			name := f64KernelBody()
 			restore()

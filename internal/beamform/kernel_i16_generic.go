@@ -2,7 +2,10 @@
 
 package beamform
 
-import "ultrabeam/internal/delay"
+import (
+	"ultrabeam/internal/delay"
+	"ultrabeam/internal/delaycache"
+)
 
 // i16KernelBody names the body accumulateNappe16I16 runs on this build.
 func i16KernelBody() string { return "ref" }
@@ -16,4 +19,15 @@ func i16KernelBody() string { return "ref" }
 func (e *Engine) accumulateNappe16I16(blk delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, _ []int32) (fallbacks int) {
 	e.accumulateNappe16I16Ref(blk, plane, tab, id, out, scale, add)
 	return 0
+}
+
+// accumulateNativeI16 runs the reference on the block: as the store kept
+// it, or expanded into scratch.
+func (e *Engine) accumulateNativeI16(nat *delaycache.Native, scratch delay.Block16, plane []int16, tab *i16Table, id int, out *Volume, scale float64, add bool, row []int32) int {
+	blk := nat.Raw
+	if blk == nil {
+		nat.Expand(scratch)
+		blk = scratch
+	}
+	return e.accumulateNappe16I16(blk, plane, tab, id, out, scale, add, row)
 }

@@ -68,10 +68,11 @@ func TestI16KernelPlaneFlushAgainstGuardPage(t *testing.T) {
 	v.report(t)
 }
 
-// delaysAgainstGuardPage checks c with its delay block and the engine's
-// tile list, which the tile bodies read with masked row loads and a
-// look-ahead for their prefetch, each ending flush against a PROT_NONE
-// page.
+// delaysAgainstGuardPage checks c with its delay block, the engine's tile
+// list and each block's tile-native records, which the tile bodies read
+// with masked row loads and a look-ahead for their prefetch, and the
+// tile-native bodies record by record up to the last group of the last
+// (padded) tile, each ending flush against a PROT_NONE page.
 func delaysAgainstGuardPage(t *testing.T, v *verdicts, c *kcase, fams int) {
 	blk, releaseBlk := guarded[int16](t, len(c.blks[0]))
 	copy(blk, c.blks[0])
@@ -82,10 +83,19 @@ func delaysAgainstGuardPage(t *testing.T, v *verdicts, c *kcase, fams int) {
 	var releaseTiles func()
 	c.eng.tiles, releaseTiles = guarded[int32](t, len(tiles))
 	copy(c.eng.tiles, tiles)
+	var releaseRecs []func()
+	c.recs = func(n int) []byte {
+		recs, release := guarded[byte](t, n)
+		releaseRecs = append(releaseRecs, release)
+		return recs
+	}
 	c.check(t, v, fams)
-	c.eng.tiles = tiles
+	c.eng.tiles, c.recs = tiles, nil
 	releaseBlk()
 	releaseTiles()
+	for _, release := range releaseRecs {
+		release()
+	}
 }
 
 // TestI16KernelDelaysFlushAgainstGuardPage runs delaysAgainstGuardPage on

@@ -42,7 +42,7 @@ func TestI16NoAVX512Route(t *testing.T) { sessionRows(t, "i16", "avx2") }
 func TestSnakeTiles(t *testing.T) {
 	for _, pl := range []struct{ nth, nphi int }{{0, 0}, {1, 1}, {1, 17}, {5, 2}, {4, 4}, {7, 3}, {2, 9}, {33, 33}} {
 		n := pl.nth * pl.nphi
-		tiles := snakeTiles(pl.nth, pl.nphi)
+		tiles := delay.Layout{NTheta: pl.nth, NPhi: pl.nphi}.SnakeTiles()
 		if len(tiles) != (n+15)/16*16 {
 			t.Fatalf("%d×%d: %d entries, want %d", pl.nth, pl.nphi, len(tiles), (n+15)/16*16)
 		}

@@ -329,44 +329,52 @@ loaded:
 // Element pair k, k+8 of a narrow group, whose offsets x index both windows
 // as one 64-word table (element k+8's are biased by 32): one permute
 // selects both elements' samples.
-#define TILE_PAIR32(bits, pa, pb, ba, bb, ma, mb, w, x, skip) \
-	TILE_NEXT(pa, pb, bits, skip); \
+#define TILE_PAIR32_AT(ba, bb, ma, mb, w, x) \
 	TILE_WINDOW32(ba, ma, Z16); \
 	TILE_WINDOW32(bb, mb, Z17); \
 	VPERMT2W Z17, x, Z16; \
-	TILE_MADD(w); \
-skip:
+	TILE_MADD(w)
 
 // Element pair k, k+8 of a wide group: a permute per element over its own
 // 64-word window, then one merge of element k+8's lanes.
-#define TILE_PAIR64(bits, pa, pb, ba, bb, ma, mb, w, x, skip) \
-	TILE_NEXT(pa, pb, bits, skip); \
+#define TILE_PAIR64_AT(ba, bb, ma, mb, w, x) \
 	TILE_WINDOW64(ba, ma, x, Z16, Z17); \
 	TILE_WINDOW64(bb, mb, x, Z18, Z19); \
 	VMOVDQU64 Z18, K5, Z16; \
-	TILE_MADD(w); \
+	TILE_MADD(w)
+
+// The two pair steps with the next tile's rows prefetched first.
+#define TILE_PAIR32(bits, pa, pb, ba, bb, ma, mb, w, x, skip) \
+	TILE_NEXT(pa, pb, bits, skip); \
+	TILE_PAIR32_AT(ba, bb, ma, mb, w, x); \
 skip:
 
-// One group of a tile whose sixteen index rows sit in Z0–Z7 and whose
-// apodization mask is in K6 and AX. Each element's min (Y16) and max (Y17)
-// over the tile's sixteen voxels. Accept the tile only if every apodized
-// element's delays span at most 63 samples (its window holds at most 64)
-// and none exceeds win (unsigned: a negative delay fails); otherwise jump
-// to handback with the tile untouched. A group is narrow when every
-// apodized element's window fits 32 samples (K3 clear): one permute then
-// serves an element pair. Window load masks (2 << span) − 1 as qwords,
-// zero for un-apodized elements, and window starts ro + min go to the
-// frame; the offsets into each element's window (in a narrow group
-// elements 8–15 index the second table of their pair's permute) are
-// transposed so that Z(8+k) holds element k's and element k+8's; then the
-// eight pairs, and on to next.
-#define TILE_I16_GROUP(handback, next) \
+#define TILE_PAIR64(bits, pa, pb, ba, bb, ma, mb, w, x, skip) \
+	TILE_NEXT(pa, pb, bits, skip); \
+	TILE_PAIR64_AT(ba, bb, ma, mb, w, x); \
+skip:
+
+// The computing front end's last step for one group of a tile whose
+// sixteen index rows sit in Z0–Z7: each element's min (Y16) and max (Y17)
+// over the tile's sixteen voxels, and its span (Y18).
+#define TILE_I16_MINMAX \
 	TILE_MINMAX; \
 	VEXTRACTI64X4 $1, Z16, Y18; \
 	VPMINUW       Y18, Y16, Y16; \
 	VEXTRACTI64X4 $1, Z17, Y18; \
 	VPMAXUW       Y18, Y17, Y17; \
-	VPSUBW   Y16, Y17, Y18; \
+	VPSUBW   Y16, Y17, Y18
+
+// The accept rule and the windows of a group whose elements' mins, maxes
+// and spans sit in Y16, Y17 and Y18 and whose apodization mask is in K6.
+// Accept the tile only if every apodized element's delays span at most 63
+// samples (its window holds at most 64) and none exceeds win (unsigned: a
+// negative delay fails); otherwise jump to handback with the tile
+// untouched. A group is narrow when every apodized element's window fits
+// 32 samples (K3 clear): one permute then serves an element pair. Window
+// load masks (2 << span) − 1 as qwords, zero for un-apodized elements, and
+// window starts ro + min go to the frame.
+#define TILE_I16_WINDOWS(handback) \
 	VPCMPUW  $6, Y30, Y18, K6, K1; \
 	VPCMPUW  $6, Y31, Y17, K6, K2; \
 	KORTESTW K1, K2; \
@@ -387,7 +395,13 @@ skip:
 	VMOVDQU64     Z21, 384(SP); \
 	VPMOVZXWD     Y16, Z19; \
 	VPADDD        (DX), Z19, Z19; \
-	VMOVDQU32     Z19, 256(SP); \
+	VMOVDQU32     Z19, 256(SP)
+
+// The offsets into each element's window, computed from the rows in Z0–Z7
+// (in a narrow group elements 8–15 index the second table of their pair's
+// permute) and transposed so that Z(8+k) holds element k's and element
+// k+8's.
+#define TILE_I16_OFFSETS \
 	KORTESTW     K3, K3; \
 	JNZ          wideoffsets; \
 	VPSUBW       Y29, Y16, Y16; \
@@ -401,7 +415,11 @@ wideoffsets: \
 	VPSUBW       Z16, Z5, Z5; \
 	VPSUBW       Z16, Z6, Z6; \
 	VPSUBW       Z16, Z7, Z7; \
-	TILE_TRANSPOSE; \
+	TILE_TRANSPOSE
+
+// The pair back end over the offsets in Z8–Z15: the eight pairs, narrow or
+// wide, each prefetching two of the next tile's rows, and on to next.
+#define TILE_I16_PAIRS(next) \
 	KORTESTW K3, K3; \
 	JNZ      wide; \
 	TILE_PAIR32(0x0101, 128, 192, 256, 288, 320, 384, 0, Z8, narrow1); \
@@ -422,6 +440,16 @@ wide: \
 	TILE_PAIR64(0x2020, 168, 232, 276, 308, 360, 424, 320, Z13, wide6); \
 	TILE_PAIR64(0x4040, 176, 240, 280, 312, 368, 432, 384, Z14, wide7); \
 	TILE_PAIR64(0x8080, 184, 248, 284, 316, 376, 440, 448, Z15, wide8)
+
+// One group of a tile whose sixteen index rows sit in Z0–Z7 and whose
+// apodization mask is in K6 and AX: the computing front end (min, max,
+// span, offsets, transpose) around the accept rule and the windows, then
+// the pair back end.
+#define TILE_I16_GROUP(handback, next) \
+	TILE_I16_MINMAX; \
+	TILE_I16_WINDOWS(handback); \
+	TILE_I16_OFFSETS; \
+	TILE_I16_PAIRS(next)
 
 // The group's row-offset, pair-weight and mask pointers on to the next
 // group, and R13 on by one group of a row of rowBytes-wide elements.

@@ -193,7 +193,9 @@ func (e *Engine) layout() delay.Layout {
 // whichever job each frame dispatches — quantizing its stripe of echo
 // planes, or beamforming depth slices w, w+workers, ... of the frame.
 func (s *Session) worker(w int) {
-	buf16 := make(delay.Block16, s.layout.BlockLen())
+	// The block buffer is also the tile-native kernels' expansion scratch,
+	// which needs a whole tile's rows on a nappe of fewer voxels.
+	buf16 := make(delay.Block16, max(s.layout.BlockLen(), 16*s.layout.VoxelStride()))[:s.layout.BlockLen()]
 	row := make([]int32, s.layout.NTheta*s.layout.NPhi)
 	ry := make([]int32, s.ryLen)
 	for range s.start[w] {
@@ -221,38 +223,44 @@ func (s *Session) convertStripeI16(w int) {
 
 // accumulateStripe beamforms depth slices w, w+workers, ... of the frame:
 // for each slice, every transmit's delays are obtained — the cache's
-// resident block consumed in place, else the transmit's generator filling
-// the worker's block — and the precision-selected kernel runs with the
-// first transmit storing and later transmits adding, so the per-voxel
-// accumulation order is transmit-major. On a frame whose window is beyond
-// delay.MaxEchoWindow, a block holding math.MaxInt16 runs beamformNappe
-// instead: the saturated index stands for a delay the window may hold. On
-// the i16 kernel a non-resident nappe of a transmit with the fused steer
-// route generates no block at all: its per-nappe operand rows are built
-// and the fused body runs, which is bit-identical to filling and
-// accumulating.
+// resident block consumed in place in the form the store holds it (the
+// worker's block is then the kernel's expansion scratch), else the
+// transmit's generator filling the worker's block — and the
+// precision-selected kernel runs with the first transmit storing and later
+// transmits adding, so the per-voxel accumulation order is transmit-major.
+// On a frame whose window is beyond delay.MaxEchoWindow, a block holding
+// math.MaxInt16 runs beamformNappe instead: the saturated index stands for
+// a delay the window may hold. On the i16 kernel a non-resident nappe of a
+// transmit with the fused steer route generates no block at all: its
+// per-nappe operand rows are built and the fused body runs, which is
+// bit-identical to filling and accumulating.
 func (s *Session) accumulateStripe(w int, buf16 delay.Block16, row, ry []int32) {
 	for id := w; id < s.eng.Cfg.Vol.Depth.N; id += s.workers {
 		for t := range s.gens {
 			add := t > 0
-			var blk delay.Block16
+			var nat *delaycache.Native
 			if s.cache != nil {
-				blk = s.cache.Nappe16T(t, id)
+				nat = s.cache.Nappe16T(t, id)
 			}
-			fused := blk == nil && s.useI16 && s.steers[t].ops != nil && fusedSteer()
+			var blk delay.Block16
+			fused := nat == nil && s.useI16 && s.steers[t].ops != nil && fusedSteer()
 			if fused {
 				s.steers[t].src.SteerRows(id, ry)
-			} else if blk == nil {
+			} else if nat == nil {
 				s.gens[t].FillNappe16(id, buf16)
 				blk = buf16
 			}
 			switch {
-			case !s.useI16 && !s.narrow && slices.Contains(blk, math.MaxInt16):
+			case !s.useI16 && !s.narrow && (nat != nil && nat.HasMax || nat == nil && slices.Contains(blk, math.MaxInt16)):
 				s.eng.beamformNappe(s.gens[t], s.frame.Bufs[t], id, s.out, add)
+			case !s.useI16 && nat != nil:
+				s.eng.accumulateNativeF64(nat, buf16[:cap(buf16)], s.frame.Bufs[t], id, s.out, add)
 			case !s.useI16:
 				s.eng.accumulateNappe16(blk, s.frame.Bufs[t], id, s.out, add)
 			case fused:
 				s.eng.accumulateSteerI16(ry, &s.steers[t], s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
+			case nat != nil:
+				s.eng.accumulateNativeI16(nat, buf16[:cap(buf16)], s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
 			default:
 				s.eng.accumulateNappe16I16(blk, s.planeI16(t), s.i16Tab, id, s.out, s.i16Scale[t], add, row)
 			}

@@ -32,6 +32,33 @@ func (l Layout) BlockLen() int { return l.NTheta * l.NPhi * l.NX * l.NY }
 // VoxelStride returns the per-voxel element-plane length (NX·NY).
 func (l Layout) VoxelStride() int { return l.NX * l.NY }
 
+// SnakeTiles cuts the NTheta×NPhi voxel plane of a nappe into tiles of 16
+// voxel indices (θ-major, φ fastest, as a block lays voxels out) along a
+// boustrophedon walk: θ rows alternate between φ up and φ down, so every
+// tile is a connected path of neighbouring voxels whose delays differ by
+// little. A partial last tile repeats its last voxel. The last θ row runs φ
+// up, so the walk ends on the plane's last voxel and the list's last entry
+// is its largest index. The AVX-512 tile bodies walk a nappe in this order,
+// and the delay cache stores its resident blocks tile by tile in it.
+func (l Layout) SnakeTiles() []int32 {
+	nTh, nPh := l.NTheta, l.NPhi
+	n := nTh * nPh
+	tiles := make([]int32, 0, (n+15)/16*16)
+	for it := 0; it < nTh; it++ {
+		for j := 0; j < nPh; j++ {
+			ip := j
+			if (nTh-1-it)%2 == 1 {
+				ip = nPh - 1 - j
+			}
+			tiles = append(tiles, int32(it*nPh+ip))
+		}
+	}
+	for len(tiles)%16 != 0 {
+		tiles = append(tiles, tiles[len(tiles)-1])
+	}
+	return tiles
+}
+
 // Index linearizes (it, ip, ei, ej) into a nappe block.
 func (l Layout) Index(it, ip, ei, ej int) int {
 	return ((it*l.NPhi+ip)*l.NY+ej)*l.NX + ei

@@ -5,12 +5,15 @@
 // cine sequence every frame would regenerate identical nappe blocks; the
 // cache pays generation once and serves every later frame from memory.
 //
-// Blocks are stored narrow by default: delay.Block16 selection indices at
-// 2 bytes per delay — the same information the beamformer consumes, at a
-// quarter of the float64 footprint, mirroring the paper's point that delay
-// words are 14-bit quantities (§V-B). Narrowing is exact (delay.Index16),
-// and it means a fixed byte budget retains 4× the nappe blocks the float64
-// representation held.
+// Generators fill delay.Block16 selection indices at 2 bytes per delay —
+// the same information the beamformer consumes, at a quarter of the float64
+// footprint, mirroring the paper's point that delay words are 14-bit
+// quantities (§V-B). Narrowing is exact (delay.Index16), and it means a
+// fixed byte budget retains 4× the nappe blocks the float64 representation
+// held. The budget is counted in those raw int16 blocks (BlockBytes); on a
+// host with the AVX-512 tile bodies the store then keeps each block in the
+// tile-native form (Native, native.go) they read, ≈ 1.19 B per delay, and
+// Stats.BytesResident reports the bytes it actually holds.
 //
 // Residency is deterministic: with budget for k of the volume's Depth.N
 // blocks, nappes 0..k-1 are retained and deeper nappes always regenerate.
@@ -90,7 +93,7 @@ type Cache struct {
 
 type block struct {
 	once sync.Once
-	n16  delay.Block16
+	nat  *Native
 }
 
 // BudgetFromBanks translates a BRAM bank array into a cache budget: the
@@ -111,13 +114,14 @@ func (c *Cache) Shared() *Shared { return c.s }
 // done so Stats.Attachments stays truthful). Detach is not idempotent.
 func (c *Cache) Detach() { c.s.attached.Add(-1) }
 
-// Nappe16T returns the retained quantized block of (transmit t, nappe id),
-// generating it on first access, or nil when the block is not resident.
-// A nil result for a pair in range counts one miss — the caller runs the
-// generator instead — and out-of-range pairs count nothing. Callers must
-// treat the returned slice as read-only; consuming it directly (as the
-// beamform session does) skips both generation and any copy.
-func (c *Cache) Nappe16T(t, id int) delay.Block16 {
+// Nappe16T returns the retained block of (transmit t, nappe id) in its
+// tile-native form, generating and converting it on first access, or nil
+// when the block is not resident. A nil result for a pair in range counts
+// one miss — the caller runs the generator instead — and out-of-range pairs
+// count nothing. Callers must treat the returned block as read-only;
+// consuming it directly (as the beamform session does) skips both
+// generation and any copy.
+func (c *Cache) Nappe16T(t, id int) *Native {
 	b, miss := c.s.resident(t, id)
 	if miss {
 		c.misses.Add(1)
@@ -127,7 +131,7 @@ func (c *Cache) Nappe16T(t, id int) delay.Block16 {
 	if b == nil {
 		return nil
 	}
-	return b.n16
+	return b.nat
 }
 
 // Stats is a point-in-time snapshot of cache effectiveness. A Shared store
@@ -144,9 +148,9 @@ type Stats struct {
 	ResidentBlocks int   `json:"resident_blocks"` // blocks the budget retains
 	TotalBlocks    int   `json:"total_blocks"`    // Depths·Transmits — blocks a full table would need
 	Transmits      int   `json:"transmits"`       // transmit-set size sharing the budget
-	DelayBytes     int64 `json:"delay_bytes"`     // bytes per cached delay word
-	BlockBytes     int64 `json:"block_bytes"`     // bytes per block
-	BytesResident  int64 `json:"bytes_resident"`  // bytes filled in the current generation
+	DelayBytes     int64 `json:"delay_bytes"`     // budget bytes per delay: a raw int16 word
+	BlockBytes     int64 `json:"block_bytes"`     // budget bytes per block: its raw int16 size
+	BytesResident  int64 `json:"bytes_resident"`  // bytes the current generation's blocks hold, tile-native
 	BudgetBytes    int64 `json:"budget_bytes"`    // configured budget (<0 = unlimited)
 }
 
@@ -160,7 +164,7 @@ func (s Stats) HitRate() float64 {
 
 // String renders the snapshot for logs and CLI reports.
 func (s Stats) String() string {
-	return fmt.Sprintf("%d/%d blocks resident (%.1f MB @ %dB/delay), %d hits / %d misses (%.1f%% hit rate)",
+	return fmt.Sprintf("%d/%d blocks resident (%.1f MB held, budgeted at %dB/delay), %d hits / %d misses (%.1f%% hit rate)",
 		s.ResidentBlocks, s.TotalBlocks, float64(s.BytesResident)/1e6, s.DelayBytes,
 		s.Hits, s.Misses, 100*s.HitRate())
 }

@@ -35,6 +35,31 @@ func attach(t *testing.T, cfg Config) *Cache {
 	return s.Attach()
 }
 
+// expanded returns a resident block's delays as the Block16 it was
+// converted from.
+func expanded(n *Native) delay.Block16 {
+	blk := make(delay.Block16, n.Layout.BlockLen())
+	n.Expand(blk)
+	return blk
+}
+
+// nativeBytes returns the bytes a store on this host holds for p's nappes
+// ids: their tile-native forms, or their raw blocks where the host has no
+// tile-native bodies.
+func nativeBytes(p delay.BlockProvider, ids ...int) (sum int64) {
+	l := p.Layout()
+	raw := make(delay.Block16, l.BlockLen())
+	for _, id := range ids {
+		p.FillNappe16(id, raw)
+		if !tileNativeHost() {
+			sum += 2 * int64(len(raw))
+			continue
+		}
+		sum += NewNative(l, l.SnakeTiles(), raw).Bytes()
+	}
+	return sum
+}
+
 // one is the single-transmit provider set of p.
 func one(p delay.BlockProvider) []delay.BlockProvider { return []delay.BlockProvider{p} }
 
@@ -130,13 +155,14 @@ func TestCacheBitIdentity16(t *testing.T) {
 	want := make(delay.Block16, e.Layout().BlockLen())
 	for frame := 0; frame < 3; frame++ {
 		for id := 0; id < depths; id++ {
-			blk := cache.Nappe16T(0, id)
-			if (blk != nil) != (id < depths/2) {
-				t.Fatalf("frame %d nappe %d: resident = %v", frame, id, blk != nil)
+			nat := cache.Nappe16T(0, id)
+			if (nat != nil) != (id < depths/2) {
+				t.Fatalf("frame %d nappe %d: resident = %v", frame, id, nat != nil)
 			}
-			if blk == nil {
+			if nat == nil {
 				continue
 			}
+			blk := expanded(nat)
 			e.FillNappe16(id, want)
 			for k := range want {
 				if want[k] != blk[k] {
@@ -179,8 +205,14 @@ func TestCacheStatsAndSingleFill(t *testing.T) {
 	if st.DelayBytes != narrowDelayBytes {
 		t.Errorf("DelayBytes = %d", st.DelayBytes)
 	}
-	if st.BytesResident != int64(resident)*blockBytes {
-		t.Errorf("BytesResident = %d", st.BytesResident)
+	// The budget is counted in raw int16 blocks; a host with the
+	// tile-native bodies holds each in its tile-native form, about 60 % of
+	// that.
+	if st.BlockBytes != blockBytes {
+		t.Errorf("BlockBytes = %d, want the raw block's %d", st.BlockBytes, blockBytes)
+	}
+	if want := nativeBytes(e, 0, 1, 2); st.BytesResident != want || tileNativeHost() && want >= int64(resident)*blockBytes {
+		t.Errorf("BytesResident = %d, want the stored blocks' %d (raw %d)", st.BytesResident, want, int64(resident)*blockBytes)
 	}
 	wantRate := float64(st.Hits) / float64(st.Hits+st.Misses)
 	if st.HitRate() != wantRate {
@@ -216,7 +248,7 @@ func TestCacheConcurrentAccess(t *testing.T) {
 	if counting.calls.Load() != int64(depths) {
 		t.Errorf("generator ran %d times for %d resident blocks", counting.calls.Load(), depths)
 	}
-	got := cache.Nappe16T(0, 0)
+	got := expanded(cache.Nappe16T(0, 0))
 	for k := range want {
 		if got[k] != want[k] {
 			t.Fatalf("slot %d: %v != %v", k, got[k], want[k])
@@ -234,6 +266,13 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 	resident := depths / 2
 	cache := attach(t, Config{Providers: one(e), Depths: depths,
 		BudgetBytes: blockBytes * int64(resident)})
+	var ids []int
+	lo, hi := int64(1<<62), int64(0)
+	for id := range resident {
+		ids = append(ids, id)
+		n := nativeBytes(e, id)
+		lo, hi = min(lo, n), max(hi, n)
+	}
 	const readers, reps = 6, 25
 	var wg, pollWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -255,12 +294,12 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 			// the bytes' counter just before the count's. So the bytes were
 			// read no earlier than st.Fills and no later than the next
 			// snapshot's, ahead of it by at most one fill per goroutine in
-			// flight. The exact balance is held on the quiescent snapshot
-			// below.
+			// flight, each block holding between lo and hi bytes. The exact
+			// balance is held on the quiescent snapshot below.
 			after := cache.Stats().Fills + readers
-			if st.BytesResident < st.Fills*st.BlockBytes || st.BytesResident > after*st.BlockBytes {
-				t.Errorf("BytesResident %d outside [%d, %d] fills × BlockBytes %d",
-					st.BytesResident, st.Fills, after, st.BlockBytes)
+			if st.BytesResident < st.Fills*lo || st.BytesResident > after*hi {
+				t.Errorf("BytesResident %d outside [%d × %d, %d × %d]",
+					st.BytesResident, st.Fills, lo, after, hi)
 				return
 			}
 		}
@@ -285,8 +324,8 @@ func TestStatsUnderConcurrentReaders(t *testing.T) {
 	if st.Hits+st.Misses != requests {
 		t.Errorf("hits %d + misses %d != %d requests", st.Hits, st.Misses, requests)
 	}
-	if st.Fills != int64(resident) || st.BytesResident != st.Fills*st.BlockBytes {
-		t.Errorf("Fills = %d (%d bytes resident), want %d (%d)", st.Fills, st.BytesResident, resident, int64(resident)*st.BlockBytes)
+	if want := nativeBytes(e, ids...); st.Fills != int64(resident) || st.BytesResident != want {
+		t.Errorf("Fills = %d (%d bytes resident), want %d (%d)", st.Fills, st.BytesResident, resident, want)
 	}
 	if rate := st.HitRate(); rate <= 0 || rate >= 1 {
 		t.Errorf("HitRate = %v, want in (0,1)", rate)

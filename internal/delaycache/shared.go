@@ -48,6 +48,8 @@ var fillFault = faultpoint.New("delaycache.fill")
 type Shared struct {
 	gens      []delay.BlockProvider // one generator per transmit
 	layout    delay.Layout
+	tiles     []int32   // layout.SnakeTiles(), the walk every resident block is stored in
+	raw       sync.Pool // *delay.Block16 a fill generates into before its conversion
 	depths    int
 	budget    int64
 	nResident int // blocks the budget retains
@@ -66,12 +68,13 @@ type Shared struct {
 }
 
 // generation is one eviction epoch of the store: the resident block slots,
-// slot key id·T+t for every key below the budget's block count, and the
-// count of slots filled so far (the live resident footprint — the aggregate
-// fills counter keeps counting across evictions).
+// slot key id·T+t for every key below the budget's block count, the count
+// of slots filled so far and the bytes they hold (the live resident
+// footprint — the aggregate fills counter keeps counting across evictions).
 type generation struct {
 	blocks []block
 	fills  atomic.Int64
+	bytes  atomic.Int64
 }
 
 // NewShared builds a sharable block store over the cfg.Providers transmit
@@ -101,7 +104,7 @@ func NewShared(cfg Config) (*Shared, error) {
 	if cfg.Depths <= 0 {
 		return nil, fmt.Errorf("delaycache: non-positive depth count %d", cfg.Depths)
 	}
-	s := &Shared{gens: gens, layout: l, depths: cfg.Depths, budget: cfg.BudgetBytes}
+	s := &Shared{gens: gens, layout: l, tiles: l.SnakeTiles(), depths: cfg.Depths, budget: cfg.BudgetBytes}
 	total := cfg.Depths * len(gens)
 	s.nResident = total
 	if cfg.BudgetBytes >= 0 {
@@ -177,9 +180,10 @@ func (s *Shared) Depths() int { return s.depths }
 func (s *Shared) Layout() delay.Layout { return s.layout }
 
 // resident returns the filled block slot for (transmit t, nappe id) in the
-// current generation — running the generator under the slot's once on first
-// access — or nil when the pair's key id·T+t is past the resident prefix or
-// out of range. miss reports whether the request costs a generator run:
+// current generation — running the generator and, on a host with the
+// tile-native bodies, the converter (NewNative) under the slot's once on
+// first access — or nil when the
+// pair's key id·T+t is past the resident prefix or out of range. miss reports whether the request costs a generator run:
 // this call filled the slot, or the pair is in range but not resident (the
 // caller regenerates it). Aggregate hit/miss/fill counters are updated
 // here; attachments layer their own counters on the result.
@@ -199,9 +203,21 @@ func (s *Shared) resident(t, id int) (b *block, miss bool) {
 		// is deterministic math), so the chaos harness perturbs its timing
 		// — every waiter on this once observes the stall — never its bytes.
 		fillFault.Fire()
-		data := make(delay.Block16, s.layout.BlockLen())
-		s.gens[t].FillNappe16(id, data)
-		b.n16 = data
+		if tileNativeHost() {
+			raw, _ := s.raw.Get().(*delay.Block16)
+			if raw == nil {
+				raw = new(delay.Block16)
+				*raw = make(delay.Block16, s.layout.BlockLen())
+			}
+			s.gens[t].FillNappe16(id, *raw)
+			b.nat = NewNative(s.layout, s.tiles, *raw)
+			s.raw.Put(raw)
+		} else {
+			data := make(delay.Block16, s.layout.BlockLen())
+			s.gens[t].FillNappe16(id, data)
+			b.nat = newRawNative(s.layout, s.tiles, data)
+		}
+		gen.bytes.Add(b.nat.Bytes())
 		gen.fills.Add(1)
 		miss = true
 	})
@@ -250,7 +266,7 @@ func (s *Shared) Stats() Stats {
 		Transmits:      len(s.gens),
 		DelayBytes:     s.DelayBytes(),
 		BlockBytes:     s.BlockBytes(),
-		BytesResident:  s.gen.Load().fills.Load() * s.BlockBytes(),
+		BytesResident:  s.gen.Load().bytes.Load(),
 		BudgetBytes:    s.budget,
 	}
 }

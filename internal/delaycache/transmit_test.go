@@ -41,10 +41,11 @@ func TestTransmitKeysAreDistinct(t *testing.T) {
 	want := make(delay.Block16, provs[0].Layout().BlockLen())
 	for tx := 0; tx < 3; tx++ {
 		for id := 0; id < depths; id++ {
-			got := cache.Nappe16T(tx, id)
-			if got == nil {
+			nat := cache.Nappe16T(tx, id)
+			if nat == nil {
 				t.Fatalf("tx %d nappe %d not resident at full residency", tx, id)
 			}
+			got := expanded(nat)
 			provs[tx].FillNappe16(id, want)
 			for k := range want {
 				if got[k] != want[k] {
@@ -55,7 +56,7 @@ func TestTransmitKeysAreDistinct(t *testing.T) {
 	}
 	// Steered transmits must actually differ somewhere (guards against all
 	// keys aliasing one law).
-	a, b := cache.Nappe16T(0, depths-1), cache.Nappe16T(2, depths-1)
+	a, b := expanded(cache.Nappe16T(0, depths-1)), expanded(cache.Nappe16T(2, depths-1))
 	same := true
 	for k := range a {
 		if a[k] != b[k] {
@@ -232,7 +233,7 @@ func TestSharedWarmParallelMatchesSerialFirstTouch(t *testing.T) {
 		check := warmed.Attach()
 		for tx, q := range quota {
 			for id := 0; id < q; id++ {
-				got, want := check.Nappe16T(tx, id), touch.Nappe16T(tx, id)
+				got, want := expanded(check.Nappe16T(tx, id)), expanded(touch.Nappe16T(tx, id))
 				for i := range want {
 					if got[i] != want[i] {
 						t.Fatalf("budget %d block (%d,%d) slot %d: warmed %d != serial %d",

@@ -150,7 +150,7 @@ func TestOptionsEncodeRejectsInexpressible(t *testing.T) {
 // prefills exactly the budget's resident prefix in the background, and
 // then serves the same frame bit-identically — no cached bytes crossed.
 func TestPlansPrewarmHandoff(t *testing.T) {
-	tsA, _ := newSchedTestServer(t, SchedulerConfig{})
+	tsA, schedA := newSchedTestServer(t, SchedulerConfig{})
 	tsB, schedB := newSchedTestServer(t, SchedulerConfig{})
 	spec := servedSpec()
 	bufs := tinyFrame(t, spec)
@@ -182,6 +182,10 @@ func TestPlansPrewarmHandoff(t *testing.T) {
 		return body
 	}
 	want := post(tsA.URL)
+	heldA := schedA.Stats().Geometries[0].Cache.BytesResident
+	if heldA <= 0 || heldA > budget {
+		t.Fatalf("A's store holds %d bytes of a %d-byte raw budget", heldA, budget)
+	}
 
 	resp, err := http.Get(tsA.URL + "/v1/plans")
 	if err != nil {
@@ -218,13 +222,13 @@ func TestPlansPrewarmHandoff(t *testing.T) {
 	}
 
 	// The background fill completes: B's store reaches the budget's
-	// resident prefix without one frame served.
+	// resident prefix, the bytes A's holds, without one frame served.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := schedB.Stats()
 		if len(st.Geometries) == 1 && st.Geometries[0].Cache != nil &&
 			st.Geometries[0].Cache.Fills >= 5 {
-			if cs := st.Geometries[0].Cache; cs.ResidentBlocks != 5 || cs.BytesResident != budget {
+			if cs := st.Geometries[0].Cache; cs.ResidentBlocks != 5 || cs.BytesResident != heldA {
 				t.Fatalf("B's store: %+v, want the 5-block prefix", cs)
 			}
 			break
@@ -270,6 +274,37 @@ func TestCloseWaitsForPrewarm(t *testing.T) {
 		if got := store.Stats().Fills; got != fills {
 			t.Fatalf("round %d: %d blocks filled after Close returned", round, got-fills)
 		}
+	}
+}
+
+// TestPrewarmFillsBuiltGeometry: Prewarm of a geometry that is already
+// built but whose store is not full — evicted after its first frame here,
+// as a first frame that failed after Begin would leave it partly filled —
+// warms the whole resident prefix in the background, with no frame sent:
+// the store comes back to the bytes it held after the frame.
+func TestPrewarmFillsBuiltGeometry(t *testing.T) {
+	req := tinyRequest()
+	sched := NewScheduler(SchedulerConfig{})
+	defer sched.Close()
+	if _, err := sched.Submit(context.Background(), req, [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}); err != nil {
+		t.Fatal(err)
+	}
+	sched.mu.Lock()
+	store := sched.geoms[req.Fingerprint()].cache.Shared()
+	sched.mu.Unlock()
+	full := store.Stats().BytesResident
+	if !store.FullResidency() || full == 0 {
+		t.Fatalf("the first frame left %d bytes resident in a full-residency store", full)
+	}
+	store.Evict()
+	if err := sched.Prewarm(req); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); store.Stats().BytesResident != full; {
+		if time.Now().After(deadline) {
+			t.Fatalf("prewarm left the built geometry's store at %+v, want %d bytes", store.Stats(), full)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
