@@ -364,11 +364,9 @@ func (e *Engine) datapath(sh Shape) (narrow, i16 bool) {
 // the coherent sum of the per-transmit beamformations (a single-transmit
 // frame is a compound of one). dst must carry the session's grid. Once a
 // window's first frame has sized the i16 planes (and warmed any cache), Run
-// allocates nothing for that window's frames, except on the exact law's
-// generator (arch=exact): delay.Exact's FillNappe16 allocates its element
-// grid on every call, so each nappe such a session does not hold resident
-// allocates. The first frame after a window change allocates the i16
-// planes and the kernel's operand table afresh. A plane frame is
+// allocates nothing for that window's frames. The first frame after a
+// window change allocates the i16 planes and the kernel's operand table
+// afresh. A plane frame is
 // bit-identical to the buffer frame that quantizes to the same int16
 // samples and scales. It needs Precision=i16 and a window within
 // delay.MaxEchoWindow; on an engine whose aperture defeated the int32

@@ -485,11 +485,14 @@ func FuzzSessionConformance(f *testing.F) {
 
 // TestSessionSteadyStateAllocFree: once the first frame has sized the
 // planes and warmed the store, Run and the batch column allocate nothing —
-// at full residency for each precision and frame form, and on the fused
-// TABLESTEER route (uncached, so every nappe takes it): the block, the
-// int32 row and the operand rows are the workers'.
+// at full residency for each precision and frame form, uncached on the
+// exact law (every nappe regenerated, through a generator that holds its
+// element grid), and on the fused TABLESTEER route (uncached, so every
+// nappe takes it): the block, the int32 row and the operand rows are the
+// workers'.
 func TestSessionSteadyStateAllocFree(t *testing.T) {
 	for _, c := range []sessionCase{
+		{kind: "i16", nTx: 3, budget: "uncached"},
 		{kind: "f64", nTx: 3, budget: "full"},
 		{kind: "i16", nTx: 3, budget: "full"},
 		{kind: "i16", nTx: 3, budget: "full", planes: true},

@@ -131,7 +131,7 @@ func (e *Exact) Layout() Layout {
 }
 
 // elementGrid materializes the element positions in block order (ej·NX+ei),
-// the per-nappe hoist of the exact fill.
+// the exact fill's hoist: NewExact builds it once per generator.
 func (e *Exact) elementGrid() []geom.Vec3 {
 	l := e.Layout()
 	elems := make([]geom.Vec3, l.NX*l.NY)

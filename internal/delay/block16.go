@@ -52,10 +52,14 @@ type BlockProvider16 = BlockProvider
 // across the whole element plane (the per-element work drops from two
 // square roots to one), the remaining arithmetic is ordered exactly as
 // DelaySamples orders it, and the quantization is fused into the element
-// loop.
+// loop. The element positions come from the grid NewExact built (an Exact
+// built without it builds its own per call).
 func (e *Exact) FillNappe16(id int, dst Block16) {
 	l := e.Layout()
-	elems := e.elementGrid()
+	elems := e.elems
+	if elems == nil {
+		elems = e.elementGrid()
+	}
 	k := 0
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {

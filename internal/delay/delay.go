@@ -94,18 +94,23 @@ type Exact struct {
 	Arr    xdcr.Array
 	Origin geom.Vec3
 	Conv   Converter
+
+	elems []geom.Vec3 // Arr's element positions in block order (elementGrid)
 }
 
 // Exact fills blocks natively (FillNappe16).
 var _ BlockProvider = (*Exact)(nil)
 
 // NewExact builds the reference provider. A zero Origin places the emission
-// reference at the array center, the paper's default.
+// reference at the array center, the paper's default. The block fill reads
+// the element grid it builds here, so Arr is fixed from then on.
 func NewExact(v scan.Volume, a xdcr.Array, origin geom.Vec3, cv Converter) *Exact {
 	if cv.C <= 0 || cv.Fs <= 0 {
 		panic(fmt.Sprintf("delay: invalid converter %+v", cv))
 	}
-	return &Exact{Vol: v, Arr: a, Origin: origin, Conv: cv}
+	e := &Exact{Vol: v, Arr: a, Origin: origin, Conv: cv}
+	e.elems = e.elementGrid()
+	return e
 }
 
 // Name implements Provider.

@@ -13,6 +13,7 @@ import (
 	"io"
 	"maps"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -35,7 +36,7 @@ type servedRefusal struct {
 	path    string      // method and path, when not a POST to /v1/beamform
 	body    []byte      // nil is one good f64 frame
 	maxBody int64
-	state   string // the scheduler's: "full" (the lane's one slot held), "draining", "expired" (its clock races ahead) or "write fault" (every stream reply write fails)
+	state   string // the scheduler's: "full" (the lane's one slot held), "draining", "expired" (its clock races ahead), "write fault" (every stream reply write fails) or "never reads" (the stream client reads no reply)
 	status  int
 	headers []string // reply headers the POST carries
 	msg     string   // what both refusals say
@@ -108,6 +109,7 @@ func servedRefusals(t *testing.T) []servedRefusal {
 		{name: "expired in queue", test: "TestServerExpiredDeadlineIs504", q: param("deadline_ms", "25"), state: "expired",
 			status: 504, msg: "expired", inband: wire.StatusError, closed: "clean", reached: true},
 		{name: "reply write fails", state: "write fault", closed: "internal", reached: true},
+		{name: "client never reads", state: "never reads", closed: "client gone", reached: true},
 		{name: "prewarm of a bad plan", test: "TestPrewarmRefusals", path: "POST /v1/prewarm",
 			body: []byte(`{"query":"spec=nosuch"}`), status: 400, msg: "unknown spec"},
 		{name: "prewarm while draining", test: "TestPrewarmRefusals", path: "POST /v1/prewarm", state: "draining",
@@ -235,7 +237,9 @@ func (r servedRefusal) serve(t *testing.T) (*Scheduler, *Server) {
 	}
 	before := sched.Stats().Submits
 	t.Cleanup(func() {
-		if got := sched.Stats().Submits - before; got != map[bool]int64{true: 1}[r.reached] {
+		// A client that never reads has its stream fill with compounds
+		// before the server stops taking them.
+		if got := sched.Stats().Submits - before; (got > 0) != r.reached || got > 1 && r.state != "never reads" {
 			t.Errorf("%d submits, want reached=%v", got, r.reached)
 		}
 		if got := sched.Stats().Expired; got != map[bool]int64{true: 1}[r.state == "expired"] {
@@ -282,6 +286,10 @@ func (r servedRefusal) post(t *testing.T) {
 // the stream within a few idle polls rather than leave it to the client's
 // deadline.
 func (r servedRefusal) streamed(t *testing.T) {
+	if r.state == "never reads" {
+		r.neverReads(t)
+		return
+	}
 	sched, srv := r.serve(t)
 	conn := dialStream(t, srv)
 	conn.SetDeadline(time.Now().Add(20 * time.Second))
@@ -320,4 +328,73 @@ func (r servedRefusal) streamed(t *testing.T) {
 		return map[string]int64{"clean": ws.StreamClosesClean, "client gone": ws.StreamClosesClientGone,
 			"desync": ws.StreamClosesDesync, "drain": ws.StreamClosesDrain, "internal": ws.StreamClosesInternal}[r.closed] == 1
 	})
+}
+
+// neverReads is the stream column of the "client never reads" row: the
+// client uploads the body as compound after compound and reads nothing,
+// with the reply direction's socket buffers at their smallest, until the
+// server stops taking them — a reply write blocks, and the pipeline behind
+// it fills. The reply's write
+// deadline (the frame deadline, shortened here) must close the stream as
+// client-gone, and ServeStream must return once cancelled, however long
+// the client holds its socket open.
+func (r servedRefusal) neverReads(t *testing.T) {
+	const frameBound = 300 * time.Millisecond
+	sched, srv := r.serve(t)
+	srv.streamFrameTimeout = frameBound
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.ServeStream(ctx, smallBuffers{ln})
+	}()
+	defer func() {
+		cancel()
+		ln.Close()
+		select {
+		case <-served:
+		case <-time.After(5 * time.Second):
+			t.Error("ServeStream did not return after cancel")
+		}
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() }) // only after the ServeStream check
+	conn.(*net.TCPConn).SetReadBuffer(1)
+	if err := wire.WriteHello(conn, tinyQuery(r.q)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.ReadHelloReply(conn); err != nil {
+		t.Fatalf("hello refused: %v", err)
+	}
+	for n := 0; ; n++ {
+		if n == 10000 {
+			t.Fatal("the server took 10000 compounds from a client that reads nothing")
+		}
+		conn.SetWriteDeadline(time.Now().Add(4 * frameBound))
+		if _, err := conn.Write(r.body); err != nil {
+			break // the server stopped reading, or closed the stream
+		}
+	}
+	waitStreamCloses(t, sched, func(ws WireStats) bool { return ws.StreamClosesClientGone == 1 })
+}
+
+// smallBuffers sets the send buffer of every connection it accepts to the
+// smallest the kernel allows, so that a few replies fill it. The upload
+// direction keeps its buffers: a window that small stalls an upload past
+// the frame deadline.
+type smallBuffers struct{ net.Listener }
+
+func (l smallBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(1)
+	}
+	return c, err
 }

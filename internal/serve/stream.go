@@ -57,7 +57,9 @@ const streamPollInterval = 250 * time.Millisecond
 // long as the peer keeps the socket open; on expiry the connection is
 // closed as client-gone and the slot released. The deadline is re-armed per
 // frame, not per compound — a 17.4 MB f64 frame fits it down to ≈ 5 Mbit/s —
-// and never covers the idle wait between compounds.
+// and never covers the idle wait between compounds. It bounds each reply
+// write the same way: a client that stops reading is closed as client-gone
+// once one reply has waited that long, so its stream slot frees.
 const StreamFrameTimeout = 30 * time.Second
 
 // MaxStreams caps the cine connections one server holds open at once. Each
@@ -203,6 +205,9 @@ func (s *Server) serveStreamConn(ctx context.Context, conn net.Conn) {
 				log.Printf("serve: stream reply failed (internal): %v", ferr)
 				return
 			}
+			// A client that stops reading blocks the write once the socket
+			// buffers fill; the deadline turns that into a client-gone close.
+			conn.SetWriteDeadline(time.Now().Add(s.streamFrameTimeout))
 			if err != nil {
 				if werr := wire.WriteVolumeError(conn, streamStatus(err), err.Error()); werr != nil {
 					writerCause = streamCloseClientGone

@@ -300,13 +300,17 @@ func (d *IntDatapath) Index(raw int64) int64 {
 // Lanes is the licence a SIMD body needs to run Raw and Index several
 // arguments at a time in 32-bit-wide integer lanes, with the constants it
 // then works from. It exists only when proveLanes holds for the datapath.
+// It covers a plane of arguments in [ArgMin, ArgMax] whose transmit leg tx
+// satisfies tx + MinV0 ≥ 0 and tx < LaneTxLimit.
 type Lanes struct {
-	ArgMax    float64 // arguments in [0, ArgMax] are covered: the domain's upper end
+	ArgMin    float64 // 0.5/2^ArgFrac: from here up, ⌊fl(α·2^ArgFrac + 0.5)⌋ is the argument's rounding
+	ArgMax    float64 // the domain's upper end
 	ArgScale  float64 // 2^ArgFrac
 	ProdHalf  int64   // rounding half of the product shift
 	ProdShift uint64
 	OutHalf   int64 // rounding half of the index shift
 	OutShift  uint64
+	MinV0     int64 // min(0, min V0): no receive result is below it
 }
 
 // Lanes returns the vector licence, or nil when the datapath fails a clause
@@ -314,7 +318,7 @@ type Lanes struct {
 func (d *IntDatapath) Lanes() *Lanes { return d.lanes }
 
 // LaneTxLimit bounds the raw leg a lane body may add to a receive result
-// before Index: |tx| < LaneTxLimit keeps the two-leg sum plus the rounding
+// before Index: tx < LaneTxLimit keeps the two-leg sum plus the rounding
 // half inside int32 (proveLanes holds every receive result to the same
 // limit less OutHalf).
 const LaneTxLimit = 1 << 30
@@ -334,8 +338,23 @@ const LaneTxLimit = 1 << 30
 //     so adding the rounding half cannot wrap and a logical shift is the
 //     arithmetic one;
 //   - the largest receive result any segment can produce, plus OutHalf,
-//     stays within LaneTxLimit, so with |tx| < LaneTxLimit the Index stage
-//     fits int32.
+//     stays within LaneTxLimit, so with tx < LaneTxLimit the Index stage
+//     fits int32; and every V0 is above −LaneTxLimit, so MinV0 is too.
+//
+// Two identities then license the bodies' cheaper arithmetic, each under a
+// clause the caller checks per plane:
+//
+//   - rounding: for 0.5 ≤ x < 2^52, ⌊fl(x + 0.5)⌋ = roundNonNeg(x), and
+//     x = α·2^ArgFrac is an exact scaling, so a plane whose arguments are
+//     all ≥ ArgMin rounds with one add (or fused multiply-add) and a
+//     round-down conversion. Inside a binade the sum is exact; where it
+//     crosses into the next binade, 2^k, the sum lies in [2^k, 2^k + 0.5),
+//     so its rounding cannot reach 2^k + 1. Below 0.5 the identity fails
+//     at 0.49999999999999994 alone, which the clause excludes;
+//   - Index: the product term is ≥ 0 (the clauses above), so a receive
+//     result is ≥ V0 ≥ MinV0, and with tx + MinV0 ≥ 0 the two-leg sum is
+//     non-negative: Index is (sum + OutHalf) >> OutShift, a logical shift
+//     with no sign fix.
 //
 // The returned error names the first clause that fails.
 func (d *IntDatapath) proveLanes() (*Lanes, error) {
@@ -348,6 +367,7 @@ func (d *IntDatapath) proveLanes() (*Lanes, error) {
 		return nil, fmt.Errorf("segment 0 starts at %v > 0", ops[0].Lo)
 	}
 	last := len(ops) - 1
+	minV0 := int64(0)
 	endRaw := math.Round(ops[last].Hi * d.argScale)
 	if !(endRaw < lim) {
 		return nil, fmt.Errorf("scaled domain end %v is not below 2^31", endRaw)
@@ -375,11 +395,12 @@ func (d *IntDatapath) proveLanes() (*Lanes, error) {
 		if op.V0 <= -LaneTxLimit || op.V0 >= LaneTxLimit || recv+max(op.V0, -op.V0)+d.outHalf > LaneTxLimit {
 			return nil, fmt.Errorf("segment %d: receive result bound %d + |%d| plus rounding half %d exceeds 2^30", j, recv, op.V0, d.outHalf)
 		}
+		minV0 = min(minV0, op.V0)
 	}
 	return &Lanes{
-		ArgMax: ops[last].Hi, ArgScale: d.argScale,
+		ArgMin: 0.5 / d.argScale, ArgMax: ops[last].Hi, ArgScale: d.argScale,
 		ProdHalf: d.prodHalf, ProdShift: uint64(d.prodShift),
-		OutHalf: d.outHalf, OutShift: uint64(d.outShift),
+		OutHalf: d.outHalf, OutShift: uint64(d.outShift), MinV0: minV0,
 	}, nil
 }
 

@@ -346,6 +346,39 @@ func TestRoundNonNegMatchesMathRound(t *testing.T) {
 	}
 }
 
+// FuzzRoundHalfUp holds the lane bodies' rounding to roundNonNeg: for a
+// scaled argument x in [0.5, 2^31), the floor of the one-rounding sum
+// fl(x + 0.5) is x rounded half up. Inputs outside that range are not the
+// identity's. Seeds: the binade edges 2^k − 0.5 and one ulp either side,
+// the ties k + 0.5 and 2^k + 0.5, and the ends of the range.
+func FuzzRoundHalfUp(f *testing.F) {
+	for _, x := range roundHalfUpEdges() {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x float64) {
+		if !(x >= 0.5 && x < 1<<31) {
+			return
+		}
+		if got, want := int64(math.Floor(x+0.5)), roundNonNeg(x); got != want {
+			t.Fatalf("⌊fl(%v + 0.5)⌋ = %d, roundNonNeg = %d", x, got, want)
+		}
+	})
+}
+
+// roundHalfUpEdges are the arguments where ⌊fl(x + 0.5)⌋ could part from
+// roundNonNeg: the sum crossing into the next binade (2^k − 0.5 and its
+// neighbours), exact ties, and the range's ends.
+func roundHalfUpEdges() []float64 {
+	up, down := math.Inf(1), math.Inf(-1)
+	xs := []float64{0.5, math.Nextafter(0.5, up), math.Nextafter(1<<31, 0)}
+	for k := range 32 {
+		edge := math.Ldexp(1, k) - 0.5
+		xs = append(xs, edge, math.Nextafter(edge, down), math.Nextafter(edge, up),
+			float64(k)+0.5, math.Ldexp(1, k)+0.5)
+	}
+	return xs
+}
+
 // TestIntDatapathMatchesEvalSeg holds the hoisted integer form to the
 // EvalSeg specification on every segment — inside it, on its bounds, below
 // its start (negative offset) and far beyond its end — for the default
@@ -395,8 +428,12 @@ func TestIntDatapathMatchesEvalSeg(t *testing.T) {
 // TestLaneProofClauses fails each clause of proveLanes in turn — by config
 // where a FixedConfig can reach it, by editing a proven datapath's operands
 // where only a hand-built table can — and holds the licence of a proven
-// datapath to what it promises: inside [0, ArgMax] every offset, product
-// and two-leg sum a lane body forms stays within the widths it uses.
+// datapath to what it promises: inside [0, ArgMax] every offset and
+// product a lane body forms stays within the widths it uses; from ArgMin
+// up the one-rounding floor is the argument's rounding, and below it the
+// identity fails; and with tx in [−MinV0, LaneTxLimit) every two-leg sum is
+// non-negative and, with the rounding half, inside int32. MinV0 is the
+// smallest V0, or 0, also on a hand-built table whose V0 goes negative.
 func TestLaneProofClauses(t *testing.T) {
 	a := paperApprox()
 	fresh := func() *IntDatapath { return NewFixed(a, DefaultFixedConfig()).Integer() }
@@ -426,26 +463,43 @@ func TestLaneProofClauses(t *testing.T) {
 			t.Errorf("licence %v, error %v; want none and the %q clause", ln, err, c.clause)
 		}
 	}
-	for _, cfg := range []FixedConfig{DefaultFixedConfig(), {ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}} {
-		d := NewFixed(a, cfg).Integer()
-		ln := d.Lanes()
+	const negV0 = -(7 << 6)
+	for _, c := range []struct {
+		cfg   FixedConfig
+		d     *IntDatapath
+		minV0 int64
+	}{
+		{DefaultFixedConfig(), NewFixed(a, DefaultFixedConfig()).Integer(), 0},
+		{FixedConfig{ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}, NewFixed(a, FixedConfig{ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}).Integer(), 0},
+		{DefaultFixedConfig(), edit(fresh(), func(ops []SegOp) { ops[1].V0 = negV0 }), negV0},
+	} {
+		d, cfg := c.d, c.cfg
+		ln, err := d.proveLanes()
 		if ln == nil {
-			_, err := d.proveLanes()
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if ln.ArgMax != a.Max || ln.ArgScale != d.argScale || ln.ProdHalf != d.prodHalf || ln.OutHalf != d.outHalf ||
-			ln.ProdShift != uint64(d.prodShift) || ln.OutShift != uint64(d.outShift) {
+			ln.ProdShift != uint64(d.prodShift) || ln.OutShift != uint64(d.outShift) ||
+			ln.ArgMin*ln.ArgScale != 0.5 || ln.MinV0 != c.minV0 {
 			t.Errorf("%+v: licence %+v does not carry the datapath's constants", cfg, ln)
 		}
+		below := math.Nextafter(ln.ArgMin, 0) * d.argScale // 0.49999999999999994
+		if int64(math.Floor(below+0.5)) == roundNonNeg(below) {
+			t.Errorf("%+v: the half-up floor holds just below ArgMin: the clause excludes nothing", cfg)
+		}
 		for j, op := range d.Ops {
-			for _, alpha := range []float64{max(op.Lo, 0), math.Nextafter(op.Hi, 0), (op.Lo + op.Hi) / 2} {
-				off := roundNonNeg(alpha*d.argScale) - op.LoRaw
+			for _, alpha := range []float64{max(op.Lo, ln.ArgMin), math.Nextafter(op.Hi, 0), (op.Lo + op.Hi) / 2} {
+				x := alpha * d.argScale
+				off := roundNonNeg(x) - op.LoRaw
 				if off < 0 || off >= 1<<31 || off*op.C1 < 0 {
 					t.Fatalf("%+v seg %d alpha %v: offset %d leaves the unsigned 32-bit multiplier", cfg, j, alpha, off)
 				}
-				for _, tx := range []int64{LaneTxLimit - 1, 1 - LaneTxLimit} {
-					if sum := tx + d.Raw(&d.Ops[j], alpha); sum+d.outHalf > math.MaxInt32 || sum-1 < math.MinInt32 {
-						t.Fatalf("%+v seg %d alpha %v tx %d: two-leg sum %d leaves int32", cfg, j, alpha, tx, sum)
+				if got := int64(math.Floor(x + 0.5)); got != roundNonNeg(x) {
+					t.Fatalf("%+v seg %d alpha %v: half-up floor %d, roundNonNeg %d", cfg, j, alpha, got, roundNonNeg(x))
+				}
+				for _, tx := range []int64{LaneTxLimit - 1, -ln.MinV0} {
+					if sum := tx + d.Raw(&d.Ops[j], alpha); sum < 0 || sum+d.outHalf > math.MaxInt32 {
+						t.Fatalf("%+v seg %d alpha %v tx %d: two-leg sum %d is negative or leaves int32", cfg, j, alpha, tx, sum)
 					}
 				}
 			}

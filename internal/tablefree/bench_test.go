@@ -3,8 +3,10 @@ package tablefree
 import (
 	"bufio"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"ultrabeam/internal/delay"
@@ -65,7 +67,10 @@ type fillFunc func(id int, dst delay.Block16)
 // per-core baseline of the eight-lane body, so the ratio is read inside one
 // process), with every slot through fixedRow (fixed-ref: what a host
 // without a lane body gets) and the √-per-delay reference (exact). One
-// iteration is one nappe; depths rotate so segments move. x_unit_law is
+// iteration is one nappe; depths rotate so segments move. GOMAXPROCS
+// goroutines stripe the nappes as session workers do, each into its own
+// block, so -cpu 1,2 reads each row at one and at two cores; Mdelays/s is
+// their sum, x_unit_law and cycles/delay are per core. x_unit_law is
 // Mdelays/s over the paper's 167 MHz unit — ROADMAP's "≥ 3 per core" reads
 // the fixed rows' column.
 func BenchmarkFillNappe16(b *testing.B) {
@@ -87,20 +92,32 @@ func BenchmarkFillNappe16(b *testing.B) {
 			row{"exact", host, exactFor(g.cfg).FillNappe16},
 		)
 		n := fixed.Layout().BlockLen()
-		dst := make(delay.Block16, n)
 		for _, r := range rows {
 			b.Run(g.name+"/"+r.name, func(b *testing.B) {
 				defer r.r.use()()
+				procs := runtime.GOMAXPROCS(0) // -cpu sets it for each run of this function
+				dsts := make([]delay.Block16, procs)
+				for w := range dsts {
+					dsts[w] = make(delay.Block16, n)
+				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r.fill(i%g.cfg.Vol.Depth.N, dst)
+				var wg sync.WaitGroup
+				for w := range procs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := w; i < b.N; i += procs {
+							r.fill(i%g.cfg.Vol.Depth.N, dsts[w])
+						}
+					}()
 				}
+				wg.Wait()
 				perSec := float64(n) * float64(b.N) / b.Elapsed().Seconds()
 				b.ReportMetric(perSec/1e6, "Mdelays/s")
-				b.ReportMetric(perSec/1e6/unitLawMdelays, "x_unit_law")
+				b.ReportMetric(perSec/1e6/unitLawMdelays/float64(procs), "x_unit_law")
 				if mhz > 0 {
-					b.ReportMetric(mhz*1e6/perSec, "cycles/delay")
+					b.ReportMetric(mhz*1e6*float64(procs)/perSec, "cycles/delay")
 				}
 			})
 		}

@@ -42,19 +42,19 @@ type planeArgs struct {
 	yMask     uint16
 	nExtra    int // segments above *ops the voxel's arguments reach
 	zz        float64
-	txRaw     int64 // |txRaw| < sqrtapprox.LaneTxLimit
+	txOut     int64 // the transmit leg plus the index rounding half: in (0, 2^31)
 	argScale  float64
 	prodHalf  int64
 	prodShift uint64
-	outHalf   int64
 	outShift  uint64
 }
 
 // fillPlaneAVX2 is the four-lane body (kernel_vec_amd64.s): four float64
 // arguments (xt2[i] + yt2[j]) + zz at a time, each lane's segment operands
-// selected by compare-and-blend from ops[0..nExtra], then Raw and Index in
-// 32-bit integer lanes and a saturating pack to int16. It checks nothing:
-// the guard in lanes and sqrtapprox's lane proof are its whole contract.
+// selected by compare-and-blend from ops[0..nExtra], the argument rounded
+// as ⌊fl(α·2^ArgFrac + 0.5)⌋, then Raw in 64-bit and Index in 32-bit
+// integer lanes and a saturating pack to int16. It checks nothing: the
+// guard in lanes and sqrtapprox's lane proof are its whole contract.
 //
 //go:noescape
 func fillPlaneAVX2(a *planeArgs, xt2, yt2 *float64)
@@ -64,8 +64,9 @@ func fillPlaneAVX2(a *planeArgs, xt2, yt2 *float64)
 // operations — then runs the same stages over the whole plane in
 // planePerm's groups, each group's terms gathered from those registers by
 // a two-table permute, the segment select a k-mask compare and masked
-// broadcasts, and the last partial group's store masked. Like
-// fillPlaneAVX2 it checks nothing.
+// broadcasts, the rounding one fused multiply-add and a round-down
+// conversion, Index in 64-bit lanes, and the last partial group's store
+// masked. Like fillPlaneAVX2 it checks nothing.
 //
 //go:noescape
 func fillPlaneAVX512(a *planeArgs)
@@ -75,11 +76,12 @@ func fillPlaneAVX512(a *planeArgs)
 // nVec is how many leading columns of every row the body takes from a voxel
 // that passes the guard, 0 when no voxel of the fill can reach a body.
 type laneCall struct {
-	a      planeArgs
-	nVec   int
-	wide   bool
-	ops    []sqrtapprox.SegOp
-	argMax float64
+	a              planeArgs
+	nVec           int
+	wide           bool
+	ops            []sqrtapprox.SegOp
+	argMin, argMax float64
+	txMin, outHalf int64 // txMin = −Lanes.MinV0
 }
 
 // initLaneCall prepares lc for filling p's planes through datapath dp. The
@@ -97,11 +99,11 @@ func (p *Provider) initLaneCall(lc *laneCall, dp *sqrtapprox.IntDatapath) {
 	if lc.wide {
 		lc.nVec = nx
 	}
-	lc.ops, lc.argMax = dp.Ops, ln.ArgMax
+	lc.ops, lc.argMin, lc.argMax = dp.Ops, ln.ArgMin, ln.ArgMax
+	lc.txMin, lc.outHalf = -ln.MinV0, ln.OutHalf
 	a := &lc.a
 	a.nx, a.nVec, a.ny = nx, lc.nVec, ny
-	a.argScale, a.prodHalf, a.prodShift = ln.ArgScale, ln.ProdHalf, ln.ProdShift
-	a.outHalf, a.outShift = ln.OutHalf, ln.OutShift
+	a.argScale, a.prodHalf, a.prodShift, a.outShift = ln.ArgScale, ln.ProdHalf, ln.ProdShift, ln.OutShift
 	if lc.wide {
 		a.elemX, a.elemY = &p.elemX[0], &p.elemY[0]
 		a.groups, a.full, a.last = &p.perm.groups[0], p.perm.full, p.perm.last
@@ -114,12 +116,13 @@ func (p *Provider) initLaneCall(lc *laneCall, dp *sqrtapprox.IntDatapath) {
 // Whenever it leaves columns, xt2 and yt2 hold the voxel's terms: the
 // eight-lane body forms them in its registers, so they are written only on
 // the other routes. It takes none when the voxel fails the guard the lane
-// proof is conditioned on: amax within Lanes.ArgMax (negated so that a NaN
-// fails too) and the transmit leg within LaneTxLimit. cur is the carried
-// segment cursor; the voxel's lowest segment is returned in its place.
+// proof is conditioned on: [amin, amax] within [Lanes.ArgMin,
+// Lanes.ArgMax] (negated so that a NaN fails too), and the transmit leg at
+// least −Lanes.MinV0 and below LaneTxLimit. cur is the carried segment
+// cursor; the voxel's lowest segment is returned in its place.
 func (p *Provider) lanes(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCall, amin, amax float64, cur int) (done, next int) {
-	if lc.nVec == 0 || !(amax <= lc.argMax) ||
-		v.txRaw <= -sqrtapprox.LaneTxLimit || v.txRaw >= sqrtapprox.LaneTxLimit {
+	if lc.nVec == 0 || !(amin >= lc.argMin) || !(amax <= lc.argMax) ||
+		v.txRaw < lc.txMin || v.txRaw >= sqrtapprox.LaneTxLimit {
 		p.planeTerms(v.sx, v.sy, xt2, yt2)
 		return 0, cur
 	}
@@ -127,7 +130,7 @@ func (p *Provider) lanes(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCal
 	a := &lc.a
 	_ = plane[a.nx*a.ny-1] // the bodies write rows at stride nx
 	a.dst, a.ops, a.nExtra = &plane[0], &lc.ops[segLo], segHi-segLo
-	a.zz, a.txRaw = v.zz, v.txRaw
+	a.zz, a.txOut = v.zz, v.txRaw+lc.outHalf
 	if lc.wide {
 		a.sx, a.sy = v.sx, v.sy
 		fillPlaneAVX512(a)

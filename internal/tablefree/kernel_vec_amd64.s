@@ -11,14 +11,12 @@
 #define SEG_V0    32
 #define SEG_SIZE  40
 
-// Register plan. Per call: Y15 zz, Y13 0.5, Y12 1.0, Y11 prodHalf (qwords),
-// Y10 2^ArgFrac, X8 prodShift, X7 outShift; txRaw and outHalf, used once
-// per eight slots, sit broadcast in the frame (TX, OUTHALF). Per row: Y14
-// yt2. Per four-column group: Y0 the arguments, Y1/Y2/Y3 each lane's
+// Register plan. Per call: Y15 zz, Y13 0.5, Y12 txOut (dwords: the
+// voxel's transmit leg plus the index rounding half), Y11 prodHalf
+// (qwords), Y10 2^ArgFrac, X8 prodShift, X7 outShift. Per row: Y14 yt2.
+// Per four-column group: Y0 the arguments, Y1/Y2/Y3 each lane's
 // LoRaw/C1/V0, Y4 Y5 scratch; Y6 parks a pair's first group until the
 // second joins it for the eight-lane Index stage.
-#define TX      0(SP)
-#define OUTHALF 32(SP)
 
 // GROUP leaves in Y4's qwords the raw receive results (Raw, OutFrac units)
 // of the four columns at byte offset off past column AX; sel and round are
@@ -30,8 +28,9 @@
 //     the rest), then each higher segment the voxel reaches replaces, from
 //     a fresh broadcast of the lowest, the operands of the lanes at or past
 //     its start: α ≥ Lo[j] (GE_OQ) and three blends;
-//   - t = roundNonNeg(α·2^ArgFrac): floor, then +1.0 where the (exact)
-//     discarded fraction reaches one half;
+//   - t = ⌊fl(α·2^ArgFrac + 0.5)⌋: the product is exact, the add rounds
+//     once, and the guard's α ≥ Lanes.ArgMin makes the floor roundNonNeg;
+//     the sum is at least 1, so the truncating conversion is the floor;
 //   - Raw: t < 2^31 converts exactly; (t − LoRaw)·C1 is an unsigned 32×32
 //     multiply of proven-non-negative operands, so the rounding shift is
 //     logical; V0 is signed and the qword add carries it.
@@ -59,12 +58,8 @@ sel: \
 	JLE          sel; \
 round: \
 	VMULPD       Y10, Y0, Y0; \
-	VROUNDPD     $1, Y0, Y4; \
-	VSUBPD       Y4, Y0, Y0; \
-	VCMPPD       $0x1D, Y13, Y0, Y0; \
-	VANDPD       Y12, Y0, Y0; \
-	VADDPD       Y0, Y4, Y4; \
-	VCVTTPD2DQY  Y4, X4; \
+	VADDPD       Y13, Y0, Y0; \
+	VCVTTPD2DQY  Y0, X4; \
 	VPMOVZXDQ    X4, Y4; \
 	VPSUBQ       Y1, Y4, Y4; \
 	VPMULUDQ     Y2, Y4, Y4; \
@@ -73,21 +68,19 @@ round: \
 	VPADDQ       Y3, Y4, Y4
 
 // INDEX is the Index stage on the eight int32 lanes of Y0, laid out
-// [g0 g1 h0 h1 | g2 g3 h2 h3]: add the transmit leg, round to a sample
-// (+half, −1 for negatives, arithmetic shift), saturate to int16 and leave
-// g0…g3 h0…h3 in X0. Clobbers Y5.
+// [g0 g1 h0 h1 | g2 g3 h2 h3]: add the transmit leg and the rounding half
+// (txOut), shift — the guard's tx + Lanes.MinV0 ≥ 0 keeps the sum
+// non-negative, so the shift needs no sign fix — saturate to int16 and
+// leave g0…g3 h0…h3 in X0. Clobbers Y5.
 #define INDEX \
-	VPADDD       TX, Y0, Y0; \
-	VPSRAD       $31, Y0, Y5; \
-	VPADDD       OUTHALF, Y0, Y0; \
-	VPADDD       Y5, Y0, Y0; \
-	VPSRAD       X7, Y0, Y0; \
+	VPADDD       Y12, Y0, Y0; \
+	VPSRLD       X7, Y0, Y0; \
 	VPACKSSDW    Y0, Y0, Y0; \
 	VEXTRACTI128 $1, Y0, X5; \
 	VPUNPCKLDQ   X5, X0, X0
 
 // func fillPlaneAVX2(a *planeArgs, xt2, yt2 *float64)
-TEXT ·fillPlaneAVX2(SB), NOSPLIT, $64-24
+TEXT ·fillPlaneAVX2(SB), NOSPLIT, $0-24
 	MOVQ a+0(FP), DI
 	MOVQ planeArgs_dst(DI), R8       // current output row
 	MOVQ xt2+8(FP), SI
@@ -106,15 +99,9 @@ TEXT ·fillPlaneAVX2(SB), NOSPLIT, $64-24
 	MOVQ $0x3FE0000000000000, AX     // 0.5
 	VMOVQ AX, X13
 	VBROADCASTSD X13, Y13
-	MOVQ $0x3FF0000000000000, AX     // 1.0
-	VMOVQ AX, X12
-	VBROADCASTSD X12, Y12
+	VPBROADCASTD planeArgs_txOut(DI), Y12    // low dword: 0 < txOut < 2^31
 	VPBROADCASTQ planeArgs_prodHalf(DI), Y11
 	VBROADCASTSD planeArgs_argScale(DI), Y10
-	VPBROADCASTD planeArgs_txRaw(DI), Y0     // low dword: |txRaw| < 2^30
-	VMOVDQU Y0, TX
-	VPBROADCASTD planeArgs_outHalf(DI), Y0   // low dword: outHalf < 2^30
-	VMOVDQU Y0, OUTHALF
 	VMOVQ planeArgs_prodShift(DI), X8
 	VMOVQ planeArgs_outShift(DI), X7
 
@@ -162,13 +149,14 @@ rowdone:
 // (columns 0–7, 8–15), Z18 Z19 the row terms (rows 0–7, 8–15), formed from
 // the element coordinates and garbage past the plane's axes, where no
 // permute index reaches; Z29 Z30 sx, sy while they are formed; Z20 zz,
-// Z21 0.5, Z22 1.0, Z23 prodHalf and Z25 prodShift (qwords), Z24 2^ArgFrac,
-// Y26 txRaw, Y27 outHalf and Y28 outShift (dwords); K3 the last group's
-// store mask. The shifts take per-lane counts: one uop, where a count in
-// an XMM register costs two. Per group: Z0 the arguments, Z1/Z2/Z3 each
-// lane's LoRaw/C1/V0, Z4 Y5 scratch, K1 K2 the select and round masks.
+// Z21 0.5, Z24 2^ArgFrac, and in qwords Z23 prodHalf, Z25 prodShift, Z26
+// txOut (the voxel's transmit leg plus the index rounding half) and Z28
+// outShift; K3 the last group's store mask. The shifts take per-lane
+// counts: one uop, where a count in an XMM register costs two. Per group:
+// Z0 the arguments, Z1/Z2/Z3 each lane's LoRaw/C1/V0, Z4 scratch, K1 the
+// select mask.
 
-// GROUP8 leaves in Y4 the eight int32 sample indices of the group at DX,
+// GROUP8 leaves in Z4 the eight int64 sample indices of the group at DX,
 // before the saturating pack; sel and round are the labels of this
 // expansion. The stages are GROUP's and INDEX's, with:
 //
@@ -177,10 +165,11 @@ rowdone:
 //     zz keeps DelaySamples' order;
 //   - segment select: α ≥ Lo[j] compares into K1 against an embedded
 //     broadcast, and three masked broadcasts replace the lanes' operands;
-//   - rounding: VRNDSCALEPD floor, +1.0 under the GE_OQ half mask, and a
-//     direct float64 → int64 conversion;
-//   - Index on the low dwords of the qword results (VPMOVQD), which the
-//     lane proof keeps inside int32.
+//   - rounding: one fused multiply-add forms fl(α·2^ArgFrac + 0.5) — the
+//     product is exact, so its one rounding is the add's — and a
+//     round-down conversion (RD_SAE) takes its floor straight to int64;
+//   - Index on the qword results: add txOut and shift right, logical on
+//     the sum the guard keeps non-negative; the store saturates.
 #define GROUP8(sel, round) \
 	VMOVDQU64    0(DX), Z0; \
 	VMOVDQU64    64(DX), Z4; \
@@ -203,23 +192,15 @@ sel: \
 	CMPQ         CX, R12; \
 	JLE          sel; \
 round: \
-	VMULPD       Z24, Z0, Z0; \
-	VRNDSCALEPD  $1, Z0, Z4; \
-	VSUBPD       Z4, Z0, Z0; \
-	VCMPPD       $0x1D, Z21, Z0, K2; \
-	VADDPD       Z22, Z4, K2, Z4; \
-	VCVTTPD2QQ   Z4, Z4; \
-	VPSUBQ       Z1, Z4, Z4; \
-	VPMULUDQ     Z2, Z4, Z4; \
-	VPADDQ       Z23, Z4, Z4; \
-	VPSRLVQ      Z25, Z4, Z4; \
-	VPADDQ       Z3, Z4, Z4; \
-	VPMOVQD      Z4, Y4; \
-	VPADDD       Y26, Y4, Y4; \
-	VPSRAD       $31, Y4, Y5; \
-	VPADDD       Y27, Y4, Y4; \
-	VPADDD       Y5, Y4, Y4; \
-	VPSRAVD      Y28, Y4, Y4
+	VFMADD213PD      Z21, Z24, Z0; \
+	VCVTPD2QQ.RD_SAE Z0, Z4; \
+	VPSUBQ           Z1, Z4, Z4; \
+	VPMULUDQ         Z2, Z4, Z4; \
+	VPADDQ           Z23, Z4, Z4; \
+	VPSRLVQ          Z25, Z4, Z4; \
+	VPADDQ           Z3, Z4, Z4; \
+	VPADDQ           Z26, Z4, Z4; \
+	VPSRLVQ          Z28, Z4, Z4
 
 // func fillPlaneAVX512(a *planeArgs)
 TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
@@ -258,14 +239,11 @@ TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
 	VBROADCASTSD planeArgs_zz(DI), Z20
 	MOVQ $0x3FE0000000000000, AX     // 0.5
 	VPBROADCASTQ AX, Z21
-	MOVQ $0x3FF0000000000000, AX     // 1.0
-	VPBROADCASTQ AX, Z22
 	VPBROADCASTQ planeArgs_prodHalf(DI), Z23
 	VBROADCASTSD planeArgs_argScale(DI), Z24
-	VPBROADCASTD planeArgs_txRaw(DI), Y26    // low dword: |txRaw| < 2^30
-	VPBROADCASTD planeArgs_outHalf(DI), Y27  // low dword: outHalf < 2^30
 	VPBROADCASTQ planeArgs_prodShift(DI), Z25
-	VPBROADCASTD planeArgs_outShift(DI), Y28 // low dword: outHalf < 2^30, so outShift ≤ 31
+	VPBROADCASTQ planeArgs_txOut(DI), Z26
+	VPBROADCASTQ planeArgs_outShift(DI), Z28
 
 	// Every lane starts on the voxel's lowest segment.
 	VPBROADCASTQ SEG_LORAW(BX), Z1
@@ -277,7 +255,7 @@ TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
 
 full:
 	GROUP8(selF, roundF)
-	VPMOVSDW Y4, (R8)
+	VPMOVSQW Z4, (R8)
 	ADDQ $128, DX
 	ADDQ $16, R8
 	DECQ R10
@@ -288,7 +266,7 @@ tail:
 	JZ       done
 	// The slots past the plane computed column 0 of row 0; K3 drops them.
 	GROUP8(selT, roundT)
-	VPMOVSDW Y4, K3, (R8)
+	VPMOVSQW Z4, K3, (R8)
 
 done:
 	VZEROUPPER

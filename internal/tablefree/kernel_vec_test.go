@@ -166,36 +166,57 @@ func sqrts(v ...float64) []float64 {
 	return v
 }
 
-// handPlane is fixedPlane on a hand-built aperture. On a pitch grid it is
-// fixedPlane itself, derived guard included. Any other grid is outside what
-// the derived guard covers, so there the guard's extremes are scanned from
-// the formed terms, and the lane body and the fixedRow tail run as
-// fixedPlane runs them.
-func handPlane(q *Provider, plane []int16, v voxel, dp *sqrtapprox.IntDatapath, cur int) {
+// handPlane is fixedPlane on a hand-built aperture, and reports how many
+// lane columns it took. On a pitch grid it is fixedPlane itself, derived
+// guard included. Any other grid is outside what the derived guard covers,
+// so there the guard's extremes are scanned from the formed terms, and the
+// lane body and the fixedRow tail run as fixedPlane runs them.
+func handPlane(q *Provider, plane []int16, v voxel, dp *sqrtapprox.IntDatapath, cur int) (done int) {
 	xt2, yt2 := make([]float64, len(q.elemX)), make([]float64, len(q.elemY))
 	lc := laneCallFor(q, dp)
 	if q.pitchGrid {
-		q.fixedPlane(plane, v, xt2, yt2, dp, lc, cur)
-		return
-	}
-	q.planeTerms(v.sx, v.sy, xt2, yt2)
-	done := 0
-	if lc.nVec > 0 {
-		xlo, xhi := scanExtremes(xt2[:lc.nVec])
-		ylo, yhi := scanExtremes(yt2)
-		done, cur = q.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
+		done, cur = q.vecPlane(plane, v, xt2, yt2, lc, cur)
+	} else {
+		q.planeTerms(v.sx, v.sy, xt2, yt2)
+		if lc.nVec > 0 {
+			xlo, xhi := scanExtremes(xt2[:lc.nVec])
+			ylo, yhi := scanExtremes(yt2)
+			done, cur = q.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
+		}
 	}
 	if done == len(xt2) {
-		return
+		return done
 	}
 	for j, y2 := range yt2 {
 		cur = fixedRow(plane[j*len(xt2)+done:(j+1)*len(xt2)], xt2[done:], y2, v.zz, v.txRaw, dp, cur)
 	}
+	return done
+}
+
+// licensed reports whether the lane licence covers a voxel of an
+// aperture whose lane bodies take cols leading columns: every argument
+// (xt2[i] + yt2[j]) + zz they take in [ArgMin, ArgMax], and the transmit
+// leg in [−MinV0, LaneTxLimit). It is the guard's contract read element by
+// element, where lanes reads it from the plane's extremes.
+func licensed(ln *sqrtapprox.Lanes, cols int, xt2, yt2 []float64, v voxel) bool {
+	if ln == nil || cols == 0 || v.txRaw+ln.MinV0 < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+		return false
+	}
+	for _, y := range yt2 {
+		for _, x := range xt2[:cols] {
+			if a := x + y + v.zz; !(a >= ln.ArgMin && a <= ln.ArgMax) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // planeCase runs handPlane on aperture q, with its own permute table, and
 // holds every slot to the fixedRow path and to Index16 of the float
-// datapath, and the slots either side of the plane to staying untouched.
+// datapath, the slots either side of the plane to staying untouched, and
+// the route to the licence: the lane body takes laneColumns of a licensed
+// voxel and none of any other.
 func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider, v voxel) {
 	t.Helper()
 	const pad, canary = 8, -7
@@ -208,7 +229,14 @@ func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider
 		buf[i] = canary // also: a slot the fill skips must not pass by accident
 	}
 	got := buf[pad : pad+n : pad+n]
-	handPlane(q, got, v, dp, len(dp.Ops)/2)
+	done := handPlane(q, got, v, dp, len(dp.Ops)/2)
+	cols := laneColumns(len(xt2), len(yt2))
+	if !licensed(dp.Lanes(), cols, xt2, yt2, v) {
+		cols = 0
+	}
+	if done != cols {
+		t.Errorf("%s %dx%d txRaw=%d zz=%v: the lane body took %d columns, the licence gives %d", name, len(xt2), len(yt2), v.txRaw, v.zz, done, cols)
+	}
 	rowsRef(want, xt2, yt2, v.zz, v.txRaw, dp)
 	for i := 0; i < pad; i++ {
 		if buf[i] != canary || buf[pad+n+i] != canary {
@@ -283,9 +311,14 @@ func reach(t *testing.T, alpha float64) (dx, dy float64) {
 // maxPermAxis columns, so that the eight-lane body takes every value: slot
 // (i, i) of a plane forms vals[i] exactly (reach), and the other slots of
 // column i add other rows' small remainders to the same column term, so
-// every row mixes all the values.
+// every row mixes all the values. Values below the licence's ArgMin send
+// their whole plane to fixedRow, so they form planes of their own, after
+// the rest.
 func planeChunks(t *testing.T, name string, f *sqrtapprox.FixedApprox, vals []float64, txRaw int64) {
 	t.Helper()
+	floor := f.Integer().Lanes().ArgMin
+	low := slices.DeleteFunc(slices.Clone(vals), func(a float64) bool { return a >= floor })
+	vals = append(slices.DeleteFunc(slices.Clone(vals), func(a float64) bool { return a < floor }), low...)
 	for len(vals) > 0 {
 		n := min(len(vals), maxPermAxis)
 		dx, dy := make([]float64, n), make([]float64, n)
@@ -322,7 +355,7 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 		edges = append(edges, math.Nextafter(p.Approx.Max, 0), p.Approx.Max)
 		name := fmt.Sprintf("%+v", fc)
 		for shift := 0; shift < 8; shift++ {
-			planeChunks(t, name+" ascending", p.FixedDP, append(make([]float64, shift), edges...), 4321)
+			planeChunks(t, name+" ascending", p.FixedDP, append(slices.Repeat([]float64{1}, shift), edges...), 4321)
 		}
 		// Adjacent pieces meet almost continuously, so taking the wrong side
 		// of a start shows only where their quantized values differ there —
@@ -350,7 +383,7 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 			lo := p.Approx.Segments[j].Lo
 			ulp := math.Nextafter(lo, math.Inf(1)) - lo
 			dx := sqrts(0, ulp/2, ulp, 2*ulp, 0.75*lo, lo, 0, 0)
-			planeCase(t, name+" summed", p.FixedDP, handAperture(dx, sqrts(0.25*lo, 0.5*lo, 0)), voxel{zz: 0.5 * lo, txRaw: -99})
+			planeCase(t, name+" summed", p.FixedDP, handAperture(dx, sqrts(0.25*lo, 0.5*lo, 0)), voxel{zz: 0.5 * lo, txRaw: 99})
 			// y + zz == lo exactly: zz is y's exact complement.
 			dy := math.Sqrt(0.75 * lo)
 			planeCase(t, name+" summed", p.FixedDP, handAperture(dx, []float64{dy}), voxel{zz: lo - float64(dy*dy)})
@@ -359,11 +392,13 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 }
 
 // TestLanePlaneRoundingTies is TestFixedRowRoundingEdges through the plane:
-// scaled arguments exactly on x.5, one ulp below and above it, on integers
-// and on 0.49999999999999994, with transmit legs that reach either int16
-// rail, land the sum on an exact negative half, sit at the guard's own
-// edge (LaneTxLimit−1 runs the lanes, LaneTxLimit the scalar route) and lie
-// far beyond it.
+// scaled arguments exactly on x.5, one ulp below and above it, on integers,
+// on the binade edges 2^k − 0.5 and one ulp either side (where fl(x + 0.5)
+// crosses into the next binade) and on 0.49999999999999994, just below the
+// licence's ArgMin, which fixedRow must take; with transmit legs that reach
+// either int16 rail, sit at the guard's own edges (0 = −MinV0 and
+// LaneTxLimit−1 run the lanes, −1 and LaneTxLimit the scalar route), lie
+// far beyond them, or land the sum on an exact negative half.
 func TestLanePlaneRoundingTies(t *testing.T) { eachBody(t, lanePlaneRoundingTies) }
 
 func lanePlaneRoundingTies(t *testing.T) {
@@ -384,8 +419,12 @@ func lanePlaneRoundingTies(t *testing.T) {
 			tie := (math.Floor(base/lsb) + 0.5) * lsb
 			args = append(args, base, tie, math.Nextafter(tie, 0), math.Nextafter(tie, math.Inf(1)))
 		}
+		for k := 0; math.Ldexp(1, k)*lsb <= p.Approx.Max; k++ {
+			edge := math.Ldexp(1, k) - 0.5 // scaled units: ×lsb is exact
+			args = append(args, edge*lsb, math.Nextafter(edge, 0)*lsb, math.Nextafter(edge, math.Inf(1))*lsb, (float64(k)+0.5)*lsb)
+		}
 		half := int64(1) << (fc.OutFrac - 1)
-		txRaws := []int64{0, 37, 12345 << fc.OutFrac, math.MaxInt16 << fc.OutFrac, -(40000 << fc.OutFrac), -3,
+		txRaws := []int64{0, -1, 37, 12345 << fc.OutFrac, math.MaxInt16 << fc.OutFrac, -(40000 << fc.OutFrac), -3,
 			sqrtapprox.LaneTxLimit - 1, sqrtapprox.LaneTxLimit, -sqrtapprox.LaneTxLimit + 1, -sqrtapprox.LaneTxLimit,
 			// Past the limit a leg no longer fits the lanes' dwords: these
 			// must take the scalar route and pin at the int16 rails.
@@ -419,6 +458,247 @@ func lanePlaneAssociationOrder(t *testing.T) {
 	for txRaw := int64(0); txRaw < 64; txRaw++ {
 		planeCase(t, "association", p.FixedDP, q, voxel{zz: zz, txRaw: txRaw})
 	}
+}
+
+// TestLaneClauseRows runs the licence's two per-voxel clauses through the
+// fill matrix: every argument at least ArgMin (the half-up floor is the
+// argument's rounding only from 0.5 scaled up), and the transmit leg at
+// least −MinV0 (the two-leg sum then never goes negative, so Index is a
+// logical shift). Each row is a fill whose voxels fail exactly its clause
+// somewhere: a voxel whose smallest scaled argument is the largest double
+// below 0.5, beside its twin exactly at 0.5; and a hand-built datapath whose
+// line values sit K samples low, so that V0 goes negative and receive
+// results below zero are reachable, with transmit legs on both sides of
+// −MinV0 — in front of the array, behind it, and off axis. On every route
+// the fill is == the scalar law; on every lane route the census shows
+// fixedRow taking exactly the voxels the licence, read element by element,
+// does not cover. Each clause's rows also show they can tell: in one of
+// them at least, a fill through the lanes with the clause dropped would
+// differ from the law; and the lanes take a voxel with a negative receive
+// result.
+func TestLaneClauseRows(t *testing.T) {
+	told := map[string]bool{}
+	for _, r := range clauseRows(t) {
+		for clause, tells := range r.shows {
+			told[clause] = told[clause] || tells()
+		}
+		t.Run(r.name, func(t *testing.T) {
+			v := conform(t, all(r.name, r.p))
+			for _, rt := range laneRoutes() {
+				restore := rt.use()
+				vec, scalar := licenceCensus(r.p)
+				restore()
+				if c := v.census[rt.name]; c.vec != vec || c.scalar != scalar {
+					t.Errorf("%s route: %d voxels through the lanes, %d through fixedRow; the licence gives %d and %d", rt.name, c.vec, c.scalar, vec, scalar)
+				}
+				if scalar < r.minScalar || vec < r.minVec {
+					t.Errorf("%s route: the licence covers %d voxels and not %d; the row needs ≥ %d and ≥ %d", rt.name, vec, scalar, r.minVec, r.minScalar)
+				}
+			}
+		})
+	}
+	for clause, ok := range told {
+		if !ok {
+			t.Errorf("%s: no row can tell the clause is kept", clause)
+		}
+	}
+}
+
+// clauseRow is one fill of TestLaneClauseRows: how many voxels the licence
+// must cover and leave at least, and whether it shows what the rows must
+// show between them, by name.
+type clauseRow struct {
+	name              string
+	p                 *Provider
+	minVec, minScalar int
+	shows             map[string]func() bool
+}
+
+func clauseRows(t *testing.T) (rows []clauseRow) {
+	t.Helper()
+	for _, fc := range fixedCfgs {
+		cfg := fc
+		if cfg == (sqrtapprox.FixedConfig{}) {
+			cfg = sqrtapprox.DefaultFixedConfig()
+		}
+		floor := 0.5 / math.Ldexp(1, cfg.ArgFrac)
+		clause := fmt.Sprintf("ArgMin, %+v", cfg)
+		// The origins the matrix fills from, and the first on-axis origin,
+		// in 10 µm steps, whose transmit leg puts the floor's extra count
+		// across an index tie.
+		tie := geom.Vec3{}
+		for z := 1; !roundingTells(argMinCase(t, cfg, tie, math.Nextafter(floor, 0))); z++ {
+			tie.Z = float64(z) * 1e-5
+		}
+		for _, o := range append(origins[:4:4], tie) {
+			below := argMinCase(t, cfg, o, math.Nextafter(floor, 0))
+			rows = append(rows,
+				clauseRow{fmt.Sprintf("%+v %+v ArgMin−ulp", cfg, o), below, 0, 1, map[string]func() bool{clause: func() bool { return roundingTells(below) }}},
+				clauseRow{fmt.Sprintf("%+v %+v ArgMin", cfg, o), argMinCase(t, cfg, o, floor), 1, 0, nil})
+		}
+	}
+	const k = 20 // samples the hand-built lines sit low
+	for _, g := range []struct {
+		name              string
+		origin            geom.Vec3
+		minVec, minScalar int
+	}{
+		{"origin in front", geom.Vec3{Z: 30}, 1, 1},
+		{"origin behind", geom.Vec3{Z: -45}, 1, 0},
+		{"origin off axis", geom.Vec3{X: 25, Z: 10}, 1, 1},
+	} {
+		p := lowLines(t, g.origin, k)
+		rows = append(rows, clauseRow{fmt.Sprintf("V0 %d samples low, %s", k, g.name), p, g.minVec, g.minScalar, map[string]func() bool{
+			"MinV0": func() bool { return negativeSumTells(p) },
+			"a negative receive result through the lanes": func() bool { return negativeReceiveLicensed(p) },
+		}})
+	}
+	return rows
+}
+
+// argMinCase is a one-voxel fill whose smallest receive argument is alpha:
+// the voxel sits on axis at depth r, so its depth term is r², and the
+// aperture is one row of four elements at ±a and ±3a, a picked so that
+// fl(a²) + r² == alpha.
+func argMinCase(t *testing.T, fc sqrtapprox.FixedConfig, o geom.Vec3, alpha float64) *Provider {
+	t.Helper()
+	r := math.Sqrt(alpha / 2) // samples
+	p := fixedProvider(Config{
+		Vol:    scan.NewVolume(0, 0, r*conv.C/conv.Fs, 1, 1, 1),
+		Arr:    xdcr.NewArray(4, 1, 1e-4),
+		Origin: o,
+		Conv:   conv,
+		Fixed:  fc,
+	})
+	v, _ := p.focal(0, 0, p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(0)))
+	a := math.Sqrt(alpha - v.zz)
+	for step := 0; float64(a*a)+v.zz != alpha; step++ {
+		if step == 64 {
+			t.Fatalf("no element offset puts the smallest argument on %v", alpha)
+		}
+		if float64(a*a)+v.zz < alpha {
+			a = math.Nextafter(a, math.Inf(1))
+		} else {
+			a = math.Nextafter(a, 0)
+		}
+	}
+	p.elemX = []float64{-3 * a, -a, a, 3 * a}
+	p.elemY = []float64{0}
+	p.provePitch()
+	return p
+}
+
+// roundingTells reports whether one of p's voxels has an argument below
+// ArgMin where the lanes' half-up floor, taken anyway, would move an index:
+// ⌊fl(x + 0.5)⌋ is 1 at x = 0.49999999999999994, where the rounding is 0.
+func roundingTells(p *Provider) bool {
+	dp := p.FixedDP.Integer()
+	ln := dp.Lanes()
+	tells := false
+	eachPlane(p, 0, func(_ int, v voxel, xt2, yt2 []float64) {
+		for _, y := range yt2 {
+			for _, x := range xt2 {
+				a := x + y + v.zz
+				if a >= ln.ArgMin {
+					continue
+				}
+				op := &dp.Ops[p.FixedDP.Base.Find(a)]
+				// The raw result of the floor's t: the argument 1/2^ArgFrac.
+				floored := dp.Raw(op, math.Floor(a*ln.ArgScale+0.5)/ln.ArgScale)
+				tells = tells || dp.Index(v.txRaw+floored) != dp.Index(v.txRaw+dp.Raw(op, a))
+			}
+		}
+	})
+	return tells
+}
+
+// lowLines is a fill through a hand-built datapath: the served PWL with
+// every line lowered k samples, so V0 is negative on the segments whose
+// line value is below k, over a shallow sector of a wide-pitch aperture,
+// transmitting from origin (samples).
+func lowLines(t *testing.T, origin geom.Vec3, k float64) *Provider {
+	t.Helper()
+	p := fixedProvider(Config{
+		Vol:    scan.NewVolume(geom.Radians(140), geom.Radians(100), 60*conv.C/conv.Fs, 9, 7, 12),
+		Arr:    xdcr.NewArray(8, 8, 12*conv.C/conv.Fs),
+		Origin: origin.Scale(conv.C / conv.Fs),
+		Conv:   conv,
+	})
+	segs := slices.Clone(p.Approx.Segments)
+	for i := range segs {
+		segs[i].C0 -= k
+	}
+	p.Approx = &sqrtapprox.Approx{Delta: p.Approx.Delta, Max: p.Approx.Max, Segments: segs}
+	p.FixedDP = sqrtapprox.NewFixed(p.Approx, p.Cfg.Fixed)
+	if ln := p.FixedDP.Integer().Lanes(); ln == nil || ln.MinV0 >= 0 {
+		t.Fatalf("the lowered lines must carry the lane proof with a negative MinV0: %+v", ln)
+	}
+	return p
+}
+
+// negativeSumTells reports whether a voxel of p that the MinV0 clause
+// alone turns away — its transmit leg non-negative but below −MinV0 — has
+// an element whose two-leg sum is negative, which the lanes' logical shift,
+// taken anyway, would not round as Index does.
+func negativeSumTells(p *Provider) bool {
+	dp := p.FixedDP.Integer()
+	ln := dp.Lanes()
+	tells := false
+	for id := range p.Cfg.Vol.Depth.N {
+		eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
+			if v.txRaw < 0 || v.txRaw >= -ln.MinV0 {
+				return
+			}
+			for _, y := range yt2 {
+				for _, x := range xt2 {
+					a := x + y + v.zz
+					tells = tells || v.txRaw+dp.Raw(&dp.Ops[p.FixedDP.Base.Find(a)], a) < -ln.OutHalf
+				}
+			}
+		})
+	}
+	return tells
+}
+
+// negativeReceiveLicensed reports whether a voxel of p the licence covers
+// has an element whose receive result is negative: V0 < 0 reached through
+// the lanes.
+func negativeReceiveLicensed(p *Provider) bool {
+	dp := p.FixedDP.Integer()
+	ln := dp.Lanes()
+	reached := false
+	for id := range p.Cfg.Vol.Depth.N {
+		eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
+			if !licensed(ln, len(xt2), xt2, yt2, v) {
+				return
+			}
+			for _, y := range yt2 {
+				for _, x := range xt2 {
+					a := x + y + v.zz
+					reached = reached || dp.Raw(&dp.Ops[p.FixedDP.Base.Find(a)], a) < 0
+				}
+			}
+		})
+	}
+	return reached
+}
+
+// licenceCensus counts p's voxels over every nappe the licence covers and
+// does not, read element by element (licensed) over the lane columns of
+// the body the probes select.
+func licenceCensus(p *Provider) (vec, scalar int) {
+	ln := p.FixedDP.Integer().Lanes()
+	cols := laneColumns(len(p.elemX), len(p.elemY))
+	for id := range p.Cfg.Vol.Depth.N {
+		eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
+			if licensed(ln, cols, xt2, yt2, v) {
+				vec++
+			} else {
+				scalar++
+			}
+		})
+	}
+	return vec, scalar
 }
 
 // TestUnprovenDatapathsTakeRows pins the routing rule's other half: a
