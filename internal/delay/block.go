@@ -10,11 +10,7 @@
 // (§II-B).
 package delay
 
-import (
-	"fmt"
-
-	"ultrabeam/internal/geom"
-)
+import "fmt"
 
 // Layout describes the stride order of a nappe delay block: θ outermost,
 // then φ, then element row ej, then element column ei fastest. The element
@@ -128,17 +124,4 @@ func (a *ScalarAdapter) Layout() Layout { return a.L }
 // Layout implements BlockProvider for the exact reference.
 func (e *Exact) Layout() Layout {
 	return Layout{NTheta: e.Vol.Theta.N, NPhi: e.Vol.Phi.N, NX: e.Arr.NX, NY: e.Arr.NY}
-}
-
-// elementGrid materializes the element positions in block order (ej·NX+ei),
-// the exact fill's hoist: NewExact builds it once per generator.
-func (e *Exact) elementGrid() []geom.Vec3 {
-	l := e.Layout()
-	elems := make([]geom.Vec3, l.NX*l.NY)
-	for ej := 0; ej < l.NY; ej++ {
-		for ei := 0; ei < l.NX; ei++ {
-			elems[ej*l.NX+ei] = e.Arr.ElementPos(ei, ej)
-		}
-	}
-	return elems
 }

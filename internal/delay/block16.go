@@ -52,20 +52,15 @@ type BlockProvider16 = BlockProvider
 // across the whole element plane (the per-element work drops from two
 // square roots to one), the remaining arithmetic is ordered exactly as
 // DelaySamples orders it, and the quantization is fused into the element
-// loop. The element positions come from the grid NewExact built (an Exact
-// built without it builds its own per call).
+// loop. The element positions come from the grid NewExact built.
 func (e *Exact) FillNappe16(id int, dst Block16) {
 	l := e.Layout()
-	elems := e.elems
-	if elems == nil {
-		elems = e.elementGrid()
-	}
 	k := 0
 	for it := 0; it < l.NTheta; it++ {
 		for ip := 0; ip < l.NPhi; ip++ {
 			s := e.Vol.FocalPoint(it, ip, id)
 			tx := s.Dist(e.Origin)
-			for _, d := range elems {
+			for _, d := range e.elems {
 				dst[k] = Index16(e.Conv.SecondsToSamples((tx + s.Dist(d)) / e.Conv.C))
 				k++
 			}

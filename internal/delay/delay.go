@@ -95,7 +95,7 @@ type Exact struct {
 	Origin geom.Vec3
 	Conv   Converter
 
-	elems []geom.Vec3 // Arr's element positions in block order (elementGrid)
+	elems []geom.Vec3 // Arr's element positions in block order (ej·NX+ei)
 }
 
 // Exact fills blocks natively (FillNappe16).
@@ -108,9 +108,13 @@ func NewExact(v scan.Volume, a xdcr.Array, origin geom.Vec3, cv Converter) *Exac
 	if cv.C <= 0 || cv.Fs <= 0 {
 		panic(fmt.Sprintf("delay: invalid converter %+v", cv))
 	}
-	e := &Exact{Vol: v, Arr: a, Origin: origin, Conv: cv}
-	e.elems = e.elementGrid()
-	return e
+	elems := make([]geom.Vec3, a.NX*a.NY)
+	for ej := 0; ej < a.NY; ej++ {
+		for ei := 0; ei < a.NX; ei++ {
+			elems[ej*a.NX+ei] = a.ElementPos(ei, ej)
+		}
+	}
+	return &Exact{Vol: v, Arr: a, Origin: origin, Conv: cv, elems: elems}
 }
 
 // Name implements Provider.

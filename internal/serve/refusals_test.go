@@ -334,10 +334,9 @@ func (r servedRefusal) streamed(t *testing.T) {
 // client uploads the body as compound after compound and reads nothing,
 // with the reply direction's socket buffers at their smallest, until the
 // server stops taking them — a reply write blocks, and the pipeline behind
-// it fills. The reply's write
-// deadline (the frame deadline, shortened here) must close the stream as
-// client-gone, and ServeStream must return once cancelled, however long
-// the client holds its socket open.
+// it fills. The reply's write deadline (the frame deadline, shortened here)
+// must close the stream as client-gone, and ServeStream must return within
+// that deadline of cancel, however long the client holds its socket open.
 func (r servedRefusal) neverReads(t *testing.T) {
 	const frameBound = 300 * time.Millisecond
 	sched, srv := r.serve(t)

@@ -59,7 +59,9 @@ const streamPollInterval = 250 * time.Millisecond
 // frame, not per compound — a 17.4 MB f64 frame fits it down to ≈ 5 Mbit/s —
 // and never covers the idle wait between compounds. It bounds each reply
 // write the same way: a client that stops reading is closed as client-gone
-// once one reply has waited that long, so its stream slot frees.
+// once one reply has waited that long, so its stream slot frees. Cancel does
+// not cut a blocked reply write short: ServeStream returns within
+// StreamFrameTimeout of cancel, not at once.
 const StreamFrameTimeout = 30 * time.Second
 
 // MaxStreams caps the cine connections one server holds open at once. Each

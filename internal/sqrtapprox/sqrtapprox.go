@@ -301,7 +301,7 @@ func (d *IntDatapath) Index(raw int64) int64 {
 // arguments at a time in 32-bit-wide integer lanes, with the constants it
 // then works from. It exists only when proveLanes holds for the datapath.
 // It covers a plane of arguments in [ArgMin, ArgMax] whose transmit leg tx
-// satisfies tx + MinV0 ≥ 0 and tx < LaneTxLimit.
+// satisfies 0 ≤ tx < LaneTxLimit.
 type Lanes struct {
 	ArgMin    float64 // 0.5/2^ArgFrac: from here up, ⌊fl(α·2^ArgFrac + 0.5)⌋ is the argument's rounding
 	ArgMax    float64 // the domain's upper end
@@ -310,7 +310,6 @@ type Lanes struct {
 	ProdShift uint64
 	OutHalf   int64 // rounding half of the index shift
 	OutShift  uint64
-	MinV0     int64 // min(0, min V0): no receive result is below it
 }
 
 // Lanes returns the vector licence, or nil when the datapath fails a clause
@@ -337,9 +336,9 @@ const LaneTxLimit = 1 << 30
 //   - 0 ≤ C1 < 2^31: the product is an unsigned 32×32 multiply, below 2^62,
 //     so adding the rounding half cannot wrap and a logical shift is the
 //     arithmetic one;
-//   - the largest receive result any segment can produce, plus OutHalf,
-//     stays within LaneTxLimit, so with tx < LaneTxLimit the Index stage
-//     fits int32; and every V0 is above −LaneTxLimit, so MinV0 is too.
+//   - every V0 is non-negative, and the largest receive result any segment
+//     can produce, plus OutHalf, stays within LaneTxLimit, so with
+//     tx < LaneTxLimit the Index stage fits int32.
 //
 // Two identities then license the bodies' cheaper arithmetic, each under a
 // clause the caller checks per plane:
@@ -351,8 +350,8 @@ const LaneTxLimit = 1 << 30
 //     crosses into the next binade, 2^k, the sum lies in [2^k, 2^k + 0.5),
 //     so its rounding cannot reach 2^k + 1. Below 0.5 the identity fails
 //     at 0.49999999999999994 alone, which the clause excludes;
-//   - Index: the product term is ≥ 0 (the clauses above), so a receive
-//     result is ≥ V0 ≥ MinV0, and with tx + MinV0 ≥ 0 the two-leg sum is
+//   - Index: the product term and V0 are ≥ 0 (the clauses above), so a
+//     receive result is too, and with tx ≥ 0 the two-leg sum is
 //     non-negative: Index is (sum + OutHalf) >> OutShift, a logical shift
 //     with no sign fix.
 //
@@ -367,7 +366,6 @@ func (d *IntDatapath) proveLanes() (*Lanes, error) {
 		return nil, fmt.Errorf("segment 0 starts at %v > 0", ops[0].Lo)
 	}
 	last := len(ops) - 1
-	minV0 := int64(0)
 	endRaw := math.Round(ops[last].Hi * d.argScale)
 	if !(endRaw < lim) {
 		return nil, fmt.Errorf("scaled domain end %v is not below 2^31", endRaw)
@@ -389,18 +387,20 @@ func (d *IntDatapath) proveLanes() (*Lanes, error) {
 		if op.C1 < 0 || op.C1 >= lim {
 			return nil, fmt.Errorf("segment %d: slope word %d outside [0, 2^31)", j, op.C1)
 		}
+		if op.V0 < 0 {
+			return nil, fmt.Errorf("segment %d: V0 %d is negative", j, op.V0)
+		}
 		// The product term is below 2^62 by the clauses above; holding V0
 		// to the limit first keeps the sum itself from wrapping.
 		recv := ((hiRaw-op.LoRaw)*op.C1 + d.prodHalf) >> d.prodShift
-		if op.V0 <= -LaneTxLimit || op.V0 >= LaneTxLimit || recv+max(op.V0, -op.V0)+d.outHalf > LaneTxLimit {
-			return nil, fmt.Errorf("segment %d: receive result bound %d + |%d| plus rounding half %d exceeds 2^30", j, recv, op.V0, d.outHalf)
+		if op.V0 >= LaneTxLimit || recv+op.V0+d.outHalf > LaneTxLimit {
+			return nil, fmt.Errorf("segment %d: receive result bound %d + %d plus rounding half %d exceeds 2^30", j, recv, op.V0, d.outHalf)
 		}
-		minV0 = min(minV0, op.V0)
 	}
 	return &Lanes{
 		ArgMin: 0.5 / d.argScale, ArgMax: ops[last].Hi, ArgScale: d.argScale,
 		ProdHalf: d.prodHalf, ProdShift: uint64(d.prodShift),
-		OutHalf: d.outHalf, OutShift: uint64(d.outShift), MinV0: minV0,
+		OutHalf: d.outHalf, OutShift: uint64(d.outShift),
 	}, nil
 }
 

@@ -431,9 +431,8 @@ func TestIntDatapathMatchesEvalSeg(t *testing.T) {
 // datapath to what it promises: inside [0, ArgMax] every offset and
 // product a lane body forms stays within the widths it uses; from ArgMin
 // up the one-rounding floor is the argument's rounding, and below it the
-// identity fails; and with tx in [−MinV0, LaneTxLimit) every two-leg sum is
-// non-negative and, with the rounding half, inside int32. MinV0 is the
-// smallest V0, or 0, also on a hand-built table whose V0 goes negative.
+// identity fails; and with tx in [0, LaneTxLimit) every two-leg sum is
+// non-negative and, with the rounding half, inside int32.
 func TestLaneProofClauses(t *testing.T) {
 	a := paperApprox()
 	fresh := func() *IntDatapath { return NewFixed(a, DefaultFixedConfig()).Integer() }
@@ -454,7 +453,8 @@ func TestLaneProofClauses(t *testing.T) {
 		{"LoRaw", edit(fresh(), func(ops []SegOp) { ops[mid].LoRaw++ })},                           // rounding is no longer monotone against it
 		{"LoRaw", edit(fresh(), func(ops []SegOp) { ops[0].Lo, ops[0].LoRaw = -3, -3 })},           // a negative start
 		{"slope word", edit(fresh(), func(ops []SegOp) { ops[mid].C1 = -ops[mid].C1 })},            // a negative product
-		{"receive result bound", edit(fresh(), func(ops []SegOp) { ops[mid].V0 = math.MinInt64 })}, // |V0| itself would wrap
+		{"receive result bound", edit(fresh(), func(ops []SegOp) { ops[mid].V0 = math.MaxInt64 })}, // the sum itself would wrap
+		{"V0 -448 is negative", edit(fresh(), func(ops []SegOp) { ops[1].V0 = -(7 << 6) })},        // a receive result below zero
 	} {
 		if c.d == nil {
 			t.Fatalf("%s: no integer datapath to prove", c.clause)
@@ -463,24 +463,16 @@ func TestLaneProofClauses(t *testing.T) {
 			t.Errorf("licence %v, error %v; want none and the %q clause", ln, err, c.clause)
 		}
 	}
-	const negV0 = -(7 << 6)
-	for _, c := range []struct {
-		cfg   FixedConfig
-		d     *IntDatapath
-		minV0 int64
-	}{
-		{DefaultFixedConfig(), NewFixed(a, DefaultFixedConfig()).Integer(), 0},
-		{FixedConfig{ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}, NewFixed(a, FixedConfig{ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}).Integer(), 0},
-		{DefaultFixedConfig(), edit(fresh(), func(ops []SegOp) { ops[1].V0 = negV0 }), negV0},
-	} {
-		d, cfg := c.d, c.cfg
-		ln, err := d.proveLanes()
+	for _, cfg := range []FixedConfig{DefaultFixedConfig(), {ArgFrac: 3, SlopeFrac: 22, OffsetFrac: 8, OutFrac: 5}} {
+		d := NewFixed(a, cfg).Integer()
+		ln := d.Lanes()
 		if ln == nil {
+			_, err := d.proveLanes()
 			t.Fatalf("%+v: %v", cfg, err)
 		}
 		if ln.ArgMax != a.Max || ln.ArgScale != d.argScale || ln.ProdHalf != d.prodHalf || ln.OutHalf != d.outHalf ||
 			ln.ProdShift != uint64(d.prodShift) || ln.OutShift != uint64(d.outShift) ||
-			ln.ArgMin*ln.ArgScale != 0.5 || ln.MinV0 != c.minV0 {
+			ln.ArgMin*ln.ArgScale != 0.5 {
 			t.Errorf("%+v: licence %+v does not carry the datapath's constants", cfg, ln)
 		}
 		below := math.Nextafter(ln.ArgMin, 0) * d.argScale // 0.49999999999999994
@@ -497,7 +489,7 @@ func TestLaneProofClauses(t *testing.T) {
 				if got := int64(math.Floor(x + 0.5)); got != roundNonNeg(x) {
 					t.Fatalf("%+v seg %d alpha %v: half-up floor %d, roundNonNeg %d", cfg, j, alpha, got, roundNonNeg(x))
 				}
-				for _, tx := range []int64{LaneTxLimit - 1, -ln.MinV0} {
+				for _, tx := range []int64{LaneTxLimit - 1, 0} {
 					if sum := tx + d.Raw(&d.Ops[j], alpha); sum < 0 || sum+d.outHalf > math.MaxInt32 {
 						t.Fatalf("%+v seg %d alpha %v tx %d: two-leg sum %d is negative or leaves int32", cfg, j, alpha, tx, sum)
 					}

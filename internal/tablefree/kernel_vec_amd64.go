@@ -81,7 +81,7 @@ type laneCall struct {
 	wide           bool
 	ops            []sqrtapprox.SegOp
 	argMin, argMax float64
-	txMin, outHalf int64 // txMin = −Lanes.MinV0
+	outHalf        int64
 }
 
 // initLaneCall prepares lc for filling p's planes through datapath dp. The
@@ -100,7 +100,7 @@ func (p *Provider) initLaneCall(lc *laneCall, dp *sqrtapprox.IntDatapath) {
 		lc.nVec = nx
 	}
 	lc.ops, lc.argMin, lc.argMax = dp.Ops, ln.ArgMin, ln.ArgMax
-	lc.txMin, lc.outHalf = -ln.MinV0, ln.OutHalf
+	lc.outHalf = ln.OutHalf
 	a := &lc.a
 	a.nx, a.nVec, a.ny = nx, lc.nVec, ny
 	a.argScale, a.prodHalf, a.prodShift, a.outShift = ln.ArgScale, ln.ProdHalf, ln.ProdShift, ln.OutShift
@@ -117,12 +117,12 @@ func (p *Provider) initLaneCall(lc *laneCall, dp *sqrtapprox.IntDatapath) {
 // eight-lane body forms them in its registers, so they are written only on
 // the other routes. It takes none when the voxel fails the guard the lane
 // proof is conditioned on: [amin, amax] within [Lanes.ArgMin,
-// Lanes.ArgMax] (negated so that a NaN fails too), and the transmit leg at
-// least −Lanes.MinV0 and below LaneTxLimit. cur is the carried segment
-// cursor; the voxel's lowest segment is returned in its place.
+// Lanes.ArgMax] (negated so that a NaN fails too), and the transmit leg in
+// [0, LaneTxLimit). cur is the carried segment cursor; the voxel's lowest
+// segment is returned in its place.
 func (p *Provider) lanes(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCall, amin, amax float64, cur int) (done, next int) {
 	if lc.nVec == 0 || !(amin >= lc.argMin) || !(amax <= lc.argMax) ||
-		v.txRaw < lc.txMin || v.txRaw >= sqrtapprox.LaneTxLimit {
+		v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
 		p.planeTerms(v.sx, v.sy, xt2, yt2)
 		return 0, cur
 	}

@@ -69,9 +69,9 @@ round: \
 
 // INDEX is the Index stage on the eight int32 lanes of Y0, laid out
 // [g0 g1 h0 h1 | g2 g3 h2 h3]: add the transmit leg and the rounding half
-// (txOut), shift — the guard's tx + Lanes.MinV0 ≥ 0 keeps the sum
-// non-negative, so the shift needs no sign fix — saturate to int16 and
-// leave g0…g3 h0…h3 in X0. Clobbers Y5.
+// (txOut), shift — the lane proof's V0 ≥ 0 and the guard's tx ≥ 0 keep
+// the sum non-negative, so the shift needs no sign fix — saturate to int16
+// and leave g0…g3 h0…h3 in X0. Clobbers Y5.
 #define INDEX \
 	VPADDD       Y12, Y0, Y0; \
 	VPSRLD       X7, Y0, Y0; \

@@ -196,10 +196,10 @@ func handPlane(q *Provider, plane []int16, v voxel, dp *sqrtapprox.IntDatapath, 
 // licensed reports whether the lane licence covers a voxel of an
 // aperture whose lane bodies take cols leading columns: every argument
 // (xt2[i] + yt2[j]) + zz they take in [ArgMin, ArgMax], and the transmit
-// leg in [−MinV0, LaneTxLimit). It is the guard's contract read element by
+// leg in [0, LaneTxLimit). It is the guard's contract read element by
 // element, where lanes reads it from the plane's extremes.
 func licensed(ln *sqrtapprox.Lanes, cols int, xt2, yt2 []float64, v voxel) bool {
-	if ln == nil || cols == 0 || v.txRaw+ln.MinV0 < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+	if ln == nil || cols == 0 || v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
 		return false
 	}
 	for _, y := range yt2 {
@@ -396,9 +396,9 @@ func lanePlaneSegmentBoundaries(t *testing.T) {
 // on the binade edges 2^k − 0.5 and one ulp either side (where fl(x + 0.5)
 // crosses into the next binade) and on 0.49999999999999994, just below the
 // licence's ArgMin, which fixedRow must take; with transmit legs that reach
-// either int16 rail, sit at the guard's own edges (0 = −MinV0 and
-// LaneTxLimit−1 run the lanes, −1 and LaneTxLimit the scalar route), lie
-// far beyond them, or land the sum on an exact negative half.
+// either int16 rail, sit at the guard's own edges (0 and LaneTxLimit−1 run
+// the lanes, −1 and LaneTxLimit the scalar route), lie far beyond them, or
+// land the sum on an exact negative half.
 func TestLanePlaneRoundingTies(t *testing.T) { eachBody(t, lanePlaneRoundingTies) }
 
 func lanePlaneRoundingTies(t *testing.T) {
@@ -460,22 +460,21 @@ func lanePlaneAssociationOrder(t *testing.T) {
 	}
 }
 
-// TestLaneClauseRows runs the licence's two per-voxel clauses through the
-// fill matrix: every argument at least ArgMin (the half-up floor is the
-// argument's rounding only from 0.5 scaled up), and the transmit leg at
-// least −MinV0 (the two-leg sum then never goes negative, so Index is a
-// logical shift). Each row is a fill whose voxels fail exactly its clause
-// somewhere: a voxel whose smallest scaled argument is the largest double
-// below 0.5, beside its twin exactly at 0.5; and a hand-built datapath whose
-// line values sit K samples low, so that V0 goes negative and receive
-// results below zero are reachable, with transmit legs on both sides of
-// −MinV0 — in front of the array, behind it, and off axis. On every route
-// the fill is == the scalar law; on every lane route the census shows
+// TestLaneClauseRows runs the licence's clauses on the sign of the Index
+// stage and on the rounding through the fill matrix: every argument at
+// least ArgMin (the half-up floor is the argument's rounding only from 0.5
+// scaled up), and every V0 non-negative (with the guard's tx ≥ 0 the
+// two-leg sum then never goes negative, so Index is a logical shift). Each
+// row is a fill that fails exactly its clause somewhere: a voxel whose
+// smallest scaled argument is the largest double below 0.5, beside its twin
+// exactly at 0.5; and a hand-built datapath whose line values sit k samples
+// low, so that V0 goes negative and the lane proof refuses it. On every
+// route the fill is == the scalar law; on every lane route the census shows
 // fixedRow taking exactly the voxels the licence, read element by element,
 // does not cover. Each clause's rows also show they can tell: in one of
 // them at least, a fill through the lanes with the clause dropped would
-// differ from the law; and the lanes take a voxel with a negative receive
-// result.
+// differ from the law. (A transmit leg below zero is a hand-plane case of
+// TestLanePlaneRoundingTies: no fill through a proven datapath forms one.)
 func TestLaneClauseRows(t *testing.T) {
 	told := map[string]bool{}
 	for _, r := range clauseRows(t) {
@@ -538,21 +537,8 @@ func clauseRows(t *testing.T) (rows []clauseRow) {
 		}
 	}
 	const k = 20 // samples the hand-built lines sit low
-	for _, g := range []struct {
-		name              string
-		origin            geom.Vec3
-		minVec, minScalar int
-	}{
-		{"origin in front", geom.Vec3{Z: 30}, 1, 1},
-		{"origin behind", geom.Vec3{Z: -45}, 1, 0},
-		{"origin off axis", geom.Vec3{X: 25, Z: 10}, 1, 1},
-	} {
-		p := lowLines(t, g.origin, k)
-		rows = append(rows, clauseRow{fmt.Sprintf("V0 %d samples low, %s", k, g.name), p, g.minVec, g.minScalar, map[string]func() bool{
-			"MinV0": func() bool { return negativeSumTells(p) },
-			"a negative receive result through the lanes": func() bool { return negativeReceiveLicensed(p) },
-		}})
-	}
+	p := lowLines(t, k)
+	rows = append(rows, clauseRow{fmt.Sprintf("V0 %d samples low", k), p, 0, 1, map[string]func() bool{"V0 ≥ 0": func() bool { return negativeSumTells(p) }}})
 	return rows
 }
 
@@ -615,13 +601,13 @@ func roundingTells(p *Provider) bool {
 // lowLines is a fill through a hand-built datapath: the served PWL with
 // every line lowered k samples, so V0 is negative on the segments whose
 // line value is below k, over a shallow sector of a wide-pitch aperture,
-// transmitting from origin (samples).
-func lowLines(t *testing.T, origin geom.Vec3, k float64) *Provider {
+// transmitting from in front of the array. The lane proof must refuse it.
+func lowLines(t *testing.T, k float64) *Provider {
 	t.Helper()
 	p := fixedProvider(Config{
 		Vol:    scan.NewVolume(geom.Radians(140), geom.Radians(100), 60*conv.C/conv.Fs, 9, 7, 12),
 		Arr:    xdcr.NewArray(8, 8, 12*conv.C/conv.Fs),
-		Origin: origin.Scale(conv.C / conv.Fs),
+		Origin: geom.Vec3{Z: 30 * conv.C / conv.Fs},
 		Conv:   conv,
 	})
 	segs := slices.Clone(p.Approx.Segments)
@@ -630,57 +616,33 @@ func lowLines(t *testing.T, origin geom.Vec3, k float64) *Provider {
 	}
 	p.Approx = &sqrtapprox.Approx{Delta: p.Approx.Delta, Max: p.Approx.Max, Segments: segs}
 	p.FixedDP = sqrtapprox.NewFixed(p.Approx, p.Cfg.Fixed)
-	if ln := p.FixedDP.Integer().Lanes(); ln == nil || ln.MinV0 >= 0 {
-		t.Fatalf("the lowered lines must carry the lane proof with a negative MinV0: %+v", ln)
+	if ln := p.FixedDP.Integer().Lanes(); ln != nil {
+		t.Fatalf("the lowered lines carry the lane proof: %+v", ln)
 	}
 	return p
 }
 
-// negativeSumTells reports whether a voxel of p that the MinV0 clause
-// alone turns away — its transmit leg non-negative but below −MinV0 — has
-// an element whose two-leg sum is negative, which the lanes' logical shift,
-// taken anyway, would not round as Index does.
+// negativeSumTells reports whether a voxel of p whose transmit leg the
+// guard admits has an element whose two-leg sum Index takes below zero,
+// where the lanes' logical shift, taken anyway, would index far past the
+// window instead.
 func negativeSumTells(p *Provider) bool {
 	dp := p.FixedDP.Integer()
-	ln := dp.Lanes()
 	tells := false
 	for id := range p.Cfg.Vol.Depth.N {
 		eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
-			if v.txRaw < 0 || v.txRaw >= -ln.MinV0 {
+			if v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
 				return
 			}
 			for _, y := range yt2 {
 				for _, x := range xt2 {
 					a := x + y + v.zz
-					tells = tells || v.txRaw+dp.Raw(&dp.Ops[p.FixedDP.Base.Find(a)], a) < -ln.OutHalf
+					tells = tells || dp.Index(v.txRaw+dp.Raw(&dp.Ops[p.FixedDP.Base.Find(a)], a)) < 0
 				}
 			}
 		})
 	}
 	return tells
-}
-
-// negativeReceiveLicensed reports whether a voxel of p the licence covers
-// has an element whose receive result is negative: V0 < 0 reached through
-// the lanes.
-func negativeReceiveLicensed(p *Provider) bool {
-	dp := p.FixedDP.Integer()
-	ln := dp.Lanes()
-	reached := false
-	for id := range p.Cfg.Vol.Depth.N {
-		eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
-			if !licensed(ln, len(xt2), xt2, yt2, v) {
-				return
-			}
-			for _, y := range yt2 {
-				for _, x := range xt2 {
-					a := x + y + v.zz
-					reached = reached || dp.Raw(&dp.Ops[p.FixedDP.Base.Find(a)], a) < 0
-				}
-			}
-		})
-	}
-	return reached
 }
 
 // licenceCensus counts p's voxels over every nappe the licence covers and
