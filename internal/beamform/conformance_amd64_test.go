@@ -14,7 +14,7 @@ var hostAVX2, hostAVX512 = cpufeat.AVX2, cpufeat.AVX512
 func hostRoutes() []route {
 	var rs []route
 	if hostAVX512 {
-		rs = append(rs, route{"avx512", "avx512", true, true})
+		rs = append(rs, route{"avx512", "avx512-native", true, true})
 	}
 	if hostAVX2 {
 		rs = append(rs, route{"avx2", "sse2", true, false})

@@ -1,9 +1,9 @@
 // The accumulate kernels' conformance matrix. Every native body must be
 // BIT-IDENTICAL to its scalar twin, not PSNR-close: the i16 tile and gather
 // bodies and the fused TABLESTEER tile and gather bodies to
-// accumulateNappe16I16Ref (integer arithmetic, associative), the f64 tile and
-// SSE2 bodies to accumulateNappe16Ref (each voxel's own sequence kept, only
-// voxels interleaved).
+// accumulateNappe16I16Ref (integer arithmetic, associative), the f64
+// tile-native and SSE2 bodies to accumulateNappe16Ref (each voxel's own
+// sequence kept, only voxels interleaved).
 //
 // One shape generator (kshape, the corpus functions, FuzzKernelConformance)
 // names every input: aperture and apodization, θ×φ×depth grid, echo window,
@@ -191,12 +191,13 @@ func tileShapes() (out []kshape) {
 // edgeCases walk the tile bodies' accept rules across their boundaries on
 // one element of one tile; every other delay is 10 + k mod nE mod 50, window
 // 100. The i16 tile bodies take a span of 63 and a largest index of Win
-// (the guard slot) and hand back 64 and Win+1; the f64 tile body takes a
-// span of 15 per 8-voxel half and a largest index n−1 of an n-sample row,
-// and gathers 16 and n. A negative delay fails both; out-of-range delays on
-// an un-apodized element are ignored; an empty row gathers every half. i16
-// and f64 are the hand counts: tiles handed back, and element-halves
-// gathered when the first tile is the one changed (−1: every half).
+// (the guard slot) and hand back 64 and Win+1; the f64 per-half rule takes
+// a span of 15 per 8-voxel half and a largest index n−1 of an n-sample
+// row, and gathers 16 and n. A negative delay fails both; out-of-range
+// delays on an un-apodized element are ignored; an empty row gathers every
+// half. i16 and f64 are the hand counts: tiles handed back, and
+// element-halves the per-half rule gathers when the first tile is the one
+// changed (−1: every half).
 var edgeCases = []struct {
 	name     string
 	unapod   bool
@@ -842,14 +843,17 @@ func i16Fallbacks(e *Engine, blk delay.Block16, win int, raw []bool) (n, native 
 	return n, native
 }
 
-// f64Gathers counts the element-halves of blk the f64 tile body must
-// gather: per tile, 8-voxel half and apodized element d, the half's delays
-// span more than 15 or the largest is not below min(len(bufs[d]), 32768),
-// read as unsigned words. native counts the tile-native body's: the same
-// halves but those of the tiles in raw (nil is none), which it hands back.
-func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer, raw []bool) (n, native int) {
+// f64Gathers counts the element-halves of blk the f64 tile-native body
+// must gather by its per-half rule: per tile, 8-voxel half and apodized
+// element d, the half's delays span more than 15 or the largest is not
+// below min(len(bufs[d]), 32768), read as unsigned words — except in the
+// tiles in raw (nil is none), which it hands back.
+func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer, raw []bool) (n int) {
 	nE := len(e.apod)
 	for t := 0; t < len(e.tiles); t += 8 {
+		if raw != nil && raw[t/16] {
+			continue
+		}
 		for _, d := range e.activeIdx {
 			lo, hi := uint16(0xFFFF), uint16(0)
 			for _, v := range e.tiles[t : t+8] {
@@ -858,13 +862,10 @@ func f64Gathers(e *Engine, blk delay.Block16, bufs []rf.EchoBuffer, raw []bool) 
 			}
 			if hi-lo > 15 || int(hi) >= min(len(bufs[d].Samples), 1<<15) {
 				n++
-				if raw == nil || !raw[t/16] {
-					native++
-				}
 			}
 		}
 	}
-	return n, native
+	return n
 }
 
 // rawTiles marks the tiles whose delays the tile-native form keeps raw in a
@@ -1052,28 +1053,31 @@ func (c *kcase) check(t testing.TB, v *verdicts, fams int) {
 		}
 	}
 	if c.bufs != nil && fams&famF64 != 0 {
-		model, hand := 0, 0
-		nativeModel := 0
+		// rule is the per-half rule over every tile, which the edge cases'
+		// hand counts state; the tile-native body gathers it but in the
+		// tiles it hands back.
+		rule, hand, nativeModel := 0, 0, 0
 		for i := range ids {
-			n, nat := f64Gathers(eng, c.blks[i], c.bufs, raws[i])
-			model, nativeModel = model+n, nativeModel+nat
+			rule += f64Gathers(eng, c.blks[i], c.bufs, nil)
+			nativeModel += f64Gathers(eng, c.blks[i], c.bufs, raws[i])
 		}
 		if c.s.Delays == dEdge {
-			if hand = model; c.s.Arg%2 == 0 { // the hand counts are the first tile's
+			if hand = rule; c.s.Arg%2 == 0 { // the hand counts are the first tile's
 				if hand = edgeCases[c.s.Arg/2].f64; hand < 0 {
 					hand = 2 * len(eng.tiles) / 16
 				}
 				hand *= len(ids)
 			}
 		}
-		f := twins("f64", model, hand, func(i, id int, out *Volume) {
+		f := twins("f64", rule, hand, func(i, id int, out *Volume) {
 			eng.accumulateNappe16Ref(c.blks[i], c.bufs, id, out, false)
 		})
-		f.run = func(out *Volume, add bool) (n int) {
+		f.model = 0 // the SSE2 body, or the reference: nothing gathers
+		f.run = func(out *Volume, add bool) int {
 			for i, id := range ids {
-				n += eng.accumulateNappe16(c.blks[i], c.bufs, id, out, add)
+				eng.accumulateNappe16(c.blks[i], c.bufs, id, out, add)
 			}
-			return n
+			return 0
 		}
 		fs = append(fs, f)
 		f.name, f.model = "f64-native", nativeModel
@@ -1172,10 +1176,10 @@ func TestFusedSteerMatchesFillThenAccumulate(t *testing.T) {
 
 // TestI16TileServedBlocks and TestF64TileServedBlocks are the matrix over
 // every ninth nappe of the served shapes, the i16 and fused bodies in one
-// and the f64 body in the other. On those nappes the accept rules, which
+// and the f64 bodies in the other. On those nappes the accept rules, which
 // the matrix holds the tile bodies' hand-backs to, must hand back no i16
-// or fused tile, and the f64 body must gather no element-half of the
-// on-axis blocks; the axial set's gathers are logged, not asserted: its
+// or fused tile, and the f64 tile-native body must gather no element-half
+// of the on-axis blocks; the axial set's gathers are logged, not asserted: its
 // transmit leg from a source behind the aperture widens the spans at
 // shallow depths. The fused body must run every TABLESTEER shape.
 func TestI16TileServedBlocks(t *testing.T) {
@@ -1195,8 +1199,7 @@ func TestF64TileServedBlocks(t *testing.T) {
 	conform(t, servedShapes(9), famF64, func(c *kcase) {
 		n := 0
 		for _, blk := range c.blks {
-			g, _ := f64Gathers(c.eng, blk, c.bufs, nil)
-			n += g
+			n += f64Gathers(c.eng, blk, c.bufs, rawTiles(c.eng, blk))
 		}
 		if c.s.Arg%5 == 0 && n != 0 {
 			t.Errorf("%+v on-axis transmit: %d element-halves gathered", c.s, n)

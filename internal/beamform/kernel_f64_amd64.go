@@ -10,12 +10,13 @@ import (
 	"ultrabeam/internal/scan"
 )
 
-// f64KernelBody names the body accumulateNappe16 runs on this host:
-// cpufeat.AVX512, probed once at init, picks the tile body; SSE2 and CMOV
-// are amd64 baseline, so every other amd64 host runs the eight-chain body.
+// f64KernelBody names the body that runs a resident float64 nappe on this
+// host: cpufeat.AVX512, probed once at init, picks the tile-native body,
+// and every other host runs the eight-chain SSE2 body (SSE2 and CMOV are
+// amd64 baseline), which runs every filled nappe on any amd64 host.
 func f64KernelBody() string {
 	if cpufeat.AVX512 {
-		return "avx512"
+		return "avx512-native"
 	}
 	return "sse2"
 }
@@ -50,46 +51,36 @@ const f64StackRows = 256
 //go:noescape
 func sumRows8F64(dst []float64, blk []int16, tab []f64Row, nE int, add bool)
 
-// tileMaddF64AVX512 is the tile body (kernel_f64_amd64.s): it walks the
-// 16-voxel tiles of tiles in order, each as two 8-voxel halves, and sums
+// tileMaddF64NativeAVX512 is the tile-native body (kernel_f64_amd64.s): it
+// walks the 16-voxel tiles of tiles in order, reading the
+// delaycache.Native records recs, one per tile and group, and sums
 // w·sample over the apodized elements — grp's bits, each taking the next
 // row of tab — in element order into one chain per voxel, a separate
 // VMULPD and VADDPD per step, then stores the sums to dst (add false) or
-// adds them. Per element and half it takes the samples from one masked
-// window load and a VPERMPD — two and a VPERMT2PD for a span above 7 — when
-// the half's delays span at most 15 and the largest is below lens[d]
-// (unsigned); otherwise from a VGATHERQPD masked to the delays below
-// lens[d], the rest +0. It returns the number of element-halves that
-// gathered. It checks nothing: the caller must hold f64TileSafe.
-//
-//go:noescape
-func tileMaddF64AVX512(dst []float64, blk []int16, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, nE int, lastLen uint16, add bool) (gathered int)
-
-// tileMaddF64NativeAVX512 is the tile-native body (kernel_f64_amd64.s):
-// tileMaddF64AVX512 over the delaycache.Native records recs of the tiles
-// in tiles, one record per tile and group, which it reads in order. Per
-// apodized element it takes the tile's window when the tile's delays span
-// at most 15 and the largest is below lens[d], and otherwise applies
-// tileMaddF64AVX512's per-half rule; it returns the element-halves that
-// gathered, the same ones tileMaddF64AVX512 gathers. It checks nothing: the
-// caller must hold f64TileSafe for the tables, len(recs) ≥
-// len(tiles)/16·len(grp) records, every tile index v < len(dst), and no raw
-// group (delaycache.Native.Spilled) among the apodized groups of tiles.
+// adds them. Per apodized element it takes the samples from the tile's
+// window when the tile's delays span at most 15 and the largest is below
+// lens[d] (unsigned). Otherwise it applies the per-half rule to each
+// 8-voxel half: the half's own window when its delays span at most 15 and
+// the largest is below lens[d], else a VGATHERQPD masked to the delays
+// below lens[d], the rest +0. It returns the number of element-halves that
+// gathered. It checks nothing: the caller must hold f64TileSafe for the
+// tables, len(recs) ≥ len(tiles)/16·len(grp) records, every tile index
+// v < len(dst), and no raw group (delaycache.Native.Spilled) among the
+// apodized groups of tiles.
 //
 //go:noescape
 func tileMaddF64NativeAVX512(dst []float64, recs []byte, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, add bool) (gathered int)
 
-// accumulateNappe16 is the native float64 kernel. The reference walks one
-// voxel at a time and every add waits for the one before it; the native
-// bodies keep many voxels' sums in flight at once — the tile body sixteen,
-// the SSE2 body eight. Each voxel's own sum is still the reference's
-// sequence — active elements in activeIdx order, product rounded, then
-// added — so the result is bitwise the reference's: the interleaving
-// reorders work between voxels, never within one. With AVX-512 the tile
-// body runs the nappe and the element-halves it gathered are returned;
-// otherwise the SSE2 body covers the first ⌊voxels/8⌋·8 voxels, the last
-// voxels mod 8 run the reference's sequence in Go, and 0 is returned.
-func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) (gathered int) {
+// accumulateNappe16 is the native float64 kernel over a filled block. The
+// reference walks one voxel at a time and every add waits for the one
+// before it; the native bodies keep many voxels' sums in flight at once —
+// the SSE2 body here eight, the tile-native body (accumulateNativeF64)
+// sixteen. Each voxel's own sum is still the reference's sequence — active
+// elements in activeIdx order, product rounded, then added — so the result
+// is bitwise the reference's: the interleaving reorders work between
+// voxels, never within one. The SSE2 body covers the first ⌊voxels/8⌋·8
+// voxels; the last voxels mod 8 run the reference's sequence in Go.
+func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) {
 	nE := len(e.apod)
 	nVox := e.Cfg.Vol.Theta.N * e.Cfg.Vol.Phi.N
 	base := out.Vol.Linear(scan.Index{Depth: id}) // a nappe is contiguous: θ, then φ fastest
@@ -99,9 +90,6 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 	}
 	var stack [f64StackRows]f64Row
 	tab := e.f64Rows(stack[:0], bufs)
-	if cpufeat.AVX512 && nE > 0 {
-		return e.tileRowF64(dst, blk, tab, add)
-	}
 	n8 := nVox &^ 7
 	sumRows8F64(dst[:n8], blk, tab, nE, add)
 	for v := n8; v < nVox; v++ {
@@ -116,7 +104,6 @@ func (e *Engine) accumulateNappe16(blk delay.Block16, bufs []rf.EchoBuffer, id i
 			dst[v] = acc
 		}
 	}
-	return 0
 }
 
 // f64Rows appends the native bodies' operand rows for bufs to tab, one per
@@ -135,7 +122,7 @@ func (e *Engine) f64Rows(tab []f64Row, bufs []rf.EchoBuffer) []f64Row {
 	return tab
 }
 
-// f64Groups builds the tile bodies' group tables for tab — per 16-element
+// f64Groups builds the tile-native body's group tables for tab — per 16-element
 // group its apodization bits, per element its row length as the unsigned
 // accept bound — in grp and lens when they are long enough.
 func (e *Engine) f64Groups(tab []f64Row, grp, lens []uint16) ([]uint16, []uint16) {
@@ -153,34 +140,23 @@ func (e *Engine) f64Groups(tab []f64Row, grp, lens []uint16) ([]uint16, []uint16
 	return grp, lens
 }
 
-// tileRowF64 builds the tile body's group tables for tab, checks the
-// body's contract and runs it over the nappe.
-func (e *Engine) tileRowF64(dst []float64, blk delay.Block16, tab []f64Row, add bool) int {
-	nE := len(e.apod)
-	var grpStack [f64StackRows / 16]uint16
-	var lensStack [f64StackRows]uint16
-	grp, lens := e.f64Groups(tab, grpStack[:], lensStack[:])
-	if !f64TileSafe(dst, e.tiles, tab, grp, lens, nE) || len(blk) < len(dst)*nE {
-		panic("beamform: f64 kernel operands violate the tile body's bounds contract")
-	}
-	return tileMaddF64AVX512(dst, blk, e.tiles, tab, grp, lens, nE, lastLen(nE), add)
-}
-
-// accumulateNativeF64 is accumulateNappe16 over a resident block in the
+// accumulateNativeF64 is the float64 kernel over a resident block in the
 // tile-native form. With AVX-512 the tile-native body runs every tile but
 // those holding a raw group under the apodization, which handBackF64 runs
 // from the tile's expanded delays; it returns the element-halves the body
 // gathered. A block the store kept unconverted runs through
 // accumulateNappe16 as it is; otherwise the block is expanded into scratch,
-// a worker's block buffer, and accumulateNappe16 runs on it.
+// a worker's block buffer, and accumulateNappe16 runs on it. Both return 0.
 func (e *Engine) accumulateNativeF64(nat *delaycache.Native, scratch delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) (gathered int) {
 	nE := len(e.apod)
 	if nat.Raw != nil {
-		return e.accumulateNappe16(nat.Raw, bufs, id, out, add)
+		e.accumulateNappe16(nat.Raw, bufs, id, out, add)
+		return 0
 	}
 	if !cpufeat.AVX512 || nE == 0 {
 		nat.Expand(scratch)
-		return e.accumulateNappe16(scratch, bufs, id, out, add)
+		e.accumulateNappe16(scratch, bufs, id, out, add)
+		return 0
 	}
 	nVox := e.Cfg.Vol.Theta.N * e.Cfg.Vol.Phi.N
 	base := out.Vol.Linear(scan.Index{Depth: id})
@@ -207,14 +183,12 @@ func (e *Engine) accumulateNativeF64(nat *delaycache.Native, scratch delay.Block
 	return gathered
 }
 
-// f64TileSafe is the tile bodies' bounds contract on everything but the
-// delays — the assembly is unchecked, so this and the delays' own check
-// (a block of len(dst)·nE delays, or nativeCovers) are its whole safety
-// argument. The tile list covers the nappe (tilesCover), so every store
-// and every delay row is inside dst and the block. The group tables span
-// whole groups with no bit past the aperture, the short last group's row
-// loads stop at element nE−1, and each apodized element consumes the next
-// row of tab in order, which must be exactly used up. Its window loads and
+// f64TileSafe is the tile-native body's bounds contract on everything but
+// the delays — the assembly is unchecked, so this and nativeCovers are its
+// whole safety argument. The tile list covers the nappe (tilesCover), so
+// every store is inside dst. The group tables span whole groups with no
+// bit past the aperture, and each apodized element consumes the next row
+// of tab in order, which must be exactly used up. Its window loads and
 // gathers stay below lens[d], which must not exceed its row's length.
 func f64TileSafe(dst []float64, tiles []int32, tab []f64Row, grp, lens []uint16, nE int) bool {
 	nG := (nE + 15) / 16

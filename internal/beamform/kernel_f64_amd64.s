@@ -1,417 +1,22 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
-#include "kernel_tile_amd64.h"
 
-// The sample every out-of-window delay selects: +0, as EchoBuffer.At returns.
-DATA  f64zero<>+0(SB)/8, $0
-GLOBL f64zero<>(SB), RODATA|NOPTR, $8
-
-// One voxel's step of the current element: sign-extend the voxel's delay,
-// form the sample's address in the element's row (DX, CX samples long),
-// replace it by the zero sample's when the delay is negative or ≥ CX — one
-// unsigned compare, a negative delay sign-extends above any length — then
-// load, multiply by the weight (X8), add to the voxel's chain. MULSD then
-// ADDSD, two roundings: fusing them would change the sum.
-#define LANE(delay, acc) \
-	MOVWQSX delay, R14; \
-	LEAQ    (DX)(R14*8), R8; \
-	CMPQ    R14, CX; \
-	CMOVQCC R13, R8; \
-	MOVSD   (R8), X9; \
-	MULSD   X8, X9; \
-	ADDSD   X9, acc
-
-// func sumRows8F64(dst []float64, blk []int16, tab []f64Row, nE int, add bool)
-TEXT ·sumRows8F64(SB), NOSPLIT, $16-81
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), AX
-	LEAQ (DI)(AX*8), AX
-	MOVQ AX, end-8(SP)           // one past the last group's sums
-	MOVQ blk_base+24(FP), SI     // delay row of the group's first voxel
-	MOVQ tab_len+56(FP), AX
-	SHLQ $5, AX
-	ADDQ tab_base+48(FP), AX
-	MOVQ AX, tabend-16(SP)       // table end (32 B a row)
-	MOVQ nE+72(FP), R9
-	SHLQ $1, R9                  // bytes between consecutive voxels' delay rows
-	LEAQ (R9)(R9*2), R10         // three of them
-	LEAQ f64zero<>(SB), R13
-
-	CMPQ DI, end-8(SP)
-	JGE  done
-
-group:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORPS X4, X4
-	XORPS X5, X5
-	XORPS X6, X6
-	XORPS X7, X7
-	MOVQ  tab_base+48(FP), BX
-	LEAQ  (SI)(R9*8), R12        // the delay rows after this group's
-	CMPQ  BX, tabend-16(SP)
-	JGE   sums
-
-element:
-	// Eight delay rows 2·nE bytes apart are eight short streams, which the
-	// hardware prefetcher does not follow as it does the reference's single
-	// one; with a resident block arriving from DRAM that was a third of the
-	// kernel's time. So each element step asks for one more line of the rows
-	// ahead. A prefetch never faults, past the block's end included.
-	PREFETCHT0 (R12)
-	ADDQ  $64, R12
-	MOVQ  0(BX), DX              // row pointer (never dereferenced when CX is 0)
-	MOVQ  8(BX), CX              // row length
-	MOVQ  16(BX), AX
-	MOVSD 24(BX), X8             // weight
-	ADDQ  SI, AX                 // the element's delay in voxel 0's row
-	LEAQ  (AX)(R9*4), R11        // and in voxel 4's
-	LANE((AX), X0)
-	LANE((AX)(R9*1), X1)
-	LANE((AX)(R9*2), X2)
-	LANE((AX)(R10*1), X3)
-	LANE((R11), X4)
-	LANE((R11)(R9*1), X5)
-	LANE((R11)(R9*2), X6)
-	LANE((R11)(R10*1), X7)
-	ADDQ  $32, BX
-	CMPQ  BX, tabend-16(SP)
-	JLT   element
-
-sums:
-	CMPB add+80(FP), $0
-	JEQ  store
-	ADDSD 0(DI), X0
-	ADDSD 8(DI), X1
-	ADDSD 16(DI), X2
-	ADDSD 24(DI), X3
-	ADDSD 32(DI), X4
-	ADDSD 40(DI), X5
-	ADDSD 48(DI), X6
-	ADDSD 56(DI), X7
-
-store:
-	MOVSD X0, 0(DI)
-	MOVSD X1, 8(DI)
-	MOVSD X2, 16(DI)
-	MOVSD X3, 24(DI)
-	MOVSD X4, 32(DI)
-	MOVSD X5, 40(DI)
-	MOVSD X6, 48(DI)
-	MOVSD X7, 56(DI)
-	ADDQ  $64, DI
-	LEAQ  (SI)(R9*8), SI
-	CMPQ  DI, end-8(SP)
-	JLT   group
-
-done:
-	RET
-
-// The AVX-512 tile body. It walks the 16-voxel snake tiles of §3.13 as two
-// 8-voxel halves, voxels 0–7 and 8–15 of a tile, and keeps one eight-lane
-// sum per half: lane i is voxel i's own chain, so each voxel's sum is
-// still the reference's ((0 + w₀e₀) + w₁e₁) + … over the active elements in
-// activeIdx order. The two halves' chains are independent, which hides
-// VADDPD's latency. The front end (row addresses, delay-row loads, min/max
-// per half, transpose, prefetch) is kernel_tile_amd64.h.
-//
-// Frame: the tile's delay-row addresses at 0(SP) and the next tile's at
-// 128(SP); per group the transposed offsets delay − min (Z8–Z15 as the
-// transpose leaves them) at 256(SP); per element and half the window load
-// mask (2 << span) − 1 at 768(SP) and the min at 832(SP), words laid out as
-// the min/max registers hold them: element k of half h at word 16h + k.
-//
-// Register plan. Per call: Z24 Z25 K7 as the front end needs them, Z26 2,
-// Z27 −1, Z28 15 and Z29 7 (words), R9 the element-halves gathered. Per
-// tile: Z22 and Z23 the halves' sums, BX the operand row of the next active
-// element. Per group: AX its apodization mask, SI its accepted
-// element-halves (bit k for half 0, 16 + k for half 1), DI those of them
-// whose span exceeds 7, CX its lens. Per element: DX its row. Z16–Z19,
-// K1 K2 K6, R14 scratch.
-
-// One half's step of the current element. Accepted (bit ok of SI): the
-// window row[min … min + span] by one masked load of eight qwords — the
-// mask (2 << span) − 1 reads exactly the span + 1 samples, all inside the
-// row — and each voxel's sample by one permute by its offset delay − min,
-// widened to a qword; a span above 7 (bit ok of DI) takes the half's wide
-// stub. Otherwise the half's gather stub. Then the product by the element's
-// weight, rounded, and the add: VMULPD then VADDPD, two roundings, as MULSD
-// and ADDSD in the reference; fusing them would change the sum.
-#define F64_HALF(ok, min, m, off, acc, gather, wide, back) \
-	TESTL       $ok, SI; \
-	JZ          gather; \
-	MOVWLZX     min(SP), R14; \
-	KMOVB       m(SP), K1; \
-	VMOVUPD.Z   (DX)(R14*8), K1, Z16; \
-	VPMOVZXWQ   off(SP), Z18; \
-	TESTL       $ok, DI; \
-	JNZ         wide; \
-	VPERMPD     Z16, Z18, Z16; \
-back: \
-	VMULPD.BCST 24(BX), Z16, Z16; \
-	VADDPD      Z16, acc, acc
-
-// Element k of the group: one of the next tile's delay rows into cache,
-// then, if the element is apodized (bit okA of AX), its row from the next
-// operand row and its two halves in turn.
-#define F64_ELEM(p, okA, minA, mA, offA, gatherA, wideA, backA, okB, minB, mB, offB, gatherB, wideB, backB, skip) \
-	TILE_PREFETCH(p); \
-	TESTL $okA, AX; \
-	JZ    skip; \
-	MOVQ  0(BX), DX; \
-	F64_HALF(okA, minA, mA, offA, Z22, gatherA, wideA, backA); \
-	F64_HALF(okB, minB, mB, offB, Z23, gatherB, wideB, backB); \
-	ADDQ  $32, BX; \
-skip:
-
-// A half whose span is 8 to 15: the window's samples past the first eight
-// by a second masked load, then one two-table permute over both.
-#define F64_WIDE(m, wide, back) \
-wide: \
-	KMOVB     m+1(SP), K2; \
-	VMOVUPD.Z 64(DX)(R14*8), K2, Z17; \
-	VPERMT2PD Z17, Z18, Z16; \
-	JMP       back
-
-// A half the window cannot serve: its delays are the offsets plus the min
-// again (words, wrapping), and a masked gather fetches the lanes whose
-// delay is below the element's len — unsigned, so a negative delay is out —
-// while the others stay +0, the sample EchoBuffer.At returns. No address
-// outside the row is dereferenced; an empty row gathers nothing.
-#define F64_GATHER(min, off, len, gather, back) \
-gather: \
-	VPBROADCASTW min(SP), X18; \
-	VPADDW       off(SP), X18, X18; \
-	VPBROADCASTW len(CX), X19; \
-	VPCMPUW      $1, X19, X18, K1; \
-	VPMOVZXWQ    X18, Z18; \
-	VPXORQ       Z16, Z16, Z16; \
-	VGATHERQPD   (DX)(Z18*8), K1, Z16; \
-	INCQ         R9; \
-	JMP          back
-
-// func tileMaddF64AVX512(dst []float64, blk []int16, tiles []int32, tab []f64Row, grp []uint16, lens []uint16, nE int, lastLen uint16, add bool) (gathered int)
-TEXT ·tileMaddF64AVX512(SB), 0, $896-168
-	MOVQ  tiles_base+48(FP), R8
-	MOVQ  tiles_len+56(FP), R10
-	SHRQ  $4, R10                // tiles left
-	MOVQ  nE+144(FP), AX
-	SHLQ  $1, AX
-	VPBROADCASTQ AX, Z24         // bytes between consecutive voxels' delay rows
-	MOVQ  blk_base+24(FP), AX
-	VPBROADCASTQ AX, Z25
-	MOVL  $2, AX
-	VPBROADCASTW AX, Z26
-	VPTERNLOGD $0xFF, Z27, Z27, Z27
-	MOVL  $15, AX
-	VPBROADCASTW AX, Z28
-	MOVL  $7, AX
-	VPBROADCASTW AX, Z29
-	MOVWLZX lastLen+152(FP), AX
-	KMOVW AX, K7
-	XORQ  R9, R9
-
-	TESTQ R10, R10
-	JZ    done
-
-tile:
-	TILE_ADDRS
-	VPXORQ Z22, Z22, Z22
-	VPXORQ Z23, Z23, Z23
-	MOVQ   tab_base+72(FP), BX
-	MOVQ   grp_base+96(FP), R11
-	MOVQ   grp_len+104(FP), R12
-	MOVQ   lens_base+120(FP), CX
-	XORQ   R13, R13
-
-group:
-	MOVWLZX (R11), AX
-	TESTL   AX, AX
-	JZ      nextgroup
-	TILE_LOAD_ROWS(full, short, loaded)
-	TILE_MINMAX
-
-	// The accept rule, per element and half: apodized, span ≤ 15 (the
-	// window holds at most 16 samples) and max < len, unsigned, so a
-	// negative delay fails. Half 1's bits are the apodization mask again.
-	VPSUBW          Z16, Z17, Z18
-	VBROADCASTI64X4 (CX), Z19
-	MOVL            AX, SI
-	SHLL            $16, SI
-	ORL             AX, SI
-	KMOVD           SI, K6
-	VPCMPUW         $2, Z28, Z18, K6, K1
-	VPCMPUW         $1, Z19, Z17, K1, K1
-	KMOVD           K1, SI
-	VPCMPUW         $6, Z29, Z18, K1, K2
-	KMOVD           K2, DI
-
-	// Window load masks (2 << span) − 1 (a span of 15 shifts the 2 out of
-	// the word and leaves 0xFFFF) and the mins.
-	VPSLLVW   Z18, Z26, Z18
-	VPADDW    Z27, Z18, Z18
-	VMOVDQU16 Z18, 768(SP)
-	VMOVDQU16 Z16, 832(SP)
-
-	// Offsets into each half's window, transposed to [element][voxel].
-	VPSUBW    Z16, Z0, Z0
-	VPSUBW    Z16, Z1, Z1
-	VPSUBW    Z16, Z2, Z2
-	VPSUBW    Z16, Z3, Z3
-	VPSUBW    Z16, Z4, Z4
-	VPSUBW    Z16, Z5, Z5
-	VPSUBW    Z16, Z6, Z6
-	VPSUBW    Z16, Z7, Z7
-	TILE_TRANSPOSE
-	VMOVDQU64 Z8, 256(SP)
-	VMOVDQU64 Z9, 320(SP)
-	VMOVDQU64 Z10, 384(SP)
-	VMOVDQU64 Z11, 448(SP)
-	VMOVDQU64 Z12, 512(SP)
-	VMOVDQU64 Z13, 576(SP)
-	VMOVDQU64 Z14, 640(SP)
-	VMOVDQU64 Z15, 704(SP)
-
-	// The elements in order, 0 to 15: elements k and k+8 share a
-	// register of the transpose but never a step of a sum. Then the stubs
-	// the rare halves branch to.
-	F64_ELEM(128, 0x1, 832, 768, 256, gather0a, wide0a, back0a, 0x10000, 864, 800, 288, gather0b, wide0b, back0b, skip0)
-	F64_ELEM(136, 0x2, 834, 770, 320, gather1a, wide1a, back1a, 0x20000, 866, 802, 352, gather1b, wide1b, back1b, skip1)
-	F64_ELEM(144, 0x4, 836, 772, 384, gather2a, wide2a, back2a, 0x40000, 868, 804, 416, gather2b, wide2b, back2b, skip2)
-	F64_ELEM(152, 0x8, 838, 774, 448, gather3a, wide3a, back3a, 0x80000, 870, 806, 480, gather3b, wide3b, back3b, skip3)
-	F64_ELEM(160, 0x10, 840, 776, 512, gather4a, wide4a, back4a, 0x100000, 872, 808, 544, gather4b, wide4b, back4b, skip4)
-	F64_ELEM(168, 0x20, 842, 778, 576, gather5a, wide5a, back5a, 0x200000, 874, 810, 608, gather5b, wide5b, back5b, skip5)
-	F64_ELEM(176, 0x40, 844, 780, 640, gather6a, wide6a, back6a, 0x400000, 876, 812, 672, gather6b, wide6b, back6b, skip6)
-	F64_ELEM(184, 0x80, 846, 782, 704, gather7a, wide7a, back7a, 0x800000, 878, 814, 736, gather7b, wide7b, back7b, skip7)
-	F64_ELEM(192, 0x100, 848, 784, 272, gather8a, wide8a, back8a, 0x1000000, 880, 816, 304, gather8b, wide8b, back8b, skip8)
-	F64_ELEM(200, 0x200, 850, 786, 336, gather9a, wide9a, back9a, 0x2000000, 882, 818, 368, gather9b, wide9b, back9b, skip9)
-	F64_ELEM(208, 0x400, 852, 788, 400, gather10a, wide10a, back10a, 0x4000000, 884, 820, 432, gather10b, wide10b, back10b, skip10)
-	F64_ELEM(216, 0x800, 854, 790, 464, gather11a, wide11a, back11a, 0x8000000, 886, 822, 496, gather11b, wide11b, back11b, skip11)
-	F64_ELEM(224, 0x1000, 856, 792, 528, gather12a, wide12a, back12a, 0x10000000, 888, 824, 560, gather12b, wide12b, back12b, skip12)
-	F64_ELEM(232, 0x2000, 858, 794, 592, gather13a, wide13a, back13a, 0x20000000, 890, 826, 624, gather13b, wide13b, back13b, skip13)
-	F64_ELEM(240, 0x4000, 860, 796, 656, gather14a, wide14a, back14a, 0x40000000, 892, 828, 688, gather14b, wide14b, back14b, skip14)
-	F64_ELEM(248, 0x8000, 862, 798, 720, gather15a, wide15a, back15a, 0x80000000, 894, 830, 752, gather15b, wide15b, back15b, skip15)
-	JMP nextgroup
-
-	F64_WIDE(768, wide0a, back0a)
-	F64_WIDE(800, wide0b, back0b)
-	F64_WIDE(770, wide1a, back1a)
-	F64_WIDE(802, wide1b, back1b)
-	F64_WIDE(772, wide2a, back2a)
-	F64_WIDE(804, wide2b, back2b)
-	F64_WIDE(774, wide3a, back3a)
-	F64_WIDE(806, wide3b, back3b)
-	F64_WIDE(776, wide4a, back4a)
-	F64_WIDE(808, wide4b, back4b)
-	F64_WIDE(778, wide5a, back5a)
-	F64_WIDE(810, wide5b, back5b)
-	F64_WIDE(780, wide6a, back6a)
-	F64_WIDE(812, wide6b, back6b)
-	F64_WIDE(782, wide7a, back7a)
-	F64_WIDE(814, wide7b, back7b)
-	F64_WIDE(784, wide8a, back8a)
-	F64_WIDE(816, wide8b, back8b)
-	F64_WIDE(786, wide9a, back9a)
-	F64_WIDE(818, wide9b, back9b)
-	F64_WIDE(788, wide10a, back10a)
-	F64_WIDE(820, wide10b, back10b)
-	F64_WIDE(790, wide11a, back11a)
-	F64_WIDE(822, wide11b, back11b)
-	F64_WIDE(792, wide12a, back12a)
-	F64_WIDE(824, wide12b, back12b)
-	F64_WIDE(794, wide13a, back13a)
-	F64_WIDE(826, wide13b, back13b)
-	F64_WIDE(796, wide14a, back14a)
-	F64_WIDE(828, wide14b, back14b)
-	F64_WIDE(798, wide15a, back15a)
-	F64_WIDE(830, wide15b, back15b)
-
-	F64_GATHER(832, 256, 0, gather0a, back0a)
-	F64_GATHER(864, 288, 0, gather0b, back0b)
-	F64_GATHER(834, 320, 2, gather1a, back1a)
-	F64_GATHER(866, 352, 2, gather1b, back1b)
-	F64_GATHER(836, 384, 4, gather2a, back2a)
-	F64_GATHER(868, 416, 4, gather2b, back2b)
-	F64_GATHER(838, 448, 6, gather3a, back3a)
-	F64_GATHER(870, 480, 6, gather3b, back3b)
-	F64_GATHER(840, 512, 8, gather4a, back4a)
-	F64_GATHER(872, 544, 8, gather4b, back4b)
-	F64_GATHER(842, 576, 10, gather5a, back5a)
-	F64_GATHER(874, 608, 10, gather5b, back5b)
-	F64_GATHER(844, 640, 12, gather6a, back6a)
-	F64_GATHER(876, 672, 12, gather6b, back6b)
-	F64_GATHER(846, 704, 14, gather7a, back7a)
-	F64_GATHER(878, 736, 14, gather7b, back7b)
-	F64_GATHER(848, 272, 16, gather8a, back8a)
-	F64_GATHER(880, 304, 16, gather8b, back8b)
-	F64_GATHER(850, 336, 18, gather9a, back9a)
-	F64_GATHER(882, 368, 18, gather9b, back9b)
-	F64_GATHER(852, 400, 20, gather10a, back10a)
-	F64_GATHER(884, 432, 20, gather10b, back10b)
-	F64_GATHER(854, 464, 22, gather11a, back11a)
-	F64_GATHER(886, 496, 22, gather11b, back11b)
-	F64_GATHER(856, 528, 24, gather12a, back12a)
-	F64_GATHER(888, 560, 24, gather12b, back12b)
-	F64_GATHER(858, 592, 26, gather13a, back13a)
-	F64_GATHER(890, 624, 26, gather13b, back13b)
-	F64_GATHER(860, 656, 28, gather14a, back14a)
-	F64_GATHER(892, 688, 28, gather14b, back14b)
-	F64_GATHER(862, 720, 30, gather15a, back15a)
-	F64_GATHER(894, 752, 30, gather15b, back15b)
-
-nextgroup:
-	ADDQ $2, R11
-	ADDQ $32, CX
-	ADDQ $32, R13
-	DECQ R12
-	JNZ  group
-
-	// The halves' sums to their voxels: stored, or added to dst (dst as the
-	// first operand, as the reference's +=). Both halves are read before
-	// either is written, so a partial last tile's repeated voxel, whose
-	// lanes all hold the same sum, is added once.
-	MOVQ      dst_base+0(FP), DI
-	VMOVDQU32 (R8), Y16
-	VMOVDQU32 32(R8), Y17
-	CMPB      add+154(FP), $0
-	JEQ       store
-	KXNORW    K1, K1, K1
-	KXNORW    K2, K2, K2
-	VGATHERDPD (DI)(Y16*8), K1, Z18
-	VGATHERDPD (DI)(Y17*8), K2, Z19
-	VADDPD    Z22, Z18, Z22
-	VADDPD    Z23, Z19, Z23
-
-store:
-	KXNORW      K1, K1, K1
-	KXNORW      K2, K2, K2
-	VSCATTERDPD Z22, K1, (DI)(Y16*8)
-	VSCATTERDPD Z23, K2, (DI)(Y17*8)
-	ADDQ $64, R8
-	DECQ R10
-	JNZ  tile
-
-done:
-	MOVQ R9, gathered+160(FP)
-	VZEROUPPER
-	RET
-
-// The tile-native body: tileMaddF64AVX512 over a resident block stored as
-// delaycache.Native records, one 304-byte record per (tile, group) at R13 —
-// bases, spans and pair-ordered offsets — in tile order, so no row is
-// prefetched. Per element its window is the tile's, not each half's: one
-// masked load of row[base … base + span] — two when the span is above 7 —
-// serves both halves, each voxel's sample chosen by a VPERMI2PD by its
-// offset. An element whose tile span is above 15, or whose largest delay
-// is not below its len, takes its stub, which applies the computing body's
-// per-half rule exactly: each half's min and max by VPHMINPOSUW over its
-// eight offsets, its own window when that half spans at most 15 and stays
-// below len, a masked gather otherwise. So the halves that gather are the
-// computing body's, and each voxel's sum is the same sequence of VMULPD
-// and VADDPD.
+// The AVX-512 tile-native body. It walks the 16-voxel snake tiles of §3.13
+// over a resident block stored as delaycache.Native records, one 304-byte
+// record per (tile, group) at R13 — bases, spans and pair-ordered offsets —
+// in tile order, keeping one eight-lane sum per 8-voxel half of the tile:
+// lane i is voxel i's own chain, ((0 + w₀e₀) + w₁e₁) + … over the active
+// elements in activeIdx order as in the reference, a VMULPD then a VADDPD
+// per step (fusing them would change the sum). Per element one masked load
+// of the tile's window row[base … base + span] — two when the span is above
+// 7 — serves both halves, each voxel's sample chosen by a VPERMI2PD by its
+// offset. An element whose tile span is above 15, or whose largest delay is
+// not below its len (unsigned, so a negative delay fails), takes its stub:
+// per half, min and max by VPHMINPOSUW over its eight offsets, its own
+// window when it spans at most 15 and stays below len, otherwise a masked
+// gather whose lanes at or past len stay +0, as EchoBuffer.At returns. The
+// body counts the element-halves that gathered.
 //
 // Frame: per element of the group in flight its window load mask
 // (2 << span) − 1 at 0(SP) (word k), the group's accepted elements at
@@ -639,7 +244,10 @@ nextgroup:
 	DECQ R12
 	JNZ  group
 
-	// The halves' sums to their voxels, as the computing body stores them.
+	// The halves' sums to their voxels: stored, or added to dst (dst as the
+	// first operand, as the reference's +=). Both halves are read before
+	// either is written, so a partial last tile's repeated voxel, whose
+	// lanes all hold the same sum, is added once.
 	MOVQ      dst_base+0(FP), DI
 	VMOVDQU32 (R8), Y16
 	VMOVDQU32 32(R8), Y17
@@ -665,4 +273,111 @@ done:
 	MOVQ 40(SP), AX
 	MOVQ AX, gathered+152(FP)
 	VZEROUPPER
+	RET
+
+// The sample every out-of-window delay selects: +0, as EchoBuffer.At returns.
+DATA  f64zero<>+0(SB)/8, $0
+GLOBL f64zero<>(SB), RODATA|NOPTR, $8
+
+// One voxel's step of the current element: sign-extend the voxel's delay,
+// form the sample's address in the element's row (DX, CX samples long),
+// replace it by the zero sample's when the delay is negative or ≥ CX — one
+// unsigned compare, a negative delay sign-extends above any length — then
+// load, multiply by the weight (X8), add to the voxel's chain. MULSD then
+// ADDSD, two roundings: fusing them would change the sum.
+#define LANE(delay, acc) \
+	MOVWQSX delay, R14; \
+	LEAQ    (DX)(R14*8), R8; \
+	CMPQ    R14, CX; \
+	CMOVQCC R13, R8; \
+	MOVSD   (R8), X9; \
+	MULSD   X8, X9; \
+	ADDSD   X9, acc
+
+// func sumRows8F64(dst []float64, blk []int16, tab []f64Row, nE int, add bool)
+TEXT ·sumRows8F64(SB), NOSPLIT, $16-81
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), AX
+	LEAQ (DI)(AX*8), AX
+	MOVQ AX, end-8(SP)           // one past the last group's sums
+	MOVQ blk_base+24(FP), SI     // delay row of the group's first voxel
+	MOVQ tab_len+56(FP), AX
+	SHLQ $5, AX
+	ADDQ tab_base+48(FP), AX
+	MOVQ AX, tabend-16(SP)       // table end (32 B a row)
+	MOVQ nE+72(FP), R9
+	SHLQ $1, R9                  // bytes between consecutive voxels' delay rows
+	LEAQ (R9)(R9*2), R10         // three of them
+	LEAQ f64zero<>(SB), R13
+
+	CMPQ DI, end-8(SP)
+	JGE  done
+
+group:
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	MOVQ  tab_base+48(FP), BX
+	LEAQ  (SI)(R9*8), R12        // the delay rows after this group's
+	CMPQ  BX, tabend-16(SP)
+	JGE   sums
+
+element:
+	// Eight delay rows 2·nE bytes apart are eight short streams, which the
+	// hardware prefetcher does not follow as it does the reference's single
+	// one; with a resident block arriving from DRAM that was a third of the
+	// kernel's time. So each element step asks for one more line of the rows
+	// ahead. A prefetch never faults, past the block's end included.
+	PREFETCHT0 (R12)
+	ADDQ  $64, R12
+	MOVQ  0(BX), DX              // row pointer (never dereferenced when CX is 0)
+	MOVQ  8(BX), CX              // row length
+	MOVQ  16(BX), AX
+	MOVSD 24(BX), X8             // weight
+	ADDQ  SI, AX                 // the element's delay in voxel 0's row
+	LEAQ  (AX)(R9*4), R11        // and in voxel 4's
+	LANE((AX), X0)
+	LANE((AX)(R9*1), X1)
+	LANE((AX)(R9*2), X2)
+	LANE((AX)(R10*1), X3)
+	LANE((R11), X4)
+	LANE((R11)(R9*1), X5)
+	LANE((R11)(R9*2), X6)
+	LANE((R11)(R10*1), X7)
+	ADDQ  $32, BX
+	CMPQ  BX, tabend-16(SP)
+	JLT   element
+
+sums:
+	CMPB add+80(FP), $0
+	JEQ  store
+	ADDSD 0(DI), X0
+	ADDSD 8(DI), X1
+	ADDSD 16(DI), X2
+	ADDSD 24(DI), X3
+	ADDSD 32(DI), X4
+	ADDSD 40(DI), X5
+	ADDSD 48(DI), X6
+	ADDSD 56(DI), X7
+
+store:
+	MOVSD X0, 0(DI)
+	MOVSD X1, 8(DI)
+	MOVSD X2, 16(DI)
+	MOVSD X3, 24(DI)
+	MOVSD X4, 32(DI)
+	MOVSD X5, 40(DI)
+	MOVSD X6, 48(DI)
+	MOVSD X7, 56(DI)
+	ADDQ  $64, DI
+	LEAQ  (SI)(R9*8), SI
+	CMPQ  DI, end-8(SP)
+	JLT   group
+
+done:
 	RET

@@ -11,12 +11,13 @@ import (
 // TestF64KernelRowsFlushAgainstGuardPage proves the native bodies' echo
 // reads cannot leave an element's row: every row is mapped so that its last
 // sample is the last eight bytes before a PROT_NONE page, and the delays
-// put the tile body's reads at the row end — a narrow window of one sample
-// (delays n−1; an unmasked eight-qword load would run seven samples into
-// the guard), a wide one of sixteen (n−16 and n−1 alternating; the second
-// load's mask ends on the last sample), and a gather (n−1 and n
-// alternating: max = n fails the accept rule, and the lane at n must stay
-// masked) — besides −1 and the int16 extremes. A body that over-reads dies
+// put the tile-native body's reads at the row end — a narrow window of one
+// sample (delays n−1; an unmasked eight-qword load would run seven samples
+// into the guard), a wide one of sixteen (n−16 and n−1 alternating; the
+// second load's mask ends on the last sample), and a gather (n−1 and n
+// alternating: max = n fails the tile's and each half's accept rule, and
+// the lane at n must stay masked) — and the SSE2 body's CMOV select at the
+// same delays, besides −1 and the int16 extremes. A body that over-reads dies
 // here with SIGSEGV instead of passing silently on whatever the heap had
 // next; every body must also equal the twin.
 func TestF64KernelRowsFlushAgainstGuardPage(t *testing.T) {
@@ -59,8 +60,9 @@ func TestF64KernelRowsFlushAgainstGuardPage(t *testing.T) {
 
 // TestF64KernelDelaysFlushAgainstGuardPage runs delaysAgainstGuardPage on
 // planes that leave a partial last tile, apertures with a short last
-// element group, and delays the tile body takes, narrow and wide, so its
-// last tile reads the last voxel's row up to the final delay.
+// element group, and delays the tile-native body takes, narrow and wide:
+// the SSE2 body reads the filled block's last group of voxel rows up to
+// their final delay, and the tile-native body its last record.
 func TestF64KernelDelaysFlushAgainstGuardPage(t *testing.T) {
 	v := newVerdicts(kernelRoutes())
 	var b builder

@@ -8,11 +8,13 @@ import (
 	"testing"
 )
 
-// TestF64KernelBody logs which body accumulateNappe16 runs on this build
-// and host; CI greps the line beside the i16 kernel's.
+// TestF64KernelBody logs which body runs a resident f64 nappe on this
+// build and host — the tile-native body with AVX-512, else the SSE2 body,
+// which runs every filled nappe on amd64, or the reference — and CI greps
+// the line beside the i16 kernel's.
 func TestF64KernelBody(t *testing.T) {
 	body := f64KernelBody()
-	if body != "avx512" && body != "sse2" && body != "ref" {
+	if body != "avx512-native" && body != "sse2" && body != "ref" {
 		t.Fatalf("unknown f64 kernel body %q", body)
 	}
 	t.Logf("f64 accumulate body: %s", body)

@@ -189,7 +189,7 @@ func (e *Engine) i16GatherTable(win int) *i16Table {
 }
 
 // lastLen masks the elements of an nE-element aperture's last 16-element
-// group that exist, the group both tile bodies load under a mask.
+// group that exist, the group the fixed-point tile bodies load under a mask.
 func lastLen(nE int) uint16 {
 	if r := nE % 16; r != 0 {
 		return 1<<r - 1

@@ -330,24 +330,26 @@ func BenchmarkAccumulateSteerI16(b *testing.B) {
 
 // BenchmarkAccumulateF64 is the float64 golden kernel's row of the same
 // table: whole volumes against float64 echo buffers of the served window
-// (17.4 MB on the reduced grid), one row per body this host runs — avx512,
-// sse2, ref — on both grids. GOMAXPROCS goroutines stripe the nappes as
-// session workers do, so -cpu 1,2 reads each body at one and at two cores;
-// cycles/sample is per core. Every body fetches exactly the active elements
-// per voxel. B/sample: the delay (2), the echo — 8 per sample, or on avx512
-// at most a 16-sample window per element shared by a half-tile's 8 voxels
-// (16) — and the operands the body re-reads: the reference's index, weight
-// and slice header per sample (4+8+24), sse2's 32 B row once per eight
-// voxels, avx512's once per sixteen; plus the voxel's store spread over its
-// samples. gathered/volume counts the avx512 body's element-halves that
-// took the gather instead of the window: 0 on the served grids' delays. The
-// avx512-native row runs the tile-native body over the blocks in the form a
-// resident store holds them (accumulateNativeF64): its delay 304 B per 256,
-// and one window per element shared by the tile's 16 voxels.
+// (17.4 MB on the reduced grid), one row per body this host runs —
+// avx512-native, sse2, ref — on both grids. GOMAXPROCS goroutines stripe
+// the nappes as session workers do, so -cpu 1,2 reads each body at one and
+// at two cores; cycles/sample is per core. Every body fetches exactly the
+// active elements per voxel. B/sample: the delay — 2, or on avx512-native
+// the tile-native record's 304 B per 256 — the echo — 8 per sample, or on
+// avx512-native at most a 16-sample window per element shared by the
+// tile's 16 voxels — and the operands the body re-reads: the reference's
+// index, weight and slice header per sample (4+8+24), sse2's 32 B row once
+// per eight voxels, avx512-native's once per sixteen; plus the voxel's
+// store spread over its samples. The avx512-native row runs the blocks in
+// the form a resident store holds them (accumulateNativeF64); its
+// gathered/volume counts the element-halves that took the gather instead
+// of a window: 0 on the served grids' delays. The sse2 row is every filled
+// nappe's body on every amd64 host.
 func BenchmarkAccumulateF64(b *testing.B) {
 	for _, g := range kernelBenchGrids {
 		eng, blocks, out := g.setup()
 		nats := natives(eng, blocks)
+		var scratch []delay.Block16
 		samples := make([]float64, len(eng.apod)*kernelBenchWin)
 		for i := range samples {
 			samples[i] = float64(int16(i * 40503)) // ADC-like words, no pattern a row shares
@@ -362,41 +364,34 @@ func BenchmarkAccumulateF64(b *testing.B) {
 		bytes := map[string]float64{
 			"ref":           2 + 8 + (4 + 8 + 24) + voxel,
 			"sse2":          2 + 8 + 32.0/8 + voxel,
-			"avx512":        2 + 16 + 32.0/16 + voxel,
 			"avx512-native": 304.0/256 + 8 + 32.0/16 + voxel,
 		}
 		ran := map[string]bool{}
-		for _, r := range append(hostRoutes(), route{name: "ref"}) {
-			if r.avx512 {
-				b.Run(g.name+"/avx512-native", func(b *testing.B) {
-					defer r.use()()
-					scratch := scratches(eng)
-					gathered := stripeVolumes(b, g.ndep, func(w, id int) int {
-						return eng.accumulateNativeF64(nats[id], scratch[w], bufs, id, out, false)
-					})
-					reportKernel(b, float64(len(out.Data))*float64(nA), bytes["avx512-native"], runtime.GOMAXPROCS(0))
-					b.ReportMetric(gathered, "gathered/volume")
-				})
-			}
-			restore := r.use()
-			name := f64KernelBody()
-			restore()
-			run := eng.accumulateNappe16
-			if r == (route{name: "ref"}) {
-				name, run = "ref", func(blk delay.Block16, bufs []rf.EchoBuffer, id int, out *Volume, add bool) int {
-					eng.accumulateNappe16Ref(blk, bufs, id, out, add)
-					return 0
-				}
-			}
+		for _, r := range append(hostRoutes(), route{name: "ref", f64: "ref"}) {
+			name := r.f64
 			if ran[name] {
 				continue
 			}
 			ran[name] = true
+			run := func(_, id int) int {
+				eng.accumulateNappe16(blocks[id], bufs, id, out, false)
+				return 0
+			}
+			switch name {
+			case "avx512-native":
+				run = func(w, id int) int { return eng.accumulateNativeF64(nats[id], scratch[w], bufs, id, out, false) }
+			case "ref":
+				run = func(_, id int) int {
+					eng.accumulateNappe16Ref(blocks[id], bufs, id, out, false)
+					return 0
+				}
+			}
 			b.Run(g.name+"/"+name, func(b *testing.B) {
 				defer r.use()()
-				gathered := stripeVolumes(b, g.ndep, func(_, id int) int { return run(blocks[id], bufs, id, out, false) })
+				scratch = scratches(eng)
+				gathered := stripeVolumes(b, g.ndep, run)
 				reportKernel(b, float64(len(out.Data))*float64(nA), bytes[name], runtime.GOMAXPROCS(0))
-				if name == "avx512" {
+				if name == "avx512-native" {
 					b.ReportMetric(gathered, "gathered/volume")
 				}
 			})

@@ -1,13 +1,13 @@
-// The 16-voxel snake-tile front end the AVX-512 tile bodies share
-// (tileMaddI16AVX512 in kernel_i16_amd64.s, tileMaddF64AVX512 in
-// kernel_f64_amd64.s, tileMaddSteerAVX512 in kernel_steer_amd64.s): the
-// tile's delay-row addresses, the masked loads of one 16-element group's
-// delay rows — or, on the fused steer body, the same rows computed from
-// the steer operands — each element's min and max over the tile's two
-// 8-voxel halves, the [voxel][element] → [element][voxel] transpose, and
-// the next tile's prefetch. Then the fixed-point back end the i16 and the
-// fused steer bodies share: the accept rule, the window loads, the
-// permutes, the multiply-adds and the tile's store.
+// The 16-voxel snake-tile code the AVX-512 fixed-point tile bodies share
+// (tileMaddI16AVX512 in kernel_i16_amd64.s, tileMaddSteerAVX512 in
+// kernel_steer_amd64.s). The front end: the tile's delay-row addresses, the
+// masked loads of one 16-element group's delay rows — or, on the fused
+// steer body, the same rows computed from the steer operands — each
+// element's min and max over the tile's two 8-voxel halves, the
+// [voxel][element] → [element][voxel] transpose, and the next tile's
+// prefetch. The back end: the accept rule, the window loads, the permutes,
+// the multiply-adds and the tile's store. The float64 tile-native body
+// reads stored records instead of delay rows and uses none of this.
 //
 // Register plan the macros assume. Per call: Z24 the delay-row stride and
 // Z25 blk (qwords), K7 the last group's length mask. Per tile: R8 the

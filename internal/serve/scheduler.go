@@ -346,41 +346,45 @@ func (p *PendingFrame) Abort() {
 // cancellation the slot is released if the job has not been dispatched
 // yet; once it has, Wait still blocks until its Session.Run finishes,
 // because the session reads the frame's samples until then and the caller
-// may reuse them as soon as Wait returns. It then returns the ctx error.
+// may reuse them as soon as Wait returns. It then returns the ctx error,
+// also when the frame had already run: a context cancelled before the call
+// takes precedence over a finished frame.
 func (p *PendingFrame) Wait(ctx context.Context) (*beamform.Volume, error) {
 	s := p.s
-	select {
-	case <-p.job.done:
-		if p.job.err == nil {
-			s.completed.Add(1)
-		}
-		return p.job.out, p.job.err
-	case <-ctx.Done():
-		s.mu.Lock()
-		if s.removeJobLocked(p.g, p.job) {
-			// The caller gave up while the frame was still queued. When the
-			// frame's own deadline is what lapsed, classify it as an expiry
-			// — the frame never burned a core slot, same as a purge.
-			if !p.job.deadline.IsZero() && !s.cfg.Now().Before(p.job.deadline) {
-				s.expired.Add(1)
-				s.laneExpired[p.job.lane].Add(1)
-				s.mu.Unlock()
-				return nil, ErrExpired
+	if ctx.Err() == nil {
+		select {
+		case <-p.job.done:
+			if p.job.err == nil {
+				s.completed.Add(1)
 			}
-			s.mu.Unlock()
-			return nil, ctx.Err()
+			return p.job.out, p.job.err
+		case <-ctx.Done():
 		}
-		s.mu.Unlock()
-		<-p.job.done
-		if errors.Is(p.job.err, ErrExpired) {
-			// The dispatcher purged the frame from the queue in the same
-			// instant the caller's wait lapsed: it never reached a core
-			// slot either, so it is the same expiry as above, not a
-			// generic wait timeout.
+	}
+	s.mu.Lock()
+	if s.removeJobLocked(p.g, p.job) {
+		// The caller gave up while the frame was still queued. When the
+		// frame's own deadline is what lapsed, classify it as an expiry
+		// — the frame never burned a core slot, same as a purge.
+		if !p.job.deadline.IsZero() && !s.cfg.Now().Before(p.job.deadline) {
+			s.expired.Add(1)
+			s.laneExpired[p.job.lane].Add(1)
+			s.mu.Unlock()
 			return nil, ErrExpired
 		}
+		s.mu.Unlock()
 		return nil, ctx.Err()
 	}
+	s.mu.Unlock()
+	<-p.job.done
+	if errors.Is(p.job.err, ErrExpired) {
+		// The dispatcher purged the frame from the queue in the same
+		// instant the caller's wait lapsed: it never reached a core
+		// slot either, so it is the same expiry as above, not a
+		// generic wait timeout.
+		return nil, ErrExpired
+	}
+	return nil, ctx.Err()
 }
 
 // Submit enqueues one decoded frame for req's geometry on req.Lane and

@@ -183,6 +183,29 @@ func TestSchedulerCancelledSubmit(t *testing.T) {
 	}
 }
 
+// TestSchedulerWaitCancelledAfterRun: a context cancelled before Wait wins
+// over a frame that has already run — both are ready when Wait selects, and
+// a random pick would hand back the volume with a nil error.
+func TestSchedulerWaitCancelledAfterRun(t *testing.T) {
+	sched := NewScheduler(SchedulerConfig{MaxQueue: 64})
+	defer sched.Close()
+	req := tinyRequest()
+	frame := [][]rf.EchoBuffer{tinyFrame(t, req.Spec)}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := range 64 {
+		p, err := sched.Begin(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.CompleteBuffers(frame)
+		<-p.job.done
+		if _, err := p.Wait(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("wait %d on a run frame with a cancelled context: %v, want context.Canceled", i, err)
+		}
+	}
+}
+
 // TestSchedulerTTLSweepAndRebuild: an idle geometry past its TTL is evicted
 // — hot session closed, store dropped — and the next submit of the same
 // fingerprint rebuilds from cold with identical results.
