@@ -2,6 +2,7 @@ package tablefree
 
 import (
 	"math"
+	"math/bits"
 
 	"ultrabeam/internal/delay"
 	"ultrabeam/internal/sqrtapprox"
@@ -46,11 +47,16 @@ const stackTerms = 512
 
 // voxel is one focal point's share of the §IV-B decomposition: its
 // coordinates on the two element axes, the depth term Sz² every element
-// shares, and the transmit leg in raw OutFrac units.
+// shares, and the transmit leg in raw OutFrac units. kernel_vec_amd64.s
+// reads a batch of them through go_asm.h.
 type voxel struct {
 	sx, sy, zz float64
 	txRaw      int64
 }
+
+// batchVoxels is the most voxels one lane call takes: its refusal mask has
+// a bit per voxel.
+const batchVoxels = 64
 
 // fillNappe16Fixed is the §IV-B unit as integer arithmetic: per element,
 // two float additions form the argument, the segment cursor steps to its
@@ -63,6 +69,12 @@ type voxel struct {
 // float. Each leg carries its own segment cursor from voxel to voxel,
 // sqrtapprox.Walk, which lands where FixedApprox.Eval's Find does. Every
 // slot is bit-identical to Index16(DelaySamples(...)).
+//
+// The nappe goes in batches of up to batchVoxels voxels, held on the
+// stack: one pass places them and forms their transmit legs, marking a leg
+// outside [0, LaneTxLimit) refused; the host's lane body (lanes) takes the
+// rest, refusing those outside its licence, and fixedRow emits every plane
+// refused (fixedPlanes).
 func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.IntDatapath) {
 	l := p.Layout()
 	var stack [stackTerms]float64
@@ -80,14 +92,27 @@ func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.In
 	p.initLaneCall(&lc, dp)
 	r := p.Cfg.Conv.MetersToSamples(p.Cfg.Vol.Depth.At(id))
 	dst = dst[:l.BlockLen()]
-	for it := 0; it < l.NTheta; it++ {
-		for ip := 0; ip < l.NPhi; ip++ {
+	var batch [batchVoxels]voxel
+	it, ip := 0, 0
+	for left := l.NTheta * l.NPhi; left > 0; left -= batchVoxels {
+		vox := batch[:min(left, batchVoxels)]
+		var refused uint64
+		for k := range vox {
 			v, argTx := p.focal(it, ip, r)
 			tx = sqrtapprox.Walk(ops, tx, argTx)
 			v.txRaw = dp.Raw(&ops[tx], argTx)
-			rx = p.fixedPlane(dst[:nE], v, xt2, yt2, dp, &lc, rx)
-			dst = dst[nE:]
+			if v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+				refused |= 1 << k
+			}
+			vox[k] = v
+			if ip++; ip == l.NPhi {
+				it, ip = it+1, 0
+			}
 		}
+		planes := dst[:len(vox)*nE]
+		refused = p.lanes(planes, vox, refused, xt2, yt2, &lc)
+		rx = p.fixedPlanes(planes, vox, refused, xt2, yt2, dp, rx)
+		dst = dst[len(planes):]
 	}
 }
 
@@ -118,45 +143,31 @@ func (p *Provider) planeTerms(sx, sy float64, xt2, yt2 []float64) {
 	}
 }
 
-// fixedPlane emits one voxel's element plane, NY rows of NX slots: the
-// host's native lane body (vecPlane, through lc) takes the leading columns
-// of every row — or the whole plane — when the datapath is proven and the
-// voxel passes its guard, and fixedRow — the executable specification —
-// takes whatever it left: the NX mod 4 tail, or the whole plane. It
-// returns the segment cursor for the next voxel.
-func (p *Provider) fixedPlane(plane []int16, v voxel, xt2, yt2 []float64, dp *sqrtapprox.IntDatapath, lc *laneCall, cur int) int {
-	done, cur := p.vecPlane(plane, v, xt2, yt2, lc, cur)
-	if done == len(xt2) {
-		return cur
-	}
-	for _, y2 := range yt2 {
-		cur = fixedRow(plane[done:len(xt2)], xt2[done:], y2, v.zz, v.txRaw, dp, cur)
-		plane = plane[len(xt2):]
+// fixedPlanes emits through fixedRow — the executable specification — the
+// whole plane of every voxel refused marks, planes holding vox's planes
+// one after the other, and returns the segment cursor for the next.
+func (p *Provider) fixedPlanes(planes []int16, vox []voxel, refused uint64, xt2, yt2 []float64, dp *sqrtapprox.IntDatapath, cur int) int {
+	nE := len(xt2) * len(yt2)
+	for ; refused != 0; refused &= refused - 1 {
+		k := bits.TrailingZeros64(refused)
+		v := &vox[k]
+		p.planeTerms(v.sx, v.sy, xt2, yt2)
+		plane := planes[k*nE:]
+		for _, y2 := range yt2 {
+			cur = fixedRow(plane[:len(xt2)], xt2, y2, v.zz, v.txRaw, dp, cur)
+			plane = plane[len(xt2):]
+		}
 	}
 	return cur
 }
 
-// vecPlane runs lc's lane body over the leading lc.nVec columns of every
-// row of one voxel's plane, and reports how many it took. Whenever it
-// leaves columns, xt2 and yt2 hold the voxel's terms. It takes none when
-// the fill has no lane body (initLaneCall), the element axes are not pitch
-// grids, or the voxel fails the guard the lane proof is conditioned on
-// (lanes). The guard's argument extremes are not scanned for but derived
-// from the grids (termExtremes). cur is the carried segment cursor; the
-// voxel's lowest segment is returned in its place.
-func (p *Provider) vecPlane(plane []int16, v voxel, xt2, yt2 []float64, lc *laneCall, cur int) (done, next int) {
-	if lc.nVec == 0 || !p.pitchGrid {
-		p.planeTerms(v.sx, v.sy, xt2, yt2)
-		return 0, cur
-	}
-	xlo, xhi := termExtremes(p.elemX[:lc.nVec], p.invPitchX, v.sx)
-	ylo, yhi := termExtremes(p.elemY, p.invPitchY, v.sy)
-	return p.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
-}
+// allRefused is the refusal mask of a batch of n voxels that no lane body
+// takes.
+func allRefused(n int) uint64 { return ^uint64(0) >> (batchVoxels - n) }
 
 // provePitch checks, once per provider, the precondition termExtremes
 // rests on: both element axes are pitch grids (pitchInv). A provider that
-// fails it sends every voxel to fixedRow.
+// fails it sends every voxel the four-lane route would take to fixedRow.
 func (p *Provider) provePitch() {
 	var okX, okY bool
 	p.invPitchX, okX = pitchInv(p.elemX)
@@ -244,7 +255,7 @@ type planePerm struct {
 	groups []permGroup
 	full   int    // groups whose eight slots are all in the plane
 	last   uint16 // store mask of the group after them, 0 when there is none
-	xMask  uint16 // one bit per column: the lanes the xt2 load reads
+	xMask  uint16 // one bit per column: the lanes the elemX load and the extremes read
 	yMask  uint16 // one bit per row
 }
 

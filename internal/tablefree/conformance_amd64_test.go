@@ -44,3 +44,36 @@ func (r route) use() (restore func()) {
 	cpufeat.AVX2, cpufeat.AVX512 = r.avx2, r.avx512
 	return func() { cpufeat.AVX2, cpufeat.AVX512 = avx2, avx512 }
 }
+
+// startAt puts lc's carried segment cursor on segment k.
+func (lc *laneCall) startAt(k int) {
+	if lc.nVec == 0 {
+		return
+	}
+	lc.cur = k
+	if lc.wide {
+		lc.a.ops = &lc.dp.Ops[k]
+	}
+}
+
+// handLanes is lanes on a batch of hand-built voxels, the transmit guard
+// marked first; on the four-lane route over a grid that is not a pitch
+// grid, it scans each voxel's extremes from its terms in place of
+// termExtremes and runs lanePlane on them.
+func handLanes(q *Provider, plane []int16, vox []voxel, xt2, yt2 []float64, lc *laneCall) uint64 {
+	refused := txMask(vox)
+	if lc.nVec == 0 || lc.wide || q.pitchGrid {
+		return q.lanes(plane, vox, refused, xt2, yt2, lc)
+	}
+	nE := len(xt2) * len(yt2)
+	for k := range vox {
+		v := &vox[k]
+		q.planeTerms(v.sx, v.sy, xt2, yt2)
+		xlo, xhi := scanExtremes(xt2[:lc.nVec])
+		ylo, yhi := scanExtremes(yt2)
+		if refused>>k&1 != 0 || !q.lanePlane(plane[k*nE:][:nE], v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz) {
+			refused |= 1 << k
+		}
+	}
+	return refused
+}

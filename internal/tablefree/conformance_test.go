@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ultrabeam/internal/cpufeat"
@@ -166,9 +167,9 @@ func servedShapes() (out []fshape) {
 }
 
 // census is what a route's lane body took over the nappes run: voxels
-// through the lanes and through fixedRow alone, voxels whose lane columns
-// differ from laneColumns, and the widest segment span of any voxel.
-type census struct{ vec, scalar, odd, span int }
+// through the lanes and through fixedRow alone, and the widest segment span
+// of any voxel.
+type census struct{ vec, scalar, span int }
 
 // verdicts collect per route the first failure and the census, so one pass
 // over the fills reports each route as its own subtest.
@@ -246,8 +247,8 @@ func (v *verdicts) check(t *testing.T, f fill, rs []route) {
 				}
 			}
 			if dp != nil {
-				vec, scalar, odd, span := nappeCensus(f.p, id)
-				c.vec, c.scalar, c.odd, c.span = c.vec+vec, c.scalar+scalar, c.odd+odd, max(c.span, span)
+				vec, scalar, span := nappeCensus(f.p, id)
+				c.vec, c.scalar, c.span = c.vec+vec, c.scalar+scalar, max(c.span, span)
 			}
 		}
 		v.census[r.name] = c
@@ -314,8 +315,7 @@ func TestFusedFill16MatchesScalarRandomGeometries(t *testing.T) {
 
 // routeRows is the matrix over whole nappes of the served aperture, of a
 // width with a scalar tail and, with more, of other widths, where on every
-// lane route every voxel must take exactly laneColumns of the lanes, and on
-// the ref route none may take a lane.
+// lane route every voxel must take the lanes, and on the ref route none.
 func routeRows(t *testing.T, more ...*Provider) {
 	var fills []fill
 	for _, p := range append([]*Provider{fixedProvider(smallConfig()), fixedProvider(blockSetup().Cfg)}, more...) {
@@ -323,8 +323,8 @@ func routeRows(t *testing.T, more ...*Provider) {
 	}
 	v := conform(t, fills...)
 	for _, r := range laneRoutes() {
-		if c := v.census[r.name]; c.scalar != 0 || c.odd != 0 {
-			t.Errorf("%s route: %d voxels missed the lanes, %d took other than laneColumns", r.name, c.scalar, c.odd)
+		if c := v.census[r.name]; c.scalar != 0 {
+			t.Errorf("%s route: %d voxels missed the lanes", r.name, c.scalar)
 		}
 	}
 	if c := v.census["ref"]; c.vec != 0 || c.scalar == 0 {
@@ -354,35 +354,328 @@ func TestLaneNoAVX512Route(t *testing.T) {
 }
 
 // FuzzFillConformance runs the matrix on one generated geometry, each field
-// clamped into the range the corpus draws from. Its seeds are the served
-// shapes and every fifth lane and row shape.
+// clamped into the range the corpus draws from, and, when refuse marks any
+// voxel, the refusal rows' check on its first nappe. Its seeds are the
+// served shapes, every fifth lane and row shape, and the refusal rows of
+// the first pattern, one per geometry and cause.
 func FuzzFillConformance(f *testing.F) {
-	seeds := servedShapes()
-	for k, s := range append(laneShapes(), rowShapes()...) {
-		if k%5 == 0 {
-			seeds = append(seeds, s)
+	var seeds []refusalRow
+	for k, s := range append(append(servedShapes(), laneShapes()...), rowShapes()...) {
+		if k < len(servedShapes()) || k%5 == 0 {
+			seeds = append(seeds, refusalRow{s: s})
 		}
 	}
-	for _, s := range seeds {
-		f.Add(uint8(s.NX), uint8(s.NY), uint8(s.NTh), uint8(s.NPh), uint8(s.NDep), s.Theta, s.Phi, s.Depth, s.Pitch,
-			uint8(s.Fs), uint8(s.Origin), int8(s.Derived), uint8(s.Fixed), uint8(s.Stride))
+	for _, r := range refusalRows() {
+		if r.refuse == refusalPatterns[0] {
+			seeds = append(seeds, r)
+		}
 	}
-	f.Fuzz(func(t *testing.T, nx, ny, nth, nph, ndep uint8, theta, phi, depth, pitch float64, fs, origin uint8, derived int8, fixed, stride uint8) {
+	for _, r := range seeds {
+		s := r.s
+		f.Add(uint8(s.NX), uint8(s.NY), uint8(s.NTh), uint8(s.NPh), uint8(s.NDep), s.Theta, s.Phi, s.Depth, s.Pitch,
+			uint8(s.Fs), uint8(s.Origin), int8(s.Derived), uint8(s.Fixed), uint8(s.Stride), r.refuse, uint8(r.cause))
+	}
+	f.Fuzz(func(t *testing.T, nx, ny, nth, nph, ndep uint8, theta, phi, depth, pitch float64, fs, origin uint8, derived int8, fixed, stride uint8, refuse uint64, cause uint8) {
 		clamp := func(x, lo, hi float64) float64 {
 			if math.IsNaN(x) {
 				return lo
 			}
 			return min(max(x, lo), hi)
 		}
-		s := fshape{NX: max(int(nx)%101, 1), NY: max(int(ny)%101, 1), NTh: max(int(nth)%34, 1), NPh: max(int(nph)%34, 1),
+		s := fshape{NX: max(int(nx)%101, 1), NY: max(int(ny)%101, 1), NTh: max(int(nth)%34, 1), NPh: max(int(nph)%71, 1),
 			NDep: max(int(ndep)%101, 1), Theta: clamp(theta, 1, 80), Phi: clamp(phi, 1, 80), Depth: clamp(depth, 0.005, 0.2),
 			Pitch: clamp(pitch, 0.05, 0.5), Fs: int(fs) % 3, Origin: int(origin) % len(origins),
 			Derived: max(int(derived)%len(origins), -1), Fixed: int(fixed) % len(fixedCfgs), Stride: int(stride)}
 		s.Stride = max(s.Stride, s.NDep/4)
 		v := &verdicts{fail: map[string]string{}, census: map[string]census{}}
-		v.check(t, s.fill(t), hostRoutes())
+		fl := s.fill(t)
+		v.check(t, fl, hostRoutes())
 		for r, msg := range v.fail {
 			t.Fatalf("%s route: %s", r, msg)
 		}
+		if refuse != 0 && fl.p.FixedDP.Integer().Lanes() != nil {
+			refusals(t, refusalRow{s, 0, refuse, int(cause) % nCauses}, fl.p)
+		}
 	})
+}
+
+// TestLaneGuardTripsMidNappe shrinks the PWL domain to the median of one
+// nappe's largest arguments, so that the per-voxel guard (αmax within the
+// proven bound) passes and fails inside the same FillNappe16 call, and
+// inside one batch: both routes write into one block, which the matrix
+// holds to the scalar law.
+func TestLaneGuardTripsMidNappe(t *testing.T) {
+	p := fixedProvider(blockSetup().Cfg)
+	l := p.Layout()
+	id := p.Cfg.Vol.Depth.N / 2
+	var amax []float64
+	for it := 0; it < l.NTheta; it++ {
+		for ip := 0; ip < l.NPhi; ip++ {
+			m := 0.0
+			for _, e := range [][2]int{{0, 0}, {l.NX - 1, 0}, {0, l.NY - 1}, {l.NX - 1, l.NY - 1}} {
+				_, rx := p.args(it, ip, id, e[0], e[1])
+				m = max(m, rx)
+			}
+			amax = append(amax, m)
+		}
+	}
+	lo, hi := amax[0], amax[0]
+	for _, a := range amax {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	p.Approx = sqrtapprox.New((lo+hi)/2, p.Approx.Delta)
+	p.FixedDP = sqrtapprox.NewFixed(p.Approx, p.Cfg.Fixed)
+	if p.FixedDP.Integer().Lanes() == nil {
+		t.Fatal("the shrunk domain must still carry the lane proof")
+	}
+	v := conform(t, fill{"shrunk domain", p, []int{id}})
+	for _, r := range laneRoutes() {
+		if c := v.census[r.name]; c.vec == 0 || c.scalar == 0 {
+			t.Fatalf("%s route, nappe %d: %d voxels through the lanes, %d through the guard; want both", r.name, id, c.vec, c.scalar)
+		}
+	}
+	conform(t, all("shrunk domain", p))
+}
+
+// The refusal causes the batch rows inject into a voxel.
+const (
+	causeTx     = iota // a transmit leg at or past LaneTxLimit, or below 0
+	causeArgMin        // on an element at depth term ArgMin less an ulp: the smallest argument is below ArgMin
+	causeNaN           // sx, sy or zz NaN: every argument of the plane is NaN
+	nCauses
+)
+
+// refusalRow is one refusal row: nappe id of shape s filled as
+// fillNappe16Fixed batches it — its voxels placed by the fill's own pass,
+// then lanes and fixedPlanes over each batch — with the voxels refuse
+// marks (bit k mod 64 for the fill's voxel k) made to fail the lane guard
+// by cause. Unmarked voxels next to a marked one sit on the guard's other
+// side of the same edge where the cause has one: a transmit leg of
+// LaneTxLimit−1, a smallest argument of exactly ArgMin.
+type refusalRow struct {
+	s      fshape
+	id     int
+	refuse uint64
+	cause  int
+}
+
+// refusalPatterns are the refusal rows' patterns: alternating voxels
+// either way round, with refusals at batch positions 0, 63 and 64; the two
+// ends of every batch alone; every voxel.
+var refusalPatterns = []uint64{0x5555555555555555 | 1<<63, 0xAAAAAAAAAAAAAAAA | 1, 1 | 1<<63, ^uint64(0)}
+
+// refusalRows are the three causes over three geometries — 16×16 elements
+// on lines of 70 voxels, so that batches cut lines; the small served grid;
+// 13×7, whose four-lane route leaves a fixedRow tail and whose eight-lane
+// route a partial last group — and the four refusalPatterns.
+func refusalRows() (rows []refusalRow) {
+	small := servedShapes()[len(servedShapes())/2]
+	small.Stride = small.NDep // the matrix, as a fuzz seed, fills nappe 0 alone
+	shapes := []fshape{
+		{NX: 16, NY: 16, NTh: 2, NPh: 70, NDep: 4, Theta: 73, Phi: 73, Depth: 0.1925, Pitch: 0.1925, Fs: 1, Derived: -1, Stride: 4},
+		small,
+		{NX: 13, NY: 7, NTh: 9, NPh: 9, NDep: 3, Theta: 60, Phi: 50, Depth: 0.06, Pitch: 0.1925, Fs: 1, Origin: 1, Derived: -1, Fixed: 1, Stride: 3},
+	}
+	for _, s := range shapes {
+		for _, refuse := range refusalPatterns {
+			for cause := range nCauses {
+				rows = append(rows, refusalRow{s, s.NDep / 2, refuse, cause})
+			}
+		}
+	}
+	return rows
+}
+
+// TestLaneRefusalRows runs the transmit-leg and ArgMin refusal rows.
+func TestLaneRefusalRows(t *testing.T) {
+	for _, r := range refusalRows() {
+		if r.cause != causeNaN {
+			refusals(t, r, r.s.fill(t).p)
+		}
+	}
+}
+
+// voxels returns the fill's voxels of nappe r.id, in the fill's order, with
+// r's refusals injected.
+func (r refusalRow) voxels(p *Provider) []voxel {
+	ln := p.FixedDP.Integer().Lanes()
+	var vox []voxel
+	marked := func(k int) bool { return k >= 0 && r.refuse>>(k%batchVoxels)&1 != 0 }
+	eachPlane(p, r.id, func(k int, v voxel, _, _ []float64) {
+		edge := !marked(k) && (marked(k-1) || marked(k+1))
+		onElement := func(zz float64) {
+			v.sx, v.sy, v.zz = p.elemX[k%len(p.elemX)], p.elemY[k/3%len(p.elemY)], zz
+		}
+		switch {
+		case r.cause == causeTx && marked(k):
+			v.txRaw = []int64{sqrtapprox.LaneTxLimit, sqrtapprox.LaneTxLimit + 12345, 1 << 40, -1}[k%4]
+		case r.cause == causeTx && edge:
+			v.txRaw = sqrtapprox.LaneTxLimit - 1
+		case r.cause == causeArgMin && marked(k):
+			onElement(math.Nextafter(ln.ArgMin, 0))
+		case r.cause == causeArgMin && edge:
+			onElement(ln.ArgMin)
+		case r.cause == causeNaN && marked(k):
+			switch nan := math.NaN(); k % 3 {
+			case 0:
+				v.sx = nan
+			case 1:
+				v.sy = nan
+			default:
+				v.zz = nan
+			}
+		}
+		vox = append(vox, v)
+	})
+	return vox
+}
+
+// refusals holds row r, on p, to its twins on every route this host
+// offers: each batch's refusal mask must be exactly the voxels the licence,
+// read element by element (licensed), does not cover; every voxel the
+// lanes took must equal the fixedRow path and, but for a NaN, the scalar
+// law on its arguments (Index16 of the two legs' FixedApprox.Eval); the
+// lanes must leave a refused voxel's plane as it was; and the refused
+// voxels must equal fixedRow run over them in order, its
+// cursor carried from one to the next as fixedPlanes carries it — which a
+// NaN argument, leaving the cursor where it stands, can tell.
+func refusals(t *testing.T, r refusalRow, p *Provider) {
+	t.Helper()
+	dp := p.FixedDP.Integer()
+	ln, nx, ny := dp.Lanes(), len(p.elemX), len(p.elemY)
+	nE := nx * ny
+	vox := r.voxels(p)
+	xt2, yt2 := make([]float64, nx), make([]float64, ny)
+	for _, rt := range hostRoutes() {
+		restore := rt.use()
+		cols := laneColumns(nx, ny)
+		want, got := make([]int16, len(vox)*nE), make([]int16, len(vox)*nE)
+		cur := 0 // the twin's fixedRow cursor over the refused voxels
+		for k, v := range vox {
+			p.planeTerms(v.sx, v.sy, xt2, yt2)
+			if licensed(ln, cols, xt2, yt2, v) {
+				rowsRef(want[k*nE:][:nE], xt2, yt2, v.zz, v.txRaw, dp)
+				continue
+			}
+			for j, y2 := range yt2 {
+				cur = fixedRow(want[k*nE+j*nx:][:nx], xt2, y2, v.zz, v.txRaw, dp, cur)
+			}
+		}
+		lc := laneCallFor(p, dp)
+		rx := 0
+		for b := 0; b < len(vox); b += batchVoxels {
+			batch := vox[b:min(b+batchVoxels, len(vox))]
+			planes := got[b*nE : (b+len(batch))*nE]
+			const canary = -7
+			for s := range planes {
+				planes[s] = canary
+			}
+			refused := p.lanes(planes, batch, txMask(batch), xt2, yt2, lc)
+			var expect uint64
+			for k, v := range batch {
+				p.planeTerms(v.sx, v.sy, xt2, yt2)
+				if !licensed(ln, cols, xt2, yt2, v) {
+					expect |= 1 << k
+				}
+				if refused>>k&1 != 0 && slices.ContainsFunc(planes[k*nE:(k+1)*nE], func(s int16) bool { return s != canary }) {
+					t.Errorf("%s %+v cause %d: the lanes wrote into refused voxel %d", rt.name, r.s, r.cause, b+k)
+				}
+			}
+			if refused != expect {
+				t.Errorf("%s %+v cause %d refuse %#x: batch at voxel %d refused %#x, the licence %#x", rt.name, r.s, r.cause, r.refuse, b, refused, expect)
+			}
+			rx = p.fixedPlanes(planes, batch, refused, xt2, yt2, dp, rx)
+		}
+		tx := func(v voxel) float64 { return math.Ldexp(float64(v.txRaw), -p.FixedDP.Cfg.OutFrac) }
+	slots:
+		for k, v := range vox {
+			p.planeTerms(v.sx, v.sy, xt2, yt2)
+			for e := range nE {
+				if s := k*nE + e; got[s] != want[s] {
+					t.Errorf("%s %+v cause %d refuse %#x voxel %d slot %d: fill %d != fixedRow %d", rt.name, r.s, r.cause, r.refuse, k, e, got[s], want[s])
+					break slots
+				}
+				a := xt2[e%nx] + yt2[e/nx] + v.zz
+				if law := delay.Index16(tx(v) + p.FixedDP.Eval(a)); !math.IsNaN(a) && want[k*nE+e] != law {
+					t.Errorf("%s voxel %d slot %d: fixedRow %d != law %d", rt.name, k, e, want[k*nE+e], law)
+					break slots
+				}
+			}
+		}
+		restore()
+	}
+}
+
+// TestLaneGuardRejectsNaNTerms runs the NaN refusal rows — a NaN reaches
+// the lane arguments through the voxel (sx, sy or zz) or through the
+// element grid — and the grid rows. A NaN or infinite element refuses
+// every voxel: the eight-lane body's extremes, a scan of the terms, fail
+// the guard, and the grid fails the pitch precondition the four-lane
+// route's derived extremes rest on (provePitch); the fill must equal the
+// fixedRow path (the lane bodies do not match fixedRow on NaN arguments).
+// Any other finite grid — elements swapped, equal, one of them 0.3 pitch
+// off its place, descending — keeps the eight-lane body, keeps the four-lane one
+// if it is still a pitch grid (descending), and fills == the scalar law.
+func TestLaneGuardRejectsNaNTerms(t *testing.T) {
+	for _, r := range refusalRows() {
+		if r.cause == causeNaN {
+			refusals(t, r, r.s.fill(t).p)
+		}
+	}
+	rng := rand.New(rand.NewSource(34))
+	for _, c := range []struct {
+		name          string
+		bad           func(e []float64)
+		finite, pitch bool
+	}{
+		{"NaN element", func(e []float64) { e[3] = math.NaN() }, false, false},
+		{"+Inf element", func(e []float64) { e[1] = math.Inf(1) }, false, false},
+		{"−Inf element", func(e []float64) { e[len(e)-1] = math.Inf(-1) }, false, false},
+		{"two elements swapped", func(e []float64) { e[2], e[3] = e[3], e[2] }, true, false},
+		{"two elements equal", func(e []float64) { e[1] = e[2] }, true, false},
+		{"jittered", func(e []float64) {
+			pitch := e[1] - e[0]
+			for i := 1; i < len(e)-1; i++ {
+				e[i] += (rng.Float64() - 0.5) * 0.4 * pitch
+			}
+			e[len(e)/2] = e[0] + (float64(len(e)/2)+0.3)*pitch
+		}, true, false},
+		{"descending", slices.Reverse[[]float64], true, true},
+	} {
+		for _, axis := range []string{"x", "y"} {
+			p := fixedProvider(smallConfig())
+			e := p.elemX
+			if axis == "y" {
+				e = p.elemY
+			}
+			c.bad(e)
+			p.provePitch()
+			name := c.name + " on " + axis
+			if p.pitchGrid != c.pitch {
+				t.Errorf("%s: pitch grid %t, want %t", name, p.pitchGrid, c.pitch)
+			}
+			if c.finite {
+				v := conform(t, fill{name, p, []int{1, 33}})
+				for _, r := range laneRoutes() {
+					if took := v.census[r.name].vec > 0; took != (r.avx512 || c.pitch) {
+						t.Errorf("%s, %s route: voxels took the lanes: %t", name, r.name, took)
+					}
+				}
+				continue
+			}
+			want, got := make(delay.Block16, p.Layout().BlockLen()), make(delay.Block16, p.Layout().BlockLen())
+			eachBody(t, func(t *testing.T) {
+				for id := 0; id < p.Cfg.Vol.Depth.N; id += 16 {
+					if vec, _, _ := nappeCensus(p, id); vec != 0 {
+						t.Fatalf("%s, nappe %d: %d voxels took the lane body", name, id, vec)
+					}
+					refFill16(p, id, want)
+					p.FillNappe16(id, got)
+					if i := slices.Compare(got, want); i != 0 {
+						t.Fatalf("%s, nappe %d: the fill differs from the fixedRow path", name, id)
+					}
+				}
+			})
+		}
+	}
 }

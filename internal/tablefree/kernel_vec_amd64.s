@@ -6,6 +6,7 @@
 // sqrtapprox.SegOp field offsets and size (pinned by TestSegOpLayout): the
 // body walks the datapath's own operand table, one broadcast per field.
 #define SEG_LO    0
+#define SEG_HI    8
 #define SEG_LORAW 16
 #define SEG_C1    24
 #define SEG_V0    32
@@ -145,16 +146,20 @@ rowdone:
 	VZEROUPPER
 	RET
 
-// Register plan of the eight-lane body. Per call: Z16 Z17 the column terms
-// (columns 0–7, 8–15), Z18 Z19 the row terms (rows 0–7, 8–15), formed from
-// the element coordinates and garbage past the plane's axes, where no
-// permute index reaches; Z29 Z30 sx, sy while they are formed; Z20 zz,
-// Z21 0.5, Z24 2^ArgFrac, and in qwords Z23 prodHalf, Z25 prodShift, Z26
-// txOut (the voxel's transmit leg plus the index rounding half) and Z28
-// outShift; K3 the last group's store mask. The shifts take per-lane
-// counts: one uop, where a count in an XMM register costs two. Per group:
-// Z0 the arguments, Z1/Z2/Z3 each lane's LoRaw/C1/V0, Z4 scratch, K1 the
-// select mask.
+// Register plan of the eight-lane body. Per call: Z22 Z27 the element
+// columns (0–7, 8–15), Z29 Z30 the element rows, zero past the plane's
+// axes; Z21 0.5, Z24 2^ArgFrac, and in qwords Z23 prodHalf, Z25 prodShift
+// and Z28 outShift; Z31 all ones; X15 ArgMax; K4 K5 the column lanes
+// (xMask), K6 K7 the row lanes (yMask), K3 the last group's store mask.
+// The shifts take per-lane counts: one uop, where a count in an XMM
+// register costs two. SI the voxel, BX its plane, CX its refusal bit, R13
+// the carried segment cursor (a *SegOp), R11 the refusal mask, R9 the
+// voxels left. Per voxel: Z16 Z17 the column terms, Z18 Z19 the row terms
+// (garbage past the axes, where no permute index reaches and the extremes'
+// masks drop them), Z5–Z14 the extremes' scratch, Z20 zz, Z26 txOut (the
+// transmit leg plus the index rounding half), R12 the byte offset of the
+// highest segment from the lowest. Per group: Z0 the arguments, Z1/Z2/Z3 each lane's LoRaw/C1/V0,
+// Z4 scratch, K1 the select mask, DX the permute indices, R8 the slots.
 
 // GROUP8 leaves in Z4 the eight int64 sample indices of the group at DX,
 // before the saturating pack; sel and round are the labels of this
@@ -179,17 +184,17 @@ rowdone:
 	VADDPD       Z20, Z0, Z0; \
 	TESTQ        R12, R12; \
 	JZ           round; \
-	VPBROADCASTQ SEG_LORAW(BX), Z1; \
-	VPBROADCASTQ SEG_C1(BX), Z2; \
-	VPBROADCASTQ SEG_V0(BX), Z3; \
-	MOVQ         $SEG_SIZE, CX; \
+	VPBROADCASTQ SEG_LORAW(R13), Z1; \
+	VPBROADCASTQ SEG_C1(R13), Z2; \
+	VPBROADCASTQ SEG_V0(R13), Z3; \
+	MOVQ         $SEG_SIZE, AX; \
 sel: \
-	VCMPPD.BCST  $0x1D, SEG_LO(BX)(CX*1), Z0, K1; \
-	VPBROADCASTQ SEG_LORAW(BX)(CX*1), K1, Z1; \
-	VPBROADCASTQ SEG_C1(BX)(CX*1), K1, Z2; \
-	VPBROADCASTQ SEG_V0(BX)(CX*1), K1, Z3; \
-	ADDQ         $SEG_SIZE, CX; \
-	CMPQ         CX, R12; \
+	VCMPPD.BCST  $0x1D, SEG_LO(R13)(AX*1), Z0, K1; \
+	VPBROADCASTQ SEG_LORAW(R13)(AX*1), K1, Z1; \
+	VPBROADCASTQ SEG_C1(R13)(AX*1), K1, Z2; \
+	VPBROADCASTQ SEG_V0(R13)(AX*1), K1, Z3; \
+	ADDQ         $SEG_SIZE, AX; \
+	CMPQ         AX, R12; \
 	JLE          sel; \
 round: \
 	VFMADD213PD      Z21, Z24, Z0; \
@@ -202,54 +207,135 @@ round: \
 	VPADDQ           Z26, Z4, Z4; \
 	VPSRLVQ          Z28, Z4, Z4
 
-// func fillPlaneAVX512(a *planeArgs)
-TEXT ·fillPlaneAVX512(SB), NOSPLIT, $0-8
-	MOVQ a+0(FP), DI
-	MOVQ planeArgs_dst(DI), R8       // the current group's first slot
-	MOVQ planeArgs_groups(DI), DX    // the current group's permute indices
-	MOVQ planeArgs_ops(DI), BX       // the voxel's lowest segment
-	MOVQ planeArgs_full(DI), R10     // full groups left
-	MOVQ planeArgs_nExtra(DI), R12
-	IMUL3Q $SEG_SIZE, R12, R12       // byte offset of the voxel's highest segment
+// TERMS forms (s − e)², planeTerms' two IEEE operations and no FMA, from
+// the coordinate at off(SI) and the element registers lo and hi into tlo
+// and thi. Clobbers Z5.
+#define TERMS(off, lo, hi, tlo, thi) \
+	VBROADCASTSD off(SI), Z5; \
+	VSUBPD       lo, Z5, tlo; \
+	VSUBPD       hi, Z5, thi; \
+	VMULPD       tlo, tlo, tlo; \
+	VMULPD       thi, thi, thi
 
-	// The terms (s − e)², planeTerms' two IEEE operations and no FMA, from
-	// masked, zeroing loads of the element coordinates.
-	MOVQ planeArgs_elemX(DI), SI
-	VBROADCASTSD planeArgs_sx(DI), Z29
-	KMOVW planeArgs_xMask(DI), K1
-	VMOVUPD.Z (SI), K1, Z16
-	KSHIFTRW $8, K1, K1
-	VMOVUPD.Z 64(SI), K1, Z17
-	VSUBPD Z16, Z29, Z16
-	VSUBPD Z17, Z29, Z17
-	VMULPD Z16, Z16, Z16
-	VMULPD Z17, Z17, Z17
-	MOVQ planeArgs_elemY(DI), SI
-	VBROADCASTSD planeArgs_sy(DI), Z30
-	KMOVW planeArgs_yMask(DI), K1
-	VMOVUPD.Z (SI), K1, Z18
-	KSHIFTRW $8, K1, K1
-	VMOVUPD.Z 64(SI), K1, Z19
-	VSUBPD Z18, Z30, Z18
-	VSUBPD Z19, Z30, Z19
-	VMULPD Z18, Z18, Z18
-	VMULPD Z19, Z19, Z19
+// REDUCE folds the eight qwords of x and of y with op (VPMINUQ or
+// VPMAXUQ), leaving x's result in every qword of Zd's low half and y's in
+// every qword of its high half. Clobbers Z14.
+#define REDUCE(op, x, y, Zd) \
+	VSHUFI64X2 $0x44, y, x, Zd; \
+	VSHUFI64X2 $0xEE, y, x, Z14; \
+	op         Z14, Zd, Zd; \
+	VPERMQ     $0x4E, Zd, Z14; \
+	op         Z14, Zd, Zd; \
+	VPSHUFD    $0x4E, Zd, Z14; \
+	op         Z14, Zd, Zd
+
+// func fillVoxelsAVX512(a *planeArgs, vox *voxel, n int, refused uint64) uint64
+TEXT ·fillVoxelsAVX512(SB), NOSPLIT, $0-40
+	MOVQ a+0(FP), DI
+	MOVQ vox+8(FP), SI
+	MOVQ n+16(FP), R9
+	MOVQ refused+24(FP), R11
+	MOVQ planeArgs_dst(DI), BX
+	MOVQ planeArgs_ops(DI), R13
+	MOVQ $1, CX
+
+	// The element coordinates, from masked, zeroing loads.
+	MOVQ planeArgs_elemX(DI), AX
+	KMOVW planeArgs_xMask(DI), K4
+	KSHIFTRW $8, K4, K5
+	VMOVUPD.Z (AX), K4, Z22
+	VMOVUPD.Z 64(AX), K5, Z27
+	MOVQ planeArgs_elemY(DI), AX
+	KMOVW planeArgs_yMask(DI), K6
+	KSHIFTRW $8, K6, K7
+	VMOVUPD.Z (AX), K6, Z29
+	VMOVUPD.Z 64(AX), K7, Z30
 	KMOVW planeArgs_last(DI), K3
 
-	VBROADCASTSD planeArgs_zz(DI), Z20
 	MOVQ $0x3FE0000000000000, AX     // 0.5
 	VPBROADCASTQ AX, Z21
 	VPBROADCASTQ planeArgs_prodHalf(DI), Z23
 	VBROADCASTSD planeArgs_argScale(DI), Z24
 	VPBROADCASTQ planeArgs_prodShift(DI), Z25
-	VPBROADCASTQ planeArgs_txOut(DI), Z26
 	VPBROADCASTQ planeArgs_outShift(DI), Z28
+	VPTERNLOGQ $0xFF, Z31, Z31, Z31
+	VMOVSD planeArgs_argMax(DI), X15
 
+voxel:
+	TESTQ CX, R11
+	JNZ   next
+
+	TERMS(voxel_sx, Z22, Z27, Z16, Z17)
+	TERMS(voxel_sy, Z29, Z30, Z18, Z19)
+
+	// The extremes over the plane's lanes: the unsigned min (max) of the
+	// bit patterns, lanes past an axis replaced by all ones (zero).
+	VPBLENDMQ   Z16, Z31, K4, Z6
+	VPMINUQ     Z17, Z6, K5, Z6
+	VPBLENDMQ   Z18, Z31, K6, Z8
+	VPMINUQ     Z19, Z8, K7, Z8
+	VMOVDQU64.Z Z16, K4, Z7
+	VPMAXUQ     Z17, Z7, K5, Z7
+	VMOVDQU64.Z Z18, K6, Z9
+	VPMAXUQ     Z19, Z9, K7, Z9
+	REDUCE(VPMINUQ, Z6, Z8, Z10)
+	REDUCE(VPMAXUQ, Z7, Z9, Z12)
+
+	// [xlo xhi | ylo yhi] → [amin amax], DelaySamples' association order.
+	VUNPCKLPD     Z12, Z10, Z10
+	VEXTRACTF64X4 $1, Z10, Y11
+	VADDPD        X11, X10, X10
+	VBROADCASTSD  voxel_zz(SI), Z20
+	VADDPD        X20, X10, X10
+	VPERMILPD     $1, X10, X11
+
+	// The guard: amin ≥ ArgMin and ArgMax ≥ amax, each false on a NaN
+	// (unordered sets CF).
+	VUCOMISD planeArgs_argMin(DI), X10
+	JCS      refuse
+	VUCOMISD X11, X15
+	JCS      refuse
+
+	// Walk the cursor to amin's segment: up while amin ≥ Hi, down while
+	// amin < Lo. amax ≥ amin ≥ that segment's Lo (at segment 0 by the lane
+	// proof's Lo[0] ≤ 0 < ArgMin), so its segment is only ever above.
+	MOVQ planeArgs_opsLast(DI), AX
+up:
+	CMPQ     R13, AX
+	JEQ      down
+	VUCOMISD SEG_HI(R13), X10
+	JCS      down
+	ADDQ     $SEG_SIZE, R13
+	JMP      up
+down:
+	CMPQ     R13, planeArgs_opsBase(DI)
+	JEQ      walked
+	VUCOMISD SEG_LO(R13), X10
+	JCC      walked
+	SUBQ     $SEG_SIZE, R13
+	JMP      down
+walked:
+	MOVQ R13, R12
+highest:
+	CMPQ     R12, AX
+	JEQ      spanned
+	VUCOMISD SEG_HI(R12), X11
+	JCS      spanned
+	ADDQ     $SEG_SIZE, R12
+	JMP      highest
+spanned:
+	SUBQ R13, R12
+
+	MOVQ voxel_txRaw(SI), AX
+	ADDQ planeArgs_outHalf(DI), AX
+	VPBROADCASTQ AX, Z26
 	// Every lane starts on the voxel's lowest segment.
-	VPBROADCASTQ SEG_LORAW(BX), Z1
-	VPBROADCASTQ SEG_C1(BX), Z2
-	VPBROADCASTQ SEG_V0(BX), Z3
-
+	VPBROADCASTQ SEG_LORAW(R13), Z1
+	VPBROADCASTQ SEG_C1(R13), Z2
+	VPBROADCASTQ SEG_V0(R13), Z3
+	MOVQ planeArgs_groups(DI), DX
+	MOVQ BX, R8
+	MOVQ planeArgs_full(DI), R10
 	TESTQ R10, R10
 	JZ    tail
 
@@ -263,11 +349,23 @@ full:
 
 tail:
 	KORTESTW K3, K3
-	JZ       done
+	JZ       next
 	// The slots past the plane computed column 0 of row 0; K3 drops them.
 	GROUP8(selT, roundT)
 	VPMOVSQW Z4, K3, (R8)
+	JMP      next
 
-done:
+refuse:
+	ORQ CX, R11
+
+next:
+	ADDQ planeArgs_stride(DI), BX
+	ADDQ $voxel__size, SI
+	SHLQ $1, CX
+	DECQ R9
+	JNZ  voxel
+
+	MOVQ R13, planeArgs_ops(DI)
+	MOVQ R11, ret+32(FP)
 	VZEROUPPER
 	RET

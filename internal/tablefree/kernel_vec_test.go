@@ -3,6 +3,7 @@ package tablefree
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,7 +15,7 @@ import (
 	"ultrabeam/internal/xdcr"
 )
 
-// TestFillKernelBody logs which body fixedPlane runs for a proven datapath
+// TestFillKernelBody logs which body lanes runs for a proven datapath
 // on this host and build — CI prints the line so a silent fallback shows.
 func TestFillKernelBody(t *testing.T) {
 	body := fillKernelBody()
@@ -39,8 +40,8 @@ func laneColumns(nx, ny int) int {
 	return 0
 }
 
-// rowsRef is the fixedRow path for one plane: what fixedPlane must equal
-// whichever body took whichever columns.
+// rowsRef is the fixedRow path for one plane, its cursor from segment 0:
+// what a fill must equal whichever body took whichever columns.
 func rowsRef(plane []int16, xt2, yt2 []float64, zz float64, txRaw int64, dp *sqrtapprox.IntDatapath) {
 	cur := 0
 	for j, y2 := range yt2 {
@@ -80,7 +81,7 @@ func laneCallFor(q *Provider, dp *sqrtapprox.IntDatapath) *laneCall {
 }
 
 // scanExtremes is the smallest and largest of v, both NaN if any is: the
-// guard's extremes found by looking, which termExtremes must equal.
+// guard's extremes found by looking.
 func scanExtremes(v []float64) (lo, hi float64) {
 	lo, hi = v[0], v[0]
 	for _, x := range v[1:] {
@@ -89,30 +90,58 @@ func scanExtremes(v []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// nappeCensus reports how many voxels of nappe id the lane body takes (on a
-// build or host without it, none) and how many of those take other than
-// laneColumns, and the widest segment span any voxel's arguments cover.
-func nappeCensus(p *Provider, id int) (vec, scalar, odd, maxSpan int) {
-	l, dp := p.Layout(), p.FixedDP.Integer()
-	plane := make([]int16, l.VoxelStride())
-	x, y := make([]float64, l.NX), make([]float64, l.NY)
-	lc := laneCallFor(p, dp)
-	cols := laneColumns(l.NX, l.NY)
-	eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
-		if done, _ := p.vecPlane(plane, v, x, y, lc, 0); done > 0 {
-			vec++
-			if done != cols {
-				odd++
-			}
-		} else {
-			scalar++
+// txMask marks the voxels whose transmit leg is outside [0, LaneTxLimit):
+// the guard's half fillNappe16Fixed checks before a batch reaches lanes.
+func txMask(vox []voxel) (refused uint64) {
+	for k, v := range vox {
+		if v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+			refused |= 1 << k
 		}
+	}
+	return refused
+}
+
+// eachBatch hands f nappe id's voxels in the batches fillNappe16Fixed
+// forms, the transmit legs from Find.
+func eachBatch(p *Provider, id int, f func(vox []voxel)) {
+	var vox []voxel
+	eachPlane(p, id, func(_ int, v voxel, _, _ []float64) {
+		if vox = append(vox, v); len(vox) == batchVoxels {
+			f(vox)
+			vox = vox[:0]
+		}
+	})
+	if len(vox) > 0 {
+		f(vox)
+	}
+}
+
+// laneMask is the refusal mask the fill's lane call, made under the probes
+// as they stand, returns for a batch: the transmit guard's marks and the
+// body's own.
+func laneMask(p *Provider, lc *laneCall, vox []voxel) uint64 {
+	l := p.Layout()
+	planes := make([]int16, len(vox)*l.VoxelStride())
+	return p.lanes(planes, vox, txMask(vox), make([]float64, l.NX), make([]float64, l.NY), lc)
+}
+
+// nappeCensus reports how many voxels of nappe id the lane body takes (on a
+// build or host without it, none) and how many it leaves to fixedRow, and
+// the widest segment span any voxel's arguments cover.
+func nappeCensus(p *Provider, id int) (vec, scalar, maxSpan int) {
+	dp := p.FixedDP.Integer()
+	lc := laneCallFor(p, dp)
+	eachBatch(p, id, func(vox []voxel) {
+		n := bits.OnesCount64(laneMask(p, lc, vox))
+		vec, scalar = vec+len(vox)-n, scalar+n
+	})
+	eachPlane(p, id, func(_ int, v voxel, xt2, yt2 []float64) {
 		xlo, xhi := scanExtremes(xt2)
 		ylo, yhi := scanExtremes(yt2)
 		lo, hi := segSpan(dp.Ops, xlo+ylo+v.zz, xhi+yhi+v.zz, 0)
 		maxSpan = max(maxSpan, hi-lo)
 	})
-	return vec, scalar, odd, maxSpan
+	return vec, scalar, maxSpan
 }
 
 // TestLaneFillShallowAndDeep is the matrix over the two ends of the segment
@@ -166,38 +195,32 @@ func sqrts(v ...float64) []float64 {
 	return v
 }
 
-// handPlane is fixedPlane on a hand-built aperture, and reports how many
-// lane columns it took. On a pitch grid it is fixedPlane itself, derived
-// guard included. Any other grid is outside what the derived guard covers,
-// so there the guard's extremes are scanned from the formed terms, and the
-// lane body and the fixedRow tail run as fixedPlane runs them.
+// handPlane fills one voxel's plane on a hand-built aperture as a batch of
+// one, the lane body's segment cursor starting at segment cur, and reports
+// how many lane columns it took. fixedRow's cursor starts at segment 0, as
+// rowsRef's does: a NaN argument leaves it where it stands. On a pitch
+// grid, and on any grid through the eight-lane body, it is the fill's own
+// route. The four-lane route's derived guard covers pitch grids alone, so
+// on any other grid handLanes scans the guard's extremes from the formed
+// terms, and the body runs as the fill runs it.
 func handPlane(q *Provider, plane []int16, v voxel, dp *sqrtapprox.IntDatapath, cur int) (done int) {
 	xt2, yt2 := make([]float64, len(q.elemX)), make([]float64, len(q.elemY))
 	lc := laneCallFor(q, dp)
-	if q.pitchGrid {
-		done, cur = q.vecPlane(plane, v, xt2, yt2, lc, cur)
-	} else {
-		q.planeTerms(v.sx, v.sy, xt2, yt2)
-		if lc.nVec > 0 {
-			xlo, xhi := scanExtremes(xt2[:lc.nVec])
-			ylo, yhi := scanExtremes(yt2)
-			done, cur = q.lanes(plane, v, xt2, yt2, lc, xlo+ylo+v.zz, xhi+yhi+v.zz, cur)
-		}
+	lc.startAt(cur)
+	vox := []voxel{v}
+	refused := handLanes(q, plane, vox, xt2, yt2, lc)
+	q.fixedPlanes(plane, vox, refused, xt2, yt2, dp, 0)
+	if refused != 0 {
+		return 0
 	}
-	if done == len(xt2) {
-		return done
-	}
-	for j, y2 := range yt2 {
-		cur = fixedRow(plane[j*len(xt2)+done:(j+1)*len(xt2)], xt2[done:], y2, v.zz, v.txRaw, dp, cur)
-	}
-	return done
+	return lc.nVec
 }
 
 // licensed reports whether the lane licence covers a voxel of an
 // aperture whose lane bodies take cols leading columns: every argument
 // (xt2[i] + yt2[j]) + zz they take in [ArgMin, ArgMax], and the transmit
 // leg in [0, LaneTxLimit). It is the guard's contract read element by
-// element, where lanes reads it from the plane's extremes.
+// element, where lanes reads it from the terms' extremes.
 func licensed(ln *sqrtapprox.Lanes, cols int, xt2, yt2 []float64, v voxel) bool {
 	if ln == nil || cols == 0 || v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
 		return false
@@ -213,8 +236,8 @@ func licensed(ln *sqrtapprox.Lanes, cols int, xt2, yt2 []float64, v voxel) bool 
 }
 
 // planeCase runs handPlane on aperture q, with its own permute table, and
-// holds every slot to the fixedRow path and to Index16 of the float
-// datapath, the slots either side of the plane to staying untouched, and
+// holds every slot to the fixedRow path and, but for a NaN argument, to
+// Index16 of the float datapath, the slots either side of the plane to staying untouched, and
 // the route to the licence: the lane body takes laneColumns of a licensed
 // voxel and none of any other.
 func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider, v voxel) {
@@ -250,7 +273,7 @@ func planeCase(t *testing.T, name string, f *sqrtapprox.FixedApprox, q *Provider
 			if got[k] != want[k] {
 				t.Errorf("%s txRaw=%d (%v+%v)+%v: plane %d != fixedRow %d", name, v.txRaw, x, y, v.zz, got[k], want[k])
 			}
-			if float := delay.Index16(tx + f.Eval(x+y+v.zz)); want[k] != float {
+			if float := delay.Index16(tx + f.Eval(x+y+v.zz)); want[k] != float && !math.IsNaN(x+y+v.zz) {
 				t.Errorf("%s txRaw=%d (%v+%v)+%v: fixedRow %d != Index16 %d", name, v.txRaw, x, y, v.zz, want[k], float)
 			}
 		}
@@ -271,7 +294,7 @@ func lanePlaneWritesOnlyItsPlane(t *testing.T) {
 	dp := p.FixedDP.Integer()
 	for _, nx := range []int{1, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17, 20, 23} {
 		for _, ny := range []int{1, 2, 5, 7, 13, 16, 17} {
-			// Pitch grids: terms 9i² and 900j², through the derived guard.
+			// Terms 9i² and 900j².
 			dx, dy := make([]float64, nx), make([]float64, ny)
 			for i := range dx {
 				dx[i] = float64(3 * i)
@@ -282,8 +305,7 @@ func lanePlaneWritesOnlyItsPlane(t *testing.T) {
 			q := handAperture(dx, dy)
 			v := voxel{zz: 2.5e5, txRaw: 31000}
 			planeCase(t, "canary", p.FixedDP, q, v)
-			plane := make([]int16, nx*ny)
-			if done, _ := q.vecPlane(plane, v, make([]float64, nx), make([]float64, ny), laneCallFor(q, dp), 0); done != laneColumns(nx, ny) {
+			if done := handPlane(q, make([]int16, nx*ny), v, dp, 0); done != laneColumns(nx, ny) {
 				t.Errorf("%dx%d: the lane body took %d columns, want %d", nx, ny, done, laneColumns(nx, ny))
 			}
 		}
@@ -435,6 +457,66 @@ func lanePlaneRoundingTies(t *testing.T) {
 		}
 		for _, txRaw := range txRaws {
 			planeChunks(t, fmt.Sprintf("%+v", fc), p.FixedDP, args, txRaw)
+		}
+	}
+}
+
+// TestLaneExtremesEveryLane holds the guard's extremes to the licence lane
+// by lane, on hand-built apertures up to 16 wide on either axis: a term
+// below ArgMin, above ArgMax or NaN in each column and each row in turn —
+// every lane of the eight-lane body's four term registers — must refuse
+// the voxel (on the four-lane route, in the columns it takes), and the
+// lanes past the aperture, which the eight-lane body loads as zeros, must
+// not count: the voxel sits at 0 on an axis whose elements are all at
+// least a sample off, the other axis's smallest term being 0, so that a
+// zero lane would form the smallest argument, 0; or it sits 10^5 samples
+// out with its elements around it, so that a zero lane would form the
+// largest, 10^10.
+func TestLaneExtremesEveryLane(t *testing.T) { eachBody(t, laneExtremesEveryLane) }
+
+func laneExtremesEveryLane(t *testing.T) {
+	p := fixedProvider(smallConfig())
+	ln := p.FixedDP.Integer().Lanes()
+	big := math.Sqrt(ln.ArgMax) + 1
+	// Offsets 1, 2, …: terms at least 1 ≥ ArgMin, and 0 on the other axis.
+	offsets := func(n int, from float64) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			d[i] = from + float64(i)
+		}
+		return d
+	}
+	at := func(q *Provider, cx, cy float64) *Provider {
+		for i := range q.elemX {
+			q.elemX[i] += cx
+		}
+		for j := range q.elemY {
+			q.elemY[j] += cy
+		}
+		return q
+	}
+	for _, nx := range []int{1, 2, 3, 7, 8, 9, 12, 15, 16} {
+		for _, ny := range []int{1, 5, 8, 9, 16} {
+			cols := laneColumns(nx, ny)
+			for _, c := range []float64{0, 1e5} {
+				planeCase(t, "zero lanes, x", p.FixedDP, at(handAperture(offsets(nx, 1), offsets(ny, 0)), c, c), voxel{sx: c, sy: c})
+				planeCase(t, "zero lanes, y", p.FixedDP, at(handAperture(offsets(nx, 0), offsets(ny, 1)), c, c), voxel{sx: c, sy: c})
+			}
+			for _, d := range []float64{0, big, math.NaN()} {
+				for i := range nx {
+					if math.IsNaN(d) && i >= cols {
+						continue // fixedRow's tail: a NaN's segment is its cursor's
+					}
+					dx := offsets(nx, 1)
+					dx[i] = d
+					planeCase(t, fmt.Sprintf("column %d of %d at %v", i, nx, d), p.FixedDP, handAperture(dx, offsets(ny, 0)), voxel{})
+				}
+				for j := range ny {
+					dy := offsets(ny, 1)
+					dy[j] = d
+					planeCase(t, fmt.Sprintf("row %d of %d at %v", j, ny, d), p.FixedDP, handAperture(offsets(nx, 0), dy), voxel{})
+				}
+			}
 		}
 	}
 }
@@ -701,146 +783,9 @@ func TestUnprovenDatapathsTakeRows(t *testing.T) {
 	}
 }
 
-// TestLaneGuardTripsMidNappe shrinks the PWL domain to the median of one
-// nappe's largest arguments, so that the per-voxel guard (αmax within the
-// proven bound) passes and fails inside the same FillNappe16 call: both
-// routes write into one block, which the matrix holds to the scalar law.
-func TestLaneGuardTripsMidNappe(t *testing.T) {
-	p := fixedProvider(blockSetup().Cfg)
-	l := p.Layout()
-	id := p.Cfg.Vol.Depth.N / 2
-	var amax []float64
-	for it := 0; it < l.NTheta; it++ {
-		for ip := 0; ip < l.NPhi; ip++ {
-			m := 0.0
-			for _, e := range [][2]int{{0, 0}, {l.NX - 1, 0}, {0, l.NY - 1}, {l.NX - 1, l.NY - 1}} {
-				_, rx := p.args(it, ip, id, e[0], e[1])
-				m = max(m, rx)
-			}
-			amax = append(amax, m)
-		}
-	}
-	lo, hi := amax[0], amax[0]
-	for _, a := range amax {
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	p.Approx = sqrtapprox.New((lo+hi)/2, p.Approx.Delta)
-	p.FixedDP = sqrtapprox.NewFixed(p.Approx, p.Cfg.Fixed)
-	if p.FixedDP.Integer().Lanes() == nil {
-		t.Fatal("the shrunk domain must still carry the lane proof")
-	}
-	v := conform(t, fill{"shrunk domain", p, []int{id}})
-	for _, r := range laneRoutes() {
-		if c := v.census[r.name]; c.vec == 0 || c.scalar == 0 {
-			t.Fatalf("%s route, nappe %d: %d voxels through the lanes, %d through the guard; want both", r.name, id, c.vec, c.scalar)
-		}
-	}
-	conform(t, all("shrunk domain", p))
-}
-
 func TestLaneFillAllocations(t *testing.T) { eachBody(t, fillAllocations) }
 
 func TestLaneFillConcurrentSharedTables(t *testing.T) { eachBody(t, concurrentFills) }
-
-// TestLaneGuardRejectsNaNTerms: the guard's extremes are derived from the
-// element grids, so a NaN reaches the lane arguments only through the voxel
-// — sx, sy or zz — or through the grid itself. A NaN or infinite voxel
-// coordinate must fail vecPlane's guard, so fixedRow emits the whole plane
-// (the lane bodies do not match fixedRow on NaN arguments). A provider
-// whose element grid is not finite and strictly monotone fails the
-// precondition provePitch checks once, and no voxel of it reaches a lane
-// body; a descending grid is still a pitch grid and keeps the lanes.
-func TestLaneGuardRejectsNaNTerms(t *testing.T) { eachBody(t, laneGuardRejectsNaNTerms) }
-
-func laneGuardRejectsNaNTerms(t *testing.T) {
-	narrow := smallConfig()
-	narrow.Arr = xdcr.NewArray(13, 5, 0.385e-3/2)
-	for _, p := range []*Provider{fixedProvider(smallConfig()), fixedProvider(narrow)} {
-		dp := p.FixedDP.Integer()
-		var v voxel
-		eachPlane(p, 7, func(k int, w voxel, _, _ []float64) {
-			if k == 0 {
-				v = w
-			}
-		})
-		nx, ny := len(p.elemX), len(p.elemY)
-		plane, xt2, yt2 := make([]int16, nx*ny), make([]float64, nx), make([]float64, ny)
-		lc := laneCallFor(p, dp)
-		if done, _ := p.vecPlane(plane, v, xt2, yt2, lc, 0); done != laneColumns(nx, ny) {
-			t.Fatalf("%dx%d: the finite voxel took %d lane columns, want %d: the NaN cases would prove nothing", nx, ny, done, laneColumns(nx, ny))
-		}
-		nan, inf := math.NaN(), math.Inf(1)
-		for _, c := range []struct {
-			name string
-			bad  func(w *voxel)
-		}{
-			{"sx NaN", func(w *voxel) { w.sx = nan }}, {"sy NaN", func(w *voxel) { w.sy = nan }},
-			{"zz NaN", func(w *voxel) { w.zz = nan }}, {"sx and sy NaN", func(w *voxel) { w.sx, w.sy = nan, nan }},
-			{"sx +Inf", func(w *voxel) { w.sx = inf }}, {"sy −Inf", func(w *voxel) { w.sy = -inf }},
-			{"zz +Inf", func(w *voxel) { w.zz = inf }},
-		} {
-			w := v
-			c.bad(&w)
-			if done, _ := p.vecPlane(plane, w, xt2, yt2, lc, 0); done != 0 {
-				t.Errorf("%dx%d %s: the guard passed the voxel to the lane body (%d columns)", nx, ny, c.name, done)
-			}
-			// Both routes start their cursor at 0, so even fixedRow's
-			// cursor-dependent value for a NaN argument must agree.
-			got, want := make([]int16, len(plane)), make([]int16, len(plane))
-			p.fixedPlane(got, w, xt2, yt2, dp, lc, 0)
-			x, y := make([]float64, nx), make([]float64, ny)
-			p.planeTerms(w.sx, w.sy, x, y)
-			rowsRef(want, x, y, w.zz, w.txRaw, dp)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%dx%d %s slot %d: fill %d != fixedRow %d", nx, ny, c.name, i, got[i], want[i])
-				}
-			}
-		}
-	}
-	for _, c := range []struct {
-		name   string
-		bad    func(e []float64)
-		finite bool
-	}{
-		{"NaN element", func(e []float64) { e[3] = math.NaN() }, false},
-		{"+Inf element", func(e []float64) { e[0] = math.Inf(1) }, false},
-		{"two elements swapped", func(e []float64) { e[2], e[3] = e[3], e[2] }, true},
-		{"two elements equal", func(e []float64) { e[1] = e[2] }, true},
-	} {
-		for _, axis := range []string{"x", "y"} {
-			p := fixedProvider(blockSetup().Cfg)
-			e := p.elemX
-			if axis == "y" {
-				e = p.elemY
-			}
-			c.bad(e)
-			p.provePitch()
-			if p.pitchGrid {
-				t.Errorf("%s on %s: the grid passed the pitch precondition", c.name, axis)
-			}
-			for id := 0; id < p.Cfg.Vol.Depth.N; id++ {
-				if vec, _, _, _ := nappeCensus(p, id); vec != 0 {
-					t.Fatalf("%s on %s, nappe %d: %d voxels took the lane body", c.name, axis, id, vec)
-				}
-			}
-			if c.finite {
-				lawFills(t, c.name+" on "+axis, p)
-			}
-		}
-	}
-	p := fixedProvider(blockSetup().Cfg)
-	slices.Reverse(p.elemX)
-	slices.Reverse(p.elemY)
-	p.provePitch()
-	if !p.pitchGrid {
-		t.Fatal("a descending grid failed the pitch precondition")
-	}
-	if vec, _, _, _ := nappeCensus(p, 5); fillKernelBody() != "ref" && vec == 0 {
-		t.Fatal("no voxel of the descending grid took the lane body")
-	}
-	lawFills(t, "descending", p)
-}
 
 // TestTermExtremesMatchScan is the derived guard's oracle on the element
 // grids the fills run — both axes of both served grids and of every

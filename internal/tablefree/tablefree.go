@@ -54,9 +54,9 @@ type Provider struct {
 	elemX, elemY []float64 // element coordinates, samples
 	originS      geom.Vec3 // origin, samples
 
-	// The lane guard's reading of the element axes: 1/pitch of each, and
-	// whether both are pitch grids (pitchInv), without which no voxel
-	// reaches a lane body.
+	// The four-lane guard's reading of the element axes: 1/pitch of each,
+	// and whether both are pitch grids (pitchInv), without which no voxel
+	// reaches the four-lane body.
 	invPitchX, invPitchY float64
 	pitchGrid            bool
 
