@@ -101,7 +101,7 @@ func (p *Provider) fillNappe16Fixed(id int, dst delay.Block16, dp *sqrtapprox.In
 			v, argTx := p.focal(it, ip, r)
 			tx = sqrtapprox.Walk(ops, tx, argTx)
 			v.txRaw = dp.Raw(&ops[tx], argTx)
-			if v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+			if txOutside(v.txRaw) {
 				refused |= 1 << k
 			}
 			vox[k] = v
@@ -142,6 +142,10 @@ func (p *Provider) planeTerms(sx, sy float64, xt2, yt2 []float64) {
 		yt2[ej] = yt * yt
 	}
 }
+
+// txOutside reports a transmit leg outside [0, LaneTxLimit): the half of
+// the lane guard checked before a batch reaches lanes.
+func txOutside(raw int64) bool { return raw < 0 || raw >= sqrtapprox.LaneTxLimit }
 
 // fixedPlanes emits through fixedRow — the executable specification — the
 // whole plane of every voxel refused marks, planes holding vox's planes

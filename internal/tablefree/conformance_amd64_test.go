@@ -14,9 +14,9 @@ import (
 // hard-codes (SEG_*): go_asm.h only covers this package's own types.
 func TestSegOpLayout(t *testing.T) {
 	var op sqrtapprox.SegOp
-	got := [5]uintptr{unsafe.Offsetof(op.Lo), unsafe.Offsetof(op.LoRaw), unsafe.Offsetof(op.C1), unsafe.Offsetof(op.V0), unsafe.Sizeof(op)}
-	if want := [5]uintptr{0, 16, 24, 32, 40}; got != want {
-		t.Fatalf("SegOp Lo/LoRaw/C1/V0 offsets and size = %v, the assembly assumes %v", got, want)
+	got := [6]uintptr{unsafe.Offsetof(op.Lo), unsafe.Offsetof(op.Hi), unsafe.Offsetof(op.LoRaw), unsafe.Offsetof(op.C1), unsafe.Offsetof(op.V0), unsafe.Sizeof(op)}
+	if want := [6]uintptr{0, 8, 16, 24, 32, 40}; got != want {
+		t.Fatalf("SegOp Lo/Hi/LoRaw/C1/V0 offsets and size = %v, the assembly assumes %v", got, want)
 	}
 }
 

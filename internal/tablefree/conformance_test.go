@@ -439,9 +439,9 @@ func TestLaneGuardTripsMidNappe(t *testing.T) {
 
 // The refusal causes the batch rows inject into a voxel.
 const (
-	causeTx     = iota // a transmit leg at or past LaneTxLimit, or below 0
-	causeArgMin        // on an element at depth term ArgMin less an ulp: the smallest argument is below ArgMin
-	causeNaN           // sx, sy or zz NaN: every argument of the plane is NaN
+	causeTx        = iota // a transmit leg at or past LaneTxLimit, or below 0
+	causeArgMin           // on an element at depth term ArgMin less an ulp: the smallest argument is below ArgMin
+	causeNonFinite        // sx, sy or zz NaN or infinite, or sx and sy NaN: every argument of the plane is NaN or +Inf
 	nCauses
 )
 
@@ -489,7 +489,7 @@ func refusalRows() (rows []refusalRow) {
 // TestLaneRefusalRows runs the transmit-leg and ArgMin refusal rows.
 func TestLaneRefusalRows(t *testing.T) {
 	for _, r := range refusalRows() {
-		if r.cause != causeNaN {
+		if r.cause != causeNonFinite {
 			refusals(t, r, r.s.fill(t).p)
 		}
 	}
@@ -515,14 +515,22 @@ func (r refusalRow) voxels(p *Provider) []voxel {
 			onElement(math.Nextafter(ln.ArgMin, 0))
 		case r.cause == causeArgMin && edge:
 			onElement(ln.ArgMin)
-		case r.cause == causeNaN && marked(k):
-			switch nan := math.NaN(); k % 3 {
+		case r.cause == causeNonFinite && marked(k):
+			switch nan, inf := math.NaN(), math.Inf(1); k % 7 {
 			case 0:
 				v.sx = nan
 			case 1:
 				v.sy = nan
-			default:
+			case 2:
 				v.zz = nan
+			case 3:
+				v.sx, v.sy = nan, nan
+			case 4:
+				v.sx = inf
+			case 5:
+				v.sy = -inf
+			default:
+				v.zz = inf
 			}
 		}
 		vox = append(vox, v)
@@ -533,8 +541,8 @@ func (r refusalRow) voxels(p *Provider) []voxel {
 // refusals holds row r, on p, to its twins on every route this host
 // offers: each batch's refusal mask must be exactly the voxels the licence,
 // read element by element (licensed), does not cover; every voxel the
-// lanes took must equal the fixedRow path and, but for a NaN, the scalar
-// law on its arguments (Index16 of the two legs' FixedApprox.Eval); the
+// lanes took must equal the fixedRow path and, on a finite argument, the
+// scalar law on its arguments (Index16 of the two legs' FixedApprox.Eval); the
 // lanes must leave a refused voxel's plane as it was; and the refused
 // voxels must equal fixedRow run over them in order, its
 // cursor carried from one to the next as fixedPlanes carries it — which a
@@ -596,7 +604,7 @@ func refusals(t *testing.T, r refusalRow, p *Provider) {
 					break slots
 				}
 				a := xt2[e%nx] + yt2[e/nx] + v.zz
-				if law := delay.Index16(tx(v) + p.FixedDP.Eval(a)); !math.IsNaN(a) && want[k*nE+e] != law {
+				if law := delay.Index16(tx(v) + p.FixedDP.Eval(a)); !math.IsNaN(a) && !math.IsInf(a, 0) && want[k*nE+e] != law {
 					t.Errorf("%s voxel %d slot %d: fixedRow %d != law %d", rt.name, k, e, want[k*nE+e], law)
 					break slots
 				}
@@ -606,19 +614,21 @@ func refusals(t *testing.T, r refusalRow, p *Provider) {
 	}
 }
 
-// TestLaneGuardRejectsNaNTerms runs the NaN refusal rows — a NaN reaches
-// the lane arguments through the voxel (sx, sy or zz) or through the
-// element grid — and the grid rows. A NaN or infinite element refuses
-// every voxel: the eight-lane body's extremes, a scan of the terms, fail
-// the guard, and the grid fails the pitch precondition the four-lane
-// route's derived extremes rest on (provePitch); the fill must equal the
-// fixedRow path (the lane bodies do not match fixedRow on NaN arguments).
-// Any other finite grid — elements swapped, equal, one of them 0.3 pitch
-// off its place, descending — keeps the eight-lane body, keeps the four-lane one
-// if it is still a pitch grid (descending), and fills == the scalar law.
+// TestLaneGuardRejectsNaNTerms runs the non-finite refusal rows — a NaN
+// or an infinity reaches the lane arguments through the voxel (sx, sy or
+// zz) or through the element grid — and the grid rows. A NaN or infinite
+// element refuses every voxel: the eight-lane body's extremes, a scan of
+// the terms, fail the guard, and the grid fails the pitch precondition the
+// four-lane route's derived extremes rest on (provePitch); the fill must
+// equal the fixedRow path (the lane bodies do not match fixedRow on NaN
+// arguments). Any other finite grid — elements swapped, equal, one of them
+// 0.3 pitch off its place, descending — keeps the eight-lane body, keeps
+// the four-lane one if it is still a pitch grid (descending), and fills ==
+// the scalar law. The grid rows run every nappe of the reduced grid and
+// every 16th of the small served one.
 func TestLaneGuardRejectsNaNTerms(t *testing.T) {
 	for _, r := range refusalRows() {
-		if r.cause == causeNaN {
+		if r.cause == causeNonFinite {
 			refusals(t, r, r.s.fill(t).p)
 		}
 	}
@@ -642,40 +652,50 @@ func TestLaneGuardRejectsNaNTerms(t *testing.T) {
 		}, true, false},
 		{"descending", slices.Reverse[[]float64], true, true},
 	} {
-		for _, axis := range []string{"x", "y"} {
-			p := fixedProvider(smallConfig())
-			e := p.elemX
-			if axis == "y" {
-				e = p.elemY
-			}
-			c.bad(e)
-			p.provePitch()
-			name := c.name + " on " + axis
-			if p.pitchGrid != c.pitch {
-				t.Errorf("%s: pitch grid %t, want %t", name, p.pitchGrid, c.pitch)
-			}
-			if c.finite {
-				v := conform(t, fill{name, p, []int{1, 33}})
-				for _, r := range laneRoutes() {
-					if took := v.census[r.name].vec > 0; took != (r.avx512 || c.pitch) {
-						t.Errorf("%s, %s route: voxels took the lanes: %t", name, r.name, took)
-					}
+		for _, g := range []struct {
+			name string
+			cfg  Config
+			step int
+		}{{"reduced", blockSetup().Cfg, 1}, {"small", smallConfig(), 16}} {
+			for _, axis := range []string{"x", "y"} {
+				p := fixedProvider(g.cfg)
+				e := p.elemX
+				if axis == "y" {
+					e = p.elemY
 				}
-				continue
-			}
-			want, got := make(delay.Block16, p.Layout().BlockLen()), make(delay.Block16, p.Layout().BlockLen())
-			eachBody(t, func(t *testing.T) {
-				for id := 0; id < p.Cfg.Vol.Depth.N; id += 16 {
-					if vec, _, _ := nappeCensus(p, id); vec != 0 {
-						t.Fatalf("%s, nappe %d: %d voxels took the lane body", name, id, vec)
-					}
-					refFill16(p, id, want)
-					p.FillNappe16(id, got)
-					if i := slices.Compare(got, want); i != 0 {
-						t.Fatalf("%s, nappe %d: the fill differs from the fixedRow path", name, id)
-					}
+				c.bad(e)
+				p.provePitch()
+				name := c.name + " on " + axis + " of the " + g.name + " grid"
+				if p.pitchGrid != c.pitch {
+					t.Errorf("%s: pitch grid %t, want %t", name, p.pitchGrid, c.pitch)
 				}
-			})
+				var ids []int
+				for id := 0; id < p.Cfg.Vol.Depth.N; id += g.step {
+					ids = append(ids, id)
+				}
+				if c.finite {
+					v := conform(t, fill{name, p, ids})
+					for _, r := range laneRoutes() {
+						if took := v.census[r.name].vec > 0; took != (r.avx512 || c.pitch) {
+							t.Errorf("%s, %s route: voxels took the lanes: %t", name, r.name, took)
+						}
+					}
+					continue
+				}
+				want, got := make(delay.Block16, p.Layout().BlockLen()), make(delay.Block16, p.Layout().BlockLen())
+				eachBody(t, func(t *testing.T) {
+					for _, id := range ids {
+						if vec, _, _ := nappeCensus(p, id); vec != 0 {
+							t.Fatalf("%s, nappe %d: %d voxels took the lane body", name, id, vec)
+						}
+						refFill16(p, id, want)
+						p.FillNappe16(id, got)
+						if i := slices.Compare(got, want); i != 0 {
+							t.Fatalf("%s, nappe %d: the fill differs from the fixedRow path", name, id)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -90,11 +90,11 @@ func scanExtremes(v []float64) (lo, hi float64) {
 	return lo, hi
 }
 
-// txMask marks the voxels whose transmit leg is outside [0, LaneTxLimit):
-// the guard's half fillNappe16Fixed checks before a batch reaches lanes.
+// txMask is the refusal mask fillNappe16Fixed's pass builds for vox: the
+// voxels whose transmit leg txOutside refuses.
 func txMask(vox []voxel) (refused uint64) {
 	for k, v := range vox {
-		if v.txRaw < 0 || v.txRaw >= sqrtapprox.LaneTxLimit {
+		if txOutside(v.txRaw) {
 			refused |= 1 << k
 		}
 	}
